@@ -5,7 +5,7 @@
 //! ```sh
 //! cargo run --release -p rtdb-bench --bin rtload                  # full line-up -> ./BENCH_rt.json
 //! cargo run --release -p rtdb-bench --bin rtload -- --threads 8 --kind pcp-da --seed 7
-//! cargo run --release -p rtdb-bench --bin rtload -- --manager combining --threads 1,4,16
+//! cargo run --release -p rtdb-bench --bin rtload -- --threads 1,4,16
 //! cargo run --release -p rtdb-bench --bin rtload -- --arrival-rate 50000 --sweep-points 6
 //! cargo run --release -p rtdb-bench --bin rtload -- --shards 1,4 --cross-fraction 0.2
 //! cargo run --release -p rtdb-bench --bin rtload -- --tenants 2 --fairness both
@@ -35,19 +35,10 @@
 //! without starting there. This measures behaviour *under offered
 //! load* — the regime where queueing collapse lives.
 //!
-//! **Sweep axes.** `--manager mutex|combining|both` (default `both`)
-//! selects the lock manager(s); every record carries a `"manager"`
-//! field, and combining records additionally carry a `"combiner"`
-//! telemetry object (passes, ops-combined-per-pass, pass-length
-//! distribution, per-priority time-in-slot). `--threads` accepts a
-//! comma-separated list; the closed loop defaults to the
-//! 1/2/4/8/16/32 sweep, the open loop runs at one thread count (the
-//! single `--threads` value if one was given, else 4). Both managers
-//! run at identical seeds and — in the open loop — identical offered
-//! rates (the auto-calibration runs once per protocol, under the mutex
-//! manager), so mutex-vs-combining records are directly comparable;
-//! after measuring, a warn-only A/B summary prints the combining-vs-
-//! mutex throughput delta for every matched pair.
+//! **Sweep axes.** `--threads` accepts a comma-separated list; the
+//! closed loop defaults to the 1/2/4/8/16/32 sweep, the open loop runs
+//! at one thread count (the single `--threads` value if one was given,
+//! else 4).
 //!
 //! `--reps` (default 3) re-runs each closed-loop configuration and keeps
 //! the *median-throughput* record: single 400-job runs are ~20 ms
@@ -74,8 +65,8 @@
 //! `mv_high_water`), and baseline matching is read-mix aware: a record
 //! only compares against a baseline with the same mix and snapshot
 //! setting. The default full line-up additionally appends a read-heavy
-//! sweep — PCP-DA, 95/5, θ ∈ {0, 0.6, 0.9}, snapshot off vs on, both
-//! managers — and prints a warn-only snapshot-on-vs-off A/B summary.
+//! sweep — PCP-DA, 95/5, θ ∈ {0, 0.6, 0.9}, snapshot off vs on — and
+//! prints a warn-only snapshot-on-vs-off A/B summary.
 //!
 //! **Zipfian-hotspot family.** `--skew θ` *without* `--read-fraction`
 //! switches the workload to [`rtdb_bench::hotspot_workload`] — the
@@ -89,7 +80,7 @@
 //! 2PL-HP, Bamboo, Brook-2PL). Records carry `"family": "hotspot"` and
 //! `"skew"`, so they never match read-heavy or standard baselines. The
 //! default full line-up additionally appends a hotspot sweep — those four
-//! kinds at θ ∈ {0, 0.6, 0.9, 1.2}, both managers — and every closed-loop
+//! kinds at θ ∈ {0, 0.6, 0.9, 1.2} — and every closed-loop
 //! summary line and record now includes the abort-reason breakdown
 //! (`wound` / `cascade` / `deadlock_victim` / `ceiling_block`), which is
 //! how the cascade cost of early release stays visible next to its
@@ -145,8 +136,12 @@
 //! `--check [baseline.json]` measures without writing and **warns**
 //! (exit 0 — wall-clock throughput of a threaded run on a shared CI box
 //! is too noisy to gate merges on) when committed throughput drops more
-//! than 25% against a baseline record with the same mode, manager and
+//! than 25% against a baseline record with the same mode and
 //! configuration; mismatched configurations are skipped.
+//!
+//! The one positional argument is the output (or, with `--check`, the
+//! baseline) path; an unrecognised `--flag` exits 2 with the flag list
+//! rather than being taken for that path.
 
 use rtdb::prelude::*;
 use rtdb::rt;
@@ -183,8 +178,7 @@ const DEFAULT_OVERLOAD: f64 = 1.5;
 /// saturation, so shedding is guaranteed and fairness has work to do.
 const SCENARIO_OVERLOAD: f64 = 2.0;
 /// Advisory tolerance: a warning is printed when committed-txns/sec
-/// drops by more than this fraction against a same-config baseline (or,
-/// in the A/B summary, when combining lags mutex by more than this).
+/// drops by more than this fraction against a same-config baseline.
 const REGRESSION_TOLERANCE: f64 = 0.25;
 
 struct Args {
@@ -192,8 +186,6 @@ struct Args {
     /// `None` = the full [`ProtocolKind::STANDARD`] line-up (closed
     /// loop) and the PCP-DA / 2PL-HP pair (open loop).
     kind: Option<ProtocolKind>,
-    /// Lock managers to measure (default: both).
-    managers: Vec<rt::ManagerKind>,
     /// Thread counts; `None` = the default closed-loop sweep.
     threads: Option<Vec<usize>>,
     jobs: usize,
@@ -243,11 +235,24 @@ struct Args {
     path: String,
 }
 
+/// Every flag [`parse_args_from`] accepts, for the unknown-flag message.
+const FLAGS: &str = "--check --open-only --kind --threads --jobs --reps --tick-ns --seed \
+    --arrival-rate --sweep-points --interarrival --policy --queue-cap --read-fraction --skew \
+    --shards --cross-fraction --net --tenants --tenant-weights --fairness --snapshot";
+
 fn parse_args() -> Args {
+    parse_args_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// Parse the command line. `Err` carries the message for an argument
+/// that is neither a known flag nor a plausible path.
+fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         check: false,
         kind: None,
-        managers: rt::ManagerKind::ALL.to_vec(),
         threads: None,
         jobs: DEFAULT_JOBS,
         reps: DEFAULT_REPS,
@@ -270,7 +275,7 @@ fn parse_args() -> Args {
         fairness_modes: vec![false, true],
         path: "BENCH_rt.json".into(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} takes a value"));
         match a.as_str() {
@@ -279,13 +284,6 @@ fn parse_args() -> Args {
             "--kind" => {
                 let v = value("--kind");
                 args.kind = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
-            }
-            "--manager" => {
-                let v = value("--manager");
-                args.managers = match v.to_ascii_lowercase().as_str() {
-                    "both" | "all" => rt::ManagerKind::ALL.to_vec(),
-                    one => vec![one.parse().unwrap_or_else(|e| panic!("{e}"))],
-                };
             }
             "--threads" => {
                 let v = value("--threads");
@@ -411,10 +409,13 @@ fn parse_args() -> Args {
                     other => panic!("--snapshot: expected on, off or both, got `{other}`"),
                 };
             }
-            other => args.path = other.to_string(),
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag `{flag}`; valid flags: {FLAGS}"));
+            }
+            path => args.path = path.to_string(),
         }
     }
-    args
+    Ok(args)
 }
 
 /// Workload-mix tags carried on every record of a run, so baseline
@@ -541,36 +542,6 @@ fn abort_reason_suffix(r: &AbortBreakdown) -> String {
     format!(" [{}]", parts.join(", "))
 }
 
-/// Fold a combining run's pass/slot telemetry into a JSON object.
-fn combiner_record(c: &rt::CombinerStats) -> Json {
-    let overall = c.slot_wait_overall();
-    let prio_records: Vec<Json> = c
-        .slot_wait_by_priority
-        .iter()
-        .map(|(level, h)| {
-            Json::obj()
-                .set("priority", *level as u64)
-                .set("ops", h.count())
-                .set("p50_us", us(h.quantile(0.50)))
-                .set("p95_us", us(h.quantile(0.95)))
-                .set("p99_us", us(h.quantile(0.99)))
-                .set("max_us", us(h.max()))
-        })
-        .collect();
-    Json::obj()
-        .set("passes", c.passes)
-        .set("ops_combined", c.ops_combined)
-        .set("ops_per_pass", c.ops_per_pass())
-        .set("max_pass_len", c.max_pass_len)
-        .set("pass_len_p50", c.pass_len.quantile(0.50))
-        .set("pass_len_p99", c.pass_len.quantile(0.99))
-        .set("slot_wait_p50_us", us(overall.quantile(0.50)))
-        .set("slot_wait_p95_us", us(overall.quantile(0.95)))
-        .set("slot_wait_p99_us", us(overall.quantile(0.99)))
-        .set("slot_wait_max_us", us(overall.max()))
-        .set("slot_wait_by_priority", Json::Arr(prio_records))
-}
-
 /// Execute one protocol's closed-loop configuration `args.reps` times
 /// and keep the median-throughput record (tagged with `"reps"`). Every
 /// repetition runs the identical seeded job list; only the OS scheduler
@@ -578,14 +549,13 @@ fn combiner_record(c: &rt::CombinerStats) -> Json {
 fn measure(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     mix: Mix,
     args: &Args,
 ) -> Json {
     let mut runs: Vec<(f64, Json)> = (0..args.reps)
         .map(|_| {
-            let rec = measure_once(set, kind, manager, threads, mix, args);
+            let rec = measure_once(set, kind, threads, mix, args);
             let tps = rec
                 .get("committed_per_sec")
                 .and_then(Json::as_f64)
@@ -602,7 +572,6 @@ fn measure(
 fn measure_once(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     mix: Mix,
     args: &Args,
@@ -614,7 +583,6 @@ fn measure_once(
         rt::RtConfig::new(kind)
             .with_threads(threads)
             .with_tick_ns(args.tick_ns)
-            .with_manager(manager)
             .with_snapshot_reads(mix.snapshot)
             .with_shards(mix.shards()),
     );
@@ -637,9 +605,8 @@ fn measure_once(
 
     let throughput = result.throughput();
     println!(
-        "{:<8} {:<9} {:>3} threads {:>6} jobs {:>12.0} committed/sec {:>8} restarts {:>4} deadlocks{}",
+        "{:<8} {:>3} threads {:>6} jobs {:>12.0} committed/sec {:>8} restarts {:>4} deadlocks{}",
         kind.name(),
-        manager.name(),
         threads,
         args.jobs,
         throughput,
@@ -662,7 +629,6 @@ fn measure_once(
     let mut rec = Json::obj()
         .set("mode", "closed-loop")
         .set("protocol", kind.name())
-        .set("manager", manager.name())
         .set("threads", threads as u64)
         .set("jobs", args.jobs as u64)
         .set("seed", args.seed)
@@ -675,9 +641,6 @@ fn measure_once(
         .set("deadlocks_resolved", result.deadlocks_resolved)
         .set("park_timeout_wakeups", result.park_timeout_wakeups)
         .set("bands", Json::Arr(band_records));
-    if manager == rt::ManagerKind::Combining {
-        rec = rec.set("combiner", combiner_record(&result.combiner));
-    }
     if result.snapshot_reads {
         rec = rec
             .set("snapshots", result.snapshots)
@@ -731,9 +694,8 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
         .collect();
 
     println!(
-        "{:<8} {:<9} open-loop {:>10.0} jobs/sec offered: {:>4} committed {:>4} shed {:>4} rejected  miss {:>6.1}%  queue p95 {:>9.1}us  service p95 {:>9.1}us",
+        "{:<8} open-loop {:>10.0} jobs/sec offered: {:>4} committed {:>4} shed {:>4} rejected  miss {:>6.1}%  queue p95 {:>9.1}us  service p95 {:>9.1}us",
         p.kind.name(),
-        p.manager.name(),
         p.arrival_rate,
         r.committed,
         r.shed,
@@ -746,7 +708,6 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
     let mut rec = Json::obj()
         .set("mode", "open-loop")
         .set("protocol", p.kind.name())
-        .set("manager", p.manager.name())
         .set("threads", p.threads as u64)
         .set("jobs", p.jobs as u64)
         .set("seed", p.seed)
@@ -777,9 +738,6 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
     if p.deadline_scale > 1 {
         rec = rec.set("deadline_scale", p.deadline_scale);
     }
-    if p.manager == rt::ManagerKind::Combining {
-        rec = rec.set("combiner", combiner_record(&r.combiner));
-    }
     if r.snapshot_reads {
         rec = rec
             .set("snapshots", r.snapshots)
@@ -795,9 +753,6 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
 /// lock-manager overhead and can sit several times above the real
 /// ceiling, which would leave every sweep point saturated; the min
 /// guards against a calibration run inflated by scheduler luck.
-/// Calibration runs under the mutex manager (the oracle), so both
-/// managers sweep at the *same* rates and their records compare like
-/// for like.
 fn calibrated_ceiling(
     set: &TransactionSet,
     kind: ProtocolKind,
@@ -827,7 +782,6 @@ fn top_rate(set: &TransactionSet, kind: ProtocolKind, threads: usize, args: &Arg
 fn measure_open_loop(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     rate: f64,
     mix: Mix,
@@ -835,7 +789,6 @@ fn measure_open_loop(
 ) -> Vec<Json> {
     let base = OpenLoopParams {
         kind,
-        manager,
         threads,
         tick_ns: args.tick_ns,
         jobs: args.jobs,
@@ -867,7 +820,6 @@ fn measure_open_loop(
 fn measure_scenario(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     weights: &[u64],
     args: &Args,
@@ -920,7 +872,6 @@ fn measure_scenario(
         .map(|&fairness| {
             let p = OpenLoopParams {
                 kind,
-                manager,
                 threads,
                 tick_ns: args.tick_ns,
                 jobs: args.jobs,
@@ -1039,7 +990,7 @@ fn scenario_record(
 }
 
 /// The identity keys two records must share to be comparable: everything
-/// that parameterizes a run except the lock manager.
+/// that parameterizes a run.
 fn config_keys(rec: &Json) -> &'static [&'static str] {
     // Open-loop committed/sec tracks the offered rate below saturation,
     // so records only compare when the offered rate matches too —
@@ -1097,11 +1048,11 @@ fn keys_match(a: &Json, b: &Json, keys: &[&str]) -> bool {
     })
 }
 
-/// Baseline record matching this run's mode, manager and configuration.
+/// Baseline record matching this run's mode and configuration.
 fn baseline_of<'a>(baseline: &'a [Json], rec: &Json) -> Option<&'a Json> {
-    let mut keys = config_keys(rec).to_vec();
-    keys.push("manager");
-    baseline.iter().find(|b| keys_match(b, rec, &keys))
+    baseline
+        .iter()
+        .find(|b| keys_match(b, rec, config_keys(rec)))
 }
 
 fn short_label(rec: &Json) -> String {
@@ -1125,48 +1076,8 @@ fn short_label(rec: &Json) -> String {
     )
 }
 
-/// Warn-only A/B summary: for every combining record with a same-config
-/// mutex twin, print the throughput delta; collect a warning when the
-/// combiner lags beyond the tolerance.
-fn ab_summary(records: &[Json], warnings: &mut Vec<String>) {
-    let manager_of = |r: &Json| {
-        r.get("manager")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    for rec in records.iter().filter(|r| manager_of(r) == "combining") {
-        let Some(twin) = records
-            .iter()
-            .filter(|r| manager_of(r) == "mutex")
-            .find(|r| keys_match(r, rec, config_keys(rec)))
-        else {
-            continue;
-        };
-        let (Some(mutex_tps), Some(comb_tps)) = (
-            twin.get("committed_per_sec").and_then(Json::as_f64),
-            rec.get("committed_per_sec").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        if mutex_tps <= 0.0 {
-            continue;
-        }
-        let delta = (comb_tps - mutex_tps) / mutex_tps * 100.0;
-        let label = short_label(rec);
-        eprintln!(
-            "A/B {label}: combining {comb_tps:.0}/s vs mutex {mutex_tps:.0}/s ({delta:+.1}%)"
-        );
-        if delta < -100.0 * REGRESSION_TOLERANCE {
-            warnings.push(format!(
-                "A/B {label}: combining lags mutex by {delta:+.1}% ({mutex_tps:.0} -> {comb_tps:.0})"
-            ));
-        }
-    }
-}
-
 /// Warn-only snapshot A/B summary: for every snapshot-on record with a
-/// same-config snapshot-off twin (same manager, mix, everything but the
+/// same-config snapshot-off twin (same mix, everything but the
 /// snapshot tag), print the throughput delta; collect a warning when
 /// enabling the path *costs* throughput.
 fn snapshot_summary(records: &[Json], warnings: &mut Vec<String>) {
@@ -1176,7 +1087,6 @@ fn snapshot_summary(records: &[Json], warnings: &mut Vec<String>) {
             .iter()
             .copied()
             .filter(|&k| k != "snapshot")
-            .chain(["manager"])
             .collect();
         let Some(twin) = records
             .iter()
@@ -1195,11 +1105,7 @@ fn snapshot_summary(records: &[Json], warnings: &mut Vec<String>) {
             continue;
         }
         let delta = (on_tps - off_tps) / off_tps * 100.0;
-        let label = format!(
-            "{} [{}]",
-            short_label(rec),
-            rec.get("manager").and_then(Json::as_str).unwrap_or("?"),
-        );
+        let label = short_label(rec);
         eprintln!("snapshot A/B {label}: on {on_tps:.0}/s vs off {off_tps:.0}/s ({delta:+.1}%)");
         // Below saturation an open-loop run commits what is offered, so
         // small negative deltas are sampling noise; warn only on real
@@ -1232,7 +1138,6 @@ fn fairness_summary(records: &[Json], warnings: &mut Vec<String>) {
             .iter()
             .copied()
             .filter(|&k| k != "fairness")
-            .chain(["manager"])
             .collect();
         let Some(twin) = records
             .iter()
@@ -1366,8 +1271,8 @@ fn main() {
         .clone()
         .unwrap_or_else(|| DEFAULT_THREAD_SWEEP.to_vec());
     // The open loop keeps a single thread count: its sweep axis is
-    // offered load, and a full threads × rate × manager cube would blow
-    // the runtime budget.
+    // offered load, and a full threads × rate square would blow the
+    // runtime budget.
     let open_threads: usize = match args.threads.as_deref() {
         Some([single]) => *single,
         _ => DEFAULT_THREADS,
@@ -1384,29 +1289,27 @@ fn main() {
                 continue;
             }
             for &threads in &closed_threads {
-                for &manager in &args.managers {
-                    for &snapshot in &args.snapshots {
-                        // Tag every point of a sharded sweep — including
-                        // shards == 1 — because the partitioned workload
-                        // differs from the legacy standard one and its
-                        // records must never match untagged baselines.
-                        let shard_axis =
-                            sharded_sweep.then_some((shards, max_shards, args.cross_fraction));
-                        let mix = Mix {
-                            family,
-                            hotspot: hotspot_family,
-                            snapshot,
-                            shard_axis,
-                        };
-                        records.push(measure(&set, kind, manager, threads, mix, &args));
-                    }
+                for &snapshot in &args.snapshots {
+                    // Tag every point of a sharded sweep — including
+                    // shards == 1 — because the partitioned workload
+                    // differs from the legacy standard one and its
+                    // records must never match untagged baselines.
+                    let shard_axis =
+                        sharded_sweep.then_some((shards, max_shards, args.cross_fraction));
+                    let mix = Mix {
+                        family,
+                        hotspot: hotspot_family,
+                        snapshot,
+                        shard_axis,
+                    };
+                    records.push(measure(&set, kind, threads, mix, &args));
                 }
             }
         }
     }
     // The read-heavy sweep of the default full line-up: PCP-DA at 95/5,
-    // three Zipf exponents, snapshot off vs on, both managers — the A/B
-    // that the snapshot path exists for. Explicit `--read-fraction` /
+    // three Zipf exponents, snapshot off vs on — the A/B that the
+    // snapshot path exists for. Explicit `--read-fraction` /
     // `--skew` runs already measure their own family above.
     if args.kind.is_none()
         && !args.open_only
@@ -1422,18 +1325,9 @@ fn main() {
         for &skew in &[0.0, 0.6, 0.9] {
             let rh = rtdb_bench::read_heavy_workload(args.seed, 0.95, skew);
             for &threads in &family_threads {
-                for &manager in &args.managers {
-                    for snapshot in [false, true] {
-                        let mix = Mix::unsharded(Some((0.95, skew)), snapshot);
-                        records.push(measure(
-                            &rh,
-                            ProtocolKind::PcpDa,
-                            manager,
-                            threads,
-                            mix,
-                            &args,
-                        ));
-                    }
+                for snapshot in [false, true] {
+                    let mix = Mix::unsharded(Some((0.95, skew)), snapshot);
+                    records.push(measure(&rh, ProtocolKind::PcpDa, threads, mix, &args));
                 }
             }
         }
@@ -1444,19 +1338,16 @@ fn main() {
         // snapshot path alone.
         let rh = rtdb_bench::read_heavy_workload(args.seed, 0.95, 0.9);
         let rate = top_rate(&rh, ProtocolKind::PcpDa, open_threads, &args);
-        for &manager in &args.managers {
-            for snapshot in [false, true] {
-                let mix = Mix::unsharded(Some((0.95, 0.9)), snapshot);
-                records.extend(measure_open_loop(
-                    &rh,
-                    ProtocolKind::PcpDa,
-                    manager,
-                    open_threads,
-                    rate,
-                    mix,
-                    &args,
-                ));
-            }
+        for snapshot in [false, true] {
+            let mix = Mix::unsharded(Some((0.95, 0.9)), snapshot);
+            records.extend(measure_open_loop(
+                &rh,
+                ProtocolKind::PcpDa,
+                open_threads,
+                rate,
+                mix,
+                &args,
+            ));
         }
         // The Zipfian-hotspot sweep of the default full line-up: the
         // early-release pair against the blocking / abort-based
@@ -1474,17 +1365,15 @@ fn main() {
         for &theta in &HOTSPOT_SKEWS {
             let hw = rtdb_bench::hotspot_workload(args.seed, theta);
             for &threads in &hotspot_threads {
-                for &manager in &args.managers {
-                    for &kind in &HOTSPOT_KINDS {
-                        let mix = Mix::hotspot(theta);
-                        records.push(measure(&hw, kind, manager, threads, mix, &args));
-                    }
+                for &kind in &HOTSPOT_KINDS {
+                    let mix = Mix::hotspot(theta);
+                    records.push(measure(&hw, kind, threads, mix, &args));
                 }
             }
         }
     }
     // The open-loop sweeps honour `--shards` too: calibration runs once
-    // per protocol (unsharded, mutex — the oracle), so every shard count
+    // per protocol (unsharded), so every shard count
     // sweeps the *same* offered rates and the records compare like for
     // like; sharded points carry the shard-axis tags, so they never
     // masquerade as standard-workload baselines.
@@ -1500,24 +1389,21 @@ fn main() {
                     continue;
                 }
                 let shard_axis = sharded_sweep.then_some((shards, max_shards, args.cross_fraction));
-                for &manager in &args.managers {
-                    for &snapshot in &args.snapshots {
-                        let mix = Mix {
-                            family,
-                            hotspot: hotspot_family,
-                            snapshot,
-                            shard_axis,
-                        };
-                        records.extend(measure_open_loop(
-                            &set,
-                            kind,
-                            manager,
-                            open_threads,
-                            rate,
-                            mix,
-                            &args,
-                        ));
-                    }
+                for &snapshot in &args.snapshots {
+                    let mix = Mix {
+                        family,
+                        hotspot: hotspot_family,
+                        snapshot,
+                        shard_axis,
+                    };
+                    records.extend(measure_open_loop(
+                        &set,
+                        kind,
+                        open_threads,
+                        rate,
+                        mix,
+                        &args,
+                    ));
                 }
             }
         }
@@ -1539,14 +1425,7 @@ fn main() {
             w
         });
         let kind = args.kind.unwrap_or(ProtocolKind::PcpDa);
-        records.extend(measure_scenario(
-            &set,
-            kind,
-            args.managers[0],
-            open_threads,
-            &weights,
-            &args,
-        ));
+        records.extend(measure_scenario(&set, kind, open_threads, &weights, &args));
     }
 
     let mut warnings = Vec::new();
@@ -1556,11 +1435,7 @@ fn main() {
             let new = rec.get("committed_per_sec").and_then(Json::as_f64);
             if let (Some(old), Some(new)) = (old, new) {
                 let delta = (new - old) / old * 100.0;
-                let label = format!(
-                    "{} [{}]",
-                    short_label(rec),
-                    rec.get("manager").and_then(Json::as_str).unwrap_or("?"),
-                );
+                let label = short_label(rec);
                 eprintln!("{label}: {delta:+.1}% vs baseline ({old:.0} -> {new:.0})");
                 if delta < -100.0 * REGRESSION_TOLERANCE {
                     warnings.push(format!(
@@ -1570,7 +1445,6 @@ fn main() {
             }
         }
     }
-    ab_summary(&records, &mut warnings);
     snapshot_summary(&records, &mut warnings);
     fairness_summary(&records, &mut warnings);
 
@@ -1597,5 +1471,36 @@ fn main() {
     } else {
         std::fs::write(&args.path, Json::Arr(records).pretty()).expect("output path writable");
         println!("written to {}", args.path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args_from;
+
+    fn parse(argv: &[&str]) -> Result<super::Args, String> {
+        parse_args_from(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_listing_the_valid_flags() {
+        // A removed flag must not turn its value into the output path.
+        for argv in [&["--manager", "both"][..], &["--threds", "2"], &["-x"]] {
+            let err = parse(argv).err().expect("unknown flag accepted");
+            assert!(err.contains(argv[0]), "{err}");
+            assert!(
+                err.contains("--threads") && err.contains("--check"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_non_dash_argument_is_the_path() {
+        let args = parse(&["--check", "--threads", "2", "out.json"]).expect("valid line");
+        assert!(args.check);
+        assert_eq!(args.threads, Some(vec![2]));
+        assert_eq!(args.path, "out.json");
+        assert_eq!(parse(&[]).expect("empty line").path, "BENCH_rt.json");
     }
 }

@@ -67,8 +67,6 @@ impl std::str::FromStr for Interarrival {
 #[derive(Clone, Debug)]
 pub struct OpenLoopParams {
     pub kind: ProtocolKind,
-    /// Lock-manager implementation driving the worker pool.
-    pub manager: rt::ManagerKind,
     pub threads: usize,
     /// Wall-clock nanoseconds per simulated tick, for both the workers'
     /// busy-work and the deadline scale.
@@ -267,7 +265,6 @@ pub fn front_config(_set: &TransactionSet, p: &OpenLoopParams) -> rt::FrontConfi
             rt::RtConfig::new(p.kind)
                 .with_threads(p.threads)
                 .with_tick_ns(p.tick_ns)
-                .with_manager(p.manager)
                 .with_snapshot_reads(p.snapshot)
                 .with_shards(p.shards.max(1)),
         );
@@ -331,7 +328,6 @@ mod tests {
     fn params(rate: f64) -> OpenLoopParams {
         OpenLoopParams {
             kind: ProtocolKind::PcpDa,
-            manager: rt::ManagerKind::Mutex,
             threads: 2,
             tick_ns: 2_000,
             jobs: 60,

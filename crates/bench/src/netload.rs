@@ -7,7 +7,7 @@
 //! arrivals so neither side's buffers grow with the run length. After
 //! the last arrival the driver waits for every submission's terminal
 //! response (committed / shed / rejected) — within a generous timeout —
-//! so the run's [`rt::RtResult`] accounting is complete before the
+//! so the run's [`rtdb::rt::RtResult`] accounting is complete before the
 //! server shuts down.
 
 use crate::loadgen::{
@@ -117,7 +117,6 @@ mod tests {
         let set = crate::standard_workload(7);
         let p = OpenLoopParams {
             kind: ProtocolKind::PcpDa,
-            manager: rt::ManagerKind::Mutex,
             threads: 2,
             tick_ns: 2_000,
             jobs: 80,

@@ -5,7 +5,7 @@ use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, ItemId};
 
 /// Early-release 2PL with wait-die conflict resolution over the
-/// seniority order of [`crate::senior`]: a requester facing a senior
+/// seniority order of `crate::senior`: a requester facing a senior
 /// conflicting holder (or a senior latest retiree) aborts itself
 /// ([`Decision::AbortSelf`]); facing only juniors it waits — or, over a
 /// retired chain, acquires and lets the engine register the commit

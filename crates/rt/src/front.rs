@@ -537,7 +537,6 @@ pub fn run_front<R>(
         RtResult {
             protocol: config.rt.kind.name().to_string(),
             kind: config.rt.kind,
-            manager: config.rt.manager,
             threads,
             history: report.history,
             db: report.db,
@@ -553,7 +552,6 @@ pub fn run_front<R>(
             shed_by_txn,
             latency_hist,
             park_timeout_wakeups: report.park_timeout_wakeups,
-            combiner: report.combiner,
             snapshot_reads: snap.is_some(),
             snapshots,
             lock_transitions: report.lock_transitions,

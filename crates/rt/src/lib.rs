@@ -6,21 +6,14 @@
 //! the identical protocol decision logic from `rtdb-core` through a
 //! parking lock manager:
 //!
-//! * `manager` (internal) — the protocol state core (lock table,
-//!   ceilings, priority inheritance, history, database) behind one of two
-//!   runtime-selectable lock managers ([`ManagerKind`]): the original
-//!   global mutex with per-waiter condvar parking, or
-//! * `combining` (internal) — the flat-combining delegation manager:
-//!   workers publish operations into publication slots and a single
-//!   combiner executes everyone's grant/deny/reevaluate decisions in one
-//!   cache-hot pass, in descending running-priority order (telemetry in
-//!   [`CombinerStats`]);
+//! * `manager` (internal) — the lock manager: the protocol state core
+//!   (lock table, ceilings, priority inheritance, history, database)
+//!   behind one global mutex with per-waiter condvar parking;
 //! * `sharded` (internal) — the partitioned architecture: a static
 //!   router spreads items across `N` independent per-shard lock managers
-//!   (each its own [`ManagerKind`] instance) coordinated by a lock-free
-//!   published-per-shard global ceiling; cross-shard transactions
-//!   acquire shards in canonical order under a no-wait rule (DESIGN.md
-//!   §6e, per-shard telemetry in [`ShardStats`]);
+//!   coordinated by a lock-free published-per-shard global ceiling;
+//!   cross-shard transactions acquire shards in canonical order under a
+//!   no-wait rule (DESIGN.md §6e, per-shard telemetry in [`ShardStats`]);
 //! * [`runtime`] — the closed-loop executor: a pool of worker threads
 //!   drains a job queue, each job running one transaction instance to
 //!   commit (with abort/restart for the wound/validate protocols);
@@ -48,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-mod combining;
 pub mod front;
 pub mod histogram;
 pub mod jobs;
@@ -58,13 +50,11 @@ mod sharded;
 mod snapshot;
 
 pub use admission::{shed_victim, AdmissionPolicy, FairnessConfig, ShedCandidate};
-pub use combining::CombinerStats;
 pub use front::{
     run_front, Completion, FrontConfig, FrontHandle, JobRequest, SubmitOutcome, Submitter,
 };
 pub use histogram::LatencyHistogram;
 pub use jobs::job_list;
-pub use manager::ManagerKind;
 pub use runtime::{
     run, run_jobs, JobReport, PriorityMisses, RestartBackoff, RtConfig, RtResult, TenantStats,
 };

@@ -1,33 +1,19 @@
-//! The concurrent lock managers.
+//! The concurrent lock manager.
 //!
-//! Two interchangeable managers drive the identical protocol state
-//! machine (the [`Shared`] core below):
-//!
-//! * [`MutexManager`] — one global [`Mutex`] guards the protocol state
-//!   (lock table, ceilings, inheritance, per-instance bookkeeping,
-//!   database, history); every protocol decision, data operation and
-//!   commit happens inside it, so the runtime linearizes the exact state
-//!   machine the simulator executes — only the *order* of requests
-//!   differs (it is decided by the OS scheduler instead of the simulated
-//!   priority dispatcher). Blocked threads park on per-waiter
-//!   [`Condvar`]s; wake-ups mirror the simulator's `reevaluate`.
-//! * [`crate::combining::CombiningManager`] — the flat-combining
-//!   delegation manager: threads publish their operation into a
-//!   publication slot and one *combiner* thread executes everyone's
-//!   grant/deny/reevaluate decisions in a single cache-hot pass, in
-//!   descending running-priority order (see `combining.rs` and DESIGN.md
-//!   §6c "Delegation instead of sharding").
-//!
-//! The mutex manager is the semantic oracle for the combiner: every
-//! differential, serializability and stress test runs against both
-//! (selected by [`ManagerKind`] via [`crate::RtConfig`]).
+//! One [`Mutex`] per [`LockManager`] guards the protocol state (the
+//! [`Shared`] core below: lock table, ceilings, inheritance, per-instance
+//! bookkeeping, database, history); every protocol decision, data
+//! operation and commit happens inside it, so the runtime linearizes the
+//! exact state machine the simulator executes — only the *order* of
+//! requests differs (it is decided by the OS scheduler instead of the
+//! simulated priority dispatcher). Blocked threads park on per-waiter
+//! [`Condvar`]s; wake-ups mirror the simulator's `reevaluate`.
 //!
 //! Deadlock cycles are detected on the wait-for graph at block time (as
 //! in the simulator) and always resolved by aborting the lowest-base-
 //! priority instance on the cycle: a real runtime cannot stop the world
 //! and report `RunOutcome::Deadlock` the way a simulation can.
 
-use crate::combining::{CombinerStats, CombiningManager, OpSlot, ParkedOp, Response};
 use crate::snapshot::SnapshotSide;
 use rtdb_core::{
     deadlock_victim, AbortBreakdown, AbortReason, CeilingTable, Decision, DepTracker, EngineView,
@@ -47,16 +33,6 @@ use std::time::Duration;
 /// the fast path, short enough to keep worst-case recovery invisible in
 /// tests.
 pub(crate) const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Manager tuning knobs threaded from [`crate::RtConfig`]: the park
-/// timeout applies to both kinds, the fast-path retry budget and parked
-/// grace spin only to the combining manager.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ManagerTuning {
-    pub park_timeout: Duration,
-    pub fast_retries: u32,
-    pub park_grace: Duration,
-}
 
 /// Per-shard wiring of the [`Shared`] core. [`ShardCtx::single`] is the
 /// classic unsharded configuration: a private clock and none of the
@@ -88,57 +64,6 @@ impl ShardCtx {
             router: None,
             global: None,
             gate: None,
-        }
-    }
-}
-
-/// Which lock-manager implementation mediates protocol state.
-///
-/// Both managers execute the identical [`rtdb_core::ProtocolFor`] decision
-/// logic over the same shared state core; they differ only in *how*
-/// threads reach that state. `Mutex` is the semantic oracle; `Combining`
-/// is the delegation design built for the high-contention regime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ManagerKind {
-    /// One global mutex, per-waiter condvar parking (the original
-    /// manager and the differential oracle).
-    #[default]
-    Mutex,
-    /// Flat-combining delegation: publication slots plus a single
-    /// combiner pass executing all pending decisions in descending
-    /// running-priority order.
-    Combining,
-}
-
-impl ManagerKind {
-    /// Both manager kinds, oracle first.
-    pub const ALL: [ManagerKind; 2] = [ManagerKind::Mutex, ManagerKind::Combining];
-
-    /// Short stable name, as used in `BENCH_rt.json` records.
-    pub fn name(self) -> &'static str {
-        match self {
-            ManagerKind::Mutex => "mutex",
-            ManagerKind::Combining => "combining",
-        }
-    }
-}
-
-impl std::fmt::Display for ManagerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ManagerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "mutex" | "lock" => Ok(ManagerKind::Mutex),
-            "combining" | "combiner" | "fc" | "flat-combining" => Ok(ManagerKind::Combining),
-            other => Err(format!(
-                "unknown manager kind `{other}` (expected mutex or combining)"
-            )),
         }
     }
 }
@@ -186,8 +111,6 @@ pub(crate) struct ManagerReport {
     pub deadlocks_resolved: u64,
     /// Park-timeout safety-net firings (see [`crate::RtResult::park_timeout_wakeups`]).
     pub park_timeout_wakeups: u64,
-    /// Combining-pass telemetry (all-zero under [`ManagerKind::Mutex`]).
-    pub combiner: CombinerStats,
     /// Final value of the lock table's monotone state-transition counter
     /// — 0 means the run never granted, released or converted a single
     /// lock (the snapshot path's zero-lock assertion hook).
@@ -202,11 +125,10 @@ pub(crate) struct ManagerReport {
 }
 
 /// Per-worker context threaded through every manager call: the recycled
-/// private workspace plus (for the combining manager) the worker's
-/// publication slot. One per worker thread, reused across jobs.
+/// private workspace plus the worker's identity. One per worker thread,
+/// reused across jobs.
 pub(crate) struct WorkerCtx {
     pub ws: Workspace,
-    pub slot: Arc<OpSlot>,
     /// This worker's index in `0..threads` — its reader slot in the
     /// snapshot store's pin table.
     pub worker: usize,
@@ -219,7 +141,6 @@ impl WorkerCtx {
     pub(crate) fn new(worker: usize) -> Self {
         WorkerCtx {
             ws: Workspace::new(InstanceId::first(TxnId(0))),
-            slot: Arc::new(OpSlot::new()),
             worker,
             cross: None,
         }
@@ -239,10 +160,6 @@ pub(crate) struct Meta {
     pub(crate) woken: bool,
     /// Set by [`Shared::abort_victim`]; consumed by the owning worker.
     pub(crate) aborted: bool,
-    /// The parked acquire operation awaiting a combiner decision
-    /// (combining manager only; the mutex manager parks the *thread*
-    /// instead).
-    pub(crate) parked: Option<ParkedOp>,
     /// Mirror of the workspace's `data_read` set, sorted.
     pub(crate) data_read: Vec<ItemId>,
     /// Mirror of the workspace's staged-write item set, sorted.
@@ -268,7 +185,6 @@ impl Meta {
             pending: None,
             woken: false,
             aborted: false,
-            parked: None,
             data_read: Vec::new(),
             staged: Vec::new(),
             installed_early: Vec::new(),
@@ -369,17 +285,12 @@ impl EngineView for RtView<'_> {
     }
 }
 
-/// The guarded heart of the runtime, shared by both manager kinds: under
-/// [`ManagerKind::Mutex`] every worker locks it directly; under
-/// [`ManagerKind::Combining`] only the current combiner does.
+/// The guarded heart of the runtime: the protocol state every worker
+/// reaches through its [`LockManager`]'s mutex.
 pub(crate) struct Shared<'a> {
     pub(crate) view: RtView<'a>,
     pub(crate) protocol: AnyProtocol,
     pub(crate) kind: ProtocolKind,
-    /// True under the combining manager: `wake`/`abort_victim` complete
-    /// parked *operations* (publication slots) instead of notifying
-    /// parked *threads*.
-    pub(crate) delegated: bool,
     pub(crate) db: Database,
     pub(crate) history: History,
     /// Logical event clock: history ticks order events for readers of the
@@ -407,14 +318,8 @@ pub(crate) struct Shared<'a> {
     pub(crate) commits: u64,
     pub(crate) restarts: u64,
     pub(crate) deadlocks_resolved: u64,
-    /// Park-timeout safety-net firings (mutex manager; the combining
-    /// manager counts its own on the worker side).
+    /// Park-timeout safety-net firings.
     pub(crate) park_timeout_wakeups: u64,
-    /// Instances whose parked operation a re-evaluation would now grant,
-    /// in wake order (combining mode only; drained by the combiner).
-    pub(crate) woken_queue: Vec<InstanceId>,
-    /// Combining-pass telemetry (combining mode only).
-    pub(crate) combiner: CombinerStats,
     /// The snapshot-read side-car, when the path is enabled: every commit
     /// publishes its installs (and seals a stamp) here, inside this state
     /// core's critical section.
@@ -432,8 +337,7 @@ pub(crate) enum TryAcquire {
     Done,
     /// State changed (victims aborted); retry the request immediately.
     Retry,
-    /// Blocked; park on the returned condvar (mutex manager) or record a
-    /// parked operation (combining manager).
+    /// Blocked; park on the returned condvar.
     Park(Arc<Condvar>),
 }
 
@@ -441,7 +345,6 @@ impl<'a> Shared<'a> {
     pub(crate) fn new(
         set: &'a TransactionSet,
         kind: ProtocolKind,
-        delegated: bool,
         snap: Option<Arc<SnapshotSide>>,
         shard_ctx: ShardCtx,
     ) -> Self {
@@ -459,7 +362,6 @@ impl<'a> Shared<'a> {
             },
             protocol: instantiate(kind),
             kind,
-            delegated,
             db: Database::new(),
             history: History::new(),
             clock: shard_ctx.clock,
@@ -473,8 +375,6 @@ impl<'a> Shared<'a> {
             restarts: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
-            woken_queue: Vec::new(),
-            combiner: CombinerStats::default(),
             snap,
             abort_reasons: AbortBreakdown::default(),
             reeval_scratch: Vec::new(),
@@ -482,7 +382,7 @@ impl<'a> Shared<'a> {
         }
     }
 
-    pub(crate) fn into_report(self, extra_timeout_wakeups: u64) -> ManagerReport {
+    fn into_report(self) -> ManagerReport {
         debug_assert!(self.view.active.is_empty(), "live instances at finish");
         ManagerReport {
             history: self.history,
@@ -490,8 +390,7 @@ impl<'a> Shared<'a> {
             commits: self.commits,
             restarts: self.restarts,
             deadlocks_resolved: self.deadlocks_resolved,
-            park_timeout_wakeups: self.park_timeout_wakeups + extra_timeout_wakeups,
-            combiner: self.combiner,
+            park_timeout_wakeups: self.park_timeout_wakeups,
             lock_transitions: self.view.locks.version(),
             state_lock_acquires: self.state_lock_acquires,
             shard: self.shard,
@@ -749,9 +648,7 @@ impl<'a> Shared<'a> {
     /// Mirror of the simulator's `reevaluate`: re-present every parked
     /// request in descending running-priority order; wake those that would
     /// now be granted (the grant itself happens when the woken thread
-    /// re-issues the request — or, under the combining manager, when the
-    /// combiner drains the woken queue), refresh the blocking edges of the
-    /// rest.
+    /// re-issues the request), refresh the blocking edges of the rest.
     pub(crate) fn reevaluate(&mut self) {
         let mut blocked = std::mem::take(&mut self.reeval_scratch);
         blocked.clear();
@@ -803,26 +700,13 @@ impl<'a> Shared<'a> {
         self.reeval_scratch = blocked;
     }
 
-    /// Clear `who`'s pending request and hand the wake to its owner: the
-    /// parked thread's condvar (mutex manager) or the combiner's woken
-    /// queue (combining manager).
+    /// Clear `who`'s pending request and notify its parked thread.
     fn wake(&mut self, who: InstanceId) {
         self.view.pm.clear_blocked(who);
-        let delegated = self.delegated;
         let m = self.view.meta_mut(who);
         m.pending = None;
         m.woken = true;
-        if delegated {
-            self.woken_queue.push(who);
-        } else {
-            m.cv.notify_one();
-        }
-    }
-
-    /// True while any live instance still has a pending (denied) request —
-    /// the combiner's cue to run the end-of-pass deadlock sweep.
-    pub(crate) fn has_blocked(&self) -> bool {
-        self.view.pm.has_edges()
+        m.cv.notify_one();
     }
 
     /// Detect and resolve wait-for cycles by aborting the lowest-base-
@@ -843,10 +727,7 @@ impl<'a> Shared<'a> {
     /// state, flag its worker to restart. The victim's workspace is reset
     /// by the owning thread when it observes the flag; until then the
     /// cleared mirrors are what protocols see — the same state the
-    /// simulator reaches by resetting the slot in place. Under the
-    /// combining manager a victim parked on a denied request is answered
-    /// directly: its parked operation completes with `Restart` and its
-    /// workspace travels back through the publication slot.
+    /// simulator reaches by resetting the slot in place.
     pub(crate) fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason) {
         if !self.view.is_active(victim) {
             return; // committed between the decision and now — same critical section, so only via commit_victims listing a stale id
@@ -866,7 +747,6 @@ impl<'a> Shared<'a> {
         // sweep consumes.
         if let Some(sig) = self.view.meta(victim).signal.clone() {
             let m = self.view.meta_mut(victim);
-            debug_assert!(m.parked.is_none(), "cross-shard instances never park");
             if m.aborted {
                 return; // local abort already ran; victim not yet swept
             }
@@ -892,8 +772,7 @@ impl<'a> Shared<'a> {
         self.history.push(at, victim, EventKind::Abort);
         self.view.locks.release_all(victim);
         self.view.pm.clear_blocked(victim);
-        let parked = {
-            let delegated = self.delegated;
+        {
             let m = self.view.meta_mut(victim);
             m.pending = None;
             m.woken = false;
@@ -901,27 +780,12 @@ impl<'a> Shared<'a> {
             m.staged.clear();
             m.installed_early.clear();
             m.restarts += 1;
-            match m.parked.take() {
-                Some(p) => Some(p),
-                None => {
-                    // Running (or queued) worker: it observes the flag at
-                    // its next manager call; parked mutex waiters observe
-                    // it when the notify lands.
-                    m.aborted = true;
-                    if !delegated {
-                        m.cv.notify_one();
-                    }
-                    None
-                }
-            }
-        };
-        self.restarts += 1;
-        if let Some(p) = parked {
-            // The parked operation consumed the abort: answer it now.
-            let prio = self.view.set.priority_of(victim.txn).level();
-            self.combiner.record_slot_wait(prio, p.published.elapsed());
-            p.slot.post(Response::Restart(p.ws));
+            // A running worker observes the flag at its next manager
+            // call; a parked one when the notify lands.
+            m.aborted = true;
+            m.cv.notify_one();
         }
+        self.restarts += 1;
         {
             let Shared { view, protocol, .. } = self;
             protocol.on_abort(view, victim);
@@ -941,8 +805,7 @@ impl<'a> Shared<'a> {
     }
 
     /// Report step `completed_step` finished; applies the protocol's early
-    /// releases (CCP) and re-evaluates waiters. Shared by both managers
-    /// (the caller holds whatever exclusion its kind requires).
+    /// releases (CCP) and re-evaluates waiters.
     pub(crate) fn step_done_inner(
         &mut self,
         id: InstanceId,
@@ -1183,33 +1046,34 @@ impl<'a> Shared<'a> {
     }
 }
 
-/// The original mutex manager: one global lock, per-waiter condvar
-/// parking. Kept verbatim as the differential oracle for the combining
-/// manager (mirroring how the map-store engine oracles the slot arena).
-pub(crate) struct MutexManager<'a> {
+/// The concurrent lock manager: one global lock over a [`Shared`] core,
+/// per-waiter condvar parking. One per shard of a [`crate::run`]
+/// invocation, shared by reference across the worker threads of that run.
+pub(crate) struct LockManager<'a> {
     state: Mutex<Shared<'a>>,
     /// Park `wait_timeout` safety net (see [`crate::RtConfig::park_timeout`]).
     park_timeout: Duration,
 }
 
-impl<'a> MutexManager<'a> {
+impl<'a> LockManager<'a> {
     pub(crate) fn new(
         set: &'a TransactionSet,
         kind: ProtocolKind,
-        tuning: ManagerTuning,
+        park_timeout: Duration,
         snap: Option<Arc<SnapshotSide>>,
         shard_ctx: ShardCtx,
     ) -> Self {
-        MutexManager {
-            park_timeout: tuning.park_timeout,
-            state: Mutex::new(Shared::new(set, kind, false, snap, shard_ctx)),
+        LockManager {
+            park_timeout,
+            state: Mutex::new(Shared::new(set, kind, snap, shard_ctx)),
         }
     }
 
     /// Lock the shared state, recovering from poisoning (a panicking
     /// worker already fails the run via the scope join; secondary threads
-    /// should not cascade with confusing poison panics).
-    fn lock(&self) -> MutexGuard<'_, Shared<'a>> {
+    /// should not cascade with confusing poison panics). Also the sharded
+    /// manager's direct cross-shard access path.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Shared<'a>> {
         let mut g = self
             .state
             .lock()
@@ -1218,12 +1082,7 @@ impl<'a> MutexManager<'a> {
         g
     }
 
-    /// The raw state mutex — the sharded manager's direct cross-shard
-    /// access path.
-    pub(crate) fn state_mutex(&self) -> &Mutex<Shared<'a>> {
-        &self.state
-    }
-
+    /// Register a released instance.
     pub(crate) fn begin(&self, id: InstanceId) {
         self.lock().begin(id);
     }
@@ -1328,121 +1187,11 @@ impl<'a> MutexManager<'a> {
         }
     }
 
+    /// Tear down after every worker joined, yielding the run's artifacts.
     pub(crate) fn finish(self) -> ManagerReport {
         self.state
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .into_report(0)
-    }
-}
-
-/// The concurrent lock manager: one per [`crate::run`] invocation, shared
-/// by reference across the worker threads of that run. Dispatches to the
-/// [`ManagerKind`] the run was configured with.
-pub(crate) enum LockManager<'a> {
-    Mutex(MutexManager<'a>),
-    Combining(CombiningManager<'a>),
-}
-
-impl<'a> LockManager<'a> {
-    pub(crate) fn new(
-        set: &'a TransactionSet,
-        kind: ProtocolKind,
-        manager: ManagerKind,
-        tuning: ManagerTuning,
-        snap: Option<Arc<SnapshotSide>>,
-        shard_ctx: ShardCtx,
-    ) -> Self {
-        match manager {
-            ManagerKind::Mutex => {
-                LockManager::Mutex(MutexManager::new(set, kind, tuning, snap, shard_ctx))
-            }
-            ManagerKind::Combining => {
-                LockManager::Combining(CombiningManager::new(set, kind, tuning, snap, shard_ctx))
-            }
-        }
-    }
-
-    /// Lock this shard's state directly — the sharded manager's
-    /// cross-shard path. Legal for both kinds: the combining manager's
-    /// combiner owns the *intake* protocol, but any state-lock holder may
-    /// act on [`Shared`] (the combiner simply waits its turn on the same
-    /// mutex). The caller must call [`LockManager::drain_woken_external`]
-    /// before dropping the guard if its actions may have woken waiters.
-    pub(crate) fn lock_shared(&self) -> MutexGuard<'_, Shared<'a>> {
-        let state = match self {
-            LockManager::Mutex(m) => m.state_mutex(),
-            LockManager::Combining(m) => m.state_mutex(),
-        };
-        let mut g = state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.state_lock_acquires += 1;
-        g
-    }
-
-    /// Answer any parked operations a cross-shard action woke: the
-    /// combining manager queues wakes for the combiner, so an external
-    /// state-lock holder must drain the queue itself before unlocking
-    /// (no-op for the mutex manager, whose wakes notify condvars
-    /// directly).
-    pub(crate) fn drain_woken_external(&self, g: &mut MutexGuard<'_, Shared<'a>>) {
-        if let LockManager::Combining(m) = self {
-            m.drain_woken_external(g);
-        }
-    }
-
-    /// Register a released instance.
-    pub(crate) fn begin(&self, id: InstanceId, ctx: &mut WorkerCtx) {
-        match self {
-            LockManager::Mutex(m) => m.begin(id),
-            LockManager::Combining(m) => m.begin(id, ctx),
-        }
-    }
-
-    /// Acquire `item` in `mode` for step `step_index`, performing the data
-    /// operation at grant time through `ctx.ws`. Blocks the calling worker
-    /// while the protocol denies the request.
-    pub(crate) fn acquire(
-        &self,
-        id: InstanceId,
-        step_index: usize,
-        item: ItemId,
-        mode: LockMode,
-        ctx: &mut WorkerCtx,
-    ) -> Outcome {
-        match self {
-            LockManager::Mutex(m) => m.acquire(id, step_index, item, mode, &mut ctx.ws),
-            LockManager::Combining(m) => m.acquire(id, step_index, item, mode, ctx),
-        }
-    }
-
-    /// Report step `completed_step` finished.
-    pub(crate) fn step_done(
-        &self,
-        id: InstanceId,
-        completed_step: usize,
-        ctx: &mut WorkerCtx,
-    ) -> Outcome {
-        match self {
-            LockManager::Mutex(m) => m.step_done(id, completed_step, &ctx.ws),
-            LockManager::Combining(m) => m.step_done(id, completed_step, ctx),
-        }
-    }
-
-    /// Commit `id`, installing the staged writes in `ctx.ws`.
-    pub(crate) fn commit(&self, id: InstanceId, ctx: &mut WorkerCtx) -> CommitOutcome {
-        match self {
-            LockManager::Mutex(m) => m.commit(id, &ctx.ws),
-            LockManager::Combining(m) => m.commit(id, ctx),
-        }
-    }
-
-    /// Tear down after every worker joined, yielding the run's artifacts.
-    pub(crate) fn finish(self) -> ManagerReport {
-        match self {
-            LockManager::Mutex(m) => m.finish(),
-            LockManager::Combining(m) => m.finish(),
-        }
+            .into_report()
     }
 }

@@ -9,12 +9,9 @@
 //! restarts the same job from step 0 on the same thread, exactly like the
 //! simulator's slot reset.
 
-use crate::combining::{CombinerStats, DEFAULT_FAST_RETRIES, DEFAULT_PARK_GRACE};
 use crate::histogram::LatencyHistogram;
 use crate::jobs;
-use crate::manager::{
-    CommitOutcome, JobStats, ManagerKind, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT,
-};
+use crate::manager::{CommitOutcome, JobStats, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT};
 use crate::sharded::{ShardStats, ShardedManager};
 use crate::snapshot::{ReaderLog, SnapshotSide};
 use rtdb_core::{AbortBreakdown, ProtocolKind};
@@ -29,11 +26,6 @@ use std::time::{Duration, Instant};
 pub struct RtConfig {
     /// Which concurrency-control protocol mediates lock requests.
     pub kind: ProtocolKind,
-    /// Which lock-manager implementation mediates protocol state. The
-    /// default ([`ManagerKind::Mutex`]) is the differential oracle;
-    /// [`ManagerKind::Combining`] is the flat-combining delegation
-    /// manager.
-    pub manager: ManagerKind,
     /// Worker threads (clamped to at least 1).
     pub threads: usize,
     /// Wall-clock nanoseconds of busy-work per simulated tick of a step's
@@ -54,13 +46,6 @@ pub struct RtConfig {
     /// ([`ProtocolKind::shardable`]) and are clamped to
     /// [`rtdb_core::MAX_SHARDS`].
     pub shards: usize,
-    /// Combining-manager fast-path retry budget: how many times a worker
-    /// attempts the opportunistic `try_lock` before publishing its
-    /// operation to the combiner. Ignored by [`ManagerKind::Mutex`].
-    pub fast_retries: u32,
-    /// Combining-manager grace spin a parked operation waits before
-    /// parking its thread. Ignored by [`ManagerKind::Mutex`].
-    pub park_grace: Duration,
     /// Serve read-only transactions from multiversion snapshots instead
     /// of the lock manager. Effective only for protocols whose update
     /// model makes commit-stamp snapshots serializable (see
@@ -102,18 +87,15 @@ impl Default for RestartBackoff {
 }
 
 impl RtConfig {
-    /// Defaults: mutex manager, 4 threads, no busy-work, 25 ms park
-    /// timeout, snapshot reads off, default restart backoff.
+    /// Defaults: 4 threads, no busy-work, 25 ms park timeout, snapshot
+    /// reads off, default restart backoff.
     pub fn new(kind: ProtocolKind) -> Self {
         RtConfig {
             kind,
-            manager: ManagerKind::default(),
             threads: 4,
             tick_ns: 0,
             park_timeout: DEFAULT_PARK_TIMEOUT,
             shards: 1,
-            fast_retries: DEFAULT_FAST_RETRIES,
-            park_grace: DEFAULT_PARK_GRACE,
             snapshot_reads: false,
             backoff: RestartBackoff::default(),
         }
@@ -122,24 +104,6 @@ impl RtConfig {
     /// Set the lock-manager shard count (1 = unsharded).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Set the combining fast-path retry budget.
-    pub fn with_fast_retries(mut self, fast_retries: u32) -> Self {
-        self.fast_retries = fast_retries;
-        self
-    }
-
-    /// Set the combining parked-operation grace spin.
-    pub fn with_park_grace(mut self, park_grace: Duration) -> Self {
-        self.park_grace = park_grace;
-        self
-    }
-
-    /// Select the lock-manager implementation.
-    pub fn with_manager(mut self, manager: ManagerKind) -> Self {
-        self.manager = manager;
         self
     }
 
@@ -360,8 +324,6 @@ pub struct RtResult {
     pub protocol: String,
     /// Protocol kind that ran.
     pub kind: ProtocolKind,
-    /// Lock-manager implementation that ran.
-    pub manager: ManagerKind,
     /// Worker threads used.
     pub threads: usize,
     /// The full event history, in install/commit linearization order.
@@ -401,14 +363,11 @@ pub struct RtResult {
     /// Total admission→commit latency distribution, merged from the
     /// per-worker histograms after the threads joined.
     pub latency_hist: LatencyHistogram,
-    /// Park-timeout safety-net firings: wake-ups (mutex manager) or
-    /// nudge publications (combining manager) caused by a blocked
+    /// Park-timeout safety-net firings: wake-ups caused by a blocked
     /// request's `wait_timeout` expiring. Deterministic replays assert
     /// this is 0 — a nonzero count there would reveal a lost wake-up
     /// otherwise silently healed by the net.
     pub park_timeout_wakeups: u64,
-    /// Combining-pass telemetry (all-zero under [`ManagerKind::Mutex`]).
-    pub combiner: CombinerStats,
     /// Whether the snapshot read path was active for this run (the config
     /// switch was on *and* the protocol's update model permitted it).
     pub snapshot_reads: bool,
@@ -556,7 +515,6 @@ pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> 
     RtResult {
         protocol: config.kind.name().to_string(),
         kind: config.kind,
-        manager: config.manager,
         threads,
         history: report.history,
         db: report.db,
@@ -572,7 +530,6 @@ pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> 
         shed_by_txn: Vec::new(),
         latency_hist,
         park_timeout_wakeups: report.park_timeout_wakeups,
-        combiner: report.combiner,
         snapshot_reads: snap.is_some(),
         snapshots,
         lock_transitions: report.lock_transitions,
@@ -770,12 +727,12 @@ fn execute_snapshot_job(
 /// *not* re-acquiring its locks in the same instant it was aborted: a
 /// reader aborted out of a lock-upgrade cycle that immediately re-grabs
 /// its shared lock reforms the identical cycle and starves the pending
-/// writer indefinitely. Thread-scheduling latency used to provide that
-/// gap by accident; inline combiner grants remove it, so the restart
-/// delay is explicit — `sleep`, not spin, so the yielded CPU goes to the
-/// transactions the victim was deadlocked with. Deterministically
-/// jittered per `(instance, attempt)` so simultaneous victims
-/// desynchronise instead of colliding again in lock-step.
+/// writer indefinitely. Thread-scheduling latency provides that gap only
+/// by accident, so the restart delay is explicit — `sleep`, not spin, so
+/// the yielded CPU goes to the transactions the victim was deadlocked
+/// with. Deterministically jittered per `(instance, attempt)` so
+/// simultaneous victims desynchronise instead of colliding again in
+/// lock-step.
 fn restart_backoff(id: InstanceId, attempt: u32, tick_ns: u64, policy: &RestartBackoff) {
     if !policy.enabled {
         return;

@@ -1,10 +1,10 @@
 //! The sharded lock-manager architecture (DESIGN.md §6e).
 //!
 //! [`ShardedManager`] partitions the protocol state across `N`
-//! independent [`LockManager`]s — one per shard, each its own
-//! [`crate::ManagerKind`] instance with local ceilings, wait queues and
-//! history — routed by the static [`ShardRouter`] rule shared with the
-//! simulator and the workload generator. A thin [`GlobalCeiling`] layer
+//! independent [`LockManager`]s — one per shard, each with local
+//! ceilings, wait queues and history — routed by the static
+//! [`ShardRouter`] rule shared with the simulator and the workload
+//! generator. A thin [`GlobalCeiling`] layer
 //! publishes each shard's local system ceiling lock-free, so *single-
 //! shard* transactions touch exactly one shard's state mutex (asserted
 //! via the per-shard `state_lock_acquires` counter) and scale with the
@@ -42,8 +42,8 @@
 //! pre-sharding manager.
 
 use crate::manager::{
-    CommitOutcome, JobStats, LockManager, ManagerReport, ManagerTuning, Outcome, ShardCtx, Shared,
-    TryAcquire, WorkerCtx,
+    CommitOutcome, JobStats, LockManager, ManagerReport, Outcome, ShardCtx, Shared, TryAcquire,
+    WorkerCtx,
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
@@ -138,11 +138,6 @@ impl<'a> ShardedManager<'a> {
                     .join(", "),
             );
         }
-        let tuning = ManagerTuning {
-            park_timeout: config.park_timeout,
-            fast_retries: config.fast_retries,
-            park_grace: config.park_grace,
-        };
         let router = ShardRouter::new(n);
         let (global, gate, clock) = if n > 1 {
             (
@@ -166,7 +161,7 @@ impl<'a> ShardedManager<'a> {
                 } else {
                     ShardCtx::single()
                 };
-                LockManager::new(set, config.kind, config.manager, tuning, snap.clone(), ctx)
+                LockManager::new(set, config.kind, config.park_timeout, snap.clone(), ctx)
             })
             .collect();
         let template_shards = (0..set.len())
@@ -209,7 +204,7 @@ impl<'a> ShardedManager<'a> {
         let touched = self.shards_of(id);
         if !touched.is_cross_shard() {
             ctx.cross = None;
-            self.shards[self.home_of(id)].begin(id, ctx);
+            self.shards[self.home_of(id)].begin(id);
             return;
         }
         self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
@@ -225,7 +220,7 @@ impl<'a> ShardedManager<'a> {
         let signal = Arc::new(AtomicBool::new(false));
         let home = touched.home().expect("cross-shard set is non-empty");
         for s in touched.iter() {
-            let mut g = self.shards[s].lock_shared();
+            let mut g = self.shards[s].lock();
             g.begin_sharded(id, s == home, Some(signal.clone()));
             drop(g);
         }
@@ -251,7 +246,7 @@ impl<'a> ShardedManager<'a> {
         let s = self.router.shard_of(item);
         self.ops[s].fetch_add(1, Ordering::Relaxed);
         let Some(cross) = ctx.cross.clone() else {
-            return self.shards[s].acquire(id, step_index, item, mode, ctx);
+            return self.shards[s].acquire(id, step_index, item, mode, &mut ctx.ws);
         };
         debug_assert!(cross.shards.contains(s), "routing disagrees with template");
         loop {
@@ -259,19 +254,15 @@ impl<'a> ShardedManager<'a> {
                 self.cleanup_restart(id, ctx);
                 return Outcome::Restart;
             }
-            let mut g = self.shards[s].lock_shared();
+            let mut g = self.shards[s].lock();
             if cross.signal.load(Ordering::Acquire) {
                 drop(g);
                 self.cleanup_restart(id, ctx);
                 return Outcome::Restart;
             }
             match g.try_acquire(id, step_index, item, mode, &mut ctx.ws) {
-                TryAcquire::Done => {
-                    self.shards[s].drain_woken_external(&mut g);
-                    return Outcome::Done;
-                }
+                TryAcquire::Done => return Outcome::Done,
                 TryAcquire::Retry => {
-                    self.shards[s].drain_woken_external(&mut g);
                     drop(g);
                     // The retry may be an abort in disguise (a deadlock
                     // sweep inside try_acquire picked us); the loop head
@@ -286,7 +277,6 @@ impl<'a> ShardedManager<'a> {
                     let m = g.view.meta_mut(id);
                     m.pending = None;
                     m.woken = false;
-                    self.shards[s].drain_woken_external(&mut g);
                     drop(g);
                     if let Some(c) = ctx.cross.as_mut() {
                         c.block_events += 1;
@@ -308,7 +298,7 @@ impl<'a> ShardedManager<'a> {
         ctx: &mut WorkerCtx,
     ) -> Outcome {
         let Some(cross) = ctx.cross.clone() else {
-            return self.shards[self.home_of(id)].step_done(id, completed_step, ctx);
+            return self.shards[self.home_of(id)].step_done(id, completed_step, &ctx.ws);
         };
         if cross.signal.load(Ordering::Acquire) {
             self.cleanup_restart(id, ctx);
@@ -322,17 +312,15 @@ impl<'a> ShardedManager<'a> {
     /// module docs.
     pub(crate) fn commit(&self, id: InstanceId, ctx: &mut WorkerCtx) -> CommitOutcome {
         let Some(cross) = ctx.cross.clone() else {
-            return self.shards[self.home_of(id)].commit(id, ctx);
+            return self.shards[self.home_of(id)].commit(id, &ctx.ws);
         };
         if cross.signal.load(Ordering::Acquire) {
             self.cleanup_restart(id, ctx);
             return CommitOutcome::Restart;
         }
         let shard_ids: Vec<usize> = cross.shards.iter().collect();
-        let mut guards: Vec<MutexGuard<'_, Shared<'a>>> = shard_ids
-            .iter()
-            .map(|&s| self.shards[s].lock_shared())
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, Shared<'a>>> =
+            shard_ids.iter().map(|&s| self.shards[s].lock()).collect();
         // All our shards' state is held, and aborting us requires one of
         // those locks — the signal is stable now.
         if cross.signal.load(Ordering::Acquire) {
@@ -407,8 +395,7 @@ impl<'a> ShardedManager<'a> {
 
         // Per-shard teardown, in canonical order.
         let mut lower_blockers: Vec<TxnId> = Vec::new();
-        for (k, &s) in shard_ids.iter().enumerate() {
-            let g = &mut guards[k];
+        for g in guards.iter_mut() {
             let meta = g.remove_instance(id);
             for t in meta.lower_blockers {
                 if let Err(i) = lower_blockers.binary_search(&t) {
@@ -417,7 +404,6 @@ impl<'a> ShardedManager<'a> {
             }
             g.reevaluate();
             g.maybe_publish_ceiling();
-            self.shards[s].drain_woken_external(&mut guards[k]);
         }
         drop(guards);
 
@@ -444,7 +430,7 @@ impl<'a> ShardedManager<'a> {
         self.cross_restarts.fetch_add(1, Ordering::Relaxed);
         let home = cross.shards.home().expect("cross-shard set is non-empty");
         for s in cross.shards.iter() {
-            let mut g = self.shards[s].lock_shared();
+            let mut g = self.shards[s].lock();
             if s == home {
                 let at = g.tick();
                 g.history.push(at, id, EventKind::Abort);
@@ -459,7 +445,6 @@ impl<'a> ShardedManager<'a> {
             }
             g.reevaluate();
             g.maybe_publish_ceiling();
-            self.shards[s].drain_woken_external(&mut g);
         }
         cross.signal.store(false, Ordering::Release);
     }
@@ -520,7 +505,6 @@ impl<'a> ShardedManager<'a> {
                 abort_reasons: Default::default(),
                 deadlocks_resolved: 0,
                 park_timeout_wakeups: 0,
-                combiner: Default::default(),
                 lock_transitions: 0,
                 state_lock_acquires: 0,
                 shard: 0,
@@ -536,7 +520,6 @@ impl<'a> ShardedManager<'a> {
             merged.report.park_timeout_wakeups += r.park_timeout_wakeups;
             merged.report.lock_transitions += r.lock_transitions;
             merged.report.state_lock_acquires += r.state_lock_acquires;
-            merged.report.combiner.merge(&r.combiner);
             merged.report.abort_reasons.merge(&r.abort_reasons);
         }
         merged.report.db = db;

@@ -12,7 +12,7 @@
 //! manager / commit path rather than a scheduling difference.
 
 use rtdb_core::ProtocolKind;
-use rtdb_rt::{run, ManagerKind, RtConfig};
+use rtdb_rt::{run, RtConfig};
 use rtdb_sim::{serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::{
     Duration, InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
@@ -83,49 +83,32 @@ fn sim_final_db(
 
 #[test]
 fn single_thread_replay_matches_sim_for_all_kinds() {
-    for manager in ManagerKind::ALL {
-        for kind in ProtocolKind::ALL {
-            let set = bounded_workload(0xD1FF + kind as u64);
-            let jobs = sim_serial_order(&set, kind);
-            let rt = run(
-                &set,
-                &jobs,
-                RtConfig::new(kind).with_threads(1).with_manager(manager),
-            );
+    for kind in ProtocolKind::ALL {
+        let set = bounded_workload(0xD1FF + kind as u64);
+        let jobs = sim_serial_order(&set, kind);
+        let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(1));
 
-            assert_eq!(
-                rt.committed,
-                jobs.len() as u64,
-                "{manager}/{kind:?}: runtime dropped jobs"
-            );
-            assert_eq!(
-                rt.db.snapshot(),
-                sim_final_db(&set, kind),
-                "{manager}/{kind:?}: final database diverged from the simulator"
-            );
-            // A serial replay never parks, so the park-timeout safety net
-            // must never fire; a nonzero count would reveal a lost
-            // wake-up (or, under the combiner, a dropped slot response)
-            // silently healed by the net.
-            assert_eq!(
-                rt.park_timeout_wakeups, 0,
-                "{manager}/{kind:?}: park-timeout safety net fired in a serial replay"
-            );
-            if manager == ManagerKind::Combining {
-                // Every manager call is one published op; the publisher
-                // always self-elects on one thread.
-                assert!(rt.combiner.passes > 0, "{kind:?}: no combining passes");
-                assert_eq!(
-                    rt.combiner.pass_len.count(),
-                    rt.combiner.passes,
-                    "{kind:?}: pass histogram disagrees with pass count"
-                );
-            }
-            // A 1-thread run is serial, so commit order is a valid
-            // serialization order for every protocol.
-            let violations = serializability_violations(&set, &rt.history, &rt.db, true);
-            assert!(violations.is_empty(), "{manager}/{kind:?}: {violations:?}");
-        }
+        assert_eq!(
+            rt.committed,
+            jobs.len() as u64,
+            "{kind:?}: runtime dropped jobs"
+        );
+        assert_eq!(
+            rt.db.snapshot(),
+            sim_final_db(&set, kind),
+            "{kind:?}: final database diverged from the simulator"
+        );
+        // A serial replay never parks, so the park-timeout safety net
+        // must never fire; a nonzero count would reveal a lost wake-up
+        // silently healed by the net.
+        assert_eq!(
+            rt.park_timeout_wakeups, 0,
+            "{kind:?}: park-timeout safety net fired in a serial replay"
+        );
+        // A 1-thread run is serial, so commit order is a valid
+        // serialization order for every protocol.
+        let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
     }
 }
 
@@ -193,28 +176,18 @@ fn pcp_da_single_blocking_spot_check() {
 }
 
 /// Multi-threaded runs stay serializable and lose no committed work, for
-/// every protocol in the registry, under both lock managers.
+/// every protocol in the registry.
 #[test]
 fn multi_thread_runs_are_serializable_for_all_kinds() {
-    for manager in ManagerKind::ALL {
-        for kind in ProtocolKind::ALL {
-            let set = bounded_workload(0xBEEF + kind as u64);
-            let jobs = rtdb_rt::job_list(&set, 24, 11);
-            let rt = run(
-                &set,
-                &jobs,
-                RtConfig::new(kind).with_threads(4).with_manager(manager),
-            );
-            assert_eq!(
-                rt.committed,
-                jobs.len() as u64,
-                "{manager}/{kind:?} dropped jobs"
-            );
-            let commit_order_serialization = kind != ProtocolKind::Ccp;
-            let violations =
-                serializability_violations(&set, &rt.history, &rt.db, commit_order_serialization);
-            assert!(violations.is_empty(), "{manager}/{kind:?}: {violations:?}");
-        }
+    for kind in ProtocolKind::ALL {
+        let set = bounded_workload(0xBEEF + kind as u64);
+        let jobs = rtdb_rt::job_list(&set, 24, 11);
+        let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(4));
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?} dropped jobs");
+        let commit_order_serialization = kind != ProtocolKind::Ccp;
+        let violations =
+            serializability_violations(&set, &rt.history, &rt.db, commit_order_serialization);
+        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
     }
 }
 

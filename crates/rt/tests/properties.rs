@@ -12,25 +12,36 @@ use rtdb_rt::{
     JobRequest, RtConfig, ShedCandidate, SubmitOutcome,
 };
 use rtdb_sim::{serializability_violations, WorkloadParams};
-use rtdb_types::TxnId;
+use rtdb_storage::EventKind;
+use rtdb_types::{
+    InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
+};
 use rtdb_util::prop;
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 const CASES: usize = 32;
 
+/// A small contended workload: 3–5 templates over 6–13 items, half or
+/// more of the accesses on a 3-item hotspot.
+fn random_set(rng: &mut rtdb_util::rng::Rng) -> TransactionSet {
+    WorkloadParams {
+        templates: rng.range_usize(3..6),
+        items: rng.range_usize(6..14),
+        target_utilization: 0.5,
+        hotspot_items: 3,
+        hotspot_prob: 0.5 + 0.3 * rng.f64(),
+        seed: rng.next_u64(),
+        ..WorkloadParams::default()
+    }
+    .generate()
+    .expect("workload generation")
+    .set
+}
+
 fn check_kind(kind: ProtocolKind) {
     prop::forall(CASES, |rng| {
-        let set = WorkloadParams {
-            templates: rng.range_usize(3..6),
-            items: rng.range_usize(6..14),
-            target_utilization: 0.5,
-            hotspot_items: 3,
-            hotspot_prob: 0.5 + 0.3 * rng.f64(),
-            seed: rng.next_u64(),
-            ..WorkloadParams::default()
-        }
-        .generate()
-        .expect("workload generation")
-        .set;
+        let set = random_set(rng);
 
         let jobs = job_list(&set, 20, rng.next_u64());
         let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(4));
@@ -53,6 +64,90 @@ fn two_pl_hp_runtime_histories_are_conflict_serializable() {
 #[test]
 fn bamboo_runtime_histories_are_conflict_serializable() {
     check_kind(ProtocolKind::Bamboo);
+}
+
+/// Random contended workloads under a random protocol at 4–8 threads
+/// agree with their job list on everything schedule-independent: every
+/// job commits exactly once, every committed job installs each item of
+/// its template's write set exactly once, and the history is
+/// serializable.
+#[test]
+fn random_workloads_commit_and_install_exactly_their_job_list() {
+    prop::forall(24, |rng| {
+        let set = random_set(rng);
+        let kind = ProtocolKind::ALL[rng.bounded(ProtocolKind::ALL.len() as u64) as usize];
+        let threads = 4 + rng.bounded(5) as usize; // 4..=8
+        let jobs = job_list(&set, 24, rng.next_u64());
+
+        let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(threads));
+
+        let mut committed: Vec<InstanceId> = rt.jobs.iter().map(|j| j.id).collect();
+        committed.sort();
+        let mut offered = jobs.clone();
+        offered.sort();
+        assert_eq!(
+            committed, offered,
+            "{kind:?}@{threads}t: commits differ from the job list"
+        );
+
+        let mut expected: BTreeMap<ItemId, u64> = BTreeMap::new();
+        for job in &jobs {
+            for item in set.template(job.txn).write_set() {
+                *expected.entry(item).or_default() += 1;
+            }
+        }
+        let mut installs: BTreeMap<ItemId, u64> = BTreeMap::new();
+        for e in rt.history.events() {
+            if let EventKind::Install { item, .. } = e.kind {
+                *installs.entry(item).or_default() += 1;
+            }
+        }
+        assert_eq!(
+            installs, expected,
+            "{kind:?}@{threads}t: installs differ from the job list's write sets"
+        );
+
+        let commit_order_serialization = kind != ProtocolKind::Ccp;
+        let violations =
+            serializability_violations(&set, &rt.history, &rt.db, commit_order_serialization);
+        assert!(violations.is_empty(), "{kind:?}@{threads}t: {violations:?}");
+    });
+}
+
+/// The blocking path specifically: a workload guaranteed to park (every
+/// template reads then writes the one item, 8 threads) drains completely,
+/// stays serializable, and never needs the park-timeout net. The net is
+/// set far beyond any scheduling delay, so a firing is a lost wake-up
+/// (and a failure), not a slow host.
+#[test]
+fn single_item_hammer_drains_without_the_park_timeout_net() {
+    let x = ItemId(0);
+    let mut b = SetBuilder::new();
+    for (name, period) in [("a", 10), ("b", 20), ("c", 40), ("d", 80)] {
+        b.add(TransactionTemplate::new(
+            name,
+            period,
+            vec![Step::read(x, 1), Step::write(x, 1)],
+        ));
+    }
+    let set = b.build().expect("set");
+    let jobs = job_list(&set, 64, 3);
+    for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
+        let rt = run(
+            &set,
+            &jobs,
+            RtConfig::new(kind)
+                .with_threads(8)
+                .with_park_timeout(Duration::from_secs(10)),
+        );
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?} dropped jobs");
+        assert_eq!(
+            rt.park_timeout_wakeups, 0,
+            "{kind:?}: a parked request needed the timeout net"
+        );
+        let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
+    }
 }
 
 /// Brook-2PL never needs a deadlock victim: all its wait edges — lock
@@ -108,18 +203,7 @@ fn brook_2pl_never_resolves_a_deadlock() {
 #[test]
 fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
     prop::forall(16, |rng| {
-        let set = WorkloadParams {
-            templates: rng.range_usize(3..6),
-            items: rng.range_usize(6..14),
-            target_utilization: 0.5,
-            hotspot_items: 3,
-            hotspot_prob: 0.5 + 0.3 * rng.f64(),
-            seed: rng.next_u64(),
-            ..WorkloadParams::default()
-        }
-        .generate()
-        .expect("workload generation")
-        .set;
+        let set = random_set(rng);
 
         let policy = match rng.bounded(3) {
             0 => AdmissionPolicy::Reject,
@@ -131,7 +215,7 @@ fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
         } else {
             ProtocolKind::TwoPlHp
         };
-        let threads = 1 + rng.bounded(3) as usize;
+        let threads = 1 + rng.bounded(8) as usize;
         let capacity = 1 + rng.bounded(8) as usize;
         let offered: Vec<TxnId> = (0..24)
             .map(|_| TxnId(rng.bounded(set.len() as u64) as u32))
@@ -178,18 +262,7 @@ fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
 #[test]
 fn least_slack_conserves_every_tenants_offered_load() {
     prop::forall(16, |rng| {
-        let set = WorkloadParams {
-            templates: rng.range_usize(3..6),
-            items: rng.range_usize(6..14),
-            target_utilization: 0.5,
-            hotspot_items: 3,
-            hotspot_prob: 0.5 + 0.3 * rng.f64(),
-            seed: rng.next_u64(),
-            ..WorkloadParams::default()
-        }
-        .generate()
-        .expect("workload generation")
-        .set;
+        let set = random_set(rng);
 
         let tenants = 1 + rng.bounded(4) as u32;
         let threads = 1 + rng.bounded(3) as usize;

@@ -1,15 +1,15 @@
 //! Validation of the sharded lock-manager architecture.
 //!
-//! The unsharded mutex manager is the repo's runtime oracle; these tests
-//! require sharded runs (1, 2 and 4 shards, both manager kinds, every
-//! shardable protocol) to produce serializable histories and — for
-//! serial executions — the identical final database the oracle produces.
+//! The unsharded lock manager is the repo's runtime oracle; these tests
+//! require sharded runs (1, 2 and 4 shards, every shardable protocol) to
+//! produce serializable histories and — for serial executions — the
+//! identical final database the oracle produces.
 //! Shard isolation is asserted through the per-shard state-lock
 //! acquisition counters: a workload whose items all live in one shard
 //! must leave every other shard's counter at zero.
 
 use rtdb_core::{ProtocolKind, ShardRouter};
-use rtdb_rt::{job_list, run, ManagerKind, RtConfig};
+use rtdb_rt::{job_list, run, RtConfig};
 use rtdb_sim::{serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::{
     InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
@@ -39,9 +39,9 @@ fn workload(seed: u64) -> TransactionSet {
 }
 
 /// Serial (1-thread) sharded runs are real serial executions, so every
-/// shard count and manager kind must land on the byte-identical final
-/// database the unsharded mutex oracle produces — and pass the
-/// serializability oracle along the way.
+/// shard count must land on the byte-identical final database the
+/// unsharded oracle produces — and pass the serializability oracle along
+/// the way.
 #[test]
 fn serial_sharded_runs_match_the_unsharded_oracle() {
     for kind in shardable_kinds() {
@@ -51,83 +51,74 @@ fn serial_sharded_runs_match_the_unsharded_oracle() {
         assert_eq!(oracle.committed, jobs.len() as u64);
         let expected = oracle.db.snapshot();
 
-        for manager in ManagerKind::ALL {
-            for shards in SHARD_COUNTS {
-                let rt = run(
-                    &set,
-                    &jobs,
-                    RtConfig::new(kind)
-                        .with_threads(1)
-                        .with_manager(manager)
-                        .with_shards(shards)
-                        .without_backoff(),
-                );
-                assert_eq!(
-                    rt.committed,
-                    jobs.len() as u64,
-                    "{manager}/{kind:?}/{shards} shards: dropped jobs"
-                );
-                assert_eq!(rt.shards, shards);
-                assert_eq!(
-                    rt.db.snapshot(),
-                    expected,
-                    "{manager}/{kind:?}/{shards} shards: final db diverged from oracle"
-                );
-                let violations = serializability_violations(&set, &rt.history, &rt.db, true);
-                assert!(
-                    violations.is_empty(),
-                    "{manager}/{kind:?}/{shards} shards: {violations:?}"
-                );
-                // Commit accounting: every commit lands at exactly one
-                // home shard.
-                assert_eq!(rt.per_shard.len(), shards);
-                assert_eq!(
-                    rt.per_shard.iter().map(|s| s.commits).sum::<u64>(),
-                    rt.committed,
-                    "{manager}/{kind:?}/{shards} shards: per-shard commits disagree"
-                );
-            }
+        for shards in SHARD_COUNTS {
+            let rt = run(
+                &set,
+                &jobs,
+                RtConfig::new(kind)
+                    .with_threads(1)
+                    .with_shards(shards)
+                    .without_backoff(),
+            );
+            assert_eq!(
+                rt.committed,
+                jobs.len() as u64,
+                "{kind:?}/{shards} shards: dropped jobs"
+            );
+            assert_eq!(rt.shards, shards);
+            assert_eq!(
+                rt.db.snapshot(),
+                expected,
+                "{kind:?}/{shards} shards: final db diverged from oracle"
+            );
+            let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+            assert!(
+                violations.is_empty(),
+                "{kind:?}/{shards} shards: {violations:?}"
+            );
+            // Commit accounting: every commit lands at exactly one
+            // home shard.
+            assert_eq!(rt.per_shard.len(), shards);
+            assert_eq!(
+                rt.per_shard.iter().map(|s| s.commits).sum::<u64>(),
+                rt.committed,
+                "{kind:?}/{shards} shards: per-shard commits disagree"
+            );
         }
     }
 }
 
 /// Multi-threaded sharded runs lose no committed work and stay
-/// conflict-serializable for every shardable protocol, both managers,
-/// at 2 and 4 shards.
+/// conflict-serializable for every shardable protocol at 2 and 4 shards.
 #[test]
 fn multithreaded_sharded_runs_are_serializable() {
     for kind in shardable_kinds() {
-        for manager in ManagerKind::ALL {
-            for shards in [2, 4] {
-                let set = workload(0xCAFE + kind as u64);
-                let jobs = job_list(&set, 32, 17);
-                let rt = run(
-                    &set,
-                    &jobs,
-                    RtConfig::new(kind)
-                        .with_threads(4)
-                        .with_manager(manager)
-                        .with_shards(shards),
-                );
-                assert_eq!(
-                    rt.committed,
-                    jobs.len() as u64,
-                    "{manager}/{kind:?}/{shards} shards: dropped jobs"
-                );
-                let violations = serializability_violations(&set, &rt.history, &rt.db, true);
-                assert!(
-                    violations.is_empty(),
-                    "{manager}/{kind:?}/{shards} shards: {violations:?}"
-                );
-            }
+        for shards in [2, 4] {
+            let set = workload(0xCAFE + kind as u64);
+            let jobs = job_list(&set, 32, 17);
+            let rt = run(
+                &set,
+                &jobs,
+                RtConfig::new(kind).with_threads(4).with_shards(shards),
+            );
+            assert_eq!(
+                rt.committed,
+                jobs.len() as u64,
+                "{kind:?}/{shards} shards: dropped jobs"
+            );
+            let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+            assert!(
+                violations.is_empty(),
+                "{kind:?}/{shards} shards: {violations:?}"
+            );
         }
     }
 }
 
 /// Seeded random sweep of the sharded differential: serial sharded runs
 /// equal the unsharded oracle's database; threaded sharded runs are
-/// serializable. One random (kind, manager, shards) point per case keeps
-/// the sweep broad and the suite fast.
+/// serializable. One random (kind, shards) point per case keeps the
+/// sweep broad and the suite fast.
 #[test]
 fn sharded_differential_property() {
     let kinds: Vec<ProtocolKind> = shardable_kinds().collect();
@@ -145,7 +136,6 @@ fn sharded_differential_property() {
         .expect("workload generation")
         .set;
         let kind = kinds[rng.range_usize(0..kinds.len())];
-        let manager = ManagerKind::ALL[rng.range_usize(0..2)];
         let shards = SHARD_COUNTS[rng.range_usize(0..SHARD_COUNTS.len())];
         let jobs = job_list(&set, 20, rng.next_u64());
 
@@ -155,29 +145,25 @@ fn sharded_differential_property() {
             &jobs,
             RtConfig::new(kind)
                 .with_threads(1)
-                .with_manager(manager)
                 .with_shards(shards)
                 .without_backoff(),
         );
         assert_eq!(
             serial.db.snapshot(),
             oracle.db.snapshot(),
-            "{manager}/{kind:?}/{shards} shards: serial differential diverged"
+            "{kind:?}/{shards} shards: serial differential diverged"
         );
 
         let threaded = run(
             &set,
             &jobs,
-            RtConfig::new(kind)
-                .with_threads(4)
-                .with_manager(manager)
-                .with_shards(shards),
+            RtConfig::new(kind).with_threads(4).with_shards(shards),
         );
         assert_eq!(threaded.committed, jobs.len() as u64);
         let violations = serializability_violations(&set, &threaded.history, &threaded.db, true);
         assert!(
             violations.is_empty(),
-            "{manager}/{kind:?}/{shards} shards: {violations:?}"
+            "{kind:?}/{shards} shards: {violations:?}"
         );
     });
 }
@@ -201,31 +187,28 @@ fn single_shard_jobs_never_touch_other_shards() {
         ))
         .build()
         .expect("set");
-    for manager in ManagerKind::ALL {
-        let jobs = job_list(&set, 16, 7);
-        let rt = run(
-            &set,
-            &jobs,
-            RtConfig::new(ProtocolKind::PcpDa)
-                .with_threads(4)
-                .with_manager(manager)
-                .with_shards(4),
+    let jobs = job_list(&set, 16, 7);
+    let rt = run(
+        &set,
+        &jobs,
+        RtConfig::new(ProtocolKind::PcpDa)
+            .with_threads(4)
+            .with_shards(4),
+    );
+    assert_eq!(rt.committed, jobs.len() as u64);
+    assert_eq!(rt.cross_shard_txns, 0, "nothing spans shards");
+    assert!(
+        rt.per_shard[0].state_lock_acquires > 0,
+        "shard 0 ran the whole workload"
+    );
+    for s in &rt.per_shard[1..] {
+        assert_eq!(
+            s.state_lock_acquires, 0,
+            "idle shard {} acquired its state lock",
+            s.shard
         );
-        assert_eq!(rt.committed, jobs.len() as u64);
-        assert_eq!(rt.cross_shard_txns, 0, "{manager}: nothing spans shards");
-        assert!(
-            rt.per_shard[0].state_lock_acquires > 0,
-            "{manager}: shard 0 ran the whole workload"
-        );
-        for s in &rt.per_shard[1..] {
-            assert_eq!(
-                s.state_lock_acquires, 0,
-                "{manager}: idle shard {} acquired its state lock",
-                s.shard
-            );
-            assert_eq!(s.ops, 0, "{manager}: idle shard {} saw ops", s.shard);
-            assert_eq!(s.commits, 0, "{manager}: idle shard {} committed", s.shard);
-        }
+        assert_eq!(s.ops, 0, "idle shard {} saw ops", s.shard);
+        assert_eq!(s.commits, 0, "idle shard {} committed", s.shard);
     }
 }
 
@@ -252,41 +235,32 @@ fn cross_shard_transactions_commit_and_are_counted() {
     assert!(router.shards_of(&set, TxnId(0)).is_cross_shard());
     assert!(!router.shards_of(&set, TxnId(1)).is_cross_shard());
 
-    for manager in ManagerKind::ALL {
-        let jobs: Vec<InstanceId> = (0..8)
-            .flat_map(|seq| {
-                [
-                    InstanceId::new(TxnId(0), seq),
-                    InstanceId::new(TxnId(1), seq),
-                ]
-            })
-            .collect();
-        let rt = run(
-            &set,
-            &jobs,
-            RtConfig::new(ProtocolKind::PcpDa)
-                .with_threads(4)
-                .with_manager(manager)
-                .with_shards(2),
-        );
-        assert_eq!(rt.committed, jobs.len() as u64, "{manager}: dropped jobs");
-        assert_eq!(
-            rt.cross_shard_txns, 8,
-            "{manager}: every X instance is cross-shard"
-        );
-        let violations = serializability_violations(&set, &rt.history, &rt.db, true);
-        assert!(violations.is_empty(), "{manager}: {violations:?}");
-        // Commits home at the lowest touched shard — shard 0 for both
-        // templates here — but X's writes to item 1 still route data
-        // operations (and state-lock traffic) to shard 1.
-        assert_eq!(rt.per_shard[0].commits, rt.committed);
-        assert_eq!(rt.per_shard[1].commits, 0);
-        assert!(
-            rt.per_shard[1].ops > 0,
-            "{manager}: item 1 lives in shard 1"
-        );
-        assert!(rt.per_shard[1].state_lock_acquires > 0);
-    }
+    let jobs: Vec<InstanceId> = (0..8)
+        .flat_map(|seq| {
+            [
+                InstanceId::new(TxnId(0), seq),
+                InstanceId::new(TxnId(1), seq),
+            ]
+        })
+        .collect();
+    let rt = run(
+        &set,
+        &jobs,
+        RtConfig::new(ProtocolKind::PcpDa)
+            .with_threads(4)
+            .with_shards(2),
+    );
+    assert_eq!(rt.committed, jobs.len() as u64, "dropped jobs");
+    assert_eq!(rt.cross_shard_txns, 8, "every X instance is cross-shard");
+    let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+    assert!(violations.is_empty(), "{violations:?}");
+    // Commits home at the lowest touched shard — shard 0 for both
+    // templates here — but X's writes to item 1 still route data
+    // operations (and state-lock traffic) to shard 1.
+    assert_eq!(rt.per_shard[0].commits, rt.committed);
+    assert_eq!(rt.per_shard[1].commits, 0);
+    assert!(rt.per_shard[1].ops > 0, "item 1 lives in shard 1");
+    assert!(rt.per_shard[1].state_lock_acquires > 0);
 }
 
 /// Multi-shard replay agreement between the two execution layers: the
@@ -327,23 +301,18 @@ fn sim_and_rt_sharded_agree_on_a_conflict_free_burst() {
         assert_eq!(sim.shards, 4);
         let jobs = sim.history.commit_order().to_vec();
 
-        for manager in ManagerKind::ALL {
-            let rt = run(
-                &set,
-                &jobs,
-                RtConfig::new(kind)
-                    .with_threads(1)
-                    .with_manager(manager)
-                    .with_shards(4),
-            );
-            assert_eq!(rt.committed, jobs.len() as u64, "{manager}/{kind:?}");
-            assert_eq!(rt.cross_shard_txns, 0, "{manager}/{kind:?}");
-            assert_eq!(
-                rt.db.snapshot(),
-                sim.db.snapshot(),
-                "{manager}/{kind:?}: sharded sim and rt diverged"
-            );
-        }
+        let rt = run(
+            &set,
+            &jobs,
+            RtConfig::new(kind).with_threads(1).with_shards(4),
+        );
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}");
+        assert_eq!(rt.cross_shard_txns, 0, "{kind:?}");
+        assert_eq!(
+            rt.db.snapshot(),
+            sim.db.snapshot(),
+            "{kind:?}: sharded sim and rt diverged"
+        );
     }
 }
 

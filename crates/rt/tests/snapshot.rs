@@ -1,10 +1,10 @@
 //! Snapshot read path validation: zero-lock execution for read-only
-//! jobs, snapshot-aware serializability for every protocol kind under
-//! both lock managers, sim-differential agreement with the path enabled,
-//! and memory-flatness of the epoch-GC'd version chains under a soak.
+//! jobs, snapshot-aware serializability for every protocol kind,
+//! sim-differential agreement with the path enabled, and memory-flatness
+//! of the epoch-GC'd version chains under a soak.
 
 use rtdb_core::ProtocolKind;
-use rtdb_rt::{run, run_jobs, ManagerKind, RtConfig};
+use rtdb_rt::{run, run_jobs, RtConfig};
 use rtdb_sim::{
     snapshot_serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams,
 };
@@ -47,117 +47,108 @@ fn read_only_workload_takes_zero_locks() {
     // Every template is read-only, so with the snapshot path on the lock
     // table must never transition — not one grant, release or conversion.
     let set = read_heavy_workload(0x51AB, 5, 5);
-    for manager in ManagerKind::ALL {
-        let config = RtConfig::new(ProtocolKind::PcpDa)
-            .with_manager(manager)
-            .with_threads(4)
-            .with_snapshot_reads(true);
-        let rt = run_jobs(&set, 200, 7, config);
-        assert!(rt.snapshot_reads, "{manager}: path should be active");
-        assert_eq!(rt.committed, 200, "{manager}: dropped jobs");
-        assert_eq!(rt.snapshots, 200, "{manager}: jobs leaked onto locks");
-        assert_eq!(
-            rt.lock_transitions, 0,
-            "{manager}: read-only workload touched the lock table"
-        );
-        assert_eq!(rt.restarts, 0, "{manager}: snapshot readers never abort");
-        // Every read resolves at stamp 0 (no writers ever sealed).
-        assert!(rt.jobs.iter().all(|j| j.snapshot == Some(0)));
+    let config = RtConfig::new(ProtocolKind::PcpDa)
+        .with_threads(4)
+        .with_snapshot_reads(true);
+    let rt = run_jobs(&set, 200, 7, config);
+    assert!(rt.snapshot_reads, "path should be active");
+    assert_eq!(rt.committed, 200, "dropped jobs");
+    assert_eq!(rt.snapshots, 200, "jobs leaked onto locks");
+    assert_eq!(
+        rt.lock_transitions, 0,
+        "read-only workload touched the lock table"
+    );
+    assert_eq!(rt.restarts, 0, "snapshot readers never abort");
+    // Every read resolves at stamp 0 (no writers ever sealed).
+    assert!(rt.jobs.iter().all(|j| j.snapshot == Some(0)));
 
-        // Control: the same workload through the lock managers does
-        // transition the lock table.
-        let off = run_jobs(&set, 200, 7, config.with_snapshot_reads(false));
-        assert!(!off.snapshot_reads);
-        assert_eq!(off.snapshots, 0);
-        assert!(off.lock_transitions > 0, "{manager}: control took no locks");
-    }
+    // Control: the same workload through the lock manager does
+    // transition the lock table.
+    let off = run_jobs(&set, 200, 7, config.with_snapshot_reads(false));
+    assert!(!off.snapshot_reads);
+    assert_eq!(off.snapshots, 0);
+    assert!(off.lock_transitions > 0, "control took no locks");
 }
 
 #[test]
-fn snapshot_runs_are_serializable_for_all_kinds_and_managers() {
+fn snapshot_runs_are_serializable_for_all_kinds() {
     let set = read_heavy_workload(0x5EED, 6, 3);
-    for manager in ManagerKind::ALL {
-        for kind in ProtocolKind::ALL {
-            let config = RtConfig::new(kind)
-                .with_manager(manager)
-                .with_threads(4)
-                .with_snapshot_reads(true);
-            let rt = run_jobs(&set, 240, 11, config);
-            assert_eq!(rt.committed, 240, "{manager}/{kind:?}: dropped jobs");
+    for kind in ProtocolKind::ALL {
+        let config = RtConfig::new(kind)
+            .with_threads(4)
+            .with_snapshot_reads(true);
+        let rt = run_jobs(&set, 240, 11, config);
+        assert_eq!(rt.committed, 240, "{kind:?}: dropped jobs");
+        assert_eq!(
+            rt.snapshot_reads,
+            kind.snapshot_exempt(),
+            "{kind:?}: exemption gate disagrees with the registry"
+        );
+        if kind.snapshot_exempt() {
+            assert!(rt.snapshots > 0, "{kind:?}: no snapshot commits");
             assert_eq!(
-                rt.snapshot_reads,
-                kind.snapshot_exempt(),
-                "{manager}/{kind:?}: exemption gate disagrees with the registry"
+                rt.snapshot_stamps().len() as u64,
+                rt.snapshots,
+                "{kind:?}: stamps out of step with reader commits"
             );
-            if kind.snapshot_exempt() {
-                assert!(rt.snapshots > 0, "{manager}/{kind:?}: no snapshot commits");
-                assert_eq!(
-                    rt.snapshot_stamps().len() as u64,
-                    rt.snapshots,
-                    "{manager}/{kind:?}: stamps out of step with reader commits"
-                );
-            } else {
-                // CCP's early installs disqualify it: its read-only jobs
-                // keep taking locks and the run behaves as before.
-                assert_eq!(rt.snapshots, 0, "{manager}/{kind:?}: CCP must decline");
-            }
-            let commit_order_serialization = kind != ProtocolKind::Ccp;
-            let violations = snapshot_serializability_violations(
-                &set,
-                &rt.history,
-                &rt.db,
-                commit_order_serialization,
-                &rt.snapshot_stamps(),
-            );
-            assert!(violations.is_empty(), "{manager}/{kind:?}: {violations:?}");
+        } else {
+            // CCP's early installs disqualify it: its read-only jobs
+            // keep taking locks and the run behaves as before.
+            assert_eq!(rt.snapshots, 0, "{kind:?}: CCP must decline");
         }
+        let commit_order_serialization = kind != ProtocolKind::Ccp;
+        let violations = snapshot_serializability_violations(
+            &set,
+            &rt.history,
+            &rt.db,
+            commit_order_serialization,
+            &rt.snapshot_stamps(),
+        );
+        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
     }
 }
 
 #[test]
 fn single_thread_replay_with_snapshots_matches_sim() {
-    for manager in ManagerKind::ALL {
-        for kind in ProtocolKind::ALL {
-            let set = bounded(&read_heavy_workload(0xD1FF + kind as u64, 4, 2));
-            let mut sim_config = SimConfig::default().with_snapshot_reads();
-            if kind.may_deadlock() {
-                sim_config = sim_config.resolving_deadlocks();
-            }
-            let sim = Engine::new(&set, sim_config)
-                .run_kind(kind)
-                .expect("sim run");
-            assert_eq!(sim.outcome, RunOutcome::Completed, "{kind:?} sim stalled");
-            let jobs: Vec<InstanceId> = if kind == ProtocolKind::Ccp {
-                sim.serialization_graph()
-                    .topological_order()
-                    .expect("sim history is acyclic")
-            } else {
-                sim.history.commit_order().to_vec()
-            };
-            let rt = run(
-                &set,
-                &jobs,
-                RtConfig::new(kind)
-                    .with_threads(1)
-                    .with_manager(manager)
-                    .with_snapshot_reads(true)
-                    .without_backoff(),
-            );
-            assert_eq!(rt.committed, jobs.len() as u64, "{manager}/{kind:?}");
-            assert_eq!(
-                rt.db.snapshot(),
-                sim.db.snapshot(),
-                "{manager}/{kind:?}: final database diverged from the simulator"
-            );
-            let violations = snapshot_serializability_violations(
-                &set,
-                &rt.history,
-                &rt.db,
-                true,
-                &rt.snapshot_stamps(),
-            );
-            assert!(violations.is_empty(), "{manager}/{kind:?}: {violations:?}");
+    for kind in ProtocolKind::ALL {
+        let set = bounded(&read_heavy_workload(0xD1FF + kind as u64, 4, 2));
+        let mut sim_config = SimConfig::default().with_snapshot_reads();
+        if kind.may_deadlock() {
+            sim_config = sim_config.resolving_deadlocks();
         }
+        let sim = Engine::new(&set, sim_config)
+            .run_kind(kind)
+            .expect("sim run");
+        assert_eq!(sim.outcome, RunOutcome::Completed, "{kind:?} sim stalled");
+        let jobs: Vec<InstanceId> = if kind == ProtocolKind::Ccp {
+            sim.serialization_graph()
+                .topological_order()
+                .expect("sim history is acyclic")
+        } else {
+            sim.history.commit_order().to_vec()
+        };
+        let rt = run(
+            &set,
+            &jobs,
+            RtConfig::new(kind)
+                .with_threads(1)
+                .with_snapshot_reads(true)
+                .without_backoff(),
+        );
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}");
+        assert_eq!(
+            rt.db.snapshot(),
+            sim.db.snapshot(),
+            "{kind:?}: final database diverged from the simulator"
+        );
+        let violations = snapshot_serializability_violations(
+            &set,
+            &rt.history,
+            &rt.db,
+            true,
+            &rt.snapshot_stamps(),
+        );
+        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
     }
 }
 

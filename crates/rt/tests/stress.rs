@@ -13,7 +13,7 @@
 //! runs the release suite anyway.
 
 use rtdb_core::ProtocolKind;
-use rtdb_rt::{job_list, run, ManagerKind, RtConfig};
+use rtdb_rt::{job_list, run, RtConfig};
 use rtdb_sim::WorkloadParams;
 use rtdb_storage::EventKind;
 use rtdb_types::TransactionSet;
@@ -34,21 +34,18 @@ fn workload(seed: u64) -> TransactionSet {
     .set
 }
 
-fn no_lost_updates_under(manager: ManagerKind) {
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
+)]
+fn eight_threads_nine_protocols_no_lost_updates() {
     for kind in ProtocolKind::ALL {
         let set = workload(0x57E5 + kind as u64);
         let jobs = job_list(&set, 160, 23 + kind as u64);
-        let rt = run(
-            &set,
-            &jobs,
-            RtConfig::new(kind).with_threads(8).with_manager(manager),
-        );
+        let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(8));
 
-        assert_eq!(
-            rt.committed,
-            jobs.len() as u64,
-            "{manager}/{kind:?}: dropped jobs"
-        );
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}: dropped jobs");
 
         // Expected installs per item: each committed job writes each item
         // of its template's write set exactly once (the workspace stages
@@ -67,35 +64,14 @@ fn no_lost_updates_under(manager: ManagerKind) {
                 *installs.entry(item).or_default() += 1;
             }
         }
-        assert_eq!(
-            installs, expected,
-            "{manager}/{kind:?}: lost or duplicated install"
-        );
+        assert_eq!(installs, expected, "{kind:?}: lost or duplicated install");
 
         for (&item, &count) in &expected {
             assert_eq!(
                 rt.db.read(item).version,
                 count,
-                "{manager}/{kind:?}: final version of {item:?} disagrees with its install count"
+                "{kind:?}: final version of {item:?} disagrees with its install count"
             );
         }
     }
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
-)]
-fn eight_threads_nine_protocols_no_lost_updates() {
-    no_lost_updates_under(ManagerKind::Mutex);
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
-)]
-fn eight_threads_nine_protocols_no_lost_updates_combining() {
-    no_lost_updates_under(ManagerKind::Combining);
 }

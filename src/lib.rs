@@ -85,8 +85,8 @@ pub mod prelude {
     };
     pub use rtdb_net::{serve, NetClient, NetConfig};
     pub use rtdb_rt::{
-        job_list, run_front, AdmissionPolicy, CombinerStats, FairnessConfig, FrontConfig,
-        JobRequest, LatencyHistogram, ManagerKind, RtConfig, RtResult, TenantStats,
+        job_list, run_front, AdmissionPolicy, FairnessConfig, FrontConfig, JobRequest,
+        LatencyHistogram, RtConfig, RtResult, TenantStats,
     };
     pub use rtdb_sim::{
         compare_protocols, Engine, MetricsReport, RunOutcome, RunResult, SimConfig, WorkloadParams,
