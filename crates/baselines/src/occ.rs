@@ -52,7 +52,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for OccBc {
             .iter()
             .copied()
             .filter(|&other| other != who)
-            .filter(|&other| !sorted_disjoint(view.data_read(other), &writes))
+            .filter(|&other| !sorted_disjoint(view.data_read(other), writes))
             .collect()
     }
 

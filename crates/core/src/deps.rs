@@ -6,8 +6,8 @@
 //! write must stay visible so later lockers of the item can (a) read the
 //! dirty value, (b) be ordered *after* the releasing transaction, and
 //! (c) be aborted if the releasing transaction aborts. [`DepTracker`]
-//! is that machinery, protocol-agnostic and shared by both engines (the
-//! simulator's `ViewState` and the runtime's `RtView` each own one):
+//! is that machinery, protocol-agnostic and shared by both engines (every
+//! [`crate::StateKernel`] owns one):
 //!
 //! * **Retired-lock lists** — per item, the ordered chain of write locks
 //!   released early, each entry carrying the owner and its staged value.
@@ -115,7 +115,8 @@ pub struct DepTracker {
     dependents: BTreeMap<InstanceId, Vec<InstanceId>>,
 }
 
-fn insert_sorted<T: Ord + Copy>(v: &mut Vec<T>, x: T) -> bool {
+/// Insert `x` into the ascending `v`; `false` if it was already there.
+pub(crate) fn insert_sorted<T: Ord + Copy>(v: &mut Vec<T>, x: T) -> bool {
     match v.binary_search(&x) {
         Ok(_) => false,
         Err(i) => {

@@ -1,12 +1,21 @@
 //! Protocol-agnostic concurrency-control kernel.
 //!
-//! This crate is the interface layer between the simulation engine and
-//! the concurrency-control protocols: it defines *what a protocol is*
-//! ([`Protocol`]), *what a protocol may observe* ([`EngineView`]), and the
-//! shared lock/ceiling substrate every priority-ceiling-style protocol
-//! needs, so that each protocol implementation (PCP-DA in `rtdb-cc`, the
-//! baselines in `rtdb-baselines`) is only its *locking conditions*:
+//! This crate is the layer between the two execution engines (the
+//! simulator, the threaded runtime) and the concurrency-control
+//! protocols: it defines *what a protocol is* ([`Protocol`]), *what a
+//! protocol may observe* ([`EngineView`]), the shared lock/ceiling
+//! substrate every priority-ceiling-style protocol needs, and the one
+//! implementation of the state those are predicates over, so that each
+//! protocol implementation (PCP-DA in `rtdb-cc`, the baselines in
+//! `rtdb-baselines`) is only its *locking conditions* and each engine
+//! only its way of executing:
 //!
+//! * [`StateKernel`] — per-instance protocol state (`DataRead`, staged
+//!   writes, pending request, blockers) with the lock table, inheritance,
+//!   dependency tracker, committed store and history around it, and the
+//!   transitions that mutate them — begin, acquire, block, re-evaluate,
+//!   deadlock search, step-done, commit gate, commit, abort. Each
+//!   returns its effects for the engine to deliver ([`kernel`]);
 //! * [`ProtocolFor`] — the trait a concurrency-control protocol
 //!   implements, generic over the view type so the engine's steady-state
 //!   loop monomorphizes both sides (no vtable on either the protocol or
@@ -33,9 +42,8 @@
 //!   inheritance over the current blocking edges;
 //! * [`waitfor`] — the wait-for graph and deadlock detection;
 //! * [`shard`] — the sharded-ceiling substrate: item→shard routing and
-//!   the lock-free published-per-shard global ceiling (DPCP-p style),
-//!   shared by the runtime's sharded manager and the simulator's
-//!   multi-shard mode;
+//!   the lock-free published-per-shard global ceiling (DPCP-p style)
+//!   behind the runtime's sharded manager;
 //! * [`testkit`] — a minimal static [`EngineView`] for protocol unit
 //!   tests outside the engine.
 
@@ -45,6 +53,7 @@ pub mod ceiling_index;
 pub mod ceilings;
 pub mod deps;
 pub mod inherit;
+pub mod kernel;
 pub mod locks;
 pub mod protocol;
 pub mod registry;
@@ -56,6 +65,7 @@ pub use ceiling_index::CeilingIndex;
 pub use ceilings::{CeilingTable, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason, DepTracker, RetiredWrite};
 pub use inherit::PriorityManager;
+pub use kernel::{Aborted, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};
 pub use protocol::{
     sorted_disjoint, Decision, DynProtocol, EngineView, LockRequest, Protocol, ProtocolFor,

@@ -95,8 +95,9 @@ pub enum Decision {
 
 /// What a protocol may observe about the running system.
 ///
-/// Implemented by the simulation engine; keeps protocols free of any
-/// dependency on the engine's internals.
+/// Implemented by [`crate::StateKernel`] for both engines (and by the
+/// static [`crate::testkit::StaticView`] for protocol unit tests); keeps
+/// protocols free of any dependency on an engine's internals.
 pub trait EngineView {
     /// The static transaction set.
     fn set(&self) -> &TransactionSet;
@@ -122,9 +123,8 @@ pub trait EngineView {
     fn active_instances(&self) -> &[InstanceId];
 
     /// The items `who` has staged writes for (its actual, dynamic write
-    /// set — used by optimistic validation), sorted ascending. Called only
-    /// on the validation path, so an owned `Vec` is acceptable.
-    fn staged_write_items(&self, who: InstanceId) -> Vec<ItemId>;
+    /// set — used by optimistic validation), sorted ascending.
+    fn staged_write_items(&self, who: InstanceId) -> &[ItemId];
 
     /// The dependency tracker (retired-lock lists + commit-dependency
     /// graph), when the engine maintains one. Early-release protocols

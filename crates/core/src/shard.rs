@@ -4,14 +4,13 @@
 //! DPCP-p generalizes the priority-ceiling family to partitioned
 //! resources: each partition keeps *local* ceilings and decisions, and a
 //! thin global rule coordinates transactions that span partitions. This
-//! module is the protocol-agnostic half of that design, shared by the
-//! runtime's sharded lock manager and the simulator's multi-shard mode:
+//! module is the protocol-agnostic half of that design, behind the
+//! runtime's sharded lock manager (one [`crate::StateKernel`] per shard):
 //!
 //! * [`ShardRouter`] — the static partitioning rule. Items map to shards
 //!   by index modulo the shard count, so a template's shard set is a
 //!   deterministic function of the transaction set and both layers
-//!   (runtime, simulator, workload generator) agree on it by
-//!   construction.
+//!   (runtime, workload generator) agree on it by construction.
 //! * [`ShardSet`] — a bitmask over shards in **canonical (ascending)
 //!   order**. Cross-shard transactions always enter shards in this
 //!   order, which is what keeps shard-level acquisition cycle-free.
@@ -92,8 +91,8 @@ impl ShardSet {
 /// The static item→shard partitioning rule.
 ///
 /// Items hash by index modulo the shard count. The rule is shared
-/// verbatim by the runtime's sharded manager, the simulator's multi-shard
-/// mode and the partitioned workload generator, so "partition `p` of the
+/// verbatim by the runtime's sharded manager (it also scopes each shard's
+/// kernel) and the partitioned workload generator, so "partition `p` of the
 /// workload" and "shard `p` of the manager" coincide whenever the two
 /// counts agree.
 #[derive(Clone, Copy, Debug)]
@@ -225,10 +224,9 @@ impl GlobalCeiling {
     }
 }
 
-/// Deadlock-victim rule shared by both runtime lock managers and the
-/// simulator: the lowest-base-priority instance on the cycle, ties broken
-/// toward the smaller id. Factored here so sharded managers and the
-/// engine resolve identically.
+/// Deadlock-victim rule, applied by [`crate::StateKernel::find_deadlock`]
+/// for both engines: the lowest-base-priority instance on the cycle, ties
+/// broken toward the smaller id.
 pub fn deadlock_victim(
     cycle: &[InstanceId],
     mut base_of: impl FnMut(InstanceId) -> Priority,

@@ -133,8 +133,8 @@ impl EngineView for StaticView<'_> {
         &self.active
     }
 
-    fn staged_write_items(&self, who: InstanceId) -> Vec<ItemId> {
-        self.staged.get(&who).cloned().unwrap_or_default()
+    fn staged_write_items(&self, who: InstanceId) -> &[ItemId] {
+        self.staged.get(&who).map_or(&[], |v| v.as_slice())
     }
 
     fn deps(&self) -> Option<&DepTracker> {

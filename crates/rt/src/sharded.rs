@@ -1,14 +1,17 @@
 //! The sharded lock-manager architecture (DESIGN.md §6e).
 //!
 //! [`ShardedManager`] partitions the protocol state across `N`
-//! independent [`LockManager`]s — one per shard, each with local
-//! ceilings, wait queues and history — routed by the static
-//! [`ShardRouter`] rule shared with the simulator and the workload
-//! generator. A thin [`GlobalCeiling`] layer
-//! publishes each shard's local system ceiling lock-free, so *single-
-//! shard* transactions touch exactly one shard's state mutex (asserted
-//! via the per-shard `state_lock_acquires` counter) and scale with the
-//! shard count.
+//! independent [`LockManager`]s — one per shard, each a full
+//! [`rtdb_core::StateKernel`] (local ceilings, wait edges, records,
+//! history) scoped to the items the static [`ShardRouter`] rule — shared
+//! with the workload generator — sends to it. This module reaches a
+//! shard only through its manager's guarded core, composing the same
+//! kernel-backed calls the single-shard path uses (begin, try-acquire,
+//! commit victims, install, finish, sweep) under its guards. A thin
+//! [`GlobalCeiling`] layer publishes each shard's local system ceiling
+//! lock-free, so *single-shard* transactions touch exactly one shard's
+//! state mutex (asserted via the per-shard `state_lock_acquires`
+//! counter) and scale with the shard count.
 //!
 //! Cross-shard transactions follow a DPCP-p-style global rule:
 //!
@@ -47,8 +50,8 @@ use crate::manager::{
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
-use rtdb_core::{AbortReason, GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS};
-use rtdb_storage::{Database, Event, EventKind, History, VersionedValue};
+use rtdb_core::{GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS};
+use rtdb_storage::{Database, Event, History, VersionedValue};
 use rtdb_types::{InstanceId, ItemId, LockMode, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -62,7 +65,7 @@ const ADMISSION_SPIN: u32 = 64;
 /// in [`WorkerCtx`] so the signal poll costs no lock.
 #[derive(Clone)]
 pub(crate) struct CrossJob {
-    /// The shared abort signal, registered in every touched shard's meta.
+    /// The shared abort signal, registered with every touched shard.
     pub signal: Arc<AtomicBool>,
     /// The shards this job touches (canonical iteration order).
     pub shards: ShardSet,
@@ -220,9 +223,9 @@ impl<'a> ShardedManager<'a> {
         let signal = Arc::new(AtomicBool::new(false));
         let home = touched.home().expect("cross-shard set is non-empty");
         for s in touched.iter() {
-            let mut g = self.shards[s].lock();
-            g.begin_sharded(id, s == home, Some(signal.clone()));
-            drop(g);
+            self.shards[s]
+                .lock()
+                .begin(id, s == home, Some(signal.clone()));
         }
         ctx.cross = Some(CrossJob {
             signal,
@@ -273,10 +276,7 @@ impl<'a> ShardedManager<'a> {
                     // No-wait: undo the blocked registration and
                     // self-abort instead of parking in someone else's
                     // shard.
-                    g.view.pm.clear_blocked(id);
-                    let m = g.view.meta_mut(id);
-                    m.pending = None;
-                    m.woken = false;
+                    g.unpark(id);
                     drop(g);
                     if let Some(c) = ctx.cross.as_mut() {
                         c.block_events += 1;
@@ -330,80 +330,41 @@ impl<'a> ShardedManager<'a> {
         }
 
         // Per-shard commit victims (OCC backward validation etc.), on the
-        // shard-filtered mirrors each shard maintains.
+        // shard-scoped records each shard's kernel keeps.
         for g in guards.iter_mut() {
-            let victims = g.protocol_commit_victims(id);
-            for v in victims {
-                if v != id {
-                    g.abort_victim(v, AbortReason::Wound);
-                }
-            }
+            g.abort_commit_victims(id);
         }
 
         // The gated global commit: one tick, per-shard installs at that
-        // tick, one snapshot publish, one commit index.
+        // tick (the Commit event in the home shard — the lowest touched,
+        // `guards[0]`), one snapshot publish, one commit index.
         let gate = self.gate.as_ref().expect("cross-shard implies a gate");
         let mut gate_guard = gate
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let at = guards[0].tick();
-        guards[0].history.push(at, id, EventKind::Commit);
         let mut batch: Vec<(ItemId, VersionedValue)> = Vec::new();
-        for (k, &s) in shard_ids.iter().enumerate() {
-            let g = &mut guards[k];
-            let publish = g.snap.is_some();
-            for &(item, value) in ctx.ws.staged_writes() {
-                if self.router.shard_of(item) != s {
-                    continue;
-                }
-                let version = g.db.install(id, item, value, at);
-                g.history.push(
-                    at,
-                    id,
-                    EventKind::Install {
-                        item,
-                        value,
-                        version,
-                    },
-                );
-                if publish {
-                    batch.push((
-                        item,
-                        VersionedValue {
-                            value,
-                            version,
-                            writer: Some(id),
-                            installed_at: at,
-                        },
-                    ));
-                }
-            }
+        for (k, g) in guards.iter_mut().enumerate() {
+            g.install(id, &ctx.ws, at, k == 0, &mut batch);
         }
         // Seal this commit's stamp exactly once (even with no writes), as
         // the single-shard path does — the gate serializes publishers.
-        if let Some(side) = guards[0].snap.clone() {
+        if let Some(side) = &guards[0].snap {
             side.store.publish(&batch);
         }
-        let commit_index = {
-            let next = &mut *gate_guard;
-            let i = *next;
-            *next += 1;
-            i
-        };
+        let commit_index = *gate_guard;
+        *gate_guard += 1;
         drop(gate_guard);
         guards[0].commits += 1;
 
         // Per-shard teardown, in canonical order.
         let mut lower_blockers: Vec<TxnId> = Vec::new();
         for g in guards.iter_mut() {
-            let meta = g.remove_instance(id);
-            for t in meta.lower_blockers {
+            for t in g.finish_commit(id).lower_blockers {
                 if let Err(i) = lower_blockers.binary_search(&t) {
                     lower_blockers.insert(i, t);
                 }
             }
-            g.reevaluate();
-            g.maybe_publish_ceiling();
         }
         drop(guards);
 
@@ -430,21 +391,7 @@ impl<'a> ShardedManager<'a> {
         self.cross_restarts.fetch_add(1, Ordering::Relaxed);
         let home = cross.shards.home().expect("cross-shard set is non-empty");
         for s in cross.shards.iter() {
-            let mut g = self.shards[s].lock();
-            if s == home {
-                let at = g.tick();
-                g.history.push(at, id, EventKind::Abort);
-            }
-            g.abort_local_cross(id);
-            if s == home {
-                // The restart's Begin lands *after* any stray operations
-                // the doomed attempt logged, so position-based oracles
-                // (committed reads) see only the committing attempt.
-                let at = g.tick();
-                g.history.push(at, id, EventKind::Begin);
-            }
-            g.reevaluate();
-            g.maybe_publish_ceiling();
+            self.shards[s].lock().sweep_cross(id, s == home);
         }
         cross.signal.store(false, Ordering::Release);
     }
@@ -489,11 +436,7 @@ impl<'a> ShardedManager<'a> {
             events.extend_from_slice(r.history.events());
         }
         events.sort_by_key(|e| e.at);
-        let mut history = History::new();
-        history.reserve_events(events.len());
-        for e in events {
-            history.push(e.at, e.instance, e.kind);
-        }
+        let history: History = events.into_iter().collect();
 
         let mut db = Database::new();
         let mut merged = ShardedReport {

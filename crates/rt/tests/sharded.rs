@@ -263,11 +263,11 @@ fn cross_shard_transactions_commit_and_are_counted() {
     assert!(rt.per_shard[1].state_lock_acquires > 0);
 }
 
-/// Multi-shard replay agreement between the two execution layers: the
-/// simulator's multi-shard mode and the runtime's sharded manager, fed
-/// the same conflict-free burst (each template confined to its own shard
-/// of 4), must land on the identical final database — and the runtime
-/// must classify every transaction as single-shard.
+/// Replay agreement between the two execution layers: the simulator and
+/// the runtime's sharded manager, fed the same conflict-free burst (each
+/// template confined to its own shard of 4, the runtime replaying the
+/// simulator's commit order), must land on the identical final database
+/// — and the runtime must classify every transaction as single-shard.
 #[test]
 fn sim_and_rt_sharded_agree_on_a_conflict_free_burst() {
     // Template i writes items {i, i+4}: both ≡ i (mod 4), so template i
@@ -294,11 +294,10 @@ fn sim_and_rt_sharded_agree_on_a_conflict_free_burst() {
     }
 
     for kind in shardable_kinds() {
-        let sim = Engine::new(&set, SimConfig::default().with_shards(4))
+        let sim = Engine::new(&set, SimConfig::default())
             .run_kind(kind)
-            .expect("sharded sim run");
+            .expect("sim run");
         assert_eq!(sim.outcome, RunOutcome::Completed, "{kind:?}");
-        assert_eq!(sim.shards, 4);
         let jobs = sim.history.commit_order().to_vec();
 
         let rt = run(
@@ -311,7 +310,7 @@ fn sim_and_rt_sharded_agree_on_a_conflict_free_burst() {
         assert_eq!(
             rt.db.snapshot(),
             sim.db.snapshot(),
-            "{kind:?}: sharded sim and rt diverged"
+            "{kind:?}: sim and sharded rt diverged"
         );
     }
 }

@@ -1,10 +1,15 @@
 //! The simulation engine.
 //!
 //! A run is a deterministic function of `(transaction set, protocol,
-//! config)`. The engine owns the clock, the arrival calendar, the lock
-//! table, the priority manager (inheritance), the workspaces and the
-//! database; a [`Protocol`] is consulted for every lock request and the
-//! engine applies its decision.
+//! config)`. The engine owns the clock, the arrival calendar, the
+//! dispatcher, the workspaces and the trace; the protocol state — lock
+//! table, inheritance, `DataRead`/staged sets, pending requests,
+//! dependencies, database, history — and every transition over it live
+//! in [`rtdb_core::StateKernel`], which the threaded runtime drives too.
+//! The engine presents each step's access to the kernel (which consults
+//! the [`Protocol`]) and turns the effects it returns — granted, blocked,
+//! woken, aborted, released, drained — into trace events, Gantt segments,
+//! wait-die holds and ready-queue changes.
 //!
 //! ## Semantics (matching the paper's examples tick-for-tick)
 //!
@@ -28,8 +33,9 @@
 //!
 //! ## Hot-path layout
 //!
-//! Per-instance runtime state lives in an `InstanceSlot` arena
-//! (`SlotStore`): slots are dense, recycled through per-template free
+//! The simulation-only half of the per-instance state (progress, clocks,
+//! workspace) lives in an `InstanceSlot` arena (`SlotStore`): slots are
+//! dense, recycled through per-template free
 //! lists when instances commit, and keep their workspace/trace capacity
 //! across instances of the same template, so the steady state of a long
 //! run allocates nothing per instance. Arrivals are not materialized up
@@ -43,17 +49,15 @@ use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace, TraceEvent};
 use rtdb_core::{
-    deadlock_victim, AbortReason, CeilingTable, Decision, DepTracker, DynProtocol, EngineView,
-    LockRequest, LockTable, PriorityManager, Protocol, ProtocolFor, ProtocolKind, ShardRouter,
-    TxnMode, UpdateModel, WaitForGraph, MAX_SHARDS,
+    AbortReason, Acquire, DynProtocol, EngineView, Protocol, ProtocolFor, ProtocolKind, Record,
+    StateKernel, TxnMode,
 };
 use rtdb_storage::{
     Database, EventKind, History, MvStore, ReplayOutcome, SerializationGraph, VersionedValue,
     Workspace,
 };
 use rtdb_types::{
-    Ceiling, Duration, Error, InstanceId, ItemId, LockMode, Priority, Result, Tick, TransactionSet,
-    TxnId,
+    Duration, Error, InstanceId, ItemId, LockMode, Result, Tick, TransactionSet, TxnId,
 };
 use std::cmp::Reverse;
 #[cfg(any(debug_assertions, feature = "oracle-checks"))]
@@ -76,16 +80,6 @@ pub struct SimConfig {
     /// [`rtdb_core::ProtocolFor::lock_exempt`] accepts (the
     /// deferred-update kinds; CCP declines and keeps lock-based reads).
     pub snapshot_reads: bool,
-    /// Number of lock-table shards (clamped to
-    /// `1..=`[`rtdb_core::MAX_SHARDS`]). At `1` (the default) the engine
-    /// is the classic single-table simulator, bit-for-bit. Above `1` the
-    /// engine partitions items across per-shard lock tables with the same
-    /// [`ShardRouter`] rule the runtime's sharded manager uses, and
-    /// protocol decisions consult the requested item's shard-local table
-    /// — the simulator analogue of DPCP-p's partitioned ceilings
-    /// (DESIGN.md §6e). Requires a [`ProtocolKind::shardable`] protocol;
-    /// [`Engine::run_kind`] and [`Engine::run_any`] reject others.
-    pub shards: usize,
 }
 
 impl Default for SimConfig {
@@ -95,7 +89,6 @@ impl Default for SimConfig {
             resolve_deadlocks: false,
             max_steps: 10_000_000,
             snapshot_reads: false,
-            shards: 1,
         }
     }
 }
@@ -118,13 +111,6 @@ impl SimConfig {
     /// Enable the multiversion snapshot path for read-only transactions.
     pub fn with_snapshot_reads(mut self) -> Self {
         self.snapshot_reads = true;
-        self
-    }
-
-    /// Partition the lock table across `shards` shards (clamped to
-    /// `1..=`[`MAX_SHARDS`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }
@@ -163,8 +149,6 @@ pub struct RunResult {
     /// held (0 when the snapshot path was off) — the memory-flatness
     /// telemetry the epoch GC is asserted against.
     pub mv_high_water: usize,
-    /// Number of lock-table shards the run executed with.
-    pub shards: usize,
 }
 
 impl RunResult {
@@ -258,28 +242,7 @@ impl<'a> Engine<'a> {
     /// (static dispatch). Lets the caller keep the instance — e.g. to
     /// read [`AnyProtocol::requests`] afterwards.
     pub fn run_any(&self, protocol: &mut AnyProtocol) -> Result<RunResult> {
-        self.check_shardable(protocol.kind())?;
         self.run_generic::<SlotStore, _>(protocol)
-    }
-
-    /// Reject multi-shard configs for protocols whose invariants do not
-    /// survive partitioning ([`ProtocolKind::shardable`]). `Engine::run`
-    /// takes a view-erased protocol with no kind to inspect; sharded runs
-    /// through it are the caller's responsibility.
-    fn check_shardable(&self, kind: ProtocolKind) -> Result<()> {
-        if self.config.shards > 1 && !kind.shardable() {
-            let valid: Vec<&str> = ProtocolKind::ALL
-                .iter()
-                .filter(|k| k.shardable())
-                .map(|k| k.name())
-                .collect();
-            return Err(Error::Config(format!(
-                "{} cannot run sharded; shardable protocols: {}",
-                kind.name(),
-                valid.join(", ")
-            )));
-        }
-        Ok(())
     }
 
     /// Execute one full run on the map-backed instance store instead of
@@ -294,14 +257,13 @@ impl<'a> Engine<'a> {
     /// [`Engine::run_kind`] on the map-backed oracle store.
     #[cfg(any(debug_assertions, feature = "oracle-checks"))]
     pub fn run_kind_map_oracle(&self, kind: ProtocolKind) -> Result<RunResult> {
-        self.check_shardable(kind)?;
         self.run_generic::<MapStore, _>(&mut instantiate(kind))
     }
 
     fn run_generic<'s, S, P>(&'s self, protocol: &mut P) -> Result<RunResult>
     where
         S: InstanceStore,
-        P: ProtocolFor<ViewState<'s, S>>,
+        P: ProtocolFor<StateKernel<'s>>,
     {
         let mut sim: Sim<'s, S> = Sim::new(self.set, &self.config);
         sim.run(protocol)?;
@@ -311,12 +273,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Runtime state of one live instance, arena-resident.
-///
-/// A slot consolidates everything the old engine kept in four parallel
-/// `BTreeMap`s (live record, workspace, pending request, early-install
-/// set) plus the deadline-miss flag. Sorted `Vec`s replace the per-field
-/// sets; their capacity — like the workspace's — survives recycling.
+/// What only the simulation keeps about one live instance, arena-
+/// resident: its progress through the template, its clocks and its
+/// workspace (whose capacity survives recycling). The protocol-visible
+/// half lives in the kernel's [`Record`].
 struct InstanceSlot {
     id: InstanceId,
     release: Tick,
@@ -332,14 +292,7 @@ struct InstanceSlot {
     miss_logged: bool,
     blocking: Duration,
     lower_exec: Duration,
-    /// Distinct lower-priority blocker templates, sorted ascending.
-    lower_blockers: Vec<TxnId>,
-    restarts: u32,
     workspace: Workspace,
-    /// The denied request this instance is blocked on, if any.
-    pending: Option<LockRequest>,
-    /// Items already installed by an early release (CCP), sorted.
-    installed_early: Vec<ItemId>,
     /// Commit stamp pinned by a snapshot reader at its first read.
     snapshot: Option<u64>,
     /// Parked at the commit gate: all steps done, waiting for commit
@@ -367,11 +320,7 @@ impl InstanceSlot {
             miss_logged: false,
             blocking: Duration::ZERO,
             lower_exec: Duration::ZERO,
-            lower_blockers: Vec::new(),
-            restarts: 0,
             workspace: Workspace::new(id),
-            pending: None,
-            installed_early: Vec::new(),
             snapshot: None,
             gated: false,
             hold_on: Vec::new(),
@@ -391,32 +340,10 @@ impl InstanceSlot {
         self.miss_logged = false;
         self.blocking = Duration::ZERO;
         self.lower_exec = Duration::ZERO;
-        self.lower_blockers.clear();
-        self.restarts = 0;
         self.workspace.reset(id);
-        self.pending = None;
-        self.installed_early.clear();
         self.snapshot = None;
         self.gated = false;
         self.hold_on.clear();
-    }
-
-    fn note_lower_blocker(&mut self, txn: TxnId) {
-        if let Err(i) = self.lower_blockers.binary_search(&txn) {
-            self.lower_blockers.insert(i, txn);
-        }
-    }
-
-    /// Record an early install of `item`; `true` if it was not recorded
-    /// before.
-    fn mark_installed_early(&mut self, item: ItemId) -> bool {
-        match self.installed_early.binary_search(&item) {
-            Ok(_) => false,
-            Err(i) => {
-                self.installed_early.insert(i, item);
-                true
-            }
-        }
     }
 }
 
@@ -590,153 +517,30 @@ impl ArrivalCalendar {
     }
 }
 
-/// The [`EngineView`] protocols consult: the shared, read-mostly state.
-struct ViewState<'a, S> {
+struct Sim<'a, S> {
     set: &'a TransactionSet,
-    ceilings: CeilingTable,
-    /// One lock table per shard — exactly one in the classic single-shard
-    /// mode. Every table carries its own incremental Sysceil index, so a
-    /// shard's *local* ceiling stays O(1): the simulator analogue of the
-    /// runtime's per-shard lock managers.
-    tables: Vec<LockTable>,
-    /// Which shard's table [`EngineView::locks`] currently exposes. The
-    /// engine focuses the requested item's shard before every protocol
-    /// consultation, so one protocol instance makes shard-local decisions
-    /// against per-shard ceilings — the modelling approximation of the
-    /// runtime's one-instance-per-shard layout (DESIGN.md §6e). Always 0
-    /// when unsharded.
-    focus: usize,
-    /// The shared item→shard rule ([`ShardRouter`]); everything maps to
-    /// shard 0 when unsharded.
-    router: ShardRouter,
-    pm: PriorityManager,
-    /// Retired-lock lists and the commit-dependency graph (early-release
-    /// protocols; empty for everyone else).
-    deps: DepTracker,
+    /// Protocol state and its transitions, the committed store and the
+    /// history — shared with the runtime (`rtdb_core::kernel`).
+    kernel: StateKernel<'a>,
+    /// What only a simulation keeps per live instance (progress, clocks,
+    /// the workspace), keyed like the kernel's records.
     store: S,
-    /// Live instances, sorted ascending — the iteration order every sweep
-    /// (dispatch, deadline misses, lower-priority attribution, finish)
-    /// shares, and the exact key order of the oracle's `BTreeMap`s.
-    active: Vec<InstanceId>,
     /// Per-template read-only flags (index = `TxnId::index()`).
     read_only: Vec<bool>,
     /// The snapshot path is on for this run (config asked *and* the
     /// protocol's `lock_exempt` accepted).
     snapshot_on: bool,
-}
-
-impl<S> ViewState<'_, S> {
-    /// True if `who` runs on the lock-exempt snapshot path: it never
-    /// requests locks and — as far as any protocol can observe — has
-    /// read nothing ([`EngineView::data_read`] reports empty), so it can
-    /// neither block nor be aborted by protocol decisions.
-    #[inline]
-    fn exempt(&self, who: InstanceId) -> bool {
-        self.snapshot_on && self.read_only[who.txn.index()]
-    }
-
-    /// Aim [`EngineView::locks`] at the shard owning `item`. Must precede
-    /// every protocol consultation about a concrete request.
-    #[inline]
-    fn focus_item(&mut self, item: ItemId) {
-        self.focus = self.router.shard_of(item);
-    }
-
-    #[inline]
-    fn covers(&self, who: InstanceId, item: ItemId, mode: LockMode) -> bool {
-        self.tables[self.router.shard_of(item)].covers(who, item, mode)
-    }
-
-    #[inline]
-    fn holds(&self, who: InstanceId, item: ItemId, mode: LockMode) -> bool {
-        self.tables[self.router.shard_of(item)].holds(who, item, mode)
-    }
-
-    #[inline]
-    fn grant(&mut self, who: InstanceId, item: ItemId, mode: LockMode) {
-        let shard = self.router.shard_of(item);
-        self.tables[shard].grant(who, item, mode);
-    }
-
-    #[inline]
-    fn release(&mut self, who: InstanceId, item: ItemId, mode: LockMode) {
-        let shard = self.router.shard_of(item);
-        self.tables[shard].release(who, item, mode);
-    }
-
-    /// Release everything `who` holds, across every shard.
-    fn release_all(&mut self, who: InstanceId) {
-        for table in &mut self.tables {
-            table.release_all(who);
-        }
-    }
-}
-
-impl<S: InstanceStore> EngineView for ViewState<'_, S> {
-    fn set(&self) -> &TransactionSet {
-        self.set
-    }
-    fn locks(&self) -> &LockTable {
-        &self.tables[self.focus]
-    }
-    fn ceilings(&self) -> &CeilingTable {
-        &self.ceilings
-    }
-    fn base_priority(&self, who: InstanceId) -> Priority {
-        self.set.priority_of(who.txn)
-    }
-    fn running_priority(&self, who: InstanceId) -> Priority {
-        self.pm.running(who)
-    }
-    fn data_read(&self, who: InstanceId) -> &[ItemId] {
-        if self.exempt(who) {
-            // Snapshot readers are invisible to protocols: their reads
-            // cannot be invalidated (they resolve against an immutable
-            // stamped prefix), so LC4-style conditions and optimistic
-            // validation must not see them.
-            return &[];
-        }
-        self.store.get(who).map_or(&[], |s| s.workspace.data_read())
-    }
-    fn pending_request(&self, who: InstanceId) -> Option<LockRequest> {
-        self.store.get(who).and_then(|s| s.pending)
-    }
-    fn active_instances(&self) -> &[InstanceId] {
-        &self.active
-    }
-    fn staged_write_items(&self, who: InstanceId) -> Vec<ItemId> {
-        self.store.get(who).map_or_else(Vec::new, |s| {
-            s.workspace
-                .staged_writes()
-                .iter()
-                .map(|&(item, _)| item)
-                .collect()
-        })
-    }
-    fn deps(&self) -> Option<&DepTracker> {
-        Some(&self.deps)
-    }
-}
-
-struct Sim<'a, S> {
-    vs: ViewState<'a, S>,
     config: &'a SimConfig,
     clock: Tick,
     calendar: ArrivalCalendar,
-    db: Database,
     /// Multiversion side store backing snapshot readers (idle unless the
     /// snapshot path is on).
     mv: MvStore,
-    history: History,
+    /// Scratch for the versions a commit installed, on their way to `mv`.
+    installed: Vec<(ItemId, VersionedValue)>,
     trace: Trace,
     metrics: MetricsReport,
     outcome: RunOutcome,
-    /// Scratch for [`Sim::reevaluate`], reused across calls.
-    reeval_scratch: Vec<InstanceId>,
-    /// Number of live instances with `blocked_since` set.
-    n_blocked: usize,
-    /// Number of live instances parked at the commit gate.
-    n_gated: usize,
     /// Number of live instances with a non-empty wait-die hold.
     n_held: usize,
     /// Earliest deadline that may still need a miss event; the sweep in
@@ -778,92 +582,62 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
             est_ops += n * (t.steps.len() as u64 + 3);
         }
         const RESERVE_CAP: u64 = 1 << 20;
-        let mut history = History::new();
-        history.reserve_events(est_ops.min(RESERVE_CAP) as usize);
+        let mut kernel = StateKernel::new(set);
+        kernel.reserve_history(est_ops.min(RESERVE_CAP) as usize);
         let mut trace = Trace::new();
         trace.reserve(
             est_instances.min(RESERVE_CAP) as usize,
             est_ops.min(RESERVE_CAP) as usize,
         );
 
-        let ceilings = CeilingTable::new(set);
-        // The incremental Sysceil index rides inside each lock table, so
-        // every protocol's ceiling queries are O(1) instead of full scans.
-        // Ceilings are static (a function of the whole set), so every
-        // shard indexes the identical table.
-        let shards = config.shards.clamp(1, MAX_SHARDS);
-        let tables = (0..shards)
-            .map(|_| LockTable::with_index(&ceilings))
-            .collect();
         Sim {
-            vs: ViewState {
-                set,
-                ceilings,
-                tables,
-                focus: 0,
-                router: ShardRouter::new(shards),
-                pm: PriorityManager::new(),
-                deps: DepTracker::new(),
-                store: S::with_templates(set.templates().len()),
-                active: Vec::new(),
-                read_only: set.templates().iter().map(|t| t.is_read_only()).collect(),
-                snapshot_on: false,
-            },
+            set,
+            kernel,
+            store: S::with_templates(set.templates().len()),
+            read_only: set.templates().iter().map(|t| t.is_read_only()).collect(),
+            snapshot_on: false,
             config,
             clock: Tick::ZERO,
             calendar,
-            db: Database::new(),
             mv: MvStore::new(),
-            history,
+            installed: Vec::new(),
             trace,
             metrics: MetricsReport::new(),
             outcome: RunOutcome::Completed,
-            reeval_scratch: Vec::new(),
-            n_blocked: 0,
-            n_gated: 0,
             n_held: 0,
             next_miss_check: Tick(u64::MAX),
         }
     }
 
+    /// True if `who` runs on the lock-exempt snapshot path: it never
+    /// requests locks and — as far as any protocol can observe — has read
+    /// nothing (its reads bypass the kernel, so its `DataRead` there
+    /// stays empty), so it can neither block nor be aborted by protocol
+    /// decisions.
+    #[inline]
+    fn exempt(&self, who: InstanceId) -> bool {
+        self.snapshot_on && self.read_only[who.txn.index()]
+    }
+
     #[inline]
     fn slot(&self, who: InstanceId) -> &InstanceSlot {
-        self.vs.store.get(who).expect("instance is live")
+        self.store.get(who).expect("instance is live")
     }
 
     #[inline]
     fn slot_mut(&mut self, who: InstanceId) -> &mut InstanceSlot {
-        self.vs.store.get_mut(who).expect("instance is live")
+        self.store.get_mut(who).expect("instance is live")
     }
 
-    fn activate(&mut self, id: InstanceId) {
-        match self.vs.active.binary_search(&id) {
-            Ok(_) => debug_assert!(false, "instance {id:?} already active"),
-            Err(i) => self.vs.active.insert(i, id),
-        }
+    /// Sample the system ceiling for the trace. Samples at one tick
+    /// collapse to the last, so one per transition is enough.
+    fn push_ceiling<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &P) {
+        self.trace
+            .push_ceiling(self.clock, protocol.system_ceiling(&self.kernel));
     }
 
-    fn deactivate(&mut self, id: InstanceId) {
-        if let Ok(i) = self.vs.active.binary_search(&id) {
-            self.vs.active.remove(i);
-        }
-    }
-
-    /// Sample the system ceiling for the trace: the max of every shard's
-    /// local ceiling — identical to the single table's ceiling when
-    /// unsharded, and exactly what [`rtdb_core::GlobalCeiling`] publishes
-    /// in the runtime.
-    fn push_ceiling<P: ProtocolFor<ViewState<'a, S>>>(&mut self, protocol: &P) {
-        let mut max = Ceiling::Dummy;
-        for shard in 0..self.vs.tables.len() {
-            self.vs.focus = shard;
-            max = max.max(protocol.system_ceiling(&self.vs));
-        }
-        self.trace.push_ceiling(self.clock, max);
-    }
-
-    fn run<P: ProtocolFor<ViewState<'a, S>>>(&mut self, protocol: &mut P) -> Result<()> {
-        self.vs.snapshot_on = self.config.snapshot_reads && protocol.lock_exempt(TxnMode::ReadOnly);
+    fn run<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) -> Result<()> {
+        self.snapshot_on = self.config.snapshot_reads && protocol.lock_exempt(TxnMode::ReadOnly);
         self.push_ceiling(protocol);
         let mut budget = self.config.max_steps;
         loop {
@@ -881,39 +655,32 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
                     self.clock = t;
                     continue;
                 }
-                if self.vs.active.is_empty() {
+                if self.kernel.active_instances().is_empty() {
                     break; // all done
                 }
                 // No runner, no arrivals, live instances remain: every
                 // live instance is blocked, gated or held — a circular
                 // wait by construction (blockers never commit unnoticed).
-                let wf = WaitForGraph::from_edges(self.vs.pm.edges());
-                if self.config.resolve_deadlocks {
-                    if let Some(cycle) = wf.find_cycle() {
-                        let victim = deadlock_victim(&cycle, |v| self.vs.set.priority_of(v.txn));
-                        self.trace.push_event(TraceEvent::DeadlockDetected {
-                            at: self.clock,
-                            cycle,
-                        });
-                        self.abort(victim, AbortReason::DeadlockVictim, protocol);
-                        self.reevaluate(protocol);
-                        continue;
-                    }
+                if !self.handle_deadlock(protocol) {
+                    let cycle = self.kernel.active_instances().to_vec();
+                    self.trace.push_event(TraceEvent::DeadlockDetected {
+                        at: self.clock,
+                        cycle: cycle.clone(),
+                    });
+                    self.outcome = RunOutcome::Deadlock(cycle);
                 }
-                let cycle = wf.find_cycle().unwrap_or_else(|| self.vs.active.clone());
-                self.trace.push_event(TraceEvent::DeadlockDetected {
-                    at: self.clock,
-                    cycle: cycle.clone(),
-                });
-                self.outcome = RunOutcome::Deadlock(cycle);
-                break;
+                if matches!(self.outcome, RunOutcome::Deadlock(_)) {
+                    break;
+                }
+                continue;
             };
             if matches!(self.outcome, RunOutcome::Deadlock(_)) {
                 break;
             }
 
             // Run `runner` until its step completes or the next arrival.
-            let template = self.vs.set.template(runner.txn);
+            let set = self.set;
+            let template = set.template(runner.txn);
             let (step_index, consumed) = {
                 let slot = self.slot(runner);
                 (slot.step, slot.consumed)
@@ -935,15 +702,11 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
             // Attribute this slice as lower-priority execution to every
             // other live instance the runner's base priority undercuts
             // (the measurable analogue of the analytic blocking B_i).
-            let runner_base = self.vs.set.priority_of(runner.txn);
-            {
-                let ViewState {
-                    set, store, active, ..
-                } = &mut self.vs;
-                for &other in active.iter() {
-                    if other != runner && set.priority_of(other.txn) > runner_base {
-                        store.get_mut(other).expect("active is live").lower_exec += Duration(ran);
-                    }
+            let runner_base = set.priority_of(runner.txn);
+            for &other in self.kernel.active_instances() {
+                if other != runner && set.priority_of(other.txn) > runner_base {
+                    let slot = self.store.get_mut(other).expect("active is live");
+                    slot.lower_exec += Duration(ran);
                 }
             }
 
@@ -958,21 +721,20 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
     /// sure it holds its current step's lock, blocking/aborting as the
     /// protocol dictates. Returns the instance to run, or `None` if no
     /// instance is ready.
-    fn dispatch<P: ProtocolFor<ViewState<'a, S>>>(
+    fn dispatch<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         protocol: &mut P,
     ) -> Option<InstanceId> {
         loop {
             let who = self.pick_ready()?;
             let slot = self.slot(who);
-            let template = self.vs.set.template(who.txn);
-            let step = template.steps[slot.step];
+            let step = self.set.template(who.txn).steps[slot.step];
             let (step_index, resumed) = (slot.step, slot.was_denied);
 
             if slot.acquired {
                 return Some(who);
             }
-            if self.vs.exempt(who) {
+            if self.exempt(who) {
                 // Snapshot reader: no lock request, no protocol call. The
                 // read resolves against the stamp pinned at the first read.
                 if let Some((item, mode)) = step.op.access() {
@@ -987,54 +749,80 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
                 return Some(who);
             };
 
-            // A lock already held in a sufficient mode needs no request:
-            // a write lock covers reads of the own staged value; an exact
-            // re-grant is idempotent.
-            if self.vs.covers(who, item, mode) {
-                self.perform_data_op(who, step_index, item, mode);
-                self.slot_mut(who).acquired = true;
-                return Some(who);
-            }
-
-            let req = LockRequest { who, item, mode };
-            self.vs.focus_item(item);
-            match protocol.request(&self.vs, req) {
-                Decision::Grant => {
-                    self.apply_grant(req, protocol, resumed);
+            let clock = self.clock;
+            let ws = &mut self.store.get_mut(who).expect("live").workspace;
+            let acquired = self
+                .kernel
+                .acquire(protocol, who, step_index, item, mode, ws, || clock);
+            match acquired {
+                Acquire::Done { granted } => {
+                    self.slot_mut(who).acquired = true;
+                    if granted {
+                        let at = self.clock;
+                        self.trace.push_event(if resumed {
+                            TraceEvent::Resumed {
+                                at,
+                                who,
+                                item,
+                                mode,
+                            }
+                        } else {
+                            TraceEvent::Granted {
+                                at,
+                                who,
+                                item,
+                                mode,
+                            }
+                        });
+                        self.push_ceiling(protocol);
+                    }
                     return Some(who);
                 }
-                Decision::Block { blockers } => {
-                    self.block(who, req, blockers, protocol);
-                    if matches!(self.outcome, RunOutcome::Deadlock(_)) {
-                        return None;
+                Acquire::Blocked { blockers, woken } => {
+                    let slot = self.slot_mut(who);
+                    debug_assert!(slot.blocked_since.is_none());
+                    slot.blocked_since = Some(clock);
+                    slot.was_denied = true;
+                    self.trace.push_event(TraceEvent::Denied {
+                        at: clock,
+                        who,
+                        item,
+                        mode,
+                        blockers,
+                    });
+                    self.unblock_all(&woken);
+                    // Unless the requester itself was woken again, look
+                    // for a deadlock on the wait-for graph.
+                    if self.kernel.pending_request(who).is_some() {
+                        self.handle_deadlock(protocol);
+                        if matches!(self.outcome, RunOutcome::Deadlock(_)) {
+                            return None;
+                        }
                     }
                     // Pick someone else.
                 }
-                Decision::AbortHolders { victims } => {
-                    debug_assert!(protocol.may_abort());
+                Acquire::Wound { victims } => {
                     for v in victims {
                         self.abort(v, AbortReason::Wound, protocol);
                     }
-                    self.reevaluate(protocol);
+                    self.wake_blocked(protocol);
                     // Loop: the request is retried (holders are gone).
                 }
-                Decision::AbortSelf { blockers } => {
-                    debug_assert!(protocol.may_abort());
-                    debug_assert!(!blockers.is_empty() && !blockers.contains(&who));
+                Acquire::Die { blockers } => {
                     self.abort(who, AbortReason::CeilingBlock, protocol);
-                    self.reevaluate(protocol);
+                    self.wake_blocked(protocol);
                     // Wait-die hold: park the restarted instance until a
                     // blocker commits or aborts, so the retry is not
                     // re-decided (and re-died) in the same instant. Set
                     // *after* the reevaluate so it is not cleared by it.
                     let mut hold: Vec<InstanceId> = blockers
                         .into_iter()
-                        .filter(|&b| b != who && self.vs.store.get(b).is_some())
+                        .filter(|&b| b != who && self.kernel.is_live(b))
                         .collect();
                     hold.sort_unstable();
                     hold.dedup();
-                    if !hold.is_empty() && self.vs.store.get(who).is_some() {
-                        self.vs.pm.set_blocked(who, &hold);
+                    if !hold.is_empty() {
+                        self.kernel.wait_on(who, &hold);
                         self.slot_mut(who).hold_on = hold;
                         self.n_held += 1;
                     }
@@ -1047,8 +835,8 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
     /// Highest-running-priority ready (live, unblocked, not gated or
     /// held) instance.
     fn pick_ready(&self) -> Option<InstanceId> {
-        self.vs
-            .active
+        self.kernel
+            .active_instances()
             .iter()
             .copied()
             .filter(|&id| {
@@ -1057,8 +845,8 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
             })
             .max_by_key(|&id| {
                 (
-                    self.vs.pm.running(id),
-                    self.vs.set.priority_of(id.txn),
+                    self.kernel.running_priority(id),
+                    self.kernel.base_priority(id),
                     Reverse(id.seq),
                     Reverse(id.txn.0),
                 )
@@ -1066,19 +854,17 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
     }
 
     fn release_arrivals(&mut self) {
+        let set = self.set;
         while let Some((t, txn, seq)) = self.calendar.peek() {
             if t > self.clock {
                 break;
             }
-            self.calendar.pop(self.vs.set);
+            self.calendar.pop(set);
             let id = InstanceId::new(txn, seq);
-            let template = self.vs.set.template(txn);
-            let deadline = template.deadline_of(seq);
-            self.vs.store.insert(id, t, deadline);
+            let deadline = set.template(txn).deadline_of(seq);
+            self.store.insert(id, t, deadline);
             self.next_miss_check = self.next_miss_check.min(deadline);
-            self.activate(id);
-            self.vs.pm.register(id, self.vs.set.priority_of(txn));
-            self.history.push(t, id, EventKind::Begin);
+            self.kernel.begin(id, Some(t));
             self.trace.push_event(TraceEvent::Arrive { at: t, who: id });
         }
     }
@@ -1088,18 +874,15 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
             return;
         }
         let mut next = Tick(u64::MAX);
-        for i in 0..self.vs.active.len() {
-            let id = self.vs.active[i];
-            let clock = self.clock;
-            let slot = self.slot_mut(id);
+        for &id in self.kernel.active_instances() {
+            let slot = self.store.get_mut(id).expect("active is live");
             if slot.miss_logged {
                 continue;
             }
-            if slot.deadline <= clock {
+            if slot.deadline <= self.clock {
                 slot.miss_logged = true;
-                let deadline = slot.deadline;
                 self.trace.push_event(TraceEvent::DeadlineMiss {
-                    at: deadline,
+                    at: slot.deadline,
                     who: id,
                 });
             } else {
@@ -1109,77 +892,17 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
         self.next_miss_check = next;
     }
 
-    fn perform_data_op(
-        &mut self,
-        who: InstanceId,
-        step_index: usize,
-        item: ItemId,
-        mode: LockMode,
-    ) {
-        let Sim {
-            vs,
-            db,
-            history,
-            clock,
-            ..
-        } = self;
-        let ViewState { store, deps, .. } = vs;
-        let slot = store.get_mut(who).expect("live workspace");
-        match mode {
-            LockMode::Read => {
-                // Dirty read over a retired chain: with no own staged
-                // value, the latest live retired writer's value is the
-                // one this reader is ordered after (the commit
-                // dependency taken at grant time). Its predicted version
-                // is the committed version plus the chain length — every
-                // live chain member installs exactly one bump first.
-                let dirty = if slot.workspace.staged_value(item).is_none() {
-                    deps.latest_retired(item)
-                } else {
-                    None
-                };
-                let rec = match dirty {
-                    Some((rw, chain_len)) if rw.owner != who => {
-                        let version = db.get(item).version + chain_len as u64;
-                        slot.workspace.read_dirty(item, rw.value, version)
-                    }
-                    _ => slot.workspace.read(db, item),
-                };
-                history.push(
-                    *clock,
-                    who,
-                    EventKind::Read {
-                        item,
-                        value: rec.value,
-                        version: rec.version,
-                        own: rec.own,
-                    },
-                );
-            }
-            LockMode::Write => {
-                let value = slot.workspace.write(step_index, item);
-                history.push(*clock, who, EventKind::StageWrite { item, value });
-            }
-        }
-    }
-
     /// Serve a snapshot reader's read: pin the current commit stamp on
     /// first use, then resolve the item against that stamp in the
     /// multiversion store. No locks, no protocol.
     fn perform_snapshot_read(&mut self, who: InstanceId, item: ItemId) {
-        let Sim {
-            vs,
-            mv,
-            history,
-            clock,
-            ..
-        } = self;
-        let slot = vs.store.get_mut(who).expect("live workspace");
+        let slot = self.store.get_mut(who).expect("live workspace");
+        let mv = &self.mv;
         let stamp = *slot.snapshot.get_or_insert_with(|| mv.stamp());
         let vv = mv.read_at(item, stamp).unwrap_or(VersionedValue::INITIAL);
         let rec = slot.workspace.read_versioned(item, vv.value, vv.version);
-        history.push(
-            *clock,
+        self.kernel.log(
+            self.clock,
             who,
             EventKind::Read {
                 item,
@@ -1194,8 +917,8 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
     /// can observe.
     fn prune_mv(&mut self) {
         let mut floor = self.mv.stamp();
-        for &id in &self.vs.active {
-            if self.vs.exempt(id) {
+        for &id in self.kernel.active_instances() {
+            if self.exempt(id) {
                 if let Some(s) = self.slot(id).snapshot {
                     floor = floor.min(s);
                 }
@@ -1204,425 +927,143 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
         self.mv.prune(floor);
     }
 
-    fn apply_grant<P: ProtocolFor<ViewState<'a, S>>>(
-        &mut self,
-        req: LockRequest,
-        protocol: &mut P,
-        resumed: bool,
-    ) {
-        self.vs.focus_item(req.item);
-        self.vs.grant(req.who, req.item, req.mode);
-        // Early-release bookkeeping: acquiring an item with live retired
-        // writes orders the grantee after the latest such writer — its
-        // commit gates on the writer's, and the writer's abort cascades.
-        // Registered for *every* mode: a write over the chain must also
-        // install after the chain (install order = retire order).
-        let latest = self
-            .vs
-            .deps
-            .latest_retired(req.item)
-            .map(|(rw, _)| rw.owner);
-        if let Some(owner) = latest {
-            self.vs.deps.add_dep(req.who, owner);
-        }
-        protocol.on_grant(&self.vs, req);
-        let step_index = self.slot(req.who).step;
-        self.perform_data_op(req.who, step_index, req.item, req.mode);
-        self.slot_mut(req.who).acquired = true;
-        let ev = if resumed {
-            TraceEvent::Resumed {
-                at: self.clock,
-                who: req.who,
-                item: req.item,
-                mode: req.mode,
-            }
-        } else {
-            TraceEvent::Granted {
-                at: self.clock,
-                who: req.who,
-                item: req.item,
-                mode: req.mode,
-            }
+    /// A cycle on the wait-for graph (lock waits, gate waits, holds), if
+    /// there is one: traced, then — depending on
+    /// [`SimConfig::resolve_deadlocks`] — resolved by aborting the
+    /// kernel's victim or reported as the run's outcome. Returns whether
+    /// a cycle was found.
+    fn handle_deadlock<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) -> bool {
+        let Some((cycle, victim)) = self.kernel.find_deadlock() else {
+            return false;
         };
-        self.trace.push_event(ev);
-        self.push_ceiling(protocol);
-    }
-
-    fn block<P: ProtocolFor<ViewState<'a, S>>>(
-        &mut self,
-        who: InstanceId,
-        req: LockRequest,
-        blockers: Vec<InstanceId>,
-        protocol: &mut P,
-    ) {
-        debug_assert!(blockers.iter().all(|&b| self.vs.store.get(b).is_some()));
-        let my_base = self.vs.set.priority_of(who.txn);
-        let clock = self.clock;
-        {
-            let ViewState { set, store, .. } = &mut self.vs;
-            let slot = store.get_mut(who).expect("blocked instance is live");
-            debug_assert!(slot.blocked_since.is_none());
-            slot.blocked_since = Some(clock);
-            slot.was_denied = true;
-            slot.pending = Some(req);
-            for &b in &blockers {
-                if set.priority_of(b.txn) < my_base {
-                    slot.note_lower_blocker(b.txn);
-                }
-            }
-        }
-        self.n_blocked += 1;
-        self.vs.pm.set_blocked(who, &blockers);
-        self.trace.push_event(TraceEvent::Denied {
+        self.trace.push_event(TraceEvent::DeadlockDetected {
             at: self.clock,
-            who,
-            item: req.item,
-            mode: req.mode,
-            blockers,
+            cycle: cycle.clone(),
         });
-
-        // A new blocking edge can itself unblock others: PCP-DA's
-        // commit-order guard admits a read over a higher-priority write
-        // holder once that holder is hard-blocked on the requester. Give
-        // every blocked request a wake-up pass before testing for a
-        // deadlock, so only irreducible cycles are reported.
-        self.reevaluate(protocol);
-        if self
-            .vs
-            .store
-            .get(who)
-            .is_none_or(|s| s.blocked_since.is_none())
-        {
-            // The requester itself was woken again; nothing to detect.
-            return;
+        if self.config.resolve_deadlocks {
+            self.abort(victim, AbortReason::DeadlockVictim, protocol);
+            self.wake_blocked(protocol);
+        } else {
+            self.outcome = RunOutcome::Deadlock(cycle);
         }
-
-        // Deadlock check on the wait-for graph.
-        let wf = WaitForGraph::from_edges(self.vs.pm.edges());
-        if let Some(cycle) = wf.find_cycle() {
-            if self.config.resolve_deadlocks {
-                // Abort the lowest-base-priority instance on the cycle —
-                // the victim rule shared with the runtime lock managers.
-                let victim = deadlock_victim(&cycle, |v| self.vs.set.priority_of(v.txn));
-                self.trace.push_event(TraceEvent::DeadlockDetected {
-                    at: self.clock,
-                    cycle,
-                });
-                self.abort(victim, AbortReason::DeadlockVictim, protocol);
-                self.reevaluate(protocol);
-            } else {
-                self.trace.push_event(TraceEvent::DeadlockDetected {
-                    at: self.clock,
-                    cycle: cycle.clone(),
-                });
-                self.outcome = RunOutcome::Deadlock(cycle);
-            }
-        }
+        true
     }
 
+    /// The kernel woke `who` (or aborted it while blocked): close its
+    /// blocked segment.
     fn unblock(&mut self, who: InstanceId) {
         let clock = self.clock;
-        let taken = {
-            let slot = self.slot_mut(who);
-            let since = slot.blocked_since.take();
-            if let Some(s) = since {
-                slot.blocking += clock.since(s);
-            }
-            since
-        };
-        if let Some(since) = taken {
-            self.n_blocked -= 1;
+        let slot = self.slot_mut(who);
+        if let Some(since) = slot.blocked_since.take() {
+            slot.blocking += clock.since(since);
             self.trace.push_segment(who, since, clock, SegKind::Blocked);
         }
-        self.vs.pm.clear_blocked(who);
-        self.slot_mut(who).pending = None;
     }
 
-    /// Re-evaluate blocked requests after a lock release: an instance
-    /// whose request would now be granted is *woken* (made ready) — the
-    /// lock itself is acquired only when the instance is next dispatched,
-    /// exactly as on a real single-CPU system, where a blocked transaction
-    /// re-issues its request when it runs again. Granting at release time
-    /// instead would let a low-priority waiter grab a ceiling-raising
-    /// lock while a higher-priority *ready* transaction exists, breaking
-    /// the single-blocking property (this repository's property tests
-    /// caught exactly that).
-    ///
-    /// Instances whose requests are still denied keep (refreshed)
-    /// blocking edges so priority inheritance stays precise.
-    fn reevaluate<P: ProtocolFor<ViewState<'a, S>>>(&mut self, protocol: &mut P) {
-        if self.n_blocked == 0 {
-            return;
+    fn unblock_all(&mut self, woken: &[InstanceId]) {
+        for &w in woken {
+            self.unblock(w);
         }
-        let mut blocked = std::mem::take(&mut self.reeval_scratch);
-        blocked.clear();
-        blocked.extend(
-            self.vs
-                .active
-                .iter()
-                .copied()
-                .filter(|&id| self.slot(id).blocked_since.is_some()),
-        );
-        blocked.sort_by_key(|&id| {
-            Reverse((
-                self.vs.pm.running(id),
-                self.vs.set.priority_of(id.txn),
-                Reverse(id.seq),
-            ))
-        });
-        for &who in &blocked {
-            let slot = self.slot(who);
-            let template = self.vs.set.template(who.txn);
-            let (item, mode) = template.steps[slot.step]
-                .op
-                .access()
-                .expect("blocked on a data step");
-            let req = LockRequest { who, item, mode };
-            self.vs.focus_item(item);
-            match protocol.request(&self.vs, req) {
-                Decision::Grant | Decision::AbortHolders { .. } | Decision::AbortSelf { .. } => {
-                    // Would be granted now — or would abort (either way the
-                    // instance must run to find out): wake up; the actual
-                    // request and any abort side effect happen at dispatch
-                    // time.
-                    self.unblock(who);
-                }
-                Decision::Block { blockers } => {
-                    debug_assert!(!blockers.is_empty());
-                    let my_base = self.vs.set.priority_of(who.txn);
-                    {
-                        let ViewState { set, store, .. } = &mut self.vs;
-                        let slot = store.get_mut(who).expect("blocked instance is live");
-                        for &b in &blockers {
-                            if set.priority_of(b.txn) < my_base {
-                                slot.note_lower_blocker(b.txn);
-                            }
-                        }
-                    }
-                    self.vs.pm.set_blocked(who, &blockers);
-                }
-            }
-        }
-        self.reeval_scratch = blocked;
     }
 
-    fn complete_step<P: ProtocolFor<ViewState<'a, S>>>(
+    /// Have the kernel re-evaluate blocked requests after locks were
+    /// released; the woken become ready and re-issue their request when
+    /// next dispatched.
+    fn wake_blocked<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) {
+        let woken = self.kernel.reevaluate(protocol);
+        self.unblock_all(&woken);
+    }
+
+    fn complete_step<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         who: InstanceId,
         protocol: &mut P,
     ) {
-        let completed_step;
-        let next_step;
-        let total_steps = self.vs.set.template(who.txn).steps.len();
-        {
-            let slot = self.slot_mut(who);
-            completed_step = slot.step;
-            slot.step += 1;
-            slot.consumed = 0;
-            slot.acquired = false;
-            slot.was_denied = false;
-            next_step = slot.step;
-        }
+        let total_steps = self.set.template(who.txn).steps.len();
+        let slot = self.slot_mut(who);
+        let completed_step = slot.step;
+        slot.step += 1;
+        slot.consumed = 0;
+        slot.acquired = false;
+        slot.was_denied = false;
 
-        if next_step == total_steps {
+        if slot.step == total_steps {
             self.commit(who, protocol);
             return;
         }
-        if self.vs.exempt(who) {
+        if self.exempt(who) {
             // Snapshot readers hold nothing to release early.
             return;
         }
 
-        // Early releases (CCP).
-        let releases = protocol.early_releases(&self.vs, who, completed_step);
-        if !releases.is_empty() {
-            let install_early = protocol.update_model() == UpdateModel::InstallOnEarlyRelease;
-            for (item, mode) in releases {
-                debug_assert!(self.vs.holds(who, item, mode));
-                self.vs.release(who, item, mode);
-                self.trace.push_event(TraceEvent::EarlyRelease {
-                    at: self.clock,
-                    who,
-                    item,
-                    mode,
-                });
-                if install_early && mode == LockMode::Write {
-                    let staged = self
-                        .vs
-                        .store
-                        .get(who)
-                        .and_then(|s| s.workspace.staged_value(item));
-                    if let Some(value) = staged {
-                        let fresh = self.slot_mut(who).mark_installed_early(item);
-                        if fresh {
-                            let version = self.db.install(who, item, value, self.clock);
-                            self.history.push(
-                                self.clock,
-                                who,
-                                EventKind::Install {
-                                    item,
-                                    value,
-                                    version,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            self.push_ceiling(protocol);
-            self.reevaluate(protocol);
+        // Early releases (CCP) and retires (Bamboo / Brook-2PL).
+        let clock = self.clock;
+        let ws = &self.store.get(who).expect("live").workspace;
+        let done = self
+            .kernel
+            .step_done(protocol, who, completed_step, ws, || clock);
+        if done.released.is_empty() {
+            return;
         }
-
-        // Early release into the retired list (Bamboo / Brook-2PL):
-        // write locks past their last access release now; the staged
-        // value stays visible through the dependency tracker, and
-        // successors order themselves behind the retiree via commit
-        // dependencies instead of lock waits.
-        let retired = protocol.retires(&self.vs, who, completed_step);
-        if !retired.is_empty() {
-            for item in retired {
-                debug_assert!(self.vs.holds(who, item, LockMode::Write));
-                let staged = self
-                    .vs
-                    .store
-                    .get(who)
-                    .and_then(|s| s.workspace.staged_value(item))
-                    .expect("retired an item without a staged write");
-                if self.vs.holds(who, item, LockMode::Read) {
-                    // An upgrade's read lock goes with the write lock:
-                    // successors are ordered by the dependency anyway.
-                    self.vs.release(who, item, LockMode::Read);
-                }
-                self.vs.release(who, item, LockMode::Write);
-                self.vs.deps.retire(who, item, staged);
-                self.trace.push_event(TraceEvent::EarlyRelease {
-                    at: self.clock,
-                    who,
-                    item,
-                    mode: LockMode::Write,
-                });
-            }
-            self.push_ceiling(protocol);
-            self.reevaluate(protocol);
+        for (item, mode) in done.released {
+            self.trace.push_event(TraceEvent::EarlyRelease {
+                at: clock,
+                who,
+                item,
+                mode,
+            });
         }
+        self.push_ceiling(protocol);
+        self.unblock_all(&done.woken);
     }
 
-    fn commit<P: ProtocolFor<ViewState<'a, S>>>(&mut self, who: InstanceId, protocol: &mut P) {
-        if self.vs.exempt(who) {
+    fn commit<P: ProtocolFor<StateKernel<'a>>>(&mut self, who: InstanceId, protocol: &mut P) {
+        if self.exempt(who) {
             self.commit_snapshot(who);
             return;
         }
         // Commit gate: with outstanding commit dependencies the instance
-        // parks until the last dependency commits (recoverability — no
-        // one commits a dirty value whose writer can still abort). The
-        // drain in the committing dependency's own `commit` re-enters
-        // here.
-        if self.vs.deps.has_deps(who) {
-            self.gate(who, protocol);
+        // parks — live, holding its read locks, never dispatched — until
+        // the last dependency commits. The drain in the committing
+        // dependency's own `commit` re-enters here.
+        if self.kernel.gate(who) {
+            let slot = self.slot_mut(who);
+            debug_assert!(!slot.gated && slot.blocked_since.is_none());
+            slot.gated = true;
+            self.handle_deadlock(protocol);
             return;
         }
         // Optimistic protocols validate at commit: abort every active
         // instance this commit invalidates, before the writes install.
         // Snapshot readers can never be victims — their reads resolve
         // against an immutable stamped prefix no commit invalidates.
-        let victims = protocol.commit_victims(&self.vs, who);
-        if !victims.is_empty() {
-            debug_assert!(protocol.may_abort());
-            for v in victims {
-                if v != who && self.vs.store.get(v).is_some() && !self.vs.exempt(v) {
-                    self.abort(v, AbortReason::Wound, protocol);
-                }
-            }
+        for v in self.kernel.commit_victims(protocol, who) {
+            self.abort(v, AbortReason::Wound, protocol);
         }
 
-        self.history.push(self.clock, who, EventKind::Commit);
-        // Install staged writes straight out of the workspace: the slot
-        // lives in `vs` while the database and history are sibling fields,
-        // so no staging copy is needed.
-        {
-            let Sim {
-                vs,
-                db,
-                mv,
-                history,
-                clock,
-                ..
-            } = self;
-            let slot = vs.store.get(who).expect("live workspace");
-            for &(item, value) in slot.workspace.staged_writes() {
-                if slot.installed_early.binary_search(&item).is_ok() {
-                    continue;
-                }
-                let version = db.install(who, item, value, *clock);
-                history.push(
-                    *clock,
-                    who,
-                    EventKind::Install {
-                        item,
-                        value,
-                        version,
-                    },
-                );
-                if vs.snapshot_on {
-                    mv.publish(
-                        item,
-                        VersionedValue {
-                            value,
-                            version,
-                            writer: Some(who),
-                            installed_at: *clock,
-                        },
-                    );
-                }
+        let clock = self.clock;
+        let slot = self.store.get(who).expect("live workspace");
+        let publish = self.snapshot_on.then_some(&mut self.installed);
+        self.kernel
+            .install(who, &slot.workspace, clock, true, publish);
+        if self.snapshot_on {
+            for (item, vv) in self.installed.drain(..) {
+                self.mv.publish(item, vv);
             }
-        }
-        if self.vs.snapshot_on {
             // Every lock-path commit seals a stamp — written or not — so
             // a snapshot stamp is exactly a commit-order position.
             self.mv.seal();
             self.prune_mv();
         }
 
-        self.vs.release_all(who);
-        self.vs.pm.remove(who);
-        // Dependency bookkeeping: the retired entries become committed
-        // state, and dependents whose last dependency this was leave the
-        // commit gate (committed below, after this commit is recorded).
-        let drained = self.vs.deps.on_commit(who);
+        // Dependents whose last dependency this was leave the commit gate
+        // below, after this commit is recorded.
+        let (record, drained) = self.kernel.finish_commit(protocol, who);
         self.release_holds_on(who);
-        protocol.on_commit(&self.vs, who);
-        self.trace.push_event(TraceEvent::Commit {
-            at: self.clock,
-            who,
-        });
+        self.trace.push_event(TraceEvent::Commit { at: clock, who });
         self.push_ceiling(protocol);
-
-        let (release, deadline, blocking, lower_exec, restarts, lower_blockers) = {
-            let slot = self.slot_mut(who);
-            (
-                slot.release,
-                slot.deadline,
-                slot.blocking,
-                slot.lower_exec,
-                slot.restarts,
-                std::mem::take(&mut slot.lower_blockers),
-            )
-        };
-        self.vs.store.remove(who);
-        self.deactivate(who);
-        self.metrics.record(InstanceMetrics {
-            id: who,
-            release,
-            deadline,
-            completion: Some(self.clock),
-            blocking,
-            lower_exec,
-            distinct_lower_blockers: lower_blockers,
-            restarts,
-            snapshot: None,
-        });
-
-        self.reevaluate(protocol);
+        self.retire_slot(who, record, Some(clock), None);
+        self.wake_blocked(protocol);
 
         // Let drained dependents through the commit gate, in dependency
         // order at the same clock — their commits land after the one
@@ -1630,58 +1071,37 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
         // enforces. (Drained instances still mid-execution are simply
         // no longer gated when they reach their own commit.)
         for d in drained {
-            if self.vs.store.get(d).is_some_and(|s| s.gated) {
-                self.ungate(d);
+            if self.store.get(d).is_some_and(|s| s.gated) {
+                self.slot_mut(d).gated = false;
+                self.kernel.wake(d);
                 self.commit(d, protocol);
             }
         }
     }
 
-    /// Park `who` at the commit gate: it stays live and holds its read
-    /// locks, but is never dispatched until its commit dependencies
-    /// drain. Gate edges enter the priority manager — the parked
-    /// instance donates its priority to the dependencies it waits on,
-    /// and the wait-for graph sees gate waits, so a gate-plus-lock cycle
-    /// (possible under Bamboo) is detected and resolved like any other
-    /// deadlock.
-    fn gate<P: ProtocolFor<ViewState<'a, S>>>(&mut self, who: InstanceId, protocol: &mut P) {
-        let deps: Vec<InstanceId> = self.vs.deps.deps_of(who).to_vec();
-        debug_assert!(!deps.is_empty());
-        {
-            let slot = self.slot_mut(who);
-            debug_assert!(!slot.gated && slot.blocked_since.is_none());
-            slot.gated = true;
-        }
-        self.n_gated += 1;
-        self.vs.pm.set_blocked(who, &deps);
-
-        let wf = WaitForGraph::from_edges(self.vs.pm.edges());
-        if let Some(cycle) = wf.find_cycle() {
-            if self.config.resolve_deadlocks {
-                let victim = deadlock_victim(&cycle, |v| self.vs.set.priority_of(v.txn));
-                self.trace.push_event(TraceEvent::DeadlockDetected {
-                    at: self.clock,
-                    cycle,
-                });
-                self.abort(victim, AbortReason::DeadlockVictim, protocol);
-                self.reevaluate(protocol);
-            } else {
-                self.trace.push_event(TraceEvent::DeadlockDetected {
-                    at: self.clock,
-                    cycle: cycle.clone(),
-                });
-                self.outcome = RunOutcome::Deadlock(cycle);
-            }
-        }
-    }
-
-    /// Reverse of [`Sim::gate`].
-    fn ungate(&mut self, who: InstanceId) {
-        let slot = self.slot_mut(who);
-        debug_assert!(slot.gated);
-        slot.gated = false;
-        self.n_gated -= 1;
-        self.vs.pm.clear_blocked(who);
+    /// Drop `who`'s slot and fold it and its kernel `record` into the
+    /// metrics.
+    fn retire_slot(
+        &mut self,
+        who: InstanceId,
+        record: Record,
+        completion: Option<Tick>,
+        snapshot: Option<u64>,
+    ) {
+        let slot = self.slot(who);
+        let m = InstanceMetrics {
+            id: who,
+            release: slot.release,
+            deadline: slot.deadline,
+            completion,
+            blocking: slot.blocking,
+            lower_exec: slot.lower_exec,
+            distinct_lower_blockers: record.lower_blockers,
+            restarts: record.restarts,
+            snapshot,
+        };
+        self.store.remove(who);
+        self.metrics.record(m);
     }
 
     /// `who` commits or aborts: clear every wait-die hold naming it.
@@ -1689,17 +1109,17 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
         if self.n_held == 0 {
             return;
         }
-        for i in 0..self.vs.active.len() {
-            let id = self.vs.active[i];
+        for i in 0..self.kernel.active_instances().len() {
+            let id = self.kernel.active_instances()[i];
             if id == who {
                 continue;
             }
-            let slot = self.vs.store.get_mut(id).expect("active is live");
+            let slot = self.store.get_mut(id).expect("active is live");
             if let Ok(pos) = slot.hold_on.binary_search(&who) {
                 slot.hold_on.remove(pos);
                 if slot.hold_on.is_empty() {
                     self.n_held -= 1;
-                    self.vs.pm.clear_blocked(id);
+                    self.kernel.wake(id);
                 }
             }
         }
@@ -1709,161 +1129,82 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
     /// locks to release, no protocol notification — just the Commit
     /// event, metrics, and an epoch-GC pass now that its pin is gone.
     fn commit_snapshot(&mut self, who: InstanceId) {
-        self.history.push(self.clock, who, EventKind::Commit);
-        self.vs.pm.remove(who);
+        self.kernel.log(self.clock, who, EventKind::Commit);
+        let record = self.kernel.remove(who);
         self.trace.push_event(TraceEvent::Commit {
             at: self.clock,
             who,
         });
-
-        let mv_stamp = self.mv.stamp();
-        let (release, deadline, blocking, lower_exec, restarts, lower_blockers, snapshot) = {
-            let slot = self.slot_mut(who);
-            (
-                slot.release,
-                slot.deadline,
-                slot.blocking,
-                slot.lower_exec,
-                slot.restarts,
-                std::mem::take(&mut slot.lower_blockers),
-                // A reader that never touched data still commits *as* a
-                // snapshot commit; stamp it now so every exempt commit in
-                // the history carries its serialization position.
-                slot.snapshot.or(Some(mv_stamp)),
-            )
-        };
-        debug_assert_eq!(blocking, Duration::ZERO, "snapshot readers never block");
-        debug_assert_eq!(restarts, 0, "snapshot readers never abort");
-        self.vs.store.remove(who);
-        self.deactivate(who);
-        self.metrics.record(InstanceMetrics {
-            id: who,
-            release,
-            deadline,
-            completion: Some(self.clock),
-            blocking,
-            lower_exec,
-            distinct_lower_blockers: lower_blockers,
-            restarts,
-            snapshot,
-        });
+        debug_assert_eq!(
+            self.slot(who).blocking,
+            Duration::ZERO,
+            "snapshot readers never block"
+        );
+        debug_assert_eq!(record.restarts, 0, "snapshot readers never abort");
+        // A reader that never touched data still commits *as* a snapshot
+        // commit; stamp it now so every exempt commit in the history
+        // carries its serialization position.
+        let snapshot = self.slot(who).snapshot.or(Some(self.mv.stamp()));
+        self.retire_slot(who, record, Some(self.clock), snapshot);
         self.prune_mv();
     }
 
-    fn abort<P: ProtocolFor<ViewState<'a, S>>>(
+    /// Abort `victim` (and its dependents, cascading) through the kernel
+    /// and restart each from scratch.
+    fn abort<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         victim: InstanceId,
         reason: AbortReason,
         protocol: &mut P,
     ) {
-        debug_assert_eq!(
-            protocol.update_model(),
-            UpdateModel::Workspace,
-            "aborts require the workspace model (no undo implemented)"
-        );
         debug_assert!(
-            !self.vs.exempt(victim),
+            !self.exempt(victim),
             "snapshot readers never abort (hold no locks, block nobody)"
         );
-        self.metrics.abort_reasons.record(reason);
-        self.history.push(self.clock, victim, EventKind::Abort);
-        self.trace.push_event(TraceEvent::Abort {
-            at: self.clock,
-            who: victim,
-        });
-        self.vs.release_all(victim);
-        // If the victim was itself blocked, flush its blocked segment.
-        if self.slot(victim).blocked_since.is_some() {
-            self.unblock(victim);
-        } else {
-            self.vs.pm.clear_blocked(victim);
-            self.slot_mut(victim).pending = None;
-        }
-        // Reset execution state; the instance restarts from scratch.
-        let (was_gated, was_held) = {
-            let slot = self.slot_mut(victim);
+        let clock = self.clock;
+        for (who, _) in self.kernel.abort(protocol, victim, reason, || clock) {
+            self.trace.push_event(TraceEvent::Abort { at: clock, who });
+            // If the victim was itself blocked, flush its blocked segment.
+            self.unblock(who);
+            let slot = self.slot_mut(who);
             slot.step = 0;
             slot.consumed = 0;
             slot.acquired = false;
             slot.was_denied = false;
-            slot.restarts += 1;
-            slot.workspace.reset(victim);
-            slot.installed_early.clear();
-            let flags = (slot.gated, !slot.hold_on.is_empty());
+            slot.workspace.reset(who);
             slot.gated = false;
-            slot.hold_on.clear();
-            flags
-        };
-        if was_gated {
-            self.n_gated -= 1;
-        }
-        if was_held {
-            self.n_held -= 1;
-        }
-        protocol.on_abort(&self.vs, victim);
-        self.history.push(self.clock, victim, EventKind::Begin);
-        self.push_ceiling(protocol);
-
-        // Anyone holding back a wait-die retry on this victim may go
-        // again, and everyone who observed (or overwrote) its retired
-        // writes aborts with it — the dependency tracker hands back the
-        // transitive closure, each member exactly once.
-        self.release_holds_on(victim);
-        let cascade = self.vs.deps.on_abort(victim);
-        for d in cascade {
-            if self.vs.store.get(d).is_some() {
-                self.abort(d, AbortReason::Cascade, protocol);
+            if !slot.hold_on.is_empty() {
+                slot.hold_on.clear();
+                self.n_held -= 1;
             }
+            // Anyone holding back a wait-die retry on it may go again.
+            self.release_holds_on(who);
         }
+        self.push_ceiling(protocol);
     }
 
     fn finish(mut self) -> RunResult {
         // Flush unfinished instances into the metrics.
-        let leftovers: Vec<InstanceId> = self.vs.active.clone();
+        let leftovers: Vec<InstanceId> = self.kernel.active_instances().to_vec();
         for who in leftovers {
-            let (release, deadline, blocked_since, mut blocking, lower_exec, restarts, lowers) = {
-                let slot = self.vs.store.get_mut(who).expect("active is live");
-                (
-                    slot.release,
-                    slot.deadline,
-                    slot.blocked_since,
-                    slot.blocking,
-                    slot.lower_exec,
-                    slot.restarts,
-                    std::mem::take(&mut slot.lower_blockers),
-                )
-            };
-            let snapshot = self.vs.store.get(who).and_then(|s| s.snapshot);
-            self.vs.store.remove(who);
-            if let Some(since) = blocked_since {
-                self.trace
-                    .push_segment(who, since, self.clock, SegKind::Blocked);
-                blocking += self.clock.since(since);
-            }
-            self.metrics.record(InstanceMetrics {
-                id: who,
-                release,
-                deadline,
-                completion: None,
-                blocking,
-                lower_exec,
-                distinct_lower_blockers: lowers,
-                restarts,
-                snapshot,
-            });
+            self.unblock(who);
+            let record = self.kernel.remove(who);
+            let snapshot = self.slot(who).snapshot;
+            self.retire_slot(who, record, None, snapshot);
         }
         self.metrics.max_sysceil = self.trace.max_system_ceiling();
+        let (history, db, abort_reasons) = self.kernel.into_parts();
+        self.metrics.abort_reasons = abort_reasons;
         RunResult {
             protocol: "", // patched by the caller below
-            history: self.history,
-            db: self.db,
+            history,
+            db,
             metrics: self.metrics,
             trace: self.trace,
             outcome: self.outcome,
             final_clock: self.clock,
-            snapshot_reads: self.vs.snapshot_on,
+            snapshot_reads: self.snapshot_on,
             mv_high_water: self.mv.high_water(),
-            shards: self.vs.tables.len(),
         }
     }
 }
@@ -1945,7 +1286,7 @@ mod tests {
         let mut store = SlotStore::with_templates(2);
         let a0 = InstanceId::new(TxnId(0), 0);
         store.insert(a0, Tick(0), Tick(10));
-        store.get_mut(a0).unwrap().note_lower_blocker(TxnId(1));
+        store.get_mut(a0).unwrap().blocking = Duration(3);
         store.remove(a0);
         assert!(store.get(a0).is_none());
         // The next instance of the same template reuses the slot (len
@@ -1956,7 +1297,7 @@ mod tests {
         let slot = store.get(a1).unwrap();
         assert_eq!(slot.id, a1);
         assert_eq!(slot.release, Tick(5));
-        assert!(slot.lower_blockers.is_empty());
+        assert_eq!(slot.blocking, Duration::ZERO);
         // A different template gets a fresh slot.
         let b0 = InstanceId::new(TxnId(1), 0);
         store.insert(b0, Tick(0), Tick(20));

@@ -73,6 +73,20 @@ pub struct History {
     commit_order: Vec<InstanceId>,
 }
 
+/// Rebuild a history from its events, in iteration order (how the
+/// runtime's per-shard logs merge into one).
+impl FromIterator<Event> for History {
+    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Self {
+        let events = events.into_iter();
+        let mut history = History::new();
+        history.reserve_events(events.size_hint().0);
+        for e in events {
+            history.push(e.at, e.instance, e.kind);
+        }
+        history
+    }
+}
+
 impl History {
     /// Empty history.
     pub fn new() -> Self {
