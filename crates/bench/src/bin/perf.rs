@@ -29,10 +29,10 @@
 //! `ns_per_lock_request` divides *whole-engine* wall time by the number
 //! of `request` calls, so it includes scheduling and storage — it is an
 //! end-to-end cost per decision, not the isolated decision latency
-//! (`benches/protocols.rs` measures that). The count comes from the
-//! registry's [`AnyProtocol`] wrapper, which tallies decisions inside the
-//! engine's statically dispatched loop — the timed path has no `dyn`
-//! indirection on either the protocol or the view side.
+//! (`benchmark/`'s `cc.decide_read_ns` probe measures that). The count
+//! comes from the registry's [`AnyProtocol`] wrapper, which tallies
+//! decisions inside the engine's statically dispatched loop — the timed
+//! path has no `dyn` indirection on either the protocol or the view side.
 //!
 //! [`AnyProtocol`]: rtdb::sim::AnyProtocol
 

@@ -3,12 +3,14 @@
 //! * `src/bin/figures.rs` — regenerates **every table and figure** of the
 //!   paper (experiments E1–E11 of DESIGN.md) as text, and emits
 //!   machine-readable JSON records used by EXPERIMENTS.md;
-//! * `src/bin/rtload.rs` — the runtime load generator (closed-loop job
-//!   queues plus the [`loadgen`] open-loop saturation sweep), emitting
-//!   `BENCH_rt.json`;
-//! * `benches/` — Criterion micro- and macro-benchmarks: lock-decision
-//!   latency per protocol, full-engine simulation throughput,
-//!   schedulability-analysis throughput and the correctness oracles.
+//! * `src/bin/rtload.rs` — the runtime instrument: the seven rows of
+//!   the [`scenarios`] table (closed-loop job queues, the [`loadgen`]
+//!   open loop, [`netload`] through the TCP edge), one
+//!   `BENCH_rt.<scenario>.jsonl` each.
+//!
+//! Isolated per-layer probes (lock-decision latency, lock-table cycle,
+//! simulator ticks/s, analysis sets/s, oracle cost) live in the
+//! repository's `benchmark/`, which runs them on every PR.
 //!
 //! Shared helpers live here. The protocol line-up everywhere in the
 //! harness derives from the registry ([`ProtocolKind::STANDARD`] via
@@ -16,9 +18,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod loadgen;
 pub mod netload;
+pub mod scenarios;
 
 use rtdb::prelude::*;
 
@@ -44,7 +46,7 @@ pub fn standard_workload(seed: u64) -> TransactionSet {
 /// `read_fraction` of the templates are pure readers (the rest write),
 /// and item popularity follows a Zipfian of exponent `theta` over a
 /// 32-item pool (`theta = 0.0` is uniform). 95/5 at θ ∈ {0, 0.6, 0.9}
-/// is the line-up `rtload` sweeps snapshot-on vs snapshot-off.
+/// is what `rtload snapshot` runs snapshot-off vs snapshot-on.
 pub fn read_heavy_workload(seed: u64, read_fraction: f64, theta: f64) -> TransactionSet {
     assert!(
         (0.0..=1.0).contains(&read_fraction),
@@ -78,9 +80,8 @@ pub fn read_heavy_workload(seed: u64, read_fraction: f64, theta: f64) -> Transac
 /// the hot write lock across the whole remaining body, which is exactly
 /// the window early lock release (Bamboo / Brook-2PL) exists to shrink.
 /// θ = 0 falls back to the legacy two-tier hotspot item picker for the
-/// sweep's baseline point. `rtload --skew θ` selects this family; the
-/// default full line-up sweeps θ ∈ {0, 0.6, 0.9, 1.2} over the
-/// early-release kinds and the blocking baselines.
+/// sweep's baseline point. `rtload hotspot` runs θ ∈ {0, 0.6, 0.9, 1.2}
+/// over the early-release kinds and the blocking baselines.
 pub fn hotspot_workload(seed: u64, theta: f64) -> TransactionSet {
     WorkloadParams {
         templates: 8,
@@ -105,8 +106,8 @@ pub fn hotspot_workload(seed: u64, theta: f64) -> TransactionSet {
 /// sweeps: a 32-item pool split across `partitions` partitions under the
 /// shared router rule (`item mod partitions`), Zipf(0.7) skew *within*
 /// each partition, and `cross_fraction` of the data steps sent to a
-/// foreign partition — the cross-shard traffic knob `rtload --shards`
-/// exposes. With `cross_fraction = 0` every template is single-shard by
+/// foreign partition — the cross-shard traffic axis of `rtload sharded`.
+/// With `cross_fraction = 0` every template is single-shard by
 /// construction.
 pub fn partitioned_workload(seed: u64, partitions: usize, cross_fraction: f64) -> TransactionSet {
     WorkloadParams {
@@ -127,23 +128,6 @@ pub fn partitioned_workload(seed: u64, partitions: usize, cross_fraction: f64) -
     .set
 }
 
-/// A high-contention workload (every access in a 3-item hotspot).
-pub fn contended_workload(seed: u64) -> TransactionSet {
-    WorkloadParams {
-        templates: 6,
-        items: 8,
-        target_utilization: 0.6,
-        hotspot_items: 3,
-        hotspot_prob: 0.95,
-        write_fraction: 0.5,
-        seed,
-        ..Default::default()
-    }
-    .generate()
-    .expect("contended workload is valid")
-    .set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +140,6 @@ mod tests {
         );
         let w = standard_workload(1);
         assert!(w.total_utilization() > 0.3);
-        let c = contended_workload(1);
-        assert!(!c.items().is_empty());
     }
 
     #[test]

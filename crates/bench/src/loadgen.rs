@@ -9,59 +9,25 @@
 //!
 //! The pieces:
 //!
-//! * [`arrival_schedule`] — a deterministic merged arrival sequence;
-//!   per-template rates are proportional to `1/period` (faster templates
-//!   arrive more often, as in the periodic model) and normalised to the
-//!   requested aggregate rate, with seeded per-template phasing so the
-//!   templates do not arrive in lock-step;
+//! * [`arrival_schedule`] — a deterministic merged Poisson arrival
+//!   sequence; per-template rates are proportional to `1/period`
+//!   (faster templates arrive more often, as in the periodic model) and
+//!   normalised to the requested aggregate rate, with seeded
+//!   per-template phasing so the templates do not arrive in lock-step;
 //! * [`run_open_loop`] — drives [`rt::run_front`]: the current thread
 //!   plays the submitter, pacing itself to the schedule; each request
 //!   carries `release = scheduled arrival` and
 //!   `deadline = release + period·tick`, so misses are judged against
 //!   the *intended* release, exactly like the simulator's periodic model;
-//! * [`saturation_sweep`] — re-runs the same schedule shape at
-//!   `rate·k/points` for `k = 1..=points`, producing the monotone
-//!   offered-load axis of the saturation curve in `BENCH_rt.json`;
-//! * [`service_capacity`] — a first-order estimate of the sustainable
-//!   job rate (`threads / mean service time`), used to pick a default
-//!   sweep top that is guaranteed to push past saturation.
+//! * [`service_capacity`] and [`calibrated_ceiling`] — the first-order
+//!   estimate of the sustainable job rate (`threads / mean service
+//!   time`) and the measured one `rtload` sizes its offered rates by;
+//! * [`overload_budget`] — per-tenant fairness budgets sized from that
+//!   measured ceiling.
 
 use rtdb::prelude::*;
 use rtdb::rt;
 use rtdb_util::Rng;
-
-/// The interarrival process of the open-loop schedule.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Interarrival {
-    /// Exponential gaps (Poisson arrivals) — the classic open-loop model.
-    #[default]
-    Exponential,
-    /// Fixed gaps at each template's rate, with a seeded phase offset.
-    Periodic,
-}
-
-impl std::fmt::Display for Interarrival {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Interarrival::Exponential => "exp",
-            Interarrival::Periodic => "periodic",
-        })
-    }
-}
-
-impl std::str::FromStr for Interarrival {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "exp" | "exponential" | "poisson" => Ok(Interarrival::Exponential),
-            "periodic" | "fixed" => Ok(Interarrival::Periodic),
-            other => Err(format!(
-                "unknown interarrival process `{other}` (expected exp or periodic)"
-            )),
-        }
-    }
-}
 
 /// Configuration of one open-loop run.
 #[derive(Clone, Debug)]
@@ -75,7 +41,6 @@ pub struct OpenLoopParams {
     pub jobs: usize,
     /// Aggregate offered rate, jobs per second.
     pub arrival_rate: f64,
-    pub interarrival: Interarrival,
     pub policy: rt::AdmissionPolicy,
     /// Admission queue bound.
     pub capacity: usize,
@@ -130,6 +95,48 @@ pub fn service_capacity(set: &TransactionSet, threads: usize, tick_ns: u64) -> f
     threads as f64 * 1e9 / service_ns
 }
 
+/// Measured saturation rate of `kind` on `threads` workers: a short
+/// closed-loop run of `jobs` jobs, capped by [`service_capacity`]. The
+/// estimate alone knows nothing of blocking or lock-manager overhead and
+/// can sit several times above the real ceiling, which would leave every
+/// sweep point saturated; the cap guards against a calibration run
+/// inflated by scheduler luck.
+pub fn calibrated_ceiling(set: &TransactionSet, p: &OpenLoopParams, jobs: usize) -> f64 {
+    let config = rt::RtConfig::new(p.kind)
+        .with_threads(p.threads)
+        .with_tick_ns(p.tick_ns);
+    rt::run_jobs(set, jobs, p.seed, config)
+        .throughput()
+        .min(service_capacity(set, p.threads, p.tick_ns))
+}
+
+/// Fairness budgets for `p`'s tenants from the *measured* `ceiling`:
+/// under contention it sits far below `threads` seconds of service per
+/// second, and a budget no tenant can exhaust enforces nothing. Three
+/// corrections matter at benchmark scale: the per-job cost is weighted by
+/// arrival share (∝ 1/period, like the schedule); the ceiling is a
+/// closed-loop number and an open-loop run under shedding delivers about
+/// half of it — queued sheds are refunded, so a tenant's net spend is its
+/// commit flow — hence the equal share of *half* the ceiling; and the
+/// burst is one queue's worth of mean-cost jobs, enough to forgive a
+/// light tenant's Poisson clumps, small enough that a hog's sustained
+/// overdraft blows through it early in the run.
+pub fn overload_budget(
+    set: &TransactionSet,
+    p: &OpenLoopParams,
+    ceiling: f64,
+) -> rt::FairnessConfig {
+    let weight = |t: &TransactionTemplate| 1.0 / t.period.raw() as f64;
+    let wsum: f64 = set.templates().iter().map(weight).sum();
+    let cost =
+        |t: &TransactionTemplate| weight(t) / wsum * t.wcet().raw() as f64 * p.tick_ns as f64;
+    let arrival_cost_ns: f64 = set.templates().iter().map(cost).sum();
+    rt::FairnessConfig {
+        burst_ns: ((p.capacity as f64 * arrival_cost_ns) as u64).max(1),
+        ..rt::FairnessConfig::for_capacity(ceiling / 2.0, arrival_cost_ns, p.tenants())
+    }
+}
+
 /// Build the merged, time-sorted arrival schedule for `p.jobs` arrivals.
 ///
 /// Deterministic in `(set, p)`: each `(tenant, template)` stream gets its
@@ -170,10 +177,8 @@ pub fn arrival_schedule(set: &TransactionSet, p: &OpenLoopParams) -> Vec<Arrival
                     txn: t.id,
                     tenant: tenant as u32,
                 });
-                at += match p.interarrival {
-                    Interarrival::Exponential => -(1.0 - rng.f64()).ln() * gap_ns,
-                    Interarrival::Periodic => gap_ns,
-                };
+                // Exponential gaps: Poisson arrivals per stream.
+                at += -(1.0 - rng.f64()).ln() * gap_ns;
             }
         }
     }
@@ -202,11 +207,18 @@ pub struct OpenLoopReport {
 }
 
 impl OpenLoopReport {
-    /// Offered rate actually realised by the schedule, jobs/sec, derived
-    /// from the last scheduled arrival (differs from the nominal rate by
-    /// sampling noise).
-    pub fn offered_rate(&self) -> f64 {
-        self.params.arrival_rate
+    /// Fail ratio — (missed + shed + rejected) / offered — of the tenant
+    /// offering the lowest rate (ties toward the lowest tenant index): the
+    /// number fairness budgets exist to protect.
+    pub fn low_rate_fail_ratio(&self) -> f64 {
+        let weights = &self.params.tenant_weights;
+        let low = (0..weights.len()).min_by_key(|&i| weights[i]).unwrap_or(0);
+        let stats = self
+            .result
+            .tenants
+            .iter()
+            .find(|t| t.tenant as usize == low);
+        stats.map_or(0.0, rt::TenantStats::fail_ratio)
     }
 }
 
@@ -215,7 +227,7 @@ impl OpenLoopReport {
 /// and service histograms.
 pub fn run_open_loop(set: &TransactionSet, p: &OpenLoopParams) -> OpenLoopReport {
     let schedule = arrival_schedule(set, p);
-    let config = front_config(set, p);
+    let config = front_config(p);
     let (result, admitted) = rt::run_front(set, config, |front| {
         let (sub, _rx) = front.submitter();
         let mut admitted = 0u64;
@@ -257,7 +269,7 @@ pub fn run_open_loop(set: &TransactionSet, p: &OpenLoopParams) -> OpenLoopReport
 
 /// The [`rt::FrontConfig`] an open-loop run (in-process or networked)
 /// drives.
-pub fn front_config(_set: &TransactionSet, p: &OpenLoopParams) -> rt::FrontConfig {
+pub fn front_config(p: &OpenLoopParams) -> rt::FrontConfig {
     let mut config = rt::FrontConfig::new(p.kind)
         .with_policy(p.policy)
         .with_capacity(p.capacity)
@@ -303,24 +315,6 @@ pub(crate) fn finish_report(
     }
 }
 
-/// Run the same schedule shape at `k/points` of the top rate for
-/// `k = 1..=points`: a monotone offered-load sweep ending at
-/// `base.arrival_rate`.
-pub fn saturation_sweep(
-    set: &TransactionSet,
-    base: &OpenLoopParams,
-    points: usize,
-) -> Vec<OpenLoopReport> {
-    assert!(points > 0, "sweep needs at least one point");
-    (1..=points)
-        .map(|k| {
-            let mut p = base.clone();
-            p.arrival_rate = base.arrival_rate * k as f64 / points as f64;
-            run_open_loop(set, &p)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +326,6 @@ mod tests {
             tick_ns: 2_000,
             jobs: 60,
             arrival_rate: rate,
-            interarrival: Interarrival::Exponential,
             policy: rt::AdmissionPolicy::Reject,
             capacity: 2,
             snapshot: false,
@@ -403,36 +396,26 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_monotone_in_offered_load_and_accounts_for_every_job() {
+    fn open_loop_run_accounts_for_every_job() {
         let set = crate::standard_workload(7);
-        // Top rate far above capacity so the last point must saturate.
-        let top = 20.0 * service_capacity(&set, 2, 2_000);
-        let reports = saturation_sweep(&set, &params(top), 3);
-        assert_eq!(reports.len(), 3);
-        let rates: Vec<f64> = reports.iter().map(OpenLoopReport::offered_rate).collect();
-        assert!(rates.windows(2).all(|w| w[0] < w[1]), "{rates:?}");
-        for r in &reports {
-            assert_eq!(r.offered, r.params.jobs as u64);
-            assert_eq!(
-                r.result.committed + r.result.shed + r.result.rejected,
-                r.offered,
-                "jobs leaked at rate {}",
-                r.params.arrival_rate
-            );
-            assert_eq!(r.admitted, r.result.committed + r.result.shed);
-            let ratio = r.result.miss_ratio();
-            assert!((0.0..=1.0).contains(&ratio));
-            // Decomposition feeds the split histograms 1:1.
-            assert_eq!(r.queue_hist.count(), r.result.committed);
-            assert_eq!(r.service_hist.count(), r.result.committed);
-        }
-        // At 20x capacity with a 2-deep Reject queue, the schedule front
-        // outruns the workers by construction: drops are certain.
-        let top_point = reports.last().unwrap();
+        // Far above capacity: with a 2-deep Reject queue the schedule
+        // front outruns the workers by construction, so drops are certain.
+        let r = run_open_loop(&set, &params(20.0 * service_capacity(&set, 2, 2_000)));
+        assert_eq!(r.offered, r.params.jobs as u64);
+        assert_eq!(
+            r.result.committed + r.result.shed + r.result.rejected,
+            r.offered,
+            "jobs leaked"
+        );
+        assert_eq!(r.admitted, r.result.committed + r.result.shed);
+        assert!((0.0..=1.0).contains(&r.result.miss_ratio()));
+        // Decomposition feeds the split histograms 1:1.
+        assert_eq!(r.queue_hist.count(), r.result.committed);
+        assert_eq!(r.service_hist.count(), r.result.committed);
         assert!(
-            top_point.result.rejected > 0,
+            r.result.rejected > 0,
             "no drops at 20x capacity: {:?}",
-            (top_point.result.committed, top_point.result.rejected)
+            (r.result.committed, r.result.rejected)
         );
     }
 }

@@ -41,7 +41,7 @@ pub fn run_net_open_loop(
     p: &OpenLoopParams,
 ) -> std::io::Result<OpenLoopReport> {
     let schedule = arrival_schedule(set, p);
-    let net = NetConfig::new(front_config(set, p));
+    let net = NetConfig::new(front_config(p));
     let (result, admitted) = serve(set, net, |addr| -> std::io::Result<u64> {
         let tenants = p.tenants();
         let mut clients: Vec<NetClient> = (0..tenants)
@@ -107,7 +107,7 @@ pub fn run_net_open_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loadgen::{run_open_loop, service_capacity, Interarrival};
+    use crate::loadgen::{run_open_loop, service_capacity};
     use rtdb::rt;
 
     /// The networked run conserves offered load exactly like the
@@ -121,7 +121,6 @@ mod tests {
             tick_ns: 2_000,
             jobs: 80,
             arrival_rate: 4.0 * service_capacity(&set, 2, 2_000),
-            interarrival: Interarrival::Exponential,
             policy: rt::AdmissionPolicy::LeastSlack,
             capacity: 4,
             snapshot: false,

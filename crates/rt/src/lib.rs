@@ -55,7 +55,5 @@ pub use front::{
 };
 pub use histogram::LatencyHistogram;
 pub use jobs::job_list;
-pub use runtime::{
-    run, run_jobs, JobReport, PriorityMisses, RestartBackoff, RtConfig, RtResult, TenantStats,
-};
+pub use runtime::{run, run_jobs, JobReport, PriorityMisses, RtConfig, RtResult, TenantStats};
 pub use sharded::ShardStats;

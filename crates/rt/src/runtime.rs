@@ -54,41 +54,17 @@ pub struct RtConfig {
     /// keep taking locks). Exempt jobs never touch the lock table, never
     /// raise the system ceiling, never block a writer and never abort.
     pub snapshot_reads: bool,
-    /// Jittered exponential abort→restart delay (see [`RestartBackoff`]).
-    pub backoff: RestartBackoff,
-}
-
-/// The abort→restart backoff policy: a victim sleeps a jittered,
-/// exponentially growing delay before re-acquiring its locks, so a
-/// deadlock victim cannot reform the identical cycle in the same instant
-/// and starve the peer it was aborted for. Disable it only in
-/// deterministic single-threaded tests, where restarts cannot race.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RestartBackoff {
-    /// Master switch; `false` restarts immediately (deterministic tests).
-    pub enabled: bool,
-    /// Lower bound on the per-tick cost estimate feeding the first delay:
-    /// `base = 16 * max(tick_ns, base_floor_ns)`, i.e. roughly one job
-    /// service time even when `tick_ns` is 0.
-    pub base_floor_ns: u64,
-    /// Hard cap on a single delay, so no victim is parked for a
-    /// macroscopic slice of a run.
-    pub cap_ns: u64,
-}
-
-impl Default for RestartBackoff {
-    fn default() -> Self {
-        RestartBackoff {
-            enabled: true,
-            base_floor_ns: 500,
-            cap_ns: 4_000_000,
-        }
-    }
+    /// Sleep a jittered, exponentially growing delay between an abort
+    /// and the restart it forces, so a deadlock victim cannot reform the
+    /// identical cycle in the same instant and starve the peer it was
+    /// aborted for. On by default; disable it only in deterministic
+    /// single-threaded tests, where restarts cannot race.
+    pub backoff: bool,
 }
 
 impl RtConfig {
     /// Defaults: 4 threads, no busy-work, 25 ms park timeout, snapshot
-    /// reads off, default restart backoff.
+    /// reads off, restart backoff on.
     pub fn new(kind: ProtocolKind) -> Self {
         RtConfig {
             kind,
@@ -97,7 +73,7 @@ impl RtConfig {
             park_timeout: DEFAULT_PARK_TIMEOUT,
             shards: 1,
             snapshot_reads: false,
-            backoff: RestartBackoff::default(),
+            backoff: true,
         }
     }
 
@@ -131,15 +107,9 @@ impl RtConfig {
         self
     }
 
-    /// Replace the restart-backoff policy.
-    pub fn with_backoff(mut self, backoff: RestartBackoff) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// Disable the restart backoff (deterministic tests only).
     pub fn without_backoff(mut self) -> Self {
-        self.backoff.enabled = false;
+        self.backoff = false;
         self
     }
 
@@ -653,8 +623,8 @@ pub(crate) fn execute_job(
     manager.begin(id, ctx);
     let mut attempt: u32 = 0;
     'attempt: loop {
-        if attempt > 0 {
-            restart_backoff(id, attempt, config.tick_ns, &config.backoff);
+        if attempt > 0 && config.backoff {
+            restart_backoff(id, attempt, config.tick_ns);
         }
         attempt += 1;
         ctx.ws.reset(id);
@@ -721,6 +691,14 @@ fn execute_snapshot_job(
     }
 }
 
+/// Lower bound on the per-tick cost estimate feeding the first restart
+/// delay: `base = 16 * max(tick_ns, floor)`, i.e. roughly one job service
+/// time even when `tick_ns` is 0.
+const BACKOFF_BASE_FLOOR_NS: u64 = 500;
+/// Hard cap on a single restart delay, so no victim is parked for a
+/// macroscopic slice of a run.
+const BACKOFF_CAP_NS: u64 = 4_000_000;
+
 /// Jittered exponential delay between an abort and the restart it forces.
 ///
 /// Protocols that resolve deadlocks by victim restart rely on the victim
@@ -733,17 +711,14 @@ fn execute_snapshot_job(
 /// with. Deterministically jittered per `(instance, attempt)` so
 /// simultaneous victims desynchronise instead of colliding again in
 /// lock-step.
-fn restart_backoff(id: InstanceId, attempt: u32, tick_ns: u64, policy: &RestartBackoff) {
-    if !policy.enabled {
-        return;
-    }
+fn restart_backoff(id: InstanceId, attempt: u32, tick_ns: u64) {
     // First delay ~ one job service time (a handful of steps at a few
     // ticks each), quadrupling per repeat so a victim caught behind a
     // convoy of conflicting higher-priority instances outwaits the whole
     // convoy within a few aborts. Capped so no victim is parked for a
     // macroscopic slice of a run.
-    let base = 16 * tick_ns.max(policy.base_floor_ns);
-    let ns = (base << (2 * (attempt - 1)).min(8)).min(policy.cap_ns);
+    let base = 16 * tick_ns.max(BACKOFF_BASE_FLOOR_NS);
+    let ns = (base << (2 * (attempt - 1)).min(8)).min(BACKOFF_CAP_NS);
     let seed = ((id.txn.0 as u64) << 32 | id.seq as u64)
         ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let jitter = 0.5 + rtdb_util::Rng::seed(seed).f64(); // [0.5, 1.5)

@@ -40,7 +40,9 @@ pub type Stamp = u64;
 pub const NO_SNAPSHOT: Stamp = u64::MAX;
 
 /// How many publishes between full sweeps over all chains (cold-item GC).
-const SWEEP_INTERVAL: u64 = 256;
+/// Also the unit of the chain-length bound: the floor only moves at a
+/// sweep, so a hot chain grows by up to one interval between two.
+pub const SWEEP_INTERVAL: u64 = 256;
 
 /// One item's version chain: `(stamp, value)` entries, stamp ascending.
 /// At most one entry per stamp (a committing writer installs at most one
