@@ -36,7 +36,7 @@
 //! direct transcription of that prose, documented as a substitution in
 //! DESIGN.md.
 
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
+use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 use rtdb_types::{InstanceId, ItemId, LockMode};
 
 /// The convex ceiling protocol.
@@ -61,8 +61,12 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Ccp {
         if sys.ceiling.cleared_by(p_i) {
             Decision::Grant
         } else {
-            Decision::block_on(req.who, sys.holders)
+            Decision::block_on(req.who, sys.holders.iter().copied())
         }
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        Some(CeilingFlavor::Pcp)
     }
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {

@@ -14,7 +14,7 @@
 //! locks under LC1), reproducing the deadlock so the engine's wait-for
 //! detector and the Example 5 experiment can demonstrate it.
 
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
+use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{Ceiling, InstanceId, LockMode};
 use std::collections::BTreeSet;
 
@@ -69,6 +69,10 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
                 Decision::block_on(req.who, blockers)
             }
         }
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        Some(CeilingFlavor::PcpDa)
     }
 
     fn may_deadlock(&self) -> bool {

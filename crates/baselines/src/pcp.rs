@@ -8,7 +8,7 @@
 //! `x` has priority at most `Aceil(x)`, so any second access to a locked
 //! item fails the test regardless of mode.
 
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
+use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor};
 
 /// The original PCP (stateless).
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,8 +32,12 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Pcp {
         if sys.ceiling.cleared_by(p_i) {
             Decision::Grant
         } else {
-            Decision::block_on(req.who, sys.holders)
+            Decision::block_on(req.who, sys.holders.iter().copied())
         }
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        Some(CeilingFlavor::Pcp)
     }
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {

@@ -16,7 +16,7 @@
 //! Blocked requesters are blocked by the holder(s) of the ceiling item,
 //! which inherit their priority.
 
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
+use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor};
 
 /// The RW-PCP protocol (stateless).
 #[derive(Debug, Default, Clone, Copy)]
@@ -40,8 +40,12 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for RwPcp {
         if sys.ceiling.cleared_by(p_i) {
             Decision::Grant
         } else {
-            Decision::block_on(req.who, sys.holders)
+            Decision::block_on(req.who, sys.holders.iter().copied())
         }
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        Some(CeilingFlavor::RwPcp)
     }
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {

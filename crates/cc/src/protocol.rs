@@ -1,24 +1,26 @@
 //! The PCP-DA locking conditions.
 
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor, SysCeil};
-use rtdb_types::{Ceiling, InstanceId, ItemId, LockMode};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use rtdb_core::{
+    sorted_disjoint as disjoint, CeilingFlavor, CeilingTable, Decision, EngineView, LockRequest,
+    LockTable, ProtocolFor,
+};
+use rtdb_types::{Ceiling, InstanceId, LockMode, Priority};
+use std::collections::VecDeque;
 
-/// Per-version `Sysceil` memo (see [`PcpDa::cached_sysceil`]).
-#[derive(Debug, Default)]
-struct SysceilMemo {
-    /// Lock-table version the cached entries were computed at.
-    version: u64,
-    by_holder: BTreeMap<InstanceId, Arc<SysCeil>>,
-}
-
-/// True if a sorted item slice (an [`EngineView::data_read`] view) shares
-/// no element with a write set.
-#[inline]
-fn disjoint(items: &[ItemId], set: &BTreeSet<ItemId>) -> bool {
-    !items.iter().any(|i| set.contains(i))
+/// Lemma 4's potential blockers of a transaction at priority `p`: the
+/// holders, other than `who`, of read locks whose ceiling reaches `p`
+/// (`Wceil(y) ≥ p`). Non-empty iff `Sysceil_who ≥ p`. An instance appears
+/// once per such lock.
+fn ceiling_holders<'v>(
+    locks: &'v LockTable,
+    ceilings: &'v CeilingTable,
+    who: InstanceId,
+    p: Priority,
+) -> impl Iterator<Item = InstanceId> + 'v {
+    locks
+        .read_locked_by_others(who)
+        .filter(move |(item, _)| !ceilings.wceil(*item).cleared_by(p))
+        .flat_map(|(_, holders)| holders)
 }
 
 /// Which locking condition granted a request — exposed for tracing and for
@@ -39,6 +41,7 @@ pub enum GrantRule {
 /// The PCP-DA protocol. Stateless — every input it needs is in the
 /// [`EngineView`] — except for a trace of which rule granted the most
 /// recent requests (useful to assert the paper's example narratives).
+/// Deciding a request allocates only to name the blockers of a denial.
 ///
 /// # Errata repaired by the default constructor
 ///
@@ -90,17 +93,11 @@ pub enum GrantRule {
 ///   serialization.
 #[derive(Debug, Default)]
 pub struct PcpDa {
-    /// `(request, rule)` log of grants, in order.
-    grant_log: Vec<(LockRequest, GrantRule)>,
+    /// `(request, rule)` of the most recent grants, oldest first: a ring
+    /// of [`PcpDa::GRANT_LOG_CAPACITY`] entries.
+    grant_log: VecDeque<(LockRequest, GrantRule)>,
     /// Skip the LC3 side condition (the paper's literal text).
     literal_lc3: bool,
-    /// `Sysceil` values memoized against the lock-table version: one
-    /// scheduler round decides many requests (and probes
-    /// `hard_blocked_on` once per offending writer) against an unchanged
-    /// table, so repeated queries for the same instance hit the cache.
-    /// Assumes one protocol instance per run, i.e. a fixed lock table —
-    /// which is how the engine (and every test) uses protocols.
-    sysceil_memo: RefCell<SysceilMemo>,
 }
 
 impl PcpDa {
@@ -121,29 +118,16 @@ impl PcpDa {
         }
     }
 
-    /// The grant log `(request, rule)` accumulated so far.
-    pub fn grant_log(&self) -> &[(LockRequest, GrantRule)] {
-        &self.grant_log
-    }
+    /// How many grants [`PcpDa::grant_log`] remembers. The log exists to
+    /// check the narratives of the paper's worked examples (a dozen
+    /// grants); a protocol instance lives as long as its server, so the
+    /// log is a fixed-size ring, not a history.
+    pub const GRANT_LOG_CAPACITY: usize = 64;
 
-    /// `Sysceil_who`, memoized against [`rtdb_core::LockTable::version`].
-    /// The version bumps on every grant/release transition, so a stale
-    /// entry can never be served; within one scheduler round (version
-    /// unchanged) each instance's `Sysceil` is computed at most once no
-    /// matter how many `hard_blocked_on` probes ask for it.
-    fn cached_sysceil<V: EngineView + ?Sized>(&self, view: &V, who: InstanceId) -> Arc<SysCeil> {
-        let version = view.locks().version();
-        let mut memo = self.sysceil_memo.borrow_mut();
-        if memo.version != version {
-            memo.version = version;
-            memo.by_holder.clear();
-        }
-        if let Some(hit) = memo.by_holder.get(&who) {
-            return Arc::clone(hit);
-        }
-        let sys = Arc::new(view.ceilings().pcpda_sysceil(view.locks(), who));
-        memo.by_holder.insert(who, Arc::clone(&sys));
-        sys
+    /// The `(request, rule)` of the most recent grants — at most
+    /// [`PcpDa::GRANT_LOG_CAPACITY`], oldest first.
+    pub fn grant_log(&self) -> &VecDeque<(LockRequest, GrantRule)> {
+        &self.grant_log
     }
 
     /// True if `holder`'s pending lock request is guaranteed to stay
@@ -193,7 +177,7 @@ impl PcpDa {
                 if lc34_impossible {
                     return true;
                 }
-                let sys = self.cached_sysceil(view, holder);
+                let sys = view.ceilings().pcpda_sysceil(view.locks(), holder);
                 let me_is_tstar = sys.holders.contains(&me);
                 let a_pins = me_is_tstar
                     && !view
@@ -226,25 +210,20 @@ impl PcpDa {
         // pins LC3/LC4 false for as long as they hold). A transaction
         // with this property can never ceiling-block on a standing
         // holder once its current request is granted, which both LC3/LC4
-        // (for reads) and the clause-(C) write guard rely on.
-        let ceiling_holders: BTreeSet<InstanceId> = locks
-            .read_locked_by_others(req.who)
-            .filter(|(item, _)| !ceilings.wceil(*item).cleared_by(p_i))
-            .flat_map(|(_, holders)| holders)
-            .collect();
-        let future_reads_safe = view
-            .set()
-            .template(req.who.txn)
-            .read_set()
-            .iter()
-            .filter(|&&w| !locks.holds(req.who, w, LockMode::Read))
-            .filter(|&&w| !(req.mode == LockMode::Read && w == req.item))
-            .all(|&w| {
-                Ceiling::At(p_i) >= ceilings.wceil(w)
-                    && ceiling_holders
-                        .iter()
-                        .all(|h| !ceilings.may_write(h.txn, w))
-            });
+        // (for reads) and the clause-(C) write guard rely on. Consulted
+        // only once `Sysceil_i ≥ P_i` is known, i.e. off the LC2 path.
+        let future_reads_safe = || {
+            ceilings
+                .read_set(req.who.txn)
+                .iter()
+                .filter(|&&w| !locks.holds(req.who, w, LockMode::Read))
+                .filter(|&&w| !(req.mode == LockMode::Read && w == req.item))
+                .all(|&w| {
+                    Ceiling::At(p_i) >= ceilings.wceil(w)
+                        && ceiling_holders(locks, ceilings, req.who, p_i)
+                            .all(|h| !ceilings.may_write(h.txn, w))
+                })
+        };
 
         match req.mode {
             LockMode::Write => {
@@ -273,23 +252,26 @@ impl PcpDa {
                 // lower-priority holders closes no cycle, and denying it
                 // here would itself create one (observed on a self-upgrade
                 // of a read lock to a write lock).
-                if !self.literal_lc3 && !future_reads_safe {
-                    let mut risky: BTreeSet<InstanceId> = BTreeSet::new();
-                    for (item, holders) in locks.read_locked_by_others(req.who) {
-                        if !ceilings.wceil(item).cleared_by(p_i) {
-                            risky.extend(holders.filter(|h| {
-                                view.set().template(h.txn).read_set().contains(&req.item)
-                            }));
-                        }
-                    }
-                    if !risky.is_empty() {
+                // Such holders exist iff `Sysceil_i ≥ P_i`, which the
+                // index answers in O(1) before anything is scanned.
+                if !self.literal_lc3
+                    && !ceilings
+                        .pcpda_sysceil(locks, req.who)
+                        .ceiling
+                        .cleared_by(p_i)
+                    && !future_reads_safe()
+                {
+                    let mut risky = ceiling_holders(locks, ceilings, req.who, p_i)
+                        .filter(|h| ceilings.may_read(h.txn, req.item))
+                        .peekable();
+                    if risky.peek().is_some() {
                         return Err(Decision::block_on(req.who, risky));
                     }
                 }
                 Ok(GrantRule::Lc1)
             }
             LockMode::Read => {
-                let sys = self.cached_sysceil(view, req.who);
+                let sys = ceilings.pcpda_sysceil(locks, req.who);
 
                 // Commit-order guard (second erratum, see the type-level
                 // docs): a read of `x` serializes the reader *before*
@@ -347,7 +329,7 @@ impl PcpDa {
                 // (+ the erratum clauses unless running literal).
                 if hpw.cleared_by(p_i)
                     && !tstar_may_write_x
-                    && (self.literal_lc3 || (tstar_clean && future_reads_safe))
+                    && (self.literal_lc3 || (tstar_clean && future_reads_safe()))
                 {
                     self.assert_wr_preemption_safe(view, req);
                     return Ok(GrantRule::Lc3);
@@ -363,7 +345,7 @@ impl PcpDa {
                 if hpw == Ceiling::At(p_i)
                     && locks.no_rlock_by_others(req.item, req.who)
                     && !tstar_may_write_x
-                    && (self.literal_lc3 || future_reads_safe)
+                    && (self.literal_lc3 || future_reads_safe())
                 {
                     let holders_clean = locks
                         .writers_other_than(req.item, req.who)
@@ -378,25 +360,13 @@ impl PcpDa {
                 // Wceil(y) >= P_i; add any write-holder of x whose
                 // DataRead intersects WriteSet(T_i) (the LC4 side
                 // condition) so inheritance reaches it too.
-                let mut blockers: BTreeSet<InstanceId> = BTreeSet::new();
-                for (item, holders) in locks.read_locked_by_others(req.who) {
-                    if !ceilings.wceil(item).cleared_by(p_i) {
-                        // Wceil(item) >= P_i
-                        blockers.extend(holders);
-                    }
-                }
-                let my_writes = ceilings.write_set(req.who.txn);
-                for w in locks.writers_other_than(req.item, req.who) {
-                    if !disjoint(view.data_read(w), my_writes) {
-                        blockers.insert(w);
-                    }
-                }
-                blockers.extend(offending_higher_writers);
-                debug_assert!(
-                    !blockers.is_empty(),
-                    "PCP-DA denied {:?} with no identifiable blocker",
-                    req
-                );
+                let blockers = ceiling_holders(locks, ceilings, req.who, p_i)
+                    .chain(
+                        locks
+                            .writers_other_than(req.item, req.who)
+                            .filter(|&w| !disjoint(view.data_read(w), my_writes)),
+                    )
+                    .chain(offending_higher_writers);
                 Err(Decision::block_on(req.who, blockers))
             }
         }
@@ -436,11 +406,18 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         match self.decide(view, req) {
             Ok(rule) => {
-                self.grant_log.push((req, rule));
+                if self.grant_log.len() == Self::GRANT_LOG_CAPACITY {
+                    self.grant_log.pop_front();
+                }
+                self.grant_log.push_back((req, rule));
                 Decision::Grant
             }
             Err(block) => block,
         }
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        Some(CeilingFlavor::PcpDa)
     }
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {

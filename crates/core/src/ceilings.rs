@@ -17,43 +17,185 @@
 //!   `Wceil(x)` (the run-time `RWceil`);
 //! * PCP: `Sysceil_i` = max `Aceil(x)` over items locked by others.
 //!
-//! When the lock table carries a [`crate::CeilingIndex`]
-//! ([`crate::LockTable::with_index`]), the `*_sysceil` queries are O(1)
-//! incremental lookups; the from-scratch scans below remain as their
-//! equivalence oracles, `assert_eq!`-checked on every query in debug
-//! builds and, under the `oracle-checks` feature, in release builds too.
+//! When the lock table carries a [`crate::CeilingIndex`] for the queried
+//! flavor ([`crate::LockTable::with_index`], or
+//! [`crate::LockTable::with_flavor`] for the one flavor the running
+//! protocol reads), the `*_sysceil` queries are O(1) incremental lookups;
+//! the from-scratch scans below answer for any other flavor and remain
+//! the index's equivalence oracles, `assert_eq!`-checked on every query in
+//! debug builds and, under the `oracle-checks` feature, in release builds
+//! too.
+//!
+//! # Layout
+//!
+//! Everything static is dense and computed once in [`CeilingTable::new`]:
+//! the two ceilings of an item by `ItemId::index()`, each with its *rank*
+//! among the set's distinct ceiling values (priorities may be any `u32`;
+//! ranks are `0..levels` and index the [`crate::CeilingIndex`] directly),
+//! and every template's read and write set as a sorted slice. The table
+//! is shared with the index behind one `Arc`, so neither copies it.
 
+use crate::ceiling_index::CeilingFlavor;
 use crate::locks::LockTable;
-use rtdb_types::{Ceiling, InstanceId, ItemId, TransactionSet, TxnId};
-use std::collections::{BTreeMap, BTreeSet};
+use rtdb_types::{Ceiling, InstanceId, ItemId, LockMode, TransactionSet, TxnId};
+use std::sync::Arc;
 
-/// Precomputed static ceilings and per-template write sets.
+/// Rank of the dummy ceiling: no level.
+pub(crate) const NO_LEVEL: u32 = u32::MAX;
+
+/// The static ceilings of one item and their ranks in [`Statics::levels`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ItemCeilings {
+    pub(crate) wceil: Ceiling,
+    pub(crate) aceil: Ceiling,
+    pub(crate) wrank: u32,
+    pub(crate) arank: u32,
+}
+
+impl ItemCeilings {
+    const NONE: ItemCeilings = ItemCeilings {
+        wceil: Ceiling::Dummy,
+        aceil: Ceiling::Dummy,
+        wrank: NO_LEVEL,
+        arank: NO_LEVEL,
+    };
+}
+
+/// What [`CeilingTable`] and [`crate::CeilingIndex`] share.
+#[derive(Debug)]
+pub(crate) struct Statics {
+    /// By `ItemId::index()`; items past the end have dummy ceilings.
+    items: Vec<ItemCeilings>,
+    /// The distinct non-dummy ceiling values, ascending: the value of
+    /// rank `r` is `levels[r]`.
+    pub(crate) levels: Vec<Ceiling>,
+    /// Per template, sorted.
+    read_sets: Vec<Vec<ItemId>>,
+    /// Per template, sorted.
+    write_sets: Vec<Vec<ItemId>>,
+}
+
+impl Statics {
+    #[inline]
+    pub(crate) fn item(&self, item: ItemId) -> ItemCeilings {
+        self.items
+            .get(item.index())
+            .copied()
+            .unwrap_or(ItemCeilings::NONE)
+    }
+}
+
+/// Precomputed static ceilings and per-template read and write sets.
 #[derive(Clone, Debug)]
 pub struct CeilingTable {
-    wceil: BTreeMap<ItemId, Ceiling>,
-    aceil: BTreeMap<ItemId, Ceiling>,
-    write_sets: Vec<BTreeSet<ItemId>>,
+    pub(crate) statics: Arc<Statics>,
+}
+
+/// The holders of a [`SysCeil`]: distinct instances in ascending id order,
+/// a slice through `Deref`. Live instances are bounded by the engine's
+/// concurrency (worker threads; a handful in the simulator), so up to
+/// [`Holders::INLINE`] of them sit in place and building a `SysCeil`
+/// allocates only beyond that.
+#[derive(Clone, Debug)]
+pub struct Holders {
+    /// Occupied prefix of `inline`; unused once `spill` is in use.
+    len: usize,
+    inline: [InstanceId; Self::INLINE],
+    /// Holds *every* element as soon as there are more than `INLINE`.
+    spill: Vec<InstanceId>,
+}
+
+impl Holders {
+    /// Holders stored without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    /// Add `id`, keeping the order; a no-op if present.
+    pub fn insert(&mut self, id: InstanceId) {
+        let Err(pos) = self.binary_search(&id) else {
+            return;
+        };
+        if self.spill.is_empty() && self.len < Self::INLINE {
+            self.inline.copy_within(pos..self.len, pos + 1);
+            self.inline[pos] = id;
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline[..self.len]);
+            }
+            self.spill.insert(pos, id);
+        }
+    }
+
+    /// Remove every holder.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+}
+
+impl Default for Holders {
+    fn default() -> Self {
+        Holders {
+            len: 0,
+            inline: [InstanceId::first(TxnId(0)); Self::INLINE],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for Holders {
+    type Target = [InstanceId];
+
+    #[inline]
+    fn deref(&self) -> &[InstanceId] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl PartialEq for Holders {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Holders {}
+
+impl Extend<InstanceId> for Holders {
+    fn extend<I: IntoIterator<Item = InstanceId>>(&mut self, iter: I) {
+        for id in iter {
+            self.insert(id);
+        }
+    }
+}
+
+impl FromIterator<InstanceId> for Holders {
+    fn from_iter<I: IntoIterator<Item = InstanceId>>(iter: I) -> Self {
+        let mut holders = Holders::default();
+        holders.extend(iter);
+        holders
+    }
 }
 
 /// A dynamic system ceiling together with the instances that hold locks at
 /// that level — the candidates for priority inheritance (`T*` in the
 /// paper, unique under PCP-DA's invariants).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SysCeil {
     /// The ceiling value.
     pub ceiling: Ceiling,
     /// Holders of the item(s) whose ceiling equals the system ceiling.
     /// Empty iff `ceiling` is dummy.
-    pub holders: BTreeSet<InstanceId>,
+    pub holders: Holders,
 }
 
 impl SysCeil {
     /// The bottom ceiling: nothing relevant is locked.
     pub fn dummy() -> Self {
-        SysCeil {
-            ceiling: Ceiling::Dummy,
-            holders: BTreeSet::new(),
-        }
+        Self::default()
     }
 }
 
@@ -67,61 +209,119 @@ fn oracle_checks_enabled() -> bool {
 impl CeilingTable {
     /// Precompute ceilings for a transaction set.
     pub fn new(set: &TransactionSet) -> Self {
-        let mut wceil = BTreeMap::new();
-        let mut aceil = BTreeMap::new();
-        for item in set.items() {
-            wceil.insert(item, set.wceil(item));
-            aceil.insert(item, set.aceil(item));
+        let mut items: Vec<ItemCeilings> = Vec::new();
+        for t in set.templates() {
+            let p = set.priority_of(t.id).as_ceiling();
+            for (item, mode) in t.steps.iter().filter_map(|s| s.op.access()) {
+                if item.index() >= items.len() {
+                    items.resize(item.index() + 1, ItemCeilings::NONE);
+                }
+                let c = &mut items[item.index()];
+                c.aceil = c.aceil.max(p);
+                if mode == LockMode::Write {
+                    c.wceil = c.wceil.max(p);
+                }
+            }
         }
-        let write_sets = set.templates().iter().map(|t| t.write_set()).collect();
+        let mut levels: Vec<Ceiling> = items.iter().flat_map(|c| [c.wceil, c.aceil]).collect();
+        levels.retain(|c| !c.is_dummy());
+        levels.sort_unstable();
+        levels.dedup();
+        let rank = |c: Ceiling| levels.binary_search(&c).map_or(NO_LEVEL, |r| r as u32);
+        for c in &mut items {
+            c.wrank = rank(c.wceil);
+            c.arank = rank(c.aceil);
+        }
+        let templates = set.templates().iter();
         CeilingTable {
-            wceil,
-            aceil,
-            write_sets,
+            statics: Arc::new(Statics {
+                items,
+                levels,
+                read_sets: templates
+                    .clone()
+                    .map(|t| t.read_set().into_iter().collect())
+                    .collect(),
+                write_sets: templates
+                    .map(|t| t.write_set().into_iter().collect())
+                    .collect(),
+            }),
         }
     }
 
     /// `Wceil(x)` / `HPW(x)`.
+    #[inline]
     pub fn wceil(&self, item: ItemId) -> Ceiling {
-        self.wceil.get(&item).copied().unwrap_or(Ceiling::Dummy)
+        self.statics.item(item).wceil
     }
 
     /// `Aceil(x)`.
+    #[inline]
     pub fn aceil(&self, item: ItemId) -> Ceiling {
-        self.aceil.get(&item).copied().unwrap_or(Ceiling::Dummy)
+        self.statics.item(item).aceil
     }
 
-    /// Every item with a precomputed ceiling.
+    /// Every item some template accesses (ascending).
     pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.wceil.keys().copied()
+        self.statics
+            .items
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.aceil.is_dummy())
+            .map(|(i, _)| ItemId(i as u32))
     }
 
-    /// Static `WriteSet(T)` of a template.
-    pub fn write_set(&self, txn: TxnId) -> &BTreeSet<ItemId> {
-        &self.write_sets[txn.index()]
+    /// Static `WriteSet(T)` of a template, sorted.
+    #[inline]
+    pub fn write_set(&self, txn: TxnId) -> &[ItemId] {
+        &self.statics.write_sets[txn.index()]
+    }
+
+    /// The items a template may read, sorted (the upper bound of
+    /// `DataRead(T)`).
+    #[inline]
+    pub fn read_set(&self, txn: TxnId) -> &[ItemId] {
+        &self.statics.read_sets[txn.index()]
     }
 
     /// True if template `txn` may write `item`.
+    #[inline]
     pub fn may_write(&self, txn: TxnId, item: ItemId) -> bool {
-        self.write_sets[txn.index()].contains(&item)
+        self.write_set(txn).binary_search(&item).is_ok()
+    }
+
+    /// True if template `txn` may read `item`.
+    #[inline]
+    pub fn may_read(&self, txn: TxnId, item: ItemId) -> bool {
+        self.read_set(txn).binary_search(&item).is_ok()
+    }
+
+    /// `Sysceil` of `flavor` with respect to `who`: from the index when
+    /// the table maintains that flavor (checked against the scan when the
+    /// oracles are on), from the scan otherwise.
+    fn sysceil(&self, flavor: CeilingFlavor, locks: &LockTable, who: InstanceId) -> SysCeil {
+        let scan = || match flavor {
+            CeilingFlavor::PcpDa => self.pcpda_sysceil_scan(locks, who),
+            CeilingFlavor::RwPcp => self.rwpcp_sysceil_scan(locks, who),
+            CeilingFlavor::Pcp => self.pcp_sysceil_scan(locks, who),
+        };
+        let Some(fast) = locks.index().and_then(|ix| ix.sysceil(flavor, who)) else {
+            return scan();
+        };
+        if oracle_checks_enabled() {
+            assert_eq!(
+                fast,
+                scan(),
+                "CeilingIndex diverged from the {flavor:?} Sysceil scan (who={who})"
+            );
+        }
+        fast
     }
 
     /// PCP-DA `Sysceil` with respect to `who`: the highest `Wceil(x)` over
     /// all items read-locked by other transactions, with the holders of
     /// the ceiling item(s) (`T*`).
     pub fn pcpda_sysceil(&self, locks: &LockTable, who: InstanceId) -> SysCeil {
-        if let Some(ix) = locks.index() {
-            let fast = ix.pcpda_sysceil(who);
-            if oracle_checks_enabled() {
-                let slow = self.pcpda_sysceil_scan(locks, who);
-                assert_eq!(
-                    fast, slow,
-                    "CeilingIndex diverged from the PCP-DA Sysceil scan (who={who})"
-                );
-            }
-            return fast;
-        }
-        self.pcpda_sysceil_scan(locks, who)
+        self.sysceil(CeilingFlavor::PcpDa, locks, who)
     }
 
     /// RW-PCP `Sysceil` with respect to `who`: the highest `RWceil(x)` over
@@ -132,35 +332,13 @@ impl CeilingTable {
     /// `Wceil(x)`. If both modes are present (an upgrade in progress) the
     /// write-mode ceiling dominates, since `Aceil ≥ Wceil`.
     pub fn rwpcp_sysceil(&self, locks: &LockTable, who: InstanceId) -> SysCeil {
-        if let Some(ix) = locks.index() {
-            let fast = ix.rwpcp_sysceil(who);
-            if oracle_checks_enabled() {
-                let slow = self.rwpcp_sysceil_scan(locks, who);
-                assert_eq!(
-                    fast, slow,
-                    "CeilingIndex diverged from the RW-PCP Sysceil scan (who={who})"
-                );
-            }
-            return fast;
-        }
-        self.rwpcp_sysceil_scan(locks, who)
+        self.sysceil(CeilingFlavor::RwPcp, locks, who)
     }
 
     /// Original-PCP `Sysceil` with respect to `who`: the highest `Aceil(x)`
     /// over all items locked (in any mode) by other transactions.
     pub fn pcp_sysceil(&self, locks: &LockTable, who: InstanceId) -> SysCeil {
-        if let Some(ix) = locks.index() {
-            let fast = ix.pcp_sysceil(who);
-            if oracle_checks_enabled() {
-                let slow = self.pcp_sysceil_scan(locks, who);
-                assert_eq!(
-                    fast, slow,
-                    "CeilingIndex diverged from the PCP Sysceil scan (who={who})"
-                );
-            }
-            return fast;
-        }
-        self.pcp_sysceil_scan(locks, who)
+        self.sysceil(CeilingFlavor::Pcp, locks, who)
     }
 
     /// From-scratch PCP-DA `Sysceil` — the [`Self::pcpda_sysceil`] oracle.

@@ -32,8 +32,9 @@
 
 use crate::deps::insert_sorted;
 use crate::{
-    find_deadlock_victim, AbortBreakdown, AbortReason, CeilingTable, Decision, DepTracker,
-    EngineView, LockRequest, LockTable, PriorityManager, ProtocolFor, ShardRouter, UpdateModel,
+    find_deadlock_victim, AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision,
+    DepTracker, EngineView, LockRequest, LockTable, PriorityManager, ProtocolFor, ShardRouter,
+    UpdateModel,
 };
 use rtdb_storage::{Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, Tick, TransactionSet, TxnId, Value};
@@ -153,11 +154,12 @@ pub struct StateKernel<'a> {
 }
 
 impl<'a> StateKernel<'a> {
-    /// Empty kernel over `set`. The lock table carries the incremental
-    /// `Sysceil` index, so every protocol's ceiling queries are O(1).
-    pub fn new(set: &'a TransactionSet) -> Self {
+    /// Empty kernel over `set` for a protocol reading `flavor`
+    /// ([`ProtocolFor::ceiling_flavor`]): the lock table maintains that
+    /// `Sysceil` incrementally, so the protocol's ceiling queries are O(1).
+    pub fn new(set: &'a TransactionSet, flavor: Option<CeilingFlavor>) -> Self {
         let ceilings = CeilingTable::new(set);
-        let locks = LockTable::with_index(&ceilings);
+        let locks = LockTable::with_flavor(&ceilings, flavor);
         StateKernel {
             set,
             ceilings,

@@ -61,8 +61,8 @@ pub mod shard;
 pub mod testkit;
 pub mod waitfor;
 
-pub use ceiling_index::CeilingIndex;
-pub use ceilings::{CeilingTable, SysCeil};
+pub use ceiling_index::{CeilingFlavor, CeilingIndex};
+pub use ceilings::{CeilingTable, Holders, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason, DepTracker, RetiredWrite};
 pub use inherit::PriorityManager;
 pub use kernel::{Aborted, Acquire, Record, StateKernel, StepDone};

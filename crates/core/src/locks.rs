@@ -14,21 +14,25 @@
 //!
 //! Per-item state lives in a dense `Vec` indexed by `ItemId` (items are
 //! small consecutive integers), with sorted small-vector holder sets —
-//! no tree nodes on the hot path, and every accessor hands back an
-//! iterator over the stored slices instead of allocating. The per-call
-//! `Vec` that `release_all` used to build is replaced by an internal
-//! scratch buffer returned as a slice.
+//! and the reverse index (instance → its locks) is one id-sorted `Vec`
+//! whose per-instance lists are recycled through a spare pool — live
+//! instances are few and churn constantly, the idiom of
+//! [`crate::PriorityManager`] and the kernel's records. No tree nodes
+//! anywhere, every accessor hands back an iterator over the stored slices
+//! instead of allocating, `release_all` returns the departing instance's
+//! own list, and once every buffer has reached its working size no
+//! transition allocates.
 //!
-//! A table built with [`LockTable::with_index`] additionally carries a
-//! [`CeilingIndex`] that it notifies of every state *transition* (grants
-//! and releases are idempotent, so no-ops never reach the index), keeping
-//! the incremental `Sysceil` multisets exactly in sync with the holder
-//! sets by construction.
+//! A table built with [`LockTable::with_index`] (every `Sysceil` flavor)
+//! or [`LockTable::with_flavor`] (the one the running protocol reads)
+//! additionally carries a [`CeilingIndex`] that it notifies of every state
+//! *transition* (grants and releases are idempotent, so no-ops never
+//! reach the index), keeping the incremental `Sysceil` multisets exactly
+//! in sync with the holder sets by construction.
 
-use crate::ceiling_index::CeilingIndex;
+use crate::ceiling_index::{CeilingFlavor, CeilingIndex};
 use crate::ceilings::CeilingTable;
 use rtdb_types::{InstanceId, ItemId, LockMode};
-use std::collections::BTreeMap;
 
 /// One lock held by an instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,10 +102,13 @@ pub struct LockTable {
     items: Vec<ItemLocks>,
     /// Number of items with at least one holder.
     locked_count: usize,
-    // Reverse index: instance -> its held locks (sorted).
-    held: BTreeMap<InstanceId, Vec<HeldLock>>,
-    /// Reused by [`LockTable::release_all`].
-    scratch: Vec<HeldLock>,
+    /// Reverse index: instances holding at least one lock, ascending,
+    /// each with its held locks (sorted).
+    held: Vec<(InstanceId, Vec<HeldLock>)>,
+    /// Emptied lock lists awaiting the next instance.
+    spare: Vec<Vec<HeldLock>>,
+    /// What the last [`LockTable::release_all`] released.
+    released: Vec<HeldLock>,
     /// Monotone state-transition counter (idempotent no-ops don't bump).
     version: u64,
     /// Incremental `Sysceil` index, when enabled.
@@ -115,11 +122,23 @@ impl LockTable {
         Self::default()
     }
 
-    /// Empty table carrying a [`CeilingIndex`] over `ceilings`: `Sysceil`
-    /// queries become O(1) lookups kept in sync with every grant/release.
+    /// Empty table carrying a [`CeilingIndex`] over `ceilings` for every
+    /// flavor: `Sysceil` queries become O(1) lookups kept in sync with
+    /// every grant/release.
     pub fn with_index(ceilings: &CeilingTable) -> Self {
         LockTable {
-            index: Some(CeilingIndex::new(ceilings)),
+            index: Some(CeilingIndex::new(ceilings, &CeilingFlavor::ALL)),
+            ..Self::default()
+        }
+    }
+
+    /// Empty table indexing only the `Sysceil` flavor the running
+    /// protocol reads ([`crate::ProtocolFor::ceiling_flavor`]) — none for
+    /// a protocol without ceilings. Queries for any other flavor fall
+    /// back to the scans.
+    pub fn with_flavor(ceilings: &CeilingTable, flavor: Option<CeilingFlavor>) -> Self {
+        LockTable {
+            index: flavor.map(|f| CeilingIndex::new(ceilings, &[f])),
             ..Self::default()
         }
     }
@@ -130,8 +149,8 @@ impl LockTable {
     }
 
     /// Monotone state-transition counter: two equal versions guarantee an
-    /// unchanged lock state, so `Sysceil`-derived values can be memoized
-    /// against it (see `rtdb-core`'s per-round `hard_blocked_on` memo).
+    /// unchanged lock state, so anything derived from it (a shard's
+    /// published ceiling) needs refreshing only when the version moved.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -148,6 +167,11 @@ impl LockTable {
         self.items.get(item.index())
     }
 
+    /// Where `who` sits in `held`, or where it would be inserted.
+    fn held_pos(&self, who: InstanceId) -> Result<usize, usize> {
+        self.held.binary_search_by_key(&who, |&(id, _)| id)
+    }
+
     /// Record a granted lock. Granting a mode already held is a no-op
     /// (idempotent), so upgrades just add the second mode.
     pub fn grant(&mut self, who: InstanceId, item: ItemId, mode: LockMode) {
@@ -161,7 +185,15 @@ impl LockTable {
         if was_empty {
             self.locked_count += 1;
         }
-        let held = self.held.entry(who).or_default();
+        let at = match self.held_pos(who) {
+            Ok(at) => at,
+            Err(at) => {
+                let list = self.spare.pop().unwrap_or_default();
+                self.held.insert(at, (who, list));
+                at
+            }
+        };
+        let held = &mut self.held[at].1;
         let lock = HeldLock { item, mode };
         if let Err(pos) = held.binary_search(&lock) {
             held.insert(pos, lock);
@@ -184,13 +216,15 @@ impl LockTable {
             self.locked_count -= 1;
         }
         let other_mode_held = locks.holds(mode.other(), who);
-        if let Some(held) = self.held.get_mut(&who) {
+        if let Ok(at) = self.held_pos(who) {
+            let held = &mut self.held[at].1;
             let lock = HeldLock { item, mode };
             if let Ok(pos) = held.binary_search(&lock) {
                 held.remove(pos);
             }
             if held.is_empty() {
-                self.held.remove(&who);
+                let (_, list) = self.held.remove(at);
+                self.spare.push(list);
             }
         }
         if let Some(ix) = self.index.as_mut() {
@@ -199,14 +233,18 @@ impl LockTable {
     }
 
     /// Release every lock held by `who` (commit or abort); returns them as
-    /// a slice of an internal scratch buffer (valid until the next call).
+    /// a slice of an internal buffer (valid until the next call).
     pub fn release_all(&mut self, who: InstanceId) -> &[HeldLock] {
-        self.scratch.clear();
-        let Some(held) = self.held.remove(&who) else {
-            return &self.scratch;
+        self.released.clear();
+        let Ok(at) = self.held_pos(who) else {
+            return &self.released;
         };
-        self.scratch.extend_from_slice(&held);
-        for &HeldLock { item, mode } in &held {
+        // The departing list becomes the returned buffer; the previous
+        // one goes back to the pool.
+        let (_, held) = self.held.remove(at);
+        self.spare.push(std::mem::replace(&mut self.released, held));
+        for i in 0..self.released.len() {
+            let HeldLock { item, mode } = self.released[i];
             let locks = &mut self.items[item.index()];
             locks.remove(mode, who);
             self.version += 1;
@@ -218,7 +256,7 @@ impl LockTable {
                 ix.on_lock_removed(who, item, mode, !other_mode_held);
             }
         }
-        &self.scratch
+        &self.released
     }
 
     /// True if `who` holds `item` in `mode`.
@@ -243,7 +281,10 @@ impl LockTable {
 
     /// All locks held by `who`.
     pub fn held_by(&self, who: InstanceId) -> impl Iterator<Item = HeldLock> + '_ {
-        self.held.get(&who).into_iter().flatten().copied()
+        self.held_pos(who)
+            .ok()
+            .into_iter()
+            .flat_map(|at| self.held[at].1.iter().copied())
     }
 
     /// Read holders of `item`.
@@ -314,7 +355,7 @@ impl LockTable {
 
     /// All instances currently holding at least one lock.
     pub fn holders(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.held.keys().copied()
+        self.held.iter().map(|&(id, _)| id)
     }
 
     /// Number of locked items.

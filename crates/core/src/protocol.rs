@@ -1,5 +1,6 @@
 //! The protocol trait and the engine-side view it consults.
 
+use crate::ceiling_index::CeilingFlavor;
 use crate::ceilings::CeilingTable;
 use crate::deps::DepTracker;
 use crate::locks::LockTable;
@@ -241,6 +242,14 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
         rtdb_types::Ceiling::Dummy
     }
 
+    /// The `Sysceil` flavor this protocol queries, if any. An engine
+    /// builds its lock table to maintain exactly that one incrementally
+    /// ([`crate::LockTable::with_flavor`]); a query for an undeclared
+    /// flavor is answered by its from-scratch scan — slower, never wrong.
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        None
+    }
+
     /// True if the protocol may abort transactions (2PL-HP, OCC).
     /// Protocols with this property invalidate the paper's schedulability
     /// analysis — the flag lets tests assert PCP-DA never aborts.
@@ -303,6 +312,8 @@ pub trait Protocol {
     fn lock_exempt(&self, mode: TxnMode) -> bool;
     /// See [`ProtocolFor::system_ceiling`].
     fn system_ceiling(&self, view: &dyn EngineView) -> rtdb_types::Ceiling;
+    /// See [`ProtocolFor::ceiling_flavor`].
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor>;
     /// See [`ProtocolFor::may_abort`].
     fn may_abort(&self) -> bool;
     /// See [`ProtocolFor::may_deadlock`].
@@ -364,6 +375,10 @@ where
 
     fn system_ceiling(&self, view: &dyn EngineView) -> rtdb_types::Ceiling {
         ProtocolFor::system_ceiling(self, view)
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        ProtocolFor::<dyn EngineView>::ceiling_flavor(self)
     }
 
     fn may_abort(&self) -> bool {
@@ -441,6 +456,10 @@ impl<V: EngineView> ProtocolFor<V> for DynProtocol<'_> {
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
         self.inner.system_ceiling(view)
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        self.inner.ceiling_flavor()
     }
 
     fn may_abort(&self) -> bool {

@@ -28,8 +28,9 @@ pub struct StaticView<'a> {
 
 impl<'a> StaticView<'a> {
     /// View over `set` with no locks held. The lock table carries the
-    /// incremental [`crate::CeilingIndex`], so every protocol unit test
-    /// exercises it (and its debug-build equivalence oracle) for free.
+    /// incremental [`crate::CeilingIndex`] for every flavor, so every
+    /// protocol unit test exercises it (and its debug-build equivalence
+    /// oracle) for free.
     pub fn new(set: &'a TransactionSet) -> Self {
         let ceilings = CeilingTable::new(set);
         let locks = LockTable::with_index(&ceilings);

@@ -84,7 +84,7 @@ fn begun<'a>(
     set: &'a TransactionSet,
     ids: &[InstanceId],
 ) -> (StateKernel<'a>, BTreeMap<InstanceId, Workspace>) {
-    let mut k = StateKernel::new(set);
+    let mut k = StateKernel::new(set, None);
     let mut ws = BTreeMap::new();
     for &id in ids {
         k.begin(id, Some(Tick(0)));
@@ -345,7 +345,7 @@ fn commit_drains_exactly_the_dependents_whose_last_dependency_it_was() {
 #[should_panic(expected = "begun twice")]
 fn begin_twice_panics() {
     let set = set();
-    let mut k = StateKernel::new(&set);
+    let mut k = StateKernel::new(&set, None);
     k.begin(inst(0, 0), None);
     k.begin(inst(0, 0), None);
 }

@@ -214,73 +214,151 @@ fn sysceil_matches_bruteforce() {
     });
 }
 
+/// A set built to stress the index's level table, with the instances and
+/// items a lock sequence should draw from. Three shapes: the small dense
+/// set of [`random_set`]; the same with sparse priorities up to
+/// `u32::MAX - 1` (levels are ranks, not raw priorities); and 66–80
+/// templates each owning an item, so the set has more than 64 distinct
+/// ceiling values and the occupancy mask more than one word — there the
+/// sequence draws from items whose ceilings sit around the word boundary.
+fn leveled_set(rng: &mut Rng) -> (TransactionSet, Vec<InstanceId>, Vec<ItemId>) {
+    let all = |set: &TransactionSet| (0..set.len() as u32).map(inst).collect();
+    match rng.range_u32(0..3) {
+        0 => {
+            let set = random_set(rng);
+            let who = all(&set);
+            (set, who, (0..5).map(ItemId).collect())
+        }
+        1 => {
+            let dense = random_set(rng);
+            let mut levels = vec![u32::MAX - 1, 0, 1 << 31, 64, 63, 1_000_003];
+            levels.truncate(dense.len());
+            let mut b = SetBuilder::new();
+            for t in dense.templates() {
+                b.add(t.clone());
+            }
+            let set = b.build_with_priorities(&levels).unwrap();
+            let who = all(&set);
+            (set, who, (0..5).map(ItemId).collect())
+        }
+        _ => {
+            let n = rng.range_u32(66..81);
+            let mut b = SetBuilder::new();
+            let access = |rng: &mut Rng, item| {
+                if rng.bool() {
+                    Step::write(item, 1)
+                } else {
+                    Step::read(item, 1)
+                }
+            };
+            for t in 0..n {
+                // Own item first, then one or two of higher-priority
+                // owners: `Aceil(item t)` stays this template's priority,
+                // so there are `n` distinct ceiling values.
+                let mut steps = vec![access(rng, ItemId(t))];
+                for _ in 0..rng.range_usize(1..3) {
+                    let shared = ItemId(rng.range_u32(0..t + 1));
+                    steps.push(access(rng, shared));
+                }
+                b.add(TransactionTemplate::new(format!("t{t}"), 100, steps));
+            }
+            let set = b.build().unwrap();
+            let distinct: std::collections::BTreeSet<Ceiling> =
+                (0..n).map(|t| set.aceil(ItemId(t))).collect();
+            assert!(distinct.len() > 64);
+            // Template `t` has priority `n - 1 - t`: items `n-66..n-62`
+            // carry ceilings of rank 61..=65, either side of bit 63/64.
+            let mut items: Vec<ItemId> = (n - 66..n - 61).map(ItemId).collect();
+            items.push(ItemId(0));
+            items.push(ItemId(n - 1));
+            let who = vec_of(rng, 3..7, |rng| inst(rng.range_u32(0..n)));
+            (set, who, items)
+        }
+    }
+}
+
 /// Differential oracle for the incremental [`CeilingIndex`]: random
 /// grant / release / upgrade / release-all sequences, applied in
-/// lock-step to an indexed table and a plain one, must yield identical
-/// `SysCeil` values — ceiling **and** holder set — from the index's O(1)
-/// queries and the retained from-scratch scans, for all three protocol
-/// flavors, after every single transition.
+/// lock-step to a table indexing every flavor, a table indexing one
+/// declared flavor (the other two must answer through their scans) and a
+/// plain one, must yield identical `SysCeil` values — ceiling **and**
+/// holders, in order — from the public queries and the from-scratch scans
+/// of the plain table, for all three protocol flavors, after every single
+/// transition.
 #[test]
 fn ceiling_index_matches_scans_differentially() {
     forall(CASES, |rng| {
-        let set = random_set(rng);
+        let (set, who, items) = leveled_set(rng);
         let ceilings = CeilingTable::new(&set);
-        let mut indexed = LockTable::with_index(&ceilings);
-        let mut plain = LockTable::new();
-        let n = set.len() as u32;
+        let declared = CeilingFlavor::ALL[rng.range_usize(0..3)];
+        let mut tables = [
+            LockTable::with_index(&ceilings),
+            LockTable::with_flavor(&ceilings, Some(declared)),
+            LockTable::new(),
+        ];
+        for f in CeilingFlavor::ALL {
+            let maintained = |t: &LockTable| t.index().and_then(|ix| ix.sysceil(f, inst(0)));
+            assert!(maintained(&tables[0]).is_some());
+            assert_eq!(maintained(&tables[1]).is_some(), f == declared);
+        }
 
-        let check = |indexed: &LockTable, plain: &LockTable| {
-            let ix = indexed.index().expect("indexed table");
-            // Every instance, plus one id past the set (a pure outsider
-            // whose query excludes nothing).
-            for who in (0..=n).map(inst) {
-                assert_eq!(
-                    ix.pcpda_sysceil(who),
-                    ceilings.pcpda_sysceil_scan(plain, who)
-                );
-                assert_eq!(
-                    ix.rwpcp_sysceil(who),
-                    ceilings.rwpcp_sysceil_scan(plain, who)
-                );
-                assert_eq!(ix.pcp_sysceil(who), ceilings.pcp_sysceil_scan(plain, who));
+        let check = |tables: &[LockTable; 3]| {
+            let [full, one, plain] = tables;
+            // Every participant, plus a pure outsider whose query
+            // excludes nothing.
+            let outsider = inst(set.len() as u32);
+            for &me in who.iter().chain([&outsider]) {
+                let pcpda = ceilings.pcpda_sysceil_scan(plain, me);
+                let rwpcp = ceilings.rwpcp_sysceil_scan(plain, me);
+                let pcp = ceilings.pcp_sysceil_scan(plain, me);
+                assert!(pcpda.holders.windows(2).all(|w| w[0] < w[1]));
+                for table in [full, one] {
+                    assert_eq!(ceilings.pcpda_sysceil(table, me), pcpda);
+                    assert_eq!(ceilings.rwpcp_sysceil(table, me), rwpcp);
+                    assert_eq!(ceilings.pcp_sysceil(table, me), pcp);
+                }
             }
         };
 
-        check(&indexed, &plain);
-        for _ in 0..rng.range_usize(4..24) {
-            let who = inst(rng.range_u32(0..n));
-            let item = ItemId(rng.range_u32(0..5));
+        check(&tables);
+        for _ in 0..rng.range_usize(4..32) {
+            let me = who[rng.range_usize(0..who.len())];
+            let item = items[rng.range_usize(0..items.len())];
             let mode = if rng.bool() {
                 LockMode::Write
             } else {
                 LockMode::Read
             };
-            match rng.range_u32(0..10) {
-                // Grants dominate so upgrades (read then write on the
-                // same item, or vice versa) actually occur.
-                0..=5 => {
-                    indexed.grant(who, item, mode);
-                    plain.grant(who, item, mode);
+            match rng.range_u32(0..12) {
+                // Grants dominate so the tables fill up.
+                0..=5 => tables.iter_mut().for_each(|t| t.grant(me, item, mode)),
+                // An upgrade, in either order, checked half-way too.
+                6..=7 => {
+                    tables.iter_mut().for_each(|t| t.grant(me, item, mode));
+                    check(&tables);
+                    tables
+                        .iter_mut()
+                        .for_each(|t| t.grant(me, item, mode.other()));
                 }
-                6..=8 => {
-                    indexed.release(who, item, mode);
-                    plain.release(who, item, mode);
-                }
+                8..=9 => tables.iter_mut().for_each(|t| t.release(me, item, mode)),
                 _ => {
-                    let a: Vec<HeldLock> = indexed.release_all(who).to_vec();
-                    let b: Vec<HeldLock> = plain.release_all(who).to_vec();
-                    assert_eq!(a, b);
+                    let released: Vec<Vec<HeldLock>> = tables
+                        .iter_mut()
+                        .map(|t| t.release_all(me).to_vec())
+                        .collect();
+                    assert!(released.windows(2).all(|w| w[0] == w[1]));
                 }
             }
-            check(&indexed, &plain);
+            check(&tables);
         }
 
         // Drain everything: the index must unwind back to empty.
-        for t in (0..n).map(inst) {
-            indexed.release_all(t);
-            plain.release_all(t);
-            check(&indexed, &plain);
+        for &me in &who {
+            tables.iter_mut().for_each(|t| {
+                t.release_all(me);
+            });
+            check(&tables);
         }
-        assert_eq!(indexed.locked_items(), 0);
+        assert!(tables.iter().all(|t| t.locked_items() == 0));
     });
 }

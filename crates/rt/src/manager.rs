@@ -235,7 +235,11 @@ impl<'a> Shared<'a> {
         snap: Option<Arc<SnapshotSide>>,
         shard_ctx: ShardCtx,
     ) -> Self {
-        let mut kernel = StateKernel::new(set);
+        let protocol = instantiate(kind);
+        let mut kernel = StateKernel::new(
+            set,
+            ProtocolFor::<StateKernel<'a>>::ceiling_flavor(&protocol),
+        );
         if let Some(router) = shard_ctx.router {
             // Multi-shard: this shard's protocol instance must only see
             // the reads it governs — a cross-shard reader's off-shard
@@ -244,7 +248,7 @@ impl<'a> Shared<'a> {
         }
         Shared {
             kernel,
-            protocol: instantiate(kind),
+            protocol,
             waiters: Vec::new(),
             clock: shard_ctx.clock,
             shard: shard_ctx.shard,
@@ -697,15 +701,15 @@ impl<'a> LockManager<'a> {
                 TryAcquire::Done => return Outcome::Done,
                 TryAcquire::Retry => continue,
                 TryAcquire::Park(cv) => {
-                    loop {
+                    // The predicate is tested before every wait: the
+                    // safety net's own `wake_parked` may be what unparks
+                    // this thread.
+                    while !g.unparked(id) {
                         let (g2, timeout) = cv
                             .wait_timeout(g, self.park_timeout)
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
                         g = g2;
-                        if g.unparked(id) {
-                            break;
-                        }
-                        if timeout.timed_out() {
+                        if timeout.timed_out() && !g.unparked(id) {
                             // Safety net: heal lost wake-ups and cycles
                             // that formed without a block event.
                             g.park_timeout_wakeups += 1;
@@ -782,5 +786,80 @@ impl<'a> LockManager<'a> {
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .into_report()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtdb_types::{SetBuilder, Step, TransactionTemplate};
+    use std::time::Instant;
+
+    /// A parked thread whose wake-up was lost is rescued by the first
+    /// firing of the park-timeout net — its own `wake_parked` — and not
+    /// by a second full period after it.
+    #[test]
+    fn park_timeout_net_rescues_its_caller_in_one_period() {
+        let x = ItemId(0);
+        let set = SetBuilder::new()
+            .with(TransactionTemplate::new("A", 10, vec![Step::write(x, 1)]))
+            .with(TransactionTemplate::new("B", 10, vec![Step::write(x, 1)]))
+            .build()
+            .unwrap();
+        let (a, b) = (InstanceId::first(TxnId(0)), InstanceId::first(TxnId(1)));
+        let period = Duration::from_millis(400);
+        let m = LockManager::new(
+            &set,
+            ProtocolKind::TwoPlPi,
+            period,
+            None,
+            ShardCtx::single(),
+        );
+        m.begin(a);
+        m.begin(b);
+        let mut ws_a = Workspace::new(a);
+        assert_eq!(
+            m.acquire(a, 0, x, LockMode::Write, &mut ws_a),
+            Outcome::Done
+        );
+
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| {
+                let mut ws_b = Workspace::new(b);
+                let start = Instant::now();
+                assert_eq!(
+                    m.acquire(b, 0, x, LockMode::Write, &mut ws_b),
+                    Outcome::Done
+                );
+                start.elapsed()
+            });
+            // `b`'s request turns pending under the state lock it keeps
+            // until it waits, so once seen here `b` is parked.
+            while m.lock().kernel.pending_request(b).is_none() {
+                std::thread::yield_now();
+            }
+            {
+                // Lose the wake-up: `a` leaves behind the manager's back.
+                let mut g = m.lock();
+                let Shared {
+                    kernel,
+                    protocol,
+                    waiters,
+                    ..
+                } = &mut *g;
+                kernel.finish_commit(protocol, a);
+                waiters.retain(|w| w.id != a);
+            }
+            let waited = parked.join().expect("parked thread panicked");
+            assert!(
+                waited >= period,
+                "nothing but the net can wake b: {waited:?}"
+            );
+            assert!(
+                waited < period * 7 / 4,
+                "the net's own wake-up took a second period: {waited:?}"
+            );
+        });
+        assert_eq!(m.lock().park_timeout_wakeups, 1);
     }
 }

@@ -49,8 +49,8 @@ use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace, TraceEvent};
 use rtdb_core::{
-    AbortReason, Acquire, DynProtocol, EngineView, Protocol, ProtocolFor, ProtocolKind, Record,
-    StateKernel, TxnMode,
+    AbortReason, Acquire, CeilingFlavor, DynProtocol, EngineView, Protocol, ProtocolFor,
+    ProtocolKind, Record, StateKernel, TxnMode,
 };
 use rtdb_storage::{
     Database, EventKind, History, MvStore, ReplayOutcome, SerializationGraph, VersionedValue,
@@ -265,7 +265,7 @@ impl<'a> Engine<'a> {
         S: InstanceStore,
         P: ProtocolFor<StateKernel<'s>>,
     {
-        let mut sim: Sim<'s, S> = Sim::new(self.set, &self.config);
+        let mut sim: Sim<'s, S> = Sim::new(self.set, &self.config, protocol.ceiling_flavor());
         sim.run(protocol)?;
         let mut result = sim.finish();
         result.protocol = protocol.name();
@@ -550,7 +550,7 @@ struct Sim<'a, S> {
 }
 
 impl<'a, S: InstanceStore> Sim<'a, S> {
-    fn new(set: &'a TransactionSet, config: &'a SimConfig) -> Self {
+    fn new(set: &'a TransactionSet, config: &'a SimConfig, flavor: Option<CeilingFlavor>) -> Self {
         let horizon = match config.horizon {
             Some(h) => Tick(h),
             None => {
@@ -582,7 +582,7 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
             est_ops += n * (t.steps.len() as u64 + 3);
         }
         const RESERVE_CAP: u64 = 1 << 20;
-        let mut kernel = StateKernel::new(set);
+        let mut kernel = StateKernel::new(set, flavor);
         kernel.reserve_history(est_ops.min(RESERVE_CAP) as usize);
         let mut trace = Trace::new();
         trace.reserve(

@@ -17,7 +17,8 @@ use rtdb_baselines::{Ccp, NaiveDa, OccBc, Pcp, RwPcp, TwoPlHp, TwoPlPi};
 use rtdb_cc::PcpDa;
 use rtdb_contention::{Bamboo, Brook2Pl};
 use rtdb_core::{
-    Decision, EngineView, LockRequest, Protocol, ProtocolFor, ProtocolKind, UpdateModel,
+    CeilingFlavor, Decision, EngineView, LockRequest, Protocol, ProtocolFor, ProtocolKind,
+    UpdateModel,
 };
 use rtdb_types::{InstanceId, ItemId, LockMode};
 
@@ -152,6 +153,10 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for AnyProtocol {
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
         dispatch!(&self.inner, p => ProtocolFor::system_ceiling(p, view))
+    }
+
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        dispatch!(&self.inner, p => ProtocolFor::<V>::ceiling_flavor(p))
     }
 
     fn may_abort(&self) -> bool {

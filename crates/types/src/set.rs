@@ -160,6 +160,16 @@ impl SetBuilder {
         self.finish(|idx, _| Priority((n - 1 - idx) as u32))
     }
 
+    /// Build with the given priority levels, one per template in insertion
+    /// order: any distinct `u32`s, dense or not.
+    ///
+    /// # Panics
+    /// Panics if `levels` and the templates differ in number.
+    pub fn build_with_priorities(self, levels: &[u32]) -> Result<TransactionSet> {
+        assert_eq!(levels.len(), self.templates.len(), "one level per template");
+        self.finish(|idx, _| Priority(levels[idx]))
+    }
+
     /// Build with rate-monotonic priorities: shorter period = higher
     /// priority; ties broken in favour of earlier insertion (total order).
     pub fn build_rate_monotonic(self) -> Result<TransactionSet> {
