@@ -8,12 +8,12 @@
 //! adapter ([`Submitter::try_submit`] — a full admission queue bounces a
 //! frame, it never parks the loop), and pumps [`Completion`]s back out as
 //! [`Response`] frames. One OS thread multiplexes every connection; the
-//! worker pool behind the dispatcher does the heavy lifting, exactly as
-//! in the in-process front-end.
+//! worker pool behind the admission queue does the heavy lifting, exactly
+//! as in the in-process front-end.
 //!
 //! **Client disconnect mid-job.** Dropping a connection drops its
 //! submitter and completion receiver. Jobs it already got admitted keep
-//! their place in the dispatcher and still execute and commit into the
+//! their place in the admission queue and still execute and commit into the
 //! run's [`RtResult`] — admission is a promise to the *system*, not to
 //! the socket — but their completion sends fail silently into the closed
 //! channel. Nothing leaks: the ticket map dies with the connection.
@@ -45,34 +45,30 @@ pub struct NetConfig {
     /// Port to bind on 127.0.0.1; `0` (the default) picks an ephemeral
     /// port — the actual address is handed to the driver.
     pub port: u16,
-    /// Connection cap; accepts beyond it are dropped immediately.
-    pub max_conns: usize,
-    /// Event-loop sleep when a full pass made no progress (no accepts,
-    /// no bytes, no completions). Keeps the idle loop off the CPU the
-    /// workers need.
-    pub idle_sleep: Duration,
 }
 
+/// Connection cap; accepts beyond it are dropped immediately. A constant,
+/// not a setting: it only bounds what one poll pass walks and what a
+/// flood of connects can make the loop allocate, and no caller, test or
+/// benchmark ever set another value.
+const MAX_CONNS: usize = 1024;
+
+/// Event-loop sleep when a full pass made no progress (no accepts, no
+/// bytes, no completions). Keeps the idle loop off the CPU the workers
+/// need. A constant for the same reason as [`MAX_CONNS`]; it is also the
+/// floor under a lone client's round trip, which the benchmark's
+/// `net-rtt` workload measures.
+const IDLE_SLEEP: Duration = Duration::from_micros(100);
+
 impl NetConfig {
-    /// Defaults: ephemeral port, 1024 connections, 100 µs idle sleep.
+    /// Defaults: ephemeral port.
     pub fn new(front: FrontConfig) -> Self {
-        NetConfig {
-            front,
-            port: 0,
-            max_conns: 1024,
-            idle_sleep: Duration::from_micros(100),
-        }
+        NetConfig { front, port: 0 }
     }
 
     /// Bind a specific port instead of an ephemeral one.
     pub fn with_port(mut self, port: u16) -> Self {
         self.port = port;
-        self
-    }
-
-    /// Set the connection cap.
-    pub fn with_max_conns(mut self, max_conns: usize) -> Self {
-        self.max_conns = max_conns;
         self
     }
 }
@@ -231,13 +227,7 @@ impl Conn<'_> {
     }
 }
 
-fn event_loop(
-    front: FrontHandle<'_>,
-    listener: &TcpListener,
-    templates: usize,
-    config: &NetConfig,
-    stop: &AtomicBool,
-) {
+fn event_loop(front: FrontHandle<'_>, listener: &TcpListener, templates: usize, stop: &AtomicBool) {
     let mut conns: Vec<Conn<'_>> = Vec::new();
     loop {
         let stopping = stop.load(Ordering::Acquire);
@@ -247,7 +237,7 @@ fn event_loop(
                 match listener.accept() {
                     Ok((stream, _peer)) => {
                         progressed = true;
-                        if conns.len() >= config.max_conns {
+                        if conns.len() >= MAX_CONNS {
                             drop(stream);
                             continue;
                         }
@@ -288,7 +278,7 @@ fn event_loop(
             break;
         }
         if !progressed {
-            std::thread::sleep(config.idle_sleep);
+            std::thread::sleep(IDLE_SLEEP);
         }
     }
 }
@@ -312,7 +302,7 @@ pub fn serve<R>(
 
     let (result, value) = run_front(set, config.front, |front| {
         std::thread::scope(|scope| {
-            let net = scope.spawn(|| event_loop(front, &listener, templates, &config, &stop));
+            let net = scope.spawn(|| event_loop(front, &listener, templates, &stop));
             let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver(addr)));
             stop.store(true, Ordering::Release);
             net.join().expect("event loop panicked");

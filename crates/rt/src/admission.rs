@@ -2,8 +2,8 @@
 //! per-tenant fairness budgets.
 //!
 //! Submitters enqueue [`crate::JobRequest`]s here without ever touching
-//! the lock manager; the dispatcher thread drains the queue into the
-//! worker pool. The queue is the *only* place the open-loop front door
+//! the lock manager; the workers pop it directly, so a request is either
+//! running or in this queue — the *only* place the open-loop front door
 //! pushes back on offered load, and what it does when full is the
 //! [`AdmissionPolicy`]:
 //!
@@ -50,6 +50,7 @@
 
 use crate::front::{Completion, JobRequest};
 use crate::runtime::dur_ns;
+use rtdb_types::InstanceId;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -335,7 +336,7 @@ impl TenantLedger {
     }
 }
 
-/// One admitted request, as it travels queue → dispatcher → worker.
+/// One admitted request, as it travels queue → worker.
 pub(crate) struct Admitted {
     pub req: JobRequest,
     /// Submission ticket, for correlating completions.
@@ -370,9 +371,11 @@ struct Inner {
     q: VecDeque<Admitted>,
     closed: bool,
     ledger: TenantLedger,
+    /// Next sequence number per template, handed out by [`AdmissionQueue::pop`].
+    next_seq: Vec<u32>,
 }
 
-/// A bounded MPSC queue: many submitters push, the dispatcher pops.
+/// A bounded MPMC queue: many submitters push, the workers pop.
 pub(crate) struct AdmissionQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
@@ -395,6 +398,7 @@ impl AdmissionQueue {
                 q: VecDeque::new(),
                 closed: false,
                 ledger: TenantLedger::new(fairness, templates),
+                next_seq: vec![0; templates],
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -409,7 +413,12 @@ impl AdmissionQueue {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn now_ns(&self) -> u64 {
+    /// The instant every `_ns` offset of the run is measured from.
+    pub(crate) fn t0(&self) -> Instant {
+        self.t0
+    }
+
+    pub(crate) fn now_ns(&self) -> u64 {
         dur_ns(self.t0.elapsed())
     }
 
@@ -489,13 +498,21 @@ impl AdmissionQueue {
     }
 
     /// Pop the oldest admitted request, blocking while the queue is open
-    /// and empty. `None` once the queue is closed *and* drained.
-    pub(crate) fn pop(&self) -> Option<Admitted> {
+    /// and empty. `None` once the queue is closed *and* drained. The
+    /// request's instance id is assigned here, in the pop's own critical
+    /// section: each template's sequence numbers follow admission order
+    /// however many workers pop, so a single-worker `Block` replay runs
+    /// exactly the instance sequence it was fed.
+    pub(crate) fn pop(&self) -> Option<(InstanceId, Admitted)> {
         let mut g = self.lock();
         loop {
             if let Some(item) = g.q.pop_front() {
                 self.not_full.notify_one();
-                return Some(item);
+                let txn = item.req.txn;
+                let seq = &mut g.next_seq[txn.index()];
+                let id = InstanceId::new(txn, *seq);
+                *seq += 1;
+                return Some((id, item));
             }
             if g.closed {
                 return None;
@@ -515,7 +532,7 @@ impl AdmissionQueue {
         self.not_full.notify_all();
     }
 
-    /// Queued (admitted, not yet dispatched) requests.
+    /// Queued (admitted, not yet running) requests.
     pub(crate) fn len(&self) -> usize {
         self.lock().q.len()
     }
@@ -591,7 +608,7 @@ mod tests {
         }
         let tickets: Vec<u64> = std::iter::from_fn(|| {
             q.close();
-            q.pop().map(|a| a.ticket)
+            q.pop().map(|(_, a)| a.ticket)
         })
         .collect();
         assert_eq!(tickets, vec![1, 2]);
@@ -607,10 +624,10 @@ mod tests {
             // Give the pusher a moment to park on the full queue, then
             // drain one entry to release it.
             std::thread::sleep(std::time::Duration::from_millis(5));
-            assert_eq!(q.pop().expect("queued").ticket, 0);
+            assert_eq!(q.pop().expect("queued").1.ticket, 0);
             assert!(pusher.join().expect("pusher"));
         });
-        assert_eq!(q.pop().expect("queued").ticket, 1);
+        assert_eq!(q.pop().expect("queued").1.ticket, 1);
     }
 
     #[test]
@@ -622,7 +639,7 @@ mod tests {
             q.push(item(8).0, AdmissionPolicy::Block),
             Push::Closed
         ));
-        assert_eq!(q.pop().expect("drains the backlog").ticket, 7);
+        assert_eq!(q.pop().expect("drains the backlog").1.ticket, 7);
         assert!(q.pop().is_none());
     }
 
@@ -673,7 +690,7 @@ mod tests {
             Push::SelfShed
         ));
         q.close();
-        let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|a| a.ticket)).collect();
+        let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, a)| a.ticket)).collect();
         assert_eq!(tickets, vec![0, 2]);
         let (counts, shed_by_txn) = q.counters();
         assert_eq!(counts.len(), 1);

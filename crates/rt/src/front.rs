@@ -6,11 +6,12 @@
 //! only admits a job when it is free to run it. This module is the open
 //! front door: *submitters* enqueue [`JobRequest`]s (template, release
 //! time, absolute deadline) onto a bounded admission queue without ever
-//! blocking on the lock manager; a *dispatcher* thread assigns instance
-//! ids and feeds the worker pool; workers execute exactly the closed
-//! loop's job body and report completions back over each submitter's own
-//! completion channel. When the admission queue fills, the configured
-//! [`AdmissionPolicy`] decides who loses.
+//! blocking on the lock manager; the closed loop's own worker pool pops
+//! that queue directly — the pop assigns the instance id — and reports
+//! completions back over each submitter's own completion channel. A
+//! request is either running or in the admission queue, so when the
+//! queue fills the configured [`AdmissionPolicy`] sees every request
+//! that could still lose.
 //!
 //! Time is wall-clock nanoseconds relative to the front-end's start
 //! (`t0`). A job's life is stamped at four points — release (intended,
@@ -22,34 +23,25 @@
 //! deadline-miss ratios directly comparable with the simulator's miss
 //! metrics.
 //!
-//! The whole front-end is scoped: [`run_front`] spawns dispatcher and
-//! workers, hands the caller a [`FrontHandle`] to create submitters
+//! The whole front-end is scoped: [`run_front`] spawns the workers,
+//! hands the caller a [`FrontHandle`] to create submitters
 //! from, and shuts down with *drain* semantics when the driver closure
 //! returns — everything already admitted still executes, everything
 //! submitted afterwards bounces.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue, Admitted, FairnessConfig, Push};
-use crate::histogram::LatencyHistogram;
-use crate::manager::WorkerCtx;
-use crate::runtime::{
-    dur_ns, execute_job, merge_snapshot_jobs, snapshot_side, tenant_stats, JobReport, RtConfig,
-    RtResult,
-};
-use crate::sharded::ShardedManager;
-use crate::snapshot::SnapshotSide;
+use crate::runtime::{run_pool, JobReport, JobSource, RtConfig, RtResult};
 use rtdb_core::ProtocolKind;
-use rtdb_types::{InstanceId, TransactionSet, TxnId};
-use std::collections::VecDeque;
+use rtdb_types::{TransactionSet, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One transaction request, as a submitter hands it to the front door.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobRequest {
-    /// The template to instantiate (sequence numbers are assigned by the
-    /// dispatcher in admission order).
+    /// The template to instantiate (sequence numbers are assigned in
+    /// admission order, as a worker pops the request).
     pub txn: TxnId,
     /// Intended release time, ns since the front-end's `t0`. Informational
     /// for the runtime — the submitter is responsible for not submitting
@@ -207,12 +199,10 @@ pub enum Completion {
 
 /// Shared front-end state the handle and submitters reference.
 struct FrontShared {
-    t0: Instant,
     policy: AdmissionPolicy,
+    /// Also the run's clock (`t0`) and its shed/reject ledger.
     queue: AdmissionQueue,
     tickets: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
     /// Estimated service cost per template (WCET × tick), the fairness
     /// ledger's charge unit.
     costs: Vec<u64>,
@@ -230,7 +220,7 @@ impl<'e> FrontHandle<'e> {
     /// Nanoseconds since the front-end started — the clock `release_ns`
     /// and `deadline_ns` are measured on.
     pub fn elapsed_ns(&self) -> u64 {
-        dur_ns(self.shared.t0.elapsed())
+        self.shared.queue.now_ns()
     }
 
     /// Requests currently waiting in the admission queue.
@@ -290,171 +280,26 @@ impl Submitter<'_> {
         match self.shared.queue.push(item, policy) {
             Push::Admitted => SubmitOutcome::Admitted { ticket },
             Push::AdmittedShed(old) => {
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
                 let _ = old.done.send(Completion::Shed {
                     ticket: old.ticket,
                     txn: old.req.txn,
                 });
                 SubmitOutcome::Admitted { ticket }
             }
-            Push::SelfShed => {
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Shed { ticket }
-            }
-            Push::Rejected => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Rejected
-            }
-            Push::Closed => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Closed
-            }
+            Push::SelfShed => SubmitOutcome::Shed { ticket },
+            Push::Rejected => SubmitOutcome::Rejected,
+            Push::Closed => SubmitOutcome::Closed,
         }
     }
 
     /// Nanoseconds since the front-end started.
     pub fn elapsed_ns(&self) -> u64 {
-        dur_ns(self.shared.t0.elapsed())
+        self.shared.queue.now_ns()
     }
 }
 
-/// A dispatched job: an admitted request with its instance id assigned.
-struct Dispatched {
-    id: InstanceId,
-    job: Admitted,
-}
-
-/// The tightly bounded dispatcher→worker hand-off. Its capacity is the
-/// worker count, so backlog accumulates in the *admission* queue — the
-/// place where the policy applies — not here.
-struct DispatchQueue {
-    inner: Mutex<(VecDeque<Dispatched>, bool)>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl DispatchQueue {
-    fn new(capacity: usize) -> Self {
-        DispatchQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, (VecDeque<Dispatched>, bool)> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Blocking push; only the dispatcher calls this, and it closes the
-    /// queue afterwards, so a push never races a close.
-    fn push(&self, item: Dispatched) {
-        let mut g = self.lock();
-        while g.0.len() >= self.capacity {
-            g = self
-                .not_full
-                .wait(g)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        g.0.push_back(item);
-        self.not_empty.notify_one();
-    }
-
-    fn pop(&self) -> Option<Dispatched> {
-        let mut g = self.lock();
-        loop {
-            if let Some(item) = g.0.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self
-                .not_empty
-                .wait(g)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        let mut g = self.lock();
-        g.1 = true;
-        self.not_empty.notify_all();
-    }
-}
-
-/// FIFO bridge from the admission queue to the worker pool: assigns each
-/// template's sequence numbers in admission order (so a single-threaded,
-/// block-policy replay reproduces exactly the instance sequence it was
-/// fed — the property the sim-differential test leans on).
-fn dispatcher(set: &TransactionSet, admission: &AdmissionQueue, dispatch: &DispatchQueue) {
-    let mut next_seq = vec![0u32; set.len()];
-    while let Some(job) = admission.pop() {
-        let txn = job.req.txn;
-        let seq = next_seq[txn.index()];
-        next_seq[txn.index()] += 1;
-        dispatch.push(Dispatched {
-            id: InstanceId::new(txn, seq),
-            job,
-        });
-    }
-    dispatch.close();
-}
-
-#[allow(clippy::too_many_arguments)]
-fn front_worker(
-    set: &TransactionSet,
-    manager: &ShardedManager<'_>,
-    snap: Option<&SnapshotSide>,
-    dispatch: &DispatchQueue,
-    reports: &Mutex<Vec<JobReport>>,
-    config: &RtConfig,
-    worker_index: usize,
-    t0: Instant,
-) -> LatencyHistogram {
-    let mut ctx = WorkerCtx::new(worker_index);
-    let mut hist = LatencyHistogram::new();
-    while let Some(d) = dispatch.pop() {
-        let started = Instant::now();
-        let stats = execute_job(set, manager, snap, d.id, &mut ctx, config);
-        let committed = Instant::now();
-        let latency_ns = dur_ns(committed.duration_since(d.job.admitted_at));
-        hist.record(latency_ns);
-        let report = JobReport {
-            id: d.id,
-            priority: set.priority_of(d.id.txn),
-            latency_ns,
-            queue_ns: dur_ns(started.duration_since(d.job.admitted_at)),
-            service_ns: dur_ns(committed.duration_since(started)),
-            release_ns: d.job.req.release_ns,
-            tenant: d.job.req.tenant,
-            deadline_ns: d.job.req.deadline_ns,
-            commit_ns: dur_ns(committed.duration_since(t0)),
-            restarts: stats.restarts,
-            block_events: stats.block_events,
-            lower_blockers: stats.lower_blockers,
-            commit_index: stats.commit_index,
-            snapshot: stats.snapshot,
-        };
-        reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(report.clone());
-        let _ = d.job.done.send(Completion::Committed {
-            ticket: d.job.ticket,
-            report,
-        });
-    }
-    hist
-}
-
-/// Run an admission front-end: spawn `config.rt.threads` workers and a
-/// dispatcher, call `driver` with a [`FrontHandle`] on the current
+/// Run an admission front-end: spawn `config.rt.threads` workers on the
+/// admission queue, call `driver` with a [`FrontHandle`] on the current
 /// thread, and shut down with drain semantics when it returns (admitted
 /// jobs still execute; later submissions observe [`SubmitOutcome::Closed`]).
 /// Returns the run's [`RtResult`] — commit-ordered job reports with
@@ -465,20 +310,10 @@ pub fn run_front<R>(
     config: FrontConfig,
     driver: impl FnOnce(FrontHandle<'_>) -> R,
 ) -> (RtResult, R) {
-    let threads = config.rt.threads.max(1);
-    let snap = snapshot_side(set, &config.rt);
-    let manager = ShardedManager::new(set, &config.rt, snap.clone());
-    let shards = manager.shard_count();
-    let dispatch = DispatchQueue::new(threads);
-    let reports: Mutex<Vec<JobReport>> = Mutex::new(Vec::new());
-    let t0 = Instant::now();
     let shared = FrontShared {
-        t0,
         policy: config.policy,
-        queue: AdmissionQueue::new(config.capacity, set.len(), t0, config.fairness),
+        queue: AdmissionQueue::new(config.capacity, set.len(), Instant::now(), config.fairness),
         tickets: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
         costs: (0..set.len())
             .map(|i| {
                 set.template(TxnId(i as u32))
@@ -488,80 +323,9 @@ pub fn run_front<R>(
             })
             .collect(),
     };
-
-    let (value, latency_hist) = std::thread::scope(|scope| {
-        let manager = &manager;
-        let dispatch = &dispatch;
-        let reports = &reports;
-        let rt_config = &config.rt;
-        let t0 = shared.t0;
-        let workers: Vec<_> = (0..threads)
-            .map(|w| {
-                let snap = snap.as_deref();
-                scope.spawn(move || {
-                    front_worker(set, manager, snap, dispatch, reports, rt_config, w, t0)
-                })
-            })
-            .collect();
-        let disp = scope.spawn(|| dispatcher(set, &shared.queue, dispatch));
-
-        // Run the driver on this thread; if it panics the queues must
-        // still close, or the scope would join parked workers forever.
-        let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            driver(FrontHandle { shared: &shared })
-        }));
-        shared.queue.close();
-        disp.join().expect("dispatcher panicked");
-        let mut hist = LatencyHistogram::new();
-        for w in workers {
-            hist.merge(&w.join().expect("worker panicked"));
-        }
-        match value {
-            Ok(v) => (v, hist),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    });
-    let elapsed = shared.t0.elapsed();
-
-    let sharded = manager.finish();
-    let mut report = sharded.report;
-    let jobs = reports
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (jobs, snapshots, mv_high_water) =
-        merge_snapshot_jobs(jobs, snap.as_deref(), &mut report.history, report.commits);
-    let (tenant_counts, shed_by_txn) = shared.queue.counters();
-    let tenants = tenant_stats(&jobs, &tenant_counts);
-
-    (
-        RtResult {
-            protocol: config.rt.kind.name().to_string(),
-            kind: config.rt.kind,
-            threads,
-            history: report.history,
-            db: report.db,
-            committed: report.commits + snapshots,
-            restarts: report.restarts,
-            abort_reasons: report.abort_reasons,
-            deadlocks_resolved: report.deadlocks_resolved,
-            elapsed,
-            jobs,
-            shed: shared.shed.load(Ordering::Relaxed),
-            rejected: shared.rejected.load(Ordering::Relaxed),
-            tenants,
-            shed_by_txn,
-            latency_hist,
-            park_timeout_wakeups: report.park_timeout_wakeups,
-            snapshot_reads: snap.is_some(),
-            snapshots,
-            lock_transitions: report.lock_transitions,
-            mv_high_water,
-            shards,
-            cross_shard_txns: sharded.cross_shard_txns,
-            per_shard: sharded.per_shard,
-        },
-        value,
-    )
+    run_pool(set, &config.rt, &JobSource::Queue(&shared.queue), || {
+        driver(FrontHandle { shared: &shared })
+    })
 }
 
 #[cfg(test)]

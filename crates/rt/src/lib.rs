@@ -14,15 +14,15 @@
 //!   coordinated by a lock-free published-per-shard global ceiling;
 //!   cross-shard transactions acquire shards in canonical order under a
 //!   no-wait rule (DESIGN.md §6e, per-shard telemetry in [`ShardStats`]);
-//! * [`runtime`] — the closed-loop executor: a pool of worker threads
-//!   drains a job queue, each job running one transaction instance to
-//!   commit (with abort/restart for the wound/validate protocols);
+//! * [`runtime`] — the worker pool and the closed-loop executor: worker
+//!   threads drain a job list, each job running one transaction instance
+//!   to commit (with abort/restart for the wound/validate protocols);
 //! * [`front`] — the asynchronous admission front-end: submitters
 //!   enqueue [`JobRequest`]s (release time, deadline) on a bounded
-//!   admission queue, a dispatcher feeds the worker pool, completions
+//!   admission queue, the same worker pool pops it directly, completions
 //!   return over per-submitter channels — open-loop arrivals with
 //!   runtime deadline tracking;
-//! * [`admission`] — the bounded MPSC admission queue, its overload
+//! * [`admission`] — the bounded admission queue, its overload
 //!   policies (reject / shed-oldest / least-slack / block-submitter) and
 //!   the per-tenant token-bucket fairness budgets ([`FairnessConfig`]);
 //! * [`jobs`] — deterministic seeded job queues;

@@ -1,5 +1,7 @@
 //! The closed-loop runtime: worker threads draining a job queue through
-//! the internal `LockManager`.
+//! the internal `LockManager`. The admission front-end ([`crate::front`])
+//! runs on the same pool — only where a worker's next job comes from
+//! differs.
 //!
 //! Each worker owns one recycled [`Workspace`](rtdb_storage::Workspace);
 //! a job is the full life of
@@ -9,6 +11,8 @@
 //! restarts the same job from step 0 on the same thread, exactly like the
 //! simulator's slot reset.
 
+use crate::admission::{AdmissionQueue, Admitted};
+use crate::front::Completion;
 use crate::histogram::LatencyHistogram;
 use crate::jobs;
 use crate::manager::{CommitOutcome, JobStats, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT};
@@ -18,7 +22,7 @@ use rtdb_core::{AbortBreakdown, ProtocolKind};
 use rtdb_storage::{Database, History, SerializationGraph, VersionedValue};
 use rtdb_types::{InstanceId, LockMode, Priority, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for one [`run`].
@@ -36,8 +40,7 @@ pub struct RtConfig {
     /// expiry the waiter re-runs the wake-up re-evaluation and a deadlock
     /// sweep itself, healing lost wake-ups and cycles that formed without
     /// a block event. The default (25 ms) never matters on the fast path;
-    /// the admission dispatcher and latency-sensitive tests can tighten
-    /// it.
+    /// latency-sensitive tests can tighten it.
     pub park_timeout: Duration,
     /// Lock-manager shards: items partition across this many independent
     /// per-shard managers (see the `sharded` module). `1` (the default)
@@ -54,17 +57,11 @@ pub struct RtConfig {
     /// keep taking locks). Exempt jobs never touch the lock table, never
     /// raise the system ceiling, never block a writer and never abort.
     pub snapshot_reads: bool,
-    /// Sleep a jittered, exponentially growing delay between an abort
-    /// and the restart it forces, so a deadlock victim cannot reform the
-    /// identical cycle in the same instant and starve the peer it was
-    /// aborted for. On by default; disable it only in deterministic
-    /// single-threaded tests, where restarts cannot race.
-    pub backoff: bool,
 }
 
 impl RtConfig {
     /// Defaults: 4 threads, no busy-work, 25 ms park timeout, snapshot
-    /// reads off, restart backoff on.
+    /// reads off.
     pub fn new(kind: ProtocolKind) -> Self {
         RtConfig {
             kind,
@@ -73,7 +70,6 @@ impl RtConfig {
             park_timeout: DEFAULT_PARK_TIMEOUT,
             shards: 1,
             snapshot_reads: false,
-            backoff: true,
         }
     }
 
@@ -104,12 +100,6 @@ impl RtConfig {
     /// Enable or disable the multiversion snapshot read path.
     pub fn with_snapshot_reads(mut self, on: bool) -> Self {
         self.snapshot_reads = on;
-        self
-    }
-
-    /// Disable the restart backoff (deterministic tests only).
-    pub fn without_backoff(mut self) -> Self {
-        self.backoff = false;
         self
     }
 
@@ -251,10 +241,7 @@ impl TenantStats {
 
 /// Fold per-job reports and the admission queue's per-tenant shed/reject
 /// counters into [`TenantStats`] rows, sorted by tenant id.
-pub(crate) fn tenant_stats(
-    jobs: &[JobReport],
-    counts: &[crate::admission::TenantCounts],
-) -> Vec<TenantStats> {
+fn tenant_stats(jobs: &[JobReport], counts: &[crate::admission::TenantCounts]) -> Vec<TenantStats> {
     let mut rows: Vec<TenantStats> = Vec::new();
     let row = |tenant: u32, rows: &mut Vec<TenantStats>| -> usize {
         match rows.iter().position(|r| r.tenant == tenant) {
@@ -443,46 +430,137 @@ impl RtResult {
 /// per-job reports. Every job runs to commit (aborts restart it), so the
 /// run always drains the queue.
 pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> RtResult {
-    let threads = config.threads.max(1);
-    let snap = snapshot_side(set, &config);
-    let manager = ShardedManager::new(set, &config, snap.clone());
-    let shards = manager.shard_count();
-    let next = AtomicUsize::new(0);
-    let reports: Mutex<Vec<JobReport>> = Mutex::new(Vec::with_capacity(job_queue.len()));
+    let source = JobSource::List {
+        jobs: job_queue,
+        next: AtomicUsize::new(0),
+    };
+    run_pool(set, &config, &source, || ()).0
+}
 
-    let start = Instant::now();
-    let latency_hist = std::thread::scope(|scope| {
+/// Where the pool's workers take their next job from — the one thing
+/// that differs between the closed loop and the admission front-end.
+pub(crate) enum JobSource<'a> {
+    /// Closed loop: a shared cursor over the caller's job list.
+    List {
+        jobs: &'a [InstanceId],
+        next: AtomicUsize,
+    },
+    /// Open loop: the admission queue, popped by the workers themselves.
+    Queue(&'a AdmissionQueue),
+}
+
+impl JobSource<'_> {
+    /// The next job and, in the open loop, its admission record. `None`
+    /// ends the calling worker: the list is exhausted, or the queue is
+    /// closed and drained.
+    fn next(&self) -> Option<(InstanceId, Option<Admitted>)> {
+        match self {
+            JobSource::List { jobs, next } => jobs
+                .get(next.fetch_add(1, Ordering::Relaxed))
+                .map(|&id| (id, None)),
+            JobSource::Queue(queue) => queue.pop().map(|(id, job)| (id, Some(job))),
+        }
+    }
+
+    /// How many jobs are known up front: the closed loop's whole list,
+    /// nothing of an open loop.
+    fn known_len(&self) -> usize {
+        match self {
+            JobSource::List { jobs, .. } => jobs.len(),
+            JobSource::Queue(_) => 0,
+        }
+    }
+}
+
+/// The worker pool both loops run on: spawn `config.threads` workers on
+/// `source`, call `driver` on the current thread, then end the source
+/// (closing the admission queue, with drain semantics), join the workers
+/// and fold what they return into the [`RtResult`].
+pub(crate) fn run_pool<R>(
+    set: &TransactionSet,
+    config: &RtConfig,
+    source: &JobSource<'_>,
+    driver: impl FnOnce() -> R,
+) -> (RtResult, R) {
+    let threads = config.threads.max(1);
+    let snap = config
+        .snapshot_active()
+        .then(|| Arc::new(SnapshotSide::for_set(set, threads)));
+    let manager = ShardedManager::new(set, config, snap.clone());
+    let shards = manager.shard_count();
+    // Every `_ns` offset is on the clock deadlines were given on: the
+    // admission queue's, when there is one.
+    let t0 = match source {
+        JobSource::List { .. } => Instant::now(),
+        JobSource::Queue(queue) => queue.t0(),
+    };
+
+    let (value, latency_hist, mut jobs) = std::thread::scope(|scope| {
         let manager = &manager;
-        let next = &next;
-        let reports = &reports;
-        let config = &config;
-        let handles: Vec<_> = (0..threads)
+        let workers: Vec<_> = (0..threads)
             .map(|w| {
                 let snap = snap.as_deref();
-                scope.spawn(move || {
-                    worker(
-                        set, job_queue, manager, snap, next, reports, config, w, start,
-                    )
-                })
+                scope.spawn(move || worker(set, manager, snap, source, config, w, t0))
             })
             .collect();
-        let mut hist = LatencyHistogram::new();
-        for h in handles {
-            hist.merge(&h.join().expect("worker panicked"));
+
+        // Run the driver on this thread; if it panics the queue must
+        // still close, or the scope would join parked workers forever.
+        let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(driver));
+        if let JobSource::Queue(queue) = source {
+            queue.close();
         }
-        hist
+        let mut hist = LatencyHistogram::new();
+        let mut jobs = Vec::new();
+        for w in workers {
+            let (worker_hist, mut worker_jobs) = w.join().expect("worker panicked");
+            hist.merge(&worker_hist);
+            if jobs.is_empty() {
+                // The first worker's reports are kept, not copied: a
+                // one-worker run holds one copy of its job list's reports.
+                jobs = worker_jobs;
+            } else {
+                jobs.append(&mut worker_jobs);
+            }
+        }
+        match value {
+            Ok(v) => (v, hist, jobs),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
     });
-    let elapsed = start.elapsed();
+    let elapsed = t0.elapsed();
 
     let sharded = manager.finish();
     let mut report = sharded.report;
-    let jobs = reports
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (jobs, snapshots, mv_high_water) =
-        merge_snapshot_jobs(jobs, snap.as_deref(), &mut report.history, report.commits);
+    // Merge the reader logs into the history and order the snapshot
+    // readers after every lock-path commit.
+    let (snapshots, mv_high_water) = match snap.as_deref() {
+        Some(side) => {
+            side.merge_into(&mut report.history);
+            for j in jobs.iter_mut().filter(|j| j.snapshot.is_some()) {
+                j.commit_index += report.commits;
+            }
+            (side.committed(), side.store.high_water())
+        }
+        None => (0, 0),
+    };
+    jobs.sort_by_key(|j| j.commit_index);
+    // Shed/reject totals are the tenant ledger's, summed: one set of
+    // counters, kept under the queue lock.
+    let (tenants, shed_by_txn, shed, rejected) = match source {
+        JobSource::List { .. } => (Vec::new(), Vec::new(), 0, 0),
+        JobSource::Queue(queue) => {
+            let (counts, shed_by_txn) = queue.counters();
+            (
+                tenant_stats(&jobs, &counts),
+                shed_by_txn,
+                counts.iter().map(|c| c.shed).sum(),
+                counts.iter().map(|c| c.rejected).sum(),
+            )
+        }
+    };
 
-    RtResult {
+    let result = RtResult {
         protocol: config.kind.name().to_string(),
         kind: config.kind,
         threads,
@@ -494,10 +572,10 @@ pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> 
         deadlocks_resolved: report.deadlocks_resolved,
         elapsed,
         jobs,
-        shed: 0,
-        rejected: 0,
-        tenants: Vec::new(),
-        shed_by_txn: Vec::new(),
+        shed,
+        rejected,
+        tenants,
+        shed_by_txn,
         latency_hist,
         park_timeout_wakeups: report.park_timeout_wakeups,
         snapshot_reads: snap.is_some(),
@@ -507,38 +585,8 @@ pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> 
         shards,
         cross_shard_txns: sharded.cross_shard_txns,
         per_shard: sharded.per_shard,
-    }
-}
-
-/// Build the snapshot side-car when the run will actually use it.
-pub(crate) fn snapshot_side(set: &TransactionSet, config: &RtConfig) -> Option<Arc<SnapshotSide>> {
-    config
-        .snapshot_active()
-        .then(|| Arc::new(SnapshotSide::for_set(set, config.threads.max(1))))
-}
-
-/// Run epilogue shared with the admission front-end: merge the reader
-/// logs into the history, offset reader commit indices past the
-/// `lock_commits` lock-path commits, and re-sort the job reports into the
-/// global commit order. Returns `(jobs, snapshots, mv_high_water)`.
-pub(crate) fn merge_snapshot_jobs(
-    mut jobs: Vec<JobReport>,
-    snap: Option<&SnapshotSide>,
-    history: &mut History,
-    lock_commits: u64,
-) -> (Vec<JobReport>, u64, usize) {
-    let (snapshots, mv_high_water) = match snap {
-        Some(side) => {
-            side.merge_into(history);
-            for j in jobs.iter_mut().filter(|j| j.snapshot.is_some()) {
-                j.commit_index += lock_commits;
-            }
-            (side.committed(), side.store.high_water())
-        }
-        None => (0, 0),
     };
-    jobs.sort_by_key(|j| j.commit_index);
-    (jobs, snapshots, mv_high_water)
+    (result, value)
 }
 
 /// Convenience: generate a seeded job list (see [`jobs::job_list`]) and
@@ -553,42 +601,50 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One worker: run jobs from `source` until it ends, returning this
+/// worker's latency histogram and job reports.
 fn worker(
     set: &TransactionSet,
-    job_queue: &[InstanceId],
     manager: &ShardedManager<'_>,
     snap: Option<&SnapshotSide>,
-    next: &AtomicUsize,
-    reports: &Mutex<Vec<JobReport>>,
+    source: &JobSource<'_>,
     config: &RtConfig,
     worker_index: usize,
     t0: Instant,
-) -> LatencyHistogram {
+) -> (LatencyHistogram, Vec<JobReport>) {
     let mut ctx = WorkerCtx::new(worker_index);
     let mut hist = LatencyHistogram::new();
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(&id) = job_queue.get(i) else {
-            return hist;
-        };
-        let begun = Instant::now();
+    // An even share of a known job list, so a closed-loop worker's
+    // reports never regrow (regrowth faults in fresh pages every run).
+    let mut reports = Vec::with_capacity(source.known_len().div_ceil(config.threads.max(1)));
+    while let Some((id, admitted)) = source.next() {
+        let started = Instant::now();
         let stats = execute_job(set, manager, snap, id, &mut ctx, config);
         let committed = Instant::now();
-        let latency_ns = dur_ns(committed.duration_since(begun));
+        // No admission record (the closed loop): the worker admits and
+        // starts the job in the same breath, so queueing delay is zero,
+        // service is the whole latency and the release is the start.
+        let service_ns = dur_ns(committed.duration_since(started));
+        let (queue_ns, latency_ns, release_ns, tenant, deadline_ns) = match &admitted {
+            Some(job) => (
+                dur_ns(started.duration_since(job.admitted_at)),
+                dur_ns(committed.duration_since(job.admitted_at)),
+                job.req.release_ns,
+                job.req.tenant,
+                job.req.deadline_ns,
+            ),
+            None => (0, service_ns, dur_ns(started.duration_since(t0)), 0, None),
+        };
         hist.record(latency_ns);
         let report = JobReport {
             id,
             priority: set.priority_of(id.txn),
             latency_ns,
-            // Closed loop: the worker admits and starts the job in the
-            // same breath, so queueing delay is zero and service is the
-            // whole latency.
-            queue_ns: 0,
-            service_ns: latency_ns,
-            release_ns: dur_ns(begun.duration_since(t0)),
-            tenant: 0,
-            deadline_ns: None,
+            queue_ns,
+            service_ns,
+            release_ns,
+            tenant,
+            deadline_ns,
             commit_ns: dur_ns(committed.duration_since(t0)),
             restarts: stats.restarts,
             block_events: stats.block_events,
@@ -596,16 +652,20 @@ fn worker(
             commit_index: stats.commit_index,
             snapshot: stats.snapshot,
         };
-        reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(report);
+        if let Some(job) = admitted {
+            let _ = job.done.send(Completion::Committed {
+                ticket: job.ticket,
+                report: report.clone(),
+            });
+        }
+        reports.push(report);
     }
+    (hist, reports)
 }
 
 /// Run one instance to commit, restarting from step 0 on every abort.
 /// Read-only jobs take the lock-free snapshot path when `snap` is live.
-pub(crate) fn execute_job(
+fn execute_job(
     set: &TransactionSet,
     manager: &ShardedManager<'_>,
     snap: Option<&SnapshotSide>,
@@ -623,7 +683,7 @@ pub(crate) fn execute_job(
     manager.begin(id, ctx);
     let mut attempt: u32 = 0;
     'attempt: loop {
-        if attempt > 0 && config.backoff {
+        if attempt > 0 {
             restart_backoff(id, attempt, config.tick_ns);
         }
         attempt += 1;

@@ -8,7 +8,9 @@
 //! by a single worker and the FIFO admission path.
 
 use rtdb_core::ProtocolKind;
-use rtdb_rt::{run_front, AdmissionPolicy, FrontConfig, JobRequest, RtConfig, SubmitOutcome};
+use rtdb_rt::{
+    run_front, AdmissionPolicy, Completion, FrontConfig, JobRequest, RtConfig, SubmitOutcome,
+};
 use rtdb_sim::{serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::{
     InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
@@ -17,12 +19,23 @@ use rtdb_types::{
 /// Milliseconds in nanoseconds.
 const MS: u64 = 1_000_000;
 
+/// The tests that stage a schedule on wall-clock margins busy-spin one to
+/// four workers for tens to hundreds of milliseconds. The harness runs
+/// tests on parallel threads; on a 2-CPU host two such tests at once eat
+/// each other's margins, so they take turns.
+fn wall_clock_turn() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A known schedule forcing exactly K = 2 misses: one long job owns the
 /// single worker while two short jobs with tight deadlines queue behind
 /// it. The misses are *queueing* misses — each short job's own service is
 /// ~1 ms against a 10 ms deadline, but it cannot start for ~50 ms.
 #[test]
 fn forced_schedule_misses_exactly_k() {
+    let _turn = wall_clock_turn();
     let set = SetBuilder::new()
         .with(TransactionTemplate::new(
             "long",
@@ -108,6 +121,7 @@ fn burst_set() -> TransactionSet {
 /// simulator runs *and* with each other.
 #[test]
 fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
+    let _turn = wall_clock_turn();
     const TICK: u64 = 2 * MS;
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
         let set = burst_set();
@@ -196,7 +210,7 @@ fn bounded_workload(seed: u64) -> TransactionSet {
 
 /// Replaying the simulator's serialization order through the *front door*
 /// (instead of a prebuilt job list) on one worker still reproduces the
-/// final database under real contention: the dispatcher's
+/// final database under real contention: the admission queue's
 /// admission-order sequence numbering is exactly the replay the
 /// closed-loop differential performs.
 #[test]
@@ -212,7 +226,7 @@ fn open_loop_replay_through_front_matches_sim_under_contention() {
         let order: Vec<InstanceId> = sim.history.commit_order().to_vec();
         assert!(!order.is_empty());
 
-        // The dispatcher assigns per-template sequence numbers in
+        // The admission queue assigns per-template sequence numbers in
         // admission order, so the replay below reproduces these exact
         // instance ids only if the sim committed each template's
         // instances in sequence order. Check that premise explicitly.
@@ -285,5 +299,194 @@ fn open_loop_accounts_for_every_submission_under_each_policy() {
         assert_eq!(rt.jobs.len() as u64, rt.committed, "{policy}");
         let violations = serializability_violations(&set, &rt.history, &rt.db, true);
         assert!(violations.is_empty(), "{policy}: {violations:?}");
+    }
+}
+
+/// `workers` long jobs, one per worker, then short ones: the shape that
+/// shows what is queued and what is running. The long job (300 ms)
+/// outlasts the submission phase by orders of magnitude, and each test
+/// checks that premise (no completion arrived while it was submitting).
+fn pinned_set() -> TransactionSet {
+    SetBuilder::new()
+        .with(TransactionTemplate::new(
+            "pin",
+            10_000,
+            vec![Step::compute(300)],
+        ))
+        .with(TransactionTemplate::new(
+            "short",
+            10_000,
+            vec![Step::compute(1)],
+        ))
+        .build()
+        .expect("set")
+}
+
+fn pinned_config(policy: AdmissionPolicy, workers: usize, capacity: usize) -> FrontConfig {
+    FrontConfig::new(ProtocolKind::PcpDa)
+        .with_policy(policy)
+        .with_capacity(capacity)
+        .with_rt(
+            RtConfig::new(ProtocolKind::PcpDa)
+                .with_threads(workers)
+                .with_tick_ns(MS),
+        )
+}
+
+/// Submit one long job per worker and wait until the workers have taken
+/// them all: from here on every worker is busy and the queue is empty.
+fn pin_workers(front: &rtdb_rt::FrontHandle<'_>, sub: &rtdb_rt::Submitter<'_>, workers: usize) {
+    for _ in 0..workers {
+        let out = sub.submit(JobRequest::new(TxnId(0)));
+        assert!(matches!(out, SubmitOutcome::Admitted { .. }), "{out:?}");
+    }
+    while front.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+}
+
+/// Time for a hand-off stage hiding behind the queue to take what it can.
+/// The two tests below read the same with or without this pause; it is
+/// there so that they fail if such a stage ever comes back.
+fn settle() {
+    std::thread::sleep(std::time::Duration::from_millis(5));
+}
+
+/// The queue bound is exact: with `N` workers busy, `Reject` admits
+/// exactly `C` more requests however long the submitter keeps trying — a
+/// request is either running or in the admission queue, there is no
+/// third place for it to wait.
+#[test]
+fn reject_admits_exactly_running_plus_capacity() {
+    let _turn = wall_clock_turn();
+    const C: usize = 8;
+    const ROUNDS: usize = 3;
+    for workers in [1usize, 4] {
+        let set = pinned_set();
+        let config = pinned_config(AdmissionPolicy::Reject, workers, C);
+        let (rt, (admitted, rejected)) = run_front(&set, config, |front| {
+            let (sub, rx) = front.submitter();
+            pin_workers(&front, &sub, workers);
+            let (mut admitted, mut rejected) = (workers, 0usize);
+            for _ in 0..ROUNDS {
+                for _ in 0..C + 2 {
+                    match sub.submit(JobRequest::new(TxnId(1))) {
+                        SubmitOutcome::Admitted { .. } => admitted += 1,
+                        SubmitOutcome::Rejected => rejected += 1,
+                        other => panic!("{workers} workers: unexpected {other:?}"),
+                    }
+                }
+                settle();
+            }
+            assert!(
+                rx.try_recv().is_err(),
+                "{workers} workers: a job committed while submitting; the count below is void"
+            );
+            (admitted, rejected)
+        });
+        assert_eq!(admitted, workers + C, "{workers} workers: admitted");
+        assert_eq!(rejected, ROUNDS * (C + 2) - C, "{workers} workers");
+        assert_eq!(rt.committed, admitted as u64, "{workers} workers");
+        assert_eq!((rt.shed, rt.rejected), (0, rejected as u64));
+    }
+}
+
+/// Every request that is not yet running is within the policy's reach:
+/// under `LeastSlack` the tightest-deadline request is the one shed even
+/// when it was the first admitted after the workers went busy — the
+/// position a hand-off stage behind the queue would have hidden.
+#[test]
+fn least_slack_reaches_every_request_not_yet_running() {
+    let _turn = wall_clock_turn();
+    const C: usize = 8;
+    const HOUR: u64 = 3_600_000 * MS;
+    for workers in [1usize, 4] {
+        let set = pinned_set();
+        let config = pinned_config(AdmissionPolicy::LeastSlack, workers, C);
+        let (rt, ()) = run_front(&set, config, |front| {
+            let (sub, rx) = front.submitter();
+            pin_workers(&front, &sub, workers);
+            // Fill the queue, the tightest deadline first.
+            let mut tickets = Vec::new();
+            for k in 0..C as u64 {
+                let deadline = if k == 0 { HOUR } else { 2 * HOUR + k };
+                match sub.submit(JobRequest::new(TxnId(1)).with_deadline(deadline)) {
+                    SubmitOutcome::Admitted { ticket } => tickets.push(ticket),
+                    other => panic!("{workers} workers: unexpected {other:?}"),
+                }
+            }
+            settle();
+            // One more, looser than all of them: someone queued must go.
+            let out = sub.submit(JobRequest::new(TxnId(1)).with_deadline(3 * HOUR));
+            assert!(matches!(out, SubmitOutcome::Admitted { .. }), "{out:?}");
+            match rx.try_recv() {
+                Ok(Completion::Shed { ticket, .. }) => assert_eq!(
+                    ticket, tickets[0],
+                    "{workers} workers: the shed victim is not the tightest deadline"
+                ),
+                other => panic!("{workers} workers: expected a shed notice, got {other:?}"),
+            }
+        });
+        assert_eq!((rt.shed, rt.rejected), (1, 0), "{workers} workers");
+        assert_eq!(rt.committed, (workers + C) as u64, "{workers} workers");
+    }
+}
+
+/// Sequence numbers under concurrent pops: four workers pop the queue
+/// one submitter fills, and still every instance id is unique, each
+/// template's `seq` values are exactly `0..n_t`, and within a template
+/// `seq` rises with the ticket — instance order is admission order.
+#[test]
+fn concurrent_pops_number_each_template_in_admission_order() {
+    let mut b = SetBuilder::new();
+    for k in 0..3u32 {
+        b.add(TransactionTemplate::new(
+            format!("T{k}"),
+            100 * (k as u64 + 1),
+            vec![Step::write(ItemId(k), 1), Step::read(ItemId(3), 1)],
+        ));
+    }
+    let set = b.build().expect("set");
+    let config = FrontConfig::new(ProtocolKind::TwoPlHp)
+        .with_policy(AdmissionPolicy::Block)
+        .with_capacity(4)
+        .with_rt(RtConfig::new(ProtocolKind::TwoPlHp).with_threads(4));
+    const OFFERED: u64 = 300;
+    let (rt, by_ticket) = run_front(&set, config, |front| {
+        let (sub, rx) = front.submitter();
+        for i in 0..OFFERED {
+            // Uneven mix, so the templates' counters advance at
+            // different rates.
+            let txn = TxnId(((i * i + i / 3) % 3) as u32);
+            match sub.submit(JobRequest::new(txn)) {
+                SubmitOutcome::Admitted { ticket } => assert_eq!(ticket, i),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        drop(sub);
+        let mut by_ticket: Vec<(u64, InstanceId)> = rx
+            .iter()
+            .map(|c| match c {
+                Completion::Committed { ticket, report } => (ticket, report.id),
+                Completion::Shed { .. } => panic!("nothing sheds under Block"),
+            })
+            .collect();
+        by_ticket.sort_unstable();
+        by_ticket
+    });
+    assert_eq!(rt.committed, OFFERED);
+    assert_eq!(by_ticket.len() as u64, OFFERED);
+    for t in set.templates() {
+        let seqs: Vec<u32> = by_ticket
+            .iter()
+            .filter(|(_, id)| id.txn == t.id)
+            .map(|(_, id)| id.seq)
+            .collect();
+        let expect: Vec<u32> = (0..seqs.len() as u32).collect();
+        assert_eq!(
+            seqs, expect,
+            "template {:?}: seq is not admission order",
+            t.id
+        );
     }
 }

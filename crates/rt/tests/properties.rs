@@ -319,6 +319,13 @@ fn least_slack_conserves_every_tenants_offered_load() {
             seen += row.offered();
         }
         assert_eq!(seen, offered.len() as u64, "tenant rows miss submissions");
+        // One set of shed/reject counters: the run's totals are the
+        // tenant rows', and the per-template sheds', summed.
+        assert_eq!(rt.tenants.iter().map(|r| r.shed).sum::<u64>(), rt.shed);
+        assert_eq!(
+            rt.tenants.iter().map(|r| r.rejected).sum::<u64>(),
+            rt.rejected
+        );
         assert_eq!(
             rt.shed_by_txn.iter().sum::<u64>(),
             rt.shed,

@@ -55,16 +55,16 @@ fn serial_sharded_runs_match_the_unsharded_oracle() {
             let rt = run(
                 &set,
                 &jobs,
-                RtConfig::new(kind)
-                    .with_threads(1)
-                    .with_shards(shards)
-                    .without_backoff(),
+                RtConfig::new(kind).with_threads(1).with_shards(shards),
             );
             assert_eq!(
                 rt.committed,
                 jobs.len() as u64,
                 "{kind:?}/{shards} shards: dropped jobs"
             );
+            // One worker means one live instance: nothing can abort it,
+            // so the restart backoff never sleeps in a serial run.
+            assert_eq!(rt.restarts, 0, "{kind:?}/{shards} shards");
             assert_eq!(rt.shards, shards);
             assert_eq!(
                 rt.db.snapshot(),
@@ -143,11 +143,10 @@ fn sharded_differential_property() {
         let serial = run(
             &set,
             &jobs,
-            RtConfig::new(kind)
-                .with_threads(1)
-                .with_shards(shards)
-                .without_backoff(),
+            RtConfig::new(kind).with_threads(1).with_shards(shards),
         );
+        // One live instance at a time: nothing aborts, no backoff sleeps.
+        assert_eq!(serial.restarts, 0, "{kind:?}/{shards} shards");
         assert_eq!(
             serial.db.snapshot(),
             oracle.db.snapshot(),

@@ -133,10 +133,11 @@ fn single_thread_replay_with_snapshots_matches_sim() {
             &jobs,
             RtConfig::new(kind)
                 .with_threads(1)
-                .with_snapshot_reads(true)
-                .without_backoff(),
+                .with_snapshot_reads(true),
         );
         assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}");
+        // One live instance at a time: nothing aborts, no backoff sleeps.
+        assert_eq!(rt.restarts, 0, "{kind:?}");
         assert_eq!(
             rt.db.snapshot(),
             sim.db.snapshot(),
