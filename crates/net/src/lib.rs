@@ -10,12 +10,15 @@
 //!   (submit a template instantiation with release/deadline/tenant;
 //!   receive accepted/committed/shed/rejected), with an incremental
 //!   frame accumulator hardened against desynchronized peers;
-//! * [`server`] — [`serve`]: a single-threaded non-blocking event loop
-//!   (hand-rolled `std::net` readiness polling — the build is offline
-//!   and pure-std, so no tokio/mio) multiplexing every connection onto
-//!   the admission queue through a non-blocking submitter adapter;
-//! * [`client`] — [`NetClient`]: the pipelining client the load
-//!   generator and the loopback tests drive the edge with.
+//! * [`server`] — [`serve`]: blocking `std::net` threads (the build is
+//!   offline and pure-std, so no tokio/mio) — an acceptor, and per
+//!   connection a reader that submits through a non-blocking submitter
+//!   adapter and a writer that delivers completions, so a request waits
+//!   for wake-ups, never for a timer;
+//! * [`client`] — [`NetClient`]: the blocking, pipelining client the load
+//!   generator and the loopback tests drive the edge with (its
+//!   `wait_response` holds the crate's one timer, a short pause before
+//!   it blocks: DESIGN.md §6g).
 //!
 //! The edge adds *transport*, not *policy*: admission decisions
 //! (least-slack shedding, per-tenant fairness budgets) live in

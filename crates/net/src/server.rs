@@ -1,29 +1,36 @@
-//! The TCP service edge: a single-threaded non-blocking event loop that
-//! bridges socket clients onto the admission front-end.
+//! The TCP service edge: blocking threads that bridge socket clients onto
+//! the admission front-end.
 //!
-//! [`serve`] wraps [`run_front`]: it binds a listener, spawns the event
-//! loop inside the front-end's scope, and hands the caller's driver the
-//! bound address. The event loop accepts connections, decodes
-//! [`Request`] frames, submits them through a *non-blocking* submitter
-//! adapter ([`Submitter::try_submit`] — a full admission queue bounces a
-//! frame, it never parks the loop), and pumps [`Completion`]s back out as
-//! [`Response`] frames. One OS thread multiplexes every connection; the
-//! worker pool behind the admission queue does the heavy lifting, exactly
-//! as in the in-process front-end.
+//! [`serve`] wraps [`run_front`]: it binds a listener, starts the edge's
+//! threads inside the front-end's scope, and hands the caller's driver the
+//! bound address. An *acceptor* blocks in `accept`; each connection gets a
+//! *reader* blocked in `read`, which decodes [`Request`] frames and submits
+//! them through [`Submitter::try_submit`] (a full admission queue bounces
+//! a frame, it never parks the reader), and a *writer* blocked on the
+//! connection's completion channel, which turns [`Completion`]s into
+//! terminal [`Response`] frames. No thread here polls or waits on a timer:
+//! a request pays for the wake-ups on its path (reader, worker, writer).
 //!
-//! **Client disconnect mid-job.** Dropping a connection drops its
-//! submitter and completion receiver. Jobs it already got admitted keep
-//! their place in the admission queue and still execute and commit into the
-//! run's [`RtResult`] — admission is a promise to the *system*, not to
-//! the socket — but their completion sends fail silently into the closed
-//! channel. Nothing leaks: the ticket map dies with the connection.
+//! **One lock per connection** covers the socket's write half and the
+//! `server ticket → client ticket` map. The reader holds it from
+//! `try_submit` until the batch's answers are written, so a ticket's
+//! `Accepted` is on the wire before its terminal frame and its map entry
+//! exists before the completion looks it up. Each side answers a batch —
+//! every frame one `read` returned, every completion the channel held —
+//! with one `write`. Workers never write: only a connection's own writer
+//! can be stalled by a slow client.
 //!
-//! **Shutdown.** When the driver returns, the loop stops accepting,
-//! performs a final drain/flush pass, and exits; then the front-end
-//! closes the admission queue with its usual drain semantics. Jobs still
-//! in flight at that point execute and are counted in the result, but
-//! their completions have no socket to go to — a client that wants its
-//! terminal responses must wait for them *before* the driver returns.
+//! **Faults.** A malformed frame, a reset or a failed write ends one
+//! connection. Jobs it got admitted still commit into the [`RtResult`] —
+//! admission is a promise to the system, not to the socket.
+//!
+//! **Shutdown** is a drain barrier. When the driver returns, `serve` stops
+//! accepting and shuts down the read half of every connection: readers see
+//! end-of-stream and drop their submitters, and each writer runs until its
+//! channel disconnects, i.e. until every job its connection got admitted
+//! has reported. A client still reading gets every terminal frame it is
+//! owed, then end-of-stream; one that stopped reading holds `serve` for
+//! `WRITE_TIMEOUT` at most. Only then does the admission queue close.
 
 use crate::wire::{FrameBuf, Request, Response, MAX_TENANT};
 use rtdb_rt::front::FrontHandle;
@@ -31,9 +38,9 @@ use rtdb_rt::{run_front, Completion, FrontConfig, JobRequest, RtResult, SubmitOu
 use rtdb_types::{TransactionSet, TxnId};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc::Receiver, Arc, Mutex};
+use std::thread::{Builder, Scope};
 use std::time::Duration;
 
 /// Configuration of one [`serve`] run.
@@ -47,18 +54,17 @@ pub struct NetConfig {
     pub port: u16,
 }
 
-/// Connection cap; accepts beyond it are dropped immediately. A constant,
-/// not a setting: it only bounds what one poll pass walks and what a
-/// flood of connects can make the loop allocate, and no caller, test or
-/// benchmark ever set another value.
+/// Connection cap; accepts beyond it are dropped at once. It bounds the
+/// threads (two per connection) a flood of connects can make the edge spawn.
 const MAX_CONNS: usize = 1024;
 
-/// Event-loop sleep when a full pass made no progress (no accepts, no
-/// bytes, no completions). Keeps the idle loop off the CPU the workers
-/// need. A constant for the same reason as [`MAX_CONNS`]; it is also the
-/// floor under a lone client's round trip, which the benchmark's
-/// `net-rtt` workload measures.
-const IDLE_SLEEP: Duration = Duration::from_micros(100);
+/// Longest a write may make no progress before its connection is dropped:
+/// what a client that stopped reading can cost `serve`'s shutdown.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Stack of a connection thread: its loops are a few frames deep, so
+/// `MAX_CONNS` connections need not reserve 4 GiB of default stacks.
+const CONN_STACK: usize = 128 * 1024;
 
 impl NetConfig {
     /// Defaults: ephemeral port.
@@ -73,100 +79,27 @@ impl NetConfig {
     }
 }
 
-/// One live connection's server-side state.
-struct Conn<'e> {
-    stream: TcpStream,
-    rbuf: FrameBuf,
-    /// Pending outbound bytes; `out_start` is the flush cursor.
-    out: Vec<u8>,
-    out_start: usize,
-    sub: Submitter<'e>,
-    rx: Receiver<Completion>,
+/// What a connection's reader and writer share, under one lock.
+struct Outbound<'c> {
+    stream: &'c TcpStream,
     /// server ticket → client ticket, for completions still owed.
     tickets: HashMap<u64, u64>,
-    dead: bool,
 }
 
-impl Conn<'_> {
-    fn queue_response(&mut self, resp: Response) {
-        resp.encode(&mut self.out);
+impl Outbound<'_> {
+    /// Write `out` with one call and clear it. A failure (the timeout
+    /// included) closes both directions, which also wakes the reader.
+    fn send(&mut self, out: &mut Vec<u8>) -> bool {
+        let sent = self.stream.write_all(out).is_ok();
+        out.clear();
+        if !sent {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        sent
     }
 
-    /// Write as much pending output as the socket accepts.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        while self.out_start < self.out.len() {
-            match self.stream.write(&self.out[self.out_start..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.out_start += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        if self.out_start == self.out.len() {
-            self.out.clear();
-            self.out_start = 0;
-        } else if self.out_start > self.out.len() / 2 {
-            self.out.drain(..self.out_start);
-            self.out_start = 0;
-        }
-        progressed
-    }
-
-    /// Read what the socket has, decode frames, submit requests.
-    fn pump_reads(&mut self, templates: usize) -> bool {
-        let mut progressed = false;
-        let mut tmp = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut tmp) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    self.rbuf.extend(&tmp[..n]);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        loop {
-            let payload = match self.rbuf.next_frame() {
-                Ok(Some(p)) => p,
-                Ok(None) => break,
-                Err(_) => {
-                    // Protocol error: drop the connection.
-                    self.dead = true;
-                    break;
-                }
-            };
-            match Request::decode(&payload) {
-                Ok(req) => self.handle_request(req, templates),
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        progressed
-    }
-
-    fn handle_request(&mut self, req: Request, templates: usize) {
+    /// Submit one request and encode its immediate answer.
+    fn admit(&mut self, req: Request, sub: &Submitter<'_>, templates: usize, out: &mut Vec<u8>) {
         let Request::Submit {
             ticket,
             txn,
@@ -174,143 +107,194 @@ impl Conn<'_> {
             release_ns,
             deadline_ns,
         } = req;
-        // Validate before touching the admission queue: an unknown
-        // template or an absurd tenant id is the client's bug, not an
-        // overload signal.
+        // An unknown template or an absurd tenant id is the client's bug, not
+        // an overload signal: bounce it before it touches the admission queue.
         if txn as usize >= templates || tenant > MAX_TENANT {
-            self.queue_response(Response::Rejected { ticket });
-            return;
+            return Response::Rejected { ticket }.encode(out);
         }
         let mut job = JobRequest::new(TxnId(txn))
             .released_at(release_ns)
             .for_tenant(tenant);
         job.deadline_ns = deadline_ns;
-        match self.sub.try_submit(job) {
+        match sub.try_submit(job) {
             SubmitOutcome::Admitted { ticket: server } => {
                 self.tickets.insert(server, ticket);
-                self.queue_response(Response::Accepted { ticket });
+                Response::Accepted { ticket }.encode(out);
             }
-            SubmitOutcome::Shed { .. } => self.queue_response(Response::Shed { ticket }),
+            SubmitOutcome::Shed { .. } => Response::Shed { ticket }.encode(out),
             SubmitOutcome::Rejected | SubmitOutcome::Closed => {
-                self.queue_response(Response::Rejected { ticket })
+                Response::Rejected { ticket }.encode(out)
             }
         }
     }
 
-    /// Translate arrived completions into response frames.
-    fn pump_completions(&mut self) -> bool {
-        let mut progressed = false;
-        while let Ok(c) = self.rx.try_recv() {
-            progressed = true;
-            match c {
-                Completion::Committed { ticket, report } => {
-                    if let Some(client) = self.tickets.remove(&ticket) {
-                        self.queue_response(Response::Committed {
-                            ticket: client,
-                            commit_ns: report.commit_ns,
-                            latency_ns: report.latency_ns,
-                            queue_ns: report.queue_ns,
-                            service_ns: report.service_ns,
-                            restarts: report.restarts,
-                            missed_deadline: report.missed_deadline(),
-                        });
-                    }
-                }
-                Completion::Shed { ticket, .. } => {
-                    if let Some(client) = self.tickets.remove(&ticket) {
-                        self.queue_response(Response::Shed { ticket: client });
-                    }
-                }
-            }
+    /// Encode the terminal frame a completion owes its client.
+    fn complete(&mut self, completion: Completion, out: &mut Vec<u8>) {
+        let (Completion::Committed { ticket, .. } | Completion::Shed { ticket, .. }) = &completion;
+        let Some(ticket) = self.tickets.remove(ticket) else {
+            return;
+        };
+        match completion {
+            Completion::Committed { report, .. } => Response::Committed {
+                ticket,
+                commit_ns: report.commit_ns,
+                latency_ns: report.latency_ns,
+                queue_ns: report.queue_ns,
+                service_ns: report.service_ns,
+                restarts: report.restarts,
+                missed_deadline: report.missed_deadline(),
+            },
+            Completion::Shed { .. } => Response::Shed { ticket },
         }
-        progressed
+        .encode(out);
     }
 }
 
-fn event_loop(front: FrontHandle<'_>, listener: &TcpListener, templates: usize, stop: &AtomicBool) {
-    let mut conns: Vec<Conn<'_>> = Vec::new();
+/// The reader: block in `read`, submit every frame it returned, answer
+/// them with one write. Ends (dropping the submitter) on any stream error.
+fn read_loop(outbound: &Mutex<Outbound<'_>>, sub: Submitter<'_>, templates: usize) {
+    let mut stream = outbound.lock().expect("connection lock").stream;
+    let mut rbuf = FrameBuf::new();
+    let mut out = Vec::new();
+    let mut tmp = [0u8; 4096];
     loop {
-        let stopping = stop.load(Ordering::Acquire);
-        let mut progressed = false;
-        if !stopping {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        progressed = true;
-                        if conns.len() >= MAX_CONNS {
-                            drop(stream);
-                            continue;
-                        }
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let (sub, rx) = front.submitter();
-                        conns.push(Conn {
-                            stream,
-                            rbuf: FrameBuf::new(),
-                            out: Vec::new(),
-                            out_start: 0,
-                            sub,
-                            rx,
-                            tickets: HashMap::new(),
-                            dead: false,
-                        });
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+        match stream.read(&mut tmp) {
+            Ok(n) if n > 0 => rbuf.extend(&tmp[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            _ => return,
+        }
+        let mut outbound = outbound.lock().expect("connection lock");
+        let well_formed = loop {
+            let frame = rbuf.next_frame().map(|p| p.map(|p| Request::decode(&p)));
+            match frame {
+                Ok(Some(Ok(req))) => outbound.admit(req, &sub, templates, &mut out),
+                Ok(None) => break true,
+                Ok(Some(Err(_))) | Err(_) => break false,
+            }
+        };
+        // What was admitted before a malformed frame is still answered.
+        if !(outbound.send(&mut out) && well_formed) {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+    }
+}
+
+/// The writer: block on the completion channel, answer all it holds with
+/// one write; until the channel disconnects (drained) or a write fails.
+fn write_loop(outbound: &Mutex<Outbound<'_>>, completions: Receiver<Completion>) {
+    let mut out = Vec::new();
+    while let Ok(first) = completions.recv() {
+        let mut outbound = outbound.lock().expect("connection lock");
+        outbound.complete(first, &mut out);
+        while let Ok(next) = completions.try_recv() {
+            outbound.complete(next, &mut out);
+        }
+        if !outbound.send(&mut out) {
+            return;
+        }
+    }
+}
+
+/// The edge's shared state: where to submit, and who is connected.
+struct Edge<'e> {
+    front: FrontHandle<'e>,
+    templates: usize,
+    /// Live connections by peer address; `None` once `serve` is stopping.
+    conns: Mutex<Option<HashMap<SocketAddr, Arc<TcpStream>>>>,
+}
+
+impl Edge<'_> {
+    /// One connection, start to end: the reader on this thread, the writer
+    /// beside it, both gone before the slot is freed.
+    fn connection(&self, peer: SocketAddr, stream: &TcpStream) {
+        let (sub, completions) = self.front.submitter();
+        let outbound = Mutex::new(Outbound {
+            stream,
+            tickets: HashMap::new(),
+        });
+        std::thread::scope(|scope| {
+            let writer = Builder::new().stack_size(CONN_STACK);
+            // Out of threads: the connection is refused, not half-served.
+            if (writer.spawn_scoped(scope, || write_loop(&outbound, completions))).is_ok() {
+                read_loop(&outbound, sub, self.templates);
+            }
+        });
+        self.forget(peer);
+    }
+
+    fn forget(&self, peer: SocketAddr) {
+        if let Some(conns) = self.conns.lock().expect("connection table").as_mut() {
+            conns.remove(&peer);
+        }
+    }
+
+    /// The acceptor: block in `accept`, give each connection its threads.
+    /// Returns once [`Edge::stop`] has run (it is woken by a connect).
+    fn accept_loop<'s>(&'s self, scope: &'s Scope<'s, '_>, listener: &TcpListener) {
+        loop {
+            let (stream, peer) = match listener.accept() {
+                Ok(accepted) => accepted,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // A connection that died in the backlog; the next is fine.
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                // Out of descriptors or memory: retrying would spin, so
+                // stop accepting and serve the connections there are.
+                Err(_) => return,
+            };
+            let stream = Arc::new(stream);
+            {
+                let mut conns = self.conns.lock().expect("connection table");
+                let Some(conns) = conns.as_mut() else { return };
+                if conns.len() >= MAX_CONNS
+                    || stream.set_nodelay(true).is_err()
+                    || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+                {
+                    continue;
                 }
+                conns.insert(peer, Arc::clone(&stream));
+            }
+            let reader = Builder::new().stack_size(CONN_STACK);
+            if (reader.spawn_scoped(scope, move || self.connection(peer, &stream))).is_err() {
+                self.forget(peer);
             }
         }
-        for conn in conns.iter_mut() {
-            if conn.dead {
-                continue;
-            }
-            progressed |= conn.pump_reads(templates);
-            progressed |= conn.pump_completions();
-            progressed |= conn.flush();
+    }
+
+    /// Stop accepting and end every reader; writers drain on their own.
+    fn stop(&self, addr: SocketAddr) {
+        let conns = self.conns.lock().expect("connection table").take();
+        for stream in conns.iter().flat_map(HashMap::values) {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        conns.retain(|c| !c.dead);
-        if stopping {
-            // One final drain already happened above; anything still
-            // undelivered has no client waiting on it by contract.
-            break;
-        }
-        if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
-        }
+        // The acceptor is blocked in `accept`: a connect is its wake-up.
+        let _ = TcpStream::connect(addr);
     }
 }
 
 /// Serve `set` over TCP on 127.0.0.1. Binds the listener, starts the
-/// admission front-end (`config.front`), runs the event loop on its own
-/// scoped thread, and calls `driver` with the bound address on the
-/// current thread. When the driver returns the loop stops and the
-/// front-end shuts down with drain semantics. Returns the run's
-/// [`RtResult`] together with the driver's value.
+/// admission front-end (`config.front`) and the edge's threads, and calls
+/// `driver` with the bound address on the current thread. When it returns
+/// the edge drains (module docs); yields the [`RtResult`] and its value.
 pub fn serve<R>(
     set: &TransactionSet,
     config: NetConfig,
     driver: impl FnOnce(SocketAddr) -> R,
 ) -> std::io::Result<(RtResult, R)> {
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let templates = set.len();
-    let stop = AtomicBool::new(false);
-
-    let (result, value) = run_front(set, config.front, |front| {
+    Ok(run_front(set, config.front, |front| {
+        let edge = Edge {
+            front,
+            templates: set.len(),
+            conns: Mutex::new(Some(HashMap::new())),
+        };
         std::thread::scope(|scope| {
-            let net = scope.spawn(|| event_loop(front, &listener, templates, &stop));
+            scope.spawn(|| edge.accept_loop(scope, &listener));
             let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver(addr)));
-            stop.store(true, Ordering::Release);
-            net.join().expect("event loop panicked");
-            match value {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+            edge.stop(addr);
+            value
         })
-    });
-    Ok((result, value))
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }))
 }

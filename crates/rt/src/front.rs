@@ -257,8 +257,8 @@ impl Submitter<'_> {
 
     /// Submit one request, never blocking: [`AdmissionPolicy::Block`] is
     /// demoted to [`AdmissionPolicy::Reject`] for this call. The network
-    /// event loop submits through this — a full queue must bounce a
-    /// frame, not park the loop.
+    /// edge's connection readers submit through this — a full queue must
+    /// bounce a frame, not park the reader.
     pub fn try_submit(&self, req: JobRequest) -> SubmitOutcome {
         let policy = match self.shared.policy {
             AdmissionPolicy::Block => AdmissionPolicy::Reject,

@@ -17,9 +17,10 @@
 //!   front-end for open-loop arrivals with runtime deadline tracking
 //!   (slack-aware admission, per-tenant fairness budgets), and latency
 //!   histograms;
-//! * [`net`] — the TCP service edge (crate `rtdb-net`): a non-blocking
-//!   event loop speaking a length-prefixed binary wire protocol,
-//!   bridging socket clients onto the admission front-end;
+//! * [`net`] — the TCP service edge (crate `rtdb-net`): blocking
+//!   per-connection reader and writer threads speaking a length-prefixed
+//!   binary wire protocol, bridging socket clients onto the admission
+//!   front-end;
 //! * [`analysis`] — the §9 worst-case schedulability analysis (`BTS_i`,
 //!   `B_i`, Liu–Layland with blocking, response-time analysis, breakdown
 //!   utilization);
