@@ -42,21 +42,6 @@ impl AnalysisProtocol {
             AnalysisProtocol::Pcp => rtdb_core::ProtocolKind::Pcp,
         }
     }
-
-    /// The analysis modelling `kind`'s worst-case blocking, if the §9
-    /// theory covers it. CCP maps to the PCP bound (conservative, see
-    /// [`AnalysisProtocol::Pcp`]); abort-based and deliberately
-    /// defective kinds have no blocking-term analysis.
-    pub fn for_kind(kind: rtdb_core::ProtocolKind) -> Option<AnalysisProtocol> {
-        match kind {
-            rtdb_core::ProtocolKind::PcpDa => Some(AnalysisProtocol::PcpDa),
-            rtdb_core::ProtocolKind::RwPcp => Some(AnalysisProtocol::RwPcp),
-            rtdb_core::ProtocolKind::Pcp | rtdb_core::ProtocolKind::Ccp => {
-                Some(AnalysisProtocol::Pcp)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// `BTS_i`: the lower-priority templates that may block `txn` under

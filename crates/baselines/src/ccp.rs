@@ -273,9 +273,9 @@ mod tests {
     #[test]
     fn uses_install_on_early_release_model() {
         assert_eq!(
-            rtdb_core::Protocol::update_model(&Ccp::new()),
+            ProtocolFor::<StaticView>::update_model(&Ccp::new()),
             UpdateModel::InstallOnEarlyRelease
         );
-        assert_eq!(rtdb_core::Protocol::name(&Ccp::new()), "CCP");
+        assert_eq!(ProtocolFor::<StaticView>::name(&Ccp::new()), "CCP");
     }
 }

@@ -74,12 +74,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
     fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
         Some(CeilingFlavor::PcpDa)
     }
-
-    fn may_deadlock(&self) -> bool {
-        // The whole point of the demo: without PCP-DA's side conditions
-        // the dynamic-adjustment idea alone deadlocks.
-        true
-    }
 }
 
 #[cfg(test)]

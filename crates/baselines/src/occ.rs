@@ -105,7 +105,7 @@ mod tests {
             ),
             Decision::Grant
         );
-        assert!(rtdb_core::Protocol::may_abort(&p));
+        assert!(ProtocolFor::<StaticView>::may_abort(&p));
     }
 
     #[test]

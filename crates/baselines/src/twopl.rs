@@ -58,13 +58,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for TwoPlPi {
             Decision::block_on(req.who, conflicts)
         }
     }
-
-    fn may_deadlock(&self) -> bool {
-        // Blocking on arbitrary conflicts with no ceiling discipline
-        // admits circular waits; drivers pair 2PL-PI with the engine's
-        // wait-for deadlock resolution.
-        true
-    }
 }
 
 /// 2PL High Priority: abort lower-priority conflicting holders.
@@ -170,7 +163,7 @@ mod tests {
                 blockers: vec![i(0)]
             }
         );
-        assert!(!rtdb_core::Protocol::may_abort(&p));
+        assert!(!ProtocolFor::<StaticView>::may_abort(&p));
     }
 
     #[test]
@@ -185,7 +178,7 @@ mod tests {
                 victims: vec![i(1)]
             }
         );
-        assert!(rtdb_core::Protocol::may_abort(&p));
+        assert!(ProtocolFor::<StaticView>::may_abort(&p));
     }
 
     #[test]

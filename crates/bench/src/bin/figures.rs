@@ -70,7 +70,10 @@ impl Report {
     }
 }
 
-fn run(set: &TransactionSet, protocol: &mut dyn Protocol) -> RunResult {
+fn run<P: for<'k> ProtocolFor<StateKernel<'k>>>(
+    set: &TransactionSet,
+    protocol: &mut P,
+) -> RunResult {
     Engine::new(set, SimConfig::default())
         .run(protocol)
         .expect("simulation succeeds")
@@ -420,9 +423,12 @@ fn sweep_experiment(rep: &mut Report) {
         .unwrap()
         .set;
         println!("\n  U={util} contention={hot}:");
-        let mut protocols = sweep::standard_protocols();
-        let rows = sweep::compare_protocols(&set, &SimConfig::with_horizon(30_000), &mut protocols)
-            .expect("sweep succeeds");
+        let rows = sweep::compare_protocols(
+            &set,
+            &SimConfig::with_horizon(30_000),
+            &ProtocolKind::STANDARD,
+        )
+        .expect("sweep succeeds");
         print!("{}", indent(&sweep::format_table(&rows)));
         let da = rows.iter().find(|r| r.name == "PCP-DA").unwrap();
         let rw = rows.iter().find(|r| r.name == "RW-PCP").unwrap();

@@ -341,8 +341,7 @@ fn main() -> ExitCode {
     }
 
     if args.compare {
-        let mut protocols = sweep::standard_protocols();
-        match sweep::compare_protocols(&set, &config(&args), &mut protocols) {
+        match sweep::compare_protocols(&set, &config(&args), &ProtocolKind::STANDARD) {
             Ok(rows) => print!("{}", sweep::format_table(&rows)),
             Err(e) => {
                 eprintln!("simulation failed: {e}");

@@ -13,8 +13,8 @@
 //! repository's `benchmark/`, which runs them on every PR.
 //!
 //! Shared helpers live here. The protocol line-up everywhere in the
-//! harness derives from the registry ([`ProtocolKind::STANDARD`] via
-//! [`rtdb::sim::sweep::standard_protocols`]) — there is no local list.
+//! harness derives from the registry ([`ProtocolKind::STANDARD`]) —
+//! there is no local list.
 
 #![forbid(unsafe_code)]
 
@@ -134,10 +134,6 @@ mod tests {
 
     #[test]
     fn helpers_produce_valid_workloads() {
-        assert_eq!(
-            rtdb::sim::sweep::standard_protocols().len(),
-            ProtocolKind::STANDARD.len()
-        );
         let w = standard_workload(1);
         assert!(w.total_utilization() > 0.3);
     }

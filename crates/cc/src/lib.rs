@@ -67,7 +67,7 @@
 //!
 //! ```
 //! use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate, LockMode, InstanceId, TxnId};
-//! use rtdb_core::{Decision, LockRequest, Protocol};
+//! use rtdb_core::{Decision, LockRequest, ProtocolFor};
 //! use rtdb_cc::PcpDa;
 //!
 //! // Paper Example 3: T1 reads x,y; T2 writes x,y.

@@ -425,12 +425,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
             .pcpda_sysceil(view.locks(), rtdb_core::protocol::ceiling_observer())
             .ceiling
     }
-
-    fn may_deadlock(&self) -> bool {
-        // The printed rules are subject to the Theorem 2 counterexample;
-        // the repaired clauses (A)-(D) restore deadlock freedom.
-        self.literal_lc3
-    }
 }
 
 #[cfg(test)]
@@ -881,17 +875,13 @@ mod tests {
         let r2 = req(i(0), 0, LockMode::Read);
         assert_eq!(p.request(&view, r2), Decision::Grant);
         assert_eq!(p.grant_log(), &[(r, GrantRule::Lc1), (r2, GrantRule::Lc2)]);
-        let p_dyn: &dyn rtdb_core::Protocol = &p;
-        assert_eq!(p_dyn.name(), "PCP-DA");
-        assert!(!p_dyn.may_abort());
-        assert!(!p_dyn.may_deadlock());
+        assert_eq!(ProtocolFor::<StaticView>::name(&p), "PCP-DA");
+        assert!(!ProtocolFor::<StaticView>::may_abort(&p));
     }
 
     #[test]
-    fn literal_variant_names_itself_and_admits_deadlock() {
+    fn literal_variant_names_itself() {
         let p = PcpDa::paper_literal();
-        let p_dyn: &dyn rtdb_core::Protocol = &p;
-        assert_eq!(p_dyn.name(), "PCP-DA-literal");
-        assert!(p_dyn.may_deadlock());
+        assert_eq!(ProtocolFor::<StaticView>::name(&p), "PCP-DA-literal");
     }
 }

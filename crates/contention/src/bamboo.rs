@@ -58,14 +58,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Bamboo {
     fn may_abort(&self) -> bool {
         true
     }
-
-    fn may_deadlock(&self) -> bool {
-        // Lock waits alone are HP-ordered (acyclic), but commit-gate
-        // waits follow *retire* order, which need not agree with
-        // priority — a gate edge plus a lock edge can close a cycle.
-        // Drivers pair Bamboo with the engine's deadlock resolution.
-        true
-    }
 }
 
 #[cfg(test)]
@@ -165,6 +157,6 @@ mod tests {
         let mut view = StaticView::new(&set);
         view.grant(i(0), ItemId(1), LockMode::Read);
         assert!(ProtocolFor::retires(&mut p, &view, i(0), 1).is_empty());
-        assert!(rtdb_core::Protocol::may_abort(&p) && rtdb_core::Protocol::may_deadlock(&p));
+        assert!(ProtocolFor::<StaticView>::may_abort(&p));
     }
 }

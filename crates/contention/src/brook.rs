@@ -151,7 +151,7 @@ mod tests {
             p.request(&view, req(sr, 0, LockMode::Write)),
             Decision::Grant
         );
-        assert!(rtdb_core::Protocol::may_abort(&p) && !rtdb_core::Protocol::may_deadlock(&p));
+        assert!(ProtocolFor::<StaticView>::may_abort(&p));
     }
 
     #[test]

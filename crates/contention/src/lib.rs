@@ -18,8 +18,8 @@
 //!   The priority inversion at the gate is bounded (the retiree is past
 //!   its writes), and granting preserves the retiree's completed work
 //!   plus everything its dirty readers built on it. Gate waits can
-//!   close cycles with lock waits, so `may_deadlock` is true and
-//!   drivers run it with the engine's deadlock resolution. After
+//!   close cycles with lock waits, so `ProtocolKind::may_deadlock` is
+//!   true and drivers run it with the engine's deadlock resolution. After
 //!   "Releasing Locks As Early As You Can" (Guo et al.).
 //! * [`Brook2Pl`] — deadlock-free early release via a static seniority
 //!   order (wait-die): a requester facing a *senior* conflicting holder

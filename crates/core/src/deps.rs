@@ -165,16 +165,6 @@ impl DepTracker {
         chain.last().map(|&e| (e, chain.len()))
     }
 
-    /// The full retired chain on `item`, oldest first.
-    pub fn retired_chain(&self, item: ItemId) -> &[RetiredWrite] {
-        self.retired.get(&item).map_or(&[], Vec::as_slice)
-    }
-
-    /// True if `owner` has any retired entry outstanding.
-    pub fn has_retired(&self, owner: InstanceId) -> bool {
-        self.retired_by.contains_key(&owner)
-    }
-
     /// Register that `dependent` must commit after `on` (deduplicated;
     /// self-dependencies ignored).
     pub fn add_dep(&mut self, dependent: InstanceId, on: InstanceId) {
@@ -197,7 +187,8 @@ impl DepTracker {
     }
 
     /// The instances currently depending on `who`.
-    pub fn dependents_of(&self, who: InstanceId) -> &[InstanceId] {
+    #[cfg(test)]
+    fn dependents_of(&self, who: InstanceId) -> &[InstanceId] {
         self.dependents.get(&who).map_or(&[], Vec::as_slice)
     }
 

@@ -132,16 +132,9 @@ impl PriorityManager {
         self.entries[self.idx(who).expect("unregistered instance")].running
     }
 
-    /// The instances currently blocking `who`, if any.
-    pub fn blockers_of(&self, who: InstanceId) -> Option<&[InstanceId]> {
-        self.idx(who).and_then(|i| {
-            let e = &self.entries[i];
-            e.blocked.then_some(e.blockers.as_slice())
-        })
-    }
-
     /// True if `who` is currently marked blocked.
-    pub fn is_blocked(&self, who: InstanceId) -> bool {
+    #[cfg(test)]
+    fn is_blocked(&self, who: InstanceId) -> bool {
         self.idx(who).is_some_and(|i| self.entries[i].blocked)
     }
 
@@ -155,7 +148,8 @@ impl PriorityManager {
     }
 
     /// True if any blocking edge is currently recorded.
-    pub fn has_edges(&self) -> bool {
+    #[cfg(test)]
+    fn has_edges(&self) -> bool {
         self.entries.iter().any(|e| e.blocked)
     }
 

@@ -259,7 +259,7 @@ impl<'a> StateKernel<'a> {
     }
 
     /// Drop a live instance and every edge touching it, handing back its
-    /// record. Locks, dependencies and the protocol are not consulted —
+    /// record. Locks and dependencies are not consulted —
     /// [`StateKernel::finish_commit`] does that first; on its own this is
     /// the exit of an instance that never locked anything.
     pub fn remove(&mut self, who: InstanceId) -> Record {
@@ -384,7 +384,6 @@ impl<'a> StateKernel<'a> {
                 if let Some((rw, _)) = self.deps.latest_retired(item) {
                     self.deps.add_dep(who, rw.owner);
                 }
-                protocol.on_grant(self, req);
                 self.data_op(who, step_index, item, mode, ws, tick());
                 Acquire::Done { granted: true }
             }
@@ -626,18 +625,13 @@ impl<'a> StateKernel<'a> {
     }
 
     /// After the commit point: release every lock of `who`, turn its
-    /// retired entries into committed state, notify the protocol and
-    /// drop the instance. Returns its record and the dependents whose
-    /// last commit dependency this was — a committer parked at the gate
-    /// may now pass; one still executing finds the gate open.
-    pub fn finish_commit<P: ProtocolFor<Self>>(
-        &mut self,
-        protocol: &mut P,
-        who: InstanceId,
-    ) -> (Record, Vec<InstanceId>) {
+    /// retired entries into committed state and drop the instance.
+    /// Returns its record and the dependents whose last commit
+    /// dependency this was — a committer parked at the gate may now
+    /// pass; one still executing finds the gate open.
+    pub fn finish_commit(&mut self, who: InstanceId) -> (Record, Vec<InstanceId>) {
         self.locks.release_all(who);
         let mut drained = self.deps.on_commit(who);
-        protocol.on_commit(self, who);
         let record = self.remove(who);
         drained.retain(|&d| self.is_live(d));
         (record, drained)
@@ -685,7 +679,7 @@ impl<'a> StateKernel<'a> {
     }
 
     /// The silent core of an abort: release `victim`'s locks, clear its
-    /// pending request, edges and attempt state, notify the protocol.
+    /// pending request, edges and attempt state.
     /// No log, no restart count, no cascade — for an instance that spans
     /// several kernels, whose owner logs the single Abort/Begin pair.
     pub fn abort_local<P: ProtocolFor<Self>>(
@@ -705,7 +699,6 @@ impl<'a> StateKernel<'a> {
         self.locks.release_all(victim);
         self.wake(victim);
         self.record_mut(victim).clear_attempt();
-        protocol.on_abort(self, victim);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! This crate is the layer between the two execution engines (the
 //! simulator, the threaded runtime) and the concurrency-control
-//! protocols: it defines *what a protocol is* ([`Protocol`]), *what a
+//! protocols: it defines *what a protocol is* ([`ProtocolFor`]), *what a
 //! protocol may observe* ([`EngineView`]), the shared lock/ceiling
 //! substrate every priority-ceiling-style protocol needs, and the one
 //! implementation of the state those are predicates over, so that each
@@ -16,14 +16,13 @@
 //!   transitions that mutate them — begin, acquire, block, re-evaluate,
 //!   deadlock search, step-done, commit gate, commit, abort. Each
 //!   returns its effects for the engine to deliver ([`kernel`]);
-//! * [`ProtocolFor`] — the trait a concurrency-control protocol
-//!   implements, generic over the view type so the engine's steady-state
-//!   loop monomorphizes both sides (no vtable on either the protocol or
-//!   the view); the simulation engine calls [`ProtocolFor::request`] and
-//!   applies the returned [`Decision`]. Its view-erased, object-safe face
-//!   is [`Protocol`]: every blanket `ProtocolFor` implementor gets it for
-//!   free, so `Box<dyn Protocol>` keeps working, and the [`DynProtocol`]
-//!   adapter carries such an object back into the monomorphized loop;
+//! * [`ProtocolFor`] — the one trait a concurrency-control protocol
+//!   implements, generic over the view type so the engines' steady-state
+//!   loops monomorphize both sides (no vtable on either the protocol or
+//!   the view); the kernel calls [`ProtocolFor::request`] and applies the
+//!   returned [`Decision`]. There is no trait-object twin: a protocol
+//!   chosen at run time is `rtdb_sim::AnyProtocol`, an enum over the
+//!   registered kinds;
 //! * [`ProtocolKind`] — the registry: one enum naming every protocol the
 //!   workspace implements, with parsing, display and static metadata
 //!   (family, update model, abort/deadlock behaviour). Every protocol
@@ -67,10 +66,7 @@ pub use deps::{AbortBreakdown, AbortReason, DepTracker, RetiredWrite};
 pub use inherit::PriorityManager;
 pub use kernel::{Aborted, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};
-pub use protocol::{
-    sorted_disjoint, Decision, DynProtocol, EngineView, LockRequest, Protocol, ProtocolFor,
-    TxnMode, UpdateModel,
-};
+pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 pub use registry::{ProtocolFamily, ProtocolKind, UnknownProtocol};
 pub use shard::{
     deadlock_victim, find_deadlock_victim, GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS,

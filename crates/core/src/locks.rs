@@ -8,7 +8,7 @@
 //! simply never grant the second write lock.
 //!
 //! The table is pure bookkeeping: *who may lock what* is decided by a
-//! [`crate::Protocol`]; the engine records grants and releases here.
+//! [`crate::ProtocolFor`]; the engine records grants and releases here.
 //!
 //! # Layout
 //!

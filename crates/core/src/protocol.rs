@@ -20,31 +20,6 @@ pub enum UpdateModel {
     InstallOnEarlyRelease,
 }
 
-/// Whether a transaction instance may write.
-///
-/// Templates with an empty write set run as [`TxnMode::ReadOnly`]; engines
-/// offer protocols the chance to run such instances on the lock-free
-/// multiversion snapshot path via [`ProtocolFor::lock_exempt`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxnMode {
-    /// May read and write; always takes the lock-based path.
-    ReadWrite,
-    /// Provably never writes (no `Write` step in the template); a
-    /// candidate for lock-exempt snapshot reads.
-    ReadOnly,
-}
-
-impl TxnMode {
-    /// The mode of `template`: [`TxnMode::ReadOnly`] iff no step writes.
-    pub fn of(template: &rtdb_types::TransactionTemplate) -> TxnMode {
-        if template.is_read_only() {
-            TxnMode::ReadOnly
-        } else {
-            TxnMode::ReadWrite
-        }
-    }
-}
-
 /// A sentinel instance that holds no locks — used as the "observer" when
 /// computing the global system ceiling (every `Sysceil` computation
 /// excludes the observer's own locks, and this observer has none).
@@ -154,23 +129,17 @@ pub fn sorted_disjoint<T: Ord>(a: &[T], b: &[T]) -> bool {
 
 /// A concurrency-control protocol, generic over the view it observes.
 ///
-/// This is the trait protocol *implementations* write. It is generic over
-/// the view type `V` so both sides of the engine/protocol conversation can
-/// be monomorphized: the engine runs its steady-state loop against
-/// `ProtocolFor<ConcreteView>` with zero virtual calls in either
-/// direction. Implementations should be written as blanket impls over any
-/// view —
-///
-/// ```ignore
-/// impl<V: EngineView + ?Sized> ProtocolFor<V> for MyProtocol { ... }
-/// ```
-///
-/// — which makes them usable both statically and as trait objects: any
-/// type implementing `ProtocolFor` over every view automatically
-/// implements the view-erased, object-safe [`Protocol`] trait, so
-/// `Box<dyn Protocol>` call sites keep working, and [`DynProtocol`]
-/// adapts such an object back into a `ProtocolFor<V>` for any concrete
-/// view.
+/// The one protocol trait: implementations write it, the kernel and both
+/// engines drive it. It is generic over the view type `V` so both sides
+/// of the engine/protocol conversation are monomorphized — the engine
+/// runs its steady-state loop against `ProtocolFor<StateKernel>` with no
+/// virtual call in either direction. Implementations are blanket impls
+/// over any view (`impl<V: EngineView + ?Sized> ProtocolFor<V> for P`),
+/// so the same protocol answers the kernel and the
+/// [`crate::testkit::StaticView`] of a unit test; `rtdb_sim::Engine::run`
+/// has a compiled example. A protocol chosen at run time is an
+/// `rtdb_sim::AnyProtocol` (an enum over the registered kinds), never a
+/// trait object.
 pub trait ProtocolFor<V: EngineView + ?Sized> {
     /// Short stable name used in reports ("PCP-DA", "RW-PCP", ...).
     fn name(&self) -> &'static str;
@@ -178,15 +147,6 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
     /// Decide a lock request. Must not mutate the lock table — the engine
     /// applies the decision.
     fn request(&mut self, view: &V, req: LockRequest) -> Decision;
-
-    /// Notification: the request was granted and recorded.
-    fn on_grant(&mut self, _view: &V, _req: LockRequest) {}
-
-    /// Notification: `who` committed; its locks have been released.
-    fn on_commit(&mut self, _view: &V, _who: InstanceId) {}
-
-    /// Notification: `who` aborted; its locks have been released.
-    fn on_abort(&mut self, _view: &V, _who: InstanceId) {}
 
     /// Called after `who` finished executing its `completed_step`-th step.
     /// Returns locks to release before commit (CCP's early unlock); the
@@ -217,23 +177,6 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
         UpdateModel::Workspace
     }
 
-    /// True if instances running in `mode` may bypass this protocol
-    /// entirely and read from a multiversion snapshot (never locking,
-    /// never raising `Sysceil`, never blocking or being blocked).
-    ///
-    /// Sound by default exactly for read-only transactions under the
-    /// deferred-update model: every commit installs atomically at a global
-    /// commit stamp, so a snapshot at stamp `S` equals the serial state
-    /// after the first `S` committed writers and the reader serialises
-    /// right there. Protocols that install writes *before* commit
-    /// ([`UpdateModel::InstallOnEarlyRelease`], i.e. CCP) decline: a
-    /// snapshot taken between an early install's commit and the commit of
-    /// the transaction whose dirty value it read is not a committed
-    /// prefix, so their read-only instances stay on the lock-based path.
-    fn lock_exempt(&self, mode: TxnMode) -> bool {
-        mode == TxnMode::ReadOnly && self.update_model() == UpdateModel::Workspace
-    }
-
     /// The *global* system ceiling currently in effect (the paper's
     /// `Max_Sysceil`, the dotted line of Figures 4 and 5): the ceiling an
     /// arriving transaction that holds nothing would face. Protocols
@@ -257,221 +200,12 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
         false
     }
 
-    /// True if the protocol can reach a deadlock (2PL-PI, Naive-DA, the
-    /// literal pre-erratum PCP-DA). Drivers consult this to enable the
-    /// engine's wait-for deadlock resolution; every repaired ceiling
-    /// protocol is provably deadlock-free and reports `false`.
-    fn may_deadlock(&self) -> bool {
-        false
-    }
-
     /// Called just before `who` commits: return the active instances this
     /// commit *invalidates* — they are aborted and restarted before the
     /// writes install (optimistic concurrency control with forward
     /// validation). Lock-based protocols never need this.
     fn commit_victims(&mut self, _view: &V, _who: InstanceId) -> Vec<InstanceId> {
         Vec::new()
-    }
-}
-
-/// A concurrency-control protocol as a view-erased trait object.
-///
-/// The object-safe face of [`ProtocolFor`]: every method takes
-/// `&dyn EngineView`, whose object lifetime elaborates per call site, so a
-/// `Box<dyn Protocol>` can be driven with the engine's short-lived views.
-/// Do not implement this trait directly — write a blanket
-/// `ProtocolFor<V>` impl instead and this trait comes for free.
-pub trait Protocol {
-    /// See [`ProtocolFor::name`].
-    fn name(&self) -> &'static str;
-    /// See [`ProtocolFor::request`].
-    fn request(&mut self, view: &dyn EngineView, req: LockRequest) -> Decision;
-    /// See [`ProtocolFor::on_grant`].
-    fn on_grant(&mut self, view: &dyn EngineView, req: LockRequest);
-    /// See [`ProtocolFor::on_commit`].
-    fn on_commit(&mut self, view: &dyn EngineView, who: InstanceId);
-    /// See [`ProtocolFor::on_abort`].
-    fn on_abort(&mut self, view: &dyn EngineView, who: InstanceId);
-    /// See [`ProtocolFor::early_releases`].
-    fn early_releases(
-        &mut self,
-        view: &dyn EngineView,
-        who: InstanceId,
-        completed_step: usize,
-    ) -> Vec<(ItemId, LockMode)>;
-    /// See [`ProtocolFor::retires`].
-    fn retires(
-        &mut self,
-        view: &dyn EngineView,
-        who: InstanceId,
-        completed_step: usize,
-    ) -> Vec<ItemId>;
-    /// See [`ProtocolFor::update_model`].
-    fn update_model(&self) -> UpdateModel;
-    /// See [`ProtocolFor::lock_exempt`].
-    fn lock_exempt(&self, mode: TxnMode) -> bool;
-    /// See [`ProtocolFor::system_ceiling`].
-    fn system_ceiling(&self, view: &dyn EngineView) -> rtdb_types::Ceiling;
-    /// See [`ProtocolFor::ceiling_flavor`].
-    fn ceiling_flavor(&self) -> Option<CeilingFlavor>;
-    /// See [`ProtocolFor::may_abort`].
-    fn may_abort(&self) -> bool;
-    /// See [`ProtocolFor::may_deadlock`].
-    fn may_deadlock(&self) -> bool;
-    /// See [`ProtocolFor::commit_victims`].
-    fn commit_victims(&mut self, view: &dyn EngineView, who: InstanceId) -> Vec<InstanceId>;
-}
-
-/// Every view-generic protocol is a view-erased [`Protocol`].
-impl<P> Protocol for P
-where
-    P: for<'v> ProtocolFor<dyn EngineView + 'v>,
-{
-    fn name(&self) -> &'static str {
-        ProtocolFor::<dyn EngineView>::name(self)
-    }
-
-    fn request(&mut self, view: &dyn EngineView, req: LockRequest) -> Decision {
-        ProtocolFor::request(self, view, req)
-    }
-
-    fn on_grant(&mut self, view: &dyn EngineView, req: LockRequest) {
-        ProtocolFor::on_grant(self, view, req)
-    }
-
-    fn on_commit(&mut self, view: &dyn EngineView, who: InstanceId) {
-        ProtocolFor::on_commit(self, view, who)
-    }
-
-    fn on_abort(&mut self, view: &dyn EngineView, who: InstanceId) {
-        ProtocolFor::on_abort(self, view, who)
-    }
-
-    fn early_releases(
-        &mut self,
-        view: &dyn EngineView,
-        who: InstanceId,
-        completed_step: usize,
-    ) -> Vec<(ItemId, LockMode)> {
-        ProtocolFor::early_releases(self, view, who, completed_step)
-    }
-
-    fn retires(
-        &mut self,
-        view: &dyn EngineView,
-        who: InstanceId,
-        completed_step: usize,
-    ) -> Vec<ItemId> {
-        ProtocolFor::retires(self, view, who, completed_step)
-    }
-
-    fn update_model(&self) -> UpdateModel {
-        ProtocolFor::<dyn EngineView>::update_model(self)
-    }
-
-    fn lock_exempt(&self, mode: TxnMode) -> bool {
-        ProtocolFor::<dyn EngineView>::lock_exempt(self, mode)
-    }
-
-    fn system_ceiling(&self, view: &dyn EngineView) -> rtdb_types::Ceiling {
-        ProtocolFor::system_ceiling(self, view)
-    }
-
-    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
-        ProtocolFor::<dyn EngineView>::ceiling_flavor(self)
-    }
-
-    fn may_abort(&self) -> bool {
-        ProtocolFor::<dyn EngineView>::may_abort(self)
-    }
-
-    fn may_deadlock(&self) -> bool {
-        ProtocolFor::<dyn EngineView>::may_deadlock(self)
-    }
-
-    fn commit_victims(&mut self, view: &dyn EngineView, who: InstanceId) -> Vec<InstanceId> {
-        ProtocolFor::commit_victims(self, view, who)
-    }
-}
-
-/// Adapter running a view-erased `&mut dyn Protocol` behind any concrete
-/// [`EngineView`] type, by unsizing the view at the boundary.
-///
-/// This keeps `Box<dyn Protocol>` call sites working against the
-/// monomorphized engine loop: the loop itself is compiled for a concrete
-/// view type, and only protocols that are *already* trait objects pay the
-/// two virtual hops (protocol vtable + view vtable) per callback.
-pub struct DynProtocol<'p> {
-    inner: &'p mut (dyn Protocol + 'p),
-}
-
-impl<'p> DynProtocol<'p> {
-    /// Wrap a view-erased protocol object.
-    pub fn new(inner: &'p mut (dyn Protocol + 'p)) -> Self {
-        DynProtocol { inner }
-    }
-}
-
-impl<V: EngineView> ProtocolFor<V> for DynProtocol<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        self.inner.request(view, req)
-    }
-
-    fn on_grant(&mut self, view: &V, req: LockRequest) {
-        self.inner.on_grant(view, req)
-    }
-
-    fn on_commit(&mut self, view: &V, who: InstanceId) {
-        self.inner.on_commit(view, who)
-    }
-
-    fn on_abort(&mut self, view: &V, who: InstanceId) {
-        self.inner.on_abort(view, who)
-    }
-
-    fn early_releases(
-        &mut self,
-        view: &V,
-        who: InstanceId,
-        completed_step: usize,
-    ) -> Vec<(ItemId, LockMode)> {
-        self.inner.early_releases(view, who, completed_step)
-    }
-
-    fn retires(&mut self, view: &V, who: InstanceId, completed_step: usize) -> Vec<ItemId> {
-        self.inner.retires(view, who, completed_step)
-    }
-
-    fn update_model(&self) -> UpdateModel {
-        self.inner.update_model()
-    }
-
-    fn lock_exempt(&self, mode: TxnMode) -> bool {
-        self.inner.lock_exempt(mode)
-    }
-
-    fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
-        self.inner.system_ceiling(view)
-    }
-
-    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
-        self.inner.ceiling_flavor()
-    }
-
-    fn may_abort(&self) -> bool {
-        self.inner.may_abort()
-    }
-
-    fn may_deadlock(&self) -> bool {
-        self.inner.may_deadlock()
-    }
-
-    fn commit_victims(&mut self, view: &V, who: InstanceId) -> Vec<InstanceId> {
-        self.inner.commit_victims(view, who)
     }
 }
 

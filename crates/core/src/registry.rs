@@ -118,7 +118,7 @@ impl ProtocolKind {
     ];
 
     /// Canonical report name; equals the constructed protocol's
-    /// `Protocol::name()`.
+    /// `ProtocolFor::name()`.
     pub fn name(self) -> &'static str {
         match self {
             ProtocolKind::PcpDa => "PCP-DA",
@@ -171,7 +171,7 @@ impl ProtocolKind {
     }
 
     /// The update model the protocol requires; equals the constructed
-    /// protocol's `Protocol::update_model()`.
+    /// protocol's `ProtocolFor::update_model()`.
     pub fn update_model(self) -> UpdateModel {
         match self {
             ProtocolKind::Ccp => UpdateModel::InstallOnEarlyRelease,
@@ -179,11 +179,19 @@ impl ProtocolKind {
         }
     }
 
-    /// Whether read-only transactions may take the lock-free multiversion
-    /// snapshot path under this protocol; equals the constructed
-    /// protocol's default `Protocol::lock_exempt(TxnMode::ReadOnly)`.
-    /// Exactly the deferred-update kinds qualify — CCP installs writes at
-    /// early release, so its commit stamps are not consistent prefixes.
+    /// Whether read-only transactions may bypass this protocol and read
+    /// from a multiversion snapshot (never locking, never raising
+    /// `Sysceil`, never blocking or being blocked) — the one statement of
+    /// the rule: the runtime reads it here, the simulator applies the
+    /// same test to the running protocol's `update_model()`.
+    ///
+    /// Exactly the deferred-update kinds qualify: every commit installs
+    /// atomically at a global commit stamp, so a snapshot at stamp `S`
+    /// equals the serial state after the first `S` committed writers and
+    /// the reader serialises right there. CCP installs writes at early
+    /// release: a snapshot taken between an early install's commit and
+    /// the commit of the transaction whose dirty value it read is not a
+    /// committed prefix, so its read-only instances keep locking.
     pub fn snapshot_exempt(self) -> bool {
         self.update_model() == UpdateModel::Workspace
     }
@@ -219,7 +227,7 @@ impl ProtocolKind {
     }
 
     /// Whether the protocol may abort/restart transactions; equals the
-    /// constructed protocol's `Protocol::may_abort()`.
+    /// constructed protocol's `ProtocolFor::may_abort()`.
     pub fn may_abort(self) -> bool {
         matches!(
             self,
@@ -230,10 +238,14 @@ impl ProtocolKind {
         )
     }
 
-    /// Whether the protocol can reach a deadlock; equals the constructed
-    /// protocol's `Protocol::may_deadlock()`. Drivers enable the engine's
-    /// wait-for deadlock resolution exactly for these kinds.
+    /// Whether the protocol can reach a deadlock. Drivers enable the
+    /// engine's wait-for deadlock resolution exactly for these kinds;
+    /// every repaired ceiling protocol is provably deadlock-free.
     pub fn may_deadlock(self) -> bool {
+        // 2PL-PI blocks on arbitrary conflicts with no ceiling discipline;
+        // the literal PCP-DA is subject to the Theorem 2 counterexample
+        // (the repaired clauses (A)-(D) restore deadlock freedom); Naive-DA
+        // exists to show that dynamic adjustment alone deadlocks.
         // Bamboo both aborts *and* deadlocks: commit-gate dependencies add
         // wait edges that the high-priority-wins rule does not orient, so
         // gate/lock-wait cycles can form and are resolved by victim abort.

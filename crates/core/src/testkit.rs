@@ -89,11 +89,6 @@ impl<'a> StaticView<'a> {
         self.refresh_active();
     }
 
-    /// Mutable access to the lock table (for intricate test setups).
-    pub fn locks_mut(&mut self) -> &mut LockTable {
-        &mut self.locks
-    }
-
     /// Mutable access to the dependency tracker (for early-release tests:
     /// retire writes and register dependencies by hand).
     pub fn deps_mut(&mut self) -> &mut DepTracker {

@@ -300,7 +300,7 @@ fn commit_skips_early_installs_and_logs_commit_before_installs_at_one_tick() {
     assert_eq!((installed[0].0, installed[0].1.version), (ItemId(1), 1));
     assert_eq!(k.db().get(ItemId(0)).version, 1, "not installed twice");
 
-    let (record, drained) = k.finish_commit(&mut p, t);
+    let (record, drained) = k.finish_commit(t);
     assert_eq!(record.restarts, 0);
     assert!(drained.is_empty());
     assert!(!k.is_live(t) && k.active_instances().is_empty());
@@ -326,13 +326,13 @@ fn commit_drains_exactly_the_dependents_whose_last_dependency_it_was() {
     );
 
     k.install(w1, &ws[&w1], Tick(20), true, None);
-    let (_, drained) = k.finish_commit(&mut p, w1);
+    let (_, drained) = k.finish_commit(w1);
     assert_eq!(drained, vec![e], "d still waits for w2");
     k.wake(e);
     assert!(!k.gate(e) && k.gate(d));
 
     k.install(w2, &ws[&w2], Tick(21), true, None);
-    let (_, drained) = k.finish_commit(&mut p, w2);
+    let (_, drained) = k.finish_commit(w2);
     assert_eq!(drained, vec![d]);
     k.wake(d);
     assert!(!k.gate(d));

@@ -99,7 +99,7 @@ impl Outbound<'_> {
     }
 
     /// Submit one request and encode its immediate answer.
-    fn admit(&mut self, req: Request, sub: &Submitter<'_>, templates: usize, out: &mut Vec<u8>) {
+    fn admit(&mut self, req: Request, sub: &Submitter<'_>, out: &mut Vec<u8>) {
         let Request::Submit {
             ticket,
             txn,
@@ -107,9 +107,10 @@ impl Outbound<'_> {
             release_ns,
             deadline_ns,
         } = req;
-        // An unknown template or an absurd tenant id is the client's bug, not
-        // an overload signal: bounce it before it touches the admission queue.
-        if txn as usize >= templates || tenant > MAX_TENANT {
+        // An absurd tenant id is the client's bug, not an overload signal:
+        // bounce it before the tenant ledger grows a row for it. (An unknown
+        // template is the submitter's to reject.)
+        if tenant > MAX_TENANT {
             return Response::Rejected { ticket }.encode(out);
         }
         let mut job = JobRequest::new(TxnId(txn))
@@ -152,7 +153,7 @@ impl Outbound<'_> {
 
 /// The reader: block in `read`, submit every frame it returned, answer
 /// them with one write. Ends (dropping the submitter) on any stream error.
-fn read_loop(outbound: &Mutex<Outbound<'_>>, sub: Submitter<'_>, templates: usize) {
+fn read_loop(outbound: &Mutex<Outbound<'_>>, sub: Submitter<'_>) {
     let mut stream = outbound.lock().expect("connection lock").stream;
     let mut rbuf = FrameBuf::new();
     let mut out = Vec::new();
@@ -167,7 +168,7 @@ fn read_loop(outbound: &Mutex<Outbound<'_>>, sub: Submitter<'_>, templates: usiz
         let well_formed = loop {
             let frame = rbuf.next_frame().map(|p| p.map(|p| Request::decode(&p)));
             match frame {
-                Ok(Some(Ok(req))) => outbound.admit(req, &sub, templates, &mut out),
+                Ok(Some(Ok(req))) => outbound.admit(req, &sub, &mut out),
                 Ok(None) => break true,
                 Ok(Some(Err(_))) | Err(_) => break false,
             }
@@ -199,7 +200,6 @@ fn write_loop(outbound: &Mutex<Outbound<'_>>, completions: Receiver<Completion>)
 /// The edge's shared state: where to submit, and who is connected.
 struct Edge<'e> {
     front: FrontHandle<'e>,
-    templates: usize,
     /// Live connections by peer address; `None` once `serve` is stopping.
     conns: Mutex<Option<HashMap<SocketAddr, Arc<TcpStream>>>>,
 }
@@ -217,7 +217,7 @@ impl Edge<'_> {
             let writer = Builder::new().stack_size(CONN_STACK);
             // Out of threads: the connection is refused, not half-served.
             if (writer.spawn_scoped(scope, || write_loop(&outbound, completions))).is_ok() {
-                read_loop(&outbound, sub, self.templates);
+                read_loop(&outbound, sub);
             }
         });
         self.forget(peer);
@@ -286,7 +286,6 @@ pub fn serve<R>(
     Ok(run_front(set, config.front, |front| {
         let edge = Edge {
             front,
-            templates: set.len(),
             conns: Mutex::new(Some(HashMap::new())),
         };
         std::thread::scope(|scope| {

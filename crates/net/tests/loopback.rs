@@ -215,9 +215,9 @@ fn disconnect_mid_job_still_commits_and_server_survives() {
     assert_eq!((rt.shed, rt.rejected), (0, 0));
 }
 
-/// Invalid submissions are rejected at the edge — unknown template,
-/// tenant above the cap — without disturbing the run; an undecodable
-/// frame kills only its own connection.
+/// Invalid submissions are rejected — an unknown template by the
+/// submitter, a tenant above the cap at the edge — without disturbing
+/// the run; an undecodable frame kills only its own connection.
 #[test]
 fn invalid_submissions_bounce_at_the_edge() {
     let set = small_set();
@@ -277,9 +277,9 @@ fn invalid_submissions_bounce_at_the_edge() {
     .expect("serve");
 
     assert_eq!(rt.committed, 1);
-    // The two edge rejections never reached the admission queue, so the
-    // run's reject counter (admission-level) stays 0.
-    assert_eq!(rt.rejected, 0);
+    // The unknown template was offered to the front-end, which rejected
+    // and counted it; the edge's tenant bounce never got that far.
+    assert_eq!(rt.rejected, 1);
 }
 
 /// Multi-connection overload through sockets: every tenant's offered

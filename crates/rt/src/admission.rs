@@ -10,17 +10,14 @@
 //! * [`AdmissionPolicy::Reject`] — bounce the new request back to its
 //!   submitter (classic open-loop drop-tail; offered load above
 //!   saturation shows up as a rising reject count);
-//! * [`AdmissionPolicy::ShedOldest`] — admit the new request and shed
-//!   the *oldest* queued one (its submitter is told via
-//!   [`crate::Completion::Shed`]; under deadline pressure the oldest
-//!   request is the one most likely to be dead on arrival anyway);
 //! * [`AdmissionPolicy::LeastSlack`] — the deadline-aware policy: among
 //!   the queued requests *and* the incoming one, shed whichever has the
 //!   least remaining slack to its deadline — it is the job the system
 //!   would miss anyway, so shedding it converts a certain deadline miss
 //!   into freed capacity for a job that can still make it. Requests
-//!   without a deadline have infinite slack and are shed last. When the
-//!   incoming request itself has the least slack it is bounced
+//!   without a deadline have infinite slack and are shed last. A queued
+//!   victim's submitter is told via [`crate::Completion::Shed`]; when
+//!   the incoming request itself has the least slack it is bounced
 //!   synchronously ([`crate::SubmitOutcome::Shed`]) without entering the
 //!   queue;
 //! * [`AdmissionPolicy::Block`] — park the submitter until space frees
@@ -61,8 +58,6 @@ use std::time::Instant;
 pub enum AdmissionPolicy {
     /// Bounce the new request back to the submitter.
     Reject,
-    /// Admit the new request, shedding the oldest queued one.
-    ShedOldest,
     /// Shed the request (queued or incoming) with the least remaining
     /// slack to its deadline — the one the system would miss anyway.
     LeastSlack,
@@ -73,9 +68,8 @@ pub enum AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// Every policy, in the order the documentation lists them.
-    pub const ALL: [AdmissionPolicy; 4] = [
+    pub const ALL: [AdmissionPolicy; 3] = [
         AdmissionPolicy::Reject,
-        AdmissionPolicy::ShedOldest,
         AdmissionPolicy::LeastSlack,
         AdmissionPolicy::Block,
     ];
@@ -85,7 +79,6 @@ impl AdmissionPolicy {
     pub fn name(self) -> &'static str {
         match self {
             AdmissionPolicy::Reject => "reject",
-            AdmissionPolicy::ShedOldest => "shed-oldest",
             AdmissionPolicy::LeastSlack => "least-slack",
             AdmissionPolicy::Block => "block",
         }
@@ -104,7 +97,6 @@ impl std::str::FromStr for AdmissionPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "reject" => Ok(AdmissionPolicy::Reject),
-            "shed-oldest" | "shed" => Ok(AdmissionPolicy::ShedOldest),
             "least-slack" | "slack" => Ok(AdmissionPolicy::LeastSlack),
             "block" => Ok(AdmissionPolicy::Block),
             other => {
@@ -355,8 +347,7 @@ pub(crate) enum Push {
     /// Entered the queue.
     Admitted,
     /// Entered the queue; the returned entry was shed to make room
-    /// ([`AdmissionPolicy::ShedOldest`] /
-    /// [`AdmissionPolicy::LeastSlack`]).
+    /// ([`AdmissionPolicy::LeastSlack`]).
     AdmittedShed(Box<Admitted>),
     /// Bounced: the incoming request itself had the least slack under
     /// [`AdmissionPolicy::LeastSlack`] and was shed without entering.
@@ -444,17 +435,6 @@ impl AdmissionQueue {
                     g.ledger.record_rejected(item.req.tenant);
                     return Push::Rejected;
                 }
-                AdmissionPolicy::ShedOldest => {
-                    let old = g.q.pop_front().expect("full queue is non-empty");
-                    let now = self.now_ns();
-                    g.ledger.refund(old.req.tenant, old.cost_ns, now);
-                    g.ledger.record_shed(old.req.tenant, old.req.txn);
-                    g.ledger.charge(item.req.tenant, item.cost_ns, now);
-                    item.admitted_at = Instant::now();
-                    g.q.push_back(item);
-                    self.not_empty.notify_one();
-                    return Push::AdmittedShed(Box::new(old));
-                }
                 AdmissionPolicy::LeastSlack => {
                     let now = self.now_ns();
                     let inner = &mut *g;
@@ -522,6 +502,13 @@ impl AdmissionQueue {
                 .wait(g)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+    }
+
+    /// Count a request bounced before it reached [`AdmissionQueue::push`]
+    /// against its tenant, so `offered == committed + shed + rejected`
+    /// holds for it too.
+    pub(crate) fn record_rejected(&self, tenant: u32) {
+        self.lock().ledger.record_rejected(tenant);
     }
 
     /// Close the queue: further pushes bounce, pops drain what remains.
@@ -598,23 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_oldest_returns_the_oldest() {
-        let q = queue(2);
-        q.push(item(0).0, AdmissionPolicy::ShedOldest);
-        q.push(item(1).0, AdmissionPolicy::ShedOldest);
-        match q.push(item(2).0, AdmissionPolicy::ShedOldest) {
-            Push::AdmittedShed(old) => assert_eq!(old.ticket, 0),
-            _ => panic!("expected shed"),
-        }
-        let tickets: Vec<u64> = std::iter::from_fn(|| {
-            q.close();
-            q.pop().map(|(_, a)| a.ticket)
-        })
-        .collect();
-        assert_eq!(tickets, vec![1, 2]);
-    }
-
-    #[test]
     fn block_waits_for_space() {
         let q = queue(1);
         q.push(item(0).0, AdmissionPolicy::Block);
@@ -651,10 +621,6 @@ mod tests {
         for p in AdmissionPolicy::ALL {
             assert_eq!(p.to_string().parse::<AdmissionPolicy>(), Ok(p));
         }
-        assert_eq!(
-            "shed".parse::<AdmissionPolicy>(),
-            Ok(AdmissionPolicy::ShedOldest)
-        );
         assert_eq!(
             "slack".parse::<AdmissionPolicy>(),
             Ok(AdmissionPolicy::LeastSlack)

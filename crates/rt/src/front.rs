@@ -163,7 +163,8 @@ pub enum SubmitOutcome {
         /// The submission ticket.
         ticket: u64,
     },
-    /// Bounced by a full queue under [`AdmissionPolicy::Reject`].
+    /// Bounced: a full queue under [`AdmissionPolicy::Reject`], or a
+    /// [`JobRequest::txn`] that is not a template of the set.
     Rejected,
     /// Shed synchronously under [`AdmissionPolicy::LeastSlack`]: the
     /// incoming request itself had the least remaining slack, so it never
@@ -187,8 +188,7 @@ pub enum Completion {
         report: JobReport,
     },
     /// The job was shed from the admission queue to make room
-    /// ([`AdmissionPolicy::ShedOldest`] / [`AdmissionPolicy::LeastSlack`]);
-    /// it never ran.
+    /// ([`AdmissionPolicy::LeastSlack`]); it never ran.
     Shed {
         /// Ticket of the originating [`Submitter::submit`] call.
         ticket: u64,
@@ -268,8 +268,13 @@ impl Submitter<'_> {
     }
 
     fn push(&self, req: JobRequest, policy: AdmissionPolicy) -> SubmitOutcome {
+        // A template outside the set can never run: `AdmissionQueue::pop`
+        // indexes its per-template sequence numbers by it.
+        let Some(&cost_ns) = self.shared.costs.get(req.txn.index()) else {
+            self.shared.queue.record_rejected(req.tenant);
+            return SubmitOutcome::Rejected;
+        };
         let ticket = self.shared.tickets.fetch_add(1, Ordering::Relaxed);
-        let cost_ns = self.shared.costs.get(req.txn.index()).copied().unwrap_or(0);
         let item = Admitted {
             req,
             ticket,
@@ -402,14 +407,15 @@ mod tests {
     }
 
     #[test]
-    fn shed_oldest_notifies_the_shed_submitter() {
+    fn a_queued_shed_notifies_its_submitter() {
         let set = small_set();
         // Capacity 1, huge tick_ns on a 1-thread pool: the first job owns
         // the worker long enough that subsequent submissions contend for
-        // the single queue slot deterministically.
+        // the single queue slot deterministically. No deadlines: every
+        // slack ties, and ties shed the queued request.
         let config = FrontConfig::new(ProtocolKind::PcpDa)
             .with_capacity(1)
-            .with_policy(AdmissionPolicy::ShedOldest)
+            .with_policy(AdmissionPolicy::LeastSlack)
             .with_rt(
                 RtConfig::new(ProtocolKind::PcpDa)
                     .with_threads(1)

@@ -23,7 +23,7 @@
 //!   return over per-submitter channels — open-loop arrivals with
 //!   runtime deadline tracking;
 //! * [`admission`] — the bounded admission queue, its overload
-//!   policies (reject / shed-oldest / least-slack / block-submitter) and
+//!   policies (reject / least-slack / block-submitter) and
 //!   the per-tenant token-bucket fairness budgets ([`FairnessConfig`]);
 //! * [`jobs`] — deterministic seeded job queues;
 //! * [`histogram`] — a dependency-free log-bucketed latency histogram for

@@ -579,7 +579,7 @@ impl<'a> Shared<'a> {
     /// committer parked there re-presents its commit; one still
     /// mid-execution simply finds the gate open when it arrives).
     pub(crate) fn finish_commit(&mut self, id: InstanceId) -> Record {
-        let (record, drained) = self.kernel.finish_commit(&mut self.protocol, id);
+        let (record, drained) = self.kernel.finish_commit(id);
         let i = self.waiter_idx(id).expect("instance is live");
         self.waiters.remove(i);
         self.wake_parked();
@@ -841,14 +841,8 @@ mod tests {
             {
                 // Lose the wake-up: `a` leaves behind the manager's back.
                 let mut g = m.lock();
-                let Shared {
-                    kernel,
-                    protocol,
-                    waiters,
-                    ..
-                } = &mut *g;
-                kernel.finish_commit(protocol, a);
-                waiters.retain(|w| w.id != a);
+                g.kernel.finish_commit(a);
+                g.waiters.retain(|w| w.id != a);
             }
             let waited = parked.join().expect("parked thread panicked");
             assert!(

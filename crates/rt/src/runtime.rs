@@ -204,7 +204,8 @@ pub struct TenantStats {
     /// Jobs shed from the admission queue before running.
     pub shed: u64,
     /// Jobs rejected at admission (full queue under
-    /// [`crate::AdmissionPolicy::Reject`], or submitted after shutdown).
+    /// [`crate::AdmissionPolicy::Reject`], submitted after shutdown, or
+    /// naming no template of the set).
     pub rejected: u64,
 }
 
@@ -302,12 +303,12 @@ pub struct RtResult {
     /// Per-job outcomes, sorted by commit order.
     pub jobs: Vec<JobReport>,
     /// Jobs the admission queue shed under
-    /// [`crate::AdmissionPolicy::ShedOldest`] /
     /// [`crate::AdmissionPolicy::LeastSlack`]. Always 0 in the closed
     /// loop.
     pub shed: u64,
     /// Jobs the admission queue rejected under
-    /// [`crate::AdmissionPolicy::Reject`] (or submitted after shutdown).
+    /// [`crate::AdmissionPolicy::Reject`] (or submitted after shutdown,
+    /// or naming no template of the set).
     /// Always 0 in the closed loop.
     pub rejected: u64,
     /// Per-tenant outcome accounting, sorted by tenant id. A single row

@@ -302,6 +302,43 @@ fn open_loop_accounts_for_every_submission_under_each_policy() {
     }
 }
 
+/// A template id outside the set is the submitter's to bounce: the pop
+/// indexes per-template state by it, so an admitted one would panic a
+/// worker under the queue lock. It is answered `Rejected`, billed to its
+/// tenant like any other reject, and the good jobs around it commit.
+#[test]
+fn unknown_template_is_rejected_and_the_run_goes_on() {
+    let set = burst_set();
+    let config = FrontConfig::new(ProtocolKind::PcpDa)
+        .with_rt(RtConfig::new(ProtocolKind::PcpDa).with_threads(2));
+    let bad = TxnId(set.len() as u32);
+    let (rt, outcomes) = run_front(&set, config, |front| {
+        let (sub, _rx) = front.submitter();
+        let job = |txn| JobRequest::new(txn).for_tenant(1);
+        [
+            sub.submit(job(TxnId(0))),
+            sub.submit(job(bad)),
+            sub.try_submit(job(bad)),
+            sub.submit(job(TxnId(1))),
+        ]
+    });
+    assert!(
+        matches!(
+            outcomes,
+            [
+                SubmitOutcome::Admitted { .. },
+                SubmitOutcome::Rejected,
+                SubmitOutcome::Rejected,
+                SubmitOutcome::Admitted { .. }
+            ]
+        ),
+        "{outcomes:?}"
+    );
+    assert_eq!((rt.committed, rt.shed, rt.rejected), (2, 0, 2));
+    let tenant = rt.tenants.iter().find(|t| t.tenant == 1).expect("tenant 1");
+    assert_eq!((tenant.offered(), tenant.rejected), (4, 2));
+}
+
 /// `workers` long jobs, one per worker, then short ones: the shape that
 /// shows what is queued and what is running. The long job (300 ms)
 /// outlasts the submission phase by orders of magnitude, and each test

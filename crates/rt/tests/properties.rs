@@ -207,7 +207,7 @@ fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
 
         let policy = match rng.bounded(3) {
             0 => AdmissionPolicy::Reject,
-            1 => AdmissionPolicy::ShedOldest,
+            1 => AdmissionPolicy::LeastSlack,
             _ => AdmissionPolicy::Block,
         };
         let kind = if rng.bounded(2) == 0 {

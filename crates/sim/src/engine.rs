@@ -7,7 +7,7 @@
 //! dependencies, database, history — and every transition over it live
 //! in [`rtdb_core::StateKernel`], which the threaded runtime drives too.
 //! The engine presents each step's access to the kernel (which consults
-//! the [`Protocol`]) and turns the effects it returns — granted, blocked,
+//! the [`ProtocolFor`]) and turns the effects it returns — granted, blocked,
 //! woken, aborted, released, drained — into trace events, Gantt segments,
 //! wait-die holds and ready-queue changes.
 //!
@@ -49,8 +49,8 @@ use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace, TraceEvent};
 use rtdb_core::{
-    AbortReason, Acquire, CeilingFlavor, DynProtocol, EngineView, Protocol, ProtocolFor,
-    ProtocolKind, Record, StateKernel, TxnMode,
+    AbortReason, Acquire, CeilingFlavor, EngineView, ProtocolFor, ProtocolKind, Record,
+    StateKernel, UpdateModel,
 };
 use rtdb_storage::{
     Database, EventKind, History, MvStore, ReplayOutcome, SerializationGraph, VersionedValue,
@@ -76,9 +76,9 @@ pub struct SimConfig {
     /// Safety budget on scheduler iterations.
     pub max_steps: u64,
     /// Offer read-only transactions the lock-exempt multiversion snapshot
-    /// path. Takes effect only for protocols whose
-    /// [`rtdb_core::ProtocolFor::lock_exempt`] accepts (the
-    /// deferred-update kinds; CCP declines and keeps lock-based reads).
+    /// path. Takes effect only under the deferred-update model
+    /// ([`ProtocolKind::snapshot_exempt`] states the rule; CCP installs
+    /// at early release and keeps lock-based reads).
     pub snapshot_reads: bool,
 }
 
@@ -143,7 +143,7 @@ pub struct RunResult {
     /// Value of the simulation clock when the run ended.
     pub final_clock: Tick,
     /// True if the lock-exempt snapshot path was active (config asked for
-    /// it *and* the protocol's `lock_exempt` accepted).
+    /// it *and* the protocol defers its updates to commit).
     pub snapshot_reads: bool,
     /// Longest per-item version chain the multiversion side store ever
     /// held (0 when the snapshot path was off) — the memory-flatness
@@ -220,29 +220,75 @@ impl<'a> Engine<'a> {
         Engine { set, config }
     }
 
-    /// Execute one full run under a view-erased `protocol` object.
+    /// Execute one full run under `protocol`, monomorphized for its
+    /// type: a concrete protocol (`&mut PcpDa::new()`) is called
+    /// directly, an [`AnyProtocol`] by one enum match per callback, and
+    /// either is handed the concrete view — no vtable on either side.
+    /// The caller keeps the instance, e.g. to read
+    /// [`AnyProtocol::requests`] or `PcpDa::grant_log` afterwards.
     ///
-    /// The object is carried into the monomorphized loop behind a
-    /// [`DynProtocol`] adapter; it pays two virtual hops per callback
-    /// (protocol vtable + view vtable). Protocols named by the registry
-    /// run fully statically through [`Engine::run_kind`] instead.
-    pub fn run(&self, protocol: &mut dyn Protocol) -> Result<RunResult> {
-        self.run_generic::<SlotStore, _>(&mut DynProtocol::new(protocol))
+    /// ```
+    /// use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor, ProtocolKind};
+    /// use rtdb_sim::{instantiate, AnyProtocol, Engine, SimConfig};
+    /// use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate};
+    ///
+    /// /// Exclusive locks: block on whoever holds the item in any mode.
+    /// struct Exclusive;
+    /// impl<V: EngineView + ?Sized> ProtocolFor<V> for Exclusive {
+    ///     fn name(&self) -> &'static str {
+    ///         "exclusive"
+    ///     }
+    ///     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
+    ///         let locks = view.locks();
+    ///         let holders: Vec<_> = locks
+    ///             .writers_other_than(req.item, req.who)
+    ///             .chain(locks.readers_other_than(req.item, req.who))
+    ///             .collect();
+    ///         if holders.is_empty() {
+    ///             Decision::Grant
+    ///         } else {
+    ///             Decision::block_on(req.who, holders)
+    ///         }
+    ///     }
+    /// }
+    ///
+    /// let set = SetBuilder::new()
+    ///     .with(TransactionTemplate::new("T1", 10, vec![Step::read(ItemId(0), 1)]))
+    ///     .with(TransactionTemplate::new("T2", 20, vec![Step::write(ItemId(0), 2)]))
+    ///     .build()
+    ///     .unwrap();
+    /// let engine = Engine::new(&set, SimConfig::with_horizon(40));
+    ///
+    /// let run = engine.run(&mut Exclusive).unwrap();
+    /// assert_eq!(run.protocol, "exclusive");
+    /// assert!(run.is_conflict_serializable());
+    ///
+    /// // A line-up chosen at run time is a `Vec<AnyProtocol>`.
+    /// let mut lineup: Vec<AnyProtocol> =
+    ///     ProtocolKind::STANDARD.iter().map(|&k| instantiate(k)).collect();
+    /// for p in &mut lineup {
+    ///     let run = engine.run(p).unwrap();
+    ///     assert_eq!(run.protocol, p.kind().name());
+    ///     assert!(p.requests() > 0);
+    /// }
+    /// ```
+    pub fn run<'s, P: ProtocolFor<StateKernel<'s>>>(
+        &'s self,
+        protocol: &mut P,
+    ) -> Result<RunResult> {
+        self.run_generic::<SlotStore, P>(protocol)
     }
 
-    /// Execute one full run under the registry protocol `kind` — fully
-    /// monomorphized: the steady-state loop dispatches to the protocol by
-    /// enum match and hands it the concrete view, with no vtable on
-    /// either side.
+    /// [`Engine::run`] under a fresh instance of the registry protocol
+    /// `kind`.
     pub fn run_kind(&self, kind: ProtocolKind) -> Result<RunResult> {
-        self.run_any(&mut instantiate(kind))
+        self.run(&mut instantiate(kind))
     }
 
-    /// Execute one full run under an already-instantiated [`AnyProtocol`]
-    /// (static dispatch). Lets the caller keep the instance — e.g. to
-    /// read [`AnyProtocol::requests`] afterwards.
+    /// [`Engine::run`] with the protocol type fixed to [`AnyProtocol`];
+    /// kept for `benchmark/src/simoff.rs`, which names it.
     pub fn run_any(&self, protocol: &mut AnyProtocol) -> Result<RunResult> {
-        self.run_generic::<SlotStore, _>(protocol)
+        self.run(protocol)
     }
 
     /// Execute one full run on the map-backed instance store instead of
@@ -250,14 +296,17 @@ impl<'a> Engine<'a> {
     /// differential property tests assert it. Available in debug builds
     /// and under the `oracle-checks` feature.
     #[cfg(any(debug_assertions, feature = "oracle-checks"))]
-    pub fn run_map_oracle(&self, protocol: &mut dyn Protocol) -> Result<RunResult> {
-        self.run_generic::<MapStore, _>(&mut DynProtocol::new(protocol))
+    pub fn run_map_oracle<'s, P: ProtocolFor<StateKernel<'s>>>(
+        &'s self,
+        protocol: &mut P,
+    ) -> Result<RunResult> {
+        self.run_generic::<MapStore, P>(protocol)
     }
 
     /// [`Engine::run_kind`] on the map-backed oracle store.
     #[cfg(any(debug_assertions, feature = "oracle-checks"))]
     pub fn run_kind_map_oracle(&self, kind: ProtocolKind) -> Result<RunResult> {
-        self.run_generic::<MapStore, _>(&mut instantiate(kind))
+        self.run_map_oracle(&mut instantiate(kind))
     }
 
     fn run_generic<'s, S, P>(&'s self, protocol: &mut P) -> Result<RunResult>
@@ -528,7 +577,7 @@ struct Sim<'a, S> {
     /// Per-template read-only flags (index = `TxnId::index()`).
     read_only: Vec<bool>,
     /// The snapshot path is on for this run (config asked *and* the
-    /// protocol's `lock_exempt` accepted).
+    /// protocol defers its updates to commit).
     snapshot_on: bool,
     config: &'a SimConfig,
     clock: Tick,
@@ -637,7 +686,10 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
     }
 
     fn run<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) -> Result<()> {
-        self.snapshot_on = self.config.snapshot_reads && protocol.lock_exempt(TxnMode::ReadOnly);
+        // The rule `ProtocolKind::snapshot_exempt` states, read off the
+        // protocol itself so hand-written protocols get it too.
+        self.snapshot_on =
+            self.config.snapshot_reads && protocol.update_model() == UpdateModel::Workspace;
         self.push_ceiling(protocol);
         let mut budget = self.config.max_steps;
         loop {
@@ -1058,7 +1110,7 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
 
         // Dependents whose last dependency this was leave the commit gate
         // below, after this commit is recorded.
-        let (record, drained) = self.kernel.finish_commit(protocol, who);
+        let (record, drained) = self.kernel.finish_commit(who);
         self.release_holds_on(who);
         self.trace.push_event(TraceEvent::Commit { at: clock, who });
         self.push_ceiling(protocol);

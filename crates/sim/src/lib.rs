@@ -68,7 +68,7 @@ pub use checks::{
 };
 pub use engine::{Engine, RunOutcome, RunResult, SimConfig};
 pub use metrics::{InstanceMetrics, MetricsReport, TemplateMetrics};
-pub use registry::{instantiate, instantiate_boxed, AnyProtocol};
+pub use registry::{instantiate, AnyProtocol};
 pub use sweep::{compare_protocols, ProtocolRow};
 pub use trace::{SegKind, Trace, TraceEvent};
 pub use workload::{WorkloadParams, WorkloadSpec};

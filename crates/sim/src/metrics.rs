@@ -99,11 +99,6 @@ impl MetricsReport {
         self.instances.get(&id)
     }
 
-    /// Mutable metrics of one instance.
-    pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut InstanceMetrics> {
-        self.instances.get_mut(&id)
-    }
-
     /// All instances.
     pub fn instances(&self) -> impl Iterator<Item = &InstanceMetrics> {
         self.instances.values()

@@ -5,20 +5,21 @@
 //! the implementation crates in the dependency order. This module closes
 //! the loop: [`instantiate`] builds the protocol behind a kind as an
 //! [`AnyProtocol`], a static-enum-dispatch wrapper that implements
-//! [`ProtocolFor`] over any view. The engine's monomorphized loop drives
-//! it with zero vtable hops on either side ([`Engine::run_kind`]), and the
-//! wrapper doubles as the workspace's single source of protocol line-ups:
-//! every sweep, bench and binary builds its roster from
-//! [`ProtocolKind::ALL`] / [`ProtocolKind::STANDARD`] through here.
+//! [`ProtocolFor`] over any view. Both engines' monomorphized loops drive
+//! it with zero vtable hops on either side ([`Engine::run`], the
+//! runtime's lock manager), and it is the only way the workspace holds a
+//! protocol chosen at run time — there is no trait-object face: every
+//! sweep, bench and binary builds its roster from [`ProtocolKind::ALL`] /
+//! [`ProtocolKind::STANDARD`] through here, as kinds or as a
+//! `Vec<AnyProtocol>`.
 //!
-//! [`Engine::run_kind`]: crate::Engine::run_kind
+//! [`Engine::run`]: crate::Engine::run
 
 use rtdb_baselines::{Ccp, NaiveDa, OccBc, Pcp, RwPcp, TwoPlHp, TwoPlPi};
 use rtdb_cc::PcpDa;
 use rtdb_contention::{Bamboo, Brook2Pl};
 use rtdb_core::{
-    CeilingFlavor, Decision, EngineView, LockRequest, Protocol, ProtocolFor, ProtocolKind,
-    UpdateModel,
+    CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor, ProtocolKind, UpdateModel,
 };
 use rtdb_types::{InstanceId, ItemId, LockMode};
 
@@ -43,7 +44,7 @@ enum Inner {
 ///
 /// The wrapper also counts [`ProtocolFor::request`] calls — the live
 /// "protocol decisions" figure the perf harness reports — so hot-loop
-/// instrumentation needs no `dyn` wrapper around the protocol.
+/// instrumentation needs no wrapper around the protocol.
 pub struct AnyProtocol {
     kind: ProtocolKind,
     requests: u64,
@@ -75,12 +76,6 @@ pub fn instantiate(kind: ProtocolKind) -> AnyProtocol {
         requests: 0,
         inner,
     }
-}
-
-/// [`instantiate`], boxed as a view-erased trait object — for call sites
-/// that mix protocols in one collection (`Vec<Box<dyn Protocol>>`).
-pub fn instantiate_boxed(kind: ProtocolKind) -> Box<dyn Protocol> {
-    Box::new(instantiate(kind))
 }
 
 impl AnyProtocol {
@@ -122,18 +117,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for AnyProtocol {
         dispatch!(&mut self.inner, p => ProtocolFor::request(p, view, req))
     }
 
-    fn on_grant(&mut self, view: &V, req: LockRequest) {
-        dispatch!(&mut self.inner, p => ProtocolFor::on_grant(p, view, req))
-    }
-
-    fn on_commit(&mut self, view: &V, who: InstanceId) {
-        dispatch!(&mut self.inner, p => ProtocolFor::on_commit(p, view, who))
-    }
-
-    fn on_abort(&mut self, view: &V, who: InstanceId) {
-        dispatch!(&mut self.inner, p => ProtocolFor::on_abort(p, view, who))
-    }
-
     fn early_releases(
         &mut self,
         view: &V,
@@ -163,10 +146,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for AnyProtocol {
         dispatch!(&self.inner, p => ProtocolFor::<V>::may_abort(p))
     }
 
-    fn may_deadlock(&self) -> bool {
-        dispatch!(&self.inner, p => ProtocolFor::<V>::may_deadlock(p))
-    }
-
     fn commit_victims(&mut self, view: &V, who: InstanceId) -> Vec<InstanceId> {
         dispatch!(&mut self.inner, p => ProtocolFor::commit_victims(p, view, who))
     }
@@ -175,31 +154,30 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for AnyProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtdb_core::testkit::StaticView;
 
     /// The registry's static metadata must agree with what the
     /// instantiated protocols report through the trait — one drifting
-    /// `match` arm and this fails.
+    /// `match` arm and this fails. The instance's name also parses back
+    /// to its kind.
     #[test]
     fn registry_matches_instances() {
         for &kind in ProtocolKind::ALL.iter() {
             let p = instantiate(kind);
-            let p_dyn: &dyn Protocol = &p;
             assert_eq!(p.kind(), kind);
-            assert_eq!(p_dyn.name(), kind.name(), "{kind:?}");
-            assert_eq!(p_dyn.may_abort(), kind.may_abort(), "{kind:?}");
-            assert_eq!(p_dyn.may_deadlock(), kind.may_deadlock(), "{kind:?}");
-            assert_eq!(p_dyn.update_model(), kind.update_model(), "{kind:?}");
-        }
-    }
-
-    /// `parse(display(k)) == k` for every kind, and the boxed face
-    /// carries the same name.
-    #[test]
-    fn kind_display_roundtrips_through_instances() {
-        for &kind in ProtocolKind::ALL.iter() {
-            let parsed: ProtocolKind = kind.to_string().parse().unwrap();
-            assert_eq!(parsed, kind);
-            assert_eq!(instantiate_boxed(kind).name(), kind.name());
+            let name = ProtocolFor::<StaticView>::name(&p);
+            assert_eq!(name, kind.name(), "{kind:?}");
+            assert_eq!(name.parse::<ProtocolKind>(), Ok(kind));
+            assert_eq!(
+                ProtocolFor::<StaticView>::may_abort(&p),
+                kind.may_abort(),
+                "{kind:?}"
+            );
+            assert_eq!(
+                ProtocolFor::<StaticView>::update_model(&p),
+                kind.update_model(),
+                "{kind:?}"
+            );
         }
     }
 

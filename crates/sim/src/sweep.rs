@@ -3,8 +3,7 @@
 
 use crate::engine::{Engine, RunOutcome, SimConfig};
 use crate::metrics::MetricsReport;
-use crate::registry::instantiate_boxed;
-use rtdb_core::{Protocol, ProtocolKind};
+use rtdb_core::ProtocolKind;
 use rtdb_types::{Ceiling, Result, TransactionSet};
 
 /// One protocol's aggregate results on one workload.
@@ -51,33 +50,24 @@ impl ProtocolRow {
     }
 }
 
-/// The standard protocol line-up of the evaluation
-/// ([`ProtocolKind::STANDARD`]): PCP-DA plus every baseline (excluding
-/// the demo variants), in the registry's presentation order.
-pub fn standard_protocols() -> Vec<Box<dyn Protocol>> {
-    ProtocolKind::STANDARD
-        .iter()
-        .map(|&k| instantiate_boxed(k))
-        .collect()
-}
-
-/// Run `set` under every protocol in `protocols` with the same config and
-/// collect one row per protocol. Protocols that report
-/// [`Protocol::may_deadlock`] run with deadlock resolution enabled
+/// Run `set` under every protocol in `kinds` (the evaluation line-up is
+/// [`ProtocolKind::STANDARD`]) with the same config, a fresh instance
+/// per run, and collect one row per protocol. Kinds that report
+/// [`ProtocolKind::may_deadlock`] run with deadlock resolution enabled
 /// automatically (their deadlocks would otherwise stop the run — every
 /// repaired ceiling protocol is provably deadlock-free and unaffected).
 pub fn compare_protocols(
     set: &TransactionSet,
     config: &SimConfig,
-    protocols: &mut [Box<dyn Protocol>],
+    kinds: &[ProtocolKind],
 ) -> Result<Vec<ProtocolRow>> {
-    let mut rows = Vec::with_capacity(protocols.len());
-    for p in protocols.iter_mut() {
+    let mut rows = Vec::with_capacity(kinds.len());
+    for &kind in kinds {
         let mut cfg = config.clone();
-        if p.may_deadlock() {
+        if kind.may_deadlock() {
             cfg.resolve_deadlocks = true;
         }
-        let result = Engine::new(set, cfg).run(p.as_mut())?;
+        let result = Engine::new(set, cfg).run_kind(kind)?;
         rows.push(ProtocolRow::from_report(
             result.protocol,
             &result.metrics,
@@ -90,9 +80,9 @@ pub fn compare_protocols(
 /// Run one [`compare_protocols`] per sweep point on a thread pool.
 ///
 /// `make` maps a point to its workload and config; each point then runs
-/// the full [`standard_protocols`] line-up in its own simulation (runs
-/// are independent — a fresh protocol instance and engine per run — so
-/// parallelism cannot perturb them). Results come back **in input
+/// the full [`ProtocolKind::STANDARD`] line-up in its own simulation
+/// (runs are independent — a fresh protocol instance and engine per run
+/// — so parallelism cannot perturb them). Results come back **in input
 /// order** via [`rtdb_util::par_map`], so tables and CSV files built
 /// from them are byte-identical to the sequential loop's.
 pub fn compare_protocols_parallel<T, F>(points: &[T], make: F) -> Result<Vec<Vec<ProtocolRow>>>
@@ -102,8 +92,7 @@ where
 {
     rtdb_util::par_map(points, |point| {
         let (set, config) = make(point)?;
-        let mut protocols = standard_protocols();
-        compare_protocols(&set, &config, &mut protocols)
+        compare_protocols(&set, &config, &ProtocolKind::STANDARD)
     })
     .into_iter()
     .collect()
@@ -150,7 +139,7 @@ mod tests {
     use crate::workload::WorkloadParams;
 
     #[test]
-    fn compare_runs_all_standard_protocols() {
+    fn compare_runs_the_standard_lineup() {
         let w = WorkloadParams {
             templates: 4,
             items: 8,
@@ -160,9 +149,8 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let mut protocols = standard_protocols();
         let cfg = SimConfig::with_horizon(2_000);
-        let rows = compare_protocols(&w.set, &cfg, &mut protocols).unwrap();
+        let rows = compare_protocols(&w.set, &cfg, &ProtocolKind::STANDARD).unwrap();
         assert_eq!(rows.len(), ProtocolKind::STANDARD.len());
         for (r, k) in rows.iter().zip(ProtocolKind::STANDARD.iter()) {
             assert_eq!(r.name, k.name());
@@ -198,7 +186,7 @@ mod tests {
             .iter()
             .map(|p| {
                 let (set, cfg) = make(p).unwrap();
-                compare_protocols(&set, &cfg, &mut standard_protocols()).unwrap()
+                compare_protocols(&set, &cfg, &ProtocolKind::STANDARD).unwrap()
             })
             .collect();
         assert_eq!(par, seq);
@@ -218,11 +206,8 @@ mod tests {
             .generate()
             .unwrap();
             let cfg = SimConfig::with_horizon(3_000);
-            let mut ps: Vec<Box<dyn Protocol>> = vec![
-                instantiate_boxed(ProtocolKind::PcpDa),
-                instantiate_boxed(ProtocolKind::RwPcp),
-            ];
-            let rows = compare_protocols(&w.set, &cfg, &mut ps).unwrap();
+            let kinds = [ProtocolKind::PcpDa, ProtocolKind::RwPcp];
+            let rows = compare_protocols(&w.set, &cfg, &kinds).unwrap();
             assert!(
                 rows[0].total_blocking <= rows[1].total_blocking,
                 "seed {seed}: PCP-DA blocking {} > RW-PCP {}",

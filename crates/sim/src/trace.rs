@@ -6,7 +6,6 @@
 
 use rtdb_types::{Ceiling, InstanceId, ItemId, LockMode, Tick};
 use rtdb_util::Json;
-use std::collections::BTreeMap;
 
 /// What an instance was doing during a segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -251,11 +250,6 @@ impl Trace {
         &self.segments
     }
 
-    /// Segments of one instance.
-    pub fn segments_of(&self, who: InstanceId) -> impl Iterator<Item = &Segment> {
-        self.segments.iter().filter(move |s| s.who == who)
-    }
-
     /// All events in order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -276,8 +270,9 @@ impl Trace {
     }
 
     /// Total blocked time per instance, from the Blocked segments.
-    pub fn blocked_time(&self) -> BTreeMap<InstanceId, u64> {
-        let mut out = BTreeMap::new();
+    #[cfg(test)]
+    fn blocked_time(&self) -> std::collections::BTreeMap<InstanceId, u64> {
+        let mut out = std::collections::BTreeMap::new();
         for s in &self.segments {
             if s.kind == SegKind::Blocked {
                 *out.entry(s.who).or_insert(0) += s.to.raw() - s.from.raw();

@@ -169,33 +169,6 @@ impl WorkloadParams {
         })
     }
 
-    /// Generate a workload that the given admission test accepts, by
-    /// rejection sampling over seeds derived from [`WorkloadParams::seed`]
-    /// (`admit` is typically one of the `rtdb-analysis` schedulability
-    /// predicates). Returns the first admitted spec, or `None` after
-    /// `max_tries` rejections.
-    pub fn generate_admitted(
-        &self,
-        max_tries: u32,
-        mut admit: impl FnMut(&TransactionSet) -> bool,
-    ) -> Option<WorkloadSpec> {
-        for attempt in 0..max_tries {
-            let params = WorkloadParams {
-                seed: self
-                    .seed
-                    .wrapping_add(attempt as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..self.clone()
-            };
-            if let Ok(spec) = params.generate() {
-                if admit(&spec.set) {
-                    return Some(spec);
-                }
-            }
-        }
-        None
-    }
-
     /// Cumulative Zipf(θ) distribution over item ranks, if requested.
     fn zipf_cdf(&self) -> Option<Vec<f64>> {
         let theta = self.zipf_theta?;
@@ -368,23 +341,6 @@ mod tests {
                 assert!(x.0 < 2, "non-hot item {x} accessed");
             }
         }
-    }
-
-    #[test]
-    fn generate_admitted_respects_the_predicate() {
-        let params = WorkloadParams {
-            target_utilization: 0.5,
-            seed: 3,
-            ..Default::default()
-        };
-        // Admit only sets whose total utilization is below 0.55.
-        let spec = params
-            .generate_admitted(64, |set| set.total_utilization() < 0.55)
-            .expect("an admitted workload exists");
-        assert!(spec.set.total_utilization() < 0.55);
-
-        // An unsatisfiable predicate yields None.
-        assert!(params.generate_admitted(8, |_| false).is_none());
     }
 
     #[test]

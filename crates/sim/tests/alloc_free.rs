@@ -150,7 +150,7 @@ fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     assert!(!k.gate(who));
     assert!(k.commit_victims(protocol, who).is_empty());
     k.install(who, ws, tick(), false, None);
-    let (record, drained) = k.finish_commit(protocol, who);
+    let (record, drained) = k.finish_commit(who);
     assert!(record.block_events == 0 && drained.is_empty());
     assert!(k.reevaluate(protocol).is_empty());
 }

@@ -188,11 +188,6 @@ impl Workspace {
         value
     }
 
-    /// Stage an explicit value (used by tests and by the replay oracle).
-    pub fn write_value(&mut self, item: ItemId, value: Value) {
-        self.stage(item, value);
-    }
-
     /// `DataRead(T_i)`: the items whose committed pre-image this instance
     /// has observed (own-workspace reads excluded — they cannot be
     /// invalidated), sorted ascending.

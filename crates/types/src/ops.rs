@@ -13,18 +13,6 @@ pub enum LockMode {
 }
 
 impl LockMode {
-    /// True for [`LockMode::Read`].
-    #[inline]
-    pub fn is_read(self) -> bool {
-        matches!(self, LockMode::Read)
-    }
-
-    /// True for [`LockMode::Write`].
-    #[inline]
-    pub fn is_write(self) -> bool {
-        matches!(self, LockMode::Write)
-    }
-
     /// The opposite mode (upgrades hold both).
     #[inline]
     pub fn other(self) -> LockMode {
@@ -72,16 +60,6 @@ impl Operation {
     pub fn item(self) -> Option<ItemId> {
         match self {
             Operation::Read(x) | Operation::Write(x) => Some(x),
-            Operation::Compute => None,
-        }
-    }
-
-    /// The lock mode required, if any.
-    #[inline]
-    pub fn lock_mode(self) -> Option<LockMode> {
-        match self {
-            Operation::Read(_) => Some(LockMode::Read),
-            Operation::Write(_) => Some(LockMode::Write),
             Operation::Compute => None,
         }
     }
@@ -168,7 +146,6 @@ mod tests {
         assert_eq!(Operation::Write(x).access(), Some((x, LockMode::Write)));
         assert_eq!(Operation::Compute.access(), None);
         assert_eq!(Operation::Compute.item(), None);
-        assert_eq!(Operation::Read(x).lock_mode(), Some(LockMode::Read));
     }
 
     #[test]
@@ -177,12 +154,5 @@ mod tests {
         assert_eq!(s.op, Operation::Read(ItemId(1)));
         assert_eq!(s.duration, Duration(3));
         assert_eq!(Step::compute(2).op, Operation::Compute);
-    }
-
-    #[test]
-    fn lock_mode_predicates() {
-        assert!(LockMode::Read.is_read());
-        assert!(!LockMode::Read.is_write());
-        assert!(LockMode::Write.is_write());
     }
 }

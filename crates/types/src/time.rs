@@ -37,8 +37,8 @@ impl Tick {
     }
 
     /// Saturating difference, zero when `earlier > self`.
-    #[inline]
-    pub fn saturating_since(self, earlier: Tick) -> Duration {
+    #[cfg(test)]
+    fn saturating_since(self, earlier: Tick) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
 
@@ -52,9 +52,6 @@ impl Tick {
 impl Duration {
     /// The empty span.
     pub const ZERO: Duration = Duration(0);
-
-    /// A single tick.
-    pub const ONE: Duration = Duration(1);
 
     /// True if the span is empty.
     #[inline]

@@ -92,8 +92,9 @@ impl TransactionTemplate {
 
     /// True if no step of this template writes: every instance is a pure
     /// reader. Read-only templates are the candidates for the snapshot
-    /// read path (`rtdb_core::TxnMode::ReadOnly`) — they stage nothing,
-    /// install nothing, and can serialize at a commit epoch.
+    /// read path (`rtdb_core::ProtocolKind::snapshot_exempt`) — they
+    /// stage nothing, install nothing, and can serialize at a commit
+    /// epoch.
     pub fn is_read_only(&self) -> bool {
         !self
             .steps

@@ -125,12 +125,6 @@ impl Rng {
         self.f64() < p
     }
 
-    /// A uniformly chosen element of a non-empty slice.
-    #[inline]
-    pub fn pick<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        &slice[self.range_usize(0..slice.len())]
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {

@@ -10,7 +10,11 @@ use rtdb::paper;
 use rtdb::prelude::*;
 use rtdb::sim::gantt;
 
-fn show(title: &str, set: &TransactionSet, protocol: &mut dyn Protocol) {
+fn show<P: for<'k> ProtocolFor<StateKernel<'k>>>(
+    title: &str,
+    set: &TransactionSet,
+    protocol: &mut P,
+) {
     let run = Engine::new(set, SimConfig::default())
         .run(protocol)
         .expect("run succeeds");

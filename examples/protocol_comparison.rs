@@ -29,11 +29,10 @@ fn main() {
             workload.set.total_utilization(),
             workload.set.len()
         );
-        let mut protocols = sweep::standard_protocols();
         let rows = compare_protocols(
             &workload.set,
             &SimConfig::with_horizon(20_000),
-            &mut protocols,
+            &ProtocolKind::STANDARD,
         )
         .expect("sweep succeeds");
         println!("{}", sweep::format_table(&rows));

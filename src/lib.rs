@@ -28,9 +28,11 @@
 //!   plus the serializability oracles (serialization graph + serial
 //!   replay);
 //! * [`cc`] — the protocol-agnostic kernel (crate `rtdb-core`): the
-//!   [`cc::ProtocolFor`]/[`cc::Protocol`] traits, the
-//!   [`cc::ProtocolKind`] registry, lock table, ceilings, priority
-//!   inheritance, wait-for graph;
+//!   [`cc::ProtocolFor`] trait (the only protocol trait; a protocol
+//!   chosen at run time is a [`sim::AnyProtocol`] built by
+//!   [`sim::instantiate`] from the [`cc::ProtocolKind`] registry), the
+//!   state kernel, lock table, ceilings, priority inheritance, wait-for
+//!   graph;
 //! * [`types`] — ids, discrete time, priorities, transaction templates.
 //!
 //! ## Quick start
@@ -81,8 +83,8 @@ pub mod prelude {
     pub use rtdb_baselines::{Ccp, NaiveDa, OccBc, Pcp, RwPcp, TwoPlHp, TwoPlPi};
     pub use rtdb_cc::{GrantRule, PcpDa};
     pub use rtdb_core::{
-        AbortBreakdown, AbortReason, Decision, EngineView, LockRequest, Protocol, ProtocolFor,
-        ProtocolKind,
+        AbortBreakdown, AbortReason, Decision, EngineView, LockRequest, ProtocolFor, ProtocolKind,
+        StateKernel,
     };
     pub use rtdb_net::{serve, NetClient, NetConfig};
     pub use rtdb_rt::{

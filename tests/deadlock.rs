@@ -58,22 +58,16 @@ fn example5_pcpda_completes() {
 #[test]
 fn example5_other_ceiling_protocols_complete() {
     let set = paper::example5();
-    let mut protocols: Vec<Box<dyn Protocol>> = vec![
-        Box::new(RwPcp::new()),
-        Box::new(Pcp::new()),
-        Box::new(Ccp::new()),
-    ];
-    for p in protocols.iter_mut() {
+    for kind in [ProtocolKind::RwPcp, ProtocolKind::Pcp, ProtocolKind::Ccp] {
         let r = Engine::new(&set, SimConfig::default())
-            .run(p.as_mut())
+            .run_kind(kind)
             .unwrap();
         assert_eq!(
             r.outcome,
             RunOutcome::Completed,
-            "{} deadlocked on Example 5",
-            p.name()
+            "{kind} deadlocked on Example 5"
         );
-        assert_eq!(r.history.committed(), 2, "{}", p.name());
+        assert_eq!(r.history.committed(), 2, "{kind}");
     }
 }
 

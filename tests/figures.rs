@@ -13,7 +13,10 @@ fn inst(t: u32) -> InstanceId {
     InstanceId::first(TxnId(t))
 }
 
-fn run(set: &TransactionSet, protocol: &mut dyn Protocol) -> RunResult {
+fn run<P: for<'k> ProtocolFor<StateKernel<'k>>>(
+    set: &TransactionSet,
+    protocol: &mut P,
+) -> RunResult {
     Engine::new(set, SimConfig::default())
         .run(protocol)
         .expect("simulation runs")

@@ -48,7 +48,11 @@ fn arb_params(rng: &mut Rng) -> WorkloadParams {
     }
 }
 
-fn run(set: &TransactionSet, protocol: &mut dyn Protocol, resolve: bool) -> RunResult {
+fn run<P: for<'k> ProtocolFor<StateKernel<'k>>>(
+    set: &TransactionSet,
+    protocol: &mut P,
+    resolve: bool,
+) -> RunResult {
     // Long enough for rare multi-instance interleavings to develop — a
     // deadlock variant once only surfaced past t=3000.
     let mut cfg = SimConfig::with_horizon(4_000);
