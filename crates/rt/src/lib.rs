@@ -6,14 +6,16 @@
 //! the identical protocol decision logic from `rtdb-core` through a
 //! parking lock manager:
 //!
-//! * `manager` (internal) — the lock manager: the protocol state core
-//!   (lock table, ceilings, priority inheritance, history, database)
-//!   behind one global mutex with per-waiter condvar parking;
-//! * `sharded` (internal) — the partitioned architecture: a static
-//!   router spreads items across `N` independent per-shard lock managers
-//!   coordinated by a lock-free published-per-shard global ceiling;
-//!   cross-shard transactions acquire shards in canonical order under a
-//!   no-wait rule (DESIGN.md §6e, per-shard telemetry in [`ShardStats`]);
+//! * `manager` (internal) — the protocol state core of one shard (lock
+//!   table, ceilings, priority inheritance, history, database) and the
+//!   delivery of its transitions to per-waiter condvars;
+//! * `sharded` (internal) — the lock manager: `N ≥ 1` such cores, each
+//!   behind its mutex, over items a static router spreads across them;
+//!   the one place a state lock is taken and the one place a thread
+//!   parks; a lock-free published-per-shard global ceiling, and
+//!   cross-shard transactions that acquire shards in canonical order
+//!   under a no-wait rule (DESIGN.md §6f, per-shard telemetry in
+//!   [`ShardStats`]);
 //! * [`runtime`] — the worker pool and the closed-loop executor: worker
 //!   threads drain a job list, each job running one transaction instance
 //!   to commit (with abort/restart for the wound/validate protocols);

@@ -1,24 +1,26 @@
-//! The concurrent lock manager.
+//! The protocol core of one shard, and what manager calls trade in.
 //!
-//! One [`Mutex`] per [`LockManager`] guards a [`Shared`] core: the
-//! [`rtdb_core::StateKernel`] — lock table, ceilings, inheritance,
-//! per-instance records, database, history, and every transition over
-//! them — plus the protocol instance and the parking state of the live
-//! instances. Every protocol decision, data operation and commit happens
-//! inside the mutex *in the kernel*, the same code the simulator drives,
+//! A [`Shared`] is one [`rtdb_core::StateKernel`] — lock table, ceilings,
+//! inheritance, per-instance records, database, history, and every
+//! transition over them — plus the protocol instance deciding over it and
+//! the parking state of its live instances. The manager
+//! ([`crate::sharded::ShardedManager`]) keeps one per shard behind a
+//! mutex; every protocol decision, data operation and commit happens
+//! under that mutex *in the kernel*, the same code the simulator drives,
 //! so the runtime linearizes the exact state machine the simulator
 //! executes — only the *order* of requests differs (it is decided by the
 //! OS scheduler instead of the simulated priority dispatcher). What this
-//! module adds is delivery: blocked threads park on per-waiter
-//! [`Condvar`]s, and the woken / aborted / drained instances a kernel
-//! transition returns become flags and notifies.
+//! module adds is delivery: the woken, aborted and drained instances a
+//! kernel transition returns become flags and notifies on per-waiter
+//! [`Condvar`]s. Taking the mutex and waiting on a condvar are the
+//! manager's — [`Shared`] never blocks.
 //!
 //! Deadlock cycles are searched for on the kernel's wait edges at block
 //! time (as in the simulator) and always resolved by aborting the
 //! kernel's victim: a real runtime cannot stop the world and report
 //! `RunOutcome::Deadlock` the way a simulation can.
 
-use crate::snapshot::SnapshotSide;
+use crate::sharded::ShardStats;
 use rtdb_core::{
     AbortBreakdown, AbortReason, Acquire, EngineView, GlobalCeiling, ProtocolFor, ProtocolKind,
     Record, ShardRouter, StateKernel,
@@ -27,7 +29,7 @@ use rtdb_sim::{instantiate, AnyProtocol};
 use rtdb_storage::{Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Tick, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 /// Default park timeout (see [`crate::RtConfig::park_timeout`]): the
@@ -35,40 +37,6 @@ use std::time::Duration;
 /// the fast path, short enough to keep worst-case recovery invisible in
 /// tests.
 pub(crate) const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Per-shard wiring of the [`Shared`] core. [`ShardCtx::single`] is the
-/// classic unsharded configuration: a private clock and none of the
-/// cross-shard machinery, so the state machine is bit-identical to the
-/// pre-sharding manager.
-pub(crate) struct ShardCtx {
-    /// The run-global logical event clock, shared by every shard so the
-    /// merged history can be rebuilt in tick order.
-    pub clock: Arc<AtomicU64>,
-    /// This shard's index.
-    pub shard: usize,
-    /// Item→shard routing (multi-shard runs only); scopes the shard's
-    /// kernel to the items it owns.
-    pub router: Option<ShardRouter>,
-    /// The published-per-shard global ceiling layer (multi-shard only).
-    pub global: Option<Arc<GlobalCeiling>>,
-    /// The commit gate: the run-global next-commit-index counter, locked
-    /// around {commit tick, installs, snapshot publish} so commit ticks,
-    /// commit indices and snapshot stamps agree across shards
-    /// (multi-shard only; `None` keeps single-shard commits gate-free).
-    pub gate: Option<Arc<Mutex<u64>>>,
-}
-
-impl ShardCtx {
-    pub(crate) fn single() -> Self {
-        ShardCtx {
-            clock: Arc::new(AtomicU64::new(0)),
-            shard: 0,
-            router: None,
-            global: None,
-            gate: None,
-        }
-    }
-}
 
 /// What a manager call tells the worker to do next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,26 +72,29 @@ pub(crate) enum CommitOutcome {
     Restart,
 }
 
-/// Everything the manager accumulated, returned by [`LockManager::finish`].
+/// Everything a run's manager accumulated, summed over its shards;
+/// returned by `ShardedManager::finish`.
+#[derive(Default)]
 pub(crate) struct ManagerReport {
+    /// The shards' logs merged in tick order.
     pub history: History,
+    /// The union of the shards' (disjoint) databases.
     pub db: Database,
     pub commits: u64,
     pub restarts: u64,
     pub deadlocks_resolved: u64,
     /// Park-timeout safety-net firings (see [`crate::RtResult::park_timeout_wakeups`]).
     pub park_timeout_wakeups: u64,
-    /// Final value of the lock table's monotone state-transition counter
+    /// Final value of the lock tables' monotone state-transition counters
     /// — 0 means the run never granted, released or converted a single
     /// lock (the snapshot path's zero-lock assertion hook).
     pub lock_transitions: u64,
-    /// Times this manager's state mutex was acquired (shard-isolation
-    /// telemetry).
-    pub state_lock_acquires: u64,
-    /// Which shard produced this report (0 in unsharded runs).
-    pub shard: usize,
-    /// Why instances aborted, by cause; totals [`ManagerReport::restarts`].
+    /// Why instances aborted, by cause.
     pub abort_reasons: AbortBreakdown,
+    /// Per-shard telemetry, indexed by shard.
+    pub per_shard: Vec<ShardStats>,
+    /// Cross-shard jobs begun.
+    pub cross_shard_txns: u64,
 }
 
 /// Per-worker context threaded through every manager call: the recycled
@@ -137,6 +108,8 @@ pub(crate) struct WorkerCtx {
     /// Cross-shard state of the job currently executing on this worker
     /// (`None` for single-shard jobs and unsharded runs).
     pub cross: Option<crate::sharded::CrossJob>,
+    /// Scratch for the batch a commit hands to the snapshot store.
+    pub batch: Vec<(ItemId, VersionedValue)>,
 }
 
 impl WorkerCtx {
@@ -145,70 +118,60 @@ impl WorkerCtx {
             ws: Workspace::new(InstanceId::first(TxnId(0))),
             worker,
             cross: None,
+            batch: Vec::new(),
         }
     }
 }
 
 /// Parking state of one live instance — the runtime-only half of its
 /// bookkeeping; what protocols observe lives in the kernel's [`Record`].
+/// There is no "woken" flag: a parked thread waits for a fact the kernel
+/// holds (its request no longer pending, its commit dependencies gone),
+/// and a wake-up is a notify after the kernel made that fact true.
 struct Waiter {
     id: InstanceId,
     cv: Arc<Condvar>,
-    /// Set when the kernel woke this instance: a re-evaluation would now
-    /// grant its pending request, or its last commit dependency drained.
-    woken: bool,
     /// Set by [`Shared::abort_victim`]; consumed by the owning worker.
     aborted: bool,
-    /// Cross-shard abort signal (multi-shard runs only): set instead of
+    /// Cross-shard abort signal (multi-shard runs only): raised beside
     /// `aborted` when this instance spans shards, because its owner never
-    /// parks inside any one shard and polls this flag at the sharded
-    /// manager's entry points instead. Shared with every shard the
-    /// instance registered in.
+    /// parks inside any one shard and polls this flag at the manager's
+    /// entry points instead. Shared with every shard the instance
+    /// registered in.
     signal: Option<Arc<AtomicBool>>,
 }
 
-/// The guarded heart of the runtime: one state kernel, the protocol
-/// instance deciding over it, and the parking state of its live
-/// instances — what every worker reaches through its [`LockManager`]'s
-/// mutex. The methods here compose kernel transitions and deliver their
-/// effects: notifies and flags for the woken and the aborted, ceiling
-/// publications, snapshot publishes.
+/// The guarded heart of one shard: a state kernel, the protocol instance
+/// deciding over it, and the parking state of its live instances — what
+/// every worker reaches through the manager's one `lock`. The methods
+/// here compose kernel transitions and deliver their effects: notifies
+/// for the woken, flags for the aborted.
 pub(crate) struct Shared<'a> {
     kernel: StateKernel<'a>,
     protocol: AnyProtocol,
     /// Sorted by `Waiter::id`, one per instance live in `kernel`.
     waiters: Vec<Waiter>,
     /// Logical event clock: history ticks order events for readers of the
-    /// log; correctness oracles never compare tick values across runs. In
-    /// multi-shard runs the counter is shared by every shard, so ticks
-    /// are globally unique and the per-shard histories merge by tick.
+    /// log; correctness oracles never compare tick values across runs.
+    /// One counter per run, shared by every shard, so ticks are globally
+    /// unique and the per-shard histories merge by tick.
     clock: Arc<AtomicU64>,
-    /// This shard's index (0 in unsharded runs).
+    /// This shard's index.
     shard: usize,
-    /// Where this shard publishes its local system ceiling (multi-shard
-    /// runs only).
-    global: Option<Arc<GlobalCeiling>>,
-    /// The cross-shard commit gate (multi-shard runs only); see
-    /// [`ShardCtx::gate`].
-    pub(crate) gate: Option<Arc<Mutex<u64>>>,
     /// Lock-table version at the last ceiling publication, so a shard
     /// publishes only when a transition actually happened.
     last_pub_version: u64,
     /// Times this shard's state mutex was acquired — the shard-isolation
     /// telemetry behind the "single-shard transactions never touch
-    /// another shard's state lock" assertion.
-    state_lock_acquires: u64,
+    /// another shard's state lock" assertion. Counted by the manager's
+    /// `lock`.
+    pub(crate) state_lock_acquires: u64,
+    /// Commits whose home is this shard.
     pub(crate) commits: u64,
     restarts: u64,
     deadlocks_resolved: u64,
     /// Park-timeout safety-net firings.
     park_timeout_wakeups: u64,
-    /// The snapshot-read side-car, when the path is enabled: every commit
-    /// publishes its installs (and seals a stamp) here, inside this state
-    /// core's critical section.
-    pub(crate) snap: Option<Arc<SnapshotSide>>,
-    /// Scratch for the publish batch handed to the snapshot store.
-    publish_scratch: Vec<(ItemId, VersionedValue)>,
 }
 
 /// What [`Shared::try_acquire`] told the caller.
@@ -217,8 +180,8 @@ pub(crate) enum TryAcquire {
     Done,
     /// State changed (victims aborted); retry the request immediately.
     Retry,
-    /// Blocked; park on the returned condvar.
-    Park(Arc<Condvar>),
+    /// Blocked: the request stays pending until a transition wakes it.
+    Park,
 }
 
 /// One tick of the shared logical clock — the kernel's tick source here:
@@ -229,58 +192,65 @@ fn next_tick(clock: &AtomicU64) -> Tick {
 }
 
 impl<'a> Shared<'a> {
-    fn new(
+    /// Shard `shard`'s core. `scope` is the item routing of a multi-shard
+    /// run: this shard's protocol instance must only see the reads it
+    /// governs — a cross-shard reader's off-shard items would otherwise
+    /// produce spurious OCC invalidations.
+    pub(crate) fn new(
         set: &'a TransactionSet,
         kind: ProtocolKind,
-        snap: Option<Arc<SnapshotSide>>,
-        shard_ctx: ShardCtx,
+        clock: Arc<AtomicU64>,
+        shard: usize,
+        scope: Option<ShardRouter>,
     ) -> Self {
         let protocol = instantiate(kind);
         let mut kernel = StateKernel::new(
             set,
             ProtocolFor::<StateKernel<'a>>::ceiling_flavor(&protocol),
         );
-        if let Some(router) = shard_ctx.router {
-            // Multi-shard: this shard's protocol instance must only see
-            // the reads it governs — a cross-shard reader's off-shard
-            // items would otherwise produce spurious OCC invalidations.
-            kernel = kernel.scoped_to(router, shard_ctx.shard);
+        if let Some(router) = scope {
+            kernel = kernel.scoped_to(router, shard);
         }
         Shared {
             kernel,
             protocol,
             waiters: Vec::new(),
-            clock: shard_ctx.clock,
-            shard: shard_ctx.shard,
-            global: shard_ctx.global,
-            gate: shard_ctx.gate,
+            clock,
+            shard,
             last_pub_version: 0,
             state_lock_acquires: 0,
             commits: 0,
             restarts: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
-            snap,
-            publish_scratch: Vec::new(),
         }
     }
 
-    fn into_report(self) -> ManagerReport {
+    /// Tear down after every worker joined: add this shard's counters,
+    /// database and telemetry row to `report` and hand back its log.
+    pub(crate) fn finish(
+        self,
+        ops: u64,
+        ceiling_publishes: u64,
+        report: &mut ManagerReport,
+    ) -> History {
         debug_assert!(self.waiters.is_empty(), "live instances at finish");
-        let lock_transitions = self.kernel.locks().version();
-        let (history, db, abort_reasons) = self.kernel.into_parts();
-        ManagerReport {
-            history,
-            db,
-            commits: self.commits,
-            restarts: self.restarts,
-            deadlocks_resolved: self.deadlocks_resolved,
-            park_timeout_wakeups: self.park_timeout_wakeups,
-            lock_transitions,
-            state_lock_acquires: self.state_lock_acquires,
+        report.per_shard.push(ShardStats {
             shard: self.shard,
-            abort_reasons,
-        }
+            ops,
+            commits: self.commits,
+            state_lock_acquires: self.state_lock_acquires,
+            ceiling_publishes,
+        });
+        report.commits += self.commits;
+        report.restarts += self.restarts;
+        report.deadlocks_resolved += self.deadlocks_resolved;
+        report.park_timeout_wakeups += self.park_timeout_wakeups;
+        report.lock_transitions += self.kernel.locks().version();
+        let (history, db, abort_reasons) = self.kernel.into_parts();
+        report.db.absorb(db);
+        report.abort_reasons.merge(&abort_reasons);
+        history
     }
 
     #[inline]
@@ -299,31 +269,36 @@ impl<'a> Shared<'a> {
         &mut self.waiters[i]
     }
 
-    /// True when a parked `who` must stop waiting: aborted, woken, or no
-    /// longer pending.
-    fn unparked(&self, who: InstanceId) -> bool {
-        let w = &self.waiters[self.waiter_idx(who).expect("instance is live")];
-        w.aborted || w.woken || self.kernel.pending_request(who).is_none()
+    /// The condvar `who`'s thread parks on.
+    pub(crate) fn condvar(&mut self, who: InstanceId) -> Arc<Condvar> {
+        self.waiter_mut(who).cv.clone()
     }
 
-    /// Flag the instances the kernel woke and notify their threads (the
-    /// grant itself happens when the woken thread re-issues its request).
+    /// True while an abort of `who` awaits [`Shared::take_abort`].
+    pub(crate) fn is_aborted(&self, who: InstanceId) -> bool {
+        self.waiters[self.waiter_idx(who).expect("instance is live")].aborted
+    }
+
+    /// What a thread parked on a lock request waits for: the request is no
+    /// longer pending (a re-evaluation would grant it, or an abort
+    /// cleared it).
+    pub(crate) fn request_cleared(&mut self, who: InstanceId) -> bool {
+        self.kernel.pending_request(who).is_none()
+    }
+
+    /// Notify the threads of the instances the kernel woke (the grant
+    /// itself happens when the woken thread re-issues its request).
     fn notify(&mut self, woken: &[InstanceId]) {
         for &who in woken {
-            let w = self.waiter_mut(who);
-            w.woken = true;
-            w.cv.notify_one();
+            self.waiter_mut(who).cv.notify_one();
         }
     }
 
     /// Publish this shard's local system ceiling to the global layer if a
-    /// lock-table transition happened since the last publication. No-op
-    /// in unsharded runs. Called at the end of every state-mutating entry
-    /// point, i.e. before the shard's state lock is released.
-    fn maybe_publish_ceiling(&mut self) {
-        let Some(global) = &self.global else {
-            return;
-        };
+    /// lock-table transition happened since the last publication. The
+    /// manager's guard calls it before the shard's state lock is
+    /// released.
+    pub(crate) fn publish_ceiling(&mut self, global: &GlobalCeiling) {
         let v = self.kernel.locks().version();
         if v != self.last_pub_version {
             self.last_pub_version = v;
@@ -332,14 +307,7 @@ impl<'a> Shared<'a> {
     }
 
     pub(crate) fn take_abort(&mut self, who: InstanceId) -> bool {
-        let w = self.waiter_mut(who);
-        if w.aborted {
-            w.aborted = false;
-            w.woken = false;
-            true
-        } else {
-            false
-        }
+        std::mem::take(&mut self.waiter_mut(who).aborted)
     }
 
     /// Register a released instance in this shard. A cross-shard instance
@@ -363,7 +331,6 @@ impl<'a> Shared<'a> {
             Waiter {
                 id,
                 cv: Arc::new(Condvar::new()),
-                woken: false,
                 aborted: false,
                 signal,
             },
@@ -378,8 +345,6 @@ impl<'a> Shared<'a> {
         mode: LockMode,
         ws: &mut Workspace,
     ) -> TryAcquire {
-        // Clear a stale wake flag from a previous round.
-        self.waiter_mut(who).woken = false;
         let Shared {
             kernel,
             protocol,
@@ -389,7 +354,7 @@ impl<'a> Shared<'a> {
         let acquired = kernel.acquire(protocol, who, step_index, item, mode, ws, || {
             next_tick(clock)
         });
-        let result = match acquired {
+        match acquired {
             Acquire::Done { .. } => TryAcquire::Done,
             Acquire::Wound { victims } => {
                 for v in victims {
@@ -409,37 +374,36 @@ impl<'a> Shared<'a> {
             }
             Acquire::Blocked { woken, .. } => {
                 self.notify(&woken);
-                if self.kernel.pending_request(who).is_some() {
+                if !self.request_cleared(who) {
                     self.resolve_deadlocks();
                 }
-                if self.unparked(who) {
+                // The re-evaluation may have woken the requester itself,
+                // the sweep may have picked it as the victim.
+                if self.request_cleared(who) {
                     TryAcquire::Retry
                 } else {
-                    TryAcquire::Park(self.waiter_mut(who).cv.clone())
+                    TryAcquire::Park
                 }
             }
-        };
-        self.maybe_publish_ceiling();
-        result
+        }
     }
 
     /// Undo the registration of a denied request — the no-wait cross-shard
     /// path never parks in someone else's shard.
     pub(crate) fn unpark(&mut self, who: InstanceId) {
         self.kernel.wake(who);
-        self.waiter_mut(who).woken = false;
     }
 
     /// Have the kernel re-present every parked request and wake those that
     /// would now be granted.
-    pub(crate) fn wake_parked(&mut self) {
+    fn wake_parked(&mut self) {
         let woken = self.kernel.reevaluate(&mut self.protocol);
         self.notify(&woken);
     }
 
     /// Resolve wait-for cycles by aborting the kernel's victim — the
     /// lowest-base-priority instance on each cycle — until none remains.
-    pub(crate) fn resolve_deadlocks(&mut self) {
+    fn resolve_deadlocks(&mut self) {
         while let Some((_, victim)) = self.kernel.find_deadlock() {
             self.deadlocks_resolved += 1;
             self.abort_victim(victim, AbortReason::DeadlockVictim);
@@ -447,31 +411,40 @@ impl<'a> Shared<'a> {
         }
     }
 
+    /// The park timeout's safety net, run by the thread whose wait
+    /// expired: heal lost wake-ups and cycles that formed without a block
+    /// event.
+    pub(crate) fn net_fired(&mut self) {
+        self.park_timeout_wakeups += 1;
+        self.wake_parked();
+        self.resolve_deadlocks();
+    }
+
     /// Abort a live instance (and, cascading, its dependents) through the
     /// kernel and flag each worker to restart. A victim's workspace is
     /// reset by the owning thread when it observes the flag; until then
     /// the kernel's cleared record is what protocols see — the same state
     /// the simulator reaches by resetting the slot in place.
-    pub(crate) fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason) {
+    fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason) {
         let Some(i) = self.waiter_idx(victim) else {
             return; // committed between the decision and now
         };
         // A cross-shard victim is aborted *locally*: clean this shard's
         // slice of its state and raise the shared signal; the victim's
         // own worker (which never parks while it holds anything) observes
-        // the signal at its next sharded-manager entry point, cleans its
+        // the signal at its next manager entry point, cleans its
         // remaining shards the same way, and logs the single Abort +
         // restart-Begin pair in its home shard. `aborted` doubles as the
         // "this shard already ran its local abort" marker the victim's
         // sweep consumes.
-        if let Some(sig) = self.waiters[i].signal.clone() {
-            if self.waiters[i].aborted {
+        let w = &mut self.waiters[i];
+        if let Some(sig) = &w.signal {
+            if w.aborted {
                 return; // local abort already ran; victim not yet swept
             }
             self.kernel
                 .abort_local(&mut self.protocol, victim, Some(reason));
-            self.waiters[i].aborted = true;
-            self.waiters[i].woken = false;
+            w.aborted = true;
             sig.store(true, Ordering::Release);
         } else {
             let Shared {
@@ -484,14 +457,12 @@ impl<'a> Shared<'a> {
                 self.restarts += 1;
                 let w = self.waiter_mut(who);
                 debug_assert!(w.signal.is_none(), "cascades never cross shards");
-                w.woken = false;
                 // A running worker observes the flag at its next manager
                 // call; a parked one when the notify lands.
                 w.aborted = true;
                 w.cv.notify_one();
             }
         }
-        self.maybe_publish_ceiling();
     }
 
     /// Report step `completed_step` finished; applies the protocol's early
@@ -504,10 +475,7 @@ impl<'a> Shared<'a> {
             ..
         } = self;
         let done = kernel.step_done(protocol, id, completed_step, ws, || next_tick(clock));
-        if !done.released.is_empty() {
-            self.notify(&done.woken);
-            self.maybe_publish_ceiling();
-        }
+        self.notify(&done.woken);
     }
 
     /// The victim's side of a cross-shard abort, run per shard by the
@@ -521,32 +489,35 @@ impl<'a> Shared<'a> {
         if home {
             self.kernel.log(self.tick(), id, EventKind::Abort);
         }
-        let w = self.waiter_mut(id);
-        w.woken = false;
-        if w.aborted {
-            w.aborted = false; // the aborting shard already released everything here
-        } else {
+        // Taken: the aborting shard already released everything here.
+        if !self.take_abort(id) {
             self.kernel.abort_local(&mut self.protocol, id, None);
         }
         if home {
             self.kernel.log(self.tick(), id, EventKind::Begin);
         }
         self.wake_parked();
-        self.maybe_publish_ceiling();
     }
 
     /// Commit gate: true when `id` still has commit dependencies and the
-    /// caller must park — the drain in a dependency's commit wakes it
-    /// (`woken`), a cascading abort restarts it (`aborted`). The gate
+    /// caller must park until they are gone — the drain in the last
+    /// dependency's commit wakes it, a cascading abort flags it. The gate
     /// waits are edges in the kernel, so a gate-plus-lock cycle resolves
     /// here like any other deadlock.
     pub(crate) fn gate_commit(&mut self, id: InstanceId) -> bool {
-        if !self.kernel.gate(id) {
-            return false;
+        let gated = self.kernel.gate(id);
+        if gated {
+            self.resolve_deadlocks();
         }
-        self.waiter_mut(id).woken = false;
-        self.resolve_deadlocks();
-        true
+        gated
+    }
+
+    /// What a thread parked at the commit gate waits for: no commit
+    /// dependency left. Tested on the kernel's tracker, not on a flag a
+    /// notifier sets, so a wake-up that got lost is still seen by the
+    /// park timeout's next look.
+    pub(crate) fn gate_open(&mut self, id: InstanceId) -> bool {
+        !self.kernel.gate(id)
     }
 
     /// Abort the instances `id`'s commit invalidates (optimistic
@@ -567,10 +538,9 @@ impl<'a> Shared<'a> {
         ws: &Workspace,
         at: Tick,
         home: bool,
-        batch: &mut Vec<(ItemId, VersionedValue)>,
+        batch: Option<&mut Vec<(ItemId, VersionedValue)>>,
     ) {
-        let out = self.snap.is_some().then_some(batch);
-        self.kernel.install(id, ws, at, home, out);
+        self.kernel.install(id, ws, at, home, batch);
     }
 
     /// Commit-side teardown of `id` in this shard: release its locks and
@@ -583,277 +553,132 @@ impl<'a> Shared<'a> {
         let i = self.waiter_idx(id).expect("instance is live");
         self.waiters.remove(i);
         self.wake_parked();
-        for d in drained {
+        for &d in &drained {
             self.kernel.wake(d);
-            self.notify(&[d]);
         }
-        self.maybe_publish_ceiling();
+        self.notify(&drained);
         record
-    }
-
-    /// Commit `id`: abort the protocol's commit victims, install staged
-    /// writes, release everything, re-evaluate waiters. The caller has
-    /// already consumed any abort flag and cleared the commit gate
-    /// ([`Shared::gate_commit`] returned false).
-    fn commit(&mut self, id: InstanceId, ws: &Workspace) -> JobStats {
-        self.abort_commit_victims(id);
-
-        // Multi-shard runs serialize {commit tick, installs, snapshot
-        // publish, commit index} through the run-global commit gate, so
-        // commit-tick order, commit-index order and snapshot-stamp order
-        // all agree across shards (and the single-publisher contract of
-        // `SnapshotStore::publish` holds). Unsharded runs have no gate:
-        // the state mutex already serializes all of this.
-        let gate = self.gate.clone();
-        let mut gate_guard = gate
-            .as_ref()
-            .map(|g| g.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        let at = self.tick();
-        let mut batch = std::mem::take(&mut self.publish_scratch);
-        self.install(id, ws, at, true, &mut batch);
-        // Seal this commit's stamp — on *every* lock-path commit, written
-        // or not, so stamp `S` means "the state after the first `S`
-        // commits" exactly as the oracle counts them.
-        if let Some(side) = &self.snap {
-            side.store.publish(&batch);
-        }
-        batch.clear();
-        self.publish_scratch = batch;
-        let commit_index = match gate_guard.as_deref_mut() {
-            Some(next) => {
-                let i = *next;
-                *next += 1;
-                i
-            }
-            None => self.commits,
-        };
-        drop(gate_guard);
-        self.commits += 1;
-        let record = self.finish_commit(id);
-        JobStats {
-            commit_index,
-            restarts: record.restarts,
-            block_events: record.block_events,
-            lower_blockers: record.lower_blockers,
-            snapshot: None,
-        }
-    }
-}
-
-/// The concurrent lock manager: one global lock over a [`Shared`] core,
-/// per-waiter condvar parking. One per shard of a [`crate::run`]
-/// invocation, shared by reference across the worker threads of that run.
-pub(crate) struct LockManager<'a> {
-    state: Mutex<Shared<'a>>,
-    /// Park `wait_timeout` safety net (see [`crate::RtConfig::park_timeout`]).
-    park_timeout: Duration,
-}
-
-impl<'a> LockManager<'a> {
-    pub(crate) fn new(
-        set: &'a TransactionSet,
-        kind: ProtocolKind,
-        park_timeout: Duration,
-        snap: Option<Arc<SnapshotSide>>,
-        shard_ctx: ShardCtx,
-    ) -> Self {
-        LockManager {
-            park_timeout,
-            state: Mutex::new(Shared::new(set, kind, snap, shard_ctx)),
-        }
-    }
-
-    /// Lock the shared state, recovering from poisoning (a panicking
-    /// worker already fails the run via the scope join; secondary threads
-    /// should not cascade with confusing poison panics). Also the sharded
-    /// manager's direct cross-shard access path.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Shared<'a>> {
-        let mut g = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.state_lock_acquires += 1;
-        g
-    }
-
-    /// Register a released instance.
-    pub(crate) fn begin(&self, id: InstanceId) {
-        self.lock().begin(id, true, None);
-    }
-
-    /// Acquire `item` in `mode` for step `step_index`, performing the data
-    /// operation at grant time. Parks the calling thread while the
-    /// protocol denies the request.
-    pub(crate) fn acquire(
-        &self,
-        id: InstanceId,
-        step_index: usize,
-        item: ItemId,
-        mode: LockMode,
-        ws: &mut Workspace,
-    ) -> Outcome {
-        let mut g = self.lock();
-        loop {
-            if g.take_abort(id) {
-                return Outcome::Restart;
-            }
-            match g.try_acquire(id, step_index, item, mode, ws) {
-                TryAcquire::Done => return Outcome::Done,
-                TryAcquire::Retry => continue,
-                TryAcquire::Park(cv) => {
-                    // The predicate is tested before every wait: the
-                    // safety net's own `wake_parked` may be what unparks
-                    // this thread.
-                    while !g.unparked(id) {
-                        let (g2, timeout) = cv
-                            .wait_timeout(g, self.park_timeout)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        g = g2;
-                        if timeout.timed_out() && !g.unparked(id) {
-                            // Safety net: heal lost wake-ups and cycles
-                            // that formed without a block event.
-                            g.park_timeout_wakeups += 1;
-                            g.wake_parked();
-                            if g.kernel.pending_request(id).is_some() {
-                                g.resolve_deadlocks();
-                            }
-                        }
-                    }
-                    // Retry (or observe the abort) at the top of the loop.
-                }
-            }
-        }
-    }
-
-    /// Report step `completed_step` finished; applies the protocol's early
-    /// releases (CCP) and re-evaluates waiters.
-    pub(crate) fn step_done(
-        &self,
-        id: InstanceId,
-        completed_step: usize,
-        ws: &Workspace,
-    ) -> Outcome {
-        let mut g = self.lock();
-        if g.take_abort(id) {
-            return Outcome::Restart;
-        }
-        g.step_done(id, completed_step, ws);
-        Outcome::Done
-    }
-
-    /// Commit: validate (OCC), install staged writes, release everything,
-    /// wake waiters. Parks at the commit gate while the instance still
-    /// has commit dependencies (early-release protocols). Fails with
-    /// [`CommitOutcome::Restart`] if the instance was aborted before the
-    /// commit point (or cascaded out of the gate).
-    pub(crate) fn commit(&self, id: InstanceId, ws: &Workspace) -> CommitOutcome {
-        let mut g = self.lock();
-        loop {
-            if g.take_abort(id) {
-                return CommitOutcome::Restart;
-            }
-            if !g.gate_commit(id) {
-                return CommitOutcome::Committed(g.commit(id, ws));
-            }
-            // Gated: wait for the drain wake of the last dependency's
-            // commit, or the abort flag of its cascade.
-            let cv = g.waiter_mut(id).cv.clone();
-            loop {
-                {
-                    let w = g.waiter_mut(id);
-                    if w.aborted || w.woken {
-                        break;
-                    }
-                }
-                let (g2, timeout) = cv
-                    .wait_timeout(g, self.park_timeout)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                g = g2;
-                if timeout.timed_out() {
-                    // Safety net: heal lost wake-ups and gate cycles that
-                    // formed without a block event.
-                    g.park_timeout_wakeups += 1;
-                    g.wake_parked();
-                    g.resolve_deadlocks();
-                }
-            }
-        }
-    }
-
-    /// Tear down after every worker joined, yielding the run's artifacts.
-    pub(crate) fn finish(self) -> ManagerReport {
-        self.state
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .into_report()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::ShardedManager;
+    use crate::RtConfig;
     use rtdb_types::{SetBuilder, Step, TransactionTemplate};
+    use std::sync::mpsc;
     use std::time::Instant;
 
-    /// A parked thread whose wake-up was lost is rescued by the first
-    /// firing of the park-timeout net — its own `wake_parked` — and not
-    /// by a second full period after it.
-    #[test]
-    fn park_timeout_net_rescues_its_caller_in_one_period() {
-        let x = ItemId(0);
-        let set = SetBuilder::new()
-            .with(TransactionTemplate::new("A", 10, vec![Step::write(x, 1)]))
-            .with(TransactionTemplate::new("B", 10, vec![Step::write(x, 1)]))
-            .build()
-            .unwrap();
-        let (a, b) = (InstanceId::first(TxnId(0)), InstanceId::first(TxnId(1)));
-        let period = Duration::from_millis(400);
-        let m = LockManager::new(
-            &set,
-            ProtocolKind::TwoPlPi,
-            period,
-            None,
-            ShardCtx::single(),
-        );
-        m.begin(a);
-        m.begin(b);
-        let mut ws_a = Workspace::new(a);
+    const X: ItemId = ItemId(0);
+    const PERIOD: Duration = Duration::from_millis(400);
+
+    /// One lost wake-up: `holder` takes its write lock on `X` (and, when
+    /// `retire`, finishes that step, retiring the write), a second thread
+    /// runs `wait` as `waiter` and parks, as `parked` sees under the
+    /// state lock, and `holder` then leaves behind the manager's back.
+    /// Nothing but the park-timeout net can end the wait, and its first
+    /// firing must: the waiter returns after one period, not two.
+    fn net_rescues_in_one_period(
+        kind: ProtocolKind,
+        set: TransactionSet,
+        [holder, waiter]: [InstanceId; 2],
+        retire: bool,
+        wait: fn(&ShardedManager<'_>, InstanceId, &mut WorkerCtx),
+        parked: fn(&StateKernel<'_>, [InstanceId; 2]) -> bool,
+    ) {
+        // Leaked so the waiter can be a detached thread: were the wake-up
+        // never made good, the test fails on the `recv_timeout` below
+        // instead of hanging in a scope's join.
+        let set: &'static TransactionSet = Box::leak(Box::new(set));
+        let config = RtConfig::new(kind).with_park_timeout(PERIOD);
+        let m = Arc::new(ShardedManager::new(set, &config, None));
+        let mut ctx = WorkerCtx::new(0);
+        m.begin(holder, &mut ctx);
         assert_eq!(
-            m.acquire(a, 0, x, LockMode::Write, &mut ws_a),
+            m.acquire(holder, 0, X, LockMode::Write, &mut ctx),
             Outcome::Done
         );
+        if retire {
+            assert_eq!(m.step_done(holder, 0, &mut ctx), Outcome::Done);
+        }
 
-        std::thread::scope(|s| {
-            let parked = s.spawn(|| {
-                let mut ws_b = Workspace::new(b);
-                let start = Instant::now();
-                assert_eq!(
-                    m.acquire(b, 0, x, LockMode::Write, &mut ws_b),
-                    Outcome::Done
-                );
-                start.elapsed()
-            });
-            // `b`'s request turns pending under the state lock it keeps
-            // until it waits, so once seen here `b` is parked.
-            while m.lock().kernel.pending_request(b).is_none() {
-                std::thread::yield_now();
-            }
-            {
-                // Lose the wake-up: `a` leaves behind the manager's back.
-                let mut g = m.lock();
-                g.kernel.finish_commit(a);
-                g.waiters.retain(|w| w.id != a);
-            }
-            let waited = parked.join().expect("parked thread panicked");
-            assert!(
-                waited >= period,
-                "nothing but the net can wake b: {waited:?}"
-            );
-            assert!(
-                waited < period * 7 / 4,
-                "the net's own wake-up took a second period: {waited:?}"
-            );
+        let (tx, rx) = mpsc::channel();
+        let waiter_m = m.clone();
+        std::thread::spawn(move || {
+            let mut ctx = WorkerCtx::new(1);
+            waiter_m.begin(waiter, &mut ctx);
+            let start = Instant::now();
+            wait(&waiter_m, waiter, &mut ctx);
+            let _ = tx.send(start.elapsed());
         });
-        assert_eq!(m.lock().park_timeout_wakeups, 1);
+        // The waiter keeps the state lock from the transition `parked`
+        // looks for until it waits, so once seen here it is parked.
+        while !parked(&m.lock(0).kernel, [holder, waiter]) {
+            std::thread::yield_now();
+        }
+        {
+            let mut g = m.lock(0);
+            g.kernel.finish_commit(holder);
+            g.waiters.retain(|w| w.id != holder);
+        }
+        let waited = rx
+            .recv_timeout(PERIOD * 4)
+            .expect("the net never rescued the parked thread");
+        assert!(
+            waited >= PERIOD,
+            "nothing but the net can wake the waiter: {waited:?}"
+        );
+        assert!(
+            waited < PERIOD * 7 / 4,
+            "the net's own wake-up took a second period: {waited:?}"
+        );
+        assert_eq!(m.lock(0).park_timeout_wakeups, 1);
+    }
+
+    /// A parked thread whose wake-up was lost is rescued by the first
+    /// firing of the park-timeout net — which re-tests what the thread
+    /// waits for — and not by a second full period after it; at a lock
+    /// request and at the commit gate alike.
+    #[test]
+    fn park_timeout_net_rescues_its_caller_in_one_period() {
+        // Lock wait: B requests the write lock A holds.
+        let set = SetBuilder::new()
+            .with(TransactionTemplate::new("A", 10, vec![Step::write(X, 1)]))
+            .with(TransactionTemplate::new("B", 10, vec![Step::write(X, 1)]))
+            .build()
+            .unwrap();
+        net_rescues_in_one_period(
+            ProtocolKind::TwoPlPi,
+            set,
+            [InstanceId::first(TxnId(0)), InstanceId::first(TxnId(1))],
+            false,
+            |m, b, ctx| assert_eq!(m.acquire(b, 0, X, LockMode::Write, ctx), Outcome::Done),
+            |kernel, [_, b]| kernel.pending_request(b).is_some(),
+        );
+
+        // Gate wait: B dirty-reads the write A retired and may not commit
+        // before A. B has the higher priority, so its gate wait shows as
+        // A's inherited one.
+        let set = SetBuilder::new()
+            .with(TransactionTemplate::new("B", 10, vec![Step::read(X, 1)]))
+            .with(TransactionTemplate::new(
+                "A",
+                10,
+                vec![Step::write(X, 1), Step::compute(1)],
+            ))
+            .build()
+            .unwrap();
+        net_rescues_in_one_period(
+            ProtocolKind::Bamboo,
+            set,
+            [InstanceId::first(TxnId(1)), InstanceId::first(TxnId(0))],
+            true,
+            |m, b, ctx| {
+                assert_eq!(m.acquire(b, 0, X, LockMode::Read, ctx), Outcome::Done);
+                assert!(matches!(m.commit(b, ctx), CommitOutcome::Committed(_)));
+            },
+            |kernel, [a, _]| kernel.running_priority(a) > kernel.base_priority(a),
+        );
     }
 }

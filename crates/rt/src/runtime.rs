@@ -1,5 +1,5 @@
 //! The closed-loop runtime: worker threads draining a job queue through
-//! the internal `LockManager`. The admission front-end ([`crate::front`])
+//! the internal `ShardedManager`. The admission front-end ([`crate::front`])
 //! runs on the same pool — only where a worker's next job comes from
 //! differs.
 //!
@@ -43,9 +43,9 @@ pub struct RtConfig {
     /// latency-sensitive tests can tighten it.
     pub park_timeout: Duration,
     /// Lock-manager shards: items partition across this many independent
-    /// per-shard managers (see the `sharded` module). `1` (the default)
-    /// is the classic unsharded manager, bit-identical to earlier
-    /// releases. Values above 1 require a shardable protocol
+    /// state cores, each behind its own mutex (see the `sharded` module).
+    /// `1` (the default) is the classic unsharded manager: one core, no
+    /// cross-shard machinery. Values above 1 require a shardable protocol
     /// ([`ProtocolKind::shardable`]) and are clamped to
     /// [`rtdb_core::MAX_SHARDS`].
     pub shards: usize,
@@ -292,9 +292,11 @@ pub struct RtResult {
     pub committed: u64,
     /// Total aborts absorbed across all jobs.
     pub restarts: u64,
-    /// Why the manager aborted instances, by cause. Restarts the manager
-    /// never saw (cross-shard no-wait self-aborts) are *not* included, so
-    /// `abort_reasons.total() <= restarts`.
+    /// Why instances aborted, by cause. A cross-shard job's no-wait
+    /// self-abort (a would-block decision it may not wait out) counts as
+    /// `ceiling_block`. On one shard `abort_reasons.total() == restarts`;
+    /// on several, a cross-shard victim that two shards flagged before it
+    /// swept counts once per shard and restarts once.
     pub abort_reasons: AbortBreakdown,
     /// Wait-for cycles broken by aborting a victim.
     pub deadlocks_resolved: u64,
@@ -531,8 +533,7 @@ pub(crate) fn run_pool<R>(
     });
     let elapsed = t0.elapsed();
 
-    let sharded = manager.finish();
-    let mut report = sharded.report;
+    let mut report = manager.finish();
     // Merge the reader logs into the history and order the snapshot
     // readers after every lock-path commit.
     let (snapshots, mv_high_water) = match snap.as_deref() {
@@ -584,8 +585,8 @@ pub(crate) fn run_pool<R>(
         lock_transitions: report.lock_transitions,
         mv_high_water,
         shards,
-        cross_shard_txns: sharded.cross_shard_txns,
-        per_shard: sharded.per_shard,
+        cross_shard_txns: report.cross_shard_txns,
+        per_shard: report.per_shard,
     };
     (result, value)
 }

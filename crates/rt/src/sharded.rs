@@ -1,19 +1,27 @@
-//! The sharded lock-manager architecture (DESIGN.md §6e).
+//! The lock manager: 1..`N` shards of protocol state, one set of calls.
 //!
-//! [`ShardedManager`] partitions the protocol state across `N`
-//! independent [`LockManager`]s — one per shard, each a full
-//! [`rtdb_core::StateKernel`] (local ceilings, wait edges, records,
-//! history) scoped to the items the static [`ShardRouter`] rule — shared
-//! with the workload generator — sends to it. This module reaches a
-//! shard only through its manager's guarded core, composing the same
-//! kernel-backed calls the single-shard path uses (begin, try-acquire,
-//! commit victims, install, finish, sweep) under its guards. A thin
-//! [`GlobalCeiling`] layer publishes each shard's local system ceiling
-//! lock-free, so *single-shard* transactions touch exactly one shard's
-//! state mutex (asserted via the per-shard `state_lock_acquires`
-//! counter) and scale with the shard count.
+//! [`ShardedManager`] owns the run's protocol state as `N` [`Shared`]
+//! cores, each behind its own mutex — a full [`rtdb_core::StateKernel`]
+//! (local ceilings, wait edges, records, history) scoped to the items the
+//! static [`ShardRouter`] rule, shared with the workload generator, sends
+//! to it (DESIGN.md §6c, §6f) — plus what a run keeps once: the event
+//! clock the shards tick, the commit gate, the [`GlobalCeiling`] layer,
+//! the snapshot side-car and the park timeout. It is the only code that
+//! blocks: [`ShardedManager::lock`] is the one place a shard's state lock
+//! is taken and [`ShardedManager::park`] the one place a thread waits.
+//! The worker's calls — begin, acquire, step-done, commit — compose the
+//! cores' kernel-backed methods under those guards and never reach into
+//! a kernel.
 //!
-//! Cross-shard transactions follow a DPCP-p-style global rule:
+//! A job touches the `k ≥ 1` shards its template's items route to. An
+//! unsharded run is `N = 1`, where every job has `k = 1`; nothing below
+//! is a separate path for it — what one shard does not need (a gate, a
+//! published ceiling, item scoping) is simply absent. *Single-shard* jobs
+//! take exactly one shard's state mutex (asserted via the per-shard
+//! `state_lock_acquires` counter), park there when the protocol denies a
+//! request, and scale with the shard count.
+//!
+//! Cross-shard jobs (`k > 1`) follow a DPCP-p-style global rule:
 //!
 //! * **Advisory admission** — before registering anywhere, spin (bounded)
 //!   until the transaction's priority clears the published ceiling max of
@@ -28,33 +36,32 @@
 //!   every shard (ascending) and restarts through the normal backoff.
 //!   Every wait edge is therefore *intra*-shard, each shard's local
 //!   deadlock sweep stays complete, and no global detector is needed.
-//! * **Gated commit** — commit locks all touched shards in canonical
-//!   order, then serializes {commit tick, per-shard installs, snapshot
-//!   publish, commit index} through the run-global commit gate, so
-//!   commit-tick order, commit-index order and snapshot-stamp order agree
-//!   across shards.
+//!
+//! **Commit** is one body for every `k`: lock the touched shards in
+//! canonical order, abort commit victims, then — under the run-global
+//! commit gate when `N > 1` — one tick, the installs of each touched
+//! shard, one snapshot publish and the commit index, so commit-tick
+//! order, commit-index order and snapshot-stamp order agree across
+//! shards; then the per-shard teardown.
 //!
 //! Aborts of a cross-shard victim are split: the aborting shard cleans
 //! its local slice silently and raises the victim's signal; the victim
 //! observes the signal at its next manager call and sweeps its remaining
 //! shards itself, logging exactly one Abort + restart-Begin pair in its
 //! home shard.
-//!
-//! With one shard the whole layer is a pass-through: no router, no global
-//! ceiling, no gate — the state machine is bit-identical to the
-//! pre-sharding manager.
 
 use crate::manager::{
-    CommitOutcome, JobStats, LockManager, ManagerReport, Outcome, ShardCtx, Shared, TryAcquire,
-    WorkerCtx,
+    CommitOutcome, JobStats, ManagerReport, Outcome, Shared, TryAcquire, WorkerCtx,
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
 use rtdb_core::{GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS};
-use rtdb_storage::{Database, Event, History, VersionedValue};
+use rtdb_storage::{Event, History};
 use rtdb_types::{InstanceId, ItemId, LockMode, TransactionSet, TxnId};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// How long a cross-shard transaction spins on the advisory global-
 /// ceiling admission test before proceeding anyway. Bounded because the
@@ -63,17 +70,13 @@ const ADMISSION_SPIN: u32 = 64;
 
 /// Cross-shard state of the job currently executing on a worker, carried
 /// in [`WorkerCtx`] so the signal poll costs no lock.
-#[derive(Clone)]
 pub(crate) struct CrossJob {
     /// The shared abort signal, registered with every touched shard.
-    pub signal: Arc<AtomicBool>,
+    signal: Arc<AtomicBool>,
     /// The shards this job touches (canonical iteration order).
-    pub shards: ShardSet,
-    /// Aborts absorbed so far (cross-shard jobs bypass the per-shard
-    /// restart counters).
-    pub restarts: u32,
-    /// Would-block decisions converted to self-aborts.
-    pub block_events: u32,
+    shards: ShardSet,
+    /// Aborts absorbed so far (the per-shard records never see them).
+    restarts: u32,
 }
 
 /// Per-shard telemetry, reported in [`crate::RtResult::per_shard`].
@@ -94,31 +97,80 @@ pub struct ShardStats {
     pub ceiling_publishes: u64,
 }
 
-/// Everything [`ShardedManager::finish`] produced: the merged report plus
-/// the shard-level telemetry.
-pub(crate) struct ShardedReport {
-    pub report: ManagerReport,
-    pub per_shard: Vec<ShardStats>,
-    pub cross_shard_txns: u64,
+/// What only a run of more than one shard needs.
+struct Coordination {
+    /// Each shard's local system ceiling, published lock-free.
+    global: GlobalCeiling,
+    /// The commit gate: the run-global next-commit-index counter, locked
+    /// around {commit tick, installs, snapshot publish} so commit ticks,
+    /// commit indices and snapshot stamps agree across shards (and the
+    /// single-publisher contract of `SnapshotStore::publish` holds). One
+    /// shard has no gate: its state mutex already serializes all of this.
+    gate: Mutex<u64>,
 }
 
-/// The sharded lock manager: `N` independent per-shard managers plus the
-/// cross-shard coordination described in the module docs.
+/// One shard's state lock, held. Releasing it — by drop, or to wait in
+/// [`ShardedManager::park`] — first publishes the shard's ceiling, so the
+/// global layer never lags a transition by more than the critical
+/// section that made it.
+pub(crate) struct ShardGuard<'m, 'a> {
+    /// `None` only inside `park`, while the condvar owns the guard.
+    core: Option<MutexGuard<'m, Shared<'a>>>,
+    global: Option<&'m GlobalCeiling>,
+}
+
+impl ShardGuard<'_, '_> {
+    fn publish(&mut self) {
+        if let (Some(core), Some(global)) = (self.core.as_deref_mut(), self.global) {
+            core.publish_ceiling(global);
+        }
+    }
+}
+
+impl Drop for ShardGuard<'_, '_> {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+impl<'a> Deref for ShardGuard<'_, 'a> {
+    type Target = Shared<'a>;
+    fn deref(&self) -> &Shared<'a> {
+        self.core.as_deref().expect("held outside park")
+    }
+}
+
+impl<'a> DerefMut for ShardGuard<'_, 'a> {
+    fn deref_mut(&mut self) -> &mut Shared<'a> {
+        self.core.as_deref_mut().expect("held outside park")
+    }
+}
+
+/// The lock manager: the shards' state cores, each behind its mutex, plus
+/// everything a run keeps once — see the module docs.
 pub(crate) struct ShardedManager<'a> {
     set: &'a TransactionSet,
-    shards: Vec<LockManager<'a>>,
+    shards: Vec<Mutex<Shared<'a>>>,
     router: ShardRouter,
     /// `Some` exactly when `shards.len() > 1`.
-    global: Option<Arc<GlobalCeiling>>,
-    gate: Option<Arc<Mutex<u64>>>,
+    coord: Option<Coordination>,
+    /// The snapshot-read side-car, when the path is enabled: every commit
+    /// publishes its installs (and seals a stamp) there, inside its
+    /// critical section.
+    snap: Option<Arc<SnapshotSide>>,
+    /// Park `wait_timeout` safety net (see [`crate::RtConfig::park_timeout`]).
+    park_timeout: Duration,
     /// Per-template shard sets, precomputed (index = `TxnId::index`).
     template_shards: Vec<ShardSet>,
     /// Data operations routed to each shard.
     ops: Vec<AtomicU64>,
     /// Cross-shard jobs begun.
     cross_shard_txns: AtomicU64,
-    /// Cross-shard self-abort restarts (per-shard counters skip them).
+    /// Cross-shard restarts (per-shard counters skip them).
     cross_restarts: AtomicU64,
+    /// Of those, no-wait self-aborts: would-block decisions no shard's
+    /// kernel recorded an abort reason for.
+    no_wait_aborts: AtomicU64,
 }
 
 impl<'a> ShardedManager<'a> {
@@ -142,44 +194,27 @@ impl<'a> ShardedManager<'a> {
             );
         }
         let router = ShardRouter::new(n);
-        let (global, gate, clock) = if n > 1 {
-            (
-                Some(Arc::new(GlobalCeiling::new(n))),
-                Some(Arc::new(Mutex::new(0u64))),
-                Arc::new(AtomicU64::new(0)),
-            )
-        } else {
-            (None, None, Arc::new(AtomicU64::new(0)))
-        };
-        let shards = (0..n)
-            .map(|s| {
-                let ctx = if n > 1 {
-                    ShardCtx {
-                        clock: clock.clone(),
-                        shard: s,
-                        router: Some(router),
-                        global: global.clone(),
-                        gate: gate.clone(),
-                    }
-                } else {
-                    ShardCtx::single()
-                };
-                LockManager::new(set, config.kind, config.park_timeout, snap.clone(), ctx)
-            })
-            .collect();
-        let template_shards = (0..set.len())
-            .map(|t| router.shards_of(set, TxnId(t as u32)))
-            .collect();
+        let clock = Arc::new(AtomicU64::new(0));
+        let scope = (n > 1).then_some(router);
         ShardedManager {
             set,
-            shards,
+            shards: (0..n)
+                .map(|s| Mutex::new(Shared::new(set, config.kind, clock.clone(), s, scope)))
+                .collect(),
             router,
-            global,
-            gate,
-            template_shards,
+            coord: (n > 1).then(|| Coordination {
+                global: GlobalCeiling::new(n),
+                gate: Mutex::new(0),
+            }),
+            snap,
+            park_timeout: config.park_timeout,
+            template_shards: (0..set.len())
+                .map(|t| router.shards_of(set, TxnId(t as u32)))
+                .collect(),
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
             cross_shard_txns: AtomicU64::new(0),
             cross_restarts: AtomicU64::new(0),
+            no_wait_aborts: AtomicU64::new(0),
         }
     }
 
@@ -200,18 +235,56 @@ impl<'a> ShardedManager<'a> {
             .expect("template has a home shard")
     }
 
-    /// Register a released instance. Cross-shard instances register in
-    /// every touched shard (canonical order) behind the advisory
-    /// admission spin; single-shard instances delegate to their shard.
+    /// Take `shard`'s state lock — the only place protocol state is
+    /// locked. Recovers from poisoning: a panicking worker already fails
+    /// the run via the scope join; secondary threads should not cascade
+    /// with confusing poison panics.
+    pub(crate) fn lock(&self, shard: usize) -> ShardGuard<'_, 'a> {
+        let mut core = self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        core.state_lock_acquires += 1;
+        ShardGuard {
+            core: Some(core),
+            global: self.coord.as_ref().map(|c| &c.global),
+        }
+    }
+
+    /// Park the calling thread on `id`'s condvar until `id` is aborted or
+    /// `until` holds — the only place a worker waits. `until` names a fact
+    /// in the shard's kernel and is tested again after every wake-up,
+    /// notified or not, so the park timeout is a safety net for any
+    /// caller: a wait that expires runs the wake-up re-evaluation and the
+    /// deadlock sweep itself ([`Shared::net_fired`]), and a wake-up lost
+    /// after its transition was made is seen one period later at most.
+    fn park(
+        &self,
+        g: &mut ShardGuard<'_, 'a>,
+        id: InstanceId,
+        until: fn(&mut Shared<'a>, InstanceId) -> bool,
+    ) {
+        let cv = g.condvar(id);
+        while !(g.is_aborted(id) || until(g, id)) {
+            g.publish();
+            let held = g.core.take().expect("held outside park");
+            let (held, wait) = cv
+                .wait_timeout(held, self.park_timeout)
+                .unwrap_or_else(PoisonError::into_inner);
+            g.core = Some(held);
+            if wait.timed_out() {
+                g.net_fired();
+            }
+        }
+    }
+
+    /// Register a released instance in every shard it touches, in
+    /// canonical order. A cross-shard instance first waits out the
+    /// advisory admission spin and carries one abort signal everywhere.
     pub(crate) fn begin(&self, id: InstanceId, ctx: &mut WorkerCtx) {
         let touched = self.shards_of(id);
-        if !touched.is_cross_shard() {
-            ctx.cross = None;
-            self.shards[self.home_of(id)].begin(id);
-            return;
-        }
-        self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
-        if let Some(global) = &self.global {
+        ctx.cross = touched.is_cross_shard().then(|| {
+            self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
+            let global = &self.coord.as_ref().expect("several shards").global;
             let prio = self.set.priority_of(id.txn);
             for _ in 0..ADMISSION_SPIN {
                 if global.cleared_by(prio, touched) {
@@ -219,25 +292,24 @@ impl<'a> ShardedManager<'a> {
                 }
                 std::thread::yield_now();
             }
-        }
-        let signal = Arc::new(AtomicBool::new(false));
-        let home = touched.home().expect("cross-shard set is non-empty");
-        for s in touched.iter() {
-            self.shards[s]
-                .lock()
-                .begin(id, s == home, Some(signal.clone()));
-        }
-        ctx.cross = Some(CrossJob {
-            signal,
-            shards: touched,
-            restarts: 0,
-            block_events: 0,
+            CrossJob {
+                signal: Arc::new(AtomicBool::new(false)),
+                shards: touched,
+                restarts: 0,
+            }
         });
+        let home = self.home_of(id);
+        for s in touched.iter() {
+            let signal = ctx.cross.as_ref().map(|c| c.signal.clone());
+            self.lock(s).begin(id, s == home, signal);
+        }
     }
 
-    /// Acquire `item` for step `step_index`. Single-shard jobs park in
-    /// their shard as usual; cross-shard jobs run no-wait — a would-block
-    /// decision is undone and the job self-aborts everywhere.
+    /// Acquire `item` in `mode` for step `step_index`, performing the data
+    /// operation at grant time. A single-shard job parks in its shard
+    /// while the protocol denies the request; a cross-shard job runs
+    /// no-wait — a would-block decision is undone and the job self-aborts
+    /// everywhere instead of parking in someone else's shard.
     pub(crate) fn acquire(
         &self,
         id: InstanceId,
@@ -248,224 +320,213 @@ impl<'a> ShardedManager<'a> {
     ) -> Outcome {
         let s = self.router.shard_of(item);
         self.ops[s].fetch_add(1, Ordering::Relaxed);
-        let Some(cross) = ctx.cross.clone() else {
-            return self.shards[s].acquire(id, step_index, item, mode, &mut ctx.ws);
-        };
-        debug_assert!(cross.shards.contains(s), "routing disagrees with template");
+        debug_assert!(
+            self.shards_of(id).contains(s),
+            "routing disagrees with template"
+        );
+        let mut g = self.lock(s);
         loop {
-            if cross.signal.load(Ordering::Acquire) {
-                self.cleanup_restart(id, ctx);
-                return Outcome::Restart;
-            }
-            let mut g = self.shards[s].lock();
-            if cross.signal.load(Ordering::Acquire) {
-                drop(g);
-                self.cleanup_restart(id, ctx);
-                return Outcome::Restart;
+            // A pending abort is the flag in the waiter of a single-shard
+            // job, the signal of a cross-shard one. Looked for on every
+            // round: a retry may be an abort in disguise (a wound, or a
+            // deadlock sweep inside `try_acquire` that picked us).
+            let aborted = match &ctx.cross {
+                Some(cross) => cross.signal.load(Ordering::Acquire),
+                None => g.take_abort(id),
+            };
+            if aborted {
+                break;
             }
             match g.try_acquire(id, step_index, item, mode, &mut ctx.ws) {
                 TryAcquire::Done => return Outcome::Done,
-                TryAcquire::Retry => {
-                    drop(g);
-                    // The retry may be an abort in disguise (a deadlock
-                    // sweep inside try_acquire picked us); the loop head
-                    // polls the signal before re-issuing.
-                    continue;
+                TryAcquire::Retry => {}
+                TryAcquire::Park if ctx.cross.is_none() => {
+                    self.park(&mut g, id, Shared::request_cleared)
                 }
-                TryAcquire::Park(_) => {
-                    // No-wait: undo the blocked registration and
-                    // self-abort instead of parking in someone else's
-                    // shard.
+                TryAcquire::Park => {
                     g.unpark(id);
-                    drop(g);
-                    if let Some(c) = ctx.cross.as_mut() {
-                        c.block_events += 1;
-                    }
-                    self.cleanup_restart(id, ctx);
-                    return Outcome::Restart;
+                    self.no_wait_aborts.fetch_add(1, Ordering::Relaxed);
+                    break;
                 }
             }
         }
+        drop(g);
+        self.sweep(id, ctx);
+        Outcome::Restart
     }
 
-    /// Report step `completed_step` finished. Cross-shard jobs only poll
-    /// their abort signal: every shardable protocol runs the workspace
-    /// update model with no early releases, so there is nothing to apply.
+    /// Report step `completed_step` finished; applies the protocol's early
+    /// releases (CCP) and retires and wakes waiters. Cross-shard jobs only
+    /// poll their abort signal: every shardable protocol runs the
+    /// workspace update model with no early releases, so there is nothing
+    /// to apply and no lock to take.
     pub(crate) fn step_done(
         &self,
         id: InstanceId,
         completed_step: usize,
         ctx: &mut WorkerCtx,
     ) -> Outcome {
-        let Some(cross) = ctx.cross.clone() else {
-            return self.shards[self.home_of(id)].step_done(id, completed_step, &ctx.ws);
-        };
-        if cross.signal.load(Ordering::Acquire) {
-            self.cleanup_restart(id, ctx);
+        if let Some(cross) = &ctx.cross {
+            if cross.signal.load(Ordering::Acquire) {
+                self.sweep(id, ctx);
+                return Outcome::Restart;
+            }
+            return Outcome::Done;
+        }
+        let mut g = self.lock(self.home_of(id));
+        if g.take_abort(id) {
             return Outcome::Restart;
         }
+        g.step_done(id, completed_step, &ctx.ws);
         Outcome::Done
     }
 
-    /// Commit `id`. Cross-shard commits lock every touched shard in
-    /// canonical order, then run the gated global commit described in the
-    /// module docs.
+    /// Commit `id`: lock every shard it touches in canonical order and
+    /// run the one commit body over them. A single-shard job first waits
+    /// out the commit gate of the early-release protocols (it parks while
+    /// it still has commit dependencies; no shardable protocol creates
+    /// any). Fails with [`CommitOutcome::Restart`] if the instance was
+    /// aborted before the commit point (or cascaded out of the gate).
     pub(crate) fn commit(&self, id: InstanceId, ctx: &mut WorkerCtx) -> CommitOutcome {
-        let Some(cross) = ctx.cross.clone() else {
-            return self.shards[self.home_of(id)].commit(id, &ctx.ws);
+        let Some(cross) = &ctx.cross else {
+            let mut g = self.lock(self.home_of(id));
+            loop {
+                if g.take_abort(id) {
+                    return CommitOutcome::Restart;
+                }
+                if !g.gate_commit(id) {
+                    return CommitOutcome::Committed(self.commit_locked(id, &mut [g], ctx));
+                }
+                self.park(&mut g, id, Shared::gate_open);
+            }
         };
-        if cross.signal.load(Ordering::Acquire) {
-            self.cleanup_restart(id, ctx);
-            return CommitOutcome::Restart;
-        }
-        let shard_ids: Vec<usize> = cross.shards.iter().collect();
-        let mut guards: Vec<MutexGuard<'_, Shared<'a>>> =
-            shard_ids.iter().map(|&s| self.shards[s].lock()).collect();
+        let mut guards: Vec<_> = cross.shards.iter().map(|s| self.lock(s)).collect();
         // All our shards' state is held, and aborting us requires one of
         // those locks — the signal is stable now.
         if cross.signal.load(Ordering::Acquire) {
             drop(guards);
-            self.cleanup_restart(id, ctx);
+            self.sweep(id, ctx);
             return CommitOutcome::Restart;
         }
-
-        // Per-shard commit victims (OCC backward validation etc.), on the
-        // shard-scoped records each shard's kernel keeps.
-        for g in guards.iter_mut() {
-            g.abort_commit_victims(id);
-        }
-
-        // The gated global commit: one tick, per-shard installs at that
-        // tick (the Commit event in the home shard — the lowest touched,
-        // `guards[0]`), one snapshot publish, one commit index.
-        let gate = self.gate.as_ref().expect("cross-shard implies a gate");
-        let mut gate_guard = gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let at = guards[0].tick();
-        let mut batch: Vec<(ItemId, VersionedValue)> = Vec::new();
-        for (k, g) in guards.iter_mut().enumerate() {
-            g.install(id, &ctx.ws, at, k == 0, &mut batch);
-        }
-        // Seal this commit's stamp exactly once (even with no writes), as
-        // the single-shard path does — the gate serializes publishers.
-        if let Some(side) = &guards[0].snap {
-            side.store.publish(&batch);
-        }
-        let commit_index = *gate_guard;
-        *gate_guard += 1;
-        drop(gate_guard);
-        guards[0].commits += 1;
-
-        // Per-shard teardown, in canonical order.
-        let mut lower_blockers: Vec<TxnId> = Vec::new();
-        for g in guards.iter_mut() {
-            for t in g.finish_commit(id).lower_blockers {
-                if let Err(i) = lower_blockers.binary_search(&t) {
-                    lower_blockers.insert(i, t);
-                }
-            }
-        }
+        let stats = self.commit_locked(id, &mut guards, ctx);
         drop(guards);
-
-        let stats = JobStats {
-            commit_index,
-            restarts: cross.restarts,
-            block_events: cross.block_events,
-            lower_blockers,
-            snapshot: None,
-        };
         ctx.cross = None;
         CommitOutcome::Committed(stats)
     }
 
-    /// The cross-shard abort sweep: one ascending pass over the job's
-    /// shards releasing everything, logging the single Abort +
-    /// restart-Begin pair in the home shard, then lowering the signal.
-    /// Runs whether the abort was external (signal raised by another
-    /// shard's deadlock sweep or commit validation) or a no-wait
-    /// self-abort (signal never raised).
-    fn cleanup_restart(&self, id: InstanceId, ctx: &mut WorkerCtx) {
-        let cross = ctx.cross.as_mut().expect("cross-shard job");
+    /// The commit body, over the locked shards `id` touches in canonical
+    /// order (`guards[0]` is its home): abort the protocol's commit
+    /// victims (OCC backward validation, on the shard-scoped records each
+    /// kernel keeps); then, under the commit gate when there is one, draw
+    /// one tick, install each shard's staged writes at it (the Commit
+    /// event at home), publish one snapshot batch and take the commit
+    /// index; then release everything and wake waiters, shard by shard.
+    /// The caller has consumed any abort and found the commit gate open.
+    fn commit_locked(
+        &self,
+        id: InstanceId,
+        guards: &mut [ShardGuard<'_, 'a>],
+        ctx: &mut WorkerCtx,
+    ) -> JobStats {
+        for g in guards.iter_mut() {
+            g.abort_commit_victims(id);
+        }
+        let mut gate = self
+            .coord
+            .as_ref()
+            .map(|c| c.gate.lock().unwrap_or_else(PoisonError::into_inner));
+        let at = guards[0].tick();
+        let mut publish = self.snap.as_deref().map(|side| (side, &mut ctx.batch));
+        for (k, g) in guards.iter_mut().enumerate() {
+            let batch = publish.as_mut().map(|(_, batch)| &mut **batch);
+            g.install(id, &ctx.ws, at, k == 0, batch);
+        }
+        // Seal this commit's stamp — on *every* lock-path commit, written
+        // or not, so stamp `S` means "the state after the first `S`
+        // commits" exactly as the oracle counts them.
+        if let Some((side, batch)) = publish {
+            side.store.publish(batch);
+            batch.clear();
+        }
+        let commit_index = match gate.as_deref_mut() {
+            Some(next) => std::mem::replace(next, *next + 1),
+            None => guards[0].commits,
+        };
+        drop(gate);
+        guards[0].commits += 1;
+
+        let mut stats = JobStats {
+            commit_index,
+            restarts: ctx.cross.as_ref().map_or(0, |c| c.restarts),
+            ..JobStats::default()
+        };
+        for g in guards.iter_mut() {
+            let record = g.finish_commit(id);
+            stats.restarts += record.restarts;
+            stats.block_events += record.block_events;
+            if stats.lower_blockers.is_empty() {
+                stats.lower_blockers = record.lower_blockers;
+                continue;
+            }
+            for t in record.lower_blockers {
+                if let Err(i) = stats.lower_blockers.binary_search(&t) {
+                    stats.lower_blockers.insert(i, t);
+                }
+            }
+        }
+        stats
+    }
+
+    /// The job's own side of its abort. Nothing for a single-shard job —
+    /// its aborter ran the whole abort through the kernel. A cross-shard
+    /// job sweeps: one ascending pass over its shards releasing
+    /// everything, logging the single Abort + restart-Begin pair in the
+    /// home shard, then lowering the signal — whether the abort was
+    /// external (signal raised by a shard's deadlock sweep or commit
+    /// validation) or a no-wait self-abort (signal never raised).
+    fn sweep(&self, id: InstanceId, ctx: &mut WorkerCtx) {
+        let Some(cross) = ctx.cross.as_mut() else {
+            return;
+        };
         cross.restarts += 1;
         self.cross_restarts.fetch_add(1, Ordering::Relaxed);
         let home = cross.shards.home().expect("cross-shard set is non-empty");
         for s in cross.shards.iter() {
-            self.shards[s].lock().sweep_cross(id, s == home);
+            self.lock(s).sweep_cross(id, s == home);
         }
         cross.signal.store(false, Ordering::Release);
     }
 
-    /// Tear down after every worker joined: merge the per-shard
-    /// histories by tick, absorb the per-shard databases and sum the
-    /// counters.
-    pub(crate) fn finish(self) -> ShardedReport {
-        let cross_shard_txns = self.cross_shard_txns.load(Ordering::Relaxed);
-        let cross_restarts = self.cross_restarts.load(Ordering::Relaxed);
-        let ops: Vec<u64> = self.ops.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        let reports: Vec<ManagerReport> = self.shards.into_iter().map(|m| m.finish()).collect();
-        let per_shard: Vec<ShardStats> = reports
-            .iter()
-            .map(|r| ShardStats {
-                shard: r.shard,
-                ops: ops[r.shard],
-                commits: r.commits,
-                state_lock_acquires: r.state_lock_acquires,
-                ceiling_publishes: self.global.as_ref().map_or(0, |g| g.publish_count(r.shard)),
-            })
-            .collect();
-        if reports.len() == 1 {
-            let report = reports.into_iter().next().expect("one shard");
-            return ShardedReport {
-                report,
-                per_shard,
-                cross_shard_txns,
-            };
-        }
-
-        // Merge: concatenate the shard event streams in ascending shard
-        // order and stable-sort by tick. The shared clock makes ticks
-        // globally unique except for cross-shard commits, which log their
-        // Commit (home shard) and off-home Installs at one tick — the
-        // home shard is the lowest touched, so concatenation order
-        // already places the Commit first and the stable sort keeps it
-        // there.
-        let mut events: Vec<Event> =
-            Vec::with_capacity(reports.iter().map(|r| r.history.events().len()).sum());
-        for r in &reports {
-            events.extend_from_slice(r.history.events());
-        }
-        events.sort_by_key(|e| e.at);
-        let history: History = events.into_iter().collect();
-
-        let mut db = Database::new();
-        let mut merged = ShardedReport {
-            report: ManagerReport {
-                history,
-                db: Database::new(),
-                commits: 0,
-                restarts: cross_restarts,
-                abort_reasons: Default::default(),
-                deadlocks_resolved: 0,
-                park_timeout_wakeups: 0,
-                lock_transitions: 0,
-                state_lock_acquires: 0,
-                shard: 0,
-            },
-            per_shard,
-            cross_shard_txns,
+    /// Tear down after every worker joined: sum the shards' counters,
+    /// absorb their databases and merge their histories by tick.
+    pub(crate) fn finish(self) -> ManagerReport {
+        let mut report = ManagerReport {
+            restarts: self.cross_restarts.into_inner(),
+            cross_shard_txns: self.cross_shard_txns.into_inner(),
+            ..ManagerReport::default()
         };
-        for r in reports {
-            db.absorb(r.db);
-            merged.report.commits += r.commits;
-            merged.report.restarts += r.restarts;
-            merged.report.deadlocks_resolved += r.deadlocks_resolved;
-            merged.report.park_timeout_wakeups += r.park_timeout_wakeups;
-            merged.report.lock_transitions += r.lock_transitions;
-            merged.report.state_lock_acquires += r.state_lock_acquires;
-            merged.report.abort_reasons.merge(&r.abort_reasons);
+        report.abort_reasons.ceiling_block = self.no_wait_aborts.into_inner();
+        let mut logs: Vec<History> = Vec::with_capacity(self.shards.len());
+        for (s, (shard, ops)) in self.shards.into_iter().zip(self.ops).enumerate() {
+            let publishes = self.coord.as_ref().map_or(0, |c| c.global.publish_count(s));
+            let core = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
+            logs.push(core.finish(ops.into_inner(), publishes, &mut report));
         }
-        merged.report.db = db;
-        merged
+        // Concatenate the shards' event streams in ascending shard order
+        // and stable-sort by tick. The shared clock makes ticks globally
+        // unique except for cross-shard commits, which log their Commit
+        // (home shard) and off-home Installs at one tick — the home shard
+        // is the lowest touched, so concatenation order already places
+        // the Commit first and the stable sort keeps it there.
+        report.history = match logs.len() {
+            1 => logs.pop().expect("one shard"),
+            _ => {
+                let mut events: Vec<Event> =
+                    logs.iter().flat_map(|h| h.events()).copied().collect();
+                events.sort_by_key(|e| e.at);
+                events.into_iter().collect()
+            }
+        };
+        report
     }
 }

@@ -8,9 +8,12 @@
 //! acquisition counters: a workload whose items all live in one shard
 //! must leave every other shard's counter at zero.
 
-use rtdb_core::{ProtocolKind, ShardRouter};
-use rtdb_rt::{job_list, run, RtConfig};
-use rtdb_sim::{serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams};
+use rtdb_core::{AbortBreakdown, ProtocolKind, ShardRouter};
+use rtdb_rt::{job_list, run, RtConfig, RtResult};
+use rtdb_sim::{
+    serializability_violations, snapshot_serializability_violations, Engine, RunOutcome, SimConfig,
+    WorkloadParams,
+};
 use rtdb_types::{
     InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
 };
@@ -38,52 +41,98 @@ fn workload(seed: u64) -> TransactionSet {
     .set
 }
 
+/// A set whose jobs mix, at 2 and at 4 shards alike, templates that stay
+/// inside one shard with templates that span several — plus one pure
+/// reader for the snapshot path to serve.
+fn mixed_set() -> TransactionSet {
+    let [r, w] = [Step::read, Step::write].map(|op| move |item| op(ItemId(item), 1));
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new("R", 10, vec![r(0), r(1), r(6)]))
+        .with(TransactionTemplate::new("S0", 20, vec![r(0), w(4), r(8)]))
+        .with(TransactionTemplate::new("S1", 30, vec![w(1), r(5), w(5)]))
+        .with(TransactionTemplate::new("X01", 40, vec![r(0), w(1)]))
+        .with(TransactionTemplate::new("X23", 50, vec![w(2), r(3), w(7)]))
+        // Crosses 4 shards, stays inside shard 0 of 2.
+        .with(TransactionTemplate::new("X02", 60, vec![r(4), w(2), w(6)]))
+        .build()
+        .expect("set");
+    for shards in [2, 4] {
+        let router = ShardRouter::new(shards);
+        let crossing = (1..set.len() as u32)
+            .filter(|&t| router.shards_of(&set, TxnId(t)).is_cross_shard())
+            .count();
+        assert_eq!(crossing, shards / 2 + 1, "writers crossing {shards} shards");
+    }
+    set
+}
+
 /// Serial (1-thread) sharded runs are real serial executions, so every
 /// shard count must land on the byte-identical final database the
 /// unsharded oracle produces — and pass the serializability oracle along
-/// the way.
+/// the way. One commit body serves the 1..k shards a job touches, so the
+/// commit stream is the oracle's too: the same job at every commit index
+/// and, with snapshot reads on, every reader served at the same stamp.
 #[test]
 fn serial_sharded_runs_match_the_unsharded_oracle() {
     for kind in shardable_kinds() {
-        let set = workload(0x5A4D + kind as u64);
-        let jobs = job_list(&set, 24, 13);
-        let oracle = run(&set, &jobs, RtConfig::new(kind).with_threads(1));
-        assert_eq!(oracle.committed, jobs.len() as u64);
-        let expected = oracle.db.snapshot();
+        let seed = 0x5A4D + kind as u64;
+        for (set, snapshot_reads) in [
+            (workload(seed), false),
+            (mixed_set(), false),
+            (mixed_set(), true),
+        ] {
+            let jobs = job_list(&set, 24, seed);
+            let config = RtConfig::new(kind)
+                .with_threads(1)
+                .with_snapshot_reads(snapshot_reads);
+            let oracle = run(&set, &jobs, config);
+            assert_eq!(oracle.committed, jobs.len() as u64);
+            assert_eq!(oracle.snapshots > 0, snapshot_reads);
+            let expected = oracle.db.snapshot();
+            let commit_stream = |rt: &RtResult| -> Vec<_> {
+                rt.jobs.iter().map(|j| (j.commit_index, j.id)).collect()
+            };
 
-        for shards in SHARD_COUNTS {
-            let rt = run(
-                &set,
-                &jobs,
-                RtConfig::new(kind).with_threads(1).with_shards(shards),
-            );
-            assert_eq!(
-                rt.committed,
-                jobs.len() as u64,
-                "{kind:?}/{shards} shards: dropped jobs"
-            );
-            // One worker means one live instance: nothing can abort it,
-            // so the restart backoff never sleeps in a serial run.
-            assert_eq!(rt.restarts, 0, "{kind:?}/{shards} shards");
-            assert_eq!(rt.shards, shards);
-            assert_eq!(
-                rt.db.snapshot(),
-                expected,
-                "{kind:?}/{shards} shards: final db diverged from oracle"
-            );
-            let violations = serializability_violations(&set, &rt.history, &rt.db, true);
-            assert!(
-                violations.is_empty(),
-                "{kind:?}/{shards} shards: {violations:?}"
-            );
-            // Commit accounting: every commit lands at exactly one
-            // home shard.
-            assert_eq!(rt.per_shard.len(), shards);
-            assert_eq!(
-                rt.per_shard.iter().map(|s| s.commits).sum::<u64>(),
-                rt.committed,
-                "{kind:?}/{shards} shards: per-shard commits disagree"
-            );
+            for shards in SHARD_COUNTS {
+                let what = format!("{kind:?}/{shards} shards/snapshot {snapshot_reads}");
+                let rt = run(&set, &jobs, config.with_shards(shards));
+                assert_eq!(rt.committed, jobs.len() as u64, "{what}: dropped jobs");
+                // One worker means one live instance: nothing can abort it,
+                // so the restart backoff never sleeps in a serial run.
+                assert_eq!(rt.restarts, 0, "{what}");
+                assert_eq!(rt.shards, shards);
+                assert_eq!(
+                    rt.db.snapshot(),
+                    expected,
+                    "{what}: final db diverged from oracle"
+                );
+                assert_eq!(
+                    commit_stream(&rt),
+                    commit_stream(&oracle),
+                    "{what}: commit indices diverged from oracle"
+                );
+                assert_eq!(
+                    rt.snapshot_stamps(),
+                    oracle.snapshot_stamps(),
+                    "{what}: snapshot stamps diverged from oracle"
+                );
+                let violations = snapshot_serializability_violations(
+                    &set,
+                    &rt.history,
+                    &rt.db,
+                    true,
+                    &rt.snapshot_stamps(),
+                );
+                assert!(violations.is_empty(), "{what}: {violations:?}");
+                // Commit accounting: every lock-path commit lands at
+                // exactly one home shard.
+                assert_eq!(rt.per_shard.len(), shards);
+                assert_eq!(
+                    rt.per_shard.iter().map(|s| s.commits).sum::<u64>(),
+                    rt.committed - rt.snapshots,
+                    "{what}: per-shard commits disagree"
+                );
+            }
         }
     }
 }
@@ -260,6 +309,132 @@ fn cross_shard_transactions_commit_and_are_counted() {
     assert_eq!(rt.per_shard[1].commits, 0);
     assert!(rt.per_shard[1].ops > 0, "item 1 lives in shard 1");
     assert!(rt.per_shard[1].state_lock_acquires > 0);
+}
+
+/// The state-lock cost model of a job, pinned: one acquisition to begin,
+/// one per accessing step, one per non-final step (early releases and
+/// retires apply there) and one to commit — nothing else on a run that
+/// neither parks nor restarts, whatever the shard count.
+#[test]
+fn a_single_shard_job_takes_its_state_lock_once_per_call() {
+    // Every item ≡ 0 (mod 4): shard 0 is home to both templates.
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new(
+            "A",
+            10,
+            vec![
+                Step::read(ItemId(0), 1),
+                Step::compute(1),
+                Step::write(ItemId(4), 1),
+            ],
+        ))
+        .with(TransactionTemplate::new(
+            "B",
+            20,
+            vec![Step::write(ItemId(8), 1), Step::compute(1)],
+        ))
+        .build()
+        .expect("set");
+    let jobs = job_list(&set, 16, 7);
+    let expected: u64 = jobs
+        .iter()
+        .map(|id| {
+            let steps = &set.template(id.txn).steps;
+            let accessing = steps.iter().filter(|s| s.op.access().is_some()).count();
+            (1 + accessing + (steps.len() - 1) + 1) as u64
+        })
+        .sum();
+
+    for kind in shardable_kinds() {
+        for shards in [1, 4] {
+            let rt = run(
+                &set,
+                &jobs,
+                RtConfig::new(kind).with_threads(1).with_shards(shards),
+            );
+            assert_eq!(rt.committed, jobs.len() as u64);
+            assert_eq!(
+                rt.per_shard[0].state_lock_acquires, expected,
+                "{kind:?}/{shards} shards"
+            );
+            for s in &rt.per_shard[1..] {
+                assert_eq!(s.state_lock_acquires, 0, "{kind:?}: shard {}", s.shard);
+            }
+        }
+    }
+}
+
+/// A cross-shard job's no-wait self-abort is a restart like any other
+/// and `abort_reasons` says so: under PCP-DA and RW-PCP, which never
+/// wound and never deadlock, it is the only restart there is.
+#[test]
+fn no_wait_self_aborts_count_as_ceiling_blocks() {
+    // Forces one: X spans both shards and asks to write `x` 5 ms after it
+    // was admitted; S (shard 0) has read `x` by then and computes for
+    // 20 ms, and both protocols deny the write while its read lock stands.
+    // (X goes first: begun behind S's lock, it would sit out S's whole
+    // run in the advisory admission spin and never meet the lock.)
+    let (x, y) = (ItemId(0), ItemId(1));
+    let staged = SetBuilder::new()
+        .with(TransactionTemplate::new(
+            "X",
+            100,
+            vec![Step::compute(5), Step::write(x, 1), Step::write(y, 1)],
+        ))
+        .with(TransactionTemplate::new(
+            "S",
+            1_000,
+            vec![Step::read(x, 1), Step::compute(20)],
+        ))
+        .build()
+        .expect("set");
+    let staged_jobs = [InstanceId::first(TxnId(0)), InstanceId::first(TxnId(1))];
+
+    for kind in [ProtocolKind::PcpDa, ProtocolKind::RwPcp] {
+        let restarts_of = |set: &TransactionSet, jobs: &[InstanceId], config: RtConfig| {
+            let rt = run(set, jobs, config.with_shards(2));
+            assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}");
+            assert!(rt.cross_shard_txns > 0, "{kind:?}");
+            assert_eq!(
+                rt.abort_reasons,
+                AbortBreakdown {
+                    ceiling_block: rt.restarts,
+                    ..AbortBreakdown::default()
+                },
+                "{kind:?}"
+            );
+            let by_job: u64 = rt.jobs.iter().map(|j| u64::from(j.restarts)).sum();
+            assert_eq!(by_job, rt.restarts, "{kind:?}: per-job restarts disagree");
+            rt.restarts
+        };
+        // The cross-shard workload under whatever contention the
+        // scheduler produces…
+        for seed in 0..4 {
+            let set = WorkloadParams {
+                templates: 6,
+                items: 12,
+                target_utilization: 0.5,
+                hotspot_items: 2,
+                hotspot_prob: 0.6,
+                partitions: 2,
+                cross_partition_prob: 0.5,
+                seed,
+                ..WorkloadParams::default()
+            }
+            .generate()
+            .expect("workload generation")
+            .set;
+            let jobs = job_list(&set, 120, seed);
+            restarts_of(&set, &jobs, RtConfig::new(kind).with_threads(4));
+        }
+        // …and the staged block: 1 ms per tick keeps S inside its compute
+        // step while X asks. Retried, as scheduling is real.
+        let config = RtConfig::new(kind).with_threads(2).with_tick_ns(1_000_000);
+        assert!(
+            (0..8).any(|_| restarts_of(&staged, &staged_jobs, config) > 0),
+            "{kind:?}: X never found S's read lock in its way"
+        );
+    }
 }
 
 /// Replay agreement between the two execution layers: the simulator and
