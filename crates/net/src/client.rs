@@ -1,5 +1,10 @@
 //! A small blocking client for the wire protocol — the load generator's
 //! (and the tests') view of the service edge.
+//!
+//! It waits on the wire, never on a timer: [`NetClient::wait_response`]
+//! polls the socket before it blocks in `read`, so a prompt reply does
+//! not pay the client's own wake-up, whose cost is 2 µs or 20 µs by where
+//! the scheduler put the threads (DESIGN.md §6g).
 
 use crate::wire::{FrameBuf, Request, Response, WireError};
 use std::io::{self, ErrorKind, Read, Write};
@@ -19,11 +24,13 @@ pub struct NetClient {
     nonblocking: bool,
 }
 
-/// What `wait_response` sleeps before it blocks on an empty socket. The
-/// reply to a request just sent is there by then, so the caller pays this
-/// timer (≈90 µs with the kernel's slack) and not a wake-up, whose cost is
-/// 2 µs or 20 µs by where the scheduler put the threads (DESIGN.md §6g).
-const REPLY_PAUSE: Duration = Duration::from_micros(20);
+/// How long `wait_response` polls an empty socket before it blocks:
+/// several times a lone round trip on a 2-CPU host (≈25 µs with the
+/// server's threads stacked on one CPU, ≈45 µs with them spread over
+/// both), so such a reply never waits for the client's wake-up, while a
+/// client waiting on a slow job spends at most this much CPU per call
+/// before it blocks.
+const REPLY_SPIN: Duration = Duration::from_micros(200);
 
 fn wire_err(e: WireError) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, e)
@@ -59,19 +66,19 @@ impl NetClient {
     }
 
     /// The next response: buffered, else after a `read` that waits until
-    /// `deadline` at most (`None` or past: not at all); `Ok(None)` if none.
+    /// `deadline` at most (`None`: for as long as it takes; past: not at
+    /// all); `Ok(None)` if none came.
     fn next(&mut self, deadline: Option<Instant>) -> io::Result<Option<Response>> {
         let mut tmp = [0u8; 4096];
         loop {
             if let Some(payload) = self.rbuf.next_frame().map_err(wire_err)? {
                 return Response::decode(&payload).map(Some).map_err(wire_err);
             }
-            let wait = deadline
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .filter(|left| !left.is_zero());
-            self.set_nonblocking(wait.is_none())?;
-            if wait.is_some() {
-                self.stream.set_read_timeout(wait)?;
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let poll = left.is_some_and(|left| left.is_zero());
+            self.set_nonblocking(poll)?;
+            if !poll {
+                self.stream.set_read_timeout(left)?;
             }
             match self.stream.read(&mut tmp) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
@@ -79,7 +86,7 @@ impl NetClient {
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Nothing there: final for a poll, a wait re-reads its clock.
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if wait.is_none() {
+                    if poll {
                         return Ok(None);
                     }
                 }
@@ -90,17 +97,26 @@ impl NetClient {
 
     /// Never blocks: the next response the buffer or the socket holds, if any.
     pub fn poll_response(&mut self) -> io::Result<Option<Response>> {
-        self.next(None)
+        self.next(Some(Instant::now()))
     }
 
-    /// The next response within `timeout` ([`ErrorKind::TimedOut`]): a
-    /// look, `REPLY_PAUSE` if the socket was empty, then a blocking `read`.
+    /// The next response within `timeout` ([`ErrorKind::TimedOut`];
+    /// [`Duration::MAX`] waits for as long as it takes): looks at the
+    /// socket, polls it for up to `REPLY_SPIN` with a `yield_now` between
+    /// looks, then blocks in `read` for what is left of `timeout`.
     pub fn wait_response(&mut self, timeout: Duration) -> io::Result<Response> {
-        let deadline = Instant::now() + timeout;
-        if let Some(resp) = self.next(None)? {
-            return Ok(resp);
+        let start = Instant::now();
+        let spin_until = start + REPLY_SPIN.min(timeout);
+        loop {
+            if let Some(resp) = self.poll_response()? {
+                return Ok(resp);
+            }
+            if Instant::now() >= spin_until {
+                break;
+            }
+            std::thread::yield_now();
         }
-        std::thread::sleep(REPLY_PAUSE.min(timeout));
-        self.next(Some(deadline))?.ok_or(ErrorKind::TimedOut.into())
+        self.next(start.checked_add(timeout))?
+            .ok_or(ErrorKind::TimedOut.into())
     }
 }

@@ -17,8 +17,9 @@
 //!   for wake-ups, never for a timer;
 //! * [`client`] — [`NetClient`]: the blocking, pipelining client the load
 //!   generator and the loopback tests drive the edge with (its
-//!   `wait_response` holds the crate's one timer, a short pause before
-//!   it blocks: DESIGN.md §6g).
+//!   `wait_response` polls the socket for a bounded moment before it
+//!   blocks, so no thread of the crate, client or server, waits on a
+//!   timer: DESIGN.md §6g).
 //!
 //! The edge adds *transport*, not *policy*: admission decisions
 //! (least-slack shedding, per-tenant fairness budgets) live in

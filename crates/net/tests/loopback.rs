@@ -18,7 +18,7 @@ use rtdb_sim::{Engine, RunOutcome, SimConfig};
 use rtdb_types::{InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
@@ -753,4 +753,103 @@ fn shutdown_delivers_every_owed_terminal_frame() {
         assert_eq!(rt.committed, K);
         assert_eq!(client.join().expect("client"), K, "owed answers dropped");
     });
+}
+
+/// One slow round trip under `timeout`: one worker at 1 ms a tick runs the
+/// 2-tick job for ≥ 2 ms, ten times `NetClient`'s poll phase, so the
+/// `Committed` frame arrives through the blocking `read` after it.
+fn slow_round_trip(timeout: Duration) {
+    let (rt, ()) = serve(&small_set(), one_worker(MS), |addr| {
+        let mut client = NetClient::connect(addr).expect("connect");
+        let sent = Instant::now();
+        client.submit(submit_of(1, 0)).expect("submit");
+        assert!(matches!(
+            client.wait_response(timeout).expect("accept"),
+            Response::Accepted { ticket: 1 }
+        ));
+        assert!(matches!(
+            client.wait_response(timeout).expect("terminal"),
+            Response::Committed { ticket: 1, .. }
+        ));
+        let took = sent.elapsed();
+        assert!(took >= Duration::from_millis(2), "a 2 ms job took {took:?}");
+    })
+    .expect("serve");
+    assert_eq!(rt.committed, 1);
+}
+
+#[test]
+fn a_reply_later_than_the_poll_phase_arrives_by_blocking_read() {
+    slow_round_trip(WAIT);
+}
+
+/// `Duration::MAX` waits for as long as it takes: no deadline overflows
+/// the clock, and the blocking `read` runs without a timeout.
+#[test]
+fn wait_response_without_a_deadline() {
+    slow_round_trip(Duration::MAX);
+}
+
+/// A peer that accepts and never writes, and a client connected to it.
+fn silent_peer() -> (TcpStream, NetClient) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = NetClient::connect(listener.local_addr().expect("address")).expect("connect");
+    let (peer, _) = listener.accept().expect("accept");
+    (peer, client)
+}
+
+/// The poll phase is clipped to the caller's timeout, and the blocking
+/// `read` after it waits out the rest.
+#[test]
+fn wait_response_times_out_on_the_callers_clock() {
+    let (_peer, mut client) = silent_peer();
+    for (timeout, within) in [
+        (
+            Duration::from_micros(100),
+            Duration::ZERO..Duration::from_millis(5),
+        ),
+        (Duration::from_millis(50), Duration::from_millis(50)..WAIT),
+    ] {
+        let started = Instant::now();
+        let err = client.wait_response(timeout).expect_err("nothing was sent");
+        let took = started.elapsed();
+        assert_eq!(err.kind(), ErrorKind::TimedOut, "{err}");
+        assert!(
+            within.contains(&took),
+            "wait_response({timeout:?}) took {took:?}"
+        );
+    }
+}
+
+/// A peer that hangs up while the client polls ends the wait at once.
+#[test]
+fn a_peer_closing_during_the_poll_phase_is_an_unexpected_eof() {
+    let (peer, mut client) = silent_peer();
+    let started = Instant::now();
+    let err = std::thread::scope(|scope| {
+        scope.spawn(move || drop(peer));
+        client.wait_response(WAIT).expect_err("the peer closed")
+    });
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+    let took = started.elapsed();
+    assert!(took < WAIT / 4, "the close took {took:?} to notice");
+}
+
+/// Each `wait_response` leaves the socket in whichever mode its last look
+/// needed; `poll_response` after it still returns at once on an empty
+/// socket, and `submit` and `wait_response` after that still work.
+#[test]
+fn poll_after_wait_returns_at_once_and_the_connection_keeps_working() {
+    let (rt, ()) = serve(&small_set(), one_worker(MS), |addr| {
+        let mut client = NetClient::connect(addr).expect("connect");
+        for ticket in 0..3 {
+            round_trip(&mut client, ticket);
+            let polled = Instant::now();
+            assert!(client.poll_response().expect("open").is_none());
+            let took = polled.elapsed();
+            assert!(took < Duration::from_secs(1), "poll_response took {took:?}");
+        }
+    })
+    .expect("serve");
+    assert_eq!(rt.committed, 3);
 }

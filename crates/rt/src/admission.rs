@@ -364,6 +364,12 @@ struct Inner {
     ledger: TenantLedger,
     /// Next sequence number per template, handed out by [`AdmissionQueue::pop`].
     next_seq: Vec<u32>,
+    /// Poppers parked on `not_empty` and `Block` pushers parked on
+    /// `not_full`. A `notify_one` is a syscall whether or not anyone
+    /// waits, so `push` and `pop` notify only when one of these is
+    /// nonzero; both change under the queue mutex, so no wake-up is lost.
+    waiting_poppers: usize,
+    waiting_pushers: usize,
 }
 
 /// A bounded MPMC queue: many submitters push, the workers pop.
@@ -390,6 +396,8 @@ impl AdmissionQueue {
                 closed: false,
                 ledger: TenantLedger::new(fairness, templates),
                 next_seq: vec![0; templates],
+                waiting_poppers: 0,
+                waiting_pushers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -427,7 +435,7 @@ impl AdmissionQueue {
                 g.ledger.charge(item.req.tenant, item.cost_ns, now);
                 item.admitted_at = Instant::now();
                 g.q.push_back(item);
-                self.not_empty.notify_one();
+                self.wake_popper(&g);
                 return Push::Admitted;
             }
             match policy {
@@ -464,14 +472,16 @@ impl AdmissionQueue {
                     inner.ledger.charge(item.req.tenant, item.cost_ns, now);
                     item.admitted_at = Instant::now();
                     inner.q.push_back(item);
-                    self.not_empty.notify_one();
+                    self.wake_popper(inner);
                     return Push::AdmittedShed(Box::new(old));
                 }
                 AdmissionPolicy::Block => {
+                    g.waiting_pushers += 1;
                     g = self
                         .not_full
                         .wait(g)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    g.waiting_pushers -= 1;
                 }
             }
         }
@@ -487,7 +497,9 @@ impl AdmissionQueue {
         let mut g = self.lock();
         loop {
             if let Some(item) = g.q.pop_front() {
-                self.not_full.notify_one();
+                if g.waiting_pushers > 0 {
+                    self.not_full.notify_one();
+                }
                 let txn = item.req.txn;
                 let seq = &mut g.next_seq[txn.index()];
                 let id = InstanceId::new(txn, *seq);
@@ -497,10 +509,19 @@ impl AdmissionQueue {
             if g.closed {
                 return None;
             }
+            g.waiting_poppers += 1;
             g = self
                 .not_empty
                 .wait(g)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            g.waiting_poppers -= 1;
+        }
+    }
+
+    /// Wake one parked popper, if any: an entry just entered the queue.
+    fn wake_popper(&self, g: &Inner) {
+        if g.waiting_poppers > 0 {
+            self.not_empty.notify_one();
         }
     }
 
@@ -584,20 +605,55 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
+    /// Wait until `parked` holds of the queue's wait counters. Each counter
+    /// is raised under the mutex that `Condvar::wait` releases, so once it
+    /// reads nonzero here its thread is parked on the condvar.
+    fn until_parked(q: &AdmissionQueue, parked: impl Fn(&Inner) -> bool) {
+        while !parked(&q.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// `push` and `pop` notify only when a thread is parked: a parked
+    /// popper is woken by a push, a parked `Block` pusher by a pop, and
+    /// both by `close`.
     #[test]
-    fn block_waits_for_space() {
+    fn parked_threads_wake_on_push_pop_and_close() {
+        let block = AdmissionPolicy::Block;
         let q = queue(1);
-        q.push(item(0).0, AdmissionPolicy::Block);
         std::thread::scope(|s| {
-            let pusher =
-                s.spawn(|| matches!(q.push(item(1).0, AdmissionPolicy::Block), Push::Admitted));
-            // Give the pusher a moment to park on the full queue, then
-            // drain one entry to release it.
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            assert_eq!(q.pop().expect("queued").1.ticket, 0);
+            let popper = s.spawn(|| q.pop().map(|(_, a)| a.ticket));
+            until_parked(&q, |g| g.waiting_poppers == 1);
+            q.push(item(0).0, block);
+            assert_eq!(popper.join().expect("popper"), Some(0));
+        });
+        q.push(item(1).0, block);
+        std::thread::scope(|s| {
+            let pusher = s.spawn(|| matches!(q.push(item(2).0, block), Push::Admitted));
+            until_parked(&q, |g| g.waiting_pushers == 1);
+            assert_eq!(q.pop().expect("queued").1.ticket, 1);
             assert!(pusher.join().expect("pusher"));
         });
-        assert_eq!(q.pop().expect("queued").1.ticket, 1);
+        assert_eq!(q.pop().expect("queued").1.ticket, 2);
+
+        // One queue left empty, one full: `close` releases a thread parked
+        // on either.
+        let full = queue(1);
+        full.push(item(3).0, block);
+        std::thread::scope(|s| {
+            let popper = s.spawn(|| q.pop().is_none());
+            let pusher = s.spawn(|| matches!(full.push(item(4).0, block), Push::Closed));
+            until_parked(&q, |g| g.waiting_poppers == 1);
+            until_parked(&full, |g| g.waiting_pushers == 1);
+            q.close();
+            full.close();
+            assert!(popper.join().expect("popper"));
+            assert!(pusher.join().expect("pusher"));
+        });
+        for q in [&q, &full] {
+            let g = q.lock();
+            assert_eq!((g.waiting_poppers, g.waiting_pushers), (0, 0));
+        }
     }
 
     #[test]
