@@ -57,7 +57,7 @@ fn run_once(set: &TransactionSet, kind: ProtocolKind, horizon: u64) -> u64 {
         cfg.resolve_deadlocks = true;
     }
     Engine::new(set, cfg)
-        .run_any(&mut p)
+        .run(&mut p)
         .expect("perf run succeeds");
     p.requests()
 }

@@ -138,13 +138,19 @@ impl PriorityManager {
         self.idx(who).is_some_and(|i| self.entries[i].blocked)
     }
 
-    /// All current blocking edges (blocked -> blockers), ascending by
-    /// blocked id, for the wait-for graph.
-    pub fn edges(&self) -> impl Iterator<Item = (InstanceId, &[InstanceId])> {
-        self.entries
-            .iter()
-            .filter(|e| e.blocked)
-            .map(|e| (e.id, e.blockers.as_slice()))
+    /// The instances with a blocking edge, ascending: the wait-for
+    /// graph's nodes with out-edges.
+    pub fn blocked(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        self.entries.iter().filter(|e| e.blocked).map(|e| e.id)
+    }
+
+    /// The instances `who` waits for, in recorded order (empty unless
+    /// `who` is blocked): its out-edges in the wait-for graph.
+    pub fn blockers(&self, who: InstanceId) -> &[InstanceId] {
+        match self.idx(who) {
+            Some(i) if self.entries[i].blocked => &self.entries[i].blockers,
+            _ => &[],
+        }
     }
 
     /// True if any blocking edge is currently recorded.
@@ -277,7 +283,10 @@ mod tests {
         m.set_blocked(i(2), &[i(0)]);
         m.set_blocked(i(1), &[i(2)]);
         let got: Vec<(InstanceId, Vec<InstanceId>)> =
-            m.edges().map(|(b, bs)| (b, bs.to_vec())).collect();
+            m.blocked().map(|b| (b, m.blockers(b).to_vec())).collect();
         assert_eq!(got, vec![(i(1), vec![i(2)]), (i(2), vec![i(0)])]);
+        assert!(m.blockers(i(0)).is_empty(), "not blocked");
+        m.clear_blocked(i(1));
+        assert!(m.blockers(i(1)).is_empty(), "edge cleared");
     }
 }

@@ -32,11 +32,10 @@
 
 use crate::deps::insert_sorted;
 use crate::{
-    find_deadlock_victim, AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision,
-    DepTracker, EngineView, LockRequest, LockTable, PriorityManager, ProtocolFor, ShardRouter,
-    UpdateModel,
+    AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, DepTracker, EngineView,
+    LockRequest, LockTable, PriorityManager, ProtocolFor, ShardRouter, UpdateModel,
 };
-use rtdb_storage::{Database, EventKind, History, VersionedValue, Workspace};
+use rtdb_storage::{find_cycle, Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, Tick, TransactionSet, TxnId, Value};
 use std::cmp::Reverse;
 
@@ -481,11 +480,18 @@ impl<'a> StateKernel<'a> {
         woken
     }
 
-    /// Search the wait edges (lock waits, gate waits, holds) for a cycle;
-    /// returns it with the victim to abort — the lowest-base-priority
-    /// instance on it. Whether to abort or to report is the engine's call.
+    /// Search the wait edges (lock waits, gate waits, holds) for a cycle,
+    /// from the blocked instances in ascending id order; returns it with
+    /// the victim to abort — the lowest-base-priority instance on it, ties
+    /// toward the smaller id. Whether to abort or to report is the
+    /// engine's call.
     pub fn find_deadlock(&self) -> Option<(Vec<InstanceId>, InstanceId)> {
-        find_deadlock_victim(self.pm.edges(), |v| self.set.priority_of(v.txn))
+        let cycle = find_cycle(self.pm.blocked(), |who| self.pm.blockers(who))?;
+        let victim = cycle
+            .iter()
+            .copied()
+            .min_by_key(|&v| (self.set.priority_of(v.txn), v))?;
+        Some((cycle, victim))
     }
 
     /// `who` finished step `completed_step`: apply the protocol's early

@@ -38,8 +38,9 @@
 //!   dynamic `Sysceil` computations of PCP-DA (read locks only), RW-PCP
 //!   (`RWceil`) and the original PCP (`Aceil` for any lock);
 //! * [`PriorityManager`] — base priorities plus transitive priority
-//!   inheritance over the current blocking edges;
-//! * [`waitfor`] — the wait-for graph and deadlock detection;
+//!   inheritance over the current blocking edges, which are also the
+//!   wait-for graph [`StateKernel::find_deadlock`] searches (with
+//!   [`rtdb_storage::find_cycle`], the serialization graph's search);
 //! * [`shard`] — the sharded-ceiling substrate: item→shard routing and
 //!   the lock-free published-per-shard global ceiling (DPCP-p style)
 //!   behind the runtime's sharded manager;
@@ -58,7 +59,6 @@ pub mod protocol;
 pub mod registry;
 pub mod shard;
 pub mod testkit;
-pub mod waitfor;
 
 pub use ceiling_index::{CeilingFlavor, CeilingIndex};
 pub use ceilings::{CeilingTable, Holders, SysCeil};
@@ -68,7 +68,4 @@ pub use kernel::{Aborted, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};
 pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 pub use registry::{ProtocolFamily, ProtocolKind, UnknownProtocol};
-pub use shard::{
-    deadlock_victim, find_deadlock_victim, GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS,
-};
-pub use waitfor::WaitForGraph;
+pub use shard::{GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS};

@@ -22,8 +22,7 @@
 //!   only delay or admit early, never corrupt shard-local state, so the
 //!   publication protocol needs no fences beyond the store itself.
 
-use crate::waitfor::WaitForGraph;
-use rtdb_types::{Ceiling, InstanceId, ItemId, Priority, TransactionSet, TxnId};
+use rtdb_types::{Ceiling, ItemId, Priority, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hard cap on shards: a [`ShardSet`] is a `u64` bitmask.
@@ -224,30 +223,6 @@ impl GlobalCeiling {
     }
 }
 
-/// Deadlock-victim rule, applied by [`crate::StateKernel::find_deadlock`]
-/// for both engines: the lowest-base-priority instance on the cycle, ties
-/// broken toward the smaller id.
-pub fn deadlock_victim(
-    cycle: &[InstanceId],
-    mut base_of: impl FnMut(InstanceId) -> Priority,
-) -> InstanceId {
-    cycle
-        .iter()
-        .copied()
-        .min_by_key(|&v| (base_of(v), v))
-        .expect("cycle is non-empty")
-}
-
-/// Detect a wait-for cycle over `edges` and pick its victim, in one step.
-pub fn find_deadlock_victim<'e>(
-    edges: impl Iterator<Item = (InstanceId, &'e [InstanceId])>,
-    base_of: impl FnMut(InstanceId) -> Priority,
-) -> Option<(Vec<InstanceId>, InstanceId)> {
-    let cycle = WaitForGraph::from_edges(edges).find_cycle()?;
-    let victim = deadlock_victim(&cycle, base_of);
-    Some((cycle, victim))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,18 +314,5 @@ mod tests {
         assert!(g.cleared_by(Priority(3), cold));
         assert_eq!(g.publish_count(1), 1);
         assert_eq!(g.publish_count(0), 0);
-    }
-
-    #[test]
-    fn deadlock_victim_prefers_lowest_base_then_id() {
-        let a = InstanceId::new(TxnId(0), 0);
-        let b = InstanceId::new(TxnId(1), 0);
-        let c = InstanceId::new(TxnId(2), 0);
-        let base = |who: InstanceId| match who.txn.0 {
-            0 => Priority(3),
-            1 => Priority(1),
-            _ => Priority(1),
-        };
-        assert_eq!(deadlock_victim(&[a, b, c], base), b, "tie broken by id");
     }
 }

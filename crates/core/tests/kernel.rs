@@ -179,6 +179,23 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
 }
 
 #[test]
+fn deadlock_victim_prefers_lowest_base_then_id() {
+    let set = set();
+    // a (T0) outranks both instances of T3, which tie on base priority.
+    let (a, b, b2) = (inst(0, 0), inst(3, 0), inst(3, 1));
+    let (mut k, _) = begun(&set, &[a, b, b2]);
+    k.wait_on(b2, &[a]);
+    k.wait_on(a, &[b]);
+    k.wait_on(b, &[b2]);
+    let (cycle, victim) = k.find_deadlock().expect("cycle");
+    assert_eq!(cycle, vec![a, b, b2], "searched from the lowest blocked id");
+    assert_eq!(
+        victim, b,
+        "tie on base priority broken toward the smaller id"
+    );
+}
+
+#[test]
 fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
     let set = set();
     let (w, r1, r2, other) = (inst(3, 0), inst(0, 0), inst(1, 0), inst(2, 0));

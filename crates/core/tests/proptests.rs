@@ -102,32 +102,69 @@ fn inheritance_fixpoint() {
     });
 }
 
-/// Wait-for graphs: a graph whose edges all point from higher indices
-/// to strictly lower ones is acyclic; adding a back edge on any path
-/// creates a detectable cycle.
+/// Deadlock search: wait edges that all point from higher indices to
+/// strictly lower ones are acyclic; a back edge closing any of them makes
+/// a cycle. The kernel's search over its own edges finds exactly the
+/// cycle the shared search finds over a copy of them, every step on it is
+/// an edge, and the victim is its lowest base priority, ties (two
+/// instances of one template) toward the smaller id.
 #[test]
 fn waitfor_cycle_detection() {
+    let set = {
+        let mut b = SetBuilder::new();
+        for t in 0..5u64 {
+            b.add(TransactionTemplate::new(
+                format!("t{t}"),
+                10 * (t + 1),
+                vec![Step::compute(1)],
+            ));
+        }
+        b.build_rate_monotonic().unwrap()
+    };
+    // Ten instances, two per template, in ascending id order.
+    let node = |i: usize| InstanceId::new(TxnId(i as u32 / 2), i as u32 % 2);
+    type Waits = std::collections::BTreeMap<InstanceId, Vec<InstanceId>>;
+    let shared = |waits: &Waits| {
+        rtdb_storage::find_cycle(waits.keys().copied(), |n| {
+            waits.get(&n).map_or(&[], Vec::as_slice)
+        })
+    };
     forall(CASES, |rng| {
         let edges = vec_of(rng, 1..15, |rng| {
             (rng.range_usize(1..10), rng.range_usize(0..10))
         });
-        let mut g = WaitForGraph::default();
-        let mut down_edges = vec![];
-        for &(a, b) in &edges {
-            if b < a {
-                g.add_edge(inst(a as u32), inst(b as u32));
-                down_edges.push((a, b));
+        let down: Vec<(usize, usize)> = edges.into_iter().filter(|&(a, b)| b < a).collect();
+        let mut waits = Waits::new();
+        for &(a, b) in &down {
+            let on = waits.entry(node(a)).or_default();
+            if !on.contains(&node(b)) {
+                on.push(node(b));
             }
         }
-        assert!(g.is_deadlock_free());
+        let mut k = StateKernel::new(&set, None);
+        (0..10).for_each(|i| k.begin(node(i), None));
+        for (&who, on) in &waits {
+            k.wait_on(who, on);
+        }
+        assert_eq!(k.find_deadlock(), None);
+        assert_eq!(shared(&waits), None);
 
-        if let Some(&(a, b)) = down_edges.first() {
+        if let Some(&(a, b)) = down.first() {
             // Close the loop: b -> a.
-            g.add_edge(inst(b as u32), inst(a as u32));
-            let cycle = g.find_cycle();
-            assert!(cycle.is_some());
-            let cycle = cycle.unwrap();
+            let on = waits.entry(node(b)).or_default();
+            on.push(node(a));
+            k.wait_on(node(b), on);
+            let (cycle, victim) = k.find_deadlock().expect("a back edge closes a cycle");
+            assert_eq!(Some(&cycle), shared(&waits).as_ref());
             assert!(cycle.len() >= 2);
+            for (i, n) in cycle.iter().enumerate() {
+                assert!(waits[n].contains(&cycle[(i + 1) % cycle.len()]));
+            }
+            let lowest = cycle
+                .iter()
+                .copied()
+                .min_by_key(|&v| (set.priority_of(v.txn), v));
+            assert_eq!(Some(victim), lowest);
         }
     });
 }

@@ -41,9 +41,9 @@
 //! run allocates nothing per instance. Arrivals are not materialized up
 //! front; an `ArrivalCalendar` (a binary heap with one outstanding entry
 //! per template) produces them lazily in the exact order the old eager
-//! sorted vector did. A map-backed `MapStore` with identical semantics
-//! is kept behind `debug_assertions`/the `oracle-checks` feature as the
-//! differential-testing oracle ([`Engine::run_map_oracle`]).
+//! sorted vector did. The arena has no second implementation to be
+//! checked against: `tests/golden.rs`, which pins every observable of 880
+//! seeded runs, is its oracle (DESIGN.md §6b).
 
 use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
@@ -60,8 +60,6 @@ use rtdb_types::{
     Duration, Error, InstanceId, ItemId, LockMode, Result, Tick, TransactionSet, TxnId,
 };
 use std::cmp::Reverse;
-#[cfg(any(debug_assertions, feature = "oracle-checks"))]
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 
 /// Engine configuration.
@@ -276,7 +274,11 @@ impl<'a> Engine<'a> {
         &'s self,
         protocol: &mut P,
     ) -> Result<RunResult> {
-        self.run_generic::<SlotStore, P>(protocol)
+        let mut sim = Sim::new(self.set, &self.config, protocol.ceiling_flavor());
+        sim.run(protocol)?;
+        let mut result = sim.finish();
+        result.protocol = protocol.name();
+        Ok(result)
     }
 
     /// [`Engine::run`] under a fresh instance of the registry protocol
@@ -285,40 +287,11 @@ impl<'a> Engine<'a> {
         self.run(&mut instantiate(kind))
     }
 
-    /// [`Engine::run`] with the protocol type fixed to [`AnyProtocol`];
-    /// kept for `benchmark/src/simoff.rs`, which names it.
+    /// [`Engine::run`] with the protocol type fixed to [`AnyProtocol`].
+    /// Nothing in the workspace calls it; `benchmark/src/simoff.rs` does,
+    /// and it goes when that caller switches to [`Engine::run`].
     pub fn run_any(&self, protocol: &mut AnyProtocol) -> Result<RunResult> {
         self.run(protocol)
-    }
-
-    /// Execute one full run on the map-backed instance store instead of
-    /// the slot arena. Semantics are identical by construction; the
-    /// differential property tests assert it. Available in debug builds
-    /// and under the `oracle-checks` feature.
-    #[cfg(any(debug_assertions, feature = "oracle-checks"))]
-    pub fn run_map_oracle<'s, P: ProtocolFor<StateKernel<'s>>>(
-        &'s self,
-        protocol: &mut P,
-    ) -> Result<RunResult> {
-        self.run_generic::<MapStore, P>(protocol)
-    }
-
-    /// [`Engine::run_kind`] on the map-backed oracle store.
-    #[cfg(any(debug_assertions, feature = "oracle-checks"))]
-    pub fn run_kind_map_oracle(&self, kind: ProtocolKind) -> Result<RunResult> {
-        self.run_map_oracle(&mut instantiate(kind))
-    }
-
-    fn run_generic<'s, S, P>(&'s self, protocol: &mut P) -> Result<RunResult>
-    where
-        S: InstanceStore,
-        P: ProtocolFor<StateKernel<'s>>,
-    {
-        let mut sim: Sim<'s, S> = Sim::new(self.set, &self.config, protocol.ceiling_flavor());
-        sim.run(protocol)?;
-        let mut result = sim.finish();
-        result.protocol = protocol.name();
-        Ok(result)
     }
 }
 
@@ -326,8 +299,8 @@ impl<'a> Engine<'a> {
 /// resident: its progress through the template, its clocks and its
 /// workspace (whose capacity survives recycling). The protocol-visible
 /// half lives in the kernel's [`Record`].
+#[derive(Debug)]
 struct InstanceSlot {
-    id: InstanceId,
     release: Tick,
     deadline: Tick,
     step: usize,
@@ -356,9 +329,19 @@ struct InstanceSlot {
 }
 
 impl InstanceSlot {
-    fn fresh(id: InstanceId, release: Tick, deadline: Tick) -> Self {
+    /// The slot of a released instance around the buffers `workspace`
+    /// (reset to `id`) and `hold_on` (cleared): the one field list both a
+    /// fresh and a recycled slot are built from.
+    fn new(
+        id: InstanceId,
+        release: Tick,
+        deadline: Tick,
+        mut workspace: Workspace,
+        mut hold_on: Vec<InstanceId>,
+    ) -> Self {
+        workspace.reset(id);
+        hold_on.clear();
         InstanceSlot {
-            id,
             release,
             deadline,
             step: 0,
@@ -369,45 +352,23 @@ impl InstanceSlot {
             miss_logged: false,
             blocking: Duration::ZERO,
             lower_exec: Duration::ZERO,
-            workspace: Workspace::new(id),
+            workspace,
             snapshot: None,
             gated: false,
-            hold_on: Vec::new(),
+            hold_on,
         }
     }
 
-    /// Re-home a recycled slot to a new instance, keeping allocations.
-    fn reset(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
-        self.id = id;
-        self.release = release;
-        self.deadline = deadline;
-        self.step = 0;
-        self.consumed = 0;
-        self.acquired = false;
-        self.blocked_since = None;
-        self.was_denied = false;
-        self.miss_logged = false;
-        self.blocking = Duration::ZERO;
-        self.lower_exec = Duration::ZERO;
-        self.workspace.reset(id);
-        self.snapshot = None;
-        self.gated = false;
-        self.hold_on.clear();
+    fn fresh(id: InstanceId, release: Tick, deadline: Tick) -> Self {
+        Self::new(id, release, deadline, Workspace::new(id), Vec::new())
     }
-}
 
-/// Storage backend for live-instance slots. Two implementations with
-/// identical observable behavior: the production [`SlotStore`] arena and
-/// the [`MapStore`] oracle.
-trait InstanceStore {
-    /// Empty store for a set with `n_templates` templates.
-    fn with_templates(n_templates: usize) -> Self;
-    /// Add a freshly released instance. `id` must not be present.
-    fn insert(&mut self, id: InstanceId, release: Tick, deadline: Tick);
-    fn get(&self, id: InstanceId) -> Option<&InstanceSlot>;
-    fn get_mut(&mut self, id: InstanceId) -> Option<&mut InstanceSlot>;
-    /// Drop (and possibly recycle) the slot of `id`.
-    fn remove(&mut self, id: InstanceId);
+    /// Re-home a recycled slot to a new instance, keeping its buffers.
+    fn reset(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
+        let workspace = std::mem::replace(&mut self.workspace, Workspace::new(id));
+        let hold_on = std::mem::take(&mut self.hold_on);
+        *self = Self::new(id, release, deadline, workspace, hold_on);
+    }
 }
 
 /// Dense slot arena with per-template free lists.
@@ -432,9 +393,8 @@ impl SlotStore {
             .ok()
             .map(|i| live[i].1 as usize)
     }
-}
 
-impl InstanceStore for SlotStore {
+    /// Empty store for a set with `n_templates` templates.
     fn with_templates(n_templates: usize) -> Self {
         SlotStore {
             slots: Vec::new(),
@@ -443,6 +403,7 @@ impl InstanceStore for SlotStore {
         }
     }
 
+    /// Add a freshly released instance. `id` must not be present.
     fn insert(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
         let t = id.txn.index();
         let slot = match self.free[t].pop() {
@@ -472,6 +433,7 @@ impl InstanceStore for SlotStore {
         self.slot_of(id).map(|s| &mut self.slots[s])
     }
 
+    /// Drop the slot of `id` onto its template's free list.
     fn remove(&mut self, id: InstanceId) {
         let t = id.txn.index();
         let live = &mut self.by_txn[t];
@@ -479,40 +441,6 @@ impl InstanceStore for SlotStore {
             let (_, slot) = live.remove(i);
             self.free[t].push(slot);
         }
-    }
-}
-
-/// Map-backed oracle with the pre-arena layout. Kept out of release
-/// builds unless `oracle-checks` is enabled.
-#[cfg(any(debug_assertions, feature = "oracle-checks"))]
-#[derive(Default)]
-struct MapStore {
-    map: BTreeMap<InstanceId, InstanceSlot>,
-}
-
-#[cfg(any(debug_assertions, feature = "oracle-checks"))]
-impl InstanceStore for MapStore {
-    fn with_templates(_n_templates: usize) -> Self {
-        MapStore::default()
-    }
-
-    fn insert(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
-        let prev = self
-            .map
-            .insert(id, InstanceSlot::fresh(id, release, deadline));
-        debug_assert!(prev.is_none(), "instance {id:?} inserted twice");
-    }
-
-    fn get(&self, id: InstanceId) -> Option<&InstanceSlot> {
-        self.map.get(&id)
-    }
-
-    fn get_mut(&mut self, id: InstanceId) -> Option<&mut InstanceSlot> {
-        self.map.get_mut(&id)
-    }
-
-    fn remove(&mut self, id: InstanceId) {
-        self.map.remove(&id);
     }
 }
 
@@ -566,14 +494,14 @@ impl ArrivalCalendar {
     }
 }
 
-struct Sim<'a, S> {
+struct Sim<'a> {
     set: &'a TransactionSet,
     /// Protocol state and its transitions, the committed store and the
     /// history — shared with the runtime (`rtdb_core::kernel`).
     kernel: StateKernel<'a>,
     /// What only a simulation keeps per live instance (progress, clocks,
     /// the workspace), keyed like the kernel's records.
-    store: S,
+    store: SlotStore,
     /// Per-template read-only flags (index = `TxnId::index()`).
     read_only: Vec<bool>,
     /// The snapshot path is on for this run (config asked *and* the
@@ -598,7 +526,7 @@ struct Sim<'a, S> {
     next_miss_check: Tick,
 }
 
-impl<'a, S: InstanceStore> Sim<'a, S> {
+impl<'a> Sim<'a> {
     fn new(set: &'a TransactionSet, config: &'a SimConfig, flavor: Option<CeilingFlavor>) -> Self {
         let horizon = match config.horizon {
             Some(h) => Tick(h),
@@ -642,7 +570,7 @@ impl<'a, S: InstanceStore> Sim<'a, S> {
         Sim {
             set,
             kernel,
-            store: S::with_templates(set.templates().len()),
+            store: SlotStore::with_templates(set.templates().len()),
             read_only: set.templates().iter().map(|t| t.is_read_only()).collect(),
             snapshot_on: false,
             config,
@@ -1338,7 +1266,20 @@ mod tests {
         let mut store = SlotStore::with_templates(2);
         let a0 = InstanceId::new(TxnId(0), 0);
         store.insert(a0, Tick(0), Tick(10));
-        store.get_mut(a0).unwrap().blocking = Duration(3);
+        // Dirty every field, the buffers included.
+        let slot = store.get_mut(a0).unwrap();
+        slot.step = 2;
+        slot.consumed = 1;
+        slot.acquired = true;
+        slot.blocked_since = Some(Tick(4));
+        slot.was_denied = true;
+        slot.miss_logged = true;
+        slot.blocking = Duration(3);
+        slot.lower_exec = Duration(2);
+        slot.workspace.write(0, ItemId(1));
+        slot.snapshot = Some(7);
+        slot.gated = true;
+        slot.hold_on.push(InstanceId::new(TxnId(1), 0));
         store.remove(a0);
         assert!(store.get(a0).is_none());
         // The next instance of the same template reuses the slot (len
@@ -1347,9 +1288,11 @@ mod tests {
         store.insert(a1, Tick(5), Tick(15));
         assert_eq!(store.slots.len(), 1);
         let slot = store.get(a1).unwrap();
-        assert_eq!(slot.id, a1);
-        assert_eq!(slot.release, Tick(5));
-        assert_eq!(slot.blocking, Duration::ZERO);
+        assert_eq!(
+            format!("{slot:?}"),
+            format!("{:?}", InstanceSlot::fresh(a1, Tick(5), Tick(15)))
+        );
+        assert!(slot.hold_on.capacity() > 0, "the buffers are kept");
         // A different template gets a fresh slot.
         let b0 = InstanceId::new(TxnId(1), 0);
         store.insert(b0, Tick(0), Tick(20));

@@ -1,12 +1,16 @@
 //! Golden fingerprints of simulator output.
 //!
 //! A refactor of the protocol state under the engine must leave every
-//! run **byte-identical**. The differential test compares two stores of
-//! the *same* build; this one pins the output itself: 40 seeded sets ×
-//! every registry protocol × deadlock resolution on/off, folded per
-//! protocol into one FNV-1a hash over everything a run produces —
+//! run **byte-identical**. This test pins the output itself: 40 seeded
+//! sets × every registry protocol × deadlock resolution on/off, folded
+//! per protocol into one FNV-1a hash over everything a run produces —
 //! history, trace events, segments, ceiling samples, metrics, final
 //! database and the number of protocol decisions.
+//!
+//! It is also the only oracle of the engine's slot arena: a broken arena
+//! (a live index out of order, a stale field on a recycled slot) changes
+//! a fingerprint here. DESIGN.md §6b lists the mutants it was checked
+//! against.
 //!
 //! A mismatch means observable behaviour changed. If the change is
 //! intended, run with `--nocapture`, copy the printed table over
@@ -81,7 +85,7 @@ fn fingerprint(kind: ProtocolKind) -> u64 {
             cfg.resolve_deadlocks = resolve;
             let mut protocol = instantiate(kind);
             let run = Engine::new(&set, cfg)
-                .run_any(&mut protocol)
+                .run(&mut protocol)
                 .expect("run succeeds");
             h.feed(&run.outcome);
             h.feed(&run.final_clock);

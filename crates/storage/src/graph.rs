@@ -45,6 +45,74 @@ pub struct ConflictEdge {
     pub item: ItemId,
 }
 
+/// The first cycle a depth-first search meets, as the instances on it in
+/// edge order (`a → b → … → a`); `None` when there is no cycle.
+///
+/// `nodes` are the start points, ascending; `succs(n)` are `n`'s
+/// out-edges. Starts are tried in ascending order and successors in the
+/// order `succs` lists them, so which cycle is found depends on nothing
+/// but the graph and that order. A successor outside `nodes` counts as finished and is
+/// never searched from: leave out only nodes without out-edges, or nodes
+/// the search should ignore.
+///
+/// This is the one cycle search in the workspace: Theorem 3's oracle
+/// ([`SerializationGraph::find_cycle`]) and Theorem 2's deadlock check
+/// (`rtdb_core::StateKernel::find_deadlock`) both call it.
+pub fn find_cycle<'g>(
+    nodes: impl IntoIterator<Item = InstanceId>,
+    succs: impl Fn(InstanceId) -> &'g [InstanceId],
+) -> Option<Vec<InstanceId>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Grey,
+        Black,
+    }
+    let mut color: Vec<(InstanceId, Color)> =
+        nodes.into_iter().map(|n| (n, Color::White)).collect();
+    debug_assert!(color.windows(2).all(|w| w[0].0 < w[1].0), "nodes ascending");
+    let index = |color: &[(InstanceId, Color)], n| color.binary_search_by_key(&n, |c| c.0).ok();
+
+    // Iterative DFS: the grey path, each node (as its index in `color`)
+    // with the position of its next successor to try.
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    for start in 0..color.len() {
+        if color[start].1 != Color::White {
+            continue;
+        }
+        color[start].1 = Color::Grey;
+        path.push((start, 0));
+        while let Some((node, next)) = path.last_mut() {
+            let node = *node;
+            let Some(&to) = succs(color[node].0).get(*next) else {
+                color[node].1 = Color::Black;
+                path.pop();
+                continue;
+            };
+            *next += 1;
+            let Some(to) = index(&color, to) else {
+                continue;
+            };
+            match color[to].1 {
+                Color::White => {
+                    color[to].1 = Color::Grey;
+                    path.push((to, 0));
+                }
+                Color::Grey => {
+                    // The cycle is the path from `to`'s place on it.
+                    let pos = path
+                        .iter()
+                        .position(|&(n, _)| n == to)
+                        .expect("a grey node is on the path");
+                    return Some(path[pos..].iter().map(|&(n, _)| color[n].0).collect());
+                }
+                Color::Black => {}
+            }
+        }
+    }
+    None
+}
+
 /// The serialization graph of a history.
 #[derive(Clone, Debug)]
 pub struct SerializationGraph {
@@ -150,52 +218,9 @@ impl SerializationGraph {
         for e in &self.edges {
             adj.entry(e.from).or_default().push(e.to);
         }
-
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let mut color: BTreeMap<InstanceId, Color> =
-            self.nodes.iter().map(|&n| (n, Color::White)).collect();
-
-        // Iterative DFS with an explicit path stack.
-        for &start in &self.nodes {
-            if color[&start] != Color::White {
-                continue;
-            }
-            let mut stack: Vec<(InstanceId, usize)> = vec![(start, 0)];
-            let mut path: Vec<InstanceId> = vec![start];
-            color.insert(start, Color::Grey);
-            while let Some((node, idx)) = stack.last_mut() {
-                let node = *node;
-                let succs = adj.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-                if *idx < succs.len() {
-                    let next = succs[*idx];
-                    *idx += 1;
-                    match color.get(&next).copied().unwrap_or(Color::Black) {
-                        Color::White => {
-                            color.insert(next, Color::Grey);
-                            stack.push((next, 0));
-                            path.push(next);
-                        }
-                        Color::Grey => {
-                            // Found a cycle: slice the current path from
-                            // the first occurrence of `next`.
-                            let pos = path.iter().position(|&n| n == next).unwrap();
-                            return Some(path[pos..].to_vec());
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color.insert(node, Color::Black);
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        None
+        find_cycle(self.nodes.iter().copied(), |n| {
+            adj.get(&n).map_or(&[], Vec::as_slice)
+        })
     }
 
     /// A topological order of the graph (a valid serialization order), or
@@ -354,5 +379,27 @@ mod tests {
         assert_eq!(ww.len(), 1);
         assert_eq!((ww[0].from, ww[0].to), (b, a));
         assert!(g.find_cycle().is_none());
+    }
+
+    #[test]
+    fn find_cycle_returns_the_cycle_reached_from_the_lowest_start() {
+        // Two disjoint cycles, {1, 2} and {3, 4}; node 0 leads into the
+        // second. Starts are tried in ascending order, so 0's cycle wins
+        // although {1, 2} holds the lower ids.
+        let mut adj: BTreeMap<InstanceId, Vec<InstanceId>> = BTreeMap::new();
+        for (from, to) in [(1, 2), (2, 1), (3, 4), (4, 3), (0, 3)] {
+            adj.entry(inst(from)).or_default().push(inst(to));
+        }
+        let search = |adj: &BTreeMap<InstanceId, Vec<InstanceId>>| {
+            find_cycle(adj.keys().copied(), |n| {
+                adj.get(&n).map_or(&[], Vec::as_slice)
+            })
+        };
+        assert_eq!(search(&adj), Some(vec![inst(3), inst(4)]));
+        adj.remove(&inst(0));
+        assert_eq!(search(&adj), Some(vec![inst(1), inst(2)]));
+        // A successor outside `nodes` is never searched from.
+        let only_1 = find_cycle([inst(1)], |n| adj.get(&n).map_or(&[], Vec::as_slice));
+        assert_eq!(only_1, None);
     }
 }

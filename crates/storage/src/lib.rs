@@ -16,7 +16,8 @@
 //!   stamp, powering the lock-free snapshot read path for read-only
 //!   transactions, with epoch-style reclamation;
 //! * [`SerializationGraph`] — the conflict graph `SG(H)` of a history with
-//!   cycle detection (Theorem 3 oracle);
+//!   cycle detection (Theorem 3 oracle), through [`find_cycle`], the cycle
+//!   search the kernel's deadlock check (Theorem 2) runs too;
 //! * [`replay`] — the serial-replay oracle: re-executes the committed
 //!   transactions serially in commit order and verifies that every read of
 //!   the concurrent history saw exactly the value it would have seen in
@@ -37,7 +38,7 @@ pub mod replay;
 pub mod workspace;
 
 pub use db::{Database, Version, VersionedValue};
-pub use graph::{ConflictEdge, EdgeKind, SerializationGraph};
+pub use graph::{find_cycle, ConflictEdge, EdgeKind, SerializationGraph};
 pub use history::{Event, EventKind, History};
 pub use mvcc::{MvStore, SnapshotStore, Stamp, NO_SNAPSHOT};
 pub use replay::{replay_serial, ReplayOutcome, ReplayViolation};
