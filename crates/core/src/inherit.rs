@@ -13,7 +13,8 @@
 //! fast enough. Entries live in one id-sorted `Vec` — the live-instance
 //! population is small and churns constantly, so binary search over a dense
 //! vector beats tree maps, and the per-entry blocker `Vec`s are recycled
-//! across block/unblock cycles instead of reallocated.
+//! across block/unblock cycles and from departed instances to new ones
+//! instead of reallocated.
 
 use rtdb_types::{InstanceId, Priority};
 
@@ -35,6 +36,8 @@ struct Entry {
 pub struct PriorityManager {
     /// Live instances, sorted by id.
     entries: Vec<Entry>,
+    /// Blocker buffers of removed entries, handed to the next register.
+    spare: Vec<Vec<InstanceId>>,
 }
 
 impl PriorityManager {
@@ -69,7 +72,7 @@ impl PriorityManager {
                         base,
                         running: base,
                         blocked: false,
-                        blockers: Vec::new(),
+                        blockers: self.spare.pop().unwrap_or_default(),
                     },
                 );
             }
@@ -79,7 +82,9 @@ impl PriorityManager {
     /// Remove a completed/aborted instance and any edges touching it.
     pub fn remove(&mut self, who: InstanceId) {
         if let Some(i) = self.idx(who) {
-            self.entries.remove(i);
+            let mut blockers = self.entries.remove(i).blockers;
+            blockers.clear();
+            self.spare.push(blockers);
         }
         for e in &mut self.entries {
             if e.blocked {

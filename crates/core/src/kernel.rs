@@ -14,9 +14,10 @@
 //! value per transition, the runtime one atomic tick per logged event —
 //! and **returns** what the engine must act on instead of calling back:
 //! who was woken, who was aborted and why, what was released, whose
-//! commit dependencies drained. Turning those into trace events, Gantt
-//! segments and ready-queue changes (simulator) or condvar notifies,
-//! abort flags and ceiling publications (runtime) is the engine's half.
+//! commit dependencies drained, whose restart hold ended. Turning those
+//! into trace events, Gantt segments and ready-queue changes (simulator)
+//! or condvar notifies, abort flags and ceiling publications (runtime)
+//! is the engine's half.
 //!
 //! Two rules keep the engines in charge of delivery order:
 //!
@@ -58,6 +59,11 @@ pub struct Record {
     pub block_events: u32,
     /// Times the instance was aborted and restarted.
     pub restarts: u32,
+    /// The restart hold ([`StateKernel::hold`]): the instances a freshly
+    /// aborted instance waits out before it runs again, sorted. It is
+    /// released when the *last* of them commits or aborts, not the
+    /// first; an abort of the held instance itself clears it.
+    pub hold: Vec<InstanceId>,
 }
 
 impl Record {
@@ -83,6 +89,17 @@ impl Record {
 /// An instance the kernel aborted, with the cause.
 pub type Aborted = (InstanceId, AbortReason);
 
+/// What [`StateKernel::abort`] did, in buffers the caller lends: one kept
+/// from abort to abort keeps its capacity.
+#[derive(Debug, Default)]
+pub struct Aborts {
+    /// The aborted instances, the victim first, each once.
+    pub aborted: Vec<Aborted>,
+    /// Held instances whose hold an aborted instance was the last of:
+    /// they may restart now.
+    pub released: Vec<InstanceId>,
+}
+
 /// Outcome of [`StateKernel::acquire`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum Acquire {
@@ -107,7 +124,7 @@ pub enum Acquire {
         victims: Vec<InstanceId>,
     },
     /// The requester must abort itself (wait-die): abort it, re-evaluate,
-    /// and delay the retry until one of `blockers` is gone.
+    /// and [`StateKernel::hold`] the retry on `blockers`.
     Die {
         /// The conflicting instances.
         blockers: Vec<InstanceId>,
@@ -133,13 +150,21 @@ pub struct StateKernel<'a> {
     locks: LockTable,
     pm: PriorityManager,
     deps: DepTracker,
-    /// Live instances, ascending; `records[i]` belongs to `active[i]`.
+    /// Live instances, ascending; `records[slot[i]]` belongs to
+    /// `active[i]`.
     active: Vec<InstanceId>,
+    slot: Vec<u32>,
+    /// The records, in place: a record never moves, so an instance's
+    /// arrival and departure shift slot numbers, not records.
     records: Vec<Record>,
-    /// Records of departed instances, kept for their buffers.
-    spare: Vec<Record>,
+    /// Slots of departed instances, their records cleared and kept for
+    /// their buffers.
+    spare: Vec<u32>,
     /// Number of live instances with a pending request.
     n_pending: usize,
+    /// Number of live instances with a non-empty [`Record::hold`], so a
+    /// commit or an abort skips the hold scan while nobody is held.
+    n_held: usize,
     /// `Some((router, shard))` when this kernel governs one shard of a
     /// partitioned item space: only items routed to `shard` enter
     /// `DataRead` or are installed here. A cross-shard job's single
@@ -166,9 +191,11 @@ impl<'a> StateKernel<'a> {
             pm: PriorityManager::new(),
             deps: DepTracker::new(),
             active: Vec::new(),
+            slot: Vec::new(),
             records: Vec::new(),
             spare: Vec::new(),
             n_pending: 0,
+            n_held: 0,
             scope: None,
             db: Database::new(),
             history: History::new(),
@@ -198,10 +225,16 @@ impl<'a> StateKernel<'a> {
         self.active.binary_search(&who).ok()
     }
 
+    /// The index in `records` of `who`'s record.
+    #[inline]
+    fn slot_of(&self, who: InstanceId) -> Option<usize> {
+        self.idx(who).map(|i| self.slot[i] as usize)
+    }
+
     #[inline]
     fn record_mut(&mut self, who: InstanceId) -> &mut Record {
-        let i = self.idx(who).expect("instance is live");
-        &mut self.records[i]
+        let s = self.slot_of(who).expect("instance is live");
+        &mut self.records[s]
     }
 
     /// True if `who` is registered.
@@ -213,7 +246,7 @@ impl<'a> StateKernel<'a> {
     /// The record of a live instance.
     #[inline]
     pub fn record(&self, who: InstanceId) -> Option<&Record> {
-        self.idx(who).map(|i| &self.records[i])
+        self.slot_of(who).map(|s| &self.records[s])
     }
 
     /// The history recorded so far.
@@ -247,8 +280,12 @@ impl<'a> StateKernel<'a> {
         match self.active.binary_search(&who) {
             Ok(_) => panic!("instance {who:?} begun twice"),
             Err(i) => {
+                let slot = self.spare.pop().unwrap_or_else(|| {
+                    self.records.push(Record::default());
+                    (self.records.len() - 1) as u32
+                });
                 self.active.insert(i, who);
-                self.records.insert(i, self.spare.pop().unwrap_or_default());
+                self.slot.insert(i, slot);
             }
         }
         self.pm.register(who, self.set.priority_of(who.txn));
@@ -258,42 +295,99 @@ impl<'a> StateKernel<'a> {
     }
 
     /// Drop a live instance and every edge touching it, handing back its
-    /// record. Locks and dependencies are not consulted —
-    /// [`StateKernel::finish_commit`] does that first; on its own this is
-    /// the exit of an instance that never locked anything.
+    /// counts and blocker list in a [`Record`]; the per-attempt buffers
+    /// stay behind for the next instance. Locks and dependencies are not
+    /// consulted — [`StateKernel::finish_commit`] does that first; on its
+    /// own this is the exit of an instance that never locked anything.
     pub fn remove(&mut self, who: InstanceId) -> Record {
         let i = self.idx(who).expect("instance is live");
         self.active.remove(i);
-        let mut record = self.records.remove(i);
-        if record.pending.is_some() {
+        let slot = self.slot.remove(i);
+        self.spare.push(slot);
+        self.pm.remove(who);
+        let rec = &mut self.records[slot as usize];
+        if rec.pending.is_some() {
             self.n_pending -= 1;
         }
-        self.pm.remove(who);
-        // The per-attempt buffers stay behind for the next instance; the
-        // counts and the blocker list leave with the caller.
-        record.clear_attempt();
-        self.spare.push(Record {
-            data_read: std::mem::take(&mut record.data_read),
-            staged: std::mem::take(&mut record.staged),
-            installed_early: std::mem::take(&mut record.installed_early),
+        if !rec.hold.is_empty() {
+            self.n_held -= 1;
+            rec.hold.clear();
+        }
+        rec.clear_attempt();
+        Record {
+            lower_blockers: std::mem::take(&mut rec.lower_blockers),
+            block_events: std::mem::take(&mut rec.block_events),
+            restarts: std::mem::take(&mut rec.restarts),
             ..Record::default()
-        });
-        record
+        }
     }
 
-    /// Register wait edges from `who` to `on` without a pending request
-    /// (the commit gate; the simulator's wait-die hold): `on` inherit
-    /// `who`'s priority and the deadlock search sees the edges.
+    /// Register wait edges from `who` to `on` without a pending request:
+    /// `on` inherit `who`'s priority and the deadlock search sees the
+    /// edges.
     pub fn wait_on(&mut self, who: InstanceId, on: &[InstanceId]) {
         self.pm.set_blocked(who, on);
+    }
+
+    /// Hold `who`, just aborted, until every live instance of `on` other
+    /// than itself has committed or aborted: the restart waits on whoever
+    /// caused the abort instead of re-deciding the same conflict at once.
+    /// The held-on instances still to leave are `who`'s wait edges (they
+    /// inherit its priority; the deadlock search sees them). A no-op when
+    /// none of `on` is left; replaces any hold `who` had.
+    pub fn hold(&mut self, who: InstanceId, on: &[InstanceId]) {
+        let s = self.slot_of(who).expect("instance is live");
+        let mut hold = std::mem::take(&mut self.records[s].hold);
+        if !hold.is_empty() {
+            self.n_held -= 1;
+            hold.clear();
+        }
+        hold.extend(on.iter().copied().filter(|&b| b != who && self.is_live(b)));
+        hold.sort_unstable();
+        hold.dedup();
+        if !hold.is_empty() {
+            self.pm.set_blocked(who, &hold);
+            self.n_held += 1;
+        }
+        self.records[s].hold = hold;
+    }
+
+    /// True while `who` is held ([`StateKernel::hold`]).
+    #[inline]
+    pub fn held(&self, who: InstanceId) -> bool {
+        self.n_held > 0 && self.record(who).is_some_and(|r| !r.hold.is_empty())
+    }
+
+    /// `gone` committed or aborted: drop it from every hold, clear the
+    /// wait edges of the instances whose hold it was the last of and
+    /// append those to `released`.
+    fn release_holds_on(&mut self, gone: InstanceId, released: &mut Vec<InstanceId>) {
+        if self.n_held == 0 {
+            return;
+        }
+        for i in 0..self.active.len() {
+            let hold = &mut self.records[self.slot[i] as usize].hold;
+            let Ok(pos) = hold.binary_search(&gone) else {
+                continue;
+            };
+            hold.remove(pos);
+            let id = self.active[i];
+            if hold.is_empty() {
+                self.n_held -= 1;
+                self.pm.clear_blocked(id);
+                released.push(id);
+            } else {
+                self.pm.set_blocked(id, hold);
+            }
+        }
     }
 
     /// Clear `who`'s pending request and wait edges.
     #[inline]
     pub fn wake(&mut self, who: InstanceId) {
         self.pm.clear_blocked(who);
-        if let Some(i) = self.idx(who) {
-            if self.records[i].pending.take().is_some() {
+        if let Some(s) = self.slot_of(who) {
+            if self.records[s].pending.take().is_some() {
                 self.n_pending -= 1;
             }
         }
@@ -450,8 +544,8 @@ impl<'a> StateKernel<'a> {
         blocked.extend(
             self.active
                 .iter()
-                .zip(&self.records)
-                .filter(|(_, r)| r.pending.is_some())
+                .zip(&self.slot)
+                .filter(|(_, &s)| self.records[s as usize].pending.is_some())
                 .map(|(&id, _)| id),
         );
         blocked.sort_by_key(|&id| {
@@ -610,9 +704,9 @@ impl<'a> StateKernel<'a> {
         if log_commit {
             self.history.push(at, who, EventKind::Commit);
         }
-        let i = self.idx(who).expect("instance is live");
+        let s = self.slot_of(who).expect("instance is live");
         for &(item, value) in ws.staged_writes() {
-            if !self.owns(item) || self.records[i].installed_early.contains(&item) {
+            if !self.owns(item) || self.records[s].installed_early.contains(&item) {
                 continue;
             }
             let version = self.install_one(who, item, value, at);
@@ -632,43 +726,50 @@ impl<'a> StateKernel<'a> {
 
     /// After the commit point: release every lock of `who`, turn its
     /// retired entries into committed state and drop the instance.
-    /// Returns its record and the dependents whose last commit
-    /// dependency this was — a committer parked at the gate may now
-    /// pass; one still executing finds the gate open.
-    pub fn finish_commit(&mut self, who: InstanceId) -> (Record, Vec<InstanceId>) {
+    /// Returns its record; `proceed` is overwritten with the instances
+    /// that may now go on — the dependents whose last commit dependency
+    /// this was (a committer parked at the gate may now pass; one still
+    /// executing finds the gate open), then the held instances whose
+    /// last hold it was.
+    pub fn finish_commit(&mut self, who: InstanceId, proceed: &mut Vec<InstanceId>) -> Record {
+        proceed.clear();
         self.locks.release_all(who);
-        let mut drained = self.deps.on_commit(who);
+        let drained = self.deps.on_commit(who);
         let record = self.remove(who);
-        drained.retain(|&d| self.is_live(d));
-        (record, drained)
+        proceed.extend(drained.into_iter().filter(|&d| self.is_live(d)));
+        self.release_holds_on(who, proceed);
+        record
     }
 
     /// Abort `victim` and, transitively, everyone who observed or
     /// overwrote its retired writes: each releases its locks, loses its
-    /// attempt state and restarts (Abort and Begin are logged back to
-    /// back). Returns the aborted instances, `victim` first, each once —
-    /// the tracker hands back the whole closure, detached, so the members
-    /// cascade no further themselves.
+    /// attempt state and its hold, and restarts (Abort and Begin are
+    /// logged back to back). `out` is overwritten with the aborted
+    /// instances, `victim` first, each once — the tracker hands back the
+    /// whole closure, detached, so the members cascade no further
+    /// themselves — and the held instances each abort released.
     pub fn abort<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
         victim: InstanceId,
         reason: AbortReason,
         mut tick: impl FnMut() -> Tick,
-    ) -> Vec<Aborted> {
-        let mut aborted = Vec::new();
+        out: &mut Aborts,
+    ) {
+        out.aborted.clear();
+        out.released.clear();
         if !self.is_live(victim) {
-            return aborted;
+            return;
         }
-        self.abort_one(protocol, victim, reason, &mut tick);
-        aborted.push((victim, reason));
+        self.abort_one(protocol, victim, reason, &mut tick, &mut out.released);
+        out.aborted.push((victim, reason));
         for d in self.deps.on_abort(victim) {
             if self.is_live(d) {
-                self.abort_one(protocol, d, AbortReason::Cascade, &mut tick);
-                aborted.push((d, AbortReason::Cascade));
+                let cascade = AbortReason::Cascade;
+                self.abort_one(protocol, d, cascade, &mut tick, &mut out.released);
+                out.aborted.push((d, cascade));
             }
         }
-        aborted
     }
 
     fn abort_one<P: ProtocolFor<Self>>(
@@ -677,15 +778,17 @@ impl<'a> StateKernel<'a> {
         who: InstanceId,
         reason: AbortReason,
         tick: &mut impl FnMut() -> Tick,
+        released: &mut Vec<InstanceId>,
     ) {
         self.history.push(tick(), who, EventKind::Abort);
-        self.abort_local(protocol, who, Some(reason));
+        self.abort_local(protocol, who, Some(reason), released);
         self.record_mut(who).restarts += 1;
         self.history.push(tick(), who, EventKind::Begin);
     }
 
     /// The silent core of an abort: release `victim`'s locks, clear its
-    /// pending request, edges and attempt state.
+    /// pending request, edges, attempt state and hold, and release the
+    /// holds it was the last of (appended to `released`).
     /// No log, no restart count, no cascade — for an instance that spans
     /// several kernels, whose owner logs the single Abort/Begin pair.
     pub fn abort_local<P: ProtocolFor<Self>>(
@@ -693,6 +796,7 @@ impl<'a> StateKernel<'a> {
         protocol: &mut P,
         victim: InstanceId,
         reason: Option<AbortReason>,
+        released: &mut Vec<InstanceId>,
     ) {
         assert_eq!(
             protocol.update_model(),
@@ -704,7 +808,13 @@ impl<'a> StateKernel<'a> {
         }
         self.locks.release_all(victim);
         self.wake(victim);
-        self.record_mut(victim).clear_attempt();
+        let rec = self.record_mut(victim);
+        rec.clear_attempt();
+        if !rec.hold.is_empty() {
+            rec.hold.clear();
+            self.n_held -= 1;
+        }
+        self.release_holds_on(victim, released);
     }
 }
 

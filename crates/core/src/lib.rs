@@ -14,7 +14,8 @@
 //!   writes, pending request, blockers) with the lock table, inheritance,
 //!   dependency tracker, committed store and history around it, and the
 //!   transitions that mutate them — begin, acquire, block, re-evaluate,
-//!   deadlock search, step-done, commit gate, commit, abort. Each
+//!   deadlock search, step-done, commit gate, commit, abort, restart
+//!   hold. Each
 //!   returns its effects for the engine to deliver ([`kernel`]);
 //! * [`ProtocolFor`] — the one trait a concurrency-control protocol
 //!   implements, generic over the view type so the engines' steady-state
@@ -64,7 +65,7 @@ pub use ceiling_index::{CeilingFlavor, CeilingIndex};
 pub use ceilings::{CeilingTable, Holders, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason, DepTracker, RetiredWrite};
 pub use inherit::PriorityManager;
-pub use kernel::{Aborted, Acquire, Record, StateKernel, StepDone};
+pub use kernel::{Aborted, Aborts, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};
 pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 pub use registry::{ProtocolFamily, ProtocolKind, UnknownProtocol};

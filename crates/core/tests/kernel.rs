@@ -1,12 +1,14 @@
 //! The state kernel on its own: no engine, a scripted protocol.
 //!
 //! Both engines compose these transitions, so what is pinned here —
-//! wake order, edge refresh, the abort closure, the shape of a commit —
+//! wake order, edge refresh, the abort closure, the shape of a commit,
+//! the restart hold —
 //! holds for the simulator and the runtime alike; their own suites only
 //! have to cover delivery (dispatch, parking, restarts).
 
 use rtdb_core::{
-    AbortReason, Acquire, Decision, EngineView, LockRequest, ProtocolFor, StateKernel, UpdateModel,
+    AbortReason, Aborts, Acquire, Decision, EngineView, LockRequest, ProtocolFor, StateKernel,
+    UpdateModel,
 };
 use rtdb_storage::{EventKind, Workspace};
 use rtdb_types::{
@@ -218,12 +220,15 @@ fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
     acquire(&mut k, &mut p, &mut ws, other, 9, LockMode::Write);
 
     let mut t = 10;
-    let aborted = k.abort(&mut p, w, AbortReason::Wound, || {
+    let mut fx = Aborts::default();
+    let tick = || {
         t += 1;
         Tick(t)
-    });
+    };
+    k.abort(&mut p, w, AbortReason::Wound, tick, &mut fx);
+    assert!(fx.released.is_empty(), "nobody was held");
     assert_eq!(
-        aborted,
+        fx.aborted,
         vec![
             (w, AbortReason::Wound),
             (r1, AbortReason::Cascade),
@@ -317,9 +322,10 @@ fn commit_skips_early_installs_and_logs_commit_before_installs_at_one_tick() {
     assert_eq!((installed[0].0, installed[0].1.version), (ItemId(1), 1));
     assert_eq!(k.db().get(ItemId(0)).version, 1, "not installed twice");
 
-    let (record, drained) = k.finish_commit(t);
+    let mut drained = vec![t];
+    let record = k.finish_commit(t, &mut drained);
     assert_eq!(record.restarts, 0);
-    assert!(drained.is_empty());
+    assert!(drained.is_empty(), "overwritten, not appended to");
     assert!(!k.is_live(t) && k.active_instances().is_empty());
     assert_eq!(k.locks().locked_items(), 0);
 }
@@ -343,19 +349,114 @@ fn commit_drains_exactly_the_dependents_whose_last_dependency_it_was() {
     );
 
     k.install(w1, &ws[&w1], Tick(20), true, None);
-    let (_, drained) = k.finish_commit(w1);
+    let mut drained = Vec::new();
+    k.finish_commit(w1, &mut drained);
     assert_eq!(drained, vec![e], "d still waits for w2");
     k.wake(e);
     assert!(!k.gate(e) && k.gate(d));
 
     k.install(w2, &ws[&w2], Tick(21), true, None);
-    let (_, drained) = k.finish_commit(w2);
+    k.finish_commit(w2, &mut drained);
     assert_eq!(drained, vec![d]);
     k.wake(d);
     assert!(!k.gate(d));
     // The dirty reads predicted the versions the installs produced.
     assert_eq!(k.db().get(ItemId(2)).version, 1);
     assert_eq!(ws[&d].reads()[0].version, 1);
+}
+
+/// `who` commits with nothing staged.
+fn commit(k: &mut StateKernel<'_>, who: InstanceId, proceed: &mut Vec<InstanceId>) {
+    assert!(!k.gate(who));
+    k.install(who, &Workspace::new(who), Tick(30), true, None);
+    k.finish_commit(who, proceed);
+}
+
+#[test]
+fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
+    let set = set();
+    // v outranks both instances it is held on, so they inherit from it.
+    let (v, a, b) = (inst(0, 0), inst(2, 0), inst(3, 0));
+    let (mut k, _) = begun(&set, &[v, a, b]);
+    let mut p = Scripted::default();
+    assert!(!k.held(v) && !k.held(a), "never held");
+
+    // Itself and duplicates drop out; the rest sort.
+    k.hold(v, &[b, v, a, b]);
+    assert!(k.held(v) && !k.held(a));
+    assert_eq!(k.record(v).unwrap().hold, vec![a, b]);
+    assert_eq!(k.running_priority(a), k.base_priority(v));
+    assert_eq!(k.running_priority(b), k.base_priority(v));
+
+    // The first to leave does not end the hold: an abort…
+    let mut fx = Aborts::default();
+    k.abort(&mut p, a, AbortReason::Wound, || Tick(20), &mut fx);
+    assert_eq!(fx.aborted, vec![(a, AbortReason::Wound)]);
+    assert!(fx.released.is_empty());
+    assert!(k.held(v));
+    assert_eq!(k.record(v).unwrap().hold, vec![b]);
+    // …whose restarted instance is no longer waited on.
+    assert_eq!(k.running_priority(a), k.base_priority(a));
+    assert_eq!(k.running_priority(b), k.base_priority(v));
+
+    // …the last does, a commit, which hands v back at that moment.
+    let mut proceed = Vec::new();
+    commit(&mut k, b, &mut proceed);
+    assert_eq!(proceed, vec![v]);
+    assert!(!k.held(v));
+    assert!(k.record(v).unwrap().hold.is_empty());
+    assert_eq!(k.find_deadlock(), None, "the edges left with the hold");
+    assert_eq!(k.running_priority(a), k.base_priority(a));
+
+    // The other way round: a commit first, an abort last.
+    let (a2, b2) = (inst(2, 1), inst(3, 1));
+    k.begin(a2, None);
+    k.begin(b2, None);
+    k.hold(v, &[a2, b2]);
+    commit(&mut k, b2, &mut proceed);
+    assert!(proceed.is_empty() && k.held(v));
+    k.abort(
+        &mut p,
+        a2,
+        AbortReason::DeadlockVictim,
+        || Tick(40),
+        &mut fx,
+    );
+    assert_eq!(fx.released, vec![v]);
+    assert!(!k.held(v));
+}
+
+#[test]
+fn hold_edges_are_wait_edges_to_the_deadlock_search() {
+    let set = set();
+    let (v, a) = (inst(4, 0), inst(1, 0));
+    let (mut k, _) = begun(&set, &[v, a]);
+    k.hold(v, &[a]);
+    assert_eq!(k.find_deadlock(), None);
+    k.wait_on(a, &[v]);
+    assert_eq!(k.find_deadlock(), Some((vec![a, v], v)));
+}
+
+#[test]
+fn aborting_a_held_instance_clears_its_own_hold() {
+    let set = set();
+    let (v, a) = (inst(4, 0), inst(1, 0));
+    let (mut k, _) = begun(&set, &[v, a]);
+    let mut p = Scripted::default();
+    k.hold(v, &[a]);
+    let mut fx = Aborts::default();
+    k.abort(&mut p, v, AbortReason::DeadlockVictim, || Tick(5), &mut fx);
+    assert_eq!(fx.aborted, vec![(v, AbortReason::DeadlockVictim)]);
+    assert!(fx.released.is_empty(), "v was held, it held nobody");
+    assert!(!k.held(v) && k.record(v).unwrap().hold.is_empty());
+    assert_eq!(k.running_priority(a), k.base_priority(a));
+    // a's commit finds no hold left to end.
+    let mut proceed = Vec::new();
+    commit(&mut k, a, &mut proceed);
+    assert!(proceed.is_empty());
+    // A hold on nothing live is no hold.
+    k.hold(v, &[a]);
+    assert!(!k.held(v));
 }
 
 #[test]

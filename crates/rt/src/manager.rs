@@ -10,10 +10,18 @@
 //! so the runtime linearizes the exact state machine the simulator
 //! executes — only the *order* of requests differs (it is decided by the
 //! OS scheduler instead of the simulated priority dispatcher). What this
-//! module adds is delivery: the woken, aborted and drained instances a
-//! kernel transition returns become flags and notifies on per-waiter
-//! [`Condvar`]s. Taking the mutex and waiting on a condvar are the
-//! manager's — [`Shared`] never blocks.
+//! module adds is delivery: the woken, aborted, drained and released
+//! instances a kernel transition returns become flags and notifies on
+//! per-waiter [`Condvar`]s. Taking the mutex and waiting on a condvar are
+//! the manager's — [`Shared`] never blocks.
+//!
+//! Every abort holds its victims ([`StateKernel::hold`]) on whoever caused
+//! it: a wound on the wounder, a die on its blockers, a deadlock victim on
+//! the rest of its cycle, an optimistic commit's victim on the committer,
+//! a cascade member on its root victim's. The victim's worker waits the
+//! hold out before it restarts (`Shared::hold_clear`) — what the single
+//! CPU's priority dispatch gives the simulator for free: an aborted
+//! instance does not run again while the work it yielded to does.
 //!
 //! Deadlock cycles are searched for on the kernel's wait edges at block
 //! time (as in the simulator) and always resolved by aborting the
@@ -22,8 +30,8 @@
 
 use crate::sharded::ShardStats;
 use rtdb_core::{
-    AbortBreakdown, AbortReason, Acquire, EngineView, GlobalCeiling, ProtocolFor, ProtocolKind,
-    Record, ShardRouter, StateKernel,
+    AbortBreakdown, AbortReason, Aborts, Acquire, EngineView, GlobalCeiling, ProtocolFor,
+    ProtocolKind, Record, ShardRouter, StateKernel,
 };
 use rtdb_sim::{instantiate, AnyProtocol};
 use rtdb_storage::{Database, EventKind, History, VersionedValue, Workspace};
@@ -44,7 +52,8 @@ pub(crate) enum Outcome {
     /// The operation happened; continue with the job.
     Done,
     /// The instance was aborted (deadlock victim, 2PL-HP wound, OCC
-    /// invalidation); reset the workspace and restart from step 0.
+    /// invalidation); wait out its hold, reset the workspace and restart
+    /// from step 0.
     Restart,
 }
 
@@ -180,8 +189,9 @@ pub(crate) enum TryAcquire {
     Done,
     /// State changed (victims aborted); retry the request immediately.
     Retry,
-    /// Blocked: the request stays pending until a transition wakes it.
-    Park,
+    /// Blocked by these instances: the request stays pending until a
+    /// transition wakes it.
+    Park(Vec<InstanceId>),
 }
 
 /// One tick of the shared logical clock — the kernel's tick source here:
@@ -286,6 +296,29 @@ impl<'a> Shared<'a> {
         self.kernel.pending_request(who).is_none()
     }
 
+    /// What an aborted job's thread waits for before it restarts: the
+    /// kernel no longer holds it — every instance it was held on has
+    /// committed or aborted.
+    pub(crate) fn hold_clear(&mut self, who: InstanceId) -> bool {
+        !self.kernel.held(who)
+    }
+
+    /// Hold `who` on the instances of `on` that still hold a lock in this
+    /// shard — a cross-shard job's no-wait self-abort, after its sweep.
+    /// The sweep let time pass since the denial: a blocker aborted in the
+    /// meantime holds nothing, may be held itself in another shard, and
+    /// two jobs held on each other in two shards wait forever, a cycle
+    /// neither shard's deadlock search can see.
+    pub(crate) fn hold_on_holders(&mut self, who: InstanceId, on: &[InstanceId]) {
+        let locks = self.kernel.locks();
+        let holders: Vec<InstanceId> = on
+            .iter()
+            .copied()
+            .filter(|&b| locks.held_by(b).next().is_some())
+            .collect();
+        self.kernel.hold(who, &holders);
+    }
+
     /// Notify the threads of the instances the kernel woke (the grant
     /// itself happens when the woken thread re-issues its request).
     fn notify(&mut self, woken: &[InstanceId]) {
@@ -358,21 +391,19 @@ impl<'a> Shared<'a> {
             Acquire::Done { .. } => TryAcquire::Done,
             Acquire::Wound { victims } => {
                 for v in victims {
-                    self.abort_victim(v, AbortReason::Wound);
+                    self.abort_victim(v, AbortReason::Wound, &[who]);
                 }
                 self.wake_parked();
                 TryAcquire::Retry
             }
-            Acquire::Die { .. } => {
+            Acquire::Die { blockers } => {
                 // Ordered self-abort (Brook-2PL yielding to a senior):
-                // restart the requester. The runtime's restart backoff
-                // provides the retry gap the simulator models with an
-                // explicit wait-die hold.
-                self.abort_victim(who, AbortReason::CeilingBlock);
+                // restart the requester once its blockers are gone.
+                self.abort_victim(who, AbortReason::CeilingBlock, &blockers);
                 self.wake_parked();
                 TryAcquire::Retry
             }
-            Acquire::Blocked { woken, .. } => {
+            Acquire::Blocked { blockers, woken } => {
                 self.notify(&woken);
                 if !self.request_cleared(who) {
                     self.resolve_deadlocks();
@@ -382,7 +413,7 @@ impl<'a> Shared<'a> {
                 if self.request_cleared(who) {
                     TryAcquire::Retry
                 } else {
-                    TryAcquire::Park
+                    TryAcquire::Park(blockers)
                 }
             }
         }
@@ -403,10 +434,14 @@ impl<'a> Shared<'a> {
 
     /// Resolve wait-for cycles by aborting the kernel's victim — the
     /// lowest-base-priority instance on each cycle — until none remains.
+    /// The victim is held on the rest of its cycle: restarting at once
+    /// would let it re-form the same cycle before the others got through
+    /// (DESIGN.md §6c: a 2PL-PI upgrade cycle once livelocked that way).
     fn resolve_deadlocks(&mut self) {
-        while let Some((_, victim)) = self.kernel.find_deadlock() {
+        while let Some((mut cycle, victim)) = self.kernel.find_deadlock() {
             self.deadlocks_resolved += 1;
-            self.abort_victim(victim, AbortReason::DeadlockVictim);
+            cycle.retain(|&c| c != victim);
+            self.abort_victim(victim, AbortReason::DeadlockVictim, &cycle);
             self.wake_parked();
         }
     }
@@ -421,14 +456,18 @@ impl<'a> Shared<'a> {
     }
 
     /// Abort a live instance (and, cascading, its dependents) through the
-    /// kernel and flag each worker to restart. A victim's workspace is
-    /// reset by the owning thread when it observes the flag; until then
-    /// the kernel's cleared record is what protocols see — the same state
-    /// the simulator reaches by resetting the slot in place.
-    fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason) {
+    /// kernel, hold each on the instances of `on` (never containing
+    /// `victim`) that were not aborted with it, and flag its worker to
+    /// restart. A victim's workspace is reset by the owning thread when
+    /// it observes the flag; until then the kernel's cleared record is
+    /// what protocols see — the same state the simulator reaches by
+    /// resetting the slot in place. The holds the aborted were the last
+    /// of end, and their threads are notified.
+    fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason, on: &[InstanceId]) {
         let Some(i) = self.waiter_idx(victim) else {
             return; // committed between the decision and now
         };
+        let mut fx = Aborts::default();
         // A cross-shard victim is aborted *locally*: clean this shard's
         // slice of its state and raise the shared signal; the victim's
         // own worker (which never parks while it holds anything) observes
@@ -443,7 +482,8 @@ impl<'a> Shared<'a> {
                 return; // local abort already ran; victim not yet swept
             }
             self.kernel
-                .abort_local(&mut self.protocol, victim, Some(reason));
+                .abort_local(&mut self.protocol, victim, Some(reason), &mut fx.released);
+            self.kernel.hold(victim, on);
             w.aborted = true;
             sig.store(true, Ordering::Release);
         } else {
@@ -453,8 +493,18 @@ impl<'a> Shared<'a> {
                 clock,
                 ..
             } = self;
-            for (who, _) in kernel.abort(protocol, victim, reason, || next_tick(clock)) {
+            kernel.abort(protocol, victim, reason, || next_tick(clock), &mut fx);
+            // Nobody waits on an instance that restarts with it: a cascade
+            // can take cycle members along, and two of them held on each
+            // other would never be released.
+            let on: Vec<InstanceId> = on
+                .iter()
+                .copied()
+                .filter(|&b| fx.aborted.iter().all(|&(a, _)| a != b))
+                .collect();
+            for &(who, _) in &fx.aborted {
                 self.restarts += 1;
+                self.kernel.hold(who, &on);
                 let w = self.waiter_mut(who);
                 debug_assert!(w.signal.is_none(), "cascades never cross shards");
                 // A running worker observes the flag at its next manager
@@ -463,6 +513,7 @@ impl<'a> Shared<'a> {
                 w.cv.notify_one();
             }
         }
+        self.notify(&fx.released);
     }
 
     /// Report step `completed_step` finished; applies the protocol's early
@@ -490,13 +541,16 @@ impl<'a> Shared<'a> {
             self.kernel.log(self.tick(), id, EventKind::Abort);
         }
         // Taken: the aborting shard already released everything here.
+        let mut released = Vec::new();
         if !self.take_abort(id) {
-            self.kernel.abort_local(&mut self.protocol, id, None);
+            self.kernel
+                .abort_local(&mut self.protocol, id, None, &mut released);
         }
         if home {
             self.kernel.log(self.tick(), id, EventKind::Begin);
         }
         self.wake_parked();
+        self.notify(&released);
     }
 
     /// Commit gate: true when `id` still has commit dependencies and the
@@ -521,10 +575,11 @@ impl<'a> Shared<'a> {
     }
 
     /// Abort the instances `id`'s commit invalidates (optimistic
-    /// validation), before the writes install.
+    /// validation), before the writes install; each is held until the
+    /// commit is through.
     pub(crate) fn abort_commit_victims(&mut self, id: InstanceId) {
         for v in self.kernel.commit_victims(&mut self.protocol, id) {
-            self.abort_victim(v, AbortReason::Wound);
+            self.abort_victim(v, AbortReason::Wound, &[id]);
         }
     }
 
@@ -545,18 +600,20 @@ impl<'a> Shared<'a> {
 
     /// Commit-side teardown of `id` in this shard: release its locks and
     /// registration through the kernel, wake the waiters that can now
-    /// proceed and the dependents whose commit gate just opened (a
-    /// committer parked there re-presents its commit; one still
-    /// mid-execution simply finds the gate open when it arrives).
+    /// proceed, the dependents whose commit gate just opened (a committer
+    /// parked there re-presents its commit; one still mid-execution
+    /// simply finds the gate open when it arrives) and the aborted
+    /// instances whose hold this commit ended.
     pub(crate) fn finish_commit(&mut self, id: InstanceId) -> Record {
-        let (record, drained) = self.kernel.finish_commit(id);
+        let mut proceed = Vec::new();
+        let record = self.kernel.finish_commit(id, &mut proceed);
         let i = self.waiter_idx(id).expect("instance is live");
         self.waiters.remove(i);
         self.wake_parked();
-        for &d in &drained {
+        for &d in &proceed {
             self.kernel.wake(d);
         }
-        self.notify(&drained);
+        self.notify(&proceed);
         record
     }
 }
@@ -619,7 +676,7 @@ mod tests {
         }
         {
             let mut g = m.lock(0);
-            g.kernel.finish_commit(holder);
+            g.kernel.finish_commit(holder, &mut Vec::new());
             g.waiters.retain(|w| w.id != holder);
         }
         let waited = rx
@@ -680,5 +737,156 @@ mod tests {
             },
             |kernel, [a, _]| kernel.running_priority(a) > kernel.base_priority(a),
         );
+    }
+
+    /// Run `id` from step 0 to a commit, none of it restarting.
+    fn run_to_commit(
+        set: &TransactionSet,
+        m: &ShardedManager<'_>,
+        id: InstanceId,
+        ctx: &mut WorkerCtx,
+    ) {
+        ctx.ws.reset(id);
+        for (i, step) in set.template(id.txn).steps.iter().enumerate() {
+            let (item, mode) = step.op.access().expect("data step");
+            assert_eq!(
+                m.acquire(id, i, item, mode, ctx),
+                Outcome::Done,
+                "{id} step {i}"
+            );
+        }
+        assert!(matches!(m.commit(id, ctx), CommitOutcome::Committed(_)));
+    }
+
+    /// One abort and its restart hold: `before` (here) and `victim_aborts`
+    /// (on the victim's own thread) lead up to `aborter` aborting `victim`
+    /// — `abort` is the aborter's step that does it, when the victim must
+    /// first be parked on a lock for it; the victim's call then returns
+    /// `Restart` and its thread waits in `await_restart`. Only once it is
+    /// seen parked there does `aborter` commit, and the victim's wait must
+    /// end then — by the release notify, not the park-timeout net — and
+    /// not before.
+    #[allow(clippy::type_complexity)]
+    fn restart_waits_for_its_aborter(
+        kind: ProtocolKind,
+        set: TransactionSet,
+        [aborter, victim]: [InstanceId; 2],
+        before: fn(&ShardedManager<'_>, [InstanceId; 2], [&mut WorkerCtx; 2]),
+        victim_aborts: fn(&ShardedManager<'_>, InstanceId, &mut WorkerCtx),
+        abort: fn(&ShardedManager<'_>, [InstanceId; 2], &mut WorkerCtx),
+    ) -> u64 {
+        // Leaked so the victim can be a detached thread: a lost release
+        // fails the `recv_timeout` below instead of hanging a join.
+        let set: &'static TransactionSet = Box::leak(Box::new(set));
+        let config = RtConfig::new(kind).with_park_timeout(PERIOD);
+        let m = Arc::new(ShardedManager::new(set, &config, None));
+        let (mut ctx_a, mut ctx_v) = (WorkerCtx::new(0), WorkerCtx::new(1));
+        m.begin(aborter, &mut ctx_a);
+        m.begin(victim, &mut ctx_v);
+        before(&m, [aborter, victim], [&mut ctx_a, &mut ctx_v]);
+
+        let (tx, rx) = mpsc::channel();
+        let victim_m = m.clone();
+        std::thread::spawn(move || {
+            victim_aborts(&victim_m, victim, &mut ctx_v);
+            victim_m.await_restart(victim);
+            let _ = tx.send(victim_m.lock(0).kernel.is_live(aborter));
+            run_to_commit(set, &victim_m, victim, &mut ctx_v);
+            let _ = tx.send(false);
+        });
+        abort(&m, [aborter, victim], &mut ctx_a);
+        // Held, its abort consumed and its condvar borrowed by `park`,
+        // which keeps the state lock until it waits: parked on the hold.
+        let in_hold_park = |g: &Shared<'_>| {
+            let w = &g.waiters[g.waiter_idx(victim).expect("victim is live")];
+            g.kernel.held(victim) && !w.aborted && Arc::strong_count(&w.cv) > 1
+        };
+        while !in_hold_park(&m.lock(0)) {
+            std::thread::yield_now();
+        }
+        assert!(matches!(
+            m.commit(aborter, &mut ctx_a),
+            CommitOutcome::Committed(_)
+        ));
+        let aborter_live = rx
+            .recv_timeout(PERIOD * 4)
+            .expect("the held victim was never released");
+        assert!(!aborter_live, "the hold ended before its aborter left");
+        rx.recv_timeout(PERIOD * 4)
+            .expect("the released victim never committed");
+        let g = m.lock(0);
+        assert_eq!(g.park_timeout_wakeups, 0, "the release notify was lost");
+        assert_eq!(g.commits, 2);
+        g.deadlocks_resolved
+    }
+
+    /// A restarting victim waits for whoever aborted it — a 2PL-HP
+    /// wounder, a Brook-2PL senior it died on, the rest of a 2PL-PI
+    /// deadlock cycle — and is released by that instance's commit.
+    #[test]
+    fn a_restart_waits_for_its_aborter_to_commit() {
+        let one = |name: &str, period, steps| TransactionTemplate::new(name, period, steps);
+        let first = |t| InstanceId::first(TxnId(t));
+
+        // Wound: H asks for the X that L has written.
+        let set = SetBuilder::new()
+            .with(one("H", 10, vec![Step::write(X, 1)]))
+            .with(one("L", 20, vec![Step::write(X, 1)]))
+            .build_rate_monotonic()
+            .unwrap();
+        restart_waits_for_its_aborter(
+            ProtocolKind::TwoPlHp,
+            set,
+            [first(0), first(1)],
+            |m, [h, l], [ctx_h, ctx_l]| {
+                assert_eq!(m.acquire(l, 0, X, LockMode::Write, ctx_l), Outcome::Done);
+                assert_eq!(m.acquire(h, 0, X, LockMode::Write, ctx_h), Outcome::Done);
+            },
+            |m, l, ctx| assert!(matches!(m.commit(l, ctx), CommitOutcome::Restart)),
+            |_, _, _| {},
+        );
+
+        // Die: the junior J asks for the X its senior S has written.
+        let set = SetBuilder::new()
+            .with(one("S", 10, vec![Step::write(X, 1)]))
+            .with(one("J", 20, vec![Step::write(X, 1)]))
+            .build_rate_monotonic()
+            .unwrap();
+        restart_waits_for_its_aborter(
+            ProtocolKind::Brook2Pl,
+            set,
+            [first(0), first(1)],
+            |m, [s, _], [ctx_s, _]| {
+                assert_eq!(m.acquire(s, 0, X, LockMode::Write, ctx_s), Outcome::Done);
+            },
+            |m, j, ctx| assert_eq!(m.acquire(j, 0, X, LockMode::Write, ctx), Outcome::Restart),
+            |_, _, _| {},
+        );
+
+        // Deadlock: both read X, then both ask to write it; B, the lower,
+        // is the victim and waits for A.
+        let upgrade = vec![Step::read(X, 1), Step::write(X, 1)];
+        let set = SetBuilder::new()
+            .with(one("A", 10, upgrade.clone()))
+            .with(one("B", 20, upgrade))
+            .build_rate_monotonic()
+            .unwrap();
+        let resolved = restart_waits_for_its_aborter(
+            ProtocolKind::TwoPlPi,
+            set,
+            [first(0), first(1)],
+            |m, [a, b], [ctx_a, ctx_b]| {
+                assert_eq!(m.acquire(a, 0, X, LockMode::Read, ctx_a), Outcome::Done);
+                assert_eq!(m.acquire(b, 0, X, LockMode::Read, ctx_b), Outcome::Done);
+            },
+            |m, b, ctx| assert_eq!(m.acquire(b, 1, X, LockMode::Write, ctx), Outcome::Restart),
+            |m, [a, b], ctx_a| {
+                while m.lock(0).kernel.pending_request(b).is_none() {
+                    std::thread::yield_now();
+                }
+                assert_eq!(m.acquire(a, 1, X, LockMode::Write, ctx_a), Outcome::Done);
+            },
+        );
+        assert_eq!(resolved, 1);
     }
 }

@@ -9,7 +9,8 @@
 //! operation at grant time, then the step's simulated computation),
 //! commit. An abort (deadlock victim, 2PL-HP wound, OCC invalidation)
 //! restarts the same job from step 0 on the same thread, exactly like the
-//! simulator's slot reset.
+//! simulator's slot reset — once the instances the abort yielded to are
+//! gone (the kernel's restart hold), never after a timer.
 
 use crate::admission::{AdmissionQueue, Admitted};
 use crate::front::Completion;
@@ -683,12 +684,15 @@ fn execute_job(
     }
     let steps = template.steps.as_slice();
     manager.begin(id, ctx);
-    let mut attempt: u32 = 0;
+    let mut restart = false;
     'attempt: loop {
-        if attempt > 0 {
-            restart_backoff(id, attempt, config.tick_ns);
+        if restart {
+            // A victim restarting at once can re-form the conflict it was
+            // aborted out of (a 2PL-PI upgrade cycle once livelocked that
+            // way): it waits for whoever caused the abort to leave.
+            manager.await_restart(id);
         }
-        attempt += 1;
+        restart = true;
         ctx.ws.reset(id);
         for (step_index, step) in steps.iter().enumerate() {
             if let Some((item, mode)) = step.op.access() {
@@ -753,43 +757,10 @@ fn execute_snapshot_job(
     }
 }
 
-/// Lower bound on the per-tick cost estimate feeding the first restart
-/// delay: `base = 16 * max(tick_ns, floor)`, i.e. roughly one job service
-/// time even when `tick_ns` is 0.
-const BACKOFF_BASE_FLOOR_NS: u64 = 500;
-/// Hard cap on a single restart delay, so no victim is parked for a
-/// macroscopic slice of a run.
-const BACKOFF_CAP_NS: u64 = 4_000_000;
-
-/// Jittered exponential delay between an abort and the restart it forces.
-///
-/// Protocols that resolve deadlocks by victim restart rely on the victim
-/// *not* re-acquiring its locks in the same instant it was aborted: a
-/// reader aborted out of a lock-upgrade cycle that immediately re-grabs
-/// its shared lock reforms the identical cycle and starves the pending
-/// writer indefinitely. Thread-scheduling latency provides that gap only
-/// by accident, so the restart delay is explicit — `sleep`, not spin, so
-/// the yielded CPU goes to the transactions the victim was deadlocked
-/// with. Deterministically jittered per `(instance, attempt)` so
-/// simultaneous victims desynchronise instead of colliding again in
-/// lock-step.
-fn restart_backoff(id: InstanceId, attempt: u32, tick_ns: u64) {
-    // First delay ~ one job service time (a handful of steps at a few
-    // ticks each), quadrupling per repeat so a victim caught behind a
-    // convoy of conflicting higher-priority instances outwaits the whole
-    // convoy within a few aborts. Capped so no victim is parked for a
-    // macroscopic slice of a run.
-    let base = 16 * tick_ns.max(BACKOFF_BASE_FLOOR_NS);
-    let ns = (base << (2 * (attempt - 1)).min(8)).min(BACKOFF_CAP_NS);
-    let seed = ((id.txn.0 as u64) << 32 | id.seq as u64)
-        ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let jitter = 0.5 + rtdb_util::Rng::seed(seed).f64(); // [0.5, 1.5)
-    std::thread::sleep(Duration::from_nanos((ns as f64 * jitter) as u64));
-}
-
 /// Busy-wait for `duration` simulated ticks at `tick_ns` wall-clock
-/// nanoseconds per tick. The runtime never sleeps inside a job: a blocked
-/// *lock* parks on a condvar, but computation is modelled as CPU work.
+/// nanoseconds per tick. The runtime never sleeps: a blocked lock, a
+/// gated commit and a held restart park on a condvar, and computation
+/// is modelled as CPU work.
 fn spin_work(duration: rtdb_types::Duration, tick_ns: u64) {
     let ns = duration.raw().saturating_mul(tick_ns);
     if ns == 0 {

@@ -8,10 +8,11 @@
 //! clock the shards tick, the commit gate, the [`GlobalCeiling`] layer,
 //! the snapshot side-car and the park timeout. It is the only code that
 //! blocks: [`ShardedManager::lock`] is the one place a shard's state lock
-//! is taken and [`ShardedManager::park`] the one place a thread waits.
-//! The worker's calls — begin, acquire, step-done, commit — compose the
-//! cores' kernel-backed methods under those guards and never reach into
-//! a kernel.
+//! is taken and [`ShardedManager::park`] the one place a thread waits —
+//! for a lock request, at the commit gate, and out an abort's hold
+//! before a restart. The worker's calls — begin, acquire, step-done,
+//! commit, await-restart — compose the cores' kernel-backed methods under
+//! those guards and never reach into a kernel.
 //!
 //! A job touches the `k ≥ 1` shards its template's items route to. An
 //! unsharded run is `N = 1`, where every job has `k = 1`; nothing below
@@ -31,9 +32,11 @@
 //!   in ascending shard order (the *home* shard — the lowest — logs the
 //!   Begin event), carrying one shared abort signal.
 //! * **No-wait execution** — a cross-shard transaction never parks inside
-//!   any shard. A protocol decision that would block it is undone on the
-//!   spot and the transaction self-aborts: it releases everything in
-//!   every shard (ascending) and restarts through the normal backoff.
+//!   any shard while it holds anything. A protocol decision that would
+//!   block it is undone on the spot and the transaction self-aborts: it
+//!   releases everything in every shard (ascending), is held in the
+//!   denying shard on the instances that denied it and still hold a lock
+//!   there, and restarts once they are gone, like any other restart.
 //!   Every wait edge is therefore *intra*-shard, each shard's local
 //!   deadlock sweep stays complete, and no global detector is needed.
 //!
@@ -325,6 +328,7 @@ impl<'a> ShardedManager<'a> {
             "routing disagrees with template"
         );
         let mut g = self.lock(s);
+        let mut denied = None;
         loop {
             // A pending abort is the flag in the waiter of a single-shard
             // job, the signal of a cross-shard one. Looked for on every
@@ -340,18 +344,24 @@ impl<'a> ShardedManager<'a> {
             match g.try_acquire(id, step_index, item, mode, &mut ctx.ws) {
                 TryAcquire::Done => return Outcome::Done,
                 TryAcquire::Retry => {}
-                TryAcquire::Park if ctx.cross.is_none() => {
+                TryAcquire::Park(_) if ctx.cross.is_none() => {
                     self.park(&mut g, id, Shared::request_cleared)
                 }
-                TryAcquire::Park => {
+                TryAcquire::Park(blockers) => {
                     g.unpark(id);
                     self.no_wait_aborts.fetch_add(1, Ordering::Relaxed);
+                    denied = Some(blockers);
                     break;
                 }
             }
         }
         drop(g);
         self.sweep(id, ctx);
+        // A no-wait self-abort waits out what denied it, like a die —
+        // held only now that the sweep has released everything.
+        if let Some(blockers) = denied {
+            self.lock(s).hold_on_holders(id, &blockers);
+        }
         Outcome::Restart
     }
 
@@ -475,6 +485,17 @@ impl<'a> ShardedManager<'a> {
             }
         }
         stats
+    }
+
+    /// Wait out `id`'s restart hold before an aborted job runs again: park
+    /// in each shard it touches until that shard's kernel no longer holds
+    /// it ([`Shared::hold_clear`]) — the instances its abort yielded to
+    /// have committed or aborted. Returns at once where it is not held.
+    pub(crate) fn await_restart(&self, id: InstanceId) {
+        for s in self.shards_of(id).iter() {
+            let mut g = self.lock(s);
+            self.park(&mut g, id, Shared::hold_clear);
+        }
     }
 
     /// The job's own side of its abort. Nothing for a single-shard job —

@@ -98,7 +98,7 @@ fn serial_sharded_runs_match_the_unsharded_oracle() {
                 let rt = run(&set, &jobs, config.with_shards(shards));
                 assert_eq!(rt.committed, jobs.len() as u64, "{what}: dropped jobs");
                 // One worker means one live instance: nothing can abort it,
-                // so the restart backoff never sleeps in a serial run.
+                // so no restart ever waits on a hold in a serial run.
                 assert_eq!(rt.restarts, 0, "{what}");
                 assert_eq!(rt.shards, shards);
                 assert_eq!(
@@ -194,7 +194,7 @@ fn sharded_differential_property() {
             &jobs,
             RtConfig::new(kind).with_threads(1).with_shards(shards),
         );
-        // One live instance at a time: nothing aborts, no backoff sleeps.
+        // One live instance at a time: nothing aborts, nothing is held.
         assert_eq!(serial.restarts, 0, "{kind:?}/{shards} shards");
         assert_eq!(
             serial.db.snapshot(),

@@ -136,7 +136,7 @@ fn single_thread_replay_with_snapshots_matches_sim() {
                 .with_snapshot_reads(true),
         );
         assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}");
-        // One live instance at a time: nothing aborts, no backoff sleeps.
+        // One live instance at a time: nothing aborts, nothing is held.
         assert_eq!(rt.restarts, 0, "{kind:?}");
         assert_eq!(
             rt.db.snapshot(),

@@ -8,8 +8,8 @@
 //! in [`rtdb_core::StateKernel`], which the threaded runtime drives too.
 //! The engine presents each step's access to the kernel (which consults
 //! the [`ProtocolFor`]) and turns the effects it returns — granted, blocked,
-//! woken, aborted, released, drained — into trace events, Gantt segments,
-//! wait-die holds and ready-queue changes.
+//! woken, aborted, released, drained — into trace events, Gantt segments
+//! and ready-queue changes.
 //!
 //! ## Semantics (matching the paper's examples tick-for-tick)
 //!
@@ -49,7 +49,7 @@ use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace, TraceEvent};
 use rtdb_core::{
-    AbortReason, Acquire, CeilingFlavor, EngineView, ProtocolFor, ProtocolKind, Record,
+    AbortReason, Aborts, Acquire, CeilingFlavor, EngineView, ProtocolFor, ProtocolKind, Record,
     StateKernel, UpdateModel,
 };
 use rtdb_storage::{
@@ -321,26 +321,14 @@ struct InstanceSlot {
     /// dependencies to drain. Never dispatched (its `step` is past the
     /// template's last index).
     gated: bool,
-    /// Wait-die hold after a self-abort: the restarted instance is not
-    /// dispatched until one of these (its former blockers) commits or
-    /// aborts — otherwise the retry would re-die in the same instant.
-    /// Sorted ascending.
-    hold_on: Vec<InstanceId>,
 }
 
 impl InstanceSlot {
-    /// The slot of a released instance around the buffers `workspace`
-    /// (reset to `id`) and `hold_on` (cleared): the one field list both a
-    /// fresh and a recycled slot are built from.
-    fn new(
-        id: InstanceId,
-        release: Tick,
-        deadline: Tick,
-        mut workspace: Workspace,
-        mut hold_on: Vec<InstanceId>,
-    ) -> Self {
+    /// The slot of a released instance around the buffer `workspace`
+    /// (reset to `id`): the one field list both a fresh and a recycled
+    /// slot are built from.
+    fn new(id: InstanceId, release: Tick, deadline: Tick, mut workspace: Workspace) -> Self {
         workspace.reset(id);
-        hold_on.clear();
         InstanceSlot {
             release,
             deadline,
@@ -355,19 +343,17 @@ impl InstanceSlot {
             workspace,
             snapshot: None,
             gated: false,
-            hold_on,
         }
     }
 
     fn fresh(id: InstanceId, release: Tick, deadline: Tick) -> Self {
-        Self::new(id, release, deadline, Workspace::new(id), Vec::new())
+        Self::new(id, release, deadline, Workspace::new(id))
     }
 
-    /// Re-home a recycled slot to a new instance, keeping its buffers.
+    /// Re-home a recycled slot to a new instance, keeping its workspace.
     fn reset(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
         let workspace = std::mem::replace(&mut self.workspace, Workspace::new(id));
-        let hold_on = std::mem::take(&mut self.hold_on);
-        *self = Self::new(id, release, deadline, workspace, hold_on);
+        *self = Self::new(id, release, deadline, workspace);
     }
 }
 
@@ -515,11 +501,11 @@ struct Sim<'a> {
     mv: MvStore,
     /// Scratch for the versions a commit installed, on their way to `mv`.
     installed: Vec<(ItemId, VersionedValue)>,
+    /// Scratch for what an abort did.
+    aborts: Aborts,
     trace: Trace,
     metrics: MetricsReport,
     outcome: RunOutcome,
-    /// Number of live instances with a non-empty wait-die hold.
-    n_held: usize,
     /// Earliest deadline that may still need a miss event; the sweep in
     /// [`Sim::log_deadline_misses`] is skipped while the clock is before
     /// it.
@@ -578,10 +564,10 @@ impl<'a> Sim<'a> {
             calendar,
             mv: MvStore::new(),
             installed: Vec::new(),
+            aborts: Aborts::default(),
             trace,
             metrics: MetricsReport::new(),
             outcome: RunOutcome::Completed,
-            n_held: 0,
             next_miss_check: Tick(u64::MAX),
         }
     }
@@ -791,21 +777,13 @@ impl<'a> Sim<'a> {
                 Acquire::Die { blockers } => {
                     self.abort(who, AbortReason::CeilingBlock, protocol);
                     self.wake_blocked(protocol);
-                    // Wait-die hold: park the restarted instance until a
-                    // blocker commits or aborts, so the retry is not
-                    // re-decided (and re-died) in the same instant. Set
-                    // *after* the reevaluate so it is not cleared by it.
-                    let mut hold: Vec<InstanceId> = blockers
-                        .into_iter()
-                        .filter(|&b| b != who && self.kernel.is_live(b))
-                        .collect();
-                    hold.sort_unstable();
-                    hold.dedup();
-                    if !hold.is_empty() {
-                        self.kernel.wait_on(who, &hold);
-                        self.slot_mut(who).hold_on = hold;
-                        self.n_held += 1;
-                    }
+                    // Wait-die hold: keep the restarted instance off the
+                    // CPU until its blockers have committed or aborted,
+                    // so the retry is not re-decided (and re-died) in the
+                    // same instant. Set *after* the re-evaluation, which
+                    // it would otherwise feed the hold's inherited
+                    // priorities.
+                    self.kernel.hold(who, &blockers);
                     // Pick someone else.
                 }
             }
@@ -821,7 +799,7 @@ impl<'a> Sim<'a> {
             .copied()
             .filter(|&id| {
                 let s = self.slot(id);
-                s.blocked_since.is_none() && !s.gated && s.hold_on.is_empty()
+                s.blocked_since.is_none() && !s.gated && !self.kernel.held(id)
             })
             .max_by_key(|&id| {
                 (
@@ -1037,9 +1015,10 @@ impl<'a> Sim<'a> {
         }
 
         // Dependents whose last dependency this was leave the commit gate
-        // below, after this commit is recorded.
-        let (record, drained) = self.kernel.finish_commit(who);
-        self.release_holds_on(who);
+        // below, after this commit is recorded; the held instances the
+        // commit released are simply dispatchable again.
+        let mut proceed = Vec::new();
+        let record = self.kernel.finish_commit(who, &mut proceed);
         self.trace.push_event(TraceEvent::Commit { at: clock, who });
         self.push_ceiling(protocol);
         self.retire_slot(who, record, Some(clock), None);
@@ -1050,7 +1029,7 @@ impl<'a> Sim<'a> {
         // they waited for, which is exactly the serialization the gate
         // enforces. (Drained instances still mid-execution are simply
         // no longer gated when they reach their own commit.)
-        for d in drained {
+        for d in proceed {
             if self.store.get(d).is_some_and(|s| s.gated) {
                 self.slot_mut(d).gated = false;
                 self.kernel.wake(d);
@@ -1084,27 +1063,6 @@ impl<'a> Sim<'a> {
         self.metrics.record(m);
     }
 
-    /// `who` commits or aborts: clear every wait-die hold naming it.
-    fn release_holds_on(&mut self, who: InstanceId) {
-        if self.n_held == 0 {
-            return;
-        }
-        for i in 0..self.kernel.active_instances().len() {
-            let id = self.kernel.active_instances()[i];
-            if id == who {
-                continue;
-            }
-            let slot = self.store.get_mut(id).expect("active is live");
-            if let Ok(pos) = slot.hold_on.binary_search(&who) {
-                slot.hold_on.remove(pos);
-                if slot.hold_on.is_empty() {
-                    self.n_held -= 1;
-                    self.kernel.wake(id);
-                }
-            }
-        }
-    }
-
     /// Slim commit for a snapshot reader: no validation, no installs, no
     /// locks to release, no protocol notification — just the Commit
     /// event, metrics, and an epoch-GC pass now that its pin is gone.
@@ -1130,7 +1088,8 @@ impl<'a> Sim<'a> {
     }
 
     /// Abort `victim` (and its dependents, cascading) through the kernel
-    /// and restart each from scratch.
+    /// and restart each from scratch. The kernel also ends the holds the
+    /// aborted were the last of; those instances are dispatchable again.
     fn abort<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         victim: InstanceId,
@@ -1142,7 +1101,10 @@ impl<'a> Sim<'a> {
             "snapshot readers never abort (hold no locks, block nobody)"
         );
         let clock = self.clock;
-        for (who, _) in self.kernel.abort(protocol, victim, reason, || clock) {
+        let mut fx = std::mem::take(&mut self.aborts);
+        self.kernel
+            .abort(protocol, victim, reason, || clock, &mut fx);
+        for &(who, _) in &fx.aborted {
             self.trace.push_event(TraceEvent::Abort { at: clock, who });
             // If the victim was itself blocked, flush its blocked segment.
             self.unblock(who);
@@ -1153,13 +1115,8 @@ impl<'a> Sim<'a> {
             slot.was_denied = false;
             slot.workspace.reset(who);
             slot.gated = false;
-            if !slot.hold_on.is_empty() {
-                slot.hold_on.clear();
-                self.n_held -= 1;
-            }
-            // Anyone holding back a wait-die retry on it may go again.
-            self.release_holds_on(who);
         }
+        self.aborts = fx;
         self.push_ceiling(protocol);
     }
 
@@ -1266,7 +1223,7 @@ mod tests {
         let mut store = SlotStore::with_templates(2);
         let a0 = InstanceId::new(TxnId(0), 0);
         store.insert(a0, Tick(0), Tick(10));
-        // Dirty every field, the buffers included.
+        // Dirty every field, the workspace included.
         let slot = store.get_mut(a0).unwrap();
         slot.step = 2;
         slot.consumed = 1;
@@ -1279,7 +1236,6 @@ mod tests {
         slot.workspace.write(0, ItemId(1));
         slot.snapshot = Some(7);
         slot.gated = true;
-        slot.hold_on.push(InstanceId::new(TxnId(1), 0));
         store.remove(a0);
         assert!(store.get(a0).is_none());
         // The next instance of the same template reuses the slot (len
@@ -1292,7 +1248,6 @@ mod tests {
             format!("{slot:?}"),
             format!("{:?}", InstanceSlot::fresh(a1, Tick(5), Tick(15)))
         );
-        assert!(slot.hold_on.capacity() > 0, "the buffers are kept");
         // A different template gets a fresh slot.
         let b0 = InstanceId::new(TxnId(1), 0);
         store.insert(b0, Tick(0), Tick(20));

@@ -65,7 +65,7 @@ fn writer_committing_under_a_reader_closes_a_cycle() {
     assert_eq!(got, granted);
     assert!(!k.gate(t_l), "item 1: T_L waits here until T_H finishes");
     k.install(t_l, &ws_l, tick(), true, None);
-    k.finish_commit(t_l);
+    k.finish_commit(t_l, &mut Vec::new());
     // T_H reads the y that T_L installed, and commits.
     let got = k.acquire(&mut p, t_h, 1, Y, LockMode::Read, &mut ws_h, &mut tick);
     assert_eq!(got, granted);
@@ -73,7 +73,7 @@ fn writer_committing_under_a_reader_closes_a_cycle() {
     assert_eq!(versions, [0, 1], "x before T_L's install, y after it");
     assert!(!k.gate(t_h));
     k.install(t_h, &ws_h, tick(), true, None);
-    k.finish_commit(t_h);
+    k.finish_commit(t_h, &mut Vec::new());
 
     let rules: Vec<GrantRule> = p.grant_log().iter().map(|&(_, rule)| rule).collect();
     assert_eq!(
