@@ -42,4 +42,4 @@ pub use naive_da::NaiveDa;
 pub use occ::OccBc;
 pub use pcp::Pcp;
 pub use rwpcp::RwPcp;
-pub use twopl::{TwoPlHp, TwoPlPi};
+pub use twopl::{conflict_holders, TwoPlHp, TwoPlPi};

@@ -16,20 +16,20 @@
 
 use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, LockMode};
-use std::collections::BTreeSet;
 
-/// Conflicting holders of `req` under classical r/w lock semantics.
-fn conflict_holders<V: EngineView + ?Sized>(view: &V, req: LockRequest) -> BTreeSet<InstanceId> {
+/// Conflicting holders of `req` under classical r/w lock semantics,
+/// ascending and each once: the other write holders of the item, and for
+/// a write request its other read holders too. The 2PL rule, shared with
+/// the early-release protocols of `rtdb-contention` (whose retired
+/// writers hold no lock, so they are no conflict).
+pub fn conflict_holders<V: EngineView + ?Sized>(view: &V, req: LockRequest) -> Vec<InstanceId> {
     let locks = view.locks();
-    let mut out: BTreeSet<InstanceId> = BTreeSet::new();
-    match req.mode {
-        LockMode::Read => {
-            out.extend(locks.writers_other_than(req.item, req.who));
-        }
-        LockMode::Write => {
-            out.extend(locks.writers_other_than(req.item, req.who));
-            out.extend(locks.readers_other_than(req.item, req.who));
-        }
+    // Each holder list is ascending already; only the union needs a sort.
+    let mut out: Vec<InstanceId> = locks.writers_other_than(req.item, req.who).collect();
+    if req.mode == LockMode::Write {
+        out.extend(locks.readers_other_than(req.item, req.who));
+        out.sort_unstable();
+        out.dedup();
     }
     out
 }
@@ -55,7 +55,9 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for TwoPlPi {
         if conflicts.is_empty() {
             Decision::Grant
         } else {
-            Decision::block_on(req.who, conflicts)
+            Decision::Block {
+                blockers: conflicts,
+            }
         }
     }
 }
@@ -83,11 +85,11 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for TwoPlHp {
         }
         let p_req = view.base_priority(req.who);
         if conflicts.iter().all(|&h| view.base_priority(h) < p_req) {
-            Decision::AbortHolders {
-                victims: conflicts.into_iter().collect(),
-            }
+            Decision::AbortHolders { victims: conflicts }
         } else {
-            Decision::block_on(req.who, conflicts)
+            Decision::Block {
+                blockers: conflicts,
+            }
         }
     }
 

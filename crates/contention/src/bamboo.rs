@@ -1,14 +1,15 @@
 //! Bamboo: 2PL-HP with early release of write locks.
 
-use crate::{conflict_holders, retire_candidates};
+use crate::retire_candidates;
+use rtdb_baselines::TwoPlHp;
 use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, ItemId};
 
 /// 2PL High Priority over active locks, early release of write locks
-/// into the retired list; a retired chain is always acquirable — the
-/// requester takes a commit dependency on the latest retiree, whatever
-/// the priorities. See the crate docs for the shared retire policy and
-/// the engine-side dependency machinery.
+/// into the retired chains; a retired chain is always acquirable — the
+/// requester is gated on the latest retiree, whatever the priorities.
+/// See the crate docs for the shared retire policy and the kernel-side
+/// commit gate.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Bamboo;
 
@@ -24,31 +25,17 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Bamboo {
         "Bamboo"
     }
 
+    /// [`TwoPlHp`]'s rule: a retired writer holds no lock, so it is no
+    /// conflict, and a chain with no active holder is granted. The kernel
+    /// gates the grantee on the latest retiree, whatever the priorities.
+    /// Depending on a lower-priority retiree does invert priority at the
+    /// commit gate, but the inversion is bounded — the retiree is past
+    /// all its writes and only its compute tail separates it from commit
+    /// — whereas wounding it would throw away that completed work *and*
+    /// cascade every dirty reader it already served, which is precisely
+    /// the hotspot work early release exists to save.
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        let conflicts = conflict_holders(view, req);
-        let p_req = view.base_priority(req.who);
-        if !conflicts.is_empty() {
-            // Active conflicts: plain 2PL-HP. Wound only if *every*
-            // holder is strictly lower priority (aborting a subset
-            // would not clear the conflict).
-            return if conflicts.iter().all(|&h| view.base_priority(h) < p_req) {
-                Decision::AbortHolders {
-                    victims: conflicts.into_iter().collect(),
-                }
-            } else {
-                Decision::block_on(req.who, conflicts)
-            };
-        }
-        // No active conflict. A retired chain is always acquirable: the
-        // engine registers a commit dependency on the latest retiree at
-        // grant, whatever the priorities. Depending on a lower-priority
-        // retiree does invert priority at the commit gate, but the
-        // inversion is bounded — the retiree is past all its writes and
-        // only its compute tail separates it from commit — whereas
-        // wounding it would throw away that completed work *and*
-        // cascade every dirty reader it already served, which is
-        // precisely the hotspot work early release exists to save.
-        Decision::Grant
+        TwoPlHp.request(view, req)
     }
 
     fn retires(&mut self, view: &V, who: InstanceId, completed_step: usize) -> Vec<ItemId> {
@@ -122,9 +109,9 @@ mod tests {
         let mut view = StaticView::new(&set);
         let mut p = Bamboo::new();
         // High-priority txn 0 retired its write of item 0: a
-        // lower-priority requester acquires over it (engine will take
-        // the commit dependency).
-        view.deps_mut().retire(i(0), ItemId(0), Value(7));
+        // lower-priority requester acquires over it (the kernel will
+        // gate it on txn 0).
+        view.retire(i(0), ItemId(0), Value(7));
         assert_eq!(
             p.request(&view, req(i(1), 0, LockMode::Write)),
             Decision::Grant
@@ -134,7 +121,7 @@ mod tests {
         // wounding its completed work (the inversion at the gate is
         // bounded by the retiree's compute tail).
         let mut view = StaticView::new(&set);
-        view.deps_mut().retire(i(1), ItemId(0), Value(7));
+        view.retire(i(1), ItemId(0), Value(7));
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Read)),
             Decision::Grant

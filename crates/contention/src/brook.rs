@@ -1,6 +1,7 @@
 //! Brook-2PL: deadlock-free early release via a static seniority order.
 
-use crate::{conflict_holders, retire_candidates, senior};
+use crate::{retire_candidates, senior};
+use rtdb_baselines::conflict_holders;
 use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, ItemId};
 
@@ -8,10 +9,9 @@ use rtdb_types::{InstanceId, ItemId};
 /// seniority order of `crate::senior`: a requester facing a senior
 /// conflicting holder (or a senior latest retiree) aborts itself
 /// ([`Decision::AbortSelf`]); facing only juniors it waits — or, over a
-/// retired chain, acquires and lets the engine register the commit
-/// dependency. Every lock-wait edge and every commit-gate edge then
-/// points senior → junior (a dependency on a retiree is only taken when
-/// the retiree is junior), so the combined wait graph is acyclic and no
+/// retired chain, acquires and lets the kernel gate it on the retiree.
+/// Every lock-wait edge and every commit-gate edge then points senior →
+/// junior (a grantee is only gated on a junior retiree), so the combined wait graph is acyclic and no
 /// deadlock can form — without the wound machinery Bamboo needs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Brook2Pl;
@@ -39,28 +39,27 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Brook2Pl {
             return if seniors.is_empty() {
                 // The requester is senior to every conflicting holder:
                 // waiting keeps all edges senior → junior.
-                Decision::block_on(req.who, conflicts)
+                Decision::Block {
+                    blockers: conflicts,
+                }
             } else {
                 // Wait-die: the junior party restarts. The engine holds
-                // the restart until a blocker commits or aborts, so the
-                // retry is not a same-instant livelock.
+                // the restart until the last of its blockers has
+                // committed or aborted, so the retry is not a
+                // same-instant livelock.
                 Decision::AbortSelf { blockers: seniors }
             };
         }
-        if let Some(deps) = view.deps() {
-            if let Some((latest, _)) = deps.latest_retired(req.item) {
-                if latest.owner != req.who && senior(latest.owner, req.who) {
-                    // A commit dependency on a *senior* retiree would
-                    // point junior → senior in the gate graph — the one
-                    // edge direction that could close a cycle. Die
-                    // instead and retry once the retiree resolves.
-                    return Decision::AbortSelf {
-                        blockers: vec![latest.owner],
-                    };
-                }
-            }
+        match view.latest_retiree(req.item) {
+            // A gate entry for a *senior* retiree would point junior →
+            // senior in the gate graph — the one edge direction that
+            // could close a cycle. Die instead and retry once the
+            // retiree resolves.
+            Some(owner) if owner != req.who && senior(owner, req.who) => Decision::AbortSelf {
+                blockers: vec![owner],
+            },
+            _ => Decision::Grant,
         }
-        Decision::Grant
     }
 
     fn retires(&mut self, view: &V, who: InstanceId, completed_step: usize) -> Vec<ItemId> {
@@ -140,13 +139,13 @@ mod tests {
         let mut p = Brook2Pl::new();
         let sr = inst(0, 0);
         let jr = inst(1, 0);
-        view.deps_mut().retire(sr, ItemId(0), Value(3));
+        view.retire(sr, ItemId(0), Value(3));
         assert_eq!(
             p.request(&view, req(jr, 0, LockMode::Write)),
             Decision::AbortSelf { blockers: vec![sr] }
         );
         let mut view = StaticView::new(&set);
-        view.deps_mut().retire(jr, ItemId(0), Value(3));
+        view.retire(jr, ItemId(0), Value(3));
         assert_eq!(
             p.request(&view, req(sr, 0, LockMode::Write)),
             Decision::Grant

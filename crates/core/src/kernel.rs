@@ -31,16 +31,31 @@
 //!   releases re-evaluate on their own, because nothing engine-side can
 //!   intervene there.
 
-use crate::deps::insert_sorted;
+use crate::deps::RetiredChains;
 use crate::{
-    AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, DepTracker, EngineView,
-    LockRequest, LockTable, PriorityManager, ProtocolFor, ShardRouter, UpdateModel,
+    AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, EngineView, LockRequest,
+    LockTable, PriorityManager, ProtocolFor, ShardRouter, UpdateModel,
 };
 use rtdb_storage::{find_cycle, Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, Tick, TransactionSet, TxnId, Value};
 use std::cmp::Reverse;
 
+/// Insert `x` into the ascending `v`; `false` if it was already there.
+fn insert_sorted<T: Ord + Copy>(v: &mut Vec<T>, x: T) -> bool {
+    match v.binary_search(&x) {
+        Ok(_) => false,
+        Err(i) => {
+            v.insert(i, x);
+            true
+        }
+    }
+}
+
 /// What the kernel keeps per live instance, beyond its locks and edges.
+///
+/// Two sorted lists name instances this one must outlast, and one scan
+/// of the live records ([`StateKernel::finish_commit`],
+/// [`StateKernel::abort`]) removes a departing instance from both.
 #[derive(Debug, Default)]
 pub struct Record {
     /// The denied request the instance is blocked on, if any.
@@ -64,6 +79,13 @@ pub struct Record {
     /// released when the *last* of them commits or aborts, not the
     /// first; an abort of the held instance itself clears it.
     pub hold: Vec<InstanceId>,
+    /// The commit gate ([`StateKernel::gate`]): the latest retiree of
+    /// every item the instance was granted over a retired chain, sorted —
+    /// the instances whose dirty writes it read or overwrote. It may
+    /// commit once the list is empty: an entry leaves when its instance
+    /// commits, and an abort of any of them aborts this instance too (a
+    /// cascade), as does an abort of its own.
+    pub gate: Vec<InstanceId>,
 }
 
 impl Record {
@@ -75,14 +97,6 @@ impl Record {
     /// before.
     fn mark_installed_early(&mut self, item: ItemId) -> bool {
         insert_sorted(&mut self.installed_early, item)
-    }
-
-    /// Drop what an abort discards: the attempt's protocol-visible state.
-    fn clear_attempt(&mut self) {
-        self.pending = None;
-        self.data_read.clear();
-        self.staged.clear();
-        self.installed_early.clear();
     }
 }
 
@@ -141,15 +155,15 @@ pub struct StepDone {
     pub woken: Vec<InstanceId>,
 }
 
-/// One kernel: ceilings, lock table, inheritance, dependency tracker,
-/// live instances with their [`Record`]s, committed store, history and
-/// abort breakdown. The runtime's sharded manager runs one per shard.
+/// One kernel: ceilings, lock table, inheritance, retired chains, live
+/// instances with their [`Record`]s, committed store, history and abort
+/// breakdown. The runtime's sharded manager runs one per shard.
 pub struct StateKernel<'a> {
     set: &'a TransactionSet,
     ceilings: CeilingTable,
     locks: LockTable,
     pm: PriorityManager,
-    deps: DepTracker,
+    retired: RetiredChains,
     /// Live instances, ascending; `records[slot[i]]` belongs to
     /// `active[i]`.
     active: Vec<InstanceId>,
@@ -165,6 +179,9 @@ pub struct StateKernel<'a> {
     /// Number of live instances with a non-empty [`Record::hold`], so a
     /// commit or an abort skips the hold scan while nobody is held.
     n_held: usize,
+    /// Number of live instances with a non-empty [`Record::gate`]; with
+    /// `n_held` 0 too, a departure skips the scan.
+    n_gated: usize,
     /// `Some((router, shard))` when this kernel governs one shard of a
     /// partitioned item space: only items routed to `shard` enter
     /// `DataRead` or are installed here. A cross-shard job's single
@@ -189,13 +206,14 @@ impl<'a> StateKernel<'a> {
             ceilings,
             locks,
             pm: PriorityManager::new(),
-            deps: DepTracker::new(),
+            retired: RetiredChains::default(),
             active: Vec::new(),
             slot: Vec::new(),
             records: Vec::new(),
             spare: Vec::new(),
             n_pending: 0,
             n_held: 0,
+            n_gated: 0,
             scope: None,
             db: Database::new(),
             history: History::new(),
@@ -294,31 +312,48 @@ impl<'a> StateKernel<'a> {
         }
     }
 
-    /// Drop a live instance and every edge touching it, handing back its
-    /// counts and blocker list in a [`Record`]; the per-attempt buffers
-    /// stay behind for the next instance. Locks and dependencies are not
-    /// consulted — [`StateKernel::finish_commit`] does that first; on its
-    /// own this is the exit of an instance that never locked anything.
+    /// Drop a live instance, every edge touching it and its retired chain
+    /// entries, handing back its counts and blocker list in a [`Record`];
+    /// the per-attempt buffers stay behind for the next instance. Locks
+    /// and the instances gated or held on it are not consulted —
+    /// [`StateKernel::finish_commit`] does that; on its own this is the
+    /// exit of an instance that never locked anything.
     pub fn remove(&mut self, who: InstanceId) -> Record {
         let i = self.idx(who).expect("instance is live");
         self.active.remove(i);
         let slot = self.slot.remove(i);
         self.spare.push(slot);
         self.pm.remove(who);
+        self.clear_record(who, slot as usize);
         let rec = &mut self.records[slot as usize];
-        if rec.pending.is_some() {
-            self.n_pending -= 1;
-        }
-        if !rec.hold.is_empty() {
-            self.n_held -= 1;
-            rec.hold.clear();
-        }
-        rec.clear_attempt();
         Record {
             lower_blockers: std::mem::take(&mut rec.lower_blockers),
             block_events: std::mem::take(&mut rec.block_events),
             restarts: std::mem::take(&mut rec.restarts),
             ..Record::default()
+        }
+    }
+
+    /// Empty what an abort or a departure discards of `who`'s record in
+    /// `records[s]` — its pending request, `DataRead`, staged writes and
+    /// their retired chain entries, early installs, gate and hold —
+    /// keeping the buffers.
+    fn clear_record(&mut self, who: InstanceId, s: usize) {
+        let rec = &mut self.records[s];
+        if rec.pending.take().is_some() {
+            self.n_pending -= 1;
+        }
+        self.retired.drop_owner(who, &rec.staged);
+        rec.data_read.clear();
+        rec.staged.clear();
+        rec.installed_early.clear();
+        if !rec.gate.is_empty() {
+            rec.gate.clear();
+            self.n_gated -= 1;
+        }
+        if !rec.hold.is_empty() {
+            rec.hold.clear();
+            self.n_held -= 1;
         }
     }
 
@@ -358,26 +393,65 @@ impl<'a> StateKernel<'a> {
         self.n_held > 0 && self.record(who).is_some_and(|r| !r.hold.is_empty())
     }
 
-    /// `gone` committed or aborted: drop it from every hold, clear the
-    /// wait edges of the instances whose hold it was the last of and
-    /// append those to `released`.
-    fn release_holds_on(&mut self, gone: InstanceId, released: &mut Vec<InstanceId>) {
-        if self.n_held == 0 {
+    /// True while `who` has commit dependencies left ([`Record::gate`]).
+    /// Unlike [`StateKernel::gate`] it registers nothing.
+    #[inline]
+    pub fn gated(&self, who: InstanceId) -> bool {
+        self.n_gated > 0 && self.record(who).is_some_and(|r| !r.gate.is_empty())
+    }
+
+    /// The departure scan: `gone` committed (`doomed` is `None`) or
+    /// aborted, and one pass over the live records, in ascending id
+    /// order, drops it from every hold and every gate.
+    ///
+    /// * A hold it was the last of ends: the held instance's wait edges
+    ///   are cleared and it is appended to `released`.
+    /// * On a commit, a gate it was the last of opens: the instance joins
+    ///   `released` ahead of every hold this scan ended, after the gates
+    ///   it opened before.
+    /// * On an abort, an instance whose gate names it is appended to
+    ///   `doomed` as a cascade and its gate emptied at once, so it is
+    ///   collected once however many aborted instances it read from.
+    fn depart(
+        &mut self,
+        gone: InstanceId,
+        mut doomed: Option<&mut Vec<Aborted>>,
+        released: &mut Vec<InstanceId>,
+    ) {
+        if self.n_held == 0 && self.n_gated == 0 {
             return;
         }
+        let mut opened = released.len();
         for i in 0..self.active.len() {
-            let hold = &mut self.records[self.slot[i] as usize].hold;
-            let Ok(pos) = hold.binary_search(&gone) else {
-                continue;
-            };
-            hold.remove(pos);
             let id = self.active[i];
-            if hold.is_empty() {
-                self.n_held -= 1;
-                self.pm.clear_blocked(id);
-                released.push(id);
-            } else {
-                self.pm.set_blocked(id, hold);
+            let rec = &mut self.records[self.slot[i] as usize];
+            if let Ok(pos) = rec.gate.binary_search(&gone) {
+                match doomed.as_deref_mut() {
+                    Some(doomed) => {
+                        rec.gate.clear();
+                        doomed.push((id, AbortReason::Cascade));
+                    }
+                    None => {
+                        rec.gate.remove(pos);
+                        if rec.gate.is_empty() {
+                            released.insert(opened, id);
+                            opened += 1;
+                        }
+                    }
+                }
+                if rec.gate.is_empty() {
+                    self.n_gated -= 1;
+                }
+            }
+            if let Ok(pos) = rec.hold.binary_search(&gone) {
+                rec.hold.remove(pos);
+                if rec.hold.is_empty() {
+                    self.n_held -= 1;
+                    self.pm.clear_blocked(id);
+                    released.push(id);
+                } else {
+                    self.pm.set_blocked(id, &rec.hold);
+                }
             }
         }
     }
@@ -413,7 +487,7 @@ impl<'a> StateKernel<'a> {
                 // committed version plus the chain length — every live
                 // chain member installs exactly one bump first.
                 let dirty = if ws.staged_value(item).is_none() {
-                    self.deps.latest_retired(item)
+                    self.retired.latest(item)
                 } else {
                     None
                 };
@@ -452,9 +526,10 @@ impl<'a> StateKernel<'a> {
     /// Present `who`'s access to `item` for step `step_index`: a lock
     /// already held in a sufficient mode needs no request (a write lock
     /// covers reads of the own staged value); otherwise the protocol
-    /// decides, and a grant is recorded — ordering the grantee after the
-    /// latest retired writer of the item, whatever the mode: a write over
-    /// the chain must also install after it — before the data operation.
+    /// decides, and a grant is recorded — putting the latest retired
+    /// writer of the item on the grantee's [`Record::gate`], whatever the
+    /// mode: a write over the chain must also install after it — before
+    /// the data operation.
     #[allow(clippy::too_many_arguments)]
     pub fn acquire<P: ProtocolFor<Self>>(
         &mut self,
@@ -474,8 +549,8 @@ impl<'a> StateKernel<'a> {
         match protocol.request(self, req) {
             Decision::Grant => {
                 self.locks.grant(who, item, mode);
-                if let Some((rw, _)) = self.deps.latest_retired(item) {
-                    self.deps.add_dep(who, rw.owner);
+                if let Some((rw, _)) = self.retired.latest(item) {
+                    self.gate_on(who, rw.owner);
                 }
                 self.data_op(who, step_index, item, mode, ws, tick());
                 Acquire::Done { granted: true }
@@ -508,6 +583,24 @@ impl<'a> StateKernel<'a> {
                 Acquire::Die { blockers }
             }
         }
+    }
+
+    /// Put `on`, the latest retiree of an item just granted to `who`, on
+    /// `who`'s [`Record::gate`] (unless it is `who` itself). Kept out of
+    /// line: only the early-release protocols get here, and inlined it
+    /// made [`StateKernel::acquire`] too large for the runtime to inline,
+    /// which cost every protocol's grant path.
+    #[inline(never)]
+    fn gate_on(&mut self, who: InstanceId, on: InstanceId) {
+        if on == who {
+            return;
+        }
+        let s = self.slot_of(who).expect("instance is live");
+        let gate = &mut self.records[s].gate;
+        if gate.is_empty() {
+            self.n_gated += 1;
+        }
+        insert_sorted(gate, on);
     }
 
     /// Record `blockers` as the instances `who` waits for, noting the
@@ -591,10 +684,10 @@ impl<'a> StateKernel<'a> {
     /// `who` finished step `completed_step`: apply the protocol's early
     /// releases (installing the staged value of an early-released write
     /// lock under [`UpdateModel::InstallOnEarlyRelease`]), then retire the
-    /// write locks past their last access into the dependency tracker —
+    /// write locks past their last access into the item's retired chain —
     /// the staged value stays visible there and successors order
-    /// themselves behind the retiree by commit dependency instead of lock
-    /// wait. Each non-empty batch is followed by a re-evaluation.
+    /// themselves behind the retiree at their commit gate instead of by
+    /// lock wait. Each non-empty batch is followed by a re-evaluation.
     pub fn step_done<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
@@ -631,11 +724,11 @@ impl<'a> StateKernel<'a> {
                     .expect("retired an item without a staged write");
                 if self.locks.holds(who, item, LockMode::Read) {
                     // An upgrade's read lock goes with the write lock:
-                    // successors are ordered by the dependency anyway.
+                    // successors are ordered by their gate anyway.
                     self.locks.release(who, item, LockMode::Read);
                 }
                 self.locks.release(who, item, LockMode::Write);
-                self.deps.retire(who, item, staged);
+                self.retired.retire(who, item, staged);
                 out.released.push((item, LockMode::Write));
             }
             out.woken.extend(self.reevaluate(protocol));
@@ -657,20 +750,21 @@ impl<'a> StateKernel<'a> {
         version
     }
 
-    /// Commit gate: with outstanding commit dependencies `who` must not
+    /// Commit gate: with a non-empty [`Record::gate`] `who` must not
     /// commit yet (recoverability — nobody commits a value derived from a
     /// dirty read whose writer can still abort). Registers the gate waits
-    /// as edges — the committer donates its priority to the dependencies
-    /// it waits on and a gate-plus-lock cycle (possible under Bamboo) is
+    /// as edges — the committer donates its priority to the instances it
+    /// waits on and a gate-plus-lock cycle (possible under Bamboo) is
     /// found like any other deadlock — and returns true; false when the
-    /// gate is open.
+    /// gate is open. A commit of a gate entry's instance prunes the edge
+    /// with the entry; [`StateKernel::gated`] tests the gate without
+    /// registering anything.
     pub fn gate(&mut self, who: InstanceId) -> bool {
-        let StateKernel { deps, pm, .. } = self;
-        let on = deps.deps_of(who);
-        if on.is_empty() {
+        if !self.gated(who) {
             return false;
         }
-        pm.set_blocked(who, on);
+        let s = self.slot_of(who).expect("instance is live");
+        self.pm.set_blocked(who, &self.records[s].gate);
         true
     }
 
@@ -700,7 +794,7 @@ impl<'a> StateKernel<'a> {
         log_commit: bool,
         mut installed: Option<&mut Vec<(ItemId, VersionedValue)>>,
     ) {
-        debug_assert!(!self.deps.has_deps(who), "commit through a closed gate");
+        debug_assert!(!self.gated(who), "commit through a closed gate");
         if log_commit {
             self.history.push(at, who, EventKind::Commit);
         }
@@ -727,27 +821,25 @@ impl<'a> StateKernel<'a> {
     /// After the commit point: release every lock of `who`, turn its
     /// retired entries into committed state and drop the instance.
     /// Returns its record; `proceed` is overwritten with the instances
-    /// that may now go on — the dependents whose last commit dependency
-    /// this was (a committer parked at the gate may now pass; one still
-    /// executing finds the gate open), then the held instances whose
-    /// last hold it was.
+    /// that may now go on — those whose last gate entry this was (a
+    /// committer parked at the gate may now pass; one still executing
+    /// finds the gate open), then the held instances whose last hold it
+    /// was.
     pub fn finish_commit(&mut self, who: InstanceId, proceed: &mut Vec<InstanceId>) -> Record {
         proceed.clear();
         self.locks.release_all(who);
-        let drained = self.deps.on_commit(who);
         let record = self.remove(who);
-        proceed.extend(drained.into_iter().filter(|&d| self.is_live(d)));
-        self.release_holds_on(who, proceed);
+        self.depart(who, None, proceed);
         record
     }
 
     /// Abort `victim` and, transitively, everyone who observed or
-    /// overwrote its retired writes: each releases its locks, loses its
-    /// attempt state and its hold, and restarts (Abort and Begin are
+    /// overwrote its retired writes — the instances whose gate names an
+    /// aborted one, breadth first: each releases its locks, loses its
+    /// attempt state, gate and hold, and restarts (Abort and Begin are
     /// logged back to back). `out` is overwritten with the aborted
-    /// instances, `victim` first, each once — the tracker hands back the
-    /// whole closure, detached, so the members cascade no further
-    /// themselves — and the held instances each abort released.
+    /// instances, `victim` first, each once, and the held instances each
+    /// abort released.
     pub fn abort<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
@@ -761,41 +853,49 @@ impl<'a> StateKernel<'a> {
         if !self.is_live(victim) {
             return;
         }
-        self.abort_one(protocol, victim, reason, &mut tick, &mut out.released);
         out.aborted.push((victim, reason));
-        for d in self.deps.on_abort(victim) {
-            if self.is_live(d) {
-                let cascade = AbortReason::Cascade;
-                self.abort_one(protocol, d, cascade, &mut tick, &mut out.released);
-                out.aborted.push((d, cascade));
-            }
+        let mut next = 0;
+        while let Some(&(who, reason)) = out.aborted.get(next) {
+            next += 1;
+            self.history.push(tick(), who, EventKind::Abort);
+            self.abort_attempt(
+                protocol,
+                who,
+                Some(reason),
+                &mut out.aborted,
+                &mut out.released,
+            );
+            self.record_mut(who).restarts += 1;
+            self.history.push(tick(), who, EventKind::Begin);
         }
     }
 
-    fn abort_one<P: ProtocolFor<Self>>(
-        &mut self,
-        protocol: &mut P,
-        who: InstanceId,
-        reason: AbortReason,
-        tick: &mut impl FnMut() -> Tick,
-        released: &mut Vec<InstanceId>,
-    ) {
-        self.history.push(tick(), who, EventKind::Abort);
-        self.abort_local(protocol, who, Some(reason), released);
-        self.record_mut(who).restarts += 1;
-        self.history.push(tick(), who, EventKind::Begin);
-    }
-
     /// The silent core of an abort: release `victim`'s locks, clear its
-    /// pending request, edges, attempt state and hold, and release the
-    /// holds it was the last of (appended to `released`).
+    /// pending request, edges, attempt state, gate and hold, and release
+    /// the holds it was the last of (appended to `released`).
     /// No log, no restart count, no cascade — for an instance that spans
-    /// several kernels, whose owner logs the single Abort/Begin pair.
+    /// several kernels, whose owner logs the single Abort/Begin pair (no
+    /// such instance takes part in a commit gate).
     pub fn abort_local<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
         victim: InstanceId,
         reason: Option<AbortReason>,
+        released: &mut Vec<InstanceId>,
+    ) {
+        let mut doomed = Vec::new();
+        self.abort_attempt(protocol, victim, reason, &mut doomed, released);
+        debug_assert!(doomed.is_empty(), "cascades never cross shards");
+    }
+
+    /// [`StateKernel::abort_local`], appending the instances whose gate
+    /// names `victim` to `doomed`.
+    fn abort_attempt<P: ProtocolFor<Self>>(
+        &mut self,
+        protocol: &mut P,
+        victim: InstanceId,
+        reason: Option<AbortReason>,
+        doomed: &mut Vec<Aborted>,
         released: &mut Vec<InstanceId>,
     ) {
         assert_eq!(
@@ -807,14 +907,10 @@ impl<'a> StateKernel<'a> {
             self.abort_reasons.record(reason);
         }
         self.locks.release_all(victim);
-        self.wake(victim);
-        let rec = self.record_mut(victim);
-        rec.clear_attempt();
-        if !rec.hold.is_empty() {
-            rec.hold.clear();
-            self.n_held -= 1;
-        }
-        self.release_holds_on(victim, released);
+        self.pm.clear_blocked(victim);
+        let s = self.slot_of(victim).expect("instance is live");
+        self.clear_record(victim, s);
+        self.depart(victim, Some(doomed), released);
     }
 }
 
@@ -856,7 +952,7 @@ impl EngineView for StateKernel<'_> {
         self.record(who).map_or(&[], |r| r.staged.as_slice())
     }
     #[inline]
-    fn deps(&self) -> Option<&DepTracker> {
-        Some(&self.deps)
+    fn latest_retiree(&self, item: ItemId) -> Option<InstanceId> {
+        self.retired.latest(item).map(|(rw, _)| rw.owner)
     }
 }

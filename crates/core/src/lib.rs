@@ -11,12 +11,12 @@
 //! only its way of executing:
 //!
 //! * [`StateKernel`] — per-instance protocol state (`DataRead`, staged
-//!   writes, pending request, blockers) with the lock table, inheritance,
-//!   dependency tracker, committed store and history around it, and the
-//!   transitions that mutate them — begin, acquire, block, re-evaluate,
-//!   deadlock search, step-done, commit gate, commit, abort, restart
-//!   hold. Each
-//!   returns its effects for the engine to deliver ([`kernel`]);
+//!   writes, pending request, blockers, commit gate, restart hold) with
+//!   the lock table, inheritance, retired chains, committed store and
+//!   history around it, and the transitions that mutate them — begin,
+//!   acquire, block, re-evaluate, deadlock search, step-done, commit
+//!   gate, commit, abort, restart hold. Each returns its effects for the
+//!   engine to deliver ([`kernel`]);
 //! * [`ProtocolFor`] — the one trait a concurrency-control protocol
 //!   implements, generic over the view type so the engines' steady-state
 //!   loops monomorphize both sides (no vtable on either the protocol or
@@ -63,7 +63,7 @@ pub mod testkit;
 
 pub use ceiling_index::{CeilingFlavor, CeilingIndex};
 pub use ceilings::{CeilingTable, Holders, SysCeil};
-pub use deps::{AbortBreakdown, AbortReason, DepTracker, RetiredWrite};
+pub use deps::{AbortBreakdown, AbortReason};
 pub use inherit::PriorityManager;
 pub use kernel::{Aborted, Aborts, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};

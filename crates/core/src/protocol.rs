@@ -2,7 +2,6 @@
 
 use crate::ceiling_index::CeilingFlavor;
 use crate::ceilings::CeilingTable;
-use crate::deps::DepTracker;
 use crate::locks::LockTable;
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, TransactionSet};
 
@@ -60,8 +59,8 @@ pub enum Decision {
     /// The *requester* aborts itself and restarts (wait-die style: the
     /// protocol's ordering rule forbids both waiting for and wounding
     /// the conflict holders). `blockers` names the instances responsible;
-    /// engines may delay the restart until one of them commits or aborts
-    /// so the retry can make progress.
+    /// engines may delay the restart until the last of them has committed
+    /// or aborted, so the retry can make progress.
     AbortSelf {
         /// The conflicting instances; must be non-empty and must not
         /// contain the requester.
@@ -102,14 +101,11 @@ pub trait EngineView {
     /// set — used by optimistic validation), sorted ascending.
     fn staged_write_items(&self, who: InstanceId) -> &[ItemId];
 
-    /// The dependency tracker (retired-lock lists + commit-dependency
-    /// graph), when the engine maintains one. Early-release protocols
-    /// (Bamboo, Brook-2PL) consult it to decide against retired writers;
-    /// `None` (the default, kept by minimal views such as the testkit)
-    /// reads as "nothing retired".
-    fn deps(&self) -> Option<&DepTracker> {
-        None
-    }
+    /// The owner of the latest live retired write on `item` — the
+    /// instance a grant of `item` now would put on the grantee's commit
+    /// gate — or `None` when nothing on it is retired. Early-release
+    /// protocols (Brook-2PL) decide against it.
+    fn latest_retiree(&self, item: ItemId) -> Option<InstanceId>;
 }
 
 /// True if two ascending-sorted slices share no element — the slice
@@ -163,11 +159,10 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
 
     /// Called after `who` finished its `completed_step`-th step: the
     /// *write* locks to **retire** — release before commit into the
-    /// dependency tracker's retired list, staged value and all, so later
-    /// lockers can read the dirty value and be gated behind `who`
-    /// (DESIGN.md §6h). Unlike [`ProtocolFor::early_releases`], retired
-    /// writes install only at commit; the engine must maintain a
-    /// [`DepTracker`] for any protocol returning non-empty here.
+    /// item's retired chain, staged value and all, so later lockers can
+    /// read the dirty value and be gated behind `who` (DESIGN.md §6h).
+    /// Unlike [`ProtocolFor::early_releases`], retired writes install
+    /// only at commit.
     fn retires(&mut self, _view: &V, _who: InstanceId, _completed_step: usize) -> Vec<ItemId> {
         Vec::new()
     }

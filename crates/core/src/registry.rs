@@ -70,10 +70,10 @@ pub enum ProtocolKind {
     /// Optimistic concurrency control with broadcast commit.
     OccBc,
     /// Bamboo-style early lock release (Guo et al.): 2PL-HP base, write
-    /// locks retire after their last access into the dependency tracker's
-    /// retired list, dirty readers are gated behind the retirer and
+    /// locks retire after their last access into the item's retired
+    /// chain, dirty readers are gated behind the retirer and
     /// cascade-abort if it aborts; a retired chain is always acquirable
-    /// via a commit dependency on the latest retiree.
+    /// by a commit gate on the latest retiree.
     Bamboo,
     /// Brook-2PL-style deadlock-free early release (Habibi et al.,
     /// adapted): wait-die polarity over a static seniority order — all
@@ -212,9 +212,9 @@ impl ProtocolKind {
     /// preserve.
     pub fn shardable(self) -> bool {
         // Also excluded: the early-release kinds (Bamboo, Brook-2PL) —
-        // their retired-lock lists and commit-dependency graph are global
-        // structures; per-shard instances would gate and cascade against
-        // disjoint graphs, so sharding them is unsound for now (v1).
+        // their retired chains and commit gates are global structures;
+        // per-shard instances would gate and cascade against disjoint
+        // kernels, so sharding them is unsound for now (v1).
         matches!(
             self,
             ProtocolKind::PcpDa
@@ -430,8 +430,8 @@ mod tests {
         assert!(!ProtocolKind::Brook2Pl.may_deadlock() && ProtocolKind::Brook2Pl.may_abort());
         // Shardable kinds are exactly the standard line-up minus CCP
         // (install-on-early-release breaks cross-shard commit atomicity)
-        // and minus the early-release kinds (global retired lists and a
-        // global dependency graph make per-shard instances unsound, v1).
+        // and minus the early-release kinds (global retired chains and
+        // commit gates make per-shard instances unsound, v1).
         let unshardable_standard = [
             ProtocolKind::Ccp,
             ProtocolKind::Bamboo,

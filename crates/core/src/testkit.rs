@@ -5,8 +5,9 @@
 //! by hand and ask the protocol to decide requests. Base and running
 //! priorities coincide here (no scheduling, hence no inheritance).
 
-use crate::{CeilingTable, DepTracker, EngineView, LockTable};
-use rtdb_types::{InstanceId, ItemId, LockMode, Priority, TransactionSet};
+use crate::deps::RetiredChains;
+use crate::{CeilingTable, EngineView, LockTable};
+use rtdb_types::{InstanceId, ItemId, LockMode, Priority, TransactionSet, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A static protocol-testing view over a [`TransactionSet`].
@@ -18,9 +19,9 @@ pub struct StaticView<'a> {
     data_read: BTreeMap<InstanceId, Vec<ItemId>>,
     staged: BTreeMap<InstanceId, Vec<ItemId>>,
     pending: BTreeMap<InstanceId, crate::LockRequest>,
-    /// Retired-lock lists and commit dependencies (for early-release
-    /// protocol tests; empty unless a test retires something).
-    deps: DepTracker,
+    /// Retired chains (for early-release protocol tests; empty unless a
+    /// test retires something).
+    retired: RetiredChains,
     /// Sorted list of instances that hold locks or have read something —
     /// recomputed on mutation (this is a test fixture; simplicity wins).
     active: Vec<InstanceId>,
@@ -41,7 +42,7 @@ impl<'a> StaticView<'a> {
             data_read: BTreeMap::new(),
             staged: BTreeMap::new(),
             pending: BTreeMap::new(),
-            deps: DepTracker::new(),
+            retired: RetiredChains::default(),
             active: Vec::new(),
         }
     }
@@ -89,10 +90,10 @@ impl<'a> StaticView<'a> {
         self.refresh_active();
     }
 
-    /// Mutable access to the dependency tracker (for early-release tests:
-    /// retire writes and register dependencies by hand).
-    pub fn deps_mut(&mut self) -> &mut DepTracker {
-        &mut self.deps
+    /// Record that `owner` retired its write of `item` with `value` (for
+    /// early-release tests): the entry joins the end of the item's chain.
+    pub fn retire(&mut self, owner: InstanceId, item: ItemId, value: Value) {
+        self.retired.retire(owner, item, value);
     }
 }
 
@@ -133,8 +134,8 @@ impl EngineView for StaticView<'_> {
         self.staged.get(&who).map_or(&[], |v| v.as_slice())
     }
 
-    fn deps(&self) -> Option<&DepTracker> {
-        Some(&self.deps)
+    fn latest_retiree(&self, item: ItemId) -> Option<InstanceId> {
+        self.retired.latest(item).map(|(rw, _)| rw.owner)
     }
 }
 

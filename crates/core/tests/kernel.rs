@@ -2,7 +2,7 @@
 //!
 //! Both engines compose these transitions, so what is pinned here —
 //! wake order, edge refresh, the abort closure, the shape of a commit,
-//! the restart hold —
+//! the commit gate, the restart hold —
 //! holds for the simulator and the runtime alike; their own suites only
 //! have to cover delivery (dispatch, parking, restarts).
 
@@ -248,7 +248,8 @@ fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
         assert_eq!(k.locks().held_by(who).count(), 0, "{who}");
         assert!(!k.gate(who), "{who}: dependencies are gone");
     }
-    assert!(k.deps().unwrap().is_empty());
+    assert_eq!(k.latest_retiree(ItemId(0)), None, "w's chain entry left");
+    assert_eq!(k.latest_retiree(ItemId(1)), None, "r1's too");
     assert!(k.locks().holds(other, ItemId(9), LockMode::Write));
     assert_eq!(k.record(other).unwrap().restarts, 0);
 
@@ -363,6 +364,116 @@ fn commit_drains_exactly_the_dependents_whose_last_dependency_it_was() {
     // The dirty reads predicted the versions the installs produced.
     assert_eq!(k.db().get(ItemId(2)).version, 1);
     assert_eq!(ws[&d].reads()[0].version, 1);
+}
+
+#[test]
+fn an_aborted_dependent_leaves_its_source_alone() {
+    let set = set();
+    let (w, d) = (inst(3, 0), inst(0, 0));
+    let (mut k, mut ws) = begun(&set, &[w, d]);
+    let mut p = Scripted::default();
+    write_and_retire(&mut k, &mut p, &mut ws, w, 0);
+    acquire(&mut k, &mut p, &mut ws, d, 0, LockMode::Read);
+    assert_eq!(k.record(d).unwrap().gate, vec![w]);
+
+    // The dependent's abort cascades nowhere: w is not its dependent.
+    let mut fx = Aborts::default();
+    k.abort(&mut p, d, AbortReason::Wound, || Tick(10), &mut fx);
+    assert_eq!(fx.aborted, vec![(d, AbortReason::Wound)]);
+    assert!(fx.released.is_empty());
+    assert!(!k.gated(d) && k.record(d).unwrap().gate.is_empty());
+    assert_eq!(k.record(w).unwrap().restarts, 0);
+    assert_eq!(k.latest_retiree(ItemId(0)), Some(w), "w's chain stays");
+
+    // Unhooked: w's commit drains nobody.
+    let mut proceed = vec![d];
+    k.install(w, &ws[&w], Tick(11), true, None);
+    k.finish_commit(w, &mut proceed);
+    assert!(proceed.is_empty());
+    assert_eq!(k.latest_retiree(ItemId(0)), None);
+}
+
+#[test]
+fn dirty_versions_stay_predicted_as_the_chain_drains_from_the_front() {
+    let set = set();
+    let (w1, w2, r1, r2) = (inst(3, 0), inst(4, 0), inst(0, 0), inst(1, 0));
+    let (mut k, mut ws) = begun(&set, &[w1, w2, r1, r2]);
+    let mut p = Scripted::default();
+    // Chain on item 0: w1, then w2 writing over w1's retired write.
+    write_and_retire(&mut k, &mut p, &mut ws, w1, 0);
+    write_and_retire(&mut k, &mut p, &mut ws, w2, 0);
+    assert_eq!(k.record(w2).unwrap().gate, vec![w1]);
+    // r1 reads the latest dirty value: committed version 0 + chain of 2.
+    acquire(&mut k, &mut p, &mut ws, r1, 0, LockMode::Read);
+    let w2_value = ws[&w2].staged_value(ItemId(0)).unwrap();
+    assert_eq!(ws[&r1].reads()[0].value, w2_value);
+    assert_eq!(ws[&r1].reads()[0].version, 2);
+
+    // The chain's earliest member commits: version 1, chain of 1 — the
+    // same prediction for a reader arriving now.
+    let mut proceed = Vec::new();
+    k.install(w1, &ws[&w1], Tick(20), true, None);
+    k.finish_commit(w1, &mut proceed);
+    assert_eq!(proceed, vec![w2], "w2's gate opened");
+    assert_eq!(k.db().get(ItemId(0)).version, 1);
+    acquire(&mut k, &mut p, &mut ws, r2, 0, LockMode::Read);
+    assert_eq!(ws[&r2].reads()[0].version, 2);
+    assert_eq!(ws[&r2].reads()[0].value, w2_value);
+
+    k.wake(w2);
+    k.install(w2, &ws[&w2], Tick(21), true, None);
+    k.finish_commit(w2, &mut proceed);
+    assert_eq!(proceed, vec![r1, r2]);
+    assert_eq!(k.db().get(ItemId(0)).version, 2, "the predicted version");
+}
+
+#[test]
+fn gated_is_pure_and_turns_false_with_the_last_dependency() {
+    let set = set();
+    let (w1, w2, d) = (inst(3, 0), inst(4, 0), inst(0, 0));
+    let (mut k, mut ws) = begun(&set, &[w1, w2, d]);
+    let mut p = Scripted::default();
+    write_and_retire(&mut k, &mut p, &mut ws, w1, 2);
+    write_and_retire(&mut k, &mut p, &mut ws, w2, 3);
+    assert!(!k.gated(d), "nothing read yet");
+    acquire(&mut k, &mut p, &mut ws, d, 2, LockMode::Read);
+    acquire(&mut k, &mut p, &mut ws, d, 3, LockMode::Read);
+    assert!(k.gated(d) && !k.gated(w1) && !k.gated(w2));
+    // Asking registered nothing: no edge, so no inheritance.
+    assert_eq!(k.running_priority(w1), k.base_priority(w1));
+    assert_eq!(k.running_priority(w2), k.base_priority(w2));
+    assert_eq!(k.find_deadlock(), None);
+
+    let mut proceed = Vec::new();
+    k.install(w2, &ws[&w2], Tick(20), true, None);
+    k.finish_commit(w2, &mut proceed);
+    assert!(proceed.is_empty() && k.gated(d), "w1 is left");
+    k.install(w1, &ws[&w1], Tick(21), true, None);
+    k.finish_commit(w1, &mut proceed);
+    assert_eq!(proceed, vec![d]);
+    assert!(!k.gated(d) && !k.gate(d));
+}
+
+#[test]
+fn a_recycled_record_comes_back_with_an_empty_gate() {
+    let set = set();
+    let (w, d) = (inst(3, 0), inst(0, 0));
+    let (mut k, mut ws) = begun(&set, &[w, d]);
+    let mut p = Scripted::default();
+    write_and_retire(&mut k, &mut p, &mut ws, w, 0);
+    acquire(&mut k, &mut p, &mut ws, d, 0, LockMode::Read);
+    assert!(k.gated(d));
+    // d leaves without committing (an engine's end-of-run flush); its
+    // record goes to the next instance begun.
+    k.remove(d);
+    let next = inst(1, 0);
+    k.begin(next, None);
+    assert!(k.record(next).unwrap().gate.is_empty());
+    assert!(!k.gated(next) && !k.gate(next));
+    let mut proceed = Vec::new();
+    k.install(w, &ws[&w], Tick(20), true, None);
+    k.finish_commit(w, &mut proceed);
+    assert!(proceed.is_empty(), "nobody was gated on w any more");
 }
 
 /// `who` commits with nothing staged.

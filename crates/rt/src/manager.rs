@@ -567,11 +567,11 @@ impl<'a> Shared<'a> {
     }
 
     /// What a thread parked at the commit gate waits for: no commit
-    /// dependency left. Tested on the kernel's tracker, not on a flag a
+    /// dependency left. Tested on the kernel's record, not on a flag a
     /// notifier sets, so a wake-up that got lost is still seen by the
     /// park timeout's next look.
     pub(crate) fn gate_open(&mut self, id: InstanceId) -> bool {
-        !self.kernel.gate(id)
+        !self.kernel.gated(id)
     }
 
     /// Abort the instances `id`'s commit invalidates (optimistic

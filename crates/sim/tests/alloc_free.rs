@@ -7,15 +7,20 @@
 //! grant / commit / release cycle must not touch the heap. This test
 //! drives such cycles through a [`StateKernel`] under PCP-DA, RW-PCP and
 //! 2PL-HP behind a counting global allocator and asserts exactly zero
-//! allocations after a warm-up. So must an abort pair — a 2PL-HP wound
-//! and a Brook-2PL die — from the abort through the restart hold and its
-//! release to the victim's commit.
+//! allocations after a warm-up. So must the pairs of instances that
+//! exercise the rest of the kernel's per-instance state: a 2PL-HP wound
+//! and a Brook-2PL die, from the abort through the restart hold and its
+//! release to the victim's commit; a Bamboo dirty read, through the
+//! reader's commit gate and its drain, and a Bamboo cascade; and a PCP-DA
+//! read granted over a live write holder.
 //!
 //! What is deliberately outside the claim: a *denied*, *wounding* or
 //! *dying* request names the instances in its way in a `Vec` (the
-//! protocol's [`rtdb_core::Decision`]), and the history is the run's
-//! output and grows by design — it is pre-sized here, and its unreserved
-//! commit order is left out by logging no Commit event.
+//! protocol's [`rtdb_core::Decision`]), and so does a step that retires a
+//! write lock — the protocol's retire list and the released locks handed
+//! back, exactly those two allocations, counted apart; and the history is
+//! the run's output and grows by design — it is pre-sized here, and its
+//! unreserved commit order is left out by logging no Commit event.
 //!
 //! The allocator needs `unsafe`; it is confined to this file (an
 //! integration test is its own crate, the libraries stay
@@ -24,8 +29,8 @@
 
 use rtdb_baselines::{RwPcp, TwoPlHp};
 use rtdb_cc::{GrantRule, PcpDa};
-use rtdb_contention::Brook2Pl;
-use rtdb_core::{AbortReason, Aborts, Acquire, ProtocolFor, StateKernel};
+use rtdb_contention::{Bamboo, Brook2Pl};
+use rtdb_core::{AbortReason, Aborts, Acquire, EngineView, ProtocolFor, Record, StateKernel};
 use rtdb_storage::Workspace;
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionSet, TransactionTemplate,
@@ -90,6 +95,17 @@ fn uncounted<R>(f: impl FnOnce() -> R) -> R {
     let r = f();
     COUNTING.with(|c| c.set(counting));
     r
+}
+
+/// Run `f` counted on its own: its allocations are returned, not added
+/// to an enclosing count.
+fn counted_apart<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let counting = COUNTING.with(|c| c.replace(true));
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    let n = ALLOCATIONS.with(|a| a.replace(before)) - before;
+    COUNTING.with(|c| c.set(counting));
+    (r, n)
 }
 
 /// Cycles run before counting starts, and cycles counted.
@@ -256,13 +272,14 @@ fn pair_set() -> TransactionSet {
         .unwrap()
 }
 
-/// Buffers one abort pair after another reuses.
+/// Buffers one pair after another reuses: a workspace per template.
 struct PairScratch {
-    ws_h: Workspace,
-    ws_l: Workspace,
+    ws: [Workspace; 3],
     fx: Aborts,
     proceed: Vec<InstanceId>,
     clock: u64,
+    /// Allocations counted apart that are not the retiring step's own.
+    apart: u64,
 }
 
 /// One abort pair: one of `H` and `L` takes `X` and the other's request
@@ -278,11 +295,11 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     l_first: bool,
 ) {
     let PairScratch {
-        ws_h,
-        ws_l,
+        ws: [ws_h, ws_l, _],
         fx,
         proceed,
         clock,
+        ..
     } = x;
     let mut tick = || {
         *clock += 1;
@@ -332,9 +349,7 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
             granted
         );
     }
-    assert!(!k.gate(h) && k.commit_victims(protocol, h).is_empty());
-    k.install(h, ws_h, tick(), false, None);
-    k.finish_commit(h, proceed);
+    commit(k, protocol, h, ws_h, proceed, &mut tick);
     assert!(proceed[..] == [l] && !k.held(l), "H's commit ends L's hold");
     assert!(k.reevaluate(protocol).is_empty());
 
@@ -343,43 +358,288 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
         k.acquire(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick),
         granted
     );
-    assert!(!k.gate(l) && k.commit_victims(protocol, l).is_empty());
-    k.install(l, ws_l, tick(), false, None);
-    let record = k.finish_commit(l, proceed);
+    let record = commit(k, protocol, l, ws_l, proceed, &mut tick);
     assert!(record.restarts == 1 && proceed.is_empty());
 }
 
-fn abort_pair_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
+/// A PCP-DA pair: `H` reads `X` while `L` holds its write lock on it —
+/// the grant that sets PCP-DA apart from RW-PCP — and both commit, `H`
+/// first.
+fn read_over_write_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
+    k: &mut StateKernel<'a>,
+    protocol: &mut P,
+    x: &mut PairScratch,
+    seq: u32,
+) {
+    let PairScratch {
+        ws: [ws_h, ws_l, _],
+        proceed,
+        clock,
+        ..
+    } = x;
+    let mut tick = || {
+        *clock += 1;
+        Tick(*clock)
+    };
+    let (h, l) = (
+        InstanceId::new(TxnId(0), seq),
+        InstanceId::new(TxnId(1), seq),
+    );
+    let granted = Acquire::Done { granted: true };
+    ws_h.reset(h);
+    ws_l.reset(l);
+    k.begin(l, None);
+    k.begin(h, None);
+    assert_eq!(
+        k.acquire(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick),
+        granted
+    );
+    assert_eq!(
+        k.acquire(protocol, h, 0, X, LockMode::Read, ws_h, &mut tick),
+        granted
+    );
+    assert!(k.locks().holds(l, X, LockMode::Write), "granted over L");
+    for (who, ws) in [(h, &*ws_h), (l, &*ws_l)] {
+        commit(k, protocol, who, ws, proceed, &mut tick);
+        assert!(proceed.is_empty());
+    }
+}
+
+const Y: ItemId = ItemId(1);
+
+/// The Bamboo pairs' set: `W` writes `X` — and retires it, its last
+/// access — then `Y`; `R` reads `X`; `H` reads `Y`, outranking `W`.
+fn bamboo_set() -> TransactionSet {
+    SetBuilder::new()
+        .with(TransactionTemplate::new("H", 10, vec![Step::read(Y, 1)]))
+        .with(TransactionTemplate::new("R", 20, vec![Step::read(X, 1)]))
+        .with(TransactionTemplate::new(
+            "W",
+            30,
+            vec![Step::write(X, 1), Step::write(Y, 1)],
+        ))
+        .build_rate_monotonic()
+        .unwrap()
+}
+
+/// `W` takes `X`, retires it and `R` reads `W`'s dirty value, gated on
+/// `W`. The retiring step hands back two `Vec`s of its own and nothing
+/// else allocates.
+fn retire_and_read_dirty<'a, P: ProtocolFor<StateKernel<'a>>>(
+    k: &mut StateKernel<'a>,
+    protocol: &mut P,
+    x: &mut PairScratch,
+    [r, w]: [InstanceId; 2],
+    tick: &mut impl FnMut() -> Tick,
+) {
+    let [_, ws_r, ws_w] = &mut x.ws;
+    let granted = Acquire::Done { granted: true };
+    ws_r.reset(r);
+    ws_w.reset(w);
+    k.begin(w, None);
+    k.begin(r, None);
+    assert_eq!(
+        k.acquire(protocol, w, 0, X, LockMode::Write, ws_w, &mut *tick),
+        granted
+    );
+    let (done, n) = counted_apart(|| k.step_done(protocol, w, 0, ws_w, &mut *tick));
+    assert!(done.released[..] == [(X, LockMode::Write)] && done.woken.is_empty());
+    // The retire list and the released list; anything more is the kernel's.
+    x.apart += n - 2;
+    assert_eq!(
+        k.acquire(protocol, r, 0, X, LockMode::Read, ws_r, &mut *tick),
+        granted
+    );
+    assert_eq!(ws_r.reads()[0].value, ws_w.staged_value(X).unwrap());
+    assert!(k.gated(r));
+    assert_eq!(
+        k.acquire(protocol, w, 1, Y, LockMode::Write, ws_w, &mut *tick),
+        granted
+    );
+}
+
+/// A Bamboo dirty-read pair: `R` reads `W`'s retired write and parks at
+/// its commit gate; `W` commits, which drains `R`, and `R` commits.
+fn dirty_read_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
+    k: &mut StateKernel<'a>,
+    protocol: &mut P,
+    x: &mut PairScratch,
+    seq: u32,
+) {
+    let mut clock = x.clock;
+    let mut tick = || {
+        clock += 1;
+        Tick(clock)
+    };
+    let (r, w) = (
+        InstanceId::new(TxnId(1), seq),
+        InstanceId::new(TxnId(2), seq),
+    );
+    retire_and_read_dirty(k, protocol, x, [r, w], &mut tick);
+    let PairScratch {
+        ws: [_, ws_r, ws_w],
+        proceed,
+        ..
+    } = x;
+    assert!(k.gate(r), "R parks at the gate");
+    commit(k, protocol, w, ws_w, proceed, &mut tick);
+    assert!(proceed[..] == [r], "W's commit drains R");
+    k.wake(r);
+    let record = commit(k, protocol, r, ws_r, proceed, &mut tick);
+    assert!(record.restarts == 0 && proceed.is_empty());
+    x.clock = clock;
+}
+
+/// A Bamboo cascade pair: `R` reads `W`'s retired write, `H` wounds `W`
+/// over `Y` and `R` cascades; both are held on `H`, whose commit hands
+/// them back, and both rerun clean and commit. Only the wounding decision
+/// is uncounted.
+fn cascade_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
+    k: &mut StateKernel<'a>,
+    protocol: &mut P,
+    x: &mut PairScratch,
+    seq: u32,
+) {
+    let mut clock = x.clock;
+    let mut tick = || {
+        clock += 1;
+        Tick(clock)
+    };
+    let (h, r, w) = (
+        InstanceId::new(TxnId(0), seq),
+        InstanceId::new(TxnId(1), seq),
+        InstanceId::new(TxnId(2), seq),
+    );
+    retire_and_read_dirty(k, protocol, x, [r, w], &mut tick);
+    let PairScratch {
+        ws: [ws_h, ws_r, ws_w],
+        fx,
+        proceed,
+        ..
+    } = x;
+    let granted = Acquire::Done { granted: true };
+    ws_h.reset(h);
+    k.begin(h, None);
+    let got = uncounted(|| k.acquire(protocol, h, 0, Y, LockMode::Read, ws_h, &mut tick));
+    assert!(
+        matches!(&got, Acquire::Wound { victims } if victims[..] == [w]),
+        "{got:?}"
+    );
+    k.abort(protocol, w, AbortReason::Wound, &mut tick, fx);
+    assert!(fx.aborted[..] == [(w, AbortReason::Wound), (r, AbortReason::Cascade)]);
+    assert!(fx.released.is_empty() && !k.gated(r));
+    assert!(k.reevaluate(protocol).is_empty());
+    k.hold(w, &[h]);
+    k.hold(r, &[h]);
+
+    assert_eq!(
+        k.acquire(protocol, h, 0, Y, LockMode::Read, ws_h, &mut tick),
+        granted
+    );
+    commit(k, protocol, h, ws_h, proceed, &mut tick);
+    assert!(proceed[..] == [r, w], "H's commit ends both holds");
+
+    // W reruns and commits before R reruns: R outranks W, and its read
+    // of X would wound a W holding the write lock.
+    ws_w.reset(w);
+    for (i, item) in [X, Y].into_iter().enumerate() {
+        assert_eq!(
+            k.acquire(protocol, w, i, item, LockMode::Write, ws_w, &mut tick),
+            granted
+        );
+    }
+    let record = commit(k, protocol, w, ws_w, proceed, &mut tick);
+    assert!(record.restarts == 1 && proceed.is_empty());
+    ws_r.reset(r);
+    assert_eq!(
+        k.acquire(protocol, r, 0, X, LockMode::Read, ws_r, &mut tick),
+        granted
+    );
+    let record = commit(k, protocol, r, ws_r, proceed, &mut tick);
+    assert!(record.restarts == 1 && proceed.is_empty());
+    x.clock = clock;
+}
+
+/// `who` passes its open gate and commits; `proceed` receives who may
+/// go on now.
+fn commit<'a, P: ProtocolFor<StateKernel<'a>>>(
+    k: &mut StateKernel<'a>,
+    protocol: &mut P,
+    who: InstanceId,
+    ws: &Workspace,
+    proceed: &mut Vec<InstanceId>,
+    tick: &mut impl FnMut() -> Tick,
+) -> Record {
+    assert!(!k.gate(who) && k.commit_victims(protocol, who).is_empty());
+    k.install(who, ws, tick(), false, None);
+    k.finish_commit(who, proceed)
+}
+
+/// Allocations of `MEASURED` pairs run by `pair` after `WARM_UP`, each
+/// logging at most `events` history events, with those a retiring step
+/// made beyond its own two lists.
+fn pair_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     set: &'a TransactionSet,
     protocol: &mut P,
-    l_first: bool,
+    events: usize,
+    mut pair: impl FnMut(&mut StateKernel<'a>, &mut P, &mut PairScratch, u32),
 ) -> u64 {
     let mut k = StateKernel::new(set, protocol.ceiling_flavor());
-    // Six events a pair at most: three data operations, `L`'s install,
-    // an Abort and a Begin.
-    k.reserve_history(6 * (WARM_UP + MEASURED) as usize);
+    k.reserve_history(events * (WARM_UP + MEASURED) as usize);
     let mut x = PairScratch {
-        ws_h: Workspace::new(InstanceId::first(TxnId(0))),
-        ws_l: Workspace::new(InstanceId::first(TxnId(1))),
+        ws: std::array::from_fn(|t| Workspace::new(InstanceId::first(TxnId(t as u32)))),
         fx: Aborts::default(),
         proceed: Vec::new(),
         clock: 0,
+        apart: 0,
     };
     for seq in 0..WARM_UP {
-        abort_pair(&mut k, protocol, &mut x, seq, l_first);
+        pair(&mut k, protocol, &mut x, seq);
     }
-    allocations_in(|| {
+    x.apart = 0;
+    let counted = allocations_in(|| {
         for seq in WARM_UP..WARM_UP + MEASURED {
-            abort_pair(&mut k, protocol, &mut x, seq, l_first);
+            pair(&mut k, protocol, &mut x, seq);
         }
-    })
+    });
+    counted + x.apart
 }
 
 #[test]
 fn abort_pairs_do_not_allocate() {
     let set = pair_set();
-    let wound = abort_pair_allocations(&set, &mut TwoPlHp::new(), true);
+    // Six events a pair at most: three data operations, `L`'s install,
+    // an Abort and a Begin.
+    let wound = pair_allocations(&set, &mut TwoPlHp::new(), 6, |k, p, x, seq| {
+        abort_pair(k, p, x, seq, true)
+    });
     assert_eq!(wound, 0, "2PL-HP wound pair");
-    let die = abort_pair_allocations(&set, &mut Brook2Pl::new(), false);
+    let die = pair_allocations(&set, &mut Brook2Pl::new(), 6, |k, p, x, seq| {
+        abort_pair(k, p, x, seq, false)
+    });
     assert_eq!(die, 0, "Brook-2PL die pair");
+}
+
+#[test]
+fn bamboo_gate_pairs_do_not_allocate() {
+    let set = bamboo_set();
+    // Five events: three data operations and `W`'s two installs.
+    let dirty = pair_allocations(&set, &mut Bamboo::new(), 5, dirty_read_pair);
+    assert_eq!(dirty, 0, "Bamboo dirty-read pair");
+    // Thirteen: three data operations, two Abort/Begin pairs, `H`'s read,
+    // the reruns' three data operations and `W`'s two installs.
+    let cascade = pair_allocations(&set, &mut Bamboo::new(), 13, cascade_pair);
+    assert_eq!(cascade, 0, "Bamboo cascade pair");
+}
+
+#[test]
+fn a_pcpda_read_over_a_write_holder_does_not_allocate() {
+    let set = pair_set();
+    let mut pcpda = PcpDa::new();
+    let n = pair_allocations(&set, &mut pcpda, 3, read_over_write_pair);
+    assert_eq!(n, 0, "PCP-DA read-over-write pair");
+    assert!(pcpda
+        .grant_log()
+        .iter()
+        .any(|&(req, _)| req.mode == LockMode::Read));
 }
