@@ -42,9 +42,8 @@
 //!   inheritance over the current blocking edges, which are also the
 //!   wait-for graph [`StateKernel::find_deadlock`] searches (with
 //!   [`rtdb_storage::find_cycle`], the serialization graph's search);
-//! * [`shard`] — the sharded-ceiling substrate: item→shard routing and
-//!   the lock-free published-per-shard global ceiling (DPCP-p style)
-//!   behind the runtime's sharded manager;
+//! * [`shard`] — the sharded-ceiling substrate: item→shard routing
+//!   (DPCP-p style) behind the runtime's sharded manager;
 //! * [`testkit`] — a minimal static [`EngineView`] for protocol unit
 //!   tests outside the engine.
 
@@ -69,4 +68,4 @@ pub use kernel::{Aborted, Aborts, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};
 pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 pub use registry::{ProtocolFamily, ProtocolKind, UnknownProtocol};
-pub use shard::{GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS};
+pub use shard::{ShardRouter, ShardSet, MAX_SHARDS};

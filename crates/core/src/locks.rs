@@ -149,8 +149,8 @@ impl LockTable {
     }
 
     /// Monotone state-transition counter: two equal versions guarantee an
-    /// unchanged lock state, so anything derived from it (a shard's
-    /// published ceiling) needs refreshing only when the version moved.
+    /// unchanged lock state, and 0 means no lock was ever granted,
+    /// released or converted.
     pub fn version(&self) -> u64 {
         self.version
     }

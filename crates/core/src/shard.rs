@@ -1,11 +1,13 @@
-//! Sharded-ceiling substrate: item→shard routing and the lock-free
-//! global-ceiling coordination layer (DESIGN.md §6e).
+//! Sharded-ceiling substrate: item→shard routing (DESIGN.md §6f).
 //!
 //! DPCP-p generalizes the priority-ceiling family to partitioned
 //! resources: each partition keeps *local* ceilings and decisions, and a
-//! thin global rule coordinates transactions that span partitions. This
-//! module is the protocol-agnostic half of that design, behind the
-//! runtime's sharded lock manager (one [`crate::StateKernel`] per shard):
+//! thin global rule coordinates transactions that span partitions. Here
+//! that rule keeps no ceiling of its own: a cross-shard transaction runs
+//! no-wait against each shard's local ceiling and enters its shards in
+//! canonical order. This module is the protocol-agnostic half of that
+//! design, behind the runtime's sharded lock manager (one
+//! [`crate::StateKernel`] per shard):
 //!
 //! * [`ShardRouter`] — the static partitioning rule. Items map to shards
 //!   by index modulo the shard count, so a template's shard set is a
@@ -14,16 +16,8 @@
 //! * [`ShardSet`] — a bitmask over shards in **canonical (ascending)
 //!   order**. Cross-shard transactions always enter shards in this
 //!   order, which is what keeps shard-level acquisition cycle-free.
-//! * [`GlobalCeiling`] — the published-per-shard ceiling max. Every
-//!   shard publishes its local system ceiling (one `Release` store) when
-//!   a lock-table transition changes it; the cross-shard admission test
-//!   reads the max over the shards a transaction will touch without
-//!   taking any shard's lock. The test is *advisory*: a stale read can
-//!   only delay or admit early, never corrupt shard-local state, so the
-//!   publication protocol needs no fences beyond the store itself.
 
-use rtdb_types::{Ceiling, ItemId, Priority, TransactionSet, TxnId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rtdb_types::{ItemId, TransactionSet, TxnId};
 
 /// Hard cap on shards: a [`ShardSet`] is a `u64` bitmask.
 pub const MAX_SHARDS: usize = 64;
@@ -135,94 +129,6 @@ impl ShardRouter {
     }
 }
 
-/// Encode a [`Ceiling`] into the `u64` a shard publishes: `Dummy` → 0,
-/// `At(p)` → `p.level() + 1`. The encoding is order-preserving, so the
-/// published max over shards decodes to the max ceiling.
-pub fn encode_ceiling(c: Ceiling) -> u64 {
-    match c.priority() {
-        None => 0,
-        Some(p) => u64::from(p.level()) + 1,
-    }
-}
-
-/// Inverse of [`encode_ceiling`].
-pub fn decode_ceiling(e: u64) -> Ceiling {
-    if e == 0 {
-        Ceiling::Dummy
-    } else {
-        Ceiling::At(Priority((e - 1) as u32))
-    }
-}
-
-/// The lock-free global-ceiling coordination layer: one published slot
-/// per shard, written by that shard alone (under its own state lock) and
-/// read by anyone without coordination.
-///
-/// Single-shard transactions never consult this — their shard's local
-/// ceiling already governs them. Cross-shard transactions run the
-/// *advisory* admission test [`GlobalCeiling::cleared_by`] before
-/// touching any shard: wait (bounded) until their priority clears the
-/// published max of every shard they will enter. Because the test takes
-/// no locks it can race a concurrent transition in either direction;
-/// both races are benign — admission control here only shapes
-/// contention, the per-shard protocols still decide every lock.
-#[derive(Debug)]
-pub struct GlobalCeiling {
-    published: Vec<AtomicU64>,
-    publishes: Vec<AtomicU64>,
-}
-
-impl GlobalCeiling {
-    /// Layer over `shards` shards, all ceilings initially `Dummy`.
-    pub fn new(shards: usize) -> Self {
-        GlobalCeiling {
-            published: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            publishes: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.published.len()
-    }
-
-    /// Publish shard `shard`'s local system ceiling. Called by the shard
-    /// itself, under its own state lock, when a lock-table transition
-    /// changed the ceiling.
-    pub fn publish(&self, shard: usize, ceiling: Ceiling) {
-        self.published[shard].store(encode_ceiling(ceiling), Ordering::Release);
-        self.publishes[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The last ceiling shard `shard` published.
-    pub fn shard_ceiling(&self, shard: usize) -> Ceiling {
-        decode_ceiling(self.published[shard].load(Ordering::Acquire))
-    }
-
-    /// Times shard `shard` published (telemetry).
-    pub fn publish_count(&self, shard: usize) -> u64 {
-        self.publishes[shard].load(Ordering::Relaxed)
-    }
-
-    /// Max published ceiling over `shards` (the whole system when every
-    /// bit is set).
-    pub fn max_over(&self, shards: ShardSet) -> Ceiling {
-        let mut max = Ceiling::Dummy;
-        for s in shards.iter() {
-            if s < self.published.len() {
-                max = max.max(self.shard_ceiling(s));
-            }
-        }
-        max
-    }
-
-    /// The advisory cross-shard admission test: does `priority` clear the
-    /// published ceiling max of every shard in `shards`?
-    pub fn cleared_by(&self, priority: Priority, shards: ShardSet) -> bool {
-        self.max_over(shards).cleared_by(priority)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,45 +180,5 @@ mod tests {
         assert_eq!(r.shards_of(&set, TxnId(1)).home(), Some(0));
         let r4 = ShardRouter::new(4);
         assert!(r4.shards_of(&set, TxnId(0)).is_cross_shard());
-    }
-
-    #[test]
-    fn ceiling_encoding_roundtrips_and_preserves_order() {
-        for c in [
-            Ceiling::Dummy,
-            Ceiling::At(Priority(0)),
-            Ceiling::At(Priority(7)),
-            Ceiling::At(Priority::MAX),
-        ] {
-            assert_eq!(decode_ceiling(encode_ceiling(c)), c);
-        }
-        assert!(encode_ceiling(Ceiling::Dummy) < encode_ceiling(Ceiling::At(Priority(0))));
-        assert!(
-            encode_ceiling(Ceiling::At(Priority(1))) < encode_ceiling(Ceiling::At(Priority(2)))
-        );
-    }
-
-    #[test]
-    fn global_ceiling_publishes_and_maxes() {
-        let g = GlobalCeiling::new(4);
-        let mut all = ShardSet::EMPTY;
-        (0..4).for_each(|s| all.insert(s));
-        assert_eq!(g.max_over(all), Ceiling::Dummy);
-        assert!(g.cleared_by(Priority(0), all), "everything clears Dummy");
-
-        g.publish(1, Ceiling::At(Priority(5)));
-        g.publish(3, Ceiling::At(Priority(2)));
-        assert_eq!(g.shard_ceiling(1), Ceiling::At(Priority(5)));
-        assert_eq!(g.max_over(all), Ceiling::At(Priority(5)));
-        assert!(!g.cleared_by(Priority(5), all), "equal does not clear");
-        assert!(g.cleared_by(Priority(6), all));
-        // A set avoiding the hot shard only sees the lower ceiling.
-        let mut cold = ShardSet::EMPTY;
-        cold.insert(0);
-        cold.insert(3);
-        assert_eq!(g.max_over(cold), Ceiling::At(Priority(2)));
-        assert!(g.cleared_by(Priority(3), cold));
-        assert_eq!(g.publish_count(1), 1);
-        assert_eq!(g.publish_count(0), 0);
     }
 }

@@ -67,27 +67,6 @@ impl LatencyHistogram {
         self.min = self.min.min(value);
     }
 
-    /// Fold `other` into `self`, bucket by bucket, so per-worker
-    /// histograms can be combined after the threads join without any
-    /// locking during recording. The sharded runtime leans on the same
-    /// property along its other axis: each shard's lock manager keeps its
-    /// own histograms, and the run-level latency report is the merge of
-    /// the per-shard ones — merge order never matters because bucket
-    /// addition commutes, so "per worker, then per shard" and "per
-    /// shard, then per worker" aggregate identically. Counts saturate at
-    /// `u64::MAX` (the same semantics as [`LatencyHistogram::record`]),
-    /// so merging can never wrap; min/max stay exact.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        if other.count > 0 {
-            self.max = self.max.max(other.max);
-            self.min = self.min.min(other.min);
-        }
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -200,30 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_the_union() {
-        let xs: Vec<u64> = (0..400u64).map(|i| i * i * 37 % 90_001).collect();
-        let ys: Vec<u64> = (0..300u64).map(|i| i * 13 + 5).collect();
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut union = LatencyHistogram::new();
-        for &x in &xs {
-            a.record(x);
-            union.record(x);
-        }
-        for &y in &ys {
-            b.record(y);
-            union.record(y);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), union.count());
-        assert_eq!(a.min(), union.min());
-        assert_eq!(a.max(), union.max());
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), union.quantile(q), "quantile {q} diverged");
-        }
-    }
-
-    #[test]
     fn tail_quantile_in_top_bucket_interpolates_below_max() {
         // Regression for the p99 == max artifact: when the p99 rank lands
         // in the same bucket as the maximum and the bucket midpoint sits
@@ -240,37 +195,6 @@ mod tests {
         assert!(p99 >= 8_192, "p99 {p99} fell below its bucket");
         assert!(p99 < h.max(), "p99 {p99} collapsed onto max {}", h.max());
         assert_eq!(h.quantile(1.0), 8_300);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = LatencyHistogram::new();
-        a.record(7);
-        a.record(1_000);
-        let before = (a.count(), a.min(), a.max(), a.quantile(0.5));
-        a.merge(&LatencyHistogram::new());
-        assert_eq!(before, (a.count(), a.min(), a.max(), a.quantile(0.5)));
-
-        let mut empty = LatencyHistogram::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), a.count());
-        assert_eq!(empty.min(), a.min());
-        assert_eq!(empty.max(), a.max());
-    }
-
-    #[test]
-    fn merge_counts_saturate() {
-        let mut a = LatencyHistogram::new();
-        a.record(42);
-        a.count = u64::MAX - 1;
-        a.buckets[LatencyHistogram::bucket_of(42)] = u64::MAX - 1;
-        let mut b = LatencyHistogram::new();
-        for _ in 0..3 {
-            b.record(42);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), u64::MAX, "count saturates instead of wrapping");
-        assert_eq!(a.buckets[LatencyHistogram::bucket_of(42)], u64::MAX);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * `sharded` (internal) — the lock manager: `N ≥ 1` such cores, each
 //!   behind its mutex, over items a static router spreads across them;
 //!   the one place a state lock is taken and the one place a thread
-//!   parks; a lock-free published-per-shard global ceiling, and
-//!   cross-shard transactions that acquire shards in canonical order
-//!   under a no-wait rule (DESIGN.md §6f, per-shard telemetry in
-//!   [`ShardStats`]);
+//!   parks; cross-shard transactions acquire shards in canonical order
+//!   under a no-wait rule and wait out their restart hold when denied
+//!   (DESIGN.md §6f, per-shard telemetry in [`ShardStats`]);
 //! * [`runtime`] — the worker pool and the closed-loop executor: worker
 //!   threads drain a job list, each job running one transaction instance
 //!   to commit (with abort/restart for the wound/validate protocols);

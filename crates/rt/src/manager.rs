@@ -30,8 +30,8 @@
 
 use crate::sharded::ShardStats;
 use rtdb_core::{
-    AbortBreakdown, AbortReason, Aborts, Acquire, EngineView, GlobalCeiling, ProtocolFor,
-    ProtocolKind, Record, ShardRouter, StateKernel,
+    AbortBreakdown, AbortReason, Aborts, Acquire, EngineView, ProtocolFor, ProtocolKind, Record,
+    ShardRouter, StateKernel,
 };
 use rtdb_sim::{instantiate, AnyProtocol};
 use rtdb_storage::{Database, EventKind, History, VersionedValue, Workspace};
@@ -167,9 +167,6 @@ pub(crate) struct Shared<'a> {
     clock: Arc<AtomicU64>,
     /// This shard's index.
     shard: usize,
-    /// Lock-table version at the last ceiling publication, so a shard
-    /// publishes only when a transition actually happened.
-    last_pub_version: u64,
     /// Times this shard's state mutex was acquired — the shard-isolation
     /// telemetry behind the "single-shard transactions never touch
     /// another shard's state lock" assertion. Counted by the manager's
@@ -227,7 +224,6 @@ impl<'a> Shared<'a> {
             waiters: Vec::new(),
             clock,
             shard,
-            last_pub_version: 0,
             state_lock_acquires: 0,
             commits: 0,
             restarts: 0,
@@ -238,19 +234,13 @@ impl<'a> Shared<'a> {
 
     /// Tear down after every worker joined: add this shard's counters,
     /// database and telemetry row to `report` and hand back its log.
-    pub(crate) fn finish(
-        self,
-        ops: u64,
-        ceiling_publishes: u64,
-        report: &mut ManagerReport,
-    ) -> History {
+    pub(crate) fn finish(self, ops: u64, report: &mut ManagerReport) -> History {
         debug_assert!(self.waiters.is_empty(), "live instances at finish");
         report.per_shard.push(ShardStats {
             shard: self.shard,
             ops,
             commits: self.commits,
             state_lock_acquires: self.state_lock_acquires,
-            ceiling_publishes,
         });
         report.commits += self.commits;
         report.restarts += self.restarts;
@@ -324,18 +314,6 @@ impl<'a> Shared<'a> {
     fn notify(&mut self, woken: &[InstanceId]) {
         for &who in woken {
             self.waiter_mut(who).cv.notify_one();
-        }
-    }
-
-    /// Publish this shard's local system ceiling to the global layer if a
-    /// lock-table transition happened since the last publication. The
-    /// manager's guard calls it before the shard's state lock is
-    /// released.
-    pub(crate) fn publish_ceiling(&mut self, global: &GlobalCeiling) {
-        let v = self.kernel.locks().version();
-        if v != self.last_pub_version {
-            self.last_pub_version = v;
-            global.publish(self.shard, self.protocol.system_ceiling(&self.kernel));
         }
     }
 

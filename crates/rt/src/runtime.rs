@@ -14,7 +14,6 @@
 
 use crate::admission::{AdmissionQueue, Admitted};
 use crate::front::Completion;
-use crate::histogram::LatencyHistogram;
 use crate::jobs;
 use crate::manager::{CommitOutcome, JobStats, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT};
 use crate::sharded::{ShardStats, ShardedManager};
@@ -321,9 +320,6 @@ pub struct RtResult {
     /// the per-priority shed telemetry (map through
     /// `set.priority_of`). Empty in the closed loop.
     pub shed_by_txn: Vec<u64>,
-    /// Total admission→commit latency distribution, merged from the
-    /// per-worker histograms after the threads joined.
-    pub latency_hist: LatencyHistogram,
     /// Park-timeout safety-net firings: wake-ups caused by a blocked
     /// request's `wait_timeout` expiring. Deterministic replays assert
     /// this is 0 — a nonzero count there would reveal a lost wake-up
@@ -347,10 +343,7 @@ pub struct RtResult {
     /// Jobs whose template spans more than one shard (0 when
     /// [`RtResult::shards`] is 1).
     pub cross_shard_txns: u64,
-    /// Per-shard telemetry, indexed by shard. Per-shard latency
-    /// distributions, when a caller collects them, aggregate through
-    /// [`LatencyHistogram::merge`] exactly like the per-worker histograms
-    /// do.
+    /// Per-shard telemetry, indexed by shard.
     pub per_shard: Vec<ShardStats>,
 }
 
@@ -499,7 +492,7 @@ pub(crate) fn run_pool<R>(
         JobSource::Queue(queue) => queue.t0(),
     };
 
-    let (value, latency_hist, mut jobs) = std::thread::scope(|scope| {
+    let (value, mut jobs) = std::thread::scope(|scope| {
         let manager = &manager;
         let workers: Vec<_> = (0..threads)
             .map(|w| {
@@ -514,11 +507,9 @@ pub(crate) fn run_pool<R>(
         if let JobSource::Queue(queue) = source {
             queue.close();
         }
-        let mut hist = LatencyHistogram::new();
         let mut jobs = Vec::new();
         for w in workers {
-            let (worker_hist, mut worker_jobs) = w.join().expect("worker panicked");
-            hist.merge(&worker_hist);
+            let mut worker_jobs = w.join().expect("worker panicked");
             if jobs.is_empty() {
                 // The first worker's reports are kept, not copied: a
                 // one-worker run holds one copy of its job list's reports.
@@ -528,7 +519,7 @@ pub(crate) fn run_pool<R>(
             }
         }
         match value {
-            Ok(v) => (v, hist, jobs),
+            Ok(v) => (v, jobs),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     });
@@ -579,7 +570,6 @@ pub(crate) fn run_pool<R>(
         rejected,
         tenants,
         shed_by_txn,
-        latency_hist,
         park_timeout_wakeups: report.park_timeout_wakeups,
         snapshot_reads: snap.is_some(),
         snapshots,
@@ -605,7 +595,7 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
 }
 
 /// One worker: run jobs from `source` until it ends, returning this
-/// worker's latency histogram and job reports.
+/// worker's job reports.
 fn worker(
     set: &TransactionSet,
     manager: &ShardedManager<'_>,
@@ -614,9 +604,8 @@ fn worker(
     config: &RtConfig,
     worker_index: usize,
     t0: Instant,
-) -> (LatencyHistogram, Vec<JobReport>) {
+) -> Vec<JobReport> {
     let mut ctx = WorkerCtx::new(worker_index);
-    let mut hist = LatencyHistogram::new();
     // An even share of a known job list, so a closed-loop worker's
     // reports never regrow (regrowth faults in fresh pages every run).
     let mut reports = Vec::with_capacity(source.known_len().div_ceil(config.threads.max(1)));
@@ -638,7 +627,6 @@ fn worker(
             ),
             None => (0, service_ns, dur_ns(started.duration_since(t0)), 0, None),
         };
-        hist.record(latency_ns);
         let report = JobReport {
             id,
             priority: set.priority_of(id.txn),
@@ -663,7 +651,7 @@ fn worker(
         }
         reports.push(report);
     }
-    (hist, reports)
+    reports
 }
 
 /// Run one instance to commit, restarting from step 0 on every abort.

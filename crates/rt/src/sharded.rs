@@ -5,40 +5,38 @@
 //! (local ceilings, wait edges, records, history) scoped to the items the
 //! static [`ShardRouter`] rule, shared with the workload generator, sends
 //! to it (DESIGN.md §6c, §6f) — plus what a run keeps once: the event
-//! clock the shards tick, the commit gate, the [`GlobalCeiling`] layer,
-//! the snapshot side-car and the park timeout. It is the only code that
-//! blocks: [`ShardedManager::lock`] is the one place a shard's state lock
-//! is taken and [`ShardedManager::park`] the one place a thread waits —
-//! for a lock request, at the commit gate, and out an abort's hold
-//! before a restart. The worker's calls — begin, acquire, step-done,
-//! commit, await-restart — compose the cores' kernel-backed methods under
-//! those guards and never reach into a kernel.
+//! clock the shards tick, the commit gate, the snapshot side-car and the
+//! park timeout. It is the only code that blocks: [`ShardedManager::lock`]
+//! is the one place a shard's state lock is taken and
+//! [`ShardedManager::park`] the one place a thread waits — for a lock
+//! request, at the commit gate, and out an abort's hold before a restart.
+//! The worker's calls — begin, acquire, step-done, commit, await-restart
+//! — compose the cores' kernel-backed methods under those guards and
+//! never reach into a kernel.
 //!
 //! A job touches the `k ≥ 1` shards its template's items route to. An
 //! unsharded run is `N = 1`, where every job has `k = 1`; nothing below
-//! is a separate path for it — what one shard does not need (a gate, a
-//! published ceiling, item scoping) is simply absent. *Single-shard* jobs
-//! take exactly one shard's state mutex (asserted via the per-shard
-//! `state_lock_acquires` counter), park there when the protocol denies a
-//! request, and scale with the shard count.
+//! is a separate path for it — what one shard does not need (a gate,
+//! item scoping) is simply absent. *Single-shard* jobs take exactly one
+//! shard's state mutex (asserted via the per-shard `state_lock_acquires`
+//! counter), park there when the protocol denies a request, and scale
+//! with the shard count.
 //!
-//! Cross-shard jobs (`k > 1`) follow a DPCP-p-style global rule:
+//! Cross-shard jobs (`k > 1`) follow a DPCP-p-style global rule over the
+//! shards' local ceilings, with no global ceiling of its own:
 //!
-//! * **Advisory admission** — before registering anywhere, spin (bounded)
-//!   until the transaction's priority clears the published ceiling max of
-//!   every shard it will touch. Advisory only: a stale read can delay or
-//!   admit early, never corrupt shard state.
-//! * **Canonical-order registration** — register in every touched shard
-//!   in ascending shard order (the *home* shard — the lowest — logs the
-//!   Begin event), carrying one shared abort signal.
+//! * **Canonical-order registration** — begin at once, registering in
+//!   every touched shard in ascending shard order (the *home* shard — the
+//!   lowest — logs the Begin event), carrying one shared abort signal.
 //! * **No-wait execution** — a cross-shard transaction never parks inside
 //!   any shard while it holds anything. A protocol decision that would
 //!   block it is undone on the spot and the transaction self-aborts: it
 //!   releases everything in every shard (ascending), is held in the
 //!   denying shard on the instances that denied it and still hold a lock
-//!   there, and restarts once they are gone, like any other restart.
-//!   Every wait edge is therefore *intra*-shard, each shard's local
-//!   deadlock sweep stays complete, and no global detector is needed.
+//!   there, and restarts once they are gone, like any other restart. That
+//!   hold is the one wait a cross-shard conflict costs. Every wait edge
+//!   is therefore *intra*-shard, each shard's local deadlock sweep stays
+//!   complete, and no global detector is needed.
 //!
 //! **Commit** is one body for every `k`: lock the touched shards in
 //! canonical order, abort commit victims, then — under the run-global
@@ -58,18 +56,12 @@ use crate::manager::{
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
-use rtdb_core::{GlobalCeiling, ShardRouter, ShardSet, MAX_SHARDS};
+use rtdb_core::{ShardRouter, ShardSet, MAX_SHARDS};
 use rtdb_storage::{Event, History};
 use rtdb_types::{InstanceId, ItemId, LockMode, TransactionSet, TxnId};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// How long a cross-shard transaction spins on the advisory global-
-/// ceiling admission test before proceeding anyway. Bounded because the
-/// test is advisory — correctness never depends on it.
-const ADMISSION_SPIN: u32 = 64;
 
 /// Cross-shard state of the job currently executing on a worker, carried
 /// in [`WorkerCtx`] so the signal poll costs no lock.
@@ -96,67 +88,20 @@ pub struct ShardStats {
     /// assertion: a run whose transactions all live in shard `s` leaves
     /// every other shard's counter at zero.
     pub state_lock_acquires: u64,
-    /// Times this shard published its local ceiling to the global layer.
-    pub ceiling_publishes: u64,
-}
-
-/// What only a run of more than one shard needs.
-struct Coordination {
-    /// Each shard's local system ceiling, published lock-free.
-    global: GlobalCeiling,
-    /// The commit gate: the run-global next-commit-index counter, locked
-    /// around {commit tick, installs, snapshot publish} so commit ticks,
-    /// commit indices and snapshot stamps agree across shards (and the
-    /// single-publisher contract of `SnapshotStore::publish` holds). One
-    /// shard has no gate: its state mutex already serializes all of this.
-    gate: Mutex<u64>,
-}
-
-/// One shard's state lock, held. Releasing it — by drop, or to wait in
-/// [`ShardedManager::park`] — first publishes the shard's ceiling, so the
-/// global layer never lags a transition by more than the critical
-/// section that made it.
-pub(crate) struct ShardGuard<'m, 'a> {
-    /// `None` only inside `park`, while the condvar owns the guard.
-    core: Option<MutexGuard<'m, Shared<'a>>>,
-    global: Option<&'m GlobalCeiling>,
-}
-
-impl ShardGuard<'_, '_> {
-    fn publish(&mut self) {
-        if let (Some(core), Some(global)) = (self.core.as_deref_mut(), self.global) {
-            core.publish_ceiling(global);
-        }
-    }
-}
-
-impl Drop for ShardGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.publish();
-    }
-}
-
-impl<'a> Deref for ShardGuard<'_, 'a> {
-    type Target = Shared<'a>;
-    fn deref(&self) -> &Shared<'a> {
-        self.core.as_deref().expect("held outside park")
-    }
-}
-
-impl<'a> DerefMut for ShardGuard<'_, 'a> {
-    fn deref_mut(&mut self) -> &mut Shared<'a> {
-        self.core.as_deref_mut().expect("held outside park")
-    }
 }
 
 /// The lock manager: the shards' state cores, each behind its mutex, plus
 /// everything a run keeps once — see the module docs.
 pub(crate) struct ShardedManager<'a> {
-    set: &'a TransactionSet,
     shards: Vec<Mutex<Shared<'a>>>,
     router: ShardRouter,
-    /// `Some` exactly when `shards.len() > 1`.
-    coord: Option<Coordination>,
+    /// The commit gate, `Some` exactly when `shards.len() > 1`: the
+    /// run-global next-commit-index counter, locked around {commit tick,
+    /// installs, snapshot publish} so commit ticks, commit indices and
+    /// snapshot stamps agree across shards (and the single-publisher
+    /// contract of `SnapshotStore::publish` holds). One shard has no gate:
+    /// its state mutex already serializes all of this.
+    gate: Option<Mutex<u64>>,
     /// The snapshot-read side-car, when the path is enabled: every commit
     /// publishes its installs (and seals a stamp) there, inside its
     /// critical section.
@@ -200,15 +145,11 @@ impl<'a> ShardedManager<'a> {
         let clock = Arc::new(AtomicU64::new(0));
         let scope = (n > 1).then_some(router);
         ShardedManager {
-            set,
             shards: (0..n)
                 .map(|s| Mutex::new(Shared::new(set, config.kind, clock.clone(), s, scope)))
                 .collect(),
             router,
-            coord: (n > 1).then(|| Coordination {
-                global: GlobalCeiling::new(n),
-                gate: Mutex::new(0),
-            }),
+            gate: (n > 1).then(|| Mutex::new(0)),
             snap,
             park_timeout: config.park_timeout,
             template_shards: (0..set.len())
@@ -242,15 +183,12 @@ impl<'a> ShardedManager<'a> {
     /// locked. Recovers from poisoning: a panicking worker already fails
     /// the run via the scope join; secondary threads should not cascade
     /// with confusing poison panics.
-    pub(crate) fn lock(&self, shard: usize) -> ShardGuard<'_, 'a> {
+    pub(crate) fn lock(&self, shard: usize) -> MutexGuard<'_, Shared<'a>> {
         let mut core = self.shards[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         core.state_lock_acquires += 1;
-        ShardGuard {
-            core: Some(core),
-            global: self.coord.as_ref().map(|c| &c.global),
-        }
+        core
     }
 
     /// Park the calling thread on `id`'s condvar until `id` is aborted or
@@ -260,41 +198,33 @@ impl<'a> ShardedManager<'a> {
     /// caller: a wait that expires runs the wake-up re-evaluation and the
     /// deadlock sweep itself ([`Shared::net_fired`]), and a wake-up lost
     /// after its transition was made is seen one period later at most.
-    fn park(
+    /// Hands the guard back held.
+    fn park<'m>(
         &self,
-        g: &mut ShardGuard<'_, 'a>,
+        mut g: MutexGuard<'m, Shared<'a>>,
         id: InstanceId,
         until: fn(&mut Shared<'a>, InstanceId) -> bool,
-    ) {
+    ) -> MutexGuard<'m, Shared<'a>> {
         let cv = g.condvar(id);
-        while !(g.is_aborted(id) || until(g, id)) {
-            g.publish();
-            let held = g.core.take().expect("held outside park");
-            let (held, wait) = cv
-                .wait_timeout(held, self.park_timeout)
+        while !(g.is_aborted(id) || until(&mut g, id)) {
+            let wait;
+            (g, wait) = cv
+                .wait_timeout(g, self.park_timeout)
                 .unwrap_or_else(PoisonError::into_inner);
-            g.core = Some(held);
             if wait.timed_out() {
                 g.net_fired();
             }
         }
+        g
     }
 
     /// Register a released instance in every shard it touches, in
-    /// canonical order. A cross-shard instance first waits out the
-    /// advisory admission spin and carries one abort signal everywhere.
+    /// canonical order. A cross-shard instance begins at once and carries
+    /// one abort signal everywhere.
     pub(crate) fn begin(&self, id: InstanceId, ctx: &mut WorkerCtx) {
         let touched = self.shards_of(id);
         ctx.cross = touched.is_cross_shard().then(|| {
             self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
-            let global = &self.coord.as_ref().expect("several shards").global;
-            let prio = self.set.priority_of(id.txn);
-            for _ in 0..ADMISSION_SPIN {
-                if global.cleared_by(prio, touched) {
-                    break;
-                }
-                std::thread::yield_now();
-            }
             CrossJob {
                 signal: Arc::new(AtomicBool::new(false)),
                 shards: touched,
@@ -345,7 +275,7 @@ impl<'a> ShardedManager<'a> {
                 TryAcquire::Done => return Outcome::Done,
                 TryAcquire::Retry => {}
                 TryAcquire::Park(_) if ctx.cross.is_none() => {
-                    self.park(&mut g, id, Shared::request_cleared)
+                    g = self.park(g, id, Shared::request_cleared)
                 }
                 TryAcquire::Park(blockers) => {
                     g.unpark(id);
@@ -407,7 +337,7 @@ impl<'a> ShardedManager<'a> {
                 if !g.gate_commit(id) {
                     return CommitOutcome::Committed(self.commit_locked(id, &mut [g], ctx));
                 }
-                self.park(&mut g, id, Shared::gate_open);
+                g = self.park(g, id, Shared::gate_open);
             }
         };
         let mut guards: Vec<_> = cross.shards.iter().map(|s| self.lock(s)).collect();
@@ -435,16 +365,16 @@ impl<'a> ShardedManager<'a> {
     fn commit_locked(
         &self,
         id: InstanceId,
-        guards: &mut [ShardGuard<'_, 'a>],
+        guards: &mut [MutexGuard<'_, Shared<'a>>],
         ctx: &mut WorkerCtx,
     ) -> JobStats {
         for g in guards.iter_mut() {
             g.abort_commit_victims(id);
         }
         let mut gate = self
-            .coord
+            .gate
             .as_ref()
-            .map(|c| c.gate.lock().unwrap_or_else(PoisonError::into_inner));
+            .map(|gate| gate.lock().unwrap_or_else(PoisonError::into_inner));
         let at = guards[0].tick();
         let mut publish = self.snap.as_deref().map(|side| (side, &mut ctx.batch));
         for (k, g) in guards.iter_mut().enumerate() {
@@ -493,8 +423,7 @@ impl<'a> ShardedManager<'a> {
     /// have committed or aborted. Returns at once where it is not held.
     pub(crate) fn await_restart(&self, id: InstanceId) {
         for s in self.shards_of(id).iter() {
-            let mut g = self.lock(s);
-            self.park(&mut g, id, Shared::hold_clear);
+            drop(self.park(self.lock(s), id, Shared::hold_clear));
         }
     }
 
@@ -528,10 +457,9 @@ impl<'a> ShardedManager<'a> {
         };
         report.abort_reasons.ceiling_block = self.no_wait_aborts.into_inner();
         let mut logs: Vec<History> = Vec::with_capacity(self.shards.len());
-        for (s, (shard, ops)) in self.shards.into_iter().zip(self.ops).enumerate() {
-            let publishes = self.coord.as_ref().map_or(0, |c| c.global.publish_count(s));
+        for (shard, ops) in self.shards.into_iter().zip(self.ops) {
             let core = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
-            logs.push(core.finish(ops.into_inner(), publishes, &mut report));
+            logs.push(core.finish(ops.into_inner(), &mut report));
         }
         // Concatenate the shards' event streams in ascending shard order
         // and stable-sort by tick. The shared clock makes ticks globally

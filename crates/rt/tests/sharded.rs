@@ -14,6 +14,7 @@ use rtdb_sim::{
     serializability_violations, snapshot_serializability_violations, Engine, RunOutcome, SimConfig,
     WorkloadParams,
 };
+use rtdb_storage::EventKind;
 use rtdb_types::{
     InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
 };
@@ -372,8 +373,8 @@ fn no_wait_self_aborts_count_as_ceiling_blocks() {
     // Forces one: X spans both shards and asks to write `x` 5 ms after it
     // was admitted; S (shard 0) has read `x` by then and computes for
     // 20 ms, and both protocols deny the write while its read lock stands.
-    // (X goes first: begun behind S's lock, it would sit out S's whole
-    // run in the advisory admission spin and never meet the lock.)
+    // (X goes first here; S first is the order
+    // `a_denied_cross_shard_job_waits_out_its_denier` stages.)
     let (x, y) = (ItemId(0), ItemId(1));
     let staged = SetBuilder::new()
         .with(TransactionTemplate::new(
@@ -434,6 +435,71 @@ fn no_wait_self_aborts_count_as_ceiling_blocks() {
             (0..8).any(|_| restarts_of(&staged, &staged_jobs, config) > 0),
             "{kind:?}: X never found S's read lock in its way"
         );
+    }
+}
+
+/// A cross-shard job denied by a lock self-aborts once and waits out its
+/// hold on the instance that denied it, restarting only when that one has
+/// committed — not at once, to be denied again. S (shard 0) reads `x` and
+/// computes for 20 ms; X spans both shards and asks to write `x` 5 ms
+/// after it begins, while S's read lock stands.
+#[test]
+fn a_denied_cross_shard_job_waits_out_its_denier() {
+    let (x, y) = (ItemId(0), ItemId(1));
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new(
+            "S",
+            1_000,
+            vec![Step::read(x, 1), Step::compute(20)],
+        ))
+        .with(TransactionTemplate::new(
+            "X",
+            100,
+            vec![Step::compute(5), Step::write(x, 1), Step::write(y, 1)],
+        ))
+        .build()
+        .expect("set");
+    let [s, x_job] = [0, 1].map(|t| InstanceId::first(TxnId(t)));
+    for kind in [ProtocolKind::PcpDa, ProtocolKind::RwPcp] {
+        // 1 ms per tick keeps S inside its compute step while X asks.
+        let config = RtConfig::new(kind)
+            .with_threads(2)
+            .with_shards(2)
+            .with_tick_ns(1_000_000);
+        // Retried until X meets S's lock, as scheduling is real.
+        let rt = (0..8)
+            .map(|_| run(&set, &[s, x_job], config))
+            .find(|rt| rt.restarts > 0)
+            .unwrap_or_else(|| panic!("{kind:?}: X never found S's read lock in its way"));
+        assert_eq!(rt.committed, 2, "{kind:?}");
+        assert_eq!(rt.cross_shard_txns, 1, "{kind:?}");
+        assert_eq!(
+            (rt.restarts, rt.abort_reasons),
+            (
+                1,
+                AbortBreakdown {
+                    ceiling_block: 1,
+                    ..AbortBreakdown::default()
+                }
+            ),
+            "{kind:?}: X was denied more than once"
+        );
+        // The denied request staged nothing; the write X stages on its
+        // restart comes after S's commit released it.
+        let events = rt.history.events();
+        let s_commit = events
+            .iter()
+            .position(|e| e.instance == s && e.kind == EventKind::Commit)
+            .expect("S committed");
+        let x_write = events
+            .iter()
+            .position(|e| {
+                e.instance == x_job
+                    && matches!(e.kind, EventKind::StageWrite { item, .. } if item == x)
+            })
+            .expect("X wrote x");
+        assert!(s_commit < x_write, "{kind:?}: X restarted before S left");
+        assert_eq!(rt.park_timeout_wakeups, 0, "{kind:?}: the release was lost");
     }
 }
 
