@@ -104,14 +104,62 @@ struct TopCache {
     second: Option<usize>,
 }
 
+/// One occupancy bit per dense level, searched downward a word at a time
+/// with `leading_zeros`: "the highest non-empty level below `end`" for
+/// anything kept as a `Vec` of levels indexed by rank (the ceiling
+/// index's flavors, the runtime's admission lanes).
+#[derive(Clone, Debug)]
+pub struct LevelMask {
+    /// Bit `r % 64` of word `r / 64` is set iff level `r` is occupied.
+    words: Vec<u64>,
+}
+
+impl LevelMask {
+    /// A mask over `levels` levels, all empty.
+    pub fn new(levels: usize) -> Self {
+        LevelMask {
+            words: vec![0; levels.div_ceil(64)],
+        }
+    }
+
+    /// Mark level `r` occupied.
+    #[inline]
+    pub fn set(&mut self, r: usize) {
+        self.words[r / 64] |= 1 << (r % 64);
+    }
+
+    /// Mark level `r` empty.
+    #[inline]
+    pub fn clear(&mut self, r: usize) {
+        self.words[r / 64] &= !(1 << (r % 64));
+    }
+
+    /// The highest occupied level below `end`.
+    pub fn highest_below(&self, end: usize) -> Option<usize> {
+        let (mut word, bit) = (end / 64, end % 64);
+        // Bits `0..bit` of the word `end` falls in, whole words below.
+        let mut bits = match self.words.get(word) {
+            Some(w) if bit > 0 => w & (u64::MAX >> (64 - bit)),
+            _ => 0,
+        };
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + 63 - bits.leading_zeros() as usize);
+            }
+            word = word.checked_sub(1)?;
+            bits = self.words[word];
+        }
+    }
+}
+
 /// One protocol flavor's multiset of `(level, holder)` contributions.
 #[derive(Clone, Debug)]
 struct FlavorIndex {
     /// By rank: the distinct holders at the level with their contribution
     /// counts, ascending by id.
     levels: Vec<Vec<(InstanceId, u32)>>,
-    /// Bit `r % 64` of word `r / 64` is set iff `levels[r]` is non-empty.
-    occupied: Vec<u64>,
+    /// Which `levels` are non-empty.
+    occupied: LevelMask,
     cache: Option<TopCache>,
 }
 
@@ -119,7 +167,7 @@ impl FlavorIndex {
     fn new(n_levels: usize) -> Self {
         FlavorIndex {
             levels: vec![Vec::new(); n_levels],
-            occupied: vec![0; n_levels.div_ceil(64)],
+            occupied: LevelMask::new(n_levels),
             cache: None,
         }
     }
@@ -134,7 +182,7 @@ impl FlavorIndex {
             Ok(i) => level[i].1 += 1,
             Err(i) => level.insert(i, (holder, 1)),
         }
-        self.occupied[rank / 64] |= 1 << (rank % 64);
+        self.occupied.set(rank);
         self.refresh_cache();
     }
 
@@ -151,42 +199,25 @@ impl FlavorIndex {
         if level[i].1 == 0 {
             level.remove(i);
             if level.is_empty() {
-                self.occupied[rank / 64] &= !(1 << (rank % 64));
+                self.occupied.clear(rank);
             }
         }
         self.refresh_cache();
     }
 
-    /// The highest occupied level below `end`.
-    fn highest_below(&self, end: usize) -> Option<usize> {
-        let (mut word, bit) = (end / 64, end % 64);
-        // Bits `0..bit` of the word `end` falls in, whole words below.
-        let mut bits = match self.occupied.get(word) {
-            Some(w) if bit > 0 => w & (u64::MAX >> (64 - bit)),
-            _ => 0,
-        };
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + 63 - bits.leading_zeros() as usize);
-            }
-            word = word.checked_sub(1)?;
-            bits = self.occupied[word];
-        }
-    }
-
     fn refresh_cache(&mut self) {
-        let Some(top) = self.highest_below(self.levels.len()) else {
+        let Some(top) = self.occupied.highest_below(self.levels.len()) else {
             self.cache = None;
             return;
         };
         let (top_sole, second) = match self.levels[top][..] {
             [(a, _)] => {
-                let mut below = self.highest_below(top);
+                let mut below = self.occupied.highest_below(top);
                 while let Some(r) = below {
                     if !matches!(self.levels[r][..], [(h, _)] if h == a) {
                         break;
                     }
-                    below = self.highest_below(r);
+                    below = self.occupied.highest_below(r);
                 }
                 (Some(a), below)
             }
@@ -407,20 +438,20 @@ mod tests {
         for r in [0, 63, 64, 127, 128, 129] {
             f.add(r, i(1));
         }
-        assert_eq!(f.highest_below(130), Some(129));
-        assert_eq!(f.highest_below(129), Some(128));
-        assert_eq!(f.highest_below(128), Some(127));
-        assert_eq!(f.highest_below(127), Some(64));
-        assert_eq!(f.highest_below(64), Some(63));
-        assert_eq!(f.highest_below(63), Some(0));
-        assert_eq!(f.highest_below(0), None);
+        assert_eq!(f.occupied.highest_below(130), Some(129));
+        assert_eq!(f.occupied.highest_below(129), Some(128));
+        assert_eq!(f.occupied.highest_below(128), Some(127));
+        assert_eq!(f.occupied.highest_below(127), Some(64));
+        assert_eq!(f.occupied.highest_below(64), Some(63));
+        assert_eq!(f.occupied.highest_below(63), Some(0));
+        assert_eq!(f.occupied.highest_below(0), None);
         // i(1) is alone on every level down to 0, where i(2) joins it.
         f.add(0, i(2));
         assert_eq!(q(&f, i(1)), Some((0, vec![i(2)])));
         assert_eq!(q(&f, i(2)), Some((129, vec![i(1)])));
         // Emptying a level clears its bit and keeps the rest searchable.
         f.remove(64, i(1));
-        assert_eq!(f.highest_below(127), Some(63));
+        assert_eq!(f.occupied.highest_below(127), Some(63));
     }
 
     #[test]

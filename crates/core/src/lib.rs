@@ -60,7 +60,7 @@ pub mod registry;
 pub mod shard;
 pub mod testkit;
 
-pub use ceiling_index::{CeilingFlavor, CeilingIndex};
+pub use ceiling_index::{CeilingFlavor, CeilingIndex, LevelMask};
 pub use ceilings::{CeilingTable, Holders, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason};
 pub use inherit::PriorityManager;

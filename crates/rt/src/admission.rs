@@ -40,6 +40,16 @@
 //! admitted. With fairness off (the default), every request is in the
 //! same class and the policy is pure least-slack.
 //!
+//! **Dispatch order.** A worker pops the highest-priority request waiting,
+//! not the oldest: the queue keeps one FIFO lane per template, ranked by
+//! the template's base priority, and an occupancy mask over the lanes
+//! ([`rtdb_core::LevelMask`]) finds the highest non-empty one. This is the
+//! paper's rate-monotonic dispatch at job granularity — non-preemptive,
+//! since a worker runs its job to commit — and what DPCP-p's
+//! priority-ordered executors assume per processor. Priorities in a set
+//! are distinct, so each lane is one template's requests in admission
+//! order, and per-template sequence numbers still follow admission order.
+//!
 //! Admission timestamps are taken *inside* the queue's critical section
 //! at the moment the entry actually enters the queue, so queueing delay
 //! (admission → worker start) is well defined even when a `Block`ed
@@ -47,7 +57,8 @@
 
 use crate::front::{Completion, JobRequest};
 use crate::runtime::dur_ns;
-use rtdb_types::InstanceId;
+use rtdb_core::LevelMask;
+use rtdb_types::{InstanceId, Priority};
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -359,7 +370,19 @@ pub(crate) enum Push {
 }
 
 struct Inner {
-    q: VecDeque<Admitted>,
+    /// One FIFO lane per template, indexed by the template's rank in
+    /// ascending base priority, so the last lane is the top priority.
+    /// Each entry carries its place in admission order across all lanes,
+    /// which the shed rule's ties go by.
+    lanes: Vec<VecDeque<(u64, Admitted)>>,
+    /// Which lanes are non-empty.
+    occupied: LevelMask,
+    /// `lane_of[txn]`: the lane of template `txn`.
+    lane_of: Vec<usize>,
+    /// Requests queued, over all lanes.
+    len: usize,
+    /// Requests admitted so far: the next entry's place in admission order.
+    admissions: u64,
     closed: bool,
     ledger: TenantLedger,
     /// Next sequence number per template, handed out by [`AdmissionQueue::pop`].
@@ -370,6 +393,49 @@ struct Inner {
     /// nonzero; both change under the queue mutex, so no wake-up is lost.
     waiting_poppers: usize,
     waiting_pushers: usize,
+}
+
+impl Inner {
+    /// Stamp `item`'s admission and append it to its template's lane.
+    fn enqueue(&mut self, mut item: Admitted) {
+        item.admitted_at = Instant::now();
+        let lane = self.lane_of[item.req.txn.index()];
+        self.lanes[lane].push_back((self.admissions, item));
+        self.admissions += 1;
+        self.occupied.set(lane);
+        self.len += 1;
+    }
+
+    /// Take the entry at `pos` of `lane`.
+    fn take(&mut self, lane: usize, pos: usize) -> Admitted {
+        let (_, item) = self.lanes[lane]
+            .remove(pos)
+            .expect("a queued entry's position is in range");
+        if self.lanes[lane].is_empty() {
+            self.occupied.clear(lane);
+        }
+        self.len -= 1;
+        item
+    }
+
+    /// Every queued entry's `(lane, pos)`, oldest admission first.
+    fn by_admission(&self) -> Vec<(usize, usize)> {
+        let mut queued: Vec<(u64, usize, usize)> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .flat_map(|(lane, q)| {
+                q.iter()
+                    .enumerate()
+                    .map(move |(pos, (order, _))| (*order, lane, pos))
+            })
+            .collect();
+        queued.sort_unstable();
+        queued
+            .into_iter()
+            .map(|(_, lane, pos)| (lane, pos))
+            .collect()
+    }
 }
 
 /// A bounded MPMC queue: many submitters push, the workers pop.
@@ -384,15 +450,28 @@ pub(crate) struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
+    /// A queue of `capacity` over a set whose template `t` has base
+    /// priority `priorities[t]`.
     pub(crate) fn new(
         capacity: usize,
-        templates: usize,
+        priorities: &[Priority],
         t0: Instant,
         fairness: Option<FairnessConfig>,
     ) -> Self {
+        let templates = priorities.len();
+        let mut ascending: Vec<usize> = (0..templates).collect();
+        ascending.sort_by_key(|&t| priorities[t]);
+        let mut lane_of = vec![0; templates];
+        for (lane, &t) in ascending.iter().enumerate() {
+            lane_of[t] = lane;
+        }
         AdmissionQueue {
             inner: Mutex::new(Inner {
-                q: VecDeque::new(),
+                lanes: (0..templates).map(|_| VecDeque::new()).collect(),
+                occupied: LevelMask::new(templates),
+                lane_of,
+                len: 0,
+                admissions: 0,
                 closed: false,
                 ledger: TenantLedger::new(fairness, templates),
                 next_seq: vec![0; templates],
@@ -423,18 +502,17 @@ impl AdmissionQueue {
 
     /// Try to admit `item` under `policy`. Blocks only for
     /// [`AdmissionPolicy::Block`] on a full queue.
-    pub(crate) fn push(&self, mut item: Admitted, policy: AdmissionPolicy) -> Push {
+    pub(crate) fn push(&self, item: Admitted, policy: AdmissionPolicy) -> Push {
         let mut g = self.lock();
         loop {
             if g.closed {
                 g.ledger.record_rejected(item.req.tenant);
                 return Push::Closed;
             }
-            if g.q.len() < self.capacity {
+            if g.len < self.capacity {
                 let now = self.now_ns();
                 g.ledger.charge(item.req.tenant, item.cost_ns, now);
-                item.admitted_at = Instant::now();
-                g.q.push_back(item);
+                g.enqueue(item);
                 self.wake_popper(&g);
                 return Push::Admitted;
             }
@@ -446,32 +524,35 @@ impl AdmissionQueue {
                 AdmissionPolicy::LeastSlack => {
                     let now = self.now_ns();
                     let inner = &mut *g;
+                    // The candidates in admission order, the incoming
+                    // request last: ties shed the oldest, whatever lane it
+                    // waits in.
+                    let queued = inner.by_admission();
+                    let entry = |&(lane, pos): &(usize, usize)| &inner.lanes[lane][pos].1;
                     // Bring every candidate tenant's bucket up to `now`
                     // before classifying, so debt reflects refills.
-                    for j in inner.q.iter() {
+                    for j in queued.iter().map(entry) {
                         inner.ledger.refresh(j.req.tenant, now);
                     }
                     inner.ledger.refresh(item.req.tenant, now);
-                    let candidates: Vec<ShedCandidate> = inner
-                        .q
+                    let candidates: Vec<ShedCandidate> = queued
                         .iter()
+                        .map(entry)
                         .chain(std::iter::once(&item))
                         .map(|j| ShedCandidate {
                             slack_ns: slack_ns(j.req.deadline_ns, now),
                             over_budget: inner.ledger.in_debt(j.req.tenant),
                         })
                         .collect();
-                    let victim = shed_victim(&candidates);
-                    if victim == inner.q.len() {
+                    let Some(&(lane, pos)) = queued.get(shed_victim(&candidates)) else {
                         inner.ledger.record_shed(item.req.tenant, item.req.txn);
                         return Push::SelfShed;
-                    }
-                    let old = inner.q.remove(victim).expect("victim index in range");
+                    };
+                    let old = inner.take(lane, pos);
                     inner.ledger.refund(old.req.tenant, old.cost_ns, now);
                     inner.ledger.record_shed(old.req.tenant, old.req.txn);
                     inner.ledger.charge(item.req.tenant, item.cost_ns, now);
-                    item.admitted_at = Instant::now();
-                    inner.q.push_back(item);
+                    inner.enqueue(item);
                     self.wake_popper(inner);
                     return Push::AdmittedShed(Box::new(old));
                 }
@@ -487,16 +568,16 @@ impl AdmissionQueue {
         }
     }
 
-    /// Pop the oldest admitted request, blocking while the queue is open
-    /// and empty. `None` once the queue is closed *and* drained. The
-    /// request's instance id is assigned here, in the pop's own critical
-    /// section: each template's sequence numbers follow admission order
-    /// however many workers pop, so a single-worker `Block` replay runs
-    /// exactly the instance sequence it was fed.
+    /// Pop the highest-priority admitted request — its template's oldest —
+    /// blocking while the queue is open and empty. `None` once the queue
+    /// is closed *and* drained. The request's instance id is assigned
+    /// here, in the pop's own critical section: each template's sequence
+    /// numbers follow admission order however many workers pop.
     pub(crate) fn pop(&self) -> Option<(InstanceId, Admitted)> {
         let mut g = self.lock();
         loop {
-            if let Some(item) = g.q.pop_front() {
+            if let Some(lane) = g.occupied.highest_below(g.lanes.len()) {
+                let item = g.take(lane, 0);
                 if g.waiting_pushers > 0 {
                     self.not_full.notify_one();
                 }
@@ -542,7 +623,7 @@ impl AdmissionQueue {
 
     /// Queued (admitted, not yet running) requests.
     pub(crate) fn len(&self) -> usize {
-        self.lock().q.len()
+        self.lock().len
     }
 
     /// Per-tenant shed/reject counters plus per-template shed counts.
@@ -557,8 +638,11 @@ mod tests {
     use rtdb_types::TxnId;
     use std::sync::mpsc::channel;
 
+    /// Four templates, template 0 the highest priority.
+    const PRIORITIES: [Priority; 4] = [Priority(3), Priority(2), Priority(1), Priority(0)];
+
     fn queue(capacity: usize) -> AdmissionQueue {
-        AdmissionQueue::new(capacity, 4, Instant::now(), None)
+        AdmissionQueue::new(capacity, &PRIORITIES, Instant::now(), None)
     }
 
     fn item(ticket: u64) -> (Admitted, std::sync::mpsc::Receiver<Completion>) {
@@ -573,6 +657,62 @@ mod tests {
             },
             rx,
         )
+    }
+
+    /// A request for template `txn` with no deadline.
+    fn item_of(ticket: u64, txn: u32) -> Admitted {
+        let mut job = item(ticket).0;
+        job.req.txn = TxnId(txn);
+        job
+    }
+
+    /// The worker takes the highest-priority request waiting, however late
+    /// it was admitted; within a template, requests leave and are numbered
+    /// in admission order.
+    #[test]
+    fn pop_takes_the_highest_priority_request_waiting() {
+        let q = queue(8);
+        // A backlog of low-priority work, then the top template last.
+        for (ticket, txn) in [(0, 3), (1, 2), (2, 3), (3, 1), (4, 0)] {
+            assert!(matches!(
+                q.push(item_of(ticket, txn), AdmissionPolicy::Reject),
+                Push::Admitted
+            ));
+        }
+        q.close();
+        let popped: Vec<(u64, InstanceId)> =
+            std::iter::from_fn(|| q.pop().map(|(id, a)| (a.ticket, id))).collect();
+        let id = |txn, seq| InstanceId::new(TxnId(txn), seq);
+        assert_eq!(
+            popped,
+            [
+                (4, id(0, 0)),
+                (3, id(1, 0)),
+                (1, id(2, 0)),
+                (0, id(3, 0)),
+                (2, id(3, 1))
+            ]
+        );
+        assert_eq!(q.len(), 0);
+    }
+
+    /// Dispatch order does not move the shed rule: on equal slack the
+    /// oldest queued request is the victim, whichever lane it waits in.
+    #[test]
+    fn least_slack_ties_shed_the_oldest_in_any_lane() {
+        let q = queue(2);
+        let slack = AdmissionPolicy::LeastSlack;
+        // The top template first, then the bottom; no deadlines, so every
+        // candidate's slack ties.
+        q.push(item_of(0, 0), slack);
+        q.push(item_of(1, 3), slack);
+        match q.push(item_of(2, 2), slack) {
+            Push::AdmittedShed(old) => assert_eq!(old.ticket, 0, "the oldest sheds"),
+            _ => panic!("expected a queued shed"),
+        }
+        q.close();
+        let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, a)| a.ticket)).collect();
+        assert_eq!(tickets, [2, 1]);
     }
 
     fn deadline_item(ticket: u64, tenant: u32, deadline_ns: u64, cost_ns: u64) -> Admitted {
@@ -742,7 +882,7 @@ mod tests {
             refill_per_sec: 0,
             burst_ns: 1,
         };
-        let q = AdmissionQueue::new(2, 4, Instant::now(), Some(fairness));
+        let q = AdmissionQueue::new(2, &PRIORITIES, Instant::now(), Some(fairness));
         // Tenant 1 charges far past its burst; tenant 0 stays in budget.
         q.push(
             deadline_item(0, 1, 2 * HOUR, 1_000_000),

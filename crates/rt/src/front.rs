@@ -7,8 +7,9 @@
 //! front door: *submitters* enqueue [`JobRequest`]s (template, release
 //! time, absolute deadline) onto a bounded admission queue without ever
 //! blocking on the lock manager; the closed loop's own worker pool pops
-//! that queue directly — the pop assigns the instance id — and reports
-//! completions back over each submitter's own completion channel. A
+//! that queue directly, highest base priority first — the pop assigns the
+//! instance id — and reports completions back over each submitter's own
+//! completion channel. A
 //! request is either running or in the admission queue, so when the
 //! queue fills the configured [`AdmissionPolicy`] sees every request
 //! that could still lose.
@@ -317,7 +318,14 @@ pub fn run_front<R>(
 ) -> (RtResult, R) {
     let shared = FrontShared {
         policy: config.policy,
-        queue: AdmissionQueue::new(config.capacity, set.len(), Instant::now(), config.fairness),
+        queue: AdmissionQueue::new(
+            config.capacity,
+            &(0..set.len())
+                .map(|i| set.priority_of(TxnId(i as u32)))
+                .collect::<Vec<_>>(),
+            Instant::now(),
+            config.fairness,
+        ),
         tickets: AtomicU64::new(0),
         costs: (0..set.len())
             .map(|i| {

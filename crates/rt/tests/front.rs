@@ -5,7 +5,7 @@
 //! assertion here is built on *margins*: schedules are staged so that each
 //! met/missed verdict has tens of milliseconds of slack against scheduler
 //! noise, while the logical structure (who queues behind whom) is forced
-//! by a single worker and the FIFO admission path.
+//! by a single worker and the priority-ordered admission queue.
 
 use rtdb_core::ProtocolKind;
 use rtdb_rt::{
@@ -99,11 +99,11 @@ fn forced_schedule_misses_exactly_k() {
 /// arithmetic: five templates, all released together, executed in
 /// priority order by both the simulator (single CPU, nothing ever
 /// preempts because nothing arrives later) and the single-worker
-/// front-end (FIFO over a priority-ordered submission sequence).
+/// front-end (the admission queue pops the highest priority waiting).
 /// Template k has service 10 ticks and cumulative completion 10·(k+1);
 /// its period (= relative deadline) is chosen so the met/missed verdict
 /// has ≥ 3 ticks of margin.
-fn burst_set() -> TransactionSet {
+fn burst_builder() -> SetBuilder {
     let periods = [16u64, 17, 40, 45, 46];
     let mut b = SetBuilder::new();
     for (k, &p) in periods.iter().enumerate() {
@@ -112,7 +112,34 @@ fn burst_set() -> TransactionSet {
                 .with_instances(1),
         );
     }
-    b.build().expect("burst set")
+    b
+}
+
+fn burst_set() -> TransactionSet {
+    burst_builder().build().expect("burst set")
+}
+
+/// The simulator's commit order and miss verdicts for the burst under
+/// `kind`: the pattern the arithmetic above promises.
+fn sim_burst(kind: ProtocolKind) -> (rtdb_sim::RunResult, Vec<InstanceId>, Vec<bool>) {
+    let sim = Engine::new(&burst_set(), SimConfig::default())
+        .run_kind(kind)
+        .expect("sim run");
+    assert_eq!(sim.outcome, RunOutcome::Completed, "{kind:?}");
+    let order: Vec<InstanceId> = sim.history.commit_order().to_vec();
+    let missed: Vec<bool> = order
+        .iter()
+        .map(|id| {
+            !sim.metrics
+                .instance(*id)
+                .expect("sim metrics")
+                .met_deadline()
+        })
+        .collect();
+    // Assert the pattern so the tests cannot silently degenerate into "no
+    // misses anywhere".
+    assert_eq!(missed, [false, true, false, false, true], "{kind:?}");
+    (sim, order, missed)
 }
 
 /// The single-thread open-loop run reproduces the simulator's miss and
@@ -125,26 +152,7 @@ fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
     const TICK: u64 = 2 * MS;
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
         let set = burst_set();
-
-        // Ground truth: the simulator's commit order and miss verdicts.
-        let sim = Engine::new(&set, SimConfig::default())
-            .run_kind(kind)
-            .expect("sim run");
-        assert_eq!(sim.outcome, RunOutcome::Completed, "{kind:?}");
-        let sim_order: Vec<InstanceId> = sim.history.commit_order().to_vec();
-        assert_eq!(sim_order.len(), 5);
-        let sim_missed: Vec<bool> = sim_order
-            .iter()
-            .map(|id| {
-                !sim.metrics
-                    .instance(*id)
-                    .expect("sim metrics")
-                    .met_deadline()
-            })
-            .collect();
-        // The arithmetic above promises this exact pattern; assert it so
-        // the test cannot silently degenerate into "no misses anywhere".
-        assert_eq!(sim_missed, [false, true, false, false, true], "{kind:?}");
+        let (sim, sim_order, sim_missed) = sim_burst(kind);
 
         // Open-loop run: submit the burst in priority order at t≈0 with
         // deadline = release + period scaled by the same tick the worker
@@ -185,6 +193,68 @@ fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
     }
 }
 
+/// Priority dispatch: the burst submitted in *reverse* priority order,
+/// while a lowest-priority pin job holds the one worker, still runs in the
+/// simulator's commit order with its miss pattern — the worker takes the
+/// highest-priority job waiting, not the oldest.
+#[test]
+fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
+    let _turn = wall_clock_turn();
+    const TICK: u64 = 2 * MS;
+    // The pin's length: the burst is queued long before it ends.
+    const PIN_TICKS: u64 = 10;
+    // The burst's templates keep their ids and relative priorities; the
+    // pin computes only, so it conflicts with nothing.
+    let set = burst_builder()
+        .with(
+            TransactionTemplate::new("pin", 1_000, vec![Step::compute(PIN_TICKS)])
+                .with_instances(1),
+        )
+        .build()
+        .expect("pinned burst set");
+    let pin = TxnId(5);
+    for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
+        let (sim, sim_order, sim_missed) = sim_burst(kind);
+
+        let config = FrontConfig::new(kind)
+            .with_policy(AdmissionPolicy::Block)
+            .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
+        let (rt, ()) = run_front(&set, config, |front| {
+            let (sub, rx) = front.submitter();
+            assert!(matches!(
+                sub.submit(JobRequest::new(pin)),
+                SubmitOutcome::Admitted { .. }
+            ));
+            while front.queue_depth() > 0 {
+                std::thread::yield_now();
+            }
+            // The worker has the pin: the burst is released when it ends.
+            let release = front.elapsed_ns() + PIN_TICKS * TICK;
+            for k in (0..5).rev() {
+                let req = JobRequest::periodic(&set, TxnId(k), release, TICK);
+                assert!(matches!(sub.submit(req), SubmitOutcome::Admitted { .. }));
+            }
+            assert!(
+                rx.try_recv().is_err(),
+                "{kind:?}: the pin committed before the burst was queued; the order below is void"
+            );
+        });
+
+        assert_eq!(rt.committed, 6, "{kind:?}");
+        assert_eq!(rt.jobs[0].id.txn, pin, "{kind:?}");
+        let burst = &rt.jobs[1..];
+        let rt_order: Vec<InstanceId> = burst.iter().map(|j| j.id).collect();
+        assert_eq!(rt_order, sim_order, "{kind:?}: dispatch is not by priority");
+        let rt_missed: Vec<bool> = burst.iter().map(|j| j.missed_deadline()).collect();
+        assert_eq!(rt_missed, sim_missed, "{kind:?}: miss pattern diverged");
+        assert_eq!(
+            rt.db.snapshot(),
+            sim.db.snapshot(),
+            "{kind:?}: final database diverged"
+        );
+    }
+}
+
 /// A small contended workload with every template bounded to two
 /// instances (mirrors `tests/differential.rs`).
 fn bounded_workload(seed: u64) -> TransactionSet {
@@ -212,7 +282,8 @@ fn bounded_workload(seed: u64) -> TransactionSet {
 /// (instead of a prebuilt job list) on one worker still reproduces the
 /// final database under real contention: the admission queue's
 /// admission-order sequence numbering is exactly the replay the
-/// closed-loop differential performs.
+/// closed-loop differential performs. The queue dispatches by priority,
+/// so the replay submits each job once the one before it has committed.
 #[test]
 fn open_loop_replay_through_front_matches_sim_under_contention() {
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
@@ -244,12 +315,13 @@ fn open_loop_replay_through_front_matches_sim_under_contention() {
             .with_capacity(order.len())
             .with_rt(RtConfig::new(kind).with_threads(1));
         let (rt, ()) = run_front(&set, front_config, |front| {
-            let (sub, _rx) = front.submitter();
+            let (sub, rx) = front.submitter();
             for id in &order {
                 assert!(matches!(
                     sub.submit(JobRequest::new(id.txn)),
                     SubmitOutcome::Admitted { .. }
                 ));
+                assert!(matches!(rx.recv(), Ok(Completion::Committed { .. })));
             }
         });
 
