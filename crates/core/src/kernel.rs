@@ -30,11 +30,22 @@
 //!   [`StateKernel::reevaluate`]; only a block and a step's early
 //!   releases re-evaluate on their own, because nothing engine-side can
 //!   intervene there.
+//!
+//! ## One handle per live instance
+//!
+//! Each live instance has a [`Record`] in a slot that does not move while
+//! the instance lives: [`StateKernel::begin`] returns it,
+//! [`StateKernel::slot_of`] finds it by id, and
+//! [`StateKernel::active_slots`] lists the slots parallel to the
+//! ascending [`EngineView::active_instances`]. The record holds the
+//! instance's wait edges and running priority too (the `inherit` module
+//! keeps the latter up to date), so nothing else keeps a table of live
+//! instances: an engine indexes its own per-instance state by the slot.
 
 use crate::deps::RetiredChains;
 use crate::{
     AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, EngineView, LockRequest,
-    LockTable, PriorityManager, ProtocolFor, ShardRouter, UpdateModel,
+    LockTable, ProtocolFor, ShardRouter, UpdateModel,
 };
 use rtdb_storage::{find_cycle, Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, Tick, TransactionSet, TxnId, Value};
@@ -51,13 +62,24 @@ fn insert_sorted<T: Ord + Copy>(v: &mut Vec<T>, x: T) -> bool {
     }
 }
 
-/// What the kernel keeps per live instance, beyond its locks and edges.
+/// What the kernel keeps per live instance, beyond its locks.
 ///
 /// Two sorted lists name instances this one must outlast, and one scan
 /// of the live records ([`StateKernel::finish_commit`],
 /// [`StateKernel::abort`]) removes a departing instance from both.
+/// A record stays in its slot ([`StateKernel::slot_of`]) for as long as
+/// its instance is live, so an engine can keep its own per-instance
+/// state in a table indexed by the same slot.
 #[derive(Debug, Default)]
 pub struct Record {
+    /// The running priority: the base priority joined, transitively, with
+    /// the running priority of every live instance waiting for this one
+    /// (paper §5; `crate::inherit`).
+    pub running: Priority,
+    /// The instances this one waits for — a denied request's blockers,
+    /// its commit gate or its restart hold — in recorded order: its
+    /// out-edges in the wait-for graph. They inherit its running priority.
+    pub waits_for: Vec<InstanceId>,
     /// The denied request the instance is blocked on, if any.
     pub pending: Option<LockRequest>,
     /// `DataRead(T)`: items whose committed (or retired) pre-image the
@@ -162,7 +184,6 @@ pub struct StateKernel<'a> {
     set: &'a TransactionSet,
     ceilings: CeilingTable,
     locks: LockTable,
-    pm: PriorityManager,
     retired: RetiredChains,
     /// Live instances, ascending; `records[slot[i]]` belongs to
     /// `active[i]`.
@@ -191,7 +212,8 @@ pub struct StateKernel<'a> {
     db: Database,
     history: History,
     abort_reasons: AbortBreakdown,
-    reeval_scratch: Vec<InstanceId>,
+    /// The blocked instances with their slots, in re-evaluation order.
+    reeval_scratch: Vec<(InstanceId, usize)>,
 }
 
 impl<'a> StateKernel<'a> {
@@ -205,7 +227,6 @@ impl<'a> StateKernel<'a> {
             set,
             ceilings,
             locks,
-            pm: PriorityManager::new(),
             retired: RetiredChains::default(),
             active: Vec::new(),
             slot: Vec::new(),
@@ -243,10 +264,24 @@ impl<'a> StateKernel<'a> {
         self.active.binary_search(&who).ok()
     }
 
-    /// The index in `records` of `who`'s record.
+    /// The slot of a live instance's record: fixed from its `begin` to
+    /// its departure, then reused by a later `begin`.
     #[inline]
-    fn slot_of(&self, who: InstanceId) -> Option<usize> {
+    pub fn slot_of(&self, who: InstanceId) -> Option<usize> {
         self.idx(who).map(|i| self.slot[i] as usize)
+    }
+
+    /// The record slots of the live instances, parallel to
+    /// [`EngineView::active_instances`].
+    #[inline]
+    pub fn active_slots(&self) -> &[u32] {
+        &self.slot
+    }
+
+    /// The record in `slot`, as [`StateKernel::active_slots`] names it.
+    #[inline]
+    pub fn record_at(&self, slot: usize) -> &Record {
+        &self.records[slot]
     }
 
     #[inline]
@@ -288,14 +323,15 @@ impl<'a> StateKernel<'a> {
         self.history.push(at, who, kind);
     }
 
-    /// Register a released instance; logs its Begin at `at` when given (a
-    /// cross-shard instance registers in every kernel it will touch and
-    /// logs in one).
+    /// Register a released instance and return its record slot; logs its
+    /// Begin at `at` when given (a cross-shard instance registers in every
+    /// kernel it will touch and logs in one). A fresh instance waits for
+    /// nobody, so no running priority changes.
     ///
     /// # Panics
     /// Panics if `who` is already live.
-    pub fn begin(&mut self, who: InstanceId, at: Option<Tick>) {
-        match self.active.binary_search(&who) {
+    pub fn begin(&mut self, who: InstanceId, at: Option<Tick>) -> usize {
+        let slot = match self.active.binary_search(&who) {
             Ok(_) => panic!("instance {who:?} begun twice"),
             Err(i) => {
                 let slot = self.spare.pop().unwrap_or_else(|| {
@@ -304,12 +340,14 @@ impl<'a> StateKernel<'a> {
                 });
                 self.active.insert(i, who);
                 self.slot.insert(i, slot);
+                slot as usize
             }
-        }
-        self.pm.register(who, self.set.priority_of(who.txn));
+        };
+        self.records[slot].running = self.set.priority_of(who.txn);
         if let Some(at) = at {
             self.history.push(at, who, EventKind::Begin);
         }
+        slot
     }
 
     /// Drop a live instance, every edge touching it and its retired chain
@@ -323,7 +361,20 @@ impl<'a> StateKernel<'a> {
         self.active.remove(i);
         let slot = self.slot.remove(i);
         self.spare.push(slot);
-        self.pm.remove(who);
+        // Drop its edges and every edge to it; with none anywhere, every
+        // running priority is its base already.
+        let mut edges = !self.records[slot as usize].waits_for.is_empty();
+        self.records[slot as usize].waits_for.clear();
+        for &s in &self.slot {
+            let waits = &mut self.records[s as usize].waits_for;
+            if !waits.is_empty() {
+                edges = true;
+                waits.retain(|&b| b != who);
+            }
+        }
+        if edges {
+            self.inherit();
+        }
         self.clear_record(who, slot as usize);
         let rec = &mut self.records[slot as usize];
         Record {
@@ -361,7 +412,31 @@ impl<'a> StateKernel<'a> {
     /// `on` inherit `who`'s priority and the deadlock search sees the
     /// edges.
     pub fn wait_on(&mut self, who: InstanceId, on: &[InstanceId]) {
-        self.pm.set_blocked(who, on);
+        debug_assert!(!on.contains(&who));
+        let s = self.slot_of(who).expect("instance is live");
+        self.set_waits(s, on);
+    }
+
+    /// Replace the wait edges of the record in slot `s` with `on`.
+    fn set_waits(&mut self, s: usize, on: &[InstanceId]) {
+        let waits = &mut self.records[s].waits_for;
+        waits.clear();
+        waits.extend_from_slice(on);
+        self.inherit();
+    }
+
+    /// Drop the wait edges of the record in slot `s`, if it has any.
+    fn clear_waits(&mut self, s: usize) {
+        if !self.records[s].waits_for.is_empty() {
+            self.records[s].waits_for.clear();
+            self.inherit();
+        }
+    }
+
+    /// Recompute every running priority from the wait edges.
+    #[inline]
+    fn inherit(&mut self) {
+        crate::inherit::inherit(self.set, &self.active, &self.slot, &mut self.records);
     }
 
     /// Hold `who`, just aborted, until every live instance of `on` other
@@ -381,7 +456,7 @@ impl<'a> StateKernel<'a> {
         hold.sort_unstable();
         hold.dedup();
         if !hold.is_empty() {
-            self.pm.set_blocked(who, &hold);
+            self.set_waits(s, &hold);
             self.n_held += 1;
         }
         self.records[s].hold = hold;
@@ -422,6 +497,7 @@ impl<'a> StateKernel<'a> {
             return;
         }
         let mut opened = released.len();
+        let mut edges_changed = false;
         for i in 0..self.active.len() {
             let id = self.active[i];
             let rec = &mut self.records[self.slot[i] as usize];
@@ -445,22 +521,25 @@ impl<'a> StateKernel<'a> {
             }
             if let Ok(pos) = rec.hold.binary_search(&gone) {
                 rec.hold.remove(pos);
+                rec.waits_for.clear();
+                rec.waits_for.extend_from_slice(&rec.hold);
+                edges_changed = true;
                 if rec.hold.is_empty() {
                     self.n_held -= 1;
-                    self.pm.clear_blocked(id);
                     released.push(id);
-                } else {
-                    self.pm.set_blocked(id, &rec.hold);
                 }
             }
+        }
+        if edges_changed {
+            self.inherit();
         }
     }
 
     /// Clear `who`'s pending request and wait edges.
     #[inline]
     pub fn wake(&mut self, who: InstanceId) {
-        self.pm.clear_blocked(who);
         if let Some(s) = self.slot_of(who) {
+            self.clear_waits(s);
             if self.records[s].pending.take().is_some() {
                 self.n_pending -= 1;
             }
@@ -608,13 +687,15 @@ impl<'a> StateKernel<'a> {
     fn note_blockers(&mut self, who: InstanceId, blockers: &[InstanceId]) {
         let set = self.set;
         let my_base = set.priority_of(who.txn);
-        let rec = self.record_mut(who);
+        let s = self.slot_of(who).expect("instance is live");
+        let rec = &mut self.records[s];
         for &b in blockers {
             if set.priority_of(b.txn) < my_base {
                 rec.note_lower_blocker(b.txn);
             }
         }
-        self.pm.set_blocked(who, blockers);
+        debug_assert!(!blockers.contains(&who));
+        self.set_waits(s, blockers);
     }
 
     /// Re-present every pending request in descending (running priority,
@@ -639,17 +720,17 @@ impl<'a> StateKernel<'a> {
                 .iter()
                 .zip(&self.slot)
                 .filter(|(_, &s)| self.records[s as usize].pending.is_some())
-                .map(|(&id, _)| id),
+                .map(|(&id, &s)| (id, s as usize)),
         );
-        blocked.sort_by_key(|&id| {
+        blocked.sort_by_key(|&(id, s)| {
             Reverse((
-                self.pm.running(id),
+                self.records[s].running,
                 self.set.priority_of(id.txn),
                 Reverse(id.seq),
             ))
         });
-        for &who in &blocked {
-            let Some(req) = self.pending_request(who) else {
+        for &(who, s) in &blocked {
+            let Some(req) = self.records[s].pending else {
                 continue;
             };
             match protocol.request(self, req) {
@@ -673,7 +754,15 @@ impl<'a> StateKernel<'a> {
     /// toward the smaller id. Whether to abort or to report is the
     /// engine's call.
     pub fn find_deadlock(&self) -> Option<(Vec<InstanceId>, InstanceId)> {
-        let cycle = find_cycle(self.pm.blocked(), |who| self.pm.blockers(who))?;
+        let waiting = self
+            .active
+            .iter()
+            .zip(&self.slot)
+            .filter(|(_, &s)| !self.records[s as usize].waits_for.is_empty())
+            .map(|(&id, _)| id);
+        let cycle = find_cycle(waiting, |who| {
+            self.record(who).map_or(&[], |r| r.waits_for.as_slice())
+        })?;
         let victim = cycle
             .iter()
             .copied()
@@ -764,7 +853,10 @@ impl<'a> StateKernel<'a> {
             return false;
         }
         let s = self.slot_of(who).expect("instance is live");
-        self.pm.set_blocked(who, &self.records[s].gate);
+        let rec = &mut self.records[s];
+        rec.waits_for.clear();
+        rec.waits_for.extend_from_slice(&rec.gate);
+        self.inherit();
         true
     }
 
@@ -907,8 +999,8 @@ impl<'a> StateKernel<'a> {
             self.abort_reasons.record(reason);
         }
         self.locks.release_all(victim);
-        self.pm.clear_blocked(victim);
         let s = self.slot_of(victim).expect("instance is live");
+        self.clear_waits(s);
         self.clear_record(victim, s);
         self.depart(victim, Some(doomed), released);
     }
@@ -933,7 +1025,7 @@ impl EngineView for StateKernel<'_> {
     }
     #[inline]
     fn running_priority(&self, who: InstanceId) -> Priority {
-        self.pm.running(who)
+        self.record(who).expect("instance is live").running
     }
     #[inline]
     fn data_read(&self, who: InstanceId) -> &[ItemId] {

@@ -38,8 +38,8 @@
 //!   `Aceil(x)` derived from a [`rtdb_types::TransactionSet`], and the
 //!   dynamic `Sysceil` computations of PCP-DA (read locks only), RW-PCP
 //!   (`RWceil`) and the original PCP (`Aceil` for any lock);
-//! * [`PriorityManager`] — base priorities plus transitive priority
-//!   inheritance over the current blocking edges, which are also the
+//! * `inherit` — transitive priority inheritance over the wait edges
+//!   kept in each live instance's [`Record`], which are also the
 //!   wait-for graph [`StateKernel::find_deadlock`] searches (with
 //!   [`rtdb_storage::find_cycle`], the serialization graph's search);
 //! * [`shard`] — the sharded-ceiling substrate: item→shard routing
@@ -52,7 +52,7 @@
 pub mod ceiling_index;
 pub mod ceilings;
 pub mod deps;
-pub mod inherit;
+mod inherit;
 pub mod kernel;
 pub mod locks;
 pub mod protocol;
@@ -63,7 +63,6 @@ pub mod testkit;
 pub use ceiling_index::{CeilingFlavor, CeilingIndex, LevelMask};
 pub use ceilings::{CeilingTable, Holders, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason};
-pub use inherit::PriorityManager;
 pub use kernel::{Aborted, Aborts, Acquire, Record, StateKernel, StepDone};
 pub use locks::{HeldLock, LockTable};
 pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};

@@ -16,8 +16,8 @@
 //! small consecutive integers), with sorted small-vector holder sets —
 //! and the reverse index (instance → its locks) is one id-sorted `Vec`
 //! whose per-instance lists are recycled through a spare pool — live
-//! instances are few and churn constantly, the idiom of
-//! [`crate::PriorityManager`] and the kernel's records. No tree nodes
+//! instances are few and churn constantly, the idiom of the kernel's
+//! records. No tree nodes
 //! anywhere, every accessor hands back an iterator over the stored slices
 //! instead of allocating, `release_all` returns the departing instance's
 //! own list, and once every buffer has reached its working size no

@@ -180,6 +180,42 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     assert_eq!(victim, b, "lowest base priority on the cycle");
 }
 
+/// Wait edges lend running priority (paper §5, Example 1): an instance
+/// runs at the highest running priority of those waiting for it,
+/// transitively and as a max, never below its base, and gets its base
+/// back once the edges go — by a wake or by the waiter's departure.
+#[test]
+fn wait_edges_lend_running_priority_transitively() {
+    let set = set();
+    let (t1, t2, t3) = (inst(0, 0), inst(1, 0), inst(2, 0));
+    let (mut k, _) = begun(&set, &[t1, t2, t3]);
+    let base = |who: InstanceId| set.priority_of(who.txn);
+    // T3 blocks T2, then T1 too: it runs at P2, then at P1.
+    k.wait_on(t2, &[t3]);
+    assert_eq!(k.running_priority(t3), base(t2));
+    k.wait_on(t1, &[t3]);
+    assert_eq!(k.running_priority(t3), base(t1));
+    assert_eq!(k.running_priority(t1), base(t1));
+    k.wake(t1);
+    k.wake(t2);
+    assert_eq!(k.running_priority(t3), base(t3));
+    // A higher-priority instance waited for by a lower one keeps its own.
+    k.wait_on(t3, &[t1]);
+    assert_eq!(k.running_priority(t1), base(t1));
+    k.wake(t3);
+    // T1 waits for T2, which waits for T3: T3 inherits through T2, until
+    // T1 leaves.
+    k.wait_on(t1, &[t2]);
+    k.wait_on(t2, &[t3]);
+    assert_eq!(k.running_priority(t3), base(t1));
+    k.remove(t1);
+    assert_eq!(k.running_priority(t2), base(t2));
+    assert_eq!(k.running_priority(t3), base(t2));
+    k.remove(t2);
+    assert_eq!(k.running_priority(t3), base(t3));
+    assert_eq!(k.find_deadlock(), None);
+}
+
 #[test]
 fn deadlock_victim_prefers_lowest_base_then_id() {
     let set = set();

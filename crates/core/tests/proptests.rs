@@ -57,9 +57,13 @@ fn inheritance_fixpoint() {
             (rng.range_usize(0..8), rng.range_usize(0..8))
         });
         let n = bases.len();
-        let mut pm = PriorityManager::new();
-        for (i, &b) in bases.iter().enumerate() {
-            pm.register(inst(i as u32), Priority(b + (i as u32) * 100)); // distinct
+        let levels: Vec<u32> = (0..n as u32).map(|i| bases[i as usize] + i * 100).collect(); // distinct
+        let set = one_step_templates(n)
+            .build_with_priorities(&levels)
+            .unwrap();
+        let mut k = StateKernel::new(&set, None);
+        for i in 0..n {
+            k.begin(inst(i as u32), None);
         }
         // Apply edges (skip self-edges and out-of-range, one blocker per
         // blocked instance — last wins, like the engine).
@@ -69,14 +73,15 @@ fn inheritance_fixpoint() {
                 // Avoid trivial cycles for this test: only allow edges
                 // from a higher-index node to a lower one.
                 if blocked > blocker {
-                    pm.set_blocked(inst(blocked as u32), &[inst(blocker as u32)]);
+                    k.wait_on(inst(blocked as u32), &[inst(blocker as u32)]);
                     applied.insert(blocked, blocker);
                 }
             }
         }
         // running >= base everywhere.
         for i in 0..n {
-            assert!(pm.running(inst(i as u32)) >= pm.base(inst(i as u32)));
+            let me = inst(i as u32);
+            assert!(k.running_priority(me) >= k.base_priority(me));
         }
         // Fixpoint equation.
         for i in 0..n {
@@ -84,20 +89,99 @@ fn inheritance_fixpoint() {
             let inherited = applied
                 .iter()
                 .filter(|&(_, &blocker)| blocker == i)
-                .map(|(&blocked, _)| pm.running(inst(blocked as u32)))
+                .map(|(&blocked, _)| k.running_priority(inst(blocked as u32)))
                 .max();
             let expected = match inherited {
-                Some(p) => std::cmp::max(pm.base(me), p),
-                None => pm.base(me),
+                Some(p) => std::cmp::max(k.base_priority(me), p),
+                None => k.base_priority(me),
             };
-            assert_eq!(pm.running(me), expected);
+            assert_eq!(k.running_priority(me), expected);
         }
         // Clearing all edges restores bases.
         for &blocked in applied.keys() {
-            pm.clear_blocked(inst(blocked as u32));
+            k.wake(inst(blocked as u32));
         }
         for i in 0..n {
-            assert_eq!(pm.running(inst(i as u32)), pm.base(inst(i as u32)));
+            let me = inst(i as u32);
+            assert_eq!(k.running_priority(me), k.base_priority(me));
+        }
+    });
+}
+
+/// `n` one-step templates, for tests that only need instances.
+fn one_step_templates(n: usize) -> SetBuilder {
+    let mut b = SetBuilder::new();
+    for t in 0..n {
+        b.add(TransactionTemplate::new(
+            format!("t{t}"),
+            10,
+            vec![Step::compute(1)],
+        ));
+    }
+    b
+}
+
+/// After random begin/remove churn with random wait edges, reading the
+/// running priority through the live list's record slots agrees with
+/// reading it by id, and both with a model: the highest base priority
+/// among the instances with a wait path to it, itself included. The slots
+/// stay parallel to the live list as instances come and go and records
+/// are reused.
+#[test]
+fn running_priority_by_slot_matches_by_id() {
+    let set = one_step_templates(4).build().unwrap();
+    forall(CASES, |rng| {
+        let mut k = StateKernel::new(&set, None);
+        let mut next_seq = [0u32; 4];
+        let mut waits: std::collections::BTreeMap<InstanceId, InstanceId> = Default::default();
+        for _ in 0..rng.range_usize(1..40) {
+            let live = k.active_instances().to_vec();
+            match rng.range_u32(0..3) {
+                0 if !live.is_empty() => {
+                    let gone = live[rng.range_usize(0..live.len())];
+                    k.remove(gone);
+                    waits.retain(|&who, &mut on| who != gone && on != gone);
+                }
+                1 if live.len() >= 2 => {
+                    let who = live[rng.range_usize(0..live.len())];
+                    let on = live[rng.range_usize(0..live.len())];
+                    if on != who {
+                        k.wait_on(who, &[on]);
+                        waits.insert(who, on);
+                    }
+                }
+                _ => {
+                    let t = rng.range_usize(0..4);
+                    k.begin(InstanceId::new(TxnId(t as u32), next_seq[t]), None);
+                    next_seq[t] += 1;
+                }
+            }
+            let reaches = |from: InstanceId, to: InstanceId| {
+                let mut at = from;
+                for _ in 0..=waits.len() {
+                    if at == to {
+                        return true;
+                    }
+                    match waits.get(&at) {
+                        Some(&on) => at = on,
+                        None => return false,
+                    }
+                }
+                false
+            };
+            let slots = k.active_slots();
+            let live = k.active_instances();
+            assert_eq!(slots.len(), live.len());
+            for (&id, &s) in live.iter().zip(slots) {
+                let expected = live
+                    .iter()
+                    .filter(|&&w| reaches(w, id))
+                    .map(|w| set.priority_of(w.txn))
+                    .max();
+                assert_eq!(k.slot_of(id), Some(s as usize));
+                assert_eq!(Some(k.record_at(s as usize).running), expected);
+                assert_eq!(k.record_at(s as usize).running, k.running_priority(id));
+            }
         }
     });
 }
@@ -142,7 +226,9 @@ fn waitfor_cycle_detection() {
             }
         }
         let mut k = StateKernel::new(&set, None);
-        (0..10).for_each(|i| k.begin(node(i), None));
+        (0..10).for_each(|i| {
+            k.begin(node(i), None);
+        });
         for (&who, on) in &waits {
             k.wait_on(who, on);
         }

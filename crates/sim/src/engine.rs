@@ -33,17 +33,19 @@
 //!
 //! ## Hot-path layout
 //!
-//! The simulation-only half of the per-instance state (progress, clocks,
-//! workspace) lives in an `InstanceSlot` arena (`SlotStore`): slots are
-//! dense, recycled through per-template free
-//! lists when instances commit, and keep their workspace/trace capacity
-//! across instances of the same template, so the steady state of a long
-//! run allocates nothing per instance. Arrivals are not materialized up
-//! front; an `ArrivalCalendar` (a binary heap with one outstanding entry
-//! per template) produces them lazily in the exact order the old eager
-//! sorted vector did. The arena has no second implementation to be
-//! checked against: `tests/golden.rs`, which pins every observable of 880
-//! seeded runs, is its oracle (DESIGN.md §6b).
+//! A live instance has one handle, the slot of its kernel [`Record`]
+//! ([`StateKernel::slot_of`]). The simulation-only half of its state
+//! (progress, clocks, workspace) is an `InstanceSlot` in a `Vec` indexed
+//! by that slot: a slot is reused by whichever instance the kernel begins
+//! next, keeping its workspace capacity, so the steady state of a long
+//! run allocates nothing per instance. The per-instance sweeps (dispatch,
+//! lower-priority attribution, deadline misses, snapshot pins) walk
+//! [`EngineView::active_instances`] and [`StateKernel::active_slots`] in
+//! step and search nothing. Arrivals are not materialized up front; an
+//! `ArrivalCalendar` (a binary heap with one outstanding entry per
+//! template) produces them lazily in the exact order the old eager sorted
+//! vector did. `tests/golden.rs`, which pins every observable of 880
+//! seeded runs, is the layout's oracle (DESIGN.md §6b).
 
 use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
@@ -295,10 +297,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// What only the simulation keeps about one live instance, arena-
-/// resident: its progress through the template, its clocks and its
-/// workspace (whose capacity survives recycling). The protocol-visible
-/// half lives in the kernel's [`Record`].
+/// What only the simulation keeps about one live instance, at its kernel
+/// record slot: its progress through the template, its clocks and its
+/// workspace (whose capacity survives reuse). The protocol-visible half
+/// lives in the kernel's [`Record`].
 #[derive(Debug)]
 struct InstanceSlot {
     release: Tick,
@@ -350,83 +352,11 @@ impl InstanceSlot {
         Self::new(id, release, deadline, Workspace::new(id))
     }
 
-    /// Re-home a recycled slot to a new instance, keeping its workspace.
+    /// Re-home a slot a departed instance left to a new one (of any
+    /// template), keeping its workspace buffers.
     fn reset(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
         let workspace = std::mem::replace(&mut self.workspace, Workspace::new(id));
         *self = Self::new(id, release, deadline, workspace);
-    }
-}
-
-/// Dense slot arena with per-template free lists.
-///
-/// `by_txn[t]` maps the live sequence numbers of template `t` to slot
-/// indices (sorted by `seq`, so lookups are a short binary search —
-/// usually over one or two entries). Committed instances push their slot
-/// onto `free[t]`, and the next release of the same template reuses it —
-/// including the workspace and scratch-`Vec` capacities, which are tuned
-/// to exactly that template's footprint.
-struct SlotStore {
-    slots: Vec<InstanceSlot>,
-    by_txn: Vec<Vec<(u32, u32)>>,
-    free: Vec<Vec<u32>>,
-}
-
-impl SlotStore {
-    #[inline]
-    fn slot_of(&self, id: InstanceId) -> Option<usize> {
-        let live = self.by_txn.get(id.txn.index())?;
-        live.binary_search_by_key(&id.seq, |&(seq, _)| seq)
-            .ok()
-            .map(|i| live[i].1 as usize)
-    }
-
-    /// Empty store for a set with `n_templates` templates.
-    fn with_templates(n_templates: usize) -> Self {
-        SlotStore {
-            slots: Vec::new(),
-            by_txn: vec![Vec::new(); n_templates],
-            free: vec![Vec::new(); n_templates],
-        }
-    }
-
-    /// Add a freshly released instance. `id` must not be present.
-    fn insert(&mut self, id: InstanceId, release: Tick, deadline: Tick) {
-        let t = id.txn.index();
-        let slot = match self.free[t].pop() {
-            Some(s) => {
-                self.slots[s as usize].reset(id, release, deadline);
-                s
-            }
-            None => {
-                self.slots.push(InstanceSlot::fresh(id, release, deadline));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let live = &mut self.by_txn[t];
-        match live.binary_search_by_key(&id.seq, |&(seq, _)| seq) {
-            Ok(_) => unreachable!("instance {id:?} inserted twice"),
-            Err(i) => live.insert(i, (id.seq, slot)),
-        }
-    }
-
-    #[inline]
-    fn get(&self, id: InstanceId) -> Option<&InstanceSlot> {
-        self.slot_of(id).map(|s| &self.slots[s])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, id: InstanceId) -> Option<&mut InstanceSlot> {
-        self.slot_of(id).map(|s| &mut self.slots[s])
-    }
-
-    /// Drop the slot of `id` onto its template's free list.
-    fn remove(&mut self, id: InstanceId) {
-        let t = id.txn.index();
-        let live = &mut self.by_txn[t];
-        if let Ok(i) = live.binary_search_by_key(&id.seq, |&(seq, _)| seq) {
-            let (_, slot) = live.remove(i);
-            self.free[t].push(slot);
-        }
     }
 }
 
@@ -486,8 +416,8 @@ struct Sim<'a> {
     /// history — shared with the runtime (`rtdb_core::kernel`).
     kernel: StateKernel<'a>,
     /// What only a simulation keeps per live instance (progress, clocks,
-    /// the workspace), keyed like the kernel's records.
-    store: SlotStore,
+    /// the workspace), indexed by the kernel's record slot.
+    slots: Vec<InstanceSlot>,
     /// Per-template read-only flags (index = `TxnId::index()`).
     read_only: Vec<bool>,
     /// The snapshot path is on for this run (config asked *and* the
@@ -528,8 +458,9 @@ impl<'a> Sim<'a> {
         };
         let calendar = ArrivalCalendar::new(set, horizon);
 
-        // Pre-size the history and trace for the run's expected volume so
-        // steady-state appends never reallocate. (Estimates only; capped.)
+        // Pre-size the history, trace and metrics for the run's expected
+        // volume so steady-state appends never reallocate. (Estimates
+        // only; capped.)
         let mut est_instances: u64 = 0;
         let mut est_ops: u64 = 0;
         for t in set.templates() {
@@ -552,11 +483,13 @@ impl<'a> Sim<'a> {
             est_instances.min(RESERVE_CAP) as usize,
             est_ops.min(RESERVE_CAP) as usize,
         );
+        let mut metrics = MetricsReport::new();
+        metrics.reserve(est_instances.min(RESERVE_CAP) as usize);
 
         Sim {
             set,
             kernel,
-            store: SlotStore::with_templates(set.templates().len()),
+            slots: Vec::new(),
             read_only: set.templates().iter().map(|t| t.is_read_only()).collect(),
             snapshot_on: false,
             config,
@@ -566,7 +499,7 @@ impl<'a> Sim<'a> {
             installed: Vec::new(),
             aborts: Aborts::default(),
             trace,
-            metrics: MetricsReport::new(),
+            metrics,
             outcome: RunOutcome::Completed,
             next_miss_check: Tick(u64::MAX),
         }
@@ -582,18 +515,21 @@ impl<'a> Sim<'a> {
         self.snapshot_on && self.read_only[who.txn.index()]
     }
 
+    /// The record slot of a live instance.
     #[inline]
-    fn slot(&self, who: InstanceId) -> &InstanceSlot {
-        self.store.get(who).expect("instance is live")
+    fn slot_of(&self, who: InstanceId) -> usize {
+        self.kernel.slot_of(who).expect("instance is live")
     }
 
     #[inline]
     fn slot_mut(&mut self, who: InstanceId) -> &mut InstanceSlot {
-        self.store.get_mut(who).expect("instance is live")
+        let s = self.slot_of(who);
+        &mut self.slots[s]
     }
 
-    /// Sample the system ceiling for the trace. Samples at one tick
-    /// collapse to the last, so one per transition is enough.
+    /// Sample the system ceiling for the trace. The trace keeps one
+    /// sample per tick, the last, so one sample before the clock moves on
+    /// (and one when the run ends) records every tick's final ceiling.
     fn push_ceiling<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &P) {
         self.trace
             .push_ceiling(self.clock, protocol.system_ceiling(&self.kernel));
@@ -604,7 +540,6 @@ impl<'a> Sim<'a> {
         // protocol itself so hand-written protocols get it too.
         self.snapshot_on =
             self.config.snapshot_reads && protocol.update_model() == UpdateModel::Workspace;
-        self.push_ceiling(protocol);
         let mut budget = self.config.max_steps;
         loop {
             budget = budget.checked_sub(1).ok_or(Error::EventBudgetExhausted)?;
@@ -612,12 +547,13 @@ impl<'a> Sim<'a> {
             self.release_arrivals();
             self.log_deadline_misses();
 
-            let Some(runner) = self.dispatch(protocol) else {
+            let Some((runner, rs)) = self.dispatch(protocol) else {
                 if matches!(self.outcome, RunOutcome::Deadlock(_)) {
                     break;
                 }
                 if let Some((t, _, _)) = self.calendar.peek() {
                     // Idle (or everyone blocked) until the next arrival.
+                    self.push_ceiling(protocol);
                     self.clock = t;
                     continue;
                 }
@@ -647,12 +583,9 @@ impl<'a> Sim<'a> {
             // Run `runner` until its step completes or the next arrival.
             let set = self.set;
             let template = set.template(runner.txn);
-            let (step_index, consumed) = {
-                let slot = self.slot(runner);
-                (slot.step, slot.consumed)
-            };
-            let step = template.steps[step_index];
-            let remaining = step.duration.raw() - consumed;
+            let slot = &self.slots[rs];
+            let step = template.steps[slot.step];
+            let remaining = step.duration.raw() - slot.consumed;
             debug_assert!(remaining > 0);
             let step_end = self.clock + Duration(remaining);
             let slice_end = match self.calendar.peek() {
@@ -663,66 +596,70 @@ impl<'a> Sim<'a> {
             self.trace
                 .push_segment(runner, self.clock, slice_end, SegKind::Running);
             let ran = slice_end.since(self.clock).raw();
+            self.push_ceiling(protocol);
             self.clock = slice_end;
-            self.slot_mut(runner).consumed += ran;
+            self.slots[rs].consumed += ran;
             // Attribute this slice as lower-priority execution to every
             // other live instance the runner's base priority undercuts
             // (the measurable analogue of the analytic blocking B_i).
             let runner_base = set.priority_of(runner.txn);
-            for &other in self.kernel.active_instances() {
+            let live = self.kernel.active_instances();
+            for (&other, &s) in live.iter().zip(self.kernel.active_slots()) {
                 if other != runner && set.priority_of(other.txn) > runner_base {
-                    let slot = self.store.get_mut(other).expect("active is live");
-                    slot.lower_exec += Duration(ran);
+                    self.slots[s as usize].lower_exec += Duration(ran);
                 }
             }
 
-            if self.slot(runner).consumed == step.duration.raw() {
-                self.complete_step(runner, protocol);
+            if self.slots[rs].consumed == step.duration.raw() {
+                self.complete_step(runner, rs, protocol);
             }
         }
+        self.push_ceiling(protocol);
         Ok(())
     }
 
     /// Pick the ready instance with the highest running priority and make
     /// sure it holds its current step's lock, blocking/aborting as the
-    /// protocol dictates. Returns the instance to run, or `None` if no
-    /// instance is ready.
+    /// protocol dictates. Returns the instance to run with its slot, or
+    /// `None` if no instance is ready.
     fn dispatch<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         protocol: &mut P,
-    ) -> Option<InstanceId> {
+    ) -> Option<(InstanceId, usize)> {
         loop {
-            let who = self.pick_ready()?;
-            let slot = self.slot(who);
+            // `who` stays live, and so in slot `s`, whatever happens below:
+            // an abort restarts an instance in place.
+            let (who, s) = self.pick_ready()?;
+            let slot = &self.slots[s];
             let step = self.set.template(who.txn).steps[slot.step];
             let (step_index, resumed) = (slot.step, slot.was_denied);
 
             if slot.acquired {
-                return Some(who);
+                return Some((who, s));
             }
             if self.exempt(who) {
                 // Snapshot reader: no lock request, no protocol call. The
                 // read resolves against the stamp pinned at the first read.
                 if let Some((item, mode)) = step.op.access() {
                     debug_assert_eq!(mode, LockMode::Read, "read-only template wrote");
-                    self.perform_snapshot_read(who, item);
+                    self.perform_snapshot_read(who, s, item);
                 }
-                self.slot_mut(who).acquired = true;
-                return Some(who);
+                self.slots[s].acquired = true;
+                return Some((who, s));
             }
             let Some((item, mode)) = step.op.access() else {
                 // Compute step: nothing to acquire.
-                return Some(who);
+                return Some((who, s));
             };
 
             let clock = self.clock;
-            let ws = &mut self.store.get_mut(who).expect("live").workspace;
+            let ws = &mut self.slots[s].workspace;
             let acquired = self
                 .kernel
                 .acquire(protocol, who, step_index, item, mode, ws, || clock);
             match acquired {
                 Acquire::Done { granted } => {
-                    self.slot_mut(who).acquired = true;
+                    self.slots[s].acquired = true;
                     if granted {
                         let at = self.clock;
                         self.trace.push_event(if resumed {
@@ -740,12 +677,11 @@ impl<'a> Sim<'a> {
                                 mode,
                             }
                         });
-                        self.push_ceiling(protocol);
                     }
-                    return Some(who);
+                    return Some((who, s));
                 }
                 Acquire::Blocked { blockers, woken } => {
-                    let slot = self.slot_mut(who);
+                    let slot = &mut self.slots[s];
                     debug_assert!(slot.blocked_since.is_none());
                     slot.blocked_since = Some(clock);
                     slot.was_denied = true;
@@ -791,20 +727,22 @@ impl<'a> Sim<'a> {
     }
 
     /// Highest-running-priority ready (live, unblocked, not gated or
-    /// held) instance.
-    fn pick_ready(&self) -> Option<InstanceId> {
-        self.kernel
+    /// held) instance, with its slot.
+    fn pick_ready(&self) -> Option<(InstanceId, usize)> {
+        let kernel = &self.kernel;
+        kernel
             .active_instances()
             .iter()
-            .copied()
-            .filter(|&id| {
-                let s = self.slot(id);
-                s.blocked_since.is_none() && !s.gated && !self.kernel.held(id)
+            .zip(kernel.active_slots())
+            .map(|(&id, &s)| (id, s as usize))
+            .filter(|&(_, s)| {
+                let slot = &self.slots[s];
+                slot.blocked_since.is_none() && !slot.gated && kernel.record_at(s).hold.is_empty()
             })
-            .max_by_key(|&id| {
+            .max_by_key(|&(id, s)| {
                 (
-                    self.kernel.running_priority(id),
-                    self.kernel.base_priority(id),
+                    kernel.record_at(s).running,
+                    kernel.base_priority(id),
                     Reverse(id.seq),
                     Reverse(id.txn.0),
                 )
@@ -820,11 +758,24 @@ impl<'a> Sim<'a> {
             self.calendar.pop(set);
             let id = InstanceId::new(txn, seq);
             let deadline = set.template(txn).deadline_of(seq);
-            self.store.insert(id, t, deadline);
+            self.release(id, t, deadline);
             self.next_miss_check = self.next_miss_check.min(deadline);
-            self.kernel.begin(id, Some(t));
             self.trace.push_event(TraceEvent::Arrive { at: t, who: id });
         }
+    }
+
+    /// Begin `id` in the kernel, logging its Begin at `release`, and set
+    /// up its slot; returns the slot.
+    fn release(&mut self, id: InstanceId, release: Tick, deadline: Tick) -> usize {
+        let s = self.kernel.begin(id, Some(release));
+        match self.slots.get_mut(s) {
+            Some(slot) => slot.reset(id, release, deadline),
+            None => {
+                debug_assert_eq!(s, self.slots.len(), "kernel slots are dense");
+                self.slots.push(InstanceSlot::fresh(id, release, deadline));
+            }
+        }
+        s
     }
 
     fn log_deadline_misses(&mut self) {
@@ -832,8 +783,9 @@ impl<'a> Sim<'a> {
             return;
         }
         let mut next = Tick(u64::MAX);
-        for &id in self.kernel.active_instances() {
-            let slot = self.store.get_mut(id).expect("active is live");
+        let live = self.kernel.active_instances();
+        for (&id, &s) in live.iter().zip(self.kernel.active_slots()) {
+            let slot = &mut self.slots[s as usize];
             if slot.miss_logged {
                 continue;
             }
@@ -853,8 +805,8 @@ impl<'a> Sim<'a> {
     /// Serve a snapshot reader's read: pin the current commit stamp on
     /// first use, then resolve the item against that stamp in the
     /// multiversion store. No locks, no protocol.
-    fn perform_snapshot_read(&mut self, who: InstanceId, item: ItemId) {
-        let slot = self.store.get_mut(who).expect("live workspace");
+    fn perform_snapshot_read(&mut self, who: InstanceId, s: usize, item: ItemId) {
+        let slot = &mut self.slots[s];
         let mv = &self.mv;
         let stamp = *slot.snapshot.get_or_insert_with(|| mv.stamp());
         let vv = mv.read_at(item, stamp).unwrap_or(VersionedValue::INITIAL);
@@ -875,10 +827,11 @@ impl<'a> Sim<'a> {
     /// can observe.
     fn prune_mv(&mut self) {
         let mut floor = self.mv.stamp();
-        for &id in self.kernel.active_instances() {
+        let live = self.kernel.active_instances();
+        for (&id, &s) in live.iter().zip(self.kernel.active_slots()) {
             if self.exempt(id) {
-                if let Some(s) = self.slot(id).snapshot {
-                    floor = floor.min(s);
+                if let Some(stamp) = self.slots[s as usize].snapshot {
+                    floor = floor.min(stamp);
                 }
             }
         }
@@ -935,10 +888,11 @@ impl<'a> Sim<'a> {
     fn complete_step<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         who: InstanceId,
+        s: usize,
         protocol: &mut P,
     ) {
         let total_steps = self.set.template(who.txn).steps.len();
-        let slot = self.slot_mut(who);
+        let slot = &mut self.slots[s];
         let completed_step = slot.step;
         slot.step += 1;
         slot.consumed = 0;
@@ -946,7 +900,7 @@ impl<'a> Sim<'a> {
         slot.was_denied = false;
 
         if slot.step == total_steps {
-            self.commit(who, protocol);
+            self.commit(who, s, protocol);
             return;
         }
         if self.exempt(who) {
@@ -956,7 +910,7 @@ impl<'a> Sim<'a> {
 
         // Early releases (CCP) and retires (Bamboo / Brook-2PL).
         let clock = self.clock;
-        let ws = &self.store.get(who).expect("live").workspace;
+        let ws = &self.slots[s].workspace;
         let done = self
             .kernel
             .step_done(protocol, who, completed_step, ws, || clock);
@@ -971,13 +925,18 @@ impl<'a> Sim<'a> {
                 mode,
             });
         }
-        self.push_ceiling(protocol);
         self.unblock_all(&done.woken);
     }
 
-    fn commit<P: ProtocolFor<StateKernel<'a>>>(&mut self, who: InstanceId, protocol: &mut P) {
+    /// Commit `who`, live in slot `s`.
+    fn commit<P: ProtocolFor<StateKernel<'a>>>(
+        &mut self,
+        who: InstanceId,
+        s: usize,
+        protocol: &mut P,
+    ) {
         if self.exempt(who) {
-            self.commit_snapshot(who);
+            self.commit_snapshot(who, s);
             return;
         }
         // Commit gate: with outstanding commit dependencies the instance
@@ -985,7 +944,7 @@ impl<'a> Sim<'a> {
         // the last dependency commits. The drain in the committing
         // dependency's own `commit` re-enters here.
         if self.kernel.gate(who) {
-            let slot = self.slot_mut(who);
+            let slot = &mut self.slots[s];
             debug_assert!(!slot.gated && slot.blocked_since.is_none());
             slot.gated = true;
             self.handle_deadlock(protocol);
@@ -1000,10 +959,9 @@ impl<'a> Sim<'a> {
         }
 
         let clock = self.clock;
-        let slot = self.store.get(who).expect("live workspace");
         let publish = self.snapshot_on.then_some(&mut self.installed);
         self.kernel
-            .install(who, &slot.workspace, clock, true, publish);
+            .install(who, &self.slots[s].workspace, clock, true, publish);
         if self.snapshot_on {
             for (item, vv) in self.installed.drain(..) {
                 self.mv.publish(item, vv);
@@ -1020,8 +978,7 @@ impl<'a> Sim<'a> {
         let mut proceed = Vec::new();
         let record = self.kernel.finish_commit(who, &mut proceed);
         self.trace.push_event(TraceEvent::Commit { at: clock, who });
-        self.push_ceiling(protocol);
-        self.retire_slot(who, record, Some(clock), None);
+        self.retire_slot(who, s, record, Some(clock), None);
         self.wake_blocked(protocol);
 
         // Let drained dependents through the commit gate, in dependency
@@ -1030,24 +987,29 @@ impl<'a> Sim<'a> {
         // enforces. (Drained instances still mid-execution are simply
         // no longer gated when they reach their own commit.)
         for d in proceed {
-            if self.store.get(d).is_some_and(|s| s.gated) {
-                self.slot_mut(d).gated = false;
+            let Some(ds) = self.kernel.slot_of(d) else {
+                continue;
+            };
+            if self.slots[ds].gated {
+                self.slots[ds].gated = false;
                 self.kernel.wake(d);
-                self.commit(d, protocol);
+                self.commit(d, ds, protocol);
             }
         }
     }
 
-    /// Drop `who`'s slot and fold it and its kernel `record` into the
-    /// metrics.
+    /// Fold the slot `s` that `who` just left in the kernel, and its
+    /// kernel `record`, into the metrics. The slot keeps its contents
+    /// until the kernel hands it to the next instance.
     fn retire_slot(
         &mut self,
         who: InstanceId,
+        s: usize,
         record: Record,
         completion: Option<Tick>,
         snapshot: Option<u64>,
     ) {
-        let slot = self.slot(who);
+        let slot = &self.slots[s];
         let m = InstanceMetrics {
             id: who,
             release: slot.release,
@@ -1059,14 +1021,13 @@ impl<'a> Sim<'a> {
             restarts: record.restarts,
             snapshot,
         };
-        self.store.remove(who);
         self.metrics.record(m);
     }
 
     /// Slim commit for a snapshot reader: no validation, no installs, no
     /// locks to release, no protocol notification — just the Commit
     /// event, metrics, and an epoch-GC pass now that its pin is gone.
-    fn commit_snapshot(&mut self, who: InstanceId) {
+    fn commit_snapshot(&mut self, who: InstanceId, s: usize) {
         self.kernel.log(self.clock, who, EventKind::Commit);
         let record = self.kernel.remove(who);
         self.trace.push_event(TraceEvent::Commit {
@@ -1074,7 +1035,7 @@ impl<'a> Sim<'a> {
             who,
         });
         debug_assert_eq!(
-            self.slot(who).blocking,
+            self.slots[s].blocking,
             Duration::ZERO,
             "snapshot readers never block"
         );
@@ -1082,8 +1043,8 @@ impl<'a> Sim<'a> {
         // A reader that never touched data still commits *as* a snapshot
         // commit; stamp it now so every exempt commit in the history
         // carries its serialization position.
-        let snapshot = self.slot(who).snapshot.or(Some(self.mv.stamp()));
-        self.retire_slot(who, record, Some(self.clock), snapshot);
+        let snapshot = self.slots[s].snapshot.or(Some(self.mv.stamp()));
+        self.retire_slot(who, s, record, Some(self.clock), snapshot);
         self.prune_mv();
     }
 
@@ -1117,7 +1078,6 @@ impl<'a> Sim<'a> {
             slot.gated = false;
         }
         self.aborts = fx;
-        self.push_ceiling(protocol);
     }
 
     fn finish(mut self) -> RunResult {
@@ -1125,10 +1085,12 @@ impl<'a> Sim<'a> {
         let leftovers: Vec<InstanceId> = self.kernel.active_instances().to_vec();
         for who in leftovers {
             self.unblock(who);
+            let s = self.slot_of(who);
             let record = self.kernel.remove(who);
-            let snapshot = self.slot(who).snapshot;
-            self.retire_slot(who, record, None, snapshot);
+            let snapshot = self.slots[s].snapshot;
+            self.retire_slot(who, s, record, None, snapshot);
         }
+        self.metrics.sort_by_id();
         self.metrics.max_sysceil = self.trace.max_system_ceiling();
         let (history, db, abort_reasons) = self.kernel.into_parts();
         self.metrics.abort_reasons = abort_reasons;
@@ -1219,12 +1181,14 @@ mod tests {
     }
 
     #[test]
-    fn slot_store_recycles_slots_per_template() {
-        let mut store = SlotStore::with_templates(2);
-        let a0 = InstanceId::new(TxnId(0), 0);
-        store.insert(a0, Tick(0), Tick(10));
+    fn a_reused_slot_carries_nothing_across_templates() {
+        let set = example3_set();
+        let config = SimConfig::default();
+        let mut sim = Sim::new(&set, &config, None);
+        let a = InstanceId::new(TxnId(0), 0);
+        let s = sim.release(a, Tick(0), Tick(10));
         // Dirty every field, the workspace included.
-        let slot = store.get_mut(a0).unwrap();
+        let slot = &mut sim.slots[s];
         slot.step = 2;
         slot.consumed = 1;
         slot.acquired = true;
@@ -1236,23 +1200,17 @@ mod tests {
         slot.workspace.write(0, ItemId(1));
         slot.snapshot = Some(7);
         slot.gated = true;
-        store.remove(a0);
-        assert!(store.get(a0).is_none());
-        // The next instance of the same template reuses the slot (len
-        // stays 1) and sees none of the old state.
-        let a1 = InstanceId::new(TxnId(0), 1);
-        store.insert(a1, Tick(5), Tick(15));
-        assert_eq!(store.slots.len(), 1);
-        let slot = store.get(a1).unwrap();
+        let record = sim.kernel.remove(a);
+        sim.retire_slot(a, s, record, None, None);
+        // The kernel hands the slot to the next instance it begins, here
+        // one of the other template, which sees none of the old state.
+        let b = InstanceId::new(TxnId(1), 0);
+        assert_eq!(sim.release(b, Tick(5), Tick(15)), s);
+        assert_eq!(sim.slots.len(), 1);
         assert_eq!(
-            format!("{slot:?}"),
-            format!("{:?}", InstanceSlot::fresh(a1, Tick(5), Tick(15)))
+            format!("{:?}", sim.slots[s]),
+            format!("{:?}", InstanceSlot::fresh(b, Tick(5), Tick(15)))
         );
-        // A different template gets a fresh slot.
-        let b0 = InstanceId::new(TxnId(1), 0);
-        store.insert(b0, Tick(0), Tick(20));
-        assert_eq!(store.slots.len(), 2);
-        assert!(store.get(b0).is_some());
     }
 
     #[test]

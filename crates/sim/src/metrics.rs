@@ -3,6 +3,7 @@
 use rtdb_core::AbortBreakdown;
 use rtdb_types::{Ceiling, Duration, InstanceId, Tick, TxnId};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Statistics of one transaction instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,9 +73,11 @@ pub struct TemplateMetrics {
 }
 
 /// The full metrics report of one run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct MetricsReport {
-    instances: BTreeMap<InstanceId, InstanceMetrics>,
+    /// One entry per instance, appended as instances retire and sorted by
+    /// id when the run ends ([`MetricsReport::sort_by_id`]).
+    instances: Vec<InstanceMetrics>,
     /// Highest system ceiling observed (the paper's `Max_Sysceil`).
     pub max_sysceil: Ceiling,
     /// Why instances aborted, by cause. Its [`AbortBreakdown::total`]
@@ -89,43 +92,58 @@ impl MetricsReport {
         Self::default()
     }
 
-    /// Insert (or replace) one instance's metrics.
-    pub fn record(&mut self, m: InstanceMetrics) {
-        self.instances.insert(m.id, m);
+    /// Make room for `instances` more records.
+    pub(crate) fn reserve(&mut self, instances: usize) {
+        self.instances.reserve(instances);
+    }
+
+    /// Append one instance's metrics.
+    pub(crate) fn record(&mut self, m: InstanceMetrics) {
+        debug_assert!(
+            self.instances.iter().all(|r| r.id != m.id),
+            "{:?} recorded twice",
+            m.id
+        );
+        self.instances.push(m);
+    }
+
+    /// Put the instances in id order, the order [`MetricsReport::instance`]
+    /// searches and [`MetricsReport::instances`] yields; the engine sorts
+    /// the report once, when the run ends.
+    pub(crate) fn sort_by_id(&mut self) {
+        self.instances.sort_unstable_by_key(|m| m.id);
     }
 
     /// Metrics of one instance.
     pub fn instance(&self, id: InstanceId) -> Option<&InstanceMetrics> {
-        self.instances.get(&id)
+        let i = self.instances.binary_search_by_key(&id, |m| m.id).ok()?;
+        Some(&self.instances[i])
     }
 
-    /// All instances.
+    /// All instances, in id order.
     pub fn instances(&self) -> impl Iterator<Item = &InstanceMetrics> {
-        self.instances.values()
+        self.instances.iter()
     }
 
     /// Total deadline misses (committed late or never completed).
     pub fn deadline_misses(&self) -> u32 {
-        self.instances
-            .values()
-            .filter(|m| !m.met_deadline())
-            .count() as u32
+        self.instances.iter().filter(|m| !m.met_deadline()).count() as u32
     }
 
     /// Total restarts across all instances.
     pub fn total_restarts(&self) -> u32 {
-        self.instances.values().map(|m| m.restarts).sum()
+        self.instances.iter().map(|m| m.restarts).sum()
     }
 
     /// Total blocking time across all instances.
     pub fn total_blocking(&self) -> Duration {
-        self.instances.values().map(|m| m.blocking).sum()
+        self.instances.iter().map(|m| m.blocking).sum()
     }
 
     /// Worst single-instance blocking per template (measured `B_i`).
     pub fn max_blocking_by_template(&self) -> BTreeMap<TxnId, Duration> {
         let mut out: BTreeMap<TxnId, Duration> = BTreeMap::new();
-        for m in self.instances.values() {
+        for m in &self.instances {
             let e = out.entry(m.id.txn).or_insert(Duration::ZERO);
             if m.blocking > *e {
                 *e = m.blocking;
@@ -139,7 +157,7 @@ impl MetricsReport {
         let mut out: BTreeMap<TxnId, TemplateMetrics> = BTreeMap::new();
         let mut response_sums: BTreeMap<TxnId, u64> = BTreeMap::new();
         let mut blocking_sums: BTreeMap<TxnId, u64> = BTreeMap::new();
-        for m in self.instances.values() {
+        for m in &self.instances {
             let t = out.entry(m.id.txn).or_default();
             t.released += 1;
             t.restarts += m.restarts;
@@ -185,7 +203,7 @@ impl MetricsReport {
     pub fn response_percentile(&self, txn: TxnId, q: f64) -> Option<Duration> {
         let mut responses: Vec<u64> = self
             .instances
-            .values()
+            .iter()
             .filter(|m| m.id.txn == txn)
             .filter_map(|m| m.response())
             .map(|d| d.raw())
@@ -203,10 +221,29 @@ impl MetricsReport {
     /// this is ≤ 1 under PCP-DA / RW-PCP).
     pub fn max_distinct_lower_blockers(&self) -> usize {
         self.instances
-            .values()
+            .iter()
             .map(|m| m.distinct_lower_blockers.len())
             .max()
             .unwrap_or(0)
+    }
+}
+
+impl fmt::Debug for MetricsReport {
+    /// The instances render as a map from id to metrics, in id order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct ById<'a>(&'a [InstanceMetrics]);
+        impl fmt::Debug for ById<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|m| (&m.id, m)))
+                    .finish()
+            }
+        }
+        f.debug_struct("MetricsReport")
+            .field("instances", &ById(&self.instances))
+            .field("max_sysceil", &self.max_sysceil)
+            .field("abort_reasons", &self.abort_reasons)
+            .finish()
     }
 }
 

@@ -372,3 +372,30 @@ fn engine_determinism() {
     assert_eq!(a.trace.segments(), b.trace.segments());
     assert_eq!(a.db.snapshot(), b.db.snapshot());
 }
+
+#[test]
+fn metrics_come_back_in_id_order_whatever_the_retirement_order() {
+    // Template 0 is the lowest priority and the longest: both instances of
+    // template 1 commit before it, so instances retire out of id order.
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new("slow", 20, vec![Step::compute(6)]).with_instances(1))
+        .with(TransactionTemplate::new("fast", 5, vec![Step::compute(1)]).with_instances(2))
+        .build_with_priorities(&[1, 2])
+        .unwrap();
+    let run = Engine::new(&set, SimConfig::default())
+        .run(&mut PcpDa::new())
+        .unwrap();
+    let slow = InstanceId::new(TxnId(0), 0);
+    let fast = [InstanceId::new(TxnId(1), 0), InstanceId::new(TxnId(1), 1)];
+    let done = |id| run.metrics.instance(id).unwrap().completion.unwrap();
+    assert!(
+        fast.iter().all(|&f| done(f) < done(slow)),
+        "retired out of id order"
+    );
+    let ids: Vec<InstanceId> = run.metrics.instances().map(|m| m.id).collect();
+    assert_eq!(ids, vec![slow, fast[0], fast[1]]);
+    for id in ids {
+        assert_eq!(run.metrics.instance(id).unwrap().id, id);
+    }
+    assert!(run.metrics.instance(InstanceId::new(TxnId(1), 2)).is_none());
+}

@@ -15,8 +15,9 @@ use std::fmt;
 ///
 /// Priorities in a [`crate::TransactionSet`] form a total order: no two
 /// templates share a priority (the paper assumes a total order; rate
-/// monotonic ties are broken by template index).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// monotonic ties are broken by template index). The default is
+/// [`Priority::MIN`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub u32);
 
 impl Priority {
