@@ -25,7 +25,8 @@
 //!   [`Acquire::Die`], [`StateKernel::commit_victims`] and
 //!   [`StateKernel::find_deadlock`] name victims and the engine routes
 //!   each through [`StateKernel::abort`] (or, for an instance that also
-//!   lives in other kernels, [`StateKernel::abort_local`]).
+//!   lives in other kernels, [`StateKernel::abort_local`]) with the
+//!   instances it yields to, on which the kernel holds what it restarts.
 //! * After applying the effects of an abort or a commit the engine calls
 //!   [`StateKernel::reevaluate`]; only a block and a step's early
 //!   releases re-evaluate on their own, because nothing engine-side can
@@ -159,8 +160,8 @@ pub enum Acquire {
         /// Live holders to abort (never the requester).
         victims: Vec<InstanceId>,
     },
-    /// The requester must abort itself (wait-die): abort it, re-evaluate,
-    /// and [`StateKernel::hold`] the retry on `blockers`.
+    /// The requester must abort itself (wait-die): abort it on cause
+    /// `blockers`, which holds the retry on them, and re-evaluate.
     Die {
         /// The conflicting instances.
         blockers: Vec<InstanceId>,
@@ -446,13 +447,19 @@ impl<'a> StateKernel<'a> {
     /// inherit its priority; the deadlock search sees them). A no-op when
     /// none of `on` is left; replaces any hold `who` had.
     pub fn hold(&mut self, who: InstanceId, on: &[InstanceId]) {
+        self.hold_except(who, on, &[]);
+    }
+
+    /// [`StateKernel::hold`], leaving out the instances of `co` too.
+    fn hold_except(&mut self, who: InstanceId, on: &[InstanceId], co: &[Aborted]) {
         let s = self.slot_of(who).expect("instance is live");
         let mut hold = std::mem::take(&mut self.records[s].hold);
         if !hold.is_empty() {
             self.n_held -= 1;
             hold.clear();
         }
-        hold.extend(on.iter().copied().filter(|&b| b != who && self.is_live(b)));
+        let keep = |b: InstanceId| b != who && co.iter().all(|&(a, _)| a != b) && self.is_live(b);
+        hold.extend(on.iter().copied().filter(|&b| keep(b)));
         hold.sort_unstable();
         hold.dedup();
         if !hold.is_empty() {
@@ -929,14 +936,16 @@ impl<'a> StateKernel<'a> {
     /// overwrote its retired writes — the instances whose gate names an
     /// aborted one, breadth first: each releases its locks, loses its
     /// attempt state, gate and hold, and restarts (Abort and Begin are
-    /// logged back to back). `out` is overwritten with the aborted
-    /// instances, `victim` first, each once, and the held instances each
-    /// abort released.
+    /// logged back to back), then is held on `cause`, the instances it
+    /// yields to, less its co-aborted ([`StateKernel::hold`]). `out` is
+    /// overwritten with the aborted instances, `victim` first, each once,
+    /// and the held instances each abort released.
     pub fn abort<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
         victim: InstanceId,
         reason: AbortReason,
+        cause: &[InstanceId],
         mut tick: impl FnMut() -> Tick,
         out: &mut Aborts,
     ) {
@@ -960,11 +969,14 @@ impl<'a> StateKernel<'a> {
             self.record_mut(who).restarts += 1;
             self.history.push(tick(), who, EventKind::Begin);
         }
+        for &(who, _) in &out.aborted {
+            self.hold_except(who, cause, &out.aborted);
+        }
     }
 
     /// The silent core of an abort: release `victim`'s locks, clear its
-    /// pending request, edges, attempt state, gate and hold, and release
-    /// the holds it was the last of (appended to `released`).
+    /// pending request, edges, attempt state, gate and hold, release the
+    /// holds it was the last of (appended to `released`), hold it on `cause`.
     /// No log, no restart count, no cascade — for an instance that spans
     /// several kernels, whose owner logs the single Abort/Begin pair (no
     /// such instance takes part in a commit gate).
@@ -973,11 +985,13 @@ impl<'a> StateKernel<'a> {
         protocol: &mut P,
         victim: InstanceId,
         reason: Option<AbortReason>,
+        cause: &[InstanceId],
         released: &mut Vec<InstanceId>,
     ) {
         let mut doomed = Vec::new();
         self.abort_attempt(protocol, victim, reason, &mut doomed, released);
         debug_assert!(doomed.is_empty(), "cascades never cross shards");
+        self.hold(victim, cause);
     }
 
     /// [`StateKernel::abort_local`], appending the instances whose gate

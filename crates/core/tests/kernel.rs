@@ -261,7 +261,7 @@ fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
         t += 1;
         Tick(t)
     };
-    k.abort(&mut p, w, AbortReason::Wound, tick, &mut fx);
+    k.abort(&mut p, w, AbortReason::Wound, &[], tick, &mut fx);
     assert!(fx.released.is_empty(), "nobody was held");
     assert_eq!(
         fx.aborted,
@@ -414,7 +414,7 @@ fn an_aborted_dependent_leaves_its_source_alone() {
 
     // The dependent's abort cascades nowhere: w is not its dependent.
     let mut fx = Aborts::default();
-    k.abort(&mut p, d, AbortReason::Wound, || Tick(10), &mut fx);
+    k.abort(&mut p, d, AbortReason::Wound, &[], || Tick(10), &mut fx);
     assert_eq!(fx.aborted, vec![(d, AbortReason::Wound)]);
     assert!(fx.released.is_empty());
     assert!(!k.gated(d) && k.record(d).unwrap().gate.is_empty());
@@ -537,7 +537,7 @@ fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
 
     // The first to leave does not end the hold: an abort…
     let mut fx = Aborts::default();
-    k.abort(&mut p, a, AbortReason::Wound, || Tick(20), &mut fx);
+    k.abort(&mut p, a, AbortReason::Wound, &[], || Tick(20), &mut fx);
     assert_eq!(fx.aborted, vec![(a, AbortReason::Wound)]);
     assert!(fx.released.is_empty());
     assert!(k.held(v));
@@ -566,6 +566,7 @@ fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
         &mut p,
         a2,
         AbortReason::DeadlockVictim,
+        &[],
         || Tick(40),
         &mut fx,
     );
@@ -592,7 +593,14 @@ fn aborting_a_held_instance_clears_its_own_hold() {
     let mut p = Scripted::default();
     k.hold(v, &[a]);
     let mut fx = Aborts::default();
-    k.abort(&mut p, v, AbortReason::DeadlockVictim, || Tick(5), &mut fx);
+    k.abort(
+        &mut p,
+        v,
+        AbortReason::DeadlockVictim,
+        &[],
+        || Tick(5),
+        &mut fx,
+    );
     assert_eq!(fx.aborted, vec![(v, AbortReason::DeadlockVictim)]);
     assert!(fx.released.is_empty(), "v was held, it held nobody");
     assert!(!k.held(v) && k.record(v).unwrap().hold.is_empty());
@@ -604,6 +612,47 @@ fn aborting_a_held_instance_clears_its_own_hold() {
     // A hold on nothing live is no hold.
     k.hold(v, &[a]);
     assert!(!k.held(v));
+}
+
+/// An abort's cause may name an instance the abort takes along — here a
+/// dirty reader of the victim, which cascades. Both restarts are held on
+/// the rest of the cause only, never on each other (two instances held on
+/// each other would never be released), and its commit releases both.
+#[test]
+fn an_abort_holds_its_restarts_on_the_cause_less_the_co_aborted() {
+    let set = set();
+    let (h, r, w) = (inst(0, 0), inst(1, 0), inst(3, 0));
+    let (mut k, mut ws) = begun(&set, &[h, r, w]);
+    let mut p = Scripted::default();
+    write_and_retire(&mut k, &mut p, &mut ws, w, 0);
+    acquire(&mut k, &mut p, &mut ws, r, 0, LockMode::Read);
+    assert_eq!(k.record(r).unwrap().gate, vec![w]);
+
+    let mut fx = Aborts::default();
+    let cause = [r, h, w];
+    k.abort(
+        &mut p,
+        w,
+        AbortReason::DeadlockVictim,
+        &cause,
+        || Tick(10),
+        &mut fx,
+    );
+    assert_eq!(
+        fx.aborted,
+        vec![(w, AbortReason::DeadlockVictim), (r, AbortReason::Cascade)]
+    );
+    for who in [w, r] {
+        let rec = k.record(who).unwrap();
+        assert_eq!(rec.hold, vec![h], "{who} is held on h alone");
+        assert_eq!(rec.waits_for, vec![h], "{who}");
+    }
+    assert_eq!(k.find_deadlock(), None);
+
+    let mut proceed = Vec::new();
+    commit(&mut k, h, &mut proceed);
+    assert_eq!(proceed, vec![r, w], "h's commit releases both");
+    assert!(!k.held(r) && !k.held(w));
 }
 
 #[test]

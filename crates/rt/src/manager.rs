@@ -15,13 +15,12 @@
 //! per-waiter [`Condvar`]s. Taking the mutex and waiting on a condvar are
 //! the manager's — [`Shared`] never blocks.
 //!
-//! Every abort holds its victims ([`StateKernel::hold`]) on whoever caused
-//! it: a wound on the wounder, a die on its blockers, a deadlock victim on
-//! the rest of its cycle, an optimistic commit's victim on the committer,
-//! a cascade member on its root victim's. The victim's worker waits the
-//! hold out before it restarts (`Shared::hold_clear`) — what the single
-//! CPU's priority dispatch gives the simulator for free: an aborted
-//! instance does not run again while the work it yielded to does.
+//! Every abort names its cause — the wounder, a die's blockers, the rest
+//! of a deadlock cycle, an optimistic committer — and the kernel's abort
+//! holds what it restarts on it ([`StateKernel::abort`]), the one restart
+//! rule both engines share. The victim's worker waits the hold out before
+//! it restarts (`Shared::hold_clear`): an aborted instance does not run
+//! again while the work it yielded to does, as on the paper's single CPU.
 //!
 //! Deadlock cycles are searched for on the kernel's wait edges at block
 //! time (as in the simulator) and always resolved by aborting the
@@ -416,9 +415,8 @@ impl<'a> Shared<'a> {
     /// would let it re-form the same cycle before the others got through
     /// (DESIGN.md §6c: a 2PL-PI upgrade cycle once livelocked that way).
     fn resolve_deadlocks(&mut self) {
-        while let Some((mut cycle, victim)) = self.kernel.find_deadlock() {
+        while let Some((cycle, victim)) = self.kernel.find_deadlock() {
             self.deadlocks_resolved += 1;
-            cycle.retain(|&c| c != victim);
             self.abort_victim(victim, AbortReason::DeadlockVictim, &cycle);
             self.wake_parked();
         }
@@ -434,13 +432,12 @@ impl<'a> Shared<'a> {
     }
 
     /// Abort a live instance (and, cascading, its dependents) through the
-    /// kernel, hold each on the instances of `on` (never containing
-    /// `victim`) that were not aborted with it, and flag its worker to
-    /// restart. A victim's workspace is reset by the owning thread when
-    /// it observes the flag; until then the kernel's cleared record is
-    /// what protocols see — the same state the simulator reaches by
-    /// resetting the slot in place. The holds the aborted were the last
-    /// of end, and their threads are notified.
+    /// kernel, which holds each on `on`, and flag its worker to restart.
+    /// A victim's workspace is reset by the owning thread when it observes
+    /// the flag; until then the kernel's cleared record is what protocols
+    /// see — the same state the simulator reaches by resetting the slot in
+    /// place. The holds the aborted were the last of end, and their
+    /// threads are notified.
     fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason, on: &[InstanceId]) {
         let Some(i) = self.waiter_idx(victim) else {
             return; // committed between the decision and now
@@ -459,9 +456,8 @@ impl<'a> Shared<'a> {
             if w.aborted {
                 return; // local abort already ran; victim not yet swept
             }
-            self.kernel
-                .abort_local(&mut self.protocol, victim, Some(reason), &mut fx.released);
-            self.kernel.hold(victim, on);
+            let (kernel, protocol) = (&mut self.kernel, &mut self.protocol);
+            kernel.abort_local(protocol, victim, Some(reason), on, &mut fx.released);
             w.aborted = true;
             sig.store(true, Ordering::Release);
         } else {
@@ -471,18 +467,9 @@ impl<'a> Shared<'a> {
                 clock,
                 ..
             } = self;
-            kernel.abort(protocol, victim, reason, || next_tick(clock), &mut fx);
-            // Nobody waits on an instance that restarts with it: a cascade
-            // can take cycle members along, and two of them held on each
-            // other would never be released.
-            let on: Vec<InstanceId> = on
-                .iter()
-                .copied()
-                .filter(|&b| fx.aborted.iter().all(|&(a, _)| a != b))
-                .collect();
+            kernel.abort(protocol, victim, reason, on, || next_tick(clock), &mut fx);
             for &(who, _) in &fx.aborted {
                 self.restarts += 1;
-                self.kernel.hold(who, &on);
                 let w = self.waiter_mut(who);
                 debug_assert!(w.signal.is_none(), "cascades never cross shards");
                 // A running worker observes the flag at its next manager
@@ -522,7 +509,7 @@ impl<'a> Shared<'a> {
         let mut released = Vec::new();
         if !self.take_abort(id) {
             self.kernel
-                .abort_local(&mut self.protocol, id, None, &mut released);
+                .abort_local(&mut self.protocol, id, None, &[], &mut released);
         }
         if home {
             self.kernel.log(self.tick(), id, EventKind::Begin);

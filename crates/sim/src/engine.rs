@@ -705,21 +705,14 @@ impl<'a> Sim<'a> {
                 }
                 Acquire::Wound { victims } => {
                     for v in victims {
-                        self.abort(v, AbortReason::Wound, protocol);
+                        self.abort(v, AbortReason::Wound, &[who], protocol);
                     }
                     self.wake_blocked(protocol);
                     // Loop: the request is retried (holders are gone).
                 }
                 Acquire::Die { blockers } => {
-                    self.abort(who, AbortReason::CeilingBlock, protocol);
+                    self.abort(who, AbortReason::CeilingBlock, &blockers, protocol);
                     self.wake_blocked(protocol);
-                    // Wait-die hold: keep the restarted instance off the
-                    // CPU until its blockers have committed or aborted,
-                    // so the retry is not re-decided (and re-died) in the
-                    // same instant. Set *after* the re-evaluation, which
-                    // it would otherwise feed the hold's inherited
-                    // priorities.
-                    self.kernel.hold(who, &blockers);
                     // Pick someone else.
                 }
             }
@@ -852,7 +845,7 @@ impl<'a> Sim<'a> {
             cycle: cycle.clone(),
         });
         if self.config.resolve_deadlocks {
-            self.abort(victim, AbortReason::DeadlockVictim, protocol);
+            self.abort(victim, AbortReason::DeadlockVictim, &cycle, protocol);
             self.wake_blocked(protocol);
         } else {
             self.outcome = RunOutcome::Deadlock(cycle);
@@ -955,7 +948,7 @@ impl<'a> Sim<'a> {
         // Snapshot readers can never be victims — their reads resolve
         // against an immutable stamped prefix no commit invalidates.
         for v in self.kernel.commit_victims(protocol, who) {
-            self.abort(v, AbortReason::Wound, protocol);
+            self.abort(v, AbortReason::Wound, &[who], protocol);
         }
 
         let clock = self.clock;
@@ -1049,12 +1042,14 @@ impl<'a> Sim<'a> {
     }
 
     /// Abort `victim` (and its dependents, cascading) through the kernel
-    /// and restart each from scratch. The kernel also ends the holds the
-    /// aborted were the last of; those instances are dispatchable again.
+    /// and restart each from scratch, held on `cause`. The kernel also ends
+    /// the holds the aborted were the last of; those instances are
+    /// dispatchable again.
     fn abort<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         victim: InstanceId,
         reason: AbortReason,
+        cause: &[InstanceId],
         protocol: &mut P,
     ) {
         debug_assert!(
@@ -1064,7 +1059,7 @@ impl<'a> Sim<'a> {
         let clock = self.clock;
         let mut fx = std::mem::take(&mut self.aborts);
         self.kernel
-            .abort(protocol, victim, reason, || clock, &mut fx);
+            .abort(protocol, victim, reason, cause, || clock, &mut fx);
         for &(who, _) in &fx.aborted {
             self.trace.push_event(TraceEvent::Abort { at: clock, who });
             // If the victim was itself blocked, flush its blocked segment.

@@ -337,11 +337,10 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
         );
         AbortReason::CeilingBlock
     };
-    k.abort(protocol, l, reason, &mut tick, fx);
+    k.abort(protocol, l, reason, &[h], &mut tick, fx);
     assert!(fx.aborted[..] == [(l, reason)] && fx.released.is_empty());
-    assert!(k.reevaluate(protocol).is_empty());
-    k.hold(l, &[h]);
     assert!(k.held(l));
+    assert!(k.reevaluate(protocol).is_empty());
 
     if l_first {
         assert_eq!(
@@ -525,12 +524,11 @@ fn cascade_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
         matches!(&got, Acquire::Wound { victims } if victims[..] == [w]),
         "{got:?}"
     );
-    k.abort(protocol, w, AbortReason::Wound, &mut tick, fx);
+    k.abort(protocol, w, AbortReason::Wound, &[h], &mut tick, fx);
     assert!(fx.aborted[..] == [(w, AbortReason::Wound), (r, AbortReason::Cascade)]);
     assert!(fx.released.is_empty() && !k.gated(r));
+    assert!(k.held(w) && k.held(r));
     assert!(k.reevaluate(protocol).is_empty());
-    k.hold(w, &[h]);
-    k.hold(r, &[h]);
 
     assert_eq!(
         k.acquire(protocol, h, 0, Y, LockMode::Read, ws_h, &mut tick),
