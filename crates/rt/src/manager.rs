@@ -137,7 +137,6 @@ impl WorkerCtx {
 /// holds (its request no longer pending, its commit dependencies gone),
 /// and a wake-up is a notify after the kernel made that fact true.
 struct Waiter {
-    id: InstanceId,
     cv: Arc<Condvar>,
     /// Set by [`Shared::abort_victim`]; consumed by the owning worker.
     aborted: bool,
@@ -157,7 +156,9 @@ struct Waiter {
 pub(crate) struct Shared<'a> {
     kernel: StateKernel<'a>,
     protocol: AnyProtocol,
-    /// Sorted by `Waiter::id`, one per instance live in `kernel`.
+    /// Indexed by the kernel's record slot ([`StateKernel::slot_of`]): a
+    /// live instance's waiter is the one in its slot, a departed one's
+    /// stays until the kernel begins the next instance there.
     waiters: Vec<Waiter>,
     /// Logical event clock: history ticks order events for readers of the
     /// log; correctness oracles never compare tick values across runs.
@@ -177,6 +178,8 @@ pub(crate) struct Shared<'a> {
     deadlocks_resolved: u64,
     /// Park-timeout safety-net firings.
     park_timeout_wakeups: u64,
+    /// Scratch for what an abort did, kept for its capacity.
+    aborts: Aborts,
 }
 
 /// What [`Shared::try_acquire`] told the caller.
@@ -228,13 +231,17 @@ impl<'a> Shared<'a> {
             restarts: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
+            aborts: Aborts::default(),
         }
     }
 
     /// Tear down after every worker joined: add this shard's counters,
     /// database and telemetry row to `report` and hand back its log.
     pub(crate) fn finish(self, ops: u64, report: &mut ManagerReport) -> History {
-        debug_assert!(self.waiters.is_empty(), "live instances at finish");
+        debug_assert!(
+            self.kernel.active_instances().is_empty(),
+            "live instances at finish"
+        );
         report.per_shard.push(ShardStats {
             shard: self.shard,
             ops,
@@ -258,14 +265,14 @@ impl<'a> Shared<'a> {
     }
 
     #[inline]
-    fn waiter_idx(&self, who: InstanceId) -> Option<usize> {
-        self.waiters.binary_search_by_key(&who, |w| w.id).ok()
+    fn waiter(&self, who: InstanceId) -> &Waiter {
+        &self.waiters[self.kernel.slot_of(who).expect("instance is live")]
     }
 
     #[inline]
     fn waiter_mut(&mut self, who: InstanceId) -> &mut Waiter {
-        let i = self.waiter_idx(who).expect("instance is live");
-        &mut self.waiters[i]
+        let s = self.kernel.slot_of(who).expect("instance is live");
+        &mut self.waiters[s]
     }
 
     /// The condvar `who`'s thread parks on.
@@ -275,7 +282,7 @@ impl<'a> Shared<'a> {
 
     /// True while an abort of `who` awaits [`Shared::take_abort`].
     pub(crate) fn is_aborted(&self, who: InstanceId) -> bool {
-        self.waiters[self.waiter_idx(who).expect("instance is live")].aborted
+        self.waiter(who).aborted
     }
 
     /// What a thread parked on a lock request waits for: the request is no
@@ -331,20 +338,16 @@ impl<'a> Shared<'a> {
         signal: Option<Arc<AtomicBool>>,
     ) {
         let at = log_begin.then(|| self.tick());
-        self.kernel.begin(id, at);
-        let i = self
-            .waiters
-            .binary_search_by_key(&id, |w| w.id)
-            .expect_err("the kernel rejects a second begin");
-        self.waiters.insert(
-            i,
-            Waiter {
-                id,
-                cv: Arc::new(Condvar::new()),
-                aborted: false,
-                signal,
-            },
-        );
+        let slot = self.kernel.begin(id, at);
+        let waiter = Waiter {
+            cv: Arc::new(Condvar::new()),
+            aborted: false,
+            signal,
+        };
+        match self.waiters.get_mut(slot) {
+            Some(w) => *w = waiter,
+            None => self.waiters.push(waiter),
+        }
     }
 
     pub(crate) fn try_acquire(
@@ -439,10 +442,11 @@ impl<'a> Shared<'a> {
     /// place. The holds the aborted were the last of end, and their
     /// threads are notified.
     fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason, on: &[InstanceId]) {
-        let Some(i) = self.waiter_idx(victim) else {
+        let Some(s) = self.kernel.slot_of(victim) else {
             return; // committed between the decision and now
         };
-        let mut fx = Aborts::default();
+        let mut fx = std::mem::take(&mut self.aborts);
+        fx.released.clear();
         // A cross-shard victim is aborted *locally*: clean this shard's
         // slice of its state and raise the shared signal; the victim's
         // own worker (which never parks while it holds anything) observes
@@ -451,9 +455,10 @@ impl<'a> Shared<'a> {
         // restart-Begin pair in its home shard. `aborted` doubles as the
         // "this shard already ran its local abort" marker the victim's
         // sweep consumes.
-        let w = &mut self.waiters[i];
+        let w = &mut self.waiters[s];
         if let Some(sig) = &w.signal {
             if w.aborted {
+                self.aborts = fx;
                 return; // local abort already ran; victim not yet swept
             }
             let (kernel, protocol) = (&mut self.kernel, &mut self.protocol);
@@ -479,6 +484,7 @@ impl<'a> Shared<'a> {
             }
         }
         self.notify(&fx.released);
+        self.aborts = fx;
     }
 
     /// Report step `completed_step` finished; applies the protocol's early
@@ -572,8 +578,6 @@ impl<'a> Shared<'a> {
     pub(crate) fn finish_commit(&mut self, id: InstanceId) -> Record {
         let mut proceed = Vec::new();
         let record = self.kernel.finish_commit(id, &mut proceed);
-        let i = self.waiter_idx(id).expect("instance is live");
-        self.waiters.remove(i);
         self.wake_parked();
         for &d in &proceed {
             self.kernel.wake(d);
@@ -639,11 +643,7 @@ mod tests {
         while !parked(&m.lock(0).kernel, [holder, waiter]) {
             std::thread::yield_now();
         }
-        {
-            let mut g = m.lock(0);
-            g.kernel.finish_commit(holder, &mut Vec::new());
-            g.waiters.retain(|w| w.id != holder);
-        }
+        m.lock(0).kernel.finish_commit(holder, &mut Vec::new());
         let waited = rx
             .recv_timeout(PERIOD * 4)
             .expect("the net never rescued the parked thread");
@@ -763,7 +763,7 @@ mod tests {
         // Held, its abort consumed and its condvar borrowed by `park`,
         // which keeps the state lock until it waits: parked on the hold.
         let in_hold_park = |g: &Shared<'_>| {
-            let w = &g.waiters[g.waiter_idx(victim).expect("victim is live")];
+            let w = g.waiter(victim);
             g.kernel.held(victim) && !w.aborted && Arc::strong_count(&w.cv) > 1
         };
         while !in_hold_park(&m.lock(0)) {
