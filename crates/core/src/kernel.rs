@@ -104,7 +104,8 @@ pub struct Record {
     pub hold: Vec<InstanceId>,
     /// The commit gate ([`StateKernel::gate`]): the latest retiree of
     /// every item the instance was granted over a retired chain, sorted —
-    /// the instances whose dirty writes it read or overwrote. It may
+    /// the instances whose dirty writes it read or overwrote — and the
+    /// readers let past its write locks (`gate_writers_on`). It may
     /// commit once the list is empty: an entry leaves when its instance
     /// commits, and an abort of any of them aborts this instance too (a
     /// cascade), as does an abort of its own.
@@ -132,8 +133,9 @@ pub type Aborted = (InstanceId, AbortReason);
 pub struct Aborts {
     /// The aborted instances, the victim first, each once.
     pub aborted: Vec<Aborted>,
-    /// Held instances whose hold an aborted instance was the last of:
-    /// they may restart now.
+    /// Held instances whose hold an aborted instance was the last of —
+    /// and, under a protocol that never aborts, ahead of them, instances
+    /// whose gate it opened: they may restart, or commit, now.
     pub released: Vec<InstanceId>,
 }
 
@@ -215,6 +217,8 @@ pub struct StateKernel<'a> {
     abort_reasons: AbortBreakdown,
     /// The blocked instances with their slots, in re-evaluation order.
     reeval_scratch: Vec<(InstanceId, usize)>,
+    /// The write holders of an item a read was just granted.
+    writers_scratch: Vec<InstanceId>,
 }
 
 impl<'a> StateKernel<'a> {
@@ -241,6 +245,7 @@ impl<'a> StateKernel<'a> {
             history: History::new(),
             abort_reasons: AbortBreakdown::default(),
             reeval_scratch: Vec::new(),
+            writers_scratch: Vec::new(),
         }
     }
 
@@ -482,15 +487,15 @@ impl<'a> StateKernel<'a> {
         self.n_gated > 0 && self.record(who).is_some_and(|r| !r.gate.is_empty())
     }
 
-    /// The departure scan: `gone` committed (`doomed` is `None`) or
-    /// aborted, and one pass over the live records, in ascending id
-    /// order, drops it from every hold and every gate.
+    /// The departure scan: `gone` committed or aborted (cascading into
+    /// `doomed`, when given), and one pass over the live records, in
+    /// ascending id order, drops it from every hold and every gate.
     ///
     /// * A hold it was the last of ends: the held instance's wait edges
     ///   are cleared and it is appended to `released`.
-    /// * On a commit, a gate it was the last of opens: the instance joins
-    ///   `released` ahead of every hold this scan ended, after the gates
-    ///   it opened before.
+    /// * Without `doomed`, a gate it was the last of opens: the instance
+    ///   joins `released` ahead of every hold this scan ended, after the
+    ///   gates it opened before, and loses its gate wait on `gone`.
     /// * On an abort, an instance whose gate names it is appended to
     ///   `doomed` as a cascade and its gate emptied at once, so it is
     ///   collected once however many aborted instances it read from.
@@ -516,6 +521,9 @@ impl<'a> StateKernel<'a> {
                     }
                     None => {
                         rec.gate.remove(pos);
+                        let waits = rec.waits_for.len();
+                        rec.waits_for.retain(|&b| b != gone);
+                        edges_changed |= rec.waits_for.len() != waits;
                         if rec.gate.is_empty() {
                             released.insert(opened, id);
                             opened += 1;
@@ -638,6 +646,9 @@ impl<'a> StateKernel<'a> {
                 if let Some((rw, _)) = self.retired.latest(item) {
                     self.gate_on(who, rw.owner);
                 }
+                if mode == LockMode::Read && !protocol.may_abort() {
+                    self.gate_writers_on(who, item);
+                }
                 self.data_op(who, step_index, item, mode, ws, tick());
                 Acquire::Done { granted: true }
             }
@@ -671,9 +682,13 @@ impl<'a> StateKernel<'a> {
         }
     }
 
-    /// Put `on`, the latest retiree of an item just granted to `who`, on
-    /// `who`'s [`Record::gate`] (unless it is `who` itself). Kept out of
-    /// line: only the early-release protocols get here, and inlined it
+    /// Put `on` — the latest retiree of an item just granted to `who`, or
+    /// a reader let past `who`'s write lock — on `who`'s [`Record::gate`]
+    /// (unless it is `who` itself). A `who` already parked at its commit
+    /// gate — no pending request, its wait edges the entries
+    /// [`StateKernel::gate`] registered — waits for `on` too, or a cycle
+    /// through the new entry would hide from the deadlock search. Kept out
+    /// of line: only the early-release protocols get here, and inlined it
     /// made [`StateKernel::acquire`] too large for the runtime to inline,
     /// which cost every protocol's grant path.
     #[inline(never)]
@@ -682,11 +697,33 @@ impl<'a> StateKernel<'a> {
             return;
         }
         let s = self.slot_of(who).expect("instance is live");
-        let gate = &mut self.records[s].gate;
-        if gate.is_empty() {
+        let rec = &mut self.records[s];
+        if rec.gate.is_empty() {
             self.n_gated += 1;
         }
-        insert_sorted(gate, on);
+        if insert_sorted(&mut rec.gate, on) && rec.pending.is_none() && !rec.waits_for.is_empty() {
+            rec.waits_for.push(on);
+            self.inherit();
+        }
+    }
+
+    /// Put `reader`, just granted a read of `item`, on the gate of every
+    /// other write holder of the item: a reader let past a writer reads
+    /// the pre-image and so precedes it, and the writer must not commit
+    /// before the reader has left (Prudent-Precedence's wait-to-commit).
+    /// On one CPU the priority dispatch orders them anyway; a thread pool
+    /// does not. Only for a protocol that never aborts (it orders what it
+    /// lets past; one that aborts, like OCC-BC, resolves the conflict its
+    /// own way). Out of line like [`StateKernel::gate_on`].
+    #[inline(never)]
+    fn gate_writers_on(&mut self, reader: InstanceId, item: ItemId) {
+        let mut writers = std::mem::take(&mut self.writers_scratch);
+        writers.clear();
+        writers.extend(self.locks.writers_other_than(item, reader));
+        for &w in &writers {
+            self.gate_on(w, reader);
+        }
+        self.writers_scratch = writers;
     }
 
     /// Record `blockers` as the instances `who` waits for, noting the
@@ -824,6 +861,7 @@ impl<'a> StateKernel<'a> {
                     self.locks.release(who, item, LockMode::Read);
                 }
                 self.locks.release(who, item, LockMode::Write);
+                debug_assert!(protocol.may_abort(), "a retiree's readers cascade");
                 self.retired.retire(who, item, staged);
                 out.released.push((item, LockMode::Write));
             }
@@ -978,8 +1016,9 @@ impl<'a> StateKernel<'a> {
     /// pending request, edges, attempt state, gate and hold, release the
     /// holds it was the last of (appended to `released`), hold it on `cause`.
     /// No log, no restart count, no cascade — for an instance that spans
-    /// several kernels, whose owner logs the single Abort/Begin pair (no
-    /// such instance takes part in a commit gate).
+    /// several kernels, whose owner logs the single Abort/Begin pair (only
+    /// the gate entries of a protocol that never aborts, which do not
+    /// cascade, can name such an instance).
     pub fn abort_local<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
@@ -1016,7 +1055,11 @@ impl<'a> StateKernel<'a> {
         let s = self.slot_of(victim).expect("instance is live");
         self.clear_waits(s);
         self.clear_record(victim, s);
-        self.depart(victim, Some(doomed), released);
+        // Under a protocol that never aborts, every gate entry is a reader
+        // let past a write lock (`gate_writers_on`): the writer read
+        // nothing from it, so the entry opens as on a commit, no cascade.
+        let doomed = protocol.may_abort().then_some(doomed);
+        self.depart(victim, doomed, released);
     }
 }
 

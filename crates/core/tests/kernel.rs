@@ -30,6 +30,8 @@ struct Scripted {
     early: Vec<(ItemId, LockMode)>,
     retire: Vec<ItemId>,
     install_on_early_release: bool,
+    /// Answer `may_abort` with false, as PCP-DA does.
+    never_aborts: bool,
 }
 
 impl<V: EngineView + ?Sized> ProtocolFor<V> for Scripted {
@@ -59,7 +61,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Scripted {
         }
     }
     fn may_abort(&self) -> bool {
-        true
+        !self.never_aborts
     }
 }
 
@@ -653,6 +655,70 @@ fn an_abort_holds_its_restarts_on_the_cause_less_the_co_aborted() {
     commit(&mut k, h, &mut proceed);
     assert_eq!(proceed, vec![r, w], "h's commit releases both");
     assert!(!k.held(r) && !k.held(w));
+}
+
+/// A read granted past a write lock puts the reader on the writer's
+/// commit gate when the protocol never aborts (it must order what it lets
+/// past), and not when it does. The reader's abort then opens the entry
+/// as its commit would: the writer read nothing from it, so nothing
+/// cascades, and the writer parked at the gate is handed back.
+#[test]
+fn a_reader_let_past_a_write_lock_gates_the_writer_without_a_cascade() {
+    let set = set();
+    let (r, w) = (inst(0, 0), inst(3, 0));
+    let (mut k, mut ws) = begun(&set, &[r, w]);
+    let mut p = Scripted::default();
+    acquire(&mut k, &mut p, &mut ws, w, 0, LockMode::Write);
+    acquire(&mut k, &mut p, &mut ws, r, 0, LockMode::Read);
+    assert!(!k.gated(w), "a protocol that aborts orders its own way");
+
+    p.never_aborts = true;
+    acquire(&mut k, &mut p, &mut ws, w, 1, LockMode::Write);
+    acquire(&mut k, &mut p, &mut ws, r, 1, LockMode::Read);
+    assert_eq!(k.record(w).unwrap().gate, vec![r]);
+    assert!(k.gate(w), "w waits at its commit for r to leave");
+    assert_eq!(k.running_priority(r), k.base_priority(r));
+    assert_eq!(k.record(w).unwrap().waits_for, vec![r]);
+
+    let mut fx = Aborts::default();
+    k.abort(
+        &mut p,
+        r,
+        AbortReason::DeadlockVictim,
+        &[],
+        || Tick(10),
+        &mut fx,
+    );
+    assert_eq!(fx.aborted, vec![(r, AbortReason::DeadlockVictim)]);
+    assert_eq!(fx.released, vec![w], "the gate opened");
+    assert!(!k.gated(w) && k.record(w).unwrap().waits_for.is_empty());
+    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(k.record(w).unwrap().restarts, 0);
+}
+
+/// A reader let past the write lock of an instance already parked at its
+/// commit gate is one more wait edge of that instance: a cycle through
+/// the new entry is a deadlock the search must see.
+#[test]
+fn a_reader_let_past_a_writer_parked_at_its_gate_is_a_wait_edge() {
+    let set = set();
+    let (r1, r2, w) = (inst(0, 0), inst(1, 0), inst(3, 0));
+    let (mut k, mut ws) = begun(&set, &[r1, r2, w]);
+    let mut p = Scripted {
+        never_aborts: true,
+        ..Scripted::default()
+    };
+    acquire(&mut k, &mut p, &mut ws, w, 0, LockMode::Write);
+    acquire(&mut k, &mut p, &mut ws, r1, 0, LockMode::Read);
+    assert!(k.gate(w));
+    acquire(&mut k, &mut p, &mut ws, r2, 0, LockMode::Read);
+    assert_eq!(k.record(w).unwrap().waits_for, vec![r1, r2]);
+
+    p.deny.insert(r2, vec![w]);
+    acquire(&mut k, &mut p, &mut ws, r2, 1, LockMode::Write);
+    let (mut cycle, victim) = k.find_deadlock().expect("r2 and w wait for each other");
+    cycle.sort_unstable();
+    assert_eq!((cycle, victim), (vec![r2, w], w));
 }
 
 #[test]

@@ -538,11 +538,21 @@ impl<'a> Shared<'a> {
     }
 
     /// What a thread parked at the commit gate waits for: no commit
-    /// dependency left. Tested on the kernel's record, not on a flag a
+    /// dependency left — or none of the gate waits it registered, because
+    /// the gate opened and a reader let past its write lock closed it
+    /// again before the thread ran; the caller's `gate_commit` registers
+    /// that gate anew. Tested on the kernel's record, not on a flag a
     /// notifier sets, so a wake-up that got lost is still seen by the
     /// park timeout's next look.
     pub(crate) fn gate_open(&mut self, id: InstanceId) -> bool {
-        !self.kernel.gated(id)
+        let rec = self.kernel.record(id).expect("instance is live");
+        rec.gate.is_empty() || rec.waits_for.is_empty()
+    }
+
+    /// `id`'s commit gate, if it is closed.
+    pub(crate) fn gate_of(&self, id: InstanceId) -> Option<&[InstanceId]> {
+        let gate = &self.kernel.record(id).expect("instance is live").gate;
+        (!gate.is_empty()).then_some(gate.as_slice())
     }
 
     /// Abort the instances `id`'s commit invalidates (optimistic

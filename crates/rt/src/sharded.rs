@@ -348,6 +348,21 @@ impl<'a> ShardedManager<'a> {
             self.sweep(id, ctx);
             return CommitOutcome::Restart;
         }
+        // A reader let past one of our writes has not left (its commit
+        // gate): a cross-shard committer never waits, so this is a
+        // would-block — released everywhere, held on the readers.
+        let gated: Vec<(usize, Vec<InstanceId>)> = (cross.shards.iter().zip(&guards))
+            .filter_map(|(s, g)| Some((s, g.gate_of(id)?.to_vec())))
+            .collect();
+        if !gated.is_empty() {
+            drop(guards);
+            self.no_wait_aborts.fetch_add(1, Ordering::Relaxed);
+            self.sweep(id, ctx);
+            for (s, readers) in gated {
+                self.lock(s).hold_on_holders(id, &readers);
+            }
+            return CommitOutcome::Restart;
+        }
         let stats = self.commit_locked(id, &mut guards, ctx);
         drop(guards);
         ctx.cross = None;

@@ -932,6 +932,17 @@ impl<'a> Sim<'a> {
             self.commit_snapshot(who, s);
             return;
         }
+        // On one CPU a PCP-DA writer never reaches its commit before a
+        // reader let past its write lock has left; only a thread pool
+        // needs the wait-to-commit gate (`golden.rs` runs this check).
+        debug_assert!(
+            !(self.kernel.gated(who)
+                && matches!(
+                    protocol.name().parse(),
+                    Ok(ProtocolKind::PcpDa | ProtocolKind::PcpDaLiteral)
+                )),
+            "{who} reached its commit under a reader PCP-DA let past it"
+        );
         // Commit gate: with outstanding commit dependencies the instance
         // parks — live, holding its read locks, never dispatched — until
         // the last dependency commits. The drain in the committing
@@ -973,13 +984,20 @@ impl<'a> Sim<'a> {
         self.trace.push_event(TraceEvent::Commit { at: clock, who });
         self.retire_slot(who, s, record, Some(clock), None);
         self.wake_blocked(protocol);
+        self.pass_gates(&proceed, protocol);
+    }
 
-        // Let drained dependents through the commit gate, in dependency
-        // order at the same clock — their commits land after the one
-        // they waited for, which is exactly the serialization the gate
-        // enforces. (Drained instances still mid-execution are simply
-        // no longer gated when they reach their own commit.)
-        for d in proceed {
+    /// Let the instances of `opened` parked at a commit gate that just
+    /// opened through, in order at the same clock — their commits land
+    /// after the departure they waited for, which is exactly the
+    /// serialization the gate enforces. (Instances still mid-execution
+    /// are simply no longer gated when they reach their own commit.)
+    fn pass_gates<P: ProtocolFor<StateKernel<'a>>>(
+        &mut self,
+        opened: &[InstanceId],
+        protocol: &mut P,
+    ) {
+        for &d in opened {
             let Some(ds) = self.kernel.slot_of(d) else {
                 continue;
             };
@@ -1072,6 +1090,9 @@ impl<'a> Sim<'a> {
             slot.workspace.reset(who);
             slot.gated = false;
         }
+        // A gate the abort opened (a reader let past a write lock left)
+        // lets its parked writer through.
+        self.pass_gates(&fx.released, protocol);
         self.aborts = fx;
     }
 

@@ -362,8 +362,8 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
 }
 
 /// A PCP-DA pair: `H` reads `X` while `L` holds its write lock on it —
-/// the grant that sets PCP-DA apart from RW-PCP — and both commit, `H`
-/// first.
+/// the grant that sets PCP-DA apart from RW-PCP, which puts `H` on `L`'s
+/// commit gate — and both commit, `H` first, whose commit opens the gate.
 fn read_over_write_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -398,10 +398,11 @@ fn read_over_write_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
         granted
     );
     assert!(k.locks().holds(l, X, LockMode::Write), "granted over L");
-    for (who, ws) in [(h, &*ws_h), (l, &*ws_l)] {
-        commit(k, protocol, who, ws, proceed, &mut tick);
-        assert!(proceed.is_empty());
-    }
+    assert!(k.gated(l), "L waits for H to leave");
+    commit(k, protocol, h, ws_h, proceed, &mut tick);
+    assert!(proceed[..] == [l], "H's commit opens L's gate");
+    commit(k, protocol, l, ws_l, proceed, &mut tick);
+    assert!(proceed.is_empty());
 }
 
 const Y: ItemId = ItemId(1);

@@ -1,19 +1,18 @@
-//! ROADMAP item 1(a), the directed staging: PCP-DA's multi-core
-//! serializability hole, at kernel level, on one thread.
+//! ROADMAP item 1, staged by hand: PCP-DA's multi-core serializability
+//! hole at kernel level, on one thread, and the wait-to-commit rule that
+//! closes it.
 //!
 //! Dynamic adjustment lets `T_H` read the pre-image of an item `T_L` has
 //! write-locked and serialize `T_H → T_L`. On one CPU that is safe —
-//! `T_L` cannot run, let alone commit, before `T_H` finishes. Nothing in
-//! the kernel enforces it, though: the schedule below is what a second
-//! worker makes possible, `T_L` commits first, `T_H` then reads what
-//! `T_L` installed, and the serialization graph closes `T_H → T_L → T_H`.
-//! No threads, no seed, no soak — a bare [`StateKernel`] and [`PcpDa`]
-//! driven by hand.
-//!
-//! This pins today's defect. Item 1's fix (the reader let past a writer
-//! *precedes* it, so the writer waits at its commit gate) inverts the last
-//! two assertions: `gate(T_L)` is `true` until `T_H` finishes, and there
-//! is no cycle.
+//! `T_L` cannot run, let alone commit, before `T_H` finishes. The
+//! schedule below is what a second worker makes possible: `T_L` reaches
+//! its commit while `T_H` still runs. Had `T_L` committed there, `T_H`'s
+//! next read would see what `T_L` installed and the serialization graph
+//! would close `T_H → T_L → T_H`. The kernel instead puts `T_H` on
+//! `T_L`'s commit gate at the read-over-write grant (Prudent-Precedence's
+//! wait-to-commit), so `T_L` waits until `T_H` has left, and there is no
+//! cycle. No threads, no seed, no soak — a bare [`StateKernel`] and
+//! [`PcpDa`] driven by hand.
 
 use rtdb_cc::{GrantRule, PcpDa};
 use rtdb_core::{Acquire, StateKernel};
@@ -26,7 +25,7 @@ const X: ItemId = ItemId(0);
 const Y: ItemId = ItemId(1);
 
 #[test]
-fn writer_committing_under_a_reader_closes_a_cycle() {
+fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
     let set = SetBuilder::new()
         .with(TransactionTemplate::new(
             "T_H",
@@ -59,21 +58,25 @@ fn writer_committing_under_a_reader_closes_a_cycle() {
     assert_eq!(got, granted);
     let got = k.acquire(&mut p, t_h, 0, X, LockMode::Read, &mut ws_h, &mut tick);
     assert_eq!(got, granted);
-    // T_L write-locks y and commits — while T_H, which must precede it,
-    // is still running.
+    // T_L write-locks y and reaches its commit while T_H, which must
+    // precede it, is still running: the gate holds it there.
     let got = k.acquire(&mut p, t_l, 1, Y, LockMode::Write, &mut ws_l, &mut tick);
     assert_eq!(got, granted);
-    assert!(!k.gate(t_l), "item 1: T_L waits here until T_H finishes");
-    k.install(t_l, &ws_l, tick(), true, None);
-    k.finish_commit(t_l, &mut Vec::new());
-    // T_H reads the y that T_L installed, and commits.
+    assert!(k.gate(t_l), "T_L waits here until T_H finishes");
+    // T_H reads y's pre-image past T_L too, commits, and opens the gate.
     let got = k.acquire(&mut p, t_h, 1, Y, LockMode::Read, &mut ws_h, &mut tick);
     assert_eq!(got, granted);
     let versions: Vec<u64> = ws_h.reads().iter().map(|r| r.version).collect();
-    assert_eq!(versions, [0, 1], "x before T_L's install, y after it");
+    assert_eq!(versions, [0, 0], "x and y both before T_L's installs");
     assert!(!k.gate(t_h));
     k.install(t_h, &ws_h, tick(), true, None);
-    k.finish_commit(t_h, &mut Vec::new());
+    let mut proceed = Vec::new();
+    k.finish_commit(t_h, &mut proceed);
+    assert_eq!(proceed, [t_l]);
+    k.wake(t_l);
+    assert!(!k.gate(t_l));
+    k.install(t_l, &ws_l, tick(), true, None);
+    k.finish_commit(t_l, &mut proceed);
 
     let rules: Vec<GrantRule> = p.grant_log().iter().map(|&(_, rule)| rule).collect();
     assert_eq!(
@@ -85,9 +88,6 @@ fn writer_committing_under_a_reader_closes_a_cycle() {
             GrantRule::Lc2
         ]
     );
-    let mut cycle = SerializationGraph::build(k.history())
-        .find_cycle()
-        .expect("item 1: no cycle once T_L waits for T_H");
-    cycle.sort_unstable();
-    assert_eq!(cycle, [t_h, t_l]);
+    let cycle = SerializationGraph::build(k.history()).find_cycle();
+    assert_eq!(cycle, None, "T_L waited for T_H: no cycle");
 }
