@@ -107,8 +107,9 @@ pub struct Record {
     /// the instances whose dirty writes it read or overwrote — and the
     /// readers let past its write locks (`gate_writers_on`). It may
     /// commit once the list is empty: an entry leaves when its instance
-    /// commits, and an abort of any of them aborts this instance too (a
-    /// cascade), as does an abort of its own.
+    /// commits; an abort of a dirty-write source aborts this instance too
+    /// (a cascade), an abort of a reader let past only drops the entry;
+    /// an abort of its own empties the list.
     pub gate: Vec<InstanceId>,
 }
 
@@ -688,7 +689,7 @@ impl<'a> StateKernel<'a> {
     /// gate — no pending request, its wait edges the entries
     /// [`StateKernel::gate`] registered — waits for `on` too, or a cycle
     /// through the new entry would hide from the deadlock search. Kept out
-    /// of line: only the early-release protocols get here, and inlined it
+    /// of line: only grants that order get here, and inlined it
     /// made [`StateKernel::acquire`] too large for the runtime to inline,
     /// which cost every protocol's grant path.
     #[inline(never)]

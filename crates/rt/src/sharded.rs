@@ -39,11 +39,12 @@
 //!   complete, and no global detector is needed.
 //!
 //! **Commit** is one body for every `k`: lock the touched shards in
-//! canonical order, abort commit victims, then — under the run-global
-//! commit gate when `N > 1` — one tick, the installs of each touched
-//! shard, one snapshot publish and the commit index, so commit-tick
-//! order, commit-index order and snapshot-stamp order agree across
-//! shards; then the per-shard teardown.
+//! canonical order (a cross-shard job whose commit gate is closed in any
+//! of them self-aborts there, as on a denied request), abort commit
+//! victims, then — under the run-global commit gate when `N > 1` — one
+//! tick, the installs of each touched shard, one snapshot publish and
+//! the commit index, so commit-tick order, commit-index order and
+//! snapshot-stamp order agree across shards; then the per-shard teardown.
 //!
 //! Aborts of a cross-shard victim are split: the aborting shard cleans
 //! its local slice silently and raises the victim's signal; the victim
