@@ -12,9 +12,9 @@
 //!   frame accumulator hardened against desynchronized peers;
 //! * [`server`] — [`serve`]: blocking `std::net` threads (the build is
 //!   offline and pure-std, so no tokio/mio) — an acceptor, and per
-//!   connection a reader that submits through a non-blocking submitter
-//!   adapter and a writer that delivers completions, so a request waits
-//!   for wake-ups, never for a timer;
+//!   connection a reader that submits through the front-end's
+//!   submitter, which never blocks, and a writer that delivers
+//!   completions, so a request waits for wake-ups, never for a timer;
 //! * [`client`] — [`NetClient`]: the blocking, pipelining client the load
 //!   generator and the loopback tests drive the edge with (its
 //!   `wait_response` polls the socket for a bounded moment before it

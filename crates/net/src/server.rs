@@ -5,15 +5,15 @@
 //! threads inside the front-end's scope, and hands the caller's driver the
 //! bound address. An *acceptor* blocks in `accept`; each connection gets a
 //! *reader* blocked in `read`, which decodes [`Request`] frames and submits
-//! them through [`Submitter::try_submit`] (a full admission queue bounces
-//! a frame, it never parks the reader), and a *writer* blocked on the
+//! them through [`Submitter::submit`] (a full admission queue bounces or
+//! sheds a frame, it never parks the reader), and a *writer* blocked on the
 //! connection's completion channel, which turns [`Completion`]s into
 //! terminal [`Response`] frames. No thread here polls or waits on a timer:
 //! a request pays for the wake-ups on its path (reader, worker, writer).
 //!
 //! **One lock per connection** covers the socket's write half and the
 //! `server ticket → client ticket` map. The reader holds it from
-//! `try_submit` until the batch's answers are written, so a ticket's
+//! `submit` until the batch's answers are written, so a ticket's
 //! `Accepted` is on the wire before its terminal frame and its map entry
 //! exists before the completion looks it up. Each side answers a batch —
 //! every frame one `read` returned, every completion the channel held —
@@ -117,7 +117,7 @@ impl Outbound<'_> {
             .released_at(release_ns)
             .for_tenant(tenant);
         job.deadline_ns = deadline_ns;
-        match sub.try_submit(job) {
+        match sub.submit(job) {
             SubmitOutcome::Admitted { ticket: server } => {
                 self.tickets.insert(server, ticket);
                 Response::Accepted { ticket }.encode(out);

@@ -89,7 +89,7 @@ fn loopback_burst_reproduces_sim_commit_order_bit_for_bit() {
     assert_eq!(sim_missed, [false, true, false, false, true]);
 
     let front = FrontConfig::new(kind)
-        .with_policy(AdmissionPolicy::Block)
+        .with_policy(AdmissionPolicy::Reject)
         .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
     let (rt, client_missed) = serve(&set, NetConfig::new(front), |addr| {
         // One connection per template, submitting in priority order.
@@ -164,7 +164,7 @@ fn loopback_burst_reproduces_sim_commit_order_bit_for_bit() {
 fn disconnect_mid_job_still_commits_and_server_survives() {
     let set = small_set();
     let front = FrontConfig::new(ProtocolKind::PcpDa)
-        .with_policy(AdmissionPolicy::Block)
+        .with_policy(AdmissionPolicy::Reject)
         .with_rt(
             RtConfig::new(ProtocolKind::PcpDa)
                 .with_threads(1)

@@ -19,12 +19,11 @@
 //!   victim's submitter is told via [`crate::Completion::Shed`]; when
 //!   the incoming request itself has the least slack it is bounced
 //!   synchronously ([`crate::SubmitOutcome::Shed`]) without entering the
-//!   queue;
-//! * [`AdmissionPolicy::Block`] — park the submitter until space frees
-//!   up (turns the open loop into a closed loop at the bound — useful
-//!   for replay and backpressure experiments, but it hides queueing
-//!   collapse, which is exactly why it is not the load generator's
-//!   default).
+//!   queue.
+//!
+//! Neither policy parks a submitter: a push admits, sheds or bounces at
+//! once, so the only thread that ever waits on the queue is a worker with
+//! nothing to pop.
 //!
 //! **Fairness budgets.** Layered on top of the shed policy, an optional
 //! per-tenant token bucket ([`FairnessConfig`]) keeps a high-rate tenant
@@ -52,8 +51,7 @@
 //!
 //! Admission timestamps are taken *inside* the queue's critical section
 //! at the moment the entry actually enters the queue, so queueing delay
-//! (admission → worker start) is well defined even when a `Block`ed
-//! submitter waited first.
+//! (admission → worker start) is exactly the time spent queued.
 
 use crate::front::{Completion, JobRequest};
 use crate::runtime::dur_ns;
@@ -65,33 +63,24 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// What the admission queue does with a new request when it is full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Bounce the new request back to the submitter.
     Reject,
     /// Shed the request (queued or incoming) with the least remaining
     /// slack to its deadline — the one the system would miss anyway.
     LeastSlack,
-    /// Park the submitter until the queue has space.
-    #[default]
-    Block,
 }
 
 impl AdmissionPolicy {
     /// Every policy, in the order the documentation lists them.
-    pub const ALL: [AdmissionPolicy; 3] = [
-        AdmissionPolicy::Reject,
-        AdmissionPolicy::LeastSlack,
-        AdmissionPolicy::Block,
-    ];
+    pub const ALL: [AdmissionPolicy; 2] = [AdmissionPolicy::Reject, AdmissionPolicy::LeastSlack];
 
-    /// Short stable name, as printed by `Display` and parsed by
-    /// `FromStr`.
+    /// Short stable name, as printed by `Display`.
     pub fn name(self) -> &'static str {
         match self {
             AdmissionPolicy::Reject => "reject",
             AdmissionPolicy::LeastSlack => "least-slack",
-            AdmissionPolicy::Block => "block",
         }
     }
 }
@@ -99,27 +88,6 @@ impl AdmissionPolicy {
 impl std::fmt::Display for AdmissionPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for AdmissionPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reject" => Ok(AdmissionPolicy::Reject),
-            "least-slack" | "slack" => Ok(AdmissionPolicy::LeastSlack),
-            "block" => Ok(AdmissionPolicy::Block),
-            other => {
-                // Match the ProtocolKind convention: the error lists
-                // every valid name.
-                let valid: Vec<&str> = AdmissionPolicy::ALL.iter().map(|p| p.name()).collect();
-                Err(format!(
-                    "unknown admission policy `{other}` (valid: {})",
-                    valid.join(", ")
-                ))
-            }
-        }
     }
 }
 
@@ -387,12 +355,10 @@ struct Inner {
     ledger: TenantLedger,
     /// Next sequence number per template, handed out by [`AdmissionQueue::pop`].
     next_seq: Vec<u32>,
-    /// Poppers parked on `not_empty` and `Block` pushers parked on
-    /// `not_full`. A `notify_one` is a syscall whether or not anyone
-    /// waits, so `push` and `pop` notify only when one of these is
-    /// nonzero; both change under the queue mutex, so no wake-up is lost.
+    /// Poppers parked on `not_empty`. A `notify_one` is a syscall whether
+    /// or not anyone waits, so `push` notifies only when this is nonzero;
+    /// it changes under the queue mutex, so no wake-up is lost.
     waiting_poppers: usize,
-    waiting_pushers: usize,
 }
 
 impl Inner {
@@ -442,7 +408,6 @@ impl Inner {
 pub(crate) struct AdmissionQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
-    not_full: Condvar,
     capacity: usize,
     /// The front-end's `t0`: slack computations and bucket refills share
     /// the clock `release_ns`/`deadline_ns` are measured on.
@@ -476,10 +441,8 @@ impl AdmissionQueue {
                 ledger: TenantLedger::new(fairness, templates),
                 next_seq: vec![0; templates],
                 waiting_poppers: 0,
-                waiting_pushers: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             capacity: capacity.max(1),
             t0,
         }
@@ -500,72 +463,56 @@ impl AdmissionQueue {
         dur_ns(self.t0.elapsed())
     }
 
-    /// Try to admit `item` under `policy`. Blocks only for
-    /// [`AdmissionPolicy::Block`] on a full queue.
+    /// Admit `item`, or apply `policy` to a full queue. Never blocks.
     pub(crate) fn push(&self, item: Admitted, policy: AdmissionPolicy) -> Push {
         let mut g = self.lock();
-        loop {
-            if g.closed {
-                g.ledger.record_rejected(item.req.tenant);
-                return Push::Closed;
-            }
-            if g.len < self.capacity {
-                let now = self.now_ns();
-                g.ledger.charge(item.req.tenant, item.cost_ns, now);
-                g.enqueue(item);
-                self.wake_popper(&g);
-                return Push::Admitted;
-            }
-            match policy {
-                AdmissionPolicy::Reject => {
-                    g.ledger.record_rejected(item.req.tenant);
-                    return Push::Rejected;
-                }
-                AdmissionPolicy::LeastSlack => {
-                    let now = self.now_ns();
-                    let inner = &mut *g;
-                    // The candidates in admission order, the incoming
-                    // request last: ties shed the oldest, whatever lane it
-                    // waits in.
-                    let queued = inner.by_admission();
-                    let entry = |&(lane, pos): &(usize, usize)| &inner.lanes[lane][pos].1;
-                    // Bring every candidate tenant's bucket up to `now`
-                    // before classifying, so debt reflects refills.
-                    for j in queued.iter().map(entry) {
-                        inner.ledger.refresh(j.req.tenant, now);
-                    }
-                    inner.ledger.refresh(item.req.tenant, now);
-                    let candidates: Vec<ShedCandidate> = queued
-                        .iter()
-                        .map(entry)
-                        .chain(std::iter::once(&item))
-                        .map(|j| ShedCandidate {
-                            slack_ns: slack_ns(j.req.deadline_ns, now),
-                            over_budget: inner.ledger.in_debt(j.req.tenant),
-                        })
-                        .collect();
-                    let Some(&(lane, pos)) = queued.get(shed_victim(&candidates)) else {
-                        inner.ledger.record_shed(item.req.tenant, item.req.txn);
-                        return Push::SelfShed;
-                    };
-                    let old = inner.take(lane, pos);
-                    inner.ledger.refund(old.req.tenant, old.cost_ns, now);
-                    inner.ledger.record_shed(old.req.tenant, old.req.txn);
-                    inner.ledger.charge(item.req.tenant, item.cost_ns, now);
-                    inner.enqueue(item);
-                    self.wake_popper(inner);
-                    return Push::AdmittedShed(Box::new(old));
-                }
-                AdmissionPolicy::Block => {
-                    g.waiting_pushers += 1;
-                    g = self
-                        .not_full
-                        .wait(g)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g.waiting_pushers -= 1;
-                }
-            }
+        if g.closed {
+            g.ledger.record_rejected(item.req.tenant);
+            return Push::Closed;
         }
+        if g.len < self.capacity {
+            let now = self.now_ns();
+            g.ledger.charge(item.req.tenant, item.cost_ns, now);
+            g.enqueue(item);
+            self.wake_popper(&g);
+            return Push::Admitted;
+        }
+        if policy == AdmissionPolicy::Reject {
+            g.ledger.record_rejected(item.req.tenant);
+            return Push::Rejected;
+        }
+        let now = self.now_ns();
+        let inner = &mut *g;
+        // The candidates in admission order, the incoming request last:
+        // ties shed the oldest, whatever lane it waits in.
+        let queued = inner.by_admission();
+        let entry = |&(lane, pos): &(usize, usize)| &inner.lanes[lane][pos].1;
+        // Bring every candidate tenant's bucket up to `now` before
+        // classifying, so debt reflects refills.
+        for j in queued.iter().map(entry) {
+            inner.ledger.refresh(j.req.tenant, now);
+        }
+        inner.ledger.refresh(item.req.tenant, now);
+        let candidates: Vec<ShedCandidate> = queued
+            .iter()
+            .map(entry)
+            .chain(std::iter::once(&item))
+            .map(|j| ShedCandidate {
+                slack_ns: slack_ns(j.req.deadline_ns, now),
+                over_budget: inner.ledger.in_debt(j.req.tenant),
+            })
+            .collect();
+        let Some(&(lane, pos)) = queued.get(shed_victim(&candidates)) else {
+            inner.ledger.record_shed(item.req.tenant, item.req.txn);
+            return Push::SelfShed;
+        };
+        let old = inner.take(lane, pos);
+        inner.ledger.refund(old.req.tenant, old.cost_ns, now);
+        inner.ledger.record_shed(old.req.tenant, old.req.txn);
+        inner.ledger.charge(item.req.tenant, item.cost_ns, now);
+        inner.enqueue(item);
+        self.wake_popper(inner);
+        Push::AdmittedShed(Box::new(old))
     }
 
     /// Pop the highest-priority admitted request — its template's oldest —
@@ -578,9 +525,6 @@ impl AdmissionQueue {
         loop {
             if let Some(lane) = g.occupied.highest_below(g.lanes.len()) {
                 let item = g.take(lane, 0);
-                if g.waiting_pushers > 0 {
-                    self.not_full.notify_one();
-                }
                 let txn = item.req.txn;
                 let seq = &mut g.next_seq[txn.index()];
                 let id = InstanceId::new(txn, *seq);
@@ -618,7 +562,6 @@ impl AdmissionQueue {
         let mut g = self.lock();
         g.closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// Queued (admitted, not yet running) requests.
@@ -745,55 +688,33 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
-    /// Wait until `parked` holds of the queue's wait counters. Each counter
-    /// is raised under the mutex that `Condvar::wait` releases, so once it
-    /// reads nonzero here its thread is parked on the condvar.
-    fn until_parked(q: &AdmissionQueue, parked: impl Fn(&Inner) -> bool) {
-        while !parked(&q.lock()) {
+    /// Wait until a popper is parked. The counter is raised under the
+    /// mutex that `Condvar::wait` releases, so once it reads nonzero here
+    /// the popper is parked on the condvar.
+    fn until_parked(q: &AdmissionQueue) {
+        while q.lock().waiting_poppers == 0 {
             std::thread::yield_now();
         }
     }
 
-    /// `push` and `pop` notify only when a thread is parked: a parked
-    /// popper is woken by a push, a parked `Block` pusher by a pop, and
-    /// both by `close`.
+    /// `push` notifies only when a popper is parked: a parked popper is
+    /// woken by a push, and by `close`.
     #[test]
     fn parked_threads_wake_on_push_pop_and_close() {
-        let block = AdmissionPolicy::Block;
         let q = queue(1);
         std::thread::scope(|s| {
             let popper = s.spawn(|| q.pop().map(|(_, a)| a.ticket));
-            until_parked(&q, |g| g.waiting_poppers == 1);
-            q.push(item(0).0, block);
+            until_parked(&q);
+            q.push(item(0).0, AdmissionPolicy::Reject);
             assert_eq!(popper.join().expect("popper"), Some(0));
         });
-        q.push(item(1).0, block);
-        std::thread::scope(|s| {
-            let pusher = s.spawn(|| matches!(q.push(item(2).0, block), Push::Admitted));
-            until_parked(&q, |g| g.waiting_pushers == 1);
-            assert_eq!(q.pop().expect("queued").1.ticket, 1);
-            assert!(pusher.join().expect("pusher"));
-        });
-        assert_eq!(q.pop().expect("queued").1.ticket, 2);
-
-        // One queue left empty, one full: `close` releases a thread parked
-        // on either.
-        let full = queue(1);
-        full.push(item(3).0, block);
         std::thread::scope(|s| {
             let popper = s.spawn(|| q.pop().is_none());
-            let pusher = s.spawn(|| matches!(full.push(item(4).0, block), Push::Closed));
-            until_parked(&q, |g| g.waiting_poppers == 1);
-            until_parked(&full, |g| g.waiting_pushers == 1);
+            until_parked(&q);
             q.close();
-            full.close();
             assert!(popper.join().expect("popper"));
-            assert!(pusher.join().expect("pusher"));
         });
-        for q in [&q, &full] {
-            let g = q.lock();
-            assert_eq!((g.waiting_poppers, g.waiting_pushers), (0, 0));
-        }
+        assert_eq!(q.lock().waiting_poppers, 0);
     }
 
     #[test]
@@ -802,33 +723,11 @@ mod tests {
         q.push(item(7).0, AdmissionPolicy::Reject);
         q.close();
         assert!(matches!(
-            q.push(item(8).0, AdmissionPolicy::Block),
+            q.push(item(8).0, AdmissionPolicy::Reject),
             Push::Closed
         ));
         assert_eq!(q.pop().expect("drains the backlog").1.ticket, 7);
         assert!(q.pop().is_none());
-    }
-
-    /// Satellite: the Display/FromStr round trip covers every policy —
-    /// including `least-slack` — and the parse error lists every valid
-    /// name, matching the `ProtocolKind` convention.
-    #[test]
-    fn policy_parses_and_displays() {
-        for p in AdmissionPolicy::ALL {
-            assert_eq!(p.to_string().parse::<AdmissionPolicy>(), Ok(p));
-        }
-        assert_eq!(
-            "slack".parse::<AdmissionPolicy>(),
-            Ok(AdmissionPolicy::LeastSlack)
-        );
-        let err = "fifo".parse::<AdmissionPolicy>().unwrap_err();
-        for p in AdmissionPolicy::ALL {
-            assert!(
-                err.contains(p.name()),
-                "error does not list `{}`: {err}",
-                p.name()
-            );
-        }
     }
 
     #[test]

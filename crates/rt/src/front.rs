@@ -119,13 +119,13 @@ pub struct FrontConfig {
 }
 
 impl FrontConfig {
-    /// Defaults: [`RtConfig::new`], capacity 1024, [`AdmissionPolicy::Block`],
+    /// Defaults: [`RtConfig::new`], capacity 1024, [`AdmissionPolicy::Reject`],
     /// fairness off.
     pub fn new(kind: ProtocolKind) -> Self {
         FrontConfig {
             rt: RtConfig::new(kind),
             capacity: 1024,
-            policy: AdmissionPolicy::Block,
+            policy: AdmissionPolicy::Reject,
             fairness: None,
         }
     }
@@ -250,25 +250,10 @@ pub struct Submitter<'e> {
 }
 
 impl Submitter<'_> {
-    /// Submit one request. Blocks only under [`AdmissionPolicy::Block`]
-    /// on a full queue; never blocks on the lock manager.
+    /// Submit one request. Never blocks: a full queue sheds or bounces
+    /// under the front's [`AdmissionPolicy`], and the lock manager is
+    /// never touched.
     pub fn submit(&self, req: JobRequest) -> SubmitOutcome {
-        self.push(req, self.shared.policy)
-    }
-
-    /// Submit one request, never blocking: [`AdmissionPolicy::Block`] is
-    /// demoted to [`AdmissionPolicy::Reject`] for this call. The network
-    /// edge's connection readers submit through this — a full queue must
-    /// bounce a frame, not park the reader.
-    pub fn try_submit(&self, req: JobRequest) -> SubmitOutcome {
-        let policy = match self.shared.policy {
-            AdmissionPolicy::Block => AdmissionPolicy::Reject,
-            p => p,
-        };
-        self.push(req, policy)
-    }
-
-    fn push(&self, req: JobRequest, policy: AdmissionPolicy) -> SubmitOutcome {
         // A template outside the set can never run: `AdmissionQueue::pop`
         // indexes its per-template sequence numbers by it.
         let Some(&cost_ns) = self.shared.costs.get(req.txn.index()) else {
@@ -283,7 +268,7 @@ impl Submitter<'_> {
             cost_ns,
             done: self.done.clone(),
         };
-        match self.shared.queue.push(item, policy) {
+        match self.shared.queue.push(item, self.shared.policy) {
             Push::Admitted => SubmitOutcome::Admitted { ticket },
             Push::AdmittedShed(old) => {
                 let _ = old.done.send(Completion::Shed {
@@ -383,7 +368,7 @@ mod tests {
                         assert_eq!(report.queue_ns + report.service_ns, report.latency_ns);
                         done.push(ticket);
                     }
-                    Completion::Shed { .. } => panic!("nothing sheds under Block"),
+                    Completion::Shed { .. } => panic!("nothing sheds below capacity"),
                 }
             }
             done.sort_unstable();

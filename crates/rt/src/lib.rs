@@ -23,8 +23,8 @@
 //!   admission queue, the same worker pool pops it directly, completions
 //!   return over per-submitter channels — open-loop arrivals with
 //!   runtime deadline tracking;
-//! * [`admission`] — the bounded admission queue, its overload
-//!   policies (reject / least-slack / block-submitter) and
+//! * [`admission`] — the bounded admission queue, its two overload
+//!   policies (reject, least-slack; neither parks a submitter) and
 //!   the per-tenant token-bucket fairness budgets ([`FairnessConfig`]);
 //! * [`jobs`] — deterministic seeded job queues;
 //! * [`histogram`] — a dependency-free log-bucketed latency histogram for
@@ -38,6 +38,11 @@
 //! Scheduling, by contrast, is real: the OS decides who runs, so a run's
 //! interleaving (and therefore its history) is *not* deterministic; only
 //! the safety properties are.
+//!
+//! The runtime runs the standard line-up
+//! ([`rtdb_core::ProtocolKind::STANDARD`]). It refuses the two demo kinds
+//! (`PCP-DA-literal`, `Naive-DA`): their negative results are single-CPU
+//! schedules, which the simulator and `figures` reproduce.
 
 #![forbid(unsafe_code)]
 

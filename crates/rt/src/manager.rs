@@ -864,4 +864,84 @@ mod tests {
         );
         assert_eq!(resolved, 1);
     }
+
+    /// A writer whose commit gate opened and was refilled before its
+    /// thread ran waits on the newcomer. W parks at its gate behind R1,
+    /// which read past W's write lock. Under one guard, R1 commits (W's
+    /// gate opens and W is notified) and R2 is let past W's write lock
+    /// (the gate refills, with no wait registered on R2). When W's thread
+    /// runs it must see that its registered waits are gone
+    /// (`Shared::gate_open`) and register the gate anew; a thread that
+    /// only tested the gate would park on without a wait edge to R2, and
+    /// a cycle through R2 would hide from the deadlock search.
+    #[test]
+    fn a_writer_whose_gate_is_refilled_waits_on_the_newcomer() {
+        const Y: ItemId = ItemId(1);
+        let set = SetBuilder::new()
+            .with(TransactionTemplate::new(
+                "R1",
+                10,
+                vec![Step::read(X, 1), Step::read(Y, 1)],
+            ))
+            .with(TransactionTemplate::new(
+                "W",
+                20,
+                vec![Step::write(X, 1), Step::write(Y, 1)],
+            ))
+            .with(TransactionTemplate::new("R2", 5, vec![Step::read(X, 1)]))
+            .build_rate_monotonic()
+            .unwrap();
+        // Leaked so W can be a detached thread: a writer that never
+        // registers its refilled gate fails the poll below, not a join.
+        let set: &'static TransactionSet = Box::leak(Box::new(set));
+        let [r1, w, r2] = [0, 1, 2].map(|t| InstanceId::first(TxnId(t)));
+        let config = RtConfig::new(ProtocolKind::PcpDa);
+        let m = Arc::new(ShardedManager::new(set, &config, None));
+        let [mut ctx_r1, mut ctx_w, mut ctx_r2] = [0, 1, 2].map(WorkerCtx::new);
+        for (id, ctx) in [(w, &mut ctx_w), (r1, &mut ctx_r1), (r2, &mut ctx_r2)] {
+            m.begin(id, ctx);
+            ctx.ws.reset(id);
+        }
+        for (i, item) in [X, Y].into_iter().enumerate() {
+            let write = m.acquire(w, i, item, LockMode::Write, &mut ctx_w);
+            assert_eq!(write, Outcome::Done);
+            let read = m.acquire(r1, i, item, LockMode::Read, &mut ctx_r1);
+            assert_eq!(read, Outcome::Done);
+        }
+        let waits_of = |g: &Shared<'_>| g.kernel.record(w).expect("W is live").waits_for.clone();
+
+        let (tx, rx) = mpsc::channel();
+        let writer_m = m.clone();
+        std::thread::spawn(move || {
+            let committed = matches!(writer_m.commit(w, &mut ctx_w), CommitOutcome::Committed(_));
+            let _ = tx.send(committed);
+        });
+        // W registers its wait on R1 and keeps the state lock until it
+        // waits, so once seen here it is parked.
+        while waits_of(&m.lock(0)) != [r1] {
+            std::thread::yield_now();
+        }
+        {
+            let mut g = m.lock(0);
+            assert!(!g.gate_commit(r1));
+            let at = g.tick();
+            g.install(r1, &ctx_r1.ws, at, true, None);
+            g.finish_commit(r1);
+            let read = g.try_acquire(r2, 0, X, LockMode::Read, &mut ctx_r2.ws);
+            assert!(matches!(read, TryAcquire::Done));
+            assert_eq!(g.gate_of(w), Some(&[r2][..]), "R2 refilled W's gate");
+            assert!(waits_of(&g).is_empty(), "W waits on nobody yet");
+        }
+        let until = Instant::now() + PERIOD * 5;
+        while waits_of(&m.lock(0)) != [r2] {
+            assert!(Instant::now() < until, "W never registered a wait on R2");
+            std::thread::yield_now();
+        }
+        assert!(matches!(
+            m.commit(r2, &mut ctx_r2),
+            CommitOutcome::Committed(_)
+        ));
+        let committed = rx.recv_timeout(PERIOD * 4).expect("W never left its gate");
+        assert!(committed, "W restarted");
+    }
 }

@@ -121,8 +121,8 @@ pub struct JobReport {
     pub id: InstanceId,
     /// Its template's base priority.
     pub priority: Priority,
-    /// Wall-clock admission→commit latency, including restarts. Always
-    /// exactly [`JobReport::queue_ns`] `+` [`JobReport::service_ns`].
+    /// Wall-clock admission→commit latency, including restarts: set to
+    /// [`JobReport::queue_ns`] `+` [`JobReport::service_ns`].
     pub latency_ns: u64,
     /// Queueing delay: admission → a worker starting the job. Zero in the
     /// closed loop, where a worker *is* the admitter.
@@ -617,20 +617,19 @@ fn worker(
         // starts the job in the same breath, so queueing delay is zero,
         // service is the whole latency and the release is the start.
         let service_ns = dur_ns(committed.duration_since(started));
-        let (queue_ns, latency_ns, release_ns, tenant, deadline_ns) = match &admitted {
+        let (queue_ns, release_ns, tenant, deadline_ns) = match &admitted {
             Some(job) => (
                 dur_ns(started.duration_since(job.admitted_at)),
-                dur_ns(committed.duration_since(job.admitted_at)),
                 job.req.release_ns,
                 job.req.tenant,
                 job.req.deadline_ns,
             ),
-            None => (0, service_ns, dur_ns(started.duration_since(t0)), 0, None),
+            None => (0, dur_ns(started.duration_since(t0)), 0, None),
         };
         let report = JobReport {
             id,
             priority: set.priority_of(id.txn),
-            latency_ns,
+            latency_ns: queue_ns + service_ns,
             queue_ns,
             service_ns,
             release_ns,

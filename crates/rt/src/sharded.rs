@@ -57,7 +57,7 @@ use crate::manager::{
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
-use rtdb_core::{ShardRouter, ShardSet, MAX_SHARDS};
+use rtdb_core::{ProtocolKind, ShardRouter, ShardSet, MAX_SHARDS};
 use rtdb_storage::{Event, History};
 use rtdb_types::{InstanceId, ItemId, LockMode, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,19 +129,23 @@ impl<'a> ShardedManager<'a> {
         snap: Option<Arc<SnapshotSide>>,
     ) -> Self {
         let n = config.shards.clamp(1, MAX_SHARDS);
-        if n > 1 {
-            assert!(
-                config.kind.shardable(),
-                "{} cannot run sharded; shardable protocols: {}",
-                config.kind.name(),
-                rtdb_core::ProtocolKind::ALL
-                    .iter()
-                    .filter(|k| k.shardable())
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-        }
+        let kind = config.kind;
+        let line_up = |keep: fn(ProtocolKind) -> bool| {
+            let kinds = ProtocolKind::STANDARD.into_iter().filter(|&k| keep(k));
+            kinds.map(ProtocolKind::name).collect::<Vec<_>>().join(", ")
+        };
+        // The demo kinds reproduce the paper's single-CPU negative
+        // results; the simulator and `figures` run them.
+        assert!(
+            kind.is_standard(),
+            "{kind} runs only in the simulator; the runtime runs {}",
+            line_up(|_| true),
+        );
+        assert!(
+            n == 1 || kind.shardable(),
+            "{kind} cannot run sharded; shardable protocols: {}",
+            line_up(ProtocolKind::shardable),
+        );
         let router = ShardRouter::new(n);
         let clock = Arc::new(AtomicU64::new(0));
         let scope = (n > 1).then_some(router);

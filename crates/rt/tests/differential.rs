@@ -83,7 +83,7 @@ fn sim_final_db(
 
 #[test]
 fn single_thread_replay_matches_sim_for_all_kinds() {
-    for kind in ProtocolKind::ALL {
+    for kind in ProtocolKind::STANDARD {
         let set = bounded_workload(0xD1FF + kind as u64);
         let jobs = sim_serial_order(&set, kind);
         let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(1));
@@ -176,10 +176,10 @@ fn pcp_da_single_blocking_spot_check() {
 }
 
 /// Multi-threaded runs stay serializable and lose no committed work, for
-/// every protocol in the registry.
+/// every standard protocol kind.
 #[test]
 fn multi_thread_runs_are_serializable_for_all_kinds() {
-    for kind in ProtocolKind::ALL {
+    for kind in ProtocolKind::STANDARD {
         let set = bounded_workload(0xBEEF + kind as u64);
         let jobs = rtdb_rt::job_list(&set, 24, 11);
         let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(4));

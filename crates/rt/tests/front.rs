@@ -50,7 +50,7 @@ fn forced_schedule_misses_exactly_k() {
         .build()
         .expect("set");
     let config = FrontConfig::new(ProtocolKind::PcpDa)
-        .with_policy(AdmissionPolicy::Block)
+        .with_policy(AdmissionPolicy::Reject)
         .with_rt(
             RtConfig::new(ProtocolKind::PcpDa)
                 .with_threads(1)
@@ -158,7 +158,7 @@ fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
         // deadline = release + period scaled by the same tick the worker
         // uses for computation.
         let config = FrontConfig::new(kind)
-            .with_policy(AdmissionPolicy::Block)
+            .with_policy(AdmissionPolicy::Reject)
             .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
         let (rt, ()) = run_front(&set, config, |front| {
             let (sub, _rx) = front.submitter();
@@ -217,7 +217,7 @@ fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
         let (sim, sim_order, sim_missed) = sim_burst(kind);
 
         let config = FrontConfig::new(kind)
-            .with_policy(AdmissionPolicy::Block)
+            .with_policy(AdmissionPolicy::Reject)
             .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
         let (rt, ()) = run_front(&set, config, |front| {
             let (sub, rx) = front.submitter();
@@ -311,7 +311,7 @@ fn open_loop_replay_through_front_matches_sim_under_contention() {
         }
 
         let front_config = FrontConfig::new(kind)
-            .with_policy(AdmissionPolicy::Block)
+            .with_policy(AdmissionPolicy::Reject)
             .with_capacity(order.len())
             .with_rt(RtConfig::new(kind).with_threads(1));
         let (rt, ()) = run_front(&set, front_config, |front| {
@@ -390,7 +390,6 @@ fn unknown_template_is_rejected_and_the_run_goes_on() {
         [
             sub.submit(job(TxnId(0))),
             sub.submit(job(bad)),
-            sub.try_submit(job(bad)),
             sub.submit(job(TxnId(1))),
         ]
     });
@@ -400,15 +399,14 @@ fn unknown_template_is_rejected_and_the_run_goes_on() {
             [
                 SubmitOutcome::Admitted { .. },
                 SubmitOutcome::Rejected,
-                SubmitOutcome::Rejected,
                 SubmitOutcome::Admitted { .. }
             ]
         ),
         "{outcomes:?}"
     );
-    assert_eq!((rt.committed, rt.shed, rt.rejected), (2, 0, 2));
+    assert_eq!((rt.committed, rt.shed, rt.rejected), (2, 0, 1));
     let tenant = rt.tenants.iter().find(|t| t.tenant == 1).expect("tenant 1");
-    assert_eq!((tenant.offered(), tenant.rejected), (4, 2));
+    assert_eq!((tenant.offered(), tenant.rejected), (3, 1));
 }
 
 /// `workers` long jobs, one per worker, then short ones: the shape that
@@ -556,11 +554,11 @@ fn concurrent_pops_number_each_template_in_admission_order() {
         ));
     }
     let set = b.build().expect("set");
-    let config = FrontConfig::new(ProtocolKind::TwoPlHp)
-        .with_policy(AdmissionPolicy::Block)
-        .with_capacity(4)
-        .with_rt(RtConfig::new(ProtocolKind::TwoPlHp).with_threads(4));
     const OFFERED: u64 = 300;
+    let config = FrontConfig::new(ProtocolKind::TwoPlHp)
+        .with_policy(AdmissionPolicy::Reject)
+        .with_capacity(OFFERED as usize)
+        .with_rt(RtConfig::new(ProtocolKind::TwoPlHp).with_threads(4));
     let (rt, by_ticket) = run_front(&set, config, |front| {
         let (sub, rx) = front.submitter();
         for i in 0..OFFERED {
@@ -577,7 +575,7 @@ fn concurrent_pops_number_each_template_in_admission_order() {
             .iter()
             .map(|c| match c {
                 Completion::Committed { ticket, report } => (ticket, report.id),
-                Completion::Shed { .. } => panic!("nothing sheds under Block"),
+                Completion::Shed { .. } => panic!("nothing sheds under Reject"),
             })
             .collect();
         by_ticket.sort_unstable();

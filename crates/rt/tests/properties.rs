@@ -75,7 +75,8 @@ fn bamboo_runtime_histories_are_conflict_serializable() {
 fn random_workloads_commit_and_install_exactly_their_job_list() {
     prop::forall(24, |rng| {
         let set = random_set(rng);
-        let kind = ProtocolKind::ALL[rng.bounded(ProtocolKind::ALL.len() as u64) as usize];
+        let kind =
+            ProtocolKind::STANDARD[rng.bounded(ProtocolKind::STANDARD.len() as u64) as usize];
         let threads = 4 + rng.bounded(5) as usize; // 4..=8
         let jobs = job_list(&set, 24, rng.next_u64());
 
@@ -197,19 +198,15 @@ fn brook_2pl_never_resolves_a_deadlock() {
 
 /// Deadline-accounting invariant of the admission front-end: for *every*
 /// committed job, queueing delay plus service time equals total latency
-/// exactly — all three are derived from the same three `Instant`s
-/// (admission, worker start, commit), so the identity must hold to the
-/// nanosecond, under every policy, thread count and queue bound.
+/// exactly. The worker sets `latency_ns = queue_ns + service_ns`, so the
+/// identity holds by construction; this pins it under every policy,
+/// thread count and queue bound.
 #[test]
 fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
     prop::forall(16, |rng| {
         let set = random_set(rng);
 
-        let policy = match rng.bounded(3) {
-            0 => AdmissionPolicy::Reject,
-            1 => AdmissionPolicy::LeastSlack,
-            _ => AdmissionPolicy::Block,
-        };
+        let policy = AdmissionPolicy::ALL[rng.bounded(AdmissionPolicy::ALL.len() as u64) as usize];
         let kind = if rng.bounded(2) == 0 {
             ProtocolKind::PcpDa
         } else {

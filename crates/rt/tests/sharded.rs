@@ -23,7 +23,7 @@ use rtdb_util::prop;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn shardable_kinds() -> impl Iterator<Item = ProtocolKind> {
-    ProtocolKind::ALL.into_iter().filter(|k| k.shardable())
+    ProtocolKind::STANDARD.into_iter().filter(|k| k.shardable())
 }
 
 /// A contended workload over enough items that 4 shards all own some.
@@ -555,10 +555,11 @@ fn sim_and_rt_sharded_agree_on_a_conflict_free_burst() {
     }
 }
 
-/// Non-shardable protocols refuse multi-shard configurations loudly.
+/// The runtime refuses loudly what it cannot run: a non-shardable kind
+/// at two shards, and the demo kinds, which stay in the simulator, at
+/// any shard count. Each message names what does run.
 #[test]
-#[should_panic(expected = "cannot run sharded")]
-fn non_shardable_kind_panics_at_two_shards() {
+fn refused_configurations_panic_naming_what_runs() {
     let set = SetBuilder::new()
         .with(TransactionTemplate::new(
             "A",
@@ -568,5 +569,27 @@ fn non_shardable_kind_panics_at_two_shards() {
         .build()
         .expect("set");
     let jobs = job_list(&set, 2, 1);
-    let _ = run(&set, &jobs, RtConfig::new(ProtocolKind::Ccp).with_shards(2));
+    let shardable: Vec<&str> = shardable_kinds().map(ProtocolKind::name).collect();
+    let standard = ProtocolKind::STANDARD.map(ProtocolKind::name);
+    // Kinds by their report names, as `rtdbsim --protocol` takes them.
+    let refused: [(&str, usize, &str, &[&str]); 3] = [
+        ("CCP", 2, "cannot run sharded", &shardable),
+        ("Naive-DA", 1, "runs only in the simulator", &standard),
+        ("PCP-DA-literal", 1, "runs only in the simulator", &standard),
+    ];
+    for (name, shards, reason, named) in refused {
+        let kind: ProtocolKind = name.parse().expect("a registered kind");
+        let config = RtConfig::new(kind).with_shards(shards);
+        let payload = std::panic::catch_unwind(|| run(&set, &jobs, config))
+            .err()
+            .unwrap_or_else(|| panic!("{name} at {shards} shard(s) ran"));
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.starts_with(name), "{message}");
+        assert!(message.contains(reason), "{message}");
+        for runs in named {
+            assert!(message.contains(runs), "{message} does not name {runs}");
+        }
+    }
 }

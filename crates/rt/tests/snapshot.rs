@@ -74,7 +74,7 @@ fn read_only_workload_takes_zero_locks() {
 #[test]
 fn snapshot_runs_are_serializable_for_all_kinds() {
     let set = read_heavy_workload(0x5EED, 6, 3);
-    for kind in ProtocolKind::ALL {
+    for kind in ProtocolKind::STANDARD {
         let config = RtConfig::new(kind)
             .with_threads(4)
             .with_snapshot_reads(true);
@@ -111,7 +111,7 @@ fn snapshot_runs_are_serializable_for_all_kinds() {
 
 #[test]
 fn single_thread_replay_with_snapshots_matches_sim() {
-    for kind in ProtocolKind::ALL {
+    for kind in ProtocolKind::STANDARD {
         let set = bounded(&read_heavy_workload(0xD1FF + kind as u64, 4, 2));
         let mut sim_config = SimConfig::default().with_snapshot_reads();
         if kind.may_deadlock() {

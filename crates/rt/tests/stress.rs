@@ -1,4 +1,4 @@
-//! Stress smoke runs: 8 threads × every protocol, and 32 threads of
+//! Stress smoke runs: 8 threads × every standard kind, and 32 threads of
 //! lock-upgrade cycles.
 //!
 //! Fixed seeds, short job queues, maximum contention churn (`tick_ns = 0`
@@ -9,7 +9,7 @@
 //! the number of Install events in the history, which in turn equals the
 //! number of committed instances whose template writes the item.
 //!
-//! Gated to release builds: every protocol × 8 threads × 160 jobs of pure
+//! Gated to release builds: every kind × 8 threads × 160 jobs of pure
 //! mutex churn is a wasteful crawl under an unoptimized build, and CI
 //! runs the release suite anyway.
 
@@ -43,7 +43,7 @@ fn workload(seed: u64) -> TransactionSet {
     ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
 )]
 fn eight_threads_nine_protocols_no_lost_updates() {
-    for kind in ProtocolKind::ALL {
+    for kind in ProtocolKind::STANDARD {
         let set = workload(0x57E5 + kind as u64);
         let jobs = job_list(&set, 160, 23 + kind as u64);
         let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(8));
@@ -115,7 +115,7 @@ fn upgrade_hot_set() -> TransactionSet {
 )]
 fn thirty_two_threads_of_upgrade_cycles_all_commit() {
     const WATCHDOG: Duration = Duration::from_secs(60);
-    let kinds = ProtocolKind::ALL
+    let kinds = ProtocolKind::STANDARD
         .into_iter()
         .filter(|k| k.may_deadlock() || *k == ProtocolKind::TwoPlHp);
     for kind in kinds {

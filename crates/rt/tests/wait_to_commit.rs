@@ -1,7 +1,7 @@
 //! The wait-to-commit rule on real threads (DESIGN.md §6c).
 //!
-//! PCP-DA and Naive-DA let a higher-priority reader read the pre-image of
-//! an item a lower-priority writer holds write-locked, which serializes
+//! PCP-DA lets a higher-priority reader read the pre-image of an item a
+//! lower-priority writer holds write-locked, which serializes
 //! the reader first. On one CPU the writer cannot commit before the
 //! reader has finished; on two workers it could, and the reader's next
 //! read of what the writer installed closed a cycle in a few percent of
@@ -31,11 +31,11 @@ fn readers_let_past_a_writer_keep_two_workers_serializable() {
     .expect("workload generation")
     .set;
     let jobs = job_list(&set, 6000, 7);
-    for kind in [ProtocolKind::PcpDa, ProtocolKind::NaiveDa] {
-        let config = RtConfig::new(kind).with_threads(2).with_tick_ns(2000);
-        let rt = run(&set, &jobs, config);
-        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?} dropped jobs");
-        let violations = serializability_violations(&set, &rt.history, &rt.db, true);
-        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
-    }
+    let config = RtConfig::new(ProtocolKind::PcpDa)
+        .with_threads(2)
+        .with_tick_ns(2000);
+    let rt = run(&set, &jobs, config);
+    assert_eq!(rt.committed, jobs.len() as u64, "dropped jobs");
+    let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+    assert!(violations.is_empty(), "{violations:?}");
 }
