@@ -21,8 +21,8 @@
 //! ```
 
 use crate::engine::{RunOutcome, RunResult};
-use rtdb_storage::{Database, EventKind, History, SerializationGraph};
-use rtdb_types::{InstanceId, ItemId, Tick, TransactionSet};
+use rtdb_storage::{replay_in_order, CommittedIndex, Database, History, SerializationGraph};
+use rtdb_types::{InstanceId, ItemId, TransactionSet};
 use std::collections::BTreeMap;
 
 /// What a protocol promises; [`verify_run`] checks a run against it.
@@ -164,34 +164,44 @@ pub fn serializability_violations(
     db: &Database,
     commit_order_serialization: bool,
 ) -> Vec<Violation> {
-    let graph = SerializationGraph::build(history);
+    let index = history.committed_index();
+    indexed_violations(set, history, &index, db, commit_order_serialization)
+}
+
+/// [`serializability_violations`] over a history already indexed.
+fn indexed_violations(
+    set: &TransactionSet,
+    history: &History,
+    index: &CommittedIndex,
+    db: &Database,
+    commit_order_serialization: bool,
+) -> Vec<Violation> {
+    let graph = SerializationGraph::from_index(index);
     if let Some(cycle) = graph.find_cycle() {
         return vec![Violation::ConflictCycle(cycle)];
     }
-    let replay = if commit_order_serialization {
-        rtdb_storage::replay_serial(set, history, db)
-    } else {
-        // Reconstruct a history whose commit order is a topological order
-        // of the (acyclic) conflict graph; only commit order and the
-        // committed reads matter to the replayer.
-        let topo = graph
-            .topological_order()
-            .expect("acyclic graph has a topological order");
-        let mut h = History::new();
-        for e in history.events() {
-            if !matches!(e.kind, EventKind::Commit) {
-                h.push(e.at, e.instance, e.kind);
-            }
-        }
-        for who in topo {
-            h.push(Tick::ZERO, who, EventKind::Commit);
-        }
-        rtdb_storage::replay_serial(set, &h, db)
-    };
-    if !replay.is_serializable() {
-        return vec![Violation::ReplayDivergence(replay.violations.len())];
+    if commit_order_serialization {
+        return replay_violations(set, index, history.commit_order(), db);
     }
-    Vec::new()
+    let topo = graph
+        .topological_order()
+        .expect("acyclic graph has a topological order");
+    replay_violations(set, index, &topo, db)
+}
+
+/// The serial replay in `order`, as at most one violation.
+fn replay_violations(
+    set: &TransactionSet,
+    index: &CommittedIndex,
+    order: &[InstanceId],
+    db: &Database,
+) -> Vec<Violation> {
+    let replay = replay_in_order(set, index, order, db);
+    if replay.is_serializable() {
+        Vec::new()
+    } else {
+        vec![Violation::ReplayDivergence(replay.violations.len())]
+    }
 }
 
 /// [`serializability_violations`] extended for histories with lock-exempt
@@ -208,9 +218,9 @@ pub fn serializability_violations(
 ///    installed by the first `S` lock-path commits — wr edges may only
 ///    point to installed-before-snapshot versions, and skipping an
 ///    overwritten-before-snapshot version is equally a violation;
-/// 3. the value-level serial replay on a rebuilt history whose commit
-///    order inserts each reader directly after its stamp-th lock-path
-///    commit — the serial position the snapshot semantics claim.
+/// 3. the value-level serial replay in an order that inserts each reader
+///    directly after its stamp-th lock-path commit — the serial position
+///    the snapshot semantics claim.
 pub fn snapshot_serializability_violations(
     set: &TransactionSet,
     history: &History,
@@ -221,19 +231,17 @@ pub fn snapshot_serializability_violations(
     // Only committed readers participate; unfinished ones have no Commit
     // event to place (the runtime never reports them, but the simulator's
     // metrics include leftovers at the horizon).
-    let committed: std::collections::BTreeSet<InstanceId> =
-        history.commit_order().iter().copied().collect();
+    let index = history.committed_index();
     let readers: BTreeMap<InstanceId, u64> = snapshots
         .iter()
         .copied()
-        .filter(|(r, _)| committed.contains(r))
+        .filter(|(r, _)| index.committed().binary_search(r).is_ok())
         .collect();
     if readers.is_empty() {
-        return serializability_violations(set, history, db, commit_order_serialization);
+        return indexed_violations(set, history, &index, db, commit_order_serialization);
     }
 
-    let graph = SerializationGraph::build(history);
-    if let Some(cycle) = graph.find_cycle() {
+    if let Some(cycle) = SerializationGraph::from_index(&index).find_cycle() {
         return vec![Violation::ConflictCycle(cycle)];
     }
 
@@ -247,25 +255,22 @@ pub fn snapshot_serializability_violations(
     }
 
     // Consistent-prefix check.
-    let installs = history.install_order();
-    let reads = history.committed_reads();
     let mut out = Vec::new();
     for (&reader, &stamp) in &readers {
-        for &(item, _, version, own) in reads.get(&reader).map_or(&[][..], Vec::as_slice) {
-            debug_assert!(!own, "snapshot readers stage nothing");
-            let expected = installs.get(&item).map_or(0, |chain| {
-                chain
-                    .iter()
-                    .filter(|&&(_, writer, _)| pos.get(&writer).is_some_and(|&p| p <= stamp))
-                    .map(|&(v, _, _)| v)
-                    .max()
-                    .unwrap_or(0)
-            });
-            if version != expected {
+        for read in index.reads(reader) {
+            debug_assert!(!read.own, "snapshot readers stage nothing");
+            let expected = index
+                .installs(read.item)
+                .iter()
+                .filter(|&&(_, writer)| pos.get(&writer).is_some_and(|&p| p <= stamp))
+                .map(|&(v, _)| v)
+                .max()
+                .unwrap_or(0);
+            if read.version != expected {
                 out.push(Violation::SnapshotInconsistency {
                     reader,
-                    item,
-                    version,
+                    item: read.item,
+                    version: read.version,
                     expected,
                     stamp,
                 });
@@ -280,12 +285,6 @@ pub fn snapshot_serializability_violations(
     let mut by_stamp: BTreeMap<u64, Vec<InstanceId>> = BTreeMap::new();
     for (&r, &s) in &readers {
         by_stamp.entry(s).or_default().push(r);
-    }
-    let mut h = History::new();
-    for e in history.events() {
-        if !matches!(e.kind, EventKind::Commit) {
-            h.push(e.at, e.instance, e.kind);
-        }
     }
     let mut serial: Vec<InstanceId> = Vec::with_capacity(history.commit_order().len());
     serial.extend(by_stamp.get(&0).into_iter().flatten());
@@ -302,14 +301,7 @@ pub fn snapshot_serializability_violations(
     for (_, rs) in by_stamp.range(k + 1..) {
         serial.extend(rs);
     }
-    for who in serial {
-        h.push(Tick::ZERO, who, EventKind::Commit);
-    }
-    let replay = rtdb_storage::replay_serial(set, &h, db);
-    if !replay.is_serializable() {
-        return vec![Violation::ReplayDivergence(replay.violations.len())];
-    }
-    Vec::new()
+    replay_violations(set, &index, &serial, db)
 }
 
 #[cfg(test)]

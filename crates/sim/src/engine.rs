@@ -185,26 +185,9 @@ impl RunResult {
     /// graph (view check valid for CCP). Returns `None` if the graph is
     /// cyclic.
     pub fn replay_check_topological(&self, set: &TransactionSet) -> Option<ReplayOutcome> {
-        // Reorder the commit order into a topological order and replay by
-        // temporarily rebuilding a history stub? Simpler: the value-replay
-        // needs only the order; reuse replay_serial by checking the graph
-        // first and replaying in topological order via a reordered commit
-        // list.
-        let graph = self.serialization_graph();
-        let topo = graph.topological_order()?;
-        let mut h = History::new();
-        // Reconstruct a history with the same events but commit order =
-        // topological order. Only commit_order and committed_reads matter
-        // to the replayer; committed_reads is commit-order independent.
-        for e in self.history.events() {
-            if !matches!(e.kind, EventKind::Commit) {
-                h.push(e.at, e.instance, e.kind);
-            }
-        }
-        for who in topo {
-            h.push(Tick::ZERO, who, EventKind::Commit);
-        }
-        Some(rtdb_storage::replay_serial(set, &h, &self.db))
+        let index = self.history.committed_index();
+        let topo = SerializationGraph::from_index(&index).topological_order()?;
+        Some(rtdb_storage::replay_in_order(set, &index, &topo, &self.db))
     }
 }
 

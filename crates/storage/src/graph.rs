@@ -16,10 +16,18 @@
 //! order, hence commit order, and therefore can never create a cycle on
 //! their own) so the graph is the classical `SG(H)` of Bernstein et al.,
 //! which Theorem 3 references.
+//!
+//! The graph is built from the history's [`CommittedIndex`] and kept
+//! flat: sorted `Vec`s of nodes and edges, and per node a slice of its
+//! successors, which is what [`find_cycle`] walks. Edges are sorted by a
+//! counting sort on their source and a sort of each source's handful, so
+//! they come out in the `(from, to, kind, item)` order the tree sets
+//! gave; `crates/storage/tests/differential.rs` holds the tree-map
+//! oracle as a reference model and checks the answers are identical.
 
-use crate::history::History;
+use crate::db::Version;
+use crate::history::{group, CommittedIndex, History, Positions};
 use rtdb_types::{InstanceId, ItemId};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Kind of a conflict edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -114,142 +122,200 @@ pub fn find_cycle<'g>(
 }
 
 /// The serialization graph of a history.
+///
+/// Flat: the nodes and the edges are sorted `Vec`s, and each node's
+/// successors one slice of a third, in edge order with repeats dropped (a
+/// second edge to the same node changes neither search below).
 #[derive(Clone, Debug)]
 pub struct SerializationGraph {
-    nodes: BTreeSet<InstanceId>,
-    edges: BTreeSet<ConflictEdge>,
+    /// Committed instances, ascending.
+    nodes: Vec<InstanceId>,
+    /// Finds a node in `nodes`.
+    positions: Positions,
+    /// Ascending by `(from, to, kind, item)`, no repeats.
+    edges: Vec<ConflictEdge>,
+    /// `succs[succ_start[i]..succ_start[i + 1]]` are `nodes[i]`'s
+    /// successors, ascending.
+    succ_start: Vec<usize>,
+    succs: Vec<InstanceId>,
 }
 
 impl SerializationGraph {
     /// Build `SG(H)` from a history. Only committed instances appear.
     pub fn build(history: &History) -> Self {
-        let committed: BTreeSet<InstanceId> = history.commit_order().iter().copied().collect();
-        let installs = history.install_order();
-        let reads = history.committed_reads();
+        Self::from_index(&history.committed_index())
+    }
 
-        let mut edges: BTreeSet<ConflictEdge> = BTreeSet::new();
+    /// Build `SG(H)` from the history's committed index, so a caller that
+    /// replays the history too indexes it once.
+    pub fn from_index(index: &CommittedIndex) -> Self {
+        // Edges in generation order, each tagged with a bucket that sorts
+        // like its source: `2i + 1` for an edge leaving `nodes[i]`, `2i`
+        // for one leaving a non-node that sorts just before `nodes[i]` (an
+        // instance that installed early and never committed).
+        let mut tagged: Vec<(usize, ConflictEdge)> = Vec::new();
+        let mut push = |edge: ConflictEdge| {
+            let bucket = match index.position(edge.from) {
+                Ok(i) => 2 * i + 1,
+                Err(i) => 2 * i,
+            };
+            tagged.push((bucket, edge));
+        };
 
         // ww edges: successive committed writers of the same item.
-        for (item, seq) in &installs {
-            for pair in seq.windows(2) {
-                let (_, w1, _) = pair[0];
-                let (_, w2, _) = pair[1];
+        for (item, chain) in index.install_chains() {
+            for pair in chain.windows(2) {
+                let (_, w1) = pair[0];
+                let (_, w2) = pair[1];
                 if w1 != w2 {
-                    edges.insert(ConflictEdge {
+                    push(ConflictEdge {
                         from: w1,
                         to: w2,
                         kind: EdgeKind::Ww,
-                        item: *item,
+                        item,
                     });
-                }
-            }
-        }
-
-        // Index: per item, version -> writer; and version -> next writer.
-        let mut installer: BTreeMap<(ItemId, u64), InstanceId> = BTreeMap::new();
-        let mut next_writer: BTreeMap<(ItemId, u64), InstanceId> = BTreeMap::new();
-        for (item, seq) in &installs {
-            for (version, writer, _) in seq {
-                installer.insert((*item, *version), *writer);
-            }
-            for pair in seq.windows(2) {
-                let (v1, _, _) = pair[0];
-                let (_, w2, _) = pair[1];
-                next_writer.insert((*item, v1), w2);
-            }
-            if let Some((first_version, first_writer, _)) = seq.first() {
-                // Readers of the initial version 0 precede the first writer.
-                if *first_version >= 1 {
-                    next_writer.insert((*item, first_version - 1), *first_writer);
                 }
             }
         }
 
         // wr and rw edges from committed reads. Reads served from the
         // instance's own workspace are internal and create no edges.
-        for (&reader, rs) in &reads {
-            for &(item, _value, version, own) in rs {
-                if own {
+        for &reader in index.committed() {
+            for read in index.reads(reader) {
+                if read.own {
                     continue;
                 }
-                if let Some(&writer) = installer.get(&(item, version)) {
-                    if writer != reader {
-                        edges.insert(ConflictEdge {
-                            from: writer,
-                            to: reader,
-                            kind: EdgeKind::Wr,
-                            item,
-                        });
+                let item = read.item;
+                let chain = index.installs(item);
+                // The writer of the version read, and the one who overwrote
+                // it. Readers of the version before the first install
+                // (version 0, unless the chain starts higher) precede the
+                // first writer.
+                let (writer, overwriter) = match find_version(chain, read.version) {
+                    Some(at) => (Some(chain[at].1), chain.get(at + 1).map(|&(_, w)| w)),
+                    None => {
+                        let first = chain
+                            .first()
+                            .filter(|&&(v, _)| v.checked_sub(1) == Some(read.version));
+                        (None, first.map(|&(_, w)| w))
                     }
+                };
+                if let Some(writer) = writer.filter(|&w| w != reader) {
+                    push(ConflictEdge {
+                        from: writer,
+                        to: reader,
+                        kind: EdgeKind::Wr,
+                        item,
+                    });
                 }
-                if let Some(&overwriter) = next_writer.get(&(item, version)) {
-                    if overwriter != reader {
-                        edges.insert(ConflictEdge {
-                            from: reader,
-                            to: overwriter,
-                            kind: EdgeKind::Rw,
-                            item,
-                        });
-                    }
+                if let Some(overwriter) = overwriter.filter(|&w| w != reader) {
+                    push(ConflictEdge {
+                        from: reader,
+                        to: overwriter,
+                        kind: EdgeKind::Rw,
+                        item,
+                    });
                 }
             }
         }
 
+        // A counting sort by bucket, then each bucket's handful sorted.
+        let nodes = index.committed().to_vec();
+        let (bucket_start, mut edges) = group(2 * nodes.len() + 1, tagged.iter().copied());
+        for bucket in bucket_start.windows(2) {
+            edges[bucket[0]..bucket[1]].sort_unstable();
+        }
+        edges.dedup();
+
+        // Successor slices, walking the sorted edges beside the nodes. An
+        // edge leaving a non-node is never searched from.
+        let mut succ_start = Vec::with_capacity(nodes.len() + 1);
+        let mut succs: Vec<InstanceId> = Vec::new();
+        let mut rest = edges.iter().peekable();
+        for &n in &nodes {
+            let begin = succs.len();
+            succ_start.push(begin);
+            while rest.next_if(|e| e.from < n).is_some() {}
+            while let Some(e) = rest.next_if(|e| e.from == n) {
+                if succs[begin..].last() != Some(&e.to) {
+                    succs.push(e.to);
+                }
+            }
+        }
+        succ_start.push(succs.len());
+
         SerializationGraph {
-            nodes: committed,
+            nodes,
+            positions: index.positions().clone(),
             edges,
+            succ_start,
+            succs,
         }
     }
 
-    /// All nodes (committed instances).
-    pub fn nodes(&self) -> &BTreeSet<InstanceId> {
+    /// All nodes (committed instances), ascending.
+    pub fn nodes(&self) -> &[InstanceId] {
         &self.nodes
     }
 
-    /// All conflict edges.
+    /// All conflict edges, ascending by `(from, to, kind, item)`.
     pub fn edges(&self) -> impl Iterator<Item = &ConflictEdge> {
         self.edges.iter()
+    }
+
+    /// Where node `n` is in `nodes`.
+    fn position(&self, n: InstanceId) -> Option<usize> {
+        self.positions.find(&self.nodes, n).ok()
+    }
+
+    /// The distinct successors of node `nodes[i]`, ascending.
+    fn succs_at(&self, i: usize) -> &[InstanceId] {
+        &self.succs[self.succ_start[i]..self.succ_start[i + 1]]
     }
 
     /// Find a cycle, if one exists, as the list of instances on it.
     /// `None` means the history is conflict-serializable.
     pub fn find_cycle(&self) -> Option<Vec<InstanceId>> {
-        let mut adj: BTreeMap<InstanceId, Vec<InstanceId>> = BTreeMap::new();
-        for e in &self.edges {
-            adj.entry(e.from).or_default().push(e.to);
-        }
         find_cycle(self.nodes.iter().copied(), |n| {
-            adj.get(&n).map_or(&[], Vec::as_slice)
+            self.position(n).map_or(&[], |i| self.succs_at(i))
         })
     }
 
     /// A topological order of the graph (a valid serialization order), or
-    /// `None` if cyclic.
+    /// `None` if cyclic. Of the nodes ready at a time, the highest comes
+    /// first.
     pub fn topological_order(&self) -> Option<Vec<InstanceId>> {
-        let mut indegree: BTreeMap<InstanceId, usize> =
-            self.nodes.iter().map(|&n| (n, 0)).collect();
-        let mut adj: BTreeMap<InstanceId, Vec<InstanceId>> = BTreeMap::new();
-        for e in &self.edges {
-            adj.entry(e.from).or_default().push(e.to);
-            *indegree.entry(e.to).or_insert(0) += 1;
+        let at = |&n: &InstanceId| self.position(n);
+        let mut indegree = vec![0usize; self.nodes.len()];
+        for to in self.succs.iter().filter_map(at) {
+            indegree[to] += 1;
         }
-        let mut ready: Vec<InstanceId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
+        let mut ready: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| indegree[i] == 0)
             .collect();
         let mut out = Vec::with_capacity(self.nodes.len());
-        while let Some(n) = ready.pop() {
-            out.push(n);
-            for &m in adj.get(&n).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let d = indegree.get_mut(&m).unwrap();
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(m);
+        while let Some(i) = ready.pop() {
+            out.push(self.nodes[i]);
+            for to in self.succs_at(i).iter().filter_map(at) {
+                indegree[to] -= 1;
+                if indegree[to] == 0 {
+                    ready.push(to);
                 }
             }
         }
         (out.len() == self.nodes.len()).then_some(out)
+    }
+}
+
+/// Where `version` sits in an item's install chain. Versions rise by one
+/// per install, so the chain's first version locates it directly; a chain
+/// with gaps falls back to a binary search.
+fn find_version(chain: &[(Version, InstanceId)], version: Version) -> Option<usize> {
+    let first = chain.first()?.0;
+    let guess = version.checked_sub(first).map(|d| d as usize);
+    match guess.and_then(|at| chain.get(at)) {
+        Some(&(v, _)) if v == version => guess,
+        _ => chain.binary_search_by_key(&version, |&(v, _)| v).ok(),
     }
 }
 
@@ -386,20 +452,23 @@ mod tests {
         // Two disjoint cycles, {1, 2} and {3, 4}; node 0 leads into the
         // second. Starts are tried in ascending order, so 0's cycle wins
         // although {1, 2} holds the lower ids.
-        let mut adj: BTreeMap<InstanceId, Vec<InstanceId>> = BTreeMap::new();
-        for (from, to) in [(1, 2), (2, 1), (3, 4), (4, 3), (0, 3)] {
-            adj.entry(inst(from)).or_default().push(inst(to));
+        // Adjacency lists, sorted by node.
+        let mut adj: Vec<(InstanceId, Vec<InstanceId>)> = [(0, 3), (1, 2), (2, 1), (3, 4), (4, 3)]
+            .into_iter()
+            .map(|(from, to)| (inst(from), vec![inst(to)]))
+            .collect();
+        fn succs(adj: &[(InstanceId, Vec<InstanceId>)], n: InstanceId) -> &[InstanceId] {
+            adj.binary_search_by_key(&n, |a| a.0)
+                .map_or(&[], |i| adj[i].1.as_slice())
         }
-        let search = |adj: &BTreeMap<InstanceId, Vec<InstanceId>>| {
-            find_cycle(adj.keys().copied(), |n| {
-                adj.get(&n).map_or(&[], Vec::as_slice)
-            })
+        let search = |adj: &[(InstanceId, Vec<InstanceId>)]| {
+            find_cycle(adj.iter().map(|a| a.0), |n| succs(adj, n))
         };
         assert_eq!(search(&adj), Some(vec![inst(3), inst(4)]));
-        adj.remove(&inst(0));
+        adj.remove(0);
         assert_eq!(search(&adj), Some(vec![inst(1), inst(2)]));
         // A successor outside `nodes` is never searched from.
-        let only_1 = find_cycle([inst(1)], |n| adj.get(&n).map_or(&[], Vec::as_slice));
+        let only_1 = find_cycle([inst(1)], |n| succs(&adj, n));
         assert_eq!(only_1, None);
     }
 }

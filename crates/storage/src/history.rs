@@ -4,10 +4,16 @@
 //! simulation run. It is the input to both correctness oracles
 //! ([`crate::SerializationGraph`] and [`crate::replay`]) and to the
 //! blocking-time accounting in the analysis tests.
+//!
+//! Logging stays an append: a `History` holds its events and its commit
+//! order, nothing more. The oracles read a [`CommittedIndex`], which
+//! [`History::committed_index`] builds on demand in one pass over the
+//! events: the committed instances, each one's final-attempt reads, and
+//! each item's install chain, all in flat arrays.
 
 use crate::db::Version;
+use crate::workspace::ReadRecord;
 use rtdb_types::{InstanceId, ItemId, Tick, Value};
-use std::collections::BTreeMap;
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,60 +138,219 @@ impl History {
             .count()
     }
 
-    /// The reads of each committed instance's *final* (committing) attempt,
-    /// in program order: events after the last `Begin` of that instance.
-    pub fn committed_reads(&self) -> BTreeMap<InstanceId, Vec<(ItemId, Value, Version, bool)>> {
-        let mut last_begin: BTreeMap<InstanceId, usize> = BTreeMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if matches!(e.kind, EventKind::Begin) {
-                last_begin.insert(e.instance, i);
-            }
-        }
-        let mut out: BTreeMap<InstanceId, Vec<(ItemId, Value, Version, bool)>> = BTreeMap::new();
-        for &who in &self.commit_order {
-            out.insert(who, Vec::new());
-        }
-        for (i, e) in self.events.iter().enumerate() {
-            if let EventKind::Read {
-                item,
-                value,
-                version,
-                own,
-            } = e.kind
-            {
-                if let Some(reads) = out.get_mut(&e.instance) {
-                    if i >= *last_begin.get(&e.instance).unwrap_or(&0) {
-                        reads.push((item, value, version, own));
+    /// Index the committed part of the history for the oracles, in one
+    /// pass over the events. Nothing is indexed while the run logs: the
+    /// index is built only when an oracle asks for it.
+    pub fn committed_index(&self) -> CommittedIndex {
+        CommittedIndex::build(self)
+    }
+}
+
+/// The committed part of a [`History`], flat: what both Theorem 3 oracles
+/// ([`crate::SerializationGraph`] and [`crate::replay`]) read.
+///
+/// * the committed instances, ascending;
+/// * each one's *final-attempt* reads (the reads after its last `Begin`),
+///   in program order, as one slice;
+/// * per item, its install chain `(version, writer)` ascending by version
+///   — the ww order of the history — in a dense array indexed by
+///   [`ItemId`].
+///
+/// Reads and installs sit in two flat arrays, grouped by instance and by
+/// item with a counting sort, so building the index costs one pass over
+/// the events and one over what it keeps.
+#[derive(Clone, Debug, Default)]
+pub struct CommittedIndex {
+    /// Committed instances, ascending.
+    committed: Vec<InstanceId>,
+    /// Finds an instance in `committed`.
+    positions: Positions,
+    /// `reads[read_start[i]..read_start[i + 1]]` are `committed[i]`'s.
+    read_start: Vec<usize>,
+    reads: Vec<ReadRecord>,
+    /// `installs[install_start[x]..install_start[x + 1]]` are item `x`'s.
+    install_start: Vec<usize>,
+    installs: Vec<(Version, InstanceId)>,
+}
+
+impl CommittedIndex {
+    fn build(history: &History) -> Self {
+        let mut committed = history.commit_order.clone();
+        // `InstanceId`'s order, `(txn, seq)`, as one integer compare.
+        committed.sort_unstable_by_key(|id| (u64::from(id.txn.0) << 32) | u64::from(id.seq));
+        committed.dedup();
+        let mut index = CommittedIndex {
+            positions: Positions::new(&committed),
+            committed,
+            ..CommittedIndex::default()
+        };
+
+        // Reads of committed instances in log order, each tagged with its
+        // instance's position. A `Begin` forgets the reads logged before
+        // it: `first_kept[i]` is where `committed[i]`'s last attempt
+        // starts in `tagged`.
+        let mut first_kept = vec![0; index.committed.len()];
+        let mut tagged: Vec<(usize, ReadRecord)> = Vec::with_capacity(history.events.len() / 2);
+        let mut raw_installs: Vec<(ItemId, Version, InstanceId)> = Vec::new();
+        for e in &history.events {
+            match e.kind {
+                EventKind::Begin => {
+                    if let Ok(i) = index.position(e.instance) {
+                        first_kept[i] = tagged.len();
                     }
                 }
+                EventKind::Read {
+                    item,
+                    value,
+                    version,
+                    own,
+                } => {
+                    if let Ok(i) = index.position(e.instance) {
+                        let read = ReadRecord {
+                            item,
+                            value,
+                            version,
+                            own,
+                        };
+                        tagged.push((i, read));
+                    }
+                }
+                EventKind::Install { item, version, .. } => {
+                    raw_installs.push((item, version, e.instance));
+                }
+                EventKind::StageWrite { .. } | EventKind::Commit | EventKind::Abort => {}
             }
         }
-        out
+        let kept = tagged
+            .iter()
+            .enumerate()
+            .filter(|&(at, &(i, _))| at >= first_kept[i])
+            .map(|(_, &(i, read))| (i, read));
+        (index.read_start, index.reads) = group(index.committed.len(), kept);
+
+        let items = raw_installs
+            .iter()
+            .map(|&(item, _, _)| item.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let chains = raw_installs
+            .iter()
+            .map(|&(item, version, writer)| (item.0 as usize, (version, writer)));
+        (index.install_start, index.installs) = group(items, chains);
+        // Installs are logged in commit order, already ascending per item;
+        // the stable sort only guards the invariant.
+        for chain in index.install_start.windows(2) {
+            index.installs[chain[0]..chain[1]].sort_by_key(|&(version, _)| version);
+        }
+        index
     }
 
-    /// Per-item install sequence `(version, writer, value)`, ascending by
-    /// version — the ww order of the history.
-    pub fn install_order(&self) -> BTreeMap<ItemId, Vec<(Version, InstanceId, Value)>> {
-        let mut out: BTreeMap<ItemId, Vec<(Version, InstanceId, Value)>> = BTreeMap::new();
-        for e in &self.events {
-            if let EventKind::Install {
-                item,
-                value,
-                version,
-            } = e.kind
-            {
-                out.entry(item)
-                    .or_default()
-                    .push((version, e.instance, value));
+    /// Committed instances, ascending.
+    pub fn committed(&self) -> &[InstanceId] {
+        &self.committed
+    }
+
+    /// Where `id` is in [`CommittedIndex::committed`], or where it would
+    /// go: `binary_search`'s answer, usually without a search.
+    pub(crate) fn position(&self, id: InstanceId) -> Result<usize, usize> {
+        self.positions.find(&self.committed, id)
+    }
+
+    pub(crate) fn positions(&self) -> &Positions {
+        &self.positions
+    }
+
+    /// The reads of `who`'s final (committing) attempt, in program order;
+    /// empty if `who` did not commit.
+    pub fn reads(&self, who: InstanceId) -> &[ReadRecord] {
+        match self.position(who) {
+            Ok(i) => &self.reads[self.read_start[i]..self.read_start[i + 1]],
+            Err(_) => &[],
+        }
+    }
+
+    /// `item`'s install chain `(version, writer)`, ascending by version;
+    /// empty if nobody installed it.
+    pub fn installs(&self, item: ItemId) -> &[(Version, InstanceId)] {
+        let x = item.0 as usize;
+        match self.install_start.get(x..x + 2) {
+            Some(&[from, to]) => &self.installs[from..to],
+            _ => &[],
+        }
+    }
+
+    /// Every installed item with its chain, ascending by item.
+    pub fn install_chains(&self) -> impl Iterator<Item = (ItemId, &[(Version, InstanceId)])> {
+        self.install_start
+            .windows(2)
+            .enumerate()
+            .filter(|(_, span)| span[0] < span[1])
+            .map(|(x, span)| (ItemId(x as u32), &self.installs[span[0]..span[1]]))
+    }
+}
+
+/// Finds an instance in an ascending list of instances. Per template it
+/// keeps where the template's instances start; they mostly commit in
+/// sequence, so `seq` minus the template's first `seq` is the offset. A
+/// gap (an instance that never committed) falls back to a binary search
+/// among the template's.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Positions {
+    /// `sorted[start[t]..start[t + 1]]` are template `t`'s.
+    start: Vec<usize>,
+}
+
+impl Positions {
+    pub(crate) fn new(sorted: &[InstanceId]) -> Self {
+        let templates = sorted.last().map_or(0, |id| id.txn.0 as usize + 1);
+        let (start, _) = group(templates, sorted.iter().map(|id| (id.txn.0 as usize, ())));
+        Positions { start }
+    }
+
+    /// `sorted.binary_search(&id)`, where `sorted` is the list `self` was
+    /// built from.
+    pub(crate) fn find(&self, sorted: &[InstanceId], id: InstanceId) -> Result<usize, usize> {
+        let t = id.txn.0 as usize;
+        let (Some(&from), Some(&to)) = (self.start.get(t), self.start.get(t + 1)) else {
+            return Err(sorted.len());
+        };
+        let run = &sorted[from..to];
+        if let Some(first) = run.first() {
+            let offset = id.seq.wrapping_sub(first.seq) as usize;
+            if run.get(offset) == Some(&id) {
+                return Ok(from + offset);
             }
         }
-        // Keep versions sorted (they are logged in commit order, which is
-        // already ascending per item, but be defensive).
-        for seq in out.values_mut() {
-            seq.sort_by_key(|(v, _, _)| *v);
-        }
-        out
+        run.binary_search(&id)
+            .map(|i| from + i)
+            .map_err(|i| from + i)
     }
+}
+
+/// Counting sort: values, each tagged with a bucket below `buckets`,
+/// into one array grouped by bucket (log order kept within a bucket) and
+/// the `buckets + 1` offsets that delimit the groups.
+pub(crate) fn group<T: Copy>(
+    buckets: usize,
+    tagged: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<usize>, Vec<T>) {
+    let mut start = vec![0; buckets + 1];
+    let Some((_, fill)) = tagged.clone().next() else {
+        return (start, Vec::new());
+    };
+    for (b, _) in tagged.clone() {
+        start[b + 1] += 1;
+    }
+    for b in 0..buckets {
+        start[b + 1] += start[b];
+    }
+    let mut next = start.clone();
+    let mut out = vec![fill; start[buckets]];
+    for (b, value) in tagged {
+        out[next[b]] = value;
+        next[b] += 1;
+    }
+    (start, out)
 }
 
 #[cfg(test)]
@@ -210,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_reads_ignore_aborted_attempts() {
+    fn index_keeps_only_the_final_attempts_reads() {
         let mut h = History::new();
         let t = inst(0);
         h.push(Tick(0), t, EventKind::Begin);
@@ -238,13 +403,19 @@ mod tests {
         );
         h.push(Tick(5), t, EventKind::Commit);
 
-        let reads = h.committed_reads();
-        assert_eq!(reads[&t], vec![(ItemId(0), Value(2), 2, false)]);
+        let index = h.committed_index();
+        let read = ReadRecord {
+            item: ItemId(0),
+            value: Value(2),
+            version: 2,
+            own: false,
+        };
+        assert_eq!(index.reads(t), &[read]);
         assert_eq!(h.aborts(), 1);
     }
 
     #[test]
-    fn committed_reads_exclude_uncommitted_instances() {
+    fn index_excludes_uncommitted_instances() {
         let mut h = History::new();
         h.push(Tick(0), inst(0), EventKind::Begin);
         h.push(
@@ -258,11 +429,13 @@ mod tests {
             },
         );
         // never commits
-        assert!(h.committed_reads().is_empty());
+        let index = h.committed_index();
+        assert!(index.committed().is_empty());
+        assert!(index.reads(inst(0)).is_empty());
     }
 
     #[test]
-    fn install_order_is_per_item_ascending() {
+    fn install_chains_are_per_item_ascending() {
         let mut h = History::new();
         h.push(Tick(1), inst(0), EventKind::Commit);
         h.push(
@@ -284,10 +457,10 @@ mod tests {
                 version: 2,
             },
         );
-        let order = h.install_order();
-        assert_eq!(
-            order[&ItemId(0)],
-            vec![(1, inst(0), Value(10)), (2, inst(1), Value(20))]
-        );
+        let index = h.committed_index();
+        assert_eq!(index.installs(ItemId(0)), &[(1, inst(0)), (2, inst(1))]);
+        assert!(index.installs(ItemId(1)).is_empty());
+        let chains: Vec<_> = index.install_chains().collect();
+        assert_eq!(chains, vec![(ItemId(0), &[(1, inst(0)), (2, inst(1))][..])]);
     }
 }

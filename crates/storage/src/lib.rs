@@ -11,7 +11,8 @@
 //!   (deferred updates), tracking `DataRead(T_i)` exactly as the protocol
 //!   needs it;
 //! * [`History`] — a complete, versioned log of every read, staged write,
-//!   commit and abort, the raw material for the correctness oracles;
+//!   commit and abort, the raw material for the correctness oracles, which
+//!   read it through one flat [`CommittedIndex`];
 //! * [`mvcc`] — bounded per-item version chains keyed by a global commit
 //!   stamp, powering the lock-free snapshot read path for read-only
 //!   transactions, with epoch-style reclamation;
@@ -19,9 +20,10 @@
 //!   cycle detection (Theorem 3 oracle), through [`find_cycle`], the cycle
 //!   search the kernel's deadlock check (Theorem 2) runs too;
 //! * [`replay`] — the serial-replay oracle: re-executes the committed
-//!   transactions serially in commit order and verifies that every read of
-//!   the concurrent history saw exactly the value it would have seen in
-//!   that serial execution, and that the final database states coincide.
+//!   transactions serially in commit order (or in any order given to
+//!   [`replay_in_order`]) and verifies that every read of the concurrent
+//!   history saw exactly the value it would have seen in that serial
+//!   execution, and that the final database states coincide.
 //!
 //! Under strict locking (all locks held to commit) the update-in-workspace
 //! model also faithfully emulates update-in-place for the 2PL baselines: an
@@ -39,7 +41,7 @@ pub mod workspace;
 
 pub use db::{Database, Version, VersionedValue};
 pub use graph::{find_cycle, ConflictEdge, EdgeKind, SerializationGraph};
-pub use history::{Event, EventKind, History};
+pub use history::{CommittedIndex, Event, EventKind, History};
 pub use mvcc::{MvStore, SnapshotStore, Stamp, NO_SNAPSHOT};
-pub use replay::{replay_serial, ReplayOutcome, ReplayViolation};
+pub use replay::{replay_in_order, replay_serial, ReplayOutcome, ReplayViolation};
 pub use workspace::Workspace;

@@ -14,11 +14,19 @@
 //!
 //! Any divergence is a concrete serialization anomaly, reported as a
 //! [`ReplayViolation`].
+//!
+//! [`replay_serial`] replays in commit order; [`replay_in_order`] takes
+//! the order as an argument — a topological order of `SG(H)` for CCP, or
+//! snapshot readers placed at their stamps — so no caller rebuilds a
+//! history to move its commits. Both compare against the final-attempt
+//! read slices of the history's [`CommittedIndex`], re-execute through
+//! one reused [`Workspace`], and keep the serial store as a dense array
+//! indexed by item.
 
-use crate::db::Database;
-use crate::history::History;
+use crate::db::{Database, VersionedValue};
+use crate::history::{CommittedIndex, History};
 use crate::workspace::Workspace;
-use rtdb_types::{InstanceId, ItemId, Operation, TransactionSet, Value};
+use rtdb_types::{InstanceId, ItemId, Operation, Tick, TransactionSet, TxnId, Value};
 
 /// One divergence between the concurrent history and its serial replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,19 +88,72 @@ pub fn replay_serial(
     history: &History,
     final_db: &Database,
 ) -> ReplayOutcome {
-    let mut out = ReplayOutcome::default();
-    let mut db = Database::new();
-    let committed_reads = history.committed_reads();
+    replay_in_order(
+        set,
+        &history.committed_index(),
+        history.commit_order(),
+        final_db,
+    )
+}
 
-    for &who in history.commit_order() {
+/// Replay the committed instances serially in `order` (a commit order, a
+/// topological order of `SG(H)`, snapshot readers at their stamps …)
+/// against the programs in `set`, and compare every read with the final
+/// attempt's reads in `index` and the end state with `final_db`.
+pub fn replay_in_order(
+    set: &TransactionSet,
+    index: &CommittedIndex,
+    order: &[InstanceId],
+    final_db: &Database,
+) -> ReplayOutcome {
+    let mut out = ReplayOutcome::default();
+    // The serial store, dense by item: every item the programs touch.
+    let items = set
+        .templates()
+        .iter()
+        .flat_map(|t| &t.steps)
+        .filter_map(|step| step.op.item())
+        .map(|x| x.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut db = vec![VersionedValue::INITIAL; items];
+    // One workspace, re-homed to each instance in turn.
+    let mut ws = Workspace::new(InstanceId::first(TxnId(0)));
+
+    for &who in order {
         let template = set.template(who.txn);
-        let mut ws = Workspace::new(who);
-        let mut serial_reads: Vec<(ItemId, Value)> = Vec::new();
+        let observed = index.reads(who);
+        let expected = template
+            .steps
+            .iter()
+            .filter(|step| matches!(step.op, Operation::Read(_)))
+            .count();
+        if observed.len() != expected {
+            out.violations.push(ReplayViolation::ReadCountMismatch {
+                instance: who,
+                observed: observed.len(),
+                expected,
+            });
+        }
+        ws.reset(who);
+        let mut read_index = 0;
         for (step_index, step) in template.steps.iter().enumerate() {
             match step.op {
                 Operation::Read(item) => {
-                    let rec = ws.read(&db, item);
-                    serial_reads.push((item, rec.value));
+                    let serial = ws.read_over(item, &db[item.0 as usize]).value;
+                    if let Some(o) = observed.get(read_index) {
+                        debug_assert_eq!(item, o.item, "programs are deterministic");
+                        if serial != o.value {
+                            out.violations.push(ReplayViolation::ReadMismatch {
+                                instance: who,
+                                read_index,
+                                item,
+                                observed: o.value,
+                                serial,
+                            });
+                        }
+                    }
+                    read_index += 1;
                 }
                 Operation::Write(item) => {
                     ws.write(step_index, item);
@@ -100,56 +161,50 @@ pub fn replay_serial(
                 Operation::Compute => {}
             }
         }
-        // Compare against the concurrent history's reads for this instance.
-        let observed = committed_reads
-            .get(&who)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
-        if observed.len() != serial_reads.len() {
-            out.violations.push(ReplayViolation::ReadCountMismatch {
-                instance: who,
-                observed: observed.len(),
-                expected: serial_reads.len(),
-            });
-        }
-        for (i, ((s_item, s_value), &(o_item, o_value, _, _))) in
-            serial_reads.iter().zip(observed.iter()).enumerate()
-        {
-            debug_assert_eq!(*s_item, o_item, "programs are deterministic");
-            if *s_value != o_value {
-                out.violations.push(ReplayViolation::ReadMismatch {
-                    instance: who,
-                    read_index: i,
-                    item: *s_item,
-                    observed: o_value,
-                    serial: *s_value,
-                });
-            }
-        }
         // Install this instance's writes before the next one replays.
-        ws.commit_into(&mut db, rtdb_types::Tick::ZERO);
+        for &(item, value) in ws.staged_writes() {
+            let at = &mut db[item.0 as usize];
+            *at = VersionedValue {
+                value,
+                version: at.version + 1,
+                writer: Some(who),
+                installed_at: Tick::ZERO,
+            };
+        }
     }
+    final_state(&db, final_db, &mut out.violations);
+    out
+}
 
-    // Final-state comparison.
-    let serial_snapshot = db.snapshot();
-    let observed_snapshot = final_db.snapshot();
-    let items: std::collections::BTreeSet<ItemId> = serial_snapshot
-        .keys()
-        .chain(observed_snapshot.keys())
-        .copied()
-        .collect();
-    for item in items {
-        let s = serial_snapshot.get(&item).copied();
-        let o = observed_snapshot.get(&item).copied();
-        if s != o {
-            out.violations.push(ReplayViolation::FinalStateMismatch {
+/// Append a [`ReplayViolation::FinalStateMismatch`] for every item on
+/// which the serial and the observed end states differ, ascending.
+fn final_state(serial: &[VersionedValue], observed: &Database, out: &mut Vec<ReplayViolation>) {
+    let mut s = serial
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.writer.is_some())
+        .map(|(x, v)| (ItemId(x as u32), v.value))
+        .peekable();
+    let mut o = observed.snapshot().into_iter().peekable();
+    loop {
+        // Merge the two ascending snapshots; an item missing on one side
+        // is `None` there.
+        let item = match (s.peek(), o.peek()) {
+            (None, None) => return,
+            (Some(&(a, _)), None) => a,
+            (None, Some(&(b, _))) => b,
+            (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+        };
+        let serial = s.next_if(|&(x, _)| x == item).map(|(_, v)| v);
+        let observed = o.next_if(|&(x, _)| x == item).map(|(_, v)| v);
+        if serial != observed {
+            out.push(ReplayViolation::FinalStateMismatch {
                 item,
-                observed: o,
-                serial: s,
+                observed,
+                serial,
             });
         }
     }
-    out
 }
 
 #[cfg(test)]

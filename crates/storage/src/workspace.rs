@@ -1,6 +1,6 @@
 //! Private transaction workspaces (the update-in-workspace model, paper §4).
 
-use crate::db::{Database, Version};
+use crate::db::{Database, Version, VersionedValue};
 use rtdb_types::{derive_write, InstanceId, ItemId, Value};
 
 /// A record of one read performed by an instance.
@@ -98,7 +98,13 @@ impl Workspace {
     /// committed version. Records the read and folds the value into the
     /// read digest.
     pub fn read(&mut self, db: &Database, item: ItemId) -> ReadRecord {
-        let committed = db.get(item);
+        self.read_over(item, db.get(item))
+    }
+
+    /// [`Workspace::read`] over another committed store (the serial
+    /// replay's): `committed` is `item`'s latest committed version there.
+    #[inline(always)]
+    pub(crate) fn read_over(&mut self, item: ItemId, committed: &VersionedValue) -> ReadRecord {
         let rec = match self.staged_value(item) {
             Some(own_value) => ReadRecord {
                 item,

@@ -85,7 +85,7 @@ impl TransactionSet {
     pub fn aceil(&self, item: ItemId) -> Ceiling {
         self.templates
             .iter()
-            .filter(|t| t.access_set().contains(&item))
+            .filter(|t| t.steps.iter().any(|s| s.op.item() == Some(item)))
             .map(|t| Ceiling::At(self.priority_of(t.id)))
             .max()
             .unwrap_or(Ceiling::Dummy)

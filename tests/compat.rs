@@ -146,8 +146,8 @@ mod behavioural {
         // Both committed; the final value is the later committer's (L).
         assert_eq!(r.history.committed(), 2);
         assert!(r.replay_check(&set).is_serializable());
-        let installs = r.history.install_order();
-        let seq = &installs[&x];
+        let index = r.history.committed_index();
+        let seq = index.installs(x);
         assert_eq!(seq.len(), 2);
         assert_eq!(seq[0].1.txn, TxnId(0)); // H commits/installs first
         assert_eq!(seq[1].1.txn, TxnId(1));
