@@ -7,30 +7,20 @@
 //! [`EngineView`] every protocol consults; the simulator and the threaded
 //! runtime both drive it, so a transition is written once.
 //!
-//! ## Contract: the kernel decides and records, the engines execute
+//! ## Contract: the kernel decides and applies, the engines schedule
 //!
-//! Every transition takes the protocol, the acting job's
-//! [`Workspace`] and a *tick source* — the simulator passes one clock
-//! value per transition, the runtime one atomic tick per logged event —
-//! and **returns** what the engine must act on instead of calling back:
-//! who was woken, who was aborted and why, what was released, whose
-//! commit dependencies drained, whose restart hold ended. Turning those
-//! into trace events, Gantt segments and ready-queue changes (simulator)
-//! or condvar notifies, abort flags and ceiling publications (runtime)
-//! is the engine's half.
-//!
-//! Two rules keep the engines in charge of delivery order:
-//!
-//! * Abort *demands* are handed back, not executed: [`Acquire::Wound`],
-//!   [`Acquire::Die`], [`StateKernel::commit_victims`] and
-//!   [`StateKernel::find_deadlock`] name victims and the engine routes
-//!   each through [`StateKernel::abort`] (or, for an instance that also
-//!   lives in other kernels, [`StateKernel::abort_local`]) with the
-//!   instances it yields to, on which the kernel holds what it restarts.
-//! * After applying the effects of an abort or a commit the engine calls
-//!   [`StateKernel::reevaluate`]; only a block and a step's early
-//!   releases re-evaluate on their own, because nothing engine-side can
-//!   intervene there.
+//! The resolution policy lives here, once. The entry points
+//! [`StateKernel::request`] and [`StateKernel::commit`] apply a decision
+//! end to end: a wound aborts the holders on the wounder, a die the
+//! requester on its blockers, an optimistic commit its victims on the
+//! committer; a denial or a closed commit gate aborts each wait-for
+//! cycle's victim on the rest of the cycle; every abort is followed by a
+//! re-evaluation and holds what it restarts on its cause. What a call did
+//! goes into an [`Effects`] buffer the caller lends, in the order the
+//! engine acts on it — trace events, Gantt segments and ready-queue
+//! changes in the simulator, notifies and abort flags in the runtime. A
+//! tick source stamps what a call logs: one clock value per transition in
+//! the simulator, one atomic tick per event in the runtime.
 //!
 //! ## One handle per live instance
 //!
@@ -66,8 +56,8 @@ fn insert_sorted<T: Ord + Copy>(v: &mut Vec<T>, x: T) -> bool {
 /// What the kernel keeps per live instance, beyond its locks.
 ///
 /// Two sorted lists name instances this one must outlast, and one scan
-/// of the live records ([`StateKernel::finish_commit`],
-/// [`StateKernel::abort`]) removes a departing instance from both.
+/// of the live records ([`StateKernel::commit`], [`StateKernel::abort`])
+/// removes a departing instance from both.
 /// A record stays in its slot ([`StateKernel::slot_of`]) for as long as
 /// its instance is live, so an engine can keep its own per-instance
 /// state in a table indexed by the same slot.
@@ -102,7 +92,7 @@ pub struct Record {
     /// released when the *last* of them commits or aborts, not the
     /// first; an abort of the held instance itself clears it.
     pub hold: Vec<InstanceId>,
-    /// The commit gate ([`StateKernel::gate`]): the latest retiree of
+    /// The commit gate ([`StateKernel::commit`]): the latest retiree of
     /// every item the instance was granted over a retired chain, sorted —
     /// the instances whose dirty writes it read or overwrote — and the
     /// readers let past its write locks (`gate_writers_on`). It may
@@ -125,60 +115,70 @@ impl Record {
     }
 }
 
-/// An instance the kernel aborted, with the cause.
-pub type Aborted = (InstanceId, AbortReason);
+/// The instances an [`Effect`] names — blockers, gate entries, a cycle,
+/// a cause — kept in its [`Effects`] buffer ([`Effects::ids`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Span(u32, u32);
 
-/// What [`StateKernel::abort`] did, in buffers the caller lends: one kept
-/// from abort to abort keeps its capacity.
+/// One thing a kernel call did that an engine acts on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Effect {
+    /// The request was granted now and its data operation happened.
+    Granted,
+    /// The request is pending on these blockers, or the committer parked
+    /// at its commit gate on these entries; they inherit its priority.
+    Parked(Span),
+    /// `(who, reason, cause)`: aborted and restarted, held on the cause
+    /// less its co-aborted (a cascade shares its source's cause).
+    Aborted(InstanceId, AbortReason, Span),
+    /// `(who, reason, cause)`: a victim that also lives in other kernels,
+    /// left to its owner ([`StateKernel::abort_local`]).
+    Foreign(InstanceId, AbortReason, Span),
+    /// Its pending request was cleared; it presents it again.
+    Woken(InstanceId),
+    /// Its commit gate opened while no request blocks it.
+    GateOpened(InstanceId),
+    /// Its restart hold ended.
+    HoldReleased(InstanceId),
+    /// `(cycle, victim)`: a wait-for cycle, resolved by the victim's abort
+    /// that follows, or reported by a kernel built
+    /// [`StateKernel::reporting_deadlocks`].
+    Cycle(Span, InstanceId),
+    /// Installed, released everything and left.
+    Committed(InstanceId),
+}
+
+/// What a kernel call did, in the order the engine acts on it, in a
+/// buffer the caller lends: the entry points overwrite it,
+/// [`StateKernel::reevaluate`] and [`StateKernel::resolve_cycles`] append.
 #[derive(Debug, Default)]
-pub struct Aborts {
-    /// The aborted instances, the victim first, each once.
-    pub aborted: Vec<Aborted>,
-    /// Held instances whose hold an aborted instance was the last of —
-    /// and, under a protocol that never aborts, ahead of them, instances
-    /// whose gate it opened: they may restart, or commit, now.
-    pub released: Vec<InstanceId>,
+pub struct Effects {
+    log: Vec<Effect>,
+    ids: Vec<InstanceId>,
 }
 
-/// Outcome of [`StateKernel::acquire`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Acquire {
-    /// The lock is held — already covered, or freshly `granted` — and the
-    /// data operation happened.
-    Done {
-        /// False when a lock the instance already held covered the access.
-        granted: bool,
-    },
-    /// Denied: the request is pending, `blockers` inherit the requester's
-    /// priority, and the re-evaluation a new edge calls for already ran
-    /// (`woken` may contain the requester itself).
-    Blocked {
-        /// The instances responsible for the denial.
-        blockers: Vec<InstanceId>,
-        /// Instances whose pending request would now be granted.
-        woken: Vec<InstanceId>,
-    },
-    /// The protocol wounds these holders: abort each, re-evaluate, retry.
-    Wound {
-        /// Live holders to abort (never the requester).
-        victims: Vec<InstanceId>,
-    },
-    /// The requester must abort itself (wait-die): abort it on cause
-    /// `blockers`, which holds the retry on them, and re-evaluate.
-    Die {
-        /// The conflicting instances.
-        blockers: Vec<InstanceId>,
-    },
-}
+impl Effects {
+    /// The effects, in order.
+    pub fn log(&self) -> &[Effect] {
+        &self.log
+    }
 
-/// Outcome of [`StateKernel::step_done`].
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct StepDone {
-    /// Locks released before commit, in release order (retired writes
-    /// appear as `(item, Write)`).
-    pub released: Vec<(ItemId, LockMode)>,
-    /// Instances whose pending request would now be granted.
-    pub woken: Vec<InstanceId>,
+    /// The instances `span` names.
+    pub fn ids(&self, Span(start, end): Span) -> &[InstanceId] {
+        &self.ids[start as usize..end as usize]
+    }
+
+    /// Empty the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.log.clear();
+        self.ids.clear();
+    }
+
+    fn span(&mut self, ids: &[InstanceId]) -> Span {
+        let start = self.ids.len() as u32;
+        self.ids.extend_from_slice(ids);
+        Span(start, self.ids.len() as u32)
+    }
 }
 
 /// One kernel: ceilings, lock table, inheritance, retired chains, live
@@ -213,6 +213,9 @@ pub struct StateKernel<'a> {
     /// workspace spans several kernels (its write values depend on the
     /// whole read digest), so each kernel keeps its own slice.
     scope: Option<(ShardRouter, usize)>,
+    /// Abort each wait-for cycle's victim (`true`), or report the cycle
+    /// and leave it standing ([`StateKernel::reporting_deadlocks`]).
+    resolve_deadlocks: bool,
     db: Database,
     history: History,
     abort_reasons: AbortBreakdown,
@@ -242,6 +245,7 @@ impl<'a> StateKernel<'a> {
             n_held: 0,
             n_gated: 0,
             scope: None,
+            resolve_deadlocks: true,
             db: Database::new(),
             history: History::new(),
             abort_reasons: AbortBreakdown::default(),
@@ -254,6 +258,21 @@ impl<'a> StateKernel<'a> {
     pub fn scoped_to(mut self, router: ShardRouter, shard: usize) -> Self {
         self.scope = Some((router, shard));
         self
+    }
+
+    /// Report a wait-for cycle as [`Effect::Cycle`] and leave it
+    /// standing, instead of aborting its victim — a simulation that stops
+    /// at a deadlock.
+    pub fn reporting_deadlocks(mut self) -> Self {
+        self.resolve_deadlocks = false;
+        self
+    }
+
+    /// True if `who` also lives in other kernels: a scoped kernel's
+    /// instance whose template touches other shards.
+    fn spans_kernels(&self, who: InstanceId) -> bool {
+        self.scope
+            .is_some_and(|(router, _)| router.shards_of(self.set, who.txn).is_cross_shard())
     }
 
     /// Pre-size the history log.
@@ -361,7 +380,7 @@ impl<'a> StateKernel<'a> {
     /// entries, handing back its counts and blocker list in a [`Record`];
     /// the per-attempt buffers stay behind for the next instance. Locks
     /// and the instances gated or held on it are not consulted —
-    /// [`StateKernel::finish_commit`] does that; on its own this is the
+    /// [`StateKernel::commit`] does that; on its own this is the
     /// exit of an instance that never locked anything.
     pub fn remove(&mut self, who: InstanceId) -> Record {
         let i = self.idx(who).expect("instance is live");
@@ -456,15 +475,19 @@ impl<'a> StateKernel<'a> {
         self.hold_except(who, on, &[]);
     }
 
-    /// [`StateKernel::hold`], leaving out the instances of `co` too.
-    fn hold_except(&mut self, who: InstanceId, on: &[InstanceId], co: &[Aborted]) {
+    /// [`StateKernel::hold`], leaving out the instances `co` aborted too.
+    fn hold_except(&mut self, who: InstanceId, on: &[InstanceId], co: &[Effect]) {
         let s = self.slot_of(who).expect("instance is live");
         let mut hold = std::mem::take(&mut self.records[s].hold);
         if !hold.is_empty() {
             self.n_held -= 1;
             hold.clear();
         }
-        let keep = |b: InstanceId| b != who && co.iter().all(|&(a, _)| a != b) && self.is_live(b);
+        let co_aborted = |b| {
+            co.iter()
+                .any(|e| matches!(*e, Effect::Aborted(a, ..) if a == b))
+        };
+        let keep = |b: InstanceId| b != who && !co_aborted(b) && self.is_live(b);
         hold.extend(on.iter().copied().filter(|&b| keep(b)));
         hold.sort_unstable();
         hold.dedup();
@@ -482,51 +505,48 @@ impl<'a> StateKernel<'a> {
     }
 
     /// True while `who` has commit dependencies left ([`Record::gate`]).
-    /// Unlike [`StateKernel::gate`] it registers nothing.
+    /// Unlike a parked [`StateKernel::commit`] it registers nothing.
     #[inline]
     pub fn gated(&self, who: InstanceId) -> bool {
         self.n_gated > 0 && self.record(who).is_some_and(|r| !r.gate.is_empty())
     }
 
-    /// The departure scan: `gone` committed or aborted (cascading into
-    /// `doomed`, when given), and one pass over the live records, in
-    /// ascending id order, drops it from every hold and every gate.
+    /// The departure scan: `gone` committed or aborted (cascading on
+    /// `cascade`, the abort's cause, when given), and one pass over the
+    /// live records, in ascending id order, drops it from every hold and
+    /// every gate, appending to `log`.
     ///
     /// * A hold it was the last of ends: the held instance's wait edges
-    ///   are cleared and it is appended to `released`.
-    /// * Without `doomed`, a gate it was the last of opens: the instance
-    ///   joins `released` ahead of every hold this scan ended, after the
-    ///   gates it opened before, and loses its gate wait on `gone`.
-    /// * On an abort, an instance whose gate names it is appended to
-    ///   `doomed` as a cascade and its gate emptied at once, so it is
+    ///   are cleared ([`Effect::HoldReleased`]).
+    /// * Without `cascade`, a gate it was the last of opens: the instance
+    ///   loses its gate wait on `gone` and, unless a pending request
+    ///   still blocks it, is let through ([`Effect::GateOpened`]) ahead
+    ///   of every hold this scan ended, after the gates it opened before.
+    /// * With `cascade`, an instance whose gate names it is aborted too
+    ///   ([`Effect::Aborted`]) and its gate emptied at once, so it is
     ///   collected once however many aborted instances it read from.
-    fn depart(
-        &mut self,
-        gone: InstanceId,
-        mut doomed: Option<&mut Vec<Aborted>>,
-        released: &mut Vec<InstanceId>,
-    ) {
+    fn depart(&mut self, gone: InstanceId, cascade: Option<Span>, log: &mut Vec<Effect>) {
         if self.n_held == 0 && self.n_gated == 0 {
             return;
         }
-        let mut opened = released.len();
+        let mut opened = log.len();
         let mut edges_changed = false;
         for i in 0..self.active.len() {
             let id = self.active[i];
             let rec = &mut self.records[self.slot[i] as usize];
             if let Ok(pos) = rec.gate.binary_search(&gone) {
-                match doomed.as_deref_mut() {
-                    Some(doomed) => {
+                match cascade {
+                    Some(cause) => {
                         rec.gate.clear();
-                        doomed.push((id, AbortReason::Cascade));
+                        log.push(Effect::Aborted(id, AbortReason::Cascade, cause));
                     }
                     None => {
                         rec.gate.remove(pos);
                         let waits = rec.waits_for.len();
                         rec.waits_for.retain(|&b| b != gone);
                         edges_changed |= rec.waits_for.len() != waits;
-                        if rec.gate.is_empty() {
-                            released.insert(opened, id);
+                        if rec.gate.is_empty() && rec.pending.is_none() {
+                            log.insert(opened, Effect::GateOpened(id));
                             opened += 1;
                         }
                     }
@@ -542,7 +562,7 @@ impl<'a> StateKernel<'a> {
                 edges_changed = true;
                 if rec.hold.is_empty() {
                     self.n_held -= 1;
-                    released.push(id);
+                    log.push(Effect::HoldReleased(id));
                 }
             }
         }
@@ -618,15 +638,18 @@ impl<'a> StateKernel<'a> {
         }
     }
 
-    /// Present `who`'s access to `item` for step `step_index`: a lock
-    /// already held in a sufficient mode needs no request (a write lock
-    /// covers reads of the own staged value); otherwise the protocol
-    /// decides, and a grant is recorded — putting the latest retired
-    /// writer of the item on the grantee's [`Record::gate`], whatever the
-    /// mode: a write over the chain must also install after it — before
-    /// the data operation.
+    /// The lock-request entry point: present `who`'s access to `item` for
+    /// step `step_index` and apply the protocol's decision, overwriting
+    /// `fx` with what that did. A lock already held in a sufficient mode
+    /// needs no request (a write lock covers reads of the own staged
+    /// value). A grant ([`Effect::Granted`]) puts the latest retired writer
+    /// of the item on the grantee's [`Record::gate`], whatever the mode (a
+    /// write over the chain must also install after it), before the data
+    /// operation. True if the lock is held and the data operation
+    /// happened.
     #[allow(clippy::too_many_arguments)]
-    pub fn acquire<P: ProtocolFor<Self>>(
+    #[inline]
+    pub fn request<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
         who: InstanceId,
@@ -635,10 +658,12 @@ impl<'a> StateKernel<'a> {
         mode: LockMode,
         ws: &mut Workspace,
         mut tick: impl FnMut() -> Tick,
-    ) -> Acquire {
+        fx: &mut Effects,
+    ) -> bool {
+        fx.clear();
         if self.locks.covers(who, item, mode) {
             self.data_op(who, step_index, item, mode, ws, tick());
-            return Acquire::Done { granted: false };
+            return true;
         }
         let req = LockRequest { who, item, mode };
         match protocol.request(self, req) {
@@ -651,8 +676,34 @@ impl<'a> StateKernel<'a> {
                     self.gate_writers_on(who, item);
                 }
                 self.data_op(who, step_index, item, mode, ws, tick());
-                Acquire::Done { granted: true }
+                fx.log.push(Effect::Granted);
+                true
             }
+            decision => {
+                self.refuse(protocol, req, decision, &mut tick, fx);
+                false
+            }
+        }
+    }
+
+    /// Apply a decision that does not grant `req`, then re-evaluate. A
+    /// block leaves the request pending on its blockers and, unless the
+    /// re-evaluation woke the requester, resolves the cycles it closed; a
+    /// wound aborts the holders on the requester, who presents the
+    /// request again; a die aborts the requester on its blockers. Out of
+    /// line, so the grant path stays small enough to inline.
+    #[inline(never)]
+    fn refuse<P: ProtocolFor<Self>>(
+        &mut self,
+        protocol: &mut P,
+        req: LockRequest,
+        decision: Decision,
+        tick: &mut impl FnMut() -> Tick,
+        fx: &mut Effects,
+    ) {
+        let who = req.who;
+        match decision {
+            Decision::Grant => unreachable!("a grant is applied by `request`"),
             Decision::Block { blockers } => {
                 debug_assert!(blockers.iter().all(|&b| self.is_live(b)));
                 let rec = self.record_mut(who);
@@ -661,24 +712,32 @@ impl<'a> StateKernel<'a> {
                 rec.block_events += 1;
                 self.n_pending += 1;
                 self.note_blockers(who, &blockers);
+                let blockers = fx.span(&blockers);
+                fx.log.push(Effect::Parked(blockers));
                 // A new blocking edge can itself unblock others: PCP-DA's
                 // commit-order guard admits a read over a higher-priority
                 // write holder once that holder is hard-blocked on the
                 // requester. Every blocked request gets a pass before the
-                // engine tests for a deadlock, so only irreducible cycles
-                // are reported.
-                let woken = self.reevaluate(protocol);
-                Acquire::Blocked { blockers, woken }
+                // cycle search, so only irreducible cycles are found.
+                self.reevaluate(protocol, fx);
+                if self.pending_request(who).is_some() {
+                    self.resolve_cycles(protocol, tick, fx);
+                }
             }
-            Decision::AbortHolders { mut victims } => {
+            Decision::AbortHolders { victims } => {
                 debug_assert!(protocol.may_abort());
-                victims.retain(|&v| v != who && self.is_live(v));
-                Acquire::Wound { victims }
+                let cause = fx.span(&[who]);
+                for v in victims.into_iter().filter(|&v| v != who) {
+                    self.abort_into(protocol, v, AbortReason::Wound, cause, tick, fx);
+                }
+                self.reevaluate(protocol, fx);
             }
             Decision::AbortSelf { blockers } => {
                 debug_assert!(protocol.may_abort());
                 debug_assert!(!blockers.is_empty() && !blockers.contains(&who));
-                Acquire::Die { blockers }
+                let cause = fx.span(&blockers);
+                self.abort_into(protocol, who, AbortReason::CeilingBlock, cause, tick, fx);
+                self.reevaluate(protocol, fx);
             }
         }
     }
@@ -686,12 +745,12 @@ impl<'a> StateKernel<'a> {
     /// Put `on` — the latest retiree of an item just granted to `who`, or
     /// a reader let past `who`'s write lock — on `who`'s [`Record::gate`]
     /// (unless it is `who` itself). A `who` already parked at its commit
-    /// gate — no pending request, its wait edges the entries
-    /// [`StateKernel::gate`] registered — waits for `on` too, or a cycle
+    /// gate — no pending request, its wait edges the entries its parked
+    /// [`StateKernel::commit`] registered — waits for `on` too, or a cycle
     /// through the new entry would hide from the deadlock search. Kept out
-    /// of line: only grants that order get here, and inlined it
-    /// made [`StateKernel::acquire`] too large for the runtime to inline,
-    /// which cost every protocol's grant path.
+    /// of line: only grants that order get here, and inlined it made
+    /// [`StateKernel::request`] too large for the runtime to inline, which
+    /// cost every protocol's grant path.
     #[inline(never)]
     fn gate_on(&mut self, who: InstanceId, on: InstanceId) {
         if on == who {
@@ -746,17 +805,17 @@ impl<'a> StateKernel<'a> {
     /// Re-present every pending request in descending (running priority,
     /// base priority, ascending seq) order. A request that would now be
     /// granted — or would abort; either way the instance must run to find
-    /// out — is *woken*: its pending request and edges are cleared and it
-    /// is returned. The lock itself is acquired only when the instance
-    /// next presents the request, exactly as on a real single-CPU system;
-    /// granting at release time instead would let a low-priority waiter
-    /// grab a ceiling-raising lock while a higher-priority *ready*
-    /// transaction exists, breaking the single-blocking property. Still-
-    /// denied requests keep refreshed edges so inheritance stays precise.
-    pub fn reevaluate<P: ProtocolFor<Self>>(&mut self, protocol: &mut P) -> Vec<InstanceId> {
-        let mut woken = Vec::new();
+    /// out — is *woken*: its pending request and edges are cleared and
+    /// [`Effect::Woken`] is appended to `fx`. The lock itself is acquired
+    /// only when the instance next presents the request, exactly as on a
+    /// real single-CPU system; granting at release time instead would let
+    /// a low-priority waiter grab a ceiling-raising lock while a
+    /// higher-priority *ready* transaction exists, breaking the
+    /// single-blocking property. Still-denied requests keep refreshed
+    /// edges so inheritance stays precise.
+    pub fn reevaluate<P: ProtocolFor<Self>>(&mut self, protocol: &mut P, fx: &mut Effects) {
         if self.n_pending == 0 {
-            return woken;
+            return;
         }
         let mut blocked = std::mem::take(&mut self.reeval_scratch);
         blocked.clear();
@@ -781,7 +840,7 @@ impl<'a> StateKernel<'a> {
             match protocol.request(self, req) {
                 Decision::Grant | Decision::AbortHolders { .. } | Decision::AbortSelf { .. } => {
                     self.wake(who);
-                    woken.push(who);
+                    fx.log.push(Effect::Woken(who));
                 }
                 Decision::Block { blockers } => {
                     debug_assert!(!blockers.is_empty());
@@ -790,21 +849,22 @@ impl<'a> StateKernel<'a> {
             }
         }
         self.reeval_scratch = blocked;
-        woken
     }
 
     /// Search the wait edges (lock waits, gate waits, holds) for a cycle,
     /// from the blocked instances in ascending id order; returns it with
     /// the victim to abort — the lowest-base-priority instance on it, ties
-    /// toward the smaller id. Whether to abort or to report is the
-    /// engine's call.
-    pub fn find_deadlock(&self) -> Option<(Vec<InstanceId>, InstanceId)> {
+    /// toward the smaller id.
+    fn find_deadlock(&self) -> Option<(Vec<InstanceId>, InstanceId)> {
         let waiting = self
             .active
             .iter()
             .zip(&self.slot)
             .filter(|(_, &s)| !self.records[s as usize].waits_for.is_empty())
             .map(|(&id, _)| id);
+        // No instance waits for itself: a cycle needs two that wait, and
+        // with fewer the search (and its buffers) is skipped.
+        waiting.clone().nth(1)?;
         let cycle = find_cycle(waiting, |who| {
             self.record(who).map_or(&[], |r| r.waits_for.as_slice())
         })?;
@@ -815,13 +875,46 @@ impl<'a> StateKernel<'a> {
         Some((cycle, victim))
     }
 
+    /// Search the wait edges for cycles and abort each one's victim on
+    /// the rest of its cycle (restarting at once would re-form it),
+    /// re-evaluating after each, until none is left; append what that did
+    /// to `fx`, each [`Effect::Cycle`] ahead of its victim's abort. A
+    /// kernel built [`StateKernel::reporting_deadlocks`] stops at the
+    /// first cycle; a victim that lives in other kernels
+    /// ([`Effect::Foreign`]) ends the search, its owner's abort breaks the
+    /// cycle.
+    pub fn resolve_cycles<P: ProtocolFor<Self>>(
+        &mut self,
+        protocol: &mut P,
+        mut tick: impl FnMut() -> Tick,
+        fx: &mut Effects,
+    ) {
+        while let Some((cycle, victim)) = self.find_deadlock() {
+            let cycle = fx.span(&cycle);
+            fx.log.push(Effect::Cycle(cycle, victim));
+            if !self.resolve_deadlocks {
+                return;
+            }
+            let reason = AbortReason::DeadlockVictim;
+            self.abort_into(protocol, victim, reason, cycle, &mut tick, fx);
+            if self.spans_kernels(victim) {
+                return;
+            }
+            self.reevaluate(protocol, fx);
+        }
+    }
+
     /// `who` finished step `completed_step`: apply the protocol's early
     /// releases (installing the staged value of an early-released write
     /// lock under [`UpdateModel::InstallOnEarlyRelease`]), then retire the
     /// write locks past their last access into the item's retired chain —
     /// the staged value stays visible there and successors order
     /// themselves behind the retiree at their commit gate instead of by
-    /// lock wait. Each non-empty batch is followed by a re-evaluation.
+    /// lock wait. Each non-empty batch is followed by a re-evaluation;
+    /// `fx` is overwritten with the woken. Returns the locks released
+    /// before commit, in release order (retired writes appear as
+    /// `(item, Write)`).
+    #[inline]
     pub fn step_done<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
@@ -829,9 +922,10 @@ impl<'a> StateKernel<'a> {
         completed_step: usize,
         ws: &Workspace,
         mut tick: impl FnMut() -> Tick,
-    ) -> StepDone {
-        let mut out = StepDone::default();
-        let releases = protocol.early_releases(self, who, completed_step);
+        fx: &mut Effects,
+    ) -> Vec<(ItemId, LockMode)> {
+        fx.clear();
+        let mut releases = protocol.early_releases(self, who, completed_step);
         if !releases.is_empty() {
             let install_early = protocol.update_model() == UpdateModel::InstallOnEarlyRelease;
             for &(item, mode) in &releases {
@@ -846,8 +940,7 @@ impl<'a> StateKernel<'a> {
                     }
                 }
             }
-            out.released = releases;
-            out.woken = self.reevaluate(protocol);
+            self.reevaluate(protocol, fx);
         }
         let retired = protocol.retires(self, who, completed_step);
         if !retired.is_empty() {
@@ -864,11 +957,11 @@ impl<'a> StateKernel<'a> {
                 self.locks.release(who, item, LockMode::Write);
                 debug_assert!(protocol.may_abort(), "a retiree's readers cascade");
                 self.retired.retire(who, item, staged);
-                out.released.push((item, LockMode::Write));
+                releases.push((item, LockMode::Write));
             }
-            out.woken.extend(self.reevaluate(protocol));
+            self.reevaluate(protocol, fx);
         }
-        out
+        releases
     }
 
     fn install_one(&mut self, who: InstanceId, item: ItemId, value: Value, at: Tick) -> u64 {
@@ -885,54 +978,52 @@ impl<'a> StateKernel<'a> {
         version
     }
 
-    /// Commit gate: with a non-empty [`Record::gate`] `who` must not
-    /// commit yet (recoverability — nobody commits a value derived from a
-    /// dirty read whose writer can still abort). Registers the gate waits
-    /// as edges — the committer donates its priority to the instances it
-    /// waits on and a gate-plus-lock cycle (possible under Bamboo) is
-    /// found like any other deadlock — and returns true; false when the
-    /// gate is open. A commit of a gate entry's instance prunes the edge
-    /// with the entry; [`StateKernel::gated`] tests the gate without
-    /// registering anything.
-    pub fn gate(&mut self, who: InstanceId) -> bool {
-        if !self.gated(who) {
-            return false;
-        }
-        let s = self.slot_of(who).expect("instance is live");
-        let rec = &mut self.records[s];
-        rec.waits_for.clear();
-        rec.waits_for.extend_from_slice(&rec.gate);
-        self.inherit();
-        true
-    }
-
-    /// The live instances `who`'s commit invalidates (optimistic
-    /// validation); the engine aborts each before the writes install.
-    pub fn commit_victims<P: ProtocolFor<Self>>(
-        &self,
+    /// The commit entry point, overwriting `fx` with what it did. With its
+    /// [`Record::gate`] closed, `who` parks there ([`Effect::Parked`]) and
+    /// the cycles that closes are resolved. Otherwise the instances its
+    /// commit invalidates (optimistic validation) are aborted on it, and
+    /// at the tick `at` draws it logs its Commit (when `log_commit`; a
+    /// cross-shard commit logs it in one kernel) and installs the staged
+    /// writes this kernel owns that no early release installed, handing
+    /// the versions to `installed` when given ([`Effect::Committed`]).
+    /// Then it leaves: locks released, retired entries committed, and
+    /// after the re-evaluation's woken the gates and holds it ended.
+    /// Returns its record, or `None` if it did not commit.
+    #[allow(clippy::too_many_arguments)]
+    pub fn commit<P: ProtocolFor<Self>>(
+        &mut self,
         protocol: &mut P,
         who: InstanceId,
-    ) -> Vec<InstanceId> {
-        let mut victims = protocol.commit_victims(self, who);
-        debug_assert!(victims.is_empty() || protocol.may_abort());
-        victims.retain(|&v| v != who && self.is_live(v));
-        victims
-    }
-
-    /// The commit point of `who`, at one tick: the Commit event (when
-    /// `log_commit`; a cross-shard commit logs it in one kernel), then an
-    /// Install per staged write this kernel owns that no early release
-    /// installed already. `installed`, when given, receives the versions
-    /// for the engine's snapshot store.
-    pub fn install(
-        &mut self,
-        who: InstanceId,
         ws: &Workspace,
-        at: Tick,
         log_commit: bool,
         mut installed: Option<&mut Vec<(ItemId, VersionedValue)>>,
-    ) {
-        debug_assert!(!self.gated(who), "commit through a closed gate");
+        mut tick: impl FnMut() -> Tick,
+        at: impl FnOnce() -> Tick,
+        fx: &mut Effects,
+    ) -> Option<Record> {
+        fx.clear();
+        if self.gated(who) {
+            // Recoverability: nobody commits a value derived from a dirty
+            // read whose writer can still abort. The gate waits become
+            // edges: the committer lends its priority to the instances it
+            // waits on, and a gate-plus-lock cycle (possible under Bamboo)
+            // is found like any other deadlock.
+            let s = self.slot_of(who).expect("instance is live");
+            let gate = fx.span(&self.records[s].gate);
+            self.set_waits(s, fx.ids(gate));
+            fx.log.push(Effect::Parked(gate));
+            self.resolve_cycles(protocol, &mut tick, fx);
+            return None;
+        }
+        let victims = protocol.commit_victims(self, who);
+        if !victims.is_empty() {
+            debug_assert!(protocol.may_abort());
+            let cause = fx.span(&[who]);
+            for v in victims.into_iter().filter(|&v| v != who) {
+                self.abort_into(protocol, v, AbortReason::Wound, cause, &mut tick, fx);
+            }
+        }
+        let at = at();
         if log_commit {
             self.history.push(at, who, EventKind::Commit);
         }
@@ -954,21 +1045,15 @@ impl<'a> StateKernel<'a> {
                 ));
             }
         }
-    }
-
-    /// After the commit point: release every lock of `who`, turn its
-    /// retired entries into committed state and drop the instance.
-    /// Returns its record; `proceed` is overwritten with the instances
-    /// that may now go on — those whose last gate entry this was (a
-    /// committer parked at the gate may now pass; one still executing
-    /// finds the gate open), then the held instances whose last hold it
-    /// was.
-    pub fn finish_commit(&mut self, who: InstanceId, proceed: &mut Vec<InstanceId>) -> Record {
-        proceed.clear();
+        fx.log.push(Effect::Committed(who));
         self.locks.release_all(who);
         let record = self.remove(who);
-        self.depart(who, None, proceed);
-        record
+        let departed = fx.log.len();
+        self.depart(who, None, &mut fx.log);
+        let woken = fx.log.len();
+        self.reevaluate(protocol, fx);
+        fx.log[departed..].rotate_left(woken - departed);
+        Some(record)
     }
 
     /// Abort `victim` and, transitively, everyone who observed or
@@ -976,9 +1061,9 @@ impl<'a> StateKernel<'a> {
     /// aborted one, breadth first: each releases its locks, loses its
     /// attempt state, gate and hold, and restarts (Abort and Begin are
     /// logged back to back), then is held on `cause`, the instances it
-    /// yields to, less its co-aborted ([`StateKernel::hold`]). `out` is
-    /// overwritten with the aborted instances, `victim` first, each once,
-    /// and the held instances each abort released.
+    /// yields to, less its co-aborted ([`StateKernel::hold`]). `fx` is
+    /// overwritten with the aborted, `victim` first, and the gates and
+    /// holds they ended. Nothing is re-evaluated.
     pub fn abort<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
@@ -986,39 +1071,57 @@ impl<'a> StateKernel<'a> {
         reason: AbortReason,
         cause: &[InstanceId],
         mut tick: impl FnMut() -> Tick,
-        out: &mut Aborts,
+        fx: &mut Effects,
     ) {
-        out.aborted.clear();
-        out.released.clear();
+        fx.clear();
+        let cause = fx.span(cause);
+        self.abort_into(protocol, victim, reason, cause, &mut tick, fx);
+    }
+
+    /// [`StateKernel::abort`], appending to `fx` — or, for a victim that
+    /// lives in other kernels, only naming it ([`Effect::Foreign`]).
+    fn abort_into<P: ProtocolFor<Self>>(
+        &mut self,
+        protocol: &mut P,
+        victim: InstanceId,
+        reason: AbortReason,
+        cause: Span,
+        tick: &mut impl FnMut() -> Tick,
+        fx: &mut Effects,
+    ) {
         if !self.is_live(victim) {
             return;
         }
-        out.aborted.push((victim, reason));
-        let mut next = 0;
-        while let Some(&(who, reason)) = out.aborted.get(next) {
+        if self.spans_kernels(victim) {
+            return fx.log.push(Effect::Foreign(victim, reason, cause));
+        }
+        let first = fx.log.len();
+        fx.log.push(Effect::Aborted(victim, reason, cause));
+        let mut next = first;
+        while let Some(&effect) = fx.log.get(next) {
             next += 1;
+            let Effect::Aborted(who, reason, _) = effect else {
+                continue;
+            };
             self.history.push(tick(), who, EventKind::Abort);
-            self.abort_attempt(
-                protocol,
-                who,
-                Some(reason),
-                &mut out.aborted,
-                &mut out.released,
-            );
+            self.abort_attempt(protocol, who, Some(reason), Some(cause), &mut fx.log);
             self.record_mut(who).restarts += 1;
             self.history.push(tick(), who, EventKind::Begin);
         }
-        for &(who, _) in &out.aborted {
-            self.hold_except(who, cause, &out.aborted);
+        for i in first..fx.log.len() {
+            if let Effect::Aborted(who, ..) = fx.log[i] {
+                self.hold_except(who, fx.ids(cause), &fx.log[first..]);
+            }
         }
     }
 
     /// The silent core of an abort: release `victim`'s locks, clear its
-    /// pending request, edges, attempt state, gate and hold, release the
-    /// holds it was the last of (appended to `released`), hold it on `cause`.
-    /// No log, no restart count, no cascade — for an instance that spans
-    /// several kernels, whose owner logs the single Abort/Begin pair (only
-    /// the gate entries of a protocol that never aborts, which do not
+    /// pending request, edges, attempt state, gate and hold, end the
+    /// gates and holds it was the last of, hold it on `cause`, and
+    /// re-evaluate; `fx` is overwritten with what that did. No log, no
+    /// restart count, no cascade — for an instance that spans several
+    /// kernels, whose owner logs the single Abort/Begin pair (only the
+    /// gate entries of a protocol that never aborts, which do not
     /// cascade, can name such an instance).
     pub fn abort_local<P: ProtocolFor<Self>>(
         &mut self,
@@ -1026,23 +1129,27 @@ impl<'a> StateKernel<'a> {
         victim: InstanceId,
         reason: Option<AbortReason>,
         cause: &[InstanceId],
-        released: &mut Vec<InstanceId>,
+        fx: &mut Effects,
     ) {
-        let mut doomed = Vec::new();
-        self.abort_attempt(protocol, victim, reason, &mut doomed, released);
-        debug_assert!(doomed.is_empty(), "cascades never cross shards");
+        fx.clear();
+        let cascade = fx.span(cause);
+        self.abort_attempt(protocol, victim, reason, Some(cascade), &mut fx.log);
+        let cascaded = |e: &Effect| matches!(e, Effect::Aborted(..));
+        debug_assert!(!fx.log.iter().any(cascaded), "cascades never cross shards");
         self.hold(victim, cause);
+        self.reevaluate(protocol, fx);
     }
 
-    /// [`StateKernel::abort_local`], appending the instances whose gate
-    /// names `victim` to `doomed`.
+    /// [`StateKernel::abort_local`] without the hold and the
+    /// re-evaluation, appending to `log` the instances whose gate names
+    /// `victim`, aborted on `cascade`, and the gates and holds it ended.
     fn abort_attempt<P: ProtocolFor<Self>>(
         &mut self,
         protocol: &mut P,
         victim: InstanceId,
         reason: Option<AbortReason>,
-        doomed: &mut Vec<Aborted>,
-        released: &mut Vec<InstanceId>,
+        cascade: Option<Span>,
+        log: &mut Vec<Effect>,
     ) {
         assert_eq!(
             protocol.update_model(),
@@ -1059,8 +1166,8 @@ impl<'a> StateKernel<'a> {
         // Under a protocol that never aborts, every gate entry is a reader
         // let past a write lock (`gate_writers_on`): the writer read
         // nothing from it, so the entry opens as on a commit, no cascade.
-        let doomed = protocol.may_abort().then_some(doomed);
-        self.depart(victim, doomed, released);
+        let cascade = cascade.filter(|_| protocol.may_abort());
+        self.depart(victim, cascade, log);
     }
 }
 

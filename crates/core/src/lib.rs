@@ -40,7 +40,7 @@
 //!   (`RWceil`) and the original PCP (`Aceil` for any lock);
 //! * `inherit` — transitive priority inheritance over the wait edges
 //!   kept in each live instance's [`Record`], which are also the
-//!   wait-for graph [`StateKernel::find_deadlock`] searches (with
+//!   wait-for graph [`StateKernel::resolve_cycles`] searches (with
 //!   [`rtdb_storage::find_cycle`], the serialization graph's search);
 //! * [`shard`] — the sharded-ceiling substrate: item→shard routing
 //!   (DPCP-p style) behind the runtime's sharded manager;
@@ -63,7 +63,7 @@ pub mod testkit;
 pub use ceiling_index::{CeilingFlavor, CeilingIndex, LevelMask};
 pub use ceilings::{CeilingTable, Holders, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason};
-pub use kernel::{Aborted, Aborts, Acquire, Record, StateKernel, StepDone};
+pub use kernel::{Effect, Effects, Record, Span, StateKernel};
 pub use locks::{HeldLock, LockTable};
 pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 pub use registry::{ProtocolFamily, ProtocolKind, UnknownProtocol};

@@ -1,14 +1,16 @@
 //! The state kernel on its own: no engine, a scripted protocol.
 //!
-//! Both engines compose these transitions, so what is pinned here —
-//! wake order, edge refresh, the abort closure, the shape of a commit,
-//! the commit gate, the restart hold —
-//! holds for the simulator and the runtime alike; their own suites only
-//! have to cover delivery (dispatch, parking, restarts).
+//! Both engines drive the kernel's entry points and act on the effects
+//! they return, so what is pinned here — wake order, edge refresh, the
+//! abort closure, the shape of a commit, the commit gate, the restart
+//! hold, and the resolution policy itself: one test per kind of effect
+//! — holds for the simulator and the runtime alike; their own suites
+//! only have to cover delivery (dispatch, parking, restarts). This file
+//! is the guard of the policy: the engines carry none of it.
 
 use rtdb_core::{
-    AbortReason, Aborts, Acquire, Decision, EngineView, LockRequest, ProtocolFor, StateKernel,
-    UpdateModel,
+    AbortReason, Decision, Effect, Effects, EngineView, LockRequest, ProtocolFor, ShardRouter,
+    StateKernel, UpdateModel,
 };
 use rtdb_storage::{EventKind, Workspace};
 use rtdb_types::{
@@ -23,6 +25,15 @@ struct Scripted {
     /// Requesters to deny, with the blockers to name; everyone else is
     /// granted.
     deny: BTreeMap<InstanceId, Vec<InstanceId>>,
+    /// Requesters that wound, with the holders to abort.
+    wound: BTreeMap<InstanceId, Vec<InstanceId>>,
+    /// Requesters that die, with the instances they yield to.
+    die: BTreeMap<InstanceId, Vec<InstanceId>>,
+    /// The instances the next commit invalidates.
+    victims: Vec<InstanceId>,
+    /// Name only the blockers that still hold a lock, and grant once none
+    /// does, as a lock-based protocol would.
+    blocked_by_holders: bool,
     /// Every requester presented, in order.
     asked: Vec<InstanceId>,
     /// Locks to release early / write locks to retire at the next
@@ -38,14 +49,32 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Scripted {
     fn name(&self) -> &'static str {
         "scripted"
     }
-    fn request(&mut self, _view: &V, req: LockRequest) -> Decision {
+    fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         self.asked.push(req.who);
-        match self.deny.get(&req.who) {
-            Some(blockers) => Decision::Block {
-                blockers: blockers.clone(),
-            },
-            None => Decision::Grant,
+        if let Some(victims) = self.wound.get(&req.who) {
+            return Decision::AbortHolders {
+                victims: victims.clone(),
+            };
         }
+        if let Some(blockers) = self.die.get(&req.who) {
+            return Decision::AbortSelf {
+                blockers: blockers.clone(),
+            };
+        }
+        let Some(blockers) = self.deny.get(&req.who) else {
+            return Decision::Grant;
+        };
+        let mut blockers = blockers.clone();
+        if self.blocked_by_holders {
+            blockers.retain(|&b| view.locks().held_by(b).next().is_some());
+            if blockers.is_empty() {
+                return Decision::Grant;
+            }
+        }
+        Decision::Block { blockers }
+    }
+    fn commit_victims(&mut self, _: &V, _: InstanceId) -> Vec<InstanceId> {
+        std::mem::take(&mut self.victims)
     }
     fn early_releases(&mut self, _: &V, _: InstanceId, _: usize) -> Vec<(ItemId, LockMode)> {
         std::mem::take(&mut self.early)
@@ -83,12 +112,11 @@ fn inst(t: u32, seq: u32) -> InstanceId {
     InstanceId::new(TxnId(t), seq)
 }
 
-/// A kernel with `ids` begun, and a workspace for each.
-fn begun<'a>(
-    set: &'a TransactionSet,
+/// `kernel` with `ids` begun, and a workspace for each.
+fn begin<'a>(
+    mut k: StateKernel<'a>,
     ids: &[InstanceId],
 ) -> (StateKernel<'a>, BTreeMap<InstanceId, Workspace>) {
-    let mut k = StateKernel::new(set, None);
     let mut ws = BTreeMap::new();
     for &id in ids {
         k.begin(id, Some(Tick(0)));
@@ -97,7 +125,26 @@ fn begun<'a>(
     (k, ws)
 }
 
-/// Present `who`'s access at a fixed tick.
+/// A kernel that reports cycles ([`first_cycle`] looks at them without
+/// resolving any) with `ids` begun, and a workspace for each.
+fn begun<'a>(
+    set: &'a TransactionSet,
+    ids: &[InstanceId],
+) -> (StateKernel<'a>, BTreeMap<InstanceId, Workspace>) {
+    begin(StateKernel::new(set, None).reporting_deadlocks(), ids)
+}
+
+/// A kernel that resolves cycles with `ids` begun, and a workspace for
+/// each.
+fn resolving<'a>(
+    set: &'a TransactionSet,
+    ids: &[InstanceId],
+) -> (StateKernel<'a>, BTreeMap<InstanceId, Workspace>) {
+    begin(StateKernel::new(set, None), ids)
+}
+
+/// Present `who`'s access at a fixed tick; what the request entry point
+/// did.
 fn acquire(
     k: &mut StateKernel<'_>,
     p: &mut Scripted,
@@ -105,9 +152,64 @@ fn acquire(
     who: InstanceId,
     item: u32,
     mode: LockMode,
-) -> Acquire {
+) -> Effects {
     let w = ws.get_mut(&who).expect("workspace");
-    k.acquire(p, who, 0, ItemId(item), mode, w, || Tick(1))
+    let mut fx = Effects::default();
+    k.request(p, who, 0, ItemId(item), mode, w, || Tick(1), &mut fx);
+    fx
+}
+
+/// The first wait-for cycle a reporting kernel finds, with the victim
+/// it names (and `None`, from any kernel, when there is none).
+fn first_cycle(k: &mut StateKernel<'_>) -> Option<(Vec<InstanceId>, InstanceId)> {
+    let mut fx = Effects::default();
+    k.resolve_cycles(&mut Scripted::default(), || Tick(99), &mut fx);
+    match *fx.log() {
+        [] => None,
+        [Effect::Cycle(cycle, victim)] => Some((fx.ids(cycle).to_vec(), victim)),
+        ref other => panic!("a reporting kernel only reports: {other:?}"),
+    }
+}
+
+/// The aborted instances with their reasons, in order.
+fn aborted(fx: &Effects) -> Vec<(InstanceId, AbortReason)> {
+    let aborted = |e: &Effect| match *e {
+        Effect::Aborted(who, reason, _) => Some((who, reason)),
+        _ => None,
+    };
+    fx.log().iter().filter_map(aborted).collect()
+}
+
+/// The instances whose gate or hold ended, in order.
+fn released(fx: &Effects) -> Vec<InstanceId> {
+    let released = |e: &Effect| match *e {
+        Effect::GateOpened(who) | Effect::HoldReleased(who) => Some(who),
+        _ => None,
+    };
+    fx.log().iter().filter_map(released).collect()
+}
+
+/// The woken instances, in order.
+fn woken(fx: &Effects) -> Vec<InstanceId> {
+    let woken = |e: &Effect| match *e {
+        Effect::Woken(who) => Some(who),
+        _ => None,
+    };
+    fx.log().iter().filter_map(woken).collect()
+}
+
+/// `who` presents its commit with its gate closed, and parks there.
+fn park_at_gate(
+    k: &mut StateKernel<'_>,
+    p: &mut Scripted,
+    ws: &BTreeMap<InstanceId, Workspace>,
+    who: InstanceId,
+) {
+    let mut fx = Effects::default();
+    let tick = || Tick(9);
+    let record = k.commit(p, who, &ws[&who], true, None, tick, tick, &mut fx);
+    assert!(record.is_none(), "{who} has commit dependencies");
+    assert!(matches!(fx.log(), [Effect::Parked(_)]), "{fx:?}");
 }
 
 /// `who` wrote `item` and retires the write lock.
@@ -119,10 +221,11 @@ fn write_and_retire(
     item: u32,
 ) {
     let granted = acquire(k, p, ws, who, item, LockMode::Write);
-    assert_eq!(granted, Acquire::Done { granted: true });
+    assert_eq!(granted.log(), [Effect::Granted]);
     p.retire = vec![ItemId(item)];
-    let done = k.step_done(p, who, 0, &ws[&who], || Tick(2));
-    assert_eq!(done.released, vec![(ItemId(item), LockMode::Write)]);
+    let mut fx = Effects::default();
+    let released = k.step_done(p, who, 0, &ws[&who], || Tick(2), &mut fx);
+    assert_eq!(released, vec![(ItemId(item), LockMode::Write)]);
 }
 
 #[test]
@@ -132,8 +235,8 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     let (mut k, mut ws) = begun(&set, &[a, b, b2, c, h]);
     let mut p = Scripted::default();
     assert_eq!(
-        acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write),
-        Acquire::Done { granted: true }
+        acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write).log(),
+        [Effect::Granted]
     );
 
     // a waits for c, everyone else for h: c runs at a's priority, so it
@@ -141,10 +244,7 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     p.deny = BTreeMap::from([(a, vec![c]), (b, vec![h]), (b2, vec![h]), (c, vec![h])]);
     for who in [b2, c, b, a] {
         let blocked = acquire(&mut k, &mut p, &mut ws, who, 0, LockMode::Read);
-        assert!(
-            matches!(&blocked, Acquire::Blocked { woken, .. } if woken.is_empty()),
-            "{blocked:?}"
-        );
+        assert!(matches!(blocked.log(), [Effect::Parked(_)]), "{blocked:?}");
     }
     assert_eq!(k.running_priority(c), k.base_priority(a));
     assert_eq!(k.running_priority(h), k.base_priority(a));
@@ -153,7 +253,9 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     // c and b would now be granted; a stays denied, now by b.
     p.deny = BTreeMap::from([(a, vec![b]), (b2, vec![h])]);
     p.asked.clear();
-    let woken = k.reevaluate(&mut p);
+    let mut fx = Effects::default();
+    k.reevaluate(&mut p, &mut fx);
+    let woken = woken(&fx);
     assert_eq!(
         p.asked,
         vec![a, c, b, b2],
@@ -175,9 +277,9 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     assert!(!k.locks().holds(c, ItemId(0), LockMode::Read));
 
     // The cycle search sees the same edges: close a → b → a.
-    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(first_cycle(&mut k), None);
     k.wait_on(b, &[a]);
-    let (cycle, victim) = k.find_deadlock().expect("cycle");
+    let (cycle, victim) = first_cycle(&mut k).expect("cycle");
     assert!(cycle.contains(&a) && cycle.contains(&b));
     assert_eq!(victim, b, "lowest base priority on the cycle");
 }
@@ -215,7 +317,7 @@ fn wait_edges_lend_running_priority_transitively() {
     assert_eq!(k.running_priority(t3), base(t2));
     k.remove(t2);
     assert_eq!(k.running_priority(t3), base(t3));
-    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(first_cycle(&mut k), None);
 }
 
 #[test]
@@ -227,7 +329,7 @@ fn deadlock_victim_prefers_lowest_base_then_id() {
     k.wait_on(b2, &[a]);
     k.wait_on(a, &[b]);
     k.wait_on(b, &[b2]);
-    let (cycle, victim) = k.find_deadlock().expect("cycle");
+    let (cycle, victim) = first_cycle(&mut k).expect("cycle");
     assert_eq!(cycle, vec![a, b, b2], "searched from the lowest blocked id");
     assert_eq!(
         victim, b,
@@ -250,7 +352,7 @@ fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
     acquire(&mut k, &mut p, &mut ws, r2, 1, LockMode::Read);
     assert_eq!(k.data_read(r2), &[ItemId(0), ItemId(1)]);
     assert_eq!(k.staged_write_items(r1), &[ItemId(1)]);
-    assert!(k.gate(r2), "r2 has commit dependencies");
+    park_at_gate(&mut k, &mut p, &ws, r2);
     // r2 is also blocked on a lock, and a bystander holds one.
     p.deny.insert(r2, vec![w]);
     acquire(&mut k, &mut p, &mut ws, r2, 7, LockMode::Write);
@@ -258,15 +360,15 @@ fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
     acquire(&mut k, &mut p, &mut ws, other, 9, LockMode::Write);
 
     let mut t = 10;
-    let mut fx = Aborts::default();
+    let mut fx = Effects::default();
     let tick = || {
         t += 1;
         Tick(t)
     };
     k.abort(&mut p, w, AbortReason::Wound, &[], tick, &mut fx);
-    assert!(fx.released.is_empty(), "nobody was held");
+    assert!(released(&fx).is_empty(), "nobody was held");
     assert_eq!(
-        fx.aborted,
+        aborted(&fx),
         vec![
             (w, AbortReason::Wound),
             (r1, AbortReason::Cascade),
@@ -284,7 +386,7 @@ fn abort_returns_the_dependent_closure_once_and_clears_every_record() {
         );
         assert_eq!(rec.restarts, 1, "{who}");
         assert_eq!(k.locks().held_by(who).count(), 0, "{who}");
-        assert!(!k.gate(who), "{who}: dependencies are gone");
+        assert!(!k.gated(who), "{who}: dependencies are gone");
     }
     assert_eq!(k.latest_retiree(ItemId(0)), None, "w's chain entry left");
     assert_eq!(k.latest_retiree(ItemId(1)), None, "r1's too");
@@ -323,21 +425,35 @@ fn commit_skips_early_installs_and_logs_commit_before_installs_at_one_tick() {
     };
     acquire(&mut k, &mut p, &mut ws, t, 0, LockMode::Write);
     p.early = vec![(ItemId(0), LockMode::Write)];
-    let done = k.step_done(&mut p, t, 0, &ws[&t], || Tick(5));
-    assert_eq!(done.released, vec![(ItemId(0), LockMode::Write)]);
+    let released = k.step_done(&mut p, t, 0, &ws[&t], || Tick(5), &mut Effects::default());
+    assert_eq!(released, vec![(ItemId(0), LockMode::Write)]);
     assert_eq!(k.record(t).unwrap().installed_early, vec![ItemId(0)]);
     assert_eq!(
         k.db().get(ItemId(0)).version,
         1,
         "installed at the early release"
     );
-    acquire(&mut k, &mut p, &mut ws, t, 1, LockMode::Write);
+    let mut fx = acquire(&mut k, &mut p, &mut ws, t, 1, LockMode::Write);
+    assert_eq!(fx.log(), [Effect::Granted]);
 
-    assert!(!k.gate(t));
-    assert!(k.commit_victims(&mut p, t).is_empty());
     let before = k.history().events().len();
     let mut installed = Vec::new();
-    k.install(t, &ws[&t], Tick(9), true, Some(&mut installed));
+    let record = k.commit(
+        &mut p,
+        t,
+        &ws[&t],
+        true,
+        Some(&mut installed),
+        || Tick(8),
+        || Tick(9),
+        &mut fx,
+    );
+    let record = record.expect("the gate is open");
+    assert_eq!(
+        fx.log(),
+        [Effect::Committed(t)],
+        "no victims, nobody released, and overwritten, not appended to"
+    );
     let logged: Vec<_> = k.history().events()[before..]
         .iter()
         .map(|e| (e.at, e.kind))
@@ -360,11 +476,7 @@ fn commit_skips_early_installs_and_logs_commit_before_installs_at_one_tick() {
     assert_eq!(installed.len(), 1);
     assert_eq!((installed[0].0, installed[0].1.version), (ItemId(1), 1));
     assert_eq!(k.db().get(ItemId(0)).version, 1, "not installed twice");
-
-    let mut drained = vec![t];
-    let record = k.finish_commit(t, &mut drained);
     assert_eq!(record.restarts, 0);
-    assert!(drained.is_empty(), "overwritten, not appended to");
     assert!(!k.is_live(t) && k.active_instances().is_empty());
     assert_eq!(k.locks().locked_items(), 0);
 }
@@ -380,25 +492,24 @@ fn commit_drains_exactly_the_dependents_whose_last_dependency_it_was() {
     acquire(&mut k, &mut p, &mut ws, d, 2, LockMode::Read);
     acquire(&mut k, &mut p, &mut ws, d, 3, LockMode::Read);
     acquire(&mut k, &mut p, &mut ws, e, 2, LockMode::Read);
-    assert!(k.gate(d) && k.gate(e));
+    park_at_gate(&mut k, &mut p, &ws, d);
+    park_at_gate(&mut k, &mut p, &ws, e);
     assert_eq!(
         k.running_priority(w1),
         k.base_priority(d),
         "gate waits donate priority"
     );
 
-    k.install(w1, &ws[&w1], Tick(20), true, None);
-    let mut drained = Vec::new();
-    k.finish_commit(w1, &mut drained);
-    assert_eq!(drained, vec![e], "d still waits for w2");
+    let mut drained = Effects::default();
+    commit_with(&mut k, &mut p, w1, &ws[&w1], &mut drained);
+    assert_eq!(released(&drained), vec![e], "d still waits for w2");
     k.wake(e);
-    assert!(!k.gate(e) && k.gate(d));
+    assert!(!k.gated(e) && k.gated(d));
 
-    k.install(w2, &ws[&w2], Tick(21), true, None);
-    k.finish_commit(w2, &mut drained);
-    assert_eq!(drained, vec![d]);
+    commit_with(&mut k, &mut p, w2, &ws[&w2], &mut drained);
+    assert_eq!(released(&drained), vec![d]);
     k.wake(d);
-    assert!(!k.gate(d));
+    assert!(!k.gated(d));
     // The dirty reads predicted the versions the installs produced.
     assert_eq!(k.db().get(ItemId(2)).version, 1);
     assert_eq!(ws[&d].reads()[0].version, 1);
@@ -415,19 +526,18 @@ fn an_aborted_dependent_leaves_its_source_alone() {
     assert_eq!(k.record(d).unwrap().gate, vec![w]);
 
     // The dependent's abort cascades nowhere: w is not its dependent.
-    let mut fx = Aborts::default();
+    let mut fx = Effects::default();
     k.abort(&mut p, d, AbortReason::Wound, &[], || Tick(10), &mut fx);
-    assert_eq!(fx.aborted, vec![(d, AbortReason::Wound)]);
-    assert!(fx.released.is_empty());
+    assert_eq!(aborted(&fx), vec![(d, AbortReason::Wound)]);
+    assert!(released(&fx).is_empty());
     assert!(!k.gated(d) && k.record(d).unwrap().gate.is_empty());
     assert_eq!(k.record(w).unwrap().restarts, 0);
     assert_eq!(k.latest_retiree(ItemId(0)), Some(w), "w's chain stays");
 
     // Unhooked: w's commit drains nobody.
-    let mut proceed = vec![d];
-    k.install(w, &ws[&w], Tick(11), true, None);
-    k.finish_commit(w, &mut proceed);
-    assert!(proceed.is_empty());
+    let mut proceed = Effects::default();
+    commit_with(&mut k, &mut p, w, &ws[&w], &mut proceed);
+    assert!(released(&proceed).is_empty());
     assert_eq!(k.latest_retiree(ItemId(0)), None);
 }
 
@@ -449,19 +559,17 @@ fn dirty_versions_stay_predicted_as_the_chain_drains_from_the_front() {
 
     // The chain's earliest member commits: version 1, chain of 1 — the
     // same prediction for a reader arriving now.
-    let mut proceed = Vec::new();
-    k.install(w1, &ws[&w1], Tick(20), true, None);
-    k.finish_commit(w1, &mut proceed);
-    assert_eq!(proceed, vec![w2], "w2's gate opened");
+    let mut proceed = Effects::default();
+    commit_with(&mut k, &mut p, w1, &ws[&w1], &mut proceed);
+    assert_eq!(released(&proceed), vec![w2], "w2's gate opened");
     assert_eq!(k.db().get(ItemId(0)).version, 1);
     acquire(&mut k, &mut p, &mut ws, r2, 0, LockMode::Read);
     assert_eq!(ws[&r2].reads()[0].version, 2);
     assert_eq!(ws[&r2].reads()[0].value, w2_value);
 
     k.wake(w2);
-    k.install(w2, &ws[&w2], Tick(21), true, None);
-    k.finish_commit(w2, &mut proceed);
-    assert_eq!(proceed, vec![r1, r2]);
+    commit_with(&mut k, &mut p, w2, &ws[&w2], &mut proceed);
+    assert_eq!(released(&proceed), vec![r1, r2]);
     assert_eq!(k.db().get(ItemId(0)).version, 2, "the predicted version");
 }
 
@@ -480,16 +588,14 @@ fn gated_is_pure_and_turns_false_with_the_last_dependency() {
     // Asking registered nothing: no edge, so no inheritance.
     assert_eq!(k.running_priority(w1), k.base_priority(w1));
     assert_eq!(k.running_priority(w2), k.base_priority(w2));
-    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(first_cycle(&mut k), None);
 
-    let mut proceed = Vec::new();
-    k.install(w2, &ws[&w2], Tick(20), true, None);
-    k.finish_commit(w2, &mut proceed);
-    assert!(proceed.is_empty() && k.gated(d), "w1 is left");
-    k.install(w1, &ws[&w1], Tick(21), true, None);
-    k.finish_commit(w1, &mut proceed);
-    assert_eq!(proceed, vec![d]);
-    assert!(!k.gated(d) && !k.gate(d));
+    let mut proceed = Effects::default();
+    commit_with(&mut k, &mut p, w2, &ws[&w2], &mut proceed);
+    assert!(released(&proceed).is_empty() && k.gated(d), "w1 is left");
+    commit_with(&mut k, &mut p, w1, &ws[&w1], &mut proceed);
+    assert_eq!(released(&proceed), vec![d]);
+    assert!(!k.gated(d));
 }
 
 #[test]
@@ -507,18 +613,32 @@ fn a_recycled_record_comes_back_with_an_empty_gate() {
     let next = inst(1, 0);
     k.begin(next, None);
     assert!(k.record(next).unwrap().gate.is_empty());
-    assert!(!k.gated(next) && !k.gate(next));
-    let mut proceed = Vec::new();
-    k.install(w, &ws[&w], Tick(20), true, None);
-    k.finish_commit(w, &mut proceed);
-    assert!(proceed.is_empty(), "nobody was gated on w any more");
+    assert!(!k.gated(next));
+    let mut proceed = Effects::default();
+    commit_with(&mut k, &mut p, w, &ws[&w], &mut proceed);
+    assert!(
+        released(&proceed).is_empty(),
+        "nobody was gated on w any more"
+    );
 }
 
 /// `who` commits with nothing staged.
-fn commit(k: &mut StateKernel<'_>, who: InstanceId, proceed: &mut Vec<InstanceId>) {
-    assert!(!k.gate(who));
-    k.install(who, &Workspace::new(who), Tick(30), true, None);
-    k.finish_commit(who, proceed);
+fn commit(k: &mut StateKernel<'_>, who: InstanceId, proceed: &mut Effects) {
+    let ws = Workspace::new(who);
+    commit_with(k, &mut Scripted::default(), who, &ws, proceed);
+}
+
+/// `who` commits through the entry point; `fx` receives what that did.
+fn commit_with(
+    k: &mut StateKernel<'_>,
+    p: &mut Scripted,
+    who: InstanceId,
+    ws: &Workspace,
+    fx: &mut Effects,
+) {
+    let tick = || Tick(30);
+    let record = k.commit(p, who, ws, true, None, tick, tick, fx);
+    assert!(record.is_some(), "{who}'s gate is open");
 }
 
 #[test]
@@ -538,10 +658,10 @@ fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
     assert_eq!(k.running_priority(b), k.base_priority(v));
 
     // The first to leave does not end the hold: an abort…
-    let mut fx = Aborts::default();
+    let mut fx = Effects::default();
     k.abort(&mut p, a, AbortReason::Wound, &[], || Tick(20), &mut fx);
-    assert_eq!(fx.aborted, vec![(a, AbortReason::Wound)]);
-    assert!(fx.released.is_empty());
+    assert_eq!(aborted(&fx), vec![(a, AbortReason::Wound)]);
+    assert!(released(&fx).is_empty());
     assert!(k.held(v));
     assert_eq!(k.record(v).unwrap().hold, vec![b]);
     // …whose restarted instance is no longer waited on.
@@ -549,12 +669,12 @@ fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
     assert_eq!(k.running_priority(b), k.base_priority(v));
 
     // …the last does, a commit, which hands v back at that moment.
-    let mut proceed = Vec::new();
+    let mut proceed = Effects::default();
     commit(&mut k, b, &mut proceed);
-    assert_eq!(proceed, vec![v]);
+    assert_eq!(released(&proceed), vec![v]);
     assert!(!k.held(v));
     assert!(k.record(v).unwrap().hold.is_empty());
-    assert_eq!(k.find_deadlock(), None, "the edges left with the hold");
+    assert_eq!(first_cycle(&mut k), None, "the edges left with the hold");
     assert_eq!(k.running_priority(a), k.base_priority(a));
 
     // The other way round: a commit first, an abort last.
@@ -563,7 +683,7 @@ fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
     k.begin(b2, None);
     k.hold(v, &[a2, b2]);
     commit(&mut k, b2, &mut proceed);
-    assert!(proceed.is_empty() && k.held(v));
+    assert!(released(&proceed).is_empty() && k.held(v));
     k.abort(
         &mut p,
         a2,
@@ -572,7 +692,7 @@ fn hold_ends_with_the_last_held_on_instance_and_is_handed_back_then() {
         || Tick(40),
         &mut fx,
     );
-    assert_eq!(fx.released, vec![v]);
+    assert_eq!(released(&fx), vec![v]);
     assert!(!k.held(v));
 }
 
@@ -582,9 +702,9 @@ fn hold_edges_are_wait_edges_to_the_deadlock_search() {
     let (v, a) = (inst(4, 0), inst(1, 0));
     let (mut k, _) = begun(&set, &[v, a]);
     k.hold(v, &[a]);
-    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(first_cycle(&mut k), None);
     k.wait_on(a, &[v]);
-    assert_eq!(k.find_deadlock(), Some((vec![a, v], v)));
+    assert_eq!(first_cycle(&mut k), Some((vec![a, v], v)));
 }
 
 #[test]
@@ -594,7 +714,7 @@ fn aborting_a_held_instance_clears_its_own_hold() {
     let (mut k, _) = begun(&set, &[v, a]);
     let mut p = Scripted::default();
     k.hold(v, &[a]);
-    let mut fx = Aborts::default();
+    let mut fx = Effects::default();
     k.abort(
         &mut p,
         v,
@@ -603,14 +723,14 @@ fn aborting_a_held_instance_clears_its_own_hold() {
         || Tick(5),
         &mut fx,
     );
-    assert_eq!(fx.aborted, vec![(v, AbortReason::DeadlockVictim)]);
-    assert!(fx.released.is_empty(), "v was held, it held nobody");
+    assert_eq!(aborted(&fx), vec![(v, AbortReason::DeadlockVictim)]);
+    assert!(released(&fx).is_empty(), "v was held, it held nobody");
     assert!(!k.held(v) && k.record(v).unwrap().hold.is_empty());
     assert_eq!(k.running_priority(a), k.base_priority(a));
     // a's commit finds no hold left to end.
-    let mut proceed = Vec::new();
+    let mut proceed = Effects::default();
     commit(&mut k, a, &mut proceed);
-    assert!(proceed.is_empty());
+    assert!(released(&proceed).is_empty());
     // A hold on nothing live is no hold.
     k.hold(v, &[a]);
     assert!(!k.held(v));
@@ -630,7 +750,7 @@ fn an_abort_holds_its_restarts_on_the_cause_less_the_co_aborted() {
     acquire(&mut k, &mut p, &mut ws, r, 0, LockMode::Read);
     assert_eq!(k.record(r).unwrap().gate, vec![w]);
 
-    let mut fx = Aborts::default();
+    let mut fx = Effects::default();
     let cause = [r, h, w];
     k.abort(
         &mut p,
@@ -641,7 +761,7 @@ fn an_abort_holds_its_restarts_on_the_cause_less_the_co_aborted() {
         &mut fx,
     );
     assert_eq!(
-        fx.aborted,
+        aborted(&fx),
         vec![(w, AbortReason::DeadlockVictim), (r, AbortReason::Cascade)]
     );
     for who in [w, r] {
@@ -649,11 +769,11 @@ fn an_abort_holds_its_restarts_on_the_cause_less_the_co_aborted() {
         assert_eq!(rec.hold, vec![h], "{who} is held on h alone");
         assert_eq!(rec.waits_for, vec![h], "{who}");
     }
-    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(first_cycle(&mut k), None);
 
-    let mut proceed = Vec::new();
+    let mut proceed = Effects::default();
     commit(&mut k, h, &mut proceed);
-    assert_eq!(proceed, vec![r, w], "h's commit releases both");
+    assert_eq!(released(&proceed), vec![r, w], "h's commit releases both");
     assert!(!k.held(r) && !k.held(w));
 }
 
@@ -676,11 +796,11 @@ fn a_reader_let_past_a_write_lock_gates_the_writer_without_a_cascade() {
     acquire(&mut k, &mut p, &mut ws, w, 1, LockMode::Write);
     acquire(&mut k, &mut p, &mut ws, r, 1, LockMode::Read);
     assert_eq!(k.record(w).unwrap().gate, vec![r]);
-    assert!(k.gate(w), "w waits at its commit for r to leave");
+    park_at_gate(&mut k, &mut p, &ws, w);
     assert_eq!(k.running_priority(r), k.base_priority(r));
     assert_eq!(k.record(w).unwrap().waits_for, vec![r]);
 
-    let mut fx = Aborts::default();
+    let mut fx = Effects::default();
     k.abort(
         &mut p,
         r,
@@ -689,10 +809,10 @@ fn a_reader_let_past_a_write_lock_gates_the_writer_without_a_cascade() {
         || Tick(10),
         &mut fx,
     );
-    assert_eq!(fx.aborted, vec![(r, AbortReason::DeadlockVictim)]);
-    assert_eq!(fx.released, vec![w], "the gate opened");
+    assert_eq!(aborted(&fx), vec![(r, AbortReason::DeadlockVictim)]);
+    assert_eq!(released(&fx), vec![w], "the gate opened");
     assert!(!k.gated(w) && k.record(w).unwrap().waits_for.is_empty());
-    assert_eq!(k.find_deadlock(), None);
+    assert_eq!(first_cycle(&mut k), None);
     assert_eq!(k.record(w).unwrap().restarts, 0);
 }
 
@@ -710,13 +830,13 @@ fn a_reader_let_past_a_writer_parked_at_its_gate_is_a_wait_edge() {
     };
     acquire(&mut k, &mut p, &mut ws, w, 0, LockMode::Write);
     acquire(&mut k, &mut p, &mut ws, r1, 0, LockMode::Read);
-    assert!(k.gate(w));
+    park_at_gate(&mut k, &mut p, &ws, w);
     acquire(&mut k, &mut p, &mut ws, r2, 0, LockMode::Read);
     assert_eq!(k.record(w).unwrap().waits_for, vec![r1, r2]);
 
     p.deny.insert(r2, vec![w]);
     acquire(&mut k, &mut p, &mut ws, r2, 1, LockMode::Write);
-    let (mut cycle, victim) = k.find_deadlock().expect("r2 and w wait for each other");
+    let (mut cycle, victim) = first_cycle(&mut k).expect("r2 and w wait for each other");
     cycle.sort_unstable();
     assert_eq!((cycle, victim), (vec![r2, w], w));
 }
@@ -728,4 +848,394 @@ fn begin_twice_panics() {
     let mut k = StateKernel::new(&set, None);
     k.begin(inst(0, 0), None);
     k.begin(inst(0, 0), None);
+}
+
+// One test per kind of effect the entry points return: the resolution
+// policy both engines run.
+
+#[test]
+fn a_grant_is_an_effect_and_a_covered_access_is_not() {
+    let set = set();
+    let w = inst(2, 0);
+    let (mut k, mut ws) = resolving(&set, &[w]);
+    let mut p = Scripted::default();
+    let w_ws = ws.get_mut(&w).unwrap();
+    let mut fx = Effects::default();
+    assert!(k.request(
+        &mut p,
+        w,
+        0,
+        ItemId(0),
+        LockMode::Write,
+        w_ws,
+        || Tick(1),
+        &mut fx
+    ));
+    assert_eq!(fx.log(), [Effect::Granted]);
+    assert!(k.request(
+        &mut p,
+        w,
+        1,
+        ItemId(0),
+        LockMode::Read,
+        w_ws,
+        || Tick(2),
+        &mut fx
+    ));
+    assert!(fx.log().is_empty(), "the write lock covers the read");
+    assert_eq!(p.asked, vec![w], "and the protocol was not asked");
+    assert_eq!(w_ws.reads()[0].value, w_ws.staged_value(ItemId(0)).unwrap());
+}
+
+#[test]
+fn a_denial_parks_the_requester_on_its_blockers() {
+    let set = set();
+    let (a, h) = (inst(0, 0), inst(3, 0));
+    let (mut k, mut ws) = resolving(&set, &[a, h]);
+    let mut p = Scripted::default();
+    acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write);
+    p.deny.insert(a, vec![h]);
+    let a_ws = ws.get_mut(&a).unwrap();
+    let mut fx = Effects::default();
+    assert!(!k.request(
+        &mut p,
+        a,
+        0,
+        ItemId(0),
+        LockMode::Read,
+        a_ws,
+        || Tick(1),
+        &mut fx
+    ));
+    let [Effect::Parked(blockers)] = *fx.log() else {
+        panic!("{fx:?}");
+    };
+    assert_eq!(fx.ids(blockers), [h]);
+    assert!(k.pending_request(a).is_some());
+    assert_eq!(k.record(a).unwrap().block_events, 1);
+    assert_eq!(k.running_priority(h), k.base_priority(a), "h inherits");
+}
+
+/// A wound aborts the holder on the wounder, and with it every dirty
+/// reader of the holder's retired writes (a cascade, on the same cause);
+/// the wounder is not granted yet — it presents the request again.
+#[test]
+fn a_wound_aborts_the_holder_and_its_dependents_on_the_wounder() {
+    let set = set();
+    let (h, r, w) = (inst(0, 0), inst(1, 0), inst(3, 0));
+    let (mut k, mut ws) = resolving(&set, &[h, r, w]);
+    let mut p = Scripted::default();
+    write_and_retire(&mut k, &mut p, &mut ws, w, 0);
+    acquire(&mut k, &mut p, &mut ws, r, 0, LockMode::Read);
+    acquire(&mut k, &mut p, &mut ws, w, 5, LockMode::Write);
+    p.wound.insert(h, vec![w]);
+    let fx = acquire(&mut k, &mut p, &mut ws, h, 5, LockMode::Write);
+    let [Effect::Aborted(w1, AbortReason::Wound, cause), Effect::Aborted(r1, AbortReason::Cascade, cause_r)] =
+        *fx.log()
+    else {
+        panic!("{fx:?}");
+    };
+    assert_eq!((w1, r1), (w, r));
+    assert_eq!(fx.ids(cause), [h]);
+    assert_eq!(cause_r, cause, "a cascade is held on its source's cause");
+    for who in [w, r] {
+        assert_eq!(k.record(who).unwrap().hold, vec![h], "{who}");
+        assert_eq!(k.record(who).unwrap().restarts, 1, "{who}");
+    }
+    assert!(!k.locks().holds(h, ItemId(5), LockMode::Write));
+    p.wound.clear();
+    let fx = acquire(&mut k, &mut p, &mut ws, h, 5, LockMode::Write);
+    assert_eq!(fx.log(), [Effect::Granted], "the retry goes through");
+    let (_, _, reasons) = k.into_parts();
+    assert_eq!((reasons.wound, reasons.cascade), (1, 1));
+}
+
+#[test]
+fn a_die_aborts_the_requester_on_its_blockers() {
+    let set = set();
+    let (h, l) = (inst(0, 0), inst(3, 0));
+    let (mut k, mut ws) = resolving(&set, &[h, l]);
+    let mut p = Scripted::default();
+    acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Read);
+    acquire(&mut k, &mut p, &mut ws, l, 1, LockMode::Write);
+    p.die.insert(l, vec![h]);
+    let fx = acquire(&mut k, &mut p, &mut ws, l, 0, LockMode::Write);
+    let [Effect::Aborted(who, AbortReason::CeilingBlock, cause)] = *fx.log() else {
+        panic!("{fx:?}");
+    };
+    assert_eq!((who, fx.ids(cause)), (l, &[h][..]));
+    assert!(k.held(l) && k.locks().held_by(l).next().is_none());
+}
+
+/// What an abort releases is re-evaluated in the same call: a request
+/// the wounded holder blocked is woken, and the hold the victim was the
+/// last of ends.
+#[test]
+fn an_abort_wakes_what_it_unblocked_and_ends_the_holds_it_was_the_last_of() {
+    let set = set();
+    let (h, b, v, l) = (inst(0, 0), inst(1, 0), inst(2, 0), inst(4, 0));
+    let (mut k, mut ws) = resolving(&set, &[h, b, v, l]);
+    let mut p = Scripted {
+        blocked_by_holders: true,
+        ..Scripted::default()
+    };
+    acquire(&mut k, &mut p, &mut ws, l, 0, LockMode::Write);
+    p.deny.insert(b, vec![l]);
+    let fx = acquire(&mut k, &mut p, &mut ws, b, 0, LockMode::Read);
+    assert!(matches!(fx.log(), [Effect::Parked(_)]));
+    k.hold(v, &[l]);
+    p.wound.insert(h, vec![l]);
+    let fx = acquire(&mut k, &mut p, &mut ws, h, 1, LockMode::Write);
+    assert_eq!(aborted(&fx), vec![(l, AbortReason::Wound)]);
+    assert_eq!(
+        fx.log()[1..],
+        [Effect::HoldReleased(v), Effect::Woken(b)],
+        "the abort's releases, then the re-evaluation"
+    );
+    assert!(k.pending_request(b).is_none() && !k.held(v));
+}
+
+/// A commit aborts the instances it invalidates on the committer (OCC),
+/// passes its commit point, leaves, and re-evaluates: the woken come
+/// first, then the gates it opened, then the holds it ended — here the
+/// hold of its own victim. A dependent whose gate empties while it is
+/// blocked on a lock is not let through: its request stays pending.
+#[test]
+fn a_commit_aborts_its_victims_then_wakes_then_opens_gates_and_ends_holds() {
+    let set = set();
+    let (d, e, b, v, w) = (inst(0, 0), inst(1, 0), inst(2, 0), inst(3, 0), inst(4, 0));
+    let (mut k, mut ws) = resolving(&set, &[d, e, b, v, w]);
+    let mut p = Scripted {
+        blocked_by_holders: true,
+        ..Scripted::default()
+    };
+    write_and_retire(&mut k, &mut p, &mut ws, w, 0);
+    acquire(&mut k, &mut p, &mut ws, w, 1, LockMode::Write);
+    for reader in [d, e] {
+        acquire(&mut k, &mut p, &mut ws, reader, 0, LockMode::Read);
+    }
+    // d parks at its gate; e blocks on a lock v holds; b on one w holds.
+    let mut fx = Effects::default();
+    assert!(k
+        .commit(
+            &mut p,
+            d,
+            &ws[&d],
+            true,
+            None,
+            || Tick(3),
+            || Tick(3),
+            &mut fx
+        )
+        .is_none());
+    let [Effect::Parked(gate)] = *fx.log() else {
+        panic!("{fx:?}");
+    };
+    assert_eq!(fx.ids(gate), [w]);
+    acquire(&mut k, &mut p, &mut ws, v, 2, LockMode::Write);
+    p.deny.insert(e, vec![v]);
+    acquire(&mut k, &mut p, &mut ws, e, 2, LockMode::Read);
+    p.deny.insert(b, vec![w]);
+    acquire(&mut k, &mut p, &mut ws, b, 1, LockMode::Read);
+    p.victims = vec![v];
+    p.deny.remove(&e);
+
+    let record = k.commit(
+        &mut p,
+        w,
+        &ws[&w],
+        true,
+        None,
+        || Tick(4),
+        || Tick(5),
+        &mut fx,
+    );
+    assert_eq!(record.expect("w's gate is open").restarts, 0);
+    let cause = match fx.log()[0] {
+        Effect::Aborted(who, AbortReason::Wound, cause) if who == v => cause,
+        ref other => panic!("{other:?}"),
+    };
+    assert_eq!(fx.ids(cause), [w], "held on the committer");
+    assert_eq!(
+        fx.log()[1..],
+        [
+            Effect::Committed(w),
+            Effect::Woken(e),
+            Effect::Woken(b),
+            Effect::GateOpened(d),
+            Effect::HoldReleased(v),
+        ]
+    );
+}
+
+/// A dependent whose gate opens while a denied request keeps it waiting
+/// is not let through: the request stays pending, denied once.
+#[test]
+fn an_opened_gate_leaves_a_pending_request_alone() {
+    let set = set();
+    let (e, x, w) = (inst(1, 0), inst(0, 0), inst(4, 0));
+    let (mut k, mut ws) = resolving(&set, &[e, x, w]);
+    let mut p = Scripted::default();
+    write_and_retire(&mut k, &mut p, &mut ws, w, 0);
+    acquire(&mut k, &mut p, &mut ws, e, 0, LockMode::Read);
+    acquire(&mut k, &mut p, &mut ws, x, 1, LockMode::Write);
+    p.deny.insert(e, vec![x]);
+    acquire(&mut k, &mut p, &mut ws, e, 1, LockMode::Read);
+    let mut fx = Effects::default();
+    k.commit(
+        &mut p,
+        w,
+        &ws[&w],
+        true,
+        None,
+        || Tick(4),
+        || Tick(4),
+        &mut fx,
+    )
+    .expect("w commits");
+    assert_eq!(fx.log(), [Effect::Committed(w)]);
+    assert!(!k.gated(e));
+    assert!(k.pending_request(e).is_some());
+    assert_eq!(k.record(e).unwrap().block_events, 1);
+}
+
+/// a (T0) holds item 0, b (T3) item 1; a waits for b, and b's request
+/// closes the cycle.
+fn two_way_cycle<'a>(
+    k: &mut StateKernel<'a>,
+    p: &mut Scripted,
+    ws: &mut BTreeMap<InstanceId, Workspace>,
+    [a, b]: [InstanceId; 2],
+) -> Effects {
+    acquire(k, p, ws, a, 0, LockMode::Write);
+    acquire(k, p, ws, b, 1, LockMode::Write);
+    p.deny = BTreeMap::from([(a, vec![b]), (b, vec![a])]);
+    acquire(k, p, ws, a, 1, LockMode::Write);
+    acquire(k, p, ws, b, 0, LockMode::Write)
+}
+
+#[test]
+fn a_denial_that_closes_a_cycle_aborts_its_victim_on_the_rest() {
+    let set = set();
+    let (a, b) = (inst(0, 0), inst(3, 0));
+    let (mut k, mut ws) = resolving(&set, &[a, b]);
+    let mut p = Scripted {
+        blocked_by_holders: true,
+        ..Scripted::default()
+    };
+    let fx = two_way_cycle(&mut k, &mut p, &mut ws, [a, b]);
+    let [Effect::Parked(_), Effect::Cycle(cycle, victim), Effect::Aborted(who, AbortReason::DeadlockVictim, cause), Effect::Woken(woken)] =
+        *fx.log()
+    else {
+        panic!("{fx:?}");
+    };
+    assert_eq!((victim, who, woken), (b, b, a));
+    assert_eq!(fx.ids(cycle), [a, b]);
+    assert_eq!(cause, cycle, "held on the rest of its cycle");
+    assert_eq!(k.record(b).unwrap().hold, vec![a]);
+    assert!(k.pending_request(a).is_none() && k.pending_request(b).is_none());
+}
+
+#[test]
+fn a_reporting_kernel_reports_the_cycle_and_leaves_it_standing() {
+    let set = set();
+    let (a, b) = (inst(0, 0), inst(3, 0));
+    let (mut k, mut ws) = begun(&set, &[a, b]);
+    let mut p = Scripted {
+        blocked_by_holders: true,
+        ..Scripted::default()
+    };
+    let fx = two_way_cycle(&mut k, &mut p, &mut ws, [a, b]);
+    let [Effect::Parked(_), Effect::Cycle(cycle, victim)] = *fx.log() else {
+        panic!("{fx:?}");
+    };
+    assert_eq!((fx.ids(cycle), victim), (&[a, b][..], b));
+    assert!(k.pending_request(a).is_some() && k.pending_request(b).is_some());
+    assert_eq!(k.record(b).unwrap().restarts, 0);
+}
+
+/// One denial that closes two cycles through the requester: one call
+/// resolves both, a victim per cycle, and the requester goes on.
+#[test]
+fn one_denial_closing_two_cycles_resolves_both() {
+    let set = set();
+    let (r, a, b) = (inst(0, 0), inst(3, 0), inst(4, 0));
+    let (mut k, mut ws) = resolving(&set, &[r, a, b]);
+    let mut p = Scripted {
+        blocked_by_holders: true,
+        ..Scripted::default()
+    };
+    for (who, item) in [(a, 0), (b, 1), (r, 2)] {
+        acquire(&mut k, &mut p, &mut ws, who, item, LockMode::Write);
+    }
+    p.deny = BTreeMap::from([(a, vec![r]), (b, vec![r]), (r, vec![a, b])]);
+    for who in [a, b] {
+        acquire(&mut k, &mut p, &mut ws, who, 2, LockMode::Write);
+    }
+    let fx = acquire(&mut k, &mut p, &mut ws, r, 5, LockMode::Write);
+    let cycles: Vec<_> = fx
+        .log()
+        .iter()
+        .filter_map(|e| match *e {
+            Effect::Cycle(cycle, victim) => Some((fx.ids(cycle).to_vec(), victim)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cycles, vec![(vec![r, a], a), (vec![r, b], b)]);
+    assert_eq!(
+        aborted(&fx),
+        vec![
+            (a, AbortReason::DeadlockVictim),
+            (b, AbortReason::DeadlockVictim)
+        ]
+    );
+    assert_eq!(fx.log().last(), Some(&Effect::Woken(r)));
+    assert_eq!(first_cycle(&mut k), None);
+}
+
+/// In a kernel scoped to one shard, a victim whose template touches
+/// other shards is named, not aborted: its owner aborts it in every
+/// kernel ([`StateKernel::abort_local`]).
+#[test]
+fn a_victim_that_spans_kernels_is_named_not_aborted() {
+    // Two shards: item 0 in shard 0, item 1 in shard 1. L touches both.
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new(
+            "H",
+            10,
+            vec![Step::write(ItemId(0), 1)],
+        ))
+        .with(TransactionTemplate::new(
+            "L",
+            20,
+            vec![Step::write(ItemId(0), 1), Step::write(ItemId(1), 1)],
+        ))
+        .build_rate_monotonic()
+        .expect("set");
+    let (h, l) = (inst(0, 0), inst(1, 0));
+    let kernel = StateKernel::new(&set, None).scoped_to(ShardRouter::new(2), 0);
+    let (mut k, mut ws) = begin(kernel, &[h, l]);
+    let mut p = Scripted::default();
+    acquire(&mut k, &mut p, &mut ws, l, 0, LockMode::Write);
+    p.wound.insert(h, vec![l]);
+    let fx = acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write);
+    let [Effect::Foreign(who, AbortReason::Wound, cause)] = *fx.log() else {
+        panic!("{fx:?}");
+    };
+    assert_eq!((who, fx.ids(cause)), (l, &[h][..]));
+    assert!(k.locks().holds(l, ItemId(0), LockMode::Write), "left alone");
+    assert_eq!(k.record(l).unwrap().restarts, 0);
+
+    let mut local = Effects::default();
+    k.abort_local(&mut p, l, Some(AbortReason::Wound), &[h], &mut local);
+    assert!(k.locks().held_by(l).next().is_none() && k.held(l));
+    p.wound.clear();
+    let fx = acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write);
+    assert_eq!(fx.log(), [Effect::Granted]);
+    let (history, _, reasons) = k.into_parts();
+    assert_eq!(reasons.wound, 1);
+    assert!(
+        !history.events().iter().any(|e| e.kind == EventKind::Abort),
+        "the owner logs the abort"
+    );
 }

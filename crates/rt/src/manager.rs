@@ -9,27 +9,20 @@
 //! under that mutex *in the kernel*, the same code the simulator drives,
 //! so the runtime linearizes the exact state machine the simulator
 //! executes — only the *order* of requests differs (it is decided by the
-//! OS scheduler instead of the simulated priority dispatcher). What this
-//! module adds is delivery: the woken, aborted, drained and released
-//! instances a kernel transition returns become flags and notifies on
-//! per-waiter [`Condvar`]s. Taking the mutex and waiting on a condvar are
-//! the manager's — [`Shared`] never blocks.
-//!
-//! Every abort names its cause — the wounder, a die's blockers, the rest
-//! of a deadlock cycle, an optimistic committer — and the kernel's abort
-//! holds what it restarts on it ([`StateKernel::abort`]), the one restart
-//! rule both engines share. The victim's worker waits the hold out before
-//! it restarts (`Shared::hold_clear`): an aborted instance does not run
-//! again while the work it yielded to does, as on the paper's single CPU.
-//!
-//! Deadlock cycles are searched for on the kernel's wait edges at block
-//! time (as in the simulator) and always resolved by aborting the
-//! kernel's victim: a real runtime cannot stop the world and report
-//! `RunOutcome::Deadlock` the way a simulation can.
+//! OS scheduler instead of the simulated priority dispatcher). The
+//! resolution policy is the kernel's too ([`StateKernel::request`],
+//! [`StateKernel::commit`]); this module delivers its effects as abort
+//! flags and notifies on per-waiter [`Condvar`]s. A runtime kernel
+//! resolves every deadlock (a real runtime cannot stop the world and
+//! report `RunOutcome::Deadlock` the way a simulation can), an aborted
+//! job's worker waits out the hold on its cause before it restarts
+//! (`Shared::hold_clear`), and the one case left to the runtime is a
+//! victim that spans shards (`Shared::abort_cross`). Taking the mutex and
+//! waiting on a condvar are the manager's — [`Shared`] never blocks.
 
 use crate::sharded::ShardStats;
 use rtdb_core::{
-    AbortBreakdown, AbortReason, Aborts, Acquire, EngineView, ProtocolFor, ProtocolKind, Record,
+    AbortBreakdown, AbortReason, Effect, Effects, EngineView, ProtocolFor, ProtocolKind, Record,
     ShardRouter, StateKernel,
 };
 use rtdb_sim::{instantiate, AnyProtocol};
@@ -138,7 +131,8 @@ impl WorkerCtx {
 /// and a wake-up is a notify after the kernel made that fact true.
 struct Waiter {
     cv: Arc<Condvar>,
-    /// Set by [`Shared::abort_victim`]; consumed by the owning worker.
+    /// Set when the instance is aborted here ([`Shared::deliver`]);
+    /// consumed by the owning worker.
     aborted: bool,
     /// Cross-shard abort signal (multi-shard runs only): raised beside
     /// `aborted` when this instance spans shards, because its owner never
@@ -178,25 +172,16 @@ pub(crate) struct Shared<'a> {
     deadlocks_resolved: u64,
     /// Park-timeout safety-net firings.
     park_timeout_wakeups: u64,
-    /// Scratch for what an abort did, kept for its capacity.
-    aborts: Aborts,
-}
-
-/// What [`Shared::try_acquire`] told the caller.
-pub(crate) enum TryAcquire {
-    /// Granted (or already covered); the data operation happened.
-    Done,
-    /// State changed (victims aborted); retry the request immediately.
-    Retry,
-    /// Blocked by these instances: the request stays pending until a
-    /// transition wakes it.
-    Park(Vec<InstanceId>),
+    /// What the kernel's last call did, kept for its capacity.
+    fx: Effects,
+    /// What the local abort of a cross-shard victim did.
+    local_fx: Effects,
 }
 
 /// One tick of the shared logical clock — the kernel's tick source here:
 /// every logged event draws its own.
 #[inline]
-fn next_tick(clock: &AtomicU64) -> Tick {
+pub(crate) fn next_tick(clock: &AtomicU64) -> Tick {
     Tick(clock.fetch_add(1, Ordering::Relaxed) + 1)
 }
 
@@ -231,7 +216,8 @@ impl<'a> Shared<'a> {
             restarts: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
-            aborts: Aborts::default(),
+            fx: Effects::default(),
+            local_fx: Effects::default(),
         }
     }
 
@@ -315,12 +301,56 @@ impl<'a> Shared<'a> {
         self.kernel.hold(who, &holders);
     }
 
-    /// Notify the threads of the instances the kernel woke (the grant
-    /// itself happens when the woken thread re-issues its request).
-    fn notify(&mut self, woken: &[InstanceId]) {
-        for &who in woken {
-            self.waiter_mut(who).cv.notify_one();
+    /// Deliver what a kernel call did: flag and notify the aborted,
+    /// notify the woken (the grant itself happens when the woken thread
+    /// re-issues its request) and those whose gate or hold ended, count
+    /// the cycles resolved, and abort a cross-shard victim here.
+    fn deliver(&mut self, fx: &Effects) {
+        for &effect in fx.log() {
+            match effect {
+                Effect::Aborted(who, ..) => {
+                    self.restarts += 1;
+                    let w = self.waiter_mut(who);
+                    debug_assert!(w.signal.is_none(), "cascades never cross shards");
+                    // A running worker observes the flag at its next
+                    // manager call; a parked one when the notify lands.
+                    w.aborted = true;
+                    w.cv.notify_one();
+                }
+                Effect::Foreign(who, reason, cause) => {
+                    self.abort_cross(who, reason, fx.ids(cause));
+                }
+                Effect::Woken(who) | Effect::GateOpened(who) | Effect::HoldReleased(who) => {
+                    self.waiter_mut(who).cv.notify_one();
+                }
+                Effect::Cycle(..) => self.deadlocks_resolved += 1,
+                Effect::Granted | Effect::Parked(_) | Effect::Committed(_) => {}
+            }
         }
+    }
+
+    /// A cross-shard victim is aborted *locally*: clean this shard's
+    /// slice of its state and raise the shared signal; the victim's own
+    /// worker (which never parks while it holds anything) observes the
+    /// signal at its next manager entry point, cleans its remaining
+    /// shards the same way, and logs the single Abort + restart-Begin pair
+    /// in its home shard. `aborted` doubles as the "this shard already
+    /// ran its local abort" marker the victim's sweep consumes.
+    fn abort_cross(&mut self, victim: InstanceId, reason: AbortReason, cause: &[InstanceId]) {
+        let w = self.waiter_mut(victim);
+        if w.aborted {
+            return; // local abort already ran; victim not yet swept
+        }
+        w.aborted = true;
+        w.signal
+            .as_ref()
+            .expect("a foreign victim spans shards")
+            .store(true, Ordering::Release);
+        let mut fx = std::mem::take(&mut self.local_fx);
+        let (kernel, protocol) = (&mut self.kernel, &mut self.protocol);
+        kernel.abort_local(protocol, victim, Some(reason), cause, &mut fx);
+        self.deliver(&fx);
+        self.local_fx = fx;
     }
 
     pub(crate) fn take_abort(&mut self, who: InstanceId) -> bool {
@@ -350,6 +380,10 @@ impl<'a> Shared<'a> {
         }
     }
 
+    /// Present `who`'s request through the kernel's lock-request entry
+    /// point and deliver what it did; true if granted. Otherwise the
+    /// request is pending — or it was woken again by the re-evaluation, or
+    /// its requester aborted, and the caller looks again.
     pub(crate) fn try_acquire(
         &mut self,
         who: InstanceId,
@@ -357,45 +391,30 @@ impl<'a> Shared<'a> {
         item: ItemId,
         mode: LockMode,
         ws: &mut Workspace,
-    ) -> TryAcquire {
+    ) -> bool {
         let Shared {
             kernel,
             protocol,
             clock,
+            fx,
             ..
         } = self;
-        let acquired = kernel.acquire(protocol, who, step_index, item, mode, ws, || {
-            next_tick(clock)
-        });
-        match acquired {
-            Acquire::Done { .. } => TryAcquire::Done,
-            Acquire::Wound { victims } => {
-                for v in victims {
-                    self.abort_victim(v, AbortReason::Wound, &[who]);
-                }
-                self.wake_parked();
-                TryAcquire::Retry
-            }
-            Acquire::Die { blockers } => {
-                // Ordered self-abort (Brook-2PL yielding to a senior):
-                // restart the requester once its blockers are gone.
-                self.abort_victim(who, AbortReason::CeilingBlock, &blockers);
-                self.wake_parked();
-                TryAcquire::Retry
-            }
-            Acquire::Blocked { blockers, woken } => {
-                self.notify(&woken);
-                if !self.request_cleared(who) {
-                    self.resolve_deadlocks();
-                }
-                // The re-evaluation may have woken the requester itself,
-                // the sweep may have picked it as the victim.
-                if self.request_cleared(who) {
-                    TryAcquire::Retry
-                } else {
-                    TryAcquire::Park(blockers)
-                }
-            }
+        let tick = || next_tick(clock);
+        // A grant has nothing to deliver: the hot path stays one inlined
+        // kernel call.
+        if kernel.request(protocol, who, step_index, item, mode, ws, tick, fx) {
+            return true;
+        }
+        self.deliver_fx();
+        false
+    }
+
+    /// The instances the last denial named, for a cross-shard requester's
+    /// hold.
+    pub(crate) fn denied_by(&self) -> Vec<InstanceId> {
+        match self.fx.log().first() {
+            Some(&Effect::Parked(blockers)) => self.fx.ids(blockers).to_vec(),
+            _ => Vec::new(),
         }
     }
 
@@ -405,99 +424,52 @@ impl<'a> Shared<'a> {
         self.kernel.wake(who);
     }
 
-    /// Have the kernel re-present every parked request and wake those that
-    /// would now be granted.
-    fn wake_parked(&mut self) {
-        let woken = self.kernel.reevaluate(&mut self.protocol);
-        self.notify(&woken);
-    }
-
-    /// Resolve wait-for cycles by aborting the kernel's victim — the
-    /// lowest-base-priority instance on each cycle — until none remains.
-    /// The victim is held on the rest of its cycle: restarting at once
-    /// would let it re-form the same cycle before the others got through
-    /// (DESIGN.md §6c: a 2PL-PI upgrade cycle once livelocked that way).
-    fn resolve_deadlocks(&mut self) {
-        while let Some((cycle, victim)) = self.kernel.find_deadlock() {
-            self.deadlocks_resolved += 1;
-            self.abort_victim(victim, AbortReason::DeadlockVictim, &cycle);
-            self.wake_parked();
-        }
-    }
-
     /// The park timeout's safety net, run by the thread whose wait
     /// expired: heal lost wake-ups and cycles that formed without a block
     /// event.
     pub(crate) fn net_fired(&mut self) {
         self.park_timeout_wakeups += 1;
-        self.wake_parked();
-        self.resolve_deadlocks();
+        self.call(|kernel, protocol, clock, fx| {
+            fx.clear();
+            kernel.reevaluate(protocol, fx);
+            kernel.resolve_cycles(protocol, || next_tick(clock), fx);
+        });
     }
 
-    /// Abort a live instance (and, cascading, its dependents) through the
-    /// kernel, which holds each on `on`, and flag its worker to restart.
-    /// A victim's workspace is reset by the owning thread when it observes
-    /// the flag; until then the kernel's cleared record is what protocols
-    /// see — the same state the simulator reaches by resetting the slot in
-    /// place. The holds the aborted were the last of end, and their
-    /// threads are notified.
-    fn abort_victim(&mut self, victim: InstanceId, reason: AbortReason, on: &[InstanceId]) {
-        let Some(s) = self.kernel.slot_of(victim) else {
-            return; // committed between the decision and now
-        };
-        let mut fx = std::mem::take(&mut self.aborts);
-        fx.released.clear();
-        // A cross-shard victim is aborted *locally*: clean this shard's
-        // slice of its state and raise the shared signal; the victim's
-        // own worker (which never parks while it holds anything) observes
-        // the signal at its next manager entry point, cleans its
-        // remaining shards the same way, and logs the single Abort +
-        // restart-Begin pair in its home shard. `aborted` doubles as the
-        // "this shard already ran its local abort" marker the victim's
-        // sweep consumes.
-        let w = &mut self.waiters[s];
-        if let Some(sig) = &w.signal {
-            if w.aborted {
-                self.aborts = fx;
-                return; // local abort already ran; victim not yet swept
-            }
-            let (kernel, protocol) = (&mut self.kernel, &mut self.protocol);
-            kernel.abort_local(protocol, victim, Some(reason), on, &mut fx.released);
-            w.aborted = true;
-            sig.store(true, Ordering::Release);
-        } else {
-            let Shared {
-                kernel,
-                protocol,
-                clock,
-                ..
-            } = self;
-            kernel.abort(protocol, victim, reason, on, || next_tick(clock), &mut fx);
-            for &(who, _) in &fx.aborted {
-                self.restarts += 1;
-                let w = self.waiter_mut(who);
-                debug_assert!(w.signal.is_none(), "cascades never cross shards");
-                // A running worker observes the flag at its next manager
-                // call; a parked one when the notify lands.
-                w.aborted = true;
-                w.cv.notify_one();
-            }
+    /// Run a kernel call with the protocol, the event clock and the
+    /// effects buffer, then deliver what it did.
+    #[inline]
+    fn call<R>(
+        &mut self,
+        call: impl FnOnce(&mut StateKernel<'a>, &mut AnyProtocol, &AtomicU64, &mut Effects) -> R,
+    ) -> R {
+        let done = call(
+            &mut self.kernel,
+            &mut self.protocol,
+            &self.clock,
+            &mut self.fx,
+        );
+        self.deliver_fx();
+        done
+    }
+
+    /// [`Shared::deliver`] the effects buffer, if the call left anything
+    /// in it.
+    #[inline]
+    fn deliver_fx(&mut self) {
+        if !self.fx.log().is_empty() {
+            let fx = std::mem::take(&mut self.fx);
+            self.deliver(&fx);
+            self.fx = fx;
         }
-        self.notify(&fx.released);
-        self.aborts = fx;
     }
 
     /// Report step `completed_step` finished; applies the protocol's early
     /// releases and retires and wakes waiters.
     pub(crate) fn step_done(&mut self, id: InstanceId, completed_step: usize, ws: &Workspace) {
-        let Shared {
-            kernel,
-            protocol,
-            clock,
-            ..
-        } = self;
-        let done = kernel.step_done(protocol, id, completed_step, ws, || next_tick(clock));
-        self.notify(&done.woken);
+        self.call(|kernel, protocol, clock, fx| {
+            kernel.step_done(protocol, id, completed_step, ws, || next_tick(clock), fx)
+        });
     }
 
     /// The victim's side of a cross-shard abort, run per shard by the
@@ -512,38 +484,25 @@ impl<'a> Shared<'a> {
             self.kernel.log(self.tick(), id, EventKind::Abort);
         }
         // Taken: the aborting shard already released everything here.
-        let mut released = Vec::new();
         if !self.take_abort(id) {
-            self.kernel
-                .abort_local(&mut self.protocol, id, None, &[], &mut released);
+            let mut fx = std::mem::take(&mut self.local_fx);
+            let (kernel, protocol) = (&mut self.kernel, &mut self.protocol);
+            kernel.abort_local(protocol, id, None, &[], &mut fx);
+            self.deliver(&fx);
+            self.local_fx = fx;
         }
         if home {
             self.kernel.log(self.tick(), id, EventKind::Begin);
         }
-        self.wake_parked();
-        self.notify(&released);
-    }
-
-    /// Commit gate: true when `id` still has commit dependencies and the
-    /// caller must park until they are gone — the drain in the last
-    /// dependency's commit wakes it, a cascading abort flags it. The gate
-    /// waits are edges in the kernel, so a gate-plus-lock cycle resolves
-    /// here like any other deadlock.
-    pub(crate) fn gate_commit(&mut self, id: InstanceId) -> bool {
-        let gated = self.kernel.gate(id);
-        if gated {
-            self.resolve_deadlocks();
-        }
-        gated
     }
 
     /// What a thread parked at the commit gate waits for: no commit
     /// dependency left — or none of the gate waits it registered, because
     /// the gate opened and a reader let past its write lock closed it
-    /// again before the thread ran; the caller's `gate_commit` registers
-    /// that gate anew. Tested on the kernel's record, not on a flag a
-    /// notifier sets, so a wake-up that got lost is still seen by the
-    /// park timeout's next look.
+    /// again before the thread ran; the caller's next commit attempt
+    /// registers that gate anew. Tested on the kernel's record, not on a
+    /// flag a notifier sets, so a wake-up that got lost is still seen by
+    /// the park timeout's next look.
     pub(crate) fn gate_open(&mut self, id: InstanceId) -> bool {
         let rec = self.kernel.record(id).expect("instance is live");
         rec.gate.is_empty() || rec.waits_for.is_empty()
@@ -555,45 +514,30 @@ impl<'a> Shared<'a> {
         (!gate.is_empty()).then_some(gate.as_slice())
     }
 
-    /// Abort the instances `id`'s commit invalidates (optimistic
-    /// validation), before the writes install; each is held until the
-    /// commit is through.
-    pub(crate) fn abort_commit_victims(&mut self, id: InstanceId) {
-        for v in self.kernel.commit_victims(&mut self.protocol, id) {
-            self.abort_victim(v, AbortReason::Wound, &[id]);
-        }
-    }
-
-    /// The commit point of `id` in this shard at tick `at`: the Commit
-    /// event (in the `home` shard) and the installs of the staged writes
-    /// this shard owns, collected into `batch` when the snapshot store
-    /// will publish them.
-    pub(crate) fn install(
+    /// Commit `id` in this shard through the kernel's commit entry point
+    /// and deliver what it did. With its commit gate closed, `id` parks:
+    /// `None`, and the caller waits until the gate opens (the drain in the
+    /// last dependency's commit wakes it, a cascading abort flags it; the
+    /// gate waits are edges in the kernel, so a gate-plus-lock cycle
+    /// resolves here like any other deadlock). Otherwise the commit point
+    /// passes at the tick `at` draws — the Commit event in the `home`
+    /// shard, the installs of the staged writes this shard owns, collected
+    /// into `batch` when the snapshot store will publish them — and
+    /// everything is released: the waiters that can now proceed, the
+    /// dependents whose commit gate just opened and the aborted instances
+    /// whose hold this commit ended are notified.
+    pub(crate) fn commit(
         &mut self,
         id: InstanceId,
         ws: &Workspace,
-        at: Tick,
         home: bool,
         batch: Option<&mut Vec<(ItemId, VersionedValue)>>,
-    ) {
-        self.kernel.install(id, ws, at, home, batch);
-    }
-
-    /// Commit-side teardown of `id` in this shard: release its locks and
-    /// registration through the kernel, wake the waiters that can now
-    /// proceed, the dependents whose commit gate just opened (a committer
-    /// parked there re-presents its commit; one still mid-execution
-    /// simply finds the gate open when it arrives) and the aborted
-    /// instances whose hold this commit ended.
-    pub(crate) fn finish_commit(&mut self, id: InstanceId) -> Record {
-        let mut proceed = Vec::new();
-        let record = self.kernel.finish_commit(id, &mut proceed);
-        self.wake_parked();
-        for &d in &proceed {
-            self.kernel.wake(d);
-        }
-        self.notify(&proceed);
-        record
+        at: impl FnOnce() -> Tick,
+    ) -> Option<Record> {
+        self.call(|kernel, protocol, clock, fx| {
+            let tick = || next_tick(clock);
+            kernel.commit(protocol, id, ws, home, batch, tick, at, fx)
+        })
     }
 }
 
@@ -612,7 +556,8 @@ mod tests {
     /// One lost wake-up: `holder` takes its write lock on `X` (and, when
     /// `retire`, finishes that step, retiring the write), a second thread
     /// runs `wait` as `waiter` and parks, as `parked` sees under the
-    /// state lock, and `holder` then leaves behind the manager's back.
+    /// state lock, and `holder` then commits in the kernel behind the
+    /// manager's back: nobody is notified.
     /// Nothing but the park-timeout net can end the wait, and its first
     /// firing must: the waiter returns after one period, not two.
     fn net_rescues_in_one_period(
@@ -653,7 +598,12 @@ mod tests {
         while !parked(&m.lock(0).kernel, [holder, waiter]) {
             std::thread::yield_now();
         }
-        m.lock(0).kernel.finish_commit(holder, &mut Vec::new());
+        {
+            let g = &mut *m.lock(0);
+            let (kernel, protocol) = (&mut g.kernel, &mut g.protocol);
+            let (ws, mut fx, tick) = (Workspace::new(holder), Effects::default(), || Tick(0));
+            kernel.commit(protocol, holder, &ws, false, None, tick, tick, &mut fx);
+        }
         let waited = rx
             .recv_timeout(PERIOD * 4)
             .expect("the net never rescued the parked thread");
@@ -923,12 +873,9 @@ mod tests {
         }
         {
             let mut g = m.lock(0);
-            assert!(!g.gate_commit(r1));
             let at = g.tick();
-            g.install(r1, &ctx_r1.ws, at, true, None);
-            g.finish_commit(r1);
-            let read = g.try_acquire(r2, 0, X, LockMode::Read, &mut ctx_r2.ws);
-            assert!(matches!(read, TryAcquire::Done));
+            assert!(g.commit(r1, &ctx_r1.ws, true, None, || at).is_some());
+            assert!(g.try_acquire(r2, 0, X, LockMode::Read, &mut ctx_r2.ws));
             assert_eq!(g.gate_of(w), Some(&[r2][..]), "R2 refilled W's gate");
             assert!(waits_of(&g).is_empty(), "W waits on nobody yet");
         }
@@ -943,5 +890,62 @@ mod tests {
         ));
         let committed = rx.recv_timeout(PERIOD * 4).expect("W never left its gate");
         assert!(committed, "W restarted");
+    }
+
+    /// A gate that opens does not wake an instance blocked on a lock. D
+    /// dirty-reads the X that W retired, so W is on D's commit gate, and
+    /// then blocks on the Y that K write-holds. W's commit opens D's gate,
+    /// but D's request must stay pending: clearing it would send D's
+    /// thread round to ask again, only to be denied a second time.
+    #[test]
+    fn an_opened_gate_leaves_a_lock_wait_alone() {
+        const Y: ItemId = ItemId(1);
+        let set = SetBuilder::new()
+            .with(TransactionTemplate::new("K", 10, vec![Step::write(Y, 1)]))
+            .with(TransactionTemplate::new(
+                "D",
+                20,
+                vec![Step::read(X, 1), Step::read(Y, 1)],
+            ))
+            .with(TransactionTemplate::new(
+                "W",
+                30,
+                vec![Step::write(X, 1), Step::compute(1)],
+            ))
+            .build_rate_monotonic()
+            .unwrap();
+        let [k, d, w] = [0, 1, 2].map(|t| InstanceId::first(TxnId(t)));
+        let m = ShardedManager::new(&set, &RtConfig::new(ProtocolKind::Bamboo), None);
+        let [mut ctx_k, mut ctx_d, mut ctx_w] = [0, 1, 2].map(WorkerCtx::new);
+        for (id, ctx) in [(k, &mut ctx_k), (d, &mut ctx_d), (w, &mut ctx_w)] {
+            m.begin(id, ctx);
+            ctx.ws.reset(id);
+        }
+        assert_eq!(
+            m.acquire(w, 0, X, LockMode::Write, &mut ctx_w),
+            Outcome::Done
+        );
+        assert_eq!(m.step_done(w, 0, &mut ctx_w), Outcome::Done);
+        assert_eq!(
+            m.acquire(k, 0, Y, LockMode::Write, &mut ctx_k),
+            Outcome::Done
+        );
+        assert_eq!(
+            m.acquire(d, 0, X, LockMode::Read, &mut ctx_d),
+            Outcome::Done
+        );
+        let denied = !m
+            .lock(0)
+            .try_acquire(d, 1, Y, LockMode::Read, &mut ctx_d.ws);
+        assert!(denied, "K holds Y");
+        assert!(matches!(
+            m.commit(w, &mut ctx_w),
+            CommitOutcome::Committed(_)
+        ));
+        let g = m.lock(0);
+        assert!(g.gate_of(d).is_none(), "W's commit opened D's gate");
+        let rec = g.kernel.record(d).expect("D is live");
+        assert!(rec.pending.is_some(), "D still waits for Y");
+        assert_eq!(rec.block_events, 1, "denied once");
     }
 }

@@ -40,11 +40,12 @@
 //!
 //! **Commit** is one body for every `k`: lock the touched shards in
 //! canonical order (a cross-shard job whose commit gate is closed in any
-//! of them self-aborts there, as on a denied request), abort commit
-//! victims, then — under the run-global commit gate when `N > 1` — one
-//! tick, the installs of each touched shard, one snapshot publish and
-//! the commit index, so commit-tick order, commit-index order and
-//! snapshot-stamp order agree across shards; then the per-shard teardown.
+//! of them self-aborts there, as on a denied request), then commit in
+//! each shard's kernel in turn. The commit tick is drawn once, in the
+//! home shard after its commit victims are aborted, under the run-global
+//! commit gate when `N > 1`, and held with the snapshot publish and the
+//! commit index, so commit-tick order, commit-index order and
+//! snapshot-stamp order agree across shards.
 //!
 //! Aborts of a cross-shard victim are split: the aborting shard cleans
 //! its local slice silently and raises the victim's signal; the victim
@@ -53,7 +54,7 @@
 //! home shard.
 
 use crate::manager::{
-    CommitOutcome, JobStats, ManagerReport, Outcome, Shared, TryAcquire, WorkerCtx,
+    next_tick, CommitOutcome, JobStats, ManagerReport, Outcome, Shared, WorkerCtx,
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
@@ -96,6 +97,8 @@ pub struct ShardStats {
 pub(crate) struct ShardedManager<'a> {
     shards: Vec<Mutex<Shared<'a>>>,
     router: ShardRouter,
+    /// The event clock every shard ticks, read here for a commit tick.
+    clock: Arc<AtomicU64>,
     /// The commit gate, `Some` exactly when `shards.len() > 1`: the
     /// run-global next-commit-index counter, locked around {commit tick,
     /// installs, snapshot publish} so commit ticks, commit indices and
@@ -154,6 +157,7 @@ impl<'a> ShardedManager<'a> {
                 .map(|s| Mutex::new(Shared::new(set, config.kind, clock.clone(), s, scope)))
                 .collect(),
             router,
+            clock,
             gate: (n > 1).then(|| Mutex::new(0)),
             snap,
             park_timeout: config.park_timeout,
@@ -276,19 +280,20 @@ impl<'a> ShardedManager<'a> {
             if aborted {
                 break;
             }
-            match g.try_acquire(id, step_index, item, mode, &mut ctx.ws) {
-                TryAcquire::Done => return Outcome::Done,
-                TryAcquire::Retry => {}
-                TryAcquire::Park(_) if ctx.cross.is_none() => {
-                    g = self.park(g, id, Shared::request_cleared)
-                }
-                TryAcquire::Park(blockers) => {
-                    g.unpark(id);
-                    self.no_wait_aborts.fetch_add(1, Ordering::Relaxed);
-                    denied = Some(blockers);
-                    break;
-                }
+            if g.try_acquire(id, step_index, item, mode, &mut ctx.ws) {
+                return Outcome::Done;
             }
+            if g.request_cleared(id) {
+                continue;
+            }
+            if ctx.cross.is_none() {
+                g = self.park(g, id, Shared::request_cleared);
+                continue;
+            }
+            g.unpark(id);
+            self.no_wait_aborts.fetch_add(1, Ordering::Relaxed);
+            denied = Some(g.denied_by());
+            break;
         }
         drop(g);
         self.sweep(id, ctx);
@@ -339,8 +344,8 @@ impl<'a> ShardedManager<'a> {
                 if g.take_abort(id) {
                     return CommitOutcome::Restart;
                 }
-                if !g.gate_commit(id) {
-                    return CommitOutcome::Committed(self.commit_locked(id, &mut [g], ctx));
+                if let Some(stats) = self.commit_locked(id, std::slice::from_mut(&mut g), ctx) {
+                    return CommitOutcome::Committed(stats);
                 }
                 g = self.park(g, id, Shared::gate_open);
             }
@@ -368,60 +373,48 @@ impl<'a> ShardedManager<'a> {
             }
             return CommitOutcome::Restart;
         }
-        let stats = self.commit_locked(id, &mut guards, ctx);
+        let stats = self
+            .commit_locked(id, &mut guards, ctx)
+            .expect("every gate is open");
         drop(guards);
         ctx.cross = None;
         CommitOutcome::Committed(stats)
     }
 
     /// The commit body, over the locked shards `id` touches in canonical
-    /// order (`guards[0]` is its home): abort the protocol's commit
-    /// victims (OCC backward validation, on the shard-scoped records each
-    /// kernel keeps); then, under the commit gate when there is one, draw
-    /// one tick, install each shard's staged writes at it (the Commit
-    /// event at home), publish one snapshot batch and take the commit
-    /// index; then release everything and wake waiters, shard by shard.
-    /// The caller has consumed any abort and found the commit gate open.
+    /// order (`guards[0]` is its home): each shard's kernel commits it
+    /// ([`Shared::commit`]: commit gate, OCC validation on the
+    /// shard-scoped records each kernel keeps, installs, release). The
+    /// commit tick is drawn once, in the home shard after its validation,
+    /// under the commit gate when there is one, and every shard installs
+    /// at it (the Commit event at home); then one snapshot batch is
+    /// published and the commit index taken. `None` when the home shard
+    /// parked `id` at a closed commit gate — a cross-shard caller has
+    /// found every gate open. The caller has consumed any abort.
     fn commit_locked(
         &self,
         id: InstanceId,
         guards: &mut [MutexGuard<'_, Shared<'a>>],
         ctx: &mut WorkerCtx,
-    ) -> JobStats {
-        for g in guards.iter_mut() {
-            g.abort_commit_victims(id);
-        }
-        let mut gate = self
-            .gate
-            .as_ref()
-            .map(|gate| gate.lock().unwrap_or_else(PoisonError::into_inner));
-        let at = guards[0].tick();
-        let mut publish = self.snap.as_deref().map(|side| (side, &mut ctx.batch));
-        for (k, g) in guards.iter_mut().enumerate() {
-            let batch = publish.as_mut().map(|(_, batch)| &mut **batch);
-            g.install(id, &ctx.ws, at, k == 0, batch);
-        }
-        // Seal this commit's stamp — on *every* lock-path commit, written
-        // or not, so stamp `S` means "the state after the first `S`
-        // commits" exactly as the oracle counts them.
-        if let Some((side, batch)) = publish {
-            side.store.publish(batch);
-            batch.clear();
-        }
-        let commit_index = match gate.as_deref_mut() {
-            Some(next) => std::mem::replace(next, *next + 1),
-            None => guards[0].commits,
-        };
-        drop(gate);
-        guards[0].commits += 1;
-
+    ) -> Option<JobStats> {
+        let mut gate = None;
+        let mut at = None;
         let mut stats = JobStats {
-            commit_index,
             restarts: ctx.cross.as_ref().map_or(0, |c| c.restarts),
             ..JobStats::default()
         };
-        for g in guards.iter_mut() {
-            let record = g.finish_commit(id);
+        for (k, g) in guards.iter_mut().enumerate() {
+            let batch = self.snap.is_some().then_some(&mut ctx.batch);
+            let tick = || {
+                *at.get_or_insert_with(|| {
+                    gate = self
+                        .gate
+                        .as_ref()
+                        .map(|gate| gate.lock().unwrap_or_else(PoisonError::into_inner));
+                    next_tick(&self.clock)
+                })
+            };
+            let record = g.commit(id, &ctx.ws, k == 0, batch, tick)?;
             stats.restarts += record.restarts;
             stats.block_events += record.block_events;
             if stats.lower_blockers.is_empty() {
@@ -434,7 +427,20 @@ impl<'a> ShardedManager<'a> {
                 }
             }
         }
-        stats
+        // Seal this commit's stamp — on *every* lock-path commit, written
+        // or not, so stamp `S` means "the state after the first `S`
+        // commits" exactly as the oracle counts them.
+        if let Some(side) = self.snap.as_deref() {
+            side.store.publish(&ctx.batch);
+            ctx.batch.clear();
+        }
+        stats.commit_index = match gate.as_deref_mut() {
+            Some(next) => std::mem::replace(next, *next + 1),
+            None => guards[0].commits,
+        };
+        drop(gate);
+        guards[0].commits += 1;
+        Some(stats)
     }
 
     /// Wait out `id`'s restart hold before an aborted job runs again: park

@@ -6,10 +6,11 @@
 //! table, inheritance, `DataRead`/staged sets, pending requests,
 //! dependencies, database, history — and every transition over it live
 //! in [`rtdb_core::StateKernel`], which the threaded runtime drives too.
-//! The engine presents each step's access to the kernel (which consults
-//! the [`ProtocolFor`]) and turns the effects it returns — granted, blocked,
-//! woken, aborted, released, drained — into trace events, Gantt segments
-//! and ready-queue changes.
+//! The engine presents each step's access and each commit to the kernel's
+//! entry points (which consult the [`ProtocolFor`] and apply its decision,
+//! wounds, dies and deadlock victims included) and turns the effects they
+//! return — granted, parked, aborted, woken, gates opened, cycles found —
+//! into trace events, Gantt segments and ready-queue changes.
 //!
 //! ## Semantics (matching the paper's examples tick-for-tick)
 //!
@@ -29,7 +30,7 @@
 //!   the wait-for graph at block time; depending on
 //!   [`SimConfig::resolve_deadlocks`] the run either stops with
 //!   [`RunOutcome::Deadlock`] or aborts the lowest-priority instance on
-//!   the cycle and continues.
+//!   every cycle, in one call, and continues.
 //!
 //! ## Hot-path layout
 //!
@@ -51,8 +52,8 @@ use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace, TraceEvent};
 use rtdb_core::{
-    AbortReason, Aborts, Acquire, CeilingFlavor, EngineView, ProtocolFor, ProtocolKind, Record,
-    StateKernel, UpdateModel,
+    CeilingFlavor, Effect, Effects, EngineView, ProtocolFor, ProtocolKind, Record, StateKernel,
+    UpdateModel,
 };
 use rtdb_storage::{
     Database, EventKind, History, MvStore, ReplayOutcome, SerializationGraph, VersionedValue,
@@ -70,7 +71,7 @@ pub struct SimConfig {
     /// Release arrivals strictly before this tick. `None`: simulate two
     /// hyperperiods (or just the explicitly bounded instances).
     pub horizon: Option<u64>,
-    /// On deadlock: abort the lowest-priority instance on the cycle and
+    /// On deadlock: abort the lowest-priority instance on every cycle and
     /// continue (`true`), or stop with [`RunOutcome::Deadlock`] (`false`).
     pub resolve_deadlocks: bool,
     /// Safety budget on scheduler iterations.
@@ -414,8 +415,8 @@ struct Sim<'a> {
     mv: MvStore,
     /// Scratch for the versions a commit installed, on their way to `mv`.
     installed: Vec<(ItemId, VersionedValue)>,
-    /// Scratch for what an abort did.
-    aborts: Aborts,
+    /// What the kernel's last call did, kept for its capacity.
+    fx: Effects,
     trace: Trace,
     metrics: MetricsReport,
     outcome: RunOutcome,
@@ -460,6 +461,9 @@ impl<'a> Sim<'a> {
         }
         const RESERVE_CAP: u64 = 1 << 20;
         let mut kernel = StateKernel::new(set, flavor);
+        if !config.resolve_deadlocks {
+            kernel = kernel.reporting_deadlocks();
+        }
         kernel.reserve_history(est_ops.min(RESERVE_CAP) as usize);
         let mut trace = Trace::new();
         trace.reserve(
@@ -480,7 +484,7 @@ impl<'a> Sim<'a> {
             calendar,
             mv: MvStore::new(),
             installed: Vec::new(),
-            aborts: Aborts::default(),
+            fx: Effects::default(),
             trace,
             metrics,
             outcome: RunOutcome::Completed,
@@ -546,7 +550,14 @@ impl<'a> Sim<'a> {
                 // No runner, no arrivals, live instances remain: every
                 // live instance is blocked, gated or held — a circular
                 // wait by construction (blockers never commit unnoticed).
-                if !self.handle_deadlock(protocol) {
+                let clock = self.clock;
+                let mut fx = std::mem::take(&mut self.fx);
+                fx.clear();
+                self.kernel.resolve_cycles(protocol, || clock, &mut fx);
+                let found = fx.log().iter().any(|e| matches!(e, Effect::Cycle(..)));
+                self.apply(&fx, protocol);
+                self.fx = fx;
+                if !found {
                     let cycle = self.kernel.active_instances().to_vec();
                     self.trace.push_event(TraceEvent::DeadlockDetected {
                         at: self.clock,
@@ -636,69 +647,55 @@ impl<'a> Sim<'a> {
             };
 
             let clock = self.clock;
+            let mut fx = std::mem::take(&mut self.fx);
             let ws = &mut self.slots[s].workspace;
-            let acquired = self
-                .kernel
-                .acquire(protocol, who, step_index, item, mode, ws, || clock);
-            match acquired {
-                Acquire::Done { granted } => {
-                    self.slots[s].acquired = true;
-                    if granted {
-                        let at = self.clock;
-                        self.trace.push_event(if resumed {
-                            TraceEvent::Resumed {
-                                at,
-                                who,
-                                item,
-                                mode,
-                            }
-                        } else {
-                            TraceEvent::Granted {
-                                at,
-                                who,
-                                item,
-                                mode,
-                            }
-                        });
-                    }
-                    return Some((who, s));
-                }
-                Acquire::Blocked { blockers, woken } => {
-                    let slot = &mut self.slots[s];
-                    debug_assert!(slot.blocked_since.is_none());
-                    slot.blocked_since = Some(clock);
-                    slot.was_denied = true;
-                    self.trace.push_event(TraceEvent::Denied {
-                        at: clock,
-                        who,
-                        item,
-                        mode,
-                        blockers,
-                    });
-                    self.unblock_all(&woken);
-                    // Unless the requester itself was woken again, look
-                    // for a deadlock on the wait-for graph.
-                    if self.kernel.pending_request(who).is_some() {
-                        self.handle_deadlock(protocol);
-                        if matches!(self.outcome, RunOutcome::Deadlock(_)) {
-                            return None;
+            let held =
+                self.kernel
+                    .request(protocol, who, step_index, item, mode, ws, || clock, &mut fx);
+            if held {
+                self.slots[s].acquired = true;
+                if fx.log() == [Effect::Granted] {
+                    self.trace.push_event(if resumed {
+                        TraceEvent::Resumed {
+                            at: clock,
+                            who,
+                            item,
+                            mode,
                         }
-                    }
-                    // Pick someone else.
+                    } else {
+                        TraceEvent::Granted {
+                            at: clock,
+                            who,
+                            item,
+                            mode,
+                        }
+                    });
                 }
-                Acquire::Wound { victims } => {
-                    for v in victims {
-                        self.abort(v, AbortReason::Wound, &[who], protocol);
-                    }
-                    self.wake_blocked(protocol);
-                    // Loop: the request is retried (holders are gone).
-                }
-                Acquire::Die { blockers } => {
-                    self.abort(who, AbortReason::CeilingBlock, &blockers, protocol);
-                    self.wake_blocked(protocol);
-                    // Pick someone else.
-                }
+                self.fx = fx;
+                return Some((who, s));
             }
+            if let Some(&Effect::Parked(blockers)) = fx.log().first() {
+                let slot = &mut self.slots[s];
+                debug_assert!(slot.blocked_since.is_none());
+                slot.blocked_since = Some(clock);
+                slot.was_denied = true;
+                self.trace.push_event(TraceEvent::Denied {
+                    at: clock,
+                    who,
+                    item,
+                    mode,
+                    blockers: fx.ids(blockers).to_vec(),
+                });
+            }
+            self.apply(&fx, protocol);
+            self.fx = fx;
+            // A deadlock stops the run only here, at a denial that left
+            // the requester blocked.
+            let blocked = self.kernel.pending_request(who).is_some();
+            if blocked && matches!(self.outcome, RunOutcome::Deadlock(_)) {
+                return None;
+            }
+            // Pick again: a wounder retries, the rest make way.
         }
     }
 
@@ -814,28 +811,6 @@ impl<'a> Sim<'a> {
         self.mv.prune(floor);
     }
 
-    /// A cycle on the wait-for graph (lock waits, gate waits, holds), if
-    /// there is one: traced, then — depending on
-    /// [`SimConfig::resolve_deadlocks`] — resolved by aborting the
-    /// kernel's victim or reported as the run's outcome. Returns whether
-    /// a cycle was found.
-    fn handle_deadlock<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) -> bool {
-        let Some((cycle, victim)) = self.kernel.find_deadlock() else {
-            return false;
-        };
-        self.trace.push_event(TraceEvent::DeadlockDetected {
-            at: self.clock,
-            cycle: cycle.clone(),
-        });
-        if self.config.resolve_deadlocks {
-            self.abort(victim, AbortReason::DeadlockVictim, &cycle, protocol);
-            self.wake_blocked(protocol);
-        } else {
-            self.outcome = RunOutcome::Deadlock(cycle);
-        }
-        true
-    }
-
     /// The kernel woke `who` (or aborted it while blocked): close its
     /// blocked segment.
     fn unblock(&mut self, who: InstanceId) {
@@ -845,20 +820,6 @@ impl<'a> Sim<'a> {
             slot.blocking += clock.since(since);
             self.trace.push_segment(who, since, clock, SegKind::Blocked);
         }
-    }
-
-    fn unblock_all(&mut self, woken: &[InstanceId]) {
-        for &w in woken {
-            self.unblock(w);
-        }
-    }
-
-    /// Have the kernel re-evaluate blocked requests after locks were
-    /// released; the woken become ready and re-issue their request when
-    /// next dispatched.
-    fn wake_blocked<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) {
-        let woken = self.kernel.reevaluate(protocol);
-        self.unblock_all(&woken);
     }
 
     fn complete_step<P: ProtocolFor<StateKernel<'a>>>(
@@ -886,14 +847,12 @@ impl<'a> Sim<'a> {
 
         // Early releases (CCP) and retires (Bamboo / Brook-2PL).
         let clock = self.clock;
+        let mut fx = std::mem::take(&mut self.fx);
         let ws = &self.slots[s].workspace;
-        let done = self
+        let released = self
             .kernel
-            .step_done(protocol, who, completed_step, ws, || clock);
-        if done.released.is_empty() {
-            return;
-        }
-        for (item, mode) in done.released {
+            .step_done(protocol, who, completed_step, ws, || clock, &mut fx);
+        for (item, mode) in released {
             self.trace.push_event(TraceEvent::EarlyRelease {
                 at: clock,
                 who,
@@ -901,10 +860,13 @@ impl<'a> Sim<'a> {
                 mode,
             });
         }
-        self.unblock_all(&done.woken);
+        self.apply(&fx, protocol);
+        self.fx = fx;
     }
 
-    /// Commit `who`, live in slot `s`.
+    /// Commit `who`, live in slot `s`, through the kernel's commit entry
+    /// point, which also parks it at a closed commit gate and aborts the
+    /// instances an optimistic commit invalidates.
     fn commit<P: ProtocolFor<StateKernel<'a>>>(
         &mut self,
         who: InstanceId,
@@ -926,68 +888,98 @@ impl<'a> Sim<'a> {
                 )),
             "{who} reached its commit under a reader PCP-DA let past it"
         );
-        // Commit gate: with outstanding commit dependencies the instance
-        // parks — live, holding its read locks, never dispatched — until
-        // the last dependency commits. The drain in the committing
-        // dependency's own `commit` re-enters here.
-        if self.kernel.gate(who) {
-            let slot = &mut self.slots[s];
-            debug_assert!(!slot.gated && slot.blocked_since.is_none());
-            slot.gated = true;
-            self.handle_deadlock(protocol);
-            return;
-        }
-        // Optimistic protocols validate at commit: abort every active
-        // instance this commit invalidates, before the writes install.
-        // Snapshot readers can never be victims — their reads resolve
-        // against an immutable stamped prefix no commit invalidates.
-        for v in self.kernel.commit_victims(protocol, who) {
-            self.abort(v, AbortReason::Wound, &[who], protocol);
-        }
-
+        // Snapshot readers are never victims: their reads resolve against
+        // an immutable stamped prefix no commit invalidates.
         let clock = self.clock;
+        let mut fx = std::mem::take(&mut self.fx);
         let publish = self.snapshot_on.then_some(&mut self.installed);
-        self.kernel
-            .install(who, &self.slots[s].workspace, clock, true, publish);
-        if self.snapshot_on {
-            for (item, vv) in self.installed.drain(..) {
-                self.mv.publish(item, vv);
+        let ws = &self.slots[s].workspace;
+        let tick = || clock;
+        match self
+            .kernel
+            .commit(protocol, who, ws, true, publish, tick, tick, &mut fx)
+        {
+            // Commit gate: with outstanding commit dependencies the
+            // instance parks — live, holding its read locks, never
+            // dispatched — until the last dependency commits.
+            None => {
+                let slot = &mut self.slots[s];
+                debug_assert!(!slot.gated && slot.blocked_since.is_none());
+                slot.gated = true;
             }
-            // Every lock-path commit seals a stamp — written or not — so
-            // a snapshot stamp is exactly a commit-order position.
-            self.mv.seal();
-            self.prune_mv();
+            Some(record) => {
+                self.retire_slot(who, s, record, Some(clock), None);
+                if self.snapshot_on {
+                    for (item, vv) in self.installed.drain(..) {
+                        self.mv.publish(item, vv);
+                    }
+                    // Every lock-path commit seals a stamp — written or
+                    // not — so a snapshot stamp is exactly a commit-order
+                    // position.
+                    self.mv.seal();
+                    self.prune_mv();
+                }
+            }
         }
-
-        // Dependents whose last dependency this was leave the commit gate
-        // below, after this commit is recorded; the held instances the
-        // commit released are simply dispatchable again.
-        let mut proceed = Vec::new();
-        let record = self.kernel.finish_commit(who, &mut proceed);
-        self.trace.push_event(TraceEvent::Commit { at: clock, who });
-        self.retire_slot(who, s, record, Some(clock), None);
-        self.wake_blocked(protocol);
-        self.pass_gates(&proceed, protocol);
+        self.apply(&fx, protocol);
+        self.fx = fx;
     }
 
-    /// Let the instances of `opened` parked at a commit gate that just
-    /// opened through, in order at the same clock — their commits land
-    /// after the departure they waited for, which is exactly the
-    /// serialization the gate enforces. (Instances still mid-execution
-    /// are simply no longer gated when they reach their own commit.)
-    fn pass_gates<P: ProtocolFor<StateKernel<'a>>>(
-        &mut self,
-        opened: &[InstanceId],
-        protocol: &mut P,
-    ) {
-        for &d in opened {
-            let Some(ds) = self.kernel.slot_of(d) else {
-                continue;
-            };
-            if self.slots[ds].gated {
-                self.slots[ds].gated = false;
-                self.kernel.wake(d);
-                self.commit(d, ds, protocol);
+    /// Act on what a kernel call did, in order: trace a cycle (and stop
+    /// the run on it when deadlocks are reported), an abort (resetting the
+    /// slot) and a commit, close the blocked segment of a woken instance,
+    /// and let an instance parked at a commit gate that opened through: it
+    /// commits at the same clock, after the departure it waited for, which
+    /// is exactly the serialization the gate enforces. (Instances still
+    /// mid-execution are simply no longer gated when they reach their own
+    /// commit; held instances a hold released are dispatchable again.)
+    fn apply<P: ProtocolFor<StateKernel<'a>>>(&mut self, fx: &Effects, protocol: &mut P) {
+        let clock = self.clock;
+        for &effect in fx.log() {
+            match effect {
+                Effect::Granted | Effect::Parked(_) | Effect::HoldReleased(_) => {}
+                Effect::Cycle(cycle, _) => {
+                    let cycle = fx.ids(cycle).to_vec();
+                    self.trace.push_event(TraceEvent::DeadlockDetected {
+                        at: clock,
+                        cycle: cycle.clone(),
+                    });
+                    if !self.config.resolve_deadlocks {
+                        self.outcome = RunOutcome::Deadlock(cycle);
+                    }
+                }
+                Effect::Aborted(who, ..) => {
+                    debug_assert!(
+                        !self.exempt(who),
+                        "snapshot readers never abort (hold no locks, block nobody)"
+                    );
+                    self.trace.push_event(TraceEvent::Abort { at: clock, who });
+                    // If the victim was itself blocked, flush its blocked
+                    // segment.
+                    self.unblock(who);
+                    let slot = self.slot_mut(who);
+                    slot.step = 0;
+                    slot.consumed = 0;
+                    slot.acquired = false;
+                    slot.was_denied = false;
+                    slot.workspace.reset(who);
+                    slot.gated = false;
+                }
+                Effect::Woken(who) => self.unblock(who),
+                Effect::Committed(who) => {
+                    self.trace.push_event(TraceEvent::Commit { at: clock, who });
+                }
+                Effect::GateOpened(who) => {
+                    // An earlier gate's commit may have taken it along.
+                    let Some(s) = self.kernel.slot_of(who) else {
+                        continue;
+                    };
+                    if self.slots[s].gated {
+                        self.slots[s].gated = false;
+                        self.commit(who, s, protocol);
+                    }
+                }
+                Effect::Foreign(..) => unreachable!("the simulator's kernel spans every item"),
             }
         }
     }
@@ -1040,43 +1032,6 @@ impl<'a> Sim<'a> {
         let snapshot = self.slots[s].snapshot.or(Some(self.mv.stamp()));
         self.retire_slot(who, s, record, Some(self.clock), snapshot);
         self.prune_mv();
-    }
-
-    /// Abort `victim` (and its dependents, cascading) through the kernel
-    /// and restart each from scratch, held on `cause`. The kernel also ends
-    /// the holds the aborted were the last of; those instances are
-    /// dispatchable again.
-    fn abort<P: ProtocolFor<StateKernel<'a>>>(
-        &mut self,
-        victim: InstanceId,
-        reason: AbortReason,
-        cause: &[InstanceId],
-        protocol: &mut P,
-    ) {
-        debug_assert!(
-            !self.exempt(victim),
-            "snapshot readers never abort (hold no locks, block nobody)"
-        );
-        let clock = self.clock;
-        let mut fx = std::mem::take(&mut self.aborts);
-        self.kernel
-            .abort(protocol, victim, reason, cause, || clock, &mut fx);
-        for &(who, _) in &fx.aborted {
-            self.trace.push_event(TraceEvent::Abort { at: clock, who });
-            // If the victim was itself blocked, flush its blocked segment.
-            self.unblock(who);
-            let slot = self.slot_mut(who);
-            slot.step = 0;
-            slot.consumed = 0;
-            slot.acquired = false;
-            slot.was_denied = false;
-            slot.workspace.reset(who);
-            slot.gated = false;
-        }
-        // A gate the abort opened (a reader let past a write lock left)
-        // lets its parked writer through.
-        self.pass_gates(&fx.released, protocol);
-        self.aborts = fx;
     }
 
     fn finish(mut self) -> RunResult {

@@ -14,6 +14,11 @@
 //! reader's commit gate and its drain, and a Bamboo cascade; and a PCP-DA
 //! read granted over a live write holder.
 //!
+//! Every call goes through the kernel's entry points with one
+//! [`Effects`] buffer reused from call to call, so the resolution policy
+//! — the wound, the die, the abort on its cause, the commit gate, the
+//! re-evaluations — is inside the count.
+//!
 //! What is deliberately outside the claim: a *denied*, *wounding* or
 //! *dying* request names the instances in its way in a `Vec` (the
 //! protocol's [`rtdb_core::Decision`]), and so does a step that retires a
@@ -30,7 +35,10 @@
 use rtdb_baselines::{RwPcp, TwoPlHp};
 use rtdb_cc::{GrantRule, PcpDa};
 use rtdb_contention::{Bamboo, Brook2Pl};
-use rtdb_core::{AbortReason, Aborts, Acquire, EngineView, ProtocolFor, Record, StateKernel};
+use rtdb_core::{
+    AbortReason, CeilingFlavor, Decision, Effect, Effects, EngineView, LockRequest, ProtocolFor,
+    Record, StateKernel, UpdateModel,
+};
 use rtdb_storage::Workspace;
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionSet, TransactionTemplate,
@@ -89,14 +97,6 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Run `f` with the count paused: what it allocates is outside the claim.
-fn uncounted<R>(f: impl FnOnce() -> R) -> R {
-    let counting = COUNTING.with(|c| c.replace(false));
-    let r = f();
-    COUNTING.with(|c| c.set(counting));
-    r
-}
-
 /// Run `f` counted on its own: its allocations are returned, not added
 /// to an enclosing count.
 fn counted_apart<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -106,6 +106,55 @@ fn counted_apart<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let n = ALLOCATIONS.with(|a| a.replace(before)) - before;
     COUNTING.with(|c| c.set(counting));
     (r, n)
+}
+
+/// Add `n` allocations to the count, if it runs.
+fn charge(n: u64) {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|a| a.set(a.get() + n));
+    }
+}
+
+/// `P` with the `Vec` of every decision but a grant left out of the
+/// count: a denial, a wound and a die name the instances in their way
+/// in one, the protocol's own. A grant allocates nothing, and what the
+/// kernel does with any decision is counted.
+struct Decisions<P>(P);
+
+impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Decisions<P> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn request(&mut self, view: &V, req: LockRequest) -> Decision {
+        let (decision, n) = counted_apart(|| self.0.request(view, req));
+        if decision == Decision::Grant {
+            charge(n);
+        }
+        decision
+    }
+    fn early_releases(
+        &mut self,
+        view: &V,
+        who: InstanceId,
+        step: usize,
+    ) -> Vec<(ItemId, LockMode)> {
+        self.0.early_releases(view, who, step)
+    }
+    fn retires(&mut self, view: &V, who: InstanceId, step: usize) -> Vec<ItemId> {
+        self.0.retires(view, who, step)
+    }
+    fn update_model(&self) -> UpdateModel {
+        self.0.update_model()
+    }
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        self.0.ceiling_flavor()
+    }
+    fn may_abort(&self) -> bool {
+        self.0.may_abort()
+    }
+    fn commit_victims(&mut self, view: &V, who: InstanceId) -> Vec<InstanceId> {
+        self.0.commit_victims(view, who)
+    }
 }
 
 /// Cycles run before counting starts, and cycles counted.
@@ -155,12 +204,15 @@ fn set() -> TransactionSet {
 
 /// One instance from begin to commit: every step but the last `skip`
 /// acquires its lock (decide + grant + data operation) and reports the
-/// step done; then the gate, the installs and the release of everything.
+/// step done; then the commit: the gate, the installs and the release
+/// of everything.
+#[allow(clippy::too_many_arguments)]
 fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     set: &'a TransactionSet,
     k: &mut StateKernel<'a>,
     protocol: &mut P,
     ws: &mut Workspace,
+    fx: &mut Effects,
     who: InstanceId,
     skip: usize,
     clock: &mut u64,
@@ -174,18 +226,13 @@ fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     let steps = &set.template(who.txn).steps;
     for (i, step) in steps[..steps.len() - skip].iter().enumerate() {
         let (item, mode) = step.op.access().expect("data step");
-        let got = k.acquire(protocol, who, i, item, mode, ws, &mut tick);
-        assert_eq!(got, Acquire::Done { granted: true }, "{who} step {i}");
-        let done = k.step_done(protocol, who, i, ws, &mut tick);
-        assert!(done.released.is_empty() && done.woken.is_empty());
+        assert!(k.request(protocol, who, i, item, mode, ws, &mut tick, fx));
+        assert_eq!(fx.log(), [Effect::Granted], "{who} step {i}");
+        let released = k.step_done(protocol, who, i, ws, &mut tick, fx);
+        assert!(released.is_empty() && fx.log().is_empty());
     }
-    assert!(!k.gate(who));
-    assert!(k.commit_victims(protocol, who).is_empty());
-    k.install(who, ws, tick(), false, None);
-    let mut drained = Vec::new();
-    let record = k.finish_commit(who, &mut drained);
-    assert!(record.block_events == 0 && drained.is_empty());
-    assert!(k.reevaluate(protocol).is_empty());
+    let record = commit(k, protocol, who, ws, fx, &mut tick);
+    assert!(record.block_events == 0 && fx.log() == [Effect::Committed(who)]);
 }
 
 fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
@@ -200,6 +247,7 @@ fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     let mut clock = 0;
     let mut ws = Workspace::new(InstanceId::first(TxnId(0)));
     let mut ws_l = Workspace::new(InstanceId::first(TxnId(2)));
+    let mut fx = Effects::default();
 
     let l = InstanceId::first(TxnId(2));
     k.begin(l, None);
@@ -207,17 +255,17 @@ fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
         .into_iter()
         .enumerate()
     {
-        let got = k.acquire(protocol, l, i, item, mode, &mut ws_l, || Tick(0));
-        assert_eq!(got, Acquire::Done { granted: true });
+        assert!(k.request(protocol, l, i, item, mode, &mut ws_l, || Tick(0), &mut fx));
+        assert_eq!(fx.log(), [Effect::Granted]);
     }
 
     let mut iteration = |k: &mut StateKernel<'a>, seq: u32| {
         let h = InstanceId::new(TxnId(0), seq);
         let m = InstanceId::new(TxnId(1), seq);
-        run_instance(set, k, protocol, &mut ws, h, 0, &mut clock);
+        run_instance(set, k, protocol, &mut ws, &mut fx, h, 0, &mut clock);
         if m_runs {
             // `M` stops short of its write of `HOT`, which `L` read-holds.
-            run_instance(set, k, protocol, &mut ws, m, 1, &mut clock);
+            run_instance(set, k, protocol, &mut ws, &mut fx, m, 1, &mut clock);
         }
     };
     for seq in 0..WARM_UP {
@@ -239,7 +287,7 @@ fn steady_state_cycles_do_not_allocate() {
     );
 
     let set = set();
-    let mut pcpda = PcpDa::new();
+    let mut pcpda = Decisions(PcpDa::new());
     assert_eq!(
         steady_state_allocations(&set, &mut pcpda, true),
         0,
@@ -248,14 +296,14 @@ fn steady_state_cycles_do_not_allocate() {
     // The cycles went where the comment on `set` says they go.
     for rule in [GrantRule::Lc1, GrantRule::Lc2, GrantRule::Lc3] {
         assert!(
-            pcpda.grant_log().iter().any(|&(_, r)| r == rule),
+            pcpda.0.grant_log().iter().any(|&(_, r)| r == rule),
             "{rule:?}"
         );
     }
-    assert_eq!(pcpda.grant_log().len(), PcpDa::GRANT_LOG_CAPACITY);
-    let rwpcp = steady_state_allocations(&set, &mut RwPcp::new(), false);
+    assert_eq!(pcpda.0.grant_log().len(), PcpDa::GRANT_LOG_CAPACITY);
+    let rwpcp = steady_state_allocations(&set, &mut Decisions(RwPcp::new()), false);
     assert_eq!(rwpcp, 0, "RW-PCP");
-    let twoplhp = steady_state_allocations(&set, &mut TwoPlHp::new(), true);
+    let twoplhp = steady_state_allocations(&set, &mut Decisions(TwoPlHp::new()), true);
     assert_eq!(twoplhp, 0, "2PL-HP");
 }
 
@@ -272,21 +320,47 @@ fn pair_set() -> TransactionSet {
         .unwrap()
 }
 
-/// Buffers one pair after another reuses: a workspace per template.
+/// Buffers one pair after another reuses: a workspace per template and
+/// the effects buffer.
 struct PairScratch {
     ws: [Workspace; 3],
-    fx: Aborts,
-    proceed: Vec<InstanceId>,
+    fx: Effects,
     clock: u64,
     /// Allocations counted apart that are not the retiring step's own.
     apart: u64,
+}
+
+/// `who`'s request, granted.
+#[allow(clippy::too_many_arguments)]
+fn granted<'a, P: ProtocolFor<StateKernel<'a>>>(
+    k: &mut StateKernel<'a>,
+    protocol: &mut P,
+    who: InstanceId,
+    step: usize,
+    item: ItemId,
+    mode: LockMode,
+    ws: &mut Workspace,
+    fx: &mut Effects,
+    tick: &mut impl FnMut() -> Tick,
+) {
+    assert!(k.request(protocol, who, step, item, mode, ws, &mut *tick, fx));
+    assert_eq!(fx.log(), [Effect::Granted], "{who} step {step}");
+}
+
+/// The one effect of an abort pair's aborting request: `victim`
+/// aborted for `reason`, held on `cause`.
+fn assert_aborted(fx: &Effects, victim: InstanceId, reason: AbortReason, cause: InstanceId) {
+    let [Effect::Aborted(who, r, c)] = *fx.log() else {
+        panic!("{fx:?}");
+    };
+    assert_eq!((who, r, fx.ids(c)), (victim, reason, &[cause][..]));
 }
 
 /// One abort pair: one of `H` and `L` takes `X` and the other's request
 /// aborts `L` — a wound by `H` when `L` went first (`l_first`), a die of
 /// `L` when `H` did — and `L` is held on `H`; `H` takes `X` if it has
 /// not, commits and hands the released `L` back, which then takes `X`
-/// and commits in turn. Only the aborting decision is uncounted.
+/// and commits in turn. Only the aborting decision's `Vec` is uncounted.
 fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -297,7 +371,6 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     let PairScratch {
         ws: [ws_h, ws_l, _],
         fx,
-        proceed,
         clock,
         ..
     } = x;
@@ -309,56 +382,36 @@ fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
         InstanceId::new(TxnId(0), seq),
         InstanceId::new(TxnId(1), seq),
     );
-    let granted = Acquire::Done { granted: true };
     ws_h.reset(h);
     ws_l.reset(l);
     k.begin(h, None);
     k.begin(l, None);
-    let reason = if l_first {
-        assert_eq!(
-            k.acquire(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick),
-            granted
-        );
-        let got = uncounted(|| k.acquire(protocol, h, 0, X, LockMode::Read, ws_h, &mut tick));
-        assert!(
-            matches!(&got, Acquire::Wound { victims } if victims[..] == [l]),
-            "{got:?}"
-        );
-        AbortReason::Wound
+    if l_first {
+        granted(k, protocol, l, 0, X, LockMode::Write, ws_l, fx, &mut tick);
+        assert!(!k.request(protocol, h, 0, X, LockMode::Read, ws_h, &mut tick, fx));
+        assert_aborted(fx, l, AbortReason::Wound, h);
     } else {
-        assert_eq!(
-            k.acquire(protocol, h, 0, X, LockMode::Read, ws_h, &mut tick),
-            granted
-        );
-        let got = uncounted(|| k.acquire(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick));
-        assert!(
-            matches!(&got, Acquire::Die { blockers } if blockers[..] == [h]),
-            "{got:?}"
-        );
-        AbortReason::CeilingBlock
-    };
-    k.abort(protocol, l, reason, &[h], &mut tick, fx);
-    assert!(fx.aborted[..] == [(l, reason)] && fx.released.is_empty());
+        granted(k, protocol, h, 0, X, LockMode::Read, ws_h, fx, &mut tick);
+        assert!(!k.request(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick, fx));
+        assert_aborted(fx, l, AbortReason::CeilingBlock, h);
+    }
     assert!(k.held(l));
-    assert!(k.reevaluate(protocol).is_empty());
 
     if l_first {
-        assert_eq!(
-            k.acquire(protocol, h, 0, X, LockMode::Read, ws_h, &mut tick),
-            granted
-        );
+        granted(k, protocol, h, 0, X, LockMode::Read, ws_h, fx, &mut tick);
     }
-    commit(k, protocol, h, ws_h, proceed, &mut tick);
-    assert!(proceed[..] == [l] && !k.held(l), "H's commit ends L's hold");
-    assert!(k.reevaluate(protocol).is_empty());
+    commit(k, protocol, h, ws_h, fx, &mut tick);
+    assert_eq!(
+        fx.log()[1..],
+        [Effect::HoldReleased(l)],
+        "H's commit ends L's hold"
+    );
+    assert!(!k.held(l));
 
     ws_l.reset(l);
-    assert_eq!(
-        k.acquire(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick),
-        granted
-    );
-    let record = commit(k, protocol, l, ws_l, proceed, &mut tick);
-    assert!(record.restarts == 1 && proceed.is_empty());
+    granted(k, protocol, l, 0, X, LockMode::Write, ws_l, fx, &mut tick);
+    let record = commit(k, protocol, l, ws_l, fx, &mut tick);
+    assert!(record.restarts == 1 && fx.log() == [Effect::Committed(l)]);
 }
 
 /// A PCP-DA pair: `H` reads `X` while `L` holds its write lock on it —
@@ -372,7 +425,7 @@ fn read_over_write_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
 ) {
     let PairScratch {
         ws: [ws_h, ws_l, _],
-        proceed,
+        fx,
         clock,
         ..
     } = x;
@@ -384,25 +437,22 @@ fn read_over_write_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
         InstanceId::new(TxnId(0), seq),
         InstanceId::new(TxnId(1), seq),
     );
-    let granted = Acquire::Done { granted: true };
     ws_h.reset(h);
     ws_l.reset(l);
     k.begin(l, None);
     k.begin(h, None);
-    assert_eq!(
-        k.acquire(protocol, l, 0, X, LockMode::Write, ws_l, &mut tick),
-        granted
-    );
-    assert_eq!(
-        k.acquire(protocol, h, 0, X, LockMode::Read, ws_h, &mut tick),
-        granted
-    );
+    granted(k, protocol, l, 0, X, LockMode::Write, ws_l, fx, &mut tick);
+    granted(k, protocol, h, 0, X, LockMode::Read, ws_h, fx, &mut tick);
     assert!(k.locks().holds(l, X, LockMode::Write), "granted over L");
     assert!(k.gated(l), "L waits for H to leave");
-    commit(k, protocol, h, ws_h, proceed, &mut tick);
-    assert!(proceed[..] == [l], "H's commit opens L's gate");
-    commit(k, protocol, l, ws_l, proceed, &mut tick);
-    assert!(proceed.is_empty());
+    commit(k, protocol, h, ws_h, fx, &mut tick);
+    assert_eq!(
+        fx.log()[1..],
+        [Effect::GateOpened(l)],
+        "H's commit opens L's gate"
+    );
+    commit(k, protocol, l, ws_l, fx, &mut tick);
+    assert_eq!(fx.log(), [Effect::Committed(l)]);
 }
 
 const Y: ItemId = ItemId(1);
@@ -432,34 +482,28 @@ fn retire_and_read_dirty<'a, P: ProtocolFor<StateKernel<'a>>>(
     [r, w]: [InstanceId; 2],
     tick: &mut impl FnMut() -> Tick,
 ) {
-    let [_, ws_r, ws_w] = &mut x.ws;
-    let granted = Acquire::Done { granted: true };
+    let PairScratch {
+        ws: [_, ws_r, ws_w],
+        fx,
+        ..
+    } = x;
     ws_r.reset(r);
     ws_w.reset(w);
     k.begin(w, None);
     k.begin(r, None);
-    assert_eq!(
-        k.acquire(protocol, w, 0, X, LockMode::Write, ws_w, &mut *tick),
-        granted
-    );
-    let (done, n) = counted_apart(|| k.step_done(protocol, w, 0, ws_w, &mut *tick));
-    assert!(done.released[..] == [(X, LockMode::Write)] && done.woken.is_empty());
+    granted(k, protocol, w, 0, X, LockMode::Write, ws_w, fx, tick);
+    let (released, n) = counted_apart(|| k.step_done(protocol, w, 0, ws_w, &mut *tick, fx));
+    assert!(released[..] == [(X, LockMode::Write)] && fx.log().is_empty());
     // The retire list and the released list; anything more is the kernel's.
     x.apart += n - 2;
-    assert_eq!(
-        k.acquire(protocol, r, 0, X, LockMode::Read, ws_r, &mut *tick),
-        granted
-    );
+    granted(k, protocol, r, 0, X, LockMode::Read, ws_r, fx, tick);
     assert_eq!(ws_r.reads()[0].value, ws_w.staged_value(X).unwrap());
     assert!(k.gated(r));
-    assert_eq!(
-        k.acquire(protocol, w, 1, Y, LockMode::Write, ws_w, &mut *tick),
-        granted
-    );
+    granted(k, protocol, w, 1, Y, LockMode::Write, ws_w, fx, tick);
 }
 
 /// A Bamboo dirty-read pair: `R` reads `W`'s retired write and parks at
-/// its commit gate; `W` commits, which drains `R`, and `R` commits.
+/// its commit gate; `W` commits, which opens the gate, and `R` commits.
 fn dirty_read_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -478,22 +522,28 @@ fn dirty_read_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     retire_and_read_dirty(k, protocol, x, [r, w], &mut tick);
     let PairScratch {
         ws: [_, ws_r, ws_w],
-        proceed,
+        fx,
         ..
     } = x;
-    assert!(k.gate(r), "R parks at the gate");
-    commit(k, protocol, w, ws_w, proceed, &mut tick);
-    assert!(proceed[..] == [r], "W's commit drains R");
-    k.wake(r);
-    let record = commit(k, protocol, r, ws_r, proceed, &mut tick);
-    assert!(record.restarts == 0 && proceed.is_empty());
+    let at = tick();
+    let parked = k.commit(protocol, r, ws_r, false, None, &mut tick, || at, fx);
+    assert!(parked.is_none(), "R parks at the gate");
+    assert!(matches!(*fx.log(), [Effect::Parked(gate)] if fx.ids(gate) == [w]));
+    commit(k, protocol, w, ws_w, fx, &mut tick);
+    assert_eq!(
+        fx.log()[1..],
+        [Effect::GateOpened(r)],
+        "W's commit opens R's gate"
+    );
+    let record = commit(k, protocol, r, ws_r, fx, &mut tick);
+    assert!(record.restarts == 0 && fx.log() == [Effect::Committed(r)]);
     x.clock = clock;
 }
 
 /// A Bamboo cascade pair: `R` reads `W`'s retired write, `H` wounds `W`
 /// over `Y` and `R` cascades; both are held on `H`, whose commit hands
-/// them back, and both rerun clean and commit. Only the wounding decision
-/// is uncounted.
+/// them back, and both rerun clean and commit. Only the wounding
+/// decision's `Vec` is uncounted.
 fn cascade_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -514,64 +564,71 @@ fn cascade_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     let PairScratch {
         ws: [ws_h, ws_r, ws_w],
         fx,
-        proceed,
         ..
     } = x;
-    let granted = Acquire::Done { granted: true };
     ws_h.reset(h);
     k.begin(h, None);
-    let got = uncounted(|| k.acquire(protocol, h, 0, Y, LockMode::Read, ws_h, &mut tick));
-    assert!(
-        matches!(&got, Acquire::Wound { victims } if victims[..] == [w]),
-        "{got:?}"
-    );
-    k.abort(protocol, w, AbortReason::Wound, &[h], &mut tick, fx);
-    assert!(fx.aborted[..] == [(w, AbortReason::Wound), (r, AbortReason::Cascade)]);
-    assert!(fx.released.is_empty() && !k.gated(r));
+    assert!(!k.request(protocol, h, 0, Y, LockMode::Read, ws_h, &mut tick, fx));
+    let [Effect::Aborted(w1, AbortReason::Wound, cause), Effect::Aborted(r1, AbortReason::Cascade, ..)] =
+        *fx.log()
+    else {
+        panic!("{fx:?}");
+    };
+    assert!((w1, r1) == (w, r) && fx.ids(cause) == [h]);
+    assert!(!k.gated(r));
     assert!(k.held(w) && k.held(r));
-    assert!(k.reevaluate(protocol).is_empty());
 
+    granted(k, protocol, h, 0, Y, LockMode::Read, ws_h, fx, &mut tick);
+    commit(k, protocol, h, ws_h, fx, &mut tick);
     assert_eq!(
-        k.acquire(protocol, h, 0, Y, LockMode::Read, ws_h, &mut tick),
-        granted
+        fx.log()[1..],
+        [Effect::HoldReleased(r), Effect::HoldReleased(w)],
+        "H's commit ends both holds"
     );
-    commit(k, protocol, h, ws_h, proceed, &mut tick);
-    assert!(proceed[..] == [r, w], "H's commit ends both holds");
 
     // W reruns and commits before R reruns: R outranks W, and its read
     // of X would wound a W holding the write lock.
     ws_w.reset(w);
     for (i, item) in [X, Y].into_iter().enumerate() {
-        assert_eq!(
-            k.acquire(protocol, w, i, item, LockMode::Write, ws_w, &mut tick),
-            granted
+        granted(
+            k,
+            protocol,
+            w,
+            i,
+            item,
+            LockMode::Write,
+            ws_w,
+            fx,
+            &mut tick,
         );
     }
-    let record = commit(k, protocol, w, ws_w, proceed, &mut tick);
-    assert!(record.restarts == 1 && proceed.is_empty());
+    let record = commit(k, protocol, w, ws_w, fx, &mut tick);
+    assert!(record.restarts == 1 && fx.log() == [Effect::Committed(w)]);
     ws_r.reset(r);
-    assert_eq!(
-        k.acquire(protocol, r, 0, X, LockMode::Read, ws_r, &mut tick),
-        granted
-    );
-    let record = commit(k, protocol, r, ws_r, proceed, &mut tick);
-    assert!(record.restarts == 1 && proceed.is_empty());
+    granted(k, protocol, r, 0, X, LockMode::Read, ws_r, fx, &mut tick);
+    let record = commit(k, protocol, r, ws_r, fx, &mut tick);
+    assert!(record.restarts == 1 && fx.log() == [Effect::Committed(r)]);
     x.clock = clock;
 }
 
-/// `who` passes its open gate and commits; `proceed` receives who may
-/// go on now.
+/// `who` passes its open gate, invalidates nobody and commits; `fx`
+/// receives what that did.
 fn commit<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
     who: InstanceId,
     ws: &Workspace,
-    proceed: &mut Vec<InstanceId>,
+    fx: &mut Effects,
     tick: &mut impl FnMut() -> Tick,
 ) -> Record {
-    assert!(!k.gate(who) && k.commit_victims(protocol, who).is_empty());
-    k.install(who, ws, tick(), false, None);
-    k.finish_commit(who, proceed)
+    let at = tick();
+    let record = k.commit(protocol, who, ws, false, None, &mut *tick, || at, fx);
+    assert_eq!(
+        fx.log().first(),
+        Some(&Effect::Committed(who)),
+        "no victims"
+    );
+    record.expect("the gate is open")
 }
 
 /// Allocations of `MEASURED` pairs run by `pair` after `WARM_UP`, each
@@ -587,8 +644,7 @@ fn pair_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     k.reserve_history(events * (WARM_UP + MEASURED) as usize);
     let mut x = PairScratch {
         ws: std::array::from_fn(|t| Workspace::new(InstanceId::first(TxnId(t as u32)))),
-        fx: Aborts::default(),
-        proceed: Vec::new(),
+        fx: Effects::default(),
         clock: 0,
         apart: 0,
     };
@@ -609,11 +665,11 @@ fn abort_pairs_do_not_allocate() {
     let set = pair_set();
     // Six events a pair at most: three data operations, `L`'s install,
     // an Abort and a Begin.
-    let wound = pair_allocations(&set, &mut TwoPlHp::new(), 6, |k, p, x, seq| {
+    let wound = pair_allocations(&set, &mut Decisions(TwoPlHp::new()), 6, |k, p, x, seq| {
         abort_pair(k, p, x, seq, true)
     });
     assert_eq!(wound, 0, "2PL-HP wound pair");
-    let die = pair_allocations(&set, &mut Brook2Pl::new(), 6, |k, p, x, seq| {
+    let die = pair_allocations(&set, &mut Decisions(Brook2Pl::new()), 6, |k, p, x, seq| {
         abort_pair(k, p, x, seq, false)
     });
     assert_eq!(die, 0, "Brook-2PL die pair");
@@ -623,21 +679,22 @@ fn abort_pairs_do_not_allocate() {
 fn bamboo_gate_pairs_do_not_allocate() {
     let set = bamboo_set();
     // Five events: three data operations and `W`'s two installs.
-    let dirty = pair_allocations(&set, &mut Bamboo::new(), 5, dirty_read_pair);
+    let dirty = pair_allocations(&set, &mut Decisions(Bamboo::new()), 5, dirty_read_pair);
     assert_eq!(dirty, 0, "Bamboo dirty-read pair");
     // Thirteen: three data operations, two Abort/Begin pairs, `H`'s read,
     // the reruns' three data operations and `W`'s two installs.
-    let cascade = pair_allocations(&set, &mut Bamboo::new(), 13, cascade_pair);
+    let cascade = pair_allocations(&set, &mut Decisions(Bamboo::new()), 13, cascade_pair);
     assert_eq!(cascade, 0, "Bamboo cascade pair");
 }
 
 #[test]
 fn a_pcpda_read_over_a_write_holder_does_not_allocate() {
     let set = pair_set();
-    let mut pcpda = PcpDa::new();
+    let mut pcpda = Decisions(PcpDa::new());
     let n = pair_allocations(&set, &mut pcpda, 3, read_over_write_pair);
     assert_eq!(n, 0, "PCP-DA read-over-write pair");
     assert!(pcpda
+        .0
         .grant_log()
         .iter()
         .any(|&(req, _)| req.mode == LockMode::Read));

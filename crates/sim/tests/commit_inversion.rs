@@ -15,7 +15,7 @@
 //! [`PcpDa`] driven by hand.
 
 use rtdb_cc::{GrantRule, PcpDa};
-use rtdb_core::{Acquire, StateKernel};
+use rtdb_core::{Effect, Effects, StateKernel};
 use rtdb_storage::{SerializationGraph, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionTemplate, TxnId,
@@ -49,34 +49,80 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         clock += 1;
         Tick(clock)
     };
-    let granted = Acquire::Done { granted: true };
     k.begin(t_l, Some(tick()));
     k.begin(t_h, Some(tick()));
+    let mut fx = Effects::default();
+    let granted = [Effect::Granted];
 
     // T_L write-locks x; T_H reads x's pre-image past it.
-    let got = k.acquire(&mut p, t_l, 0, X, LockMode::Write, &mut ws_l, &mut tick);
-    assert_eq!(got, granted);
-    let got = k.acquire(&mut p, t_h, 0, X, LockMode::Read, &mut ws_h, &mut tick);
-    assert_eq!(got, granted);
+    assert!(k.request(
+        &mut p,
+        t_l,
+        0,
+        X,
+        LockMode::Write,
+        &mut ws_l,
+        &mut tick,
+        &mut fx
+    ));
+    assert_eq!(fx.log(), granted);
+    assert!(k.request(
+        &mut p,
+        t_h,
+        0,
+        X,
+        LockMode::Read,
+        &mut ws_h,
+        &mut tick,
+        &mut fx
+    ));
+    assert_eq!(fx.log(), granted);
     // T_L write-locks y and reaches its commit while T_H, which must
     // precede it, is still running: the gate holds it there.
-    let got = k.acquire(&mut p, t_l, 1, Y, LockMode::Write, &mut ws_l, &mut tick);
-    assert_eq!(got, granted);
-    assert!(k.gate(t_l), "T_L waits here until T_H finishes");
+    assert!(k.request(
+        &mut p,
+        t_l,
+        1,
+        Y,
+        LockMode::Write,
+        &mut ws_l,
+        &mut tick,
+        &mut fx
+    ));
+    assert_eq!(fx.log(), granted);
+    let parked = k.commit(
+        &mut p,
+        t_l,
+        &ws_l,
+        true,
+        None,
+        &mut tick,
+        || Tick(0),
+        &mut fx,
+    );
+    assert!(parked.is_none(), "T_L waits here until T_H finishes");
+    assert!(matches!(fx.log(), [Effect::Parked(_)]), "and no cycle");
     // T_H reads y's pre-image past T_L too, commits, and opens the gate.
-    let got = k.acquire(&mut p, t_h, 1, Y, LockMode::Read, &mut ws_h, &mut tick);
-    assert_eq!(got, granted);
+    assert!(k.request(
+        &mut p,
+        t_h,
+        1,
+        Y,
+        LockMode::Read,
+        &mut ws_h,
+        &mut tick,
+        &mut fx
+    ));
+    assert_eq!(fx.log(), granted);
     let versions: Vec<u64> = ws_h.reads().iter().map(|r| r.version).collect();
     assert_eq!(versions, [0, 0], "x and y both before T_L's installs");
-    assert!(!k.gate(t_h));
-    k.install(t_h, &ws_h, tick(), true, None);
-    let mut proceed = Vec::new();
-    k.finish_commit(t_h, &mut proceed);
-    assert_eq!(proceed, [t_l]);
-    k.wake(t_l);
-    assert!(!k.gate(t_l));
-    k.install(t_l, &ws_l, tick(), true, None);
-    k.finish_commit(t_l, &mut proceed);
+    let at = tick();
+    let committed = k.commit(&mut p, t_h, &ws_h, true, None, &mut tick, || at, &mut fx);
+    assert!(committed.is_some());
+    assert_eq!(fx.log(), [Effect::Committed(t_h), Effect::GateOpened(t_l)]);
+    let at = tick();
+    let committed = k.commit(&mut p, t_l, &ws_l, true, None, &mut tick, || at, &mut fx);
+    assert!(committed.is_some());
 
     let rules: Vec<GrantRule> = p.grant_log().iter().map(|&(_, rule)| rule).collect();
     assert_eq!(

@@ -65,7 +65,7 @@ pub struct ConflictEdge {
 ///
 /// This is the one cycle search in the workspace: Theorem 3's oracle
 /// ([`SerializationGraph::find_cycle`]) and Theorem 2's deadlock check
-/// (`rtdb_core::StateKernel::find_deadlock`) both call it.
+/// (`rtdb_core::StateKernel::resolve_cycles`) both call it.
 pub fn find_cycle<'g>(
     nodes: impl IntoIterator<Item = InstanceId>,
     succs: impl Fn(InstanceId) -> &'g [InstanceId],
