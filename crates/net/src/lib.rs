@@ -34,5 +34,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::NetClient;
-pub use server::{serve, NetConfig};
+pub use server::{serve, serve_on, NetConfig};
 pub use wire::{FrameBuf, Request, Response, WireError, MAX_FRAME_LEN, MAX_TENANT};

@@ -1,7 +1,7 @@
 //! The TCP service edge: blocking threads that bridge socket clients onto
 //! the admission front-end.
 //!
-//! [`serve`] wraps [`run_front`]: it binds a listener, starts the edge's
+//! [`serve`] wraps [`rtdb_rt::run_front`]: it binds a listener, starts the edge's
 //! threads inside the front-end's scope, and hands the caller's driver the
 //! bound address. An *acceptor* blocks in `accept`; each connection gets a
 //! *reader* blocked in `read`, which decodes [`Request`] frames and submits
@@ -33,8 +33,9 @@
 //! `WRITE_TIMEOUT` at most. Only then does the admission queue close.
 
 use crate::wire::{FrameBuf, Request, Response, MAX_TENANT};
-use rtdb_rt::front::FrontHandle;
-use rtdb_rt::{run_front, Completion, FrontConfig, JobRequest, RtResult, SubmitOutcome, Submitter};
+use rtdb_rt::clock::{Clock, WallClock};
+use rtdb_rt::front::{run_front_on, FrontHandle};
+use rtdb_rt::{Completion, FrontConfig, JobRequest, RtResult, SubmitOutcome, Submitter};
 use rtdb_types::{TransactionSet, TxnId};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -99,7 +100,7 @@ impl Outbound<'_> {
     }
 
     /// Submit one request and encode its immediate answer.
-    fn admit(&mut self, req: Request, sub: &Submitter<'_>, out: &mut Vec<u8>) {
+    fn admit<C: Clock>(&mut self, req: Request, sub: &Submitter<'_, C>, out: &mut Vec<u8>) {
         let Request::Submit {
             ticket,
             txn,
@@ -153,7 +154,7 @@ impl Outbound<'_> {
 
 /// The reader: block in `read`, submit every frame it returned, answer
 /// them with one write. Ends (dropping the submitter) on any stream error.
-fn read_loop(outbound: &Mutex<Outbound<'_>>, sub: Submitter<'_>) {
+fn read_loop<C: Clock>(outbound: &Mutex<Outbound<'_>>, sub: Submitter<'_, C>) {
     let mut stream = outbound.lock().expect("connection lock").stream;
     let mut rbuf = FrameBuf::new();
     let mut out = Vec::new();
@@ -198,13 +199,13 @@ fn write_loop(outbound: &Mutex<Outbound<'_>>, completions: Receiver<Completion>)
 }
 
 /// The edge's shared state: where to submit, and who is connected.
-struct Edge<'e> {
-    front: FrontHandle<'e>,
+struct Edge<'e, C> {
+    front: FrontHandle<'e, C>,
     /// Live connections by peer address; `None` once `serve` is stopping.
     conns: Mutex<Option<HashMap<SocketAddr, Arc<TcpStream>>>>,
 }
 
-impl Edge<'_> {
+impl<C: Clock> Edge<'_, C> {
     /// One connection, start to end: the reader on this thread, the writer
     /// beside it, both gone before the slot is freed.
     fn connection(&self, peer: SocketAddr, stream: &TcpStream) {
@@ -281,9 +282,19 @@ pub fn serve<R>(
     config: NetConfig,
     driver: impl FnOnce(SocketAddr) -> R,
 ) -> std::io::Result<(RtResult, R)> {
+    serve_on(set, config, WallClock::now(), driver)
+}
+
+/// [`serve`] on `clock`, e.g. an `rtdb_rt::testkit::TestClock`.
+pub fn serve_on<C: Clock, R>(
+    set: &TransactionSet,
+    config: NetConfig,
+    clock: C,
+    driver: impl FnOnce(SocketAddr) -> R,
+) -> std::io::Result<(RtResult, R)> {
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     let addr = listener.local_addr()?;
-    Ok(run_front(set, config.front, |front| {
+    Ok(run_front_on(set, config.front, clock, |front| {
         let edge = Edge {
             front,
             conns: Mutex::new(Some(HashMap::new())),

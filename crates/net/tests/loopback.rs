@@ -2,17 +2,16 @@
 //! on 127.0.0.1, validated against the simulator and the admission
 //! accounting invariants.
 //!
-//! The burst test extends the PR 5 sim-vs-rt acceptance pattern through
-//! the socket: the same conflict-free burst workload, submitted by N
-//! *client connections* instead of an in-process submitter, must
-//! reproduce the simulator's commit order and final database bit-for-bit
-//! on one worker. Timing margins follow the in-process test's rules —
-//! every met/missed verdict has tens of milliseconds of slack, and the
-//! admission order is forced by waiting for each submission's `Accepted`
-//! before sending the next.
+//! The burst test extends the in-process sim-vs-rt acceptance pattern
+//! through the socket: the same burst, submitted by N *client connections*,
+//! must reproduce the simulator's commit order and times, miss pattern and
+//! final database bit-for-bit on one worker. Like the in-process test it
+//! runs on the logical [`TestClock`], paused while the clients submit, and
+//! forces the admission order by waiting for each `Accepted` in turn.
 
 use rtdb_core::ProtocolKind;
-use rtdb_net::{serve, FrameBuf, NetClient, NetConfig, Request, Response, MAX_FRAME_LEN};
+use rtdb_net::{serve, serve_on, FrameBuf, NetClient, NetConfig, Request, Response, MAX_FRAME_LEN};
+use rtdb_rt::testkit::TestClock;
 use rtdb_rt::{AdmissionPolicy, FrontConfig, RtConfig};
 use rtdb_sim::{Engine, RunOutcome, SimConfig};
 use rtdb_types::{InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate};
@@ -31,8 +30,8 @@ const WAIT: Duration = Duration::from_secs(20);
 
 /// The conflict-free burst workload of `crates/rt/tests/front.rs`:
 /// template k has service 10 ticks, cumulative completion 10·(k+1), and
-/// a period chosen so the met/missed pattern is forced by arithmetic
-/// with ≥ 3 ticks of margin.
+/// a period that puts the met/missed verdict ≥ 3 ticks from the
+/// completion.
 fn burst_set() -> TransactionSet {
     let periods = [16u64, 17, 40, 45, 46];
     let mut b = SetBuilder::new();
@@ -64,7 +63,7 @@ fn small_set() -> TransactionSet {
 
 /// Acceptance criterion: N client connections submit the burst through
 /// the TCP edge on 1 worker and reproduce the simulator's commit order,
-/// miss pattern and final database bit-for-bit.
+/// commit times, miss pattern and final database bit-for-bit.
 #[test]
 fn loopback_burst_reproduces_sim_commit_order_bit_for_bit() {
     const TICK: u64 = 4 * MS;
@@ -77,21 +76,22 @@ fn loopback_burst_reproduces_sim_commit_order_bit_for_bit() {
         .expect("sim run");
     assert_eq!(sim.outcome, RunOutcome::Completed);
     let sim_order: Vec<InstanceId> = sim.history.commit_order().to_vec();
-    let sim_missed: Vec<bool> = sim_order
+    let (sim_missed, sim_commit_ns): (Vec<bool>, Vec<u64>) = sim_order
         .iter()
         .map(|id| {
-            !sim.metrics
-                .instance(*id)
-                .expect("sim metrics")
-                .met_deadline()
+            let m = sim.metrics.instance(*id).expect("sim metrics");
+            let completion = m.completion.expect("committed");
+            (!m.met_deadline(), completion.raw() * TICK)
         })
-        .collect();
+        .unzip();
     assert_eq!(sim_missed, [false, true, false, false, true]);
 
     let front = FrontConfig::new(kind)
         .with_policy(AdmissionPolicy::Reject)
         .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
-    let (rt, client_missed) = serve(&set, NetConfig::new(front), |addr| {
+    let clock = TestClock::default();
+    let (rt, client_missed) = serve_on(&set, NetConfig::new(front), clock.clone(), |addr| {
+        let paused = clock.pause();
         // One connection per template, submitting in priority order.
         // Waiting for each Accepted before the next client submits
         // forces the admission (and thus dispatch) order, exactly like
@@ -115,6 +115,7 @@ fn loopback_burst_reproduces_sim_commit_order_bit_for_bit() {
                 other => panic!("client {k}: expected Accepted, got {other:?}"),
             }
         }
+        drop(paused);
         // Every client waits for its terminal Committed.
         let mut missed = vec![false; clients.len()];
         for (k, client) in clients.iter_mut().enumerate() {
@@ -144,6 +145,11 @@ fn loopback_burst_reproduces_sim_commit_order_bit_for_bit() {
     assert_eq!(rt_order, sim_order, "commit order diverged through TCP");
     let rt_missed: Vec<bool> = rt.jobs.iter().map(|j| j.missed_deadline()).collect();
     assert_eq!(rt_missed, sim_missed, "miss pattern diverged through TCP");
+    let rt_commit_ns: Vec<u64> = rt.jobs.iter().map(|j| j.commit_ns).collect();
+    assert_eq!(
+        rt_commit_ns, sim_commit_ns,
+        "commit times diverged through TCP"
+    );
     assert_eq!(
         rt.db.snapshot(),
         sim.db.snapshot(),

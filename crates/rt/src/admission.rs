@@ -49,18 +49,17 @@
 //! are distinct, so each lane is one template's requests in admission
 //! order, and per-template sequence numbers still follow admission order.
 //!
-//! Admission timestamps are taken *inside* the queue's critical section
-//! at the moment the entry actually enters the queue, so queueing delay
-//! (admission → worker start) is exactly the time spent queued.
+//! A push reads the run's [`Clock`] once, *inside* the queue's critical
+//! section, for the admission stamp, the fairness charge and the slack;
+//! so queueing delay (admission → worker start) is the time spent queued.
 
+use crate::clock::Clock;
 use crate::front::{Completion, JobRequest};
-use crate::runtime::dur_ns;
 use rtdb_core::LevelMask;
 use rtdb_types::{InstanceId, Priority};
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// What the admission queue does with a new request when it is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -312,8 +311,8 @@ pub(crate) struct Admitted {
     pub req: JobRequest,
     /// Submission ticket, for correlating completions.
     pub ticket: u64,
-    /// Stamped inside the queue at the moment of admission.
-    pub admitted_at: Instant,
+    /// The run clock at admission, stamped by [`AdmissionQueue::push`].
+    pub admitted_ns: u64,
     /// Estimated service cost (template WCET × tick), charged to the
     /// tenant's fairness bucket on admission and refunded on shed.
     pub cost_ns: u64,
@@ -362,9 +361,9 @@ struct Inner {
 }
 
 impl Inner {
-    /// Stamp `item`'s admission and append it to its template's lane.
-    fn enqueue(&mut self, mut item: Admitted) {
-        item.admitted_at = Instant::now();
+    /// Stamp `item` admitted at `now_ns`; append it to its template's lane.
+    fn enqueue(&mut self, mut item: Admitted, now_ns: u64) {
+        item.admitted_ns = now_ns;
         let lane = self.lane_of[item.req.txn.index()];
         self.lanes[lane].push_back((self.admissions, item));
         self.admissions += 1;
@@ -405,22 +404,21 @@ impl Inner {
 }
 
 /// A bounded MPMC queue: many submitters push, the workers pop.
-pub(crate) struct AdmissionQueue {
+pub(crate) struct AdmissionQueue<C> {
     inner: Mutex<Inner>,
     not_empty: Condvar,
     capacity: usize,
-    /// The front-end's `t0`: slack computations and bucket refills share
-    /// the clock `release_ns`/`deadline_ns` are measured on.
-    t0: Instant,
+    /// The run's clock: deadlines, slack and bucket refills are on it.
+    pub(crate) clock: C,
 }
 
-impl AdmissionQueue {
+impl<C: Clock> AdmissionQueue<C> {
     /// A queue of `capacity` over a set whose template `t` has base
     /// priority `priorities[t]`.
     pub(crate) fn new(
         capacity: usize,
         priorities: &[Priority],
-        t0: Instant,
+        clock: C,
         fairness: Option<FairnessConfig>,
     ) -> Self {
         let templates = priorities.len();
@@ -444,7 +442,7 @@ impl AdmissionQueue {
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
-            t0,
+            clock,
         }
     }
 
@@ -454,15 +452,6 @@ impl AdmissionQueue {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The instant every `_ns` offset of the run is measured from.
-    pub(crate) fn t0(&self) -> Instant {
-        self.t0
-    }
-
-    pub(crate) fn now_ns(&self) -> u64 {
-        dur_ns(self.t0.elapsed())
-    }
-
     /// Admit `item`, or apply `policy` to a full queue. Never blocks.
     pub(crate) fn push(&self, item: Admitted, policy: AdmissionPolicy) -> Push {
         let mut g = self.lock();
@@ -470,18 +459,18 @@ impl AdmissionQueue {
             g.ledger.record_rejected(item.req.tenant);
             return Push::Closed;
         }
-        if g.len < self.capacity {
-            let now = self.now_ns();
-            g.ledger.charge(item.req.tenant, item.cost_ns, now);
-            g.enqueue(item);
-            self.wake_popper(&g);
-            return Push::Admitted;
-        }
-        if policy == AdmissionPolicy::Reject {
+        let full = g.len >= self.capacity;
+        if full && policy == AdmissionPolicy::Reject {
             g.ledger.record_rejected(item.req.tenant);
             return Push::Rejected;
         }
-        let now = self.now_ns();
+        let now = self.clock.now_ns();
+        if !full {
+            g.ledger.charge(item.req.tenant, item.cost_ns, now);
+            g.enqueue(item, now);
+            self.wake_popper(&g);
+            return Push::Admitted;
+        }
         let inner = &mut *g;
         // The candidates in admission order, the incoming request last:
         // ties shed the oldest, whatever lane it waits in.
@@ -510,7 +499,7 @@ impl AdmissionQueue {
         inner.ledger.refund(old.req.tenant, old.cost_ns, now);
         inner.ledger.record_shed(old.req.tenant, old.req.txn);
         inner.ledger.charge(item.req.tenant, item.cost_ns, now);
-        inner.enqueue(item);
+        inner.enqueue(item, now);
         self.wake_popper(inner);
         Push::AdmittedShed(Box::new(old))
     }
@@ -578,14 +567,16 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::WallClock;
+    use crate::testkit::TestClock;
     use rtdb_types::TxnId;
     use std::sync::mpsc::channel;
 
     /// Four templates, template 0 the highest priority.
     const PRIORITIES: [Priority; 4] = [Priority(3), Priority(2), Priority(1), Priority(0)];
 
-    fn queue(capacity: usize) -> AdmissionQueue {
-        AdmissionQueue::new(capacity, &PRIORITIES, Instant::now(), None)
+    fn queue(capacity: usize) -> AdmissionQueue<WallClock> {
+        AdmissionQueue::new(capacity, &PRIORITIES, WallClock::now(), None)
     }
 
     fn item(ticket: u64) -> (Admitted, std::sync::mpsc::Receiver<Completion>) {
@@ -594,7 +585,7 @@ mod tests {
             Admitted {
                 req: JobRequest::new(TxnId(0)),
                 ticket,
-                admitted_at: Instant::now(),
+                admitted_ns: 0,
                 cost_ns: 0,
                 done: tx,
             },
@@ -666,10 +657,29 @@ mod tests {
                 .with_deadline(deadline_ns)
                 .for_tenant(tenant),
             ticket,
-            admitted_at: Instant::now(),
+            admitted_ns: 0,
             cost_ns,
             done: tx,
         }
+    }
+
+    /// A push reads the clock once: the stamp an entry leaves with is the
+    /// clock's time at its push, on the admitting path and on the shedding
+    /// one alike.
+    #[test]
+    fn the_admission_stamp_is_the_clocks_time_at_the_push() {
+        let q = AdmissionQueue::new(1, &PRIORITIES, TestClock::default(), None);
+        q.clock.work(3, 5);
+        q.push(item(0).0, AdmissionPolicy::LeastSlack);
+        assert_eq!(q.pop().expect("admitted").1.admitted_ns, 15);
+        q.push(item(1).0, AdmissionPolicy::LeastSlack);
+        q.clock.work(2, 5);
+        assert!(matches!(
+            q.push(item(2).0, AdmissionPolicy::LeastSlack),
+            Push::AdmittedShed(old) if old.admitted_ns == 15
+        ));
+        let (_, job) = q.pop().expect("admitted over the shed entry");
+        assert_eq!((job.ticket, job.admitted_ns), (2, 25));
     }
 
     #[test]
@@ -691,7 +701,7 @@ mod tests {
     /// Wait until a popper is parked. The counter is raised under the
     /// mutex that `Condvar::wait` releases, so once it reads nonzero here
     /// the popper is parked on the condvar.
-    fn until_parked(q: &AdmissionQueue) {
+    fn until_parked(q: &AdmissionQueue<WallClock>) {
         while q.lock().waiting_poppers == 0 {
             std::thread::yield_now();
         }
@@ -781,7 +791,7 @@ mod tests {
             refill_per_sec: 0,
             burst_ns: 1,
         };
-        let q = AdmissionQueue::new(2, &PRIORITIES, Instant::now(), Some(fairness));
+        let q = AdmissionQueue::new(2, &PRIORITIES, WallClock::now(), Some(fairness));
         // Tenant 1 charges far past its burst; tenant 0 stays in budget.
         q.push(
             deadline_item(0, 1, 2 * HOUR, 1_000_000),

@@ -14,8 +14,8 @@
 //! queue fills the configured [`AdmissionPolicy`] sees every request
 //! that could still lose.
 //!
-//! Time is wall-clock nanoseconds relative to the front-end's start
-//! (`t0`). A job's life is stamped at four points — release (intended,
+//! Time is ns since the front-end started, on the run's one [`Clock`].
+//! A job's life is stamped at four points — release (intended,
 //! submitter-supplied), admission (entering the queue), start (a worker
 //! picks it up) and commit — which split end-to-end latency into
 //! *queueing delay* (admission → start) and *service latency* (start →
@@ -31,12 +31,12 @@
 //! submitted afterwards bounces.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue, Admitted, FairnessConfig, Push};
+use crate::clock::{Clock, WallClock};
 use crate::runtime::{run_pool, JobReport, JobSource, RtConfig, RtResult};
 use rtdb_core::ProtocolKind;
 use rtdb_types::{TransactionSet, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::Instant;
 
 /// One transaction request, as a submitter hands it to the front door.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,11 +44,11 @@ pub struct JobRequest {
     /// The template to instantiate (sequence numbers are assigned in
     /// admission order, as a worker pops the request).
     pub txn: TxnId,
-    /// Intended release time, ns since the front-end's `t0`. Informational
+    /// Intended release time, ns since the front-end started. Informational
     /// for the runtime — the submitter is responsible for not submitting
     /// before the release (open-loop generators sleep until it).
     pub release_ns: u64,
-    /// Absolute deadline, ns since `t0`; `None` = no deadline tracking.
+    /// Absolute deadline, on the same clock; `None` = no deadline tracking.
     pub deadline_ns: Option<u64>,
     /// The tenant this request is billed to under the fairness budgets
     /// (see [`FairnessConfig`]). Tenant ids are small dense integers;
@@ -199,10 +199,10 @@ pub enum Completion {
 }
 
 /// Shared front-end state the handle and submitters reference.
-struct FrontShared {
+struct FrontShared<C> {
     policy: AdmissionPolicy,
-    /// Also the run's clock (`t0`) and its shed/reject ledger.
-    queue: AdmissionQueue,
+    /// Also the run's clock and its shed/reject ledger.
+    queue: AdmissionQueue<C>,
     tickets: AtomicU64,
     /// Estimated service cost per template (WCET × tick), the fairness
     /// ledger's charge unit.
@@ -213,15 +213,15 @@ struct FrontShared {
 /// `Copy`, `Send` and `Sync`: drivers may fan it out across their own
 /// scoped submitter threads.
 #[derive(Clone, Copy)]
-pub struct FrontHandle<'e> {
-    shared: &'e FrontShared,
+pub struct FrontHandle<'e, C = WallClock> {
+    shared: &'e FrontShared<C>,
 }
 
-impl<'e> FrontHandle<'e> {
+impl<'e, C: Clock> FrontHandle<'e, C> {
     /// Nanoseconds since the front-end started — the clock `release_ns`
     /// and `deadline_ns` are measured on.
     pub fn elapsed_ns(&self) -> u64 {
-        self.shared.queue.now_ns()
+        self.shared.queue.clock.now_ns()
     }
 
     /// Requests currently waiting in the admission queue.
@@ -230,7 +230,7 @@ impl<'e> FrontHandle<'e> {
     }
 
     /// Create a submitter with its own completion channel.
-    pub fn submitter(&self) -> (Submitter<'e>, Receiver<Completion>) {
+    pub fn submitter(&self) -> (Submitter<'e, C>, Receiver<Completion>) {
         let (done, rx) = channel();
         (
             Submitter {
@@ -244,12 +244,12 @@ impl<'e> FrontHandle<'e> {
 
 /// One producer of [`JobRequest`]s. Completions for everything this
 /// submitter admitted arrive on the [`Receiver`] returned alongside it.
-pub struct Submitter<'e> {
-    shared: &'e FrontShared,
+pub struct Submitter<'e, C = WallClock> {
+    shared: &'e FrontShared<C>,
     done: Sender<Completion>,
 }
 
-impl Submitter<'_> {
+impl<C: Clock> Submitter<'_, C> {
     /// Submit one request. Never blocks: a full queue sheds or bounces
     /// under the front's [`AdmissionPolicy`], and the lock manager is
     /// never touched.
@@ -264,7 +264,7 @@ impl Submitter<'_> {
         let item = Admitted {
             req,
             ticket,
-            admitted_at: Instant::now(),
+            admitted_ns: 0,
             cost_ns,
             done: self.done.clone(),
         };
@@ -285,7 +285,7 @@ impl Submitter<'_> {
 
     /// Nanoseconds since the front-end started.
     pub fn elapsed_ns(&self) -> u64 {
-        self.shared.queue.now_ns()
+        self.shared.queue.clock.now_ns()
     }
 }
 
@@ -301,6 +301,16 @@ pub fn run_front<R>(
     config: FrontConfig,
     driver: impl FnOnce(FrontHandle<'_>) -> R,
 ) -> (RtResult, R) {
+    run_front_on(set, config, WallClock::now(), driver)
+}
+
+/// [`run_front`] on `clock`, e.g. a [`crate::testkit::TestClock`].
+pub fn run_front_on<C: Clock, R>(
+    set: &TransactionSet,
+    config: FrontConfig,
+    clock: C,
+    driver: impl FnOnce(FrontHandle<'_, C>) -> R,
+) -> (RtResult, R) {
     let shared = FrontShared {
         policy: config.policy,
         queue: AdmissionQueue::new(
@@ -308,7 +318,7 @@ pub fn run_front<R>(
             &(0..set.len())
                 .map(|i| set.priority_of(TxnId(i as u32)))
                 .collect::<Vec<_>>(),
-            Instant::now(),
+            clock,
             config.fairness,
         ),
         tickets: AtomicU64::new(0),
@@ -321,14 +331,15 @@ pub fn run_front<R>(
             })
             .collect(),
     };
-    run_pool(set, &config.rt, &JobSource::Queue(&shared.queue), || {
-        driver(FrontHandle { shared: &shared })
-    })
+    let source = JobSource::Queue(&shared.queue);
+    let driver = || driver(FrontHandle { shared: &shared });
+    run_pool(set, &config.rt, &source, &shared.queue.clock, driver)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::TestClock;
     use rtdb_types::{SetBuilder, Step, TransactionTemplate};
 
     fn small_set() -> TransactionSet {
@@ -401,10 +412,10 @@ mod tests {
     #[test]
     fn a_queued_shed_notifies_its_submitter() {
         let set = small_set();
-        // Capacity 1, huge tick_ns on a 1-thread pool: the first job owns
-        // the worker long enough that subsequent submissions contend for
-        // the single queue slot deterministically. No deadlines: every
-        // slack ties, and ties shed the queued request.
+        // Capacity 1 on a 1-thread pool whose first job holds the worker
+        // on the paused clock: the next submission takes the one queue
+        // slot, and each one after it sheds the queued request — no
+        // deadlines, so every slack ties, and ties shed the queued one.
         let config = FrontConfig::new(ProtocolKind::PcpDa)
             .with_capacity(1)
             .with_policy(AdmissionPolicy::LeastSlack)
@@ -413,12 +424,18 @@ mod tests {
                     .with_threads(1)
                     .with_tick_ns(2_000_000),
             );
-        let (result, sheds) = run_front(&set, config, |front| {
+        let clock = TestClock::default();
+        let (result, sheds) = run_front_on(&set, config, clock.clone(), |front| {
+            let paused = clock.pause();
             let (sub, rx) = front.submitter();
-            for _ in 0..8 {
+            sub.submit(JobRequest::new(TxnId(1)));
+            while front.queue_depth() > 0 {
+                std::thread::yield_now();
+            }
+            for _ in 1..8 {
                 sub.submit(JobRequest::new(TxnId(1)));
             }
-            drop(sub);
+            drop((sub, paused));
             let mut sheds = 0u64;
             while let Ok(c) = rx.recv() {
                 if let Completion::Shed { txn, .. } = c {
@@ -430,6 +447,9 @@ mod tests {
         });
         assert_eq!(result.shed, sheds);
         assert_eq!(result.committed + result.shed, 8);
-        assert!(result.shed > 0, "8 submissions through a 1-slot queue shed");
+        assert_eq!(
+            result.shed, 6,
+            "the held job and the last queued one commit"
+        );
     }
 }

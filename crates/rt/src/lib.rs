@@ -26,6 +26,7 @@
 //! * [`admission`] — the bounded admission queue, its two overload
 //!   policies (reject, least-slack; neither parks a submitter) and
 //!   the per-tenant token-bucket fairness budgets ([`FairnessConfig`]);
+//! * [`clock`] — the runtime's one clock ([`testkit`] has the tests' one);
 //! * [`jobs`] — deterministic seeded job queues;
 //! * [`histogram`] — a dependency-free log-bucketed latency histogram for
 //!   the `rtload` load generator.
@@ -47,6 +48,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
+pub mod clock;
 pub mod front;
 pub mod histogram;
 pub mod jobs;
@@ -54,6 +56,7 @@ mod manager;
 pub mod runtime;
 mod sharded;
 mod snapshot;
+pub mod testkit;
 
 pub use admission::{shed_victim, AdmissionPolicy, FairnessConfig, ShedCandidate};
 pub use front::{

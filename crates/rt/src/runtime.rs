@@ -13,6 +13,7 @@
 //! gone (the kernel's restart hold), never after a timer.
 
 use crate::admission::{AdmissionQueue, Admitted};
+use crate::clock::{Clock, WallClock};
 use crate::front::Completion;
 use crate::jobs;
 use crate::manager::{CommitOutcome, JobStats, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT};
@@ -23,7 +24,7 @@ use rtdb_storage::{Database, History, SerializationGraph, VersionedValue};
 use rtdb_types::{InstanceId, LockMode, Priority, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration for one [`run`].
 #[derive(Clone, Copy, Debug)]
@@ -32,9 +33,8 @@ pub struct RtConfig {
     pub kind: ProtocolKind,
     /// Worker threads (clamped to at least 1).
     pub threads: usize,
-    /// Wall-clock nanoseconds of busy-work per simulated tick of a step's
-    /// duration. `0` skips the busy-work entirely (fastest, maximum
-    /// contention churn — the test default).
+    /// Nanoseconds of busy-work per simulated tick of a step's duration.
+    /// `0` skips it (fastest, maximum contention churn — the default).
     pub tick_ns: u64,
     /// Park `wait_timeout` safety net for blocked lock requests: on
     /// expiry the waiter re-runs the wake-up re-evaluation and a deadlock
@@ -112,16 +112,15 @@ impl RtConfig {
 
 /// Per-job outcome, in commit order.
 ///
-/// All `_ns` timestamps are wall-clock offsets from the run's start (the
-/// admission front-end's `t0`, or the moment [`run`] spawned its workers
-/// for the closed loop).
+/// All `_ns` timestamps are readings of the run's clock: ns since the
+/// front-end started, or since [`run`] was called (the closed loop).
 #[derive(Clone, Debug)]
 pub struct JobReport {
     /// The committed instance.
     pub id: InstanceId,
     /// Its template's base priority.
     pub priority: Priority,
-    /// Wall-clock admission→commit latency, including restarts: set to
+    /// Admission→commit latency, including restarts: set to
     /// [`JobReport::queue_ns`] `+` [`JobReport::service_ns`].
     pub latency_ns: u64,
     /// Queueing delay: admission → a worker starting the job. Zero in the
@@ -300,7 +299,7 @@ pub struct RtResult {
     pub abort_reasons: AbortBreakdown,
     /// Wait-for cycles broken by aborting a victim.
     pub deadlocks_resolved: u64,
-    /// Wall-clock duration of the whole run.
+    /// Duration of the whole run, on the run's clock.
     pub elapsed: Duration,
     /// Per-job outcomes, sorted by commit order.
     pub jobs: Vec<JobReport>,
@@ -431,22 +430,22 @@ pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> 
         jobs: job_queue,
         next: AtomicUsize::new(0),
     };
-    run_pool(set, &config, &source, || ()).0
+    run_pool(set, &config, &source, &WallClock::now(), || ()).0
 }
 
 /// Where the pool's workers take their next job from — the one thing
 /// that differs between the closed loop and the admission front-end.
-pub(crate) enum JobSource<'a> {
+pub(crate) enum JobSource<'a, C> {
     /// Closed loop: a shared cursor over the caller's job list.
     List {
         jobs: &'a [InstanceId],
         next: AtomicUsize,
     },
     /// Open loop: the admission queue, popped by the workers themselves.
-    Queue(&'a AdmissionQueue),
+    Queue(&'a AdmissionQueue<C>),
 }
 
-impl JobSource<'_> {
+impl<C: Clock> JobSource<'_, C> {
     /// The next job and, in the open loop, its admission record. `None`
     /// ends the calling worker: the list is exhausted, or the queue is
     /// closed and drained.
@@ -472,11 +471,12 @@ impl JobSource<'_> {
 /// The worker pool both loops run on: spawn `config.threads` workers on
 /// `source`, call `driver` on the current thread, then end the source
 /// (closing the admission queue, with drain semantics), join the workers
-/// and fold what they return into the [`RtResult`].
-pub(crate) fn run_pool<R>(
+/// and fold what they return into the [`RtResult`]. Stamps read `clock`.
+pub(crate) fn run_pool<R, C: Clock>(
     set: &TransactionSet,
     config: &RtConfig,
-    source: &JobSource<'_>,
+    source: &JobSource<'_, C>,
+    clock: &C,
     driver: impl FnOnce() -> R,
 ) -> (RtResult, R) {
     let threads = config.threads.max(1);
@@ -485,19 +485,13 @@ pub(crate) fn run_pool<R>(
         .then(|| Arc::new(SnapshotSide::for_set(set, threads)));
     let manager = ShardedManager::new(set, config, snap.clone());
     let shards = manager.shard_count();
-    // Every `_ns` offset is on the clock deadlines were given on: the
-    // admission queue's, when there is one.
-    let t0 = match source {
-        JobSource::List { .. } => Instant::now(),
-        JobSource::Queue(queue) => queue.t0(),
-    };
 
     let (value, mut jobs) = std::thread::scope(|scope| {
         let manager = &manager;
         let workers: Vec<_> = (0..threads)
             .map(|w| {
                 let snap = snap.as_deref();
-                scope.spawn(move || worker(set, manager, snap, source, config, w, t0))
+                scope.spawn(move || worker(set, manager, snap, source, config, w, clock))
             })
             .collect();
 
@@ -523,7 +517,7 @@ pub(crate) fn run_pool<R>(
             Err(panic) => std::panic::resume_unwind(panic),
         }
     });
-    let elapsed = t0.elapsed();
+    let elapsed = Duration::from_nanos(clock.now_ns());
 
     let mut report = manager.finish();
     // Merge the reader logs into the history and order the snapshot
@@ -589,42 +583,38 @@ pub fn run_jobs(set: &TransactionSet, total: usize, seed: u64, config: RtConfig)
     run(set, &queue, config)
 }
 
-/// Saturating `u128 → u64` nanosecond conversion for [`std::time::Duration`]s.
-pub(crate) fn dur_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
 /// One worker: run jobs from `source` until it ends, returning this
 /// worker's job reports.
-fn worker(
+fn worker<C: Clock>(
     set: &TransactionSet,
     manager: &ShardedManager<'_>,
     snap: Option<&SnapshotSide>,
-    source: &JobSource<'_>,
+    source: &JobSource<'_, C>,
     config: &RtConfig,
     worker_index: usize,
-    t0: Instant,
+    clock: &C,
 ) -> Vec<JobReport> {
     let mut ctx = WorkerCtx::new(worker_index);
     // An even share of a known job list, so a closed-loop worker's
     // reports never regrow (regrowth faults in fresh pages every run).
     let mut reports = Vec::with_capacity(source.known_len().div_ceil(config.threads.max(1)));
+    let work = |ticks| clock.work(ticks, config.tick_ns);
     while let Some((id, admitted)) = source.next() {
-        let started = Instant::now();
-        let stats = execute_job(set, manager, snap, id, &mut ctx, config);
-        let committed = Instant::now();
+        let started = clock.now_ns();
+        let stats = execute_job(set, manager, snap, id, &mut ctx, &work);
+        let committed = clock.now_ns();
         // No admission record (the closed loop): the worker admits and
         // starts the job in the same breath, so queueing delay is zero,
         // service is the whole latency and the release is the start.
-        let service_ns = dur_ns(committed.duration_since(started));
+        let service_ns = committed - started;
         let (queue_ns, release_ns, tenant, deadline_ns) = match &admitted {
             Some(job) => (
-                dur_ns(started.duration_since(job.admitted_at)),
+                started.saturating_sub(job.admitted_ns),
                 job.req.release_ns,
                 job.req.tenant,
                 job.req.deadline_ns,
             ),
-            None => (0, dur_ns(started.duration_since(t0)), 0, None),
+            None => (0, started, 0, None),
         };
         let report = JobReport {
             id,
@@ -635,7 +625,7 @@ fn worker(
             release_ns,
             tenant,
             deadline_ns,
-            commit_ns: dur_ns(committed.duration_since(t0)),
+            commit_ns: committed,
             restarts: stats.restarts,
             block_events: stats.block_events,
             lower_blockers: stats.lower_blockers,
@@ -661,12 +651,12 @@ fn execute_job(
     snap: Option<&SnapshotSide>,
     id: InstanceId,
     ctx: &mut WorkerCtx,
-    config: &RtConfig,
+    work: &impl Fn(u64),
 ) -> JobStats {
     let template = set.template(id.txn);
     if let Some(side) = snap {
         if template.is_read_only() {
-            return execute_snapshot_job(set, side, id, ctx, config);
+            return execute_snapshot_job(set, side, id, ctx, work);
         }
     }
     let steps = template.steps.as_slice();
@@ -688,7 +678,7 @@ fn execute_job(
                     Outcome::Restart => continue 'attempt,
                 }
             }
-            spin_work(step.duration, config.tick_ns);
+            work(step.duration.raw());
             // Early releases (and CCP's early installs) apply after every
             // *non-final* step; the final step's locks fall to commit.
             if step_index + 1 < steps.len() {
@@ -715,7 +705,7 @@ fn execute_snapshot_job(
     side: &SnapshotSide,
     id: InstanceId,
     ctx: &mut WorkerCtx,
-    config: &RtConfig,
+    work: &impl Fn(u64),
 ) -> JobStats {
     let template = set.template(id.txn);
     let stamp = side.store.pin(ctx.worker);
@@ -731,7 +721,7 @@ fn execute_snapshot_job(
             let rec = ctx.ws.read_versioned(item, vv.value, vv.version);
             reads.push((item, rec.value, rec.version));
         }
-        spin_work(step.duration, config.tick_ns);
+        work(step.duration.raw());
     }
     side.store.unpin(ctx.worker);
     let ordinal = side.commit_reader(ctx.worker, ReaderLog { id, reads });
@@ -741,20 +731,5 @@ fn execute_snapshot_job(
         block_events: 0,
         lower_blockers: Vec::new(),
         snapshot: Some(stamp),
-    }
-}
-
-/// Busy-wait for `duration` simulated ticks at `tick_ns` wall-clock
-/// nanoseconds per tick. The runtime never sleeps: a blocked lock, a
-/// gated commit and a held restart park on a condvar, and computation
-/// is modelled as CPU work.
-fn spin_work(duration: rtdb_types::Duration, tick_ns: u64) {
-    let ns = duration.raw().saturating_mul(tick_ns);
-    if ns == 0 {
-        return;
-    }
-    let deadline = Instant::now() + Duration::from_nanos(ns);
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
     }
 }

@@ -1,41 +1,38 @@
 //! Admission front-end validation: deterministic deadline accounting and
 //! sim-vs-rt open-loop differentials.
 //!
-//! Deadline verdicts in the runtime are wall-clock observations, so every
-//! assertion here is built on *margins*: schedules are staged so that each
-//! met/missed verdict has tens of milliseconds of slack against scheduler
-//! noise, while the logical structure (who queues behind whom) is forced
-//! by a single worker and the priority-ordered admission queue.
+//! The timed tests run on the logical [`TestClock`], paused while they
+//! submit: busy work advances time by exactly ticks × `tick_ns`, so every
+//! stamp and met/missed verdict is tick arithmetic, as in the simulator,
+//! and is asserted exactly. Who queues behind whom is forced by a single
+//! worker and the priority-ordered admission queue.
 
 use rtdb_core::ProtocolKind;
+use rtdb_rt::front::run_front_on;
+use rtdb_rt::testkit::TestClock;
+use rtdb_rt::AdmissionPolicy::{LeastSlack, Reject};
 use rtdb_rt::{
-    run_front, AdmissionPolicy, Completion, FrontConfig, JobRequest, RtConfig, SubmitOutcome,
+    run_front, AdmissionPolicy, Completion, FrontConfig, JobRequest, RtConfig, RtResult,
+    SubmitOutcome, Submitter,
 };
 use rtdb_sim::{serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::{
     InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
 };
+use std::sync::mpsc::Receiver;
 
 /// Milliseconds in nanoseconds.
 const MS: u64 = 1_000_000;
 
-/// The tests that stage a schedule on wall-clock margins busy-spin one to
-/// four workers for tens to hundreds of milliseconds. The harness runs
-/// tests on parallel threads; on a 2-CPU host two such tests at once eat
-/// each other's margins, so they take turns.
-fn wall_clock_turn() -> std::sync::MutexGuard<'static, ()> {
-    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    TURN.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// The burst tests' tick.
+const TICK: u64 = 2 * MS;
 
 /// A known schedule forcing exactly K = 2 misses: one long job owns the
 /// single worker while two short jobs with tight deadlines queue behind
 /// it. The misses are *queueing* misses — each short job's own service is
-/// ~1 ms against a 10 ms deadline, but it cannot start for ~50 ms.
+/// 1 ms against a 10 ms deadline, but it cannot start for 50 ms.
 #[test]
 fn forced_schedule_misses_exactly_k() {
-    let _turn = wall_clock_turn();
     let set = SetBuilder::new()
         .with(TransactionTemplate::new(
             "long",
@@ -56,12 +53,14 @@ fn forced_schedule_misses_exactly_k() {
                 .with_threads(1)
                 .with_tick_ns(MS),
         );
-    let (result, ()) = run_front(&set, config, |front| {
+    let clock = TestClock::default();
+    let (result, ()) = run_front_on(&set, config, clock.clone(), |front| {
+        let _paused = clock.pause();
         let (sub, _rx) = front.submitter();
         // J0: 50 ms of service against a 10 s deadline — meets.
         sub.submit(JobRequest::new(TxnId(0)).with_deadline(10_000 * MS));
-        // J1, J2: ~1 ms of service against 10 ms deadlines, queued behind
-        // 50 ms of J0 — both miss, by ≥ 40 ms of margin.
+        // J1, J2: 1 ms of service against 10 ms deadlines, queued at 0
+        // behind 50 ms of J0 — both miss.
         sub.submit(JobRequest::new(TxnId(1)).with_deadline(10 * MS));
         sub.submit(JobRequest::new(TxnId(1)).with_deadline(10 * MS));
     });
@@ -71,14 +70,12 @@ fn forced_schedule_misses_exactly_k() {
     assert_eq!((result.shed, result.rejected), (0, 0));
 
     // The misses are the two tight jobs, and they are queueing misses:
-    // time spent waiting for the worker dominates their own service.
+    // they wait out J0 (and the second one J1 too), then serve 1 ms.
     for job in &result.jobs {
         if job.id.txn == TxnId(1) {
             assert!(job.missed_deadline(), "tight job met: {job:?}");
-            assert!(
-                job.queue_ns > 30 * MS,
-                "miss was not queueing-dominated: {job:?}"
-            );
+            let waited = (50 + u64::from(job.id.seq)) * MS;
+            assert_eq!((job.queue_ns, job.service_ns), (waited, MS), "{job:?}");
             assert!(job.queue_ns > job.service_ns, "{job:?}");
         } else {
             assert!(!job.missed_deadline(), "long job missed: {job:?}");
@@ -101,8 +98,8 @@ fn forced_schedule_misses_exactly_k() {
 /// preempts because nothing arrives later) and the single-worker
 /// front-end (the admission queue pops the highest priority waiting).
 /// Template k has service 10 ticks and cumulative completion 10·(k+1);
-/// its period (= relative deadline) is chosen so the met/missed verdict
-/// has ≥ 3 ticks of margin.
+/// its period (= relative deadline) puts the met/missed verdict ≥ 3 ticks
+/// from the completion.
 fn burst_builder() -> SetBuilder {
     let periods = [16u64, 17, 40, 45, 46];
     let mut b = SetBuilder::new();
@@ -119,27 +116,44 @@ fn burst_set() -> TransactionSet {
     burst_builder().build().expect("burst set")
 }
 
-/// The simulator's commit order and miss verdicts for the burst under
-/// `kind`: the pattern the arithmetic above promises.
-fn sim_burst(kind: ProtocolKind) -> (rtdb_sim::RunResult, Vec<InstanceId>, Vec<bool>) {
+/// Assert that the one-worker run `rt`, past its first `skip` jobs, ran
+/// the burst from time `from` on as the simulator runs it from 0 under
+/// `kind`: the same commit order, miss pattern, commit times (in ns at
+/// [`TICK`]) and final database. Returns the simulator's run.
+fn check_burst(kind: ProtocolKind, rt: &RtResult, skip: usize, from: u64) -> rtdb_sim::RunResult {
     let sim = Engine::new(&burst_set(), SimConfig::default())
         .run_kind(kind)
         .expect("sim run");
     assert_eq!(sim.outcome, RunOutcome::Completed, "{kind:?}");
-    let order: Vec<InstanceId> = sim.history.commit_order().to_vec();
-    let missed: Vec<bool> = order
+    let sim_order: Vec<InstanceId> = sim.history.commit_order().to_vec();
+    let (sim_missed, sim_commit_ns): (Vec<bool>, Vec<u64>) = sim_order
         .iter()
         .map(|id| {
-            !sim.metrics
-                .instance(*id)
-                .expect("sim metrics")
-                .met_deadline()
+            let m = sim.metrics.instance(*id).expect("sim metrics");
+            let completion = m.completion.expect("committed");
+            (!m.met_deadline(), completion.raw() * TICK)
         })
-        .collect();
+        .unzip();
     // Assert the pattern so the tests cannot silently degenerate into "no
     // misses anywhere".
-    assert_eq!(missed, [false, true, false, false, true], "{kind:?}");
-    (sim, order, missed)
+    assert_eq!(sim_missed, [false, true, false, false, true], "{kind:?}");
+
+    let burst = &rt.jobs[skip..];
+    let rt_order: Vec<InstanceId> = burst.iter().map(|j| j.id).collect();
+    assert_eq!(rt_order, sim_order, "{kind:?}: commit order diverged");
+    let rt_missed: Vec<bool> = burst.iter().map(|j| j.missed_deadline()).collect();
+    assert_eq!(rt_missed, sim_missed, "{kind:?}: miss pattern diverged");
+    let rt_commit_ns: Vec<u64> = burst.iter().map(|j| j.commit_ns - from).collect();
+    assert_eq!(
+        rt_commit_ns, sim_commit_ns,
+        "{kind:?}: commit times diverged"
+    );
+    assert_eq!(
+        rt.db.snapshot(),
+        sim.db.snapshot(),
+        "{kind:?}: final database diverged"
+    );
+    sim
 }
 
 /// The single-thread open-loop run reproduces the simulator's miss and
@@ -148,19 +162,18 @@ fn sim_burst(kind: ProtocolKind) -> (rtdb_sim::RunResult, Vec<InstanceId>, Vec<b
 /// simulator runs *and* with each other.
 #[test]
 fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
-    let _turn = wall_clock_turn();
-    const TICK: u64 = 2 * MS;
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
         let set = burst_set();
-        let (sim, sim_order, sim_missed) = sim_burst(kind);
 
-        // Open-loop run: submit the burst in priority order at t≈0 with
+        // Open-loop run: submit the burst in priority order at t = 0 with
         // deadline = release + period scaled by the same tick the worker
         // uses for computation.
         let config = FrontConfig::new(kind)
             .with_policy(AdmissionPolicy::Reject)
             .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
-        let (rt, ()) = run_front(&set, config, |front| {
+        let clock = TestClock::default();
+        let (rt, ()) = run_front_on(&set, config, clock.clone(), |front| {
+            let _paused = clock.pause();
             let (sub, _rx) = front.submitter();
             for k in 0..5 {
                 let req = JobRequest::periodic(&set, TxnId(k), 0, TICK);
@@ -169,15 +182,7 @@ fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
         });
 
         assert_eq!(rt.committed, 5, "{kind:?}");
-        let rt_order: Vec<InstanceId> = rt.jobs.iter().map(|j| j.id).collect();
-        assert_eq!(rt_order, sim_order, "{kind:?}: commit order diverged");
-        let rt_missed: Vec<bool> = rt.jobs.iter().map(|j| j.missed_deadline()).collect();
-        assert_eq!(rt_missed, sim_missed, "{kind:?}: miss pattern diverged");
-        assert_eq!(
-            rt.db.snapshot(),
-            sim.db.snapshot(),
-            "{kind:?}: final database diverged"
-        );
+        let sim = check_burst(kind, &rt, 0, 0);
 
         // Per-priority ratios line up with the simulator's per-template
         // miss counts (every template is its own priority level here).
@@ -199,9 +204,7 @@ fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
 /// highest-priority job waiting, not the oldest.
 #[test]
 fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
-    let _turn = wall_clock_turn();
-    const TICK: u64 = 2 * MS;
-    // The pin's length: the burst is queued long before it ends.
+    // The pin's length: it holds the worker while the clock is paused.
     const PIN_TICKS: u64 = 10;
     // The burst's templates keep their ids and relative priorities; the
     // pin computes only, so it conflicts with nothing.
@@ -214,12 +217,12 @@ fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
         .expect("pinned burst set");
     let pin = TxnId(5);
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
-        let (sim, sim_order, sim_missed) = sim_burst(kind);
-
         let config = FrontConfig::new(kind)
             .with_policy(AdmissionPolicy::Reject)
             .with_rt(RtConfig::new(kind).with_threads(1).with_tick_ns(TICK));
-        let (rt, ()) = run_front(&set, config, |front| {
+        let clock = TestClock::default();
+        let (rt, release) = run_front_on(&set, config, clock.clone(), |front| {
+            let _paused = clock.pause();
             let (sub, rx) = front.submitter();
             assert!(matches!(
                 sub.submit(JobRequest::new(pin)),
@@ -238,20 +241,13 @@ fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
                 rx.try_recv().is_err(),
                 "{kind:?}: the pin committed before the burst was queued; the order below is void"
             );
+            release
         });
 
         assert_eq!(rt.committed, 6, "{kind:?}");
-        assert_eq!(rt.jobs[0].id.txn, pin, "{kind:?}");
-        let burst = &rt.jobs[1..];
-        let rt_order: Vec<InstanceId> = burst.iter().map(|j| j.id).collect();
-        assert_eq!(rt_order, sim_order, "{kind:?}: dispatch is not by priority");
-        let rt_missed: Vec<bool> = burst.iter().map(|j| j.missed_deadline()).collect();
-        assert_eq!(rt_missed, sim_missed, "{kind:?}: miss pattern diverged");
-        assert_eq!(
-            rt.db.snapshot(),
-            sim.db.snapshot(),
-            "{kind:?}: final database diverged"
-        );
+        assert_eq!((rt.jobs[0].id.txn, rt.jobs[0].commit_ns), (pin, release));
+        // Dispatch is by priority: the burst runs as the simulator's does.
+        check_burst(kind, &rt, 1, release);
     }
 }
 
@@ -410,9 +406,9 @@ fn unknown_template_is_rejected_and_the_run_goes_on() {
 }
 
 /// `workers` long jobs, one per worker, then short ones: the shape that
-/// shows what is queued and what is running. The long job (300 ms)
-/// outlasts the submission phase by orders of magnitude, and each test
-/// checks that premise (no completion arrived while it was submitting).
+/// shows what is queued and what is running. On the paused clock a long
+/// job holds its worker while the test submits, and each test checks that
+/// premise (no completion arrived while it was submitting).
 fn pinned_set() -> TransactionSet {
     SetBuilder::new()
         .with(TransactionTemplate::new(
@@ -429,27 +425,34 @@ fn pinned_set() -> TransactionSet {
         .expect("set")
 }
 
-fn pinned_config(policy: AdmissionPolicy, workers: usize, capacity: usize) -> FrontConfig {
-    FrontConfig::new(ProtocolKind::PcpDa)
-        .with_policy(policy)
+/// Run `driver` on a front-end of `workers` workers over [`pinned_set`],
+/// each worker pinned by a long job: the clock is paused until `driver`
+/// returns, so from its start on every worker is busy and the queue is
+/// empty.
+fn run_pinned<R>(
+    policy: AdmissionPolicy,
+    workers: usize,
+    capacity: usize,
+    driver: impl FnOnce(&Submitter<'_, TestClock>, &Receiver<Completion>) -> R,
+) -> (RtResult, R) {
+    let rt = RtConfig::new(ProtocolKind::PcpDa).with_tick_ns(MS);
+    let config = FrontConfig::new(ProtocolKind::PcpDa).with_policy(policy);
+    let clock = TestClock::default();
+    let config = config
         .with_capacity(capacity)
-        .with_rt(
-            RtConfig::new(ProtocolKind::PcpDa)
-                .with_threads(workers)
-                .with_tick_ns(MS),
-        )
-}
-
-/// Submit one long job per worker and wait until the workers have taken
-/// them all: from here on every worker is busy and the queue is empty.
-fn pin_workers(front: &rtdb_rt::FrontHandle<'_>, sub: &rtdb_rt::Submitter<'_>, workers: usize) {
-    for _ in 0..workers {
-        let out = sub.submit(JobRequest::new(TxnId(0)));
-        assert!(matches!(out, SubmitOutcome::Admitted { .. }), "{out:?}");
-    }
-    while front.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
+        .with_rt(rt.with_threads(workers));
+    run_front_on(&pinned_set(), config, clock.clone(), |front| {
+        let _paused = clock.pause();
+        let (sub, rx) = front.submitter();
+        for _ in 0..workers {
+            let out = sub.submit(JobRequest::new(TxnId(0)));
+            assert!(matches!(out, SubmitOutcome::Admitted { .. }), "{out:?}");
+        }
+        while front.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        driver(&sub, &rx)
+    })
 }
 
 /// Time for a hand-off stage hiding behind the queue to take what it can.
@@ -465,15 +468,10 @@ fn settle() {
 /// third place for it to wait.
 #[test]
 fn reject_admits_exactly_running_plus_capacity() {
-    let _turn = wall_clock_turn();
     const C: usize = 8;
     const ROUNDS: usize = 3;
     for workers in [1usize, 4] {
-        let set = pinned_set();
-        let config = pinned_config(AdmissionPolicy::Reject, workers, C);
-        let (rt, (admitted, rejected)) = run_front(&set, config, |front| {
-            let (sub, rx) = front.submitter();
-            pin_workers(&front, &sub, workers);
+        let (rt, (admitted, rejected)) = run_pinned(Reject, workers, C, |sub, rx| {
             let (mut admitted, mut rejected) = (workers, 0usize);
             for _ in 0..ROUNDS {
                 for _ in 0..C + 2 {
@@ -504,15 +502,10 @@ fn reject_admits_exactly_running_plus_capacity() {
 /// position a hand-off stage behind the queue would have hidden.
 #[test]
 fn least_slack_reaches_every_request_not_yet_running() {
-    let _turn = wall_clock_turn();
     const C: usize = 8;
     const HOUR: u64 = 3_600_000 * MS;
     for workers in [1usize, 4] {
-        let set = pinned_set();
-        let config = pinned_config(AdmissionPolicy::LeastSlack, workers, C);
-        let (rt, ()) = run_front(&set, config, |front| {
-            let (sub, rx) = front.submitter();
-            pin_workers(&front, &sub, workers);
+        let (rt, ()) = run_pinned(LeastSlack, workers, C, |sub, rx| {
             // Fill the queue, the tightest deadline first.
             let mut tickets = Vec::new();
             for k in 0..C as u64 {
