@@ -182,8 +182,8 @@ impl ProtocolKind {
     /// Whether read-only transactions may bypass this protocol and read
     /// from a multiversion snapshot (never locking, never raising
     /// `Sysceil`, never blocking or being blocked) — the one statement of
-    /// the rule: the runtime reads it here, the simulator applies the
-    /// same test to the running protocol's `update_model()`.
+    /// the rule, which the runtime reads here (the simulator, like the
+    /// paper, sends every read through locks).
     ///
     /// Exactly the deferred-update kinds qualify: every commit installs
     /// atomically at a global commit stamp, so a snapshot at stamp `S`

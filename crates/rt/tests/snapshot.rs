@@ -1,12 +1,13 @@
 //! Snapshot read path validation: zero-lock execution for read-only
 //! jobs, snapshot-aware serializability for every protocol kind,
-//! sim-differential agreement with the path enabled, and memory-flatness
-//! of the epoch-GC'd version chains under a soak.
+//! agreement with the simulator's lock-path final state, memory-flatness
+//! of the epoch-GC'd version chains under a soak, and the snapshot
+//! oracle catching a reader placed at the wrong stamp.
 
 use rtdb_core::ProtocolKind;
 use rtdb_rt::{run, run_jobs, RtConfig};
 use rtdb_sim::{
-    snapshot_serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams,
+    snapshot_serializability_violations, Engine, RunOutcome, SimConfig, Violation, WorkloadParams,
 };
 use rtdb_storage::mvcc::SWEEP_INTERVAL;
 use rtdb_types::{InstanceId, SetBuilder, TransactionSet};
@@ -113,7 +114,9 @@ fn snapshot_runs_are_serializable_for_all_kinds() {
 fn single_thread_replay_with_snapshots_matches_sim() {
     for kind in ProtocolKind::STANDARD {
         let set = bounded(&read_heavy_workload(0xD1FF + kind as u64, 4, 2));
-        let mut sim_config = SimConfig::default().with_snapshot_reads();
+        // The simulator runs every read through locks; snapshot readers
+        // are invisible to writers, so the final state must agree.
+        let mut sim_config = SimConfig::default();
         if kind.may_deadlock() {
             sim_config = sim_config.resolving_deadlocks();
         }
@@ -179,5 +182,62 @@ fn snapshot_soak_stays_memory_flat() {
         rt.mv_high_water <= bound,
         "version chains grew unbounded: high water {} (bound {bound}) across {sealed} commits",
         rt.mv_high_water
+    );
+}
+
+#[test]
+fn a_reader_moved_past_a_write_it_missed_is_caught() {
+    // One worker: each reader's true stamp is exactly the lock-path
+    // commits before it, and the oracle accepts those stamps.
+    let set = read_heavy_workload(0x0BAD, 4, 2);
+    let config = RtConfig::new(ProtocolKind::PcpDa)
+        .with_threads(1)
+        .with_snapshot_reads(true);
+    let rt = run_jobs(&set, 200, 5, config);
+    let stamps = rt.snapshot_stamps();
+    assert!(!stamps.is_empty(), "no reader took the path");
+    let check = |stamps: &[(InstanceId, u64)]| {
+        snapshot_serializability_violations(&set, &rt.history, &rt.db, true, stamps)
+    };
+    assert_eq!(check(&stamps), []);
+
+    // Move one reader to the stamp of a later lock-path commit that wrote
+    // an item it read: at that stamp it should have seen that write.
+    let index = rt.history.committed_index();
+    let lock_path: Vec<InstanceId> = rt
+        .history
+        .commit_order()
+        .iter()
+        .copied()
+        .filter(|&w| stamps.iter().all(|&(r, _)| r != w))
+        .collect();
+    // The stamp a lock-path commit seals: its 1-based position.
+    let stamp_of = |writer| {
+        let p = lock_path.iter().position(|&w| w == writer)?;
+        Some(p as u64 + 1)
+    };
+    let (moved, wrong) = stamps
+        .iter()
+        .enumerate()
+        .find_map(|(i, &(reader, stamp))| {
+            let later = index
+                .reads(reader)
+                .iter()
+                .flat_map(|read| index.installs(read.item))
+                .filter_map(|&(_, writer)| stamp_of(writer))
+                .find(|&k| k > stamp)?;
+            Some((i, later))
+        })
+        .expect("some reader read an item written after its stamp");
+    let mut shifted = stamps.clone();
+    shifted[moved].1 = wrong;
+    let violations = check(&shifted);
+    assert!(
+        violations.iter().any(|v| matches!(v,
+            Violation::SnapshotInconsistency { reader, stamp, .. }
+                if *reader == stamps[moved].0 && *stamp == wrong)),
+        "moving {:?} from stamp {} to {wrong} went unseen: {violations:?}",
+        stamps[moved].0,
+        stamps[moved].1
     );
 }

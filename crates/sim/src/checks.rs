@@ -138,14 +138,12 @@ pub fn verify_run(set: &TransactionSet, run: &RunResult, expect: Expectations) -
     }
 
     // Serializability — always checked: conflict graph first, then the
-    // value-level replay in the appropriate order. Snapshot readers (if
-    // the run used the lock-exempt path) are verified at their stamps.
-    out.extend(snapshot_serializability_violations(
+    // value-level replay in the appropriate order.
+    out.extend(serializability_violations(
         set,
         &run.history,
         &run.db,
         expect.commit_order_serialization,
-        &run.snapshot_stamps(),
     ));
 
     out
@@ -206,8 +204,8 @@ fn replay_violations(
 
 /// [`serializability_violations`] extended for histories with lock-exempt
 /// snapshot readers. `snapshots` lists each reader with its pinned commit
-/// stamp (as produced by `RunResult::snapshot_stamps` or the runtime's
-/// report); with an empty list this is exactly the plain oracle.
+/// stamp (as the runtime's `RtResult::snapshot_stamps` reports them); with
+/// an empty list this is exactly the plain oracle.
 ///
 /// Three layers:
 /// 1. conflict-graph acyclicity on the raw history (edges derive from the
@@ -228,9 +226,8 @@ pub fn snapshot_serializability_violations(
     commit_order_serialization: bool,
     snapshots: &[(InstanceId, u64)],
 ) -> Vec<Violation> {
-    // Only committed readers participate; unfinished ones have no Commit
-    // event to place (the runtime never reports them, but the simulator's
-    // metrics include leftovers at the horizon).
+    // Only committed readers participate; an unfinished one has no Commit
+    // event to place.
     let index = history.committed_index();
     let readers: BTreeMap<InstanceId, u64> = snapshots
         .iter()

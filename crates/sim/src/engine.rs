@@ -40,7 +40,7 @@
 //! by that slot: a slot is reused by whichever instance the kernel begins
 //! next, keeping its workspace capacity, so the steady state of a long
 //! run allocates nothing per instance. The per-instance sweeps (dispatch,
-//! lower-priority attribution, deadline misses, snapshot pins) walk
+//! lower-priority attribution, deadline misses) walk
 //! [`EngineView::active_instances`] and [`StateKernel::active_slots`] in
 //! step and search nothing. Arrivals are not materialized up front; an
 //! `ArrivalCalendar` (a binary heap with one outstanding entry per
@@ -53,15 +53,9 @@ use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace, TraceEvent};
 use rtdb_core::{
     CeilingFlavor, Effect, Effects, EngineView, ProtocolFor, ProtocolKind, Record, StateKernel,
-    UpdateModel,
 };
-use rtdb_storage::{
-    Database, EventKind, History, MvStore, ReplayOutcome, SerializationGraph, VersionedValue,
-    Workspace,
-};
-use rtdb_types::{
-    Duration, Error, InstanceId, ItemId, LockMode, Result, Tick, TransactionSet, TxnId,
-};
+use rtdb_storage::{Database, History, ReplayOutcome, SerializationGraph, Workspace};
+use rtdb_types::{Duration, Error, InstanceId, Result, Tick, TransactionSet, TxnId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -76,11 +70,6 @@ pub struct SimConfig {
     pub resolve_deadlocks: bool,
     /// Safety budget on scheduler iterations.
     pub max_steps: u64,
-    /// Offer read-only transactions the lock-exempt multiversion snapshot
-    /// path. Takes effect only under the deferred-update model
-    /// ([`ProtocolKind::snapshot_exempt`] states the rule; CCP installs
-    /// at early release and keeps lock-based reads).
-    pub snapshot_reads: bool,
 }
 
 impl Default for SimConfig {
@@ -89,7 +78,6 @@ impl Default for SimConfig {
             horizon: None,
             resolve_deadlocks: false,
             max_steps: 10_000_000,
-            snapshot_reads: false,
         }
     }
 }
@@ -106,12 +94,6 @@ impl SimConfig {
     /// Enable deadlock resolution by victim abort.
     pub fn resolving_deadlocks(mut self) -> Self {
         self.resolve_deadlocks = true;
-        self
-    }
-
-    /// Enable the multiversion snapshot path for read-only transactions.
-    pub fn with_snapshot_reads(mut self) -> Self {
-        self.snapshot_reads = true;
         self
     }
 }
@@ -143,13 +125,6 @@ pub struct RunResult {
     pub outcome: RunOutcome,
     /// Value of the simulation clock when the run ended.
     pub final_clock: Tick,
-    /// True if the lock-exempt snapshot path was active (config asked for
-    /// it *and* the protocol defers its updates to commit).
-    pub snapshot_reads: bool,
-    /// Longest per-item version chain the multiversion side store ever
-    /// held (0 when the snapshot path was off) — the memory-flatness
-    /// telemetry the epoch GC is asserted against.
-    pub mv_high_water: usize,
 }
 
 impl RunResult {
@@ -170,16 +145,6 @@ impl RunResult {
     /// history). This is the correctness oracle valid for *all* protocols.
     pub fn is_conflict_serializable(&self) -> bool {
         self.serialization_graph().find_cycle().is_none()
-    }
-
-    /// Commit stamps of the instances that ran on the snapshot path,
-    /// sorted by instance id: each observed exactly the state after its
-    /// stamp's worth of lock-path commits. Empty when the path was off.
-    pub fn snapshot_stamps(&self) -> Vec<(InstanceId, u64)> {
-        self.metrics
-            .instances()
-            .filter_map(|m| m.snapshot.map(|s| (m.id, s)))
-            .collect()
     }
 
     /// Serial-replay oracle in a topological order of the serialization
@@ -301,8 +266,6 @@ struct InstanceSlot {
     blocking: Duration,
     lower_exec: Duration,
     workspace: Workspace,
-    /// Commit stamp pinned by a snapshot reader at its first read.
-    snapshot: Option<u64>,
     /// Parked at the commit gate: all steps done, waiting for commit
     /// dependencies to drain. Never dispatched (its `step` is past the
     /// template's last index).
@@ -327,7 +290,6 @@ impl InstanceSlot {
             blocking: Duration::ZERO,
             lower_exec: Duration::ZERO,
             workspace,
-            snapshot: None,
             gated: false,
         }
     }
@@ -402,19 +364,9 @@ struct Sim<'a> {
     /// What only a simulation keeps per live instance (progress, clocks,
     /// the workspace), indexed by the kernel's record slot.
     slots: Vec<InstanceSlot>,
-    /// Per-template read-only flags (index = `TxnId::index()`).
-    read_only: Vec<bool>,
-    /// The snapshot path is on for this run (config asked *and* the
-    /// protocol defers its updates to commit).
-    snapshot_on: bool,
     config: &'a SimConfig,
     clock: Tick,
     calendar: ArrivalCalendar,
-    /// Multiversion side store backing snapshot readers (idle unless the
-    /// snapshot path is on).
-    mv: MvStore,
-    /// Scratch for the versions a commit installed, on their way to `mv`.
-    installed: Vec<(ItemId, VersionedValue)>,
     /// What the kernel's last call did, kept for its capacity.
     fx: Effects,
     trace: Trace,
@@ -477,29 +429,15 @@ impl<'a> Sim<'a> {
             set,
             kernel,
             slots: Vec::new(),
-            read_only: set.templates().iter().map(|t| t.is_read_only()).collect(),
-            snapshot_on: false,
             config,
             clock: Tick::ZERO,
             calendar,
-            mv: MvStore::new(),
-            installed: Vec::new(),
             fx: Effects::default(),
             trace,
             metrics,
             outcome: RunOutcome::Completed,
             next_miss_check: Tick(u64::MAX),
         }
-    }
-
-    /// True if `who` runs on the lock-exempt snapshot path: it never
-    /// requests locks and — as far as any protocol can observe — has read
-    /// nothing (its reads bypass the kernel, so its `DataRead` there
-    /// stays empty), so it can neither block nor be aborted by protocol
-    /// decisions.
-    #[inline]
-    fn exempt(&self, who: InstanceId) -> bool {
-        self.snapshot_on && self.read_only[who.txn.index()]
     }
 
     /// The record slot of a live instance.
@@ -523,10 +461,6 @@ impl<'a> Sim<'a> {
     }
 
     fn run<P: ProtocolFor<StateKernel<'a>>>(&mut self, protocol: &mut P) -> Result<()> {
-        // The rule `ProtocolKind::snapshot_exempt` states, read off the
-        // protocol itself so hand-written protocols get it too.
-        self.snapshot_on =
-            self.config.snapshot_reads && protocol.update_model() == UpdateModel::Workspace;
         let mut budget = self.config.max_steps;
         loop {
             budget = budget.checked_sub(1).ok_or(Error::EventBudgetExhausted)?;
@@ -629,16 +563,6 @@ impl<'a> Sim<'a> {
             let (step_index, resumed) = (slot.step, slot.was_denied);
 
             if slot.acquired {
-                return Some((who, s));
-            }
-            if self.exempt(who) {
-                // Snapshot reader: no lock request, no protocol call. The
-                // read resolves against the stamp pinned at the first read.
-                if let Some((item, mode)) = step.op.access() {
-                    debug_assert_eq!(mode, LockMode::Read, "read-only template wrote");
-                    self.perform_snapshot_read(who, s, item);
-                }
-                self.slots[s].acquired = true;
                 return Some((who, s));
             }
             let Some((item, mode)) = step.op.access() else {
@@ -775,42 +699,6 @@ impl<'a> Sim<'a> {
         self.next_miss_check = next;
     }
 
-    /// Serve a snapshot reader's read: pin the current commit stamp on
-    /// first use, then resolve the item against that stamp in the
-    /// multiversion store. No locks, no protocol.
-    fn perform_snapshot_read(&mut self, who: InstanceId, s: usize, item: ItemId) {
-        let slot = &mut self.slots[s];
-        let mv = &self.mv;
-        let stamp = *slot.snapshot.get_or_insert_with(|| mv.stamp());
-        let vv = mv.read_at(item, stamp).unwrap_or(VersionedValue::INITIAL);
-        let rec = slot.workspace.read_versioned(item, vv.value, vv.version);
-        self.kernel.log(
-            self.clock,
-            who,
-            EventKind::Read {
-                item,
-                value: rec.value,
-                version: rec.version,
-                own: false,
-            },
-        );
-    }
-
-    /// Retire multiversion entries no live snapshot (current or future)
-    /// can observe.
-    fn prune_mv(&mut self) {
-        let mut floor = self.mv.stamp();
-        let live = self.kernel.active_instances();
-        for (&id, &s) in live.iter().zip(self.kernel.active_slots()) {
-            if self.exempt(id) {
-                if let Some(stamp) = self.slots[s as usize].snapshot {
-                    floor = floor.min(stamp);
-                }
-            }
-        }
-        self.mv.prune(floor);
-    }
-
     /// The kernel woke `who` (or aborted it while blocked): close its
     /// blocked segment.
     fn unblock(&mut self, who: InstanceId) {
@@ -838,10 +726,6 @@ impl<'a> Sim<'a> {
 
         if slot.step == total_steps {
             self.commit(who, s, protocol);
-            return;
-        }
-        if self.exempt(who) {
-            // Snapshot readers hold nothing to release early.
             return;
         }
 
@@ -873,10 +757,6 @@ impl<'a> Sim<'a> {
         s: usize,
         protocol: &mut P,
     ) {
-        if self.exempt(who) {
-            self.commit_snapshot(who, s);
-            return;
-        }
         // On one CPU a PCP-DA writer never reaches its commit before a
         // reader let past its write lock has left; only a thread pool
         // needs the wait-to-commit gate (`golden.rs` runs this check).
@@ -888,16 +768,13 @@ impl<'a> Sim<'a> {
                 )),
             "{who} reached its commit under a reader PCP-DA let past it"
         );
-        // Snapshot readers are never victims: their reads resolve against
-        // an immutable stamped prefix no commit invalidates.
         let clock = self.clock;
         let mut fx = std::mem::take(&mut self.fx);
-        let publish = self.snapshot_on.then_some(&mut self.installed);
         let ws = &self.slots[s].workspace;
         let tick = || clock;
         match self
             .kernel
-            .commit(protocol, who, ws, true, publish, tick, tick, &mut fx)
+            .commit(protocol, who, ws, true, None, tick, tick, &mut fx)
         {
             // Commit gate: with outstanding commit dependencies the
             // instance parks — live, holding its read locks, never
@@ -907,19 +784,7 @@ impl<'a> Sim<'a> {
                 debug_assert!(!slot.gated && slot.blocked_since.is_none());
                 slot.gated = true;
             }
-            Some(record) => {
-                self.retire_slot(who, s, record, Some(clock), None);
-                if self.snapshot_on {
-                    for (item, vv) in self.installed.drain(..) {
-                        self.mv.publish(item, vv);
-                    }
-                    // Every lock-path commit seals a stamp — written or
-                    // not — so a snapshot stamp is exactly a commit-order
-                    // position.
-                    self.mv.seal();
-                    self.prune_mv();
-                }
-            }
+            Some(record) => self.retire_slot(who, s, record, Some(clock)),
         }
         self.apply(&fx, protocol);
         self.fx = fx;
@@ -949,10 +814,6 @@ impl<'a> Sim<'a> {
                     }
                 }
                 Effect::Aborted(who, ..) => {
-                    debug_assert!(
-                        !self.exempt(who),
-                        "snapshot readers never abort (hold no locks, block nobody)"
-                    );
                     self.trace.push_event(TraceEvent::Abort { at: clock, who });
                     // If the victim was itself blocked, flush its blocked
                     // segment.
@@ -987,14 +848,7 @@ impl<'a> Sim<'a> {
     /// Fold the slot `s` that `who` just left in the kernel, and its
     /// kernel `record`, into the metrics. The slot keeps its contents
     /// until the kernel hands it to the next instance.
-    fn retire_slot(
-        &mut self,
-        who: InstanceId,
-        s: usize,
-        record: Record,
-        completion: Option<Tick>,
-        snapshot: Option<u64>,
-    ) {
+    fn retire_slot(&mut self, who: InstanceId, s: usize, record: Record, completion: Option<Tick>) {
         let slot = &self.slots[s];
         let m = InstanceMetrics {
             id: who,
@@ -1005,33 +859,8 @@ impl<'a> Sim<'a> {
             lower_exec: slot.lower_exec,
             distinct_lower_blockers: record.lower_blockers,
             restarts: record.restarts,
-            snapshot,
         };
         self.metrics.record(m);
-    }
-
-    /// Slim commit for a snapshot reader: no validation, no installs, no
-    /// locks to release, no protocol notification — just the Commit
-    /// event, metrics, and an epoch-GC pass now that its pin is gone.
-    fn commit_snapshot(&mut self, who: InstanceId, s: usize) {
-        self.kernel.log(self.clock, who, EventKind::Commit);
-        let record = self.kernel.remove(who);
-        self.trace.push_event(TraceEvent::Commit {
-            at: self.clock,
-            who,
-        });
-        debug_assert_eq!(
-            self.slots[s].blocking,
-            Duration::ZERO,
-            "snapshot readers never block"
-        );
-        debug_assert_eq!(record.restarts, 0, "snapshot readers never abort");
-        // A reader that never touched data still commits *as* a snapshot
-        // commit; stamp it now so every exempt commit in the history
-        // carries its serialization position.
-        let snapshot = self.slots[s].snapshot.or(Some(self.mv.stamp()));
-        self.retire_slot(who, s, record, Some(self.clock), snapshot);
-        self.prune_mv();
     }
 
     fn finish(mut self) -> RunResult {
@@ -1041,8 +870,7 @@ impl<'a> Sim<'a> {
             self.unblock(who);
             let s = self.slot_of(who);
             let record = self.kernel.remove(who);
-            let snapshot = self.slots[s].snapshot;
-            self.retire_slot(who, s, record, None, snapshot);
+            self.retire_slot(who, s, record, None);
         }
         self.metrics.sort_by_id();
         self.metrics.max_sysceil = self.trace.max_system_ceiling();
@@ -1056,8 +884,6 @@ impl<'a> Sim<'a> {
             trace: self.trace,
             outcome: self.outcome,
             final_clock: self.clock,
-            snapshot_reads: self.snapshot_on,
-            mv_high_water: self.mv.high_water(),
         }
     }
 }
@@ -1067,7 +893,7 @@ mod tests {
     use super::*;
     use rtdb_baselines::RwPcp;
     use rtdb_cc::PcpDa;
-    use rtdb_types::{SetBuilder, Step, TransactionTemplate};
+    use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate};
 
     fn example3_set() -> TransactionSet {
         SetBuilder::new()
@@ -1152,10 +978,9 @@ mod tests {
         slot.blocking = Duration(3);
         slot.lower_exec = Duration(2);
         slot.workspace.write(0, ItemId(1));
-        slot.snapshot = Some(7);
         slot.gated = true;
         let record = sim.kernel.remove(a);
-        sim.retire_slot(a, s, record, None, None);
+        sim.retire_slot(a, s, record, None);
         // The kernel hands the slot to the next instance it begins, here
         // one of the other template, which sees none of the old state.
         let b = InstanceId::new(TxnId(1), 0);

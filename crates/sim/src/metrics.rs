@@ -31,12 +31,6 @@ pub struct InstanceMetrics {
     pub distinct_lower_blockers: Vec<TxnId>,
     /// Times this instance was aborted and restarted.
     pub restarts: u32,
-    /// Commit stamp this instance's reads were served at, if it ran on
-    /// the lock-exempt multiversion snapshot path: it observed exactly the
-    /// state after the first `snapshot` lock-path commits. `None` for
-    /// lock-based instances (and for snapshot readers that never pinned —
-    /// pure-compute templates).
-    pub snapshot: Option<u64>,
 }
 
 impl InstanceMetrics {
@@ -261,7 +255,6 @@ mod tests {
             lower_exec: Duration::ZERO,
             distinct_lower_blockers: vec![],
             restarts: 0,
-            snapshot: None,
         }
     }
 

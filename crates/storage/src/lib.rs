@@ -14,8 +14,8 @@
 //!   commit and abort, the raw material for the correctness oracles, which
 //!   read it through one flat [`CommittedIndex`];
 //! * [`mvcc`] — bounded per-item version chains keyed by a global commit
-//!   stamp, powering the lock-free snapshot read path for read-only
-//!   transactions, with epoch-style reclamation;
+//!   stamp, powering the runtime's lock-free snapshot read path for
+//!   read-only transactions, with epoch-style reclamation;
 //! * [`SerializationGraph`] — the conflict graph `SG(H)` of a history with
 //!   cycle detection (Theorem 3 oracle), through [`find_cycle`], the cycle
 //!   search the kernel's deadlock check (Theorem 2) runs too;
@@ -42,6 +42,6 @@ pub mod workspace;
 pub use db::{Database, Version, VersionedValue};
 pub use graph::{find_cycle, ConflictEdge, EdgeKind, SerializationGraph};
 pub use history::{CommittedIndex, Event, EventKind, History};
-pub use mvcc::{MvStore, SnapshotStore, Stamp, NO_SNAPSHOT};
+pub use mvcc::{SnapshotStore, Stamp, NO_SNAPSHOT};
 pub use replay::{replay_in_order, replay_serial, ReplayOutcome, ReplayViolation};
 pub use workspace::Workspace;

@@ -16,15 +16,12 @@
 //! retires the tails of cold chains, so long open-loop soaks stay
 //! memory-flat.
 //!
-//! Two implementations share the discipline:
-//!
-//! * [`MvStore`] — plain single-threaded store for the discrete-event
-//!   simulator;
-//! * [`SnapshotStore`] — the concurrent store for `rtdb-rt`, pure `std`
-//!   (per-item mutexes + atomics, no unsafe): writers publish under the
-//!   manager's state lock, readers pin with a publish-then-verify protocol
-//!   and never block on anything but a single per-item mutex held for a
-//!   binary search and a copy.
+//! [`SnapshotStore`] is the one store: the threaded runtime's (`rtdb-rt`),
+//! pure `std` (per-item locks + atomics, no unsafe). Writers publish under
+//! the manager's state lock; readers pin with a publish-then-verify
+//! protocol and never block on anything but one per-item lock held for a
+//! binary search and a copy. The discrete-event simulator has no snapshot
+//! path: the paper's protocols send every read through locks.
 
 use crate::db::VersionedValue;
 use rtdb_types::ItemId;
@@ -68,76 +65,6 @@ fn chain_prune(chain: &mut Chain, floor: Stamp) {
     };
     if cut > 0 && chain.first().is_some_and(|&(s, _)| s <= floor) {
         chain.drain(..cut);
-    }
-}
-
-/// Single-threaded multiversion side store for the simulator.
-///
-/// The engine publishes each committing writer's installs at the next
-/// stamp, then [`MvStore::seal`]s the commit; read-only instances pin
-/// [`MvStore::stamp`] at dispatch and resolve every read through
-/// [`MvStore::read_at`]. [`MvStore::prune`] applies the epoch-GC rule given
-/// the oldest stamp still pinned by an active snapshot.
-#[derive(Clone, Debug, Default)]
-pub struct MvStore {
-    chains: std::collections::BTreeMap<ItemId, Chain>,
-    stamp: Stamp,
-    /// Longest chain ever observed (memory-flatness telemetry).
-    high_water: usize,
-}
-
-impl MvStore {
-    /// Empty store at stamp 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current commit stamp (number of sealed commits).
-    pub fn stamp(&self) -> Stamp {
-        self.stamp
-    }
-
-    /// Publish one installed version for the commit that will seal next
-    /// (stamp `self.stamp() + 1`).
-    pub fn publish(&mut self, item: ItemId, value: VersionedValue) {
-        let chain = self.chains.entry(item).or_default();
-        chain.push((self.stamp + 1, value));
-        self.high_water = self.high_water.max(chain.len());
-    }
-
-    /// Seal the current commit: all versions published since the last seal
-    /// become visible to snapshots taken from now on. Returns the new
-    /// stamp. Read-only commits do not seal — they leave the stamp alone.
-    pub fn seal(&mut self) -> Stamp {
-        self.stamp += 1;
-        self.stamp
-    }
-
-    /// The version of `item` visible at `stamp`, or `None` if no writer
-    /// had committed to it by then (the item reads as
-    /// [`VersionedValue::INITIAL`]).
-    pub fn read_at(&self, item: ItemId, stamp: Stamp) -> Option<VersionedValue> {
-        self.chains
-            .get(&item)
-            .and_then(|chain| chain_read_at(chain, stamp))
-    }
-
-    /// Retire every chain entry no snapshot at or above `floor` can
-    /// observe.
-    pub fn prune(&mut self, floor: Stamp) {
-        for chain in self.chains.values_mut() {
-            chain_prune(chain, floor);
-        }
-    }
-
-    /// Longest per-item chain ever held (bounded-memory assertion hook).
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Current length of the longest chain.
-    pub fn max_chain_len(&self) -> usize {
-        self.chains.values().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -306,50 +233,6 @@ mod tests {
             writer: Some(InstanceId::first(TxnId(0))),
             installed_at: Tick::ZERO,
         }
-    }
-
-    #[test]
-    fn mvstore_reads_resolve_to_snapshot_stamp() {
-        let mut mv = MvStore::new();
-        assert_eq!(mv.read_at(ItemId(0), 0), None);
-
-        mv.publish(ItemId(0), vv(1, 10));
-        mv.seal();
-        mv.publish(ItemId(0), vv(2, 20));
-        mv.publish(ItemId(1), vv(1, 5));
-        mv.seal();
-
-        assert_eq!(mv.stamp(), 2);
-        // Stamp 0: initial everywhere.
-        assert_eq!(mv.read_at(ItemId(0), 0), None);
-        // Stamp 1: only the first commit visible.
-        assert_eq!(mv.read_at(ItemId(0), 1), Some(vv(1, 10)));
-        assert_eq!(mv.read_at(ItemId(1), 1), None);
-        // Stamp 2: both.
-        assert_eq!(mv.read_at(ItemId(0), 2), Some(vv(2, 20)));
-        assert_eq!(mv.read_at(ItemId(1), 2), Some(vv(1, 5)));
-    }
-
-    #[test]
-    fn mvstore_prune_keeps_floor_visible_version() {
-        let mut mv = MvStore::new();
-        for i in 1..=5u64 {
-            mv.publish(ItemId(0), vv(i, i * 10));
-            mv.seal();
-        }
-        assert_eq!(mv.max_chain_len(), 5);
-        mv.prune(3);
-        // Stamps >= 3 must still resolve exactly.
-        assert_eq!(mv.read_at(ItemId(0), 3), Some(vv(3, 30)));
-        assert_eq!(mv.read_at(ItemId(0), 4), Some(vv(4, 40)));
-        assert_eq!(mv.read_at(ItemId(0), 5), Some(vv(5, 50)));
-        assert_eq!(mv.max_chain_len(), 3);
-        assert_eq!(mv.high_water(), 5);
-
-        // Pruning to the current stamp leaves exactly the latest version.
-        mv.prune(mv.stamp());
-        assert_eq!(mv.max_chain_len(), 1);
-        assert_eq!(mv.read_at(ItemId(0), 5), Some(vv(5, 50)));
     }
 
     #[test]

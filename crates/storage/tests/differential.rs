@@ -327,19 +327,14 @@ fn params(rng: &mut Rng) -> WorkloadParams {
 #[test]
 fn simulations_of_every_protocol_get_the_reference_answers() {
     for (i, kind) in ProtocolKind::ALL.into_iter().enumerate() {
-        for snapshot in [false, true] {
-            for s in 0..6u64 {
-                let mut rng = Rng::seed(0x0D1F_F000 + 100 * i as u64 + s);
-                let set = params(&mut rng).generate().expect("valid params").set;
-                let mut config = SimConfig::with_horizon(1_500).resolving_deadlocks();
-                if snapshot {
-                    config = config.with_snapshot_reads();
-                }
-                let run = Engine::new(&set, config)
-                    .run(&mut instantiate(kind))
-                    .expect("run succeeds");
-                assert_same_answers(&set, &run.history, &run.db, &mut rng);
-            }
+        for s in 0..12u64 {
+            let mut rng = Rng::seed(0x0D1F_F000 + 100 * i as u64 + s);
+            let set = params(&mut rng).generate().expect("valid params").set;
+            let config = SimConfig::with_horizon(1_500).resolving_deadlocks();
+            let run = Engine::new(&set, config)
+                .run(&mut instantiate(kind))
+                .expect("run succeeds");
+            assert_same_answers(&set, &run.history, &run.db, &mut rng);
         }
     }
 }

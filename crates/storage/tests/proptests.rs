@@ -196,121 +196,99 @@ fn arb_schedule(rng: &mut Rng) -> Schedule {
     })
 }
 
+/// Each commit's installs as [`SnapshotStore::publish`] takes them, with
+/// per-item versions counted up from 1.
+fn installs(schedule: &Schedule) -> Vec<Vec<(ItemId, VersionedValue)>> {
+    let mut versions: std::collections::BTreeMap<u32, u64> = Default::default();
+    schedule
+        .iter()
+        .map(|commit| {
+            commit
+                .iter()
+                .map(|&(item, value)| {
+                    let v = versions.entry(item).or_insert(0);
+                    *v += 1;
+                    let vv = VersionedValue {
+                        value: Value(value),
+                        version: *v,
+                        writer: Some(InstanceId::first(TxnId(0))),
+                        installed_at: Tick::ZERO,
+                    };
+                    (ItemId(item), vv)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Map-store oracle: `states[s]` is the complete `item -> value` map
 /// after exactly the first `s` commits — serial execution at the epoch,
 /// with none of the chain/pruning machinery under test.
-fn epoch_states(schedule: &Schedule) -> Vec<std::collections::BTreeMap<u32, VersionedValue>> {
-    let mut versions: std::collections::BTreeMap<u32, u64> = Default::default();
+fn epoch_states(
+    installs: &[Vec<(ItemId, VersionedValue)>],
+) -> Vec<std::collections::BTreeMap<ItemId, VersionedValue>> {
     let mut states = vec![std::collections::BTreeMap::new()];
-    for commit in schedule {
+    for commit in installs {
         let mut state = states.last().unwrap().clone();
-        for &(item, value) in commit {
-            let v = versions.entry(item).or_insert(0);
-            *v += 1;
-            state.insert(
-                item,
-                VersionedValue {
-                    value: Value(value),
-                    version: *v,
-                    writer: Some(InstanceId::first(TxnId(0))),
-                    installed_at: Tick::ZERO,
-                },
-            );
-        }
+        state.extend(commit.iter().copied());
         states.push(state);
     }
     states
 }
 
-/// Every `(stamp, item)` read of both stores equals serial execution at
-/// that epoch, per the map-store oracle.
+/// Every `(stamp, item)` read equals serial execution at that epoch, per
+/// the map-store oracle.
 #[test]
 fn snapshot_reads_equal_serial_execution_at_epoch() {
     forall(CASES, |rng| {
-        let schedule = arb_schedule(rng);
-        let states = epoch_states(&schedule);
-
-        let mut mv = MvStore::new();
+        let installs = installs(&arb_schedule(rng));
+        let states = epoch_states(&installs);
         let snap = SnapshotStore::new(6, 1);
         snap.pin(0); // hold stamp 0 so nothing is reclaimed mid-check
-        let mut versions: std::collections::BTreeMap<u32, u64> = Default::default();
-        for commit in &schedule {
-            let writes: Vec<(ItemId, VersionedValue)> = commit
-                .iter()
-                .map(|&(item, value)| {
-                    let v = versions.entry(item).or_insert(0);
-                    *v += 1;
-                    (
-                        ItemId(item),
-                        VersionedValue {
-                            value: Value(value),
-                            version: *v,
-                            writer: Some(InstanceId::first(TxnId(0))),
-                            installed_at: Tick::ZERO,
-                        },
-                    )
-                })
-                .collect();
-            for &(item, vv) in &writes {
-                mv.publish(item, vv);
-            }
-            mv.seal();
-            snap.publish(&writes);
+        for writes in &installs {
+            snap.publish(writes);
         }
-
-        assert_eq!(mv.stamp(), schedule.len() as u64);
-        assert_eq!(snap.stamp(), schedule.len() as u64);
+        assert_eq!(snap.stamp(), installs.len() as u64);
         for (stamp, state) in states.iter().enumerate() {
-            for item in 0..6u32 {
-                let expect = state.get(&item).copied();
-                let got_mv = mv.read_at(ItemId(item), stamp as u64);
-                let got_snap = snap.read_at(ItemId(item), stamp as u64);
-                assert_eq!(got_mv, expect, "MvStore at stamp {stamp}, item {item}");
-                assert_eq!(
-                    got_snap, expect,
-                    "SnapshotStore at stamp {stamp}, item {item}"
-                );
+            for item in (0..6).map(ItemId) {
+                let got = snap.read_at(item, stamp as u64);
+                assert_eq!(got, state.get(&item).copied(), "stamp {stamp}, {item:?}");
             }
         }
     });
 }
 
-/// Pruning at a random floor keeps every read at or above the floor
-/// exact (the epoch-GC rule loses only unreachable history).
+/// A reader pinned at a random stamp keeps every read at or above its pin
+/// exact through the sweep that raises the floor to it (the epoch-GC rule
+/// loses only unreachable history), and the sweep does reclaim: no chain
+/// keeps more than the pinned version and the ones published after it.
 #[test]
 fn prune_preserves_reads_at_or_above_floor() {
     forall(CASES, |rng| {
-        let schedule = arb_schedule(rng);
-        let states = epoch_states(&schedule);
-        let mut mv = MvStore::new();
-        let mut versions: std::collections::BTreeMap<u32, u64> = Default::default();
-        for commit in &schedule {
-            for &(item, value) in commit {
-                let v = versions.entry(item).or_insert(0);
-                *v += 1;
-                mv.publish(
-                    ItemId(item),
-                    VersionedValue {
-                        value: Value(value),
-                        version: *v,
-                        writer: Some(InstanceId::first(TxnId(0))),
-                        installed_at: Tick::ZERO,
-                    },
-                );
-            }
-            mv.seal();
+        let installs = installs(&arb_schedule(rng));
+        let states = epoch_states(&installs);
+        let snap = SnapshotStore::new(6, 1);
+        let pin_at = rng.range_inclusive_usize(0, installs.len());
+        for writes in &installs[..pin_at] {
+            snap.publish(writes);
         }
-        let floor = rng.range_inclusive_u64(0, mv.stamp());
-        mv.prune(floor);
-        for stamp in floor..=mv.stamp() {
-            for item in 0..6u32 {
+        let pinned = snap.pin(0);
+        assert_eq!(pinned, pin_at as u64);
+        for writes in &installs[pin_at..] {
+            snap.publish(writes);
+        }
+        snap.advance_floor();
+        assert!(snap.max_chain_len() <= installs.len() - pin_at + 1);
+        for stamp in pinned..=snap.stamp() {
+            for item in (0..6).map(ItemId) {
                 assert_eq!(
-                    mv.read_at(ItemId(item), stamp),
+                    snap.read_at(item, stamp),
                     states[stamp as usize].get(&item).copied(),
-                    "after prune({floor}): stamp {stamp}, item {item}"
+                    "pinned at {pinned}: stamp {stamp}, {item:?}"
                 );
             }
         }
+        snap.unpin(0);
     });
 }
 
