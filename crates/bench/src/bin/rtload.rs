@@ -28,9 +28,8 @@
 //! sides are offered the identical rates.
 //!
 //! **Overload** (`tenants`, `tenants-net`): two tenants at 1:8 offer 2×
-//! the ceiling under least-slack shedding, fairness budgets
-//! ([`overload_budget`]) off and on over the identical schedule; the
-//! median repetition by the low-rate tenant's fail ratio is kept.
+//! the ceiling under least-slack shedding; the median repetition by the
+//! low-rate tenant's fail ratio is kept.
 //!
 //! Every repetition's history is checked for conflict-serializability off
 //! the clock; the kept record carries the count as `nonserializable_reps`.
@@ -47,7 +46,7 @@
 
 use rtdb::prelude::*;
 use rtdb::rt;
-use rtdb_bench::loadgen::{calibrated_ceiling, overload_budget, run_open_loop, OpenLoopParams};
+use rtdb_bench::loadgen::{calibrated_ceiling, run_open_loop, OpenLoopParams};
 use rtdb_bench::netload::run_net_open_loop;
 use rtdb_bench::scenarios::{self, Mode, Point, Scenario, SCENARIOS, TENANT_WEIGHTS};
 use rtdb_util::Json;
@@ -224,7 +223,6 @@ fn open(
         snapshot: p.snapshot,
         shards: p.shards,
         tenant_weights: Vec::from(if overload { &TENANT_WEIGHTS[..] } else { &[] }),
-        fairness: None,
         deadline_scale: s.deadline_scale,
         seed: s.seed,
     };
@@ -232,7 +230,6 @@ fn open(
     let key = format!("{}/{}/{}/{}", p.kind.name(), p.threads, p.theta, p.cross);
     let ceiling = *ceilings.entry(key).or_insert_with(calibrate);
     params.arrival_rate = s.overload * ceiling * p.k as f64 / s.sweep_points as f64;
-    params.fairness = p.fairness.then(|| overload_budget(set, &params, ceiling));
 
     let reps = if overload { s.reps } else { 1 };
     let mut nonserializable = 0;

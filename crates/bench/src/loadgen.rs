@@ -21,9 +21,7 @@
 //!   the *intended* release, exactly like the simulator's periodic model;
 //! * [`service_capacity`] and [`calibrated_ceiling`] — the first-order
 //!   estimate of the sustainable job rate (`threads / mean service
-//!   time`) and the measured one `rtload` sizes its offered rates by;
-//! * [`overload_budget`] — per-tenant fairness budgets sized from that
-//!   measured ceiling.
+//!   time`) and the measured one `rtload` sizes its offered rates by.
 
 use rtdb::prelude::*;
 use rtdb::rt;
@@ -53,8 +51,6 @@ pub struct OpenLoopParams {
     /// arrival stream to earlier releases); `[1, 4]` is two tenants with
     /// tenant 1 offering 4× tenant 0's rate.
     pub tenant_weights: Vec<u64>,
-    /// Per-tenant fairness budgets handed to the admission queue.
-    pub fairness: Option<rt::FairnessConfig>,
     /// Deadline-laxity multiplier: each job's deadline is
     /// `release + period·tick·deadline_scale`. 1 is the legacy periodic
     /// convention (deadline = next release); the overload scenario uses
@@ -108,33 +104,6 @@ pub fn calibrated_ceiling(set: &TransactionSet, p: &OpenLoopParams, jobs: usize)
     rt::run_jobs(set, jobs, p.seed, config)
         .throughput()
         .min(service_capacity(set, p.threads, p.tick_ns))
-}
-
-/// Fairness budgets for `p`'s tenants from the *measured* `ceiling`:
-/// under contention it sits far below `threads` seconds of service per
-/// second, and a budget no tenant can exhaust enforces nothing. Three
-/// corrections matter at benchmark scale: the per-job cost is weighted by
-/// arrival share (∝ 1/period, like the schedule); the ceiling is a
-/// closed-loop number and an open-loop run under shedding delivers about
-/// half of it — queued sheds are refunded, so a tenant's net spend is its
-/// commit flow — hence the equal share of *half* the ceiling; and the
-/// burst is one queue's worth of mean-cost jobs, enough to forgive a
-/// light tenant's Poisson clumps, small enough that a hog's sustained
-/// overdraft blows through it early in the run.
-pub fn overload_budget(
-    set: &TransactionSet,
-    p: &OpenLoopParams,
-    ceiling: f64,
-) -> rt::FairnessConfig {
-    let weight = |t: &TransactionTemplate| 1.0 / t.period.raw() as f64;
-    let wsum: f64 = set.templates().iter().map(weight).sum();
-    let cost =
-        |t: &TransactionTemplate| weight(t) / wsum * t.wcet().raw() as f64 * p.tick_ns as f64;
-    let arrival_cost_ns: f64 = set.templates().iter().map(cost).sum();
-    rt::FairnessConfig {
-        burst_ns: ((p.capacity as f64 * arrival_cost_ns) as u64).max(1),
-        ..rt::FairnessConfig::for_capacity(ceiling / 2.0, arrival_cost_ns, p.tenants())
-    }
 }
 
 /// Build the merged, time-sorted arrival schedule for `p.jobs` arrivals.
@@ -208,8 +177,8 @@ pub struct OpenLoopReport {
 
 impl OpenLoopReport {
     /// Fail ratio — (missed + shed + rejected) / offered — of the tenant
-    /// offering the lowest rate (ties toward the lowest tenant index): the
-    /// number fairness budgets exist to protect.
+    /// offering the lowest rate (ties toward the lowest tenant index): what
+    /// a heavy neighbour's overload costs the light tenant.
     pub fn low_rate_fail_ratio(&self) -> f64 {
         let weights = &self.params.tenant_weights;
         let low = (0..weights.len()).min_by_key(|&i| weights[i]).unwrap_or(0);
@@ -270,7 +239,7 @@ pub fn run_open_loop(set: &TransactionSet, p: &OpenLoopParams) -> OpenLoopReport
 /// The [`rt::FrontConfig`] an open-loop run (in-process or networked)
 /// drives.
 pub fn front_config(p: &OpenLoopParams) -> rt::FrontConfig {
-    let mut config = rt::FrontConfig::new(p.kind)
+    rt::FrontConfig::new(p.kind)
         .with_policy(p.policy)
         .with_capacity(p.capacity)
         .with_rt(
@@ -279,11 +248,7 @@ pub fn front_config(p: &OpenLoopParams) -> rt::FrontConfig {
                 .with_tick_ns(p.tick_ns)
                 .with_snapshot_reads(p.snapshot)
                 .with_shards(p.shards.max(1)),
-        );
-    if let Some(f) = p.fairness {
-        config = config.with_fairness(f);
-    }
-    config
+        )
 }
 
 /// Fold a finished run into an [`OpenLoopReport`] (shared with the
@@ -331,7 +296,6 @@ mod tests {
             snapshot: false,
             shards: 1,
             tenant_weights: Vec::new(),
-            fairness: None,
             deadline_scale: 1,
             seed: 7,
         }

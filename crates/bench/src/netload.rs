@@ -126,7 +126,6 @@ mod tests {
             snapshot: false,
             shards: 1,
             tenant_weights: vec![1, 4],
-            fairness: Some(rt::FairnessConfig::fair_share(2, 2)),
             deadline_scale: 1,
             seed: 11,
         };

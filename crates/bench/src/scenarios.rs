@@ -33,10 +33,10 @@ pub const READ_FRACTION: f64 = 0.95;
 /// The largest shard count any grid sweeps, so every shard count sees the
 /// identical item distribution and only the manager sharding varies.
 pub const PARTITIONS: usize = 4;
-/// Offered-rate weights of the overload tenants: the light tenant stays
-/// inside its equal-share budget on *offered* load (1/9 of 2× the ceiling)
-/// while the hog clearly exceeds it; at 1:4 scheduler noise can swallow
-/// the fairness effect.
+/// Offered-rate weights of the overload tenants: the light tenant offers
+/// 1/9 of 2× the ceiling, well inside an equal share, while its neighbour
+/// alone overloads the queue, so `low_rate_fail_ratio` reads what a heavy
+/// neighbour costs a light tenant under one least-slack rule for all.
 pub const TENANT_WEIGHTS: [u64; 2] = [1, 8];
 
 /// How a grid's jobs reach the runtime.
@@ -62,8 +62,6 @@ pub enum Ab {
     Snapshot,
     /// One shard (A) vs each larger shard count of the grid (B).
     Shards,
-    /// Per-tenant fairness budgets off (A) vs on (B).
-    Fairness,
 }
 
 /// One cartesian block of a scenario.
@@ -135,7 +133,7 @@ const ROW: Scenario = Scenario {
 /// alone busts them and shed protection cannot show in the miss numbers.
 #[rustfmt::skip]
 const OVERLOAD_ROW: Scenario = Scenario {
-    ab: Some(Ab::Fairness), headline: "low_rate_fail_ratio",
+    headline: "low_rate_fail_ratio",
     sweep_points: 1, overload: 2.0, queue_cap: 8, policy: AdmissionPolicy::LeastSlack, deadline_scale: 4,
     ..ROW
 };
@@ -190,13 +188,13 @@ pub const SCENARIOS: [Scenario; 7] = [
     },
     Scenario {
         name: "tenants",
-        why: "whether per-tenant budgets protect the low-rate tenant when a 1:8 neighbour overloads the admission queue",
+        why: "what a 1:8 neighbour overloading the admission queue costs the low-rate tenant under least-slack shedding; the one row that overloads the queue",
         grids: &[Grid { mode: Mode::Overload, ..GRID }],
         ..OVERLOAD_ROW
     },
     Scenario {
         name: "tenants-net",
-        why: "the same overload through the loopback TCP edge",
+        why: "the same overload through the loopback TCP edge, one client per tenant; the one row that overloads the edge",
         grids: &[Grid { mode: Mode::OverloadNet, ..GRID }],
         ..OVERLOAD_ROW
     },
@@ -220,7 +218,6 @@ pub struct Point {
     pub shards: usize,
     pub cross: f64,
     pub snapshot: bool,
-    pub fairness: bool,
     /// Sweep position `1..=sweep_points` (0 in the closed loop).
     pub k: usize,
 }
@@ -240,10 +237,8 @@ impl Scenario {
         if self.family == Family::Partitioned {
             id += &format!("/{}sh/x{}", p.shards, p.cross);
         }
-        match self.ab {
-            Some(Ab::Snapshot) => id += if p.snapshot { "/on" } else { "/off" },
-            Some(Ab::Fairness) => id += if p.fairness { "/fair-on" } else { "/fair-off" },
-            _ => {}
+        if self.ab == Some(Ab::Snapshot) {
+            id += if p.snapshot { "/on" } else { "/off" };
         }
         if p.mode == Mode::Open {
             id += &format!("/p{}", p.k);
@@ -261,7 +256,6 @@ impl Scenario {
         let a = Point {
             shards,
             snapshot: false,
-            fairness: false,
             ..*p
         };
         (a != *p).then_some(a)
@@ -270,7 +264,7 @@ impl Scenario {
     /// Expand the row into its records, in run order.
     pub fn points(&self) -> Vec<Point> {
         let sides: &[bool] = match self.ab {
-            Some(Ab::Snapshot | Ab::Fairness) => &[false, true],
+            Some(Ab::Snapshot) => &[false, true],
             _ => &[false],
         };
         let mut out = Vec::new();
@@ -296,7 +290,6 @@ impl Scenario {
                 }
                 for &on in sides {
                     let snapshot = on && self.ab == Some(Ab::Snapshot);
-                    let fairness = on && self.ab == Some(Ab::Fairness);
                     let mode = g.mode;
                     out.extend(sweep.clone().map(|k| Point {
                         mode,
@@ -306,7 +299,6 @@ impl Scenario {
                         shards,
                         cross,
                         snapshot,
-                        fairness,
                         k,
                     }));
                 }

@@ -22,10 +22,10 @@
 //!   timer: DESIGN.md §6g).
 //!
 //! The edge adds *transport*, not *policy*: admission decisions
-//! (least-slack shedding, per-tenant fairness budgets) live in
-//! [`rtdb_rt::admission`] and apply identically to in-process and
-//! socket submissions, which is what lets the loopback tests replay a
-//! socket run against the simulator bit-for-bit.
+//! (least-slack shedding, the tenant-id cap) live in [`rtdb_rt`] and
+//! apply identically to in-process and socket submissions, which is what
+//! lets the loopback tests replay a socket run against the simulator
+//! bit-for-bit.
 
 #![forbid(unsafe_code)]
 
@@ -34,5 +34,6 @@ pub mod server;
 pub mod wire;
 
 pub use client::NetClient;
+pub use rtdb_rt::MAX_TENANT;
 pub use server::{serve, serve_on, NetConfig};
-pub use wire::{FrameBuf, Request, Response, WireError, MAX_FRAME_LEN, MAX_TENANT};
+pub use wire::{FrameBuf, Request, Response, WireError, MAX_FRAME_LEN};

@@ -32,7 +32,7 @@
 //! owed, then end-of-stream; one that stopped reading holds `serve` for
 //! `WRITE_TIMEOUT` at most. Only then does the admission queue close.
 
-use crate::wire::{FrameBuf, Request, Response, MAX_TENANT};
+use crate::wire::{FrameBuf, Request, Response};
 use rtdb_rt::clock::{Clock, WallClock};
 use rtdb_rt::front::{run_front_on, FrontHandle};
 use rtdb_rt::{Completion, FrontConfig, JobRequest, RtResult, SubmitOutcome, Submitter};
@@ -48,7 +48,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
     /// The admission front-end behind the socket (worker pool, queue
-    /// capacity, admission policy, fairness budgets).
+    /// capacity, admission policy).
     pub front: FrontConfig,
     /// Port to bind on 127.0.0.1; `0` (the default) picks an ephemeral
     /// port — the actual address is handed to the driver.
@@ -108,12 +108,6 @@ impl Outbound<'_> {
             release_ns,
             deadline_ns,
         } = req;
-        // An absurd tenant id is the client's bug, not an overload signal:
-        // bounce it before the tenant ledger grows a row for it. (An unknown
-        // template is the submitter's to reject.)
-        if tenant > MAX_TENANT {
-            return Response::Rejected { ticket }.encode(out);
-        }
         let mut job = JobRequest::new(TxnId(txn))
             .released_at(release_ns)
             .for_tenant(tenant);

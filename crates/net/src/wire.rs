@@ -40,11 +40,6 @@
 /// desynchronized peer.
 pub const MAX_FRAME_LEN: usize = 256;
 
-/// Largest tenant id the server accepts. Tenant ids index dense ledger
-/// slots, so an attacker-controlled huge id would be an allocation
-/// amplifier; submissions above the cap are rejected.
-pub const MAX_TENANT: u32 = 4095;
-
 /// Client → server messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Request {
@@ -54,7 +49,8 @@ pub enum Request {
         ticket: u64,
         /// Template index ([`rtdb_types::TxnId`]).
         txn: u32,
-        /// Tenant to bill under the fairness budgets.
+        /// Tenant the job's shed and reject counts go to, at most
+        /// [`rtdb_rt::MAX_TENANT`].
         tenant: u32,
         /// Intended release time, ns since the server's front-end epoch.
         release_ns: u64,
@@ -97,7 +93,8 @@ pub enum Response {
         ticket: u64,
     },
     /// The submission was rejected at admission (full queue, unknown
-    /// template, tenant above [`MAX_TENANT`], or server shutting down).
+    /// template, tenant above [`rtdb_rt::MAX_TENANT`], or server shutting
+    /// down).
     /// Terminal and immediate.
     Rejected {
         /// The client's correlation ticket.

@@ -1,5 +1,4 @@
-//! The bounded admission queue, its overload policies, and the
-//! per-tenant fairness budgets.
+//! The bounded admission queue and its overload policies.
 //!
 //! Submitters enqueue [`crate::JobRequest`]s here without ever touching
 //! the lock manager; the workers pop it directly, so a request is either
@@ -15,29 +14,16 @@
 //!   least remaining slack to its deadline — it is the job the system
 //!   would miss anyway, so shedding it converts a certain deadline miss
 //!   into freed capacity for a job that can still make it. Requests
-//!   without a deadline have infinite slack and are shed last. A queued
-//!   victim's submitter is told via [`crate::Completion::Shed`]; when
-//!   the incoming request itself has the least slack it is bounced
-//!   synchronously ([`crate::SubmitOutcome::Shed`]) without entering the
-//!   queue.
+//!   without a deadline have infinite slack and are shed last; ties shed
+//!   the oldest admission ([`shed_victim`]). A queued victim's submitter
+//!   is told via [`crate::Completion::Shed`]; when the incoming request
+//!   itself has the least slack it is bounced synchronously
+//!   ([`crate::SubmitOutcome::Shed`]) without entering the queue.
 //!
 //! Neither policy parks a submitter: a push admits, sheds or bounces at
 //! once, so the only thread that ever waits on the queue is a worker with
-//! nothing to pop.
-//!
-//! **Fairness budgets.** Layered on top of the shed policy, an optional
-//! per-tenant token bucket ([`FairnessConfig`]) keeps a high-rate tenant
-//! from starving a low-rate one: every admitted request *charges* its
-//! tenant an estimated service cost (the template's WCET scaled by the
-//! run's tick), the bucket refills at a configured rate (typically each
-//! tenant's fair share of the worker pool's service capacity), and when
-//! a shed decision must pick a victim, tenants that are over budget lose
-//! first — the victim is the least-slack request *among the over-budget
-//! tenants' requests* whenever any exist, and the globally least-slack
-//! request otherwise (see [`shed_victim`]). Shed requests refund their
-//! charge, so a tenant is only ever billed for work that stayed
-//! admitted. With fairness off (the default), every request is in the
-//! same class and the policy is pure least-slack.
+//! nothing to pop. Tenants are counted, not ranked: every shed and reject
+//! is tallied against the request's tenant for [`crate::RtResult::tenants`].
 //!
 //! **Dispatch order.** A worker pops the highest-priority request waiting,
 //! not the oldest: the queue keeps one FIFO lane per template, ranked by
@@ -50,8 +36,8 @@
 //! order, and per-template sequence numbers still follow admission order.
 //!
 //! A push reads the run's [`Clock`] once, *inside* the queue's critical
-//! section, for the admission stamp, the fairness charge and the slack;
-//! so queueing delay (admission → worker start) is the time spent queued.
+//! section, for the admission stamp and the slack; so queueing delay
+//! (admission → worker start) is the time spent queued.
 
 use crate::clock::Clock;
 use crate::front::{Completion, JobRequest};
@@ -90,87 +76,28 @@ impl std::fmt::Display for AdmissionPolicy {
     }
 }
 
-/// Per-tenant admission fairness: a token bucket of *estimated service
-/// nanoseconds* per tenant. See the module docs for how shed decisions
-/// consult it; [`FairnessConfig::fair_share`] is the standard
-/// construction (each tenant gets an equal share of the worker pool).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FairnessConfig {
-    /// Budget a tenant accrues per wall-clock second, in estimated
-    /// service nanoseconds.
-    pub refill_per_sec: u64,
-    /// Bucket capacity — the largest burst a tenant can spend at once.
-    /// Also the debt floor: a tenant can owe at most one burst, so
-    /// recovery after a backlog takes at most `burst_ns / refill_per_sec`
-    /// seconds of silence.
-    pub burst_ns: u64,
-}
-
-impl FairnessConfig {
-    /// The standard construction: `threads` workers each serve ~1 s of
-    /// work per second, split equally across `tenants` tenants, with a
-    /// quarter-share burst allowance.
-    pub fn fair_share(threads: usize, tenants: usize) -> Self {
-        let refill = (threads.max(1) as u64).saturating_mul(1_000_000_000) / tenants.max(1) as u64;
-        FairnessConfig {
-            refill_per_sec: refill,
-            burst_ns: (refill / 4).max(1),
-        }
-    }
-
-    /// Budget an equal share of a *measured* capacity: `capacity`
-    /// jobs/sec sustainably served, each costing `mean_cost_ns`
-    /// estimated service nanoseconds. Prefer this over [`fair_share`]
-    /// when contention puts the real ceiling well below the raw thread
-    /// budget — a budget no tenant can exhaust enforces nothing.
-    ///
-    /// [`fair_share`]: FairnessConfig::fair_share
-    pub fn for_capacity(capacity: f64, mean_cost_ns: f64, tenants: usize) -> Self {
-        let refill = (capacity.max(0.0) * mean_cost_ns.max(0.0) / tenants.max(1) as f64) as u64;
-        FairnessConfig {
-            refill_per_sec: refill.max(1),
-            burst_ns: (refill / 4).max(1),
-        }
-    }
-}
-
-/// One shed candidate as [`shed_victim`] sees it: its remaining slack to
-/// deadline (negative = already past) and whether its tenant has
-/// exhausted its fairness budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShedCandidate {
-    /// `deadline - now` in nanoseconds; [`i64::MAX`] for requests
-    /// without a deadline.
-    pub slack_ns: i64,
-    /// True when the candidate's tenant is over its fairness budget.
-    /// Always false when fairness accounting is off.
-    pub over_budget: bool,
-}
-
 /// The shed-victim rule of [`AdmissionPolicy::LeastSlack`], exposed as a
-/// pure function so its invariants are directly testable:
+/// pure function so its invariants are directly testable. `slacks` are
+/// the candidates' `deadline - now` in nanoseconds ([`i64::MAX`] without
+/// a deadline), in admission order with the incoming request last; the
+/// victim is the least (slack, admission order):
 ///
-/// * if any candidate's tenant is over budget, the victim is the
-///   least-slack candidate *among the over-budget tenants* (fairness
-///   outranks slack across tenants, slack breaks ties within the class);
-/// * otherwise the victim is the least-slack candidate overall — so with
-///   fairness off (or every tenant in budget), **no candidate with
-///   positive slack is ever shed while a negative-slack candidate
-///   exists**;
-/// * ties go to the earliest index (the oldest queued request; callers
-///   put the incoming request last, so queued requests shed first on
-///   ties).
+/// * **no candidate with positive slack is ever shed while a
+///   negative-slack candidate exists**;
+/// * ties go to the earliest index — the oldest queued request, so
+///   queued requests shed before the incoming one on ties.
+///
+/// [`AdmissionQueue::push`] applies the same rule in one pass over its
+/// lanes.
 ///
 /// # Panics
 /// Panics on an empty candidate list — a full queue always has at least
 /// the incoming request as a candidate.
-pub fn shed_victim(candidates: &[ShedCandidate]) -> usize {
-    let any_over = candidates.iter().any(|c| c.over_budget);
-    candidates
+pub fn shed_victim(slacks: &[i64]) -> usize {
+    slacks
         .iter()
         .enumerate()
-        .filter(|(_, c)| !any_over || c.over_budget)
-        .min_by_key(|(i, c)| (c.slack_ns, *i))
+        .min_by_key(|&(i, &slack)| (slack, i))
         .map(|(i, _)| i)
         .expect("shed_victim called with no candidates")
 }
@@ -197,28 +124,23 @@ pub(crate) struct TenantCounts {
 
 #[derive(Clone, Copy, Debug, Default)]
 struct LedgerEntry {
-    seen: bool,
-    balance_ns: i64,
-    last_ns: u64,
     shed: u64,
     rejected: u64,
 }
 
-/// The per-tenant accounting state: token-bucket balances plus
-/// shed/reject counters (and per-template shed counts for the
-/// per-priority shed telemetry). Lives inside the queue's critical
-/// section, so every read and update is atomic with the admission
-/// decision it informs.
+/// The per-tenant shed/reject counters (and per-template shed counts for
+/// the per-priority shed telemetry). Lives inside the queue's critical
+/// section, so every count is atomic with the admission decision it
+/// records. Tenant ids index it densely: [`crate::Submitter::submit`]
+/// bounces ids above [`crate::MAX_TENANT`] before they get here.
 struct TenantLedger {
-    fairness: Option<FairnessConfig>,
     entries: Vec<LedgerEntry>,
     shed_by_txn: Vec<u64>,
 }
 
 impl TenantLedger {
-    fn new(fairness: Option<FairnessConfig>, templates: usize) -> Self {
+    fn new(templates: usize) -> Self {
         TenantLedger {
-            fairness,
             entries: Vec::new(),
             shed_by_txn: vec![0; templates],
         }
@@ -230,53 +152,6 @@ impl TenantLedger {
             self.entries.resize(idx + 1, LedgerEntry::default());
         }
         &mut self.entries[idx]
-    }
-
-    /// Bring `tenant`'s bucket up to `now`: first sight starts a full
-    /// bucket, later refreshes accrue `refill_per_sec` pro rata, capped
-    /// at the burst.
-    fn refresh(&mut self, tenant: u32, now_ns: u64) {
-        let Some(f) = self.fairness else { return };
-        let e = self.entry(tenant);
-        if !e.seen {
-            e.seen = true;
-            e.balance_ns = f.burst_ns as i64;
-            e.last_ns = now_ns;
-            return;
-        }
-        let dt = now_ns.saturating_sub(e.last_ns);
-        let refill = (dt as u128 * f.refill_per_sec as u128 / 1_000_000_000) as i64;
-        e.balance_ns = (e.balance_ns.saturating_add(refill)).min(f.burst_ns as i64);
-        e.last_ns = now_ns;
-    }
-
-    /// Charge an admitted request's estimated cost, clamped at the debt
-    /// floor (one burst of debt).
-    fn charge(&mut self, tenant: u32, cost_ns: u64, now_ns: u64) {
-        let Some(f) = self.fairness else { return };
-        self.refresh(tenant, now_ns);
-        let floor = -(f.burst_ns as i64);
-        let e = self.entry(tenant);
-        e.balance_ns = e
-            .balance_ns
-            .saturating_sub(cost_ns.min(i64::MAX as u64) as i64)
-            .max(floor);
-    }
-
-    /// Refund a shed request's charge — a tenant is only billed for work
-    /// that stayed admitted.
-    fn refund(&mut self, tenant: u32, cost_ns: u64, now_ns: u64) {
-        let Some(f) = self.fairness else { return };
-        self.refresh(tenant, now_ns);
-        let e = self.entry(tenant);
-        e.balance_ns = e
-            .balance_ns
-            .saturating_add(cost_ns.min(i64::MAX as u64) as i64)
-            .min(f.burst_ns as i64);
-    }
-
-    fn in_debt(&mut self, tenant: u32) -> bool {
-        self.fairness.is_some() && self.entry(tenant).balance_ns < 0
     }
 
     fn record_shed(&mut self, tenant: u32, txn: rtdb_types::TxnId) {
@@ -313,9 +188,6 @@ pub(crate) struct Admitted {
     pub ticket: u64,
     /// The run clock at admission, stamped by [`AdmissionQueue::push`].
     pub admitted_ns: u64,
-    /// Estimated service cost (template WCET × tick), charged to the
-    /// tenant's fairness bucket on admission and refunded on shed.
-    pub cost_ns: u64,
     /// The submitter's completion channel.
     pub done: Sender<Completion>,
 }
@@ -383,23 +255,16 @@ impl Inner {
         item
     }
 
-    /// Every queued entry's `(lane, pos)`, oldest admission first.
-    fn by_admission(&self) -> Vec<(usize, usize)> {
-        let mut queued: Vec<(u64, usize, usize)> = self
-            .lanes
+    /// The queued entry with the least (slack, admission order) at
+    /// `now_ns`, found in one pass over the lanes: its `(slack, order,
+    /// lane, pos)`; `None` when the queue is empty.
+    fn least_slack(&self, now_ns: u64) -> Option<(i64, u64, usize, usize)> {
+        self.lanes
             .iter()
             .enumerate()
-            .flat_map(|(lane, q)| {
-                q.iter()
-                    .enumerate()
-                    .map(move |(pos, (order, _))| (*order, lane, pos))
-            })
-            .collect();
-        queued.sort_unstable();
-        queued
-            .into_iter()
-            .map(|(_, lane, pos)| (lane, pos))
-            .collect()
+            .flat_map(|(lane, q)| q.iter().enumerate().map(move |(pos, e)| (lane, pos, e)))
+            .map(|(lane, pos, (order, j))| (slack_ns(j.req.deadline_ns, now_ns), *order, lane, pos))
+            .min()
     }
 }
 
@@ -408,19 +273,14 @@ pub(crate) struct AdmissionQueue<C> {
     inner: Mutex<Inner>,
     not_empty: Condvar,
     capacity: usize,
-    /// The run's clock: deadlines, slack and bucket refills are on it.
+    /// The run's clock: admission stamps, deadlines and slack are on it.
     pub(crate) clock: C,
 }
 
 impl<C: Clock> AdmissionQueue<C> {
     /// A queue of `capacity` over a set whose template `t` has base
     /// priority `priorities[t]`.
-    pub(crate) fn new(
-        capacity: usize,
-        priorities: &[Priority],
-        clock: C,
-        fairness: Option<FairnessConfig>,
-    ) -> Self {
+    pub(crate) fn new(capacity: usize, priorities: &[Priority], clock: C) -> Self {
         let templates = priorities.len();
         let mut ascending: Vec<usize> = (0..templates).collect();
         ascending.sort_by_key(|&t| priorities[t]);
@@ -436,7 +296,7 @@ impl<C: Clock> AdmissionQueue<C> {
                 len: 0,
                 admissions: 0,
                 closed: false,
-                ledger: TenantLedger::new(fairness, templates),
+                ledger: TenantLedger::new(templates),
                 next_seq: vec![0; templates],
                 waiting_poppers: 0,
             }),
@@ -465,43 +325,22 @@ impl<C: Clock> AdmissionQueue<C> {
             return Push::Rejected;
         }
         let now = self.clock.now_ns();
-        if !full {
-            g.ledger.charge(item.req.tenant, item.cost_ns, now);
-            g.enqueue(item, now);
-            self.wake_popper(&g);
-            return Push::Admitted;
+        let mut shed = None;
+        if full {
+            // The incoming request is the newest admission: it is the
+            // victim only on strictly less slack than every queued one.
+            let (slack, _, lane, pos) = g.least_slack(now).expect("a full queue holds entries");
+            if slack_ns(item.req.deadline_ns, now) < slack {
+                g.ledger.record_shed(item.req.tenant, item.req.txn);
+                return Push::SelfShed;
+            }
+            let old = g.take(lane, pos);
+            g.ledger.record_shed(old.req.tenant, old.req.txn);
+            shed = Some(Box::new(old));
         }
-        let inner = &mut *g;
-        // The candidates in admission order, the incoming request last:
-        // ties shed the oldest, whatever lane it waits in.
-        let queued = inner.by_admission();
-        let entry = |&(lane, pos): &(usize, usize)| &inner.lanes[lane][pos].1;
-        // Bring every candidate tenant's bucket up to `now` before
-        // classifying, so debt reflects refills.
-        for j in queued.iter().map(entry) {
-            inner.ledger.refresh(j.req.tenant, now);
-        }
-        inner.ledger.refresh(item.req.tenant, now);
-        let candidates: Vec<ShedCandidate> = queued
-            .iter()
-            .map(entry)
-            .chain(std::iter::once(&item))
-            .map(|j| ShedCandidate {
-                slack_ns: slack_ns(j.req.deadline_ns, now),
-                over_budget: inner.ledger.in_debt(j.req.tenant),
-            })
-            .collect();
-        let Some(&(lane, pos)) = queued.get(shed_victim(&candidates)) else {
-            inner.ledger.record_shed(item.req.tenant, item.req.txn);
-            return Push::SelfShed;
-        };
-        let old = inner.take(lane, pos);
-        inner.ledger.refund(old.req.tenant, old.cost_ns, now);
-        inner.ledger.record_shed(old.req.tenant, old.req.txn);
-        inner.ledger.charge(item.req.tenant, item.cost_ns, now);
-        inner.enqueue(item, now);
-        self.wake_popper(inner);
-        Push::AdmittedShed(Box::new(old))
+        g.enqueue(item, now);
+        self.wake_popper(&g);
+        shed.map_or(Push::Admitted, Push::AdmittedShed)
     }
 
     /// Pop the highest-priority admitted request — its template's oldest —
@@ -576,7 +415,7 @@ mod tests {
     const PRIORITIES: [Priority; 4] = [Priority(3), Priority(2), Priority(1), Priority(0)];
 
     fn queue(capacity: usize) -> AdmissionQueue<WallClock> {
-        AdmissionQueue::new(capacity, &PRIORITIES, WallClock::now(), None)
+        AdmissionQueue::new(capacity, &PRIORITIES, WallClock::now())
     }
 
     fn item(ticket: u64) -> (Admitted, std::sync::mpsc::Receiver<Completion>) {
@@ -586,7 +425,6 @@ mod tests {
                 req: JobRequest::new(TxnId(0)),
                 ticket,
                 admitted_ns: 0,
-                cost_ns: 0,
                 done: tx,
             },
             rx,
@@ -649,16 +487,13 @@ mod tests {
         assert_eq!(tickets, [2, 1]);
     }
 
-    fn deadline_item(ticket: u64, tenant: u32, deadline_ns: u64, cost_ns: u64) -> Admitted {
+    fn deadline_item(ticket: u64, deadline_ns: u64) -> Admitted {
         let (tx, _rx) = channel();
         std::mem::forget(_rx);
         Admitted {
-            req: JobRequest::new(TxnId((ticket % 4) as u32))
-                .with_deadline(deadline_ns)
-                .for_tenant(tenant),
+            req: JobRequest::new(TxnId((ticket % 4) as u32)).with_deadline(deadline_ns),
             ticket,
             admitted_ns: 0,
-            cost_ns,
             done: tx,
         }
     }
@@ -668,7 +503,7 @@ mod tests {
     /// one alike.
     #[test]
     fn the_admission_stamp_is_the_clocks_time_at_the_push() {
-        let q = AdmissionQueue::new(1, &PRIORITIES, TestClock::default(), None);
+        let q = AdmissionQueue::new(1, &PRIORITIES, TestClock::default());
         q.clock.work(3, 5);
         q.push(item(0).0, AdmissionPolicy::LeastSlack);
         assert_eq!(q.pop().expect("admitted").1.admitted_ns, 15);
@@ -745,19 +580,16 @@ mod tests {
         let q = queue(2);
         // Deadline 0 is already past (negative slack); one hour is ample.
         const HOUR: u64 = 3_600_000_000_000;
-        q.push(deadline_item(0, 0, HOUR, 0), AdmissionPolicy::LeastSlack);
-        q.push(deadline_item(1, 0, 0, 0), AdmissionPolicy::LeastSlack);
-        match q.push(
-            deadline_item(2, 0, 2 * HOUR, 0),
-            AdmissionPolicy::LeastSlack,
-        ) {
+        q.push(deadline_item(0, HOUR), AdmissionPolicy::LeastSlack);
+        q.push(deadline_item(1, 0), AdmissionPolicy::LeastSlack);
+        match q.push(deadline_item(2, 2 * HOUR), AdmissionPolicy::LeastSlack) {
             Push::AdmittedShed(old) => assert_eq!(old.ticket, 1, "negative slack sheds first"),
             _ => panic!("expected a queued shed"),
         }
         // Now every queued deadline is looser than the incoming one:
         // the incoming request self-sheds.
         assert!(matches!(
-            q.push(deadline_item(3, 0, 1, 0), AdmissionPolicy::LeastSlack),
+            q.push(deadline_item(3, 1), AdmissionPolicy::LeastSlack),
             Push::SelfShed
         ));
         q.close();
@@ -776,82 +608,54 @@ mod tests {
         // Incoming with a (past) deadline has less slack than the queued
         // deadline-free request: it self-sheds.
         assert!(matches!(
-            q.push(deadline_item(1, 0, 0, 0), AdmissionPolicy::LeastSlack),
+            q.push(deadline_item(1, 0), AdmissionPolicy::LeastSlack),
             Push::SelfShed
         ));
         assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn over_budget_tenants_shed_first_regardless_of_slack() {
-        const HOUR: u64 = 3_600_000_000_000;
-        // Zero refill: a tenant that spends its 1 ns burst is in debt
-        // until the end of the run.
-        let fairness = FairnessConfig {
-            refill_per_sec: 0,
-            burst_ns: 1,
-        };
-        let q = AdmissionQueue::new(2, &PRIORITIES, WallClock::now(), Some(fairness));
-        // Tenant 1 charges far past its burst; tenant 0 stays in budget.
-        q.push(
-            deadline_item(0, 1, 2 * HOUR, 1_000_000),
-            AdmissionPolicy::LeastSlack,
-        );
-        q.push(deadline_item(1, 0, HOUR, 0), AdmissionPolicy::LeastSlack);
-        // Queue full. The incoming tenant-0 request has the least slack
-        // of all three, but tenant 1 is over budget — its job loses.
-        match q.push(deadline_item(2, 0, 1, 0), AdmissionPolicy::LeastSlack) {
-            Push::AdmittedShed(old) => {
-                assert_eq!(old.ticket, 0, "the debtor's job is the victim")
+    fn shed_victim_is_the_least_slack_then_the_oldest() {
+        assert_eq!(shed_victim(&[5, -3, 9]), 1);
+        assert_eq!(shed_victim(&[4, 4]), 0);
+        assert_eq!(shed_victim(&[i64::MAX, 7, i64::MAX]), 1);
+        assert_eq!(shed_victim(&[i64::MAX, i64::MAX]), 0);
+    }
+
+    /// `push` finds its victim in one pass over the lanes; over random
+    /// deadlines spread across every lane it is the entry [`shed_victim`]
+    /// picks from the candidates in admission order, incoming last.
+    #[test]
+    fn push_sheds_the_entry_shed_victim_picks() {
+        rtdb_util::prop::forall(200, |rng| {
+            let capacity = 1 + rng.bounded(8) as usize;
+            let q = AdmissionQueue::new(capacity, &PRIORITIES, TestClock::default());
+            q.clock.work(1, 2);
+            // Deadlines 1–3 around `now` = 2, or none: slack ties across
+            // lanes are common, and so are past deadlines.
+            let mut job = |ticket: u64| {
+                let mut a = item_of(ticket, rng.bounded(4) as u32);
+                a.req.deadline_ns = match rng.bounded(4) {
+                    0 => None,
+                    d => Some(d),
+                };
+                a
+            };
+            let jobs: Vec<Admitted> = (0..=capacity as u64).map(&mut job).collect();
+            let slacks: Vec<i64> = jobs
+                .iter()
+                .map(|j| slack_ns(j.req.deadline_ns, 2))
+                .collect();
+            let mut last = None;
+            for j in jobs {
+                last = Some(q.push(j, AdmissionPolicy::LeastSlack));
             }
-            _ => panic!("expected the over-budget tenant's job to shed"),
-        }
-        let (counts, _) = q.counters();
-        let debtor = counts.iter().find(|c| c.tenant == 1).expect("tenant 1");
-        assert_eq!(debtor.shed, 1);
-    }
-
-    #[test]
-    fn fairness_budget_refills_over_time() {
-        let f = FairnessConfig {
-            refill_per_sec: 1_000_000_000,
-            burst_ns: 500_000_000,
-        };
-        let mut ledger = TenantLedger::new(Some(f), 1);
-        ledger.charge(0, 700_000_000, 0);
-        assert!(ledger.in_debt(0), "burst 0.5s, charge 0.7s: in debt");
-        // 0.3 s later the bucket has refilled past zero.
-        ledger.refresh(0, 300_000_000);
-        assert!(!ledger.in_debt(0), "refill restored the balance");
-        // Refunds are capped at the burst.
-        ledger.refund(0, u64::MAX, 300_000_000);
-        assert_eq!(ledger.entry(0).balance_ns, f.burst_ns as i64);
-    }
-
-    #[test]
-    fn for_capacity_budgets_the_measured_ceiling() {
-        // 10k jobs/s at 40µs each = 0.4s of service per second, split
-        // across two tenants; never zero even for degenerate inputs.
-        let f = FairnessConfig::for_capacity(10_000.0, 40_000.0, 2);
-        assert_eq!(f.refill_per_sec, 200_000_000);
-        assert_eq!(f.burst_ns, 50_000_000);
-        let degenerate = FairnessConfig::for_capacity(0.0, 0.0, 0);
-        assert_eq!(degenerate.refill_per_sec, 1);
-        assert_eq!(degenerate.burst_ns, 1);
-    }
-
-    #[test]
-    fn shed_victim_prefers_debtors_then_least_slack() {
-        let c = |slack_ns: i64, over_budget: bool| ShedCandidate {
-            slack_ns,
-            over_budget,
-        };
-        // No debtors: pure least slack, ties to the earliest index.
-        assert_eq!(shed_victim(&[c(5, false), c(-3, false), c(9, false)]), 1);
-        assert_eq!(shed_victim(&[c(4, false), c(4, false)]), 0);
-        // A debtor loses even with the most slack.
-        assert_eq!(shed_victim(&[c(-10, false), c(100, true), c(3, false)]), 1);
-        // Among debtors, least slack.
-        assert_eq!(shed_victim(&[c(7, true), c(2, true), c(-1, false)]), 1);
+            let shed = match last.expect("one push at least") {
+                Push::AdmittedShed(old) => old.ticket,
+                Push::SelfShed => capacity as u64,
+                _ => panic!("a full queue under least-slack sheds"),
+            };
+            assert_eq!(shed, shed_victim(&slacks) as u64, "{slacks:?}");
+        });
     }
 }

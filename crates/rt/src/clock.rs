@@ -1,6 +1,6 @@
 //! The runtime's one clock. Every read of time that decides an outcome —
-//! admission, start and commit stamps, slack, fairness refills, busy work —
-//! is a [`Clock`] reading: [`WallClock`] in production, and in tests
+//! admission, start and commit stamps, slack, busy work — is a [`Clock`]
+//! reading: [`WallClock`] in production, and in tests
 //! [`crate::testkit::TestClock`], on which busy work takes exactly its length.
 
 use std::time::Instant;

@@ -30,7 +30,7 @@
 //! returns — everything already admitted still executes, everything
 //! submitted afterwards bounces.
 
-use crate::admission::{AdmissionPolicy, AdmissionQueue, Admitted, FairnessConfig, Push};
+use crate::admission::{AdmissionPolicy, AdmissionQueue, Admitted, Push};
 use crate::clock::{Clock, WallClock};
 use crate::runtime::{run_pool, JobReport, JobSource, RtConfig, RtResult};
 use rtdb_core::ProtocolKind;
@@ -50,11 +50,17 @@ pub struct JobRequest {
     pub release_ns: u64,
     /// Absolute deadline, on the same clock; `None` = no deadline tracking.
     pub deadline_ns: Option<u64>,
-    /// The tenant this request is billed to under the fairness budgets
-    /// (see [`FairnessConfig`]). Tenant ids are small dense integers;
-    /// `0` is the default tenant.
+    /// The tenant its shed and reject counts go to
+    /// ([`RtResult::tenants`]). Tenant ids are small dense integers, at
+    /// most [`MAX_TENANT`]; `0` is the default tenant.
     pub tenant: u32,
 }
+
+/// Largest tenant id [`Submitter::submit`] accepts. Tenant ids index the
+/// admission queue's dense per-tenant counters, so a huge id would be an
+/// allocation amplifier; submissions above the cap are rejected before
+/// they are counted.
+pub const MAX_TENANT: u32 = 4095;
 
 impl JobRequest {
     /// A request with release `0`, no deadline, tenant `0`.
@@ -112,21 +118,15 @@ pub struct FrontConfig {
     pub capacity: usize,
     /// What happens to new requests when the queue is full.
     pub policy: AdmissionPolicy,
-    /// Per-tenant token-bucket fairness budgets; `None` (the default)
-    /// disables tenant accounting and makes shed decisions pure
-    /// least-slack.
-    pub fairness: Option<FairnessConfig>,
 }
 
 impl FrontConfig {
-    /// Defaults: [`RtConfig::new`], capacity 1024, [`AdmissionPolicy::Reject`],
-    /// fairness off.
+    /// Defaults: [`RtConfig::new`], capacity 1024, [`AdmissionPolicy::Reject`].
     pub fn new(kind: ProtocolKind) -> Self {
         FrontConfig {
             rt: RtConfig::new(kind),
             capacity: 1024,
             policy: AdmissionPolicy::Reject,
-            fairness: None,
         }
     }
 
@@ -147,12 +147,6 @@ impl FrontConfig {
         self.policy = policy;
         self
     }
-
-    /// Enable per-tenant fairness budgets.
-    pub fn with_fairness(mut self, fairness: FairnessConfig) -> Self {
-        self.fairness = Some(fairness);
-        self
-    }
 }
 
 /// What [`Submitter::submit`] told the submitter, synchronously.
@@ -164,8 +158,10 @@ pub enum SubmitOutcome {
         /// The submission ticket.
         ticket: u64,
     },
-    /// Bounced: a full queue under [`AdmissionPolicy::Reject`], or a
-    /// [`JobRequest::txn`] that is not a template of the set.
+    /// Bounced: a full queue under [`AdmissionPolicy::Reject`], a
+    /// [`JobRequest::txn`] that is not a template of the set, or a
+    /// [`JobRequest::tenant`] above [`MAX_TENANT`] (the one bounce not
+    /// counted in [`RtResult::rejected`]).
     Rejected,
     /// Shed synchronously under [`AdmissionPolicy::LeastSlack`]: the
     /// incoming request itself had the least remaining slack, so it never
@@ -204,9 +200,9 @@ struct FrontShared<C> {
     /// Also the run's clock and its shed/reject ledger.
     queue: AdmissionQueue<C>,
     tickets: AtomicU64,
-    /// Estimated service cost per template (WCET × tick), the fairness
-    /// ledger's charge unit.
-    costs: Vec<u64>,
+    /// Templates in the set: a [`JobRequest::txn`] at or above it is
+    /// unknown.
+    templates: usize,
 }
 
 /// The caller's view of a running front-end (see [`run_front`]).
@@ -254,18 +250,22 @@ impl<C: Clock> Submitter<'_, C> {
     /// under the front's [`AdmissionPolicy`], and the lock manager is
     /// never touched.
     pub fn submit(&self, req: JobRequest) -> SubmitOutcome {
+        // An absurd tenant id is the caller's bug, not an overload signal:
+        // bounce it before the tenant ledger grows a row for it.
+        if req.tenant > MAX_TENANT {
+            return SubmitOutcome::Rejected;
+        }
         // A template outside the set can never run: `AdmissionQueue::pop`
         // indexes its per-template sequence numbers by it.
-        let Some(&cost_ns) = self.shared.costs.get(req.txn.index()) else {
+        if req.txn.index() >= self.shared.templates {
             self.shared.queue.record_rejected(req.tenant);
             return SubmitOutcome::Rejected;
-        };
+        }
         let ticket = self.shared.tickets.fetch_add(1, Ordering::Relaxed);
         let item = Admitted {
             req,
             ticket,
             admitted_ns: 0,
-            cost_ns,
             done: self.done.clone(),
         };
         match self.shared.queue.push(item, self.shared.policy) {
@@ -319,17 +319,9 @@ pub fn run_front_on<C: Clock, R>(
                 .map(|i| set.priority_of(TxnId(i as u32)))
                 .collect::<Vec<_>>(),
             clock,
-            config.fairness,
         ),
         tickets: AtomicU64::new(0),
-        costs: (0..set.len())
-            .map(|i| {
-                set.template(TxnId(i as u32))
-                    .wcet()
-                    .raw()
-                    .saturating_mul(config.rt.tick_ns.max(1))
-            })
-            .collect(),
+        templates: set.len(),
     };
     let source = JobSource::Queue(&shared.queue);
     let driver = || driver(FrontHandle { shared: &shared });

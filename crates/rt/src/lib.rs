@@ -23,9 +23,9 @@
 //!   admission queue, the same worker pool pops it directly, completions
 //!   return over per-submitter channels — open-loop arrivals with
 //!   runtime deadline tracking;
-//! * [`admission`] — the bounded admission queue, its two overload
-//!   policies (reject, least-slack; neither parks a submitter) and
-//!   the per-tenant token-bucket fairness budgets ([`FairnessConfig`]);
+//! * [`admission`] — the bounded admission queue and its two overload
+//!   policies (reject, least-slack; neither parks a submitter), with
+//!   per-tenant shed and reject counts;
 //! * [`clock`] — the runtime's one clock ([`testkit`] has the tests' one);
 //! * [`jobs`] — deterministic seeded job queues;
 //! * [`histogram`] — a dependency-free log-bucketed latency histogram for
@@ -58,9 +58,10 @@ mod sharded;
 mod snapshot;
 pub mod testkit;
 
-pub use admission::{shed_victim, AdmissionPolicy, FairnessConfig, ShedCandidate};
+pub use admission::{shed_victim, AdmissionPolicy};
 pub use front::{
     run_front, Completion, FrontConfig, FrontHandle, JobRequest, SubmitOutcome, Submitter,
+    MAX_TENANT,
 };
 pub use histogram::LatencyHistogram;
 pub use jobs::job_list;

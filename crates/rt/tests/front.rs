@@ -13,7 +13,7 @@ use rtdb_rt::testkit::TestClock;
 use rtdb_rt::AdmissionPolicy::{LeastSlack, Reject};
 use rtdb_rt::{
     run_front, AdmissionPolicy, Completion, FrontConfig, JobRequest, RtConfig, RtResult,
-    SubmitOutcome, Submitter,
+    SubmitOutcome, Submitter, MAX_TENANT,
 };
 use rtdb_sim::{serializability_violations, Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::{
@@ -403,6 +403,35 @@ fn unknown_template_is_rejected_and_the_run_goes_on() {
     assert_eq!((rt.committed, rt.shed, rt.rejected), (2, 0, 1));
     let tenant = rt.tenants.iter().find(|t| t.tenant == 1).expect("tenant 1");
     assert_eq!((tenant.offered(), tenant.rejected), (3, 1));
+}
+
+/// A tenant id above [`MAX_TENANT`] is bounced before the tenant ledger,
+/// which indexes its rows by the id, sees it: a queue with room answers
+/// `Rejected`, counts nothing and grows no row, and the largest legal id
+/// is admitted as usual.
+#[test]
+fn a_tenant_above_the_cap_is_rejected_before_the_ledger() {
+    let set = burst_set();
+    let config = FrontConfig::new(ProtocolKind::PcpDa)
+        .with_rt(RtConfig::new(ProtocolKind::PcpDa).with_threads(1));
+    let (rt, outcomes) = run_front(&set, config, |front| {
+        let (sub, _rx) = front.submitter();
+        let job = |tenant| JobRequest::new(TxnId(0)).for_tenant(tenant);
+        [sub.submit(job(MAX_TENANT + 1)), sub.submit(job(MAX_TENANT))]
+    });
+    assert!(
+        matches!(
+            outcomes,
+            [SubmitOutcome::Rejected, SubmitOutcome::Admitted { .. }]
+        ),
+        "{outcomes:?}"
+    );
+    assert_eq!((rt.committed, rt.shed, rt.rejected), (1, 0, 0));
+    assert!(
+        rt.tenants.iter().all(|t| t.tenant <= MAX_TENANT),
+        "{:?}",
+        rt.tenants
+    );
 }
 
 /// `workers` long jobs, one per worker, then short ones: the shape that

@@ -8,8 +8,8 @@
 
 use rtdb_core::ProtocolKind;
 use rtdb_rt::{
-    job_list, run, run_front, shed_victim, AdmissionPolicy, FairnessConfig, FrontConfig,
-    JobRequest, RtConfig, ShedCandidate, SubmitOutcome,
+    job_list, run, run_front, shed_victim, AdmissionPolicy, FrontConfig, JobRequest, RtConfig,
+    SubmitOutcome,
 };
 use rtdb_sim::{serializability_violations, WorkloadParams};
 use rtdb_storage::EventKind;
@@ -255,7 +255,7 @@ fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
 /// Per-tenant conservation under `least-slack` shedding: for *every*
 /// tenant, `committed + shed + rejected == offered` — no submission is
 /// double-counted or lost, whatever mix of queued sheds, self-sheds and
-/// commits the race produces, with and without fairness budgets.
+/// commits the race produces.
 #[test]
 fn least_slack_conserves_every_tenants_offered_load() {
     prop::forall(16, |rng| {
@@ -264,13 +264,10 @@ fn least_slack_conserves_every_tenants_offered_load() {
         let tenants = 1 + rng.bounded(4) as u32;
         let threads = 1 + rng.bounded(3) as usize;
         let capacity = 1 + rng.bounded(4) as usize;
-        let mut config = FrontConfig::new(ProtocolKind::PcpDa)
+        let config = FrontConfig::new(ProtocolKind::PcpDa)
             .with_policy(AdmissionPolicy::LeastSlack)
             .with_capacity(capacity)
             .with_rt(RtConfig::new(ProtocolKind::PcpDa).with_threads(threads));
-        if rng.bounded(2) == 0 {
-            config = config.with_fairness(FairnessConfig::fair_share(threads, tenants as usize));
-        }
         // Deadlines vary from already-past to comfortable, so shed
         // victims come from both queued entries and incoming requests.
         let offered: Vec<(TxnId, u32, Option<u64>)> = (0..32)
@@ -331,56 +328,37 @@ fn least_slack_conserves_every_tenants_offered_load() {
     });
 }
 
-/// The shed-victim rule itself: when no tenant is over budget, a
-/// positive-slack candidate is never shed while a negative-slack
-/// candidate sits in the pool; with debtors present, the victim always
-/// comes from the debtor class, least slack first.
+/// The shed-victim rule itself: the victim has the least slack of all
+/// candidates, so a positive-slack candidate is never shed while a
+/// negative-slack candidate sits in the pool, and ties go to the oldest.
 #[test]
 fn shed_victim_never_prefers_positive_slack_over_negative() {
     prop::forall(256, |rng| {
         let n = 1 + rng.bounded(12) as usize;
-        let any_fairness = rng.bounded(2) == 0;
-        let candidates: Vec<ShedCandidate> = (0..n)
-            .map(|_| ShedCandidate {
-                // Mix of negative, small-positive and infinite slack.
-                slack_ns: match rng.bounded(4) {
-                    0 => -(rng.bounded(1_000_000) as i64) - 1,
-                    1 => rng.bounded(1_000_000) as i64,
-                    2 => rng.bounded(1_000_000_000) as i64,
-                    _ => i64::MAX,
-                },
-                over_budget: any_fairness && rng.bounded(3) == 0,
+        // Mix of negative, small-positive and infinite slack.
+        let slacks: Vec<i64> = (0..n)
+            .map(|_| match rng.bounded(4) {
+                0 => -(rng.bounded(1_000_000) as i64) - 1,
+                1 => rng.bounded(1_000_000) as i64,
+                2 => rng.bounded(1_000_000_000) as i64,
+                _ => i64::MAX,
             })
             .collect();
 
-        let victim = shed_victim(&candidates);
-        let v = candidates[victim];
-        if candidates.iter().any(|c| c.over_budget) {
-            // Fairness outranks slack: the victim is a debtor, with the
-            // least slack among debtors.
-            assert!(v.over_budget, "victim {v:?} not over budget");
-            let min_debtor = candidates
-                .iter()
-                .filter(|c| c.over_budget)
-                .map(|c| c.slack_ns)
-                .min()
-                .expect("some debtor");
-            assert_eq!(v.slack_ns, min_debtor);
-        } else {
-            // The satellite property: no positive-slack candidate sheds
-            // while a negative-slack one is available.
-            let min_slack = candidates
-                .iter()
-                .map(|c| c.slack_ns)
-                .min()
-                .expect("non-empty");
-            assert_eq!(v.slack_ns, min_slack);
-            if v.slack_ns > 0 {
-                assert!(
-                    candidates.iter().all(|c| c.slack_ns > 0),
-                    "positive-slack victim {v:?} with negative-slack candidate queued"
-                );
-            }
+        let victim = shed_victim(&slacks);
+        let v = slacks[victim];
+        assert_eq!(v, *slacks.iter().min().expect("non-empty"));
+        assert!(
+            slacks[..victim].iter().all(|&s| s > v),
+            "an older candidate ties victim {victim} in {slacks:?}"
+        );
+        // No positive-slack candidate sheds while a negative-slack one is
+        // available.
+        if v > 0 {
+            assert!(
+                slacks.iter().all(|&s| s > 0),
+                "positive-slack victim {v} with a negative-slack candidate in {slacks:?}"
+            );
         }
     });
 }

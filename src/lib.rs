@@ -15,8 +15,8 @@
 //!   protocols executed on real OS threads through a parking lock
 //!   manager, with closed-loop job execution, an asynchronous admission
 //!   front-end for open-loop arrivals with runtime deadline tracking
-//!   (slack-aware admission, per-tenant fairness budgets), and latency
-//!   histograms;
+//!   (slack-aware admission, per-tenant shed and reject counts), and
+//!   latency histograms;
 //! * [`net`] — the TCP service edge (crate `rtdb-net`): blocking
 //!   per-connection reader and writer threads speaking a length-prefixed
 //!   binary wire protocol, bridging socket clients onto the admission
@@ -88,8 +88,8 @@ pub mod prelude {
     };
     pub use rtdb_net::{serve, NetClient, NetConfig};
     pub use rtdb_rt::{
-        job_list, run_front, AdmissionPolicy, FairnessConfig, FrontConfig, JobRequest,
-        LatencyHistogram, RtConfig, RtResult, TenantStats,
+        job_list, run_front, AdmissionPolicy, FrontConfig, JobRequest, LatencyHistogram, RtConfig,
+        RtResult, TenantStats,
     };
     pub use rtdb_sim::{
         compare_protocols, Engine, MetricsReport, RunOutcome, RunResult, SimConfig, WorkloadParams,
