@@ -87,7 +87,7 @@ impl std::fmt::Display for AdmissionPolicy {
 /// * ties go to the earliest index — the oldest queued request, so
 ///   queued requests shed before the incoming one on ties.
 ///
-/// [`AdmissionQueue::push`] applies the same rule in one pass over its
+/// The admission queue's push applies the same rule in one pass over its
 /// lanes.
 ///
 /// # Panics
