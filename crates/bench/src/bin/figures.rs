@@ -10,9 +10,10 @@
 //! and appends a JSON record to `results/experiments.json` so
 //! EXPERIMENTS.md can be regenerated from data.
 
+use rtdb::cc::Effect;
 use rtdb::paper;
 use rtdb::prelude::*;
-use rtdb::sim::{gantt, sweep, TraceEvent};
+use rtdb::sim::{gantt, sweep};
 use rtdb_util::Json;
 use std::collections::BTreeMap;
 
@@ -175,9 +176,8 @@ fn fig3(rep: &mut Report) {
         r.trace
             .events()
             .iter()
-            .any(|e| {
-                matches!(e, TraceEvent::DeadlineMiss { at, who }
-                if who.txn == TxnId(0) && who.seq == 0 && at.raw() == 6)
+            .any(|&(at, e)| {
+                e == Effect::DeadlineMissed(InstanceId::new(TxnId(0), 0)) && at.raw() == 6
             })
             .into(),
     );

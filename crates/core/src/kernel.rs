@@ -17,10 +17,11 @@
 //! cycle's victim on the rest of the cycle; every abort is followed by a
 //! re-evaluation and holds what it restarts on its cause. What a call did
 //! goes into an [`Effects`] buffer the caller lends, in the order the
-//! engine acts on it — trace events, Gantt segments and ready-queue
-//! changes in the simulator, notifies and abort flags in the runtime. A
-//! tick source stamps what a call logs: one clock value per transition in
-//! the simulator, one atomic tick per event in the runtime.
+//! engine acts on it — Gantt segments and ready-queue changes in the
+//! simulator, whose trace logs the effects themselves, notifies and abort
+//! flags in the runtime. A tick source stamps what a call logs: one clock
+//! value per transition in the simulator, one atomic tick per event in
+//! the runtime.
 //!
 //! ## One handle per live instance
 //!
@@ -116,18 +117,38 @@ impl Record {
 }
 
 /// The instances an [`Effect`] names — blockers, gate entries, a cycle,
-/// a cause — kept in its [`Effects`] buffer ([`Effects::ids`]).
+/// a cause — kept in its [`Effects`] buffer or a copy ([`Effect::copied`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span(u32, u32);
 
-/// One thing a kernel call did that an engine acts on.
+impl Span {
+    /// The instances this span names in `ids`, the buffer it indexes.
+    pub fn of(self, ids: &[InstanceId]) -> &[InstanceId] {
+        &ids[self.0 as usize..self.1 as usize]
+    }
+
+    fn append(ids: &mut Vec<InstanceId>, named: &[InstanceId]) -> Span {
+        let start = ids.len() as u32;
+        ids.extend_from_slice(named);
+        Span(start, ids.len() as u32)
+    }
+}
+
+/// One thing a kernel call did that an engine acts on, or one of the
+/// engine's own events a trace logs beside them (the last three).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Effect {
     /// The request was granted now and its data operation happened.
-    Granted,
-    /// The request is pending on these blockers, or the committer parked
-    /// at its commit gate on these entries; they inherit its priority.
-    Parked(Span),
+    Granted(LockRequest),
+    /// The request is pending on these blockers; they inherit its
+    /// priority.
+    Parked(LockRequest, Span),
+    /// The committer parked at its commit gate on these entries; they
+    /// inherit its priority.
+    Gated(InstanceId, Span),
+    /// `(who, item, mode)`: a lock released before commit, by an early
+    /// release or a retire (a retired write shows as its write lock).
+    Released(InstanceId, ItemId, LockMode),
     /// `(who, reason, cause)`: aborted and restarted, held on the cause
     /// less its co-aborted (a cascade shares its source's cause).
     Aborted(InstanceId, AbortReason, Span),
@@ -146,11 +167,36 @@ pub enum Effect {
     Cycle(Span, InstanceId),
     /// Installed, released everything and left.
     Committed(InstanceId),
+    /// Released by its engine (an arrival).
+    Arrived(InstanceId),
+    /// Its deadline passed while it was live.
+    DeadlineMissed(InstanceId),
+    /// No instance could run and none was due, and no cycle was found:
+    /// the engine stopped on every live instance (the span).
+    Stalled(Span),
+}
+
+impl Effect {
+    /// This effect with the span it names copied out of `from` onto the
+    /// end of `to`: how a log that outlives the buffer keeps it.
+    pub fn copied(self, from: &Effects, to: &mut Vec<InstanceId>) -> Effect {
+        let mut copy = |span: Span| Span::append(to, from.ids(span));
+        match self {
+            Effect::Parked(req, on) => Effect::Parked(req, copy(on)),
+            Effect::Gated(who, on) => Effect::Gated(who, copy(on)),
+            Effect::Aborted(who, reason, cause) => Effect::Aborted(who, reason, copy(cause)),
+            Effect::Foreign(who, reason, cause) => Effect::Foreign(who, reason, copy(cause)),
+            Effect::Cycle(cycle, victim) => Effect::Cycle(copy(cycle), victim),
+            Effect::Stalled(live) => Effect::Stalled(copy(live)),
+            named => named,
+        }
+    }
 }
 
 /// What a kernel call did, in the order the engine acts on it, in a
 /// buffer the caller lends: the entry points overwrite it,
-/// [`StateKernel::reevaluate`] and [`StateKernel::resolve_cycles`] append.
+/// [`StateKernel::reevaluate`] and [`StateKernel::resolve_cycles`] append,
+/// and an engine may append its own events ([`Effects::push`]).
 #[derive(Debug, Default)]
 pub struct Effects {
     log: Vec<Effect>,
@@ -164,8 +210,8 @@ impl Effects {
     }
 
     /// The instances `span` names.
-    pub fn ids(&self, Span(start, end): Span) -> &[InstanceId] {
-        &self.ids[start as usize..end as usize]
+    pub fn ids(&self, span: Span) -> &[InstanceId] {
+        span.of(&self.ids)
     }
 
     /// Empty the buffer, keeping its capacity.
@@ -174,10 +220,14 @@ impl Effects {
         self.ids.clear();
     }
 
-    fn span(&mut self, ids: &[InstanceId]) -> Span {
-        let start = self.ids.len() as u32;
-        self.ids.extend_from_slice(ids);
-        Span(start, self.ids.len() as u32)
+    /// Append `effect`.
+    pub fn push(&mut self, effect: Effect) {
+        self.log.push(effect);
+    }
+
+    /// A span naming `ids`, kept in this buffer.
+    pub fn span(&mut self, ids: &[InstanceId]) -> Span {
+        Span::append(&mut self.ids, ids)
     }
 }
 
@@ -676,7 +726,7 @@ impl<'a> StateKernel<'a> {
                     self.gate_writers_on(who, item);
                 }
                 self.data_op(who, step_index, item, mode, ws, tick());
-                fx.log.push(Effect::Granted);
+                fx.log.push(Effect::Granted(req));
                 true
             }
             decision => {
@@ -713,7 +763,7 @@ impl<'a> StateKernel<'a> {
                 self.n_pending += 1;
                 self.note_blockers(who, &blockers);
                 let blockers = fx.span(&blockers);
-                fx.log.push(Effect::Parked(blockers));
+                fx.log.push(Effect::Parked(req, blockers));
                 // A new blocking edge can itself unblock others: PCP-DA's
                 // commit-order guard admits a read over a higher-priority
                 // write holder once that holder is hard-blocked on the
@@ -911,9 +961,9 @@ impl<'a> StateKernel<'a> {
     /// the staged value stays visible there and successors order
     /// themselves behind the retiree at their commit gate instead of by
     /// lock wait. Each non-empty batch is followed by a re-evaluation;
-    /// `fx` is overwritten with the woken. Returns the locks released
-    /// before commit, in release order (retired writes appear as
-    /// `(item, Write)`).
+    /// `fx` is overwritten with the locks released, in release order
+    /// ([`Effect::Released`]; a retired write appears as its write lock),
+    /// each batch followed by the woken.
     #[inline]
     pub fn step_done<P: ProtocolFor<Self>>(
         &mut self,
@@ -923,14 +973,15 @@ impl<'a> StateKernel<'a> {
         ws: &Workspace,
         mut tick: impl FnMut() -> Tick,
         fx: &mut Effects,
-    ) -> Vec<(ItemId, LockMode)> {
+    ) {
         fx.clear();
-        let mut releases = protocol.early_releases(self, who, completed_step);
+        let releases = protocol.early_releases(self, who, completed_step);
         if !releases.is_empty() {
             let install_early = protocol.update_model() == UpdateModel::InstallOnEarlyRelease;
-            for &(item, mode) in &releases {
+            for (item, mode) in releases {
                 debug_assert!(self.locks.holds(who, item, mode));
                 self.locks.release(who, item, mode);
+                fx.log.push(Effect::Released(who, item, mode));
                 if !(install_early && mode == LockMode::Write) {
                     continue;
                 }
@@ -957,11 +1008,10 @@ impl<'a> StateKernel<'a> {
                 self.locks.release(who, item, LockMode::Write);
                 debug_assert!(protocol.may_abort(), "a retiree's readers cascade");
                 self.retired.retire(who, item, staged);
-                releases.push((item, LockMode::Write));
+                fx.log.push(Effect::Released(who, item, LockMode::Write));
             }
             self.reevaluate(protocol, fx);
         }
-        releases
     }
 
     fn install_one(&mut self, who: InstanceId, item: ItemId, value: Value, at: Tick) -> u64 {
@@ -979,7 +1029,7 @@ impl<'a> StateKernel<'a> {
     }
 
     /// The commit entry point, overwriting `fx` with what it did. With its
-    /// [`Record::gate`] closed, `who` parks there ([`Effect::Parked`]) and
+    /// [`Record::gate`] closed, `who` parks there ([`Effect::Gated`]) and
     /// the cycles that closes are resolved. Otherwise the instances its
     /// commit invalidates (optimistic validation) are aborted on it, and
     /// at the tick `at` draws it logs its Commit (when `log_commit`; a
@@ -1011,7 +1061,7 @@ impl<'a> StateKernel<'a> {
             let s = self.slot_of(who).expect("instance is live");
             let gate = fx.span(&self.records[s].gate);
             self.set_waits(s, fx.ids(gate));
-            fx.log.push(Effect::Parked(gate));
+            fx.log.push(Effect::Gated(who, gate));
             self.resolve_cycles(protocol, &mut tick, fx);
             return None;
         }

@@ -159,6 +159,12 @@ fn acquire(
     fx
 }
 
+/// What a grant of `item` in `mode` to `who` leaves in the effects.
+fn grant(who: InstanceId, item: u32, mode: LockMode) -> [Effect; 1] {
+    let item = ItemId(item);
+    [Effect::Granted(LockRequest { who, item, mode })]
+}
+
 /// The first wait-for cycle a reporting kernel finds, with the victim
 /// it names (and `None`, from any kernel, when there is none).
 fn first_cycle(k: &mut StateKernel<'_>) -> Option<(Vec<InstanceId>, InstanceId)> {
@@ -209,7 +215,10 @@ fn park_at_gate(
     let tick = || Tick(9);
     let record = k.commit(p, who, &ws[&who], true, None, tick, tick, &mut fx);
     assert!(record.is_none(), "{who} has commit dependencies");
-    assert!(matches!(fx.log(), [Effect::Parked(_)]), "{fx:?}");
+    assert!(
+        matches!(*fx.log(), [Effect::Gated(w, _)] if w == who),
+        "{fx:?}"
+    );
 }
 
 /// `who` wrote `item` and retires the write lock.
@@ -221,11 +230,14 @@ fn write_and_retire(
     item: u32,
 ) {
     let granted = acquire(k, p, ws, who, item, LockMode::Write);
-    assert_eq!(granted.log(), [Effect::Granted]);
+    assert_eq!(granted.log(), grant(who, item, LockMode::Write));
     p.retire = vec![ItemId(item)];
     let mut fx = Effects::default();
-    let released = k.step_done(p, who, 0, &ws[&who], || Tick(2), &mut fx);
-    assert_eq!(released, vec![(ItemId(item), LockMode::Write)]);
+    k.step_done(p, who, 0, &ws[&who], || Tick(2), &mut fx);
+    assert_eq!(
+        fx.log(),
+        [Effect::Released(who, ItemId(item), LockMode::Write)]
+    );
 }
 
 #[test]
@@ -236,7 +248,7 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     let mut p = Scripted::default();
     assert_eq!(
         acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write).log(),
-        [Effect::Granted]
+        grant(h, 0, LockMode::Write)
     );
 
     // a waits for c, everyone else for h: c runs at a's priority, so it
@@ -244,7 +256,10 @@ fn reevaluate_wakes_by_priority_and_refreshes_the_still_denied() {
     p.deny = BTreeMap::from([(a, vec![c]), (b, vec![h]), (b2, vec![h]), (c, vec![h])]);
     for who in [b2, c, b, a] {
         let blocked = acquire(&mut k, &mut p, &mut ws, who, 0, LockMode::Read);
-        assert!(matches!(blocked.log(), [Effect::Parked(_)]), "{blocked:?}");
+        assert!(
+            matches!(*blocked.log(), [Effect::Parked(req, _)] if req.who == who),
+            "{blocked:?}"
+        );
     }
     assert_eq!(k.running_priority(c), k.base_priority(a));
     assert_eq!(k.running_priority(h), k.base_priority(a));
@@ -425,8 +440,9 @@ fn commit_skips_early_installs_and_logs_commit_before_installs_at_one_tick() {
     };
     acquire(&mut k, &mut p, &mut ws, t, 0, LockMode::Write);
     p.early = vec![(ItemId(0), LockMode::Write)];
-    let released = k.step_done(&mut p, t, 0, &ws[&t], || Tick(5), &mut Effects::default());
-    assert_eq!(released, vec![(ItemId(0), LockMode::Write)]);
+    let mut fx = Effects::default();
+    k.step_done(&mut p, t, 0, &ws[&t], || Tick(5), &mut fx);
+    assert_eq!(fx.log(), [Effect::Released(t, ItemId(0), LockMode::Write)]);
     assert_eq!(k.record(t).unwrap().installed_early, vec![ItemId(0)]);
     assert_eq!(
         k.db().get(ItemId(0)).version,
@@ -434,7 +450,7 @@ fn commit_skips_early_installs_and_logs_commit_before_installs_at_one_tick() {
         "installed at the early release"
     );
     let mut fx = acquire(&mut k, &mut p, &mut ws, t, 1, LockMode::Write);
-    assert_eq!(fx.log(), [Effect::Granted]);
+    assert_eq!(fx.log(), grant(t, 1, LockMode::Write));
 
     let before = k.history().events().len();
     let mut installed = Vec::new();
@@ -871,7 +887,7 @@ fn a_grant_is_an_effect_and_a_covered_access_is_not() {
         || Tick(1),
         &mut fx
     ));
-    assert_eq!(fx.log(), [Effect::Granted]);
+    assert_eq!(fx.log(), grant(w, 0, LockMode::Write));
     assert!(k.request(
         &mut p,
         w,
@@ -907,10 +923,10 @@ fn a_denial_parks_the_requester_on_its_blockers() {
         || Tick(1),
         &mut fx
     ));
-    let [Effect::Parked(blockers)] = *fx.log() else {
+    let [Effect::Parked(req, blockers)] = *fx.log() else {
         panic!("{fx:?}");
     };
-    assert_eq!(fx.ids(blockers), [h]);
+    assert_eq!((req.who, fx.ids(blockers)), (a, &[h][..]));
     assert!(k.pending_request(a).is_some());
     assert_eq!(k.record(a).unwrap().block_events, 1);
     assert_eq!(k.running_priority(h), k.base_priority(a), "h inherits");
@@ -945,7 +961,11 @@ fn a_wound_aborts_the_holder_and_its_dependents_on_the_wounder() {
     assert!(!k.locks().holds(h, ItemId(5), LockMode::Write));
     p.wound.clear();
     let fx = acquire(&mut k, &mut p, &mut ws, h, 5, LockMode::Write);
-    assert_eq!(fx.log(), [Effect::Granted], "the retry goes through");
+    assert_eq!(
+        fx.log(),
+        grant(h, 5, LockMode::Write),
+        "the retry goes through"
+    );
     let (_, _, reasons) = k.into_parts();
     assert_eq!((reasons.wound, reasons.cascade), (1, 1));
 }
@@ -982,7 +1002,7 @@ fn an_abort_wakes_what_it_unblocked_and_ends_the_holds_it_was_the_last_of() {
     acquire(&mut k, &mut p, &mut ws, l, 0, LockMode::Write);
     p.deny.insert(b, vec![l]);
     let fx = acquire(&mut k, &mut p, &mut ws, b, 0, LockMode::Read);
-    assert!(matches!(fx.log(), [Effect::Parked(_)]));
+    assert!(matches!(fx.log(), [Effect::Parked(..)]));
     k.hold(v, &[l]);
     p.wound.insert(h, vec![l]);
     let fx = acquire(&mut k, &mut p, &mut ws, h, 1, LockMode::Write);
@@ -1028,7 +1048,7 @@ fn a_commit_aborts_its_victims_then_wakes_then_opens_gates_and_ends_holds() {
             &mut fx
         )
         .is_none());
-    let [Effect::Parked(gate)] = *fx.log() else {
+    let [Effect::Gated(_, gate)] = *fx.log() else {
         panic!("{fx:?}");
     };
     assert_eq!(fx.ids(gate), [w]);
@@ -1124,7 +1144,7 @@ fn a_denial_that_closes_a_cycle_aborts_its_victim_on_the_rest() {
         ..Scripted::default()
     };
     let fx = two_way_cycle(&mut k, &mut p, &mut ws, [a, b]);
-    let [Effect::Parked(_), Effect::Cycle(cycle, victim), Effect::Aborted(who, AbortReason::DeadlockVictim, cause), Effect::Woken(woken)] =
+    let [Effect::Parked(..), Effect::Cycle(cycle, victim), Effect::Aborted(who, AbortReason::DeadlockVictim, cause), Effect::Woken(woken)] =
         *fx.log()
     else {
         panic!("{fx:?}");
@@ -1146,7 +1166,7 @@ fn a_reporting_kernel_reports_the_cycle_and_leaves_it_standing() {
         ..Scripted::default()
     };
     let fx = two_way_cycle(&mut k, &mut p, &mut ws, [a, b]);
-    let [Effect::Parked(_), Effect::Cycle(cycle, victim)] = *fx.log() else {
+    let [Effect::Parked(..), Effect::Cycle(cycle, victim)] = *fx.log() else {
         panic!("{fx:?}");
     };
     assert_eq!((fx.ids(cycle), victim), (&[a, b][..], b));
@@ -1231,7 +1251,7 @@ fn a_victim_that_spans_kernels_is_named_not_aborted() {
     assert!(k.locks().held_by(l).next().is_none() && k.held(l));
     p.wound.clear();
     let fx = acquire(&mut k, &mut p, &mut ws, h, 0, LockMode::Write);
-    assert_eq!(fx.log(), [Effect::Granted]);
+    assert_eq!(fx.log(), grant(h, 0, LockMode::Write));
     let (history, _, reasons) = k.into_parts();
     assert_eq!(reasons.wound, 1);
     assert!(

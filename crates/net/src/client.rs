@@ -4,24 +4,29 @@
 //! It waits on the wire, never on a timer: [`NetClient::wait_response`]
 //! polls the socket before it blocks in `read`, so a prompt reply does
 //! not pay the client's own wake-up, whose cost is 2 µs or 20 µs by where
-//! the scheduler put the threads (DESIGN.md §6g).
+//! the scheduler put the threads (DESIGN.md §6g). When it polls, blocks
+//! or gives up is one pure decision, [`next_wait`], over readings of the
+//! runtime's clock ([`rtdb_rt::clock`]), so a test can drive it exactly.
 
 use crate::wire::{FrameBuf, Request, Response, WireError};
+use rtdb_rt::clock::{Clock, WallClock};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One client connection. Submissions are pipelined: [`NetClient::submit`]
 /// returns as soon as the frame is written; responses are pulled with
 /// [`NetClient::poll_response`] / [`NetClient::wait_response`] and
-/// correlated by the client-chosen ticket.
-pub struct NetClient {
+/// correlated by the client-chosen ticket. Every read of time is a
+/// reading of its clock `C`.
+pub struct NetClient<C: Clock = WallClock> {
     stream: TcpStream,
     rbuf: FrameBuf,
     /// `submit`'s encode buffer, reused across calls.
     wbuf: Vec<u8>,
     /// The socket's mode, switched only when a call needs the other one.
     nonblocking: bool,
+    clock: C,
 }
 
 /// How long `wait_response` polls an empty socket before it blocks:
@@ -30,7 +35,35 @@ pub struct NetClient {
 /// both), so such a reply never waits for the client's wake-up, while a
 /// client waiting on a slow job spends at most this much CPU per call
 /// before it blocks.
-const REPLY_SPIN: Duration = Duration::from_micros(200);
+pub const REPLY_SPIN: Duration = Duration::from_micros(200);
+
+/// What [`NetClient::wait_response`] does after a look at the socket
+/// found no response.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// Yield, then look again: the poll phase.
+    Poll,
+    /// Block in `read` for at most this long.
+    Block(Duration),
+    /// The caller's timeout has passed.
+    GiveUp,
+}
+
+/// The client's wait policy: `now` and `start` are clock readings in ns,
+/// `timeout` the caller's. The first [`REPLY_SPIN`] of the wait polls,
+/// clipped to the timeout, so a timeout the poll phase covers never
+/// reaches a blocking `read`; then the wait blocks for what is left of
+/// the timeout, and gives up once it has passed.
+pub fn next_wait(now: u64, start: u64, timeout: Duration) -> Wait {
+    let waited = Duration::from_nanos(now.saturating_sub(start));
+    if waited < REPLY_SPIN.min(timeout) {
+        Wait::Poll
+    } else if waited < timeout {
+        Wait::Block(timeout - waited)
+    } else {
+        Wait::GiveUp
+    }
+}
 
 fn wire_err(e: WireError) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, e)
@@ -39,6 +72,13 @@ fn wire_err(e: WireError) -> io::Error {
 impl NetClient {
     /// Connect to a [`crate::serve`] endpoint.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
+        NetClient::connect_on(addr, WallClock::now())
+    }
+}
+
+impl<C: Clock> NetClient<C> {
+    /// [`NetClient::connect`], reading time on `clock`.
+    pub fn connect_on(addr: SocketAddr, clock: C) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(NetClient {
@@ -46,6 +86,7 @@ impl NetClient {
             rbuf: FrameBuf::new(),
             wbuf: Vec::with_capacity(40),
             nonblocking: false,
+            clock,
         })
     }
 
@@ -65,30 +106,32 @@ impl NetClient {
         self.stream.write_all(&self.wbuf)
     }
 
-    /// The next response: buffered, else after a `read` that waits until
-    /// `deadline` at most (`None`: for as long as it takes; past: not at
-    /// all); `Ok(None)` if none came.
-    fn next(&mut self, deadline: Option<Instant>) -> io::Result<Option<Response>> {
+    /// The next response: buffered, else after one `read` that blocks
+    /// for `block` at most (`None`: a poll, which does not block);
+    /// `Ok(None)` if no whole one came.
+    fn next(&mut self, block: Option<Duration>) -> io::Result<Option<Response>> {
         let mut tmp = [0u8; 4096];
+        let mut read = false;
         loop {
             if let Some(payload) = self.rbuf.next_frame().map_err(wire_err)? {
                 return Response::decode(&payload).map(Some).map_err(wire_err);
             }
-            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            let poll = left.is_some_and(|left| left.is_zero());
-            self.set_nonblocking(poll)?;
-            if !poll {
-                self.stream.set_read_timeout(left)?;
+            if read {
+                return Ok(None);
+            }
+            self.set_nonblocking(block.is_none())?;
+            if block.is_some() {
+                self.stream.set_read_timeout(block)?;
             }
             match self.stream.read(&mut tmp) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.rbuf.extend(&tmp[..n]),
+                Ok(n) => {
+                    self.rbuf.extend(&tmp[..n]);
+                    read = true;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                // Nothing there: final for a poll, a wait re-reads its clock.
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if poll {
-                        return Ok(None);
-                    }
+                    return Ok(None)
                 }
                 Err(e) => return Err(e),
             }
@@ -97,26 +140,29 @@ impl NetClient {
 
     /// Never blocks: the next response the buffer or the socket holds, if any.
     pub fn poll_response(&mut self) -> io::Result<Option<Response>> {
-        self.next(Some(Instant::now()))
+        self.next(None)
     }
 
     /// The next response within `timeout` ([`ErrorKind::TimedOut`];
     /// [`Duration::MAX`] waits for as long as it takes): looks at the
-    /// socket, polls it for up to `REPLY_SPIN` with a `yield_now` between
-    /// looks, then blocks in `read` for what is left of `timeout`.
+    /// socket, then does what [`next_wait`] says until a response comes —
+    /// polls with a `yield_now` between looks, blocks in `read`, or gives
+    /// up.
     pub fn wait_response(&mut self, timeout: Duration) -> io::Result<Response> {
-        let start = Instant::now();
-        let spin_until = start + REPLY_SPIN.min(timeout);
+        let start = self.clock.now_ns();
+        let mut look = None;
         loop {
-            if let Some(resp) = self.poll_response()? {
+            if let Some(resp) = self.next(look)? {
                 return Ok(resp);
             }
-            if Instant::now() >= spin_until {
-                break;
-            }
-            std::thread::yield_now();
+            look = match next_wait(self.clock.now_ns(), start, timeout) {
+                Wait::Poll => {
+                    std::thread::yield_now();
+                    None
+                }
+                Wait::Block(left) => Some(left),
+                Wait::GiveUp => return Err(ErrorKind::TimedOut.into()),
+            };
         }
-        self.next(start.checked_add(timeout))?
-            .ok_or(ErrorKind::TimedOut.into())
     }
 }

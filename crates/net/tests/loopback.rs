@@ -10,7 +10,9 @@
 //! forces the admission order by waiting for each `Accepted` in turn.
 
 use rtdb_core::ProtocolKind;
+use rtdb_net::client::{next_wait, Wait, REPLY_SPIN};
 use rtdb_net::{serve, serve_on, FrameBuf, NetClient, NetConfig, Request, Response, MAX_FRAME_LEN};
+use rtdb_rt::clock::{Clock, WallClock};
 use rtdb_rt::testkit::TestClock;
 use rtdb_rt::{AdmissionPolicy, FrontConfig, RtConfig};
 use rtdb_sim::{Engine, RunOutcome, SimConfig};
@@ -18,7 +20,9 @@ use rtdb_types::{InstanceId, ItemId, SetBuilder, Step, TransactionSet, Transacti
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Milliseconds in nanoseconds.
@@ -796,35 +800,129 @@ fn wait_response_without_a_deadline() {
     slow_round_trip(Duration::MAX);
 }
 
-/// A peer that accepts and never writes, and a client connected to it.
-fn silent_peer() -> (TcpStream, NetClient) {
+/// A peer that accepts and never writes, and a client on `clock`
+/// connected to it.
+fn silent_peer_on<C: Clock>(clock: C) -> (TcpStream, NetClient<C>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let client = NetClient::connect(listener.local_addr().expect("address")).expect("connect");
+    let addr = listener.local_addr().expect("address");
+    let client = NetClient::connect_on(addr, clock).expect("connect");
     let (peer, _) = listener.accept().expect("accept");
     (peer, client)
 }
 
-/// The poll phase is clipped to the caller's timeout, and the blocking
-/// `read` after it waits out the rest.
+fn silent_peer() -> (TcpStream, NetClient) {
+    silent_peer_on(WallClock::now())
+}
+
+/// A clock the test drives: its first reading is 0 and each one after is
+/// `step` ns past the one before, however long the host took between
+/// them. Clones share the count.
+#[derive(Clone)]
+struct Stepping(Arc<(u64, AtomicU64)>);
+
+impl Stepping {
+    fn new(step: Duration) -> Self {
+        Stepping(Arc::new((step.as_nanos() as u64, AtomicU64::new(0))))
+    }
+
+    fn readings(&self) -> u64 {
+        self.0 .1.load(Ordering::Relaxed)
+    }
+}
+
+impl Clock for Stepping {
+    fn now_ns(&self) -> u64 {
+        self.0 .1.fetch_add(1, Ordering::Relaxed) * self.0 .0
+    }
+}
+
+/// The wait policy, exactly: a timeout the poll phase covers polls to
+/// its end and gives up there, never blocking; a longer one polls for
+/// `REPLY_SPIN`, blocks for exactly what is left, and gives up at the
+/// timeout; `Duration::MAX` never gives up.
+#[test]
+fn the_wait_policy_polls_then_blocks_for_the_rest_then_gives_up() {
+    let us = Duration::from_micros;
+    let start = 7_000;
+    let at = |waited: Duration| start + waited.as_nanos() as u64;
+    for timeout in [Duration::ZERO, us(1), us(100), REPLY_SPIN] {
+        for waited in (0..timeout.as_micros() as u64).map(us) {
+            assert_eq!(
+                next_wait(at(waited), start, timeout),
+                Wait::Poll,
+                "{timeout:?} at {waited:?}"
+            );
+        }
+        for waited in [timeout, timeout + us(1), us(10_000)] {
+            assert_eq!(
+                next_wait(at(waited), start, timeout),
+                Wait::GiveUp,
+                "{timeout:?} at {waited:?}"
+            );
+        }
+    }
+    for timeout in [REPLY_SPIN + us(1), us(50_000), Duration::MAX] {
+        for waited in [us(0), us(1), REPLY_SPIN - us(1)] {
+            assert_eq!(
+                next_wait(at(waited), start, timeout),
+                Wait::Poll,
+                "{timeout:?} at {waited:?}"
+            );
+        }
+        for waited in [REPLY_SPIN, us(201), us(49_999)]
+            .into_iter()
+            .filter(|&w| w < timeout)
+        {
+            let left = Wait::Block(timeout - waited);
+            assert_eq!(
+                next_wait(at(waited), start, timeout),
+                left,
+                "{timeout:?} at {waited:?}"
+            );
+        }
+    }
+    assert_eq!(next_wait(at(us(50_000)), start, us(50_000)), Wait::GiveUp);
+}
+
+/// `wait_response` obeys the policy on its own clock: on a clock that
+/// moves `step` per reading, a 100 µs wait looks at the socket once per
+/// reading until the reading that reaches the timeout, and gives up
+/// there — one reading for the start, one per look — whatever the host's
+/// load.
+#[test]
+fn wait_response_gives_up_at_the_callers_deadline_on_its_clock() {
+    let us = Duration::from_micros;
+    for (timeout, step, looks) in [
+        (us(100), us(10), 10),
+        (REPLY_SPIN, us(25), 8),
+        (us(0), us(1), 1),
+    ] {
+        let clock = Stepping::new(step);
+        let (_peer, mut client) = silent_peer_on(clock.clone());
+        let err = client.wait_response(timeout).expect_err("nothing was sent");
+        assert_eq!(err.kind(), ErrorKind::TimedOut, "{err}");
+        assert_eq!(
+            clock.readings(),
+            1 + looks,
+            "{timeout:?} in steps of {step:?}"
+        );
+    }
+}
+
+/// On the wall clock, a timeout past the poll phase blocks in `read` for
+/// the rest and times out no earlier than the caller asked.
 #[test]
 fn wait_response_times_out_on_the_callers_clock() {
     let (_peer, mut client) = silent_peer();
-    for (timeout, within) in [
-        (
-            Duration::from_micros(100),
-            Duration::ZERO..Duration::from_millis(5),
-        ),
-        (Duration::from_millis(50), Duration::from_millis(50)..WAIT),
-    ] {
-        let started = Instant::now();
-        let err = client.wait_response(timeout).expect_err("nothing was sent");
-        let took = started.elapsed();
-        assert_eq!(err.kind(), ErrorKind::TimedOut, "{err}");
-        assert!(
-            within.contains(&took),
-            "wait_response({timeout:?}) took {took:?}"
-        );
-    }
+    let timeout = Duration::from_millis(50);
+    let started = Instant::now();
+    let err = client.wait_response(timeout).expect_err("nothing was sent");
+    let took = started.elapsed();
+    assert_eq!(err.kind(), ErrorKind::TimedOut, "{err}");
+    assert!(
+        (timeout..WAIT).contains(&took),
+        "wait_response({timeout:?}) took {took:?}"
+    );
 }
 
 /// A peer that hangs up while the client polls ends the wait at once.

@@ -324,7 +324,14 @@ impl<'a> Shared<'a> {
                     self.waiter_mut(who).cv.notify_one();
                 }
                 Effect::Cycle(..) => self.deadlocks_resolved += 1,
-                Effect::Granted | Effect::Parked(_) | Effect::Committed(_) => {}
+                Effect::Granted(_)
+                | Effect::Parked(..)
+                | Effect::Gated(..)
+                | Effect::Released(..)
+                | Effect::Committed(_) => {}
+                Effect::Arrived(_) | Effect::DeadlineMissed(_) | Effect::Stalled(_) => {
+                    unreachable!("a kernel reports no engine events")
+                }
             }
         }
     }
@@ -413,7 +420,7 @@ impl<'a> Shared<'a> {
     /// hold.
     pub(crate) fn denied_by(&self) -> Vec<InstanceId> {
         match self.fx.log().first() {
-            Some(&Effect::Parked(blockers)) => self.fx.ids(blockers).to_vec(),
+            Some(&Effect::Parked(_, blockers)) => self.fx.ids(blockers).to_vec(),
             _ => Vec::new(),
         }
     }

@@ -8,9 +8,9 @@
 //! in [`rtdb_core::StateKernel`], which the threaded runtime drives too.
 //! The engine presents each step's access and each commit to the kernel's
 //! entry points (which consult the [`ProtocolFor`] and apply its decision,
-//! wounds, dies and deadlock victims included) and turns the effects they
-//! return — granted, parked, aborted, woken, gates opened, cycles found —
-//! into trace events, Gantt segments and ready-queue changes.
+//! wounds, dies and deadlock victims included), logs each effect they
+//! return in the trace as it is, stamped with the clock, and acts on it
+//! with Gantt segments and ready-queue changes.
 //!
 //! ## Semantics (matching the paper's examples tick-for-tick)
 //!
@@ -50,7 +50,7 @@
 
 use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
-use crate::trace::{SegKind, Trace, TraceEvent};
+use crate::trace::{SegKind, Trace};
 use rtdb_core::{
     CeilingFlavor, Effect, Effects, EngineView, ProtocolFor, ProtocolKind, Record, StateKernel,
 };
@@ -174,10 +174,11 @@ impl<'a> Engine<'a> {
     /// directly, an [`AnyProtocol`] by one enum match per callback, and
     /// either is handed the concrete view — no vtable on either side.
     /// The caller keeps the instance, e.g. to read
-    /// [`AnyProtocol::requests`] or `PcpDa::grant_log` afterwards.
+    /// [`AnyProtocol::requests`] afterwards. [`RunResult::trace`] holds
+    /// every [`Effect`] of the run with the tick it happened at.
     ///
     /// ```
-    /// use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor, ProtocolKind};
+    /// use rtdb_core::{Decision, Effect, EngineView, LockRequest, ProtocolFor, ProtocolKind};
     /// use rtdb_sim::{instantiate, AnyProtocol, Engine, SimConfig};
     /// use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate};
     ///
@@ -211,6 +212,9 @@ impl<'a> Engine<'a> {
     /// let run = engine.run(&mut Exclusive).unwrap();
     /// assert_eq!(run.protocol, "exclusive");
     /// assert!(run.is_conflict_serializable());
+    /// // Both arrive at 0; T1, of the shorter period, takes item 0 first.
+    /// let granted = run.trace.events().iter().find(|(_, e)| matches!(e, Effect::Granted(_)));
+    /// assert!(matches!(granted, Some((at, Effect::Granted(r))) if at.raw() == 0 && r.who.txn.0 == 0));
     ///
     /// // A line-up chosen at run time is a `Vec<AnyProtocol>`.
     /// let mut lineup: Vec<AnyProtocol> =
@@ -258,9 +262,6 @@ struct InstanceSlot {
     consumed: u64,
     acquired: bool,
     blocked_since: Option<Tick>,
-    /// This step's lock request was denied before — the eventual grant is
-    /// traced as `Resumed` rather than `Granted`.
-    was_denied: bool,
     /// A deadline-miss event was already emitted for this instance.
     miss_logged: bool,
     blocking: Duration,
@@ -285,7 +286,6 @@ impl InstanceSlot {
             consumed: 0,
             acquired: false,
             blocked_since: None,
-            was_denied: false,
             miss_logged: false,
             blocking: Duration::ZERO,
             lower_exec: Duration::ZERO,
@@ -484,21 +484,17 @@ impl<'a> Sim<'a> {
                 // No runner, no arrivals, live instances remain: every
                 // live instance is blocked, gated or held — a circular
                 // wait by construction (blockers never commit unnoticed).
+                // Without a cycle to break, the run stalls on all of them.
                 let clock = self.clock;
                 let mut fx = std::mem::take(&mut self.fx);
                 fx.clear();
                 self.kernel.resolve_cycles(protocol, || clock, &mut fx);
-                let found = fx.log().iter().any(|e| matches!(e, Effect::Cycle(..)));
+                if !fx.log().iter().any(|e| matches!(e, Effect::Cycle(..))) {
+                    let live = fx.span(self.kernel.active_instances());
+                    fx.push(Effect::Stalled(live));
+                }
                 self.apply(&fx, protocol);
                 self.fx = fx;
-                if !found {
-                    let cycle = self.kernel.active_instances().to_vec();
-                    self.trace.push_event(TraceEvent::DeadlockDetected {
-                        at: self.clock,
-                        cycle: cycle.clone(),
-                    });
-                    self.outcome = RunOutcome::Deadlock(cycle);
-                }
                 if matches!(self.outcome, RunOutcome::Deadlock(_)) {
                     break;
                 }
@@ -559,8 +555,8 @@ impl<'a> Sim<'a> {
             // an abort restarts an instance in place.
             let (who, s) = self.pick_ready()?;
             let slot = &self.slots[s];
-            let step = self.set.template(who.txn).steps[slot.step];
-            let (step_index, resumed) = (slot.step, slot.was_denied);
+            let step_index = slot.step;
+            let step = self.set.template(who.txn).steps[step_index];
 
             if slot.acquired {
                 return Some((who, s));
@@ -576,43 +572,12 @@ impl<'a> Sim<'a> {
             let held =
                 self.kernel
                     .request(protocol, who, step_index, item, mode, ws, || clock, &mut fx);
-            if held {
-                self.slots[s].acquired = true;
-                if fx.log() == [Effect::Granted] {
-                    self.trace.push_event(if resumed {
-                        TraceEvent::Resumed {
-                            at: clock,
-                            who,
-                            item,
-                            mode,
-                        }
-                    } else {
-                        TraceEvent::Granted {
-                            at: clock,
-                            who,
-                            item,
-                            mode,
-                        }
-                    });
-                }
-                self.fx = fx;
-                return Some((who, s));
-            }
-            if let Some(&Effect::Parked(blockers)) = fx.log().first() {
-                let slot = &mut self.slots[s];
-                debug_assert!(slot.blocked_since.is_none());
-                slot.blocked_since = Some(clock);
-                slot.was_denied = true;
-                self.trace.push_event(TraceEvent::Denied {
-                    at: clock,
-                    who,
-                    item,
-                    mode,
-                    blockers: fx.ids(blockers).to_vec(),
-                });
-            }
+            self.slots[s].acquired = held;
             self.apply(&fx, protocol);
             self.fx = fx;
+            if held {
+                return Some((who, s));
+            }
             // A deadlock stops the run only here, at a denial that left
             // the requester blocked.
             let blocked = self.kernel.pending_request(who).is_some();
@@ -657,7 +622,7 @@ impl<'a> Sim<'a> {
             let deadline = set.template(txn).deadline_of(seq);
             self.release(id, t, deadline);
             self.next_miss_check = self.next_miss_check.min(deadline);
-            self.trace.push_event(TraceEvent::Arrive { at: t, who: id });
+            self.trace.push(t, Effect::Arrived(id), &Effects::default());
         }
     }
 
@@ -688,10 +653,8 @@ impl<'a> Sim<'a> {
             }
             if slot.deadline <= self.clock {
                 slot.miss_logged = true;
-                self.trace.push_event(TraceEvent::DeadlineMiss {
-                    at: slot.deadline,
-                    who: id,
-                });
+                let missed = Effect::DeadlineMissed(id);
+                self.trace.push(slot.deadline, missed, &Effects::default());
             } else {
                 next = next.min(slot.deadline);
             }
@@ -722,7 +685,6 @@ impl<'a> Sim<'a> {
         slot.step += 1;
         slot.consumed = 0;
         slot.acquired = false;
-        slot.was_denied = false;
 
         if slot.step == total_steps {
             self.commit(who, s, protocol);
@@ -733,17 +695,8 @@ impl<'a> Sim<'a> {
         let clock = self.clock;
         let mut fx = std::mem::take(&mut self.fx);
         let ws = &self.slots[s].workspace;
-        let released = self
-            .kernel
+        self.kernel
             .step_done(protocol, who, completed_step, ws, || clock, &mut fx);
-        for (item, mode) in released {
-            self.trace.push_event(TraceEvent::EarlyRelease {
-                at: clock,
-                who,
-                item,
-                mode,
-            });
-        }
         self.apply(&fx, protocol);
         self.fx = fx;
     }
@@ -790,10 +743,11 @@ impl<'a> Sim<'a> {
         self.fx = fx;
     }
 
-    /// Act on what a kernel call did, in order: trace a cycle (and stop
-    /// the run on it when deadlocks are reported), an abort (resetting the
-    /// slot) and a commit, close the blocked segment of a woken instance,
-    /// and let an instance parked at a commit gate that opened through: it
+    /// Trace each effect of a kernel call at the clock and act on it, in
+    /// order: a denied requester starts its blocked segment; a cycle
+    /// stops the run when deadlocks are reported, and so does a stall; an
+    /// abort resets the slot; a woken instance's blocked segment closes;
+    /// an instance parked at a commit gate that opened goes through: it
     /// commits at the same clock, after the departure it waited for, which
     /// is exactly the serialization the gate enforces. (Instances still
     /// mid-execution are simply no longer gated when they reach their own
@@ -801,20 +755,24 @@ impl<'a> Sim<'a> {
     fn apply<P: ProtocolFor<StateKernel<'a>>>(&mut self, fx: &Effects, protocol: &mut P) {
         let clock = self.clock;
         for &effect in fx.log() {
+            self.trace.push(clock, effect, fx);
             match effect {
-                Effect::Granted | Effect::Parked(_) | Effect::HoldReleased(_) => {}
-                Effect::Cycle(cycle, _) => {
-                    let cycle = fx.ids(cycle).to_vec();
-                    self.trace.push_event(TraceEvent::DeadlockDetected {
-                        at: clock,
-                        cycle: cycle.clone(),
-                    });
-                    if !self.config.resolve_deadlocks {
-                        self.outcome = RunOutcome::Deadlock(cycle);
-                    }
+                Effect::Parked(req, _) => {
+                    let slot = self.slot_mut(req.who);
+                    debug_assert!(slot.blocked_since.is_none());
+                    slot.blocked_since = Some(clock);
                 }
+                Effect::Cycle(cycle, _) if !self.config.resolve_deadlocks => {
+                    self.outcome = RunOutcome::Deadlock(fx.ids(cycle).to_vec());
+                }
+                Effect::Granted(_)
+                | Effect::Gated(..)
+                | Effect::Released(..)
+                | Effect::HoldReleased(_)
+                | Effect::Cycle(..)
+                | Effect::Committed(_) => {}
+                Effect::Stalled(live) => self.outcome = RunOutcome::Deadlock(fx.ids(live).to_vec()),
                 Effect::Aborted(who, ..) => {
-                    self.trace.push_event(TraceEvent::Abort { at: clock, who });
                     // If the victim was itself blocked, flush its blocked
                     // segment.
                     self.unblock(who);
@@ -822,14 +780,10 @@ impl<'a> Sim<'a> {
                     slot.step = 0;
                     slot.consumed = 0;
                     slot.acquired = false;
-                    slot.was_denied = false;
                     slot.workspace.reset(who);
                     slot.gated = false;
                 }
                 Effect::Woken(who) => self.unblock(who),
-                Effect::Committed(who) => {
-                    self.trace.push_event(TraceEvent::Commit { at: clock, who });
-                }
                 Effect::GateOpened(who) => {
                     // An earlier gate's commit may have taken it along.
                     let Some(s) = self.kernel.slot_of(who) else {
@@ -840,7 +794,9 @@ impl<'a> Sim<'a> {
                         self.commit(who, s, protocol);
                     }
                 }
-                Effect::Foreign(..) => unreachable!("the simulator's kernel spans every item"),
+                Effect::Foreign(..) | Effect::Arrived(_) | Effect::DeadlineMissed(_) => {
+                    unreachable!("the kernel spans every item, and reports no engine event")
+                }
             }
         }
     }
@@ -973,7 +929,6 @@ mod tests {
         slot.consumed = 1;
         slot.acquired = true;
         slot.blocked_since = Some(Tick(4));
-        slot.was_denied = true;
         slot.miss_logged = true;
         slot.blocking = Duration(3);
         slot.lower_exec = Duration(2);

@@ -7,7 +7,8 @@
 //! (`Max_Sysceil`) per tick as the priority level (in hex) or `-` for the
 //! dummy ceiling.
 
-use crate::trace::{SegKind, Trace, TraceEvent};
+use crate::trace::{SegKind, Trace};
+use rtdb_core::Effect;
 use rtdb_types::{Ceiling, InstanceId, TransactionSet};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,9 +34,9 @@ pub fn render(set: &TransactionSet, trace: &Trace) -> String {
             row[t as usize] = ch;
         }
     }
-    for e in trace.events() {
-        if let TraceEvent::Arrive { who, .. } = e {
-            touch(*who, &mut rows);
+    for &(_, e) in trace.events() {
+        if let Effect::Arrived(who) = e {
+            touch(who, &mut rows);
         }
     }
 
@@ -67,21 +68,19 @@ pub fn render(set: &TransactionSet, trace: &Trace) -> String {
         // Annotate arrival (^) and commit (|) markers beneath printable
         // positions by overlaying where the row is blank.
         let mut chars: Vec<char> = line.chars().collect();
-        for e in trace.events() {
-            match e {
-                TraceEvent::Arrive { at, who: w } if w == who => {
-                    let idx = at.raw() as usize;
-                    if idx < chars.len() && chars[idx] == ' ' {
-                        chars[idx] = '^';
-                    }
+        for &(at, e) in trace.events() {
+            if e == Effect::Arrived(*who) {
+                let idx = at.raw() as usize;
+                if idx < chars.len() && chars[idx] == ' ' {
+                    chars[idx] = '^';
                 }
-                _ => {}
             }
         }
-        let commit = trace.events().iter().find_map(|e| match e {
-            TraceEvent::Commit { at, who: w } if w == who => Some(at.raw() as usize),
-            _ => None,
-        });
+        let commit = trace
+            .events()
+            .iter()
+            .find(|&&(_, e)| e == Effect::Committed(*who))
+            .map(|&(at, _)| at.raw() as usize);
         let mut line: String = chars.into_iter().collect();
         if let Some(c) = commit {
             while line.len() < c + 1 {
@@ -135,6 +134,7 @@ pub fn render(set: &TransactionSet, trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtdb_core::Effects;
     use rtdb_types::{Priority, SetBuilder, Step, Tick, TransactionTemplate, TxnId};
 
     #[test]
@@ -145,10 +145,10 @@ mod tests {
             .unwrap();
         let who = InstanceId::first(TxnId(0));
         let mut tr = Trace::new();
-        tr.push_event(TraceEvent::Arrive { at: Tick(0), who });
+        tr.push(Tick(0), Effect::Arrived(who), &Effects::default());
         tr.push_segment(who, Tick(0), Tick(2), SegKind::Running);
         tr.push_segment(who, Tick(2), Tick(4), SegKind::Blocked);
-        tr.push_event(TraceEvent::Commit { at: Tick(4), who });
+        tr.push(Tick(4), Effect::Committed(who), &Effects::default());
         tr.push_ceiling(Tick(0), Ceiling::Dummy);
         tr.push_ceiling(Tick(1), Ceiling::At(Priority(3)));
 

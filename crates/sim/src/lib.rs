@@ -18,7 +18,8 @@
 //! * [`metrics`] — per-instance and per-template statistics: response and
 //!   blocking times, deadline misses, restarts, distinct lower-priority
 //!   blockers (the single-blocking property), observed `Max_Sysceil`;
-//! * [`trace`] + [`gantt`] — an event/segment trace and the ASCII timeline
+//! * [`trace`] + [`gantt`] — segments, ceiling samples and the run's
+//!   [`rtdb_core::Effect`]s, each with its tick, and the ASCII timeline
 //!   rendering used to regenerate the paper's figures;
 //! * [`workload`] — seeded random workload generation for the extension
 //!   experiments (E9–E11);
@@ -70,5 +71,5 @@ pub use engine::{Engine, RunOutcome, RunResult, SimConfig};
 pub use metrics::{InstanceMetrics, MetricsReport, TemplateMetrics};
 pub use registry::{instantiate, AnyProtocol};
 pub use sweep::{compare_protocols, ProtocolRow};
-pub use trace::{SegKind, Trace, TraceEvent};
+pub use trace::{SegKind, Trace};
 pub use workload::{WorkloadParams, WorkloadSpec};

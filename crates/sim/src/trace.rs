@@ -2,9 +2,16 @@
 //!
 //! The trace is the raw material for the Gantt renderer ([`crate::gantt`])
 //! and for the figure-reproduction assertions: the paper's Figures 1–5 are
-//! statements about exactly these segments and events.
+//! statements about exactly these segments and events. An event is one
+//! kernel [`Effect`] as the engine applied it, stamped with the tick it
+//! was applied at — grants, parks, early releases, aborts, wakes, gates,
+//! cycles, commits — or one of the engine's own (an arrival, a deadline
+//! miss, a stall), in the same vocabulary. The instances an event names
+//! through a [`Span`] are copied into the trace's one buffer
+//! ([`Trace::ids`]).
 
-use rtdb_types::{Ceiling, InstanceId, ItemId, LockMode, Tick};
+use rtdb_core::{Effect, Effects, Span};
+use rtdb_types::{Ceiling, InstanceId, LockMode, Tick};
 use rtdb_util::Json;
 
 /// What an instance was doing during a segment.
@@ -30,69 +37,12 @@ pub struct Segment {
     pub kind: SegKind,
 }
 
-/// A scheduling-relevant event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Instance released (arrived).
-    Arrive { at: Tick, who: InstanceId },
-    /// Lock granted.
-    Granted {
-        at: Tick,
-        who: InstanceId,
-        item: ItemId,
-        mode: LockMode,
-    },
-    /// Lock denied; the instance blocks on `blockers`.
-    Denied {
-        at: Tick,
-        who: InstanceId,
-        item: ItemId,
-        mode: LockMode,
-        blockers: Vec<InstanceId>,
-    },
-    /// A previously denied request was granted after re-evaluation.
-    Resumed {
-        at: Tick,
-        who: InstanceId,
-        item: ItemId,
-        mode: LockMode,
-    },
-    /// Early release of a lock before commit (CCP).
-    EarlyRelease {
-        at: Tick,
-        who: InstanceId,
-        item: ItemId,
-        mode: LockMode,
-    },
-    /// Instance committed.
-    Commit { at: Tick, who: InstanceId },
-    /// Instance aborted (2PL-HP victim or deadlock resolution).
-    Abort { at: Tick, who: InstanceId },
-    /// Deadline passed before completion.
-    DeadlineMiss { at: Tick, who: InstanceId },
-    /// A deadlock was detected on the wait-for graph.
-    DeadlockDetected { at: Tick, cycle: Vec<InstanceId> },
-}
-
-impl TraceEvent {
-    /// The event's timestamp.
-    pub fn at(&self) -> Tick {
-        match self {
-            TraceEvent::Arrive { at, .. }
-            | TraceEvent::Granted { at, .. }
-            | TraceEvent::Denied { at, .. }
-            | TraceEvent::Resumed { at, .. }
-            | TraceEvent::EarlyRelease { at, .. }
-            | TraceEvent::Commit { at, .. }
-            | TraceEvent::Abort { at, .. }
-            | TraceEvent::DeadlineMiss { at, .. }
-            | TraceEvent::DeadlockDetected { at, .. } => *at,
-        }
-    }
-}
-
 fn inst_json(who: InstanceId) -> Json {
     Json::obj().set("txn", who.txn.0).set("seq", who.seq)
+}
+
+fn list_json(ids: &[InstanceId]) -> Json {
+    Json::Arr(ids.iter().map(|&b| inst_json(b)).collect())
 }
 
 fn mode_json(mode: LockMode) -> Json {
@@ -109,71 +59,48 @@ fn ceiling_json(c: Ceiling) -> Json {
     }
 }
 
-impl TraceEvent {
-    /// The event as a tagged JSON object (`{"kind": "arrive", ...}`).
-    pub fn json(&self) -> Json {
-        let (kind, at) = (self.kind_name(), self.at());
-        let mut obj = Json::obj().set("kind", kind).set("at", at.raw());
-        match self {
-            TraceEvent::Arrive { who, .. }
-            | TraceEvent::Commit { who, .. }
-            | TraceEvent::Abort { who, .. }
-            | TraceEvent::DeadlineMiss { who, .. } => {
-                obj = obj.set("who", inst_json(*who));
-            }
-            TraceEvent::Granted {
-                who, item, mode, ..
-            }
-            | TraceEvent::Resumed {
-                who, item, mode, ..
-            }
-            | TraceEvent::EarlyRelease {
-                who, item, mode, ..
-            } => {
-                obj = obj
-                    .set("who", inst_json(*who))
-                    .set("item", item.0)
-                    .set("mode", mode_json(*mode));
-            }
-            TraceEvent::Denied {
-                who,
-                item,
-                mode,
-                blockers,
-                ..
-            } => {
-                obj = obj
-                    .set("who", inst_json(*who))
-                    .set("item", item.0)
-                    .set("mode", mode_json(*mode))
-                    .set(
-                        "blockers",
-                        Json::Arr(blockers.iter().map(|&b| inst_json(b)).collect()),
-                    );
-            }
-            TraceEvent::DeadlockDetected { cycle, .. } => {
-                obj = obj.set(
-                    "cycle",
-                    Json::Arr(cycle.iter().map(|&b| inst_json(b)).collect()),
-                );
-            }
+/// One event as a tagged JSON object; `ids` is the buffer its span
+/// indexes. The shape is documented on [`Trace::json`].
+fn event_json(at: Tick, effect: Effect, ids: &[InstanceId]) -> Json {
+    use Effect as E;
+    let (kind, who, lock, reason, span) = match effect {
+        E::Granted(r) => ("granted", r.who, Some((r.item, r.mode)), None, None),
+        E::Parked(r, on) => (
+            "parked",
+            r.who,
+            Some((r.item, r.mode)),
+            None,
+            Some(("on", on)),
+        ),
+        E::Gated(who, on) => ("gated", who, None, None, Some(("on", on))),
+        E::Released(who, item, mode) => ("released", who, Some((item, mode)), None, None),
+        E::Aborted(who, why, cause) => ("aborted", who, None, Some(why), Some(("cause", cause))),
+        E::Foreign(who, why, cause) => ("foreign", who, None, Some(why), Some(("cause", cause))),
+        E::Woken(who) => ("woken", who, None, None, None),
+        E::GateOpened(who) => ("gate_opened", who, None, None, None),
+        E::HoldReleased(who) => ("hold_released", who, None, None, None),
+        E::Cycle(cycle, victim) => ("cycle", victim, None, None, Some(("cycle", cycle))),
+        E::Committed(who) => ("committed", who, None, None, None),
+        E::Arrived(who) => ("arrived", who, None, None, None),
+        E::DeadlineMissed(who) => ("deadline_missed", who, None, None, None),
+        E::Stalled(live) => {
+            let obj = Json::obj().set("kind", "stalled").set("at", at.raw());
+            return obj.set("live", list_json(live.of(ids)));
         }
-        obj
+    };
+    let mut obj = Json::obj()
+        .set("kind", kind)
+        .set("at", at.raw())
+        .set("who", inst_json(who));
+    if let Some((item, mode)) = lock {
+        obj = obj.set("item", item.0).set("mode", mode_json(mode));
     }
-
-    /// The snake_case tag used in the JSON encoding.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            TraceEvent::Arrive { .. } => "arrive",
-            TraceEvent::Granted { .. } => "granted",
-            TraceEvent::Denied { .. } => "denied",
-            TraceEvent::Resumed { .. } => "resumed",
-            TraceEvent::EarlyRelease { .. } => "early_release",
-            TraceEvent::Commit { .. } => "commit",
-            TraceEvent::Abort { .. } => "abort",
-            TraceEvent::DeadlineMiss { .. } => "deadline_miss",
-            TraceEvent::DeadlockDetected { .. } => "deadlock_detected",
-        }
+    if let Some(reason) = reason {
+        obj = obj.set("reason", format!("{reason:?}").as_str());
+    }
+    match span {
+        Some((key, span)) => obj.set(key, list_json(span.of(ids))),
+        None => obj,
     }
 }
 
@@ -181,7 +108,10 @@ impl TraceEvent {
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     segments: Vec<Segment>,
-    events: Vec<TraceEvent>,
+    /// Every event, in the order the engine applied it.
+    events: Vec<(Tick, Effect)>,
+    /// The instances the events' spans name.
+    ids: Vec<InstanceId>,
     /// `(tick, ceiling)` samples of the global system ceiling, recorded
     /// after every change — the paper's `Max_Sysceil` dotted line.
     ceiling_samples: Vec<(Tick, Ceiling)>,
@@ -221,9 +151,11 @@ impl Trace {
         });
     }
 
-    /// Record an event.
-    pub fn push_event(&mut self, event: TraceEvent) {
-        self.events.push(event);
+    /// Record `effect` at `at`, copying the instances its span names out
+    /// of `from`, the buffer it was made in.
+    pub fn push(&mut self, at: Tick, effect: Effect, from: &Effects) {
+        let effect = effect.copied(from, &mut self.ids);
+        self.events.push((at, effect));
     }
 
     /// Record a system-ceiling sample (deduplicated against the previous
@@ -250,9 +182,14 @@ impl Trace {
         &self.segments
     }
 
-    /// All events in order.
-    pub fn events(&self) -> &[TraceEvent] {
+    /// All events, in the order the engine applied them.
+    pub fn events(&self) -> &[(Tick, Effect)] {
         &self.events
+    }
+
+    /// The instances an event's `span` names.
+    pub fn ids(&self, span: Span) -> &[InstanceId] {
+        span.of(&self.ids)
     }
 
     /// The ceiling samples.
@@ -287,7 +224,26 @@ impl Trace {
         self.json().pretty()
     }
 
-    /// The trace as a JSON value (segments, events, ceiling samples).
+    /// The trace as a JSON value, the shape `rtdbsim --trace` writes:
+    ///
+    /// ```text
+    /// {"segments": [{"who": {"txn": 0, "seq": 0}, "from": 0, "to": 2, "kind": "running"|"blocked"}, ...],
+    ///  "events": [{"kind": "arrived", "at": 0, "who": {"txn": 0, "seq": 0}}, ...],
+    ///  "ceiling_samples": [[0, null], [1, 3], ...]}
+    /// ```
+    ///
+    /// Each event is one [`Effect`], tagged by `kind` in snake_case, with
+    /// `at` and these fields:
+    /// - `granted`, `released`: `who`, `item`, `mode` (`"read"`/`"write"`);
+    /// - `parked`: the same and `on`, the blockers;
+    /// - `gated`: `who` and `on`, the commit gate's entries;
+    /// - `aborted`, `foreign`: `who`, `reason` (`"Wound"`, `"Cascade"`,
+    ///   `"DeadlockVictim"`, `"CeilingBlock"`) and `cause`;
+    /// - `cycle`: `cycle` and `who`, its victim; `stalled`: `live`;
+    /// - `woken`, `gate_opened`, `hold_released`, `committed`, `arrived`,
+    ///   `deadline_missed`: `who`.
+    ///
+    /// A ceiling sample is `[tick, level]`, `null` for the dummy ceiling.
     pub fn json(&self) -> Json {
         let segments: Vec<Json> = self
             .segments
@@ -306,7 +262,11 @@ impl Trace {
                     )
             })
             .collect();
-        let events: Vec<Json> = self.events.iter().map(TraceEvent::json).collect();
+        let events: Vec<Json> = self
+            .events
+            .iter()
+            .map(|&(at, e)| event_json(at, e, &self.ids))
+            .collect();
         let samples: Vec<Json> = self
             .ceiling_samples
             .iter()
@@ -321,7 +281,7 @@ impl Trace {
     /// End of the last segment / event (the makespan).
     pub fn end(&self) -> Tick {
         let seg_end = self.segments.iter().map(|s| s.to).max();
-        let ev_end = self.events.iter().map(|e| e.at()).max();
+        let ev_end = self.events.iter().map(|&(at, _)| at).max();
         seg_end
             .into_iter()
             .chain(ev_end)
@@ -333,7 +293,8 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdb_types::{Priority, TxnId};
+    use rtdb_core::{AbortReason, LockRequest};
+    use rtdb_types::{ItemId, Priority, TxnId};
 
     fn i(t: u32) -> InstanceId {
         InstanceId::first(TxnId(t))
@@ -382,11 +343,11 @@ mod tests {
     fn trace_serializes_to_json() {
         let mut tr = Trace::new();
         let who = i(0);
-        tr.push_event(TraceEvent::Arrive { at: Tick(0), who });
+        tr.push(Tick(0), Effect::Arrived(who), &Effects::default());
         tr.push_segment(who, Tick(0), Tick(2), SegKind::Running);
         tr.push_ceiling(Tick(1), Ceiling::At(Priority(3)));
         let json = tr.to_json();
-        assert!(json.contains("\"arrive\""), "{json}");
+        assert!(json.contains("\"arrived\""), "{json}");
         assert!(json.contains("segments"));
         assert!(json.contains("ceiling_samples"));
         // Round-trippable enough to be consumed by jq etc.
@@ -398,6 +359,47 @@ mod tests {
                 .unwrap()[1]
                 .as_i64(),
             Some(3)
+        );
+    }
+
+    /// A span is copied out of the buffer it was made in, which the
+    /// kernel clears and reuses, into the trace's own.
+    #[test]
+    fn an_event_keeps_the_instances_it_names() {
+        let mut tr = Trace::new();
+        let mut fx = Effects::default();
+        let req = LockRequest {
+            who: i(0),
+            item: ItemId(4),
+            mode: LockMode::Write,
+        };
+        let on = fx.span(&[i(1), i(2)]);
+        tr.push(Tick(3), Effect::Parked(req, on), &fx);
+        fx.clear();
+        let cause = fx.span(&[i(0)]);
+        tr.push(
+            Tick(5),
+            Effect::Aborted(i(1), AbortReason::Wound, cause),
+            &fx,
+        );
+        let [(Tick(3), Effect::Parked(_, on)), (Tick(5), Effect::Aborted(.., cause))] =
+            *tr.events()
+        else {
+            panic!("{:?}", tr.events());
+        };
+        assert_eq!(
+            (tr.ids(on), tr.ids(cause)),
+            (&[i(1), i(2)][..], &[i(0)][..])
+        );
+        let events = tr.json();
+        let events = events.get("events").unwrap().as_array().unwrap();
+        assert_eq!(
+            events[0].to_string(),
+            r#"{"kind":"parked","at":3,"who":{"txn":0,"seq":0},"item":4,"mode":"write","on":[{"txn":1,"seq":0},{"txn":2,"seq":0}]}"#
+        );
+        assert_eq!(
+            events[1].to_string(),
+            r#"{"kind":"aborted","at":5,"who":{"txn":1,"seq":0},"reason":"Wound","cause":[{"txn":0,"seq":0}]}"#
         );
     }
 

@@ -22,8 +22,8 @@
 //! What is deliberately outside the claim: a *denied*, *wounding* or
 //! *dying* request names the instances in its way in a `Vec` (the
 //! protocol's [`rtdb_core::Decision`]), and so does a step that retires a
-//! write lock — the protocol's retire list and the released locks handed
-//! back, exactly those two allocations, counted apart; and the history is
+//! write lock — the protocol's retire list, exactly that allocation,
+//! counted apart (the released lock is an effect); and the history is
 //! the run's output and grows by design — it is pre-sized here, and its
 //! unreserved commit order is left out by logging no Commit event.
 //!
@@ -227,9 +227,10 @@ fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     for (i, step) in steps[..steps.len() - skip].iter().enumerate() {
         let (item, mode) = step.op.access().expect("data step");
         assert!(k.request(protocol, who, i, item, mode, ws, &mut tick, fx));
-        assert_eq!(fx.log(), [Effect::Granted], "{who} step {i}");
-        let released = k.step_done(protocol, who, i, ws, &mut tick, fx);
-        assert!(released.is_empty() && fx.log().is_empty());
+        let req = LockRequest { who, item, mode };
+        assert_eq!(fx.log(), [Effect::Granted(req)], "{who} step {i}");
+        k.step_done(protocol, who, i, ws, &mut tick, fx);
+        assert!(fx.log().is_empty());
     }
     let record = commit(k, protocol, who, ws, fx, &mut tick);
     assert!(record.block_events == 0 && fx.log() == [Effect::Committed(who)]);
@@ -256,7 +257,8 @@ fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
         .enumerate()
     {
         assert!(k.request(protocol, l, i, item, mode, &mut ws_l, || Tick(0), &mut fx));
-        assert_eq!(fx.log(), [Effect::Granted]);
+        let req = LockRequest { who: l, item, mode };
+        assert_eq!(fx.log(), [Effect::Granted(req)]);
     }
 
     let mut iteration = |k: &mut StateKernel<'a>, seq: u32| {
@@ -344,7 +346,8 @@ fn granted<'a, P: ProtocolFor<StateKernel<'a>>>(
     tick: &mut impl FnMut() -> Tick,
 ) {
     assert!(k.request(protocol, who, step, item, mode, ws, &mut *tick, fx));
-    assert_eq!(fx.log(), [Effect::Granted], "{who} step {step}");
+    let req = LockRequest { who, item, mode };
+    assert_eq!(fx.log(), [Effect::Granted(req)], "{who} step {step}");
 }
 
 /// The one effect of an abort pair's aborting request: `victim`
@@ -473,8 +476,8 @@ fn bamboo_set() -> TransactionSet {
 }
 
 /// `W` takes `X`, retires it and `R` reads `W`'s dirty value, gated on
-/// `W`. The retiring step hands back two `Vec`s of its own and nothing
-/// else allocates.
+/// `W`. The retiring step allocates the protocol's retire list and
+/// nothing else.
 fn retire_and_read_dirty<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -492,10 +495,10 @@ fn retire_and_read_dirty<'a, P: ProtocolFor<StateKernel<'a>>>(
     k.begin(w, None);
     k.begin(r, None);
     granted(k, protocol, w, 0, X, LockMode::Write, ws_w, fx, tick);
-    let (released, n) = counted_apart(|| k.step_done(protocol, w, 0, ws_w, &mut *tick, fx));
-    assert!(released[..] == [(X, LockMode::Write)] && fx.log().is_empty());
-    // The retire list and the released list; anything more is the kernel's.
-    x.apart += n - 2;
+    let ((), n) = counted_apart(|| k.step_done(protocol, w, 0, ws_w, &mut *tick, fx));
+    assert_eq!(fx.log(), [Effect::Released(w, X, LockMode::Write)]);
+    // The retire list; anything more is the kernel's.
+    x.apart += n - 1;
     granted(k, protocol, r, 0, X, LockMode::Read, ws_r, fx, tick);
     assert_eq!(ws_r.reads()[0].value, ws_w.staged_value(X).unwrap());
     assert!(k.gated(r));
@@ -528,7 +531,7 @@ fn dirty_read_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     let at = tick();
     let parked = k.commit(protocol, r, ws_r, false, None, &mut tick, || at, fx);
     assert!(parked.is_none(), "R parks at the gate");
-    assert!(matches!(*fx.log(), [Effect::Parked(gate)] if fx.ids(gate) == [w]));
+    assert!(matches!(*fx.log(), [Effect::Gated(who, gate)] if who == r && fx.ids(gate) == [w]));
     commit(k, protocol, w, ws_w, fx, &mut tick);
     assert_eq!(
         fx.log()[1..],

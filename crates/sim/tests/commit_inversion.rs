@@ -15,7 +15,7 @@
 //! [`PcpDa`] driven by hand.
 
 use rtdb_cc::{GrantRule, PcpDa};
-use rtdb_core::{Effect, Effects, StateKernel};
+use rtdb_core::{Effect, Effects, LockRequest, StateKernel};
 use rtdb_storage::{SerializationGraph, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionTemplate, TxnId,
@@ -52,7 +52,7 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
     k.begin(t_l, Some(tick()));
     k.begin(t_h, Some(tick()));
     let mut fx = Effects::default();
-    let granted = [Effect::Granted];
+    let granted = |who, item, mode| [Effect::Granted(LockRequest { who, item, mode })];
 
     // T_L write-locks x; T_H reads x's pre-image past it.
     assert!(k.request(
@@ -65,7 +65,7 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         &mut tick,
         &mut fx
     ));
-    assert_eq!(fx.log(), granted);
+    assert_eq!(fx.log(), granted(t_l, X, LockMode::Write));
     assert!(k.request(
         &mut p,
         t_h,
@@ -76,7 +76,7 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         &mut tick,
         &mut fx
     ));
-    assert_eq!(fx.log(), granted);
+    assert_eq!(fx.log(), granted(t_h, X, LockMode::Read));
     // T_L write-locks y and reaches its commit while T_H, which must
     // precede it, is still running: the gate holds it there.
     assert!(k.request(
@@ -89,7 +89,7 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         &mut tick,
         &mut fx
     ));
-    assert_eq!(fx.log(), granted);
+    assert_eq!(fx.log(), granted(t_l, Y, LockMode::Write));
     let parked = k.commit(
         &mut p,
         t_l,
@@ -101,7 +101,7 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         &mut fx,
     );
     assert!(parked.is_none(), "T_L waits here until T_H finishes");
-    assert!(matches!(fx.log(), [Effect::Parked(_)]), "and no cycle");
+    assert!(matches!(fx.log(), [Effect::Gated(..)]), "and no cycle");
     // T_H reads y's pre-image past T_L too, commits, and opens the gate.
     assert!(k.request(
         &mut p,
@@ -113,7 +113,7 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         &mut tick,
         &mut fx
     ));
-    assert_eq!(fx.log(), granted);
+    assert_eq!(fx.log(), granted(t_h, Y, LockMode::Read));
     let versions: Vec<u64> = ws_h.reads().iter().map(|r| r.version).collect();
     assert_eq!(versions, [0, 0], "x and y both before T_L's installs");
     let at = tick();

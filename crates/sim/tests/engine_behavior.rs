@@ -3,7 +3,8 @@
 
 use rtdb_baselines::{Ccp, NaiveDa, TwoPlHp, TwoPlPi};
 use rtdb_cc::PcpDa;
-use rtdb_sim::{Engine, RunOutcome, SimConfig, TraceEvent};
+use rtdb_core::{AbortReason, Effect};
+use rtdb_sim::{Engine, RunOutcome, SimConfig};
 use rtdb_types::*;
 
 fn inst(t: u32) -> InstanceId {
@@ -140,7 +141,7 @@ fn deadlock_resolution_toggle() {
         .trace
         .events()
         .iter()
-        .any(|e| matches!(e, TraceEvent::Abort { who, .. } if who.txn == TxnId(1))));
+        .any(|(_, e)| matches!(e, Effect::Aborted(who, ..) if who.txn == TxnId(1))));
     assert!(resolved.replay_check(&set).is_serializable());
 }
 
@@ -174,8 +175,8 @@ fn ccp_early_install_is_visible() {
 
     // W early-releases its write lock on `a` once past its lock point;
     // the install happens at that moment, before W's commit.
-    let release_at = r.trace.events().iter().find_map(|e| match e {
-        TraceEvent::EarlyRelease { at, item, .. } if *item == a => Some(at.raw()),
+    let release_at = r.trace.events().iter().find_map(|&(at, e)| match e {
+        Effect::Released(_, item, _) if item == a => Some(at.raw()),
         _ => None,
     });
     let w_commit = r.metrics.instance(inst(1)).unwrap().completion.unwrap();
@@ -256,17 +257,32 @@ fn early_release_cascade_aborts_dependents_exactly_once() {
     assert_eq!(r.history.committed(), 4);
 
     // A self-aborted once; B and C each aborted exactly once, as cascades.
-    let aborts_of = |t: u32| {
+    let aborts_of = |t: u32| -> Vec<AbortReason> {
         r.trace
             .events()
             .iter()
-            .filter(|e| matches!(e, TraceEvent::Abort { who, .. } if who.txn == TxnId(t)))
-            .count()
+            .filter_map(|&(_, e)| match e {
+                Effect::Aborted(who, reason, _) if who.txn == TxnId(t) => Some(reason),
+                _ => None,
+            })
+            .collect()
     };
-    assert_eq!(aborts_of(3), 1, "A self-aborted once");
-    assert_eq!(aborts_of(1), 1, "B cascade-aborted exactly once");
-    assert_eq!(aborts_of(2), 1, "C cascade-aborted exactly once");
-    assert_eq!(aborts_of(0), 0, "the senior holder never aborts");
+    assert_eq!(
+        aborts_of(3),
+        [AbortReason::CeilingBlock],
+        "A self-aborted once"
+    );
+    assert_eq!(
+        aborts_of(1),
+        [AbortReason::Cascade],
+        "B cascade-aborted exactly once"
+    );
+    assert_eq!(
+        aborts_of(2),
+        [AbortReason::Cascade],
+        "C cascade-aborted exactly once"
+    );
+    assert!(aborts_of(0).is_empty(), "the senior holder never aborts");
     assert_eq!(r.metrics.abort_reasons.ceiling_block, 1);
     assert_eq!(r.metrics.abort_reasons.cascade, 2);
     assert_eq!(r.metrics.abort_reasons.wound, 0);
@@ -312,10 +328,7 @@ fn arrivals_respect_instances_and_offsets() {
         .trace
         .events()
         .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Arrive { at, .. } => Some(at.raw()),
-            _ => None,
-        })
+        .filter_map(|&(at, e)| matches!(e, Effect::Arrived(_)).then_some(at.raw()))
         .collect();
     assert_eq!(arrivals, vec![3, 13, 23]);
 }

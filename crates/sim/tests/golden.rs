@@ -4,8 +4,10 @@
 //! run **byte-identical**. This test pins the output itself: 40 seeded
 //! sets × every registry protocol × deadlock resolution on/off, folded
 //! per protocol into one FNV-1a hash over everything a run produces —
-//! history, trace events, segments, ceiling samples, metrics, final
-//! database and the number of protocol decisions.
+//! history, trace (events with the instances they name, segments,
+//! ceiling samples), metrics, final database and the number of protocol
+//! decisions. The same runs check that the trace and the history, two
+//! logs of one run, agree.
 //!
 //! It is also the only oracle of the engine's slot arena: a broken arena
 //! (a live index out of order, a stale field on a recycled slot) changes
@@ -16,9 +18,12 @@
 //! intended, run with `--nocapture`, copy the printed table over
 //! [`GOLDEN`] and say why in the commit.
 
-use rtdb_core::ProtocolKind;
-use rtdb_sim::{instantiate, Engine, SimConfig, WorkloadParams};
+use rtdb_core::{Effect, ProtocolKind};
+use rtdb_sim::{instantiate, AnyProtocol, Engine, RunResult, SimConfig, WorkloadParams};
+use rtdb_storage::EventKind;
+use rtdb_types::{InstanceId, ItemId, LockMode, Tick};
 use rtdb_util::Rng;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 
 const SETS: u64 = 40;
@@ -26,17 +31,17 @@ const BASE_SEED: u64 = 0x0060_1DE2;
 
 /// Per-protocol fingerprints, in [`ProtocolKind::ALL`] order.
 const GOLDEN: [(&str, u64); 11] = [
-    ("PCP-DA", 0x2cf9_2698_19c7_f325),
-    ("PCP-DA-literal", 0x93ac_173a_cb78_d5ed),
-    ("RW-PCP", 0x0686_39e1_945e_ed19),
-    ("PCP", 0x07fd_4654_0407_5ce1),
-    ("CCP", 0x502c_0712_77a3_d95f),
-    ("2PL-PI", 0x4d46_c396_20dd_3335),
-    ("2PL-HP", 0xc9ea_d05a_670d_c86f),
-    ("OCC-BC", 0x2812_2da5_80dd_5c19),
-    ("Bamboo", 0x66cf_6d33_5769_8e2d),
-    ("Brook-2PL", 0x89d3_dba6_9810_b76f),
-    ("Naive-DA", 0xe3c7_7412_f08e_7199),
+    ("PCP-DA", 0x6e80_09f9_9d95_09cf),
+    ("PCP-DA-literal", 0xc1a4_7ee6_c55b_37cd),
+    ("RW-PCP", 0x534e_a64b_e2eb_7931),
+    ("PCP", 0xef14_e04d_fead_5851),
+    ("CCP", 0xdf7f_f6bf_4ea8_e1b9),
+    ("2PL-PI", 0x0014_6db9_2c39_e387),
+    ("2PL-HP", 0x695b_15d1_4e80_26d3),
+    ("OCC-BC", 0x2688_4485_e797_9327),
+    ("Bamboo", 0x04a9_8260_ab1b_c95b),
+    ("Brook-2PL", 0x83c1_1d51_19c2_8737),
+    ("Naive-DA", 0xd0f9_2984_5f87_0884),
 ];
 
 /// 64-bit FNV-1a, fed the `Debug` rendering of each output.
@@ -75,8 +80,9 @@ fn params(rng: &mut Rng) -> WorkloadParams {
     }
 }
 
-fn fingerprint(kind: ProtocolKind) -> u64 {
-    let mut h = Fnv::new();
+/// Every seeded run of `kind`: each set, with deadlock resolution on and
+/// off, handed to `f` with the protocol that ran it.
+fn each_run(kind: ProtocolKind, mut f: impl FnMut(&RunResult, &AnyProtocol)) {
     for i in 0..SETS {
         let mut rng = Rng::seed(BASE_SEED + i);
         let set = params(&mut rng).generate().expect("valid params").set;
@@ -87,17 +93,22 @@ fn fingerprint(kind: ProtocolKind) -> u64 {
             let run = Engine::new(&set, cfg)
                 .run(&mut protocol)
                 .expect("run succeeds");
-            h.feed(&run.outcome);
-            h.feed(&run.final_clock);
-            h.feed(&run.history.events());
-            h.feed(&run.trace.events());
-            h.feed(&run.trace.segments());
-            h.feed(&run.trace.ceiling_samples());
-            h.feed(&run.metrics);
-            h.feed(&run.db.snapshot());
-            h.feed(&protocol.requests());
+            f(&run, &protocol);
         }
     }
+}
+
+fn fingerprint(kind: ProtocolKind) -> u64 {
+    let mut h = Fnv::new();
+    each_run(kind, |run, protocol| {
+        h.feed(&run.outcome);
+        h.feed(&run.final_clock);
+        h.feed(&run.history.events());
+        h.feed(&run.trace);
+        h.feed(&run.metrics);
+        h.feed(&run.db.snapshot());
+        h.feed(&protocol.requests());
+    });
     h.0
 }
 
@@ -111,4 +122,56 @@ fn simulator_output_matches_the_golden_fingerprints() {
         println!("    (\"{name}\", {hash:#018x}),");
     }
     assert_eq!(got, GOLDEN);
+}
+
+/// The trace (the effects the engine applied, stamped with its clock) and
+/// the history (the data operations the kernel logged) are written by
+/// different hands and must tell one story: every grant is a read (read
+/// mode) or a staged write (write mode) of its item by its instance at
+/// its tick; the commits and aborts are the history's, one for one, tick
+/// for tick, in order; every arrival is its instance's first Begin.
+#[test]
+fn the_trace_agrees_with_the_history() {
+    for kind in ProtocolKind::ALL {
+        each_run(kind, |run, _| {
+            let mut ops: HashMap<(Tick, InstanceId, ItemId, LockMode), usize> = HashMap::new();
+            let (mut ends, mut begins) = (Vec::new(), Vec::new());
+            let mut begun = HashSet::new();
+            for e in run.history.events() {
+                let (at, who) = (e.at, e.instance);
+                match e.kind {
+                    EventKind::Read { item, .. } => {
+                        *ops.entry((at, who, item, LockMode::Read)).or_default() += 1;
+                    }
+                    EventKind::StageWrite { item, .. } => {
+                        *ops.entry((at, who, item, LockMode::Write)).or_default() += 1;
+                    }
+                    EventKind::Commit => ends.push((at, who, true)),
+                    EventKind::Abort => ends.push((at, who, false)),
+                    EventKind::Begin if begun.insert(who) => begins.push((at, who)),
+                    _ => {}
+                }
+            }
+            let (mut traced_ends, mut arrivals) = (Vec::new(), Vec::new());
+            for &(at, e) in run.trace.events() {
+                match e {
+                    Effect::Granted(r) => {
+                        let op = ops.get_mut(&(at, r.who, r.item, r.mode));
+                        match op.filter(|n| **n > 0) {
+                            Some(n) => *n -= 1,
+                            None => {
+                                panic!("{kind}: {r:?} granted at {at:?} with no data operation")
+                            }
+                        }
+                    }
+                    Effect::Committed(who) => traced_ends.push((at, who, true)),
+                    Effect::Aborted(who, ..) => traced_ends.push((at, who, false)),
+                    Effect::Arrived(who) => arrivals.push((at, who)),
+                    _ => {}
+                }
+            }
+            assert_eq!(traced_ends, ends, "{kind}: commits and aborts");
+            assert_eq!(arrivals, begins, "{kind}: arrivals");
+        });
+    }
 }

@@ -41,7 +41,7 @@ fn table1_renders_as_printed() {
 /// first and locks, the higher-priority one then requests.
 mod behavioural {
     use super::*;
-    use rtdb::sim::TraceEvent;
+    use rtdb::cc::Effect;
 
     /// Build a 2-transaction set: L (lower priority) performs `l_steps`
     /// starting at 0; H (higher priority) performs `h_steps` starting at
@@ -66,7 +66,7 @@ mod behavioural {
         r.trace
             .events()
             .iter()
-            .any(|e| matches!(e, TraceEvent::Denied { who, .. } if who.txn == TxnId(0)))
+            .any(|(_, e)| matches!(e, Effect::Parked(req, _) if req.who.txn == TxnId(0)))
     }
 
     /// Read held / read requested: shared — H proceeds.

@@ -1,9 +1,9 @@
 //! Experiment E7: Example 5's deadlock under the naive condition-(2)
 //! protocol, and its absence under PCP-DA (Theorem 2).
 
+use rtdb::cc::Effect;
 use rtdb::paper;
 use rtdb::prelude::*;
-use rtdb::sim::TraceEvent;
 
 fn inst(t: u32) -> InstanceId {
     InstanceId::first(TxnId(t))
@@ -27,11 +27,10 @@ fn example5_naive_da_deadlocks() {
         }
         other => panic!("expected deadlock, got {other:?}"),
     }
-    assert!(r
-        .trace
-        .events()
-        .iter()
-        .any(|e| matches!(e, TraceEvent::DeadlockDetected { .. })));
+    assert!(r.trace.events().iter().any(|&(_, e)| matches!(
+        e,
+        Effect::Cycle(cycle, _) if r.trace.ids(cycle).len() == 2
+    )));
     // Neither transaction committed.
     assert_eq!(r.history.committed(), 0);
 }

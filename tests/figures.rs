@@ -5,9 +5,9 @@
 //! times the paper's narrative states: lock grants and denials, blocking
 //! intervals, completions, deadline misses and `Max_Sysceil`.
 
+use rtdb::cc::Effect;
 use rtdb::paper;
 use rtdb::prelude::*;
-use rtdb::sim::TraceEvent;
 
 fn inst(t: u32) -> InstanceId {
     InstanceId::first(TxnId(t))
@@ -54,9 +54,9 @@ fn figure1_example1_under_rwpcp() {
     assert_eq!(blocking(&r, t1), 1);
 
     // The paper's point: T2 was blocked although y was completely free.
-    let denied_t2 = r.trace.events().iter().any(|e| {
-        matches!(e, TraceEvent::Denied { at, who, item, .. }
-            if *who == t2 && *item == paper::Y && at.raw() == 1)
+    let denied_t2 = r.trace.events().iter().any(|(at, e)| {
+        matches!(e, Effect::Parked(req, _)
+            if req.who == t2 && req.item == paper::Y && at.raw() == 1)
     });
     assert!(
         denied_t2,
@@ -131,10 +131,10 @@ fn figure3_example3_under_rwpcp() {
     assert_eq!(r.metrics.deadline_misses(), 1);
 
     // The miss is logged at the deadline tick, 6.
-    assert!(r.trace.events().iter().any(|e| matches!(
-        e,
-        TraceEvent::DeadlineMiss { at, who } if *who == t1a && at.raw() == 6
-    )));
+    assert!(r
+        .trace
+        .events()
+        .contains(&(Tick(6), Effect::DeadlineMissed(t1a))));
 
     // The second instance (arrives at 6) is unaffected and meets t=11.
     assert_eq!(completion(&r, t1b), 9);
@@ -215,10 +215,9 @@ fn figure5_example4_under_rwpcp() {
 
     // T3's denial at t=1 is a *ceiling* blocking: the item z it asked for
     // is entirely free.
-    assert!(r.trace.events().iter().any(|e| matches!(
+    assert!(r.trace.events().iter().any(|(at, e)| matches!(
         e,
-        TraceEvent::Denied { at, who, item, .. }
-            if *who == t3 && *item == paper::Z && at.raw() == 1
+        Effect::Parked(req, _) if req.who == t3 && req.item == paper::Z && at.raw() == 1
     )));
 
     // Max_Sysceil under RW-PCP climbs to P1 = Aceil(x).
