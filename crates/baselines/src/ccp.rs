@@ -59,7 +59,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Ccp {
         let p_i = view.base_priority(req.who);
         let sys = view.ceilings().pcp_sysceil(view.locks(), req.who);
         if sys.ceiling.cleared_by(p_i) {
-            Decision::Grant
+            Decision::Grant(None)
         } else {
             Decision::block_on(req.who, sys.holders.iter().copied())
         }

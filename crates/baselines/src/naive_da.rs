@@ -42,7 +42,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
         match req.mode {
             LockMode::Write => {
                 if locks.no_rlock_by_others(req.item, req.who) {
-                    Decision::Grant
+                    Decision::Grant(None)
                 } else {
                     Decision::block_on(req.who, locks.readers_other_than(req.item, req.who))
                 }
@@ -51,12 +51,12 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
                 let sys = ceilings.pcpda_sysceil(locks, req.who);
                 // Condition (1).
                 if sys.ceiling.cleared_by(p_i) {
-                    return Decision::Grant;
+                    return Decision::Grant(None);
                 }
                 // Condition (2): P_i >= HPW(x), with no further safeguard.
                 let hpw = ceilings.wceil(req.item);
                 if hpw <= Ceiling::At(p_i) {
-                    return Decision::Grant;
+                    return Decision::Grant(None);
                 }
                 // Blocked: per Lemma 4's shape, blockers are holders of
                 // read-locked items at or above P_i.
@@ -121,7 +121,7 @@ mod tests {
         // T_L read-locks x (condition (1): nothing locked).
         assert_eq!(
             p.request(&view, req(tl, 0, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         view.grant(tl, ItemId(0), LockMode::Read);
         view.record_read(tl, ItemId(0));
@@ -131,7 +131,7 @@ mod tests {
         // PCP-DA's LC3/LC4 forbid.
         assert_eq!(
             p.request(&view, req(th, 1, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         view.grant(th, ItemId(1), LockMode::Read);
         view.record_read(th, ItemId(1));
@@ -159,7 +159,7 @@ mod tests {
 
         assert_eq!(
             p.request(&view, req(tl, 0, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(Some(rtdb_core::GrantRule::Lc2))
         );
         view.grant(tl, ItemId(0), LockMode::Read);
         view.record_read(tl, ItemId(0));

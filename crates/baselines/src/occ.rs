@@ -40,7 +40,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for OccBc {
     fn request(&mut self, _view: &V, _req: LockRequest) -> Decision {
         // Optimistic: never block. (The engine still records the "lock";
         // it is inert because this protocol never consults the table.)
-        Decision::Grant
+        Decision::Grant(None)
     }
 
     fn commit_victims(&mut self, view: &V, who: InstanceId) -> Vec<InstanceId> {
@@ -103,7 +103,7 @@ mod tests {
                     mode: LockMode::Write
                 }
             ),
-            Decision::Grant
+            Decision::Grant(None)
         );
         assert!(ProtocolFor::<StaticView>::may_abort(&p));
     }

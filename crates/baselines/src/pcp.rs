@@ -30,7 +30,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Pcp {
         let p_i = view.base_priority(req.who);
         let sys = view.ceilings().pcp_sysceil(view.locks(), req.who);
         if sys.ceiling.cleared_by(p_i) {
-            Decision::Grant
+            Decision::Grant(None)
         } else {
             Decision::block_on(req.who, sys.holders.iter().copied())
         }
@@ -86,7 +86,7 @@ mod tests {
         let mut p = Pcp::new();
         assert_eq!(
             p.request(&view, req(i(1), 0, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         view.grant(i(1), ItemId(0), LockMode::Read);
         assert_eq!(
@@ -155,7 +155,7 @@ mod tests {
         // T1 accesses y; Aceil(x) = P2 < P1 -> grant.
         assert_eq!(
             p.request(&view, req(i(0), 1, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
     }
 }

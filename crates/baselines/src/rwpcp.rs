@@ -38,7 +38,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for RwPcp {
         let p_i = view.base_priority(req.who);
         let sys = view.ceilings().rwpcp_sysceil(view.locks(), req.who);
         if sys.ceiling.cleared_by(p_i) {
-            Decision::Grant
+            Decision::Grant(None)
         } else {
             Decision::block_on(req.who, sys.holders.iter().copied())
         }
@@ -106,7 +106,7 @@ mod tests {
         let mut p = RwPcp::new();
         assert_eq!(
             p.request(&view, req(i(2), 0, LockMode::Write)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         view.grant(i(2), ItemId(0), LockMode::Write);
 
@@ -161,13 +161,13 @@ mod tests {
         // T3 read-locks x: RWceil(x) = Wceil(x) = P2.
         assert_eq!(
             p.request(&view, req(i(2), 0, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         view.grant(i(2), ItemId(0), LockMode::Read);
         // T1 (P1 > P2) may also read-lock x.
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         // T2 (the writer, P2 !> P2) is blocked.
         assert_eq!(
@@ -187,7 +187,7 @@ mod tests {
         // T3 itself may continue locking.
         assert_eq!(
             p.request(&view, req(i(2), 1, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
     }
 

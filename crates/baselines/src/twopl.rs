@@ -53,7 +53,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for TwoPlPi {
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         let conflicts = conflict_holders(view, req);
         if conflicts.is_empty() {
-            Decision::Grant
+            Decision::Grant(None)
         } else {
             Decision::Block {
                 blockers: conflicts,
@@ -81,7 +81,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for TwoPlHp {
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         let conflicts = conflict_holders(view, req);
         if conflicts.is_empty() {
-            return Decision::Grant;
+            return Decision::Grant(None);
         }
         let p_req = view.base_priority(req.who);
         if conflicts.iter().all(|&h| view.base_priority(h) < p_req) {
@@ -140,7 +140,7 @@ mod tests {
         view.grant(i(1), ItemId(1), LockMode::Read);
         assert_eq!(
             p.request(&view, req(i(0), 1, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
     }
 

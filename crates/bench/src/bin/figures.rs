@@ -117,11 +117,19 @@ fn fig1(rep: &mut Report) {
     );
 }
 
+/// The grants of a run that name their locking condition, with their
+/// ticks.
+fn ruled_grants(r: &RunResult) -> impl Iterator<Item = (u64, LockRequest, GrantRule)> + '_ {
+    r.trace.events().iter().filter_map(|&(at, e)| match e {
+        Effect::Granted(req, Some(rule)) => Some((at.raw(), req, rule)),
+        _ => None,
+    })
+}
+
 fn fig2(rep: &mut Report) {
     println!("== E2 / Figure 2: Example 3 under PCP-DA ==");
     let set = paper::example3();
-    let mut p = PcpDa::new();
-    let r = run(&set, &mut p);
+    let r = run(&set, &mut PcpDa::new());
     println!("{}", gantt::render(&set, &r.trace));
     rep.check(
         "E2",
@@ -143,10 +151,8 @@ fn fig2(rep: &mut Report) {
         0.into(),
         r.metrics.deadline_misses().into(),
     );
-    let rules: Vec<String> = p
-        .grant_log()
-        .iter()
-        .map(|(req, rule)| format!("{}:{}={:?}", req.who, req.item, rule))
+    let rules: Vec<String> = ruled_grants(&r)
+        .map(|(at, req, rule)| format!("{}:{}={rule:?}@{at}", req.who, req.item))
         .collect();
     println!("  grant rules: {}", rules.join(" "));
 }
@@ -186,8 +192,7 @@ fn fig3(rep: &mut Report) {
 fn fig4(rep: &mut Report) {
     println!("== E4 / Figure 4: Example 4 under PCP-DA ==");
     let set = paper::example4();
-    let mut p = PcpDa::new();
-    let r = run(&set, &mut p);
+    let r = run(&set, &mut PcpDa::new());
     println!("{}", gantt::render(&set, &r.trace));
     rep.check("E4", "T3 completes", 3.into(), completion(&r, 2, 0).into());
     rep.check("E4", "T1 completes", 6.into(), completion(&r, 0, 0).into());
@@ -210,13 +215,12 @@ fn fig4(rep: &mut Report) {
             .unwrap_or(u32::MAX)
             .into(),
     );
-    let t3_rule = p
-        .grant_log()
-        .iter()
-        .find(|(req, _)| {
-            req.who.txn == TxnId(2) && req.item == paper::Z && req.mode == LockMode::Read
+    // The grant at tick 1, as the narrative has it.
+    let t3_rule = ruled_grants(&r)
+        .find(|&(at, req, _)| {
+            at == 1 && req.who.txn == TxnId(2) && req.item == paper::Z && req.mode == LockMode::Read
         })
-        .map(|(_, rule)| format!("{rule:?}"))
+        .map(|(.., rule)| format!("{rule:?}"))
         .unwrap_or_default();
     rep.check("E4", "T3 read z granted via", "Lc4".into(), t3_rule.into());
 }

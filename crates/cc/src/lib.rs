@@ -67,7 +67,7 @@
 //!
 //! ```
 //! use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate, LockMode, InstanceId, TxnId};
-//! use rtdb_core::{Decision, LockRequest, ProtocolFor};
+//! use rtdb_core::{Decision, GrantRule, LockRequest, ProtocolFor};
 //! use rtdb_cc::PcpDa;
 //!
 //! // Paper Example 3: T1 reads x,y; T2 writes x,y.
@@ -86,12 +86,12 @@
 //!
 //! // T2 write-locks x (LC1: nobody read-holds x).
 //! let d = proto.request(&view, LockRequest { who: t2, item: ItemId(0), mode: LockMode::Write });
-//! assert_eq!(d, Decision::Grant);
+//! assert_eq!(d, Decision::Grant(Some(GrantRule::Lc1)));
 //! view.grant(t2, ItemId(0), LockMode::Write);
 //!
 //! // T1 read-locks x although T2 write-holds it (LC2: Sysceil is dummy).
 //! let d = proto.request(&view, LockRequest { who: t1, item: ItemId(0), mode: LockMode::Read });
-//! assert_eq!(d, Decision::Grant);
+//! assert_eq!(d, Decision::Grant(Some(GrantRule::Lc2)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -100,4 +100,4 @@ pub mod compat;
 pub mod protocol;
 
 pub use compat::{compatible, CompatInput};
-pub use protocol::{GrantRule, PcpDa};
+pub use protocol::PcpDa;

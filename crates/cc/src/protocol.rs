@@ -1,11 +1,16 @@
 //! The PCP-DA locking conditions.
+//!
+//! A grant names the condition that decided it (`Decision::Grant(Some(_))`,
+//! LC1–LC4); the kernel logs that rule with the grant it applies, so the
+//! protocol keeps no record of its own and holds no state beyond its
+//! literal flag. `DataRead(T)` is the kernel's record, read through
+//! [`EngineView::data_read`].
 
 use rtdb_core::{
-    sorted_disjoint as disjoint, CeilingFlavor, CeilingTable, Decision, EngineView, LockRequest,
-    LockTable, ProtocolFor,
+    sorted_disjoint as disjoint, CeilingFlavor, CeilingTable, Decision, EngineView, GrantRule,
+    LockRequest, LockTable, ProtocolFor,
 };
 use rtdb_types::{Ceiling, InstanceId, LockMode, Priority};
-use std::collections::VecDeque;
 
 /// Lemma 4's potential blockers of a transaction at priority `p`: the
 /// holders, other than `who`, of read locks whose ceiling reaches `p`
@@ -23,25 +28,9 @@ fn ceiling_holders<'v>(
         .flat_map(|(_, holders)| holders)
 }
 
-/// Which locking condition granted a request — exposed for tracing and for
-/// the paper's worked examples, whose narratives name the conditions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GrantRule {
-    /// Write lock, no foreign read lock on the item.
-    Lc1,
-    /// Read lock, `P_i > Sysceil_i`.
-    Lc2,
-    /// Read lock, `P_i > HPW(x)` and `x ∉ WriteSet(T*)`.
-    Lc3,
-    /// Read lock, `P_i = HPW(x)`, `No_Rlock(x)`, `x ∉ WriteSet(T*)`,
-    /// `DataRead(T*) ∩ WriteSet(T_i) = ∅`.
-    Lc4,
-}
-
 /// The PCP-DA protocol. Stateless — every input it needs is in the
-/// [`EngineView`] — except for a trace of which rule granted the most
-/// recent requests (useful to assert the paper's example narratives).
-/// Deciding a request allocates only to name the blockers of a denial.
+/// [`EngineView`]; a grant names its rule ([`GrantRule`]). Deciding a
+/// request allocates only to name the blockers of a denial.
 ///
 /// # Errata repaired by the default constructor
 ///
@@ -93,9 +82,6 @@ pub enum GrantRule {
 ///   serialization.
 #[derive(Debug, Default)]
 pub struct PcpDa {
-    /// `(request, rule)` of the most recent grants, oldest first: a ring
-    /// of [`PcpDa::GRANT_LOG_CAPACITY`] entries.
-    grant_log: VecDeque<(LockRequest, GrantRule)>,
     /// Skip the LC3 side condition (the paper's literal text).
     literal_lc3: bool,
 }
@@ -112,22 +98,7 @@ impl PcpDa {
     /// them — subject to the Theorem 1–3 counterexamples. Only for
     /// demonstrating the errata.
     pub fn paper_literal() -> Self {
-        PcpDa {
-            literal_lc3: true,
-            ..Self::default()
-        }
-    }
-
-    /// How many grants [`PcpDa::grant_log`] remembers. The log exists to
-    /// check the narratives of the paper's worked examples (a dozen
-    /// grants); a protocol instance lives as long as its server, so the
-    /// log is a fixed-size ring, not a history.
-    pub const GRANT_LOG_CAPACITY: usize = 64;
-
-    /// The `(request, rule)` of the most recent grants — at most
-    /// [`PcpDa::GRANT_LOG_CAPACITY`], oldest first.
-    pub fn grant_log(&self) -> &VecDeque<(LockRequest, GrantRule)> {
-        &self.grant_log
+        PcpDa { literal_lc3: true }
     }
 
     /// True if `holder`'s pending lock request is guaranteed to stay
@@ -190,12 +161,40 @@ impl PcpDa {
         }
     }
 
-    /// Decide a request and also report which rule granted it.
-    pub fn decide<V: EngineView + ?Sized>(
-        &self,
-        view: &V,
-        req: LockRequest,
-    ) -> Result<GrantRule, Decision> {
+    /// Lemma-derived safety check (debug builds only): when a read of a
+    /// write-held item is granted through LC2/LC3, every write-holder of
+    /// the item must satisfy `DataRead(holder) ∩ WriteSet(T_i) = ∅`. The
+    /// paper proves this holds structurally (the intersection items would
+    /// carry `Wceil ≥ P_i`, contradicting LC2/LC3 via Lemma 5); a failure
+    /// here would mean the implementation diverged from the theory.
+    fn assert_wr_preemption_safe<V: EngineView + ?Sized>(&self, view: &V, req: LockRequest) {
+        if cfg!(debug_assertions) {
+            let my_writes = view.ceilings().write_set(req.who.txn);
+            for w in view.locks().writers_other_than(req.item, req.who) {
+                debug_assert!(
+                    disjoint(view.data_read(w), my_writes),
+                    "Lemma 5/9 violation: {} read-set intersects {} write-set on grant of {:?}",
+                    w,
+                    req.who,
+                    req
+                );
+            }
+        }
+    }
+}
+
+impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
+    fn name(&self) -> &'static str {
+        if self.literal_lc3 {
+            "PCP-DA-literal"
+        } else {
+            "PCP-DA"
+        }
+    }
+
+    /// Decide a request; a grant names the locking condition that
+    /// decided it.
+    fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         let locks = view.locks();
         let ceilings = view.ceilings();
         let p_i = view.base_priority(req.who);
@@ -231,10 +230,10 @@ impl PcpDa {
                 // Existing write locks do not matter: blind writes are
                 // non-conflicting under deferred updates (§4.1, Case 3).
                 if !locks.no_rlock_by_others(req.item, req.who) {
-                    return Err(Decision::block_on(
+                    return Decision::block_on(
                         req.who,
                         locks.readers_other_than(req.item, req.who),
-                    ));
+                    );
                 }
                 // Erratum clause (C): while some lower-layer transaction
                 // holds read locks whose ceiling reaches P_i (so T_i may
@@ -265,10 +264,10 @@ impl PcpDa {
                         .filter(|h| ceilings.may_read(h.txn, req.item))
                         .peekable();
                     if risky.peek().is_some() {
-                        return Err(Decision::block_on(req.who, risky));
+                        return Decision::block_on(req.who, risky);
                     }
                 }
-                Ok(GrantRule::Lc1)
+                Decision::Grant(Some(GrantRule::Lc1))
             }
             LockMode::Read => {
                 let sys = ceilings.pcpda_sysceil(locks, req.who);
@@ -299,9 +298,9 @@ impl PcpDa {
                 if sys.ceiling.cleared_by(p_i) {
                     if offending_higher_writers.is_empty() {
                         self.assert_wr_preemption_safe(view, req);
-                        return Ok(GrantRule::Lc2);
+                        return Decision::Grant(Some(GrantRule::Lc2));
                     }
-                    return Err(Decision::block_on(req.who, offending_higher_writers));
+                    return Decision::block_on(req.who, offending_higher_writers);
                 }
 
                 // T*: holder(s) of the read-locked item(s) at Sysceil.
@@ -332,7 +331,7 @@ impl PcpDa {
                     && (self.literal_lc3 || (tstar_clean && future_reads_safe()))
                 {
                     self.assert_wr_preemption_safe(view, req);
-                    return Ok(GrantRule::Lc3);
+                    return Decision::Grant(Some(GrantRule::Lc3));
                 }
 
                 // LC4: P_i = HPW(x) and No_Rlock(x) and x ∉ WriteSet(T*)
@@ -351,7 +350,7 @@ impl PcpDa {
                         .writers_other_than(req.item, req.who)
                         .all(|w| disjoint(view.data_read(w), my_writes));
                     if tstar_clean && holders_clean {
-                        return Ok(GrantRule::Lc4);
+                        return Decision::Grant(Some(GrantRule::Lc4));
                     }
                 }
 
@@ -367,52 +366,8 @@ impl PcpDa {
                             .filter(|&w| !disjoint(view.data_read(w), my_writes)),
                     )
                     .chain(offending_higher_writers);
-                Err(Decision::block_on(req.who, blockers))
+                Decision::block_on(req.who, blockers)
             }
-        }
-    }
-
-    /// Lemma-derived safety check (debug builds only): when a read of a
-    /// write-held item is granted through LC2/LC3, every write-holder of
-    /// the item must satisfy `DataRead(holder) ∩ WriteSet(T_i) = ∅`. The
-    /// paper proves this holds structurally (the intersection items would
-    /// carry `Wceil ≥ P_i`, contradicting LC2/LC3 via Lemma 5); a failure
-    /// here would mean the implementation diverged from the theory.
-    fn assert_wr_preemption_safe<V: EngineView + ?Sized>(&self, view: &V, req: LockRequest) {
-        if cfg!(debug_assertions) {
-            let my_writes = view.ceilings().write_set(req.who.txn);
-            for w in view.locks().writers_other_than(req.item, req.who) {
-                debug_assert!(
-                    disjoint(view.data_read(w), my_writes),
-                    "Lemma 5/9 violation: {} read-set intersects {} write-set on grant of {:?}",
-                    w,
-                    req.who,
-                    req
-                );
-            }
-        }
-    }
-}
-
-impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
-    fn name(&self) -> &'static str {
-        if self.literal_lc3 {
-            "PCP-DA-literal"
-        } else {
-            "PCP-DA"
-        }
-    }
-
-    fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        match self.decide(view, req) {
-            Ok(rule) => {
-                if self.grant_log.len() == Self::GRANT_LOG_CAPACITY {
-                    self.grant_log.pop_front();
-                }
-                self.grant_log.push_back((req, rule));
-                Decision::Grant
-            }
-            Err(block) => block,
         }
     }
 
@@ -502,10 +457,10 @@ mod tests {
     fn lc1_grants_write_on_unread_item() {
         let set = example3();
         let view = StaticView::new(&set);
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         assert_eq!(
-            p.decide(&view, req(i(1), 0, LockMode::Write)),
-            Ok(GrantRule::Lc1)
+            p.request(&view, req(i(1), 0, LockMode::Write)),
+            Decision::Grant(Some(GrantRule::Lc1))
         );
     }
 
@@ -526,11 +481,11 @@ mod tests {
             .unwrap();
         let mut view = StaticView::new(&set);
         view.grant(i(0), ItemId(0), LockMode::Write);
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         // Second blind write on the same item is granted (Case 3).
         assert_eq!(
-            p.decide(&view, req(i(1), 0, LockMode::Write)),
-            Ok(GrantRule::Lc1)
+            p.request(&view, req(i(1), 0, LockMode::Write)),
+            Decision::Grant(Some(GrantRule::Lc1))
         );
     }
 
@@ -540,8 +495,8 @@ mod tests {
         let mut view = StaticView::new(&set);
         view.grant(i(0), ItemId(0), LockMode::Read);
         view.record_read(i(0), ItemId(0));
-        let p = PcpDa::new();
-        let d = p.decide(&view, req(i(1), 0, LockMode::Write)).unwrap_err();
+        let mut p = PcpDa::new();
+        let d = p.request(&view, req(i(1), 0, LockMode::Write));
         assert_eq!(
             d,
             Decision::Block {
@@ -557,10 +512,10 @@ mod tests {
         // T3 read-locks z, then upgrades to write (Example 4, time 2).
         view.grant(i(2), ItemId(2), LockMode::Read);
         view.record_read(i(2), ItemId(2));
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         assert_eq!(
-            p.decide(&view, req(i(2), 2, LockMode::Write)),
-            Ok(GrantRule::Lc1)
+            p.request(&view, req(i(2), 2, LockMode::Write)),
+            Decision::Grant(Some(GrantRule::Lc1))
         );
     }
 
@@ -571,10 +526,10 @@ mod tests {
         let set = example3();
         let mut view = StaticView::new(&set);
         view.grant(i(1), ItemId(0), LockMode::Write);
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         assert_eq!(
-            p.decide(&view, req(i(0), 0, LockMode::Read)),
-            Ok(GrantRule::Lc2)
+            p.request(&view, req(i(0), 0, LockMode::Read)),
+            Decision::Grant(Some(GrantRule::Lc2))
         );
     }
 
@@ -587,10 +542,10 @@ mod tests {
         let mut view = StaticView::new(&set);
         view.grant(i(3), ItemId(1), LockMode::Read);
         view.record_read(i(3), ItemId(1));
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         assert_eq!(
-            p.decide(&view, req(i(2), 2, LockMode::Read)),
-            Ok(GrantRule::Lc4)
+            p.request(&view, req(i(2), 2, LockMode::Read)),
+            Decision::Grant(Some(GrantRule::Lc4))
         );
     }
 
@@ -623,10 +578,10 @@ mod tests {
         // L read-locks w: Sysceil = Wceil(w) = P_H >= P_M -> LC2 false for M.
         view.grant(i(2), ItemId(9), LockMode::Read);
         view.record_read(i(2), ItemId(9));
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         // M requests read x: HPW(x) = P_L < P_M, and x IS in WriteSet(L)=T*.
         // -> LC3 fails on the T* clause; M must block on L.
-        let d = p.decide(&view, req(i(1), 0, LockMode::Read)).unwrap_err();
+        let d = p.request(&view, req(i(1), 0, LockMode::Read));
         assert_eq!(
             d,
             Decision::Block {
@@ -661,10 +616,10 @@ mod tests {
         let mut view2 = StaticView::new(&set2);
         view2.grant(i(2), ItemId(9), LockMode::Read);
         view2.record_read(i(2), ItemId(9));
-        let p2 = PcpDa::new();
+        let mut p2 = PcpDa::new();
         assert_eq!(
-            p2.decide(&view2, req(i(1), 0, LockMode::Read)),
-            Ok(GrantRule::Lc3)
+            p2.request(&view2, req(i(1), 0, LockMode::Read)),
+            Decision::Grant(Some(GrantRule::Lc3))
         );
     }
 
@@ -693,8 +648,8 @@ mod tests {
         let mut view = StaticView::new(&set);
         view.grant(i(1), ItemId(0), LockMode::Read);
         view.record_read(i(1), ItemId(0));
-        let p = PcpDa::new();
-        let d = p.decide(&view, req(i(0), 1, LockMode::Read)).unwrap_err();
+        let mut p = PcpDa::new();
+        let d = p.request(&view, req(i(0), 1, LockMode::Read));
         assert_eq!(
             d,
             Decision::Block {
@@ -712,10 +667,10 @@ mod tests {
         // T4 read-locks y (Wceil(y) = P2).
         view.grant(i(3), ItemId(1), LockMode::Read);
         view.record_read(i(3), ItemId(1));
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         // T3 requests read of y itself: LC2 false (P3 < P2), LC3 false
         // (HPW(y)=P2 > P3), LC4 false (P3 != P2). Blocked by T4.
-        let d = p.decide(&view, req(i(2), 1, LockMode::Read)).unwrap_err();
+        let d = p.request(&view, req(i(2), 1, LockMode::Read));
         assert_eq!(
             d,
             Decision::Block {
@@ -760,17 +715,17 @@ mod tests {
         let l = i(3);
         view.grant(l, ItemId(3), LockMode::Read); // L read-holds big: Sysceil = P_H
         view.record_read(l, ItemId(3));
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         // LC2 fails (Sysceil = P_H > P_M); literal LC3 would grant R(m)
         // (P_M > HPW(m), m not in WriteSet(L)); clause (B) denies because
         // M's future read `big` has Wceil = P_H > P_M.
-        let d = p.decide(&view, req(i(1), 2, LockMode::Read)).unwrap_err();
+        let d = p.request(&view, req(i(1), 2, LockMode::Read));
         assert_eq!(d, Decision::Block { blockers: vec![l] });
         // The literal protocol indeed grants here.
-        let literal = PcpDa::paper_literal();
+        let mut literal = PcpDa::paper_literal();
         assert_eq!(
-            literal.decide(&view, req(i(1), 2, LockMode::Read)),
-            Ok(GrantRule::Lc3)
+            literal.request(&view, req(i(1), 2, LockMode::Read)),
+            Decision::Grant(Some(GrantRule::Lc3))
         );
     }
 
@@ -805,15 +760,15 @@ mod tests {
         let l = i(3);
         view.grant(l, ItemId(0), LockMode::Read);
         view.record_read(l, ItemId(0));
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         // M-unsafe's future read of `hot` cannot clear LC3 while L holds
         // it -> clause (C) blocks the write of y (y in L's read set).
-        let d = p.decide(&view, req(i(1), 1, LockMode::Write)).unwrap_err();
+        let d = p.request(&view, req(i(1), 1, LockMode::Write));
         assert_eq!(d, Decision::Block { blockers: vec![l] });
         // M-safe has no future reads -> LC1 grants the same write.
         assert_eq!(
-            p.decide(&view, req(i(2), 1, LockMode::Write)),
-            Ok(GrantRule::Lc1)
+            p.request(&view, req(i(2), 1, LockMode::Write)),
+            Decision::Grant(Some(GrantRule::Lc1))
         );
     }
 
@@ -840,10 +795,10 @@ mod tests {
         let mut view = StaticView::new(&set);
         let (w, l) = (i(0), i(1));
         view.grant(w, ItemId(0), LockMode::Write);
-        let p = PcpDa::new();
+        let mut p = PcpDa::new();
         // W is running (not blocked): L's read of x is denied — W would
         // commit first and invalidate it.
-        let d = p.decide(&view, req(l, 0, LockMode::Read)).unwrap_err();
+        let d = p.request(&view, req(l, 0, LockMode::Read));
         assert_eq!(d, Decision::Block { blockers: vec![w] });
 
         // Now W is hard-blocked on L: W's pending write of y conflicts
@@ -859,22 +814,21 @@ mod tests {
             },
         );
         assert_eq!(
-            p.decide(&view, req(l, 0, LockMode::Read)),
-            Ok(GrantRule::Lc2)
+            p.request(&view, req(l, 0, LockMode::Read)),
+            Decision::Grant(Some(GrantRule::Lc2))
         );
     }
 
     #[test]
-    fn grant_log_records_rules() {
+    fn grants_name_their_rules() {
         let set = example3();
         let mut view = StaticView::new(&set);
         let mut p = PcpDa::new();
         let r = req(i(1), 0, LockMode::Write);
-        assert_eq!(p.request(&view, r), Decision::Grant);
+        assert_eq!(p.request(&view, r), Decision::Grant(Some(GrantRule::Lc1)));
         view.grant(i(1), ItemId(0), LockMode::Write);
         let r2 = req(i(0), 0, LockMode::Read);
-        assert_eq!(p.request(&view, r2), Decision::Grant);
-        assert_eq!(p.grant_log(), &[(r, GrantRule::Lc1), (r2, GrantRule::Lc2)]);
+        assert_eq!(p.request(&view, r2), Decision::Grant(Some(GrantRule::Lc2)));
         assert_eq!(ProtocolFor::<StaticView>::name(&p), "PCP-DA");
         assert!(!ProtocolFor::<StaticView>::may_abort(&p));
     }

@@ -114,7 +114,7 @@ mod tests {
         view.retire(i(0), ItemId(0), Value(7));
         assert_eq!(
             p.request(&view, req(i(1), 0, LockMode::Write)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         // The reverse direction grants too: a high-priority requester
         // depends on the lower-priority latest retiree rather than
@@ -124,7 +124,7 @@ mod tests {
         view.retire(i(1), ItemId(0), Value(7));
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Read)),
-            Decision::Grant
+            Decision::Grant(None)
         );
     }
 

@@ -58,7 +58,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Brook2Pl {
             Some(owner) if owner != req.who && senior(owner, req.who) => Decision::AbortSelf {
                 blockers: vec![owner],
             },
-            _ => Decision::Grant,
+            _ => Decision::Grant(None),
         }
     }
 
@@ -148,7 +148,7 @@ mod tests {
         view.retire(jr, ItemId(0), Value(3));
         assert_eq!(
             p.request(&view, req(sr, 0, LockMode::Write)),
-            Decision::Grant
+            Decision::Grant(None)
         );
         assert!(ProtocolFor::<StaticView>::may_abort(&p));
     }

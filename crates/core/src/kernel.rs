@@ -23,6 +23,16 @@
 //! value per transition in the simulator, one atomic tick per event in
 //! the runtime.
 //!
+//! ## One record per fact
+//!
+//! What the kernel records, nobody copies: the protocols' `DataRead(T)`
+//! is [`Record::data_read`], the values and versions an instance read are
+//! the history's `Read` events, and a grant — with the locking condition
+//! that decided it, when the protocol names one — is the
+//! [`Effect::Granted`] the kernel logs where it applies the grant, never
+//! where it only asks whether a parked request would now pass. A
+//! workspace stages writes and folds the read digest, nothing more.
+//!
 //! ## One handle per live instance
 //!
 //! Each live instance has a [`Record`] in a slot that does not move while
@@ -36,8 +46,8 @@
 
 use crate::deps::RetiredChains;
 use crate::{
-    AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, EngineView, LockRequest,
-    LockTable, ProtocolFor, ShardRouter, UpdateModel,
+    AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, EngineView, GrantRule,
+    LockRequest, LockTable, ProtocolFor, ShardRouter, UpdateModel,
 };
 use rtdb_storage::{find_cycle, Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, Tick, TransactionSet, TxnId, Value};
@@ -138,8 +148,10 @@ impl Span {
 /// engine's own events a trace logs beside them (the last three).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Effect {
-    /// The request was granted now and its data operation happened.
-    Granted(LockRequest),
+    /// The request was granted now and its data operation happened; the
+    /// rule that decided it when the protocol names one
+    /// ([`Decision::Grant`]).
+    Granted(LockRequest, Option<GrantRule>),
     /// The request is pending on these blockers; they inherit its
     /// priority.
     Parked(LockRequest, Span),
@@ -717,7 +729,7 @@ impl<'a> StateKernel<'a> {
         }
         let req = LockRequest { who, item, mode };
         match protocol.request(self, req) {
-            Decision::Grant => {
+            Decision::Grant(rule) => {
                 self.locks.grant(who, item, mode);
                 if let Some((rw, _)) = self.retired.latest(item) {
                     self.gate_on(who, rw.owner);
@@ -726,7 +738,7 @@ impl<'a> StateKernel<'a> {
                     self.gate_writers_on(who, item);
                 }
                 self.data_op(who, step_index, item, mode, ws, tick());
-                fx.log.push(Effect::Granted(req));
+                fx.log.push(Effect::Granted(req, rule));
                 true
             }
             decision => {
@@ -753,7 +765,7 @@ impl<'a> StateKernel<'a> {
     ) {
         let who = req.who;
         match decision {
-            Decision::Grant => unreachable!("a grant is applied by `request`"),
+            Decision::Grant(_) => unreachable!("a grant is applied by `request`"),
             Decision::Block { blockers } => {
                 debug_assert!(blockers.iter().all(|&b| self.is_live(b)));
                 let rec = self.record_mut(who);
@@ -888,7 +900,7 @@ impl<'a> StateKernel<'a> {
                 continue;
             };
             match protocol.request(self, req) {
-                Decision::Grant | Decision::AbortHolders { .. } | Decision::AbortSelf { .. } => {
+                Decision::Grant(_) | Decision::AbortHolders { .. } | Decision::AbortSelf { .. } => {
                     self.wake(who);
                     fx.log.push(Effect::Woken(who));
                 }

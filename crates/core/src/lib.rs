@@ -65,6 +65,8 @@ pub use ceilings::{CeilingTable, Holders, SysCeil};
 pub use deps::{AbortBreakdown, AbortReason};
 pub use kernel::{Effect, Effects, Record, Span, StateKernel};
 pub use locks::{HeldLock, LockTable};
-pub use protocol::{sorted_disjoint, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
+pub use protocol::{
+    sorted_disjoint, Decision, EngineView, GrantRule, LockRequest, ProtocolFor, UpdateModel,
+};
 pub use registry::{ProtocolFamily, ProtocolKind, UnknownProtocol};
 pub use shard::{ShardRouter, ShardSet, MAX_SHARDS};

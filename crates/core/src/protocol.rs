@@ -37,11 +37,28 @@ pub struct LockRequest {
     pub mode: LockMode,
 }
 
+/// Which of PCP-DA's locking conditions (paper §5) granted a request —
+/// the conditions the paper's worked examples name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GrantRule {
+    /// Write lock, no foreign read lock on the item.
+    Lc1,
+    /// Read lock, `P_i > Sysceil_i`.
+    Lc2,
+    /// Read lock, `P_i > HPW(x)` and `x ∉ WriteSet(T*)`.
+    Lc3,
+    /// Read lock, `P_i = HPW(x)`, `No_Rlock(x)`, `x ∉ WriteSet(T*)`,
+    /// `DataRead(T*) ∩ WriteSet(T_i) = ∅`.
+    Lc4,
+}
+
 /// A protocol's answer to a lock request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Decision {
-    /// Grant the lock now.
-    Grant,
+    /// Grant the lock now, naming the rule that decided it when the
+    /// protocol names its rules (PCP-DA's LC1–LC4); the kernel logs it
+    /// with the grant it applies ([`crate::Effect::Granted`]).
+    Grant(Option<GrantRule>),
     /// Deny; the requester blocks and `blockers` inherit its priority.
     /// `blockers` must be non-empty and must not contain the requester.
     Block {
@@ -141,7 +158,10 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
     fn name(&self) -> &'static str;
 
     /// Decide a lock request. Must not mutate the lock table — the engine
-    /// applies the decision.
+    /// applies the decision. The kernel also asks again whether a parked
+    /// request would now pass ([`crate::StateKernel::reevaluate`]), so a
+    /// decision is a verdict, not a grant: what was granted is what the
+    /// kernel logs ([`crate::Effect::Granted`]).
     fn request(&mut self, view: &V, req: LockRequest) -> Decision;
 
     /// Called after `who` finished executing its `completed_step`-th step.
@@ -206,8 +226,8 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
 
 impl Decision {
     /// Convenience constructor that deduplicates and drops the requester
-    /// from the blocker list, returning `Grant` if nothing remains —
-    /// protocols use it to express "blocked by whoever holds these locks".
+    /// from the blocker list — protocols use it to express "blocked by
+    /// whoever holds these locks".
     pub fn block_on<I: IntoIterator<Item = InstanceId>>(who: InstanceId, blockers: I) -> Decision {
         let mut list: Vec<InstanceId> = blockers.into_iter().filter(|&b| b != who).collect();
         list.sort_unstable();

@@ -12,10 +12,10 @@ use rtdb_core::{
     AbortReason, Decision, Effect, Effects, EngineView, LockRequest, ProtocolFor, ShardRouter,
     StateKernel, UpdateModel,
 };
-use rtdb_storage::{EventKind, Workspace};
+use rtdb_storage::{Event, EventKind, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionSet, TransactionTemplate,
-    TxnId,
+    TxnId, Value,
 };
 use std::collections::BTreeMap;
 
@@ -62,13 +62,13 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Scripted {
             };
         }
         let Some(blockers) = self.deny.get(&req.who) else {
-            return Decision::Grant;
+            return Decision::Grant(None);
         };
         let mut blockers = blockers.clone();
         if self.blocked_by_holders {
             blockers.retain(|&b| view.locks().held_by(b).next().is_some());
             if blockers.is_empty() {
-                return Decision::Grant;
+                return Decision::Grant(None);
             }
         }
         Decision::Block { blockers }
@@ -162,7 +162,17 @@ fn acquire(
 /// What a grant of `item` in `mode` to `who` leaves in the effects.
 fn grant(who: InstanceId, item: u32, mode: LockMode) -> [Effect; 1] {
     let item = ItemId(item);
-    [Effect::Granted(LockRequest { who, item, mode })]
+    [Effect::Granted(LockRequest { who, item, mode }, None)]
+}
+
+/// `(value, version)` of `who`'s reads, in order, as the history logged
+/// them: the one read log.
+fn reads(k: &StateKernel<'_>, who: InstanceId) -> Vec<(Value, u64)> {
+    let read = |e: &Event| match e.kind {
+        EventKind::Read { value, version, .. } if e.instance == who => Some((value, version)),
+        _ => None,
+    };
+    k.history().events().iter().filter_map(read).collect()
 }
 
 /// The first wait-for cycle a reporting kernel finds, with the victim
@@ -528,7 +538,7 @@ fn commit_drains_exactly_the_dependents_whose_last_dependency_it_was() {
     assert!(!k.gated(d));
     // The dirty reads predicted the versions the installs produced.
     assert_eq!(k.db().get(ItemId(2)).version, 1);
-    assert_eq!(ws[&d].reads()[0].version, 1);
+    assert_eq!(reads(&k, d)[0].1, 1);
 }
 
 #[test]
@@ -570,8 +580,7 @@ fn dirty_versions_stay_predicted_as_the_chain_drains_from_the_front() {
     // r1 reads the latest dirty value: committed version 0 + chain of 2.
     acquire(&mut k, &mut p, &mut ws, r1, 0, LockMode::Read);
     let w2_value = ws[&w2].staged_value(ItemId(0)).unwrap();
-    assert_eq!(ws[&r1].reads()[0].value, w2_value);
-    assert_eq!(ws[&r1].reads()[0].version, 2);
+    assert_eq!(reads(&k, r1), [(w2_value, 2)]);
 
     // The chain's earliest member commits: version 1, chain of 1 — the
     // same prediction for a reader arriving now.
@@ -580,8 +589,7 @@ fn dirty_versions_stay_predicted_as_the_chain_drains_from_the_front() {
     assert_eq!(released(&proceed), vec![w2], "w2's gate opened");
     assert_eq!(k.db().get(ItemId(0)).version, 1);
     acquire(&mut k, &mut p, &mut ws, r2, 0, LockMode::Read);
-    assert_eq!(ws[&r2].reads()[0].version, 2);
-    assert_eq!(ws[&r2].reads()[0].value, w2_value);
+    assert_eq!(reads(&k, r2), [(w2_value, 2)]);
 
     k.wake(w2);
     commit_with(&mut k, &mut p, w2, &ws[&w2], &mut proceed);
@@ -900,7 +908,54 @@ fn a_grant_is_an_effect_and_a_covered_access_is_not() {
     ));
     assert!(fx.log().is_empty(), "the write lock covers the read");
     assert_eq!(p.asked, vec![w], "and the protocol was not asked");
-    assert_eq!(w_ws.reads()[0].value, w_ws.staged_value(ItemId(0)).unwrap());
+    let staged = w_ws.staged_value(ItemId(0)).unwrap();
+    assert_eq!(reads(&k, w), [(staged, 0)], "the own staged value");
+}
+
+/// `DataRead(T)` is the kernel's record of items, not of reads: a
+/// repeated read enters once.
+#[test]
+fn data_read_tracks_items_not_values() {
+    let set = set();
+    let a = inst(0, 0);
+    let (mut k, mut ws) = resolving(&set, &[a]);
+    let mut p = Scripted::default();
+    for item in [1, 1, 2] {
+        acquire(&mut k, &mut p, &mut ws, a, item, LockMode::Read);
+    }
+    assert_eq!(k.data_read(a), [ItemId(1), ItemId(2)]);
+    assert_eq!(reads(&k, a).len(), 3, "the history logs every read");
+}
+
+/// A read of the instance's own staged write cannot be invalidated by
+/// another commit and stays out of `DataRead(T)`; a committed-version
+/// read made before that write stays in.
+#[test]
+fn own_workspace_reads_stay_out_of_data_read() {
+    let set = set();
+    let (a, b) = (inst(0, 0), inst(1, 0));
+    let (mut k, mut ws) = resolving(&set, &[a, b]);
+    let mut p = Scripted::default();
+    acquire(&mut k, &mut p, &mut ws, a, 3, LockMode::Write);
+    acquire(&mut k, &mut p, &mut ws, a, 3, LockMode::Read);
+    assert!(k.data_read(a).is_empty());
+
+    acquire(&mut k, &mut p, &mut ws, b, 3, LockMode::Read);
+    acquire(&mut k, &mut p, &mut ws, b, 3, LockMode::Write);
+    acquire(&mut k, &mut p, &mut ws, b, 3, LockMode::Read);
+    assert_eq!(k.data_read(b), [ItemId(3)]);
+    let own = |who| {
+        let own = |e: &Event| match e.kind {
+            EventKind::Read { own, .. } if e.instance == who => Some(own),
+            _ => None,
+        };
+        k.history()
+            .events()
+            .iter()
+            .filter_map(own)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!((own(a), own(b)), (vec![true], vec![false, true]));
 }
 
 #[test]

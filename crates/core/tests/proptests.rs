@@ -221,7 +221,7 @@ fn waitfor_cycle_detection() {
             "grant"
         }
         fn request(&mut self, _: &V, _: LockRequest) -> Decision {
-            Decision::Grant
+            Decision::Grant(None)
         }
     }
     let first_cycle = |k: &mut StateKernel<'_>| {

@@ -324,7 +324,7 @@ impl<'a> Shared<'a> {
                     self.waiter_mut(who).cv.notify_one();
                 }
                 Effect::Cycle(..) => self.deadlocks_resolved += 1,
-                Effect::Granted(_)
+                Effect::Granted(..)
                 | Effect::Parked(..)
                 | Effect::Gated(..)
                 | Effect::Released(..)

@@ -277,8 +277,6 @@ fn tenant_stats(jobs: &[JobReport], counts: &[crate::admission::TenantCounts]) -
 /// Everything a [`run`] produced.
 #[derive(Debug)]
 pub struct RtResult {
-    /// Protocol name (e.g. `"PCP-DA"`).
-    pub protocol: String,
     /// Protocol kind that ran.
     pub kind: ProtocolKind,
     /// Worker threads used.
@@ -549,7 +547,6 @@ pub(crate) fn run_pool<R, C: Clock>(
     };
 
     let result = RtResult {
-        protocol: config.kind.name().to_string(),
         kind: config.kind,
         threads,
         history: report.history,

@@ -24,6 +24,9 @@
 //! * Denied requests block the instance; the blockers inherit its priority
 //!   transitively; blocked requests are re-evaluated (in descending
 //!   priority) whenever locks are released.
+//! * An instance is ready while it waits for nobody: the kernel's wait
+//!   edges — a denied request's blockers, a closed commit gate, a restart
+//!   hold — are the one record of who may run.
 //! * Commit is instantaneous at the end of the last step: staged writes
 //!   install, all locks release, the instance leaves the system.
 //! * Deadlocks (possible under 2PL-PI and Naive-DA only) are detected on
@@ -195,7 +198,7 @@ impl<'a> Engine<'a> {
     ///             .chain(locks.readers_other_than(req.item, req.who))
     ///             .collect();
     ///         if holders.is_empty() {
-    ///             Decision::Grant
+    ///             Decision::Grant(None)
     ///         } else {
     ///             Decision::block_on(req.who, holders)
     ///         }
@@ -213,8 +216,9 @@ impl<'a> Engine<'a> {
     /// assert_eq!(run.protocol, "exclusive");
     /// assert!(run.is_conflict_serializable());
     /// // Both arrive at 0; T1, of the shorter period, takes item 0 first.
-    /// let granted = run.trace.events().iter().find(|(_, e)| matches!(e, Effect::Granted(_)));
-    /// assert!(matches!(granted, Some((at, Effect::Granted(r))) if at.raw() == 0 && r.who.txn.0 == 0));
+    /// // A protocol that names no rules grants with `None`.
+    /// let granted = run.trace.events().iter().find(|(_, e)| matches!(e, Effect::Granted(..)));
+    /// assert!(matches!(granted, Some((at, Effect::Granted(r, None))) if at.raw() == 0 && r.who.txn.0 == 0));
     ///
     /// // A line-up chosen at run time is a `Vec<AnyProtocol>`.
     /// let mut lineup: Vec<AnyProtocol> =
@@ -267,10 +271,6 @@ struct InstanceSlot {
     blocking: Duration,
     lower_exec: Duration,
     workspace: Workspace,
-    /// Parked at the commit gate: all steps done, waiting for commit
-    /// dependencies to drain. Never dispatched (its `step` is past the
-    /// template's last index).
-    gated: bool,
 }
 
 impl InstanceSlot {
@@ -290,7 +290,6 @@ impl InstanceSlot {
             blocking: Duration::ZERO,
             lower_exec: Duration::ZERO,
             workspace,
-            gated: false,
         }
     }
 
@@ -367,8 +366,11 @@ struct Sim<'a> {
     config: &'a SimConfig,
     clock: Tick,
     calendar: ArrivalCalendar,
-    /// What the kernel's last call did, kept for its capacity.
-    fx: Effects,
+    /// Spare buffers for what a kernel call did, kept for their capacity:
+    /// one per nesting depth, since a commit gate that opens inside
+    /// [`Sim::apply`] commits through [`Sim::commit`] while the caller's
+    /// buffer is still out.
+    fx: Vec<Effects>,
     trace: Trace,
     metrics: MetricsReport,
     outcome: RunOutcome,
@@ -432,7 +434,7 @@ impl<'a> Sim<'a> {
             config,
             clock: Tick::ZERO,
             calendar,
-            fx: Effects::default(),
+            fx: Vec::new(),
             trace,
             metrics,
             outcome: RunOutcome::Completed,
@@ -450,6 +452,19 @@ impl<'a> Sim<'a> {
     fn slot_mut(&mut self, who: InstanceId) -> &mut InstanceSlot {
         let s = self.slot_of(who);
         &mut self.slots[s]
+    }
+
+    /// A spare effects buffer, to hand back with [`Sim::apply_and_keep`].
+    #[inline]
+    fn take_fx(&mut self) -> Effects {
+        self.fx.pop().unwrap_or_default()
+    }
+
+    /// [`Sim::apply`] `fx`, then keep it for the next kernel call.
+    #[inline]
+    fn apply_and_keep<P: ProtocolFor<StateKernel<'a>>>(&mut self, fx: Effects, protocol: &mut P) {
+        self.apply(&fx, protocol);
+        self.fx.push(fx);
     }
 
     /// Sample the system ceiling for the trace. The trace keeps one
@@ -486,15 +501,14 @@ impl<'a> Sim<'a> {
                 // wait by construction (blockers never commit unnoticed).
                 // Without a cycle to break, the run stalls on all of them.
                 let clock = self.clock;
-                let mut fx = std::mem::take(&mut self.fx);
+                let mut fx = self.take_fx();
                 fx.clear();
                 self.kernel.resolve_cycles(protocol, || clock, &mut fx);
                 if !fx.log().iter().any(|e| matches!(e, Effect::Cycle(..))) {
                     let live = fx.span(self.kernel.active_instances());
                     fx.push(Effect::Stalled(live));
                 }
-                self.apply(&fx, protocol);
-                self.fx = fx;
+                self.apply_and_keep(fx, protocol);
                 if matches!(self.outcome, RunOutcome::Deadlock(_)) {
                     break;
                 }
@@ -567,14 +581,13 @@ impl<'a> Sim<'a> {
             };
 
             let clock = self.clock;
-            let mut fx = std::mem::take(&mut self.fx);
+            let mut fx = self.take_fx();
             let ws = &mut self.slots[s].workspace;
             let held =
                 self.kernel
                     .request(protocol, who, step_index, item, mode, ws, || clock, &mut fx);
             self.slots[s].acquired = held;
-            self.apply(&fx, protocol);
-            self.fx = fx;
+            self.apply_and_keep(fx, protocol);
             if held {
                 return Some((who, s));
             }
@@ -588,8 +601,10 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Highest-running-priority ready (live, unblocked, not gated or
-    /// held) instance, with its slot.
+    /// Highest-running-priority ready instance, with its slot: one that
+    /// waits for nobody. A blocked instance waits for its blockers, one
+    /// parked at its commit gate for the gate's entries and a held one
+    /// for its hold, so the kernel's wait edges say who may run.
     fn pick_ready(&self) -> Option<(InstanceId, usize)> {
         let kernel = &self.kernel;
         kernel
@@ -597,10 +612,7 @@ impl<'a> Sim<'a> {
             .iter()
             .zip(kernel.active_slots())
             .map(|(&id, &s)| (id, s as usize))
-            .filter(|&(_, s)| {
-                let slot = &self.slots[s];
-                slot.blocked_since.is_none() && !slot.gated && kernel.record_at(s).hold.is_empty()
-            })
+            .filter(|&(_, s)| kernel.record_at(s).waits_for.is_empty())
             .max_by_key(|&(id, s)| {
                 (
                     kernel.record_at(s).running,
@@ -693,12 +705,11 @@ impl<'a> Sim<'a> {
 
         // Early releases (CCP) and retires (Bamboo / Brook-2PL).
         let clock = self.clock;
-        let mut fx = std::mem::take(&mut self.fx);
+        let mut fx = self.take_fx();
         let ws = &self.slots[s].workspace;
         self.kernel
             .step_done(protocol, who, completed_step, ws, || clock, &mut fx);
-        self.apply(&fx, protocol);
-        self.fx = fx;
+        self.apply_and_keep(fx, protocol);
     }
 
     /// Commit `who`, live in slot `s`, through the kernel's commit entry
@@ -722,25 +733,20 @@ impl<'a> Sim<'a> {
             "{who} reached its commit under a reader PCP-DA let past it"
         );
         let clock = self.clock;
-        let mut fx = std::mem::take(&mut self.fx);
+        let mut fx = self.take_fx();
         let ws = &self.slots[s].workspace;
         let tick = || clock;
-        match self
+        // Commit gate: with outstanding commit dependencies the instance
+        // parks — live, holding its read locks, its `step` past its last,
+        // waiting for the gate's entries and so never dispatched — until
+        // the last dependency commits.
+        if let Some(record) = self
             .kernel
             .commit(protocol, who, ws, true, None, tick, tick, &mut fx)
         {
-            // Commit gate: with outstanding commit dependencies the
-            // instance parks — live, holding its read locks, never
-            // dispatched — until the last dependency commits.
-            None => {
-                let slot = &mut self.slots[s];
-                debug_assert!(!slot.gated && slot.blocked_since.is_none());
-                slot.gated = true;
-            }
-            Some(record) => self.retire_slot(who, s, record, Some(clock)),
+            self.retire_slot(who, s, record, Some(clock));
         }
-        self.apply(&fx, protocol);
-        self.fx = fx;
+        self.apply_and_keep(fx, protocol);
     }
 
     /// Trace each effect of a kernel call at the clock and act on it, in
@@ -765,7 +771,7 @@ impl<'a> Sim<'a> {
                 Effect::Cycle(cycle, _) if !self.config.resolve_deadlocks => {
                     self.outcome = RunOutcome::Deadlock(fx.ids(cycle).to_vec());
                 }
-                Effect::Granted(_)
+                Effect::Granted(..)
                 | Effect::Gated(..)
                 | Effect::Released(..)
                 | Effect::HoldReleased(_)
@@ -781,16 +787,15 @@ impl<'a> Sim<'a> {
                     slot.consumed = 0;
                     slot.acquired = false;
                     slot.workspace.reset(who);
-                    slot.gated = false;
                 }
                 Effect::Woken(who) => self.unblock(who),
                 Effect::GateOpened(who) => {
-                    // An earlier gate's commit may have taken it along.
+                    // An earlier gate's commit may have taken it along;
+                    // one still mid-execution commits when it gets there.
                     let Some(s) = self.kernel.slot_of(who) else {
                         continue;
                     };
-                    if self.slots[s].gated {
-                        self.slots[s].gated = false;
+                    if self.slots[s].step == self.set.template(who.txn).steps.len() {
                         self.commit(who, s, protocol);
                     }
                 }
@@ -933,7 +938,6 @@ mod tests {
         slot.blocking = Duration(3);
         slot.lower_exec = Duration(2);
         slot.workspace.write(0, ItemId(1));
-        slot.gated = true;
         let record = sim.kernel.remove(a);
         sim.retire_slot(a, s, record, None);
         // The kernel hands the slot to the next instance it begins, here

@@ -64,7 +64,7 @@ fn ceiling_json(c: Ceiling) -> Json {
 fn event_json(at: Tick, effect: Effect, ids: &[InstanceId]) -> Json {
     use Effect as E;
     let (kind, who, lock, reason, span) = match effect {
-        E::Granted(r) => ("granted", r.who, Some((r.item, r.mode)), None, None),
+        E::Granted(r, _) => ("granted", r.who, Some((r.item, r.mode)), None, None),
         E::Parked(r, on) => (
             "parked",
             r.who,
@@ -94,6 +94,9 @@ fn event_json(at: Tick, effect: Effect, ids: &[InstanceId]) -> Json {
         .set("who", inst_json(who));
     if let Some((item, mode)) = lock {
         obj = obj.set("item", item.0).set("mode", mode_json(mode));
+    }
+    if let E::Granted(_, Some(rule)) = effect {
+        obj = obj.set("rule", format!("{rule:?}").as_str());
     }
     if let Some(reason) = reason {
         obj = obj.set("reason", format!("{reason:?}").as_str());
@@ -235,6 +238,8 @@ impl Trace {
     /// Each event is one [`Effect`], tagged by `kind` in snake_case, with
     /// `at` and these fields:
     /// - `granted`, `released`: `who`, `item`, `mode` (`"read"`/`"write"`);
+    ///   a grant by a protocol that names its rules (PCP-DA) also `rule`,
+    ///   the locking condition (`"Lc1"` … `"Lc4"`);
     /// - `parked`: the same and `on`, the blockers;
     /// - `gated`: `who` and `on`, the commit gate's entries;
     /// - `aborted`, `foreign`: `who`, `reason` (`"Wound"`, `"Cascade"`,
@@ -293,7 +298,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdb_core::{AbortReason, LockRequest};
+    use rtdb_core::{AbortReason, GrantRule, LockRequest};
     use rtdb_types::{ItemId, Priority, TxnId};
 
     fn i(t: u32) -> InstanceId {
@@ -400,6 +405,31 @@ mod tests {
         assert_eq!(
             events[1].to_string(),
             r#"{"kind":"aborted","at":5,"who":{"txn":1,"seq":0},"reason":"Wound","cause":[{"txn":0,"seq":0}]}"#
+        );
+    }
+
+    /// A grant by a protocol that names its rules carries the rule in
+    /// the JSON; one by a protocol that does not has no `rule`.
+    #[test]
+    fn a_grant_names_its_rule() {
+        let mut tr = Trace::new();
+        let fx = Effects::default();
+        let req = LockRequest {
+            who: i(0),
+            item: ItemId(1),
+            mode: LockMode::Read,
+        };
+        tr.push(Tick(2), Effect::Granted(req, Some(GrantRule::Lc4)), &fx);
+        tr.push(Tick(3), Effect::Granted(req, None), &fx);
+        let events = tr.json();
+        let events = events.get("events").unwrap().as_array().unwrap();
+        assert_eq!(
+            events[0].to_string(),
+            r#"{"kind":"granted","at":2,"who":{"txn":0,"seq":0},"item":1,"mode":"read","rule":"Lc4"}"#
+        );
+        assert_eq!(
+            events[1].to_string(),
+            r#"{"kind":"granted","at":3,"who":{"txn":0,"seq":0},"item":1,"mode":"read"}"#
         );
     }
 

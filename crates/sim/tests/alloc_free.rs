@@ -21,11 +21,17 @@
 //!
 //! What is deliberately outside the claim: a *denied*, *wounding* or
 //! *dying* request names the instances in its way in a `Vec` (the
-//! protocol's [`rtdb_core::Decision`]), and so does a step that retires a
-//! write lock — the protocol's retire list, exactly that allocation,
-//! counted apart (the released lock is an effect); and the history is
-//! the run's output and grows by design — it is pre-sized here, and its
-//! unreserved commit order is left out by logging no Commit event.
+//! protocol's [`rtdb_core::Decision`]), and a step that retires a write
+//! lock names it in one — the protocol's retire list, exactly that
+//! allocation left out of the count (the released lock is an effect);
+//! and the history is the run's output and grows by design — it is
+//! pre-sized here, and its unreserved commit order is left out by
+//! logging no Commit event.
+//!
+//! The simulator itself is counted once, on a Bamboo gate chain run
+//! through [`Engine::run`]: its output grows with the run, but a gate
+//! opening — a commit nested inside the commit that opened it — must not
+//! allocate, so the run's count does not grow with the openings.
 //!
 //! The allocator needs `unsafe`; it is confined to this file (an
 //! integration test is its own crate, the libraries stay
@@ -33,13 +39,14 @@
 //! so the test harness's own threads cannot disturb the count.
 
 use rtdb_baselines::{RwPcp, TwoPlHp};
-use rtdb_cc::{GrantRule, PcpDa};
+use rtdb_cc::PcpDa;
 use rtdb_contention::{Bamboo, Brook2Pl};
 use rtdb_core::{
-    AbortReason, CeilingFlavor, Decision, Effect, Effects, EngineView, LockRequest, ProtocolFor,
-    Record, StateKernel, UpdateModel,
+    AbortReason, CeilingFlavor, Decision, Effect, Effects, EngineView, GrantRule, LockRequest,
+    ProtocolFor, Record, StateKernel, UpdateModel,
 };
-use rtdb_storage::Workspace;
+use rtdb_sim::{Engine, SimConfig};
+use rtdb_storage::{EventKind, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionSet, TransactionTemplate,
     TxnId,
@@ -115,10 +122,12 @@ fn charge(n: u64) {
     }
 }
 
-/// `P` with the `Vec` of every decision but a grant left out of the
-/// count: a denial, a wound and a die name the instances in their way
-/// in one, the protocol's own. A grant allocates nothing, and what the
-/// kernel does with any decision is counted.
+/// `P` with the `Vec` of every decision but a grant, and each non-empty
+/// retire list, left out of the count: a denial, a wound and a die name
+/// the instances in their way in one, the protocol's own, and a retiring
+/// step the write locks it retires — that one allocation and nothing
+/// more. A grant and a step that retires nothing allocate nothing, and
+/// what the kernel does with any decision or retire is counted.
 struct Decisions<P>(P);
 
 impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Decisions<P> {
@@ -127,7 +136,7 @@ impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Decisions<P> 
     }
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         let (decision, n) = counted_apart(|| self.0.request(view, req));
-        if decision == Decision::Grant {
+        if matches!(decision, Decision::Grant(_)) {
             charge(n);
         }
         decision
@@ -141,7 +150,10 @@ impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Decisions<P> 
         self.0.early_releases(view, who, step)
     }
     fn retires(&mut self, view: &V, who: InstanceId, step: usize) -> Vec<ItemId> {
-        self.0.retires(view, who, step)
+        let (retired, n) = counted_apart(|| self.0.retires(view, who, step));
+        // The returned list's own allocation; anything more is counted.
+        charge(n - u64::from(!retired.is_empty()));
+        retired
     }
     fn update_model(&self) -> UpdateModel {
         self.0.update_model()
@@ -202,10 +214,13 @@ fn set() -> TransactionSet {
         .unwrap()
 }
 
+/// The rules the grants named, by [`GrantRule`] index.
+type RulesSeen = [bool; 4];
+
 /// One instance from begin to commit: every step but the last `skip`
-/// acquires its lock (decide + grant + data operation) and reports the
-/// step done; then the commit: the gate, the installs and the release
-/// of everything.
+/// acquires its lock (decide + grant + data operation, noting the rule
+/// the grant names in `rules`) and reports the step done; then the
+/// commit: the gate, the installs and the release of everything.
 #[allow(clippy::too_many_arguments)]
 fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     set: &'a TransactionSet,
@@ -216,6 +231,7 @@ fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     who: InstanceId,
     skip: usize,
     clock: &mut u64,
+    rules: &mut RulesSeen,
 ) {
     let mut tick = || {
         *clock += 1;
@@ -228,7 +244,13 @@ fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
         let (item, mode) = step.op.access().expect("data step");
         assert!(k.request(protocol, who, i, item, mode, ws, &mut tick, fx));
         let req = LockRequest { who, item, mode };
-        assert_eq!(fx.log(), [Effect::Granted(req)], "{who} step {i}");
+        let [Effect::Granted(granted, rule)] = *fx.log() else {
+            panic!("{who} step {i}: {fx:?}");
+        };
+        assert_eq!(granted, req);
+        if let Some(rule) = rule {
+            rules[rule as usize] = true;
+        }
         k.step_done(protocol, who, i, ws, &mut tick, fx);
         assert!(fx.log().is_empty());
     }
@@ -236,11 +258,13 @@ fn run_instance<'a, P: ProtocolFor<StateKernel<'a>>>(
     assert!(record.block_events == 0 && fx.log() == [Effect::Committed(who)]);
 }
 
+/// Allocations of `MEASURED` cycles after `WARM_UP`, with the rules
+/// the grants named.
 fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     set: &'a TransactionSet,
     protocol: &mut P,
     m_runs: bool,
-) -> u64 {
+) -> (u64, RulesSeen) {
     let mut k = StateKernel::new(set, protocol.ceiling_flavor());
     // Ten events an iteration at most (seven data operations, three
     // installs), on top of the bystander's.
@@ -249,6 +273,7 @@ fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     let mut ws = Workspace::new(InstanceId::first(TxnId(0)));
     let mut ws_l = Workspace::new(InstanceId::first(TxnId(2)));
     let mut fx = Effects::default();
+    let mut rules = RulesSeen::default();
 
     let l = InstanceId::first(TxnId(2));
     k.begin(l, None);
@@ -258,26 +283,28 @@ fn steady_state_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     {
         assert!(k.request(protocol, l, i, item, mode, &mut ws_l, || Tick(0), &mut fx));
         let req = LockRequest { who: l, item, mode };
-        assert_eq!(fx.log(), [Effect::Granted(req)]);
+        assert!(matches!(*fx.log(), [Effect::Granted(r, _)] if r == req));
     }
 
     let mut iteration = |k: &mut StateKernel<'a>, seq: u32| {
         let h = InstanceId::new(TxnId(0), seq);
         let m = InstanceId::new(TxnId(1), seq);
-        run_instance(set, k, protocol, &mut ws, &mut fx, h, 0, &mut clock);
+        let (ws, fx, clock, rules) = (&mut ws, &mut fx, &mut clock, &mut rules);
+        run_instance(set, k, protocol, ws, fx, h, 0, clock, rules);
         if m_runs {
             // `M` stops short of its write of `HOT`, which `L` read-holds.
-            run_instance(set, k, protocol, &mut ws, &mut fx, m, 1, &mut clock);
+            run_instance(set, k, protocol, ws, fx, m, 1, clock, rules);
         }
     };
     for seq in 0..WARM_UP {
         iteration(&mut k, seq);
     }
-    allocations_in(|| {
+    let n = allocations_in(|| {
         for seq in WARM_UP..WARM_UP + MEASURED {
             iteration(&mut k, seq);
         }
-    })
+    });
+    (n, rules)
 }
 
 #[test]
@@ -289,24 +316,16 @@ fn steady_state_cycles_do_not_allocate() {
     );
 
     let set = set();
-    let mut pcpda = Decisions(PcpDa::new());
-    assert_eq!(
-        steady_state_allocations(&set, &mut pcpda, true),
-        0,
-        "PCP-DA"
-    );
+    let (pcpda, rules) = steady_state_allocations(&set, &mut Decisions(PcpDa::new()), true);
+    assert_eq!(pcpda, 0, "PCP-DA");
     // The cycles went where the comment on `set` says they go.
     for rule in [GrantRule::Lc1, GrantRule::Lc2, GrantRule::Lc3] {
-        assert!(
-            pcpda.0.grant_log().iter().any(|&(_, r)| r == rule),
-            "{rule:?}"
-        );
+        assert!(rules[rule as usize], "{rule:?}");
     }
-    assert_eq!(pcpda.0.grant_log().len(), PcpDa::GRANT_LOG_CAPACITY);
     let rwpcp = steady_state_allocations(&set, &mut Decisions(RwPcp::new()), false);
-    assert_eq!(rwpcp, 0, "RW-PCP");
+    assert_eq!(rwpcp, (0, RulesSeen::default()), "RW-PCP names no rules");
     let twoplhp = steady_state_allocations(&set, &mut Decisions(TwoPlHp::new()), true);
-    assert_eq!(twoplhp, 0, "2PL-HP");
+    assert_eq!(twoplhp, (0, RulesSeen::default()), "2PL-HP names no rules");
 }
 
 const X: ItemId = ItemId(0);
@@ -328,11 +347,9 @@ struct PairScratch {
     ws: [Workspace; 3],
     fx: Effects,
     clock: u64,
-    /// Allocations counted apart that are not the retiring step's own.
-    apart: u64,
 }
 
-/// `who`'s request, granted.
+/// `who`'s request, granted; the rule the grant names.
 #[allow(clippy::too_many_arguments)]
 fn granted<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
@@ -344,10 +361,14 @@ fn granted<'a, P: ProtocolFor<StateKernel<'a>>>(
     ws: &mut Workspace,
     fx: &mut Effects,
     tick: &mut impl FnMut() -> Tick,
-) {
+) -> Option<GrantRule> {
     assert!(k.request(protocol, who, step, item, mode, ws, &mut *tick, fx));
     let req = LockRequest { who, item, mode };
-    assert_eq!(fx.log(), [Effect::Granted(req)], "{who} step {step}");
+    let [Effect::Granted(granted, rule)] = *fx.log() else {
+        panic!("{who} step {step}: {fx:?}");
+    };
+    assert_eq!(granted, req);
+    rule
 }
 
 /// The one effect of an abort pair's aborting request: `victim`
@@ -444,8 +465,9 @@ fn read_over_write_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     ws_l.reset(l);
     k.begin(l, None);
     k.begin(h, None);
-    granted(k, protocol, l, 0, X, LockMode::Write, ws_l, fx, &mut tick);
-    granted(k, protocol, h, 0, X, LockMode::Read, ws_h, fx, &mut tick);
+    let lc1 = granted(k, protocol, l, 0, X, LockMode::Write, ws_l, fx, &mut tick);
+    let lc2 = granted(k, protocol, h, 0, X, LockMode::Read, ws_h, fx, &mut tick);
+    assert_eq!((lc1, lc2), (Some(GrantRule::Lc1), Some(GrantRule::Lc2)));
     assert!(k.locks().holds(l, X, LockMode::Write), "granted over L");
     assert!(k.gated(l), "L waits for H to leave");
     commit(k, protocol, h, ws_h, fx, &mut tick);
@@ -495,12 +517,14 @@ fn retire_and_read_dirty<'a, P: ProtocolFor<StateKernel<'a>>>(
     k.begin(w, None);
     k.begin(r, None);
     granted(k, protocol, w, 0, X, LockMode::Write, ws_w, fx, tick);
-    let ((), n) = counted_apart(|| k.step_done(protocol, w, 0, ws_w, &mut *tick, fx));
+    k.step_done(protocol, w, 0, ws_w, &mut *tick, fx);
     assert_eq!(fx.log(), [Effect::Released(w, X, LockMode::Write)]);
-    // The retire list; anything more is the kernel's.
-    x.apart += n - 1;
     granted(k, protocol, r, 0, X, LockMode::Read, ws_r, fx, tick);
-    assert_eq!(ws_r.reads()[0].value, ws_w.staged_value(X).unwrap());
+    let dirty = ws_w.staged_value(X).unwrap();
+    let read = k.history().events().last().map(|e| (e.instance, e.kind));
+    assert!(
+        matches!(read, Some((who, EventKind::Read { value, .. })) if who == r && value == dirty)
+    );
     assert!(k.gated(r));
     granted(k, protocol, w, 1, Y, LockMode::Write, ws_w, fx, tick);
 }
@@ -635,8 +659,7 @@ fn commit<'a, P: ProtocolFor<StateKernel<'a>>>(
 }
 
 /// Allocations of `MEASURED` pairs run by `pair` after `WARM_UP`, each
-/// logging at most `events` history events, with those a retiring step
-/// made beyond its own two lists.
+/// logging at most `events` history events.
 fn pair_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
     set: &'a TransactionSet,
     protocol: &mut P,
@@ -649,18 +672,15 @@ fn pair_allocations<'a, P: ProtocolFor<StateKernel<'a>>>(
         ws: std::array::from_fn(|t| Workspace::new(InstanceId::first(TxnId(t as u32)))),
         fx: Effects::default(),
         clock: 0,
-        apart: 0,
     };
     for seq in 0..WARM_UP {
         pair(&mut k, protocol, &mut x, seq);
     }
-    x.apart = 0;
-    let counted = allocations_in(|| {
+    allocations_in(|| {
         for seq in WARM_UP..WARM_UP + MEASURED {
             pair(&mut k, protocol, &mut x, seq);
         }
-    });
-    counted + x.apart
+    })
 }
 
 #[test]
@@ -693,12 +713,55 @@ fn bamboo_gate_pairs_do_not_allocate() {
 #[test]
 fn a_pcpda_read_over_a_write_holder_does_not_allocate() {
     let set = pair_set();
-    let mut pcpda = Decisions(PcpDa::new());
-    let n = pair_allocations(&set, &mut pcpda, 3, read_over_write_pair);
+    let n = pair_allocations(&set, &mut Decisions(PcpDa::new()), 3, read_over_write_pair);
     assert_eq!(n, 0, "PCP-DA read-over-write pair");
-    assert!(pcpda
-        .0
-        .grant_log()
-        .iter()
-        .any(|&(req, _)| req.mode == LockMode::Read));
+}
+
+/// Ticks between the releases of one gate pair and the next.
+const GATE_PERIOD: u64 = 10;
+
+/// One Bamboo gate opening a period: `W` writes `X`, retires it and
+/// computes; `R`, of higher priority and released a tick later, reads
+/// `X` dirty, reaches its commit first and parks at its gate on `W`, and
+/// `W`'s commit opens it — so `R` commits inside `W`'s commit.
+fn gate_set() -> TransactionSet {
+    SetBuilder::new()
+        .with(TransactionTemplate::new("R", GATE_PERIOD, vec![Step::read(X, 1)]).with_offset(1))
+        .with(TransactionTemplate::new(
+            "W",
+            GATE_PERIOD,
+            vec![Step::write(X, 1), Step::compute(5)],
+        ))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn a_simulated_gate_chain_allocates_nothing_per_opening() {
+    let set = gate_set();
+    // The allocations of a run of `periods` gate pairs, and its openings.
+    let run = |periods: u64| {
+        let engine = Engine::new(&set, SimConfig::with_horizon(periods * GATE_PERIOD));
+        let mut protocol = Decisions(Bamboo::new());
+        let mut opened = 0;
+        let n = allocations_in(|| {
+            let run = engine.run(&mut protocol).unwrap();
+            let events = run.trace.events();
+            // Each opening commits its instance at once, inside the
+            // commit that opened it.
+            for (i, &(at, e)) in events.iter().enumerate() {
+                if let Effect::GateOpened(who) = e {
+                    assert_eq!(events[i + 1], (at, Effect::Committed(who)));
+                    opened += 1;
+                }
+            }
+        });
+        (opened, n)
+    };
+    let (short, long) = (run(256), run(512));
+    assert_eq!((short.0, long.0), (256, 512), "one opening a period");
+    // Doubling the run may add a reallocation to each run-long log that
+    // outgrows its reserve (the trace's segments and span ids), never one
+    // per opening.
+    assert!(long.1 - short.1 <= 4, "{short:?} -> {long:?}");
 }

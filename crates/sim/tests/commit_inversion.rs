@@ -14,9 +14,9 @@
 //! cycle. No threads, no seed, no soak — a bare [`StateKernel`] and
 //! [`PcpDa`] driven by hand.
 
-use rtdb_cc::{GrantRule, PcpDa};
-use rtdb_core::{Effect, Effects, LockRequest, StateKernel};
-use rtdb_storage::{SerializationGraph, Workspace};
+use rtdb_cc::PcpDa;
+use rtdb_core::{Effect, Effects, GrantRule, LockRequest, StateKernel};
+use rtdb_storage::{EventKind, SerializationGraph, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionTemplate, TxnId,
 };
@@ -52,7 +52,15 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
     k.begin(t_l, Some(tick()));
     k.begin(t_h, Some(tick()));
     let mut fx = Effects::default();
-    let granted = |who, item, mode| [Effect::Granted(LockRequest { who, item, mode })];
+    // Each grant names its locking condition: LC1 for the writes, LC2
+    // for the reads past them.
+    let granted = |who, item, mode| {
+        let rule = match mode {
+            LockMode::Write => GrantRule::Lc1,
+            LockMode::Read => GrantRule::Lc2,
+        };
+        [Effect::Granted(LockRequest { who, item, mode }, Some(rule))]
+    };
 
     // T_L write-locks x; T_H reads x's pre-image past it.
     assert!(k.request(
@@ -114,7 +122,15 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
         &mut fx
     ));
     assert_eq!(fx.log(), granted(t_h, Y, LockMode::Read));
-    let versions: Vec<u64> = ws_h.reads().iter().map(|r| r.version).collect();
+    let versions: Vec<u64> = k
+        .history()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Read { version, .. } if e.instance == t_h => Some(version),
+            _ => None,
+        })
+        .collect();
     assert_eq!(versions, [0, 0], "x and y both before T_L's installs");
     let at = tick();
     let committed = k.commit(&mut p, t_h, &ws_h, true, None, &mut tick, || at, &mut fx);
@@ -124,16 +140,6 @@ fn a_writer_waits_at_its_gate_for_the_reader_let_past_it() {
     let committed = k.commit(&mut p, t_l, &ws_l, true, None, &mut tick, || at, &mut fx);
     assert!(committed.is_some());
 
-    let rules: Vec<GrantRule> = p.grant_log().iter().map(|&(_, rule)| rule).collect();
-    assert_eq!(
-        rules,
-        [
-            GrantRule::Lc1,
-            GrantRule::Lc2,
-            GrantRule::Lc1,
-            GrantRule::Lc2
-        ]
-    );
     let cycle = SerializationGraph::build(k.history()).find_cycle();
     assert_eq!(cycle, None, "T_L waited for T_H: no cycle");
 }

@@ -18,7 +18,7 @@
 //! intended, run with `--nocapture`, copy the printed table over
 //! [`GOLDEN`] and say why in the commit.
 
-use rtdb_core::{Effect, ProtocolKind};
+use rtdb_core::{Effect, GrantRule, ProtocolKind};
 use rtdb_sim::{instantiate, AnyProtocol, Engine, RunResult, SimConfig, WorkloadParams};
 use rtdb_storage::EventKind;
 use rtdb_types::{InstanceId, ItemId, LockMode, Tick};
@@ -31,17 +31,17 @@ const BASE_SEED: u64 = 0x0060_1DE2;
 
 /// Per-protocol fingerprints, in [`ProtocolKind::ALL`] order.
 const GOLDEN: [(&str, u64); 11] = [
-    ("PCP-DA", 0x6e80_09f9_9d95_09cf),
-    ("PCP-DA-literal", 0xc1a4_7ee6_c55b_37cd),
-    ("RW-PCP", 0x534e_a64b_e2eb_7931),
-    ("PCP", 0xef14_e04d_fead_5851),
-    ("CCP", 0xdf7f_f6bf_4ea8_e1b9),
-    ("2PL-PI", 0x0014_6db9_2c39_e387),
-    ("2PL-HP", 0x695b_15d1_4e80_26d3),
-    ("OCC-BC", 0x2688_4485_e797_9327),
-    ("Bamboo", 0x04a9_8260_ab1b_c95b),
-    ("Brook-2PL", 0x83c1_1d51_19c2_8737),
-    ("Naive-DA", 0xd0f9_2984_5f87_0884),
+    ("PCP-DA", 0xe127_c95c_209e_a1a1),
+    ("PCP-DA-literal", 0xf689_b01b_e118_43bd),
+    ("RW-PCP", 0xc063_2a82_db8a_ca69),
+    ("PCP", 0x0c02_edba_9832_1509),
+    ("CCP", 0x6dd4_7ee1_c6a3_bf5d),
+    ("2PL-PI", 0xcb5e_74ad_73b7_95d1),
+    ("2PL-HP", 0x216b_49aa_4e71_636b),
+    ("OCC-BC", 0x8172_5ef0_bd10_4b8f),
+    ("Bamboo", 0x1b6f_a925_2050_4757),
+    ("Brook-2PL", 0xbd2a_df7d_f7fc_6787),
+    ("Naive-DA", 0x4c8d_590b_89e8_f818),
 ];
 
 /// 64-bit FNV-1a, fed the `Debug` rendering of each output.
@@ -129,10 +129,13 @@ fn simulator_output_matches_the_golden_fingerprints() {
 /// different hands and must tell one story: every grant is a read (read
 /// mode) or a staged write (write mode) of its item by its instance at
 /// its tick; the commits and aborts are the history's, one for one, tick
-/// for tick, in order; every arrival is its instance's first Begin.
+/// for tick, in order; every arrival is its instance's first Begin. A
+/// grant names its locking condition exactly under PCP-DA and
+/// PCP-DA-literal, LC1 exactly for a write.
 #[test]
 fn the_trace_agrees_with_the_history() {
     for kind in ProtocolKind::ALL {
+        let names_rules = matches!(kind, ProtocolKind::PcpDa | ProtocolKind::PcpDaLiteral);
         each_run(kind, |run, _| {
             let mut ops: HashMap<(Tick, InstanceId, ItemId, LockMode), usize> = HashMap::new();
             let (mut ends, mut begins) = (Vec::new(), Vec::new());
@@ -155,7 +158,13 @@ fn the_trace_agrees_with_the_history() {
             let (mut traced_ends, mut arrivals) = (Vec::new(), Vec::new());
             for &(at, e) in run.trace.events() {
                 match e {
-                    Effect::Granted(r) => {
+                    Effect::Granted(r, rule) => {
+                        let lc1 = r.mode == LockMode::Write;
+                        assert!(
+                            rule.is_some() == names_rules
+                                && rule.is_none_or(|rule| (rule == GrantRule::Lc1) == lc1),
+                            "{kind}: {r:?} granted by {rule:?}"
+                        );
                         let op = ops.get_mut(&(at, r.who, r.item, r.mode));
                         match op.filter(|n| **n > 0) {
                             Some(n) => *n -= 1,

@@ -1,4 +1,10 @@
 //! Private transaction workspaces (the update-in-workspace model, paper §4).
+//!
+//! A workspace stages its instance's writes and folds every value read
+//! into the digest its write values derive from; nothing more. What an
+//! instance read is recorded elsewhere, once: `DataRead(T)` in the state
+//! kernel's record, the values and versions in the history's `Read`
+//! events.
 
 use crate::db::{Database, Version, VersionedValue};
 use rtdb_types::{derive_write, InstanceId, ItemId, Value};
@@ -26,25 +32,16 @@ pub struct ReadRecord {
 /// "data items are written into the database only upon successful commit"
 /// (paper §4).
 ///
-/// The workspace also maintains `DataRead(T_i)` — "the current set of data
-/// items that transaction `T_i` has already read" — which the PCP-DA
-/// locking condition LC4 consults.
-///
-/// Internally the staged writes and `DataRead` set are sorted `Vec`s rather
-/// than tree maps: transactions touch a handful of items, so binary search
-/// over a dense vector beats pointer-chasing, and [`Workspace::reset`] lets
-/// the engine recycle the allocations across instances of the same
-/// template.
+/// The staged writes are a sorted `Vec` rather than a tree map:
+/// transactions touch a handful of items, so binary search over a dense
+/// vector beats pointer-chasing, and [`Workspace::reset`] lets the engine
+/// recycle the allocation across instances.
 #[derive(Clone, Debug)]
 pub struct Workspace {
     owner: InstanceId,
-    reads: Vec<ReadRecord>,
     /// Staged writes, sorted by item.
     staged: Vec<(ItemId, Value)>,
-    /// `DataRead`, sorted.
-    data_read: Vec<ItemId>,
     digest: Value,
-    write_count: usize,
 }
 
 impl Workspace {
@@ -52,23 +49,17 @@ impl Workspace {
     pub fn new(owner: InstanceId) -> Self {
         Self {
             owner,
-            reads: Vec::new(),
             staged: Vec::new(),
-            data_read: Vec::new(),
             digest: Value::INITIAL,
-            write_count: 0,
         }
     }
 
     /// Clear all state and re-home the workspace to a new `owner`, keeping
-    /// the buffers' capacity so recycled instances allocate nothing.
+    /// the buffer's capacity so recycled instances allocate nothing.
     pub fn reset(&mut self, owner: InstanceId) {
         self.owner = owner;
-        self.reads.clear();
         self.staged.clear();
-        self.data_read.clear();
         self.digest = Value::INITIAL;
-        self.write_count = 0;
     }
 
     /// The owning instance.
@@ -85,18 +76,15 @@ impl Workspace {
             .map(|idx| self.staged[idx].1)
     }
 
+    /// Fold an observed value into the digest and return its record.
     #[inline]
-    fn stage(&mut self, item: ItemId, value: Value) {
-        match self.staged.binary_search_by_key(&item, |&(i, _)| i) {
-            Ok(idx) => self.staged[idx].1 = value,
-            Err(idx) => self.staged.insert(idx, (item, value)),
-        }
-        self.write_count += 1;
+    fn observe(&mut self, rec: ReadRecord) -> ReadRecord {
+        self.digest = self.digest.mix(rec.value);
+        rec
     }
 
     /// Perform a read: own staged write if present, otherwise the latest
-    /// committed version. Records the read and folds the value into the
-    /// read digest.
+    /// committed version. Folds the value into the read digest.
     pub fn read(&mut self, db: &Database, item: ItemId) -> ReadRecord {
         self.read_over(item, db.get(item))
     }
@@ -105,84 +93,49 @@ impl Workspace {
     /// replay's): `committed` is `item`'s latest committed version there.
     #[inline(always)]
     pub(crate) fn read_over(&mut self, item: ItemId, committed: &VersionedValue) -> ReadRecord {
-        let rec = match self.staged_value(item) {
-            Some(own_value) => ReadRecord {
-                item,
-                value: own_value,
-                version: committed.version,
-                own: true,
-            },
-            None => ReadRecord {
-                item,
-                value: committed.value,
-                version: committed.version,
-                own: false,
-            },
-        };
-        self.reads.push(rec);
-        // `DataRead` is the protocol-facing read set: the items whose
-        // *committed pre-image* this transaction observed. A read served
-        // from the transaction's own staged write cannot be invalidated by
-        // any other writer's commit, so it does not enter the set (nor
-        // does it take a read lock in the engine — the own write lock
-        // covers it).
-        if !rec.own {
-            if let Err(idx) = self.data_read.binary_search(&item) {
-                self.data_read.insert(idx, item);
-            }
-        }
-        self.digest = self.digest.mix(rec.value);
-        rec
+        let own = self.staged_value(item);
+        self.observe(ReadRecord {
+            item,
+            value: own.unwrap_or(committed.value),
+            version: committed.version,
+            own: own.is_some(),
+        })
     }
 
     /// Record a read served from a multiversion snapshot (the lock-exempt
     /// read-only path, see `crate::mvcc`). Snapshot readers never stage
-    /// writes, so the observation can never be an own read; it still enters
-    /// `DataRead` and the digest so histories and derived values stay
-    /// comparable with the lock-based read path.
+    /// writes, so the observation can never be an own read; it still
+    /// enters the digest so derived values stay comparable with the
+    /// lock-based read path.
     pub fn read_versioned(&mut self, item: ItemId, value: Value, version: Version) -> ReadRecord {
         debug_assert!(
             self.staged.is_empty(),
             "snapshot readers never stage writes"
         );
-        let rec = ReadRecord {
+        self.observe(ReadRecord {
             item,
             value,
             version,
             own: false,
-        };
-        self.reads.push(rec);
-        if let Err(idx) = self.data_read.binary_search(&item) {
-            self.data_read.insert(idx, item);
-        }
-        self.digest = self.digest.mix(rec.value);
-        rec
+        })
     }
 
     /// Record a **dirty** read: `value` is another transaction's
     /// uncommitted (early-released) write, `version` the version it is
     /// predicted to install at. Unlike [`Workspace::read_versioned`] the
     /// reader may stage writes of its own — early-release protocols mix
-    /// dirty reads with updates — and like a committed-pre-image read the
-    /// item enters `DataRead` (the read *can* be invalidated: a cascading
-    /// abort discards it along with the whole instance).
+    /// dirty reads with updates.
     pub fn read_dirty(&mut self, item: ItemId, value: Value, version: Version) -> ReadRecord {
         debug_assert!(
             self.staged_value(item).is_none(),
             "own staged value shadows any dirty read"
         );
-        let rec = ReadRecord {
+        self.observe(ReadRecord {
             item,
             value,
             version,
             own: false,
-        };
-        self.reads.push(rec);
-        if let Err(idx) = self.data_read.binary_search(&item) {
-            self.data_read.insert(idx, item);
-        }
-        self.digest = self.digest.mix(rec.value);
-        rec
+        })
     }
 
     /// Stage a write whose value is derived deterministically from the
@@ -190,25 +143,16 @@ impl Workspace {
     /// (see [`rtdb_types::derive_write`]). Returns the staged value.
     pub fn write(&mut self, step_index: usize, item: ItemId) -> Value {
         let value = derive_write(self.owner, step_index, item, self.digest);
-        self.stage(item, value);
+        match self.staged.binary_search_by_key(&item, |&(i, _)| i) {
+            Ok(idx) => self.staged[idx].1 = value,
+            Err(idx) => self.staged.insert(idx, (item, value)),
+        }
         value
-    }
-
-    /// `DataRead(T_i)`: the items whose committed pre-image this instance
-    /// has observed (own-workspace reads excluded — they cannot be
-    /// invalidated), sorted ascending.
-    pub fn data_read(&self) -> &[ItemId] {
-        &self.data_read
     }
 
     /// The staged (uncommitted) writes, sorted by item.
     pub fn staged_writes(&self) -> &[(ItemId, Value)] {
         &self.staged
-    }
-
-    /// The ordered log of reads.
-    pub fn reads(&self) -> &[ReadRecord] {
-        &self.reads
     }
 
     /// Current read digest (order-sensitive fold of all values read).
@@ -278,34 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn data_read_tracks_items_not_values() {
-        let db = Database::new();
-        let mut ws = Workspace::new(owner());
-        ws.read(&db, ItemId(1));
-        ws.read(&db, ItemId(1));
-        ws.read(&db, ItemId(2));
-        assert_eq!(ws.data_read().len(), 2);
-        assert!(ws.data_read().contains(&ItemId(1)));
-        assert!(ws.data_read().contains(&ItemId(2)));
-    }
-
-    #[test]
-    fn own_workspace_reads_stay_out_of_data_read() {
-        let db = Database::new();
-        let mut ws = Workspace::new(owner());
-        ws.write(0, ItemId(3));
-        ws.read(&db, ItemId(3)); // served from own staged write
-        assert!(!ws.data_read().contains(&ItemId(3)));
-
-        // But a committed-version read before the write does count.
-        let mut ws2 = Workspace::new(owner());
-        ws2.read(&db, ItemId(3));
-        ws2.write(1, ItemId(3));
-        ws2.read(&db, ItemId(3)); // now own
-        assert!(ws2.data_read().contains(&ItemId(3)));
-    }
-
-    #[test]
     fn digest_depends_on_read_order() {
         let mut db = Database::new();
         db.install(InstanceId::first(TxnId(9)), ItemId(0), Value(1), Tick(1));
@@ -355,16 +271,13 @@ mod tests {
         let mut ws = Workspace::new(owner());
         ws.read(&db, ItemId(1));
         ws.write(0, ItemId(2));
-        let cap = (ws.reads.capacity(), ws.staged.capacity());
+        let cap = ws.staged.capacity();
 
         let next = InstanceId::first(TxnId(1));
         ws.reset(next);
         assert_eq!(ws.owner(), next);
-        assert!(ws.reads().is_empty());
         assert!(ws.staged_writes().is_empty());
-        assert!(ws.data_read().is_empty());
         assert_eq!(ws.digest(), Value::INITIAL);
-        assert!(ws.reads.capacity() >= cap.0);
-        assert!(ws.staged.capacity() >= cap.1);
+        assert!(ws.staged.capacity() >= cap);
     }
 }

@@ -81,10 +81,10 @@ pub use rtdb_types as types;
 pub mod prelude {
     pub use rtdb_analysis::{breakdown_utilization, schedulable, AnalysisProtocol};
     pub use rtdb_baselines::{Ccp, NaiveDa, OccBc, Pcp, RwPcp, TwoPlHp, TwoPlPi};
-    pub use rtdb_cc::{GrantRule, PcpDa};
+    pub use rtdb_cc::PcpDa;
     pub use rtdb_core::{
-        AbortBreakdown, AbortReason, Decision, EngineView, LockRequest, ProtocolFor, ProtocolKind,
-        StateKernel,
+        AbortBreakdown, AbortReason, Decision, EngineView, GrantRule, LockRequest, ProtocolFor,
+        ProtocolKind, StateKernel,
     };
     pub use rtdb_net::{serve, NetClient, NetConfig};
     pub use rtdb_rt::{

@@ -34,6 +34,21 @@ fn blocking(r: &RunResult, who: InstanceId) -> u64 {
     r.metrics.instance(who).unwrap().blocking.raw()
 }
 
+/// `(tick, rule)` of every grant of `item` to `who`, in order, as the
+/// trace logged them.
+fn grants(r: &RunResult, who: InstanceId, item: ItemId) -> Vec<(u64, GrantRule)> {
+    r.trace
+        .events()
+        .iter()
+        .filter_map(|&(at, e)| match e {
+            Effect::Granted(req, Some(rule)) if req.who == who && req.item == item => {
+                Some((at.raw(), rule))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Figure 1 (Example 1, RW-PCP): T3 write-locks x at 0; T2 is
 /// ceiling-blocked at 1 although y is free; T1 is conflict-blocked at 2;
 /// T3 completes at 3; T1 then T2 finish by 5.
@@ -78,8 +93,7 @@ fn figure1_example1_under_rwpcp() {
 #[test]
 fn figure2_example3_under_pcpda() {
     let set = paper::example3();
-    let mut protocol = PcpDa::new();
-    let r = run(&set, &mut protocol);
+    let r = run(&set, &mut PcpDa::new());
 
     let t1a = InstanceId::new(TxnId(0), 0);
     let t1b = InstanceId::new(TxnId(0), 1);
@@ -94,19 +108,12 @@ fn figure2_example3_under_pcpda() {
     assert_eq!(r.metrics.deadline_misses(), 0);
 
     // Narrative checks: T2 write-locks x at 0 (LC1); T1 read-locks x at 1
-    // although x is write-locked (LC2); T2 write-locks y at 5 (LC1).
-    let grants = protocol.grant_log();
-    let lc = |who: InstanceId, item: ItemId| {
-        grants
-            .iter()
-            .find(|(req, _)| req.who == who && req.item == item)
-            .map(|(_, rule)| *rule)
-            .unwrap_or_else(|| panic!("no grant for {who} on {item}"))
-    };
-    assert_eq!(lc(t2, paper::X), GrantRule::Lc1);
-    assert_eq!(lc(t1a, paper::X), GrantRule::Lc2);
-    assert_eq!(lc(t1a, paper::Y), GrantRule::Lc2);
-    assert_eq!(lc(t2, paper::Y), GrantRule::Lc1);
+    // although x is write-locked (LC2), then y at 2 (LC2); T2 write-locks
+    // y at 5 (LC1).
+    assert_eq!(grants(&r, t2, paper::X), [(0, GrantRule::Lc1)]);
+    assert_eq!(grants(&r, t1a, paper::X), [(1, GrantRule::Lc2)]);
+    assert_eq!(grants(&r, t1a, paper::Y), [(2, GrantRule::Lc2)]);
+    assert_eq!(grants(&r, t2, paper::Y), [(5, GrantRule::Lc1)]);
 
     assert!(r.replay_check(&set).is_serializable());
     assert!(r.is_conflict_serializable());
@@ -150,8 +157,7 @@ fn figure3_example3_under_rwpcp() {
 #[test]
 fn figure4_example4_under_pcpda() {
     let set = paper::example4();
-    let mut protocol = PcpDa::new();
-    let r = run(&set, &mut protocol);
+    let r = run(&set, &mut PcpDa::new());
 
     let (t1, t2, t3, t4) = (inst(0), inst(1), inst(2), inst(3));
     assert_eq!(completion(&r, t3), 3);
@@ -162,21 +168,18 @@ fn figure4_example4_under_pcpda() {
         assert_eq!(blocking(&r, who), 0, "{who} must not block under PCP-DA");
     }
 
-    let grants = protocol.grant_log();
-    let rule_at = |who: InstanceId, item: ItemId| {
-        grants
-            .iter()
-            .find(|(req, _)| req.who == who && req.item == item)
-            .map(|(_, r)| *r)
-            .unwrap()
-    };
     // Narrative: T4 read-locks y at 0 (LC2, nothing locked); T3 read-locks
-    // z at 1 via LC4; T3 write-locks z at 2 via LC1; T4 write-locks x via
-    // LC1; T1 read-locks x via LC2; T2 write-locks y via LC1.
-    assert_eq!(rule_at(t4, paper::Y), GrantRule::Lc2);
-    assert_eq!(rule_at(t3, paper::Z), GrantRule::Lc4);
-    assert_eq!(rule_at(t1, paper::X), GrantRule::Lc2);
-    assert_eq!(rule_at(t2, paper::Y), GrantRule::Lc1);
+    // z at 1 via LC4 and write-locks it at 2 via LC1; T4 write-locks x at
+    // 3 via LC1; T1 read-locks x at 4 via LC2; T2 write-locks y at 9 via
+    // LC1.
+    assert_eq!(grants(&r, t4, paper::Y), [(0, GrantRule::Lc2)]);
+    assert_eq!(
+        grants(&r, t3, paper::Z),
+        [(1, GrantRule::Lc4), (2, GrantRule::Lc1)]
+    );
+    assert_eq!(grants(&r, t4, paper::X), [(3, GrantRule::Lc1)]);
+    assert_eq!(grants(&r, t1, paper::X), [(4, GrantRule::Lc2)]);
+    assert_eq!(grants(&r, t2, paper::Y), [(9, GrantRule::Lc1)]);
 
     // Max_Sysceil stays at P2 (Wceil(y)) while y is read-locked, and
     // drops to dummy at t=9.
