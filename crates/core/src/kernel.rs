@@ -49,7 +49,7 @@ use crate::{
     AbortBreakdown, AbortReason, CeilingFlavor, CeilingTable, Decision, EngineView, GrantRule,
     LockRequest, LockTable, ProtocolFor, ShardRouter, UpdateModel,
 };
-use rtdb_storage::{find_cycle, Database, EventKind, History, VersionedValue, Workspace};
+use rtdb_storage::{CycleScratch, Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, Tick, TransactionSet, TxnId, Value};
 use std::cmp::Reverse;
 
@@ -285,6 +285,8 @@ pub struct StateKernel<'a> {
     reeval_scratch: Vec<(InstanceId, usize)>,
     /// The write holders of an item a read was just granted.
     writers_scratch: Vec<InstanceId>,
+    /// The deadlock search's buffers.
+    cycle_scratch: CycleScratch,
 }
 
 impl<'a> StateKernel<'a> {
@@ -313,6 +315,7 @@ impl<'a> StateKernel<'a> {
             abort_reasons: AbortBreakdown::default(),
             reeval_scratch: Vec::new(),
             writers_scratch: Vec::new(),
+            cycle_scratch: CycleScratch::default(),
         }
     }
 
@@ -917,7 +920,7 @@ impl<'a> StateKernel<'a> {
     /// from the blocked instances in ascending id order; returns it with
     /// the victim to abort — the lowest-base-priority instance on it, ties
     /// toward the smaller id.
-    fn find_deadlock(&self) -> Option<(Vec<InstanceId>, InstanceId)> {
+    fn find_deadlock(&mut self) -> Option<(Vec<InstanceId>, InstanceId)> {
         let waiting = self
             .active
             .iter()
@@ -925,11 +928,14 @@ impl<'a> StateKernel<'a> {
             .filter(|(_, &s)| !self.records[s as usize].waits_for.is_empty())
             .map(|(&id, _)| id);
         // No instance waits for itself: a cycle needs two that wait, and
-        // with fewer the search (and its buffers) is skipped.
+        // with fewer the search is skipped.
         waiting.clone().nth(1)?;
-        let cycle = find_cycle(waiting, |who| {
+        let mut scratch = std::mem::take(&mut self.cycle_scratch);
+        let found = scratch.find_cycle(waiting, |who| {
             self.record(who).map_or(&[], |r| r.waits_for.as_slice())
-        })?;
+        });
+        self.cycle_scratch = scratch;
+        let cycle = found?;
         let victim = cycle
             .iter()
             .copied()

@@ -15,15 +15,18 @@
 //!   would miss anyway, so shedding it converts a certain deadline miss
 //!   into freed capacity for a job that can still make it. Requests
 //!   without a deadline have infinite slack and are shed last; ties shed
-//!   the oldest admission ([`shed_victim`]). A queued victim's submitter
-//!   is told via [`crate::Completion::Shed`]; when the incoming request
-//!   itself has the least slack it is bounced synchronously
-//!   ([`crate::SubmitOutcome::Shed`]) without entering the queue.
+//!   the oldest admission ([`shed_victim`]). When the incoming request
+//!   itself has the least slack it is bounced without entering the queue.
 //!
 //! Neither policy parks a submitter: a push admits, sheds or bounces at
 //! once, so the only thread that ever waits on the queue is a worker with
-//! nothing to pop. Tenants are counted, not ranked: every shed and reject
-//! is tallied against the request's tenant for [`crate::RtResult::tenants`].
+//! nothing to pop. A push answers its own submitter: it returns the
+//! public [`crate::SubmitOutcome`], and tells a queued victim's submitter
+//! [`crate::Completion::Shed`] over the victim's own completion channel.
+//! Tenants are counted, not ranked: the queue keeps the run's
+//! [`crate::TenantStats`] rows, one per tenant id, and every shed and
+//! reject is a count in its tenant's row; the run's epilogue adds the
+//! commits from the job reports ([`crate::RtResult::tenants`]).
 //!
 //! **Dispatch order.** A worker pops the highest-priority request waiting,
 //! not the oldest: the queue keeps one FIFO lane per template, ranked by
@@ -40,7 +43,8 @@
 //! (admission → worker start) is the time spent queued.
 
 use crate::clock::Clock;
-use crate::front::{Completion, JobRequest};
+use crate::front::{Completion, JobRequest, SubmitOutcome};
+use crate::runtime::TenantStats;
 use rtdb_core::LevelMask;
 use rtdb_types::{InstanceId, Priority};
 use std::collections::VecDeque;
@@ -113,71 +117,38 @@ fn slack_ns(deadline_ns: Option<u64>, now_ns: u64) -> i64 {
     }
 }
 
-/// Per-tenant shed/reject counters, drained into
-/// [`crate::runtime::TenantStats`] when the front-end finishes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct TenantCounts {
-    pub tenant: u32,
-    pub shed: u64,
-    pub rejected: u64,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct LedgerEntry {
-    shed: u64,
-    rejected: u64,
-}
-
-/// The per-tenant shed/reject counters (and per-template shed counts for
-/// the per-priority shed telemetry). Lives inside the queue's critical
-/// section, so every count is atomic with the admission decision it
-/// records. Tenant ids index it densely: [`crate::Submitter::submit`]
-/// bounces ids above [`crate::MAX_TENANT`] before they get here.
-struct TenantLedger {
-    entries: Vec<LedgerEntry>,
-    shed_by_txn: Vec<u64>,
+/// The run's per-tenant outcome rows ([`TenantStats`], dense by tenant
+/// id) and per-template shed counts (for the per-priority shed
+/// telemetry). Lives inside the queue's critical section, so every count
+/// is atomic with the admission decision it records; the run's epilogue
+/// adds the commits from the job reports. Tenant ids index it densely:
+/// [`crate::Submitter::submit`] bounces ids above [`crate::MAX_TENANT`]
+/// before they get here.
+#[derive(Default)]
+pub(crate) struct TenantLedger {
+    pub rows: Vec<TenantStats>,
+    pub shed_by_txn: Vec<u64>,
 }
 
 impl TenantLedger {
-    fn new(templates: usize) -> Self {
-        TenantLedger {
-            entries: Vec::new(),
-            shed_by_txn: vec![0; templates],
-        }
-    }
-
-    fn entry(&mut self, tenant: u32) -> &mut LedgerEntry {
+    /// `tenant`'s row, growing the rows up to it.
+    pub(crate) fn row(&mut self, tenant: u32) -> &mut TenantStats {
         let idx = tenant as usize;
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, LedgerEntry::default());
+        while self.rows.len() <= idx {
+            self.rows.push(TenantStats {
+                tenant: self.rows.len() as u32,
+                committed: 0,
+                missed: 0,
+                shed: 0,
+                rejected: 0,
+            });
         }
-        &mut self.entries[idx]
+        &mut self.rows[idx]
     }
 
-    fn record_shed(&mut self, tenant: u32, txn: rtdb_types::TxnId) {
-        self.entry(tenant).shed += 1;
-        if let Some(slot) = self.shed_by_txn.get_mut(txn.index()) {
-            *slot += 1;
-        }
-    }
-
-    fn record_rejected(&mut self, tenant: u32) {
-        self.entry(tenant).rejected += 1;
-    }
-
-    fn counters(&self) -> (Vec<TenantCounts>, Vec<u64>) {
-        let counts = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.shed > 0 || e.rejected > 0)
-            .map(|(tenant, e)| TenantCounts {
-                tenant: tenant as u32,
-                shed: e.shed,
-                rejected: e.rejected,
-            })
-            .collect();
-        (counts, self.shed_by_txn.clone())
+    fn record_shed(&mut self, req: &JobRequest) {
+        self.row(req.tenant).shed += 1;
+        self.shed_by_txn[req.txn.index()] += 1;
     }
 }
 
@@ -190,22 +161,6 @@ pub(crate) struct Admitted {
     pub admitted_ns: u64,
     /// The submitter's completion channel.
     pub done: Sender<Completion>,
-}
-
-/// Outcome of [`AdmissionQueue::push`].
-pub(crate) enum Push {
-    /// Entered the queue.
-    Admitted,
-    /// Entered the queue; the returned entry was shed to make room
-    /// ([`AdmissionPolicy::LeastSlack`]).
-    AdmittedShed(Box<Admitted>),
-    /// Bounced: the incoming request itself had the least slack under
-    /// [`AdmissionPolicy::LeastSlack`] and was shed without entering.
-    SelfShed,
-    /// Bounced: the queue was full under [`AdmissionPolicy::Reject`].
-    Rejected,
-    /// Bounced: the front-end has shut down.
-    Closed,
 }
 
 struct Inner {
@@ -233,10 +188,10 @@ struct Inner {
 }
 
 impl Inner {
-    /// Stamp `item` admitted at `now_ns`; append it to its template's lane.
-    fn enqueue(&mut self, mut item: Admitted, now_ns: u64) {
+    /// Stamp `item` admitted at `now_ns`; append it to `lane`, its
+    /// template's.
+    fn enqueue(&mut self, lane: usize, mut item: Admitted, now_ns: u64) {
         item.admitted_ns = now_ns;
-        let lane = self.lane_of[item.req.txn.index()];
         self.lanes[lane].push_back((self.admissions, item));
         self.admissions += 1;
         self.occupied.set(lane);
@@ -296,7 +251,10 @@ impl<C: Clock> AdmissionQueue<C> {
                 len: 0,
                 admissions: 0,
                 closed: false,
-                ledger: TenantLedger::new(templates),
+                ledger: TenantLedger {
+                    rows: Vec::new(),
+                    shed_by_txn: vec![0; templates],
+                },
                 next_seq: vec![0; templates],
                 waiting_poppers: 0,
             }),
@@ -312,35 +270,52 @@ impl<C: Clock> AdmissionQueue<C> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Admit `item`, or apply `policy` to a full queue. Never blocks.
-    pub(crate) fn push(&self, item: Admitted, policy: AdmissionPolicy) -> Push {
+    /// Admit `item`, or apply `policy` to a full queue, and count the
+    /// outcome against the request's tenant. Never blocks. A request that
+    /// names no template of the set bounces first (a worker could never
+    /// run it), then one submitted after [`AdmissionQueue::close`]. A
+    /// queued request shed to make room is told so on its own completion
+    /// channel once the queue lock is released.
+    pub(crate) fn push(&self, item: Admitted, policy: AdmissionPolicy) -> SubmitOutcome {
         let mut g = self.lock();
+        let Some(&lane) = g.lane_of.get(item.req.txn.index()) else {
+            g.ledger.row(item.req.tenant).rejected += 1;
+            return SubmitOutcome::Rejected;
+        };
         if g.closed {
-            g.ledger.record_rejected(item.req.tenant);
-            return Push::Closed;
+            g.ledger.row(item.req.tenant).rejected += 1;
+            return SubmitOutcome::Closed;
         }
         let full = g.len >= self.capacity;
         if full && policy == AdmissionPolicy::Reject {
-            g.ledger.record_rejected(item.req.tenant);
-            return Push::Rejected;
+            g.ledger.row(item.req.tenant).rejected += 1;
+            return SubmitOutcome::Rejected;
         }
+        let ticket = item.ticket;
         let now = self.clock.now_ns();
         let mut shed = None;
         if full {
             // The incoming request is the newest admission: it is the
             // victim only on strictly less slack than every queued one.
-            let (slack, _, lane, pos) = g.least_slack(now).expect("a full queue holds entries");
+            let (slack, _, victim, pos) = g.least_slack(now).expect("a full queue holds entries");
             if slack_ns(item.req.deadline_ns, now) < slack {
-                g.ledger.record_shed(item.req.tenant, item.req.txn);
-                return Push::SelfShed;
+                g.ledger.record_shed(&item.req);
+                return SubmitOutcome::Shed { ticket };
             }
-            let old = g.take(lane, pos);
-            g.ledger.record_shed(old.req.tenant, old.req.txn);
-            shed = Some(Box::new(old));
+            let old = g.take(victim, pos);
+            g.ledger.record_shed(&old.req);
+            shed = Some(old);
         }
-        g.enqueue(item, now);
+        g.enqueue(lane, item, now);
         self.wake_popper(&g);
-        shed.map_or(Push::Admitted, Push::AdmittedShed)
+        drop(g);
+        if let Some(old) = shed {
+            let _ = old.done.send(Completion::Shed {
+                ticket: old.ticket,
+                txn: old.req.txn,
+            });
+        }
+        SubmitOutcome::Admitted { ticket }
     }
 
     /// Pop the highest-priority admitted request — its template's oldest —
@@ -378,13 +353,6 @@ impl<C: Clock> AdmissionQueue<C> {
         }
     }
 
-    /// Count a request bounced before it reached [`AdmissionQueue::push`]
-    /// against its tenant, so `offered == committed + shed + rejected`
-    /// holds for it too.
-    pub(crate) fn record_rejected(&self, tenant: u32) {
-        self.lock().ledger.record_rejected(tenant);
-    }
-
     /// Close the queue: further pushes bounce, pops drain what remains.
     pub(crate) fn close(&self) {
         let mut g = self.lock();
@@ -397,9 +365,9 @@ impl<C: Clock> AdmissionQueue<C> {
         self.lock().len
     }
 
-    /// Per-tenant shed/reject counters plus per-template shed counts.
-    pub(crate) fn counters(&self) -> (Vec<TenantCounts>, Vec<u64>) {
-        self.lock().ledger.counters()
+    /// The tenant ledger, taken out of the queue at the end of the run.
+    pub(crate) fn take_ledger(&self) -> TenantLedger {
+        std::mem::take(&mut self.lock().ledger)
     }
 }
 
@@ -409,7 +377,7 @@ mod tests {
     use crate::clock::WallClock;
     use crate::testkit::TestClock;
     use rtdb_types::TxnId;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver};
 
     /// Four templates, template 0 the highest priority.
     const PRIORITIES: [Priority; 4] = [Priority(3), Priority(2), Priority(1), Priority(0)];
@@ -418,11 +386,13 @@ mod tests {
         AdmissionQueue::new(capacity, &PRIORITIES, WallClock::now())
     }
 
-    fn item(ticket: u64) -> (Admitted, std::sync::mpsc::Receiver<Completion>) {
+    /// A request for template `txn` with no deadline, and its submitter's
+    /// completion channel.
+    fn item_of(ticket: u64, txn: u32) -> (Admitted, Receiver<Completion>) {
         let (tx, rx) = channel();
         (
             Admitted {
-                req: JobRequest::new(TxnId(0)),
+                req: JobRequest::new(TxnId(txn)),
                 ticket,
                 admitted_ns: 0,
                 done: tx,
@@ -431,11 +401,23 @@ mod tests {
         )
     }
 
-    /// A request for template `txn` with no deadline.
-    fn item_of(ticket: u64, txn: u32) -> Admitted {
-        let mut job = item(ticket).0;
-        job.req.txn = TxnId(txn);
-        job
+    fn item(ticket: u64) -> Admitted {
+        item_of(ticket, 0).0
+    }
+
+    /// A request with an absolute deadline, on template `ticket % 4`.
+    fn deadline_item(ticket: u64, deadline_ns: u64) -> (Admitted, Receiver<Completion>) {
+        let (mut job, rx) = item_of(ticket, (ticket % 4) as u32);
+        job.req.deadline_ns = Some(deadline_ns);
+        (job, rx)
+    }
+
+    /// The ticket a push shed from the queue told its submitter about.
+    fn shed_notice(rx: &Receiver<Completion>) -> Option<u64> {
+        match rx.try_recv() {
+            Ok(Completion::Shed { ticket, .. }) => Some(ticket),
+            _ => None,
+        }
     }
 
     /// The worker takes the highest-priority request waiting, however late
@@ -446,10 +428,10 @@ mod tests {
         let q = queue(8);
         // A backlog of low-priority work, then the top template last.
         for (ticket, txn) in [(0, 3), (1, 2), (2, 3), (3, 1), (4, 0)] {
-            assert!(matches!(
-                q.push(item_of(ticket, txn), AdmissionPolicy::Reject),
-                Push::Admitted
-            ));
+            assert_eq!(
+                q.push(item_of(ticket, txn).0, AdmissionPolicy::Reject),
+                SubmitOutcome::Admitted { ticket }
+            );
         }
         q.close();
         let popped: Vec<(u64, InstanceId)> =
@@ -476,26 +458,17 @@ mod tests {
         let slack = AdmissionPolicy::LeastSlack;
         // The top template first, then the bottom; no deadlines, so every
         // candidate's slack ties.
-        q.push(item_of(0, 0), slack);
-        q.push(item_of(1, 3), slack);
-        match q.push(item_of(2, 2), slack) {
-            Push::AdmittedShed(old) => assert_eq!(old.ticket, 0, "the oldest sheds"),
-            _ => panic!("expected a queued shed"),
-        }
+        let (oldest, oldest_rx) = item_of(0, 0);
+        q.push(oldest, slack);
+        q.push(item_of(1, 3).0, slack);
+        assert_eq!(
+            q.push(item_of(2, 2).0, slack),
+            SubmitOutcome::Admitted { ticket: 2 }
+        );
+        assert_eq!(shed_notice(&oldest_rx), Some(0), "the oldest sheds");
         q.close();
         let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, a)| a.ticket)).collect();
         assert_eq!(tickets, [2, 1]);
-    }
-
-    fn deadline_item(ticket: u64, deadline_ns: u64) -> Admitted {
-        let (tx, _rx) = channel();
-        std::mem::forget(_rx);
-        Admitted {
-            req: JobRequest::new(TxnId((ticket % 4) as u32)).with_deadline(deadline_ns),
-            ticket,
-            admitted_ns: 0,
-            done: tx,
-        }
     }
 
     /// A push reads the clock once: the stamp an entry leaves with is the
@@ -505,14 +478,16 @@ mod tests {
     fn the_admission_stamp_is_the_clocks_time_at_the_push() {
         let q = AdmissionQueue::new(1, &PRIORITIES, TestClock::default());
         q.clock.work(3, 5);
-        q.push(item(0).0, AdmissionPolicy::LeastSlack);
+        q.push(item(0), AdmissionPolicy::LeastSlack);
         assert_eq!(q.pop().expect("admitted").1.admitted_ns, 15);
-        q.push(item(1).0, AdmissionPolicy::LeastSlack);
+        let (queued, queued_rx) = item_of(1, 0);
+        q.push(queued, AdmissionPolicy::LeastSlack);
         q.clock.work(2, 5);
-        assert!(matches!(
-            q.push(item(2).0, AdmissionPolicy::LeastSlack),
-            Push::AdmittedShed(old) if old.admitted_ns == 15
-        ));
+        assert_eq!(
+            q.push(item(2), AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Admitted { ticket: 2 }
+        );
+        assert_eq!(shed_notice(&queued_rx), Some(1));
         let (_, job) = q.pop().expect("admitted over the shed entry");
         assert_eq!((job.ticket, job.admitted_ns), (2, 25));
     }
@@ -521,16 +496,46 @@ mod tests {
     fn reject_bounces_when_full() {
         let q = queue(2);
         for t in 0..2 {
-            assert!(matches!(
-                q.push(item(t).0, AdmissionPolicy::Reject),
-                Push::Admitted
-            ));
+            assert_eq!(
+                q.push(item(t), AdmissionPolicy::Reject),
+                SubmitOutcome::Admitted { ticket: t }
+            );
         }
-        assert!(matches!(
-            q.push(item(2).0, AdmissionPolicy::Reject),
-            Push::Rejected
-        ));
+        assert_eq!(
+            q.push(item(2), AdmissionPolicy::Reject),
+            SubmitOutcome::Rejected
+        );
         assert_eq!(q.len(), 2);
+    }
+
+    /// A request naming no template bounces before the closed check, and
+    /// every bounce is a rejection in its tenant's row.
+    #[test]
+    fn an_unknown_template_bounces_first_and_counts_as_rejected() {
+        let q = queue(1);
+        let unknown = |ticket| {
+            let (mut job, _) = item_of(ticket, PRIORITIES.len() as u32);
+            job.req.tenant = 2;
+            job
+        };
+        assert_eq!(
+            q.push(unknown(0), AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Rejected
+        );
+        q.close();
+        assert_eq!(
+            q.push(unknown(1), AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Rejected
+        );
+        assert_eq!(
+            q.push(item(2), AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Closed
+        );
+        let ledger = q.take_ledger();
+        let rejected: Vec<(u32, u64)> =
+            ledger.rows.iter().map(|r| (r.tenant, r.rejected)).collect();
+        assert_eq!(rejected, [(0, 1), (1, 0), (2, 2)]);
+        assert_eq!(ledger.shed_by_txn, [0; 4]);
     }
 
     /// Wait until a popper is parked. The counter is raised under the
@@ -550,7 +555,7 @@ mod tests {
         std::thread::scope(|s| {
             let popper = s.spawn(|| q.pop().map(|(_, a)| a.ticket));
             until_parked(&q);
-            q.push(item(0).0, AdmissionPolicy::Reject);
+            q.push(item(0), AdmissionPolicy::Reject);
             assert_eq!(popper.join().expect("popper"), Some(0));
         });
         std::thread::scope(|s| {
@@ -565,12 +570,12 @@ mod tests {
     #[test]
     fn close_drains_then_stops() {
         let q = queue(4);
-        q.push(item(7).0, AdmissionPolicy::Reject);
+        q.push(item(7), AdmissionPolicy::Reject);
         q.close();
-        assert!(matches!(
-            q.push(item(8).0, AdmissionPolicy::Reject),
-            Push::Closed
-        ));
+        assert_eq!(
+            q.push(item(8), AdmissionPolicy::Reject),
+            SubmitOutcome::Closed
+        );
         assert_eq!(q.pop().expect("drains the backlog").1.ticket, 7);
         assert!(q.pop().is_none());
     }
@@ -580,37 +585,39 @@ mod tests {
         let q = queue(2);
         // Deadline 0 is already past (negative slack); one hour is ample.
         const HOUR: u64 = 3_600_000_000_000;
-        q.push(deadline_item(0, HOUR), AdmissionPolicy::LeastSlack);
-        q.push(deadline_item(1, 0), AdmissionPolicy::LeastSlack);
-        match q.push(deadline_item(2, 2 * HOUR), AdmissionPolicy::LeastSlack) {
-            Push::AdmittedShed(old) => assert_eq!(old.ticket, 1, "negative slack sheds first"),
-            _ => panic!("expected a queued shed"),
-        }
+        q.push(deadline_item(0, HOUR).0, AdmissionPolicy::LeastSlack);
+        let (past, past_rx) = deadline_item(1, 0);
+        q.push(past, AdmissionPolicy::LeastSlack);
+        assert_eq!(
+            q.push(deadline_item(2, 2 * HOUR).0, AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Admitted { ticket: 2 }
+        );
+        assert_eq!(shed_notice(&past_rx), Some(1), "negative slack sheds first");
         // Now every queued deadline is looser than the incoming one:
         // the incoming request self-sheds.
-        assert!(matches!(
-            q.push(deadline_item(3, 1), AdmissionPolicy::LeastSlack),
-            Push::SelfShed
-        ));
+        assert_eq!(
+            q.push(deadline_item(3, 1).0, AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Shed { ticket: 3 }
+        );
         q.close();
         let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, a)| a.ticket)).collect();
         assert_eq!(tickets, vec![0, 2]);
-        let (counts, shed_by_txn) = q.counters();
-        assert_eq!(counts.len(), 1);
-        assert_eq!((counts[0].shed, counts[0].rejected), (2, 0));
-        assert_eq!(shed_by_txn.iter().sum::<u64>(), 2);
+        let ledger = q.take_ledger();
+        assert_eq!(ledger.rows.len(), 1);
+        assert_eq!((ledger.rows[0].shed, ledger.rows[0].rejected), (2, 0));
+        assert_eq!(ledger.shed_by_txn.iter().sum::<u64>(), 2);
     }
 
     #[test]
     fn requests_without_deadlines_have_infinite_slack() {
         let q = queue(1);
-        q.push(item(0).0, AdmissionPolicy::LeastSlack);
+        q.push(item(0), AdmissionPolicy::LeastSlack);
         // Incoming with a (past) deadline has less slack than the queued
         // deadline-free request: it self-sheds.
-        assert!(matches!(
-            q.push(deadline_item(1, 0), AdmissionPolicy::LeastSlack),
-            Push::SelfShed
-        ));
+        assert_eq!(
+            q.push(deadline_item(1, 0).0, AdmissionPolicy::LeastSlack),
+            SubmitOutcome::Shed { ticket: 1 }
+        );
         assert_eq!(q.len(), 1);
     }
 
@@ -634,14 +641,15 @@ mod tests {
             // Deadlines 1–3 around `now` = 2, or none: slack ties across
             // lanes are common, and so are past deadlines.
             let mut job = |ticket: u64| {
-                let mut a = item_of(ticket, rng.bounded(4) as u32);
+                let (mut a, rx) = item_of(ticket, rng.bounded(4) as u32);
                 a.req.deadline_ns = match rng.bounded(4) {
                     0 => None,
                     d => Some(d),
                 };
-                a
+                (a, rx)
             };
-            let jobs: Vec<Admitted> = (0..=capacity as u64).map(&mut job).collect();
+            let (jobs, notices): (Vec<Admitted>, Vec<_>) =
+                (0..=capacity as u64).map(&mut job).unzip();
             let slacks: Vec<i64> = jobs
                 .iter()
                 .map(|j| slack_ns(j.req.deadline_ns, 2))
@@ -651,9 +659,12 @@ mod tests {
                 last = Some(q.push(j, AdmissionPolicy::LeastSlack));
             }
             let shed = match last.expect("one push at least") {
-                Push::AdmittedShed(old) => old.ticket,
-                Push::SelfShed => capacity as u64,
-                _ => panic!("a full queue under least-slack sheds"),
+                SubmitOutcome::Admitted { .. } => notices
+                    .iter()
+                    .find_map(shed_notice)
+                    .expect("the shed entry's submitter is told"),
+                SubmitOutcome::Shed { ticket } => ticket,
+                other => panic!("a full queue under least-slack sheds, not {other:?}"),
             };
             assert_eq!(shed, shed_victim(&slacks) as u64, "{slacks:?}");
         });

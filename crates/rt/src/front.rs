@@ -12,7 +12,11 @@
 //! completion channel. A
 //! request is either running or in the admission queue, so when the
 //! queue fills the configured [`AdmissionPolicy`] sees every request
-//! that could still lose.
+//! that could still lose. The queue's push is also the one place a
+//! submission is answered and counted: it returns the [`SubmitOutcome`]
+//! [`Submitter::submit`] hands back and tallies a shed or a reject in the
+//! tenant's [`crate::TenantStats`] row; only a tenant id above
+//! [`MAX_TENANT`] bounces before it, uncounted.
 //!
 //! Time is ns since the front-end started, on the run's one [`Clock`].
 //! A job's life is stamped at four points — release (intended,
@@ -30,7 +34,7 @@
 //! returns — everything already admitted still executes, everything
 //! submitted afterwards bounces.
 
-use crate::admission::{AdmissionPolicy, AdmissionQueue, Admitted, Push};
+use crate::admission::{AdmissionPolicy, AdmissionQueue, Admitted};
 use crate::clock::{Clock, WallClock};
 use crate::runtime::{run_pool, JobReport, JobSource, RtConfig, RtResult};
 use rtdb_core::ProtocolKind;
@@ -197,12 +201,9 @@ pub enum Completion {
 /// Shared front-end state the handle and submitters reference.
 struct FrontShared<C> {
     policy: AdmissionPolicy,
-    /// Also the run's clock and its shed/reject ledger.
+    /// Also the run's clock and its tenant ledger.
     queue: AdmissionQueue<C>,
     tickets: AtomicU64,
-    /// Templates in the set: a [`JobRequest::txn`] at or above it is
-    /// unknown.
-    templates: usize,
 }
 
 /// The caller's view of a running front-end (see [`run_front`]).
@@ -255,32 +256,13 @@ impl<C: Clock> Submitter<'_, C> {
         if req.tenant > MAX_TENANT {
             return SubmitOutcome::Rejected;
         }
-        // A template outside the set can never run: `AdmissionQueue::pop`
-        // indexes its per-template sequence numbers by it.
-        if req.txn.index() >= self.shared.templates {
-            self.shared.queue.record_rejected(req.tenant);
-            return SubmitOutcome::Rejected;
-        }
-        let ticket = self.shared.tickets.fetch_add(1, Ordering::Relaxed);
         let item = Admitted {
             req,
-            ticket,
+            ticket: self.shared.tickets.fetch_add(1, Ordering::Relaxed),
             admitted_ns: 0,
             done: self.done.clone(),
         };
-        match self.shared.queue.push(item, self.shared.policy) {
-            Push::Admitted => SubmitOutcome::Admitted { ticket },
-            Push::AdmittedShed(old) => {
-                let _ = old.done.send(Completion::Shed {
-                    ticket: old.ticket,
-                    txn: old.req.txn,
-                });
-                SubmitOutcome::Admitted { ticket }
-            }
-            Push::SelfShed => SubmitOutcome::Shed { ticket },
-            Push::Rejected => SubmitOutcome::Rejected,
-            Push::Closed => SubmitOutcome::Closed,
-        }
+        self.shared.queue.push(item, self.shared.policy)
     }
 
     /// Nanoseconds since the front-end started.
@@ -321,7 +303,6 @@ pub fn run_front_on<C: Clock, R>(
             clock,
         ),
         tickets: AtomicU64::new(0),
-        templates: set.len(),
     };
     let source = JobSource::Queue(&shared.queue);
     let driver = || driver(FrontHandle { shared: &shared });

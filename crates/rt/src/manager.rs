@@ -81,8 +81,6 @@ pub(crate) struct ManagerReport {
     pub history: History,
     /// The union of the shards' (disjoint) databases.
     pub db: Database,
-    pub commits: u64,
-    pub restarts: u64,
     pub deadlocks_resolved: u64,
     /// Park-timeout safety-net firings (see [`crate::RtResult::park_timeout_wakeups`]).
     pub park_timeout_wakeups: u64,
@@ -168,7 +166,6 @@ pub(crate) struct Shared<'a> {
     pub(crate) state_lock_acquires: u64,
     /// Commits whose home is this shard.
     pub(crate) commits: u64,
-    restarts: u64,
     deadlocks_resolved: u64,
     /// Park-timeout safety-net firings.
     park_timeout_wakeups: u64,
@@ -213,7 +210,6 @@ impl<'a> Shared<'a> {
             shard,
             state_lock_acquires: 0,
             commits: 0,
-            restarts: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
             fx: Effects::default(),
@@ -234,8 +230,6 @@ impl<'a> Shared<'a> {
             commits: self.commits,
             state_lock_acquires: self.state_lock_acquires,
         });
-        report.commits += self.commits;
-        report.restarts += self.restarts;
         report.deadlocks_resolved += self.deadlocks_resolved;
         report.park_timeout_wakeups += self.park_timeout_wakeups;
         report.lock_transitions += self.kernel.locks().version();
@@ -309,7 +303,6 @@ impl<'a> Shared<'a> {
         for &effect in fx.log() {
             match effect {
                 Effect::Aborted(who, ..) => {
-                    self.restarts += 1;
                     let w = self.waiter_mut(who);
                     debug_assert!(w.signal.is_none(), "cascades never cross shards");
                     // A running worker observes the flag at its next

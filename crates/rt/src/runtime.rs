@@ -187,7 +187,10 @@ impl PriorityMisses {
     }
 }
 
-/// Per-tenant admission/outcome accounting of one front-end run.
+/// Per-tenant admission/outcome accounting of one front-end run: the
+/// admission queue's ledger row, where its push counts every shed and
+/// reject, with the commits and misses of the tenant's job reports added
+/// at the end of the run.
 ///
 /// `committed + shed + rejected` equals the tenant's offered load — every
 /// request a submitter pushed is exactly one of the three (a
@@ -239,41 +242,6 @@ impl TenantStats {
     }
 }
 
-/// Fold per-job reports and the admission queue's per-tenant shed/reject
-/// counters into [`TenantStats`] rows, sorted by tenant id.
-fn tenant_stats(jobs: &[JobReport], counts: &[crate::admission::TenantCounts]) -> Vec<TenantStats> {
-    let mut rows: Vec<TenantStats> = Vec::new();
-    let row = |tenant: u32, rows: &mut Vec<TenantStats>| -> usize {
-        match rows.iter().position(|r| r.tenant == tenant) {
-            Some(i) => i,
-            None => {
-                rows.push(TenantStats {
-                    tenant,
-                    committed: 0,
-                    missed: 0,
-                    shed: 0,
-                    rejected: 0,
-                });
-                rows.len() - 1
-            }
-        }
-    };
-    for job in jobs {
-        let i = row(job.tenant, &mut rows);
-        rows[i].committed += 1;
-        if job.missed_deadline() {
-            rows[i].missed += 1;
-        }
-    }
-    for c in counts {
-        let i = row(c.tenant, &mut rows);
-        rows[i].shed += c.shed;
-        rows[i].rejected += c.rejected;
-    }
-    rows.sort_by_key(|r| r.tenant);
-    rows
-}
-
 /// Everything a [`run`] produced.
 #[derive(Debug)]
 pub struct RtResult {
@@ -285,9 +253,11 @@ pub struct RtResult {
     pub history: History,
     /// Final committed database state.
     pub db: Database,
-    /// Jobs committed (always `jobs.len()` — every job retries to commit).
+    /// Jobs committed: the number of [`RtResult::jobs`] (every job
+    /// retries to commit).
     pub committed: u64,
-    /// Total aborts absorbed across all jobs.
+    /// Total aborts absorbed across all jobs: the sum of their
+    /// [`JobReport::restarts`]. One Abort event in the history each.
     pub restarts: u64,
     /// Why instances aborted, by cause. A cross-shard job's no-wait
     /// self-abort (a would-block decision it may not wait out) counts as
@@ -310,8 +280,12 @@ pub struct RtResult {
     /// or naming no template of the set).
     /// Always 0 in the closed loop.
     pub rejected: u64,
-    /// Per-tenant outcome accounting, sorted by tenant id. A single row
-    /// for tenant 0 when nobody tagged tenants; empty in the closed loop.
+    /// Per-tenant outcome accounting, sorted by tenant id: the admission
+    /// ledger's rows, which counted every shed and reject, with the job
+    /// reports' commits and misses added; a tenant that offered nothing
+    /// has no row. [`RtResult::shed`] and [`RtResult::rejected`] are its
+    /// sums. A single row for tenant 0 when nobody tagged tenants; empty
+    /// in the closed loop.
     pub tenants: Vec<TenantStats>,
     /// Sheds per transaction template ([`rtdb_types::TxnId::index`]) —
     /// the per-priority shed telemetry (map through
@@ -325,7 +299,8 @@ pub struct RtResult {
     /// Whether the snapshot read path was active for this run (the config
     /// switch was on *and* the protocol's update model permitted it).
     pub snapshot_reads: bool,
-    /// Jobs that committed on the lock-exempt snapshot path (included in
+    /// Jobs that committed on the lock-exempt snapshot path: the job
+    /// reports with a [`JobReport::snapshot`] stamp (included in
     /// [`RtResult::committed`]).
     pub snapshots: u64,
     /// Final value of the lock table's monotone transition counter: every
@@ -518,31 +493,35 @@ pub(crate) fn run_pool<R, C: Clock>(
     let elapsed = Duration::from_nanos(clock.now_ns());
 
     let mut report = manager.finish();
-    // Merge the reader logs into the history and order the snapshot
-    // readers after every lock-path commit.
-    let (snapshots, mv_high_water) = match snap.as_deref() {
+    // The job reports are the run's commits: order the snapshot readers
+    // among them after every lock-path commit, and merge their reader
+    // logs into the history.
+    let snapshots = jobs.iter().filter(|j| j.snapshot.is_some()).count() as u64;
+    let mv_high_water = match snap.as_deref() {
         Some(side) => {
             side.merge_into(&mut report.history);
+            let lock_path = jobs.len() as u64 - snapshots;
             for j in jobs.iter_mut().filter(|j| j.snapshot.is_some()) {
-                j.commit_index += report.commits;
+                j.commit_index += lock_path;
             }
-            (side.committed(), side.store.high_water())
+            side.store.high_water()
         }
-        None => (0, 0),
+        None => 0,
     };
     jobs.sort_by_key(|j| j.commit_index);
-    // Shed/reject totals are the tenant ledger's, summed: one set of
-    // counters, kept under the queue lock.
-    let (tenants, shed_by_txn, shed, rejected) = match source {
-        JobSource::List { .. } => (Vec::new(), Vec::new(), 0, 0),
+    // The tenant ledger holds the sheds and rejects, counted under the
+    // queue lock; its rows take the commits and misses from the reports.
+    let (tenants, shed_by_txn) = match source {
+        JobSource::List { .. } => (Vec::new(), Vec::new()),
         JobSource::Queue(queue) => {
-            let (counts, shed_by_txn) = queue.counters();
-            (
-                tenant_stats(&jobs, &counts),
-                shed_by_txn,
-                counts.iter().map(|c| c.shed).sum(),
-                counts.iter().map(|c| c.rejected).sum(),
-            )
+            let mut ledger = queue.take_ledger();
+            for job in &jobs {
+                let row = ledger.row(job.tenant);
+                row.committed += 1;
+                row.missed += u64::from(job.missed_deadline());
+            }
+            ledger.rows.retain(|r| r.offered() > 0);
+            (ledger.rows, ledger.shed_by_txn)
         }
     };
 
@@ -551,14 +530,14 @@ pub(crate) fn run_pool<R, C: Clock>(
         threads,
         history: report.history,
         db: report.db,
-        committed: report.commits + snapshots,
-        restarts: report.restarts,
+        committed: jobs.len() as u64,
+        restarts: jobs.iter().map(|j| u64::from(j.restarts)).sum(),
         abort_reasons: report.abort_reasons,
         deadlocks_resolved: report.deadlocks_resolved,
         elapsed,
+        shed: tenants.iter().map(|t| t.shed).sum(),
+        rejected: tenants.iter().map(|t| t.rejected).sum(),
         jobs,
-        shed,
-        rejected,
         tenants,
         shed_by_txn,
         park_timeout_wakeups: report.park_timeout_wakeups,

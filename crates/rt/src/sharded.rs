@@ -118,8 +118,6 @@ pub(crate) struct ShardedManager<'a> {
     ops: Vec<AtomicU64>,
     /// Cross-shard jobs begun.
     cross_shard_txns: AtomicU64,
-    /// Cross-shard restarts (per-shard counters skip them).
-    cross_restarts: AtomicU64,
     /// Of those, no-wait self-aborts: would-block decisions no shard's
     /// kernel recorded an abort reason for.
     no_wait_aborts: AtomicU64,
@@ -166,7 +164,6 @@ impl<'a> ShardedManager<'a> {
                 .collect(),
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
             cross_shard_txns: AtomicU64::new(0),
-            cross_restarts: AtomicU64::new(0),
             no_wait_aborts: AtomicU64::new(0),
         }
     }
@@ -465,7 +462,6 @@ impl<'a> ShardedManager<'a> {
             return;
         };
         cross.restarts += 1;
-        self.cross_restarts.fetch_add(1, Ordering::Relaxed);
         let home = cross.shards.home().expect("cross-shard set is non-empty");
         for s in cross.shards.iter() {
             self.lock(s).sweep_cross(id, s == home);
@@ -477,7 +473,6 @@ impl<'a> ShardedManager<'a> {
     /// absorb their databases and merge their histories by tick.
     pub(crate) fn finish(self) -> ManagerReport {
         let mut report = ManagerReport {
-            restarts: self.cross_restarts.into_inner(),
             cross_shard_txns: self.cross_shard_txns.into_inner(),
             ..ManagerReport::default()
         };

@@ -75,11 +75,6 @@ impl SnapshotSide {
         ordinal
     }
 
-    /// Readers committed so far.
-    pub(crate) fn committed(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
-    }
-
     /// Append every reader's Begin/Read/Commit events to `history`.
     /// Ticks continue past the manager's clock; they only order the log
     /// for human readers — the oracle positions snapshot readers by

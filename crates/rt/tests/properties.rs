@@ -18,6 +18,7 @@ use rtdb_types::{
 };
 use rtdb_util::prop;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const CASES: usize = 32;
@@ -113,6 +114,51 @@ fn random_workloads_commit_and_install_exactly_their_job_list() {
             serializability_violations(&set, &rt.history, &rt.db, commit_order_serialization);
         assert!(violations.is_empty(), "{kind:?}@{threads}t: {violations:?}");
     });
+}
+
+/// The run's restart count is the history's: every restart logs one
+/// Abort event, a cross-shard job's once, in its home shard. Every
+/// standard kind at 4 threads on one shard, and the shardable kinds also
+/// on 4 shards of a partitioned set, over the same job list.
+#[test]
+fn restarts_are_the_historys_aborts() {
+    let restarts = AtomicU64::new(0);
+    prop::forall(8, |rng| {
+        let set = random_set(rng);
+        let partitioned = WorkloadParams {
+            templates: 6,
+            items: 12,
+            target_utilization: 0.5,
+            hotspot_items: 2,
+            hotspot_prob: 0.7,
+            partitions: 4,
+            cross_partition_prob: 0.5,
+            seed: rng.next_u64(),
+            ..WorkloadParams::default()
+        }
+        .generate()
+        .expect("workload generation")
+        .set;
+        let seed = rng.next_u64();
+        for kind in ProtocolKind::STANDARD {
+            let sharded = kind.shardable().then_some((&partitioned, 4));
+            for (set, shards) in [(&set, 1)].into_iter().chain(sharded) {
+                let jobs = job_list(set, 24, seed);
+                let config = RtConfig::new(kind).with_threads(4).with_shards(shards);
+                let rt = run(set, &jobs, config);
+                assert_eq!(
+                    rt.restarts,
+                    rt.history.aborts() as u64,
+                    "{kind:?} on {shards} shard(s)"
+                );
+                restarts.fetch_add(rt.restarts, Ordering::Relaxed);
+            }
+        }
+    });
+    assert!(
+        restarts.into_inner() > 0,
+        "no run restarted a job: the check saw nothing"
+    );
 }
 
 /// The blocking path specifically: a workload guaranteed to park (every

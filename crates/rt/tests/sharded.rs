@@ -404,8 +404,6 @@ fn no_wait_self_aborts_count_as_ceiling_blocks() {
                 },
                 "{kind:?}"
             );
-            let by_job: u64 = rt.jobs.iter().map(|j| u64::from(j.restarts)).sum();
-            assert_eq!(by_job, rt.restarts, "{kind:?}: per-job restarts disagree");
             rt.restarts
         };
         // The cross-shard workload under whatever contention the

@@ -28,10 +28,12 @@
 //! pre-sized here, and its unreserved commit order is left out by
 //! logging no Commit event.
 //!
-//! The simulator itself is counted once, on a Bamboo gate chain run
-//! through [`Engine::run`]: its output grows with the run, but a gate
-//! opening — a commit nested inside the commit that opened it — must not
-//! allocate, so the run's count does not grow with the openings.
+//! The simulator itself is counted on Bamboo gate openings run through
+//! [`Engine::run`], a pair and a two-deep chain: its output grows with the
+//! run, but a gate opening — a commit nested inside the commit that opened
+//! it — must not allocate, nor must the deadlock search a gate park runs
+//! beside another waiter, so the run's count does not grow with the
+//! openings.
 //!
 //! The allocator needs `unsafe`; it is confined to this file (an
 //! integration test is its own crate, the libraries stay
@@ -736,12 +738,41 @@ fn gate_set() -> TransactionSet {
         .unwrap()
 }
 
+/// Ticks between the releases of one chain and the next.
+const CHAIN_PERIOD: u64 = 20;
+
+/// A Bamboo chain a period, two openings deep: `W` writes `X`, retires
+/// it and computes; `R1` reads `X` dirty, writes `Y`, retires it and
+/// computes; `R2`, the top priority, reads `Y` dirty. `R2` parks at its
+/// gate on `R1`, then `R1` at its gate on `W` — two instances waiting,
+/// so a deadlock search runs — and `W`'s commit opens `R1`'s gate, whose
+/// commit opens `R2`'s.
+fn chain_set() -> TransactionSet {
+    SetBuilder::new()
+        .with(TransactionTemplate::new("R2", CHAIN_PERIOD, vec![Step::read(Y, 1)]).with_offset(3))
+        .with(
+            TransactionTemplate::new(
+                "R1",
+                CHAIN_PERIOD,
+                vec![Step::read(X, 1), Step::write(Y, 1), Step::compute(2)],
+            )
+            .with_offset(1),
+        )
+        .with(TransactionTemplate::new(
+            "W",
+            CHAIN_PERIOD,
+            vec![Step::write(X, 1), Step::compute(8)],
+        ))
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn a_simulated_gate_chain_allocates_nothing_per_opening() {
-    let set = gate_set();
-    // The allocations of a run of `periods` gate pairs, and its openings.
-    let run = |periods: u64| {
-        let engine = Engine::new(&set, SimConfig::with_horizon(periods * GATE_PERIOD));
+    // The allocations of a run of `periods` periods of `set` under Bamboo,
+    // and its openings.
+    let run = |set: &TransactionSet, period: u64, periods: u64| {
+        let engine = Engine::new(set, SimConfig::with_horizon(periods * period));
         let mut protocol = Decisions(Bamboo::new());
         let mut opened = 0;
         let n = allocations_in(|| {
@@ -758,10 +789,20 @@ fn a_simulated_gate_chain_allocates_nothing_per_opening() {
         });
         (opened, n)
     };
-    let (short, long) = (run(256), run(512));
-    assert_eq!((short.0, long.0), (256, 512), "one opening a period");
-    // Doubling the run may add a reallocation to each run-long log that
-    // outgrows its reserve (the trace's segments and span ids), never one
-    // per opening.
-    assert!(long.1 - short.1 <= 4, "{short:?} -> {long:?}");
+    // The gate pair, one opening a period, and the chain, two.
+    for (set, period, periods, depth) in [
+        (gate_set(), GATE_PERIOD, 256, 1),
+        (chain_set(), CHAIN_PERIOD, 128, 2),
+    ] {
+        let (short, long) = (run(&set, period, periods), run(&set, period, 2 * periods));
+        assert_eq!(
+            (short.0, long.0),
+            (depth * periods, 2 * depth * periods),
+            "{depth} openings a period"
+        );
+        // Doubling the run may add a reallocation to each run-long log
+        // that outgrows its reserve (the trace's segments and span ids),
+        // never one per opening or per deadlock search.
+        assert!(long.1 - short.1 <= 4, "{short:?} -> {long:?}");
+    }
 }

@@ -65,60 +65,84 @@ pub struct ConflictEdge {
 ///
 /// This is the one cycle search in the workspace: Theorem 3's oracle
 /// ([`SerializationGraph::find_cycle`]) and Theorem 2's deadlock check
-/// (`rtdb_core::StateKernel::resolve_cycles`) both call it.
+/// (`rtdb_core::StateKernel::resolve_cycles`, through
+/// [`CycleScratch::find_cycle`]) both call it.
 pub fn find_cycle<'g>(
     nodes: impl IntoIterator<Item = InstanceId>,
     succs: impl Fn(InstanceId) -> &'g [InstanceId],
 ) -> Option<Vec<InstanceId>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Grey,
-        Black,
-    }
-    let mut color: Vec<(InstanceId, Color)> =
-        nodes.into_iter().map(|n| (n, Color::White)).collect();
-    debug_assert!(color.windows(2).all(|w| w[0].0 < w[1].0), "nodes ascending");
-    let index = |color: &[(InstanceId, Color)], n| color.binary_search_by_key(&n, |c| c.0).ok();
+    CycleScratch::default().find_cycle(nodes, succs)
+}
 
-    // Iterative DFS: the grey path, each node (as its index in `color`)
-    // with the position of its next successor to try.
-    let mut path: Vec<(usize, usize)> = Vec::new();
-    for start in 0..color.len() {
-        if color[start].1 != Color::White {
-            continue;
-        }
-        color[start].1 = Color::Grey;
-        path.push((start, 0));
-        while let Some((node, next)) = path.last_mut() {
-            let node = *node;
-            let Some(&to) = succs(color[node].0).get(*next) else {
-                color[node].1 = Color::Black;
-                path.pop();
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Color {
+    White,
+    Grey,
+    Black,
+}
+
+/// The buffers of a [`find_cycle`] search, for a caller that searches
+/// often: one kept across searches lends them its capacity, so a search
+/// allocates only the cycle it returns.
+#[derive(Debug, Default)]
+pub struct CycleScratch {
+    /// Each start node with its colour, ascending.
+    color: Vec<(InstanceId, Color)>,
+    /// The grey path, each node (as its index in `color`) with the
+    /// position of its next successor to try.
+    path: Vec<(usize, usize)>,
+}
+
+impl CycleScratch {
+    /// [`find_cycle`] on these buffers.
+    pub fn find_cycle<'g>(
+        &mut self,
+        nodes: impl IntoIterator<Item = InstanceId>,
+        succs: impl Fn(InstanceId) -> &'g [InstanceId],
+    ) -> Option<Vec<InstanceId>> {
+        let CycleScratch { color, path } = self;
+        color.clear();
+        path.clear();
+        color.extend(nodes.into_iter().map(|n| (n, Color::White)));
+        debug_assert!(color.windows(2).all(|w| w[0].0 < w[1].0), "nodes ascending");
+        let index = |color: &[(InstanceId, Color)], n| color.binary_search_by_key(&n, |c| c.0).ok();
+
+        for start in 0..color.len() {
+            if color[start].1 != Color::White {
                 continue;
-            };
-            *next += 1;
-            let Some(to) = index(&color, to) else {
-                continue;
-            };
-            match color[to].1 {
-                Color::White => {
-                    color[to].1 = Color::Grey;
-                    path.push((to, 0));
+            }
+            color[start].1 = Color::Grey;
+            path.push((start, 0));
+            while let Some((node, next)) = path.last_mut() {
+                let node = *node;
+                let Some(&to) = succs(color[node].0).get(*next) else {
+                    color[node].1 = Color::Black;
+                    path.pop();
+                    continue;
+                };
+                *next += 1;
+                let Some(to) = index(color, to) else {
+                    continue;
+                };
+                match color[to].1 {
+                    Color::White => {
+                        color[to].1 = Color::Grey;
+                        path.push((to, 0));
+                    }
+                    Color::Grey => {
+                        // The cycle is the path from `to`'s place on it.
+                        let pos = path
+                            .iter()
+                            .position(|&(n, _)| n == to)
+                            .expect("a grey node is on the path");
+                        return Some(path[pos..].iter().map(|&(n, _)| color[n].0).collect());
+                    }
+                    Color::Black => {}
                 }
-                Color::Grey => {
-                    // The cycle is the path from `to`'s place on it.
-                    let pos = path
-                        .iter()
-                        .position(|&(n, _)| n == to)
-                        .expect("a grey node is on the path");
-                    return Some(path[pos..].iter().map(|&(n, _)| color[n].0).collect());
-                }
-                Color::Black => {}
             }
         }
+        None
     }
-    None
 }
 
 /// The serialization graph of a history.

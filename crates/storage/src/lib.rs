@@ -18,7 +18,8 @@
 //!   read-only transactions, with epoch-style reclamation;
 //! * [`SerializationGraph`] — the conflict graph `SG(H)` of a history with
 //!   cycle detection (Theorem 3 oracle), through [`find_cycle`], the cycle
-//!   search the kernel's deadlock check (Theorem 2) runs too;
+//!   search the kernel's deadlock check (Theorem 2) runs too, on buffers
+//!   it keeps ([`CycleScratch`]);
 //! * [`replay`] — the serial-replay oracle: re-executes the committed
 //!   transactions serially in commit order (or in any order given to
 //!   [`replay_in_order`]) and verifies that every read of the concurrent
@@ -40,7 +41,7 @@ pub mod replay;
 pub mod workspace;
 
 pub use db::{Database, Version, VersionedValue};
-pub use graph::{find_cycle, ConflictEdge, EdgeKind, SerializationGraph};
+pub use graph::{find_cycle, ConflictEdge, CycleScratch, EdgeKind, SerializationGraph};
 pub use history::{CommittedIndex, Event, EventKind, History};
 pub use mvcc::{SnapshotStore, Stamp, NO_SNAPSHOT};
 pub use replay::{replay_in_order, replay_serial, ReplayOutcome, ReplayViolation};
