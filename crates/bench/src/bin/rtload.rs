@@ -38,11 +38,11 @@
 //! compared with the line of the same `id` in the existing file, but only
 //! with lines measured at this host's `available_parallelism`; otherwise
 //! the scenario says that it compares nothing. A closed-loop
-//! `committed_per_sec` down by more than 25 %, a B side more than 25 %
-//! worse than its A side and non-serializable repetitions are listed as
-//! warnings. The exit status is
-//! always 0: threaded wall-clock numbers on a shared runner are too noisy
-//! to gate merges on.
+//! `committed_per_sec` down by more than 25 % and a B side more than 25 %
+//! worse than its A side are listed as advisory warnings: threaded
+//! wall-clock numbers on a shared runner are too noisy to gate merges on.
+//! A non-serializable repetition is a correctness failure, not noise:
+//! `--check` lists it as an error and exits 1 (after every scenario ran).
 
 use rtdb::prelude::*;
 use rtdb::rt;
@@ -405,7 +405,7 @@ fn main() {
         std::process::exit(2);
     });
     let host = host();
-    let mut warnings = Vec::new();
+    let (mut warnings, mut errors) = (Vec::new(), Vec::new());
     for s in scenarios {
         eprintln!("== {}: {}", s.name, s.why);
         let records = run_scenario(s, &host, 1);
@@ -414,7 +414,7 @@ fn main() {
         ab_summary(s, &records, &mut warnings);
         for rec in &records {
             if let Some(k) = rec.number("nonserializable_reps").filter(|&k| k > 0.0) {
-                warnings.push(format!(
+                errors.push(format!(
                     "{}: {k} repetition(s) left a non-serializable history",
                     rec.id
                 ));
@@ -433,10 +433,17 @@ fn main() {
     for w in &warnings {
         eprintln!("WARNING: {w}");
     }
+    for e in &errors {
+        eprintln!("ERROR: {e}");
+    }
     println!(
-        "done: {} warning(s) (advisory, always exit 0)",
-        warnings.len()
+        "done: {} warning(s) (advisory), {} error(s)",
+        warnings.len(),
+        errors.len()
     );
+    if check && !errors.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

@@ -238,6 +238,19 @@ impl ProtocolKind {
         )
     }
 
+    /// Whether the protocol releases locks before commit: CCP's early
+    /// unlocks past the lock point, Bamboo's and Brook-2PL's retired
+    /// writes. For every other kind `early_releases` and `retires` return
+    /// nothing, so a finished step changes no state and the runtime
+    /// crosses a step boundary that requests no lock without taking its
+    /// shard's state lock (unless the kind may abort).
+    pub fn releases_early(self) -> bool {
+        matches!(
+            self,
+            ProtocolKind::Ccp | ProtocolKind::Bamboo | ProtocolKind::Brook2Pl
+        )
+    }
+
     /// Whether the protocol can reach a deadlock. Drivers enable the
     /// engine's wait-for deadlock resolution exactly for these kinds;
     /// every repaired ceiling protocol is provably deadlock-free.

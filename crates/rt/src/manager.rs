@@ -49,6 +49,28 @@ pub(crate) enum Outcome {
     Restart,
 }
 
+/// Where a step boundary sits in a job's attempt: the manager's one
+/// entry point before every step ([`crate::sharded::ShardedManager::boundary`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Boundary {
+    /// Before step 0 of the job's first attempt: register the instance.
+    Begin,
+    /// Before step 0 of a restarted attempt: wait out the restart hold.
+    Restart,
+    /// After step `n - 1`, before step `n`.
+    Step(usize),
+}
+
+impl Boundary {
+    /// The step this boundary leads to.
+    pub(crate) fn step(self) -> usize {
+        match self {
+            Boundary::Begin | Boundary::Restart => 0,
+            Boundary::Step(n) => n,
+        }
+    }
+}
+
 /// Per-job statistics handed back at commit.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct JobStats {
@@ -164,6 +186,9 @@ pub(crate) struct Shared<'a> {
     /// another shard's state lock" assertion. Counted by the manager's
     /// `lock`.
     pub(crate) state_lock_acquires: u64,
+    /// Data operations routed to this shard, counted under its state
+    /// lock.
+    pub(crate) ops: u64,
     /// Commits whose home is this shard.
     pub(crate) commits: u64,
     deadlocks_resolved: u64,
@@ -209,6 +234,7 @@ impl<'a> Shared<'a> {
             clock,
             shard,
             state_lock_acquires: 0,
+            ops: 0,
             commits: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
@@ -219,14 +245,14 @@ impl<'a> Shared<'a> {
 
     /// Tear down after every worker joined: add this shard's counters,
     /// database and telemetry row to `report` and hand back its log.
-    pub(crate) fn finish(self, ops: u64, report: &mut ManagerReport) -> History {
+    pub(crate) fn finish(self, report: &mut ManagerReport) -> History {
         debug_assert!(
             self.kernel.active_instances().is_empty(),
             "live instances at finish"
         );
         report.per_shard.push(ShardStats {
             shard: self.shard,
-            ops,
+            ops: self.ops,
             commits: self.commits,
             state_lock_acquires: self.state_lock_acquires,
         });
@@ -369,14 +395,19 @@ impl<'a> Shared<'a> {
     ) {
         let at = log_begin.then(|| self.tick());
         let slot = self.kernel.begin(id, at);
-        let waiter = Waiter {
-            cv: Arc::new(Condvar::new()),
-            aborted: false,
-            signal,
-        };
         match self.waiters.get_mut(slot) {
-            Some(w) => *w = waiter,
-            None => self.waiters.push(waiter),
+            // The slot's departed instance leaves its condvar: nobody
+            // waits on it any more, and a condvar keeps no notifications,
+            // so a begin allocates nothing once the slots are warm.
+            Some(w) => {
+                w.aborted = false;
+                w.signal = signal;
+            }
+            None => self.waiters.push(Waiter {
+                cv: Arc::new(Condvar::new()),
+                aborted: false,
+                signal,
+            }),
         }
     }
 
@@ -575,20 +606,20 @@ mod tests {
         let config = RtConfig::new(kind).with_park_timeout(PERIOD);
         let m = Arc::new(ShardedManager::new(set, &config, None));
         let mut ctx = WorkerCtx::new(0);
-        m.begin(holder, &mut ctx);
+        let write = Some((X, LockMode::Write));
         assert_eq!(
-            m.acquire(holder, 0, X, LockMode::Write, &mut ctx),
+            m.boundary(holder, Boundary::Begin, write, &mut ctx),
             Outcome::Done
         );
         if retire {
-            assert_eq!(m.step_done(holder, 0, &mut ctx), Outcome::Done);
+            let next = Boundary::Step(1);
+            assert_eq!(m.boundary(holder, next, None, &mut ctx), Outcome::Done);
         }
 
         let (tx, rx) = mpsc::channel();
         let waiter_m = m.clone();
         std::thread::spawn(move || {
             let mut ctx = WorkerCtx::new(1);
-            waiter_m.begin(waiter, &mut ctx);
             let start = Instant::now();
             wait(&waiter_m, waiter, &mut ctx);
             let _ = tx.send(start.elapsed());
@@ -635,7 +666,10 @@ mod tests {
             set,
             [InstanceId::first(TxnId(0)), InstanceId::first(TxnId(1))],
             false,
-            |m, b, ctx| assert_eq!(m.acquire(b, 0, X, LockMode::Write, ctx), Outcome::Done),
+            |m, b, ctx| {
+                let write = Some((X, LockMode::Write));
+                assert_eq!(m.boundary(b, Boundary::Begin, write, ctx), Outcome::Done);
+            },
             |kernel, [_, b]| kernel.pending_request(b).is_some(),
         );
 
@@ -657,28 +691,32 @@ mod tests {
             [InstanceId::first(TxnId(1)), InstanceId::first(TxnId(0))],
             true,
             |m, b, ctx| {
-                assert_eq!(m.acquire(b, 0, X, LockMode::Read, ctx), Outcome::Done);
+                let read = Some((X, LockMode::Read));
+                assert_eq!(m.boundary(b, Boundary::Begin, read, ctx), Outcome::Done);
                 assert!(matches!(m.commit(b, ctx), CommitOutcome::Committed(_)));
             },
             |kernel, [a, _]| kernel.running_priority(a) > kernel.base_priority(a),
         );
     }
 
-    /// Run `id` from step 0 to a commit, none of it restarting.
+    /// Cross `id`'s boundary `at` and every one after it, then commit,
+    /// none of it restarting.
     fn run_to_commit(
         set: &TransactionSet,
         m: &ShardedManager<'_>,
         id: InstanceId,
+        mut at: Boundary,
         ctx: &mut WorkerCtx,
     ) {
-        ctx.ws.reset(id);
-        for (i, step) in set.template(id.txn).steps.iter().enumerate() {
-            let (item, mode) = step.op.access().expect("data step");
+        let steps = &set.template(id.txn).steps;
+        for (i, step) in steps.iter().enumerate().skip(at.step()) {
+            let access = step.op.access();
             assert_eq!(
-                m.acquire(id, i, item, mode, ctx),
+                m.boundary(id, at, access, ctx),
                 Outcome::Done,
                 "{id} step {i}"
             );
+            at = Boundary::Step(i + 1);
         }
         assert!(matches!(m.commit(id, ctx), CommitOutcome::Committed(_)));
     }
@@ -687,10 +725,10 @@ mod tests {
     /// (on the victim's own thread) lead up to `aborter` aborting `victim`
     /// — `abort` is the aborter's step that does it, when the victim must
     /// first be parked on a lock for it; the victim's call then returns
-    /// `Restart` and its thread waits in `await_restart`. Only once it is
-    /// seen parked there does `aborter` commit, and the victim's wait must
-    /// end then — by the release notify, not the park-timeout net — and
-    /// not before.
+    /// `Restart` and its thread waits at its restarted attempt's first
+    /// boundary. Only once it is seen parked there does `aborter` commit,
+    /// and the victim's wait must end then — by the release notify, not
+    /// the park-timeout net — and not before.
     #[allow(clippy::type_complexity)]
     fn restart_waits_for_its_aborter(
         kind: ProtocolKind,
@@ -706,25 +744,29 @@ mod tests {
         let config = RtConfig::new(kind).with_park_timeout(PERIOD);
         let m = Arc::new(ShardedManager::new(set, &config, None));
         let (mut ctx_a, mut ctx_v) = (WorkerCtx::new(0), WorkerCtx::new(1));
-        m.begin(aborter, &mut ctx_a);
-        m.begin(victim, &mut ctx_v);
         before(&m, [aborter, victim], [&mut ctx_a, &mut ctx_v]);
 
         let (tx, rx) = mpsc::channel();
         let victim_m = m.clone();
         std::thread::spawn(move || {
             victim_aborts(&victim_m, victim, &mut ctx_v);
-            victim_m.await_restart(victim);
+            ctx_v.ws.reset(victim);
+            let first = set.template(victim.txn).steps[0].op.access();
+            let restart = victim_m.boundary(victim, Boundary::Restart, first, &mut ctx_v);
+            assert_eq!(restart, Outcome::Done);
             let _ = tx.send(victim_m.lock(0).kernel.is_live(aborter));
-            run_to_commit(set, &victim_m, victim, &mut ctx_v);
+            run_to_commit(set, &victim_m, victim, Boundary::Step(1), &mut ctx_v);
             let _ = tx.send(false);
         });
         abort(&m, [aborter, victim], &mut ctx_a);
         // Held, its abort consumed and its condvar borrowed by `park`,
         // which keeps the state lock until it waits: parked on the hold.
+        // (The victim may register only on its own thread.)
         let in_hold_park = |g: &Shared<'_>| {
-            let w = g.waiter(victim);
-            g.kernel.held(victim) && !w.aborted && Arc::strong_count(&w.cv) > 1
+            g.kernel.held(victim) && {
+                let w = g.waiter(victim);
+                !w.aborted && Arc::strong_count(&w.cv) > 1
+            }
         };
         while !in_hold_park(&m.lock(0)) {
             std::thread::yield_now();
@@ -764,8 +806,9 @@ mod tests {
             set,
             [first(0), first(1)],
             |m, [h, l], [ctx_h, ctx_l]| {
-                assert_eq!(m.acquire(l, 0, X, LockMode::Write, ctx_l), Outcome::Done);
-                assert_eq!(m.acquire(h, 0, X, LockMode::Write, ctx_h), Outcome::Done);
+                let write = Some((X, LockMode::Write));
+                assert_eq!(m.boundary(l, Boundary::Begin, write, ctx_l), Outcome::Done);
+                assert_eq!(m.boundary(h, Boundary::Begin, write, ctx_h), Outcome::Done);
             },
             |m, l, ctx| assert!(matches!(m.commit(l, ctx), CommitOutcome::Restart)),
             |_, _, _| {},
@@ -782,9 +825,13 @@ mod tests {
             set,
             [first(0), first(1)],
             |m, [s, _], [ctx_s, _]| {
-                assert_eq!(m.acquire(s, 0, X, LockMode::Write, ctx_s), Outcome::Done);
+                let write = Some((X, LockMode::Write));
+                assert_eq!(m.boundary(s, Boundary::Begin, write, ctx_s), Outcome::Done);
             },
-            |m, j, ctx| assert_eq!(m.acquire(j, 0, X, LockMode::Write, ctx), Outcome::Restart),
+            |m, j, ctx| {
+                let write = Some((X, LockMode::Write));
+                assert_eq!(m.boundary(j, Boundary::Begin, write, ctx), Outcome::Restart);
+            },
             |_, _, _| {},
         );
 
@@ -801,15 +848,26 @@ mod tests {
             set,
             [first(0), first(1)],
             |m, [a, b], [ctx_a, ctx_b]| {
-                assert_eq!(m.acquire(a, 0, X, LockMode::Read, ctx_a), Outcome::Done);
-                assert_eq!(m.acquire(b, 0, X, LockMode::Read, ctx_b), Outcome::Done);
+                let read = Some((X, LockMode::Read));
+                assert_eq!(m.boundary(a, Boundary::Begin, read, ctx_a), Outcome::Done);
+                assert_eq!(m.boundary(b, Boundary::Begin, read, ctx_b), Outcome::Done);
             },
-            |m, b, ctx| assert_eq!(m.acquire(b, 1, X, LockMode::Write, ctx), Outcome::Restart),
+            |m, b, ctx| {
+                let write = Some((X, LockMode::Write));
+                assert_eq!(
+                    m.boundary(b, Boundary::Step(1), write, ctx),
+                    Outcome::Restart
+                );
+            },
             |m, [a, b], ctx_a| {
                 while m.lock(0).kernel.pending_request(b).is_none() {
                     std::thread::yield_now();
                 }
-                assert_eq!(m.acquire(a, 1, X, LockMode::Write, ctx_a), Outcome::Done);
+                let write = Some((X, LockMode::Write));
+                assert_eq!(
+                    m.boundary(a, Boundary::Step(1), write, ctx_a),
+                    Outcome::Done
+                );
             },
         );
         assert_eq!(resolved, 1);
@@ -849,13 +907,15 @@ mod tests {
         let m = Arc::new(ShardedManager::new(set, &config, None));
         let [mut ctx_r1, mut ctx_w, mut ctx_r2] = [0, 1, 2].map(WorkerCtx::new);
         for (id, ctx) in [(w, &mut ctx_w), (r1, &mut ctx_r1), (r2, &mut ctx_r2)] {
-            m.begin(id, ctx);
             ctx.ws.reset(id);
         }
+        // R2 only registers: its one request is made by hand below.
+        m.lock(0).begin(r2, true, None);
         for (i, item) in [X, Y].into_iter().enumerate() {
-            let write = m.acquire(w, i, item, LockMode::Write, &mut ctx_w);
+            let at = [Boundary::Begin, Boundary::Step(i)][i.min(1)];
+            let write = m.boundary(w, at, Some((item, LockMode::Write)), &mut ctx_w);
             assert_eq!(write, Outcome::Done);
-            let read = m.acquire(r1, i, item, LockMode::Read, &mut ctx_r1);
+            let read = m.boundary(r1, at, Some((item, LockMode::Read)), &mut ctx_r1);
             assert_eq!(read, Outcome::Done);
         }
         let waits_of = |g: &Shared<'_>| g.kernel.record(w).expect("W is live").waits_for.clone();
@@ -918,22 +978,16 @@ mod tests {
         let m = ShardedManager::new(&set, &RtConfig::new(ProtocolKind::Bamboo), None);
         let [mut ctx_k, mut ctx_d, mut ctx_w] = [0, 1, 2].map(WorkerCtx::new);
         for (id, ctx) in [(k, &mut ctx_k), (d, &mut ctx_d), (w, &mut ctx_w)] {
-            m.begin(id, ctx);
             ctx.ws.reset(id);
         }
-        assert_eq!(
-            m.acquire(w, 0, X, LockMode::Write, &mut ctx_w),
-            Outcome::Done
-        );
-        assert_eq!(m.step_done(w, 0, &mut ctx_w), Outcome::Done);
-        assert_eq!(
-            m.acquire(k, 0, Y, LockMode::Write, &mut ctx_k),
-            Outcome::Done
-        );
-        assert_eq!(
-            m.acquire(d, 0, X, LockMode::Read, &mut ctx_d),
-            Outcome::Done
-        );
+        let begin =
+            |id, access, ctx: &mut WorkerCtx| m.boundary(id, Boundary::Begin, Some(access), ctx);
+        assert_eq!(begin(w, (X, LockMode::Write), &mut ctx_w), Outcome::Done);
+        // W's compute step: the write retires.
+        let next = Boundary::Step(1);
+        assert_eq!(m.boundary(w, next, None, &mut ctx_w), Outcome::Done);
+        assert_eq!(begin(k, (Y, LockMode::Write), &mut ctx_k), Outcome::Done);
+        assert_eq!(begin(d, (X, LockMode::Read), &mut ctx_d), Outcome::Done);
         let denied = !m
             .lock(0)
             .try_acquire(d, 1, Y, LockMode::Read, &mut ctx_d.ws);

@@ -4,19 +4,21 @@
 //! differs.
 //!
 //! Each worker owns one recycled [`Workspace`](rtdb_storage::Workspace);
-//! a job is the full life of
-//! one transaction instance — begin, the template's steps (lock + data
-//! operation at grant time, then the step's simulated computation),
-//! commit. An abort (deadlock victim, 2PL-HP wound, OCC invalidation)
-//! restarts the same job from step 0 on the same thread, exactly like the
-//! simulator's slot reset — once the instances the abort yielded to are
-//! gone (the kernel's restart hold), never after a timer.
+//! a job is the full life of one transaction instance: before every step
+//! one manager call crosses the step boundary (registration on the first,
+//! the finished step's early releases, the next step's lock request and
+//! its data operation at grant time), then the step's simulated
+//! computation runs outside every lock, and one call commits. An abort
+//! (deadlock victim, 2PL-HP wound, OCC invalidation) restarts the same
+//! job from step 0 on the same thread, exactly like the simulator's slot
+//! reset — its first boundary waits until the instances the abort yielded
+//! to are gone (the kernel's restart hold), never on a timer.
 
 use crate::admission::{AdmissionQueue, Admitted};
 use crate::clock::{Clock, WallClock};
 use crate::front::Completion;
 use crate::jobs;
-use crate::manager::{CommitOutcome, JobStats, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT};
+use crate::manager::{Boundary, CommitOutcome, JobStats, Outcome, WorkerCtx, DEFAULT_PARK_TIMEOUT};
 use crate::sharded::{ShardStats, ShardedManager};
 use crate::snapshot::{ReaderLog, SnapshotSide};
 use rtdb_core::{AbortBreakdown, ProtocolKind};
@@ -636,33 +638,17 @@ fn execute_job(
         }
     }
     let steps = template.steps.as_slice();
-    manager.begin(id, ctx);
-    let mut restart = false;
+    let mut first = Boundary::Begin;
     'attempt: loop {
-        if restart {
-            // A victim restarting at once can re-form the conflict it was
-            // aborted out of (a 2PL-PI upgrade cycle once livelocked that
-            // way): it waits for whoever caused the abort to leave.
-            manager.await_restart(id);
-        }
-        restart = true;
         ctx.ws.reset(id);
+        // Every attempt after the first begins by waiting out its hold.
+        let mut at = std::mem::replace(&mut first, Boundary::Restart);
         for (step_index, step) in steps.iter().enumerate() {
-            if let Some((item, mode)) = step.op.access() {
-                match manager.acquire(id, step_index, item, mode, ctx) {
-                    Outcome::Done => {}
-                    Outcome::Restart => continue 'attempt,
-                }
+            if manager.boundary(id, at, step.op.access(), ctx) == Outcome::Restart {
+                continue 'attempt;
             }
             work(step.duration.raw());
-            // Early releases (and CCP's early installs) apply after every
-            // *non-final* step; the final step's locks fall to commit.
-            if step_index + 1 < steps.len() {
-                match manager.step_done(id, step_index, ctx) {
-                    Outcome::Done => {}
-                    Outcome::Restart => continue 'attempt,
-                }
-            }
+            at = Boundary::Step(step_index + 1);
         }
         match manager.commit(id, ctx) {
             CommitOutcome::Committed(stats) => return stats,

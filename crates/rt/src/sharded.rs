@@ -10,9 +10,10 @@
 //! is the one place a shard's state lock is taken and
 //! [`ShardedManager::park`] the one place a thread waits — for a lock
 //! request, at the commit gate, and out an abort's hold before a restart.
-//! The worker's calls — begin, acquire, step-done, commit, await-restart
-//! — compose the cores' kernel-backed methods under those guards and
-//! never reach into a kernel.
+//! The worker makes two calls, [`ShardedManager::boundary`] before every
+//! step and [`ShardedManager::commit`] after the last; they compose the
+//! cores' kernel-backed methods under those guards and never reach into a
+//! kernel. Busy work runs between them, outside every guard.
 //!
 //! A job touches the `k ≥ 1` shards its template's items route to. An
 //! unsharded run is `N = 1`, where every job has `k = 1`; nothing below
@@ -20,7 +21,11 @@
 //! item scoping) is simply absent. *Single-shard* jobs take exactly one
 //! shard's state mutex (asserted via the per-shard `state_lock_acquires`
 //! counter), park there when the protocol denies a request, and scale
-//! with the shard count.
+//! with the shard count. They take it once per step boundary — register
+//! or wait out the restart hold, poll the abort, apply the finished
+//! step's early releases, present the next request, all under one guard
+//! — and once to commit; a boundary before a compute step takes none
+//! when the kind neither releases early nor aborts.
 //!
 //! Cross-shard jobs (`k > 1`) follow a DPCP-p-style global rule over the
 //! shards' local ceilings, with no global ceiling of its own:
@@ -54,7 +59,7 @@
 //! home shard.
 
 use crate::manager::{
-    next_tick, CommitOutcome, JobStats, ManagerReport, Outcome, Shared, WorkerCtx,
+    next_tick, Boundary, CommitOutcome, JobStats, ManagerReport, Outcome, Shared, WorkerCtx,
 };
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
@@ -114,8 +119,9 @@ pub(crate) struct ShardedManager<'a> {
     park_timeout: Duration,
     /// Per-template shard sets, precomputed (index = `TxnId::index`).
     template_shards: Vec<ShardSet>,
-    /// Data operations routed to each shard.
-    ops: Vec<AtomicU64>,
+    /// The protocol kind: whether a boundary applies early releases, and
+    /// whether one before a compute step decides anything.
+    kind: ProtocolKind,
     /// Cross-shard jobs begun.
     cross_shard_txns: AtomicU64,
     /// Of those, no-wait self-aborts: would-block decisions no shard's
@@ -162,7 +168,7 @@ impl<'a> ShardedManager<'a> {
             template_shards: (0..set.len())
                 .map(|t| router.shards_of(set, TxnId(t as u32)))
                 .collect(),
-            ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            kind,
             cross_shard_txns: AtomicU64::new(0),
             no_wait_aborts: AtomicU64::new(0),
         }
@@ -224,74 +230,156 @@ impl<'a> ShardedManager<'a> {
         g
     }
 
-    /// Register a released instance in every shard it touches, in
-    /// canonical order. A cross-shard instance begins at once and carries
-    /// one abort signal everywhere.
-    pub(crate) fn begin(&self, id: InstanceId, ctx: &mut WorkerCtx) {
-        let touched = self.shards_of(id);
-        ctx.cross = touched.is_cross_shard().then(|| {
-            self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
-            CrossJob {
-                signal: Arc::new(AtomicBool::new(false)),
-                shards: touched,
-                restarts: 0,
-            }
-        });
+    /// Cross step boundary `at` of `id`'s attempt and present the request
+    /// of the step it leads to, `access`, if that step has one.
+    ///
+    /// A single-shard job crosses it in one critical section on its home
+    /// shard: it registers the instance ([`Boundary::Begin`]) or waits out
+    /// its restart hold ([`Boundary::Restart`]), polls the abort flag,
+    /// applies the finished step's early releases and retires, and
+    /// presents the request, parking in place while the protocol denies
+    /// it. A boundary before a compute step takes no lock at all when the
+    /// kind neither releases early nor aborts: the finished step changed
+    /// nothing, and the next boundary or the commit polls any abort.
+    ///
+    /// A cross-shard job keeps the per-shard path: registration in every
+    /// shard in canonical order, a lock-free poll of its signal, and a
+    /// no-wait request in the item's shard — a would-block decision is
+    /// undone and the job self-aborts everywhere instead of parking in
+    /// someone else's shard.
+    pub(crate) fn boundary(
+        &self,
+        id: InstanceId,
+        at: Boundary,
+        access: Option<(ItemId, LockMode)>,
+        ctx: &mut WorkerCtx,
+    ) -> Outcome {
+        if at == Boundary::Begin {
+            let touched = self.shards_of(id);
+            ctx.cross = touched
+                .is_cross_shard()
+                .then(|| self.begin_cross(id, touched));
+        }
+        if ctx.cross.is_some() {
+            return self.cross_boundary(id, at, access, ctx);
+        }
+        let releases_early = self.kind.releases_early();
+        let decides = releases_early || self.kind.may_abort();
+        if access.is_none() && matches!(at, Boundary::Step(_)) && !decides {
+            return Outcome::Done;
+        }
         let home = self.home_of(id);
-        for s in touched.iter() {
-            let signal = ctx.cross.as_ref().map(|c| c.signal.clone());
-            self.lock(s).begin(id, s == home, signal);
+        let mut g = self.lock(home);
+        match at {
+            Boundary::Begin => g.begin(id, true, None),
+            // A victim restarting at once can re-form the conflict it was
+            // aborted out of (a 2PL-PI upgrade cycle once livelocked that
+            // way): it waits for whoever caused the abort to leave.
+            Boundary::Restart => g = self.park(g, id, Shared::hold_clear),
+            // Early releases (and CCP's early installs) apply after every
+            // *non-final* step; the final step's locks fall to commit.
+            Boundary::Step(next) if releases_early => {
+                if g.take_abort(id) {
+                    return Outcome::Restart;
+                }
+                g.step_done(id, next - 1, &ctx.ws);
+            }
+            Boundary::Step(_) => {}
+        }
+        let Some((item, mode)) = access else {
+            return if g.take_abort(id) {
+                Outcome::Restart
+            } else {
+                Outcome::Done
+            };
+        };
+        debug_assert_eq!(
+            self.router.shard_of(item),
+            home,
+            "routing disagrees with template"
+        );
+        g.ops += 1;
+        loop {
+            // Looked for on every round: a retry may be an abort in
+            // disguise (a wound, or a deadlock sweep inside `try_acquire`
+            // that picked us).
+            if g.take_abort(id) {
+                return Outcome::Restart;
+            }
+            if g.try_acquire(id, at.step(), item, mode, &mut ctx.ws) {
+                return Outcome::Done;
+            }
+            if !g.request_cleared(id) {
+                g = self.park(g, id, Shared::request_cleared);
+            }
         }
     }
 
-    /// Acquire `item` in `mode` for step `step_index`, performing the data
-    /// operation at grant time. A single-shard job parks in its shard
-    /// while the protocol denies the request; a cross-shard job runs
-    /// no-wait — a would-block decision is undone and the job self-aborts
-    /// everywhere instead of parking in someone else's shard.
-    pub(crate) fn acquire(
+    /// Register a cross-shard instance in every shard it touches, in
+    /// canonical order, with one abort signal everywhere; the home shard
+    /// logs its Begin.
+    fn begin_cross(&self, id: InstanceId, touched: ShardSet) -> CrossJob {
+        self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
+        let cross = CrossJob {
+            signal: Arc::new(AtomicBool::new(false)),
+            shards: touched,
+            restarts: 0,
+        };
+        let home = touched.home().expect("cross-shard set is non-empty");
+        for s in touched.iter() {
+            self.lock(s)
+                .begin(id, s == home, Some(cross.signal.clone()));
+        }
+        cross
+    }
+
+    /// [`ShardedManager::boundary`] for a cross-shard job: wait out the
+    /// restart hold in every touched shard, then poll the signal — no
+    /// lock; every shardable protocol runs the workspace update model
+    /// with no early releases, so a finished step leaves nothing to
+    /// apply — and present the request no-wait.
+    fn cross_boundary(
         &self,
         id: InstanceId,
-        step_index: usize,
-        item: ItemId,
-        mode: LockMode,
+        at: Boundary,
+        access: Option<(ItemId, LockMode)>,
         ctx: &mut WorkerCtx,
     ) -> Outcome {
+        if at == Boundary::Restart {
+            for s in self.shards_of(id).iter() {
+                drop(self.park(self.lock(s), id, Shared::hold_clear));
+            }
+        }
+        let Some((item, mode)) = access else {
+            let cross = ctx.cross.as_ref().expect("a cross-shard job");
+            if !cross.signal.load(Ordering::Acquire) {
+                return Outcome::Done;
+            }
+            self.sweep(id, ctx);
+            return Outcome::Restart;
+        };
         let s = self.router.shard_of(item);
-        self.ops[s].fetch_add(1, Ordering::Relaxed);
         debug_assert!(
             self.shards_of(id).contains(s),
             "routing disagrees with template"
         );
+        let cross = ctx.cross.as_ref().expect("a cross-shard job");
         let mut g = self.lock(s);
-        let mut denied = None;
-        loop {
-            // A pending abort is the flag in the waiter of a single-shard
-            // job, the signal of a cross-shard one. Looked for on every
-            // round: a retry may be an abort in disguise (a wound, or a
-            // deadlock sweep inside `try_acquire` that picked us).
-            let aborted = match &ctx.cross {
-                Some(cross) => cross.signal.load(Ordering::Acquire),
-                None => g.take_abort(id),
-            };
-            if aborted {
-                break;
+        g.ops += 1;
+        let denied = loop {
+            if cross.signal.load(Ordering::Acquire) {
+                break None;
             }
-            if g.try_acquire(id, step_index, item, mode, &mut ctx.ws) {
+            if g.try_acquire(id, at.step(), item, mode, &mut ctx.ws) {
                 return Outcome::Done;
             }
             if g.request_cleared(id) {
                 continue;
             }
-            if ctx.cross.is_none() {
-                g = self.park(g, id, Shared::request_cleared);
-                continue;
-            }
             g.unpark(id);
             self.no_wait_aborts.fetch_add(1, Ordering::Relaxed);
-            denied = Some(g.denied_by());
-            break;
-        }
+            break Some(g.denied_by());
+        };
         drop(g);
         self.sweep(id, ctx);
         // A no-wait self-abort waits out what denied it, like a die —
@@ -300,32 +388,6 @@ impl<'a> ShardedManager<'a> {
             self.lock(s).hold_on_holders(id, &blockers);
         }
         Outcome::Restart
-    }
-
-    /// Report step `completed_step` finished; applies the protocol's early
-    /// releases (CCP) and retires and wakes waiters. Cross-shard jobs only
-    /// poll their abort signal: every shardable protocol runs the
-    /// workspace update model with no early releases, so there is nothing
-    /// to apply and no lock to take.
-    pub(crate) fn step_done(
-        &self,
-        id: InstanceId,
-        completed_step: usize,
-        ctx: &mut WorkerCtx,
-    ) -> Outcome {
-        if let Some(cross) = &ctx.cross {
-            if cross.signal.load(Ordering::Acquire) {
-                self.sweep(id, ctx);
-                return Outcome::Restart;
-            }
-            return Outcome::Done;
-        }
-        let mut g = self.lock(self.home_of(id));
-        if g.take_abort(id) {
-            return Outcome::Restart;
-        }
-        g.step_done(id, completed_step, &ctx.ws);
-        Outcome::Done
     }
 
     /// Commit `id`: lock every shard it touches in canonical order and
@@ -440,16 +502,6 @@ impl<'a> ShardedManager<'a> {
         Some(stats)
     }
 
-    /// Wait out `id`'s restart hold before an aborted job runs again: park
-    /// in each shard it touches until that shard's kernel no longer holds
-    /// it ([`Shared::hold_clear`]) — the instances its abort yielded to
-    /// have committed or aborted. Returns at once where it is not held.
-    pub(crate) fn await_restart(&self, id: InstanceId) {
-        for s in self.shards_of(id).iter() {
-            drop(self.park(self.lock(s), id, Shared::hold_clear));
-        }
-    }
-
     /// The job's own side of its abort. Nothing for a single-shard job —
     /// its aborter ran the whole abort through the kernel. A cross-shard
     /// job sweeps: one ascending pass over its shards releasing
@@ -478,9 +530,9 @@ impl<'a> ShardedManager<'a> {
         };
         report.abort_reasons.ceiling_block = self.no_wait_aborts.into_inner();
         let mut logs: Vec<History> = Vec::with_capacity(self.shards.len());
-        for (shard, ops) in self.shards.into_iter().zip(self.ops) {
+        for shard in self.shards {
             let core = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
-            logs.push(core.finish(ops.into_inner(), &mut report));
+            logs.push(core.finish(&mut report));
         }
         // Concatenate the shards' event streams in ascending shard order
         // and stable-sort by tick. The shared clock makes ticks globally

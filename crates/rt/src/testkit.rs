@@ -16,6 +16,8 @@ pub struct TestClock(Arc<(Mutex<Logical>, Condvar)>);
 struct Logical {
     now_ns: u64,
     paused: bool,
+    /// Busy steps waiting for the pause to end.
+    held: usize,
 }
 
 /// A pause of a [`TestClock`]; busy work resumes when it drops, on an
@@ -32,6 +34,12 @@ impl TestClock {
     pub fn pause(&self) -> Paused<'_> {
         self.logical().paused = true;
         Paused(self)
+    }
+
+    /// How many busy steps the pause holds right now (0 while the clock
+    /// runs): each is a thread inside its job's busy work.
+    pub fn held(&self) -> usize {
+        self.logical().held
     }
 }
 
@@ -52,8 +60,11 @@ impl Clock for TestClock {
         if ns == 0 {
             return;
         }
-        let resumed = self.0 .1.wait_while(self.logical(), |l| l.paused);
+        let mut logical = self.logical();
+        logical.held += 1;
+        let resumed = self.0 .1.wait_while(logical, |l| l.paused);
         let mut logical = resumed.unwrap_or_else(PoisonError::into_inner);
+        logical.held -= 1;
         logical.now_ns = logical.now_ns.saturating_add(ns);
     }
 }
@@ -79,6 +90,7 @@ mod tests {
             assert_eq!(clock.now_ns(), 0);
             drop(paused);
             assert_eq!(finished.recv().expect("resumed"), 21);
+            assert_eq!(clock.held(), 0);
         });
     }
 

@@ -9,7 +9,9 @@
 //! must leave every other shard's counter at zero.
 
 use rtdb_core::{AbortBreakdown, ProtocolKind, ShardRouter};
-use rtdb_rt::{job_list, run, RtConfig, RtResult};
+use rtdb_rt::front::run_front_on;
+use rtdb_rt::testkit::TestClock;
+use rtdb_rt::{job_list, run, FrontConfig, JobRequest, RtConfig, RtResult, SubmitOutcome};
 use rtdb_sim::{
     serializability_violations, snapshot_serializability_violations, Engine, RunOutcome, SimConfig,
     WorkloadParams,
@@ -19,6 +21,7 @@ use rtdb_types::{
     InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate, TxnId,
 };
 use rtdb_util::prop;
+use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -312,13 +315,15 @@ fn cross_shard_transactions_commit_and_are_counted() {
     assert!(rt.per_shard[1].state_lock_acquires > 0);
 }
 
-/// The state-lock cost model of a job, pinned: one acquisition to begin,
-/// one per accessing step, one per non-final step (early releases and
-/// retires apply there) and one to commit — nothing else on a run that
-/// neither parks nor restarts, whatever the shard count.
+/// The state-lock cost model of a job, pinned: one acquisition per step
+/// boundary and one to commit — nothing else on a run that neither parks
+/// nor restarts, whatever the shard count. The first boundary registers
+/// the job; a later one before a compute step takes no lock at all when
+/// the kind neither releases early nor may abort, for nothing is decided
+/// there.
 #[test]
-fn a_single_shard_job_takes_its_state_lock_once_per_call() {
-    // Every item ≡ 0 (mod 4): shard 0 is home to both templates.
+fn a_single_shard_job_takes_its_state_lock_once_per_boundary() {
+    // Every item ≡ 0 (mod 4): shard 0 is home to every template.
     let set = SetBuilder::new()
         .with(TransactionTemplate::new(
             "A",
@@ -334,20 +339,34 @@ fn a_single_shard_job_takes_its_state_lock_once_per_call() {
             20,
             vec![Step::write(ItemId(8), 1), Step::compute(1)],
         ))
+        .with(TransactionTemplate::new(
+            "C",
+            30,
+            vec![Step::compute(1), Step::read(ItemId(12), 1)],
+        ))
         .build()
         .expect("set");
-    let jobs = job_list(&set, 16, 7);
-    let expected: u64 = jobs
-        .iter()
-        .map(|id| {
-            let steps = &set.template(id.txn).steps;
-            let accessing = steps.iter().filter(|s| s.op.access().is_some()).count();
-            (1 + accessing + (steps.len() - 1) + 1) as u64
-        })
-        .sum();
+    let jobs = job_list(&set, 24, 7);
 
-    for kind in shardable_kinds() {
+    for kind in ProtocolKind::STANDARD {
+        let locks_every_boundary = kind.releases_early() || kind.may_abort();
+        let expected: u64 = jobs
+            .iter()
+            .map(|id| {
+                let steps = &set.template(id.txn).steps;
+                let boundaries = if locks_every_boundary {
+                    steps.len()
+                } else {
+                    let accessing = steps.iter().filter(|s| s.op.access().is_some());
+                    accessing.count() + usize::from(steps[0].op.access().is_none())
+                };
+                (boundaries + 1) as u64
+            })
+            .sum();
         for shards in [1, 4] {
+            if shards > 1 && !kind.shardable() {
+                continue;
+            }
             let rt = run(
                 &set,
                 &jobs,
@@ -362,6 +381,48 @@ fn a_single_shard_job_takes_its_state_lock_once_per_call() {
                 assert_eq!(s.state_lock_acquires, 0, "{kind:?}: shard {}", s.shard);
             }
         }
+    }
+}
+
+/// Busy work runs outside every state lock: two workers whose jobs write
+/// disjoint items of one shard are both inside a busy step at once. A
+/// worker that kept the shard's lock across its work would stop the other
+/// from beginning until the paused clock resumed, so the wait below can
+/// time out only on that defect.
+#[test]
+fn busy_work_runs_outside_the_state_lock() {
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new(
+            "A",
+            10,
+            vec![Step::write(ItemId(0), 1), Step::compute(1)],
+        ))
+        .with(TransactionTemplate::new(
+            "B",
+            20,
+            vec![Step::write(ItemId(1), 1), Step::compute(1)],
+        ))
+        .build()
+        .expect("set");
+    // PCP-DA skips the lock before the compute step, 2PL-HP takes it.
+    for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
+        let rt = RtConfig::new(kind).with_threads(2).with_tick_ns(1_000);
+        let config = FrontConfig::new(kind).with_rt(rt);
+        let clock = TestClock::default();
+        let (result, ()) = run_front_on(&set, config, clock.clone(), |front| {
+            let _paused = clock.pause();
+            let (sub, _rx) = front.submitter();
+            for t in 0..2 {
+                let out = sub.submit(JobRequest::new(TxnId(t)));
+                assert!(matches!(out, SubmitOutcome::Admitted { .. }), "{out:?}");
+            }
+            let until = Instant::now() + Duration::from_secs(60);
+            while clock.held() < 2 {
+                assert!(Instant::now() < until, "{kind}: one worker never began");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert_eq!(result.committed, 2, "{kind}");
     }
 }
 

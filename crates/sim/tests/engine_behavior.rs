@@ -3,8 +3,8 @@
 
 use rtdb_baselines::{Ccp, NaiveDa, TwoPlHp, TwoPlPi};
 use rtdb_cc::PcpDa;
-use rtdb_core::{AbortReason, Effect};
-use rtdb_sim::{Engine, RunOutcome, SimConfig};
+use rtdb_core::{AbortReason, Effect, ProtocolKind};
+use rtdb_sim::{Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::*;
 
 fn inst(t: u32) -> InstanceId {
@@ -367,6 +367,44 @@ fn deadlock_stop_flushes_partial_state() {
         let m = r.metrics.instance(inst(t)).unwrap();
         assert_eq!(m.completion, None);
         assert!(!m.met_deadline());
+    }
+}
+
+/// `ProtocolKind::releases_early` says what the protocols do. Only
+/// `step_done` logs `Effect::Released`, so a kind that claims no release
+/// before commit never logs one over a fixed batch of seeded sets, and a
+/// kind that claims one logs it on at least one set. The runtime crosses
+/// a boundary before a compute step without its state lock on that word.
+#[test]
+fn releases_early_matches_what_the_protocols_release() {
+    let sets: Vec<TransactionSet> = (0..12)
+        .map(|seed| {
+            let params = WorkloadParams {
+                hotspot_items: 3,
+                hotspot_prob: 0.5,
+                seed,
+                ..WorkloadParams::default()
+            };
+            params.generate().expect("workload").set
+        })
+        .collect();
+    let config = SimConfig::with_horizon(2_000).resolving_deadlocks();
+    for kind in ProtocolKind::ALL {
+        let released = sets
+            .iter()
+            .filter(|set| {
+                let run = Engine::new(set, config.clone()).run_kind(kind).unwrap();
+                let events = run.trace.events();
+                events
+                    .iter()
+                    .any(|(_, e)| matches!(e, Effect::Released(..)))
+            })
+            .count();
+        if kind.releases_early() {
+            assert!(released > 0, "{kind} never released before commit");
+        } else {
+            assert_eq!(released, 0, "{kind} released before commit");
+        }
     }
 }
 
