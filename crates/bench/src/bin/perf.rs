@@ -21,10 +21,12 @@
 //! if any protocol's median throughput regressed more than 25% against
 //! the baseline (default baseline: `BENCH_protocols.json`). `--horizon N`
 //! changes the simulated horizon. Throughput depends on the horizon
-//! (short runs never reach the workload's steady state), so the file
-//! records the horizon it was measured at and `--check` only *enforces*
-//! against baseline entries measured at the same horizon — mismatched
-//! entries still print their delta, marked advisory.
+//! (short runs never reach the workload's steady state) and on the host,
+//! so every entry records the horizon and the [`Host`] it was measured
+//! on (`available_parallelism`, `profile`, `commit`), and `--check` only
+//! *enforces* against entries of the same horizon and the same
+//! `available_parallelism` — any other entry still prints its delta,
+//! marked advisory with the reason.
 //!
 //! `ns_per_lock_request` divides *whole-engine* wall time by the number
 //! of `request` calls, so it includes scheduling and storage — it is an
@@ -38,6 +40,7 @@
 
 use rtdb::prelude::*;
 use rtdb::sim::instantiate;
+use rtdb_bench::Host;
 use rtdb_util::Json;
 use std::time::Instant;
 
@@ -120,6 +123,26 @@ struct BaselineEntry {
     /// Horizon the baseline was measured at. Older files predate the
     /// field; their horizon is unknown.
     horizon: Option<u64>,
+    /// CPU count of the host it was measured on; unknown in older files.
+    available_parallelism: Option<u64>,
+}
+
+impl BaselineEntry {
+    /// Why a measurement at `horizon` on `host` does not compare with
+    /// this entry, or `None` if it does and the gate enforces it.
+    fn advisory(&self, horizon: u64, host: &Host) -> Option<String> {
+        if self.horizon != Some(horizon) {
+            return Some("baseline horizon differs".into());
+        }
+        match self.available_parallelism {
+            None => Some("baseline records no CPU count".into()),
+            Some(n) if n != host.available_parallelism => Some(format!(
+                "baseline measured on {n} CPUs, this host has {}",
+                host.available_parallelism
+            )),
+            Some(_) => None,
+        }
+    }
 }
 
 /// Per-protocol baseline from a committed benchmark file, if it exists
@@ -129,14 +152,13 @@ fn load_baseline(path: &str) -> Option<Vec<BaselineEntry>> {
     let json = Json::parse(&text).ok()?;
     let arr = json.as_array()?;
     let mut out = Vec::new();
+    let count = |rec: &Json, field| rec.get(field).and_then(Json::as_f64).map(|x| x as u64);
     for rec in arr {
         out.push(BaselineEntry {
             name: rec.get("protocol")?.as_str()?.to_string(),
             ticks_per_sec: rec.get("ticks_per_sec")?.as_f64()?,
-            horizon: rec
-                .get("horizon")
-                .and_then(|h| h.as_f64())
-                .map(|h| h as u64),
+            horizon: count(rec, "horizon"),
+            available_parallelism: count(rec, "available_parallelism"),
         });
     }
     Some(out)
@@ -175,6 +197,7 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let host = Host::current();
     let set = rtdb_bench::standard_workload(7);
     // In measure mode the committed file doubles as the comparison
     // baseline (before it is overwritten); in check mode it IS the path.
@@ -199,21 +222,19 @@ fn main() {
         if let Some(entry) = baseline.as_deref().and_then(|b| baseline_of(b, m.name)) {
             let base = entry.ticks_per_sec;
             let delta = (m.median - base) / base * 100.0;
-            // Throughput is horizon-dependent (short runs never reach the
-            // workload's steady state), so a delta against a baseline
-            // measured at a different horizon is advisory only.
-            let comparable = entry.horizon == Some(args.horizon);
+            // Throughput depends on the horizon (short runs never reach
+            // the workload's steady state) and on the CPU count, so a
+            // delta against any other entry is advisory only.
+            let advisory = entry.advisory(args.horizon, &host);
             eprintln!(
                 "{}: {delta:+.1}% vs baseline ({base:.0} -> {:.0}){}",
                 m.name,
                 m.median,
-                if comparable {
-                    ""
-                } else {
-                    " [advisory: baseline horizon differs]"
-                }
+                advisory
+                    .as_ref()
+                    .map_or(String::new(), |why| format!(" [advisory: {why}]"))
             );
-            if comparable && delta < -100.0 * REGRESSION_TOLERANCE {
+            if advisory.is_none() && delta < -100.0 * REGRESSION_TOLERANCE {
                 regressions.push(format!(
                     "{}: {delta:+.1}% (baseline {base:.0}, measured {:.0})",
                     m.name, m.median
@@ -224,6 +245,9 @@ fn main() {
             Json::obj()
                 .set("protocol", m.name)
                 .set("horizon", args.horizon)
+                .set("available_parallelism", host.available_parallelism)
+                .set("profile", host.profile)
+                .set("commit", host.commit.as_str())
                 .set("ticks_per_sec", m.median)
                 .set("ticks_per_sec_q1", m.q1)
                 .set("ticks_per_sec_q3", m.q3)
@@ -236,9 +260,9 @@ fn main() {
     if args.check {
         match baseline.as_deref() {
             None => eprintln!("no baseline at {} -- nothing to check against", args.path),
-            Some(b) if !b.iter().any(|e| e.horizon == Some(args.horizon)) => eprintln!(
-                "no baseline entry was measured at horizon {} -- deltas are advisory only",
-                args.horizon
+            Some(b) if b.iter().all(|e| e.advisory(args.horizon, &host).is_some()) => eprintln!(
+                "no baseline entry was measured at horizon {} on {} CPUs -- deltas are advisory only",
+                args.horizon, host.available_parallelism
             ),
             _ => {}
         }
@@ -260,5 +284,31 @@ fn main() {
     } else {
         std::fs::write(&args.path, Json::Arr(records).pretty()).expect("output path writable");
         println!("written to {}", args.path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_an_entry_of_the_same_horizon_and_cpu_count_is_enforced() {
+        let host = Host {
+            available_parallelism: 2,
+            profile: "release",
+            commit: "abc".into(),
+        };
+        let entry = |horizon, cpus| BaselineEntry {
+            name: "PCP-DA".into(),
+            ticks_per_sec: 1.0,
+            horizon,
+            available_parallelism: cpus,
+        };
+        assert_eq!(entry(Some(10_000), Some(2)).advisory(10_000, &host), None);
+        let why = |e: BaselineEntry| e.advisory(10_000, &host).unwrap();
+        assert!(why(entry(Some(5_000), Some(2))).contains("horizon"));
+        assert!(why(entry(None, Some(2))).contains("horizon"));
+        assert!(why(entry(Some(10_000), Some(4))).contains("4 CPUs, this host has 2"));
+        assert!(why(entry(Some(10_000), None)).contains("no CPU count"));
     }
 }

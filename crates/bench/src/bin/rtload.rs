@@ -49,6 +49,7 @@ use rtdb::rt;
 use rtdb_bench::loadgen::{calibrated_ceiling, run_open_loop, OpenLoopParams};
 use rtdb_bench::netload::run_net_open_loop;
 use rtdb_bench::scenarios::{self, Mode, Point, Scenario, SCENARIOS, TENANT_WEIGHTS};
+use rtdb_bench::Host;
 use rtdb_util::Json;
 use std::collections::HashMap;
 
@@ -79,27 +80,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         scenarios = SCENARIOS.iter().collect();
     }
     Ok((check, dir, scenarios))
-}
-
-/// What the numbers were measured on; stamped on every record.
-struct Host {
-    available_parallelism: u64,
-    profile: &'static str,
-    commit: String,
-}
-
-fn host() -> Host {
-    let mut git = std::process::Command::new("git");
-    let commit = match git.args(["describe", "--always", "--dirty"]).output() {
-        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().into(),
-        _ => "unknown".into(),
-    };
-    let debug = cfg!(debug_assertions);
-    Host {
-        available_parallelism: std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
-        profile: if debug { "debug" } else { "release" },
-        commit,
-    }
 }
 
 /// One decimal: the histograms resolve ±12.5 %, finer digits are noise
@@ -404,7 +384,7 @@ fn main() {
         eprintln!("{e}\nusage: rtload [--check] [--dir DIR] [SCENARIO...]");
         std::process::exit(2);
     });
-    let host = host();
+    let host = Host::current();
     let (mut warnings, mut errors) = (Vec::new(), Vec::new());
     for s in scenarios {
         eprintln!("== {}: {}", s.name, s.why);
@@ -480,7 +460,7 @@ mod tests {
 
     #[test]
     fn every_row_runs_at_a_twentieth_and_every_record_is_whole() {
-        let host = host();
+        let host = Host::current();
         for s in &SCENARIOS {
             let records = run_scenario(s, &host, 20);
             assert_eq!(records.len(), s.points().len(), "{}", s.name);

@@ -24,6 +24,41 @@ pub mod scenarios;
 
 use rtdb::prelude::*;
 
+/// What a benchmark record was measured on, stamped on every record
+/// `perf` and `rtload` write: numbers from another CPU count, another
+/// build profile or another commit do not compare.
+#[derive(Debug)]
+pub struct Host {
+    /// `std::thread::available_parallelism` (0 if unknown).
+    pub available_parallelism: u64,
+    /// `"release"` or `"debug"`.
+    pub profile: &'static str,
+    /// `git describe --always --dirty` of the working directory,
+    /// `"unknown"` outside a checkout.
+    pub commit: String,
+}
+
+impl Host {
+    /// The host this process runs on.
+    pub fn current() -> Host {
+        let mut git = std::process::Command::new("git");
+        let commit = match git.args(["describe", "--always", "--dirty"]).output() {
+            Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().into(),
+            _ => "unknown".into(),
+        };
+        Host {
+            available_parallelism: std::thread::available_parallelism()
+                .map_or(0, |n| n.get() as u64),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+            commit,
+        }
+    }
+}
+
 /// A mid-sized standard workload used by several benches: 6 templates,
 /// 60% utilization, moderate contention.
 pub fn standard_workload(seed: u64) -> TransactionSet {

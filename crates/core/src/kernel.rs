@@ -137,6 +137,7 @@ impl Span {
         &ids[self.0 as usize..self.1 as usize]
     }
 
+    #[inline]
     fn append(ids: &mut Vec<InstanceId>, named: &[InstanceId]) -> Span {
         let start = ids.len() as u32;
         ids.extend_from_slice(named);
@@ -191,6 +192,9 @@ pub enum Effect {
 impl Effect {
     /// This effect with the span it names copied out of `from` onto the
     /// end of `to`: how a log that outlives the buffer keeps it.
+    // `always`: with a plain hint the simulator's trace still calls it out
+    // of line, once per event.
+    #[inline(always)]
     pub fn copied(self, from: &Effects, to: &mut Vec<InstanceId>) -> Effect {
         let mut copy = |span: Span| Span::append(to, from.ids(span));
         match self {
@@ -343,6 +347,17 @@ impl<'a> StateKernel<'a> {
     /// Pre-size the history log.
     pub fn reserve_history(&mut self, events: usize) {
         self.history.reserve_events(events);
+    }
+
+    /// Pre-size for `live` instances live at once over `items` items: the
+    /// live list, the records and the lock table, so the first instances
+    /// of a run do not grow them one by one.
+    pub fn reserve(&mut self, live: usize, items: usize) {
+        self.active.reserve(live);
+        self.slot.reserve(live);
+        self.records.reserve(live);
+        self.spare.reserve(live);
+        self.locks.reserve(items, live);
     }
 
     #[inline]

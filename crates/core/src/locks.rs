@@ -143,6 +143,14 @@ impl LockTable {
         }
     }
 
+    /// Pre-size for `items` items (`ItemId`s below it) and `holders`
+    /// instances holding locks at once, so a run's first grants do not
+    /// grow the table one item at a time.
+    pub(crate) fn reserve(&mut self, items: usize, holders: usize) {
+        self.items.reserve(items.saturating_sub(self.items.len()));
+        self.held.reserve(holders);
+    }
+
     /// The incremental ceiling index, if this table carries one.
     pub fn index(&self) -> Option<&CeilingIndex> {
         self.index.as_ref()

@@ -196,6 +196,12 @@ pub trait ProtocolFor<V: EngineView + ?Sized> {
     /// `Max_Sysceil`, the dotted line of Figures 4 and 5): the ceiling an
     /// arriving transaction that holds nothing would face. Protocols
     /// without a ceiling notion (2PL) report [`rtdb_types::Ceiling::Dummy`].
+    ///
+    /// It must be a function of the lock table ([`EngineView::locks`],
+    /// with the set's fixed [`EngineView::ceilings`]): the simulator
+    /// samples it only when [`crate::LockTable::version`] has moved since
+    /// its last sample, and checks that premise in debug builds and under
+    /// `oracle-checks`.
     fn system_ceiling(&self, _view: &V) -> rtdb_types::Ceiling {
         rtdb_types::Ceiling::Dummy
     }

@@ -126,11 +126,12 @@ impl Trace {
         Self::default()
     }
 
-    /// Pre-size the segment and event logs, so steady-state runs append
-    /// without reallocating.
-    pub fn reserve(&mut self, segments: usize, events: usize) {
+    /// Pre-size the segment, event and ceiling-sample logs, so
+    /// steady-state runs append without reallocating.
+    pub fn reserve(&mut self, segments: usize, events: usize, ceiling_samples: usize) {
         self.segments.reserve(segments);
         self.events.reserve(events);
+        self.ceiling_samples.reserve(ceiling_samples);
     }
 
     /// Record a segment; zero-length segments are dropped, and a segment
@@ -156,6 +157,7 @@ impl Trace {
 
     /// Record `effect` at `at`, copying the instances its span names out
     /// of `from`, the buffer it was made in.
+    #[inline]
     pub fn push(&mut self, at: Tick, effect: Effect, from: &Effects) {
         let effect = effect.copied(from, &mut self.ids);
         self.events.push((at, effect));

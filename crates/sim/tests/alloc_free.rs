@@ -35,6 +35,11 @@
 //! beside another waiter, so the run's count does not grow with the
 //! openings.
 //!
+//! A whole simulated PCP-DA run is counted too, on a generated set of the
+//! benchmark's shape at a horizon and at twice it: the engine's per-run
+//! buffers are pre-sized from the set, so the longer run may allocate
+//! more only by its denials' blocker lists and a few log doublings.
+//!
 //! The allocator needs `unsafe`; it is confined to this file (an
 //! integration test is its own crate, the libraries stay
 //! `#![forbid(unsafe_code)]`), and it counts only on the thread that asks,
@@ -47,7 +52,7 @@ use rtdb_core::{
     AbortReason, CeilingFlavor, Decision, Effect, Effects, EngineView, GrantRule, LockRequest,
     ProtocolFor, Record, StateKernel, UpdateModel,
 };
-use rtdb_sim::{Engine, SimConfig};
+use rtdb_sim::{Engine, SimConfig, WorkloadParams};
 use rtdb_storage::{EventKind, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionSet, TransactionTemplate,
@@ -805,4 +810,81 @@ fn a_simulated_gate_chain_allocates_nothing_per_opening() {
         // never one per opening or per deadlock search.
         assert!(long.1 - short.1 <= 4, "{short:?} -> {long:?}");
     }
+}
+
+/// `P`, counting its denials: each names its blockers in a `Vec`.
+struct Denials<P> {
+    protocol: P,
+    denied: u64,
+}
+
+impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Denials<P> {
+    fn name(&self) -> &'static str {
+        self.protocol.name()
+    }
+    fn request(&mut self, view: &V, req: LockRequest) -> Decision {
+        let decision = self.protocol.request(view, req);
+        if matches!(decision, Decision::Block { .. }) {
+            self.denied += 1;
+        }
+        decision
+    }
+    fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
+        self.protocol.system_ceiling(view)
+    }
+    fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
+        self.protocol.ceiling_flavor()
+    }
+}
+
+#[test]
+fn a_simulated_pcpda_run_allocates_only_per_denial() {
+    // The benchmark's set shape: six templates over sixteen items.
+    let set = WorkloadParams {
+        templates: 6,
+        items: 16,
+        target_utilization: 0.6,
+        hotspot_items: 3,
+        hotspot_prob: 0.5,
+        write_fraction: 0.4,
+        seed: 7,
+        ..WorkloadParams::default()
+    }
+    .generate()
+    .unwrap()
+    .set;
+    // A run's allocations, its denials and its instances a lower one
+    // blocked.
+    let run = |horizon: u64| {
+        let engine = Engine::new(&set, SimConfig::with_horizon(horizon));
+        let mut protocol = Denials {
+            protocol: PcpDa::new(),
+            denied: 0,
+        };
+        let mut blocked_by_lower = 0;
+        let n = allocations_in(|| {
+            let run = engine.run(&mut protocol).unwrap();
+            blocked_by_lower = run
+                .metrics
+                .instances()
+                .filter(|m| !m.distinct_lower_blockers.is_empty())
+                .count() as u64;
+        });
+        (n, protocol.denied, blocked_by_lower)
+    };
+    const HORIZON: u64 = 5_000;
+    let (short, long) = (run(HORIZON), run(2 * HORIZON));
+    assert!(
+        long.1 > short.1,
+        "the set must block: {short:?} -> {long:?}"
+    );
+    // Doubling the run adds one blocker list per denial, one list of
+    // lower blockers per instance a lower one blocked (the metrics keep
+    // it, so it is output, like the history), and may add a
+    // reallocation to each run-long log that outgrows its reserve.
+    let allowed = (long.1 - short.1) + (long.2 - short.2) + 8;
+    assert!(
+        long.0 - short.0 <= allowed,
+        "(allocations, denials, blocked by a lower instance): {short:?} -> {long:?}"
+    );
 }
