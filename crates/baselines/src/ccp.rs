@@ -56,11 +56,14 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Ccp {
     }
 
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        let p_i = view.base_priority(req.who);
-        let sys = view.ceilings().pcp_sysceil(view.locks(), req.who);
-        if sys.ceiling.cleared_by(p_i) {
+        let (ceilings, locks) = (view.ceilings(), view.locks());
+        if ceilings
+            .pcp_sysceil_level(locks, req.who)
+            .cleared_by(view.base_priority(req.who))
+        {
             Decision::Grant(None)
         } else {
+            let sys = ceilings.pcp_sysceil(locks, req.who);
             Decision::block_on(req.who, sys.holders.iter().copied())
         }
     }
@@ -71,8 +74,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Ccp {
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
         view.ceilings()
-            .pcp_sysceil(view.locks(), rtdb_core::protocol::ceiling_observer())
-            .ceiling
+            .pcp_sysceil_level(view.locks(), rtdb_core::protocol::ceiling_observer())
     }
 
     fn early_releases(

@@ -15,8 +15,7 @@
 //! detector and the Example 5 experiment can demonstrate it.
 
 use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor};
-use rtdb_types::{Ceiling, InstanceId, LockMode};
-use std::collections::BTreeSet;
+use rtdb_types::{Ceiling, LockMode};
 
 /// The deliberately deadlock-prone Example 5 protocol.
 #[derive(Debug, Default, Clone, Copy)]
@@ -48,9 +47,8 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
                 }
             }
             LockMode::Read => {
-                let sys = ceilings.pcpda_sysceil(locks, req.who);
                 // Condition (1).
-                if sys.ceiling.cleared_by(p_i) {
+                if ceilings.pcpda_sysceil_level(locks, req.who).cleared_by(p_i) {
                     return Decision::Grant(None);
                 }
                 // Condition (2): P_i >= HPW(x), with no further safeguard.
@@ -60,12 +58,10 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
                 }
                 // Blocked: per Lemma 4's shape, blockers are holders of
                 // read-locked items at or above P_i.
-                let mut blockers: BTreeSet<InstanceId> = BTreeSet::new();
-                for (item, holders) in locks.read_locked_by_others(req.who) {
-                    if !ceilings.wceil(item).cleared_by(p_i) {
-                        blockers.extend(holders);
-                    }
-                }
+                let blockers = locks
+                    .read_locked_by_others(req.who)
+                    .filter(|(item, _)| !ceilings.wceil(*item).cleared_by(p_i))
+                    .flat_map(|(_, holders)| holders);
                 Decision::block_on(req.who, blockers)
             }
         }
@@ -80,7 +76,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
 mod tests {
     use super::*;
     use rtdb_core::testkit::StaticView;
-    use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate, TxnId};
+    use rtdb_types::{InstanceId, ItemId, SetBuilder, Step, TransactionTemplate, TxnId};
 
     fn i(t: u32) -> InstanceId {
         InstanceId::first(TxnId(t))
@@ -139,13 +135,17 @@ mod tests {
         // T_H requests write x: blocked by T_L's read lock.
         assert_eq!(
             p.request(&view, req(th, 0, LockMode::Write)),
-            Decision::Block { blockers: vec![tl] }
+            Decision::Block {
+                blockers: [tl].into()
+            }
         );
 
         // T_L (inheriting P_H) requests write y: blocked by T_H -> cycle.
         assert_eq!(
             p.request(&view, req(tl, 1, LockMode::Write)),
-            Decision::Block { blockers: vec![th] }
+            Decision::Block {
+                blockers: [th].into()
+            }
         );
     }
 
@@ -169,7 +169,9 @@ mod tests {
         // deadlock never forms.
         assert_eq!(
             p.request(&view, req(th, 1, LockMode::Read)),
-            Decision::Block { blockers: vec![tl] }
+            Decision::Block {
+                blockers: [tl].into()
+            }
         );
     }
 }

@@ -27,11 +27,14 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Pcp {
     }
 
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        let p_i = view.base_priority(req.who);
-        let sys = view.ceilings().pcp_sysceil(view.locks(), req.who);
-        if sys.ceiling.cleared_by(p_i) {
+        let (ceilings, locks) = (view.ceilings(), view.locks());
+        if ceilings
+            .pcp_sysceil_level(locks, req.who)
+            .cleared_by(view.base_priority(req.who))
+        {
             Decision::Grant(None)
         } else {
+            let sys = ceilings.pcp_sysceil(locks, req.who);
             Decision::block_on(req.who, sys.holders.iter().copied())
         }
     }
@@ -42,8 +45,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Pcp {
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
         view.ceilings()
-            .pcp_sysceil(view.locks(), rtdb_core::protocol::ceiling_observer())
-            .ceiling
+            .pcp_sysceil_level(view.locks(), rtdb_core::protocol::ceiling_observer())
     }
 }
 
@@ -92,7 +94,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Read)),
             Decision::Block {
-                blockers: vec![i(1)]
+                blockers: [i(1)].into()
             }
         );
     }
@@ -124,7 +126,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(1), 1, LockMode::Read)),
             Decision::Block {
-                blockers: vec![i(2)]
+                blockers: [i(2)].into()
             }
         );
     }

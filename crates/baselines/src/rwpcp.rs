@@ -35,11 +35,14 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for RwPcp {
     }
 
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        let p_i = view.base_priority(req.who);
-        let sys = view.ceilings().rwpcp_sysceil(view.locks(), req.who);
-        if sys.ceiling.cleared_by(p_i) {
+        let (ceilings, locks) = (view.ceilings(), view.locks());
+        if ceilings
+            .rwpcp_sysceil_level(locks, req.who)
+            .cleared_by(view.base_priority(req.who))
+        {
             Decision::Grant(None)
         } else {
+            let sys = ceilings.rwpcp_sysceil(locks, req.who);
             Decision::block_on(req.who, sys.holders.iter().copied())
         }
     }
@@ -50,8 +53,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for RwPcp {
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
         view.ceilings()
-            .rwpcp_sysceil(view.locks(), rtdb_core::protocol::ceiling_observer())
-            .ceiling
+            .rwpcp_sysceil_level(view.locks(), rtdb_core::protocol::ceiling_observer())
     }
 }
 
@@ -114,7 +116,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(2)]
+                blockers: [i(2)].into()
             }
         );
     }
@@ -130,7 +132,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(2)]
+                blockers: [i(2)].into()
             }
         );
     }
@@ -173,7 +175,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(1), 0, LockMode::Write)),
             Decision::Block {
-                blockers: vec![i(2)]
+                blockers: [i(2)].into()
             }
         );
     }
@@ -213,7 +215,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Write)),
             Decision::Block {
-                blockers: vec![i(1)]
+                blockers: [i(1)].into()
             }
         );
     }

@@ -14,22 +14,20 @@
 //!   the trade-off the paper's §2 discusses (restart overheads break the
 //!   schedulability analysis).
 
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
-use rtdb_types::{InstanceId, LockMode};
+use rtdb_core::{Decision, EngineView, Holders, LockRequest, ProtocolFor};
+use rtdb_types::LockMode;
 
 /// Conflicting holders of `req` under classical r/w lock semantics,
 /// ascending and each once: the other write holders of the item, and for
 /// a write request its other read holders too. The 2PL rule, shared with
 /// the early-release protocols of `rtdb-contention` (whose retired
-/// writers hold no lock, so they are no conflict).
-pub fn conflict_holders<V: EngineView + ?Sized>(view: &V, req: LockRequest) -> Vec<InstanceId> {
+/// writers hold no lock, so they are no conflict). Allocates only past
+/// [`Holders::INLINE`] holders.
+pub fn conflict_holders<V: EngineView + ?Sized>(view: &V, req: LockRequest) -> Holders {
     let locks = view.locks();
-    // Each holder list is ascending already; only the union needs a sort.
-    let mut out: Vec<InstanceId> = locks.writers_other_than(req.item, req.who).collect();
+    let mut out: Holders = locks.writers_other_than(req.item, req.who).collect();
     if req.mode == LockMode::Write {
         out.extend(locks.readers_other_than(req.item, req.who));
-        out.sort_unstable();
-        out.dedup();
     }
     out
 }
@@ -102,7 +100,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for TwoPlHp {
 mod tests {
     use super::*;
     use rtdb_core::testkit::StaticView;
-    use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate, TxnId};
+    use rtdb_types::{InstanceId, ItemId, SetBuilder, Step, TransactionTemplate, TxnId};
 
     fn i(t: u32) -> InstanceId {
         InstanceId::first(TxnId(t))
@@ -154,7 +152,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Read)),
             Decision::Block {
-                blockers: vec![i(1)]
+                blockers: [i(1)].into()
             }
         );
         // Write request vs read holder also blocks.
@@ -162,7 +160,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(1), 1, LockMode::Write)),
             Decision::Block {
-                blockers: vec![i(0)]
+                blockers: [i(0)].into()
             }
         );
         assert!(!ProtocolFor::<StaticView>::may_abort(&p));
@@ -177,7 +175,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Read)),
             Decision::AbortHolders {
-                victims: vec![i(1)]
+                victims: [i(1)].into()
             }
         );
         assert!(ProtocolFor::<StaticView>::may_abort(&p));
@@ -192,7 +190,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(1), 1, LockMode::Write)),
             Decision::Block {
-                blockers: vec![i(0)]
+                blockers: [i(0)].into()
             }
         );
     }
@@ -227,7 +225,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(0), i(2)]
+                blockers: [i(0), i(2)].into()
             }
         );
     }

@@ -30,7 +30,7 @@ fn ceiling_holders<'v>(
 
 /// The PCP-DA protocol. Stateless — every input it needs is in the
 /// [`EngineView`]; a grant names its rule ([`GrantRule`]). Deciding a
-/// request allocates only to name the blockers of a denial.
+/// request allocates only past four blockers ([`rtdb_core::Holders`]).
 ///
 /// # Errata repaired by the default constructor
 ///
@@ -254,10 +254,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
                 // Such holders exist iff `Sysceil_i ≥ P_i`, which the
                 // index answers in O(1) before anything is scanned.
                 if !self.literal_lc3
-                    && !ceilings
-                        .pcpda_sysceil(locks, req.who)
-                        .ceiling
-                        .cleared_by(p_i)
+                    && !ceilings.pcpda_sysceil_level(locks, req.who).cleared_by(p_i)
                     && !future_reads_safe()
                 {
                     let mut risky = ceiling_holders(locks, ceilings, req.who, p_i)
@@ -270,8 +267,6 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
                 Decision::Grant(Some(GrantRule::Lc1))
             }
             LockMode::Read => {
-                let sys = ceilings.pcpda_sysceil(locks, req.who);
-
                 // Commit-order guard (second erratum, see the type-level
                 // docs): a read of `x` serializes the reader *before*
                 // every current write-holder of `x`, so each such holder
@@ -283,29 +278,29 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
                 // a block that cannot clear before the requester commits).
                 // Only LC2 can encounter a higher-priority write-holder:
                 // LC3/LC4 bound `P_i` against `HPW(x)`, which dominates
-                // every writer of `x`.
-                let offending_higher_writers: Vec<InstanceId> = if self.literal_lc3 {
-                    Vec::new()
-                } else {
+                // every writer of `x`. Walked lazily: LC2 needs only to
+                // know whether there is one, a denial names them all.
+                let (this, guarded) = (&*self, !self.literal_lc3);
+                let offending_higher_writers = move || {
                     locks
                         .writers_other_than(req.item, req.who)
-                        .filter(|&w| view.base_priority(w) > p_i)
-                        .filter(|&w| !self.hard_blocked_on(view, w, req.who))
-                        .collect()
+                        .filter(move |&w| guarded && view.base_priority(w) > p_i)
+                        .filter(move |&w| !this.hard_blocked_on(view, w, req.who))
                 };
 
                 // LC2: P_i > Sysceil_i.
-                if sys.ceiling.cleared_by(p_i) {
-                    if offending_higher_writers.is_empty() {
+                if ceilings.pcpda_sysceil_level(locks, req.who).cleared_by(p_i) {
+                    if offending_higher_writers().next().is_none() {
                         self.assert_wr_preemption_safe(view, req);
                         return Decision::Grant(Some(GrantRule::Lc2));
                     }
-                    return Decision::block_on(req.who, offending_higher_writers);
+                    return Decision::block_on(req.who, offending_higher_writers());
                 }
 
                 // T*: holder(s) of the read-locked item(s) at Sysceil.
                 // Lemma 6 proves the *lower-priority* holder is unique;
                 // we treat the whole set conservatively.
+                let sys = ceilings.pcpda_sysceil(locks, req.who);
                 let tstar = &sys.holders;
                 let tstar_may_write_x = tstar.iter().any(|t| ceilings.may_write(t.txn, req.item));
 
@@ -365,7 +360,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
                             .writers_other_than(req.item, req.who)
                             .filter(|&w| !disjoint(view.data_read(w), my_writes)),
                     )
-                    .chain(offending_higher_writers);
+                    .chain(offending_higher_writers());
                 Decision::block_on(req.who, blockers)
             }
         }
@@ -377,8 +372,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for PcpDa {
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
         view.ceilings()
-            .pcpda_sysceil(view.locks(), rtdb_core::protocol::ceiling_observer())
-            .ceiling
+            .pcpda_sysceil_level(view.locks(), rtdb_core::protocol::ceiling_observer())
     }
 }
 
@@ -500,7 +494,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(0)]
+                blockers: [i(0)].into()
             }
         );
     }
@@ -585,7 +579,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(2)]
+                blockers: [i(2)].into()
             }
         );
 
@@ -653,7 +647,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(1)]
+                blockers: [i(1)].into()
             }
         );
     }
@@ -674,7 +668,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(3)]
+                blockers: [i(3)].into()
             }
         );
     }
@@ -720,7 +714,12 @@ mod tests {
         // (P_M > HPW(m), m not in WriteSet(L)); clause (B) denies because
         // M's future read `big` has Wceil = P_H > P_M.
         let d = p.request(&view, req(i(1), 2, LockMode::Read));
-        assert_eq!(d, Decision::Block { blockers: vec![l] });
+        assert_eq!(
+            d,
+            Decision::Block {
+                blockers: [l].into()
+            }
+        );
         // The literal protocol indeed grants here.
         let mut literal = PcpDa::paper_literal();
         assert_eq!(
@@ -764,7 +763,12 @@ mod tests {
         // M-unsafe's future read of `hot` cannot clear LC3 while L holds
         // it -> clause (C) blocks the write of y (y in L's read set).
         let d = p.request(&view, req(i(1), 1, LockMode::Write));
-        assert_eq!(d, Decision::Block { blockers: vec![l] });
+        assert_eq!(
+            d,
+            Decision::Block {
+                blockers: [l].into()
+            }
+        );
         // M-safe has no future reads -> LC1 grants the same write.
         assert_eq!(
             p.request(&view, req(i(2), 1, LockMode::Write)),
@@ -799,7 +803,12 @@ mod tests {
         // W is running (not blocked): L's read of x is denied — W would
         // commit first and invalidate it.
         let d = p.request(&view, req(l, 0, LockMode::Read));
-        assert_eq!(d, Decision::Block { blockers: vec![w] });
+        assert_eq!(
+            d,
+            Decision::Block {
+                blockers: [w].into()
+            }
+        );
 
         // Now W is hard-blocked on L: W's pending write of y conflicts
         // with L's read lock on y. L's read of x becomes safe.

@@ -90,7 +90,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(0), 0, LockMode::Write)),
             Decision::AbortHolders {
-                victims: vec![i(1)]
+                victims: [i(1)].into()
             }
         );
         view.release_all(i(1));
@@ -98,7 +98,7 @@ mod tests {
         assert_eq!(
             p.request(&view, req(i(1), 0, LockMode::Read)),
             Decision::Block {
-                blockers: vec![i(0)]
+                blockers: [i(0)].into()
             }
         );
     }

@@ -2,7 +2,7 @@
 
 use crate::{retire_candidates, senior};
 use rtdb_baselines::conflict_holders;
-use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
+use rtdb_core::{Decision, EngineView, Holders, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, ItemId};
 
 /// Early-release 2PL with wait-die conflict resolution over the
@@ -31,7 +31,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Brook2Pl {
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
         let conflicts = conflict_holders(view, req);
         if !conflicts.is_empty() {
-            let seniors: Vec<InstanceId> = conflicts
+            let seniors: Holders = conflicts
                 .iter()
                 .copied()
                 .filter(|&h| senior(h, req.who))
@@ -56,7 +56,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Brook2Pl {
             // could close a cycle. Die instead and retry once the
             // retiree resolves.
             Some(owner) if owner != req.who && senior(owner, req.who) => Decision::AbortSelf {
-                blockers: vec![owner],
+                blockers: [owner].into(),
             },
             _ => Decision::Grant(None),
         }
@@ -122,13 +122,17 @@ mod tests {
         view.grant(sr, ItemId(0), LockMode::Write);
         assert_eq!(
             p.request(&view, req(jr, 0, LockMode::Write)),
-            Decision::AbortSelf { blockers: vec![sr] }
+            Decision::AbortSelf {
+                blockers: [sr].into()
+            }
         );
         view.release_all(sr);
         view.grant(jr, ItemId(0), LockMode::Write);
         assert_eq!(
             p.request(&view, req(sr, 0, LockMode::Read)),
-            Decision::Block { blockers: vec![jr] }
+            Decision::Block {
+                blockers: [jr].into()
+            }
         );
     }
 
@@ -142,7 +146,9 @@ mod tests {
         view.retire(sr, ItemId(0), Value(3));
         assert_eq!(
             p.request(&view, req(jr, 0, LockMode::Write)),
-            Decision::AbortSelf { blockers: vec![sr] }
+            Decision::AbortSelf {
+                blockers: [sr].into()
+            }
         );
         let mut view = StaticView::new(&set);
         view.retire(jr, ItemId(0), Value(3));

@@ -26,6 +26,16 @@
 //! holder differs from `who`, together with every distinct holder at that
 //! level other than `who` (the paper's `T*` candidates).
 //!
+//! # Level query and `T*` lookup
+//!
+//! Most readers of `Sysceil` need only its level: LC2 (`P_i > Sysceil_i`),
+//! the RW-PCP and PCP grant test, PCP-DA's clause-(C) write guard and the
+//! trace's ceiling sample. [`CeilingIndex::sysceil_level`] answers them
+//! from the cached top levels alone and builds nothing. Only the paths
+//! that read holders — LC3/LC4's and the commit-order guard's tests on
+//! `T*`, and a ceiling denial's blockers — call [`CeilingIndex::sysceil`],
+//! which also copies the level's holders into a [`Holders`] list.
+//!
 //! # Layout
 //!
 //! A ceiling is a priority and a priority may be any `u32`, but a set has
@@ -63,12 +73,13 @@
 //! # Equivalence oracles
 //!
 //! The scan-based functions remain in [`crate::ceilings`] as from-scratch
-//! oracles; [`crate::CeilingTable::pcpda_sysceil`] and friends
-//! `assert_eq!` index against scan on every query in debug builds (and in
-//! release builds under the `oracle-checks` feature).
+//! oracles; [`crate::CeilingTable::pcpda_sysceil`],
+//! [`crate::CeilingTable::pcpda_sysceil_level`] and their RW-PCP and PCP
+//! twins `assert_eq!` index against scan on every query in debug builds
+//! (and in release builds under the `oracle-checks` feature).
 
 use crate::ceilings::{CeilingTable, Holders, Statics, SysCeil, NO_LEVEL};
-use rtdb_types::{InstanceId, ItemId, LockMode};
+use rtdb_types::{Ceiling, InstanceId, ItemId, LockMode};
 use std::sync::Arc;
 
 /// Which `Sysceil` a protocol reads (see the contribution model above).
@@ -230,14 +241,21 @@ impl FlavorIndex {
         });
     }
 
-    /// The level of `Sysceil_who` and its holders other than `who`;
+    /// The level of `Sysceil_who`, from the cache alone; `None` when the
+    /// ceiling is dummy.
+    #[inline]
+    fn level(&self, who: InstanceId) -> Option<usize> {
+        let cache = self.cache?;
+        match cache.top_sole {
+            Some(a) if a == who => cache.second,
+            _ => Some(cache.top),
+        }
+    }
+
+    /// The level of `Sysceil_who` and its holders other than `who` (`T*`);
     /// `None` when the ceiling is dummy.
     fn query(&self, who: InstanceId) -> Option<(usize, Holders)> {
-        let cache = self.cache?;
-        let rank = match cache.top_sole {
-            Some(a) if a == who => cache.second?,
-            _ => cache.top,
-        };
+        let rank = self.level(who)?;
         let holders = self.levels[rank]
             .iter()
             .map(|&(h, _)| h)
@@ -339,15 +357,30 @@ impl CeilingIndex {
         self.on_transition(FlavorIndex::remove, who, item, mode, last_on_item);
     }
 
-    /// `Sysceil` of `flavor` with respect to `who` in O(1), or `None` if
-    /// the index does not maintain that flavor.
+    /// The index of `flavor`, if maintained.
+    #[inline]
+    fn flavor(&self, flavor: CeilingFlavor) -> Option<&FlavorIndex> {
+        match flavor {
+            CeilingFlavor::PcpDa => self.pcpda.as_ref(),
+            CeilingFlavor::RwPcp => self.rwpcp.as_ref(),
+            CeilingFlavor::Pcp => self.pcp.as_ref(),
+        }
+    }
+
+    /// The level of `Sysceil` of `flavor` with respect to `who` in O(1),
+    /// without its holders, or `None` if the index does not maintain that
+    /// flavor.
+    #[inline]
+    pub fn sysceil_level(&self, flavor: CeilingFlavor, who: InstanceId) -> Option<Ceiling> {
+        let rank = self.flavor(flavor)?.level(who);
+        Some(rank.map_or(Ceiling::Dummy, |r| self.statics.levels[r]))
+    }
+
+    /// `Sysceil` of `flavor` with respect to `who` in O(1), with its
+    /// holders (`T*`), or `None` if the index does not maintain that
+    /// flavor.
     pub fn sysceil(&self, flavor: CeilingFlavor, who: InstanceId) -> Option<SysCeil> {
-        let index = match flavor {
-            CeilingFlavor::PcpDa => &self.pcpda,
-            CeilingFlavor::RwPcp => &self.rwpcp,
-            CeilingFlavor::Pcp => &self.pcp,
-        };
-        let (rank, holders) = match index.as_ref()?.query(who) {
+        let (rank, holders) = match self.flavor(flavor)?.query(who) {
             Some(found) => found,
             None => return Some(SysCeil::dummy()),
         };
@@ -387,6 +420,20 @@ mod tests {
         assert_eq!(q(&f, i(0)), Some((3, vec![i(2)])));
         f.remove(3, i(2));
         assert_eq!(q(&f, i(0)), None);
+    }
+
+    #[test]
+    fn a_sole_top_holder_asking_its_own_level_sees_the_level_below() {
+        let mut f = FlavorIndex::new(6);
+        f.add(5, i(1));
+        f.add(3, i(2));
+        assert_eq!(f.level(i(1)), Some(3));
+        assert_eq!(f.level(i(2)), Some(5));
+        assert_eq!(f.level(i(0)), Some(5));
+        // Alone in the table, the sole holder faces no ceiling at all.
+        f.remove(3, i(2));
+        assert_eq!(f.level(i(1)), None);
+        assert_eq!(f.level(i(0)), Some(5));
     }
 
     #[test]

@@ -17,10 +17,13 @@
 //!   `Wceil(x)` (the run-time `RWceil`);
 //! * PCP: `Sysceil_i` = max `Aceil(x)` over items locked by others.
 //!
-//! When the lock table carries a [`crate::CeilingIndex`] for the queried
+//! Each flavor has two queries: `*_sysceil_level` answers the level
+//! alone (a grant test, a trace sample), `*_sysceil` the level with its
+//! holders (`T*`, a denial's blockers). When the lock table carries a
+//! [`crate::CeilingIndex`] for the queried
 //! flavor ([`crate::LockTable::with_index`], or
 //! [`crate::LockTable::with_flavor`] for the one flavor the running
-//! protocol reads), the `*_sysceil` queries are O(1) incremental lookups;
+//! protocol reads), both are O(1) incremental lookups;
 //! the from-scratch scans below answer for any other flavor and remain
 //! the index's equivalence oracles, `assert_eq!`-checked on every query in
 //! debug builds and, under the `oracle-checks` feature, in release builds
@@ -96,7 +99,7 @@ pub struct CeilingTable {
 /// concurrency (worker threads; a handful in the simulator), so up to
 /// [`Holders::INLINE`] of them sit in place and building a `SysCeil`
 /// allocates only beyond that.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Holders {
     /// Occupied prefix of `inline`; unused once `spill` is in use.
     len: usize,
@@ -109,10 +112,16 @@ impl Holders {
     /// Holders stored without a heap allocation.
     pub const INLINE: usize = 4;
 
-    /// Add `id`, keeping the order; a no-op if present.
+    /// Add `id`, keeping the order; a no-op if present. Ascending input,
+    /// the order every holder list comes in, appends without a search.
     pub fn insert(&mut self, id: InstanceId) {
-        let Err(pos) = self.binary_search(&id) else {
-            return;
+        let pos = match self.last() {
+            Some(&last) if last < id => self.len(),
+            None => 0,
+            Some(_) => match self.binary_search(&id) {
+                Ok(_) => return,
+                Err(pos) => pos,
+            },
         };
         if self.spill.is_empty() && self.len < Self::INLINE {
             self.inline.copy_within(pos..self.len, pos + 1);
@@ -153,6 +162,19 @@ impl std::ops::Deref for Holders {
         } else {
             &self.spill
         }
+    }
+}
+
+impl std::fmt::Debug for Holders {
+    /// The ids, as a list.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<const N: usize> From<[InstanceId; N]> for Holders {
+    fn from(ids: [InstanceId; N]) -> Self {
+        ids.into_iter().collect()
     }
 }
 
@@ -232,18 +254,26 @@ impl CeilingTable {
             c.wrank = rank(c.wceil);
             c.arank = rank(c.aceil);
         }
-        let templates = set.templates().iter();
+        // Per template, the items it accesses in `mode`, sorted, once each.
+        let accessed = |mode: LockMode| -> Vec<Vec<ItemId>> {
+            let of = |steps: &[rtdb_types::Step]| {
+                let mut items: Vec<ItemId> = steps
+                    .iter()
+                    .filter_map(|s| s.op.access())
+                    .filter_map(|(item, m)| (m == mode).then_some(item))
+                    .collect();
+                items.sort_unstable();
+                items.dedup();
+                items
+            };
+            set.templates().iter().map(|t| of(&t.steps)).collect()
+        };
         CeilingTable {
             statics: Arc::new(Statics {
                 items,
                 levels,
-                read_sets: templates
-                    .clone()
-                    .map(|t| t.read_set().into_iter().collect())
-                    .collect(),
-                write_sets: templates
-                    .map(|t| t.write_set().into_iter().collect())
-                    .collect(),
+                read_sets: accessed(LockMode::Read),
+                write_sets: accessed(LockMode::Write),
             }),
         }
     }
@@ -295,23 +325,45 @@ impl CeilingTable {
         self.read_set(txn).binary_search(&item).is_ok()
     }
 
+    /// From-scratch `Sysceil` of `flavor` with respect to `who`.
+    fn scan(&self, flavor: CeilingFlavor, locks: &LockTable, who: InstanceId) -> SysCeil {
+        match flavor {
+            CeilingFlavor::PcpDa => self.pcpda_sysceil_scan(locks, who),
+            CeilingFlavor::RwPcp => self.rwpcp_sysceil_scan(locks, who),
+            CeilingFlavor::Pcp => self.pcp_sysceil_scan(locks, who),
+        }
+    }
+
     /// `Sysceil` of `flavor` with respect to `who`: from the index when
     /// the table maintains that flavor (checked against the scan when the
     /// oracles are on), from the scan otherwise.
     fn sysceil(&self, flavor: CeilingFlavor, locks: &LockTable, who: InstanceId) -> SysCeil {
-        let scan = || match flavor {
-            CeilingFlavor::PcpDa => self.pcpda_sysceil_scan(locks, who),
-            CeilingFlavor::RwPcp => self.rwpcp_sysceil_scan(locks, who),
-            CeilingFlavor::Pcp => self.pcp_sysceil_scan(locks, who),
-        };
         let Some(fast) = locks.index().and_then(|ix| ix.sysceil(flavor, who)) else {
-            return scan();
+            return self.scan(flavor, locks, who);
         };
         if oracle_checks_enabled() {
             assert_eq!(
                 fast,
-                scan(),
+                self.scan(flavor, locks, who),
                 "CeilingIndex diverged from the {flavor:?} Sysceil scan (who={who})"
+            );
+        }
+        fast
+    }
+
+    /// The level of [`Self::sysceil`], without its holders: from the index
+    /// when the table maintains that flavor (checked against the scan when
+    /// the oracles are on), from the scan otherwise.
+    #[inline]
+    fn sysceil_level(&self, flavor: CeilingFlavor, locks: &LockTable, who: InstanceId) -> Ceiling {
+        let Some(fast) = locks.index().and_then(|ix| ix.sysceil_level(flavor, who)) else {
+            return self.scan(flavor, locks, who).ceiling;
+        };
+        if oracle_checks_enabled() {
+            assert_eq!(
+                fast,
+                self.scan(flavor, locks, who).ceiling,
+                "CeilingIndex diverged from the {flavor:?} Sysceil scan's level (who={who})"
             );
         }
         fast
@@ -339,6 +391,23 @@ impl CeilingTable {
     /// over all items locked (in any mode) by other transactions.
     pub fn pcp_sysceil(&self, locks: &LockTable, who: InstanceId) -> SysCeil {
         self.sysceil(CeilingFlavor::Pcp, locks, who)
+    }
+
+    /// The level of [`Self::pcpda_sysceil`] alone: LC2's
+    /// `P_i > Sysceil_i`, and the global ceiling a trace samples.
+    pub fn pcpda_sysceil_level(&self, locks: &LockTable, who: InstanceId) -> Ceiling {
+        self.sysceil_level(CeilingFlavor::PcpDa, locks, who)
+    }
+
+    /// The level of [`Self::rwpcp_sysceil`] alone: RW-PCP's grant test.
+    pub fn rwpcp_sysceil_level(&self, locks: &LockTable, who: InstanceId) -> Ceiling {
+        self.sysceil_level(CeilingFlavor::RwPcp, locks, who)
+    }
+
+    /// The level of [`Self::pcp_sysceil`] alone: PCP's and CCP's grant
+    /// test.
+    pub fn pcp_sysceil_level(&self, locks: &LockTable, who: InstanceId) -> Ceiling {
+        self.sysceil_level(CeilingFlavor::Pcp, locks, who)
     }
 
     /// From-scratch PCP-DA `Sysceil` — the [`Self::pcpda_sysceil`] oracle.

@@ -807,7 +807,7 @@ impl<'a> StateKernel<'a> {
             Decision::AbortHolders { victims } => {
                 debug_assert!(protocol.may_abort());
                 let cause = fx.span(&[who]);
-                for v in victims.into_iter().filter(|&v| v != who) {
+                for v in victims.iter().copied().filter(|&v| v != who) {
                     self.abort_into(protocol, v, AbortReason::Wound, cause, tick, fx);
                 }
                 self.reevaluate(protocol, fx);
@@ -1102,7 +1102,7 @@ impl<'a> StateKernel<'a> {
         if !victims.is_empty() {
             debug_assert!(protocol.may_abort());
             let cause = fx.span(&[who]);
-            for v in victims.into_iter().filter(|&v| v != who) {
+            for v in victims.iter().copied().filter(|&v| v != who) {
                 self.abort_into(protocol, v, AbortReason::Wound, cause, &mut tick, fx);
             }
         }

@@ -1,7 +1,7 @@
 //! The protocol trait and the engine-side view it consults.
 
 use crate::ceiling_index::CeilingFlavor;
-use crate::ceilings::CeilingTable;
+use crate::ceilings::{CeilingTable, Holders};
 use crate::locks::LockTable;
 use rtdb_types::{InstanceId, ItemId, LockMode, Priority, TransactionSet};
 
@@ -52,7 +52,10 @@ pub enum GrantRule {
     Lc4,
 }
 
-/// A protocol's answer to a lock request.
+/// A protocol's answer to a lock request. The instances a refusal names
+/// are a [`Holders`] list — ascending, each once, up to
+/// [`Holders::INLINE`] of them in place — so deciding allocates only past
+/// that many.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Decision {
     /// Grant the lock now, naming the rule that decided it when the
@@ -65,13 +68,13 @@ pub enum Decision {
         /// The instances responsible for the denial (the paper's blocking
         /// lower-priority transaction; possibly higher-priority conflict
         /// holders, for which inheritance is a no-op).
-        blockers: Vec<InstanceId>,
+        blockers: Holders,
     },
     /// Abort the listed holders, then grant (2PL-HP: the requester has
     /// higher priority than every victim). Victims restart from scratch.
     AbortHolders {
         /// Instances to abort; must not contain the requester.
-        victims: Vec<InstanceId>,
+        victims: Holders,
     },
     /// The *requester* aborts itself and restarts (wait-die style: the
     /// protocol's ordering rule forbids both waiting for and wounding
@@ -81,7 +84,7 @@ pub enum Decision {
     AbortSelf {
         /// The conflicting instances; must be non-empty and must not
         /// contain the requester.
-        blockers: Vec<InstanceId>,
+        blockers: Holders,
     },
 }
 
@@ -235,9 +238,7 @@ impl Decision {
     /// from the blocker list — protocols use it to express "blocked by
     /// whoever holds these locks".
     pub fn block_on<I: IntoIterator<Item = InstanceId>>(who: InstanceId, blockers: I) -> Decision {
-        let mut list: Vec<InstanceId> = blockers.into_iter().filter(|&b| b != who).collect();
-        list.sort_unstable();
-        list.dedup();
+        let list: Holders = blockers.into_iter().filter(|&b| b != who).collect();
         assert!(
             !list.is_empty(),
             "a Block decision needs at least one blocker (requester {who})"
@@ -261,7 +262,7 @@ mod tests {
         assert_eq!(
             d,
             Decision::Block {
-                blockers: vec![i(1), i(2)]
+                blockers: [i(1), i(2)].into()
             }
         );
     }

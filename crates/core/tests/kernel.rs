@@ -53,12 +53,12 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Scripted {
         self.asked.push(req.who);
         if let Some(victims) = self.wound.get(&req.who) {
             return Decision::AbortHolders {
-                victims: victims.clone(),
+                victims: victims.iter().copied().collect(),
             };
         }
         if let Some(blockers) = self.die.get(&req.who) {
             return Decision::AbortSelf {
-                blockers: blockers.clone(),
+                blockers: blockers.iter().copied().collect(),
             };
         }
         let Some(blockers) = self.deny.get(&req.who) else {
@@ -71,7 +71,9 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Scripted {
                 return Decision::Grant(None);
             }
         }
-        Decision::Block { blockers }
+        Decision::Block {
+            blockers: blockers.into_iter().collect(),
+        }
     }
     fn commit_victims(&mut self, _: &V, _: InstanceId) -> Vec<InstanceId> {
         std::mem::take(&mut self.victims)

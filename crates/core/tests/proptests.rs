@@ -426,8 +426,8 @@ fn leveled_set(rng: &mut Rng) -> (TransactionSet, Vec<InstanceId>, Vec<ItemId>) 
 /// declared flavor (the other two must answer through their scans) and a
 /// plain one, must yield identical `SysCeil` values — ceiling **and**
 /// holders, in order — from the public queries and the from-scratch scans
-/// of the plain table, for all three protocol flavors, after every single
-/// transition.
+/// of the plain table, and the level queries the scans' ceiling, for all
+/// three protocol flavors, after every single transition.
 #[test]
 fn ceiling_index_matches_scans_differentially() {
     forall(CASES, |rng| {
@@ -459,6 +459,15 @@ fn ceiling_index_matches_scans_differentially() {
                     assert_eq!(ceilings.pcpda_sysceil(table, me), pcpda);
                     assert_eq!(ceilings.rwpcp_sysceil(table, me), rwpcp);
                     assert_eq!(ceilings.pcp_sysceil(table, me), pcp);
+                    assert_eq!(ceilings.pcpda_sysceil_level(table, me), pcpda.ceiling);
+                    assert_eq!(ceilings.rwpcp_sysceil_level(table, me), rwpcp.ceiling);
+                    assert_eq!(ceilings.pcp_sysceil_level(table, me), pcp.ceiling);
+                }
+                // The index's level query itself, which the table's
+                // entry points check only while the oracles are on.
+                let ix = full.index().expect("every flavor is indexed");
+                for (f, scan) in CeilingFlavor::ALL.into_iter().zip([&pcpda, &rwpcp, &pcp]) {
+                    assert_eq!(ix.sysceil_level(f, me), Some(scan.ceiling), "{f:?}");
                 }
             }
         };

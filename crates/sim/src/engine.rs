@@ -54,9 +54,11 @@
 //! stands (checked in debug builds and under `oracle-checks`). Arrivals
 //! are not materialized up front; an `ArrivalCalendar` (a binary heap
 //! with one outstanding entry per template) produces them lazily in the
-//! exact order the old eager sorted vector did. `tests/golden.rs`, which
-//! pins every observable of 880 seeded runs, is the layout's oracle
-//! (DESIGN.md §6b).
+//! exact order the old eager sorted vector did, a template's in `seq`
+//! order, so each instance's metrics record opens at its final,
+//! id-ordered position when it arrives and the report needs no sort.
+//! `tests/golden.rs`, which pins every observable of 880 seeded runs, is
+//! the layout's oracle (DESIGN.md §6b).
 
 use crate::metrics::{InstanceMetrics, MetricsReport};
 use crate::registry::{instantiate, AnyProtocol};
@@ -406,25 +408,33 @@ impl<'a> Sim<'a> {
         };
         let calendar = ArrivalCalendar::new(set, horizon);
 
-        // Pre-size the history, trace and metrics for the run's expected
-        // volume so steady-state appends never reallocate. (Estimates
-        // only; capped.)
-        let mut est_instances: u64 = 0;
-        let mut est_ops: u64 = 0;
-        for t in set.templates() {
-            let n = match t.instances {
+        // Pre-size the history, trace and metrics for the run's volume so
+        // steady-state appends never reallocate: a template releases the
+        // instances the calendar finds eligible (capped).
+        const RESERVE_CAP: u64 = 1 << 20;
+        let released: Vec<u64> = set
+            .templates()
+            .iter()
+            .map(|t| match t.instances {
                 Some(n) => u64::from(n),
                 None if horizon > t.offset => {
                     let span = horizon.since(t.offset).raw();
                     span.div_ceil(t.period.raw().max(1))
                 }
                 None => 0,
-            };
-            est_instances += n;
-            est_ops += n * (t.steps.len() as u64 + 3);
-        }
-        const RESERVE_CAP: u64 = 1 << 20;
-        let instances = est_instances.min(RESERVE_CAP) as usize;
+            })
+            .collect();
+        let est_ops: u64 = set
+            .templates()
+            .iter()
+            .zip(&released)
+            .map(|(t, &n)| n * (t.steps.len() as u64 + 3))
+            .sum();
+        let total: u64 = released.iter().sum();
+        let instances = total.min(RESERVE_CAP) as usize;
+        // A template's share of the capped total.
+        let share =
+            |n: u64| (u128::from(n) * instances as u128 / u128::from(total.max(1))) as usize;
         // Live at once: about one instance per template. Items: one past
         // the highest the set accesses.
         let live = set.len();
@@ -451,7 +461,7 @@ impl<'a> Sim<'a> {
             if flavor.is_some() { 2 * instances } else { 1 },
         );
         let mut metrics = MetricsReport::new();
-        metrics.reserve(instances);
+        metrics.reserve(released.iter().map(|&n| share(n)));
 
         Sim {
             set,
@@ -696,6 +706,18 @@ impl<'a> Sim<'a> {
             self.calendar.pop(set);
             let id = InstanceId::new(txn, seq);
             let deadline = set.template(txn).deadline_of(seq);
+            // The calendar releases a template's instances in `seq`
+            // order, so the record opens at its final position.
+            self.metrics.record(InstanceMetrics {
+                id,
+                release: t,
+                deadline,
+                completion: None,
+                blocking: Duration::ZERO,
+                lower_exec: Duration::ZERO,
+                distinct_lower_blockers: Vec::new(),
+                restarts: 0,
+            });
             self.release(id, t, deadline);
             self.next_miss_check = self.next_miss_check.min(deadline);
             self.trace.push(t, Effect::Arrived(id), &Effects::default());
@@ -871,8 +893,9 @@ impl<'a> Sim<'a> {
     }
 
     /// Fold the slot `s` that `who` just left in the kernel, and its
-    /// kernel `record`, into the metrics. The slot keeps its contents
-    /// until the kernel hands it to the next instance.
+    /// kernel `record`, into the metrics record its release opened. The
+    /// slot keeps its contents until the kernel hands it to the next
+    /// instance.
     fn retire_slot(&mut self, who: InstanceId, s: usize, record: Record, completion: Option<Tick>) {
         let slot = &self.slots[s];
         let m = InstanceMetrics {
@@ -897,7 +920,6 @@ impl<'a> Sim<'a> {
             let record = self.kernel.remove(who);
             self.retire_slot(who, s, record, None);
         }
-        self.metrics.sort_by_id();
         self.metrics.max_sysceil = self.trace.max_system_ceiling();
         let (history, db, abort_reasons) = self.kernel.into_parts();
         self.metrics.abort_reasons = abort_reasons;

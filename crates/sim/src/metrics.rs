@@ -69,9 +69,12 @@ pub struct TemplateMetrics {
 /// The full metrics report of one run.
 #[derive(Clone, Default)]
 pub struct MetricsReport {
-    /// One entry per instance, appended as instances retire and sorted by
-    /// id when the run ends ([`MetricsReport::sort_by_id`]).
-    instances: Vec<InstanceMetrics>,
+    /// One entry per released instance, by template index and then by
+    /// `seq`: a template releases its instances in `seq` order, so each
+    /// record is opened at its final position when its instance is
+    /// released and filled in place when it leaves, and the report is in
+    /// id order without a sort.
+    by_template: Vec<Vec<InstanceMetrics>>,
     /// Highest system ceiling observed (the paper's `Max_Sysceil`).
     pub max_sysceil: Ceiling,
     /// Why instances aborted, by cause. Its [`AbortBreakdown::total`]
@@ -86,58 +89,62 @@ impl MetricsReport {
         Self::default()
     }
 
-    /// Make room for `instances` more records.
-    pub(crate) fn reserve(&mut self, instances: usize) {
-        self.instances.reserve(instances);
+    /// Make room for `instances[t]` records of template `t`.
+    pub(crate) fn reserve(&mut self, instances: impl IntoIterator<Item = usize>) {
+        self.by_template = instances.into_iter().map(Vec::with_capacity).collect();
     }
 
-    /// Append one instance's metrics.
+    /// Put `m` at its id's position: after the last record of its
+    /// template (its instance was just released) or over the record its
+    /// release opened (its instance left).
     pub(crate) fn record(&mut self, m: InstanceMetrics) {
-        debug_assert!(
-            self.instances.iter().all(|r| r.id != m.id),
-            "{:?} recorded twice",
-            m.id
-        );
-        self.instances.push(m);
-    }
-
-    /// Put the instances in id order, the order [`MetricsReport::instance`]
-    /// searches and [`MetricsReport::instances`] yields; the engine sorts
-    /// the report once, when the run ends.
-    pub(crate) fn sort_by_id(&mut self) {
-        self.instances.sort_unstable_by_key(|m| m.id);
+        let t = m.id.txn.index();
+        if t >= self.by_template.len() {
+            self.by_template.resize_with(t + 1, Vec::new);
+        }
+        let list = &mut self.by_template[t];
+        let seq = m.id.seq as usize;
+        match seq.cmp(&list.len()) {
+            std::cmp::Ordering::Less => list[seq] = m,
+            std::cmp::Ordering::Equal => list.push(m),
+            std::cmp::Ordering::Greater => {
+                panic!(
+                    "{:?} recorded before an earlier instance of its template",
+                    m.id
+                )
+            }
+        }
     }
 
     /// Metrics of one instance.
     pub fn instance(&self, id: InstanceId) -> Option<&InstanceMetrics> {
-        let i = self.instances.binary_search_by_key(&id, |m| m.id).ok()?;
-        Some(&self.instances[i])
+        self.by_template.get(id.txn.index())?.get(id.seq as usize)
     }
 
     /// All instances, in id order.
     pub fn instances(&self) -> impl Iterator<Item = &InstanceMetrics> {
-        self.instances.iter()
+        self.by_template.iter().flatten()
     }
 
     /// Total deadline misses (committed late or never completed).
     pub fn deadline_misses(&self) -> u32 {
-        self.instances.iter().filter(|m| !m.met_deadline()).count() as u32
+        self.instances().filter(|m| !m.met_deadline()).count() as u32
     }
 
     /// Total restarts across all instances.
     pub fn total_restarts(&self) -> u32 {
-        self.instances.iter().map(|m| m.restarts).sum()
+        self.instances().map(|m| m.restarts).sum()
     }
 
     /// Total blocking time across all instances.
     pub fn total_blocking(&self) -> Duration {
-        self.instances.iter().map(|m| m.blocking).sum()
+        self.instances().map(|m| m.blocking).sum()
     }
 
     /// Worst single-instance blocking per template (measured `B_i`).
     pub fn max_blocking_by_template(&self) -> BTreeMap<TxnId, Duration> {
         let mut out: BTreeMap<TxnId, Duration> = BTreeMap::new();
-        for m in &self.instances {
+        for m in self.instances() {
             let e = out.entry(m.id.txn).or_insert(Duration::ZERO);
             if m.blocking > *e {
                 *e = m.blocking;
@@ -151,7 +158,7 @@ impl MetricsReport {
         let mut out: BTreeMap<TxnId, TemplateMetrics> = BTreeMap::new();
         let mut response_sums: BTreeMap<TxnId, u64> = BTreeMap::new();
         let mut blocking_sums: BTreeMap<TxnId, u64> = BTreeMap::new();
-        for m in &self.instances {
+        for m in self.instances() {
             let t = out.entry(m.id.txn).or_default();
             t.released += 1;
             t.restarts += m.restarts;
@@ -185,10 +192,11 @@ impl MetricsReport {
 
     /// Miss ratio: misses / released (0.0 for an empty report).
     pub fn miss_ratio(&self) -> f64 {
-        if self.instances.is_empty() {
+        let released = self.instances().count();
+        if released == 0 {
             return 0.0;
         }
-        self.deadline_misses() as f64 / self.instances.len() as f64
+        self.deadline_misses() as f64 / released as f64
     }
 
     /// Response-time percentile for one template over completed
@@ -196,8 +204,7 @@ impl MetricsReport {
     /// template completed nothing.
     pub fn response_percentile(&self, txn: TxnId, q: f64) -> Option<Duration> {
         let mut responses: Vec<u64> = self
-            .instances
-            .iter()
+            .instances()
             .filter(|m| m.id.txn == txn)
             .filter_map(|m| m.response())
             .map(|d| d.raw())
@@ -214,8 +221,7 @@ impl MetricsReport {
     /// The worst single-blocking count across instances (Theorem 1 says
     /// this is ≤ 1 under PCP-DA / RW-PCP).
     pub fn max_distinct_lower_blockers(&self) -> usize {
-        self.instances
-            .iter()
+        self.instances()
             .map(|m| m.distinct_lower_blockers.len())
             .max()
             .unwrap_or(0)
@@ -225,16 +231,16 @@ impl MetricsReport {
 impl fmt::Debug for MetricsReport {
     /// The instances render as a map from id to metrics, in id order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct ById<'a>(&'a [InstanceMetrics]);
+        struct ById<'a>(&'a MetricsReport);
         impl fmt::Debug for ById<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 f.debug_map()
-                    .entries(self.0.iter().map(|m| (&m.id, m)))
+                    .entries(self.0.instances().map(|m| (&m.id, m)))
                     .finish()
             }
         }
         f.debug_struct("MetricsReport")
-            .field("instances", &ById(&self.instances))
+            .field("instances", &ById(self))
             .field("max_sysceil", &self.max_sysceil)
             .field("abort_reasons", &self.abort_reasons)
             .finish()
@@ -253,7 +259,7 @@ mod tests {
             completion: done.map(Tick),
             blocking: Duration::ZERO,
             lower_exec: Duration::ZERO,
-            distinct_lower_blockers: vec![],
+            distinct_lower_blockers: [].into(),
             restarts: 0,
         }
     }

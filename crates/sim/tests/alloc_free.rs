@@ -19,14 +19,14 @@
 //! — the wound, the die, the abort on its cause, the commit gate, the
 //! re-evaluations — is inside the count.
 //!
-//! What is deliberately outside the claim: a *denied*, *wounding* or
-//! *dying* request names the instances in its way in a `Vec` (the
-//! protocol's [`rtdb_core::Decision`]), and a step that retires a write
-//! lock names it in one — the protocol's retire list, exactly that
-//! allocation left out of the count (the released lock is an effect);
-//! and the history is the run's output and grows by design — it is
-//! pre-sized here, and its unreserved commit order is left out by
-//! logging no Commit event.
+//! A *denied*, *wounding* or *dying* request is inside the claim too: the
+//! protocol's [`rtdb_core::Decision`] names the instances in its way in
+//! place (up to four, [`rtdb_core::Holders`]). What is deliberately
+//! outside it: a step that retires a write lock names it in a `Vec` —
+//! the protocol's retire list, exactly that allocation left out of the
+//! count (the released lock is an effect); and the history is the run's
+//! output and grows by design — it is pre-sized here, and its unreserved
+//! commit order is left out by logging no Commit event.
 //!
 //! The simulator itself is counted on Bamboo gate openings run through
 //! [`Engine::run`], a pair and a two-deep chain: its output grows with the
@@ -38,7 +38,8 @@
 //! A whole simulated PCP-DA run is counted too, on a generated set of the
 //! benchmark's shape at a horizon and at twice it: the engine's per-run
 //! buffers are pre-sized from the set, so the longer run may allocate
-//! more only by its denials' blocker lists and a few log doublings.
+//! more only by its lower-blocked instances' lists of lower blockers
+//! (metrics, output like the history) and a few log doublings.
 //!
 //! The allocator needs `unsafe`; it is confined to this file (an
 //! integration test is its own crate, the libraries stay
@@ -129,24 +130,19 @@ fn charge(n: u64) {
     }
 }
 
-/// `P` with the `Vec` of every decision but a grant, and each non-empty
-/// retire list, left out of the count: a denial, a wound and a die name
-/// the instances in their way in one, the protocol's own, and a retiring
-/// step the write locks it retires — that one allocation and nothing
-/// more. A grant and a step that retires nothing allocate nothing, and
-/// what the kernel does with any decision or retire is counted.
-struct Decisions<P>(P);
+/// `P` with each non-empty retire list left out of the count: a retiring
+/// step names the write locks it retires in a `Vec`, the protocol's own —
+/// that one allocation and nothing more. Every decision is counted whole
+/// (it names the instances in its way in place), and so is what the
+/// kernel does with it or with a retire.
+struct RetireLists<P>(P);
 
-impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Decisions<P> {
+impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for RetireLists<P> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        let (decision, n) = counted_apart(|| self.0.request(view, req));
-        if matches!(decision, Decision::Grant(_)) {
-            charge(n);
-        }
-        decision
+        self.0.request(view, req)
     }
     fn early_releases(
         &mut self,
@@ -323,15 +319,15 @@ fn steady_state_cycles_do_not_allocate() {
     );
 
     let set = set();
-    let (pcpda, rules) = steady_state_allocations(&set, &mut Decisions(PcpDa::new()), true);
+    let (pcpda, rules) = steady_state_allocations(&set, &mut RetireLists(PcpDa::new()), true);
     assert_eq!(pcpda, 0, "PCP-DA");
     // The cycles went where the comment on `set` says they go.
     for rule in [GrantRule::Lc1, GrantRule::Lc2, GrantRule::Lc3] {
         assert!(rules[rule as usize], "{rule:?}");
     }
-    let rwpcp = steady_state_allocations(&set, &mut Decisions(RwPcp::new()), false);
+    let rwpcp = steady_state_allocations(&set, &mut RetireLists(RwPcp::new()), false);
     assert_eq!(rwpcp, (0, RulesSeen::default()), "RW-PCP names no rules");
-    let twoplhp = steady_state_allocations(&set, &mut Decisions(TwoPlHp::new()), true);
+    let twoplhp = steady_state_allocations(&set, &mut RetireLists(TwoPlHp::new()), true);
     assert_eq!(twoplhp, (0, RulesSeen::default()), "2PL-HP names no rules");
 }
 
@@ -391,7 +387,7 @@ fn assert_aborted(fx: &Effects, victim: InstanceId, reason: AbortReason, cause: 
 /// aborts `L` — a wound by `H` when `L` went first (`l_first`), a die of
 /// `L` when `H` did — and `L` is held on `H`; `H` takes `X` if it has
 /// not, commits and hands the released `L` back, which then takes `X`
-/// and commits in turn. Only the aborting decision's `Vec` is uncounted.
+/// and commits in turn. The aborting decision is counted too.
 fn abort_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -576,8 +572,8 @@ fn dirty_read_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
 
 /// A Bamboo cascade pair: `R` reads `W`'s retired write, `H` wounds `W`
 /// over `Y` and `R` cascades; both are held on `H`, whose commit hands
-/// them back, and both rerun clean and commit. Only the wounding
-/// decision's `Vec` is uncounted.
+/// them back, and both rerun clean and commit. The wounding decision is
+/// counted too.
 fn cascade_pair<'a, P: ProtocolFor<StateKernel<'a>>>(
     k: &mut StateKernel<'a>,
     protocol: &mut P,
@@ -695,13 +691,16 @@ fn abort_pairs_do_not_allocate() {
     let set = pair_set();
     // Six events a pair at most: three data operations, `L`'s install,
     // an Abort and a Begin.
-    let wound = pair_allocations(&set, &mut Decisions(TwoPlHp::new()), 6, |k, p, x, seq| {
+    let wound = pair_allocations(&set, &mut RetireLists(TwoPlHp::new()), 6, |k, p, x, seq| {
         abort_pair(k, p, x, seq, true)
     });
     assert_eq!(wound, 0, "2PL-HP wound pair");
-    let die = pair_allocations(&set, &mut Decisions(Brook2Pl::new()), 6, |k, p, x, seq| {
-        abort_pair(k, p, x, seq, false)
-    });
+    let die = pair_allocations(
+        &set,
+        &mut RetireLists(Brook2Pl::new()),
+        6,
+        |k, p, x, seq| abort_pair(k, p, x, seq, false),
+    );
     assert_eq!(die, 0, "Brook-2PL die pair");
 }
 
@@ -709,18 +708,23 @@ fn abort_pairs_do_not_allocate() {
 fn bamboo_gate_pairs_do_not_allocate() {
     let set = bamboo_set();
     // Five events: three data operations and `W`'s two installs.
-    let dirty = pair_allocations(&set, &mut Decisions(Bamboo::new()), 5, dirty_read_pair);
+    let dirty = pair_allocations(&set, &mut RetireLists(Bamboo::new()), 5, dirty_read_pair);
     assert_eq!(dirty, 0, "Bamboo dirty-read pair");
     // Thirteen: three data operations, two Abort/Begin pairs, `H`'s read,
     // the reruns' three data operations and `W`'s two installs.
-    let cascade = pair_allocations(&set, &mut Decisions(Bamboo::new()), 13, cascade_pair);
+    let cascade = pair_allocations(&set, &mut RetireLists(Bamboo::new()), 13, cascade_pair);
     assert_eq!(cascade, 0, "Bamboo cascade pair");
 }
 
 #[test]
 fn a_pcpda_read_over_a_write_holder_does_not_allocate() {
     let set = pair_set();
-    let n = pair_allocations(&set, &mut Decisions(PcpDa::new()), 3, read_over_write_pair);
+    let n = pair_allocations(
+        &set,
+        &mut RetireLists(PcpDa::new()),
+        3,
+        read_over_write_pair,
+    );
     assert_eq!(n, 0, "PCP-DA read-over-write pair");
 }
 
@@ -778,7 +782,7 @@ fn a_simulated_gate_chain_allocates_nothing_per_opening() {
     // and its openings.
     let run = |set: &TransactionSet, period: u64, periods: u64| {
         let engine = Engine::new(set, SimConfig::with_horizon(periods * period));
-        let mut protocol = Decisions(Bamboo::new());
+        let mut protocol = RetireLists(Bamboo::new());
         let mut opened = 0;
         let n = allocations_in(|| {
             let run = engine.run(&mut protocol).unwrap();
@@ -812,7 +816,7 @@ fn a_simulated_gate_chain_allocates_nothing_per_opening() {
     }
 }
 
-/// `P`, counting its denials: each names its blockers in a `Vec`.
+/// `P`, counting its denials.
 struct Denials<P> {
     protocol: P,
     denied: u64,
@@ -838,7 +842,7 @@ impl<V: EngineView + ?Sized, P: ProtocolFor<V>> ProtocolFor<V> for Denials<P> {
 }
 
 #[test]
-fn a_simulated_pcpda_run_allocates_only_per_denial() {
+fn a_simulated_pcpda_run_allocates_only_per_lower_blocked_instance() {
     // The benchmark's set shape: six templates over sixteen items.
     let set = WorkloadParams {
         templates: 6,
@@ -878,11 +882,11 @@ fn a_simulated_pcpda_run_allocates_only_per_denial() {
         long.1 > short.1,
         "the set must block: {short:?} -> {long:?}"
     );
-    // Doubling the run adds one blocker list per denial, one list of
-    // lower blockers per instance a lower one blocked (the metrics keep
-    // it, so it is output, like the history), and may add a
-    // reallocation to each run-long log that outgrows its reserve.
-    let allowed = (long.1 - short.1) + (long.2 - short.2) + 8;
+    // Doubling the run adds one list of lower blockers per instance a
+    // lower one blocked (the metrics keep it, so it is output, like the
+    // history), and may add a reallocation to each run-long log that
+    // outgrows its reserve. A denial names its blockers in place.
+    let allowed = (long.2 - short.2) + 8;
     assert!(
         long.0 - short.0 <= allowed,
         "(allocations, denials, blocked by a lower instance): {short:?} -> {long:?}"

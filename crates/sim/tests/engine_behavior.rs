@@ -450,3 +450,65 @@ fn metrics_come_back_in_id_order_whatever_the_retirement_order() {
     }
     assert!(run.metrics.instance(InstanceId::new(TxnId(1), 2)).is_none());
 }
+
+#[test]
+fn a_run_stopped_by_a_deadlock_lists_exactly_its_released_instances_in_id_order() {
+    // Example 5's deadlock beside a lock-free, lowest-priority template
+    // that keeps arriving: the run stops at the cycle with most of its
+    // instances still in the calendar.
+    let set = SetBuilder::new()
+        .with(TransactionTemplate::new("C", 2, vec![Step::compute(1)]))
+        .with(
+            TransactionTemplate::new(
+                "TH",
+                10,
+                vec![Step::read(ItemId(1), 1), Step::write(ItemId(0), 1)],
+            )
+            .with_offset(1)
+            .with_instances(1),
+        )
+        .with(
+            TransactionTemplate::new(
+                "TL",
+                10,
+                vec![Step::read(ItemId(0), 1), Step::write(ItemId(1), 1)],
+            )
+            .with_instances(1),
+        )
+        .build_with_priorities(&[1, 3, 2])
+        .unwrap();
+    let run = Engine::new(&set, SimConfig::with_horizon(60))
+        .run(&mut NaiveDa::new())
+        .unwrap();
+    assert!(matches!(run.outcome, RunOutcome::Deadlock(_)));
+
+    let ids: Vec<InstanceId> = run.metrics.instances().map(|m| m.id).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    for m in run.metrics.instances() {
+        assert_eq!(run.metrics.instance(m.id), Some(m));
+    }
+    // Listed are exactly the instances that arrived: C's later ones,
+    // due before the horizon, were never released and are absent.
+    let mut arrived: Vec<InstanceId> = run
+        .trace
+        .events()
+        .iter()
+        .filter_map(|&(_, e)| match e {
+            Effect::Arrived(id) => Some(id),
+            _ => None,
+        })
+        .collect();
+    arrived.sort_unstable();
+    assert_eq!(ids, arrived);
+    let unreleased = InstanceId::new(
+        TxnId(0),
+        ids.iter().filter(|id| id.txn == TxnId(0)).count() as u32,
+    );
+    assert!(set.template(TxnId(0)).release_of(unreleased.seq) < Tick(60));
+    assert!(run.metrics.instance(unreleased).is_none());
+    // The cycle's members never committed.
+    for t in [TxnId(1), TxnId(2)] {
+        let m = run.metrics.instance(InstanceId::first(t)).unwrap();
+        assert_eq!(m.completion, None, "{m:?}");
+    }
+}
