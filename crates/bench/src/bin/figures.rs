@@ -261,8 +261,8 @@ fn fig5(rep: &mut Report) {
 
 fn table1(rep: &mut Report) {
     println!("== E6 / Table 1: lock compatibility ==");
-    print!("{}", rtdb::pcpda::compat::render_table1());
-    use rtdb::pcpda::compat::{compatible, CompatInput};
+    print!("{}", rtdb::protocols::compat::render_table1());
+    use rtdb::protocols::compat::{compatible, CompatInput};
     let cell = |held, requested, disjoint| {
         compatible(CompatInput {
             held,

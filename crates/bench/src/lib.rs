@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn partitioned_workload_confines_templates_without_crossings() {
         let w = partitioned_workload(1, 4, 0.0);
-        let router = rtdb_core::ShardRouter::new(4);
+        let router = rtdb::cc::ShardRouter::new(4);
         for t in w.templates() {
             let shards: std::collections::BTreeSet<usize> =
                 t.access_set().iter().map(|&i| router.shard_of(i)).collect();

@@ -6,8 +6,8 @@
 //! protocol may observe* ([`EngineView`]), the shared lock/ceiling
 //! substrate every priority-ceiling-style protocol needs, and the one
 //! implementation of the state those are predicates over, so that each
-//! protocol implementation (PCP-DA in `rtdb-cc`, the baselines in
-//! `rtdb-baselines`) is only its *locking conditions* and each engine
+//! protocol implementation (PCP-DA and its comparators, all in
+//! `rtdb-protocols`) is only its *locking conditions* and each engine
 //! only its way of executing:
 //!
 //! * [`StateKernel`] — per-instance protocol state (`DataRead`, staged
@@ -22,8 +22,8 @@
 //!   loops monomorphize both sides (no vtable on either the protocol or
 //!   the view); the kernel calls [`ProtocolFor::request`] and applies the
 //!   returned [`Decision`]. There is no trait-object twin: a protocol
-//!   chosen at run time is `rtdb_sim::AnyProtocol`, an enum over the
-//!   registered kinds;
+//!   chosen at run time is `rtdb_protocols::AnyProtocol`, an enum over
+//!   the registered kinds;
 //! * [`ProtocolKind`] — the registry: one enum naming every protocol the
 //!   workspace implements, with parsing, display and static metadata
 //!   (family, update model, abort/deadlock behaviour). Every protocol

@@ -154,8 +154,8 @@ pub fn sorted_disjoint<T: Ord>(a: &[T], b: &[T]) -> bool {
 /// so the same protocol answers the kernel and the
 /// [`crate::testkit::StaticView`] of a unit test; `rtdb_sim::Engine::run`
 /// has a compiled example. A protocol chosen at run time is an
-/// `rtdb_sim::AnyProtocol` (an enum over the registered kinds), never a
-/// trait object.
+/// `rtdb_protocols::AnyProtocol` (an enum over the registered kinds),
+/// never a trait object.
 pub trait ProtocolFor<V: EngineView + ?Sized> {
     /// Short stable name used in reports ("PCP-DA", "RW-PCP", ...).
     fn name(&self) -> &'static str;

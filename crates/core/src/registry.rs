@@ -12,10 +12,10 @@
 //! elsewhere in the workspace derives from one of the two.
 //!
 //! The enum itself carries no constructor — this crate sits *below* the
-//! implementation crates (`rtdb-cc`, `rtdb-baselines`) in the dependency
-//! graph, so instantiation lives where the implementations are visible
-//! (`rtdb_sim::registry::instantiate`), keyed on this enum so the
-//! compiler enforces exhaustiveness.
+//! protocol crate (`rtdb-protocols`) in the dependency graph, so
+//! instantiation lives where the implementations are visible
+//! (`rtdb_protocols::instantiate`), keyed on this enum so the compiler
+//! enforces exhaustiveness.
 
 use crate::protocol::UpdateModel;
 use std::fmt;

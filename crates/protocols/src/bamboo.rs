@@ -1,15 +1,25 @@
 //! Bamboo: 2PL-HP with early release of write locks.
+//!
+//! 2PL-HP over the active locks (wound all strictly-lower-priority
+//! conflicting holders, else block — the [`TwoPlHp`] rule itself); a
+//! *retired* chain is always acquirable — the requester is gated on the
+//! latest retiree, whatever the priorities (the retire policy and the
+//! commit gate are in [`crate::retire`]). The priority inversion at the
+//! gate is bounded (the retiree is past its writes), and granting
+//! preserves the retiree's completed work plus everything its dirty
+//! readers built on it. Gate waits can close cycles with lock waits, so
+//! `ProtocolKind::may_deadlock` is true and drivers run it with the
+//! engine's deadlock resolution. After "Releasing Locks As Early As You
+//! Can" (Guo et al.).
 
-use crate::retire_candidates;
-use rtdb_baselines::TwoPlHp;
+use crate::retire::retire_candidates;
+use crate::TwoPlHp;
 use rtdb_core::{Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, ItemId};
 
 /// 2PL High Priority over active locks, early release of write locks
 /// into the retired chains; a retired chain is always acquirable — the
 /// requester is gated on the latest retiree, whatever the priorities.
-/// See the crate docs for the shared retire policy and the kernel-side
-/// commit gate.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Bamboo;
 

@@ -1,12 +1,19 @@
 //! Brook-2PL: deadlock-free early release via a static seniority order.
+//!
+//! Wait-die: a requester facing a *senior* conflicting holder or retiree
+//! aborts itself and is restarted once the last of them has left; facing
+//! only juniors it waits (or, over a retired chain, acquires and is gated
+//! on the retiree). Every lock-wait and gate-wait edge then points senior
+//! → junior, so the wait graph is acyclic. The retire policy is shared
+//! with Bamboo ([`crate::retire`]). After "Brook-2PL" (Habibi et al.).
 
-use crate::{retire_candidates, senior};
-use rtdb_baselines::conflict_holders;
+use crate::retire::{retire_candidates, senior};
+use crate::twopl::conflict_holders;
 use rtdb_core::{Decision, EngineView, Holders, LockRequest, ProtocolFor};
 use rtdb_types::{InstanceId, ItemId};
 
 /// Early-release 2PL with wait-die conflict resolution over the
-/// seniority order of `crate::senior`: a requester facing a senior
+/// seniority order of `crate::retire::senior`: a requester facing a senior
 /// conflicting holder (or a senior latest retiree) aborts itself
 /// ([`Decision::AbortSelf`]); facing only juniors it waits — or, over a
 /// retired chain, acquires and lets the kernel gate it on the retiree.

@@ -36,6 +36,7 @@
 //! direct transcription of that prose, documented as a substitution in
 //! DESIGN.md.
 
+use crate::Pcp;
 use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor, UpdateModel};
 use rtdb_types::{InstanceId, ItemId, LockMode};
 
@@ -55,26 +56,17 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for Ccp {
         "CCP"
     }
 
+    /// [`Pcp`]'s rule; only the release differs.
     fn request(&mut self, view: &V, req: LockRequest) -> Decision {
-        let (ceilings, locks) = (view.ceilings(), view.locks());
-        if ceilings
-            .pcp_sysceil_level(locks, req.who)
-            .cleared_by(view.base_priority(req.who))
-        {
-            Decision::Grant(None)
-        } else {
-            let sys = ceilings.pcp_sysceil(locks, req.who);
-            Decision::block_on(req.who, sys.holders.iter().copied())
-        }
+        Pcp.request(view, req)
     }
 
     fn ceiling_flavor(&self) -> Option<CeilingFlavor> {
-        Some(CeilingFlavor::Pcp)
+        ProtocolFor::<V>::ceiling_flavor(&Pcp)
     }
 
     fn system_ceiling(&self, view: &V) -> rtdb_types::Ceiling {
-        view.ceilings()
-            .pcp_sysceil_level(view.locks(), rtdb_core::protocol::ceiling_observer())
+        Pcp.system_ceiling(view)
     }
 
     fn early_releases(

@@ -14,7 +14,7 @@
 //!
 //! This module states the table as a pure function so it can be tested and
 //! regenerated verbatim (experiment E6); the live protocol logic in
-//! [`crate::protocol`] additionally layers the ceiling conditions on top,
+//! [`crate::pcpda`] additionally layers the ceiling conditions on top,
 //! which turn this *necessary* condition into a *sufficient* one
 //! preserving single blocking and deadlock freedom.
 

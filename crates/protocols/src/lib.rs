@@ -1,9 +1,14 @@
-//! Baseline real-time concurrency-control protocols.
+//! The concurrency-control protocols: PCP-DA, every comparator the paper
+//! names, the early-release kinds, and the registry that builds one from
+//! its [`rtdb_core::ProtocolKind`].
 //!
-//! Every comparator the paper names, implemented against the same
-//! [`rtdb_core::ProtocolFor`] trait as PCP-DA so the simulator, the
+//! Each protocol implements the same [`rtdb_core::ProtocolFor`] trait
+//! over the state kernel's view, so the simulator, the runtime, the
 //! oracles and the benchmarks treat them interchangeably:
 //!
+//! * [`PcpDa`] — the paper's protocol (Lam, Son, Hung; ICDE 1997): the
+//!   locking conditions LC1–LC4 over the update-in-workspace model, with
+//!   the repaired errata (module [`pcpda`]; Table 1 is [`compat`]).
 //! * [`RwPcp`] — the read/write priority ceiling protocol of Sha, Rajkumar
 //!   and Lehoczky (the paper's main comparison target). Two static
 //!   ceilings per item (`Wceil`, `Aceil`); the dynamic `RWceil` is
@@ -23,23 +28,41 @@
 //! * [`OccBc`] — optimistic concurrency control with broadcast commit:
 //!   the abort-and-restart school the paper's §2 contrasts against; never
 //!   blocks, restarts invalidated readers at commit.
+//! * [`Bamboo`] and [`Brook2Pl`] — hotspot-tolerant early release of
+//!   write locks into the kernel's retired chains, behind its commit
+//!   gates (2PL-HP and wait-die conflict rules; the shared retire policy
+//!   is [`retire`]).
 //! * [`NaiveDa`] — the deliberately weakened variant the paper uses in
 //!   Example 5 (condition "(2) `P_i ≥ HPW(x)`" without the `T*`
 //!   safeguards); it deadlocks, demonstrating why LC3/LC4 carry their
 //!   extra clauses.
+//!
+//! [`registry`] turns a kind into a runnable protocol ([`instantiate`] →
+//! [`AnyProtocol`]), below both engines.
 
 #![forbid(unsafe_code)]
 
+pub mod bamboo;
+pub mod brook;
 pub mod ccp;
+pub mod compat;
 pub mod naive_da;
 pub mod occ;
 pub mod pcp;
+pub mod pcpda;
+pub mod registry;
+pub mod retire;
 pub mod rwpcp;
 pub mod twopl;
 
+pub use bamboo::Bamboo;
+pub use brook::Brook2Pl;
 pub use ccp::Ccp;
+pub use compat::{compatible, CompatInput};
 pub use naive_da::NaiveDa;
 pub use occ::OccBc;
 pub use pcp::Pcp;
+pub use pcpda::PcpDa;
+pub use registry::{instantiate, AnyProtocol};
 pub use rwpcp::RwPcp;
-pub use twopl::{conflict_holders, TwoPlHp, TwoPlPi};
+pub use twopl::{TwoPlHp, TwoPlPi};

@@ -14,6 +14,7 @@
 //! locks under LC1), reproducing the deadlock so the engine's wait-for
 //! detector and the Example 5 experiment can demonstrate it.
 
+use crate::pcpda::ceiling_holders;
 use rtdb_core::{CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor};
 use rtdb_types::{Ceiling, LockMode};
 
@@ -58,10 +59,7 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for NaiveDa {
                 }
                 // Blocked: per Lemma 4's shape, blockers are holders of
                 // read-locked items at or above P_i.
-                let blockers = locks
-                    .read_locked_by_others(req.who)
-                    .filter(|(item, _)| !ceilings.wceil(*item).cleared_by(p_i))
-                    .flat_map(|(_, holders)| holders);
+                let blockers = ceiling_holders(locks, ceilings, req.who, p_i);
                 Decision::block_on(req.who, blockers)
             }
         }
@@ -151,7 +149,7 @@ mod tests {
 
     #[test]
     fn pcpda_blocks_the_unsafe_grant_instead() {
-        use rtdb_cc::PcpDa;
+        use crate::PcpDa;
         let set = example5();
         let mut view = StaticView::new(&set);
         let mut p = PcpDa::new();

@@ -2,22 +2,18 @@
 //!
 //! [`rtdb_core::ProtocolKind`] carries the *metadata* (names, families,
 //! update models) but cannot construct protocols — the kernel sits below
-//! the implementation crates in the dependency order. This module closes
-//! the loop: [`instantiate`] builds the protocol behind a kind as an
+//! this crate in the dependency order. This module closes the loop:
+//! [`instantiate`] builds the protocol behind a kind as an
 //! [`AnyProtocol`], a static-enum-dispatch wrapper that implements
 //! [`ProtocolFor`] over any view. Both engines' monomorphized loops drive
-//! it with zero vtable hops on either side ([`Engine::run`], the
+//! it with zero vtable hops on either side (`rtdb_sim::Engine::run`, the
 //! runtime's lock manager), and it is the only way the workspace holds a
 //! protocol chosen at run time — there is no trait-object face: every
 //! sweep, bench and binary builds its roster from [`ProtocolKind::ALL`] /
 //! [`ProtocolKind::STANDARD`] through here, as kinds or as a
 //! `Vec<AnyProtocol>`.
-//!
-//! [`Engine::run`]: crate::Engine::run
 
-use rtdb_baselines::{Ccp, NaiveDa, OccBc, Pcp, RwPcp, TwoPlHp, TwoPlPi};
-use rtdb_cc::PcpDa;
-use rtdb_contention::{Bamboo, Brook2Pl};
+use crate::{Bamboo, Brook2Pl, Ccp, NaiveDa, OccBc, Pcp, PcpDa, RwPcp, TwoPlHp, TwoPlPi};
 use rtdb_core::{
     CeilingFlavor, Decision, EngineView, LockRequest, ProtocolFor, ProtocolKind, UpdateModel,
 };
@@ -155,11 +151,13 @@ impl<V: EngineView + ?Sized> ProtocolFor<V> for AnyProtocol {
 mod tests {
     use super::*;
     use rtdb_core::testkit::StaticView;
+    use rtdb_core::ProtocolFamily;
 
     /// The registry's static metadata must agree with what the
     /// instantiated protocols report through the trait — one drifting
     /// `match` arm and this fails. The instance's name also parses back
-    /// to its kind.
+    /// to its kind, and exactly the priority-ceiling family declares a
+    /// `Sysceil` flavor.
     #[test]
     fn registry_matches_instances() {
         for &kind in ProtocolKind::ALL.iter() {
@@ -176,6 +174,11 @@ mod tests {
             assert_eq!(
                 ProtocolFor::<StaticView>::update_model(&p),
                 kind.update_model(),
+                "{kind:?}"
+            );
+            assert_eq!(
+                ProtocolFor::<StaticView>::ceiling_flavor(&p).is_some(),
+                kind.family() == ProtocolFamily::PriorityCeiling,
                 "{kind:?}"
             );
         }

@@ -20,10 +20,9 @@ use rtdb_types::LockMode;
 /// Conflicting holders of `req` under classical r/w lock semantics,
 /// ascending and each once: the other write holders of the item, and for
 /// a write request its other read holders too. The 2PL rule, shared with
-/// the early-release protocols of `rtdb-contention` (whose retired
-/// writers hold no lock, so they are no conflict). Allocates only past
-/// [`Holders::INLINE`] holders.
-pub fn conflict_holders<V: EngineView + ?Sized>(view: &V, req: LockRequest) -> Holders {
+/// Brook-2PL (whose retired writers hold no lock, so they are no
+/// conflict). Allocates only past [`Holders::INLINE`] holders.
+pub(crate) fn conflict_holders<V: EngineView + ?Sized>(view: &V, req: LockRequest) -> Holders {
     let locks = view.locks();
     let mut out: Holders = locks.writers_other_than(req.item, req.who).collect();
     if req.mode == LockMode::Write {

@@ -25,7 +25,7 @@ use rtdb_core::{
     AbortBreakdown, AbortReason, Effect, Effects, EngineView, ProtocolFor, ProtocolKind, Record,
     ShardRouter, StateKernel,
 };
-use rtdb_sim::{instantiate, AnyProtocol};
+use rtdb_protocols::{instantiate, AnyProtocol};
 use rtdb_storage::{Database, EventKind, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, Tick, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

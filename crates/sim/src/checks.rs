@@ -14,7 +14,7 @@
 //!     .with(TransactionTemplate::new("b", 20, vec![Step::write(ItemId(0), 2)]))
 //!     .build().unwrap();
 //! let run = Engine::new(&set, SimConfig::with_horizon(100))
-//!     .run(&mut rtdb_cc::PcpDa::new()).unwrap();
+//!     .run(&mut rtdb_protocols::PcpDa::new()).unwrap();
 //!
 //! let violations = checks::verify_run(&set, &run, checks::Expectations::pcp_da());
 //! assert!(violations.is_empty(), "{violations:?}");
@@ -327,7 +327,7 @@ mod tests {
     fn pcpda_run_passes_full_battery() {
         let set = contended_set();
         let run = Engine::new(&set, SimConfig::with_horizon(200))
-            .run(&mut rtdb_cc::PcpDa::new())
+            .run(&mut rtdb_protocols::PcpDa::new())
             .unwrap();
         assert_eq!(verify_run(&set, &run, Expectations::pcp_da()), vec![]);
     }
@@ -336,7 +336,7 @@ mod tests {
     fn ccp_run_passes_its_battery() {
         let set = contended_set();
         let run = Engine::new(&set, SimConfig::with_horizon(200))
-            .run(&mut rtdb_baselines::Ccp::new())
+            .run(&mut rtdb_protocols::Ccp::new())
             .unwrap();
         assert_eq!(verify_run(&set, &run, Expectations::ccp()), vec![]);
     }
@@ -345,7 +345,7 @@ mod tests {
     fn abort_based_run_tolerates_restarts() {
         let set = contended_set();
         let run = Engine::new(&set, SimConfig::with_horizon(400))
-            .run(&mut rtdb_baselines::TwoPlHp::new())
+            .run(&mut rtdb_protocols::TwoPlHp::new())
             .unwrap();
         assert_eq!(verify_run(&set, &run, Expectations::abort_based()), vec![]);
         // But the strict battery flags the restarts (if any happened).
@@ -381,7 +381,7 @@ mod tests {
             .build()
             .unwrap();
         let run = Engine::new(&set, SimConfig::default())
-            .run(&mut rtdb_baselines::NaiveDa::new())
+            .run(&mut rtdb_protocols::NaiveDa::new())
             .unwrap();
         let v = verify_run(&set, &run, Expectations::pcp_da());
         assert!(v.iter().any(|x| matches!(x, Violation::Deadlock(_))));

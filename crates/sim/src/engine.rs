@@ -61,11 +61,11 @@
 //! the layout's oracle (DESIGN.md §6b).
 
 use crate::metrics::{InstanceMetrics, MetricsReport};
-use crate::registry::{instantiate, AnyProtocol};
 use crate::trace::{SegKind, Trace};
 use rtdb_core::{
     CeilingFlavor, Effect, Effects, EngineView, ProtocolFor, ProtocolKind, Record, StateKernel,
 };
+use rtdb_protocols::{instantiate, AnyProtocol};
 use rtdb_storage::{Database, History, ReplayOutcome, SerializationGraph, Workspace};
 use rtdb_types::{Duration, Error, InstanceId, Priority, Result, Tick, TransactionSet, TxnId};
 use std::cmp::Reverse;
@@ -938,8 +938,7 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdb_baselines::RwPcp;
-    use rtdb_cc::PcpDa;
+    use rtdb_protocols::{PcpDa, RwPcp};
     use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate};
 
     fn example3_set() -> TransactionSet {

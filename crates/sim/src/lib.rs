@@ -23,9 +23,6 @@
 //!   rendering used to regenerate the paper's figures;
 //! * [`workload`] — seeded random workload generation for the extension
 //!   experiments (E9–E11);
-//! * [`registry`] — [`rtdb_core::ProtocolKind`] → runnable protocol:
-//!   static-enum dispatch ([`AnyProtocol`]) feeding the engine's
-//!   monomorphized loop;
 //! * [`sweep`] — run identical workloads across protocols and tabulate.
 //!
 //! # Quick start
@@ -33,7 +30,7 @@
 //! ```
 //! use rtdb_types::{ItemId, SetBuilder, Step, TransactionTemplate};
 //! use rtdb_sim::{Engine, SimConfig};
-//! use rtdb_cc::PcpDa;
+//! use rtdb_protocols::PcpDa;
 //!
 //! // Paper Example 3.
 //! let set = SetBuilder::new()
@@ -58,7 +55,6 @@ pub mod checks;
 pub mod engine;
 pub mod gantt;
 pub mod metrics;
-pub mod registry;
 pub mod sweep;
 pub mod trace;
 pub mod workload;
@@ -69,7 +65,7 @@ pub use checks::{
 };
 pub use engine::{Engine, RunOutcome, RunResult, SimConfig};
 pub use metrics::{InstanceMetrics, MetricsReport, TemplateMetrics};
-pub use registry::{instantiate, AnyProtocol};
+pub use rtdb_protocols::{instantiate, AnyProtocol};
 pub use sweep::{compare_protocols, ProtocolRow};
 pub use trace::{SegKind, Trace};
 pub use workload::{WorkloadParams, WorkloadSpec};

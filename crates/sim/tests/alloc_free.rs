@@ -46,13 +46,11 @@
 //! `#![forbid(unsafe_code)]`), and it counts only on the thread that asks,
 //! so the test harness's own threads cannot disturb the count.
 
-use rtdb_baselines::{RwPcp, TwoPlHp};
-use rtdb_cc::PcpDa;
-use rtdb_contention::{Bamboo, Brook2Pl};
 use rtdb_core::{
     AbortReason, CeilingFlavor, Decision, Effect, Effects, EngineView, GrantRule, LockRequest,
     ProtocolFor, Record, StateKernel, UpdateModel,
 };
+use rtdb_protocols::{Bamboo, Brook2Pl, PcpDa, RwPcp, TwoPlHp};
 use rtdb_sim::{Engine, SimConfig, WorkloadParams};
 use rtdb_storage::{EventKind, Workspace};
 use rtdb_types::{

@@ -14,8 +14,8 @@
 //! cycle. No threads, no seed, no soak — a bare [`StateKernel`] and
 //! [`PcpDa`] driven by hand.
 
-use rtdb_cc::PcpDa;
 use rtdb_core::{Effect, Effects, GrantRule, LockRequest, StateKernel};
+use rtdb_protocols::PcpDa;
 use rtdb_storage::{EventKind, SerializationGraph, Workspace};
 use rtdb_types::{
     InstanceId, ItemId, LockMode, SetBuilder, Step, Tick, TransactionTemplate, TxnId,

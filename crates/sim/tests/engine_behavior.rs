@@ -1,9 +1,8 @@
 //! Engine behaviour tests: aborts/restarts, deadlock resolution, early
 //! release visibility, accounting, and configuration edge cases.
 
-use rtdb_baselines::{Ccp, NaiveDa, TwoPlHp, TwoPlPi};
-use rtdb_cc::PcpDa;
 use rtdb_core::{AbortReason, Effect, ProtocolKind};
+use rtdb_protocols::{Ccp, NaiveDa, PcpDa, TwoPlHp, TwoPlPi};
 use rtdb_sim::{Engine, RunOutcome, SimConfig, WorkloadParams};
 use rtdb_types::*;
 
@@ -339,7 +338,7 @@ fn arrivals_respect_instances_and_offsets() {
 fn lower_exec_accounting_matches_figure1() {
     let set = example1();
     let r = Engine::new(&set, SimConfig::default())
-        .run(&mut rtdb_baselines::RwPcp::new())
+        .run(&mut rtdb_protocols::RwPcp::new())
         .unwrap();
     let t1 = r.metrics.instance(inst(0)).unwrap();
     // T1 arrives at 2; T3 (lower) runs 2..3 => 1 tick of lower execution.

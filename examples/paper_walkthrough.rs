@@ -54,5 +54,5 @@ fn main() {
     show("Example 5 PCP-DA", &paper::example5(), &mut PcpDa::new());
 
     println!("# Table 1 — the PCP-DA lock compatibility table\n");
-    println!("{}", rtdb::pcpda::compat::render_table1());
+    println!("{}", rtdb::protocols::compat::render_table1());
 }

@@ -4,10 +4,11 @@
 //! *"A Priority Ceiling Protocol with Dynamic Adjustment of Serialization
 //! Order"* (Lam, Son, Hung; ICDE 1997). It re-exports:
 //!
-//! * [`pcpda`] — the paper's protocol (locking conditions LC1–LC4,
-//!   crate `rtdb-cc`);
-//! * [`baselines`] — RW-PCP, original PCP, CCP, 2PL-PI, 2PL-HP and the
-//!   deliberately deadlock-prone Naive-DA of Example 5;
+//! * [`protocols`] — the paper's protocol PCP-DA (locking conditions
+//!   LC1–LC4), its comparators RW-PCP, original PCP, CCP, 2PL-PI, 2PL-HP
+//!   and OCC-BC, the early-release kinds Bamboo and Brook-2PL, the
+//!   deliberately deadlock-prone Naive-DA of Example 5, and the registry
+//!   that builds one from its kind (crate `rtdb-protocols`);
 //! * [`sim`] — the deterministic discrete-event simulator (single CPU,
 //!   priority inheritance, periodic transactions) that reproduces the
 //!   paper's Figures 1–5 tick-for-tick;
@@ -29,8 +30,8 @@
 //!   replay);
 //! * [`cc`] — the protocol-agnostic kernel (crate `rtdb-core`): the
 //!   [`cc::ProtocolFor`] trait (the only protocol trait; a protocol
-//!   chosen at run time is a [`sim::AnyProtocol`] built by
-//!   [`sim::instantiate`] from the [`cc::ProtocolKind`] registry), the
+//!   chosen at run time is a [`protocols::AnyProtocol`] built by
+//!   [`protocols::instantiate`] from the [`cc::ProtocolKind`] registry), the
 //!   state kernel, lock table, ceilings, priority inheritance, wait-for
 //!   graph;
 //! * [`types`] — ids, discrete time, priorities, transaction templates.
@@ -68,10 +69,9 @@
 pub mod paper;
 
 pub use rtdb_analysis as analysis;
-pub use rtdb_baselines as baselines;
-pub use rtdb_cc as pcpda;
 pub use rtdb_core as cc;
 pub use rtdb_net as net;
+pub use rtdb_protocols as protocols;
 pub use rtdb_rt as rt;
 pub use rtdb_sim as sim;
 pub use rtdb_storage as storage;
@@ -80,13 +80,12 @@ pub use rtdb_types as types;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use rtdb_analysis::{breakdown_utilization, schedulable, AnalysisProtocol};
-    pub use rtdb_baselines::{Ccp, NaiveDa, OccBc, Pcp, RwPcp, TwoPlHp, TwoPlPi};
-    pub use rtdb_cc::PcpDa;
     pub use rtdb_core::{
         AbortBreakdown, AbortReason, Decision, EngineView, GrantRule, LockRequest, ProtocolFor,
         ProtocolKind, StateKernel,
     };
     pub use rtdb_net::{serve, NetClient, NetConfig};
+    pub use rtdb_protocols::{Ccp, NaiveDa, OccBc, Pcp, PcpDa, RwPcp, TwoPlHp, TwoPlPi};
     pub use rtdb_rt::{
         job_list, run_front, AdmissionPolicy, FrontConfig, JobRequest, LatencyHistogram, RtConfig,
         RtResult, TenantStats,

@@ -2,8 +2,8 @@
 //! both as the pure decision function and *behaviourally* against the
 //! live protocol through the simulator.
 
-use rtdb::pcpda::compat::{compatible, render_table1, CompatInput};
 use rtdb::prelude::*;
+use rtdb::protocols::compat::{compatible, render_table1, CompatInput};
 
 /// The four cells of Table 1 as the paper prints them.
 #[test]
