@@ -16,39 +16,39 @@
 //!
 //! **Closed loop**: a seeded job queue (`rt::job_list`) is drained by the
 //! workers; every job runs to commit (aborts restart it), so the numbers
-//! are wall-clock throughput and per-priority begin→commit latency. The
-//! median-throughput repetition is kept: one ~100 ms run on a shared box
-//! is one scheduler-noise sample.
+//! are wall-clock throughput and per-priority begin→commit latency.
 //!
 //! **Open loop**: arrivals follow a seeded Poisson schedule that does not
-//! slow down when the system does, through the admission front-end with
-//! `deadline = release + period·tick·deadline_scale`. Offered rates are
-//! multiples of the configuration's measured ceiling
-//! ([`calibrated_ceiling`]); A/B twins share one calibration, so both
-//! sides are offered the identical rates.
+//! slow down when the system does, split over the row's tenant weights,
+//! through the admission front-end (in-process, or through the loopback
+//! TCP edge with one client per tenant) with
+//! `deadline = release + period·tick·deadline_scale`. Sweep point `k` of
+//! `n` offers `k/n` of [`service_capacity`] at `min(threads,
+//! available_parallelism)` workers: a rate worked out from the set and
+//! the host alone, so two runs, two commits and both A/B twins are
+//! offered the same load.
 //!
-//! **Overload** (`tenants`, `tenants-net`): two tenants at 1:8 offer 2×
-//! the ceiling under least-slack shedding; the median repetition by the
-//! low-rate tenant's fail ratio is kept.
-//!
-//! Every repetition's history is checked for conflict-serializability off
-//! the clock; the kept record carries the count as `nonserializable_reps`.
+//! Every record is the median of the row's `reps` repetitions by its
+//! headline metric: one ~100 ms run on a shared box is one
+//! scheduler-noise sample. Every repetition's history is checked for
+//! conflict-serializability off the clock; the kept record carries the
+//! count as `nonserializable_reps`.
 //!
 //! Before writing (with `--check`: instead of writing) each record is
 //! compared with the line of the same `id` in the existing file, but only
 //! with lines measured at this host's `available_parallelism`; otherwise
-//! the scenario says that it compares nothing. A closed-loop
-//! `committed_per_sec` down by more than 25 % and a B side more than 25 %
-//! worse than its A side are listed as advisory warnings: threaded
-//! wall-clock numbers on a shared runner are too noisy to gate merges on.
-//! A non-serializable repetition is a correctness failure, not noise:
-//! `--check` lists it as an error and exits 1 (after every scenario ran).
+//! the scenario says that it compares nothing. A `committed_per_sec` down
+//! by more than 25 % and a B side more than 25 % worse than its A side
+//! are listed as advisory warnings: threaded wall-clock numbers on a
+//! shared runner are too noisy to gate merges on. A non-serializable
+//! repetition is a correctness failure, not noise: it is listed as an
+//! error and the run exits 1 (after every scenario ran and was written).
 
 use rtdb::prelude::*;
 use rtdb::rt;
-use rtdb_bench::loadgen::{calibrated_ceiling, run_open_loop, OpenLoopParams};
+use rtdb_bench::loadgen::{run_open_loop, service_capacity, OpenLoopParams};
 use rtdb_bench::netload::run_net_open_loop;
-use rtdb_bench::scenarios::{self, Mode, Point, Scenario, SCENARIOS, TENANT_WEIGHTS};
+use rtdb_bench::scenarios::{self, Mode, Point, Scenario, SCENARIOS};
 use rtdb_bench::Host;
 use rtdb_util::Json;
 use std::collections::HashMap;
@@ -57,9 +57,6 @@ use std::collections::HashMap;
 const TOLERANCE: f64 = 0.25;
 /// The field the baseline comparison reads: every record has it.
 const CHECKED: &str = "committed_per_sec";
-/// The closed-loop run that measures a configuration's ceiling before an
-/// open loop is paced against it drains this share of the row's jobs.
-const CALIBRATION_SHARE: usize = 10;
 
 /// The command line: `(check, dir, scenarios)`.
 type Args = (bool, String, Vec<&'static Scenario>);
@@ -93,8 +90,8 @@ fn us(ns: u64) -> f64 {
 }
 
 /// Run `f` `reps` times and keep the run with the median key.
-fn median_of<T>(reps: usize, f: impl FnMut(usize) -> (f64, T)) -> T {
-    let mut runs: Vec<(f64, T)> = (0..reps).map(f).collect();
+fn median_of<T>(reps: usize, mut f: impl FnMut() -> (f64, T)) -> T {
+    let mut runs: Vec<(f64, T)> = (0..reps).map(|_| f()).collect();
     runs.sort_by(|a, b| a.0.total_cmp(&b.0));
     runs.swap_remove(runs.len() / 2).1
 }
@@ -110,7 +107,7 @@ fn by_priority(set: &TransactionSet, cells: impl Fn(usize) -> Vec<Json>) -> Json
 }
 
 /// Counters both loops report.
-fn runtime_counters(rec: Json, r: &rt::RtResult, nonserializable_reps: u64) -> Json {
+fn runtime_counters(rec: Json, r: &rt::RtResult) -> Json {
     let reasons = &r.abort_reasons;
     let abort_reasons = [
         ("ceiling_block", reasons.ceiling_block),
@@ -127,8 +124,7 @@ fn runtime_counters(rec: Json, r: &rt::RtResult, nonserializable_reps: u64) -> J
         .set("restarts", r.restarts)
         .set("abort_reasons", abort_reasons)
         .set("deadlocks_resolved", r.deadlocks_resolved)
-        .set("park_timeout_wakeups", r.park_timeout_wakeups)
-        .set("nonserializable_reps", nonserializable_reps);
+        .set("park_timeout_wakeups", r.park_timeout_wakeups);
     if r.snapshot_reads {
         rec = rec
             .set("snapshots", r.snapshots)
@@ -141,22 +137,16 @@ fn runtime_counters(rec: Json, r: &rt::RtResult, nonserializable_reps: u64) -> J
     rec
 }
 
-/// One closed-loop configuration: `reps` runs of the identical job list,
-/// the median-throughput one folded into `rec`.
-fn closed(s: &Scenario, p: &Point, set: &TransactionSet, rec: Json) -> Json {
-    let queue = rt::job_list(set, s.jobs, s.seed);
-    let mut nonserializable = 0;
-    let r = median_of(s.reps, |_| {
-        let config = rt::RtConfig::new(p.kind)
-            .with_threads(p.threads)
-            .with_tick_ns(s.tick_ns)
-            .with_snapshot_reads(p.snapshot)
-            .with_shards(p.shards);
-        let r = rt::run(set, &queue, config);
-        assert_eq!(r.committed, s.jobs as u64, "runtime dropped jobs");
-        nonserializable += u64::from(!r.is_conflict_serializable());
-        (r.throughput(), r)
-    });
+/// One closed-loop repetition: the row's job list drained by `p.threads`
+/// workers, folded into `rec`, and whether its history serializes.
+fn closed(s: &Scenario, p: &Point, set: &TransactionSet, rec: Json) -> (Json, bool) {
+    let config = rt::RtConfig::new(p.kind)
+        .with_threads(p.threads)
+        .with_tick_ns(s.tick_ns)
+        .with_snapshot_reads(p.snapshot)
+        .with_shards(p.shards);
+    let r = rt::run(set, &rt::job_list(set, s.jobs, s.seed), config);
+    assert_eq!(r.committed, s.jobs as u64, "runtime dropped jobs");
     let mut bands = vec![rt::LatencyHistogram::new(); set.len()];
     for job in &r.jobs {
         bands[job.id.txn.index()].record(job.latency_ns);
@@ -174,64 +164,45 @@ fn closed(s: &Scenario, p: &Point, set: &TransactionSet, rec: Json) -> Json {
         [h.count().into()].into_iter().chain(cells).collect()
     });
     let elapsed_ms = tenth(r.elapsed.as_secs_f64() * 1e3);
-    let rec = rec.set("reps", s.reps).set("elapsed_ms", elapsed_ms);
-    runtime_counters(rec, &r, nonserializable)
+    let rec = runtime_counters(rec.set("elapsed_ms", elapsed_ms), &r)
         .set("worst_p99_us", us(worst_p99))
-        .set("bands", band_rows)
+        .set("bands", band_rows);
+    (rec, r.is_conflict_serializable())
 }
 
-/// One open-loop point — a sweep position or the overload run — at its
-/// multiple of the configuration's ceiling, folded into `rec`. `ceilings`
-/// keeps one calibration per configuration, always at the A side's
-/// settings.
-fn open(
-    s: &Scenario,
-    p: &Point,
-    set: &TransactionSet,
-    ceilings: &mut HashMap<String, f64>,
-    rec: Json,
-) -> Json {
-    let overload = p.mode != Mode::Open;
-    let mut params = OpenLoopParams {
+/// One open-loop repetition: sweep point `k` of `n` offers `k/n` of the
+/// set's service capacity on `min(threads, cpus)` workers, split over the
+/// row's tenants; folded into `rec`, with whether its history serializes.
+fn open(s: &Scenario, p: &Point, set: &TransactionSet, cpus: usize, rec: Json) -> (Json, bool) {
+    let capacity = service_capacity(set, p.threads.min(cpus), s.tick_ns);
+    let params = OpenLoopParams {
         kind: p.kind,
         threads: p.threads,
         tick_ns: s.tick_ns,
         jobs: s.jobs,
-        arrival_rate: 0.0,
+        arrival_rate: capacity * p.k as f64 / s.sweep_points as f64,
         policy: s.policy,
         capacity: s.queue_cap,
         snapshot: p.snapshot,
         shards: p.shards,
-        tenant_weights: Vec::from(if overload { &TENANT_WEIGHTS[..] } else { &[] }),
+        tenant_weights: s.tenants.to_vec(),
         deadline_scale: s.deadline_scale,
         seed: s.seed,
     };
-    let calibrate = || calibrated_ceiling(set, &params, s.jobs.div_ceil(CALIBRATION_SHARE));
-    let key = format!("{}/{}/{}/{}", p.kind.name(), p.threads, p.theta, p.cross);
-    let ceiling = *ceilings.entry(key).or_insert_with(calibrate);
-    params.arrival_rate = s.overload * ceiling * p.k as f64 / s.sweep_points as f64;
-
-    let reps = if overload { s.reps } else { 1 };
-    let mut nonserializable = 0;
-    let report = median_of(reps, |_| {
-        let report = match p.mode {
-            Mode::OverloadNet => run_net_open_loop(set, &params).expect("networked open-loop run"),
-            _ => run_open_loop(set, &params),
-        };
-        nonserializable += u64::from(!report.result.is_conflict_serializable());
-        (report.low_rate_fail_ratio(), report)
-    });
+    let report = match p.mode {
+        Mode::OpenNet => run_net_open_loop(set, &params).expect("networked open-loop run"),
+        _ => run_open_loop(set, &params),
+    };
 
     let ratio = |x: f64| (x * 1e4).round() / 1e4;
     let r = &report.result;
     let mut rec = rec
-        .set("reps", reps)
         .set("arrival_rate", params.arrival_rate.round())
         .set("offered", report.offered)
         .set("shed", r.shed)
         .set("rejected", r.rejected)
         .set("miss_ratio", ratio(r.miss_ratio()));
-    rec = runtime_counters(rec, r, nonserializable);
+    rec = runtime_counters(rec, r);
     for (name, hist) in [
         ("queue", &report.queue_hist),
         ("service", &report.service_hist),
@@ -251,14 +222,10 @@ fn open(
     let band_rows = by_priority(set, |t| {
         vec![bands[t][0].into(), bands[t][1].into(), shed(t).into()]
     });
-    rec = rec.set("bands", band_rows);
-    if !overload {
-        return rec;
-    }
     let tenant_rows = r.tenants.iter().map(|t| {
         Json::obj()
             .set("tenant", t.tenant)
-            .set("weight", TENANT_WEIGHTS[t.tenant as usize])
+            .set("weight", s.tenants[t.tenant as usize])
             .set("offered", t.offered())
             .set("committed", t.committed)
             .set("missed", t.missed)
@@ -266,8 +233,11 @@ fn open(
             .set("rejected", t.rejected)
             .set("fail_ratio", ratio(t.fail_ratio()))
     });
-    rec.set("low_rate_fail_ratio", ratio(report.low_rate_fail_ratio()))
-        .set("tenants", Json::Arr(tenant_rows.collect()))
+    let rec = rec
+        .set("bands", band_rows)
+        .set("low_rate_fail_ratio", ratio(report.low_rate_fail_ratio()))
+        .set("tenants", Json::Arr(tenant_rows.collect()));
+    (rec, r.is_conflict_serializable())
 }
 
 /// One measured record: its configuration, its `id` and its line.
@@ -288,11 +258,11 @@ impl Record {
 fn run_scenario(s: &Scenario, host: &Host, scale: usize) -> Vec<Record> {
     let (jobs, reps) = (s.jobs.div_ceil(scale), s.reps.div_ceil(scale));
     let s = &Scenario { jobs, reps, ..*s };
-    let mut ceilings = HashMap::new();
+    let cpus = (host.available_parallelism as usize).max(1);
     let measure = |point: Point| {
         let id = s.id(&point);
         let set = s.workload(&point);
-        let json = Json::obj()
+        let header = Json::obj()
             .set("id", id.as_str())
             .set("mode", format!("{:?}", point.mode))
             .set("protocol", point.kind.name())
@@ -303,10 +273,19 @@ fn run_scenario(s: &Scenario, host: &Host, scale: usize) -> Vec<Record> {
             .set("jobs", s.jobs)
             .set("tick_ns", s.tick_ns)
             .set("seed", s.seed);
-        let json = match point.mode {
-            Mode::Closed => closed(s, &point, &set, json),
-            _ => open(s, &point, &set, &mut ceilings, json),
-        };
+        let mut nonserializable = 0u64;
+        let json = median_of(s.reps, || {
+            let (json, serializable) = match point.mode {
+                Mode::Closed => closed(s, &point, &set, header.clone()),
+                _ => open(s, &point, &set, cpus, header.clone()),
+            };
+            nonserializable += u64::from(!serializable);
+            let headline = json.get(s.headline).and_then(Json::as_f64);
+            (headline.expect("every record has its row's headline"), json)
+        });
+        let json = json
+            .set("reps", s.reps)
+            .set("nonserializable_reps", nonserializable);
         let rec = Record { point, id, json };
         let headline = rec.number(s.headline).unwrap_or(f64::NAN);
         println!("{:<40} {} {headline}", rec.id, s.headline);
@@ -347,9 +326,7 @@ fn compare(records: &[Record], path: &str, host: &Host, warnings: &mut Vec<Strin
             rec.id
         );
         eprintln!("{line}");
-        // Open-loop throughput follows the freshly calibrated offered
-        // rate, so only a closed-loop drop says something about the code.
-        if delta < -100.0 * TOLERANCE && rec.point.mode == Mode::Closed {
+        if delta < -100.0 * TOLERANCE {
             warnings.push(line);
         }
     }
@@ -421,7 +398,7 @@ fn main() {
         warnings.len(),
         errors.len()
     );
-    if check && !errors.is_empty() {
+    if !errors.is_empty() {
         std::process::exit(1);
     }
 }
@@ -486,6 +463,12 @@ mod tests {
                     let count = |f| rec.number(f).expect("open-loop accounting field");
                     let accounted = count("committed") + count("shed") + count("rejected");
                     assert_eq!(count("offered"), accounted, "{}: jobs leaked", rec.id);
+                    // k / sweep_points of the set's service capacity on
+                    // min(threads, available_parallelism) workers.
+                    let workers = rec.point.threads.min(host.available_parallelism as usize);
+                    let capacity = service_capacity(&s.workload(&rec.point), workers, s.tick_ns);
+                    let rate = capacity * rec.point.k as f64 / s.sweep_points as f64;
+                    assert_eq!(count("arrival_rate"), rate.round(), "{}", rec.id);
                 }
                 let line = rec.json.to_string_compact();
                 assert_eq!(Json::parse(&line).as_ref(), Ok(&rec.json), "{line}");

@@ -17,11 +17,14 @@
 //! * [`run_open_loop`] — drives [`rt::run_front`]: the current thread
 //!   plays the submitter, pacing itself to the schedule; each request
 //!   carries `release = scheduled arrival` and
-//!   `deadline = release + period·tick`, so misses are judged against
-//!   the *intended* release, exactly like the simulator's periodic model;
-//! * [`service_capacity`] and [`calibrated_ceiling`] — the first-order
-//!   estimate of the sustainable job rate (`threads / mean service
-//!   time`) and the measured one `rtload` sizes its offered rates by.
+//!   `deadline = release + period·tick·deadline_scale`, so misses are
+//!   judged against the *intended* release, exactly like the simulator's
+//!   periodic model;
+//! * [`service_capacity`] — the first-order estimate of the sustainable
+//!   job rate (`threads / mean service time`), worked out from the set
+//!   alone, that `rtload` sizes its offered rates by: queueing and
+//!   blocking only lower the real ceiling, so the same set on the same
+//!   CPU count is always offered the same load.
 
 use rtdb::prelude::*;
 use rtdb::rt;
@@ -52,10 +55,10 @@ pub struct OpenLoopParams {
     /// tenant 1 offering 4× tenant 0's rate.
     pub tenant_weights: Vec<u64>,
     /// Deadline-laxity multiplier: each job's deadline is
-    /// `release + period·tick·deadline_scale`. 1 is the legacy periodic
-    /// convention (deadline = next release); the overload scenario uses
-    /// a laxer scale so that head-of-queue jobs *can* meet their
-    /// deadlines and shed-protection shows up in the miss numbers.
+    /// `release + period·tick·deadline_scale`. 1 is the periodic
+    /// convention (deadline = next release); the tenant scenarios use a
+    /// laxer scale so that head-of-queue jobs *can* meet their deadlines
+    /// and shed-protection shows up in the miss numbers.
     pub deadline_scale: u64,
     pub seed: u64,
 }
@@ -89,21 +92,6 @@ pub fn service_capacity(set: &TransactionSet, threads: usize, tick_ns: u64) -> f
         / set.len() as f64;
     let service_ns = (mean_wcet * tick_ns as f64).max(1.0);
     threads as f64 * 1e9 / service_ns
-}
-
-/// Measured saturation rate of `kind` on `threads` workers: a short
-/// closed-loop run of `jobs` jobs, capped by [`service_capacity`]. The
-/// estimate alone knows nothing of blocking or lock-manager overhead and
-/// can sit several times above the real ceiling, which would leave every
-/// sweep point saturated; the cap guards against a calibration run
-/// inflated by scheduler luck.
-pub fn calibrated_ceiling(set: &TransactionSet, p: &OpenLoopParams, jobs: usize) -> f64 {
-    let config = rt::RtConfig::new(p.kind)
-        .with_threads(p.threads)
-        .with_tick_ns(p.tick_ns);
-    rt::run_jobs(set, jobs, p.seed, config)
-        .throughput()
-        .min(service_capacity(set, p.threads, p.tick_ns))
 }
 
 /// Build the merged, time-sorted arrival schedule for `p.jobs` arrivals.
@@ -201,32 +189,8 @@ pub fn run_open_loop(set: &TransactionSet, p: &OpenLoopParams) -> OpenLoopReport
         let (sub, _rx) = front.submitter();
         let mut admitted = 0u64;
         for a in &schedule {
-            // Pace to the schedule: coarse sleep for long waits, then a
-            // short spin so submit lateness stays well under the
-            // deadline scale.
-            let now = front.elapsed_ns();
-            if a.at_ns > now {
-                let wait = a.at_ns - now;
-                if wait > 200_000 {
-                    std::thread::sleep(std::time::Duration::from_nanos(wait - 100_000));
-                }
-                while front.elapsed_ns() < a.at_ns {
-                    std::hint::spin_loop();
-                }
-            }
-            let mut req =
-                rt::JobRequest::periodic(set, a.txn, a.at_ns, p.tick_ns).for_tenant(a.tenant);
-            if p.deadline_scale > 1 {
-                let period = set.template(a.txn).period.raw();
-                req.deadline_ns = Some(
-                    a.at_ns.saturating_add(
-                        period
-                            .saturating_mul(p.tick_ns)
-                            .saturating_mul(p.deadline_scale),
-                    ),
-                );
-            }
-            if let rt::SubmitOutcome::Admitted { .. } = sub.submit(req) {
+            pace_to(a.at_ns, || front.elapsed_ns());
+            if let rt::SubmitOutcome::Admitted { .. } = sub.submit(request(set, p, a)) {
                 admitted += 1;
             }
         }
@@ -234,6 +198,25 @@ pub fn run_open_loop(set: &TransactionSet, p: &OpenLoopParams) -> OpenLoopReport
     });
 
     finish_report(p, &schedule, admitted, result)
+}
+
+/// The request arrival `a` makes: released at its scheduled time, due
+/// `period·tick·deadline_scale` later, billed to its tenant.
+pub(crate) fn request(set: &TransactionSet, p: &OpenLoopParams, a: &Arrival) -> rt::JobRequest {
+    let ns_per_tick = p.tick_ns.saturating_mul(p.deadline_scale);
+    rt::JobRequest::periodic(set, a.txn, a.at_ns, ns_per_tick).for_tenant(a.tenant)
+}
+
+/// Wait until `now()` reads `at_ns`: a coarse sleep for a long wait,
+/// then a short spin, so submit lateness stays well under a deadline.
+pub(crate) fn pace_to(at_ns: u64, now: impl Fn() -> u64) {
+    let wait = at_ns.saturating_sub(now());
+    if wait > 200_000 {
+        std::thread::sleep(std::time::Duration::from_nanos(wait - 100_000));
+    }
+    while now() < at_ns {
+        std::hint::spin_loop();
+    }
 }
 
 /// The [`rt::FrontConfig`] an open-loop run (in-process or networked)

@@ -11,7 +11,7 @@
 //! server shuts down.
 
 use crate::loadgen::{
-    arrival_schedule, finish_report, front_config, OpenLoopParams, OpenLoopReport,
+    arrival_schedule, finish_report, front_config, pace_to, request, OpenLoopParams, OpenLoopReport,
 };
 use rtdb::net::{serve, NetClient, NetConfig, Request, Response};
 use rtdb::prelude::*;
@@ -33,9 +33,9 @@ fn tally(resp: &Response, accepted: &mut u64, terminal: &mut u64) {
 }
 
 /// Execute one open-loop run through the loopback TCP edge. Mirrors
-/// [`crate::loadgen::run_open_loop`] — same schedule, same deadline
-/// convention (`release + period·tick`), same report shape — with the
-/// submitter replaced by per-tenant socket clients.
+/// [`crate::loadgen::run_open_loop`] — same schedule, same requests
+/// (`deadline = release + period·tick·deadline_scale`), same report
+/// shape — with the submitter replaced by per-tenant socket clients.
 pub fn run_net_open_loop(
     set: &TransactionSet,
     p: &OpenLoopParams,
@@ -55,27 +55,15 @@ pub fn run_net_open_loop(
             // Pace to the schedule on the driver's own clock (the
             // server's epoch starts a few connection-setup microseconds
             // earlier; deadline margins absorb that skew).
-            let now = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            if a.at_ns > now {
-                let wait = a.at_ns - now;
-                if wait > 200_000 {
-                    std::thread::sleep(Duration::from_nanos(wait - 100_000));
-                }
-                while (t0.elapsed().as_nanos() as u64) < a.at_ns {
-                    std::hint::spin_loop();
-                }
-            }
-            let tenant = a.tenant as usize;
-            let period = set.template(a.txn).period.raw();
-            let horizon = period
-                .saturating_mul(p.tick_ns)
-                .saturating_mul(p.deadline_scale.max(1));
+            pace_to(a.at_ns, || t0.elapsed().as_nanos() as u64);
+            let req = request(set, p, a);
+            let tenant = req.tenant as usize;
             clients[tenant].submit(Request::Submit {
                 ticket: i as u64,
-                txn: a.txn.0,
-                tenant: a.tenant,
-                release_ns: a.at_ns,
-                deadline_ns: Some(a.at_ns.saturating_add(horizon)),
+                txn: req.txn.0,
+                tenant: req.tenant,
+                release_ns: req.release_ns,
+                deadline_ns: req.deadline_ns,
             })?;
             submitted[tenant] += 1;
             // Opportunistic drain keeps response buffers flat.

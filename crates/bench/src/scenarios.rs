@@ -33,11 +33,6 @@ pub const READ_FRACTION: f64 = 0.95;
 /// The largest shard count any grid sweeps, so every shard count sees the
 /// identical item distribution and only the manager sharding varies.
 pub const PARTITIONS: usize = 4;
-/// Offered-rate weights of the overload tenants: the light tenant offers
-/// 1/9 of 2× the ceiling, well inside an equal share, while its neighbour
-/// alone overloads the queue, so `low_rate_fail_ratio` reads what a heavy
-/// neighbour costs a light tenant under one least-slack rule for all.
-pub const TENANT_WEIGHTS: [u64; 2] = [1, 8];
 
 /// How a grid's jobs reach the runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,13 +40,11 @@ pub enum Mode {
     /// A prebuilt job queue drained by the workers: service capacity.
     Closed,
     /// A seeded Poisson schedule through the admission front-end, swept
-    /// over [`Scenario::sweep_points`] offered rates: behaviour under load.
+    /// over [`Scenario::sweep_points`] offered rates and split over
+    /// [`Scenario::tenants`]: behaviour under load.
     Open,
-    /// One open-loop run of [`TENANT_WEIGHTS`] tenants at the row's
-    /// overload factor, submitted in-process.
-    Overload,
     /// The same through the loopback TCP edge, one client per tenant.
-    OverloadNet,
+    OpenNet,
 }
 
 /// The axis a scenario's records pair up on: every B-side record has an
@@ -92,17 +85,19 @@ pub struct Scenario {
     pub headline: &'static str,
     /// Jobs per run: ~100 ms at line rate, many scheduler quanta.
     pub jobs: usize,
-    /// Repetitions of a closed-loop or overload run; the median one by
-    /// headline metric is kept. Sweep points run once: they are paced in
-    /// real time and their ratios average over hundreds of jobs.
+    /// Repetitions of every record; the median one by headline metric is
+    /// kept.
     pub reps: usize,
     /// Wall-clock nanoseconds of busy-work per simulated tick.
     pub tick_ns: u64,
     pub seed: u64,
-    /// Open loop: offered rates per sweep, `overload × ceiling × k / sweep_points`.
+    /// Open loop: sweep point `k` offers `k / sweep_points` of
+    /// [`crate::loadgen::service_capacity`] at `min(threads,
+    /// available_parallelism)` workers.
     pub sweep_points: usize,
-    /// Open loop: the top offered rate over the calibrated ceiling.
-    pub overload: f64,
+    /// Open loop: relative offered-rate weights of the tenants the
+    /// schedule is split over.
+    pub tenants: &'static [u64],
     pub queue_cap: usize,
     pub policy: AdmissionPolicy,
     /// Open loop: deadlines sit at `release + period × tick × deadline_scale`.
@@ -118,23 +113,27 @@ const GRID: Grid = Grid {
     cross: &[0.0],
 };
 
-/// The defaults, with a saturation sweep for an open loop: the top point
-/// is past the ceiling, the first is not.
+/// The defaults, with a saturation sweep for an open loop of one tenant:
+/// the top point offers the set's service capacity, which queueing and
+/// blocking only lower, and the first a quarter of it.
 #[rustfmt::skip]
 const ROW: Scenario = Scenario {
     name: "", why: "", family: Family::Standard, grids: &[], ab: None, headline: "committed_per_sec",
     jobs: 2_000, reps: 3, tick_ns: 2_000, seed: 7,
-    sweep_points: 4, overload: 1.5, queue_cap: 64, policy: AdmissionPolicy::Reject, deadline_scale: 1,
+    sweep_points: 4, tenants: &[1], queue_cap: 64, policy: AdmissionPolicy::Reject, deadline_scale: 1,
 };
 
-/// Multi-tenant overload: 2× the ceiling so shedding is certain; a queue
-/// of 8 because behind 64 every admitted job misses and the shedding
-/// policy is moot; deadlines at 4× the period because at 1× contention
-/// alone busts them and shed protection cannot show in the miss numbers.
+/// Two tenants at the service capacity: the light one offers 1/9 of it,
+/// well inside an equal share, while its 1:8 neighbour alone fills the
+/// queue, so `low_rate_fail_ratio` reads what a heavy neighbour costs a
+/// light tenant under one least-slack rule for all. A queue of 8 because
+/// behind 64 every admitted job misses and the shedding policy is moot;
+/// deadlines at 4× the period because at 1× contention alone busts them
+/// and shed protection cannot show in the miss numbers.
 #[rustfmt::skip]
-const OVERLOAD_ROW: Scenario = Scenario {
+const TENANT_ROW: Scenario = Scenario {
     headline: "low_rate_fail_ratio",
-    sweep_points: 1, overload: 2.0, queue_cap: 8, policy: AdmissionPolicy::LeastSlack, deadline_scale: 4,
+    sweep_points: 1, tenants: &[1, 8], queue_cap: 8, policy: AdmissionPolicy::LeastSlack, deadline_scale: 4,
     ..ROW
 };
 
@@ -189,14 +188,14 @@ pub const SCENARIOS: [Scenario; 7] = [
     Scenario {
         name: "tenants",
         why: "what a 1:8 neighbour overloading the admission queue costs the low-rate tenant under least-slack shedding; the one row that overloads the queue",
-        grids: &[Grid { mode: Mode::Overload, ..GRID }],
-        ..OVERLOAD_ROW
+        grids: &[Grid { mode: Mode::Open, ..GRID }],
+        ..TENANT_ROW
     },
     Scenario {
         name: "tenants-net",
         why: "the same overload through the loopback TCP edge, one client per tenant; the one row that overloads the edge",
-        grids: &[Grid { mode: Mode::OverloadNet, ..GRID }],
-        ..OVERLOAD_ROW
+        grids: &[Grid { mode: Mode::OpenNet, ..GRID }],
+        ..TENANT_ROW
     },
 ];
 
@@ -240,7 +239,7 @@ impl Scenario {
         if self.ab == Some(Ab::Snapshot) {
             id += if p.snapshot { "/on" } else { "/off" };
         }
-        if p.mode == Mode::Open {
+        if p.mode != Mode::Closed {
             id += &format!("/p{}", p.k);
         }
         id
@@ -358,9 +357,14 @@ pub fn markdown_table() -> String {
             s.jobs, s.reps, s.tick_ns, s.seed
         );
         if s.grids.iter().any(|g| g.mode != Mode::Closed) {
+            let tenants: Vec<String> = s.tenants.iter().map(u64::to_string).collect();
             constants += &format!(
-                "; {} offered rate(s) up to {}× the calibrated ceiling, queue {}, `{}`, deadline {}× period",
-                s.sweep_points, s.overload, s.queue_cap, s.policy, s.deadline_scale
+                "; {} offered rate(s) up to the service capacity, tenant weights {}, queue {}, `{}`, deadline {}× period",
+                s.sweep_points,
+                tenants.join(":"),
+                s.queue_cap,
+                s.policy,
+                s.deadline_scale
             );
         }
         out += &format!(

@@ -7,9 +7,11 @@ use std::path::Path;
 
 /// The docs whose path citations must resolve. `benchmark/README.md` is
 /// left out: the benchmark crate is maintained on its own.
-const DOCS: [&str; 4] = [
+const DOCS: [&str; 6] = [
     "README.md",
     "DESIGN.md",
+    "EXPERIMENTS.md",
+    "PAPER.md",
     "docs/THEORY.md",
     ".claude/skills/verify/SKILL.md",
 ];
