@@ -591,6 +591,56 @@ impl<'a> StateKernel<'a> {
         self.n_gated > 0 && self.record(who).is_some_and(|r| !r.gate.is_empty())
     }
 
+    /// The dispatch rule both engines run on one processor: the
+    /// highest-running-priority ready instance, with its slot. Ready means
+    /// waiting for nobody: a blocked instance waits for its blockers, one
+    /// parked at its commit gate for the gate's entries and a held one
+    /// for its hold, so the wait edges say who may run. One pass; the
+    /// tie-breaks ([`StateKernel::outranks`]) are read only on a tie.
+    #[inline]
+    pub fn pick_ready(&self) -> Option<(InstanceId, usize)> {
+        let mut best: Option<(InstanceId, usize, Priority)> = None;
+        for (&id, &s) in self.active.iter().zip(&self.slot) {
+            let record = &self.records[s as usize];
+            if !record.waits_for.is_empty() {
+                continue;
+            }
+            let running = record.running;
+            let wins = match best {
+                None => true,
+                Some((leader, _, top)) => {
+                    running > top || (running == top && self.outranks(id, leader))
+                }
+            };
+            if wins {
+                best = Some((id, s as usize, running));
+            }
+        }
+        best.map(|(id, s, _)| (id, s))
+    }
+
+    /// Between two instances of equal running priority, `a` runs before
+    /// `b`: the higher base priority, then the earlier instance, then the
+    /// earlier template.
+    #[inline]
+    pub fn outranks(&self, a: InstanceId, b: InstanceId) -> bool {
+        let (base_a, base_b) = (self.set.priority_of(a.txn), self.set.priority_of(b.txn));
+        base_a > base_b || (base_a == base_b && (a.seq, a.txn) < (b.seq, b.txn))
+    }
+
+    /// The dispatch rule for a job not yet begun, against the instance
+    /// about to run, which runs at `running` from base priority
+    /// `runner_base`: the job, ready at its base priority `base`, runs
+    /// first on a higher running priority, or on a tie by the higher base
+    /// ([`StateKernel::outranks`]; priorities are distinct per template,
+    /// and a job of the runner's own template comes later, so it loses
+    /// that tie). An engine that begins a job only when it would run —
+    /// the runtime's one-worker dispatcher — preempts by this test.
+    #[inline]
+    pub fn arrival_outranks(base: Priority, running: Priority, runner_base: Priority) -> bool {
+        base > running || (base == running && base > runner_base)
+    }
+
     /// The departure scan: `gone` committed or aborted (cascading on
     /// `cascade`, the abort's cause, when given), and one pass over the
     /// live records, in ascending id order, drops it from every hold and

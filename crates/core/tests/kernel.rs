@@ -1316,3 +1316,161 @@ fn a_victim_that_spans_kernels_is_named_not_aborted() {
         "the owner logs the abort"
     );
 }
+
+// The dispatch rule: `pick_ready`, `outranks` and `arrival_outranks`.
+
+/// A set of one-step templates at the given priority levels.
+fn leveled_set(levels: &[u32]) -> TransactionSet {
+    let mut b = SetBuilder::new();
+    for k in 0..levels.len() {
+        b.add(TransactionTemplate::new(
+            format!("T{k}"),
+            10,
+            vec![Step::compute(1)],
+        ));
+    }
+    b.build_with_priorities(levels).expect("leveled set")
+}
+
+/// A kernel over `set` with `ids` begun.
+fn live<'a>(set: &'a TransactionSet, ids: &[InstanceId]) -> StateKernel<'a> {
+    let mut k = StateKernel::new(set, None);
+    for &id in ids {
+        k.begin(id, None);
+    }
+    k
+}
+
+/// The dispatch order the engines have always had: the ready instance
+/// with the greatest `(running, base, Reverse(seq), Reverse(txn))`.
+fn reference_pick(k: &StateKernel<'_>) -> Option<(InstanceId, usize)> {
+    use std::cmp::Reverse;
+    k.active_instances()
+        .iter()
+        .zip(k.active_slots())
+        .map(|(&id, &s)| (id, s as usize))
+        .filter(|&(_, s)| k.record_at(s).waits_for.is_empty())
+        .max_by_key(|&(id, s)| {
+            (
+                k.record_at(s).running,
+                k.base_priority(id),
+                Reverse(id.seq),
+                Reverse(id.txn.0),
+            )
+        })
+}
+
+/// Sparse distinct levels, several live instances per template, random
+/// wait edges: inheritance makes running priorities tie with bases and
+/// with each other.
+fn random_live(rng: &mut rtdb_util::rng::Rng) -> (TransactionSet, Vec<InstanceId>) {
+    let n = rng.range_usize(1..6);
+    let mut levels: Vec<u32> = (0..12).map(|l| l * 7 + 3).collect();
+    rng.shuffle(&mut levels);
+    levels.truncate(n);
+    let mut ids = Vec::new();
+    for txn in 0..n as u32 {
+        let mut seqs: Vec<u32> = (0..6).collect();
+        rng.shuffle(&mut seqs);
+        seqs.truncate(rng.range_usize(1..4));
+        ids.extend(seqs.into_iter().map(|seq| inst(txn, seq)));
+    }
+    (leveled_set(&levels), ids)
+}
+
+/// Random wait edges among `ids`.
+fn random_waits(rng: &mut rtdb_util::rng::Rng, k: &mut StateKernel<'_>, ids: &[InstanceId]) {
+    for &who in ids {
+        if rng.chance(0.4) {
+            let on: Vec<InstanceId> = ids
+                .iter()
+                .copied()
+                .filter(|&b| b != who && rng.chance(0.3))
+                .collect();
+            if !on.is_empty() {
+                k.wait_on(who, &on);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_one_pass_pick_keeps_the_dispatch_order() {
+    rtdb_util::prop::forall(256, |rng| {
+        let (set, ids) = random_live(rng);
+        let mut k = live(&set, &ids);
+        random_waits(rng, &mut k, &ids);
+        assert_eq!(k.pick_ready(), reference_pick(&k), "{ids:?}");
+    });
+}
+
+/// A job not yet begun runs before the pick exactly when, begun after
+/// every live instance of its template, the pick would choose it.
+#[test]
+fn an_arrival_outranks_the_runner_exactly_when_the_pick_would_choose_it() {
+    rtdb_util::prop::forall(256, |rng| {
+        let (set, ids) = random_live(rng);
+        let mut k = live(&set, &ids);
+        random_waits(rng, &mut k, &ids);
+        let Some((runner, s)) = k.pick_ready() else {
+            return;
+        };
+        let txn = TxnId(rng.bounded(set.len() as u64) as u32);
+        let seq = 1 + ids
+            .iter()
+            .filter(|id| id.txn == txn)
+            .map(|id| id.seq)
+            .max()
+            .unwrap_or(0);
+        let (running, runner_base) = (k.record_at(s).running, k.base_priority(runner));
+        let preempts = StateKernel::arrival_outranks(set.priority_of(txn), running, runner_base);
+        k.begin(inst(txn.0, seq), None);
+        let picked = k.pick_ready().map(|(id, _)| id);
+        assert_eq!(
+            picked == Some(inst(txn.0, seq)),
+            preempts,
+            "{ids:?} + {txn:?}"
+        );
+    });
+}
+
+#[test]
+fn an_inheriting_low_instance_runs_before_a_higher_ready_one() {
+    // H > M > L; H waits for L, so L runs at H's priority.
+    let set = leveled_set(&[30, 20, 10]);
+    let (h, m, l) = (inst(0, 0), inst(1, 0), inst(2, 0));
+    let mut k = live(&set, &[h, m, l]);
+    k.wait_on(h, &[l]);
+    assert_eq!(k.pick_ready().map(|(id, _)| id), Some(l));
+    // An instance with wait edges is never picked, however high.
+    k.wait_on(l, &[m]);
+    assert_eq!(k.pick_ready().map(|(id, _)| id), Some(m));
+    k.wait_on(m, &[h]);
+    assert_eq!(k.pick_ready(), None);
+}
+
+#[test]
+fn equal_running_priority_goes_to_the_higher_base() {
+    // H waits for both M and L: both run at H's priority. L comes first
+    // in the live list, so the tie decides.
+    let set = leveled_set(&[30, 10, 20]);
+    let (h, l, m) = (inst(0, 0), inst(1, 0), inst(2, 0));
+    let mut k = live(&set, &[h, m, l]);
+    k.wait_on(h, &[l, m]);
+    assert_eq!(k.pick_ready().map(|(id, _)| id), Some(m));
+    assert!(k.outranks(m, l) && !k.outranks(l, m));
+}
+
+#[test]
+fn equal_base_goes_to_the_earlier_instance() {
+    let set = leveled_set(&[30, 20]);
+    let (late, early) = (inst(1, 4), inst(1, 2));
+    let mut k = live(&set, &[late, early]);
+    assert_eq!(k.pick_ready().map(|(id, _)| id), Some(early));
+    // Inheritance lifts both to the same running priority; the earlier
+    // one still goes first.
+    let h = inst(0, 0);
+    k.begin(h, None);
+    k.wait_on(h, &[late, early]);
+    assert_eq!(k.pick_ready().map(|(id, _)| id), Some(early));
+}

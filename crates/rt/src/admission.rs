@@ -32,11 +32,15 @@
 //! not the oldest: the queue keeps one FIFO lane per template, ranked by
 //! the template's base priority, and an occupancy mask over the lanes
 //! ([`rtdb_core::LevelMask`]) finds the highest non-empty one. This is the
-//! paper's rate-monotonic dispatch at job granularity — non-preemptive,
-//! since a worker runs its job to commit — and what DPCP-p's
-//! priority-ordered executors assume per processor. Priorities in a set
-//! are distinct, so each lane is one template's requests in admission
-//! order, and per-template sequence numbers still follow admission order.
+//! paper's rate-monotonic dispatch — preemptive at tick granularity with
+//! one worker, which pops a queued job between two ticks of busy work
+//! when the job would run before the instance about to run
+//! (`AdmissionQueue::pop_if`, after a lock-free look at the top lane's
+//! priority), and at job granularity with several, which run each job to
+//! commit — and what DPCP-p's priority-ordered executors assume per
+//! processor. Priorities in a set are distinct, so each lane is one
+//! template's requests in admission order, and per-template sequence
+//! numbers still follow admission order.
 //!
 //! A push reads the run's [`Clock`] once, *inside* the queue's critical
 //! section, for the admission stamp and the slack; so queueing delay
@@ -48,6 +52,7 @@ use crate::runtime::TenantStats;
 use rtdb_core::LevelMask;
 use rtdb_types::{InstanceId, Priority};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -210,6 +215,12 @@ impl Inner {
         item
     }
 
+    /// The highest non-empty lane.
+    #[inline]
+    fn top(&self) -> Option<usize> {
+        self.occupied.highest_below(self.lanes.len())
+    }
+
     /// The queued entry with the least (slack, admission order) at
     /// `now_ns`, found in one pass over the lanes: its `(slack, order,
     /// lane, pos)`; `None` when the queue is empty.
@@ -228,6 +239,14 @@ pub(crate) struct AdmissionQueue<C> {
     inner: Mutex<Inner>,
     not_empty: Condvar,
     capacity: usize,
+    /// `lane_priority[lane]`: the base priority of the lane's template,
+    /// ascending.
+    lane_priority: Vec<Priority>,
+    /// The highest non-empty lane plus one, 0 when the queue is empty: a
+    /// copy of what the queue mutex guards, written under it, so a worker
+    /// between two ticks of busy work asks whether anything queued would
+    /// preempt it without taking the lock ([`AdmissionQueue::top_priority`]).
+    top: AtomicUsize,
     /// The run's clock: admission stamps, deadlines and slack are on it.
     pub(crate) clock: C,
 }
@@ -243,6 +262,7 @@ impl<C: Clock> AdmissionQueue<C> {
         for (lane, &t) in ascending.iter().enumerate() {
             lane_of[t] = lane;
         }
+        let lane_priority = ascending.iter().map(|&t| priorities[t]).collect();
         AdmissionQueue {
             inner: Mutex::new(Inner {
                 lanes: (0..templates).map(|_| VecDeque::new()).collect(),
@@ -260,6 +280,8 @@ impl<C: Clock> AdmissionQueue<C> {
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
+            lane_priority,
+            top: AtomicUsize::new(0),
             clock,
         }
     }
@@ -307,6 +329,7 @@ impl<C: Clock> AdmissionQueue<C> {
             shed = Some(old);
         }
         g.enqueue(lane, item, now);
+        self.publish_top(&g);
         self.wake_popper(&g);
         drop(g);
         if let Some(old) = shed {
@@ -326,13 +349,8 @@ impl<C: Clock> AdmissionQueue<C> {
     pub(crate) fn pop(&self) -> Option<(InstanceId, Admitted)> {
         let mut g = self.lock();
         loop {
-            if let Some(lane) = g.occupied.highest_below(g.lanes.len()) {
-                let item = g.take(lane, 0);
-                let txn = item.req.txn;
-                let seq = &mut g.next_seq[txn.index()];
-                let id = InstanceId::new(txn, *seq);
-                *seq += 1;
-                return Some((id, item));
+            if let Some(lane) = g.top() {
+                return Some(self.take_top(&mut g, lane));
             }
             if g.closed {
                 return None;
@@ -344,6 +362,50 @@ impl<C: Clock> AdmissionQueue<C> {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             g.waiting_poppers -= 1;
         }
+    }
+
+    /// Pop the highest-priority admitted request if `admit` takes its
+    /// template's base priority; never blocks. The one worker of a
+    /// one-worker pool pops this way while it has live instances: a job
+    /// begins only once it would run.
+    pub(crate) fn pop_if(
+        &self,
+        admit: impl FnOnce(Priority) -> bool,
+    ) -> Option<(InstanceId, Admitted)> {
+        let mut g = self.lock();
+        let lane = g.top()?;
+        admit(self.lane_priority[lane]).then(|| self.take_top(&mut g, lane))
+    }
+
+    /// The base priority of the highest-priority request queued, read
+    /// without the queue lock: the value the last push or pop left, so a
+    /// reader may see an entry a moment late, never one that was not
+    /// there — [`AdmissionQueue::pop_if`] decides under the lock.
+    #[inline]
+    pub(crate) fn top_priority(&self) -> Option<Priority> {
+        let top = self.top.load(Ordering::Relaxed);
+        top.checked_sub(1).map(|lane| self.lane_priority[lane])
+    }
+
+    /// Take the oldest entry of `lane`, the highest non-empty one, and
+    /// number its instance: each template's sequence numbers follow
+    /// admission order however many workers pop.
+    fn take_top(&self, g: &mut Inner, lane: usize) -> (InstanceId, Admitted) {
+        let item = g.take(lane, 0);
+        self.publish_top(g);
+        let txn = item.req.txn;
+        let seq = &mut g.next_seq[txn.index()];
+        let id = InstanceId::new(txn, *seq);
+        *seq += 1;
+        (id, item)
+    }
+
+    /// Copy the highest non-empty lane out of the lock for
+    /// [`AdmissionQueue::top_priority`].
+    #[inline]
+    fn publish_top(&self, g: &Inner) {
+        self.top
+            .store(g.top().map_or(0, |lane| lane + 1), Ordering::Relaxed);
     }
 
     /// Wake one parked popper, if any: an entry just entered the queue.

@@ -18,6 +18,9 @@
 //! * [`runtime`] — the worker pool and the closed-loop executor: worker
 //!   threads drain a job list, each job running one transaction instance
 //!   to commit (with abort/restart for the wound/validate protocols);
+//! * `uni` (internal) — the one-worker, one-shard pool, the paper's
+//!   uniprocessor: it runs the simulator's dispatch over the shard's
+//!   kernel, preempting at tick boundaries;
 //! * [`front`] — the asynchronous admission front-end: submitters
 //!   enqueue [`JobRequest`]s (release time, deadline) on a bounded
 //!   admission queue, the same worker pool pops it directly, completions
@@ -36,9 +39,11 @@
 //! [`rtdb_storage::Workspace`] deferred updates, [`rtdb_storage::History`]
 //! logging — so its executions can be validated by the same oracles:
 //! conflict-serializability of the history and serial-replay equivalence.
-//! Scheduling, by contrast, is real: the OS decides who runs, so a run's
-//! interleaving (and therefore its history) is *not* deterministic; only
-//! the safety properties are.
+//! Scheduling, by contrast, is real: with several workers the OS decides
+//! who runs, so a run's interleaving (and therefore its history) is *not*
+//! deterministic; only the safety properties are. One worker runs the
+//! simulator's dispatch, so on a logical clock it reproduces the
+//! simulator's schedule.
 //!
 //! The runtime runs the standard line-up
 //! ([`rtdb_core::ProtocolKind::STANDARD`]). It refuses the two demo kinds
@@ -57,6 +62,7 @@ pub mod runtime;
 mod sharded;
 mod snapshot;
 pub mod testkit;
+mod uni;
 
 pub use admission::{shed_victim, AdmissionPolicy};
 pub use front::{
@@ -65,5 +71,7 @@ pub use front::{
 };
 pub use histogram::LatencyHistogram;
 pub use jobs::job_list;
-pub use runtime::{run, run_jobs, JobReport, PriorityMisses, RtConfig, RtResult, TenantStats};
+pub use runtime::{
+    run, run_jobs, run_on, JobReport, PriorityMisses, RtConfig, RtResult, TenantStats,
+};
 pub use sharded::ShardStats;

@@ -8,8 +8,9 @@
 //! mutex; every protocol decision, data operation and commit happens
 //! under that mutex *in the kernel*, the same code the simulator drives,
 //! so the runtime linearizes the exact state machine the simulator
-//! executes — only the *order* of requests differs (it is decided by the
-//! OS scheduler instead of the simulated priority dispatcher). The
+//! executes — only the *order* of requests differs (with several workers
+//! it is decided by the OS scheduler instead of the simulated priority
+//! dispatcher; one worker runs that dispatcher, `crate::uni`). The
 //! resolution policy is the kernel's too ([`StateKernel::request`],
 //! [`StateKernel::commit`]); this module delivers its effects as abort
 //! flags and notifies on per-waiter [`Condvar`]s. A runtime kernel
@@ -191,6 +192,8 @@ pub(crate) struct Shared<'a> {
     pub(crate) ops: u64,
     /// Commits whose home is this shard.
     pub(crate) commits: u64,
+    /// Commits parked at a closed commit gate.
+    gate_parks: u64,
     deadlocks_resolved: u64,
     /// Park-timeout safety-net firings.
     park_timeout_wakeups: u64,
@@ -236,6 +239,7 @@ impl<'a> Shared<'a> {
             state_lock_acquires: 0,
             ops: 0,
             commits: 0,
+            gate_parks: 0,
             deadlocks_resolved: 0,
             park_timeout_wakeups: 0,
             fx: Effects::default(),
@@ -255,6 +259,7 @@ impl<'a> Shared<'a> {
             ops: self.ops,
             commits: self.commits,
             state_lock_acquires: self.state_lock_acquires,
+            gate_parks: self.gate_parks,
         });
         report.deadlocks_resolved += self.deadlocks_resolved;
         report.park_timeout_wakeups += self.park_timeout_wakeups;
@@ -343,9 +348,9 @@ impl<'a> Shared<'a> {
                     self.waiter_mut(who).cv.notify_one();
                 }
                 Effect::Cycle(..) => self.deadlocks_resolved += 1,
+                Effect::Gated(..) => self.gate_parks += 1,
                 Effect::Granted(..)
                 | Effect::Parked(..)
-                | Effect::Gated(..)
                 | Effect::Released(..)
                 | Effect::Committed(_) => {}
                 Effect::Arrived(_) | Effect::DeadlineMissed(_) | Effect::Stalled(_) => {
@@ -383,16 +388,17 @@ impl<'a> Shared<'a> {
         std::mem::take(&mut self.waiter_mut(who).aborted)
     }
 
-    /// Register a released instance in this shard. A cross-shard instance
-    /// registers in every shard it will touch (ascending order) but logs
-    /// its Begin event only in its *home* shard (`log_begin`), carrying
-    /// the shared abort `signal` everywhere so any shard can flag it.
+    /// Register a released instance in this shard and return its kernel
+    /// record slot. A cross-shard instance registers in every shard it
+    /// will touch (ascending order) but logs its Begin event only in its
+    /// *home* shard (`log_begin`), carrying the shared abort `signal`
+    /// everywhere so any shard can flag it.
     pub(crate) fn begin(
         &mut self,
         id: InstanceId,
         log_begin: bool,
         signal: Option<Arc<AtomicBool>>,
-    ) {
+    ) -> usize {
         let at = log_begin.then(|| self.tick());
         let slot = self.kernel.begin(id, at);
         match self.waiters.get_mut(slot) {
@@ -409,6 +415,31 @@ impl<'a> Shared<'a> {
                 signal,
             }),
         }
+        slot
+    }
+
+    /// The shard's kernel, read-only: the one-worker dispatcher
+    /// ([`crate::uni`]) picks its runner there.
+    #[inline]
+    pub(crate) fn kernel(&self) -> &StateKernel<'a> {
+        &self.kernel
+    }
+
+    /// What the last kernel call did, already delivered: the one-worker
+    /// dispatcher restarts the aborted and commits the instances whose
+    /// commit gate opened.
+    #[inline]
+    pub(crate) fn effects(&self) -> &[Effect] {
+        self.fx.log()
+    }
+
+    /// Live instances and none ready: resolve the wait-for cycles that
+    /// hold them, as the simulator does before it reports a stall.
+    pub(crate) fn resolve_stall(&mut self) {
+        self.call(|kernel, protocol, clock, fx| {
+            fx.clear();
+            kernel.resolve_cycles(protocol, || next_tick(clock), fx);
+        });
     }
 
     /// Present `who`'s request through the kernel's lock-request entry
@@ -950,6 +981,7 @@ mod tests {
         ));
         let committed = rx.recv_timeout(PERIOD * 4).expect("W never left its gate");
         assert!(committed, "W restarted");
+        assert_eq!(m.lock(0).gate_parks, 2, "W parked at its gate, then again");
     }
 
     /// A gate that opens does not wake an instance blocked on a lock. D

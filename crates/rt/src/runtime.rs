@@ -1,7 +1,8 @@
 //! The closed-loop runtime: worker threads draining a job queue through
 //! the internal `ShardedManager`. The admission front-end ([`crate::front`])
 //! runs on the same pool — only where a worker's next job comes from
-//! differs.
+//! differs. A pool of one worker over one shard runs the simulator's
+//! dispatch instead (`crate::uni`); what follows is the pool of several.
 //!
 //! Each worker owns one recycled [`Workspace`](rtdb_storage::Workspace);
 //! a job is the full life of one transaction instance: before every step
@@ -401,11 +402,22 @@ impl RtResult {
 /// per-job reports. Every job runs to commit (aborts restart it), so the
 /// run always drains the queue.
 pub fn run(set: &TransactionSet, job_queue: &[InstanceId], config: RtConfig) -> RtResult {
+    run_on(set, job_queue, config, WallClock::now())
+}
+
+/// [`run`] on `clock`, e.g. a [`crate::testkit::TestClock`] — the closed
+/// loop's twin of [`crate::front::run_front_on`].
+pub fn run_on<C: Clock>(
+    set: &TransactionSet,
+    job_queue: &[InstanceId],
+    config: RtConfig,
+    clock: C,
+) -> RtResult {
     let source = JobSource::List {
         jobs: job_queue,
         next: AtomicUsize::new(0),
     };
-    run_pool(set, &config, &source, &WallClock::now(), || ()).0
+    run_pool(set, &config, &source, &clock, || ()).0
 }
 
 /// Where the pool's workers take their next job from — the one thing
@@ -424,7 +436,7 @@ impl<C: Clock> JobSource<'_, C> {
     /// The next job and, in the open loop, its admission record. `None`
     /// ends the calling worker: the list is exhausted, or the queue is
     /// closed and drained.
-    fn next(&self) -> Option<(InstanceId, Option<Admitted>)> {
+    pub(crate) fn next(&self) -> Option<(InstanceId, Option<Admitted>)> {
         match self {
             JobSource::List { jobs, next } => jobs
                 .get(next.fetch_add(1, Ordering::Relaxed))
@@ -435,10 +447,34 @@ impl<C: Clock> JobSource<'_, C> {
 
     /// How many jobs are known up front: the closed loop's whole list,
     /// nothing of an open loop.
-    fn known_len(&self) -> usize {
+    pub(crate) fn known_len(&self) -> usize {
         match self {
             JobSource::List { jobs, .. } => jobs.len(),
             JobSource::Queue(_) => 0,
+        }
+    }
+
+    /// The next job if `admit` takes its base priority, without waiting:
+    /// how the one-worker pool ([`crate::uni`]) admits a job while it has
+    /// live instances. The closed loop never does — its next job starts
+    /// when the previous one commits.
+    pub(crate) fn next_if(
+        &self,
+        admit: impl FnOnce(Priority) -> bool,
+    ) -> Option<(InstanceId, Option<Admitted>)> {
+        match self {
+            JobSource::List { .. } => None,
+            JobSource::Queue(queue) => queue.pop_if(admit).map(|(id, job)| (id, Some(job))),
+        }
+    }
+
+    /// The base priority of the best job [`JobSource::next_if`] could
+    /// admit now, read without a lock; `None` in the closed loop.
+    #[inline]
+    pub(crate) fn top_priority(&self) -> Option<Priority> {
+        match self {
+            JobSource::List { .. } => None,
+            JobSource::Queue(queue) => queue.top_priority(),
         }
     }
 }
@@ -463,12 +499,16 @@ pub(crate) fn run_pool<R, C: Clock>(
 
     let (value, mut jobs) = std::thread::scope(|scope| {
         let manager = &manager;
-        let workers: Vec<_> = (0..threads)
-            .map(|w| {
-                let snap = snap.as_deref();
-                scope.spawn(move || worker(set, manager, snap, source, config, w, clock))
-            })
-            .collect();
+        let snap = snap.as_deref();
+        // One worker over one shard is the paper's uniprocessor: it runs
+        // the simulator's dispatch, preempting at tick boundaries.
+        let workers: Vec<_> = if threads == 1 && shards == 1 {
+            vec![scope.spawn(move || crate::uni::run(set, manager, snap, source, config, clock))]
+        } else {
+            (0..threads)
+                .map(|w| scope.spawn(move || worker(set, manager, snap, source, config, w, clock)))
+                .collect()
+        };
 
         // Run the driver on this thread; if it panics the queue must
         // still close, or the scope would join parked workers forever.
@@ -580,45 +620,58 @@ fn worker<C: Clock>(
     while let Some((id, admitted)) = source.next() {
         let started = clock.now_ns();
         let stats = execute_job(set, manager, snap, id, &mut ctx, &work);
-        let committed = clock.now_ns();
-        // No admission record (the closed loop): the worker admits and
-        // starts the job in the same breath, so queueing delay is zero,
-        // service is the whole latency and the release is the start.
-        let service_ns = committed - started;
-        let (queue_ns, release_ns, tenant, deadline_ns) = match &admitted {
-            Some(job) => (
-                started.saturating_sub(job.admitted_ns),
-                job.req.release_ns,
-                job.req.tenant,
-                job.req.deadline_ns,
-            ),
-            None => (0, started, 0, None),
-        };
-        let report = JobReport {
-            id,
-            priority: set.priority_of(id.txn),
-            latency_ns: queue_ns + service_ns,
-            queue_ns,
-            service_ns,
-            release_ns,
-            tenant,
-            deadline_ns,
-            commit_ns: committed,
-            restarts: stats.restarts,
-            block_events: stats.block_events,
-            lower_blockers: stats.lower_blockers,
-            commit_index: stats.commit_index,
-            snapshot: stats.snapshot,
-        };
-        if let Some(job) = admitted {
-            let _ = job.done.send(Completion::Committed {
-                ticket: job.ticket,
-                report: report.clone(),
-            });
-        }
+        let report = committed_report(set, id, admitted, started, clock.now_ns(), stats);
         reports.push(report);
     }
     reports
+}
+
+/// The report of job `id`, started at `started` and committed at
+/// `committed` with `stats`; its submitter, if it has one, is told.
+pub(crate) fn committed_report(
+    set: &TransactionSet,
+    id: InstanceId,
+    admitted: Option<Admitted>,
+    started: u64,
+    committed: u64,
+    stats: JobStats,
+) -> JobReport {
+    // No admission record (the closed loop): the worker admits and starts
+    // the job in the same breath, so queueing delay is zero, service is
+    // the whole latency and the release is the start.
+    let service_ns = committed - started;
+    let (queue_ns, release_ns, tenant, deadline_ns) = match &admitted {
+        Some(job) => (
+            started.saturating_sub(job.admitted_ns),
+            job.req.release_ns,
+            job.req.tenant,
+            job.req.deadline_ns,
+        ),
+        None => (0, started, 0, None),
+    };
+    let report = JobReport {
+        id,
+        priority: set.priority_of(id.txn),
+        latency_ns: queue_ns + service_ns,
+        queue_ns,
+        service_ns,
+        release_ns,
+        tenant,
+        deadline_ns,
+        commit_ns: committed,
+        restarts: stats.restarts,
+        block_events: stats.block_events,
+        lower_blockers: stats.lower_blockers,
+        commit_index: stats.commit_index,
+        snapshot: stats.snapshot,
+    };
+    if let Some(job) = admitted {
+        let _ = job.done.send(Completion::Committed {
+            ticket: job.ticket,
+            report: report.clone(),
+        });
+    }
+    report
 }
 
 /// Run one instance to commit, restarting from step 0 on every abort.
@@ -662,7 +715,7 @@ fn execute_job(
 /// protocol decision runs, no lock-table transition happens, nothing can
 /// block or abort this job, and the pinned stamp keeps the epoch GC from
 /// reclaiming the versions it still needs.
-fn execute_snapshot_job(
+pub(crate) fn execute_snapshot_job(
     set: &TransactionSet,
     side: &SnapshotSide,
     id: InstanceId,

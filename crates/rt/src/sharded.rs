@@ -64,7 +64,7 @@ use crate::manager::{
 use crate::runtime::RtConfig;
 use crate::snapshot::SnapshotSide;
 use rtdb_core::{ProtocolKind, ShardRouter, ShardSet, MAX_SHARDS};
-use rtdb_storage::{Event, History};
+use rtdb_storage::{Event, History, VersionedValue, Workspace};
 use rtdb_types::{InstanceId, ItemId, LockMode, TransactionSet, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -95,6 +95,9 @@ pub struct ShardStats {
     /// assertion: a run whose transactions all live in shard `s` leaves
     /// every other shard's counter at zero.
     pub state_lock_acquires: u64,
+    /// Commits this shard's kernel parked at a closed commit gate
+    /// ([`rtdb_core::Effect::Gated`]): the wait-to-commit gate at work.
+    pub gate_parks: u64,
 }
 
 /// The lock manager: the shards' state cores, each behind its mutex, plus
@@ -271,7 +274,9 @@ impl<'a> ShardedManager<'a> {
         let home = self.home_of(id);
         let mut g = self.lock(home);
         match at {
-            Boundary::Begin => g.begin(id, true, None),
+            Boundary::Begin => {
+                g.begin(id, true, None);
+            }
             // A victim restarting at once can re-form the conflict it was
             // aborted out of (a 2PL-PI upgrade cycle once livelocked that
             // way): it waits for whoever caused the abort to leave.
@@ -403,7 +408,8 @@ impl<'a> ShardedManager<'a> {
                 if g.take_abort(id) {
                     return CommitOutcome::Restart;
                 }
-                if let Some(stats) = self.commit_locked(id, std::slice::from_mut(&mut g), ctx) {
+                let guards = std::slice::from_mut(&mut g);
+                if let Some(stats) = self.commit_locked(id, guards, &ctx.ws, &mut ctx.batch, 0) {
                     return CommitOutcome::Committed(stats);
                 }
                 g = self.park(g, id, Shared::gate_open);
@@ -433,7 +439,7 @@ impl<'a> ShardedManager<'a> {
             return CommitOutcome::Restart;
         }
         let stats = self
-            .commit_locked(id, &mut guards, ctx)
+            .commit_locked(id, &mut guards, &ctx.ws, &mut ctx.batch, cross.restarts)
             .expect("every gate is open");
         drop(guards);
         ctx.cross = None;
@@ -449,21 +455,26 @@ impl<'a> ShardedManager<'a> {
     /// at it (the Commit event at home); then one snapshot batch is
     /// published and the commit index taken. `None` when the home shard
     /// parked `id` at a closed commit gate — a cross-shard caller has
-    /// found every gate open. The caller has consumed any abort.
-    fn commit_locked(
+    /// found every gate open. `ws` is the job's workspace, `batch` the
+    /// caller's scratch for the snapshot publish, and `restarts` the
+    /// aborts no shard's record counted (a cross-shard job's sweeps). The
+    /// caller has consumed any abort.
+    pub(crate) fn commit_locked(
         &self,
         id: InstanceId,
         guards: &mut [MutexGuard<'_, Shared<'a>>],
-        ctx: &mut WorkerCtx,
+        ws: &Workspace,
+        batch: &mut Vec<(ItemId, VersionedValue)>,
+        restarts: u32,
     ) -> Option<JobStats> {
         let mut gate = None;
         let mut at = None;
         let mut stats = JobStats {
-            restarts: ctx.cross.as_ref().map_or(0, |c| c.restarts),
+            restarts,
             ..JobStats::default()
         };
         for (k, g) in guards.iter_mut().enumerate() {
-            let batch = self.snap.is_some().then_some(&mut ctx.batch);
+            let batch = self.snap.is_some().then_some(&mut *batch);
             let tick = || {
                 *at.get_or_insert_with(|| {
                     gate = self
@@ -473,7 +484,7 @@ impl<'a> ShardedManager<'a> {
                     next_tick(&self.clock)
                 })
             };
-            let record = g.commit(id, &ctx.ws, k == 0, batch, tick)?;
+            let record = g.commit(id, ws, k == 0, batch, tick)?;
             stats.restarts += record.restarts;
             stats.block_events += record.block_events;
             if stats.lower_blockers.is_empty() {
@@ -490,8 +501,8 @@ impl<'a> ShardedManager<'a> {
         // or not, so stamp `S` means "the state after the first `S`
         // commits" exactly as the oracle counts them.
         if let Some(side) = self.snap.as_deref() {
-            side.store.publish(&ctx.batch);
-            ctx.batch.clear();
+            side.store.publish(batch);
+            batch.clear();
         }
         stats.commit_index = match gate.as_deref_mut() {
             Some(next) => std::mem::replace(next, *next + 1),

@@ -3,12 +3,14 @@
 
 use crate::clock::Clock;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// A logical [`Clock`]: time moves only when busy work runs, by exactly
 /// `ticks × tick_ns`, so on one worker a job's stamps are the simulator's
 /// ticks scaled by `tick_ns`. While the clock is [paused](TestClock::pause)
-/// every busy step parks until the pause ends: the test decides when a
-/// busy step may finish. Clones share one clock.
+/// every busy step parks until the pause ends, or until the test
+/// [steps](TestClock::step) it: the test decides when a busy step may
+/// finish. Clones share one clock.
 #[derive(Clone, Default)]
 pub struct TestClock(Arc<(Mutex<Logical>, Condvar)>);
 
@@ -18,6 +20,8 @@ struct Logical {
     paused: bool,
     /// Busy steps waiting for the pause to end.
     held: usize,
+    /// Held busy steps [`TestClock::step`] let finish that have not yet.
+    steps: usize,
 }
 
 /// A pause of a [`TestClock`]; busy work resumes when it drops, on an
@@ -41,6 +45,40 @@ impl TestClock {
     pub fn held(&self) -> usize {
         self.logical().held
     }
+
+    /// Wait until the pause holds at least `n` busy steps, for at most
+    /// `limit` of real time; true if it does.
+    pub fn await_held(&self, n: usize, limit: Duration) -> bool {
+        let waited = self
+            .0
+             .1
+            .wait_timeout_while(self.logical(), limit, |l| l.held < n);
+        waited.unwrap_or_else(PoisonError::into_inner).0.held >= n
+    }
+
+    /// Let exactly one busy step the pause holds finish — waiting for one
+    /// to be held first — and return the clock's reading after it. With
+    /// one worker the test can then submit a job at a chosen logical time
+    /// in the middle of another job: once the worker is held in its next
+    /// step ([`TestClock::await_held`]), a submission is seen at the end
+    /// of that step.
+    ///
+    /// # Panics
+    /// Panics if the clock is not paused.
+    pub fn step(&self) -> u64 {
+        let cv = &self.0 .1;
+        let mut logical = self.logical();
+        assert!(logical.paused, "step a paused clock");
+        logical = cv
+            .wait_while(logical, |l| l.held <= l.steps)
+            .unwrap_or_else(PoisonError::into_inner);
+        logical.steps += 1;
+        cv.notify_all();
+        logical = cv
+            .wait_while(logical, |l| l.steps > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        logical.now_ns
+    }
 }
 
 impl Drop for Paused<'_> {
@@ -60,10 +98,20 @@ impl Clock for TestClock {
         if ns == 0 {
             return;
         }
+        let cv = &self.0 .1;
         let mut logical = self.logical();
         logical.held += 1;
-        let resumed = self.0 .1.wait_while(logical, |l| l.paused);
+        if logical.paused {
+            // `await_held` and `step` wait for a held step.
+            cv.notify_all();
+        }
+        let resumed = cv.wait_while(logical, |l| l.paused && l.steps == 0);
         let mut logical = resumed.unwrap_or_else(PoisonError::into_inner);
+        if logical.paused {
+            logical.steps -= 1;
+            // The stepper waits for its step to be taken.
+            cv.notify_all();
+        }
         logical.held -= 1;
         logical.now_ns = logical.now_ns.saturating_add(ns);
     }
@@ -73,7 +121,6 @@ impl Clock for TestClock {
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
-    use std::time::Duration;
 
     #[test]
     fn a_paused_clock_holds_busy_work_until_it_resumes() {
@@ -92,6 +139,34 @@ mod tests {
             assert_eq!(finished.recv().expect("resumed"), 21);
             assert_eq!(clock.held(), 0);
         });
+    }
+
+    /// A step lets exactly one held busy step finish and reads the clock
+    /// after it; the next one stays held until the next step.
+    #[test]
+    fn a_step_finishes_exactly_one_held_busy_step() {
+        let clock = TestClock::default();
+        let paused = clock.pause();
+        let (done, finished) = channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..3 {
+                    clock.work(1, 5);
+                    done.send(clock.now_ns()).expect("receiver");
+                }
+            });
+            assert_eq!(clock.step(), 5);
+            assert_eq!(finished.recv().expect("the first step"), 5);
+            assert!(clock.await_held(1, Duration::from_secs(10)));
+            let early = finished.recv_timeout(Duration::from_millis(50));
+            assert!(early.is_err(), "a second busy step finished unstepped");
+            assert_eq!(clock.now_ns(), 5);
+            assert_eq!(clock.step(), 10);
+            assert_eq!(finished.recv().expect("the second step"), 10);
+            drop(paused);
+            assert_eq!(finished.recv().expect("resumed"), 15);
+        });
+        assert_eq!(clock.held(), 0);
     }
 
     #[test]

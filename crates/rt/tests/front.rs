@@ -116,8 +116,8 @@ fn burst_set() -> TransactionSet {
     burst_builder().build().expect("burst set")
 }
 
-/// Assert that the one-worker run `rt`, past its first `skip` jobs, ran
-/// the burst from time `from` on as the simulator runs it from 0 under
+/// Assert that the one-worker run `rt`, in its five jobs from the
+/// `skip`-th, ran the burst from time `from` on as the simulator runs it from 0 under
 /// `kind`: the same commit order, miss pattern, commit times (in ns at
 /// [`TICK`]) and final database. Returns the simulator's run.
 fn check_burst(kind: ProtocolKind, rt: &RtResult, skip: usize, from: u64) -> rtdb_sim::RunResult {
@@ -138,7 +138,7 @@ fn check_burst(kind: ProtocolKind, rt: &RtResult, skip: usize, from: u64) -> rtd
     // misses anywhere".
     assert_eq!(sim_missed, [false, true, false, false, true], "{kind:?}");
 
-    let burst = &rt.jobs[skip..];
+    let burst = &rt.jobs[skip..skip + 5];
     let rt_order: Vec<InstanceId> = burst.iter().map(|j| j.id).collect();
     assert_eq!(rt_order, sim_order, "{kind:?}: commit order diverged");
     let rt_missed: Vec<bool> = burst.iter().map(|j| j.missed_deadline()).collect();
@@ -199,9 +199,11 @@ fn open_loop_single_thread_reproduces_sim_miss_and_commit_ordering() {
 }
 
 /// Priority dispatch: the burst submitted in *reverse* priority order,
-/// while a lowest-priority pin job holds the one worker, still runs in the
-/// simulator's commit order with its miss pattern — the worker takes the
-/// highest-priority job waiting, not the oldest.
+/// while a lowest-priority pin job holds the one worker in its first
+/// tick, still runs in the simulator's commit order with its miss pattern
+/// — the worker takes the highest-priority job waiting, not the oldest —
+/// and preempts the pin at the end of that tick: the burst runs as the
+/// simulator's does from `TICK` on, and the pin finishes last.
 #[test]
 fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
     // The pin's length: it holds the worker while the clock is paused.
@@ -216,6 +218,7 @@ fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
         .build()
         .expect("pinned burst set");
     let pin = TxnId(5);
+    let burst_ticks = 5 * 10;
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
         let config = FrontConfig::new(kind)
             .with_policy(AdmissionPolicy::Reject)
@@ -223,31 +226,28 @@ fn open_loop_dispatches_a_reversed_burst_in_priority_order() {
         let clock = TestClock::default();
         let (rt, release) = run_front_on(&set, config, clock.clone(), |front| {
             let _paused = clock.pause();
-            let (sub, rx) = front.submitter();
+            let (sub, _rx) = front.submitter();
             assert!(matches!(
                 sub.submit(JobRequest::new(pin)),
                 SubmitOutcome::Admitted { .. }
             ));
-            while front.queue_depth() > 0 {
-                std::thread::yield_now();
-            }
-            // The worker has the pin: the burst is released when it ends.
-            let release = front.elapsed_ns() + PIN_TICKS * TICK;
+            // The worker is in the pin's first tick: the burst is seen,
+            // and released, when that tick ends.
+            assert!(clock.await_held(1, std::time::Duration::from_secs(10)));
+            let release = front.elapsed_ns() + TICK;
             for k in (0..5).rev() {
                 let req = JobRequest::periodic(&set, TxnId(k), release, TICK);
                 assert!(matches!(sub.submit(req), SubmitOutcome::Admitted { .. }));
             }
-            assert!(
-                rx.try_recv().is_err(),
-                "{kind:?}: the pin committed before the burst was queued; the order below is void"
-            );
             release
         });
 
         assert_eq!(rt.committed, 6, "{kind:?}");
-        assert_eq!((rt.jobs[0].id.txn, rt.jobs[0].commit_ns), (pin, release));
         // Dispatch is by priority: the burst runs as the simulator's does.
-        check_burst(kind, &rt, 1, release);
+        check_burst(kind, &rt, 0, release);
+        let last = rt.jobs.last().expect("six jobs");
+        let pin_end = release + (burst_ticks + PIN_TICKS - 1) * TICK;
+        assert_eq!((last.id.txn, last.commit_ns), (pin, pin_end), "{kind:?}");
     }
 }
 

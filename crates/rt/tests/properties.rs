@@ -7,9 +7,10 @@
 //! shared `serializability_violations` entry point.
 
 use rtdb_core::ProtocolKind;
+use rtdb_rt::testkit::TestClock;
 use rtdb_rt::{
-    job_list, run, run_front, shed_victim, AdmissionPolicy, FrontConfig, JobRequest, RtConfig,
-    SubmitOutcome,
+    job_list, run, run_front, run_on, shed_victim, AdmissionPolicy, FrontConfig, JobRequest,
+    RtConfig, SubmitOutcome,
 };
 use rtdb_sim::{serializability_violations, WorkloadParams};
 use rtdb_storage::EventKind;
@@ -116,10 +117,35 @@ fn random_workloads_commit_and_install_exactly_their_job_list() {
     });
 }
 
+/// Run `jobs` on a [`TestClock`] that stays paused until every worker is
+/// inside its busy work, or until the rest stop arriving there (they are
+/// parked behind the held ones), so the first jobs overlap by
+/// construction, however idle the host.
+fn run_overlapped(
+    set: &TransactionSet,
+    jobs: &[InstanceId],
+    config: RtConfig,
+) -> rtdb_rt::RtResult {
+    /// How long no further worker reaches its busy work before the rest
+    /// count as parked.
+    const QUIET: Duration = Duration::from_millis(20);
+    let clock = TestClock::default();
+    let config = config.with_tick_ns(1);
+    std::thread::scope(|s| {
+        let paused = clock.pause();
+        s.spawn(|| {
+            while clock.held() < config.threads && clock.await_held(clock.held() + 1, QUIET) {}
+            drop(paused);
+        });
+        run_on(set, jobs, config, clock.clone())
+    })
+}
+
 /// The run's restart count is the history's: every restart logs one
 /// Abort event, a cross-shard job's once, in its home shard. Every
 /// standard kind at 4 threads on one shard, and the shardable kinds also
-/// on 4 shards of a partitioned set, over the same job list.
+/// on 4 shards of a partitioned set, over the same job list, its first
+/// jobs overlapping ([`run_overlapped`]).
 #[test]
 fn restarts_are_the_historys_aborts() {
     let restarts = AtomicU64::new(0);
@@ -145,7 +171,7 @@ fn restarts_are_the_historys_aborts() {
             for (set, shards) in [(&set, 1)].into_iter().chain(sharded) {
                 let jobs = job_list(set, 24, seed);
                 let config = RtConfig::new(kind).with_threads(4).with_shards(shards);
-                let rt = run(set, &jobs, config);
+                let rt = run_overlapped(set, &jobs, config);
                 assert_eq!(
                     rt.restarts,
                     rt.history.aborts() as u64,

@@ -45,9 +45,10 @@
 //! run allocates nothing per instance. The per-instance sweeps (dispatch,
 //! lower-priority attribution, deadline misses) walk
 //! [`EngineView::active_instances`] and [`StateKernel::active_slots`] in
-//! step and search nothing. Dispatch picks the runner in one pass that
-//! compares running priorities and reads the tie-breaks only on a tie;
-//! the attribution sweep is skipped while the runner is alone. The
+//! step and search nothing. Dispatch is the kernel's one rule
+//! ([`StateKernel::pick_ready`], which the runtime's one-worker pool runs
+//! too): one pass that compares running priorities and reads the
+//! tie-breaks only on a tie; the attribution sweep is skipped while the runner is alone. The
 //! system ceiling is sampled only on a lock transition: every protocol's
 //! [`ProtocolFor::system_ceiling`] is a function of the lock table, so
 //! while [`rtdb_core::LockTable::version`] stands still the last sample
@@ -67,7 +68,7 @@ use rtdb_core::{
 };
 use rtdb_protocols::{instantiate, AnyProtocol};
 use rtdb_storage::{Database, History, ReplayOutcome, SerializationGraph, Workspace};
-use rtdb_types::{Duration, Error, InstanceId, Priority, Result, Tick, TransactionSet, TxnId};
+use rtdb_types::{Duration, Error, InstanceId, Result, Tick, TransactionSet, TxnId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -627,7 +628,7 @@ impl<'a> Sim<'a> {
         loop {
             // `who` stays live, and so in slot `s`, whatever happens below:
             // an abort restarts an instance in place.
-            let (who, s) = self.pick_ready()?;
+            let (who, s) = self.kernel.pick_ready()?;
             let slot = &self.slots[s];
             let step_index = slot.step;
             let step = self.set.template(who.txn).steps[step_index];
@@ -659,42 +660,6 @@ impl<'a> Sim<'a> {
             }
             // Pick again: a wounder retries, the rest make way.
         }
-    }
-
-    /// Highest-running-priority ready instance, with its slot: one that
-    /// waits for nobody. A blocked instance waits for its blockers, one
-    /// parked at its commit gate for the gate's entries and a held one
-    /// for its hold, so the kernel's wait edges say who may run. One
-    /// pass; the tie-breaks ([`Sim::outranks`]) are read only on a tie.
-    fn pick_ready(&self) -> Option<(InstanceId, usize)> {
-        let kernel = &self.kernel;
-        let mut best: Option<(InstanceId, usize, Priority)> = None;
-        for (&id, &s) in kernel.active_instances().iter().zip(kernel.active_slots()) {
-            let record = kernel.record_at(s as usize);
-            if !record.waits_for.is_empty() {
-                continue;
-            }
-            let running = record.running;
-            let wins = match best {
-                None => true,
-                Some((leader, _, top)) => {
-                    running > top || (running == top && self.outranks(id, leader))
-                }
-            };
-            if wins {
-                best = Some((id, s as usize, running));
-            }
-        }
-        best.map(|(id, s, _)| (id, s))
-    }
-
-    /// Between two instances of equal running priority, `a` runs before
-    /// `b`: the higher base priority, then the earlier instance, then the
-    /// earlier template.
-    #[inline]
-    fn outranks(&self, a: InstanceId, b: InstanceId) -> bool {
-        let (base_a, base_b) = (self.set.priority_of(a.txn), self.set.priority_of(b.txn));
-        base_a > base_b || (base_a == base_b && (a.seq, a.txn) < (b.seq, b.txn))
     }
 
     fn release_arrivals(&mut self) {
@@ -1034,131 +999,6 @@ mod tests {
             format!("{:?}", sim.slots[s]),
             format!("{:?}", InstanceSlot::fresh(b, Tick(5), Tick(15)))
         );
-    }
-
-    /// The dispatch order the engine has always had: the ready instance
-    /// with the greatest `(running, base, Reverse(seq), Reverse(txn))`.
-    fn reference_pick(sim: &Sim) -> Option<(InstanceId, usize)> {
-        let kernel = &sim.kernel;
-        kernel
-            .active_instances()
-            .iter()
-            .zip(kernel.active_slots())
-            .map(|(&id, &s)| (id, s as usize))
-            .filter(|&(_, s)| kernel.record_at(s).waits_for.is_empty())
-            .max_by_key(|&(id, s)| {
-                (
-                    kernel.record_at(s).running,
-                    kernel.base_priority(id),
-                    Reverse(id.seq),
-                    Reverse(id.txn.0),
-                )
-            })
-    }
-
-    /// A set of one-step templates at the given priority levels.
-    fn leveled_set(levels: &[u32]) -> TransactionSet {
-        let mut b = SetBuilder::new();
-        for k in 0..levels.len() {
-            b.add(TransactionTemplate::new(
-                format!("T{k}"),
-                10,
-                vec![Step::compute(1)],
-            ));
-        }
-        b.build_with_priorities(levels).unwrap()
-    }
-
-    /// Release `ids` into a fresh simulation of `set`.
-    fn live<'a>(set: &'a TransactionSet, config: &'a SimConfig, ids: &[InstanceId]) -> Sim<'a> {
-        let mut sim = Sim::new(set, config, None);
-        for &id in ids {
-            sim.release(id, Tick(0), Tick(10));
-        }
-        sim
-    }
-
-    fn inst(txn: u32, seq: u32) -> InstanceId {
-        InstanceId::new(TxnId(txn), seq)
-    }
-
-    #[test]
-    fn the_one_pass_pick_keeps_the_dispatch_order() {
-        rtdb_util::prop::forall(256, |rng| {
-            // Sparse distinct levels, several live instances per template,
-            // random wait edges: inheritance makes running priorities tie
-            // with bases and with each other.
-            let n = rng.range_usize(1..6);
-            let mut levels: Vec<u32> = (0..12).map(|l| l * 7 + 3).collect();
-            rng.shuffle(&mut levels);
-            levels.truncate(n);
-            let set = leveled_set(&levels);
-            let config = SimConfig::default();
-            let mut ids = Vec::new();
-            for txn in 0..n as u32 {
-                let mut seqs: Vec<u32> = (0..6).collect();
-                rng.shuffle(&mut seqs);
-                seqs.truncate(rng.range_usize(1..4));
-                ids.extend(seqs.into_iter().map(|seq| inst(txn, seq)));
-            }
-            let mut sim = live(&set, &config, &ids);
-            for &who in &ids {
-                if rng.chance(0.4) {
-                    let on: Vec<InstanceId> = ids
-                        .iter()
-                        .copied()
-                        .filter(|&b| b != who && rng.chance(0.3))
-                        .collect();
-                    if !on.is_empty() {
-                        sim.kernel.wait_on(who, &on);
-                    }
-                }
-            }
-            assert_eq!(sim.pick_ready(), reference_pick(&sim), "{ids:?}");
-        });
-    }
-
-    #[test]
-    fn an_inheriting_low_instance_runs_before_a_higher_ready_one() {
-        // H > M > L; H waits for L, so L runs at H's priority.
-        let set = leveled_set(&[30, 20, 10]);
-        let config = SimConfig::default();
-        let (h, m, l) = (inst(0, 0), inst(1, 0), inst(2, 0));
-        let mut sim = live(&set, &config, &[h, m, l]);
-        sim.kernel.wait_on(h, &[l]);
-        assert_eq!(sim.pick_ready().map(|(id, _)| id), Some(l));
-        // An instance with wait edges is never picked, however high.
-        sim.kernel.wait_on(l, &[m]);
-        assert_eq!(sim.pick_ready().map(|(id, _)| id), Some(m));
-        sim.kernel.wait_on(m, &[h]);
-        assert_eq!(sim.pick_ready(), None);
-    }
-
-    #[test]
-    fn equal_running_priority_goes_to_the_higher_base() {
-        // H waits for both M and L: both run at H's priority. L comes
-        // first in the live list, so the tie decides.
-        let set = leveled_set(&[30, 10, 20]);
-        let config = SimConfig::default();
-        let (h, l, m) = (inst(0, 0), inst(1, 0), inst(2, 0));
-        let mut sim = live(&set, &config, &[h, m, l]);
-        sim.kernel.wait_on(h, &[l, m]);
-        assert_eq!(sim.pick_ready().map(|(id, _)| id), Some(m));
-    }
-
-    #[test]
-    fn equal_base_goes_to_the_earlier_instance() {
-        let set = leveled_set(&[30, 20]);
-        let config = SimConfig::default();
-        let (late, early) = (inst(1, 4), inst(1, 2));
-        let mut sim = live(&set, &config, &[late, early]);
-        assert_eq!(sim.pick_ready().map(|(id, _)| id), Some(early));
-        // Inheritance lifts both to the same running priority; the
-        // earlier one still goes first.
-        let h = inst(0, 0);
-        sim.release(h, Tick(0), Tick(10));
-        sim.kernel.wait_on(h, &[late, early]);
-        assert_eq!(sim.pick_ready().map(|(id, _)| id), Some(early));
     }
 
     #[test]
