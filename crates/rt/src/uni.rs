@@ -143,8 +143,8 @@ impl<'a, C: Clock> Uni<'_, 'a, C> {
                 let Some((who, s)) = self.pick(&mut g) else {
                     continue 'idle;
                 };
-                let running = g.kernel().record_at(s).running;
                 let base = self.set.priority_of(who.txn);
+                let running = g.kernel().record_at(s).running;
                 let preempts = |q| StateKernel::arrival_outranks(q, running, base);
                 if let Some(job) = self.source.next_if(preempts) {
                     if let Some(job) = self.run_if_snapshot(job) {
@@ -152,15 +152,25 @@ impl<'a, C: Clock> Uni<'_, 'a, C> {
                     }
                     continue;
                 }
-                if !self.acquire(&mut g, who, s) {
-                    // Blocked, wounding or aborted: pick again.
-                    continue;
-                }
-                drop(g);
-                let finished = self.busy(s, running, base);
-                g = self.manager.lock(0);
-                if finished {
-                    self.step_finished(&mut g, who, s);
+                // Run it step by step until it gives way: blocked,
+                // wounding or aborted, preempted, committed, or a kernel
+                // call for its early releases. Between two of its steps
+                // nothing else changes, so it stays the pick unless a job
+                // that would run first is queued.
+                while self.acquire(&mut g, who, s) {
+                    // A grant can raise the runner's priority (a writer
+                    // parked at its gate waits on the reader it let past).
+                    let running = g.kernel().record_at(s).running;
+                    drop(g);
+                    let finished = self.busy(s, running, base);
+                    g = self.manager.lock(0);
+                    let preempts = |q| StateKernel::arrival_outranks(q, running, base);
+                    if !finished
+                        || !self.step_finished(&mut g, who, s)
+                        || self.source.top_priority().is_some_and(preempts)
+                    {
+                        break;
+                    }
                 }
             }
         }
@@ -300,8 +310,15 @@ impl<'a, C: Clock> Uni<'_, 'a, C> {
 
     /// The runner `who`, in slot `s`, finished its current step: apply
     /// the step's early releases and retires, or commit after the last.
+    /// True when it simply goes on to its next step: the kernel was not
+    /// called, so nothing but its progress changed.
     #[inline]
-    fn step_finished(&mut self, g: &mut MutexGuard<'_, Shared<'a>>, who: InstanceId, s: usize) {
+    fn step_finished(
+        &mut self,
+        g: &mut MutexGuard<'_, Shared<'a>>,
+        who: InstanceId,
+        s: usize,
+    ) -> bool {
         let live = &mut self.slots[s];
         let done = live.step;
         live.step += 1;
@@ -309,9 +326,13 @@ impl<'a, C: Clock> Uni<'_, 'a, C> {
         live.acquired = false;
         if live.step == self.set.template(who.txn).steps.len() {
             self.commit(g, who, s);
+            false
         } else if self.releases_early {
             g.step_done(who, done, &live.ws);
             self.settle(g);
+            false
+        } else {
+            true
         }
     }
 
